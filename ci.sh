@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full local CI gate. Everything here runs offline with an empty cargo
-# registry cache; crates/bench (criterion) is deliberately outside the
-# workspace and outside this gate.
+# registry cache: the workspace (crates/bench's table/figure binaries
+# included) has no registry dependency at all.
 set -eu
 cd "$(dirname "$0")"
 
@@ -10,6 +10,9 @@ cargo fmt --check
 
 echo "==> xtask lint"
 cargo run -p xtask -- lint
+
+echo "==> xtask loc (code lines per crate, tracked in CHANGES.md)"
+cargo run -q -p xtask -- loc
 
 echo "==> release build"
 cargo build --workspace --release

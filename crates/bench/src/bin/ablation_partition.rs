@@ -29,14 +29,21 @@ fn main() {
     let a = torso();
     let p = 32;
     let opts = IlutOptions::star(10, 1e-4, 2);
-    eprintln!("[ablation_partition] TORSO: n = {}, p = {p}, {}", a.n_rows(), opts.name());
+    eprintln!(
+        "[ablation_partition] TORSO: n = {}, p = {p}, {}",
+        a.n_rows(),
+        opts.name()
+    );
     println!("## Ablation — multilevel k-way partition vs naive block distribution\n");
     println!("TORSO, p = {p}, {}:\n", opts.name());
     println!(
         "| {:<18} | {:>10} | {:>8} | {:>12} | {:>6} |",
         "Distribution", "interface", "(% n)", "factor (s)", "q"
     );
-    println!("|{:-<20}|{:-<12}|{:-<10}|{:-<14}|{:-<8}|", "", "", "", "", "");
+    println!(
+        "|{:-<20}|{:-<12}|{:-<10}|{:-<14}|{:-<8}|",
+        "", "", "", "", ""
+    );
     let n = a.n_rows();
     for (name, dist) in [
         ("multilevel k-way", Distribution::from_matrix(&a, p, 17)),

@@ -26,7 +26,10 @@ fn main() {
         "| {:<18} | {:>12} | {:>5} | {:>12} | {:>6} | {:>5} |",
         "Method", "factor (s)", "q", "solve (s)", "NMV", "conv"
     );
-    println!("|{:-<20}|{:-<14}|{:-<7}|{:-<14}|{:-<8}|{:-<7}|", "", "", "", "", "", "");
+    println!(
+        "|{:-<20}|{:-<14}|{:-<7}|{:-<14}|{:-<8}|{:-<7}|",
+        "", "", "", "", "", ""
+    );
     let variants: [(&str, Option<IlutOptions>); 3] = [
         ("ILU(0)", None),
         ("ILUT(10,1e-4)", Some(IlutOptions::new(10, 1e-4))),
@@ -49,7 +52,11 @@ fn main() {
             let ones = vec![1.0; local.len()];
             let b = op.apply(ctx, &ones);
             let mut pre = DistIlu::new(ctx, &dm, &local, rf);
-            let gopts = GmresOptions { restart: 50, rtol: 1e-7, max_matvecs: 3000 };
+            let gopts = GmresOptions {
+                restart: 50,
+                rtol: 1e-7,
+                max_matvecs: 3000,
+            };
             ctx.barrier();
             let t1 = ctx.time();
             let r = dist_gmres(ctx, &mut op, &local, &mut pre, &b, &gopts);

@@ -34,7 +34,10 @@ fn main() {
     let classes = color_classes(&colors, nc);
 
     println!("## Figure 1 — ILU(0) colouring vs ILUT fill dependencies\n");
-    println!("24x24 grid, {p} domains, {} interface nodes.", interface.len());
+    println!(
+        "24x24 grid, {p} domains, {} interface nodes.",
+        interface.len()
+    );
     println!("\n(a) ILU(0): one colouring schedules the whole interface elimination:");
     for (c, class) in classes.iter().enumerate() {
         println!("    colour {c}: {:3} nodes", class.len());
@@ -69,7 +72,10 @@ fn main() {
         }
     }
     let q = out.results[0].1;
-    println!("\n(b) ILUT({},{:.0e}) after interior elimination:", opts.m, opts.tau);
+    println!(
+        "\n(b) ILUT({},{:.0e}) after interior elimination:",
+        opts.m, opts.tau
+    );
     println!("    original interface couplings : {original_arcs}");
     println!("    fill-added couplings         : {fill_arcs}");
     println!("    …of which join SAME-colour pairs: {same_color_conflicts}");

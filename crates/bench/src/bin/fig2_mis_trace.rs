@@ -20,7 +20,9 @@ fn trace(a: &pilut_sparse::CsrMatrix, p: usize, opts: &IlutOptions) -> Vec<usize
         rf.levels.iter().map(|l| l.len()).collect::<Vec<usize>>()
     });
     let q = out.results[0].len();
-    (0..q).map(|l| out.results.iter().map(|r| r[l]).sum()).collect()
+    (0..q)
+        .map(|l| out.results.iter().map(|r| r[l]).sum())
+        .collect()
 }
 
 fn main() {
@@ -31,7 +33,12 @@ fn main() {
     for opts in [IlutOptions::new(10, 1e-4), IlutOptions::star(10, 1e-4, 2)] {
         let sizes = trace(&a, p, &opts);
         let total: usize = sizes.iter().sum();
-        println!("{} — {} interface nodes, q = {} independent sets:", opts.name(), total, sizes.len());
+        println!(
+            "{} — {} interface nodes, q = {} independent sets:",
+            opts.name(),
+            total,
+            sizes.len()
+        );
         let mut remaining = total;
         for (l, &s) in sizes.iter().enumerate() {
             remaining -= s;

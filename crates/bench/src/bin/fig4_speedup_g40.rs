@@ -14,7 +14,12 @@ fn main() {
         &proc_list(),
         &mut |a, p, opts| {
             let r = run_factorization(a, p, opts);
-            eprintln!("[fig4] {} p={p}: {:.4}s (q={})", opts.name(), r.sim_time, r.levels);
+            eprintln!(
+                "[fig4] {} p={p}: {:.4}s (q={})",
+                opts.name(),
+                r.sim_time,
+                r.levels
+            );
             r.sim_time
         },
     );

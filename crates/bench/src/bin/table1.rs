@@ -32,7 +32,10 @@ fn main() {
             extra.push(format!(
                 "{:<18} levels(q) by p: {}",
                 opts.name(),
-                qs.iter().map(|q| q.to_string()).collect::<Vec<_>>().join(", ")
+                qs.iter()
+                    .map(|q| q.to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ")
             ));
         }
         println!("\nIndependent-set counts (paper §6 discussion):");

@@ -35,7 +35,11 @@ fn main() {
         ratio_lines.push(format!(
             "{:<18} trisolve/matvec by p: {}",
             opts.name(),
-            ratios.iter().map(|r| format!("{r:.2}")).collect::<Vec<_>>().join(", ")
+            ratios
+                .iter()
+                .map(|r| format!("{r:.2}"))
+                .collect::<Vec<_>>()
+                .join(", ")
         ));
         matvec_rows.push(mv);
     }

@@ -16,13 +16,25 @@ use pilut_solver::gmres::GmresOptions;
 use pilut_sparse::CsrMatrix;
 
 fn max_matvecs() -> usize {
-    std::env::var("PILUT_MAX_NMV").ok().and_then(|s| s.parse().ok()).unwrap_or(3000)
+    std::env::var("PILUT_MAX_NMV")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(3000)
 }
 
 /// One GMRES solve; returns (sim solve seconds, NMV, converged).
-fn run_solve(a: &CsrMatrix, p: usize, ilut: Option<&IlutOptions>, restart: usize) -> (f64, usize, bool) {
+fn run_solve(
+    a: &CsrMatrix,
+    p: usize,
+    ilut: Option<&IlutOptions>,
+    restart: usize,
+) -> (f64, usize, bool) {
     let dm = DistMatrix::from_matrix(a.clone(), p, 17);
-    let gopts = GmresOptions { restart, rtol: 1e-7, max_matvecs: max_matvecs() };
+    let gopts = GmresOptions {
+        restart,
+        rtol: 1e-7,
+        max_matvecs: max_matvecs(),
+    };
     let ilut = ilut.cloned();
     let out = Machine::run(p, MachineModel::cray_t3d(), |ctx| {
         let local = dm.local_view(ctx.rank());
@@ -52,28 +64,49 @@ fn main() {
     let p = *proc_list().last().expect("PILUT_PROCS must be non-empty");
     let restarts = [10usize, 50];
     for (name, a) in [("G40", g40()), ("TORSO", torso())] {
-        eprintln!("[table3] {name}: n = {}, nnz = {}, p = {p}", a.n_rows(), a.nnz());
+        eprintln!(
+            "[table3] {name}: n = {}, nnz = {}, p = {p}",
+            a.n_rows(),
+            a.nnz()
+        );
         println!("\n## Table 3 — GMRES performance, {name}, p = {p}\n");
         println!(
             "| {:<18} | GMRES(10) time | GMRES(10) NMV | GMRES(50) time | GMRES(50) NMV |",
             "Preconditioner"
         );
-        println!("|{:-<20}|{:-<16}|{:-<15}|{:-<16}|{:-<15}|", "", "", "", "", "");
-        let mut rows: Vec<(String, Option<IlutOptions>)> =
-            config_grid().into_iter().map(|o| (o.name(), Some(o))).collect();
+        println!(
+            "|{:-<20}|{:-<16}|{:-<15}|{:-<16}|{:-<15}|",
+            "", "", "", "", ""
+        );
+        let mut rows: Vec<(String, Option<IlutOptions>)> = config_grid()
+            .into_iter()
+            .map(|o| (o.name(), Some(o)))
+            .collect();
         rows.push(("Diagonal".to_string(), None));
         for (label, opts) in rows {
             let mut cells = Vec::new();
             for &restart in &restarts {
                 let (t, nmv, conv) = run_solve(&a, p, opts.as_ref(), restart);
-                let tcell = if conv { fmt_time(t) } else { format!("{:>8}", "--") };
-                let ncell = if conv { format!("{nmv:>6}") } else { format!("{nmv:>5}*") };
-                eprintln!("[table3] {name} {label} GMRES({restart}): {t:.3}s NMV={nmv} conv={conv}");
+                let tcell = if conv {
+                    fmt_time(t)
+                } else {
+                    format!("{:>8}", "--")
+                };
+                let ncell = if conv {
+                    format!("{nmv:>6}")
+                } else {
+                    format!("{nmv:>5}*")
+                };
+                eprintln!(
+                    "[table3] {name} {label} GMRES({restart}): {t:.3}s NMV={nmv} conv={conv}"
+                );
                 cells.push(format!("{tcell:>14}"));
                 cells.push(format!("{ncell:>13}"));
             }
             println!("| {label:<18} | {} |", cells.join(" | "));
         }
-        println!("\n(`--`/`*` = not converged within the NMV budget, as for the paper's diagonal runs.)");
+        println!(
+            "\n(`--`/`*` = not converged within the NMV budget, as for the paper's diagonal runs.)"
+        );
     }
 }

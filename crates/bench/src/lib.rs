@@ -14,7 +14,7 @@ use pilut_core::dist::spmv::{dist_spmv, SpmvPlan};
 use pilut_core::dist::DistMatrix;
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::{par_ilut, ParStats};
-use pilut_core::trisolve::{dist_forward, dist_backward, TrisolvePlan};
+use pilut_core::trisolve::{dist_backward, dist_forward, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::{gen, CsrMatrix};
 
@@ -26,7 +26,10 @@ pub const K_STAR: usize = 2;
 
 /// Scale factor from the environment (default 1.0).
 pub fn scale() -> f64 {
-    std::env::var("PILUT_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
+    std::env::var("PILUT_SCALE")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1.0)
 }
 
 /// Processor counts from the environment (default the paper's 16..128).
@@ -34,7 +37,11 @@ pub fn proc_list() -> Vec<usize> {
     match std::env::var("PILUT_PROCS") {
         Ok(s) => s
             .split(',')
-            .map(|t| t.trim().parse().expect("PILUT_PROCS must be comma-separated integers"))
+            .map(|t| {
+                t.trim()
+                    .parse()
+                    .expect("PILUT_PROCS must be comma-separated integers")
+            })
             .collect(),
         Err(_) => vec![16, 32, 64, 128],
     }
@@ -138,7 +145,12 @@ pub fn run_trisolve(a: &CsrMatrix, p: usize, opts: &IlutOptions) -> SolveRun {
         let _ = dist_spmv(ctx, &dm, &local, &mut splan, &b);
         ctx.barrier();
         let t2 = ctx.time();
-        (t1 - t0, t2 - t1, rf.stats.nnz_l + rf.stats.nnz_u, rf.stats.levels)
+        (
+            t1 - t0,
+            t2 - t1,
+            rf.stats.nnz_l + rf.stats.nnz_u,
+            rf.stats.levels,
+        )
     });
     let trisolve_time = out.results.iter().map(|r| r.0).fold(0.0, f64::max);
     let matvec_time = out.results.iter().map(|r| r.1).fold(0.0, f64::max);
@@ -165,12 +177,19 @@ pub fn print_speedup_table(
     println!(
         "| {:<18} | {} |",
         "Factorization",
-        procs.iter().map(|p| format!("S(p={p:<3})")).collect::<Vec<_>>().join(" | ")
+        procs
+            .iter()
+            .map(|p| format!("S(p={p:<3})"))
+            .collect::<Vec<_>>()
+            .join(" | ")
     );
     println!(
         "|{:-<20}|{}",
         "",
-        procs.iter().map(|_| format!("{:-<10}|", "")).collect::<String>()
+        procs
+            .iter()
+            .map(|_| format!("{:-<10}|", ""))
+            .collect::<String>()
     );
     for opts in config_grid() {
         let mut times = Vec::new();
@@ -178,7 +197,10 @@ pub fn print_speedup_table(
             times.push(runner(a, p, &opts));
         }
         let base = times[0];
-        let cells: Vec<String> = times.iter().map(|&t| format!("{:>8.2}", base / t)).collect();
+        let cells: Vec<String> = times
+            .iter()
+            .map(|&t| format!("{:>8.2}", base / t))
+            .collect();
         println!("| {:<18} | {} |", opts.name(), cells.join(" | "));
     }
     println!(
@@ -206,7 +228,9 @@ pub fn print_header(title: &str, cols: &[String]) {
     println!(
         "|{:-<20}|{}",
         "",
-        cols.iter().map(|c| format!("{:-<w$}|", "", w = c.len() + 2)).collect::<String>()
+        cols.iter()
+            .map(|c| format!("{:-<w$}|", "", w = c.len() + 2))
+            .collect::<String>()
     );
 }
 

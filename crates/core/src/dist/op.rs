@@ -7,7 +7,7 @@
 //! canonical implementation: a distributed CSR matrix applied through the
 //! plan-once/replay-many halo exchange of [`crate::dist::spmv`].
 
-use crate::dist::spmv::{dist_spmv, dist_spmv_into, SpmvPlan};
+use crate::dist::spmv::{dist_spmv_into, SpmvPlan};
 use crate::dist::{DistMatrix, LocalView};
 use pilut_par::Ctx;
 use pilut_sparse::{BcsrMatrix, CsrMatrix};
@@ -17,24 +17,20 @@ use pilut_sparse::{BcsrMatrix, CsrMatrix};
 pub trait LinOp {
     /// Operator dimension (square).
     fn n_rows(&self) -> usize;
-    /// Computes `y = A x`.
-    fn apply(&self, x: &[f64]) -> Vec<f64>;
-    /// Computes `y = A x` into a caller-owned buffer — the zero-allocation
-    /// steady-state form. The default delegates to [`LinOp::apply`] (and so
-    /// still allocates); concrete operators override it with a true
-    /// in-place product.
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(&self.apply(x));
+    /// Computes `y = A x` into a caller-owned buffer — the required method
+    /// and the only one the solvers' inner loops call.
+    fn apply_into(&self, x: &[f64], y: &mut [f64]);
+    /// Allocating convenience over [`LinOp::apply_into`].
+    fn apply(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.n_rows()];
+        self.apply_into(x, &mut y);
+        y
     }
 }
 
 impl LinOp for CsrMatrix {
     fn n_rows(&self) -> usize {
         CsrMatrix::n_rows(self)
-    }
-
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.spmv_owned(x)
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
@@ -45,10 +41,6 @@ impl LinOp for CsrMatrix {
 impl LinOp for BcsrMatrix {
     fn n_rows(&self) -> usize {
         BcsrMatrix::n_rows(self)
-    }
-
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.spmv_owned(x)
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
@@ -62,14 +54,15 @@ impl LinOp for BcsrMatrix {
 pub trait DistOperator {
     /// Length of this rank's owned slice.
     fn local_len(&self) -> usize;
-    /// Collectively computes the local block of `y = A x`.
-    fn apply(&mut self, ctx: &mut Ctx, x: &[f64]) -> Vec<f64>;
     /// Collectively computes the local block of `y = A x` into a
-    /// caller-owned buffer — the zero-allocation steady-state form. The
-    /// default delegates to [`DistOperator::apply`]; concrete operators
-    /// override it with a true in-place product.
-    fn apply_into(&mut self, ctx: &mut Ctx, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(&self.apply(ctx, x));
+    /// caller-owned buffer — the required method and the only one the
+    /// solvers' inner loops call.
+    fn apply_into(&mut self, ctx: &mut Ctx, x: &[f64], y: &mut [f64]);
+    /// Allocating convenience over [`DistOperator::apply_into`].
+    fn apply(&mut self, ctx: &mut Ctx, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.local_len()];
+        self.apply_into(ctx, x, &mut y);
+        y
     }
     /// Boundary values this rank ships per application (observability).
     fn sent_values(&self) -> usize;
@@ -98,10 +91,6 @@ impl<'a> DistCsr<'a> {
 impl DistOperator for DistCsr<'_> {
     fn local_len(&self) -> usize {
         self.local.len()
-    }
-
-    fn apply(&mut self, ctx: &mut Ctx, x: &[f64]) -> Vec<f64> {
-        dist_spmv(ctx, self.dm, self.local, &mut self.plan, x)
     }
 
     fn apply_into(&mut self, ctx: &mut Ctx, x: &[f64], y: &mut [f64]) {

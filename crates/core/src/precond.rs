@@ -8,14 +8,16 @@ use pilut_sparse::CsrMatrix;
 /// A preconditioner `M`: given a residual-like vector `r`, produces
 /// `z ≈ M⁻¹ r`.
 pub trait Preconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64>;
+    /// Writes `z = M⁻¹ r` into a caller-owned buffer. This is the required
+    /// method — and the only one the solvers' inner loops call — so an
+    /// implementation cannot allocate per application by omission.
+    fn apply_into(&self, r: &[f64], z: &mut [f64]);
 
-    /// Applies `M⁻¹ r` into a caller-owned buffer — the zero-allocation
-    /// steady-state form. The default delegates to
-    /// [`Preconditioner::apply`] (and so still allocates); the in-repo
-    /// implementations override it with true in-place solves.
-    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(&self.apply(r));
+    /// Allocating convenience over [`Preconditioner::apply_into`].
+    fn apply(&self, r: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; r.len()];
+        self.apply_into(r, &mut z);
+        z
     }
 
     /// Display name for experiment tables.
@@ -28,10 +30,6 @@ pub trait Preconditioner {
 pub struct IdentityPreconditioner;
 
 impl Preconditioner for IdentityPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.to_vec()
-    }
-
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         z.copy_from_slice(r);
     }
@@ -75,10 +73,6 @@ impl DiagonalPreconditioner {
 }
 
 impl Preconditioner for DiagonalPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.iter().zip(&self.inv_diag).map(|(x, d)| x * d).collect()
-    }
-
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         for ((zi, x), d) in z.iter_mut().zip(r).zip(&self.inv_diag) {
             *zi = x * d;
@@ -120,10 +114,6 @@ impl IluPreconditioner {
 }
 
 impl Preconditioner for IluPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        self.factors.solve(r)
-    }
-
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         self.factors.solve_into(r, z);
     }
@@ -173,10 +163,6 @@ impl BlockIluPreconditioner {
 }
 
 impl Preconditioner for BlockIluPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        self.factors.solve(r)
-    }
-
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         let mut padded = self.padded.borrow_mut();
         self.factors.solve_into(r, &mut padded);

@@ -33,8 +33,15 @@ impl IcFactors {
 
     /// Solves `L Lᵀ x = b`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// Solves `L Lᵀ x = b` into a caller-owned buffer (no allocation).
+    pub fn solve_into(&self, b: &[f64], y: &mut [f64]) {
         assert_eq!(b.len(), self.n);
-        let mut y = b.to_vec();
+        y.copy_from_slice(b);
         // Forward: L y = b.
         for (i, row) in self.rows.iter().enumerate() {
             // lint: allow(unwrap): every IC row stores at least its diagonal
@@ -55,7 +62,6 @@ impl IcFactors {
                 y[j] -= v * yi;
             }
         }
-        y
     }
 }
 

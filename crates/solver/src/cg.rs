@@ -66,7 +66,10 @@ pub fn cg<A: LinOp + ?Sized>(
     let target = opts.rtol * b_norm;
     let mut x = vec![0.0; n];
     let mut r = b.to_vec();
-    let mut z = precond.apply(&r);
+    // The two per-iteration products land in buffers allocated here, once.
+    let mut z = vec![0.0; n];
+    let mut ap = vec![0.0; n];
+    precond.apply_into(&r, &mut z);
     let mut p = z.clone();
     let mut rz = dot(&r, &z);
     let mut iterations = 0usize;
@@ -86,7 +89,7 @@ pub fn cg<A: LinOp + ?Sized>(
             breakdown = Some(Breakdown::NonFinite { at: iterations });
             break;
         }
-        let ap = a.apply(&p);
+        a.apply_into(&p, &mut ap);
         let pap = dot(&p, &ap);
         if !pap.is_finite() {
             breakdown = Some(Breakdown::NonFinite { at: iterations });
@@ -102,7 +105,7 @@ pub fn cg<A: LinOp + ?Sized>(
         let alpha = rz / pap;
         axpy(alpha, &p, &mut x);
         axpy(-alpha, &ap, &mut r);
-        z = precond.apply(&r);
+        precond.apply_into(&r, &mut z);
         let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
@@ -137,8 +140,8 @@ impl IcPreconditioner {
 }
 
 impl Preconditioner for IcPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        self.factors.solve(r)
+    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
+        self.factors.solve_into(r, z);
     }
 
     fn name(&self) -> String {

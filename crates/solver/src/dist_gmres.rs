@@ -12,23 +12,25 @@
 use pilut_core::dist::op::DistOperator;
 use pilut_core::dist::{DistMatrix, LocalView};
 use pilut_core::parallel::RankFactors;
-use pilut_core::trisolve::{dist_solve, dist_solve_into, SolveScratch, TrisolvePlan};
+use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_par::Ctx;
 
 use crate::gmres::GmresOptions;
+use crate::krylov::{self, Space};
 use crate::report::Breakdown;
 
 /// A distributed preconditioner: maps a local residual slice to a local
 /// correction slice. Collective — every rank calls `apply` together.
 pub trait DistPrecond {
-    fn apply(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64]) -> Vec<f64>;
+    /// Writes the correction into a caller-owned buffer — the required
+    /// method and the only one the solver's inner loop calls.
+    fn apply_into(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64], z: &mut [f64]);
 
-    /// Applies the correction into a caller-owned buffer — the
-    /// zero-allocation steady-state form. The default delegates to
-    /// [`DistPrecond::apply`]; the in-repo implementations override it
-    /// with in-place solves.
-    fn apply_into(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(&self.apply(ctx, local, r));
+    /// Allocating convenience over [`DistPrecond::apply_into`].
+    fn apply(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; r.len()];
+        self.apply_into(ctx, local, r, &mut z);
+        z
     }
 
     fn name(&self) -> String;
@@ -38,10 +40,6 @@ pub trait DistPrecond {
 pub struct DistIdentity;
 
 impl DistPrecond for DistIdentity {
-    fn apply(&mut self, _ctx: &mut Ctx, _local: &LocalView, r: &[f64]) -> Vec<f64> {
-        r.to_vec()
-    }
-
     fn apply_into(&mut self, _ctx: &mut Ctx, _local: &LocalView, r: &[f64], z: &mut [f64]) {
         z.copy_from_slice(r);
     }
@@ -90,11 +88,6 @@ impl DistDiagonal {
 }
 
 impl DistPrecond for DistDiagonal {
-    fn apply(&mut self, ctx: &mut Ctx, _local: &LocalView, r: &[f64]) -> Vec<f64> {
-        ctx.work(r.len() as f64);
-        r.iter().zip(&self.inv_diag).map(|(x, d)| x * d).collect()
-    }
-
     fn apply_into(&mut self, ctx: &mut Ctx, _local: &LocalView, r: &[f64], z: &mut [f64]) {
         ctx.work(r.len() as f64);
         for ((zi, x), d) in z.iter_mut().zip(r).zip(&self.inv_diag) {
@@ -139,10 +132,6 @@ impl DistIlu {
 }
 
 impl DistPrecond for DistIlu {
-    fn apply(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64]) -> Vec<f64> {
-        dist_solve(ctx, local, &self.rf, &self.plan, r)
-    }
-
     fn apply_into(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64], z: &mut [f64]) {
         dist_solve_into(ctx, local, &self.rf, &self.plan, r, &mut self.scratch, z);
     }
@@ -161,6 +150,11 @@ pub struct DistGmresResult {
     pub converged: bool,
     pub matvecs: usize,
     pub rel_residual: f64,
+    /// Residual-norm history, one entry per inner iteration plus one per
+    /// restart cycle — same semantics as
+    /// [`GmresResult::history`](crate::gmres::GmresResult::history), and
+    /// identical on every rank.
+    pub history: Vec<f64>,
     /// Why the iteration stopped early (identical on every rank: the
     /// detection runs on all-reduced scalars, so every rank sees the same
     /// values and takes the same branch). `None` on clean convergence or a
@@ -168,14 +162,35 @@ pub struct DistGmresResult {
     pub breakdown: Option<Breakdown>,
 }
 
-fn ddot(ctx: &mut Ctx, a: &[f64], b: &[f64]) -> f64 {
-    let local: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    ctx.work(2.0 * a.len() as f64);
-    ctx.all_reduce_sum(local)
+/// The distributed [`Space`]: each rank holds its local-view slice,
+/// reductions are all-reduces over the machine, and work is charged to the
+/// rank's logical clock.
+pub(crate) struct Distributed<'a> {
+    pub(crate) ctx: &'a mut Ctx,
+    pub(crate) op: &'a mut dyn DistOperator,
+    pub(crate) local: &'a LocalView,
+    pub(crate) precond: &'a mut dyn DistPrecond,
 }
 
-fn dnorm(ctx: &mut Ctx, a: &[f64]) -> f64 {
-    ddot(ctx, a, a).sqrt()
+impl Space for Distributed<'_> {
+    fn len(&self) -> usize {
+        self.local.len()
+    }
+    fn apply_op(&mut self, x: &[f64], y: &mut [f64]) {
+        self.op.apply_into(self.ctx, x, y);
+    }
+    fn apply_precond(&mut self, r: &[f64], z: &mut [f64]) {
+        self.precond.apply_into(self.ctx, self.local, r, z);
+    }
+    fn reduce_sum(&mut self, local: f64) -> f64 {
+        self.ctx.all_reduce_sum(local)
+    }
+    fn any(&mut self, local: bool) -> bool {
+        self.ctx.all_reduce_sum_u64(u64::from(local)) != 0
+    }
+    fn work(&mut self, flops: f64) {
+        self.ctx.work(flops);
+    }
 }
 
 /// Right-preconditioned GMRES(restart) over a distributed operator.
@@ -210,194 +225,23 @@ pub fn dist_gmres_from(
     b: &[f64],
     opts: &GmresOptions,
     x0: Option<Vec<f64>>,
-    mut ckpt: Option<&mut Vec<f64>>,
+    ckpt: Option<&mut Vec<f64>>,
 ) -> DistGmresResult {
-    let nl = local.len();
-    assert_eq!(b.len(), nl);
-    assert_eq!(op.local_len(), nl);
-    let mut x = x0.unwrap_or_else(|| vec![0.0; nl]);
-    assert_eq!(x.len(), nl, "warm start must be in local-view order");
-    let b_norm = dnorm(ctx, b);
-    // lint: allow(float-eq): exact zero-RHS short-circuit
-    if b_norm == 0.0 {
-        // The exact solution of `A x = 0` is zero regardless of any warm
-        // start: return zeros, not `x0`.
-        return DistGmresResult {
-            x_local: vec![0.0; nl],
-            converged: true,
-            matvecs: 0,
-            rel_residual: 0.0,
-            breakdown: None,
-        };
-    }
-    let target = opts.rtol * b_norm;
-    let m = opts.restart.max(1);
-    let mut matvecs = 0usize;
-    // Workspace, allocated once per solve (see the serial `gmres` twin):
-    // every restart cycle and inner iteration reuses it, and the inner loop
-    // runs under the `gmres_inner` audit region with zero steady
-    // acquisitions.
-    let mut v: Vec<Vec<f64>> = (0..=m).map(|_| vec![0.0; nl]).collect();
-    let mut h = vec![vec![0.0f64; m]; m + 1];
-    let mut cs = vec![0.0f64; m];
-    let mut sn = vec![0.0f64; m];
-    let mut g = vec![0.0f64; m + 1];
-    let mut ax = vec![0.0; nl];
-    let mut z = vec![0.0; nl];
-    let mut w = vec![0.0; nl];
-    let mut y = vec![0.0f64; m];
-    let mut vy = vec![0.0; nl];
-    let mut breakdown: Option<Breakdown> = None;
-    let mut prev_beta = f64::INFINITY;
-    let mut stalled_cycles = 0usize;
-
-    'outer: loop {
-        op.apply_into(ctx, &x, &mut ax);
-        matvecs += 1;
-        for ((ri, bi), yi) in v[0].iter_mut().zip(b).zip(&ax) {
-            *ri = bi - yi;
-        }
-        let beta = dnorm(ctx, &v[0]);
-        if !beta.is_finite() {
-            breakdown = Some(Breakdown::NonFinite { at: matvecs });
-            break 'outer;
-        }
-        if beta <= target || matvecs >= opts.max_matvecs {
-            return DistGmresResult {
-                x_local: x,
-                converged: beta <= target,
-                matvecs,
-                rel_residual: beta / b_norm,
-                breakdown: None,
-            };
-        }
-        if beta >= prev_beta * (1.0 - 1e-12) {
-            stalled_cycles += 1;
-            if stalled_cycles >= 2 {
-                breakdown = Some(Breakdown::Stagnation { at: matvecs });
-                break 'outer;
-            }
-        } else {
-            stalled_cycles = 0;
-        }
-        prev_beta = beta;
-        for ri in &mut v[0] {
-            *ri /= beta;
-        }
-        ctx.work(nl as f64);
-        for col in h.iter_mut() {
-            col.fill(0.0);
-        }
-        g.fill(0.0);
-        g[0] = beta;
-        let mut inner = 0usize;
-
-        let audit = pilut_allocaudit::region("gmres_inner");
-        for j in 0..m {
-            precond.apply_into(ctx, local, &v[j], &mut z);
-            op.apply_into(ctx, &z, &mut w);
-            matvecs += 1;
-            for i in 0..=j {
-                let hij = ddot(ctx, &w, &v[i]);
-                h[i][j] = hij;
-                for (wk, vk) in w.iter_mut().zip(&v[i]) {
-                    *wk -= hij * vk;
-                }
-                ctx.work(2.0 * nl as f64);
-            }
-            let wn = dnorm(ctx, &w);
-            if !wn.is_finite() {
-                // Poisoned column (same verdict on every rank): discard it
-                // and solve with the clean prefix below.
-                breakdown = Some(Breakdown::NonFinite { at: matvecs });
-                inner = j;
-                break;
-            }
-            h[j + 1][j] = wn;
-            for i in 0..j {
-                let t = cs[i] * h[i][j] + sn[i] * h[i + 1][j];
-                h[i + 1][j] = -sn[i] * h[i][j] + cs[i] * h[i + 1][j];
-                h[i][j] = t;
-            }
-            let denom = (h[j][j] * h[j][j] + wn * wn).sqrt();
-            // lint: allow(float-eq): exact-zero guard before division
-            if denom == 0.0 {
-                inner = j;
-                break;
-            }
-            cs[j] = h[j][j] / denom;
-            sn[j] = wn / denom;
-            h[j][j] = denom;
-            g[j + 1] = -sn[j] * g[j];
-            g[j] *= cs[j];
-            inner = j + 1;
-            // lint: allow(float-eq): exact (lucky) breakdown test
-            let lucky = wn == 0.0;
-            if !lucky {
-                for (next, wi) in v[j + 1].iter_mut().zip(&w) {
-                    *next = wi / wn;
-                }
-                ctx.work(nl as f64);
-            }
-            if g[j + 1].abs() <= target || matvecs >= opts.max_matvecs || lucky {
-                break;
-            }
-        }
-        y[..inner].fill(0.0);
-        for i in (0..inner).rev() {
-            let mut s = g[i];
-            for k in i + 1..inner {
-                s -= h[i][k] * y[k];
-            }
-            y[i] = s / h[i][i];
-        }
-        vy.fill(0.0);
-        for (i, yi) in y.iter().take(inner).enumerate() {
-            for (acc, vk) in vy.iter_mut().zip(&v[i]) {
-                *acc += yi * vk;
-            }
-        }
-        ctx.work(2.0 * inner as f64 * nl as f64);
-        precond.apply_into(ctx, local, &vy, &mut z);
-        drop(audit);
-        // Guard the update collectively: every rank must agree on whether
-        // the correction is applied, so the verdict is an all-reduce.
-        let poisoned = z.iter().any(|zi| !zi.is_finite()) as u64;
-        if ctx.all_reduce_sum_u64(poisoned) == 0 {
-            for (xi, zi) in x.iter_mut().zip(&z) {
-                *xi += zi;
-            }
-        } else {
-            breakdown.get_or_insert(Breakdown::NonFinite { at: matvecs });
-        }
-        ctx.work(nl as f64);
-        // End of the restart cycle: the iterate is consistent on every rank
-        // (the correction above was applied under a collective verdict), so
-        // this is the safe point to checkpoint for rank-loss recovery.
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.clear();
-            c.extend_from_slice(&x);
-        }
-        if breakdown.is_some() || matvecs >= opts.max_matvecs {
-            break 'outer;
-        }
-    }
-    // Budget exhausted or breakdown: report the true residual (reusing the
-    // workspace buffers).
-    op.apply_into(ctx, &x, &mut ax);
-    for ((ri, bi), yi) in w.iter_mut().zip(b).zip(&ax) {
-        *ri = bi - yi;
-    }
-    let mut rel = dnorm(ctx, &w) / b_norm;
-    if !rel.is_finite() {
-        rel = f64::INFINITY;
-    }
+    assert_eq!(op.local_len(), local.len());
+    let mut space = Distributed {
+        ctx,
+        op,
+        local,
+        precond,
+    };
+    let r = krylov::solve(&mut space, b, opts, x0, ckpt);
     DistGmresResult {
-        converged: rel <= opts.rtol,
-        x_local: x,
-        matvecs,
-        rel_residual: rel,
-        breakdown,
+        x_local: r.x,
+        converged: r.converged,
+        matvecs: r.matvecs,
+        rel_residual: r.rel_residual,
+        history: r.history,
+        breakdown: r.breakdown,
     }
 }
 
@@ -514,122 +358,5 @@ mod tests {
             },
         );
         assert!(conv);
-    }
-
-    #[test]
-    fn matvec_budget_respected() {
-        let a = gen::laplace_2d(12, 12);
-        let (_, mv, conv) = solve(
-            a,
-            2,
-            None,
-            GmresOptions {
-                max_matvecs: 5,
-                rtol: 1e-12,
-                ..Default::default()
-            },
-        );
-        assert!(!conv);
-        assert!(mv <= 6);
-    }
-
-    #[test]
-    fn warm_start_at_the_solution_converges_immediately() {
-        let a = gen::laplace_2d(8, 8);
-        let n = a.n_rows();
-        let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
-        let b_global = a.spmv_owned(&x_true);
-        let dm = DistMatrix::from_matrix(a, 3, 23);
-        let out = Machine::run_checked(3, MachineModel::cray_t3d(), |ctx| {
-            let local = dm.local_view(ctx.rank());
-            let mut op = DistCsr::new(ctx, &dm, &local);
-            let b: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
-            let x0: Vec<f64> = local.nodes.iter().map(|&g| x_true[g]).collect();
-            let mut pre = DistIdentity;
-            let r = dist_gmres_from(
-                ctx,
-                &mut op,
-                &local,
-                &mut pre,
-                &b,
-                &GmresOptions::default(),
-                Some(x0),
-                None,
-            );
-            (r.converged, r.matvecs)
-        });
-        for (conv, mv) in out.results {
-            assert!(conv);
-            assert_eq!(mv, 1, "an exact warm start costs one residual matvec");
-        }
-    }
-
-    #[test]
-    fn zero_rhs_returns_zeros_not_the_warm_start() {
-        let a = gen::laplace_2d(6, 6);
-        let dm = DistMatrix::from_matrix(a, 2, 23);
-        let out = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
-            let local = dm.local_view(ctx.rank());
-            let mut op = DistCsr::new(ctx, &dm, &local);
-            let b = vec![0.0; local.len()];
-            let x0 = vec![7.5; local.len()];
-            let mut pre = DistIdentity;
-            let r = dist_gmres_from(
-                ctx,
-                &mut op,
-                &local,
-                &mut pre,
-                &b,
-                &GmresOptions::default(),
-                Some(x0),
-                None,
-            );
-            (r.converged, r.x_local)
-        });
-        for (conv, x) in out.results {
-            assert!(conv);
-            assert!(x.iter().all(|&v| v == 0.0), "Ax = 0 has the zero solution");
-        }
-    }
-
-    #[test]
-    fn checkpoint_holds_the_iterate_of_a_completed_cycle() {
-        // Force at least one full restart cycle (tiny restart length), then
-        // check the checkpoint matches the final iterate: the last completed
-        // cycle's x is exactly what convergence was declared on.
-        let a = gen::laplace_2d(8, 8);
-        let n = a.n_rows();
-        let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
-        let b_global = a.spmv_owned(&x_true);
-        let dm = DistMatrix::from_matrix(a, 2, 23);
-        let out = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
-            let local = dm.local_view(ctx.rank());
-            let mut op = DistCsr::new(ctx, &dm, &local);
-            let b: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
-            let mut pre = DistDiagonal::new(&dm, &local);
-            let mut ckpt = Vec::new();
-            let r = dist_gmres_from(
-                ctx,
-                &mut op,
-                &local,
-                &mut pre,
-                &b,
-                &GmresOptions {
-                    restart: 5,
-                    ..Default::default()
-                },
-                None,
-                Some(&mut ckpt),
-            );
-            (r.converged, r.x_local, ckpt)
-        });
-        for (conv, x, ckpt) in out.results {
-            assert!(conv);
-            assert_eq!(
-                x, ckpt,
-                "convergence is detected at the top of a cycle, so the last \
-                 checkpoint and the returned iterate coincide"
-            );
-        }
     }
 }

@@ -19,6 +19,13 @@
 //!    the checkpoint ([`crate::dist_gmres::dist_gmres_from`]), so only the
 //!    in-flight restart cycle's progress is lost.
 //!
+//! Inside one epoch the preconditioner degrades down the same ladder as the
+//! serial [`crate::robust::solve_robust`] — the shared `climb` of
+//! [`crate::robust`] — in a distributed environment where every rung's
+//! availability is a collective verdict and every solve warm-starts from
+//! the current checkpoint (any finite iterate is a legal warm start, so a
+//! later rung keeps what an earlier one achieved).
+//!
 //! Every recovery is recorded as a [`RecoveryRecord`] (epoch, lost ranks,
 //! time-to-recover) in the returned [`DistSolveReport`]. Invariants of this
 //! protocol are catalogued in DESIGN §14.
@@ -27,15 +34,18 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use pilut_core::dist::op::DistCsr;
 use pilut_core::dist::recover::shrink;
-use pilut_core::dist::{DistMatrix, Distribution};
-use pilut_core::options::IlutOptions;
+use pilut_core::dist::{DistMatrix, Distribution, LocalView};
+use pilut_core::options::{FactorError, IlutOptions};
 use pilut_core::parallel::par_ilut;
+use pilut_par::collectives::ReduceOp;
 use pilut_par::{Ctx, RankLost};
 use pilut_sparse::CsrMatrix;
 
-use crate::dist_gmres::{dist_gmres_from, DistDiagonal, DistIdentity, DistIlu, DistPrecond};
+use crate::dist_gmres::{DistDiagonal, DistIdentity, DistIlu, DistPrecond, Distributed};
 use crate::gmres::GmresOptions;
-use crate::report::{Breakdown, RecoveryRecord};
+use crate::krylov;
+use crate::report::{summary_line, AttemptRecord, Breakdown, RecoveryRecord};
+use crate::robust::{climb, Rung};
 
 /// A typed, recoverable error surfaced between attempts of a distributed
 /// solve. Today the only variant is rank loss; the VM raises it as a panic
@@ -79,10 +89,16 @@ pub struct DistSolveReport {
     pub converged: bool,
     pub rel_residual: f64,
     pub matvecs: usize,
-    /// Why the final attempt's iteration stopped early, if it did.
+    /// Why the chosen rung's iteration stopped early, if it did.
     pub breakdown: Option<Breakdown>,
-    /// Preconditioner the final attempt ran with.
+    /// Preconditioner of the chosen rung (`attempts[chosen]`).
     pub preconditioner: String,
+    /// Every ladder rung tried in the final epoch, in order. A
+    /// `FactorFailed` entry carries the failing rank's view of the error:
+    /// the rank that met the bad row names it, its peers name that rank.
+    pub attempts: Vec<AttemptRecord>,
+    /// Index into `attempts` of the rung that produced `x_local`.
+    pub chosen: usize,
     /// Every rank loss survived, in order of adoption.
     pub recoveries: Vec<RecoveryRecord>,
     /// True when this rank was killed mid-solve: all other fields are
@@ -100,32 +116,51 @@ impl DistSolveReport {
             matvecs: 0,
             breakdown: None,
             preconditioner: "(killed)".into(),
+            attempts: Vec::new(),
+            chosen: 0,
             recoveries,
-            dead: false,
+            dead: true,
         }
     }
 
-    /// One-line summary naming each recovery epoch, e.g. `converged via
-    /// ILUT(10,1e-4) (rel 3.1e-9, 24 matvecs) surviving [epoch 1: lost
-    /// rank(s) [2], recovered in 1.2e-4s]`.
+    /// One-line summary naming the rungs passed over and each recovery
+    /// epoch, e.g. `converged via Jacobi (rel 3.1e-9, 24 matvecs) after
+    /// [ILUT(10,1e-4): factor failed: zero pivot at row 7] surviving
+    /// [epoch 1: lost rank(s) [2], recovered in 1.2e-4s]`.
     pub fn summary(&self) -> String {
         if self.dead {
             return "rank killed mid-solve (tombstone)".into();
         }
-        let status = if self.converged {
-            "converged"
-        } else {
-            "FAILED to converge"
-        };
-        let mut s = format!(
-            "{status} via {} (rel {:.1e}, {} matvecs)",
+        let name = format!(
+            "{} (rel {:.1e}, {} matvecs)",
             self.preconditioner, self.rel_residual, self.matvecs
         );
-        if !self.recoveries.is_empty() {
-            let named: Vec<String> = self.recoveries.iter().map(|r| r.to_string()).collect();
-            s.push_str(&format!(" surviving [{}]", named.join("; ")));
-        }
-        s
+        summary_line(
+            self.converged,
+            &name,
+            &self.attempts,
+            self.chosen,
+            &self.recoveries,
+        )
+    }
+}
+
+/// Jacobi for the distributed ladder. Viability is a per-rank fact, so the
+/// ranks agree on it (collective): a rank with an unusable diagonal reports
+/// the row, every other rank names the lowest such rank.
+fn agreed_jacobi(
+    ctx: &mut Ctx,
+    dm: &DistMatrix,
+    local: &LocalView,
+) -> Result<DistDiagonal, FactorError> {
+    let diag = DistDiagonal::try_new(dm, local);
+    let mine = diag.as_ref().map_or(ctx.rank() as u64, |_| u64::MAX);
+    let first = ctx.all_reduce_u64(vec![mine], ReduceOp::Min)[0];
+    match diag {
+        Ok(_) if first != u64::MAX => Err(FactorError::RankFailure {
+            rank: first as usize,
+        }),
+        verdict => verdict,
     }
 }
 
@@ -135,9 +170,11 @@ impl DistSolveReport {
 /// for actual kills to be survivable; without faults it is a plain
 /// par-ILUT + GMRES solve with a checkpoint written once per restart cycle.
 ///
-/// The preconditioner mini-ladder inside each attempt degrades
-/// ILUT → Jacobi → identity on factorization failure, with each step agreed
-/// collectively so every rank takes the same branch.
+/// Inside each epoch the preconditioner degrades down the shared ladder
+/// (caller's ILUT → boosted-shift refactorization → Jacobi → none); every
+/// rung's availability and every convergence verdict is collective, so all
+/// ranks climb in lockstep. While the primary rung converges the traffic is
+/// exactly that of a hand-written par-ILUT + GMRES solve.
 pub fn dist_solve_robust(
     ctx: &mut Ctx,
     a: &CsrMatrix,
@@ -169,48 +206,47 @@ pub fn dist_solve_robust(
 
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             let b: Vec<f64> = nodes.iter().map(|&g| b_global[g]).collect();
-            let mut pre: Box<dyn DistPrecond> = match par_ilut(ctx, &dm, &local, ilut_opts) {
-                // par_ilut's fault verdict is collective: Ok/Err is agreed.
-                Ok(rf) => Box::new(
-                    DistIlu::new(ctx, &dm, &local, rf)
-                        .with_label(format!("ILUT({},{:.0e})", ilut_opts.m, ilut_opts.tau)),
-                ),
-                Err(_) => {
-                    // Jacobi viability is a per-rank fact — agree on it.
-                    let diag = DistDiagonal::try_new(&dm, &local);
-                    if ctx.all_reduce_sum_u64(u64::from(diag.is_err())) == 0 {
-                        // lint: allow(unwrap): the all-reduce said no rank errored
-                        Box::new(diag.expect("agreed usable"))
-                    } else {
-                        Box::new(DistIdentity)
+            // Planned on first use — after the primary rung's
+            // factorization, where a hand-written par-ILUT + GMRES driver
+            // plans it too.
+            let mut op = None;
+            climb(ilut_opts, |rung, name| {
+                let mut precond: Box<dyn DistPrecond> = match rung {
+                    // par_ilut's fault verdict is collective: Ok/Err is agreed.
+                    Rung::Ilut(opts) => {
+                        let rf = par_ilut(ctx, &dm, &local, opts)?;
+                        Box::new(DistIlu::new(ctx, &dm, &local, rf).with_label(name))
                     }
-                }
-            };
-            let mut op = DistCsr::new(ctx, &dm, &local);
-            let x0 = ckpt_local.clone();
-            let r = dist_gmres_from(
-                ctx,
-                &mut op,
-                &local,
-                pre.as_mut(),
-                &b,
-                gmres_opts,
-                Some(x0),
-                Some(&mut ckpt_local),
-            );
-            (r, pre.name())
+                    Rung::Jacobi => Box::new(agreed_jacobi(ctx, &dm, &local)?),
+                    Rung::Plain => Box::new(DistIdentity),
+                };
+                let mut space = Distributed {
+                    op: op.get_or_insert_with(|| DistCsr::new(ctx, &dm, &local)),
+                    ctx,
+                    local: &local,
+                    precond: precond.as_mut(),
+                };
+                // Any finite iterate is a legal warm start, so a later rung
+                // keeps what an earlier one achieved.
+                let x0 = ckpt_local.clone();
+                let ckpt = Some(&mut ckpt_local);
+                Ok(krylov::solve(&mut space, &b, gmres_opts, Some(x0), ckpt))
+            })
         }));
 
         match attempt {
-            Ok((r, preconditioner)) => {
+            Ok(climbed) => {
+                let best = climbed.best;
                 return DistSolveReport {
-                    x_local: r.x_local,
+                    x_local: best.x,
                     nodes,
-                    converged: r.converged,
-                    rel_residual: r.rel_residual,
-                    matvecs: r.matvecs,
-                    breakdown: r.breakdown,
-                    preconditioner,
+                    converged: best.converged,
+                    rel_residual: best.rel_residual,
+                    matvecs: best.matvecs,
+                    breakdown: best.breakdown,
+                    preconditioner: climbed.attempts[climbed.chosen].preconditioner.clone(),
+                    attempts: climbed.attempts,
+                    chosen: climbed.chosen,
                     recoveries,
                     dead: false,
                 };
@@ -221,9 +257,7 @@ pub fn dist_solve_robust(
                     // return the required per-rank result instead of
                     // re-raising (the driver contract of
                     // `MachineBuilder::recovery`).
-                    let mut t = DistSolveReport::tombstone(recoveries);
-                    t.dead = true;
-                    return t;
+                    return DistSolveReport::tombstone(recoveries);
                 }
                 match classify(payload) {
                     Ok(SolveError::RankLost { .. }) => {
@@ -255,6 +289,7 @@ pub fn dist_solve_robust(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::AttemptOutcome;
     use pilut_core::options::BreakdownPolicy;
     use pilut_par::{FaultAction, FaultPlan, FaultRule, Machine, MachineModel};
     use pilut_sparse::gen;
@@ -360,31 +395,158 @@ mod tests {
         assert_eq!(covered, n, "the shrunk world owns every row exactly once");
     }
 
-    #[test]
-    fn ladder_degrades_to_jacobi_when_the_factorization_aborts() {
-        // A zero diagonal on row 0 — first in elimination order, so no
-        // update can repair it — with BreakdownPolicy::Abort makes par_ilut
-        // fail collectively; the mini-ladder must agree to fall back — and
-        // since the zero diagonal also poisons Jacobi, land on identity.
+    /// A 6×6 Laplacian whose row 0 has its diagonal zeroed — first in
+    /// elimination order, so no update can repair it — with the RHS of a
+    /// known solution.
+    fn zero_diag_problem() -> (CsrMatrix, Vec<f64>) {
         let mut a = gen::laplace_2d(6, 6);
         let k = (a.row_ptr()[0]..a.row_ptr()[1])
             .find(|&k| a.col_idx()[k] == 0)
             .expect("the Laplacian has its diagonal");
         a.values_mut()[k] = 0.0;
-        let n = a.n_rows();
-        let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 2) as f64).collect();
+        let x_true: Vec<f64> = (0..a.n_rows()).map(|i| 1.0 + (i % 2) as f64).collect();
         let b = a.spmv_owned(&x_true);
-        let dist = Distribution::from_matrix(&a, 2, 23);
-        let opts = IlutOptions {
-            breakdown: BreakdownPolicy::Abort,
-            ..IlutOptions::new(10, 1e-4)
+        (a, b)
+    }
+
+    fn solve_on(
+        p: usize,
+        a: &CsrMatrix,
+        b: &[f64],
+        ilut_opts: &IlutOptions,
+        gmres_opts: &GmresOptions,
+    ) -> Vec<DistSolveReport> {
+        let dist = Distribution::from_matrix(a, p, 23);
+        Machine::run_checked(p, model(), |ctx| {
+            dist_solve_robust(ctx, a, b, &dist, ilut_opts, gmres_opts)
+        })
+        .results
+    }
+
+    #[test]
+    fn aborted_factorization_recovers_through_the_boosted_shift() {
+        // Under BreakdownPolicy::Abort the zero pivot makes par_ilut fail
+        // collectively; the shared ladder's second rung refactors under the
+        // boosted shift and carries the solve — on every rank alike.
+        let (a, b) = zero_diag_problem();
+        let opts = IlutOptions::new(10, 1e-4).with_breakdown(BreakdownPolicy::Abort);
+        for r in solve_on(2, &a, &b, &opts, &GmresOptions::default()) {
+            assert!(r.converged && r.recoveries.is_empty(), "{}", r.summary());
+            assert_eq!(r.chosen, 1, "{}", r.summary());
+            assert_eq!(r.preconditioner, "ILUT(10,1e-4)+shift(1e-4)");
+            assert!(matches!(
+                r.attempts[0].outcome,
+                AttemptOutcome::FactorFailed(_)
+            ));
+            assert!(
+                r.summary().contains("after [ILUT(10,1e-4): factor failed"),
+                "summary must name the skipped rung: {}",
+                r.summary()
+            );
+        }
+    }
+
+    #[test]
+    fn ilut_failure_degrades_to_jacobi_identically_on_every_rank() {
+        // m = 0 is rejected by option validation, so both ILUT rungs fail
+        // (the same way on every rank) and Jacobi carries the solve.
+        let a = gen::laplace_2d(9, 9);
+        let x_true: Vec<f64> = (0..a.n_rows()).map(|i| 1.0 + (i % 3) as f64).collect();
+        let b = a.spmv_owned(&x_true);
+        let reports = solve_on(
+            3,
+            &a,
+            &b,
+            &IlutOptions::new(0, 1e-4),
+            &GmresOptions::default(),
+        );
+        assemble_and_check(&reports, a.n_rows(), &x_true);
+        for r in &reports {
+            assert_eq!(
+                r.attempts, reports[0].attempts,
+                "ranks disagree on the climb"
+            );
+            assert_eq!((r.chosen, r.preconditioner.as_str()), (2, "Jacobi"));
+            assert_eq!(r.attempts.len(), 3);
+            for failed in &r.attempts[..2] {
+                assert!(matches!(
+                    failed.outcome,
+                    AttemptOutcome::FactorFailed(FactorError::InvalidOptions { .. })
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn unusable_jacobi_is_agreed_and_the_ladder_lands_on_identity() {
+        // Invalid ILUT options *and* a zero diagonal: Jacobi is unusable on
+        // the one rank owning row 0, which names the row; its peers must
+        // skip the rung too and name that rank.
+        let (a, b) = zero_diag_problem();
+        let reports = solve_on(
+            3,
+            &a,
+            &b,
+            &IlutOptions::new(0, 1e-4),
+            &GmresOptions::default(),
+        );
+        let owner = reports
+            .iter()
+            .position(|r| r.nodes.contains(&0))
+            .expect("some rank owns row 0");
+        for (rank, r) in reports.iter().enumerate() {
+            assert_eq!((r.chosen, r.preconditioner.as_str()), (3, "none"));
+            let want = if rank == owner {
+                FactorError::ZeroPivot { row: 0 }
+            } else {
+                FactorError::RankFailure { rank: owner }
+            };
+            assert_eq!(r.attempts[2].outcome, AttemptOutcome::FactorFailed(want));
+        }
+    }
+
+    #[test]
+    fn a_later_rung_warm_starts_from_the_checkpoint() {
+        // No pivot breaks here, so the boosted-shift rung rebuilds exactly
+        // the primary rung's factors. With a budget the primary exhausts
+        // from a cold start, the second rung can only converge inside the
+        // same budget because it resumes from the primary's checkpoint.
+        let a = gen::convection_diffusion_2d(14, 14, 8.0, 4.0);
+        let x_true: Vec<f64> = (0..a.n_rows()).map(|i| 1.0 + (i % 3) as f64).collect();
+        let b = a.spmv_owned(&x_true);
+        let gopts = GmresOptions {
+            restart: 4,
+            rtol: 1e-10,
+            max_matvecs: 9,
         };
-        let out = Machine::run_checked(2, model(), |ctx| {
-            dist_solve_robust(ctx, &a, &b, &dist, &opts, &GmresOptions::default())
-        });
-        for r in &out.results {
-            assert_eq!(r.preconditioner, "none", "{}", r.summary());
-            assert!(r.recoveries.is_empty());
+        let reports = solve_on(3, &a, &b, &IlutOptions::new(10, 1e-4), &gopts);
+        assemble_and_check(&reports, a.n_rows(), &x_true);
+        for r in &reports {
+            assert_eq!(
+                r.attempts, reports[0].attempts,
+                "ranks disagree on the climb"
+            );
+            assert_eq!(r.chosen, 1, "{}", r.summary());
+            assert!(
+                matches!(
+                    r.attempts[0].outcome,
+                    AttemptOutcome::SolveFailed { matvecs: 9, .. }
+                ),
+                "{:?}",
+                r.attempts[0]
+            );
+            assert!(r.matvecs <= 9);
+        }
+    }
+
+    #[test]
+    fn ilut_star_runs_are_reported_under_their_own_name() {
+        let a = gen::laplace_2d(8, 8);
+        let b = a.spmv_owned(&vec![1.0; a.n_rows()]);
+        let opts = IlutOptions::star(10, 1e-4, 2);
+        for r in solve_on(2, &a, &b, &opts, &GmresOptions::default()) {
+            assert!(r.converged, "{}", r.summary());
+            assert_eq!(r.preconditioner, "ILUT*(10,1e-4,2)");
         }
     }
 }

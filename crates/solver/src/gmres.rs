@@ -1,9 +1,9 @@
 //! Serial restarted GMRES with right preconditioning.
 
+use crate::krylov::{self, Space};
 use crate::report::Breakdown;
 use pilut_core::dist::op::LinOp;
 use pilut_core::precond::Preconditioner;
-use pilut_sparse::vec_ops::{axpy, norm2};
 
 /// Solver parameters.
 #[derive(Clone, Debug)]
@@ -43,198 +43,43 @@ pub struct GmresResult {
     pub breakdown: Option<Breakdown>,
 }
 
+/// The serial [`Space`]: one participant owns whole vectors, so reductions
+/// are the identity and there is no clock to charge.
+pub(crate) struct Serial<'a, A: LinOp + ?Sized> {
+    pub(crate) a: &'a A,
+    pub(crate) precond: &'a dyn Preconditioner,
+}
+
+impl<A: LinOp + ?Sized> Space for Serial<'_, A> {
+    fn len(&self) -> usize {
+        self.a.n_rows()
+    }
+    fn apply_op(&mut self, x: &[f64], y: &mut [f64]) {
+        self.a.apply_into(x, y);
+    }
+    fn apply_precond(&mut self, r: &[f64], z: &mut [f64]) {
+        self.precond.apply_into(r, z);
+    }
+    fn reduce_sum(&mut self, local: f64) -> f64 {
+        local
+    }
+    fn any(&mut self, local: bool) -> bool {
+        local
+    }
+    fn work(&mut self, _flops: f64) {}
+}
+
 /// Solves `A x = b` with right-preconditioned GMRES(restart):
 /// iterates on `A M⁻¹ u = b`, `x = M⁻¹ u`. The operator is any [`LinOp`]
-/// (a plain `CsrMatrix` at every existing call site).
+/// (a plain `CsrMatrix` at every existing call site). The iteration itself
+/// is the shared kernel (`solver::krylov`, DESIGN §2.6).
 pub fn gmres<A: LinOp + ?Sized>(
     a: &A,
     b: &[f64],
     precond: &dyn Preconditioner,
     opts: &GmresOptions,
 ) -> GmresResult {
-    let n = a.n_rows();
-    assert_eq!(b.len(), n);
-    let mut x = vec![0.0; n];
-    let b_norm = norm2(b);
-    // lint: allow(float-eq): exact zero-RHS short-circuit
-    if b_norm == 0.0 {
-        return GmresResult {
-            x,
-            converged: true,
-            matvecs: 0,
-            rel_residual: 0.0,
-            history: vec![],
-            breakdown: None,
-        };
-    }
-    let target = opts.rtol * b_norm;
-    let m = opts.restart.max(1);
-    let mut matvecs = 0usize;
-    // Workspace, allocated once per solve: the Krylov basis, the Hessenberg
-    // column store, the rotation/right-hand-side arrays, and every length-n
-    // staging vector the cycle body needs. Restart cycles and inner
-    // iterations only ever reuse these (the inner loop runs under the
-    // `gmres_inner` audit region and acquires nothing), which is what the
-    // zero-steady-alloc bench gate measures.
-    let mut v: Vec<Vec<f64>> = (0..=m).map(|_| vec![0.0; n]).collect(); // Krylov basis
-    let mut h = vec![vec![0.0f64; m]; m + 1]; // Hessenberg (column major: h[i][j])
-    let mut cs = vec![0.0f64; m];
-    let mut sn = vec![0.0f64; m];
-    let mut g = vec![0.0f64; m + 1];
-    let mut ax = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut w = vec![0.0; n];
-    let mut y = vec![0.0f64; m];
-    let mut vy = vec![0.0; n];
-    // One residual push per matvec plus one per cycle, never more — the
-    // reservation keeps steady-state pushes off the allocator.
-    let mut history = Vec::with_capacity(2 * opts.max_matvecs + 2);
-    let mut breakdown: Option<Breakdown> = None;
-    // Stagnation watch: restart cycles in a row without measurable progress.
-    let mut prev_beta = f64::INFINITY;
-    let mut stalled_cycles = 0usize;
-
-    'outer: loop {
-        // r = b - A x, normalized straight into the first basis vector.
-        a.apply_into(&x, &mut ax);
-        matvecs += 1;
-        for ((ri, bi), yi) in v[0].iter_mut().zip(b).zip(&ax) {
-            *ri = bi - yi;
-        }
-        let beta = norm2(&v[0]);
-        history.push(beta);
-        if !beta.is_finite() {
-            breakdown = Some(Breakdown::NonFinite { at: matvecs });
-            break 'outer;
-        }
-        if beta <= target || matvecs >= opts.max_matvecs {
-            let converged = beta <= target;
-            return GmresResult {
-                x,
-                converged,
-                matvecs,
-                rel_residual: beta / b_norm,
-                history,
-                breakdown: None,
-            };
-        }
-        if beta >= prev_beta * (1.0 - 1e-12) {
-            stalled_cycles += 1;
-            if stalled_cycles >= 2 {
-                breakdown = Some(Breakdown::Stagnation { at: matvecs });
-                break 'outer;
-            }
-        } else {
-            stalled_cycles = 0;
-        }
-        prev_beta = beta;
-        for ri in &mut v[0] {
-            *ri /= beta;
-        }
-        for col in h.iter_mut() {
-            col.fill(0.0);
-        }
-        g.fill(0.0);
-        g[0] = beta;
-        let mut inner = 0usize;
-
-        let audit = pilut_allocaudit::region("gmres_inner");
-        for j in 0..m {
-            // w = A M⁻¹ v_j.
-            precond.apply_into(&v[j], &mut z);
-            a.apply_into(&z, &mut w);
-            matvecs += 1;
-            // Modified Gram–Schmidt.
-            for i in 0..=j {
-                let hij = pilut_sparse::vec_ops::dot(&w, &v[i]);
-                h[i][j] = hij;
-                axpy(-hij, &v[i], &mut w);
-            }
-            let wn = norm2(&w);
-            if !wn.is_finite() {
-                // The preconditioner or SpMV poisoned this column (NaN/Inf
-                // anywhere in w makes its norm non-finite): discard it and
-                // fall through to the clean-prefix solve below.
-                breakdown = Some(Breakdown::NonFinite { at: matvecs });
-                inner = j;
-                break;
-            }
-            h[j + 1][j] = wn;
-            // Apply existing Givens rotations to the new column.
-            for i in 0..j {
-                let t = cs[i] * h[i][j] + sn[i] * h[i + 1][j];
-                h[i + 1][j] = -sn[i] * h[i][j] + cs[i] * h[i + 1][j];
-                h[i][j] = t;
-            }
-            // New rotation annihilating h[j+1][j].
-            let denom = (h[j][j] * h[j][j] + wn * wn).sqrt();
-            // lint: allow(float-eq): exact-zero guard before division
-            if denom == 0.0 {
-                // Exact breakdown: the solution lies in the current space.
-                inner = j;
-                break;
-            }
-            cs[j] = h[j][j] / denom;
-            sn[j] = wn / denom;
-            h[j][j] = denom;
-            g[j + 1] = -sn[j] * g[j];
-            g[j] *= cs[j];
-            inner = j + 1;
-            history.push(g[j + 1].abs());
-            // lint: allow(float-eq): exact (lucky) breakdown test
-            let lucky = wn == 0.0;
-            if !lucky {
-                for (next, wi) in v[j + 1].iter_mut().zip(&w) {
-                    *next = wi / wn;
-                }
-            }
-            if g[j + 1].abs() <= target || matvecs >= opts.max_matvecs || lucky {
-                break;
-            }
-        }
-        drop(audit);
-        // Back-substitute y from the triangular H and accumulate x.
-        y[..inner].fill(0.0);
-        for i in (0..inner).rev() {
-            let mut s = g[i];
-            for k in i + 1..inner {
-                s -= h[i][k] * y[k];
-            }
-            y[i] = s / h[i][i];
-        }
-        // x += M⁻¹ (V y), guarded: a poisoned correction is discarded
-        // rather than destroying the best solution found so far.
-        vy.fill(0.0);
-        for (i, yi) in y[..inner].iter().enumerate() {
-            axpy(*yi, &v[i], &mut vy);
-        }
-        precond.apply_into(&vy, &mut z);
-        if z.iter().all(|zi| zi.is_finite()) {
-            axpy(1.0, &z, &mut x);
-        } else {
-            breakdown.get_or_insert(Breakdown::NonFinite { at: matvecs });
-        }
-        if breakdown.is_some() || matvecs >= opts.max_matvecs {
-            break 'outer;
-        }
-    }
-    // Budget exhausted or breakdown: report the true residual.
-    a.apply_into(&x, &mut ax);
-    for ((ri, bi), yi) in w.iter_mut().zip(b).zip(&ax) {
-        *ri = bi - yi;
-    }
-    let mut rel = norm2(&w) / b_norm;
-    if !rel.is_finite() {
-        rel = f64::INFINITY;
-    }
-    GmresResult {
-        converged: rel <= opts.rtol,
-        x,
-        matvecs,
-        rel_residual: rel,
-        history,
-        breakdown,
-    }
+    krylov::solve(&mut Serial { a, precond }, b, opts, None, None)
 }
 
 #[cfg(test)]
@@ -242,6 +87,7 @@ mod tests {
     use super::*;
     use pilut_core::precond::{DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner};
     use pilut_core::serial::{ilut, IlutOptions};
+    use pilut_sparse::vec_ops::norm2;
     use pilut_sparse::{gen, CsrMatrix};
 
     fn problem(nx: usize, cx: f64) -> (CsrMatrix, Vec<f64>, Vec<f64>) {
@@ -298,37 +144,6 @@ mod tests {
             },
         );
         assert!(r.converged, "relres {}", r.rel_residual);
-    }
-
-    #[test]
-    fn respects_matvec_budget() {
-        let (a, b, _) = problem(16, 20.0);
-        let r = gmres(
-            &a,
-            &b,
-            &IdentityPreconditioner,
-            &GmresOptions {
-                max_matvecs: 7,
-                rtol: 1e-14,
-                ..Default::default()
-            },
-        );
-        assert!(!r.converged);
-        assert!(r.matvecs <= 7);
-    }
-
-    #[test]
-    fn zero_rhs_returns_zero() {
-        let (a, _, _) = problem(5, 0.0);
-        let r = gmres(
-            &a,
-            &vec![0.0; a.n_rows()],
-            &IdentityPreconditioner,
-            &GmresOptions::default(),
-        );
-        assert!(r.converged);
-        assert!(r.x.iter().all(|&v| v == 0.0));
-        assert_eq!(r.matvecs, 0);
     }
 
     #[test]

@@ -5,20 +5,30 @@
 //! rotations for the least-squares problem, restart after `restart` inner
 //! steps, convergence when the residual norm drops by a fixed factor.
 //!
-//! * [`gmres()`] — the serial solver over [`pilut_core::precond::Preconditioner`];
-//! * [`dist_gmres()`] — the distributed solver running on the `pilut-par`
-//!   virtual machine, with distributed SpMV, all-reduce inner products and
-//!   the parallel triangular solves as the preconditioner action.
-
+//! That iteration exists **once**, in the crate-private `krylov` module,
+//! written against a six-method `Space` (apply operator, apply
+//! preconditioner, reduce a sum, reduce a flag, charge work, local length).
+//! The two public entry points are its two spaces:
+//!
+//! * [`gmres()`] — serial, over [`pilut_core::precond::Preconditioner`]:
+//!   reductions are the identity;
+//! * [`dist_gmres()`] — on the `pilut-par` virtual machine, with distributed
+//!   SpMV, all-reduce inner products and the parallel triangular solves as
+//!   the preconditioner action.
+//!
+//! Sharing the kernel makes the serial solver the p = 1 distributed solver
+//! bit for bit, and fixes one order of work charges and collectives for
+//! every caller (DESIGN §2.6).
+//!
 //! Robustness layer: all solvers detect numerical breakdown (non-finite
 //! Arnoldi/recurrence values, stagnation across restarts, indefinite
 //! curvature in CG) and report it as a typed [`Breakdown`] instead of
-//! looping on garbage; [`solve_robust`] wraps GMRES in a fallback ladder
-//! (caller's ILUT → boosted-shift refactorization → Jacobi →
-//! unpreconditioned) and returns a structured [`SolveReport`] naming the
-//! rung that produced the answer.
-
-//! Rank-loss recovery: [`dist_solve_robust`] wraps the distributed solve in
+//! looping on garbage. One degradation ladder (caller's ILUT → boosted-shift
+//! refactorization → Jacobi → unpreconditioned; `robust::climb`) serves
+//! both [`solve_robust`] and [`dist_solve_robust`] and records every rung
+//! tried in the returned [`SolveReport`] / [`DistSolveReport`].
+//!
+//! Rank-loss recovery: [`dist_solve_robust`] wraps the distributed ladder in
 //! the lost-rank rung — a kill mid-solve (under `MachineBuilder::recovery`)
 //! shrinks the world, rebuilds plans and factors, warm-starts GMRES from a
 //! per-restart-cycle checkpoint, and records the recovery in the report.
@@ -27,6 +37,7 @@ pub mod cg;
 pub mod dist_gmres;
 pub mod dist_robust;
 pub mod gmres;
+mod krylov;
 pub mod report;
 pub mod robust;
 

@@ -99,6 +99,52 @@ impl std::fmt::Display for RecoveryRecord {
     }
 }
 
+/// The one-line summary both reports share: the verdict and `chosen` (the
+/// rung that produced the answer, with its figures), then ` after [rung:
+/// why; …]` for every rung tried before it and ` surviving [epoch …; …]`
+/// for every rank loss — each clause only when it has something to name.
+pub(crate) fn summary_line(
+    converged: bool,
+    chosen_rung: &str,
+    attempts: &[AttemptRecord],
+    chosen: usize,
+    recoveries: &[RecoveryRecord],
+) -> String {
+    let skipped: Vec<String> = attempts
+        .iter()
+        .take(chosen)
+        .map(|a| {
+            let why = match &a.outcome {
+                AttemptOutcome::FactorFailed(e) => format!("factor failed: {e}"),
+                AttemptOutcome::SolveFailed {
+                    rel_residual,
+                    breakdown,
+                    ..
+                } => match breakdown {
+                    Some(b) => format!("{b}"),
+                    None => format!("stalled at rel {rel_residual:.1e}"),
+                },
+                AttemptOutcome::Converged { .. } => "converged".to_string(),
+            };
+            format!("{}: {}", a.preconditioner, why)
+        })
+        .collect();
+    let status = if converged {
+        "converged"
+    } else {
+        "FAILED to converge"
+    };
+    let mut s = format!("{status} via {chosen_rung}");
+    if !skipped.is_empty() {
+        s.push_str(&format!(" after [{}]", skipped.join("; ")));
+    }
+    if !recoveries.is_empty() {
+        let named: Vec<String> = recoveries.iter().map(|r| r.to_string()).collect();
+        s.push_str(&format!(" surviving [{}]", named.join("; ")));
+    }
+    s
+}
+
 /// The structured outcome of a robust solve: which rungs were tried, which
 /// one produced the answer, and how good that answer is.
 #[derive(Clone, Debug)]
@@ -133,43 +179,13 @@ impl SolveReport {
     /// One-line summary for logs: `converged via Jacobi (rel 3.1e-9) after
     /// [ILUT(10,1e-4): factor failed: zero pivot at row 7]`.
     pub fn summary(&self) -> String {
-        let status = if self.converged {
-            "converged"
-        } else {
-            "FAILED to converge"
-        };
-        let mut s = format!(
-            "{status} via {} (rel {:.1e})",
-            self.fallback(),
-            self.rel_residual
-        );
-        let skipped: Vec<String> = self
-            .attempts
-            .iter()
-            .take(self.chosen)
-            .map(|a| {
-                let why = match &a.outcome {
-                    AttemptOutcome::FactorFailed(e) => format!("factor failed: {e}"),
-                    AttemptOutcome::SolveFailed {
-                        rel_residual,
-                        breakdown,
-                        ..
-                    } => match breakdown {
-                        Some(b) => format!("{b}"),
-                        None => format!("stalled at rel {rel_residual:.1e}"),
-                    },
-                    AttemptOutcome::Converged { .. } => "converged".to_string(),
-                };
-                format!("{}: {}", a.preconditioner, why)
-            })
-            .collect();
-        if !skipped.is_empty() {
-            s.push_str(&format!(" after [{}]", skipped.join("; ")));
-        }
-        if !self.recoveries.is_empty() {
-            let named: Vec<String> = self.recoveries.iter().map(|r| r.to_string()).collect();
-            s.push_str(&format!(" surviving [{}]", named.join("; ")));
-        }
-        s
+        let name = format!("{} (rel {:.1e})", self.fallback(), self.rel_residual);
+        summary_line(
+            self.converged,
+            &name,
+            &self.attempts,
+            self.chosen,
+            &self.recoveries,
+        )
     }
 }

@@ -1,6 +1,8 @@
 //! Graceful degradation: a solve that survives factorization breakdown.
 //!
-//! [`solve_robust`] climbs down a fixed ladder until something converges:
+//! One ladder, climbed until something converges — by [`solve_robust`]
+//! serially and by [`crate::dist_robust::dist_solve_robust`] on the machine,
+//! both through the same `climb`:
 //!
 //! 1. **Primary**: ILUT with the caller's options (whatever breakdown
 //!    policy they chose, `Abort` by default).
@@ -13,14 +15,16 @@
 //!    is unusable).
 //! 4. **Unpreconditioned** GMRES — always constructible.
 //!
-//! Every rung is recorded in the returned [`SolveReport`], so a caller (or
-//! an operator reading logs) can see exactly which fallback produced the
+//! Every rung is recorded in the returned report, so a caller (or an
+//! operator reading logs) can see exactly which fallback produced the
 //! answer and why the better ones were rejected.
 
 use crate::gmres::{gmres, GmresOptions, GmresResult};
 use crate::report::{AttemptOutcome, AttemptRecord, SolveReport};
-use pilut_core::options::{BreakdownPolicy, IlutOptions};
-use pilut_core::precond::{DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner};
+use pilut_core::options::{BreakdownPolicy, FactorError, IlutOptions};
+use pilut_core::precond::{
+    DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner, Preconditioner,
+};
 use pilut_core::serial::ilut;
 use pilut_sparse::CsrMatrix;
 
@@ -30,6 +34,102 @@ fn boosted_shift() -> BreakdownPolicy {
     BreakdownPolicy::Shift {
         initial: 1e-4,
         growth: 100.0,
+    }
+}
+
+/// What a rung of the ladder preconditions with.
+pub(crate) enum Rung {
+    /// An ILUT / ILUT\* factorization under the given options.
+    Ilut(IlutOptions),
+    /// Diagonal scaling.
+    Jacobi,
+    /// No preconditioning — always constructible.
+    Plain,
+}
+
+/// Outcome of [`climb`].
+pub(crate) struct Climbed {
+    /// The chosen rung's solve: the first that converged, else the
+    /// best-residual fallback (the last rung's when no rung reached a
+    /// finite residual — its iterate is still finite, the kernel guards
+    /// every update).
+    pub best: GmresResult,
+    /// Every rung tried, in order.
+    pub attempts: Vec<AttemptRecord>,
+    /// Index into `attempts` of the rung behind `best`.
+    pub chosen: usize,
+}
+
+/// Walks the ladder — caller's ILUT → boosted-shift refactorization →
+/// Jacobi → unpreconditioned — until a rung converges, recording every
+/// attempt and keeping the best non-converged fallback.
+///
+/// `attempt` is the environment the ladder runs in: given a rung and its
+/// display name it builds the preconditioner (an `Err` means the rung is
+/// unavailable and nothing was solved) and runs the GMRES kernel with it.
+/// Two exist — serial ([`solve_robust`]) and distributed
+/// ([`crate::dist_robust::dist_solve_robust`], where the call is collective
+/// and the `Err` verdict is agreed across ranks).
+pub(crate) fn climb(
+    ilut_opts: &IlutOptions,
+    mut attempt: impl FnMut(&Rung, &str) -> Result<GmresResult, FactorError>,
+) -> Climbed {
+    let mut rungs = vec![(ilut_opts.name(), Rung::Ilut(ilut_opts.clone()))];
+    // Skip the refactorization when the caller was already running an
+    // equivalent policy — retrying it would be a no-op.
+    if ilut_opts.breakdown != boosted_shift() {
+        rungs.push((
+            format!("{}+shift(1e-4)", ilut_opts.name()),
+            Rung::Ilut(ilut_opts.clone().with_breakdown(boosted_shift())),
+        ));
+    }
+    rungs.push(("Jacobi".into(), Rung::Jacobi));
+    rungs.push(("none".into(), Rung::Plain));
+
+    let mut attempts: Vec<AttemptRecord> = Vec::new();
+    // Best non-converged fallback seen so far: (attempt index, result).
+    let mut best: Option<(usize, GmresResult)> = None;
+    for (idx, (name, rung)) in rungs.into_iter().enumerate() {
+        let solved = attempt(&rung, &name);
+        let outcome = match &solved {
+            Err(e) => AttemptOutcome::FactorFailed(e.clone()),
+            Ok(r) if r.converged => AttemptOutcome::Converged {
+                rel_residual: r.rel_residual,
+                matvecs: r.matvecs,
+            },
+            Ok(r) => AttemptOutcome::SolveFailed {
+                rel_residual: r.rel_residual,
+                matvecs: r.matvecs,
+                breakdown: r.breakdown,
+            },
+        };
+        attempts.push(AttemptRecord {
+            preconditioner: name,
+            outcome,
+        });
+        let Ok(r) = solved else { continue };
+        if r.converged {
+            return Climbed {
+                best: r,
+                attempts,
+                chosen: idx,
+            };
+        }
+        // Keep the best residual; a non-finite one is displaced by anything
+        // later, so with nothing finite the last rung stands.
+        let better = best.as_ref().map_or(true, |(_, prev)| {
+            r.rel_residual < prev.rel_residual || !prev.rel_residual.is_finite()
+        });
+        if better {
+            best = Some((idx, r));
+        }
+    }
+    // lint: allow(unwrap): the unpreconditioned rung needs no factorization
+    let (chosen, best) = best.expect("no rung of the ladder was solved");
+    Climbed {
+        best,
+        attempts,
+        chosen,
     }
 }
 
@@ -43,132 +143,28 @@ pub fn solve_robust(
     ilut_opts: &IlutOptions,
     gmres_opts: &GmresOptions,
 ) -> SolveReport {
-    let mut attempts: Vec<AttemptRecord> = Vec::new();
-    // Best non-converged fallback seen so far: (attempt index, result).
-    let mut best: Option<(usize, GmresResult)> = None;
-
-    let try_rung = |attempts: &mut Vec<AttemptRecord>,
-                    best: &mut Option<(usize, GmresResult)>,
-                    name: String,
-                    outcome: Result<GmresResult, pilut_core::options::FactorError>|
-     -> Option<SolveReport> {
-        let idx = attempts.len();
-        match outcome {
-            Err(e) => {
-                attempts.push(AttemptRecord {
-                    preconditioner: name,
-                    outcome: AttemptOutcome::FactorFailed(e),
-                });
-                None
-            }
-            Ok(r) if r.converged => {
-                attempts.push(AttemptRecord {
-                    preconditioner: name,
-                    outcome: AttemptOutcome::Converged {
-                        rel_residual: r.rel_residual,
-                        matvecs: r.matvecs,
-                    },
-                });
-                Some(SolveReport {
-                    x: r.x,
-                    converged: true,
-                    rel_residual: r.rel_residual,
-                    attempts: std::mem::take(attempts),
-                    chosen: idx,
-                    recoveries: Vec::new(),
-                })
-            }
-            Ok(r) => {
-                attempts.push(AttemptRecord {
-                    preconditioner: name,
-                    outcome: AttemptOutcome::SolveFailed {
-                        rel_residual: r.rel_residual,
-                        matvecs: r.matvecs,
-                        breakdown: r.breakdown,
-                    },
-                });
-                let better = match best {
-                    None => true,
-                    Some((_, prev)) => r.rel_residual < prev.rel_residual,
-                };
-                if better && r.rel_residual.is_finite() {
-                    *best = Some((idx, r));
-                }
-                None
-            }
-        }
-    };
-
-    // Rung 1: the caller's own ILUT options.
-    let primary = ilut(a, ilut_opts).map(|f| {
-        gmres(
-            a,
-            b,
-            &IluPreconditioner::with_label(f, ilut_opts.name()),
-            gmres_opts,
-        )
+    // Every serial rung solves from a zero start.
+    let climbed = climb(ilut_opts, |rung, name| {
+        let precond: Box<dyn Preconditioner> = match rung {
+            Rung::Ilut(opts) => Box::new(IluPreconditioner::with_label(ilut(a, opts)?, name)),
+            Rung::Jacobi => Box::new(DiagonalPreconditioner::try_new(a)?),
+            Rung::Plain => Box::new(IdentityPreconditioner),
+        };
+        Ok(gmres(a, b, precond.as_ref(), gmres_opts))
     });
-    if let Some(report) = try_rung(&mut attempts, &mut best, ilut_opts.name(), primary) {
-        return report;
-    }
-
-    // Rung 2: refactor under the boosted shift (skip when the caller was
-    // already running an equivalent policy — retrying it would be a no-op).
-    if ilut_opts.breakdown != boosted_shift() {
-        let opts2 = ilut_opts.clone().with_breakdown(boosted_shift());
-        let name = format!("{}+shift(1e-4)", ilut_opts.name());
-        let shifted = ilut(a, &opts2).map(|f| {
-            gmres(
-                a,
-                b,
-                &IluPreconditioner::with_label(f, name.clone()),
-                gmres_opts,
-            )
-        });
-        if let Some(report) = try_rung(&mut attempts, &mut best, name, shifted) {
-            return report;
-        }
-    }
-
-    // Rung 3: Jacobi.
-    let jacobi = DiagonalPreconditioner::try_new(a).map(|p| gmres(a, b, &p, gmres_opts));
-    if let Some(report) = try_rung(&mut attempts, &mut best, "Jacobi".into(), jacobi) {
-        return report;
-    }
-
-    // Rung 4: unpreconditioned — always constructible.
-    let plain = gmres(a, b, &IdentityPreconditioner, gmres_opts);
-    if let Some(report) = try_rung(&mut attempts, &mut best, "none".into(), Ok(plain)) {
-        return report;
-    }
-
-    // Nothing converged: report the best fallback we saw (the identity rung
-    // always yields a finite-residual candidate, so `best` is set unless
-    // every single solve returned a non-finite residual).
-    match best {
-        Some((idx, r)) => SolveReport {
-            x: r.x,
-            converged: false,
-            rel_residual: r.rel_residual,
-            attempts,
-            chosen: idx,
-            recoveries: Vec::new(),
-        },
-        None => SolveReport {
-            x: vec![0.0; a.n_rows()],
-            converged: false,
-            rel_residual: f64::INFINITY,
-            chosen: attempts.len() - 1,
-            attempts,
-            recoveries: Vec::new(),
-        },
+    SolveReport {
+        x: climbed.best.x,
+        converged: climbed.best.converged,
+        rel_residual: climbed.best.rel_residual,
+        attempts: climbed.attempts,
+        chosen: climbed.chosen,
+        recoveries: Vec::new(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Breakdown;
     use pilut_sparse::gen;
     use pilut_sparse::vec_ops::norm2;
     use pilut_sparse::CooMatrix;
@@ -274,36 +270,25 @@ mod tests {
     }
 
     #[test]
-    fn stagnation_is_reported_as_breakdown() {
-        // A rotation-like skew system with restart 1 makes restarted GMRES
-        // stall: the first Arnoldi step cannot reduce the residual.
-        let n = 2;
-        let mut coo = CooMatrix::new(n, n);
-        coo.push(0, 1, 1.0);
-        coo.push(1, 0, -1.0);
+    fn poisoned_matrix_falls_through_to_the_last_rung_with_a_finite_iterate() {
+        // A NaN off-diagonal poisons every residual: no rung can report a
+        // finite one, so the ladder stands on its last rung — with the
+        // kernel's guarded (finite) iterate, not garbage.
+        let mut coo = CooMatrix::new(3, 3);
+        for i in 0..3 {
+            coo.push(i, i, 2.0);
+        }
+        coo.push(0, 1, f64::NAN);
         let a = coo.to_csr();
-        let b = vec![1.0, 0.0];
-        let r = crate::gmres::gmres(
+        let r = solve_robust(
             &a,
-            &b,
-            &pilut_core::precond::IdentityPreconditioner,
-            &GmresOptions {
-                restart: 1,
-                rtol: 1e-10,
-                max_matvecs: 1000,
-            },
+            &[1.0; 3],
+            &IlutOptions::new(3, 0.0),
+            &GmresOptions::default(),
         );
-        assert!(!r.converged);
-        assert!(
-            matches!(r.breakdown, Some(Breakdown::Stagnation { .. })),
-            "expected stagnation, got {:?} after {} matvecs",
-            r.breakdown,
-            r.matvecs
-        );
-        assert!(
-            r.matvecs < 100,
-            "stagnation must abort early, used {} matvecs",
-            r.matvecs
-        );
+        assert!(!r.converged && r.rel_residual.is_infinite());
+        assert_eq!(r.chosen, r.attempts.len() - 1, "{:?}", r.attempts);
+        assert_eq!(r.fallback(), "none");
+        assert!(r.x.iter().all(|v| v.is_finite()));
     }
 }

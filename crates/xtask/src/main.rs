@@ -14,6 +14,8 @@
 //!   bitwise-determinism sanitizer: seeded workloads re-run under
 //!   perturbed schedules must reproduce identical results and traffic
 //!   (see [`schedcheck`]).
+//! * `cargo run -p xtask -- loc` — non-test code lines per crate (see
+//!   [`code_lines`]), the tracked size column of ROADMAP aim 2.
 //!
 //! The `lint` task enforces repo-local rules that `rustc` and `clippy`
 //! (which is not guaranteed to exist in the offline toolchain) do not:
@@ -41,8 +43,8 @@
 //!   `with_capacity`, `.collect(`, `.to_vec(`, `.clone(`, `Box::new`,
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
 //!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the blocked
-//!   and serial triangular-solve functions, and the whole `CommPlan`
-//!   replay half. The scan is a token walk over the blanked text — macro
+//!   and serial triangular-solve functions, the whole `CommPlan` replay
+//!   half, and the GMRES restart loop. The scan is a token walk over the blanked text — macro
 //!   invocations are first-class tokens, so `vec![` in a string or
 //!   comment can't fire and `Avec![` can't hide. Backed at run time by
 //!   the allocation-audit regions and the `zero-steady-alloc` bench gate.
@@ -61,8 +63,8 @@
 //!   `get`, `spmv`, …) so storage layout stays a private contract of the
 //!   sparse crate. Escape hatch: `// lint: allow(storage-poke): <why>`.
 //! * **dep-allowlist** — every `Cargo.toml` may depend only on in-repo
-//!   `pilut-*` path crates (plus `criterion`, only in the excluded
-//!   `crates/bench`). This is what keeps the tier-1 gate offline-safe.
+//!   path crates (`pilut-*` and the `pilut` facade): no registry
+//!   dependency anywhere. This is what keeps the tier-1 gate offline-safe.
 //! * **doc-pub-fn** — every `pub fn` in `crates/*/src` carries a doc
 //!   comment (`///` or `#[doc = ...]`).
 //!
@@ -88,72 +90,82 @@ mod sweep;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("bench") => match bench::run(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("xtask bench: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("bench-verify") => match bench::verify(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("xtask bench-verify: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("bench-compare") => match bench::compare(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("xtask bench-compare: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("chaos") => match chaos::run(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("xtask chaos: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("schedcheck") => match schedcheck::run(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("xtask schedcheck: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("modelcheck") => match modelcheck::run(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("xtask modelcheck: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("lint") => {
-            let root = workspace_root();
-            let violations = run_lint(&root);
-            if violations.is_empty() {
-                println!("xtask lint: clean");
-                ExitCode::SUCCESS
-            } else {
-                for v in &violations {
-                    println!("{v}");
-                }
-                println!("xtask lint: {} violation(s)", violations.len());
-                ExitCode::FAILURE
-            }
-        }
+    let cmd = args.first().map_or("", String::as_str);
+    let task: fn(&[String]) -> Result<(), String> = match cmd {
+        "bench" => bench::run,
+        "bench-verify" => bench::verify,
+        "bench-compare" => bench::compare,
+        "chaos" => chaos::run,
+        "schedcheck" => schedcheck::run,
+        "modelcheck" => modelcheck::run,
+        "lint" => lint_task,
+        "loc" => loc_task,
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- lint | bench [flags] | bench-verify <file> [--slack PCT] \
                  | bench-compare <new> <baseline> [--tolerance PCT] [--geomean] | chaos [--quick] \
-                 | schedcheck [--quick] | modelcheck [--quick]"
+                 | schedcheck [--quick] | modelcheck [--quick] | loc"
             );
+            return ExitCode::FAILURE;
+        }
+    };
+    match task(&args[1..]) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("xtask {cmd}: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// `lint`: prints every violation; fails when there is one.
+fn lint_task(_args: &[String]) -> Result<(), String> {
+    let violations = run_lint(&workspace_root());
+    for v in &violations {
+        println!("{v}");
+    }
+    if violations.is_empty() {
+        println!("xtask lint: clean");
+        Ok(())
+    } else {
+        Err(format!("{} violation(s)", violations.len()))
+    }
+}
+
+/// Code lines of one source file: non-blank, not comment-only, and before
+/// the file's first `#[cfg(test)]` (the same tail convention as the lint).
+fn code_lines(content: &str) -> usize {
+    content
+        .lines()
+        .map(str::trim)
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .count()
+}
+
+/// `loc`: code lines over `src/**/*.rs`, for the root facade and for every
+/// crate under `crates/` in path order, then the total.
+fn loc_task(_args: &[String]) -> Result<(), String> {
+    let root = workspace_root();
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .map_err(|e| format!("crates/: {e}"))?
+        .flatten()
+        .map(|e| e.path().join("src"))
+        .collect();
+    dirs.sort();
+    dirs.insert(0, root.join("src"));
+    let mut total = 0;
+    for dir in dirs.iter().filter(|dir| dir.is_dir()) {
+        let lines: usize = rust_files(dir)
+            .iter()
+            .filter_map(|f| std::fs::read_to_string(f).ok())
+            .map(|content| code_lines(&content))
+            .sum();
+        println!("{lines:>7}  {}", rel_label(&root, dir));
+        total += lines;
+    }
+    println!("{total:>7}  total (code lines: non-blank, not comment-only, before #[cfg(test)])");
+    Ok(())
 }
 
 /// The repo root, resolved from this crate's manifest directory so the
@@ -224,12 +236,11 @@ fn run_lint(root: &Path) -> Vec<Violation> {
         }
     }
     // Manifest allowlist: every Cargo.toml in the repo, including the
-    // workspace-excluded bench crate.
+    // standalone `benchmark/` package outside the workspace.
     for file in manifest_files(root) {
         let label = rel_label(root, &file);
-        let is_bench = label.starts_with("crates/bench");
         match std::fs::read_to_string(&file) {
-            Ok(content) => violations.extend(lint_manifest(&label, &content, is_bench)),
+            Ok(content) => violations.extend(lint_manifest(&label, &content)),
             Err(e) => violations.push(Violation {
                 file: label,
                 line: 0,
@@ -452,6 +463,10 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
         &["forward_solve", "backward_solve", "solve_into"],
     ),
     ("crates/core/src/dist/exchange/replay.rs", &["*"]),
+    (
+        "crates/solver/src/krylov.rs",
+        &["inner_product", "norm", "residual", "solve"],
+    ),
 ];
 
 /// Allocation tokens the hot-path rule recognizes on a blanked code line.
@@ -974,8 +989,10 @@ fn missing_doc_violation(label: &str, lines: &[&str], i: usize, code: &str) -> O
     })
 }
 
-/// Dependency names allowed anywhere in the workspace.
+/// Dependency names allowed anywhere in the repo: the in-repo crates and
+/// the root facade (which the standalone `benchmark/` package drives).
 const DEP_ALLOWLIST: &[&str] = &[
+    "pilut",
     "pilut-sparse",
     "pilut-graph",
     "pilut-par",
@@ -985,9 +1002,8 @@ const DEP_ALLOWLIST: &[&str] = &[
 ];
 
 /// Manifest rule: every dependency name in any `[…dependencies…]` table
-/// must be on the allowlist (`criterion` additionally allowed in the
-/// workspace-excluded bench crate).
-fn lint_manifest(label: &str, content: &str, is_bench: bool) -> Vec<Violation> {
+/// must be on the allowlist.
+fn lint_manifest(label: &str, content: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut in_dep_table = false;
     for (i, raw) in content.lines().enumerate() {
@@ -1009,8 +1025,7 @@ fn lint_manifest(label: &str, content: &str, is_bench: bool) -> Vec<Violation> {
         if name.is_empty() {
             continue;
         }
-        let allowed = DEP_ALLOWLIST.contains(&name) || (is_bench && name == "criterion");
-        if !allowed {
+        if !DEP_ALLOWLIST.contains(&name) {
             out.push(Violation {
                 file: label.to_string(),
                 line: i + 1,
@@ -1318,23 +1333,33 @@ mod tests {
     }
 
     #[test]
+    fn code_lines_skip_blanks_comments_and_the_test_tail() {
+        let src = "//! Docs.\n\nuse a::b;\n/// Doc.\nfn f() {\n    g(); // trailing\n}\n\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        assert_eq!(code_lines(src), 4);
+        assert_eq!(code_lines(""), 0);
+    }
+
+    #[test]
     fn rogue_dependency_is_caught() {
         let bad = "[package]\nname = \"x\"\n[dependencies]\nserde = \"1\"\n";
         assert_eq!(
-            rules(&lint_manifest("crates/fake/Cargo.toml", bad, false)),
+            rules(&lint_manifest("crates/fake/Cargo.toml", bad)),
             vec!["dep-allowlist"]
         );
     }
 
     #[test]
-    fn path_deps_and_bench_criterion_are_fine() {
+    fn in_repo_path_deps_are_fine_and_no_crate_gets_a_registry_exception() {
         let ok =
             "[dependencies]\npilut-sparse = { workspace = true }\npilut-par.workspace = true\n";
-        assert!(lint_manifest("crates/fake/Cargo.toml", ok, false).is_empty());
-        let bench = "[dev-dependencies]\ncriterion = \"0.5\"\n";
-        assert!(lint_manifest("crates/bench/Cargo.toml", bench, true).is_empty());
+        assert!(lint_manifest("crates/fake/Cargo.toml", ok).is_empty());
+        // The standalone benchmark package depends on the root facade.
+        let facade = "[workspace]\n\n[dependencies]\npilut = { path = \"..\" }\n";
+        assert!(lint_manifest("benchmark/Cargo.toml", facade).is_empty());
+        let criterion = "[dev-dependencies]\ncriterion = \"0.5\"\n";
         assert_eq!(
-            rules(&lint_manifest("crates/fake/Cargo.toml", bench, false)),
+            rules(&lint_manifest("crates/bench/Cargo.toml", criterion)),
             vec!["dep-allowlist"]
         );
     }

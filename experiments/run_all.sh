@@ -2,6 +2,8 @@
 # Regenerates every recorded experiment. Scales chosen so the whole script
 # completes in tens of minutes on a laptop; see EXPERIMENTS.md.
 set -x
+# pilut-bench is a workspace member: its binaries land in the root target/.
+cargo build --release --offline -p pilut-bench
 BIN=target/release
 PILUT_SCALE=0.5 $BIN/table1 > experiments/table1.txt 2> experiments/table1.log
 PILUT_SCALE=0.25 $BIN/table2 > experiments/table2.txt 2> experiments/table2.log
