@@ -48,12 +48,12 @@ fn main() {
     let mut l_blocks = vec![vec![0usize; nb]; nb];
     let mut u_blocks = vec![vec![0usize; nb]; nb];
     for f in &factors {
-        for (&v, row) in &f.rows {
+        for (v, row) in f.rows() {
             let bv = block_of[&v];
-            for &(j, _) in &row.l {
+            for (j, _) in row.l() {
                 l_blocks[bv][block_of[&j]] += 1;
             }
-            for &(j, _) in &row.u {
+            for (j, _) in row.u() {
                 u_blocks[bv][block_of[&j]] += 1;
             }
             u_blocks[bv][bv] += 1; // diagonal

@@ -497,6 +497,25 @@ impl CommPlan {
         self
     }
 
+    /// Renames the scheduled nodes (`send` over my nodes, `recv` over
+    /// remote nodes; `recv` must preserve their order). Nothing on the wire
+    /// carries an id, so replays are unaffected; the callbacks of
+    /// [`CommPlan::send_values`] / [`CommPlan::recv_values`] see the new
+    /// names — the triangular sweeps rename to solution-vector slots.
+    pub fn relabel(
+        mut self,
+        send: impl Fn(usize) -> usize,
+        recv: impl Fn(usize) -> usize,
+    ) -> CommPlan {
+        for g in self.send.iter_mut().flat_map(|(_, ns)| ns) {
+            *g = send(*g);
+        }
+        for g in self.recv.iter_mut().flat_map(|(_, ns)| ns) {
+            *g = recv(*g);
+        }
+        self
+    }
+
     /// Pre-provisions the registered-buffer pool for this plan's
     /// values-only rounds: one class entry per send list, sized to the
     /// list. Build-time setup by definition — this is the allocation the

@@ -65,14 +65,12 @@ pub fn assemble_factors(per_rank: &[RankFactors], n: usize) -> AssembledFactors 
     let mut l_rows: Vec<SparseRow> = vec![SparseRow::default(); n];
     let mut u_rows: Vec<SparseRow> = vec![SparseRow::default(); n];
     for rf in per_rank {
-        for (&node, row) in &rf.rows {
+        for (node, row) in rf.rows() {
             let pos = perm.new_of(node);
-            let l: Vec<(usize, f64)> = row.l.iter().map(|&(c, v)| (perm.new_of(c), v)).collect();
-            let mut u: Vec<(usize, f64)> =
-                row.u.iter().map(|&(c, v)| (perm.new_of(c), v)).collect();
-            u.push((pos, row.diag));
-            l_rows[pos] = SparseRow::from_pairs(l);
-            u_rows[pos] = SparseRow::from_pairs(u);
+            let renumber = |(c, v)| (perm.new_of(c), v);
+            let diag = std::iter::once((pos, row.diag()));
+            l_rows[pos] = SparseRow::from_pairs(row.l().map(renumber).collect());
+            u_rows[pos] = SparseRow::from_pairs(diag.chain(row.u().map(renumber)).collect());
         }
     }
     let factors = LuFactors {

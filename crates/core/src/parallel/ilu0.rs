@@ -20,8 +20,12 @@ use crate::dist::exchange::tags;
 use crate::dist::{DistMatrix, LocalView};
 use crate::options::{BreakdownPolicy, FactorError};
 use crate::parallel::dist_mis::{build_level_links, dist_mis};
-use crate::parallel::{collective_fault_verdict, FactorRow, ParStats, RankFactors};
-use pilut_par::{Ctx, Payload};
+use crate::parallel::store::{FactorBuilder, RemoteURows};
+use crate::parallel::{
+    collective_fault_verdict, reduced_patterns, role_map, split_diag, ParStats, RankFactors,
+    ReducedRows,
+};
+use pilut_par::Ctx;
 use pilut_sparse::WorkRow;
 use std::collections::{HashMap, HashSet};
 
@@ -47,52 +51,57 @@ pub fn par_ilu0_with(
     let mut doctor = PivotDoctor::new(policy);
     let a = dm.matrix();
     let n = dm.n();
-    let mut role = vec![0u8; n];
-    for &v in &local.interior {
-        role[v] = 1;
-    }
-    for &v in &local.interface {
-        role[v] = 2;
-    }
-    let mut rows: HashMap<usize, FactorRow> = HashMap::with_capacity(local.len());
+    let role = role_map(local, n);
+    let mut fb = FactorBuilder::new(local);
     let mut stats = ParStats::default();
     let mut w = WorkRow::new(n);
+    // Scratch reused across rows; stored rows are exact-size copies.
+    let mut entries: Vec<(usize, f64)> = Vec::new();
+    let mut lower: Vec<(usize, f64)> = Vec::new();
+    let mut upper: Vec<(usize, f64)> = Vec::new();
     let mut my_err: Option<(usize, PivotFault)> = None;
 
-    // ---- Phase 1: interiors, ascending global id, pattern-restricted.
-    for &i in &local.interior {
+    // ---- Phase 1: my rows in local-view order, pattern-restricted. An
+    // interior row eliminates the interiors preceding it; an interface row
+    // eliminates all my interiors, and its surviving interface-column
+    // values are the rank's slice of A_I, whose pattern equals the original.
+    let n_int = local.interior.len();
+    let mut reduced: ReducedRows = Vec::with_capacity(local.interface.len());
+    for (p, &i) in local.nodes.iter().enumerate() {
+        let is_interior = p < n_int;
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
             w.set(j, v);
         }
-        let mut lower: Vec<(usize, f64)> = Vec::new();
-        // Pivots: my interiors preceding i, in the original pattern only (no
-        // fill can extend the pivot set).
-        for &k in cols.iter().filter(|&&k| role[k] == 1 && k < i) {
+        // Pivots come from the original pattern only: no fill can extend
+        // the pivot set, and updates land only on occupied positions.
+        lower.clear();
+        for &k in cols
+            .iter()
+            .filter(|&&k| role[k] == 1 && (!is_interior || k < i))
+        {
             let wk = w.get(k);
             w.drop_pos(k);
-            let urow = &rows[&k];
-            let mult = wk / urow.diag;
+            let (udiag, urow) = fb.interior_pivot(k);
+            let mult = wk / udiag;
             lower.push((k, mult));
-            for &(j, uv) in &urow.u {
+            let cost = 2.0 * urow.len() as f64 + 1.0;
+            for (j, uv) in urow {
                 if w.contains(j) {
                     w.add(j, -mult * uv);
                 }
             }
-            stats.flops += 2.0 * urow.u.len() as f64 + 1.0;
-            ctx.work(2.0 * urow.u.len() as f64 + 1.0);
+            stats.flops += cost;
+            ctx.work(cost);
         }
-        let mut diag = 0.0;
-        let mut has_diag = false;
-        let mut upper: Vec<(usize, f64)> = Vec::new();
-        for (j, v) in w.drain_sorted() {
-            if j == i {
-                diag = v;
-                has_diag = true;
-            } else {
-                upper.push((j, v));
-            }
+        w.drain_sorted_into(&mut entries);
+        if !is_interior {
+            fb.staged[p - n_int].l = lower.to_vec();
+            stats.reduced_nnz_initial += entries.len();
+            reduced.push(Some(entries.to_vec()));
+            continue;
         }
+        let (mut diag, has_diag) = split_diag(&entries, i, &mut upper);
         doctor.repair_or_defer(
             i,
             a.row_norm2(i),
@@ -103,65 +112,15 @@ pub fn par_ilu0_with(
             &mut my_err,
             1.0,
         );
-        stats.nnz_l += lower.len();
-        stats.nnz_u += upper.len() + 1;
-        rows.insert(
-            i,
-            FactorRow {
-                l: lower,
-                diag,
-                u: upper,
-            },
-        );
-    }
-
-    // ---- Phase 1b: eliminate interiors from interface rows (pattern-
-    // restricted); the surviving interface-column values are the rank's
-    // slice of A_I, whose pattern equals the original one.
-    let mut reduced: HashMap<usize, Vec<(usize, f64)>> = HashMap::new();
-    for &i in &local.interface {
-        let (cols, vals) = a.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            w.set(j, v);
-        }
-        let mut lower: Vec<(usize, f64)> = Vec::new();
-        for &k in cols.iter().filter(|&&k| role[k] == 1) {
-            let wk = w.get(k);
-            w.drop_pos(k);
-            let urow = &rows[&k];
-            let mult = wk / urow.diag;
-            lower.push((k, mult));
-            for &(j, uv) in &urow.u {
-                if w.contains(j) {
-                    w.add(j, -mult * uv);
-                }
-            }
-            stats.flops += 2.0 * urow.u.len() as f64 + 1.0;
-            ctx.work(2.0 * urow.u.len() as f64 + 1.0);
-        }
-        let rest = w.drain_sorted();
-        stats.reduced_nnz_initial += rest.len();
-        stats.nnz_l += lower.len();
-        rows.insert(
-            i,
-            FactorRow {
-                l: lower,
-                diag: 0.0,
-                u: Vec::new(),
-            },
-        );
-        reduced.insert(i, rest);
+        fb.push_interior(&lower, diag, &upper);
     }
     stats.reduced_nnz_peak = stats.reduced_nnz_initial;
-    let mut initial_reduced_cols: Vec<(usize, Vec<usize>)> = reduced
-        .iter()
-        .map(|(&v, row)| (v, row.iter().map(|&(c, _)| c).collect()))
-        .collect();
-    initial_reduced_cols.sort_unstable_by_key(|&(v, _)| v);
+    let initial_reduced_cols: Vec<(usize, Vec<usize>)> =
+        reduced_patterns(local, &reduced).collect();
 
     // ---- Symbolic schedule: peel independent sets off the static pattern.
     // (This is the "colouring" of Figure 1a: it depends only on structure.)
-    let mut remaining: HashSet<usize> = reduced.keys().copied().collect();
+    let mut remaining: HashSet<usize> = local.interface.iter().copied().collect();
     let mut scheduled_remote: HashSet<usize> = HashSet::new();
     let mut schedule: Vec<Vec<usize>> = Vec::new();
     let mut level_idx = 0u64;
@@ -172,19 +131,15 @@ pub fn par_ilu0_with(
         }
         // Pattern restricted to the still-unscheduled nodes (local ones we
         // know directly; remote ones from the previous levels' outcomes).
-        let pat: HashMap<usize, Vec<usize>> = remaining
-            .iter()
-            .map(|&v| {
-                let cols: Vec<usize> = reduced[&v]
-                    .iter()
-                    .map(|&(c, _)| c)
-                    .filter(|&c| {
-                        c == v
-                            || remaining.contains(&c)
-                            || (role[c] == 0 && !scheduled_remote.contains(&c))
-                    })
-                    .collect();
-                (v, cols)
+        let keep = |v: usize, c: usize| {
+            c == v || remaining.contains(&c) || (role[c] == 0 && !scheduled_remote.contains(&c))
+        };
+        let unscheduled = local.interface.iter().zip(&reduced);
+        let pat: HashMap<usize, Vec<usize>> = unscheduled
+            .filter(|(v, _)| remaining.contains(v))
+            .map(|(&v, row)| {
+                let cols = row.iter().flatten().map(|&(c, _)| c);
+                (v, cols.filter(|&c| keep(v, c)).collect())
             })
             .collect();
         let plan = build_level_links(ctx, dm.dist(), &pat);
@@ -198,146 +153,83 @@ pub fn par_ilu0_with(
     }
 
     // ---- Numeric interface factorization, level by level.
-    let mut levels: Vec<Vec<usize>> = Vec::new();
+    let mut remote_u = RemoteURows::new(n);
+    let mut pivots: Vec<usize> = Vec::new();
     for level in &schedule {
         // Finish the rows of this level: their remaining couplings to
         // *unfactored* nodes form U; couplings to already-factored interface
         // nodes were eliminated in earlier sweeps below.
         for &v in level {
+            let q = fb.interface_index(v);
             // lint: allow(unwrap): scheduling inserts every reduced row before it is scheduled
-            let rr = reduced.remove(&v).expect("scheduled row missing");
-            let mut diag = 0.0;
-            let mut has_diag = false;
-            let mut upper = Vec::with_capacity(rr.len());
-            for (c, val) in rr {
-                if c == v {
-                    diag = val;
-                    has_diag = true;
-                } else {
-                    upper.push((c, val));
-                }
-            }
-            // lint: allow(unwrap): interface rows are created for every boundary row up front
-            let row = rows.get_mut(&v).expect("interface row missing");
-            let mut l = std::mem::take(&mut row.l);
+            let rr = reduced[q].take().expect("scheduled row missing");
+            let (mut diag, has_diag) = split_diag(&rr, v, &mut upper);
+            let row = &mut fb.staged[q];
             doctor.repair_or_defer(
                 v,
                 a.row_norm2(v),
                 has_diag,
                 &mut diag,
-                &mut l,
+                &mut row.l,
                 &mut upper,
                 &mut my_err,
                 1.0,
             );
-            stats.nnz_u += upper.len() + 1;
-            row.l = l;
             row.diag = diag;
-            row.u = upper;
+            row.u = upper.to_vec();
         }
-        levels.push(level.clone());
 
         // Ship the new U rows along the current level's plan, then eliminate
         // this level's unknowns from the remaining rows (pattern-restricted).
-        // Encoding per peer: U64 = [node, len, cols...]*, F64 = [diag, vals...]*.
-        let pat: HashMap<usize, Vec<usize>> = reduced
-            .iter()
-            .map(|(&v, row)| (v, row.iter().map(|&(c, _)| c).collect()))
-            .collect();
+        let pat: HashMap<usize, Vec<usize>> = reduced_patterns(local, &reduced).collect();
         let plan = build_level_links(ctx, dm.dist(), &pat);
-        let level_set: HashSet<usize> = level.iter().copied().collect();
-        let mut remote_u: HashMap<usize, FactorRow> = HashMap::new();
+        let in_mine = |v: usize| level.binary_search(&v).is_ok();
+        remote_u.clear();
         plan.replay_tagged(
             ctx,
             tags::U0,
-            |_, nodes| {
-                let mut bu = Vec::new();
-                let mut bf = Vec::new();
-                for &v in nodes {
-                    if !level_set.contains(&v) {
-                        continue;
-                    }
-                    let row = &rows[&v];
-                    bu.push(v as u64);
-                    bu.push(row.u.len() as u64);
-                    bu.extend(row.u.iter().map(|&(c, _)| c as u64));
-                    bf.push(row.diag);
-                    bf.extend(row.u.iter().map(|&(_, x)| x));
-                }
-                Payload::mixed(bu, bf)
-            },
-            |_, _, payload| {
-                let (bu, bf) = payload.into_mixed();
-                let (mut iu, mut ifl) = (0usize, 0usize);
-                while iu < bu.len() {
-                    let node = bu[iu] as usize;
-                    let len = bu[iu + 1] as usize;
-                    let cols = &bu[iu + 2..iu + 2 + len];
-                    let diag = bf[ifl];
-                    let vals = &bf[ifl + 1..ifl + 1 + len];
-                    remote_u.insert(
-                        node,
-                        FactorRow {
-                            l: Vec::new(),
-                            diag,
-                            u: cols
-                                .iter()
-                                .map(|&c| c as usize)
-                                .zip(vals.iter().copied())
-                                .collect(),
-                        },
-                    );
-                    iu += 2 + len;
-                    ifl += 1 + len;
-                }
-            },
+            |_, nodes| fb.encode_urows(nodes, in_mine),
+            |_, _, payload| remote_u.decode(payload),
         );
-        // Remote members of this level, detectable from the shipped rows.
-        let keys: Vec<usize> = reduced.keys().copied().collect();
-        for i in keys {
-            // lint: allow(unwrap): the level schedule covers every remaining row
-            let rr = reduced.remove(&i).unwrap();
-            let pivots: Vec<usize> = rr
-                .iter()
-                .map(|&(c, _)| c)
-                .filter(|&c| c != i && (level_set.contains(&c) || remote_u.contains_key(&c)))
-                .collect();
+        // Remote members of this level are detectable from the shipped
+        // rows. Ascending interface position keeps the clock reproducible.
+        for (q, &i) in local.interface.iter().enumerate() {
+            let Some(rr) = reduced[q].as_ref() else {
+                continue;
+            };
+            pivots.clear();
+            let cols = rr.iter().map(|&(c, _)| c);
+            pivots.extend(cols.filter(|&c| c != i && (in_mine(c) || remote_u.get(c).is_some())));
             if pivots.is_empty() {
-                reduced.insert(i, rr);
                 continue;
             }
-            for (c, v) in rr {
+            for &(c, v) in rr {
                 w.set(c, v);
             }
-            let mut mults: Vec<(usize, f64)> = Vec::with_capacity(pivots.len());
-            for k in pivots {
-                let urow = if role[k] != 0 {
-                    &rows[&k]
-                } else {
-                    &remote_u[&k]
-                };
+            lower.clear();
+            lower.extend_from_slice(&fb.staged[q].l);
+            for &k in &pivots {
+                let (udiag, urow) = fb.level_pivot(k, &remote_u);
                 let wk = w.get(k);
                 w.drop_pos(k);
                 // lint: allow(float-eq): skips exactly cancelled multipliers
                 if wk == 0.0 {
                     continue;
                 }
-                let mult = wk / urow.diag;
-                for &(j, uv) in &urow.u {
+                let mult = wk / udiag;
+                for &(j, uv) in urow {
                     if w.contains(j) {
                         w.add(j, -mult * uv);
                     }
                 }
-                stats.flops += 2.0 * urow.u.len() as f64 + 1.0;
-                ctx.work(2.0 * urow.u.len() as f64 + 1.0);
-                mults.push((k, mult));
+                stats.flops += 2.0 * urow.len() as f64 + 1.0;
+                ctx.work(2.0 * urow.len() as f64 + 1.0);
+                lower.push((k, mult));
             }
-            // lint: allow(unwrap): interface rows are created for every boundary row up front
-            let row = rows.get_mut(&i).expect("interface row missing");
-            row.l.extend(mults);
-            row.l.sort_unstable_by_key(|&(c, _)| c);
-            stats.nnz_l += row.l.len();
-            reduced.insert(i, w.drain_sorted());
+            lower.sort_unstable_by_key(|&(c, _)| c);
+            fb.staged[q].l = lower.to_vec();
+            w.drain_sorted_into(&mut entries);
+            reduced[q] = Some(entries.to_vec());
         }
     }
 
@@ -347,16 +239,6 @@ pub fn par_ilu0_with(
     if err_flag > 0 {
         return Err(collective_fault_verdict(ctx, &my_err));
     }
-    stats.nnz_l = rows.values().map(|r| r.l.len()).sum();
-    stats.levels = levels.len();
     stats.breakdowns_repaired = doctor.repairs();
-    Ok(RankFactors {
-        rank: ctx.rank(),
-        interior: local.interior.clone(),
-        interface: local.interface.clone(),
-        levels,
-        rows,
-        initial_reduced_cols,
-        stats,
-    })
+    Ok(fb.finish(schedule, initial_reduced_cols, stats))
 }

@@ -19,30 +19,23 @@
 pub mod assemble;
 pub mod dist_mis;
 pub mod ilu0;
+pub(crate) mod store;
 
 pub use assemble::assemble_factors;
 pub use ilu0::{par_ilu0, par_ilu0_with};
+pub use store::{RankFactors, RowRef};
 
 use crate::breakdown::{PivotDoctor, PivotFault};
 use crate::dist::exchange::tags;
 use crate::dist::{DistMatrix, LocalView};
 use crate::options::{FactorError, IlutOptions};
-use crate::serial::drop_rules::{selection_cost, threshold_and_cap};
+use crate::serial::drop_rules::{selection_cost, threshold_and_cap_in_place};
 use dist_mis::{build_level_links, dist_mis};
-use pilut_par::{Ctx, Payload};
+use pilut_par::Ctx;
 use pilut_sparse::WorkRow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-
-/// One factored row in *elimination order* semantics: `l` holds couplings to
-/// rows factored earlier, `u` to rows factored later; both sorted by global
-/// column id. `L` has an implicit unit diagonal; `diag` is the `U` pivot.
-#[derive(Clone, Debug, Default)]
-pub struct FactorRow {
-    pub l: Vec<(usize, f64)>,
-    pub diag: f64,
-    pub u: Vec<(usize, f64)>,
-}
+use store::{FactorBuilder, RemoteURows};
 
 /// Counters describing one rank's factorization.
 #[derive(Clone, Debug, Default)]
@@ -62,26 +55,6 @@ pub struct ParStats {
     /// [`BreakdownPolicy`](crate::options::BreakdownPolicy) repaired;
     /// always 0 under `Abort`.
     pub breakdowns_repaired: usize,
-}
-
-/// One rank's share of the distributed factorization.
-#[derive(Clone, Debug)]
-pub struct RankFactors {
-    pub rank: usize,
-    /// Interior nodes in elimination order (ascending global id).
-    pub interior: Vec<usize>,
-    /// Interface nodes (ascending global id).
-    pub interface: Vec<usize>,
-    /// `levels[l]` = my interface nodes factored in global level `l`
-    /// (possibly empty; every rank records every level).
-    pub levels: Vec<Vec<usize>>,
-    /// All my factored rows by global node id.
-    pub rows: HashMap<usize, FactorRow>,
-    /// Column pattern of my slice of the *initial* reduced matrix `A_I⁰`
-    /// (after interior elimination, before any interface level) — used by
-    /// the Figure 1/2 structure illustrations.
-    pub initial_reduced_cols: Vec<(usize, Vec<usize>)>,
-    pub stats: ParStats,
 }
 
 /// Agrees on a factorization error once at least one rank flagged a fault
@@ -109,6 +82,29 @@ pub(crate) fn collective_fault_verdict(
     }
 }
 
+/// Role of every global node on this rank: 0 = remote, 1 = my interior,
+/// 2 = my interface.
+pub(crate) fn role_map(local: &LocalView, n: usize) -> Vec<u8> {
+    let mut role = vec![0u8; n];
+    for (p, &v) in local.nodes.iter().enumerate() {
+        role[v] = if p < local.interior.len() { 1 } else { 2 };
+    }
+    role
+}
+
+/// My slice of a reduced matrix, indexed by interface position; a row is
+/// `None` once its level has factored it.
+pub(crate) type ReducedRows = Vec<Option<Vec<(usize, f64)>>>;
+
+/// `(node, column pattern)` of every live reduced row, ascending node id.
+pub(crate) fn reduced_patterns<'a>(
+    local: &'a LocalView,
+    reduced: &'a ReducedRows,
+) -> impl Iterator<Item = (usize, Vec<usize>)> + 'a {
+    let rows = local.interface.iter().zip(reduced);
+    rows.filter_map(|(&v, row)| Some((v, row.as_ref()?.iter().map(|&(c, _)| c).collect())))
+}
+
 /// Runs the parallel ILUT / ILUT\* factorization. Collective: every rank of
 /// the machine must call it with the same `dm` and `opts`.
 pub fn par_ilut(
@@ -120,38 +116,42 @@ pub fn par_ilut(
     opts.validate()?; // deterministic: every rank rejects the same way
     let mut doctor = PivotDoctor::new(opts.breakdown);
     let a = dm.matrix();
-    let me = ctx.rank();
     let n = dm.n();
-
-    // Role map: 0 = remote, 1 = my interior, 2 = my interface.
-    let mut role = vec![0u8; n];
-    for &v in &local.interior {
-        role[v] = 1;
-    }
-    for &v in &local.interface {
-        role[v] = 2;
-    }
-
-    let mut rows: HashMap<usize, FactorRow> = HashMap::with_capacity(local.len());
+    let role = role_map(local, n);
+    let mut fb = FactorBuilder::new(local);
     let mut stats = ParStats::default();
     let mut w = WorkRow::new(n);
     let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
     let mut in_heap = vec![false; n];
-    // Scratch buffer reused across rows by both phase-1 sweeps.
+    // Scratch reused across rows: the drained working row and its two
+    // parts. Everything that outlives a row is copied out at exact size, so
+    // no stored row keeps the capacity of a pre-drop working row.
     let mut entries: Vec<(usize, f64)> = Vec::new();
+    let mut lower: Vec<(usize, f64)> = Vec::new();
+    let mut upper: Vec<(usize, f64)> = Vec::new();
     // First unusable pivot met on this rank, deferred to the collective
     // error check (only set under `BreakdownPolicy::Abort`).
     let mut my_err: Option<(usize, PivotFault)> = None;
 
-    // ---- Phase 1: interior rows (ascending global id = elimination order).
-    for &i in &local.interior {
+    // ---- Phase 1: my rows in local-view order. Interior rows (ascending
+    // global id = elimination order) eliminate the interiors preceding them
+    // and go straight into the store. Interface rows eliminate *all* my
+    // interiors (interface nodes factor after every interior regardless of
+    // global id), which leaves their initial `L` part and their row of the
+    // reduced matrix `A_I⁰` (`tau_of` is indexed like `reduced`).
+    let n_int = local.interior.len();
+    let mut reduced: ReducedRows = Vec::with_capacity(local.interface.len());
+    let mut tau_of: Vec<f64> = Vec::with_capacity(local.interface.len());
+    for (p, &i) in local.nodes.iter().enumerate() {
+        let is_interior = p < n_int;
+        let eligible = |j: usize| role[j] == 1 && (!is_interior || j < i);
         let norm_i = a.row_norm2(i);
         let tau_i = opts.tau * norm_i;
         let (cols, vals) = a.row(i);
         debug_assert!(heap.is_empty(), "heap drained by the previous row");
         for (&j, &v) in cols.iter().zip(vals) {
             w.set(j, v);
-            if role[j] == 1 && j < i && !in_heap[j] {
+            if eligible(j) && !in_heap[j] {
                 in_heap[j] = true;
                 heap.push(Reverse(j));
             }
@@ -161,121 +161,69 @@ pub fn par_ilut(
             &mut w,
             &mut heap,
             &mut in_heap,
-            &rows,
+            &fb,
             tau_i,
-            i,
-            &role,
-            false,
+            &eligible,
             &mut stats,
         );
-        // Split: lower = my interiors with smaller id (the multipliers);
-        // everything else is "later" (interface nodes factor after ALL
-        // interiors regardless of their global id).
+        // Split: lower = the multipliers; for an interior row everything
+        // else but the pivot is "later", for an interface row it is the
+        // interface columns (mine or remote) including the diagonal.
         w.drain_sorted_into(&mut entries);
         stats.flops += selection_cost(entries.len());
         ctx.work(selection_cost(entries.len()));
-        let mut lower = Vec::new();
-        let mut upper = Vec::new();
-        let mut diag = 0.0;
-        let mut has_diag = false;
+        lower.clear();
+        upper.clear();
+        let (mut diag, mut has_diag) = (0.0, false);
         for &(j, v) in &entries {
-            if j == i {
-                diag = v;
-                has_diag = true;
-            } else if role[j] == 1 && j < i {
+            if is_interior && j == i {
+                (diag, has_diag) = (v, true);
+            } else if eligible(j) {
                 lower.push((j, v));
             } else {
                 upper.push((j, v));
             }
         }
-        let fallback = if tau_i > 0.0 { tau_i } else { 1.0 };
-        doctor.repair_or_defer(
-            i,
-            norm_i,
-            has_diag,
-            &mut diag,
-            &mut lower,
-            &mut upper,
-            &mut my_err,
-            fallback,
-        );
-        let l = threshold_and_cap(lower, tau_i, opts.m, None);
-        let u = threshold_and_cap(upper, tau_i, opts.m, None);
-        stats.nnz_l += l.len();
-        stats.nnz_u += u.len() + 1;
-        rows.insert(i, FactorRow { l, diag, u });
-    }
-
-    // ---- Phase 1b: interface rows — eliminate my interiors, build the
-    // initial reduced rows.
-    let mut reduced: HashMap<usize, Vec<(usize, f64)>> = HashMap::new();
-    let mut tau_of: HashMap<usize, f64> = HashMap::new();
-    for &i in &local.interface {
-        let tau_i = opts.tau * a.row_norm2(i);
-        tau_of.insert(i, tau_i);
-        let (cols, vals) = a.row(i);
-        debug_assert!(heap.is_empty(), "heap drained by the previous row");
-        for (&j, &v) in cols.iter().zip(vals) {
-            w.set(j, v);
-            if role[j] == 1 && !in_heap[j] {
-                in_heap[j] = true;
-                heap.push(Reverse(j));
-            }
+        if is_interior {
+            let fallback = if tau_i > 0.0 { tau_i } else { 1.0 };
+            doctor.repair_or_defer(
+                i,
+                norm_i,
+                has_diag,
+                &mut diag,
+                &mut lower,
+                &mut upper,
+                &mut my_err,
+                fallback,
+            );
+            threshold_and_cap_in_place(&mut lower, tau_i, opts.m, None);
+            threshold_and_cap_in_place(&mut upper, tau_i, opts.m, None);
+            fb.push_interior(&lower, diag, &upper);
+        } else {
+            threshold_and_cap_in_place(&mut lower, tau_i, opts.m, None);
+            fb.staged[p - n_int].l = lower.to_vec();
+            // Reduced row: threshold always applies; ILUT* additionally caps.
+            threshold_and_cap_in_place(&mut upper, tau_i, opts.reduced_cap(), Some(i));
+            ctx.copy_words(upper.len() as f64);
+            stats.reduced_nnz_initial += upper.len();
+            reduced.push(Some(upper.to_vec()));
+            tau_of.push(tau_i);
         }
-        eliminate(
-            ctx,
-            &mut w,
-            &mut heap,
-            &mut in_heap,
-            &rows,
-            tau_i,
-            i,
-            &role,
-            true,
-            &mut stats,
-        );
-        w.drain_sorted_into(&mut entries);
-        stats.flops += selection_cost(entries.len());
-        ctx.work(selection_cost(entries.len()));
-        let mut lower = Vec::new(); // my interior columns — factored earlier
-        let mut rest = Vec::new(); // interface columns (mine or remote) + diag
-        for &(j, v) in &entries {
-            if role[j] == 1 {
-                lower.push((j, v));
-            } else {
-                rest.push((j, v));
-            }
-        }
-        let l = threshold_and_cap(lower, tau_i, opts.m, None);
-        stats.nnz_l += l.len();
-        rows.insert(
-            i,
-            FactorRow {
-                l,
-                diag: 0.0,
-                u: Vec::new(),
-            },
-        );
-        // Reduced row: threshold always applies; ILUT* additionally caps.
-        let rr = threshold_and_cap(rest, tau_i, opts.reduced_cap(), Some(i));
-        ctx.copy_words(rr.len() as f64);
-        stats.reduced_nnz_initial += rr.len();
-        reduced.insert(i, rr);
     }
     stats.reduced_nnz_peak = stats.reduced_nnz_initial;
-    let mut initial_reduced_cols: Vec<(usize, Vec<usize>)> = reduced
-        .iter()
-        .map(|(&v, row)| (v, row.iter().map(|&(c, _)| c).collect()))
-        .collect();
-    initial_reduced_cols.sort_unstable_by_key(|&(v, _)| v);
+    let initial_reduced_cols: Vec<(usize, Vec<usize>)> =
+        reduced_patterns(local, &reduced).collect();
 
     // ---- Phase 2: iterative interface factorization.
     let mut levels: Vec<Vec<usize>> = Vec::new();
+    let mut remote_u = RemoteURows::new(n);
+    let mut pivots: Vec<usize> = Vec::new();
+    let mut remaining = reduced.len();
     let mut level_idx = 0u64;
     loop {
         // Collective loop head: termination and error detection.
         let flags = ctx.all_reduce_u64(
-            vec![reduced.len() as u64, my_err.map_or(0, |_| 1)],
+            vec![remaining as u64, my_err.map_or(0, |_| 1)],
             pilut_par::collectives::ReduceOp::Sum,
         );
         if flags[1] > 0 {
@@ -286,14 +234,11 @@ pub fn par_ilut(
         }
 
         // Track the peak reduced-matrix size.
-        let cur_nnz: usize = reduced.values().map(|r| r.len()).sum();
+        let cur_nnz: usize = reduced.iter().flatten().map(|r| r.len()).sum();
         stats.reduced_nnz_peak = stats.reduced_nnz_peak.max(cur_nnz);
 
         // Column patterns for the MIS and the links.
-        let reduced_cols: HashMap<usize, Vec<usize>> = reduced
-            .iter()
-            .map(|(&v, row)| (v, row.iter().map(|&(c, _)| c).collect()))
-            .collect();
+        let reduced_cols: HashMap<usize, Vec<usize>> = reduced_patterns(local, &reduced).collect();
         let plan = build_level_links(ctx, dm.dist(), &reduced_cols);
         let mis = dist_mis(
             ctx,
@@ -303,203 +248,146 @@ pub fn par_ilut(
             level_idx,
             opts.mis_rounds,
         )?;
+        drop(reduced_cols); // a third of the reduced matrix's bytes; free before the sweep
 
         // Factor my I_l rows: independence means only rule-2 dropping.
         for &v in &mis.my_in {
+            let q = fb.interface_index(v);
             // lint: allow(unwrap): set members always carry a reduced row
-            let rr = reduced.remove(&v).expect("member without a reduced row");
-            let tau_v = tau_of[&v];
-            let mut diag = 0.0;
-            let mut has_diag = false;
-            let mut off = Vec::with_capacity(rr.len());
-            for (c, val) in rr {
-                if c == v {
-                    diag = val;
-                    has_diag = true;
-                } else {
-                    off.push((c, val));
-                }
-            }
-            // lint: allow(unwrap): interface rows are created for every boundary row up front
-            let row = rows.get_mut(&v).expect("interface row missing");
-            let mut l = std::mem::take(&mut row.l);
+            let rr = reduced[q].take().expect("member without a reduced row");
+            remaining -= 1;
+            let tau_v = tau_of[q];
+            let (mut diag, has_diag) = split_diag(&rr, v, &mut upper);
+            let row = &mut fb.staged[q];
             let fallback = if tau_v > 0.0 { tau_v } else { 1.0 };
             doctor.repair_or_defer(
                 v,
                 a.row_norm2(v),
                 has_diag,
                 &mut diag,
-                &mut l,
-                &mut off,
+                &mut row.l,
+                &mut upper,
                 &mut my_err,
                 fallback,
             );
-            let u = threshold_and_cap(off, tau_v, opts.m, None);
-            stats.flops += selection_cost(u.len());
-            ctx.work(selection_cost(u.len()));
-            stats.nnz_u += u.len() + 1;
-            row.l = l;
+            threshold_and_cap_in_place(&mut upper, tau_v, opts.m, None);
+            stats.flops += selection_cost(upper.len());
+            ctx.work(selection_cost(upper.len()));
             row.diag = diag;
-            row.u = u;
+            row.u = upper.to_vec();
         }
         levels.push(mis.my_in.clone());
 
         // Ship the new U rows directly along the level plan: each rank
         // sends one (possibly empty) batch to every peer that references its
         // nodes and receives one from every peer whose nodes it references.
-        // Encoding per peer: U64 = [node, len, cols...]*, F64 = [diag, vals...]*.
-        let mut remote_u: HashMap<usize, FactorRow> = HashMap::new();
+        remote_u.clear();
         plan.replay_tagged(
             ctx,
             tags::UROWS,
-            |_, nodes| {
-                let mut bu = Vec::new();
-                let mut bf = Vec::new();
-                for &v in nodes {
-                    if mis.my_in.binary_search(&v).is_err() {
-                        continue;
-                    }
-                    let row = &rows[&v];
-                    bu.push(v as u64);
-                    bu.push(row.u.len() as u64);
-                    bu.extend(row.u.iter().map(|&(c, _)| c as u64));
-                    bf.push(row.diag);
-                    bf.extend(row.u.iter().map(|&(_, x)| x));
-                }
-                Payload::mixed(bu, bf)
-            },
-            |_, _, payload| {
-                let (bu, bf) = payload.into_mixed();
-                let mut iu = 0usize;
-                let mut ifl = 0usize;
-                while iu < bu.len() {
-                    let node = bu[iu] as usize;
-                    let len = bu[iu + 1] as usize;
-                    let cols = &bu[iu + 2..iu + 2 + len];
-                    let diag = bf[ifl];
-                    let vals = &bf[ifl + 1..ifl + 1 + len];
-                    remote_u.insert(
-                        node,
-                        FactorRow {
-                            l: Vec::new(),
-                            diag,
-                            u: cols
-                                .iter()
-                                .map(|&c| c as usize)
-                                .zip(vals.iter().copied())
-                                .collect(),
-                        },
-                    );
-                    iu += 2 + len;
-                    ifl += 1 + len;
-                }
-            },
+            |_, nodes| fb.encode_urows(nodes, |v| mis.my_in.binary_search(&v).is_ok()),
+            |_, _, payload| remote_u.decode(payload),
         );
 
-        // Algorithm 4.2: eliminate the I_l unknowns from my remaining rows.
+        // Algorithm 4.2: eliminate the I_l unknowns from my remaining rows,
+        // in ascending interface position — the logical clock accumulates
+        // the per-row charges in one fixed order on every run.
         let in_level = |j: usize| -> bool {
             mis.my_in.binary_search(&j).is_ok() || mis.remote_in.binary_search(&j).is_ok()
         };
-        let remaining: Vec<usize> = reduced.keys().copied().collect();
-        for i in remaining {
-            // lint: allow(unwrap): the level schedule covers every remaining row
-            let rr = reduced.remove(&i).unwrap();
-            let tau_i = tau_of[&i];
+        for (q, &i) in local.interface.iter().enumerate() {
+            let Some(rr) = reduced[q].as_ref() else {
+                continue;
+            };
+            let tau_i = tau_of[q];
             // Pivot columns of this row that belong to I_l (no new ones can
             // appear during the sweep: U rows of independent nodes contain no
             // I_l columns).
-            let pivots: Vec<usize> = rr
-                .iter()
-                .map(|&(c, _)| c)
-                .filter(|&c| c != i && in_level(c))
-                .collect();
+            pivots.clear();
+            let cols = rr.iter().map(|&(c, _)| c);
+            pivots.extend(cols.filter(|&c| c != i && in_level(c)));
             if pivots.is_empty() {
-                reduced.insert(i, rr);
                 continue;
             }
-            for (c, v) in rr {
+            for &(c, v) in rr {
                 w.set(c, v);
             }
-            let mut mults: Vec<(usize, f64)> = Vec::with_capacity(pivots.len());
-            for k in pivots {
-                let urow = if role[k] != 0 {
-                    rows.get(&k)
-                } else {
-                    remote_u.get(&k)
-                };
-                // lint: allow(unwrap): pivot rows are received before their level runs
-                let urow = urow.expect("missing U row for level pivot");
+            // The row's L followed by the new multipliers, for rule 3.
+            lower.clear();
+            lower.extend_from_slice(&fb.staged[q].l);
+            for &k in &pivots {
+                let (udiag, urow) = fb.level_pivot(k, &remote_u);
                 let wk = w.get(k);
                 w.drop_pos(k);
                 // lint: allow(float-eq): skips exactly cancelled multipliers
                 if wk == 0.0 {
                     continue;
                 }
-                let mult = wk / urow.diag;
+                let mult = wk / udiag;
                 stats.flops += 1.0;
                 if mult.abs() < tau_i {
                     continue; // first dropping rule
                 }
-                for &(j, uv) in &urow.u {
+                for &(j, uv) in urow {
                     w.add(j, -mult * uv);
                 }
-                let cost = 2.0 * urow.u.len() as f64;
+                let cost = 2.0 * urow.len() as f64;
                 stats.flops += cost;
                 ctx.work(cost + 1.0);
-                mults.push((k, mult));
+                lower.push((k, mult));
             }
-            // Merge multipliers into the row's L and reapply rule 3.
-            // lint: allow(unwrap): interface rows are created for every boundary row up front
-            let row = rows.get_mut(&i).expect("interface row missing");
-            let mut lmerge = std::mem::take(&mut row.l);
-            lmerge.extend(mults);
-            let cost = selection_cost(lmerge.len());
+            let cost = selection_cost(lower.len());
             stats.flops += cost;
             ctx.work(cost);
-            row.l = threshold_and_cap(lmerge, tau_i, opts.m, None);
+            threshold_and_cap_in_place(&mut lower, tau_i, opts.m, None);
+            fb.staged[q].l = lower.to_vec();
             // The surviving working row becomes the next-level reduced row.
-            let rest = w.drain_sorted();
-            let rr = threshold_and_cap(rest, tau_i, opts.reduced_cap(), Some(i));
-            ctx.copy_words(rr.len() as f64);
-            reduced.insert(i, rr);
+            w.drain_sorted_into(&mut entries);
+            threshold_and_cap_in_place(&mut entries, tau_i, opts.reduced_cap(), Some(i));
+            ctx.copy_words(entries.len() as f64);
+            reduced[q] = Some(entries.to_vec());
         }
         level_idx += 1;
     }
 
-    // Recompute L fill exactly (the incremental bookkeeping above is
-    // approximate when rows shrink during merges).
-    stats.nnz_l = rows.values().map(|r| r.l.len()).sum();
-    stats.levels = levels.len();
     stats.breakdowns_repaired = doctor.repairs();
-    Ok(RankFactors {
-        rank: me,
-        interior: local.interior.clone(),
-        interface: local.interface.clone(),
-        levels,
-        rows,
-        initial_reduced_cols,
-        stats,
-    })
+    Ok(fb.finish(levels, initial_reduced_cols, stats))
 }
 
-/// The shared elimination sweep of phases 1/1b: pops eligible pivots in
-/// ascending global order, applies dropping rule 1, and updates `w` with the
-/// pivot's `U` row. Eligible pivots are this rank's interiors (`role == 1`);
-/// for an *interior* row `i` only interiors preceding it (`j < i`) are
-/// eligible (`all_interiors = false`); for an *interface* row every interior
-/// is (`all_interiors = true`), since all interiors factor before any
-/// interface node. Fill positions join the heap under the same rule.
+/// Moves a row's off-diagonal entries into `off` (cleared first) and
+/// returns `(diagonal value, whether it is stored)`.
+pub(crate) fn split_diag(
+    row: &[(usize, f64)],
+    i: usize,
+    off: &mut Vec<(usize, f64)>,
+) -> (f64, bool) {
+    off.clear();
+    let mut diag = (0.0, false);
+    for &(c, v) in row {
+        if c == i {
+            diag = (v, true);
+        } else {
+            off.push((c, v));
+        }
+    }
+    diag
+}
+
+/// The elimination sweep of phase 1: pops eligible pivots in ascending
+/// global order, applies dropping rule 1, and updates `w` with the pivot's
+/// `U` row. `eligible` admits this rank's interiors — for an *interior* row
+/// only those preceding it, for an *interface* row all of them, since all
+/// interiors factor before any interface node. Fill positions join the heap
+/// under the same rule.
 #[allow(clippy::too_many_arguments)]
 fn eliminate(
     ctx: &mut Ctx,
     w: &mut WorkRow,
     heap: &mut BinaryHeap<Reverse<usize>>,
     in_heap: &mut [bool],
-    rows: &HashMap<usize, FactorRow>,
+    fb: &FactorBuilder,
     tau_i: f64,
-    i: usize,
-    role: &[u8],
-    all_interiors: bool,
+    eligible: impl Fn(usize) -> bool,
     stats: &mut ParStats,
 ) {
     while let Some(Reverse(k)) = heap.pop() {
@@ -510,25 +398,25 @@ fn eliminate(
             w.drop_pos(k);
             continue;
         }
-        let urow = &rows[&k];
-        let mult = wk / urow.diag;
+        let (udiag, urow) = fb.interior_pivot(k);
+        let mult = wk / udiag;
         stats.flops += 1.0;
         if mult.abs() < tau_i {
             w.drop_pos(k);
             continue;
         }
         w.set(k, mult);
-        for &(j, uv) in &urow.u {
+        let cost = 2.0 * urow.len() as f64 + 1.0;
+        for (j, uv) in urow {
             let newly = !w.contains(j);
             w.add(j, -mult * uv);
             // New fill joins the elimination when it lands on an eligible
             // pivot column.
-            if newly && role[j] == 1 && (all_interiors || j < i) && !in_heap[j] {
+            if newly && eligible(j) && !in_heap[j] {
                 in_heap[j] = true;
                 heap.push(Reverse(j));
             }
         }
-        let cost = 2.0 * urow.u.len() as f64 + 1.0;
         stats.flops += cost - 1.0;
         ctx.work(cost);
     }

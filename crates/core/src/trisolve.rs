@@ -21,64 +21,46 @@
 //! later ones (the level construction eliminates a row only against
 //! already-pivoted levels), and received values persist for any
 //! level-skipping consumer. No node ids travel on the wire.
+//!
+//! The sweeps stream the factor's two CSR arenas over one *slot-indexed*
+//! vector — the rank's local vector extended by one entry per referenced
+//! remote node (`RankFactors::ghosts`). Rows name their columns by slot and
+//! the per-level plans are renamed to slots at build time, so the inner
+//! loop is `x[p] -= val * x[slot]` with no id translation and a received
+//! batch lands directly in the ghost tail. Entries keep ascending *global*
+//! column order within a row, so every sum rounds as it always did.
 
 use crate::dist::exchange::{tags, CommPlan};
 use crate::dist::{DistMatrix, LocalView};
+use crate::parallel::store::Arena;
 use crate::parallel::RankFactors;
 use pilut_par::collectives::ReduceOp;
 use pilut_par::Ctx;
-use std::collections::HashMap;
 
 /// The communication plan for repeated triangular solves with one
-/// factorization: one per-level sub-plan per direction.
+/// factorization: one per-level sub-plan per direction, every scheduled
+/// node renamed to its *slot* in the solution vector (local position for my
+/// nodes, ghost slot for remote ones — see [`RankFactors::ghosts`]), so a
+/// sweep moves values between the wire and the vector without a lookup.
 pub struct TrisolvePlan {
     /// `fwd_at[l]`: level-`l` forward traffic (my level-`l` nodes on the
     /// send side, remote level-`l` nodes on the receive side).
     fwd_at: Vec<CommPlan>,
     /// `bwd_at[l]`: level-`l` backward traffic.
     bwd_at: Vec<CommPlan>,
-}
-
-/// Builds one direction's per-level schedule: plan the exchange from the
-/// remote columns, learn each needed node's level from its owner, and
-/// restrict the plan level by level.
-fn build_sweep(
-    ctx: &mut Ctx,
-    tag: u64,
-    local: &LocalView,
-    dm: &DistMatrix,
-    n_levels: usize,
-    level_of: &HashMap<usize, u64>,
-    cols: impl Iterator<Item = usize>,
-) -> Vec<CommPlan> {
-    let needed: Vec<usize> = cols.filter(|&j| !local.owns(j)).collect();
-    let plan = CommPlan::build(ctx, tag, needed, |j| dm.dist().owner(j));
-    let remote_level = plan.exchange_labels(ctx, |g| {
-        // lint: allow(unwrap): peers only reference interface pivots, which all carry a level
-        *level_of.get(&g).expect("referenced node has no level")
-    });
-    (0..n_levels)
-        .map(|l| {
-            plan.restrict(
-                |g| level_of.get(&g).copied() == Some(l as u64),
-                |g| remote_level.get(&g).copied() == Some(l as u64),
-            )
-            // Each level gets a private wire-tag namespace: values of two
-            // adjacent levels can be in flight from one sender at once, and
-            // sharing a wire tag would let a reordered network swap them.
-            .rebase(tag + ((l as u64) << 20))
-        })
-        .collect()
+    /// `level_pos[l]`: local positions of my level-`l` rows.
+    level_pos: Vec<Vec<usize>>,
+    /// Length of the slot-indexed solution vector: owned nodes + ghosts.
+    n_slots: usize,
 }
 
 impl TrisolvePlan {
     /// Collectively builds the plan from the distributed factors.
     pub fn build(ctx: &mut Ctx, dm: &DistMatrix, local: &LocalView, rf: &RankFactors) -> Self {
-        let mut level_of: HashMap<usize, u64> = HashMap::new();
+        let n_local = local.len();
+        let mut level_of: std::collections::HashMap<usize, u64> = Default::default();
         for (l, level) in rf.levels.iter().enumerate() {
-            for &i in level {
-                level_of.insert(i, l as u64);
-            }
+            level_of.extend(level.iter().map(|&i| (i, l as u64)));
         }
         // The factorization's level loop is collective (one push per
         // iteration on every rank), so the global level count must agree —
@@ -86,71 +68,71 @@ impl TrisolvePlan {
         let n_levels = rf.levels.len();
         let lmax = ctx.all_reduce_u64(vec![n_levels as u64], ReduceOp::Max)[0];
         assert_eq!(lmax as usize, n_levels, "level count differs across ranks");
-        let fwd_at = build_sweep(
-            ctx,
-            tags::FWD,
-            local,
-            dm,
-            n_levels,
-            &level_of,
-            rf.rows.values().flat_map(|r| r.l.iter().map(|&(c, _)| c)),
-        );
-        let bwd_at = build_sweep(
-            ctx,
-            tags::BWD,
-            local,
-            dm,
-            n_levels,
-            &level_of,
-            rf.rows.values().flat_map(|r| r.u.iter().map(|&(c, _)| c)),
-        );
-        TrisolvePlan { fwd_at, bwd_at }
-    }
-
-    /// Total values this rank ships per solve (forward plus backward).
-    pub fn sent_values(&self) -> usize {
-        self.fwd_at
-            .iter()
-            .chain(&self.bwd_at)
-            .map(|p| p.sent_values())
-            .sum()
-    }
-
-    /// The most remote values either direction's sweep can hold at once —
-    /// the capacity [`SolveScratch`] reserves for its remote-value map.
-    fn max_remote_values(&self) -> usize {
-        let total = |plans: &[CommPlan]| {
-            plans
-                .iter()
-                .map(|p| p.recv_lists().iter().map(|(_, ns)| ns.len()).sum::<usize>())
-                .sum::<usize>()
+        // One direction's per-level schedule: plan the exchange from the
+        // ghosts the triangle references, learn each one's level from its
+        // owner, restrict the plan level by level, rename to slots.
+        let mut build_sweep = |tag: u64, arena: &Arena| -> Vec<CommPlan> {
+            let ghost_refs = arena.slot.iter().filter(|&&s| s >= n_local);
+            let needed = ghost_refs.map(|&s| rf.ghosts[s - n_local]);
+            let plan = CommPlan::build(ctx, tag, needed, |j| dm.dist().owner(j));
+            let remote_level = plan.exchange_labels(ctx, |g| {
+                // lint: allow(unwrap): peers only reference interface pivots, which all carry a level
+                *level_of.get(&g).expect("referenced node has no level")
+            });
+            (0..n_levels as u64)
+                .map(|l| {
+                    plan.restrict(
+                        |g| level_of.get(&g) == Some(&l),
+                        |g| remote_level.get(&g) == Some(&l),
+                    )
+                    // Each level gets a private wire-tag namespace: values of two
+                    // adjacent levels can be in flight from one sender at once, and
+                    // sharing a wire tag would let a reordered network swap them.
+                    .rebase(tag + (l << 20))
+                    .relabel(
+                        // lint: allow(unwrap): the plan ships only locally owned nodes
+                        |g| local.pos_of(g).expect("plan ships non-local node"),
+                        // lint: allow(unwrap): the plan was built from these very ghosts
+                        |g| n_local + rf.ghosts.binary_search(&g).expect("unlisted ghost"),
+                    )
+                })
+                .collect()
         };
-        total(&self.fwd_at).max(total(&self.bwd_at))
+        let fwd_at = build_sweep(tags::FWD, &rf.l);
+        let bwd_at = build_sweep(tags::BWD, &rf.u);
+        // lint: allow(unwrap): levels hold this rank's interface nodes
+        let pos = |&i: &usize| local.pos_of(i).expect("level row must be local");
+        TrisolvePlan {
+            fwd_at,
+            bwd_at,
+            level_pos: rf
+                .levels
+                .iter()
+                .map(|lv| lv.iter().map(pos).collect())
+                .collect(),
+            n_slots: n_local + rf.ghosts.len(),
+        }
     }
 }
 
 /// Caller-owned workspace for repeated [`dist_solve_into`] calls: the two
-/// sweep buffers plus the remote-value map, all sized once from the plan so
-/// the steady-state solve allocates nothing. Build one per `(local, plan)`
-/// pair and reuse it across every solve of a Krylov iteration.
+/// slot-indexed sweep vectors, sized once from the plan so the steady-state
+/// solve allocates nothing. Build one per `(local, plan)` pair and reuse it
+/// across every solve of a Krylov iteration.
 pub struct SolveScratch {
     /// Forward-sweep solution (the backward sweep's right-hand side).
     y: Vec<f64>,
     /// Backward-sweep solution.
     x: Vec<f64>,
-    /// Remote values delivered by the level batches, keyed by global node.
-    /// Capacity covers every node either direction can deliver, so
-    /// steady-state inserts never rehash.
-    remote_x: HashMap<usize, f64>,
 }
 
 impl SolveScratch {
     /// Reserves the workspace for solves over `local` with `plan`.
     pub fn build(local: &LocalView, plan: &TrisolvePlan) -> Self {
+        debug_assert!(plan.n_slots >= local.len());
         SolveScratch {
-            y: Vec::with_capacity(local.len()),
-            x: Vec::with_capacity(local.len()),
-            remote_x: HashMap::with_capacity(plan.max_remote_values()),
+            y: Vec::with_capacity(plan.n_slots),
+            x: Vec::with_capacity(plan.n_slots),
         }
     }
 }
@@ -186,35 +168,10 @@ pub fn dist_solve_into(
     out: &mut [f64],
 ) {
     let _audit = pilut_allocaudit::region("trisolve_replay");
-    forward_sweep_into(
-        ctx,
-        local,
-        rf,
-        plan,
-        b,
-        &mut scratch.y,
-        &mut scratch.remote_x,
-    );
-    backward_sweep_into(
-        ctx,
-        local,
-        rf,
-        plan,
-        &scratch.y,
-        &mut scratch.x,
-        &mut scratch.remote_x,
-    );
-    out.copy_from_slice(&scratch.x);
-}
-
-/// The value of column `j`: local solution entry when owned, otherwise a
-/// remote value that the sweep schedule guarantees has already arrived.
-fn col_value(local: &LocalView, x: &[f64], remote_x: &HashMap<usize, f64>, j: usize) -> f64 {
-    match local.pos_of(j) {
-        Some(q) => x[q],
-        // lint: allow(unwrap): the schedule delivers every remote dep before its consumer level
-        None => *remote_x.get(&j).expect("remote value not yet delivered"),
-    }
+    let n = local.len();
+    forward_sweep_into(ctx, rf, plan, b, &mut scratch.y);
+    backward_sweep_into(ctx, rf, plan, &scratch.y[..n], &mut scratch.x);
+    out.copy_from_slice(&scratch.x[..n]);
 }
 
 /// Forward sweep `L y = b` (unit lower triangular).
@@ -226,67 +183,9 @@ pub fn dist_forward(
     b: &[f64],
 ) -> Vec<f64> {
     let mut x = Vec::new();
-    let mut remote_x = HashMap::new();
-    forward_sweep_into(ctx, local, rf, plan, b, &mut x, &mut remote_x);
+    forward_sweep_into(ctx, rf, plan, b, &mut x);
+    x.truncate(local.len());
     x
-}
-
-/// The forward sweep body over caller-owned buffers: `x` is cleared and
-/// refilled (no allocation when its capacity covers `local.len()`),
-/// `remote_x` likewise.
-fn forward_sweep_into(
-    ctx: &mut Ctx,
-    local: &LocalView,
-    rf: &RankFactors,
-    plan: &TrisolvePlan,
-    b: &[f64],
-    x: &mut Vec<f64>,
-    remote_x: &mut HashMap<usize, f64>,
-) {
-    assert_eq!(b.len(), local.len());
-    x.clear();
-    x.extend_from_slice(b);
-    remote_x.clear();
-    let mut flops = 0.0;
-    // Interior phase: L columns of interior rows are earlier interiors of
-    // this rank — all local, all already computed in ascending order.
-    for &i in &rf.interior {
-        // lint: allow(unwrap): the schedule lists only locally owned rows
-        let p = local.pos_of(i).unwrap();
-        let row = &rf.rows[&i];
-        let mut s = x[p];
-        for &(j, v) in &row.l {
-            // lint: allow(unwrap): interior L columns are local by construction
-            s -= v * x[local.pos_of(j).expect("interior L column must be local")];
-        }
-        flops += 2.0 * row.l.len() as f64;
-        x[p] = s;
-    }
-    // Interface phase, level by level: drain the previous level's batches,
-    // compute, then ship this level's values (one message per peer).
-    for (l, level) in rf.levels.iter().enumerate() {
-        if l > 0 {
-            plan.fwd_at[l - 1].recv_values(ctx, |g, v| {
-                remote_x.insert(g, v);
-            });
-        }
-        for &i in level {
-            // lint: allow(unwrap): the schedule lists only locally owned rows
-            let p = local.pos_of(i).unwrap();
-            let row = &rf.rows[&i];
-            let mut s = x[p];
-            for &(j, v) in &row.l {
-                s -= v * col_value(local, &x, &remote_x, j);
-            }
-            flops += 2.0 * row.l.len() as f64;
-            x[p] = s;
-        }
-        plan.fwd_at[l].send_values(ctx, |g| {
-            // lint: allow(unwrap): the plan ships only locally owned nodes
-            x[local.pos_of(g).expect("plan ships non-local node")]
-        });
-    }
-    ctx.work(flops);
 }
 
 /// Backward sweep `U x = y`.
@@ -298,65 +197,88 @@ pub fn dist_backward(
     y: &[f64],
 ) -> Vec<f64> {
     let mut x = Vec::new();
-    let mut remote_x = HashMap::new();
-    backward_sweep_into(ctx, local, rf, plan, y, &mut x, &mut remote_x);
+    backward_sweep_into(ctx, rf, plan, y, &mut x);
+    x.truncate(local.len());
     x
 }
 
-/// The backward sweep body over caller-owned buffers (see
-/// [`forward_sweep_into`]).
+/// `x[p] − Σ val·x[slot]` over row `p` of one triangle, summed in stored
+/// entry order (ascending global column — the order every earlier factor
+/// representation used, hence bit-identical sums).
+#[inline]
+fn row_residual(arena: &Arena, p: usize, x: &[f64]) -> f64 {
+    let (slots, vals) = arena.row(p);
+    let mut s = x[p];
+    for (&j, &v) in slots.iter().zip(vals) {
+        s -= v * x[j];
+    }
+    s
+}
+
+/// Loads the owned part of the slot-indexed vector from `rhs`; the ghost
+/// tail keeps whatever it held (every ghost a row reads is delivered by its
+/// level's batch first). No allocation once `x` has seen `n_slots`.
+fn load(x: &mut Vec<f64>, rhs: &[f64], n_slots: usize) {
+    x.clear();
+    x.extend_from_slice(rhs);
+    x.resize(n_slots, 0.0);
+}
+
+/// The forward sweep body over a caller-owned slot-indexed vector.
+fn forward_sweep_into(
+    ctx: &mut Ctx,
+    rf: &RankFactors,
+    plan: &TrisolvePlan,
+    b: &[f64],
+    x: &mut Vec<f64>,
+) {
+    assert_eq!(b.len(), rf.n_rows());
+    load(x, b, plan.n_slots);
+    // Interior phase: L columns of interior rows are earlier interiors of
+    // this rank — all local, all already computed in ascending order.
+    for p in 0..rf.interior.len() {
+        x[p] = row_residual(&rf.l, p, x);
+    }
+    // Interface phase, level by level: drain the previous level's batches,
+    // compute, then ship this level's values (one message per peer).
+    for (l, level) in plan.level_pos.iter().enumerate() {
+        if l > 0 {
+            plan.fwd_at[l - 1].recv_values(ctx, |slot, v| x[slot] = v);
+        }
+        for &p in level {
+            x[p] = row_residual(&rf.l, p, x);
+        }
+        plan.fwd_at[l].send_values(ctx, |pos| x[pos]);
+    }
+    ctx.work(2.0 * rf.l.val.len() as f64);
+}
+
+/// The backward sweep body (see [`forward_sweep_into`]).
 fn backward_sweep_into(
     ctx: &mut Ctx,
-    local: &LocalView,
     rf: &RankFactors,
     plan: &TrisolvePlan,
     y: &[f64],
     x: &mut Vec<f64>,
-    remote_x: &mut HashMap<usize, f64>,
 ) {
-    assert_eq!(y.len(), local.len());
-    x.clear();
-    x.extend_from_slice(y);
-    remote_x.clear();
-    let mut flops = 0.0;
+    assert_eq!(y.len(), rf.n_rows());
+    load(x, y, plan.n_slots);
     // Interface levels in reverse order: drain the batches of the level
     // computed just before (the next-higher index), compute, ship.
-    let n_levels = rf.levels.len();
+    let n_levels = plan.level_pos.len();
     for l in (0..n_levels).rev() {
         if l + 1 < n_levels {
-            plan.bwd_at[l + 1].recv_values(ctx, |g, v| {
-                remote_x.insert(g, v);
-            });
+            plan.bwd_at[l + 1].recv_values(ctx, |slot, v| x[slot] = v);
         }
-        for &i in &rf.levels[l] {
-            // lint: allow(unwrap): the schedule lists only locally owned rows
-            let p = local.pos_of(i).unwrap();
-            let row = &rf.rows[&i];
-            let mut s = x[p];
-            for &(j, v) in &row.u {
-                s -= v * col_value(local, &x, &remote_x, j);
-            }
-            flops += 2.0 * row.u.len() as f64 + 1.0;
-            x[p] = s / row.diag;
+        for &p in &plan.level_pos[l] {
+            x[p] = row_residual(&rf.u, p, x) / rf.diag[p];
         }
-        plan.bwd_at[l].send_values(ctx, |g| {
-            // lint: allow(unwrap): the plan ships only locally owned nodes
-            x[local.pos_of(g).expect("plan ships non-local node")]
-        });
+        plan.bwd_at[l].send_values(ctx, |pos| x[pos]);
     }
     // Interior phase, descending elimination order; U columns of interior
     // rows are local (later interiors or own interfaces).
-    for &i in rf.interior.iter().rev() {
-        // lint: allow(unwrap): the schedule lists only locally owned rows
-        let p = local.pos_of(i).unwrap();
-        let row = &rf.rows[&i];
-        let mut s = x[p];
-        for &(j, v) in &row.u {
-            // lint: allow(unwrap): interior U columns are local by construction
-            s -= v * x[local.pos_of(j).expect("interior U column must be local")];
-        }
-        flops += 2.0 * row.u.len() as f64 + 1.0;
-        x[p] = s / row.diag;
+    for p in (0..rf.interior.len()).rev() {
+        x[p] = row_residual(&rf.u, p, x) / rf.diag[p];
     }
-    ctx.work(flops);
+    ctx.work((2 * rf.u.val.len() + rf.n_rows()) as f64);
 }

@@ -20,12 +20,12 @@ fn single_rank_matches_serial_ilu0() {
     });
     let rf = &out.results[0];
     for i in 0..a.n_rows() {
-        let row = &rf.rows[&i];
+        let row = rf.row(i).expect("one rank owns every row");
         let sl: Vec<(usize, f64)> = serial.l[i].iter().collect();
-        assert_eq!(row.l, sl, "L row {i}");
-        assert!((row.diag - serial.u[i].vals[0]).abs() < 1e-14, "diag {i}");
+        assert_eq!(row.l().collect::<Vec<_>>(), sl, "L row {i}");
+        assert!((row.diag() - serial.u[i].vals[0]).abs() < 1e-14, "diag {i}");
         let su: Vec<(usize, f64)> = serial.u[i].iter().skip(1).collect();
-        assert_eq!(row.u, su, "U row {i}");
+        assert_eq!(row.u().collect::<Vec<_>>(), su, "U row {i}");
     }
 }
 
@@ -39,8 +39,8 @@ fn pattern_is_preserved_across_ranks() {
     });
     let mut covered = 0usize;
     for rf in &out.results {
-        for (&v, row) in &rf.rows {
-            let mut got: Vec<usize> = row.l.iter().chain(row.u.iter()).map(|&(c, _)| c).collect();
+        for (v, row) in rf.rows() {
+            let mut got: Vec<usize> = row.l().chain(row.u()).map(|(c, _)| c).collect();
             got.push(v);
             got.sort_unstable();
             let expect: Vec<usize> = a.row(v).0.to_vec();

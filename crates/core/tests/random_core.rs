@@ -306,18 +306,18 @@ fn parallel_fill_caps_hold() {
             par_ilut(ctx, &dm, &local, &opts).expect("no breakdown")
         });
         for rf in &out.results {
-            for (v, row) in &rf.rows {
+            for (v, row) in rf.rows() {
                 assert!(
-                    row.l.len() <= m,
+                    row.l().len() <= m,
                     "case {case}: L row {v} has {}",
-                    row.l.len()
+                    row.l().len()
                 );
                 assert!(
-                    row.u.len() <= m,
+                    row.u().len() <= m,
                     "case {case}: U row {v} has {}",
-                    row.u.len()
+                    row.u().len()
                 );
-                assert!(row.diag != 0.0, "case {case}");
+                assert!(row.diag() != 0.0, "case {case}");
             }
         }
     }

@@ -37,6 +37,9 @@
 //! * `par_ilut_star_p4` / `par_ilut_star_p8` — same with ILUT\*(10, 1e-4, 2).
 //! * `dist_trisolve_p4` — the distributed forward/backward solves (paper
 //!   §5) with a prebuilt communication plan, p = 4.
+//! * `dist_trisolve_p1` — the `trisolve_serial` factor replayed through the
+//!   distributed sweeps on one rank (zero messages); `bench-verify` requires
+//!   its Mnnz/s to reach 0.5 × `trisolve_serial`'s within the same report.
 //! * `dist_solve_robust_p4` — the self-healing solve with reliable delivery
 //!   *and* rank-loss recovery armed but **no faults fired**: the
 //!   steady-state overhead of the robustness layers, which must be free
@@ -80,6 +83,7 @@
 //! smoke configuration, meant to prove the harness and its JSON writer
 //! work, not to produce quotable numbers.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
 
@@ -256,6 +260,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             ("par_ilut_star_p4", bench_par_ilut_star_p4),
             ("par_ilut_star_p8", bench_par_ilut_star_p8),
             ("dist_trisolve_p4", bench_dist_trisolve_p4),
+            ("dist_trisolve_p1", bench_dist_trisolve_p1),
             ("dist_solve_robust_p4", bench_dist_solve_robust_p4),
             ("recovery_p4", bench_recovery_p4),
         ]
@@ -687,12 +692,30 @@ fn bench_par_ilut_star_p8(cfg: &Cfg) -> Measurement {
 
 fn bench_dist_trisolve_p4(cfg: &Cfg) -> Measurement {
     let dim = if cfg.quick { 16 } else { 48 };
-    let p = 4;
-    let a = gen::laplace_2d(dim, dim);
+    bench_dist_trisolve("dist_trisolve_p4", cfg, 4, gen::laplace_2d(dim, dim), 20)
+}
+
+/// The `trisolve_serial` factor (same matrix, same ILUT(10, 1e-4), which at
+/// p = 1 is the serial factor entry for entry) replayed through the
+/// distributed sweeps with zero messages: what is left of the gap to
+/// `LuFactors::solve_into` is the distributed path's own overhead, and
+/// `bench-verify` gates the ratio of the two rates within one report.
+fn bench_dist_trisolve_p1(cfg: &Cfg) -> Measurement {
+    let dim = if cfg.quick { 24 } else { 64 };
+    let a = gen::convection_diffusion_2d(dim, dim, 4.0, -3.0);
+    bench_dist_trisolve("dist_trisolve_p1", cfg, 1, a, 50)
+}
+
+fn bench_dist_trisolve(
+    name: &'static str,
+    cfg: &Cfg,
+    p: usize,
+    a: pilut_sparse::CsrMatrix,
+    inner: usize,
+) -> Measurement {
     let n = a.n_rows();
     let dm = DistMatrix::from_matrix(a, p, 17);
     let opts = IlutOptions::new(10, 1e-4);
-    let inner = 20;
     let (median_ns, min_ns) = sample_reported(cfg.reps, || {
         let out = Machine::run(p, MachineModel::cray_t3d(), |ctx| {
             let local = dm.local_view(ctx.rank());
@@ -725,16 +748,13 @@ fn bench_dist_trisolve_p4(cfg: &Cfg) -> Measurement {
             let mut x = vec![0.0; local.len()];
             dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x);
             std::hint::black_box(&x);
-            rf.rows
-                .values()
-                .map(|r| r.l.len() + r.u.len() + 1)
-                .sum::<usize>()
+            rf.stats.nnz_l + rf.stats.nnz_u
         });
         (out.results.into_iter().sum::<usize>(), out.stats)
     };
     let (comm_messages, comm_bytes, comm_tags, comm_planned) = comm_fields(&stats);
     Measurement {
-        name: "dist_trisolve_p4",
+        name,
         n,
         nnz: fill,
         reps: cfg.reps,
@@ -1197,6 +1217,8 @@ pub fn verify(args: &[String]) -> Result<(), String> {
     }
     let mut scenarios = 0usize;
     let mut curves = 0usize;
+    // Entries per nanosecond of the median rep, by scenario name.
+    let mut rate_per_ns: HashMap<String, f64> = HashMap::new();
     for line in content.lines() {
         let line = line.trim();
         // Scaling curves (optional — only `--scaling` reports carry them):
@@ -1253,6 +1275,8 @@ pub fn verify(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("{path}: scenario {scenarios} missing name"))?;
         let comm = field_u64(line, "\"comm_messages\":")
             .ok_or_else(|| format!("{path}: scenario {scenarios} missing comm_messages"))?;
+        let nnz = field_u64(line, "\"nnz\":").unwrap_or(0);
+        rate_per_ns.insert(name.clone(), nnz as f64 / median as f64);
         if !is_machine_scenario(&name) && comm != 0 {
             return Err(format!(
                 "{path}: serial scenario {name} reports {comm} comm message(s); \
@@ -1287,6 +1311,25 @@ pub fn verify(args: &[String]) -> Result<(), String> {
     }
     if scenarios == 0 {
         return Err(format!("{path}: no scenarios recorded"));
+    }
+    // The ratio gate: the distributed sweeps at p = 1 replay the very
+    // factor `trisolve_serial` times, so within one report (same box, same
+    // minutes) their rate must reach half the serial one. A ratio of two
+    // rates measured side by side survives a noisy host where an absolute
+    // floor would not.
+    if let (Some(serial), Some(dist)) = (
+        rate_per_ns.get("trisolve_serial"),
+        rate_per_ns.get("dist_trisolve_p1"),
+    ) {
+        if *dist < 0.5 * serial {
+            return Err(format!(
+                "{path}: dist_trisolve_p1 runs at {:.2}x trisolve_serial \
+                 ({:.1} vs {:.1} Mnnz/s); the floor is 0.5x",
+                dist / serial,
+                dist * 1e3,
+                serial * 1e3
+            ));
+        }
     }
     println!(
         "bench-verify: {path} ok ({scenarios} scenario(s), {curves} scaling curve(s), \
@@ -1350,11 +1393,12 @@ fn check_planned(measured: &str, planned: &str, slack_pct: f64) -> Result<(), St
     }
     let measured = parse_breakdown(measured)?;
     for (name, pm, pb) in &planned {
-        let Some((_, mm, mb)) = measured.iter().find(|(n, _, _)| n == name) else {
-            return Err(format!(
-                "tag {name}: planned {pm} message(s) but none measured"
-            ));
-        };
+        // A tag absent from the measured breakdown shipped nothing: that
+        // agrees with a plan of zero messages (a one-rank machine has no
+        // peers) and fails the count check below otherwise.
+        let absent = (String::new(), 0, Some(0));
+        let found = measured.iter().find(|(n, _, _)| n == name);
+        let (_, mm, mb) = found.unwrap_or(&absent);
         if mm != pm {
             return Err(format!(
                 "tag {name}: planned {pm} message(s), measured {mm}"
@@ -1756,6 +1800,34 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("bypassed the planned data plane"), "{err}");
+    }
+
+    #[test]
+    fn dist_trisolve_p1_must_reach_half_the_serial_rate() {
+        // Same factor, same report: 460 entries in 1000 ns serially, so the
+        // one-rank distributed replay may take at most 2000 ns. A one-rank
+        // machine plans zero messages per tag and measures none.
+        let mut m = fake();
+        m.push(fake().remove(0));
+        m[0].name = "trisolve_serial";
+        (m[0].comm_messages, m[0].comm_bytes) = (0, 0);
+        (m[0].comm_tags, m[0].comm_planned) = (String::new(), String::new());
+        m[1].name = "dist_trisolve_p1";
+        (m[1].comm_messages, m[1].comm_bytes) = (0, 0);
+        m[1].comm_tags = String::new();
+        m[1].comm_planned = "fwd:0/0 bwd:0/0".to_string();
+        (m[1].median_ns, m[1].min_ns) = (2000, 1900);
+        let ok = render_json("t", "none", true, &m, &[]);
+        verify_file("pilut_bench_ratio_ok.json", &ok).unwrap();
+        (m[1].median_ns, m[1].min_ns) = (2100, 1900);
+        let slow = render_json("t", "none", true, &m, &[]);
+        let err = verify_file("pilut_bench_ratio.json", &slow).unwrap_err();
+        assert!(err.contains("the floor is 0.5x"), "{err}");
+        // A planned message that never shipped is still a divergence.
+        m[1].comm_planned = "fwd:1/8".to_string();
+        let unshipped = render_json("t", "none", true, &m, &[]);
+        let err = verify_file("pilut_bench_unshipped.json", &unshipped).unwrap_err();
+        assert!(err.contains("planned 1 message(s), measured 0"), "{err}");
     }
 
     #[test]

@@ -137,12 +137,10 @@ fn factor_workload(dm: &DistMatrix, p: usize, plan: Option<FaultPlan>) -> Vec<u6
         let local = dm.local_view(ctx.rank());
         // lint: allow(unwrap): the workload matrix factors cleanly; a corrupted run dies in the VM's diagnosis
         let rf = par_ilut(ctx, dm, &local, &opts).expect("chaos workload must factor");
-        // Sum pivots in global row order: HashMap iteration order varies
-        // between processes, and a different summation order would change
-        // the rounding and break the bit-for-bit benign comparison.
-        let mut pivots: Vec<(usize, f64)> = rf.rows.iter().map(|(&g, r)| (g, r.diag)).collect();
-        pivots.sort_unstable_by_key(|&(g, _)| g);
-        let sum: f64 = pivots.iter().map(|&(_, d)| d).sum();
+        // Sum pivots in one fixed order (local-view order): a different
+        // summation order would change the rounding and break the
+        // bit-for-bit benign comparison.
+        let sum: f64 = rf.rows().map(|(_, r)| r.diag()).sum();
         sum.to_bits()
     });
     // The trailing element carries the fired-fault count: completed

@@ -43,8 +43,8 @@
 //!   `with_capacity`, `.collect(`, `.to_vec(`, `.clone(`, `Box::new`,
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
 //!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the blocked
-//!   and serial triangular-solve functions, the whole `CommPlan` replay
-//!   half, and the GMRES restart loop. The scan is a token walk over the blanked text — macro
+//!   and serial triangular-solve functions, the distributed sweeps, the
+//!   whole `CommPlan` replay half, and the GMRES restart loop. The scan is a token walk over the blanked text — macro
 //!   invocations are first-class tokens, so `vec![` in a string or
 //!   comment can't fire and `Avec![` can't hide. Backed at run time by
 //!   the allocation-audit regions and the `zero-steady-alloc` bench gate.
@@ -461,6 +461,15 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
     (
         "crates/core/src/factors.rs",
         &["forward_solve", "backward_solve", "solve_into"],
+    ),
+    (
+        "crates/core/src/trisolve.rs",
+        &[
+            "forward_sweep_into",
+            "backward_sweep_into",
+            "row_residual",
+            "load",
+        ],
     ),
     ("crates/core/src/dist/exchange/replay.rs", &["*"]),
     (

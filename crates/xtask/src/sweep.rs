@@ -115,20 +115,17 @@ pub fn checked_builder() -> MachineBuilder {
 }
 
 /// Checksums one rank's full factorization: every retained entry of L, the
-/// pivot, and every retained entry of U, in global row order.
+/// pivot, and every retained entry of U, in local-view row order.
 pub fn factor_checksum(rf: &pilut_core::parallel::RankFactors) -> u64 {
-    let mut rows: Vec<usize> = rf.rows.keys().copied().collect();
-    rows.sort_unstable();
     let mut h = 0x5eed_0001u64;
-    for g in rows {
-        let row = &rf.rows[&g];
+    for (g, row) in rf.rows() {
         fold(&mut h, g as u64);
-        for &(c, v) in &row.l {
+        for (c, v) in row.l() {
             fold(&mut h, c as u64);
             fold(&mut h, v.to_bits());
         }
-        fold(&mut h, row.diag.to_bits());
-        for &(c, v) in &row.u {
+        fold(&mut h, row.diag().to_bits());
+        for (c, v) in row.u() {
             fold(&mut h, c as u64);
             fold(&mut h, v.to_bits());
         }
