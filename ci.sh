@@ -20,6 +20,14 @@ cargo build --workspace --release
 echo "==> tests"
 cargo test --workspace -q
 
+# The benchmark crate is outside the workspace and pins a slice of the
+# public surface (serial::ilut, LuFactors::{nnz, solve_into},
+# IluPreconditioner::new, par_ilut, ParStats, dist_mis/build_level_links,
+# RankFactors::initial_reduced_cols): compile and smoke it here so a break
+# of that surface is red CI. Read-only use; its target/ is git-ignored.
+echo "==> benchmark crate (pinned API surface)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> chaos (seeded fault-injection suite, quick)"
 cargo run -q -p xtask --release -- chaos --quick
 

@@ -26,7 +26,7 @@
 //! Because each block row's own update order is unchanged, the sweep result
 //! is bitwise-identical to the plain sequential order.
 
-use crate::factors::{LuFactors, SparseRow};
+use crate::factors::{FactorStore, LuFactors};
 use pilut_sparse::tile;
 
 /// One block row of tiles: ascending block-column indices with the matching
@@ -357,17 +357,26 @@ impl BlockLuFactors {
     pub fn to_lu_factors(&self) -> LuFactors {
         let b = self.b;
         let bb = b * b;
-        let mut l: Vec<SparseRow> = Vec::with_capacity(self.n);
-        let mut u: Vec<SparseRow> = Vec::with_capacity(self.n);
+        let mut store = FactorStore::with_capacity(self.n);
         let mut mod_tile = vec![0.0f64; bb];
         for bi in 0..self.n_brows {
             let rows = (self.n - bi * b).min(b);
             let dlu_i = self.diag_lu_tile(bi);
             // Per-scalar-row assembly buffers for this block row.
-            let mut lc: Vec<Vec<usize>> = vec![Vec::new(); rows];
-            let mut lv: Vec<Vec<f64>> = vec![Vec::new(); rows];
-            let mut uc: Vec<Vec<usize>> = vec![Vec::new(); rows];
-            let mut uv: Vec<Vec<f64>> = vec![Vec::new(); rows];
+            let mut lrows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); rows];
+            let mut urows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); rows];
+            // Appends row `r` of a corrected off-diagonal tile at block
+            // column `bj`, skipping padding lanes and exact zeros.
+            let push_tile = |out: &mut [Vec<(usize, f64)>], bj: usize, tile: &[f64]| {
+                for (r, row) in out.iter_mut().enumerate() {
+                    for (c, &v) in tile[r * b..(r + 1) * b].iter().enumerate() {
+                        // lint: allow(float-eq): padding slots are exact zeros
+                        if bj * b + c < self.n && v != 0.0 {
+                            row.push((bj * b + c, v));
+                        }
+                    }
+                }
+            };
             // Strict block-lower tiles, corrected to M·L_d(J).
             let (lcols, ltiles) = self.l_row(bi);
             for (m, &bj) in ltiles.chunks_exact(bb).zip(lcols) {
@@ -382,36 +391,17 @@ impl BlockLuFactors {
                         mod_tile[r * b + c] = s;
                     }
                 }
-                for (r, (cols, vals)) in lc.iter_mut().zip(lv.iter_mut()).enumerate() {
-                    for c in 0..b {
-                        let col = bj * b + c;
-                        let v = mod_tile[r * b + c];
-                        // lint: allow(float-eq): padding slots are exact zeros
-                        if col < self.n && v != 0.0 {
-                            cols.push(col);
-                            vals.push(v);
-                        }
-                    }
-                }
+                push_tile(&mut lrows, bj, &mod_tile);
             }
-            // In-block entries from the packed diagonal LU.
+            // In-block entries from the packed diagonal LU (the pivot
+            // `dlu_i[r, r]` goes to the store's `diag`).
             for r in 0..rows {
-                for c in 0..r {
+                for c in (0..rows).filter(|&c| c != r) {
                     let v = dlu_i[r * b + c];
                     // lint: allow(float-eq): skip exact zeros
                     if v != 0.0 {
-                        lc[r].push(bi * b + c);
-                        lv[r].push(v);
-                    }
-                }
-                uc[r].push(bi * b + r);
-                uv[r].push(dlu_i[r * b + r]);
-                for c in r + 1..rows {
-                    let v = dlu_i[r * b + c];
-                    // lint: allow(float-eq): skip exact zeros
-                    if v != 0.0 {
-                        uc[r].push(bi * b + c);
-                        uv[r].push(v);
+                        let part = if c < r { &mut lrows } else { &mut urows };
+                        part[r].push((bi * b + c, v));
                     }
                 }
             }
@@ -428,30 +418,13 @@ impl BlockLuFactors {
                         mod_tile[r * b + c] = s;
                     }
                 }
-                for (r, (cols, vals)) in uc.iter_mut().zip(uv.iter_mut()).enumerate() {
-                    for c in 0..b {
-                        let col = bj * b + c;
-                        let val = mod_tile[r * b + c];
-                        // lint: allow(float-eq): padding slots are exact zeros
-                        if col < self.n && val != 0.0 {
-                            cols.push(col);
-                            vals.push(val);
-                        }
-                    }
-                }
+                push_tile(&mut urows, bj, &mod_tile);
             }
             for r in 0..rows {
-                l.push(SparseRow::new(
-                    std::mem::take(&mut lc[r]),
-                    std::mem::take(&mut lv[r]),
-                ));
-                u.push(SparseRow::new(
-                    std::mem::take(&mut uc[r]),
-                    std::mem::take(&mut uv[r]),
-                ));
+                store.push_row(&lrows[r], dlu_i[r * b + r], &urows[r], |j| j);
             }
         }
-        LuFactors { n: self.n, l, u }
+        LuFactors::from_store(store)
     }
 }
 

@@ -140,8 +140,9 @@ impl DistVector {
 /// off its schedules alone — no replay needed. Message counts are exact
 /// for every round kind; byte counts are exact for values-only rounds
 /// (halo replays, sweep value halves, label rounds: 8 bytes per scheduled
-/// node) and for exact-framed rounds ([`PlanCost::exact_round`], whose
-/// byte totals are computed from the frames about to ship). Only the
+/// node) and for exact-framed rounds
+/// ([`CommPlan::replay_exact_sparse_tagged`], whose byte totals are computed
+/// from the frames about to ship). Only the
 /// generic producer-defined rounds predict message counts alone. The
 /// replay helpers feed these predictions to
 /// [`pilut_par::Ctx::note_planned`] as they run, and `xtask bench-verify`
@@ -157,23 +158,6 @@ pub struct PlanCost {
     /// Bytes this rank ships per values-only round: 8 per node in the send
     /// schedule.
     pub value_bytes: u64,
-}
-
-impl PlanCost {
-    /// The ledger entry for one **exact-framed** round: the message count
-    /// of the chosen round kind (directed or symmetric) paired with a byte
-    /// total the caller computed from the frames it is about to ship. The
-    /// delta-MIS replays route every prediction through here, which is
-    /// what turns their `comm_planned` entries exact (gated byte-for-byte
-    /// by `bench-verify --slack 0`) instead of message-count-only (`~`).
-    pub fn exact_round(&self, symmetric: bool, frame_bytes: u64) -> (u64, u64) {
-        let messages = if symmetric {
-            self.symmetric_messages
-        } else {
-            self.directed_messages
-        };
-        (messages, frame_bytes)
-    }
 }
 
 /// A reusable per-rank communication schedule, built collectively from
@@ -652,6 +636,7 @@ mod tests {
     use crate::dist::{DistMatrix, Distribution};
     use pilut_par::{Machine, MachineModel};
     use pilut_sparse::gen;
+    use std::collections::HashSet;
 
     /// `pilut-par` cannot depend on this crate, so the reliability and
     /// recovery stats tags are defined in both places; this is the pin
@@ -880,16 +865,20 @@ mod tests {
             let needed = vec![(me + 1) % 4];
             let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
             // Frame sizes vary by rank (me words) — nothing values-only
-            // could have predicted statically.
-            plan.replay_exact_tagged(
+            // could have predicted statically. Every link is live.
+            let all: HashSet<usize> = (0..4).collect();
+            plan.replay_exact_sparse_tagged(
                 ctx,
                 tags::MIS_KEYS,
+                &all,
+                &all,
                 |_, _| Payload::u64s(vec![7; me]),
                 |peer, _, payload| assert_eq!(payload.into_u64(), vec![7; peer]),
             );
-            plan.replay_symmetric_exact_tagged(
+            plan.replay_symmetric_exact_sparse_tagged(
                 ctx,
                 tags::MIS_CONF,
+                &all,
                 |_| Payload::u64s(vec![9; me + 1]),
                 |peer, payload| assert_eq!(payload.into_u64(), vec![9; peer + 1]),
             );

@@ -103,7 +103,8 @@ impl CommPlan {
         }
     }
 
-    /// One directed replay round with an **exact** byte prediction: every
+    /// One directed replay round with an **exact** byte prediction over a
+    /// round-dependent **live subset** of the plan's links: every live
     /// send-side frame is built *before* any byte ships, the frame sizes
     /// are summed, and the ledger records `(messages, bytes)` with the
     /// exact flag set — `bench-verify --slack 0` then gates the tag
@@ -111,68 +112,7 @@ impl CommPlan {
     /// producer-defined rounds whose sizes the caller cannot commit to up
     /// front keep using [`CommPlan::replay_tagged`]. Frames are staged in
     /// the plan-owned scratch (reserved at build) so the round itself
-    /// stays allocation-free.
-    pub fn replay_exact_tagged(
-        &self,
-        ctx: &mut Ctx,
-        tag: u64,
-        mut make: impl FnMut(usize, &[usize]) -> Payload,
-        mut take: impl FnMut(usize, &[usize], Payload),
-    ) {
-        let _audit = pilut_allocaudit::region("plan_replay");
-        let mut frames = self.frame_scratch.borrow_mut();
-        frames.clear();
-        for (peer, nodes) in &self.send {
-            frames.push(make(*peer, nodes));
-        }
-        let bytes: u64 = frames.iter().map(|f| f.bytes() as u64).sum();
-        let (messages, bytes) = self.predicted_cost().exact_round(false, bytes);
-        ctx.note_planned(tag, messages, bytes, true);
-        let send_tag = self.send_round_tag(tag);
-        for ((peer, _), frame) in self.send.iter().zip(frames.drain(..)) {
-            ctx.send_as(*peer, send_tag, tag, frame);
-        }
-        drop(frames);
-        let recv_tag = self.recv_round_tag(tag);
-        for (peer, nodes) in &self.recv {
-            let payload = ctx.recv(*peer, recv_tag);
-            take(*peer, nodes, payload);
-        }
-    }
-
-    /// The symmetric counterpart of [`CommPlan::replay_exact_tagged`]: one
-    /// exactly-predicted message to every union peer, frames built and
-    /// summed before any byte ships.
-    pub fn replay_symmetric_exact_tagged(
-        &self,
-        ctx: &mut Ctx,
-        tag: u64,
-        mut make: impl FnMut(usize) -> Payload,
-        mut take: impl FnMut(usize, Payload),
-    ) {
-        let _audit = pilut_allocaudit::region("plan_replay");
-        let mut frames = self.frame_scratch.borrow_mut();
-        frames.clear();
-        for &peer in &self.union_peers {
-            frames.push(make(peer));
-        }
-        let bytes: u64 = frames.iter().map(|f| f.bytes() as u64).sum();
-        let (messages, bytes) = self.predicted_cost().exact_round(true, bytes);
-        ctx.note_planned(tag, messages, bytes, true);
-        let send_tag = self.send_round_tag(tag);
-        for (&peer, frame) in self.union_peers.iter().zip(frames.drain(..)) {
-            ctx.send_as(peer, send_tag, tag, frame);
-        }
-        drop(frames);
-        let recv_tag = self.recv_round_tag(tag);
-        for &peer in &self.union_peers {
-            let payload = ctx.recv(peer, recv_tag);
-            take(peer, payload);
-        }
-    }
-
-    /// [`CommPlan::replay_exact_tagged`] over a round-dependent **live
-    /// subset** of the plan's links: peers absent from `live_send` get no
+    /// stays allocation-free. Peers absent from `live_send` get no
     /// frame this round, peers absent from `live_recv` are not received
     /// from, and the ledger records the surviving traffic exactly. The two
     /// sets must be mirror-consistent across ranks (`q ∈ live_send` on rank
@@ -180,8 +120,8 @@ impl CommPlan {
     /// both endpoints provably share — the delta-MIS rounds use the
     /// shipped-state view, which owner and referencer update in lockstep —
     /// otherwise the replay deadlocks, which checked runs diagnose. Round
-    /// tags advance exactly as in the dense replay, whether or not any link
-    /// is live, so sparse and dense rounds stay aligned across ranks.
+    /// tags advance whether or not any link is live, so rounds stay aligned
+    /// across ranks.
     pub fn replay_exact_sparse_tagged(
         &self,
         ctx: &mut Ctx,

@@ -1,111 +1,197 @@
-//! Storage for incomplete LU factors.
+//! Storage for incomplete LU factors: one triangle store under the serial
+//! and the distributed factorizations.
+//!
+//! A `FactorStore` holds the strict `L` part, the pivots and the strict
+//! `U` part of a run of rows as two CSR arenas plus a `diag` vector, over a
+//! *slot* space chosen by its owner. [`LuFactors`] is the store with
+//! slot = row = column (the serial case and the assembled case);
+//! [`crate::parallel::RankFactors`] is the same store over a rank's compact
+//! local numbering with ghost slots behind it. Both are filled through the
+//! one `FactorStore::push_row` and solved through the one pair of row
+//! sweeps below.
 
-/// One sparse row: column indices (strictly ascending) with values.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SparseRow {
-    pub cols: Vec<usize>,
-    pub vals: Vec<f64>,
+/// One triangle of a factor: CSR over slots.
+#[derive(Clone, Debug)]
+pub(crate) struct Arena {
+    pub(crate) ptr: Vec<usize>,
+    pub(crate) slot: Vec<usize>,
+    pub(crate) val: Vec<f64>,
 }
 
-impl SparseRow {
-    /// Builds a row from sorted column indices and matching values.
-    pub fn new(cols: Vec<usize>, vals: Vec<f64>) -> Self {
-        debug_assert_eq!(cols.len(), vals.len());
-        debug_assert!(
-            cols.windows(2).all(|w| w[0] < w[1]),
-            "row columns must ascend"
-        );
-        SparseRow { cols, vals }
+impl Arena {
+    /// An empty triangle with room for the row pointers of `rows` rows.
+    fn with_rows(rows: usize) -> Self {
+        let mut ptr = Vec::with_capacity(rows + 1);
+        ptr.push(0);
+        Arena {
+            ptr,
+            slot: Vec::new(),
+            val: Vec::new(),
+        }
     }
 
-    /// Builds from unsorted `(col, val)` pairs.
-    pub fn from_pairs(mut pairs: Vec<(usize, f64)>) -> Self {
-        pairs.sort_unstable_by_key(|&(c, _)| c);
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
-            "duplicate columns"
-        );
-        let cols = pairs.iter().map(|&(c, _)| c).collect();
-        let vals = pairs.iter().map(|&(_, v)| v).collect();
-        SparseRow { cols, vals }
+    /// Row `p` as parallel `(slots, values)` slices.
+    #[inline]
+    pub(crate) fn row(&self, p: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.ptr[p], self.ptr[p + 1]);
+        (&self.slot[lo..hi], &self.val[lo..hi])
     }
 
-    /// Builds from already column-sorted `(col, val)` pairs without taking
-    /// ownership of the buffer — the hot-loop companion of
-    /// [`SparseRow::from_pairs`].
-    pub fn from_sorted_pairs(pairs: &[(usize, f64)]) -> Self {
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
-            "columns must strictly ascend"
-        );
-        let cols = pairs.iter().map(|&(c, _)| c).collect();
-        let vals = pairs.iter().map(|&(_, v)| v).collect();
-        SparseRow { cols, vals }
+    /// Row `p` as `(slot, value)` pairs in stored order.
+    #[inline]
+    pub(crate) fn entries(&self, p: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
+        let (slots, vals) = self.row(p);
+        slots.iter().copied().zip(vals.iter().copied())
     }
 
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.cols.len()
+    /// `x[p] − Σ val·x[slot]` over row `p`, summed in stored entry order —
+    /// the one inner loop of every scalar triangular sweep in the crate.
+    #[inline]
+    fn row_residual(&self, p: usize, x: &[f64]) -> f64 {
+        let (slots, vals) = self.row(p);
+        let mut s = x[p];
+        for (&j, &v) in slots.iter().zip(vals) {
+            s -= v * x[j];
+        }
+        s
     }
 
-    /// True when the row stores nothing.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
-    /// The value at `col`, if stored.
-    pub fn get(&self, col: usize) -> Option<f64> {
-        self.cols.binary_search(&col).ok().map(|k| self.vals[k])
-    }
-
-    /// Iterates `(col, value)` pairs in storage order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.cols.iter().copied().zip(self.vals.iter().copied())
+    fn heap_bytes(&self) -> usize {
+        8 * (self.ptr.capacity() + self.slot.capacity() + self.val.capacity())
     }
 }
 
-/// An incomplete LU factorization in row-major sparse form.
+/// Strict `L`, pivots and strict `U` of rows `0..n_rows()`, row `p` living
+/// at slot `p`. `L` has an implicit unit diagonal. Entries keep the order
+/// they were pushed in; the sweeps sum in that order.
+#[derive(Clone, Debug)]
+pub(crate) struct FactorStore {
+    pub(crate) l: Arena,
+    pub(crate) diag: Vec<f64>,
+    pub(crate) u: Arena,
+}
+
+impl FactorStore {
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        FactorStore {
+            l: Arena::with_rows(rows),
+            diag: Vec::with_capacity(rows),
+            u: Arena::with_rows(rows),
+        }
+    }
+
+    /// Appends the next row: strict-`L` entries, pivot, strict-`U` entries,
+    /// every column renamed to its slot by `slot_of`.
+    pub(crate) fn push_row(
+        &mut self,
+        l: &[(usize, f64)],
+        diag: f64,
+        u: &[(usize, f64)],
+        slot_of: impl Fn(usize) -> usize,
+    ) {
+        for (arena, entries) in [(&mut self.l, l), (&mut self.u, u)] {
+            arena.slot.extend(entries.iter().map(|&(j, _)| slot_of(j)));
+            arena.val.extend(entries.iter().map(|&(_, v)| v));
+            arena.ptr.push(arena.slot.len());
+        }
+        self.diag.push(diag);
+    }
+
+    /// Makes room for `entries` more entries in each triangle.
+    pub(crate) fn reserve_entries(&mut self, entries: usize) {
+        for a in [&mut self.l, &mut self.u] {
+            a.slot.reserve(entries);
+            a.val.reserve(entries);
+        }
+    }
+
+    /// Number of rows stored.
+    pub(crate) fn n_rows(&self) -> usize {
+        self.diag.len()
+    }
+
+    /// Gives back the growth slack of both arenas.
+    pub(crate) fn shrink(&mut self) {
+        for a in [&mut self.l, &mut self.u] {
+            a.ptr.shrink_to_fit();
+            a.slot.shrink_to_fit();
+            a.val.shrink_to_fit();
+        }
+    }
+
+    /// Heap bytes the store keeps alive (capacities, not lengths).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.l.heap_bytes() + self.u.heap_bytes() + 8 * self.diag.capacity()
+    }
+
+    /// Forward substitution `x[p] ← x[p] − L_p·x` over `rows`, in order.
+    #[inline]
+    pub(crate) fn forward_rows(&self, rows: impl IntoIterator<Item = usize>, x: &mut [f64]) {
+        for p in rows {
+            x[p] = self.l.row_residual(p, x);
+        }
+    }
+
+    /// Backward substitution `x[p] ← (x[p] − U_p·x) / u_pp` over `rows`,
+    /// in order.
+    #[inline]
+    pub(crate) fn backward_rows(&self, rows: impl IntoIterator<Item = usize>, x: &mut [f64]) {
+        for p in rows {
+            x[p] = self.u.row_residual(p, x) / self.diag[p];
+        }
+    }
+}
+
+/// An incomplete LU factorization in row-major sparse form: the crate's
+/// factor store with slot = row = column.
 ///
-/// Conventions (matching the paper's Algorithm 2.1):
-/// * `l[i]` holds the **strict** lower part of row `i` — the multipliers;
-///   the unit diagonal of `L` is implicit;
-/// * `u[i]` holds the diagonal and the strict upper part of row `i`; its
-///   first entry is always the diagonal `(i, u_ii)`.
+/// Conventions (matching the paper's Algorithm 2.1): row `i` of `L` holds
+/// the **strict** lower part — the multipliers, unit diagonal implicit;
+/// row `i` of `U` holds the strict upper part; the pivot `u_ii` is
+/// [`LuFactors::diag`].
 #[derive(Clone, Debug)]
 pub struct LuFactors {
     pub n: usize,
-    pub l: Vec<SparseRow>,
-    pub u: Vec<SparseRow>,
+    store: FactorStore,
 }
 
 impl LuFactors {
+    /// Seals a fully pushed store.
+    pub(crate) fn from_store(mut store: FactorStore) -> Self {
+        store.shrink();
+        LuFactors {
+            n: store.n_rows(),
+            store,
+        }
+    }
+
+    /// Strict-`L` entries of row `i` as `(column, value)`.
+    pub fn l_row(&self, i: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
+        self.store.l.entries(i)
+    }
+
+    /// Strict-`U` entries of row `i` as `(column, value)`.
+    pub fn u_row(&self, i: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
+        self.store.u.entries(i)
+    }
+
+    /// The pivot `u_ii`.
+    pub fn diag(&self, i: usize) -> f64 {
+        self.store.diag[i]
+    }
+
     /// Validates the structural conventions; used by tests and
     /// `debug_assert!`s.
     pub fn check_structure(&self) -> Result<(), String> {
-        if self.l.len() != self.n || self.u.len() != self.n {
-            return Err(format!(
-                "row count mismatch: n={} l={} u={}",
-                self.n,
-                self.l.len(),
-                self.u.len()
-            ));
-        }
         for i in 0..self.n {
-            if let Some(&c) = self.l[i].cols.last() {
-                if c >= i {
-                    return Err(format!("L row {i} has column {c} >= diagonal"));
-                }
+            if let Some((c, _)) = self.l_row(i).find(|&(c, _)| c >= i) {
+                return Err(format!("L row {i} has column {c} >= diagonal"));
             }
-            match self.u[i].cols.first() {
-                Some(&c) if c == i => {}
-                other => {
-                    return Err(format!(
-                        "U row {i} must start at the diagonal, got {other:?}"
-                    ))
-                }
+            if let Some((c, _)) = self.u_row(i).find(|&(c, _)| c <= i || c >= self.n) {
+                return Err(format!("U row {i} has column {c} outside ({i}, n)"));
             }
             // lint: allow(float-eq): exact zero-pivot test
-            if self.u[i].vals[0] == 0.0 {
+            if self.diag(i) == 0.0 {
                 return Err(format!("U row {i} has a zero diagonal"));
             }
         }
@@ -114,12 +200,12 @@ impl LuFactors {
 
     /// Total entries stored in L.
     pub fn nnz_l(&self) -> usize {
-        self.l.iter().map(|r| r.len()).sum()
+        self.store.l.val.len()
     }
 
     /// Total entries stored in U (diagonals included).
     pub fn nnz_u(&self) -> usize {
-        self.u.iter().map(|r| r.len()).sum()
+        self.store.u.val.len() + self.n
     }
 
     /// Total stored entries across both factors.
@@ -130,26 +216,13 @@ impl LuFactors {
     /// Solves `L y = b` (unit lower triangular), in place.
     pub fn forward_solve(&self, b: &mut [f64]) {
         assert_eq!(b.len(), self.n);
-        for i in 0..self.n {
-            let mut s = b[i];
-            for (j, v) in self.l[i].iter() {
-                s -= v * b[j];
-            }
-            b[i] = s;
-        }
+        self.store.forward_rows(0..self.n, b);
     }
 
     /// Solves `U x = y`, in place.
     pub fn backward_solve(&self, y: &mut [f64]) {
         assert_eq!(y.len(), self.n);
-        for i in (0..self.n).rev() {
-            let mut s = y[i];
-            let row = &self.u[i];
-            for k in 1..row.len() {
-                s -= row.vals[k] * y[row.cols[k]];
-            }
-            y[i] = s / row.vals[0];
-        }
+        self.store.backward_rows((0..self.n).rev(), y);
     }
 
     /// Applies `(LU)⁻¹ r` — the preconditioner action.
@@ -176,13 +249,10 @@ impl LuFactors {
         let n = self.n;
         let mut out = vec![vec![0.0; n]; n];
         // (LU)_ij = sum_k L_ik U_kj with L unit diagonal.
+        let u_full = |k: usize| std::iter::once((k, self.diag(k))).chain(self.u_row(k));
         for (i, out_row) in out.iter_mut().enumerate() {
-            // k = i term (L_ii = 1).
-            for (j, v) in self.u[i].iter() {
-                out_row[j] += v;
-            }
-            for (k, lv) in self.l[i].iter() {
-                for (j, uv) in self.u[k].iter() {
+            for (k, lv) in std::iter::once((i, 1.0)).chain(self.l_row(i)) {
+                for (j, uv) in u_full(k) {
                     out_row[j] += lv * uv;
                 }
             }
@@ -195,31 +265,36 @@ impl LuFactors {
 mod tests {
     use super::*;
 
+    type Entries<'a> = &'a [(usize, f64)];
+
+    /// `LuFactors` over the given `(l, diag, u)` rows.
+    fn factors(rows: &[(Entries, f64, Entries)]) -> LuFactors {
+        let mut store = FactorStore::with_capacity(rows.len());
+        for &(l, d, u) in rows {
+            store.push_row(l, d, u, |j| j);
+        }
+        LuFactors::from_store(store)
+    }
+
     /// Exact LU of [[2,1],[4,5]]: L21 = 2, U = [[2,1],[0,3]].
     fn small() -> LuFactors {
-        LuFactors {
-            n: 2,
-            l: vec![SparseRow::default(), SparseRow::new(vec![0], vec![2.0])],
-            u: vec![
-                SparseRow::new(vec![0, 1], vec![2.0, 1.0]),
-                SparseRow::new(vec![1], vec![3.0]),
-            ],
-        }
+        factors(&[(&[], 2.0, &[(1, 1.0)]), (&[(0, 2.0)], 3.0, &[])])
     }
 
     #[test]
     fn structure_check_passes() {
         assert!(small().check_structure().is_ok());
+        assert_eq!((small().nnz_l(), small().nnz_u()), (1, 3));
     }
 
     #[test]
-    fn structure_check_catches_bad_diag() {
-        let mut f = small();
-        f.u[1] = SparseRow::new(vec![1], vec![0.0]);
-        assert!(f.check_structure().is_err());
-        let mut g = small();
-        g.l[1] = SparseRow::new(vec![1], vec![1.0]);
-        assert!(g.check_structure().is_err());
+    fn structure_check_catches_bad_rows() {
+        let zero_pivot = factors(&[(&[], 2.0, &[(1, 1.0)]), (&[(0, 2.0)], 0.0, &[])]);
+        assert!(zero_pivot.check_structure().is_err());
+        let l_on_diag = factors(&[(&[], 2.0, &[]), (&[(1, 1.0)], 3.0, &[])]);
+        assert!(l_on_diag.check_structure().is_err());
+        let u_below = factors(&[(&[], 2.0, &[]), (&[], 3.0, &[(0, 1.0)])]);
+        assert!(u_below.check_structure().is_err());
     }
 
     #[test]
@@ -236,13 +311,5 @@ mod tests {
         let f = small();
         let a = f.multiply_dense();
         assert_eq!(a, vec![vec![2.0, 1.0], vec![4.0, 5.0]]);
-    }
-
-    #[test]
-    fn sparse_row_from_pairs_sorts() {
-        let r = SparseRow::from_pairs(vec![(3, 1.0), (0, 2.0)]);
-        assert_eq!(r.cols, vec![0, 3]);
-        assert_eq!(r.get(3), Some(1.0));
-        assert_eq!(r.get(1), None);
     }
 }

@@ -3,10 +3,14 @@
 //! This is the paper's primary contribution, implemented in layers:
 //!
 //! * [`serial`] — the classic row-wise algorithms: **ILUT(m, t)** (paper
-//!   Algorithm 2.1, after Saad), the static-pattern baselines **ILU(0)** and
-//!   **ILU(k)**, and the corresponding serial triangular solves;
-//! * [`factors`] — the shared `L`/`U` storage (sorted sparse rows, unit
-//!   lower-triangular `L`, diagonal-first `U`);
+//!   Algorithm 2.1, after Saad) — the one scalar row kernel, which the
+//!   parallel formulation's interior phase runs too, so serial ILUT is its
+//!   one-rank case — and the static-pattern baselines **ILU(0)** and
+//!   **ILU(k)**;
+//! * [`factors`] — the one scalar factor store (two CSR arenas for strict
+//!   `L` and strict `U` plus a pivot vector, over a slot space) with its
+//!   row sweeps: [`factors::LuFactors`] is the store with slot = row,
+//!   [`parallel::RankFactors`] the same store over a rank's local slots;
 //! * [`block_factors`] — the blocked (BCSR-tile) factor storage with
 //!   level-scheduled tile trisolves (single vector and `n × k` panel) fed
 //!   by [`serial::block_ilut`], plus the exact scalar refinement bridging
@@ -39,6 +43,6 @@ pub mod trisolve;
 
 pub use block_factors::{BlockLuFactors, BlockTileRow};
 pub use breakdown::PivotDoctor;
-pub use factors::{LuFactors, SparseRow};
+pub use factors::LuFactors;
 pub use options::{BreakdownPolicy, FactorError, IlutOptions};
 pub use serial::{block_ilut, ilu0, iluk, ilut};

@@ -7,7 +7,7 @@
 //! tests, debuggers, and single-node consumers apply or inspect a parallel
 //! factorization with the plain serial machinery.
 
-use crate::factors::{LuFactors, SparseRow};
+use crate::factors::{FactorStore, LuFactors};
 use crate::parallel::RankFactors;
 use pilut_sparse::Permutation;
 
@@ -39,9 +39,10 @@ impl AssembledFactors {
 pub fn assemble_factors(per_rank: &[RankFactors], n: usize) -> AssembledFactors {
     // Build the elimination order: interiors rank by rank, then each level
     // across ranks (members of one level are independent, so any order
-    // within the level is valid; sorted keeps it canonical).
+    // within the level is valid; sorted keeps it canonical). Each position
+    // remembers the rank holding its row.
     let q = per_rank.first().map_or(0, |rf| rf.levels.len());
-    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut order: Vec<(usize, &RankFactors)> = Vec::with_capacity(n);
     for rf in per_rank {
         assert_eq!(
             rf.levels.len(),
@@ -49,35 +50,34 @@ pub fn assemble_factors(per_rank: &[RankFactors], n: usize) -> AssembledFactors 
             "rank {} disagrees on level count",
             rf.rank
         );
-        order.extend_from_slice(&rf.interior);
+        order.extend(rf.interior.iter().map(|&i| (i, rf)));
     }
     for l in 0..q {
-        let mut level: Vec<usize> = per_rank
-            .iter()
-            .flat_map(|rf| rf.levels[l].iter().copied())
-            .collect();
-        level.sort_unstable();
-        order.extend_from_slice(&level);
+        let start = order.len();
+        for rf in per_rank {
+            order.extend(rf.levels[l].iter().map(|&i| (i, rf)));
+        }
+        order[start..].sort_unstable_by_key(|&(i, _)| i);
     }
     assert_eq!(order.len(), n, "rank outputs do not cover the matrix");
-    let perm = Permutation::from_old_order(&order);
+    let nodes: Vec<usize> = order.iter().map(|&(i, _)| i).collect();
+    let perm = Permutation::from_old_order(&nodes);
 
-    let mut l_rows: Vec<SparseRow> = vec![SparseRow::default(); n];
-    let mut u_rows: Vec<SparseRow> = vec![SparseRow::default(); n];
-    for rf in per_rank {
-        for (node, row) in rf.rows() {
-            let pos = perm.new_of(node);
-            let renumber = |(c, v)| (perm.new_of(c), v);
-            let diag = std::iter::once((pos, row.diag()));
-            l_rows[pos] = SparseRow::from_pairs(row.l().map(renumber).collect());
-            u_rows[pos] = SparseRow::from_pairs(diag.chain(row.u().map(renumber)).collect());
-        }
+    // Relabel and append: rows go into the store in elimination order, each
+    // entry renamed to its elimination position and kept in the order its
+    // rank stored it (ascending global column).
+    let mut store = FactorStore::with_capacity(n);
+    let (mut lower, mut upper) = (Vec::new(), Vec::new());
+    for &(node, rf) in &order {
+        // lint: allow(unwrap): the order lists each node under the rank that factored it
+        let row = rf.row(node).expect("rank lists a node it did not factor");
+        lower.clear();
+        lower.extend(row.l());
+        upper.clear();
+        upper.extend(row.u());
+        store.push_row(&lower, row.diag(), &upper, |c| perm.new_of(c));
     }
-    let factors = LuFactors {
-        n,
-        l: l_rows,
-        u: u_rows,
-    };
+    let factors = LuFactors::from_store(store);
     debug_assert!(
         factors.check_structure().is_ok(),
         "{:?}",

@@ -17,7 +17,7 @@
 //! the node lists both sides agreed on at plan time — no node ids, no keys
 //! on the wire — and every round's byte count is recorded **exactly** in
 //! the planned-traffic ledger before a byte ships
-//! ([`CommPlan::replay_exact_tagged`]), so `bench-verify --slack 0` gates
+//! ([`CommPlan::replay_exact_sparse_tagged`]), so `bench-verify --slack 0` gates
 //! the diet:
 //!
 //! 1. **`MIS_KEYS` — state deltas** (owner → referencing ranks): one word
@@ -966,9 +966,12 @@ mod tests {
             let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
             if me == 1 {
                 // A hand-rolled corrupt round in place of the real one.
-                plan.replay_exact_tagged(
+                let all: HashSet<usize> = [0, 1].into();
+                plan.replay_exact_sparse_tagged(
                     ctx,
                     tags::MIS_KEYS,
+                    &all,
+                    &all,
                     |_, _| Payload::u64s(vec![(9 << 2) | OUT]),
                     |_, _, _| {},
                 );

@@ -25,16 +25,15 @@ pub use assemble::assemble_factors;
 pub use ilu0::{par_ilu0, par_ilu0_with};
 pub use store::{RankFactors, RowRef};
 
-use crate::breakdown::{PivotDoctor, PivotFault};
+use crate::breakdown::PivotFault;
 use crate::dist::exchange::tags;
 use crate::dist::{DistMatrix, LocalView};
 use crate::options::{FactorError, IlutOptions};
 use crate::serial::drop_rules::{selection_cost, threshold_and_cap_in_place};
+use crate::serial::kernel::IlutRow;
 use dist_mis::{build_level_links, dist_mis};
 use pilut_par::Ctx;
-use pilut_sparse::WorkRow;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use store::{FactorBuilder, RemoteURows};
 
 /// Counters describing one rank's factorization.
@@ -114,101 +113,67 @@ pub fn par_ilut(
     opts: &IlutOptions,
 ) -> Result<RankFactors, FactorError> {
     opts.validate()?; // deterministic: every rank rejects the same way
-    let mut doctor = PivotDoctor::new(opts.breakdown);
     let a = dm.matrix();
     let n = dm.n();
     let role = role_map(local, n);
     let mut fb = FactorBuilder::new(local);
     let mut stats = ParStats::default();
-    let mut w = WorkRow::new(n);
-    let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-    let mut in_heap = vec![false; n];
-    // Scratch reused across rows: the drained working row and its two
-    // parts. Everything that outlives a row is copied out at exact size, so
-    // no stored row keeps the capacity of a pre-drop working row.
-    let mut entries: Vec<(usize, f64)> = Vec::new();
-    let mut lower: Vec<(usize, f64)> = Vec::new();
-    let mut upper: Vec<(usize, f64)> = Vec::new();
-    // First unusable pivot met on this rank, deferred to the collective
-    // error check (only set under `BreakdownPolicy::Abort`).
-    let mut my_err: Option<(usize, PivotFault)> = None;
+    // The row kernel carries the working row, the scratch parts, the
+    // breakdown state (its first unusable pivot is deferred to the
+    // collective error check) and the flop count through both phases.
+    let mut kern = IlutRow::new(n, opts);
 
-    // ---- Phase 1: my rows in local-view order. Interior rows (ascending
-    // global id = elimination order) eliminate the interiors preceding them
-    // and go straight into the store. Interface rows eliminate *all* my
-    // interiors (interface nodes factor after every interior regardless of
-    // global id), which leaves their initial `L` part and their row of the
-    // reduced matrix `A_I⁰` (`tau_of` is indexed like `reduced`).
+    // ---- Phase 1: my rows in local-view order, through the serial row
+    // kernel. Interior rows (ascending global id = elimination order)
+    // eliminate the interiors preceding them and go straight into the
+    // store. Interface rows eliminate *all* my interiors (interface nodes
+    // factor after every interior regardless of global id), which leaves
+    // their initial `L` part and their row of the reduced matrix `A_I⁰`
+    // (`tau_of` is indexed like `reduced`).
     let n_int = local.interior.len();
     let mut reduced: ReducedRows = Vec::with_capacity(local.interface.len());
     let mut tau_of: Vec<f64> = Vec::with_capacity(local.interface.len());
+    // lint: allow(unwrap): phase 1 pivots are this rank's interiors, whose rows hold local columns only
+    let slot_of = |j| local.pos_of(j).expect("interior column must be local");
+    let col_of = |s: usize| local.nodes[s];
     for (p, &i) in local.nodes.iter().enumerate() {
-        let is_interior = p < n_int;
-        let eligible = |j: usize| role[j] == 1 && (!is_interior || j < i);
-        let norm_i = a.row_norm2(i);
-        let tau_i = opts.tau * norm_i;
-        let (cols, vals) = a.row(i);
-        debug_assert!(heap.is_empty(), "heap drained by the previous row");
-        for (&j, &v) in cols.iter().zip(vals) {
-            w.set(j, v);
-            if eligible(j) && !in_heap[j] {
-                in_heap[j] = true;
-                heap.push(Reverse(j));
-            }
-        }
-        eliminate(
-            ctx,
-            &mut w,
-            &mut heap,
-            &mut in_heap,
-            &fb,
-            tau_i,
-            &eligible,
-            &mut stats,
-        );
-        // Split: lower = the multipliers; for an interior row everything
-        // else but the pivot is "later", for an interface row it is the
-        // interface columns (mine or remote) including the diagonal.
-        w.drain_sorted_into(&mut entries);
-        stats.flops += selection_cost(entries.len());
-        ctx.work(selection_cost(entries.len()));
-        lower.clear();
-        upper.clear();
-        let (mut diag, mut has_diag) = (0.0, false);
-        for &(j, v) in &entries {
-            if is_interior && j == i {
-                (diag, has_diag) = (v, true);
-            } else if eligible(j) {
-                lower.push((j, v));
-            } else {
-                upper.push((j, v));
-            }
-        }
-        if is_interior {
-            let fallback = if tau_i > 0.0 { tau_i } else { 1.0 };
-            doctor.repair_or_defer(
+        let mut work = |cost| ctx.work(cost);
+        if p < n_int {
+            let before = |j: usize| role[j] == 1 && j < i;
+            kern.factor_row(
+                a,
                 i,
-                norm_i,
-                has_diag,
-                &mut diag,
-                &mut lower,
-                &mut upper,
-                &mut my_err,
-                fallback,
+                opts,
+                before,
+                &mut fb.store,
+                slot_of,
+                col_of,
+                &mut work,
             );
-            threshold_and_cap_in_place(&mut lower, tau_i, opts.m, None);
-            threshold_and_cap_in_place(&mut upper, tau_i, opts.m, None);
-            fb.push_interior(&lower, diag, &upper);
-        } else {
-            threshold_and_cap_in_place(&mut lower, tau_i, opts.m, None);
-            fb.staged[p - n_int].l = lower.to_vec();
-            // Reduced row: threshold always applies; ILUT* additionally caps.
-            threshold_and_cap_in_place(&mut upper, tau_i, opts.reduced_cap(), Some(i));
-            ctx.copy_words(upper.len() as f64);
-            stats.reduced_nnz_initial += upper.len();
-            reduced.push(Some(upper.to_vec()));
-            tau_of.push(tau_i);
+            continue;
         }
+        let tau_i = opts.tau * a.row_norm2(i);
+        let mine = |j: usize| role[j] == 1;
+        // lower = the multipliers; upper = the interface columns (mine or
+        // remote) including the diagonal.
+        kern.reduce(
+            a.row(i),
+            tau_i,
+            None,
+            mine,
+            &fb.store,
+            slot_of,
+            col_of,
+            &mut work,
+        );
+        threshold_and_cap_in_place(&mut kern.lower, tau_i, opts.m, None);
+        fb.staged[p - n_int].l = kern.lower.to_vec();
+        // Reduced row: threshold always applies; ILUT* additionally caps.
+        threshold_and_cap_in_place(&mut kern.upper, tau_i, opts.reduced_cap(), Some(i));
+        ctx.copy_words(kern.upper.len() as f64);
+        stats.reduced_nnz_initial += kern.upper.len();
+        reduced.push(Some(kern.upper.to_vec()));
+        tau_of.push(tau_i);
     }
     stats.reduced_nnz_peak = stats.reduced_nnz_initial;
     let initial_reduced_cols: Vec<(usize, Vec<usize>)> =
@@ -223,11 +188,11 @@ pub fn par_ilut(
     loop {
         // Collective loop head: termination and error detection.
         let flags = ctx.all_reduce_u64(
-            vec![remaining as u64, my_err.map_or(0, |_| 1)],
+            vec![remaining as u64, kern.fault.map_or(0, |_| 1)],
             pilut_par::collectives::ReduceOp::Sum,
         );
         if flags[1] > 0 {
-            return Err(collective_fault_verdict(ctx, &my_err));
+            return Err(collective_fault_verdict(ctx, &kern.fault));
         }
         if flags[0] == 0 {
             break;
@@ -257,24 +222,24 @@ pub fn par_ilut(
             let rr = reduced[q].take().expect("member without a reduced row");
             remaining -= 1;
             let tau_v = tau_of[q];
-            let (mut diag, has_diag) = split_diag(&rr, v, &mut upper);
+            let (mut diag, has_diag) = split_diag(&rr, v, &mut kern.upper);
             let row = &mut fb.staged[q];
             let fallback = if tau_v > 0.0 { tau_v } else { 1.0 };
-            doctor.repair_or_defer(
+            kern.doctor.repair_or_defer(
                 v,
                 a.row_norm2(v),
                 has_diag,
                 &mut diag,
                 &mut row.l,
-                &mut upper,
-                &mut my_err,
+                &mut kern.upper,
+                &mut kern.fault,
                 fallback,
             );
-            threshold_and_cap_in_place(&mut upper, tau_v, opts.m, None);
-            stats.flops += selection_cost(upper.len());
-            ctx.work(selection_cost(upper.len()));
+            threshold_and_cap_in_place(&mut kern.upper, tau_v, opts.m, None);
+            kern.flops += selection_cost(kern.upper.len());
+            ctx.work(selection_cost(kern.upper.len()));
             row.diag = diag;
-            row.u = upper.to_vec();
+            row.u = kern.upper.to_vec();
         }
         levels.push(mis.my_in.clone());
 
@@ -310,47 +275,48 @@ pub fn par_ilut(
                 continue;
             }
             for &(c, v) in rr {
-                w.set(c, v);
+                kern.w.set(c, v);
             }
             // The row's L followed by the new multipliers, for rule 3.
-            lower.clear();
-            lower.extend_from_slice(&fb.staged[q].l);
+            kern.lower.clear();
+            kern.lower.extend_from_slice(&fb.staged[q].l);
             for &k in &pivots {
                 let (udiag, urow) = fb.level_pivot(k, &remote_u);
-                let wk = w.get(k);
-                w.drop_pos(k);
+                let wk = kern.w.get(k);
+                kern.w.drop_pos(k);
                 // lint: allow(float-eq): skips exactly cancelled multipliers
                 if wk == 0.0 {
                     continue;
                 }
                 let mult = wk / udiag;
-                stats.flops += 1.0;
+                kern.flops += 1.0;
                 if mult.abs() < tau_i {
                     continue; // first dropping rule
                 }
                 for &(j, uv) in urow {
-                    w.add(j, -mult * uv);
+                    kern.w.add(j, -mult * uv);
                 }
                 let cost = 2.0 * urow.len() as f64;
-                stats.flops += cost;
+                kern.flops += cost;
                 ctx.work(cost + 1.0);
-                lower.push((k, mult));
+                kern.lower.push((k, mult));
             }
-            let cost = selection_cost(lower.len());
-            stats.flops += cost;
+            let cost = selection_cost(kern.lower.len());
+            kern.flops += cost;
             ctx.work(cost);
-            threshold_and_cap_in_place(&mut lower, tau_i, opts.m, None);
-            fb.staged[q].l = lower.to_vec();
+            threshold_and_cap_in_place(&mut kern.lower, tau_i, opts.m, None);
+            fb.staged[q].l = kern.lower.to_vec();
             // The surviving working row becomes the next-level reduced row.
-            w.drain_sorted_into(&mut entries);
-            threshold_and_cap_in_place(&mut entries, tau_i, opts.reduced_cap(), Some(i));
-            ctx.copy_words(entries.len() as f64);
-            reduced[q] = Some(entries.to_vec());
+            kern.w.drain_sorted_into(&mut kern.entries);
+            threshold_and_cap_in_place(&mut kern.entries, tau_i, opts.reduced_cap(), Some(i));
+            ctx.copy_words(kern.entries.len() as f64);
+            reduced[q] = Some(kern.entries.to_vec());
         }
         level_idx += 1;
     }
 
-    stats.breakdowns_repaired = doctor.repairs();
+    stats.flops = kern.flops;
+    stats.breakdowns_repaired = kern.doctor.repairs();
     Ok(fb.finish(levels, initial_reduced_cols, stats))
 }
 
@@ -371,53 +337,4 @@ pub(crate) fn split_diag(
         }
     }
     diag
-}
-
-/// The elimination sweep of phase 1: pops eligible pivots in ascending
-/// global order, applies dropping rule 1, and updates `w` with the pivot's
-/// `U` row. `eligible` admits this rank's interiors — for an *interior* row
-/// only those preceding it, for an *interface* row all of them, since all
-/// interiors factor before any interface node. Fill positions join the heap
-/// under the same rule.
-#[allow(clippy::too_many_arguments)]
-fn eliminate(
-    ctx: &mut Ctx,
-    w: &mut WorkRow,
-    heap: &mut BinaryHeap<Reverse<usize>>,
-    in_heap: &mut [bool],
-    fb: &FactorBuilder,
-    tau_i: f64,
-    eligible: impl Fn(usize) -> bool,
-    stats: &mut ParStats,
-) {
-    while let Some(Reverse(k)) = heap.pop() {
-        in_heap[k] = false;
-        let wk = w.get(k);
-        // lint: allow(float-eq): skips exactly cancelled multipliers
-        if wk == 0.0 {
-            w.drop_pos(k);
-            continue;
-        }
-        let (udiag, urow) = fb.interior_pivot(k);
-        let mult = wk / udiag;
-        stats.flops += 1.0;
-        if mult.abs() < tau_i {
-            w.drop_pos(k);
-            continue;
-        }
-        w.set(k, mult);
-        let cost = 2.0 * urow.len() as f64 + 1.0;
-        for (j, uv) in urow {
-            let newly = !w.contains(j);
-            w.add(j, -mult * uv);
-            // New fill joins the elimination when it lands on an eligible
-            // pivot column.
-            if newly && eligible(j) && !in_heap[j] {
-                in_heap[j] = true;
-                heap.push(Reverse(j));
-            }
-        }
-        stats.flops += cost - 1.0;
-        ctx.work(cost);
-    }
 }

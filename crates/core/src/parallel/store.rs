@@ -1,5 +1,6 @@
-//! The rank-local factor store: two flat CSR arenas over a compact slot
-//! space.
+//! The rank-local factor store: the shared `FactorStore` (two flat CSR
+//! arenas plus pivots — the very store under
+//! [`LuFactors`](crate::factors::LuFactors)) over a compact slot space.
 //!
 //! ```text
 //! slot:  0 ........ n_int | n_int ...... n_local | n_local ... n_local+|ghosts|
@@ -16,44 +17,8 @@
 
 use super::ParStats;
 use crate::dist::LocalView;
+use crate::factors::{Arena, FactorStore};
 use pilut_par::Payload;
-
-/// One triangle of the factor: CSR over slots.
-#[derive(Clone, Debug)]
-pub(crate) struct Arena {
-    pub(crate) ptr: Vec<usize>,
-    pub(crate) slot: Vec<usize>,
-    pub(crate) val: Vec<f64>,
-}
-
-impl Arena {
-    fn new() -> Self {
-        Arena {
-            ptr: vec![0],
-            slot: Vec::new(),
-            val: Vec::new(),
-        }
-    }
-
-    fn push_row(&mut self, entries: &[(usize, f64)], slot_of: impl Fn(usize) -> usize) {
-        self.slot.extend(entries.iter().map(|&(j, _)| slot_of(j)));
-        self.val.extend(entries.iter().map(|&(_, v)| v));
-        self.ptr.push(self.slot.len());
-    }
-
-    /// Row `p` as parallel `(slots, values)` slices.
-    #[inline]
-    pub(crate) fn row(&self, p: usize) -> (&[usize], &[f64]) {
-        let (lo, hi) = (self.ptr[p], self.ptr[p + 1]);
-        (&self.slot[lo..hi], &self.val[lo..hi])
-    }
-
-    fn shrink(&mut self) {
-        self.ptr.shrink_to_fit();
-        self.slot.shrink_to_fit();
-        self.val.shrink_to_fit();
-    }
-}
 
 /// One rank's share of the distributed factorization. `L` has an implicit
 /// unit diagonal; a row's `diag` is its `U` pivot; `l` couples to rows
@@ -71,9 +36,8 @@ pub struct RankFactors {
     /// Remote nodes my rows reference, ascending; ghost `g` is slot
     /// `interior.len() + interface.len() + g`.
     pub ghosts: Vec<usize>,
-    pub(crate) l: Arena,
-    pub(crate) diag: Vec<f64>,
-    pub(crate) u: Arena,
+    /// Rows in local-view order over the slot space above.
+    pub(crate) store: FactorStore,
     /// Column pattern of my slice of the *initial* reduced matrix `A_I⁰`
     /// (after interior elimination, before any interface level) — used by
     /// the Figure 1/2 structure illustrations.
@@ -91,24 +55,24 @@ pub struct RowRef<'a> {
 impl<'a> RowRef<'a> {
     /// The `U` pivot.
     pub fn diag(&self) -> f64 {
-        self.rf.diag[self.pos]
+        self.rf.store.diag[self.pos]
     }
 
     /// Strict-`L` entries as `(global column, value)`, ascending column.
     pub fn l(&self) -> impl ExactSizeIterator<Item = (usize, f64)> + 'a {
-        self.rf.entries(&self.rf.l, self.pos)
+        self.rf.entries(&self.rf.store.l, self.pos)
     }
 
     /// Strict-`U` entries as `(global column, value)`, ascending column.
     pub fn u(&self) -> impl ExactSizeIterator<Item = (usize, f64)> + 'a {
-        self.rf.entries(&self.rf.u, self.pos)
+        self.rf.entries(&self.rf.store.u, self.pos)
     }
 }
 
 impl RankFactors {
     /// Number of rows this rank factored.
     pub fn n_rows(&self) -> usize {
-        self.diag.len()
+        self.store.n_rows()
     }
 
     /// The global node a slot stands for.
@@ -128,11 +92,7 @@ impl RankFactors {
         arena: &'a Arena,
         pos: usize,
     ) -> impl ExactSizeIterator<Item = (usize, f64)> + 'a {
-        let (slots, vals) = arena.row(pos);
-        slots
-            .iter()
-            .zip(vals)
-            .map(|(&s, &v)| (self.global_of(s), v))
+        arena.entries(pos).map(|(s, v)| (self.global_of(s), v))
     }
 
     /// The factored row of global node `global`, if this rank owns it.
@@ -158,10 +118,7 @@ impl RankFactors {
     /// pattern is not part of the factor and is not counted.
     pub fn heap_bytes(&self) -> usize {
         let words = |v: &Vec<usize>| 8 * v.capacity();
-        let arena = |a: &Arena| words(&a.ptr) + words(&a.slot) + 8 * a.val.capacity();
-        arena(&self.l)
-            + arena(&self.u)
-            + 8 * self.diag.capacity()
+        self.store.heap_bytes()
             + words(&self.interior)
             + words(&self.interface)
             + words(&self.ghosts)
@@ -185,9 +142,8 @@ pub(crate) struct Staged {
 /// (their ghost slots are only known once every referenced remote node is).
 pub(crate) struct FactorBuilder<'a> {
     local: &'a LocalView,
-    l: Arena,
-    diag: Vec<f64>,
-    u: Arena,
+    /// The interior rows, pushed by the row kernel as it finalises them.
+    pub(crate) store: FactorStore,
     pub(crate) staged: Vec<Staged>,
 }
 
@@ -195,9 +151,7 @@ impl<'a> FactorBuilder<'a> {
     pub(crate) fn new(local: &'a LocalView) -> Self {
         FactorBuilder {
             local,
-            l: Arena::new(),
-            diag: Vec::with_capacity(local.len()),
-            u: Arena::new(),
+            store: FactorStore::with_capacity(local.len()),
             staged: local.interface.iter().map(|_| Staged::default()).collect(),
         }
     }
@@ -207,9 +161,7 @@ impl<'a> FactorBuilder<'a> {
         let local = self.local;
         // lint: allow(unwrap): interior rows couple only to this rank's nodes
         let pos = |j| local.pos_of(j).expect("interior column must be local");
-        self.l.push_row(l, pos);
-        self.diag.push(diag);
-        self.u.push_row(u, pos);
+        self.store.push_row(l, diag, u, pos);
     }
 
     /// Pivot and strict-`U` entries `(global column, value)` of the
@@ -221,10 +173,9 @@ impl<'a> FactorBuilder<'a> {
     ) -> (f64, impl ExactSizeIterator<Item = (usize, f64)> + '_) {
         // lint: allow(unwrap): pivots are this rank's already-factored interiors
         let p = self.local.pos_of(k).expect("pivot must be local");
-        let (slots, vals) = self.u.row(p);
         let nodes = &self.local.nodes;
-        let urow = slots.iter().zip(vals).map(move |(&s, &v)| (nodes[s], v));
-        (self.diag[p], urow)
+        let urow = self.store.u.entries(p).map(move |(s, v)| (nodes[s], v));
+        (self.store.diag[p], urow)
     }
 
     /// Interface position of my interface node `v`.
@@ -298,14 +249,11 @@ impl<'a> FactorBuilder<'a> {
             })
         };
         for row in staged {
-            self.l.push_row(&row.l, slot_of);
-            self.diag.push(row.diag);
-            self.u.push_row(&row.u, slot_of);
+            self.store.push_row(&row.l, row.diag, &row.u, slot_of);
         }
-        self.l.shrink();
-        self.u.shrink();
-        stats.nnz_l = self.l.val.len();
-        stats.nnz_u = self.u.val.len() + self.diag.len();
+        self.store.shrink();
+        stats.nnz_l = self.store.l.val.len();
+        stats.nnz_u = self.store.u.val.len() + self.store.n_rows();
         stats.levels = levels.len();
         RankFactors {
             rank: local.rank,
@@ -313,9 +261,7 @@ impl<'a> FactorBuilder<'a> {
             interface: local.interface.clone(),
             levels,
             ghosts,
-            l: self.l,
-            diag: self.diag,
-            u: self.u,
+            store: self.store,
             initial_reduced_cols,
             stats,
         }

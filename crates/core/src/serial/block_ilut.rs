@@ -46,23 +46,13 @@ struct TileRef {
     mag: f64,
 }
 
-/// Rule 2/3 selection at tile granularity — the exact sequence of
-/// `drop_rules::threshold_and_cap_in_place` (swap-remove of the always-keep
-/// entry, retain, `select_nth` on descending magnitude, column sort) so the
-/// surviving population at `b = 1` is identical entry for entry, including
-/// `select_nth`'s tie-breaking.
-fn threshold_and_cap_tiles(
-    refs: &mut Vec<TileRef>,
-    tau_i: f64,
-    cap: usize,
-    always_keep: Option<usize>,
-) {
-    let mut kept_special: Option<TileRef> = None;
-    if let Some(d) = always_keep {
-        if let Some(pos) = refs.iter().position(|r| r.col == d) {
-            kept_special = Some(refs.swap_remove(pos));
-        }
-    }
+/// Rule 2 selection at tile granularity — the exact sequence of
+/// `drop_rules::threshold_and_cap_in_place` on a part whose pivot is already
+/// split out (retain, `select_nth` on descending magnitude over the
+/// ascending-column input, column sort), so the surviving population at
+/// `b = 1` is identical entry for entry, including `select_nth`'s
+/// tie-breaking.
+fn threshold_and_cap_tiles(refs: &mut Vec<TileRef>, tau_i: f64, cap: usize) {
     // lint: allow(float-eq): drops exactly-zero tiles only
     refs.retain(|r| r.mag >= tau_i && r.mag != 0.0);
     if refs.len() > cap {
@@ -74,7 +64,6 @@ fn threshold_and_cap_tiles(
         });
         refs.truncate(cap);
     }
-    refs.extend(kept_special);
     refs.sort_unstable_by_key(|r| r.col);
 }
 
@@ -216,40 +205,41 @@ pub fn block_ilut_with_stats(
         // Second dropping rule at tile granularity.
         w.drain_sorted_lanes_into(&mut cols_buf, &mut lanes_buf);
         stats.flops += selection_cost(cols_buf.len());
+        // The diagonal tile is split out first (always kept), exactly as
+        // the scalar kernel splits its pivot out before the cap.
         lower.clear();
         upper.clear();
+        let mut diag: Option<[f64; tile::MAX_BLOCK * tile::MAX_BLOCK]> = None;
         for (idx, &c) in cols_buf.iter().enumerate() {
-            let mag = tile::tile_mag(b, &lanes_buf[idx * bb..(idx + 1) * bb]);
-            let r = TileRef { col: c, idx, mag };
+            let lane = &lanes_buf[idx * bb..(idx + 1) * bb];
+            let r = TileRef {
+                col: c,
+                idx,
+                mag: tile::tile_mag(b, lane),
+            };
             if c < bi {
                 lower.push(r);
-            } else {
+            } else if c > bi {
                 upper.push(r);
+            } else {
+                let mut d = [0.0f64; tile::MAX_BLOCK * tile::MAX_BLOCK];
+                d[..bb].copy_from_slice(lane);
+                diag = Some(d);
             }
         }
-        threshold_and_cap_tiles(&mut lower, tau_i, opts.m, None);
-        threshold_and_cap_tiles(&mut upper, tau_i, opts.m, Some(bi));
-        // Materialise the survivors; the diagonal tile (if stored) leads
-        // `upper` after the column sort.
-        let mut lrow = BlockTileRow::default();
-        for r in &lower {
-            lrow.cols.push(r.col);
-            lrow.tiles
-                .extend_from_slice(&lanes_buf[r.idx * bb..(r.idx + 1) * bb]);
-        }
-        let mut urow = BlockTileRow::default();
-        let mut diag: Option<[f64; tile::MAX_BLOCK * tile::MAX_BLOCK]> = None;
-        for r in &upper {
-            if r.col == bi {
-                let mut d = [0.0f64; tile::MAX_BLOCK * tile::MAX_BLOCK];
-                d[..bb].copy_from_slice(&lanes_buf[r.idx * bb..(r.idx + 1) * bb]);
-                diag = Some(d);
-            } else {
-                urow.cols.push(r.col);
-                urow.tiles
+        threshold_and_cap_tiles(&mut lower, tau_i, opts.m);
+        threshold_and_cap_tiles(&mut upper, tau_i, opts.m);
+        // Materialise the survivors.
+        let materialise = |refs: &[TileRef]| {
+            let mut row = BlockTileRow::default();
+            for r in refs {
+                row.cols.push(r.col);
+                row.tiles
                     .extend_from_slice(&lanes_buf[r.idx * bb..(r.idx + 1) * bb]);
             }
-        }
+            row
+        };
+        let (mut lrow, mut urow) = (materialise(&lower), materialise(&upper));
         // Breakdown handling: scrub, classify the diagonal, factor it with
         // lane-level repair.
         scrub_tiles(&mut doctor, bi * b, b, &mut lrow.tiles)?;
@@ -358,10 +348,9 @@ mod tests {
             assert_eq!(ss.nnz_u, bs.nnz_u);
             let refined = bf.to_lu_factors();
             for i in 0..a.n_rows() {
-                assert_eq!(sf.l[i].cols, refined.l[i].cols, "L row {i}");
-                assert_eq!(sf.l[i].vals, refined.l[i].vals, "L row {i}");
-                assert_eq!(sf.u[i].cols, refined.u[i].cols, "U row {i}");
-                assert_eq!(sf.u[i].vals, refined.u[i].vals, "U row {i}");
+                assert!(sf.l_row(i).eq(refined.l_row(i)), "L row {i}");
+                assert_eq!(sf.diag(i), refined.diag(i), "diag {i}");
+                assert!(sf.u_row(i).eq(refined.u_row(i)), "U row {i}");
             }
             let r: Vec<f64> = (0..a.n_rows()).map(|i| (i % 11) as f64 - 5.0).collect();
             assert_eq!(sf.solve(&r), bf.solve(&r), "trisolve diverged");

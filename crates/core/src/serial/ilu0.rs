@@ -5,7 +5,7 @@
 //! extracted with a one-time colouring (paper Figure 1a).
 
 use crate::breakdown::PivotDoctor;
-use crate::factors::{LuFactors, SparseRow};
+use crate::factors::{FactorStore, LuFactors};
 use crate::options::{BreakdownPolicy, FactorError};
 use pilut_sparse::{CsrMatrix, WorkRow};
 
@@ -24,8 +24,7 @@ pub fn ilu0_with(a: &CsrMatrix, policy: BreakdownPolicy) -> Result<LuFactors, Fa
     policy.validate()?;
     let mut doctor = PivotDoctor::new(policy);
     let n = a.n_rows();
-    let mut l: Vec<SparseRow> = Vec::with_capacity(n);
-    let mut u: Vec<SparseRow> = Vec::with_capacity(n);
+    let mut store = FactorStore::with_capacity(n);
     let mut w = WorkRow::new(n);
     for i in 0..n {
         let (cols, vals) = a.row(i);
@@ -46,14 +45,12 @@ pub fn ilu0_with(a: &CsrMatrix, policy: BreakdownPolicy) -> Result<LuFactors, Fa
                 w.drop_pos(k);
                 continue;
             }
-            let urow = &u[k];
-            let mult = wk / urow.vals[0];
+            let mult = wk / store.diag[k];
             lower.push((k, mult));
             // Update only positions already present in row i.
-            for t in 1..urow.len() {
-                let j = urow.cols[t];
+            for (j, uv) in store.u.entries(k) {
                 if w.contains(j) {
-                    w.add(j, -mult * urow.vals[t]);
+                    w.add(j, -mult * uv);
                 }
             }
             w.drop_pos(k);
@@ -65,10 +62,9 @@ pub fn ilu0_with(a: &CsrMatrix, policy: BreakdownPolicy) -> Result<LuFactors, Fa
             }
         }
         doctor.repair_row(i, a.row_norm2(i), &mut lower, &mut upper)?;
-        l.push(SparseRow::from_pairs(lower));
-        u.push(SparseRow::from_pairs(upper));
+        store.push_row(&lower, upper[0].1, &upper[1..], |j| j);
     }
-    Ok(LuFactors { n, l, u })
+    Ok(LuFactors::from_store(store))
 }
 
 #[cfg(test)]
@@ -85,9 +81,8 @@ mod tests {
         f.check_structure().unwrap();
         for i in 0..a.n_rows() {
             let (cols, _) = a.row(i);
-            let mut merged: Vec<usize> = f.l[i].cols.clone();
-            merged.extend_from_slice(&f.u[i].cols);
-            merged.sort_unstable();
+            let lower = f.l_row(i).map(|(c, _)| c);
+            let merged: Vec<usize> = lower.chain([i]).chain(f.u_row(i).map(|(c, _)| c)).collect();
             assert_eq!(merged, cols.to_vec(), "row {i} pattern changed");
         }
     }
@@ -111,8 +106,9 @@ mod tests {
         let f0 = ilu0(&a).unwrap();
         let ft = ilut(&a, &IlutOptions::new(100, 0.0)).unwrap();
         for i in 0..a.n_rows() {
-            assert_eq!(f0.l[i], ft.l[i], "L row {i}");
-            assert_eq!(f0.u[i], ft.u[i], "U row {i}");
+            assert!(f0.l_row(i).eq(ft.l_row(i)), "L row {i}");
+            assert_eq!(f0.diag(i), ft.diag(i), "diag {i}");
+            assert!(f0.u_row(i).eq(ft.u_row(i)), "U row {i}");
         }
     }
 

@@ -7,7 +7,7 @@
 //! weakness (paper §2) that motivates threshold-based dropping.
 
 use crate::breakdown::PivotDoctor;
-use crate::factors::{LuFactors, SparseRow};
+use crate::factors::{FactorStore, LuFactors};
 use crate::options::{BreakdownPolicy, FactorError};
 use pilut_sparse::CsrMatrix;
 use std::cmp::Reverse;
@@ -30,9 +30,8 @@ pub fn iluk_with(
     policy.validate()?;
     let mut doctor = PivotDoctor::new(policy);
     let n = a.n_rows();
-    let mut l: Vec<SparseRow> = Vec::with_capacity(n);
-    let mut u: Vec<SparseRow> = Vec::with_capacity(n);
-    // Levels of the kept U rows (aligned with u[i]'s columns).
+    let mut store = FactorStore::with_capacity(n);
+    // Levels of the kept strict-U rows (aligned with the store's columns).
     let mut u_levels: Vec<Vec<usize>> = Vec::with_capacity(n);
 
     // Dense per-row scratch: value, level, occupancy.
@@ -58,11 +57,9 @@ pub fn iluk_with(
             if lev[p] == usize::MAX || lev[p] > k {
                 continue; // dropped symbolically — no elimination against it
             }
-            let urow = &u[p];
-            let ulev = &u_levels[p];
-            let mult = val[p] / urow.vals[0];
+            let mult = val[p] / store.diag[p];
             val[p] = mult;
-            for ((&j, &uval), &ul) in urow.cols[1..].iter().zip(&urow.vals[1..]).zip(&ulev[1..]) {
+            for ((j, uval), &ul) in store.u.entries(p).zip(&u_levels[p]) {
                 let new_level = lev[p].saturating_add(ul).saturating_add(1);
                 if lev[j] == usize::MAX {
                     if new_level > k {
@@ -98,11 +95,10 @@ pub fn iluk_with(
         }
         touched.clear();
         doctor.repair_row(i, a.row_norm2(i), &mut lower, &mut upper)?;
-        // A repair can change the upper pattern (inserted or replaced
-        // diagonal, scrubbed entries); realign the levels with it. An
-        // injected diagonal gets level 0, like an original entry.
+        // A repair can change the upper pattern (replaced row, scrubbed
+        // entries); realign the strict-U levels with it.
         u_levels.push(
-            upper
+            upper[1..]
                 .iter()
                 .map(|&(j, _)| {
                     upper_lev
@@ -112,10 +108,9 @@ pub fn iluk_with(
                 })
                 .collect(),
         );
-        l.push(SparseRow::from_pairs(lower));
-        u.push(SparseRow::from_pairs(upper));
+        store.push_row(&lower, upper[0].1, &upper[1..], |j| j);
     }
-    Ok(LuFactors { n, l, u })
+    Ok(LuFactors::from_store(store))
 }
 
 #[cfg(test)]
@@ -131,8 +126,9 @@ mod tests {
         let f0 = ilu0(&a).unwrap();
         let fk = iluk(&a, 0).unwrap();
         for i in 0..a.n_rows() {
-            assert_eq!(f0.l[i], fk.l[i], "L row {i}");
-            assert_eq!(f0.u[i], fk.u[i], "U row {i}");
+            assert!(f0.l_row(i).eq(fk.l_row(i)), "L row {i}");
+            assert_eq!(f0.diag(i), fk.diag(i), "diag {i}");
+            assert!(f0.u_row(i).eq(fk.u_row(i)), "U row {i}");
         }
     }
 

@@ -1,12 +1,13 @@
 //! The serial ILUT(m, t) factorization — paper Algorithm 2.1 (after Saad).
+//!
+//! This is the one-rank case of [`crate::parallel::par_ilut`]'s interior
+//! phase: every row runs through the same [`IlutRow`] kernel, with identity
+//! slot numbering and nobody listening to the work charges.
 
-use crate::breakdown::PivotDoctor;
-use crate::factors::{LuFactors, SparseRow};
+use crate::factors::{FactorStore, LuFactors};
 use crate::options::{FactorError, FactorStats, IlutOptions};
-use crate::serial::drop_rules::{selection_cost, threshold_and_cap_in_place};
-use pilut_sparse::{CsrMatrix, WorkRow};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::serial::kernel::IlutRow;
+use pilut_sparse::CsrMatrix;
 
 /// Computes ILUT(m, t) of a square matrix.
 ///
@@ -27,87 +28,27 @@ pub fn ilut_with_stats(
 ) -> Result<(LuFactors, FactorStats), FactorError> {
     assert_eq!(a.n_rows(), a.n_cols(), "ILUT needs a square matrix");
     opts.validate()?;
-    let mut doctor = PivotDoctor::new(opts.breakdown);
     let n = a.n_rows();
-    let mut l: Vec<SparseRow> = Vec::with_capacity(n);
-    let mut u: Vec<SparseRow> = Vec::with_capacity(n);
-    let mut w = WorkRow::new(n);
-    let mut stats = FactorStats::default();
-    // Min-heap of candidate pivot columns still to eliminate in this row,
-    // with a membership marker so each position is pushed at most once
-    // (dedup-on-push instead of skip-duplicates-on-pop).
-    let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-    let mut in_heap = vec![false; n];
-    // Scratch buffers reused across rows.
-    let mut entries: Vec<(usize, f64)> = Vec::new();
-    let mut lower: Vec<(usize, f64)> = Vec::new();
-    let mut upper: Vec<(usize, f64)> = Vec::new();
-
+    let mut kernel = IlutRow::new(n, opts);
+    let mut store = FactorStore::with_capacity(n);
+    // Each triangle keeps at most `m` entries per row; for a cap too loose
+    // to say anything, twice the input is the first guess.
+    store.reserve_entries(n.saturating_mul(opts.m).min(2 * a.nnz()));
+    let id = |j: usize| j;
     for i in 0..n {
-        let (cols, vals) = a.row(i);
-        let norm_i = a.row_norm2(i);
-        let tau_i = opts.tau * norm_i;
-        debug_assert!(heap.is_empty(), "heap drained by the previous row");
-        for (&j, &v) in cols.iter().zip(vals) {
-            w.set(j, v);
-            if j < i && !in_heap[j] {
-                in_heap[j] = true;
-                heap.push(Reverse(j));
-            }
+        kernel.factor_row(a, i, opts, |j| j < i, &mut store, id, id, &mut |_| {});
+        if let Some((row, fault)) = kernel.fault {
+            return Err(fault.error_at(row));
         }
-        // Elimination sweep: ascending pivot order, fills pushed lazily.
-        while let Some(Reverse(k)) = heap.pop() {
-            in_heap[k] = false;
-            let wk = w.get(k);
-            // lint: allow(float-eq): skips exactly cancelled multipliers
-            if wk == 0.0 {
-                w.drop_pos(k);
-                continue;
-            }
-            let urow = &u[k];
-            let mult = wk / urow.vals[0];
-            stats.flops += 1.0;
-            // First dropping rule.
-            if mult.abs() < tau_i {
-                w.drop_pos(k);
-                continue;
-            }
-            w.set(k, mult);
-            // w -= mult * u_k (strict upper part of the pivot row).
-            for t in 1..urow.len() {
-                let j = urow.cols[t];
-                let newly = !w.contains(j);
-                w.add(j, -mult * urow.vals[t]);
-                if newly && j < i && !in_heap[j] {
-                    in_heap[j] = true;
-                    heap.push(Reverse(j));
-                }
-            }
-            stats.flops += 2.0 * (urow.len() - 1) as f64;
-        }
-        // Second dropping rule: split into L and U parts, keep m largest in
-        // each; the diagonal is always kept.
-        w.drain_sorted_into(&mut entries);
-        stats.flops += selection_cost(entries.len());
-        lower.clear();
-        upper.clear();
-        for &(j, v) in &entries {
-            if j < i {
-                lower.push((j, v));
-            } else {
-                upper.push((j, v));
-            }
-        }
-        threshold_and_cap_in_place(&mut lower, tau_i, opts.m, None);
-        threshold_and_cap_in_place(&mut upper, tau_i, opts.m, Some(i));
-        doctor.repair_row(i, norm_i, &mut lower, &mut upper)?;
-        stats.nnz_l += lower.len();
-        stats.nnz_u += upper.len();
-        l.push(SparseRow::from_sorted_pairs(&lower));
-        u.push(SparseRow::from_sorted_pairs(&upper));
     }
-    stats.breakdowns_repaired = doctor.repairs();
-    Ok((LuFactors { n, l, u }, stats))
+    let factors = LuFactors::from_store(store);
+    let stats = FactorStats {
+        flops: kernel.flops,
+        nnz_l: factors.nnz_l(),
+        nnz_u: factors.nnz_u(),
+        breakdowns_repaired: kernel.doctor.repairs(),
+    };
+    Ok((factors, stats))
 }
 
 #[cfg(test)]
@@ -136,12 +77,8 @@ mod tests {
         let m = 3;
         let f = ilut(&a, &IlutOptions::new(m, 0.0)).unwrap();
         for i in 0..f.n {
-            assert!(f.l[i].len() <= m, "L row {i} has {} entries", f.l[i].len());
-            assert!(
-                f.u[i].len() <= m + 1,
-                "U row {i} has {} entries",
-                f.u[i].len()
-            );
+            assert!(f.l_row(i).len() <= m, "L row {i}");
+            assert!(f.u_row(i).len() <= m, "U row {i}");
         }
     }
 
@@ -194,7 +131,7 @@ mod tests {
         let (f, s) = ilut_with_stats(&a, &opts).unwrap();
         f.check_structure().unwrap();
         assert_eq!(s.breakdowns_repaired, 1);
-        assert!(f.u[0].vals[0] > 0.0 && f.u[0].vals[0].is_finite());
+        assert!(f.diag(0) > 0.0 && f.diag(0).is_finite());
     }
 
     #[test]

@@ -6,6 +6,7 @@ pub mod ic0;
 pub mod ilu0;
 pub mod iluk;
 pub mod ilut;
+pub(crate) mod kernel;
 
 pub use block_ilut::{block_ilut, block_ilut_with_stats};
 pub use ic0::{ic0, ic0_with};

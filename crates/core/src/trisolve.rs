@@ -32,7 +32,7 @@
 
 use crate::dist::exchange::{tags, CommPlan};
 use crate::dist::{DistMatrix, LocalView};
-use crate::parallel::store::Arena;
+use crate::factors::Arena;
 use crate::parallel::RankFactors;
 use pilut_par::collectives::ReduceOp;
 use pilut_par::Ctx;
@@ -98,8 +98,8 @@ impl TrisolvePlan {
                 })
                 .collect()
         };
-        let fwd_at = build_sweep(tags::FWD, &rf.l);
-        let bwd_at = build_sweep(tags::BWD, &rf.u);
+        let fwd_at = build_sweep(tags::FWD, &rf.store.l);
+        let bwd_at = build_sweep(tags::BWD, &rf.store.u);
         // lint: allow(unwrap): levels hold this rank's interface nodes
         let pos = |&i: &usize| local.pos_of(i).expect("level row must be local");
         TrisolvePlan {
@@ -202,19 +202,6 @@ pub fn dist_backward(
     x
 }
 
-/// `x[p] − Σ val·x[slot]` over row `p` of one triangle, summed in stored
-/// entry order (ascending global column — the order every earlier factor
-/// representation used, hence bit-identical sums).
-#[inline]
-fn row_residual(arena: &Arena, p: usize, x: &[f64]) -> f64 {
-    let (slots, vals) = arena.row(p);
-    let mut s = x[p];
-    for (&j, &v) in slots.iter().zip(vals) {
-        s -= v * x[j];
-    }
-    s
-}
-
 /// Loads the owned part of the slot-indexed vector from `rhs`; the ghost
 /// tail keeps whatever it held (every ghost a row reads is delivered by its
 /// level's batch first). No allocation once `x` has seen `n_slots`.
@@ -236,21 +223,17 @@ fn forward_sweep_into(
     load(x, b, plan.n_slots);
     // Interior phase: L columns of interior rows are earlier interiors of
     // this rank — all local, all already computed in ascending order.
-    for p in 0..rf.interior.len() {
-        x[p] = row_residual(&rf.l, p, x);
-    }
+    rf.store.forward_rows(0..rf.interior.len(), x);
     // Interface phase, level by level: drain the previous level's batches,
     // compute, then ship this level's values (one message per peer).
     for (l, level) in plan.level_pos.iter().enumerate() {
         if l > 0 {
             plan.fwd_at[l - 1].recv_values(ctx, |slot, v| x[slot] = v);
         }
-        for &p in level {
-            x[p] = row_residual(&rf.l, p, x);
-        }
+        rf.store.forward_rows(level.iter().copied(), x);
         plan.fwd_at[l].send_values(ctx, |pos| x[pos]);
     }
-    ctx.work(2.0 * rf.l.val.len() as f64);
+    ctx.work(2.0 * rf.store.l.val.len() as f64);
 }
 
 /// The backward sweep body (see [`forward_sweep_into`]).
@@ -270,15 +253,11 @@ fn backward_sweep_into(
         if l + 1 < n_levels {
             plan.bwd_at[l + 1].recv_values(ctx, |slot, v| x[slot] = v);
         }
-        for &p in &plan.level_pos[l] {
-            x[p] = row_residual(&rf.u, p, x) / rf.diag[p];
-        }
+        rf.store.backward_rows(plan.level_pos[l].iter().copied(), x);
         plan.bwd_at[l].send_values(ctx, |pos| x[pos]);
     }
     // Interior phase, descending elimination order; U columns of interior
     // rows are local (later interiors or own interfaces).
-    for p in (0..rf.interior.len()).rev() {
-        x[p] = row_residual(&rf.u, p, x) / rf.diag[p];
-    }
-    ctx.work((2 * rf.u.val.len() + rf.n_rows()) as f64);
+    rf.store.backward_rows((0..rf.interior.len()).rev(), x);
+    ctx.work((2 * rf.store.u.val.len() + rf.n_rows()) as f64);
 }

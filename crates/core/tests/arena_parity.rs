@@ -13,8 +13,10 @@ use pilut_core::dist::exchange::tags;
 use pilut_core::dist::{DistMatrix, LocalView};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::dist_mis::{build_level_links, dist_mis};
-use pilut_core::parallel::par_ilut;
+use pilut_core::parallel::{assemble_factors, par_ilut};
 use pilut_core::serial::drop_rules::{selection_cost, threshold_and_cap};
+use pilut_core::serial::ilut_with_stats;
+use pilut_core::LuFactors;
 use pilut_par::collectives::ReduceOp;
 use pilut_par::{Ctx, Machine, MachineModel, Payload};
 use pilut_sparse::{gen, WorkRow};
@@ -232,6 +234,15 @@ fn reference_par_ilut(
     }
 }
 
+/// Row `i` of a serial-form factor in the reference's shape.
+fn lu_row(f: &LuFactors, i: usize) -> RefRow {
+    RefRow {
+        l: f.l_row(i).collect(),
+        diag: f.diag(i),
+        u: f.u_row(i).collect(),
+    }
+}
+
 #[test]
 fn arena_rows_equal_the_reference_hashmap_build() {
     let a = gen::fem_torso(10, 3);
@@ -264,6 +275,34 @@ fn arena_rows_equal_the_reference_hashmap_build() {
                 assert!(rf.ghosts.iter().all(|&g| rf.row(g).is_none()), "{what}");
             }
             assert_eq!(covered, a.n_rows(), "p={p}: every row exactly once");
+            if p > 1 {
+                continue;
+            }
+            // One rank: serial `ilut` is one more subject of the same
+            // reference, and assembling the lone rank's factors (identity
+            // permutation, relabel-and-append) reproduces it entry for entry.
+            let (rf, reference) = &out.results[0];
+            let (serial, stats) = ilut_with_stats(&a, &opts).expect("serial ilut failed");
+            assert_eq!(
+                stats.flops,
+                reference.flops,
+                "{}: serial flops",
+                opts.name()
+            );
+            let asm = assemble_factors(std::slice::from_ref(rf), a.n_rows());
+            for i in 0..a.n_rows() {
+                assert_eq!(lu_row(&serial, i), reference.rows[&i], "serial row {i}");
+                assert_eq!(
+                    asm.perm.new_of(i),
+                    i,
+                    "one rank eliminates in natural order"
+                );
+                assert_eq!(
+                    lu_row(&asm.factors, i),
+                    reference.rows[&i],
+                    "assembled row {i}"
+                );
+            }
         }
     }
 }

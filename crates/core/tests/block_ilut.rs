@@ -23,14 +23,12 @@ fn b1_pipeline_is_bitwise_scalar_on_random_matrices() {
         assert_eq!((ss.nnz_l, ss.nnz_u), (bs.nnz_l, bs.nnz_u));
         let refined = bf.to_lu_factors();
         for i in 0..a.n_rows() {
-            assert_eq!(sf.l[i].cols, refined.l[i].cols, "seed {seed} L row {i}");
-            assert_eq!(sf.u[i].cols, refined.u[i].cols, "seed {seed} U row {i}");
-            for (x, y) in sf.l[i].vals.iter().zip(&refined.l[i].vals) {
-                assert_eq!(x.to_bits(), y.to_bits(), "seed {seed} L row {i}");
-            }
-            for (x, y) in sf.u[i].vals.iter().zip(&refined.u[i].vals) {
-                assert_eq!(x.to_bits(), y.to_bits(), "seed {seed} U row {i}");
-            }
+            let bits = |(c, v): (usize, f64)| (c, v.to_bits());
+            let (sl, rl) = (sf.l_row(i).map(bits), refined.l_row(i).map(bits));
+            assert!(sl.eq(rl), "seed {seed} L row {i}");
+            assert_eq!(sf.diag(i).to_bits(), refined.diag(i).to_bits());
+            let (su, ru) = (sf.u_row(i).map(bits), refined.u_row(i).map(bits));
+            assert!(su.eq(ru), "seed {seed} U row {i}");
         }
         // The blocked level-scheduled trisolve must also be bitwise the
         // scalar sweep at b = 1 (per-row arithmetic order is unchanged).

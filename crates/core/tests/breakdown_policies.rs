@@ -110,7 +110,7 @@ fn indefinite_matrix(rng: &mut SplitMix64) -> CsrMatrix {
 /// asserts the result is finite too.
 fn assert_lu_finite(f: &pilut_core::factors::LuFactors, label: &str) {
     for i in 0..f.n {
-        for &v in f.l[i].vals.iter().chain(f.u[i].vals.iter()) {
+        for (_, v) in f.l_row(i).chain(f.u_row(i)).chain([(i, f.diag(i))]) {
             assert!(v.is_finite(), "{label}: non-finite factor entry in row {i}");
         }
     }

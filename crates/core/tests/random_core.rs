@@ -73,8 +73,8 @@ fn fill_caps_hold() {
         let m = 1 + rng.next_usize(5);
         let f = ilut(&a, &IlutOptions::new(m, 0.0)).expect("dominant matrix cannot break down");
         for i in 0..f.n {
-            assert!(f.l[i].len() <= m, "case {case}");
-            assert!(f.u[i].len() <= m + 1, "case {case}"); // + diagonal
+            assert!(f.l_row(i).len() <= m, "case {case}");
+            assert!(f.u_row(i).len() <= m, "case {case}"); // strict part
         }
     }
 }
@@ -221,14 +221,14 @@ fn unbounded_ilut_matches_dense_lu() {
         }
         let f = ilut(&a, &IlutOptions::new(n, 0.0)).expect("no breakdown");
         for i in 0..n {
-            for (j, v) in f.l[i].iter() {
+            for (j, v) in f.l_row(i) {
                 assert!(
                     (v - d[i][j]).abs() < 1e-9,
                     "case {case}: L[{i}][{j}] = {v} vs dense {}",
                     d[i][j]
                 );
             }
-            for (j, v) in f.u[i].iter() {
+            for (j, v) in f.u_row(i).chain([(i, f.diag(i))]) {
                 assert!(
                     (v - d[i][j]).abs() < 1e-9,
                     "case {case}: U[{i}][{j}] = {v} vs dense {}",
@@ -239,9 +239,9 @@ fn unbounded_ilut_matches_dense_lu() {
             // threshold must be present in the sparse factors too.
             for j in 0..n {
                 if d[i][j].abs() > 1e-9 {
-                    let stored = if j < i { f.l[i].get(j) } else { f.u[i].get(j) };
+                    let stored = j == i || f.l_row(i).chain(f.u_row(i)).any(|(c, _)| c == j);
                     assert!(
-                        stored.is_some(),
+                        stored,
                         "case {case}: dense LU has ({i},{j}) = {} but factors dropped it",
                         d[i][j]
                     );

@@ -460,16 +460,16 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
     ),
     (
         "crates/core/src/factors.rs",
-        &["forward_solve", "backward_solve", "solve_into"],
+        &[
+            "forward_rows",
+            "backward_rows",
+            "row_residual",
+            "solve_into",
+        ],
     ),
     (
         "crates/core/src/trisolve.rs",
-        &[
-            "forward_sweep_into",
-            "backward_sweep_into",
-            "row_residual",
-            "load",
-        ],
+        &["forward_sweep_into", "backward_sweep_into", "load"],
     ),
     ("crates/core/src/dist/exchange/replay.rs", &["*"]),
     (
@@ -1216,7 +1216,7 @@ mod tests {
         // factors.rs polices only the solve functions: a constructor may
         // allocate, the hot sweep may not.
         let label = "crates/core/src/factors.rs";
-        let src = "impl F {\n    /// Constructor — free to allocate.\n    pub fn from_pairs() -> Self {\n        let v: Vec<f64> = it.collect();\n        Self { v }\n    }\n    /// Hot sweep — policed.\n    pub fn forward_solve(&self, b: &mut [f64]) {\n        let tmp = b.to_vec();\n    }\n}\n";
+        let src = "impl F {\n    /// Constructor — free to allocate.\n    pub fn from_pairs() -> Self {\n        let v: Vec<f64> = it.collect();\n        Self { v }\n    }\n    /// Hot sweep — policed.\n    pub fn forward_rows(&self, b: &mut [f64]) {\n        let tmp = b.to_vec();\n    }\n}\n";
         let got = lint_source(label, src, false);
         assert_eq!(rules(&got), vec!["no-alloc-in-hot"]);
         assert_eq!(got[0].line, 9, "only the line inside the hot fn");

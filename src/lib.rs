@@ -59,7 +59,7 @@ pub mod prelude {
     };
     pub use pilut_core::serial::{block_ilut, ic0, ilu0, iluk, ilut};
     pub use pilut_core::trisolve::{dist_solve, TrisolvePlan};
-    pub use pilut_core::{BlockLuFactors, LuFactors, SparseRow};
+    pub use pilut_core::{BlockLuFactors, LuFactors};
     pub use pilut_graph::{partition_kway, suggest_block_size, Graph, PartitionOptions};
     pub use pilut_par::{Ctx, Machine, MachineModel, Payload};
     pub use pilut_solver::dist_gmres::{dist_gmres, DistDiagonal, DistIlu, DistPrecond};

@@ -176,6 +176,67 @@ fn dist_gmres_matches_serial_across_sizes_and_seeds() {
     }
 }
 
+/// Paper Table 3 as a gate: GMRES(10) matvecs to `rtol = 1e-7` on `b = A·1`
+/// under ILUT and ILUT\* preconditioning, p ∈ {1, 2, 4, 8} against serial.
+/// At p = 1 the count *equals* the serial one — structural, since serial
+/// `ilut` is the one-rank `par_ilut` and both solve through the same sweep.
+/// For p > 1 the interface ordering makes it a different incomplete
+/// factorization, whose count must stay inside the band recorded here, so
+/// store or kernel work cannot quietly weaken the factors while staying
+/// deterministic. Rows: `(matrix, options, serial NMV, max NMV for p > 1)`;
+/// the bound is the worst count observed when recorded (PR 14) plus one.
+#[test]
+fn table3_matvecs_hold_against_serial() {
+    let g40 = gen::convection_diffusion_2d(32, 32, 10.0, 20.0);
+    let torso = gen::torso(10);
+    let table = [
+        ("g40", &g40, IlutOptions::new(5, 1e-2), 19, 24),
+        ("g40", &g40, IlutOptions::new(10, 1e-4), 8, 13),
+        ("g40", &g40, IlutOptions::star(5, 1e-2, 2), 19, 24),
+        ("g40", &g40, IlutOptions::star(10, 1e-4, 2), 8, 13),
+        ("torso", &torso, IlutOptions::new(5, 1e-2), 14, 15),
+        ("torso", &torso, IlutOptions::new(10, 1e-4), 9, 9),
+        ("torso", &torso, IlutOptions::star(5, 1e-2, 2), 14, 15),
+        ("torso", &torso, IlutOptions::star(10, 1e-4, 2), 9, 9),
+    ];
+    let gopts = GmresOptions {
+        restart: 10,
+        rtol: 1e-7,
+        max_matvecs: 2000,
+    };
+    for (name, a, fopts, serial_nmv, dist_max) in table {
+        let what = format!("{name} {}", fopts.name());
+        let b = a.spmv_owned(&vec![1.0; a.n_rows()]);
+        let f = pilut::core::serial::ilut(a, &fopts).unwrap();
+        let pre = pilut::core::precond::IluPreconditioner::new(f);
+        let serial = gmres(a, &b, &pre, &gopts);
+        assert!(serial.converged, "{what}: serial did not converge");
+        assert_eq!(serial.matvecs, serial_nmv, "{what}: serial NMV moved");
+        for p in SIZES {
+            let dm = DistMatrix::from_matrix(a.clone(), p, 17);
+            let out = Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| {
+                let local = dm.local_view(ctx.rank());
+                let mut op = DistCsr::new(ctx, &dm, &local);
+                let bl: Vec<f64> = local.nodes.iter().map(|&g| b[g]).collect();
+                let rf = par_ilut(ctx, &dm, &local, &fopts).unwrap();
+                let mut pre = DistIlu::new(ctx, &dm, &local, rf);
+                let r = dist_gmres(ctx, &mut op, &local, &mut pre, &bl, &gopts);
+                (r.matvecs, r.converged)
+            });
+            let (nmv, converged) = out.results[0];
+            assert!(converged, "{what} p={p}: did not converge");
+            if p == 1 {
+                assert_eq!(nmv, serial_nmv, "{what}: one rank is the serial solve");
+            } else {
+                assert!(
+                    nmv <= dist_max,
+                    "{what} p={p}: {nmv} matvecs, recorded band tops out at {dist_max}"
+                );
+            }
+        }
+    }
+}
+
 /// The full pipeline survives more ranks than occupied partitions: at
 /// p=8 with a 5-row chain, three ranks own nothing and every collective
 /// and replay must still line up.
