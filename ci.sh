@@ -1,7 +1,6 @@
 #!/bin/sh
 # Full local CI gate. Everything here runs offline with an empty cargo
-# registry cache: the workspace (crates/bench's table/figure binaries
-# included) has no registry dependency at all.
+# registry cache: the workspace has no registry dependency at all.
 set -eu
 cd "$(dirname "$0")"
 
@@ -39,6 +38,14 @@ cargo run -q -p xtask --release -- schedcheck --quick
 
 echo "==> modelcheck (DPOR schedule-space exploration, quick)"
 cargo run -q -p xtask --release -- modelcheck --quick
+
+# The paper's tables and figures at CI size: simulated time and every
+# count in them are bit-reproducible, so the committed experiments/ci/*.txt
+# must regenerate exactly. A change that moves them re-blesses with
+# `xtask paper` (and `xtask paper --record` for experiments/*.txt) and
+# shows the moved numbers in its diff.
+echo "==> paper --check (Tables 1-3, Figures 1-6, ablations; exact diff)"
+cargo run -q -p xtask --release -- paper --check
 
 # ThreadSanitizer pass over the VM crate: the logical-clock machine is the
 # only place in the workspace that touches raw threads, so it gets a real

@@ -212,10 +212,8 @@ pub fn par_ilu0_with(
                 let (udiag, urow) = fb.level_pivot(k, &remote_u);
                 let wk = w.get(k);
                 w.drop_pos(k);
-                // lint: allow(float-eq): skips exactly cancelled multipliers
-                if wk == 0.0 {
-                    continue;
-                }
+                // As in phase 1, a multiplier that cancelled to exactly zero
+                // keeps its position: ILU(0) is defined by structure alone.
                 let mult = wk / udiag;
                 for &(j, uv) in urow {
                     if w.contains(j) {

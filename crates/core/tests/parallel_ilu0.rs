@@ -1,16 +1,19 @@
 //! Tests of the parallel ILU(0) factorization (the paper's §3 static-pattern
 //! contrast case).
 
-use pilut_core::dist::DistMatrix;
+use pilut_core::dist::{DistMatrix, Distribution};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::{par_ilu0, par_ilut};
 use pilut_core::serial::ilu0;
 use pilut_core::trisolve::{dist_solve, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
-use pilut_sparse::gen;
+use pilut_sparse::{gen, CooMatrix};
 
 #[test]
 fn single_rank_matches_serial_ilu0() {
+    // One rank owns only interior rows, so phase 1 is the whole
+    // factorization and runs serial ILU(0)'s operations in serial's order:
+    // every stored entry must agree bit for bit.
     let a = gen::convection_diffusion_2d(7, 7, 4.0, -1.0);
     let serial = ilu0(&a).unwrap();
     let dm = DistMatrix::from_matrix(a.clone(), 1, 1);
@@ -19,34 +22,73 @@ fn single_rank_matches_serial_ilu0() {
         par_ilu0(ctx, &dm, &local).unwrap()
     });
     let rf = &out.results[0];
+    let bits = |(c, v): (usize, f64)| (c, v.to_bits());
     for i in 0..a.n_rows() {
         let row = rf.row(i).expect("one rank owns every row");
-        assert!(row.l().eq(serial.l_row(i)), "L row {i}");
-        assert!((row.diag() - serial.diag(i)).abs() < 1e-14, "diag {i}");
-        assert!(row.u().eq(serial.u_row(i)), "U row {i}");
+        assert!(row.l().map(bits).eq(serial.l_row(i).map(bits)), "L row {i}");
+        assert_eq!(row.diag().to_bits(), serial.diag(i).to_bits(), "diag {i}");
+        assert!(row.u().map(bits).eq(serial.u_row(i).map(bits)), "U row {i}");
     }
+}
+
+/// Interior node 0 couples interface nodes 1 and 2 with unit entries, so
+/// eliminating it cancels `a₁₂` and `a₂₁` to exactly 0.0 in the reduced
+/// rows; whichever of 1 and 2 the schedule factors first, the other meets a
+/// zero multiplier in the level sweep. Rank 1 (nodes 3–5) mirrors rank 0.
+fn exact_cancellation_case() -> DistMatrix {
+    let mut coo = CooMatrix::new(6, 6);
+    for (i, j, v) in [
+        (0, 0, 1.0),
+        (0, 1, 1.0),
+        (0, 2, 1.0),
+        (1, 0, 1.0),
+        (1, 1, 4.0),
+        (1, 2, 1.0),
+        (1, 3, -1.0),
+        (2, 0, 1.0),
+        (2, 1, 1.0),
+        (2, 2, 4.0),
+        (2, 4, -1.0),
+        (3, 1, -1.0),
+        (3, 3, 4.0),
+        (3, 5, 1.0),
+        (4, 2, -1.0),
+        (4, 4, 4.0),
+        (4, 5, 1.0),
+        (5, 3, 1.0),
+        (5, 4, 1.0),
+        (5, 5, 4.0),
+    ] {
+        coo.push(i, j, v);
+    }
+    DistMatrix::new(coo.to_csr(), Distribution::block(6, 2))
 }
 
 #[test]
 fn pattern_is_preserved_across_ranks() {
-    let a = gen::fem_torso(10, 3);
-    let dm = DistMatrix::from_matrix(a.clone(), 4, 9);
-    let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
-        let local = dm.local_view(ctx.rank());
-        par_ilu0(ctx, &dm, &local).unwrap()
-    });
-    let mut covered = 0usize;
-    for rf in &out.results {
-        for (v, row) in rf.rows() {
-            let mut got: Vec<usize> = row.l().chain(row.u()).map(|(c, _)| c).collect();
-            got.push(v);
-            got.sort_unstable();
-            let expect: Vec<usize> = a.row(v).0.to_vec();
-            assert_eq!(got, expect, "node {v}: ILU(0) must keep the exact pattern");
-            covered += 1;
+    let torso = DistMatrix::from_matrix(gen::fem_torso(10, 3), 4, 9);
+    for (p, dm) in [(4, torso), (2, exact_cancellation_case())] {
+        let a = dm.matrix();
+        let out = Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| {
+            let local = dm.local_view(ctx.rank());
+            par_ilu0(ctx, &dm, &local).unwrap()
+        });
+        let mut covered = 0usize;
+        for rf in &out.results {
+            for (v, row) in rf.rows() {
+                let mut got: Vec<usize> = row.l().chain(row.u()).map(|(c, _)| c).collect();
+                got.push(v);
+                got.sort_unstable();
+                let expect: Vec<usize> = a.row(v).0.to_vec();
+                assert_eq!(
+                    got, expect,
+                    "p = {p}, node {v}: ILU(0) must keep the exact pattern"
+                );
+                covered += 1;
+            }
         }
+        assert_eq!(covered, a.n_rows());
     }
-    assert_eq!(covered, a.n_rows());
 }
 
 #[test]

@@ -16,8 +16,7 @@ use std::time::Duration;
 /// Default watchdog poll: how often a blocked rank in checked mode wakes to
 /// run the watchdog predicate. Pure overhead tuning: correctness does not
 /// depend on it. Overridable per run via
-/// [`crate::MachineBuilder::watchdog_poll`] or the `PILUT_WATCHDOG_POLL_MS`
-/// environment variable.
+/// [`crate::MachineBuilder::watchdog_poll`].
 pub(crate) const DEFAULT_CHECK_POLL: Duration = Duration::from_millis(1);
 
 /// Idle watchdog polls before a blocked reliable receiver sends its first

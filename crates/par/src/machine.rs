@@ -153,8 +153,7 @@ impl MachineBuilder {
     /// only at the status board (a stalled-but-running rank shows
     /// `Running`, and injected *simulated* delays do not consume wall-clock
     /// time at all). Raise it for long soak runs, lower it for fast failure
-    /// in CI. The `PILUT_WATCHDOG_POLL_MS` environment variable overrides
-    /// the default for runs that do not call this.
+    /// in CI. Runs that do not call this poll every 1 ms.
     pub fn watchdog_poll(mut self, poll: Duration) -> Self {
         assert!(!poll.is_zero(), "watchdog poll must be non-zero");
         self.watchdog_poll = poll;
@@ -228,25 +227,6 @@ impl MachineBuilder {
     }
 }
 
-/// Parses a `PILUT_WATCHDOG_POLL_MS` value; rejects zero (a zero timeout
-/// would spin) and garbage.
-fn parse_poll_ms(s: &str) -> Option<Duration> {
-    match s.trim().parse::<u64>() {
-        Ok(ms) if ms > 0 => Some(Duration::from_millis(ms)),
-        _ => None,
-    }
-}
-
-/// The watchdog poll used when the builder was not asked for a specific
-/// one: `PILUT_WATCHDOG_POLL_MS` from the environment, or 1 ms.
-fn default_watchdog_poll() -> Duration {
-    std::env::var("PILUT_WATCHDOG_POLL_MS")
-        .ok()
-        .as_deref()
-        .and_then(parse_poll_ms)
-        .unwrap_or(DEFAULT_CHECK_POLL)
-}
-
 /// The SPMD launcher.
 pub struct Machine;
 
@@ -287,7 +267,7 @@ impl Machine {
         MachineBuilder {
             model,
             checked: false,
-            watchdog_poll: default_watchdog_poll(),
+            watchdog_poll: DEFAULT_CHECK_POLL,
             fault_plan: None,
             sched: None,
             flags: RunFlags::default(),
@@ -326,7 +306,7 @@ impl Machine {
             Some(Arc::new(CheckState::new(p, RunFlags::default()))),
             None,
             None,
-            default_watchdog_poll(),
+            DEFAULT_CHECK_POLL,
             RunFlags::default(),
             f,
         )
@@ -715,15 +695,6 @@ mod tests {
         let b = run();
         assert_eq!(a.stats.rank_times, b.stats.rank_times);
         assert_eq!(a.sim_time, b.sim_time);
-    }
-
-    #[test]
-    fn poll_ms_parser_rejects_zero_and_garbage() {
-        assert_eq!(parse_poll_ms("5"), Some(Duration::from_millis(5)));
-        assert_eq!(parse_poll_ms(" 12 "), Some(Duration::from_millis(12)));
-        assert_eq!(parse_poll_ms("0"), None);
-        assert_eq!(parse_poll_ms("fast"), None);
-        assert_eq!(parse_poll_ms("-3"), None);
     }
 
     #[test]

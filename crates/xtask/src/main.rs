@@ -14,6 +14,8 @@
 //!   bitwise-determinism sanitizer: seeded workloads re-run under
 //!   perturbed schedules must reproduce identical results and traffic
 //!   (see [`schedcheck`]).
+//! * `cargo run -p xtask --release -- paper [--check] [--record]` — the
+//!   paper's tables and figures, regenerated and gated (see [`paper`]).
 //! * `cargo run -p xtask -- loc` — non-test code lines per crate (see
 //!   [`code_lines`]), the tracked size column of ROADMAP aim 2.
 //!
@@ -85,6 +87,7 @@ use std::process::ExitCode;
 mod bench;
 mod chaos;
 mod modelcheck;
+mod paper;
 mod schedcheck;
 mod sweep;
 
@@ -98,13 +101,14 @@ fn main() -> ExitCode {
         "chaos" => chaos::run,
         "schedcheck" => schedcheck::run,
         "modelcheck" => modelcheck::run,
+        "paper" => paper::run,
         "lint" => lint_task,
         "loc" => loc_task,
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- lint | bench [flags] | bench-verify <file> [--slack PCT] \
                  | bench-compare <new> <baseline> [--tolerance PCT] [--geomean] | chaos [--quick] \
-                 | schedcheck [--quick] | modelcheck [--quick] | loc"
+                 | schedcheck [--quick] | modelcheck [--quick] | paper [--check] [--record] | loc"
             );
             return ExitCode::FAILURE;
         }
@@ -1368,7 +1372,7 @@ mod tests {
         assert!(lint_manifest("benchmark/Cargo.toml", facade).is_empty());
         let criterion = "[dev-dependencies]\ncriterion = \"0.5\"\n";
         assert_eq!(
-            rules(&lint_manifest("crates/bench/Cargo.toml", criterion)),
+            rules(&lint_manifest("crates/fake/Cargo.toml", criterion)),
             vec!["dep-allowlist"]
         );
     }
