@@ -96,6 +96,55 @@ pub fn laplace_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     coo.to_csr()
 }
 
+/// Elasticity-like problem with **3 dofs per node** on an `nx × ny × nz`
+/// grid: a 7-point node stencil whose couplings are dense, nonsymmetric
+/// 3×3 blocks (stiffer along the coupling direction, sign-alternating shear
+/// terms), dof-interleaved so node `v` owns rows `3v..3v + 3`. Every row is
+/// strictly diagonally dominant, so ILUT never breaks down, and a
+/// `b = 3` blocking stores no padding — the multiple-dofs-per-node case the
+/// blocked factorization exists for.
+pub fn elasticity_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
+    assert!(nx >= 1 && ny >= 1 && nz >= 1);
+    let dims = [nx, ny, nz];
+    let nodes = nx * ny * nz;
+    let row_of = |c: [usize; 3]| 3 * ((c[2] * ny + c[1]) * nx + c[0]);
+    // Off-diagonal dof couplings differ for (a, b) and (b, a).
+    let skew = |a: usize, b: usize| 0.05 * ((3 + a - b) % 3) as f64;
+    let dof_pairs = || (0..3).flat_map(|a| (0..3).map(move |b| (a, b)));
+    let mut coo = CooMatrix::with_capacity(3 * nodes, 3 * nodes, 63 * nodes);
+    for k in 0..nz {
+        for j in 0..ny {
+            for i in 0..nx {
+                let c = [i, j, k];
+                let r = row_of(c);
+                for (a, b) in dof_pairs() {
+                    let v = if a == b { 12.0 } else { 0.5 - 7.5 * skew(a, b) };
+                    coo.push(r + a, r + b, v);
+                }
+                for d in 0..3 {
+                    for (s, inside) in [(-1.0, c[d] > 0), (1.0, c[d] + 1 < dims[d])] {
+                        if !inside {
+                            continue;
+                        }
+                        let mut nb = c;
+                        nb[d] = if s < 0.0 { c[d] - 1 } else { c[d] + 1 };
+                        let q = row_of(nb);
+                        for (a, b) in dof_pairs() {
+                            let v = match (a == b, a == d) {
+                                (true, true) => -2.0,
+                                (true, false) => -1.0,
+                                _ => s * (0.1 + skew(a, b)),
+                            };
+                            coo.push(r + a, q + b, v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    coo.to_csr()
+}
+
 /// Irregular 3-D "torso" problem: Laplace's equation with inhomogeneous
 /// conductivities on an ellipsoidal shell domain, discretised on the subset
 /// of a `dim³` grid lying inside the outer ellipsoid, with harmonic
@@ -285,6 +334,30 @@ mod tests {
         assert_eq!(a.n_rows(), 27);
         assert_eq!(a.row_nnz(13), 7); // centre node
         assert!(a.is_structurally_symmetric());
+    }
+
+    #[test]
+    fn elasticity_3d_is_blocked_dominant_and_nonsymmetric() {
+        let a = elasticity_3d(4, 3, 3);
+        assert_eq!(a.n_rows(), 3 * 36);
+        assert_eq!(a.row_nnz(3 * 17 + 1), 21, "centre node: 7 dense 3x3 blocks");
+        assert!(a.is_structurally_symmetric());
+        // A b = 3 blocking stores exactly the nonzeros and round-trips.
+        let blocked = crate::BcsrMatrix::from_csr(&a, 3);
+        assert_eq!(blocked.stored_len(), a.nnz());
+        assert_eq!(blocked.to_csr(), a);
+        for i in 0..a.n_rows() {
+            let (cols, vals) = a.row(i);
+            let off: f64 = cols
+                .iter()
+                .zip(vals)
+                .filter(|e| *e.0 != i)
+                .map(|e| e.1.abs())
+                .sum();
+            assert!(a.get(i, i).unwrap() > off, "row {i} not strictly dominant");
+        }
+        assert_ne!(a.get(0, 1), a.get(1, 0), "dof couplings are nonsymmetric");
+        assert_ne!(a.get(0, 4), a.get(4, 0), "node couplings are nonsymmetric");
     }
 
     #[test]

@@ -1,109 +1,61 @@
-//! `xtask bench` — the in-tree, zero-registry-dependency benchmark harness.
+//! `xtask bench` — the in-tree, zero-registry-dependency kernel benchmark.
 //!
-//! Times the wall-clock hot paths of the reproduction over fixed-seed
-//! generated problems and writes a machine-readable JSON report so every PR
-//! has a performance trajectory to compare against (`BENCH_<label>.json` at
-//! the repo root by convention). Everything here is plain `std::time`
-//! timing — no criterion, no registry crates — so the harness runs in the
-//! same offline environment as the tier-1 gate.
+//! [`SCENARIOS`] is the whole configuration: one row per scenario with its
+//! matrix, its two sizes (`--quick` and full), `ranks` (`None` = a serial
+//! kernel, `Some(p)` = `p` ranks of the simulated machine), the ILUT
+//! options, the operations per timed sample, and one body. Two runners
+//! drive the table: a serial kernel is built once and its operation timed;
+//! a machine body runs the timed repetitions and then **exactly one more
+//! time** for the statistics, so what is timed and what is counted are the
+//! same code.
 //!
-//! Scenarios (full mode):
+//! Every row has two halves, and one rule decides which may fail a build:
 //!
-//! * `serial_ilut` — serial ILUT(10, 1e-4) factorization, 64×64
-//!   convection–diffusion (n = 4096).
-//! * `serial_ilut_unbounded` — serial ILUT(n, 0) on a 64×64 Laplacian
-//!   (n = 4096): the exact-LU configuration, which stresses fill handling
-//!   and the working row hardest per unknown.
-//! * `trisolve_serial` — repeated `LuFactors::solve` on the `serial_ilut`
-//!   factors (forward + backward substitution).
-//! * `block_ilut` — blocked ILUT(10, 1e-4) at b = 4 on the `serial_ilut`
-//!   matrix, BCSR in, dense 4×4 tile micro-kernels inside; the throughput
-//!   denominator is the same `nnz(A)` as `serial_ilut`, so the two rows
-//!   compare directly.
-//! * `block_trisolve` — repeated `BlockLuFactors::solve` on the
-//!   `block_ilut` factors (level-scheduled tile sweeps); the denominator is
-//!   the factors' stored tile slots — the entries the kernel actually
-//!   streams — comparable against `trisolve_serial`'s scalar fill.
-//! * `block_trisolve_rhs8` — the same factors solved against an n × 8 RHS
-//!   panel via `solve_panel`; the denominator is stored slots × 8, so the
-//!   Mnnz/s figure is per-RHS throughput and the gain over `block_trisolve`
-//!   is the panel amortization of the tile loads.
-//! * `spmv` — serial CSR SpMV on a 200×200 Laplacian (n = 40 000).
-//! * `gmres_ilut` — full right-preconditioned GMRES(30) solve, ILUT
-//!   preconditioner, 48×48 convection–diffusion.
-//! * `par_ilut_p4` / `par_ilut_p8` — the parallel ILUT factorization on the
-//!   simulated machine at p ∈ {4, 8} (48×48 Laplacian), timed inside the
-//!   ranks (max over ranks, barrier-aligned start).
-//! * `par_ilut_star_p4` / `par_ilut_star_p8` — same with ILUT\*(10, 1e-4, 2).
-//! * `dist_trisolve_p4` — the distributed forward/backward solves (paper
-//!   §5) with a prebuilt communication plan, p = 4.
-//! * `dist_trisolve_p1` — the `trisolve_serial` factor replayed through the
-//!   distributed sweeps on one rank (zero messages); `bench-verify` requires
-//!   its Mnnz/s to reach 0.5 × `trisolve_serial`'s within the same report.
-//! * `dist_solve_robust_p4` — the self-healing solve with reliable delivery
-//!   *and* rank-loss recovery armed but **no faults fired**: the
-//!   steady-state overhead of the robustness layers, which must be free
-//!   (the protocol state machines only pay when faults fire), and whose
-//!   ack/recover tags `bench-verify` gates at zero slack.
-//! * `recovery_p4` — the same solve with a deterministic mid-solve kill:
-//!   the wall time covers detection, world adoption, re-planning,
-//!   re-factorization, and the checkpoint-warm-started re-solve — the
-//!   end-to-end time-to-recover. Its planned-traffic column is
-//!   deliberately blank: a killed epoch abandons planned rounds mid-
-//!   flight, so planned-vs-measured is a fault-free-path contract only.
+//! * **Deterministic quantities gate.** The self-consistency invariants
+//!   ([`check`]: measured per-tag traffic equals the static `CommPlan`
+//!   prediction exactly, no protocol tag escapes the plan, every
+//!   [`STEADY_REGIONS`] entry performed zero heap acquisitions, a serial
+//!   row puts nothing on the wire) are asserted on the typed
+//!   [`Measurement`] inside `xtask bench`, before the report is written.
+//!   The counts themselves ([`Facts`]: flops, simulated T3D seconds,
+//!   per-tag messages and bytes, fill, factor heap bytes) are rendered by
+//!   `xtask paper` as the `kernels` experiment and exact-diffed by
+//!   `paper --check` like every table of the paper.
+//! * **Wall time only reports.** Median/min ns per operation and Mnnz/s
+//!   (entries processed per operation — for the GMRES solve,
+//!   `(nnz(A) + nnz(M)) · matvecs`) go into the JSON report
+//!   (`BENCH_<label>.json` at the repo root by convention), and
+//!   `bench-compare <new> <base>` prints per-row ratios and their geometric
+//!   mean. Nothing derived from `Instant` can fail a stage: same-code wall
+//!   spreads of 0.2–0.5 were measured on the shared host (EXPERIMENTS).
 //!
-//! Every scenario reports the median and minimum wall time per operation
-//! over `reps` samples (each sample averages `inner` back-to-back
-//! operations) plus an nnz-throughput figure with the operation's natural
-//! "entries processed" count (for the full GMRES solve that is the
-//! entries touched per matrix–vector product — `nnz(A) + nnz(M)` — times
-//! the solve's matvec count).
-//!
-//! `--scaling` appends strong/weak-scaling sweeps to the report: each
-//! scaling scenario factors one problem family at p ∈ {1, 2, 4, 8} on the
-//! simulated machine (strong: a fixed n = 10⁶ 3-D Laplacian; weak:
-//! `fem_torso` grown so the top point passes 10⁶ unknowns) and records a
-//! speedup-vs-p curve against the serial ILUT time on the same matrix,
-//! plus the smallest p whose speedup crosses 1 — the serial/parallel
-//! crossover becomes a tracked number instead of folklore. One timed run
-//! per point: these are curve samples on multi-second problems, not
-//! gated microbenchmarks.
-//!
-//! `--profile-alloc` reads the allocation-audit region registry after
-//! each scenario and records the memory-plane columns of the v2 schema:
-//! total steady-region heap acquisitions (`allocs`, `alloc_bytes`) plus a
-//! per-region breakdown (`alloc_regions`). The counting allocator and
-//! regions are active throughout the run either way (the xtask binary
-//! compiles the `audit` feature in), so profiling changes what is
-//! *recorded*, not what is timed. `bench-verify` gates every
-//! [`STEADY_REGIONS`] entry of a v2 report to exactly zero acquisitions.
-//!
-//! `--quick` shrinks the problem sizes and runs the two cheapest scenarios
-//! only (and, with `--scaling`, a tiny two-point sweep) — this is the CI
-//! smoke configuration, meant to prove the harness and its JSON writer
-//! work, not to produce quotable numbers.
+//! `--quick` runs *every* row at its small size (the CI smoke: harness,
+//! invariants and JSON writer, not quotable numbers); `--scenario NAME`
+//! (repeatable) selects rows; `--out PATH` and `--label STR` name the
+//! report.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
 
+use pilut_allocaudit::RegionStats;
 use pilut_core::dist::exchange::tags;
-use pilut_core::dist::{DistMatrix, Distribution};
-use pilut_core::options::IlutOptions;
+use pilut_core::dist::{DistMatrix, LocalView};
+use pilut_core::options::{FactorError, IlutOptions};
 use pilut_core::parallel::par_ilut;
 use pilut_core::precond::IluPreconditioner;
-use pilut_core::serial::{block_ilut, ilut};
+use pilut_core::serial::{block_ilut, block_ilut_with_stats, ilut, ilut_with_stats};
 use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
-use pilut_par::{FaultAction, FaultPlan, FaultRule, Machine, MachineModel, MachineStats};
+use pilut_par::{
+    Ctx, FaultAction, FaultPlan, FaultRule, Machine, MachineModel, MachineStats, RunOutput,
+};
 use pilut_solver::{dist_solve_robust, gmres, GmresOptions};
-use pilut_sparse::{gen, BcsrMatrix};
+use pilut_sparse::{gen, BcsrMatrix, CsrMatrix};
 
-/// Audit regions gated to **zero** steady-state heap acquisitions by
-/// `bench-verify`: every one of these is a replay path whose plan, pools,
-/// and workspaces are fully built before the steady state begins, so a
-/// single allocation inside is a regression of the memory plane. Regions
-/// outside this list (`mis_rounds`, `plan_replay`) ship content-dependent
-/// frames and are *measured*, not gated.
+/// Audit regions that must perform **zero** heap acquisitions over a whole
+/// scenario: each is a replay path whose plan, pools and workspaces are
+/// built before the steady state begins, so one allocation inside is a
+/// regression of the memory plane. Regions outside this list (`mis_rounds`,
+/// `plan_replay`) ship content-dependent frames and are reported only.
 const STEADY_REGIONS: &[&str] = &[
     "gmres_inner",
     "recv_values",
@@ -112,1460 +64,750 @@ const STEADY_REGIONS: &[&str] = &[
     "trisolve_replay",
 ];
 
-/// One scenario's allocation profile, read out of the audit-region
-/// registry after the scenario ran (`--profile-alloc`). Totals cover the
-/// scenario's whole run — warmup, timed reps, and the untimed stats pass —
-/// which is exactly what the zero gate wants: zero per scenario implies
-/// zero per operation.
-#[derive(Default)]
-struct AllocProfile {
-    /// Heap acquisitions (allocs + reallocs) inside steady regions.
-    allocs: u64,
-    /// Bytes acquired inside steady regions.
-    bytes: u64,
-    /// Per-region breakdown over *all* regions, `"name:allocs/bytes"`
-    /// space-separated.
-    regions: String,
+/// Dofs per node of `gen::elasticity_3d` = the tile size of the blocked rows.
+const DOFS: usize = 3;
+
+/// What the machine arms around a body.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Net {
+    Plain,
+    /// Reliable delivery and rank-loss recovery on, no fault fired: the
+    /// steady-state cost of the robustness layers.
+    Armed,
+    /// Armed, and rank 2 dies at its 60th comm op — mid-factorization,
+    /// after plans exist: the end-to-end time to recover.
+    Killed,
 }
 
-impl AllocProfile {
-    /// Folds the audit registry into a profile: steady-region totals plus
-    /// the full breakdown string.
-    fn from_registry(stats: &[pilut_allocaudit::RegionStats]) -> Self {
-        let mut p = AllocProfile::default();
-        let mut parts = Vec::with_capacity(stats.len());
-        for r in stats {
-            if STEADY_REGIONS.contains(&r.name) {
-                p.allocs += r.allocs;
-                p.bytes += r.bytes;
-            }
-            parts.push(format!("{}:{}/{}", r.name, r.allocs, r.bytes));
-        }
-        p.regions = parts.join(" ");
-        p
+/// A serial scenario, built once: the operation to time and what one
+/// operation establishes without a clock.
+struct Kernel<'a> {
+    facts: Facts,
+    op: Box<dyn FnMut() + 'a>,
+}
+
+/// One rank's share of a machine scenario.
+struct RankOut {
+    /// Barrier-aligned wall ns per operation (0 on a rank that died).
+    ns: u64,
+    /// This rank's share of the entries processed per operation.
+    nnz: usize,
+    /// `(fill, heap_bytes)` of this rank's factor rows, when the body holds them.
+    store: Option<(usize, usize)>,
+}
+
+type RankBody = fn(&mut Ctx, &DistMatrix, &IlutOptions, usize) -> RankOut;
+
+#[derive(Clone, Copy)]
+enum Body {
+    Serial(for<'a> fn(&'a CsrMatrix, &'a IlutOptions) -> Kernel<'a>),
+    Ranks(RankBody),
+}
+
+/// One row of the scenario table.
+#[derive(Clone, Copy)]
+pub(crate) struct Scenario {
+    pub(crate) name: &'static str,
+    /// The matrix, given the grid side.
+    matrix: fn(usize) -> CsrMatrix,
+    /// Grid side at (`--quick`, full) size.
+    dims: (usize, usize),
+    /// `None`: a serial kernel, no machine. `Some(p)`: `p` simulated ranks.
+    pub(crate) ranks: Option<usize>,
+    pub(crate) net: Net,
+    /// The factorization's options, given the problem dimension.
+    opts: fn(usize) -> IlutOptions,
+    /// Back-to-back operations per timed sample.
+    inner: usize,
+    body: Body,
+}
+
+const SERIAL_ILUT: Scenario = Scenario {
+    name: "serial_ilut",
+    matrix: |d| gen::convection_diffusion_2d(d, d, 4.0, -3.0),
+    dims: (24, 64),
+    ranks: None,
+    net: Net::Plain,
+    opts: |_| IlutOptions::new(10, 1e-4),
+    inner: 1,
+    body: Body::Serial(factor_kernel),
+};
+
+const TRISOLVE_SERIAL: Scenario = Scenario {
+    name: "trisolve_serial",
+    inner: 50,
+    body: Body::Serial(trisolve_kernel),
+    ..SERIAL_ILUT
+};
+
+/// The scalar twin of the blocked rows: same matrix, matched fill
+/// (m_scalar = [`DOFS`] · m_tile).
+const SERIAL_ILUT_DOF3: Scenario = Scenario {
+    name: "serial_ilut_dof3",
+    // 3 dofs per node: the input with a block structure to find.
+    matrix: |d| gen::elasticity_3d(d, d, d),
+    dims: (5, 14),
+    opts: |_| IlutOptions::new(10 * DOFS, 1e-4),
+    ..SERIAL_ILUT
+};
+
+const BLOCK_ILUT: Scenario = Scenario {
+    name: "block_ilut",
+    opts: |_| IlutOptions::new(10, 1e-4),
+    body: Body::Serial(block_factor_kernel),
+    ..SERIAL_ILUT_DOF3
+};
+
+const PAR_ILUT_P4: Scenario = Scenario {
+    name: "par_ilut_p4",
+    matrix: |d| gen::laplace_2d(d, d),
+    dims: (16, 48),
+    ranks: Some(4),
+    inner: 2,
+    body: Body::Ranks(par_ilut_ranks),
+    ..SERIAL_ILUT
+};
+
+const DIST_SOLVE_ROBUST_P4: Scenario = Scenario {
+    name: "dist_solve_robust_p4",
+    dims: (12, 32),
+    net: Net::Armed,
+    inner: 1,
+    body: Body::Ranks(robust_solve_ranks),
+    ..PAR_ILUT_P4
+};
+
+/// Every scenario, in report order. Rows that read as a pair sit next to
+/// each other: a scalar kernel and its one-rank or blocked counterpart.
+pub(crate) const SCENARIOS: [Scenario; 18] = [
+    SERIAL_ILUT,
+    // ILUT(n, 0) on a Laplacian: exact LU, the hardest fill per unknown.
+    Scenario {
+        name: "serial_ilut_unbounded",
+        matrix: |d| gen::laplace_2d(d, d),
+        dims: (12, 64),
+        opts: |n| IlutOptions::new(n, 0.0),
+        ..SERIAL_ILUT
+    },
+    TRISOLVE_SERIAL,
+    // The `trisolve_serial` factor (serial = one rank, entry for entry)
+    // through the distributed sweeps: zero messages, equal fill.
+    Scenario {
+        name: "dist_trisolve_p1",
+        ranks: Some(1),
+        body: Body::Ranks(dist_trisolve_ranks),
+        ..TRISOLVE_SERIAL
+    },
+    SERIAL_ILUT_DOF3,
+    BLOCK_ILUT,
+    Scenario {
+        name: "trisolve_serial_dof3",
+        inner: 50,
+        body: Body::Serial(trisolve_kernel),
+        ..SERIAL_ILUT_DOF3
+    },
+    Scenario {
+        name: "block_trisolve",
+        inner: 50,
+        body: Body::Serial(block_trisolve_kernel),
+        ..BLOCK_ILUT
+    },
+    // An n × 8 right-hand-side panel: Mnnz/s is per-RHS throughput, the
+    // gain over `block_trisolve` the amortised tile loads.
+    Scenario {
+        name: "block_trisolve_rhs8",
+        inner: 10,
+        body: Body::Serial(block_rhs8_kernel),
+        ..BLOCK_ILUT
+    },
+    Scenario {
+        name: "spmv",
+        matrix: |d| gen::laplace_2d(d, d),
+        dims: (40, 200),
+        inner: 50,
+        body: Body::Serial(spmv_kernel),
+        ..SERIAL_ILUT
+    },
+    // Right-preconditioned GMRES(30) to 1e-8, ILUT preconditioner.
+    Scenario {
+        name: "gmres_ilut",
+        matrix: |d| gen::convection_diffusion_2d(d, d, 8.0, 2.0),
+        dims: (16, 48),
+        inner: 1,
+        body: Body::Serial(gmres_kernel),
+        ..SERIAL_ILUT
+    },
+    PAR_ILUT_P4,
+    Scenario {
+        name: "par_ilut_p8",
+        ranks: Some(8),
+        ..PAR_ILUT_P4
+    },
+    Scenario {
+        name: "par_ilut_star_p4",
+        opts: |_| IlutOptions::star(10, 1e-4, 2),
+        ..PAR_ILUT_P4
+    },
+    Scenario {
+        name: "par_ilut_star_p8",
+        ranks: Some(8),
+        opts: |_| IlutOptions::star(10, 1e-4, 2),
+        ..PAR_ILUT_P4
+    },
+    // Factor + plan build once, then the distributed sweeps of paper §5.
+    Scenario {
+        name: "dist_trisolve_p4",
+        inner: 20,
+        body: Body::Ranks(dist_trisolve_ranks),
+        ..PAR_ILUT_P4
+    },
+    DIST_SOLVE_ROBUST_P4,
+    // Detection, world adoption, re-planning, re-factorization and the
+    // checkpoint-warm-started re-solve, all inside the timed operation.
+    Scenario {
+        name: "recovery_p4",
+        net: Net::Killed,
+        ..DIST_SOLVE_ROBUST_P4
+    },
+];
+
+// ---- Bodies ----------------------------------------------------------------
+
+fn must<T>(r: Result<T, FactorError>) -> T {
+    // lint: allow(unwrap): bench problems factor by construction; a failure is fatal to the measurement
+    r.expect("factorization failed")
+}
+
+fn factor_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
+    let (f, stats) = must(ilut_with_stats(a, opts));
+    Kernel {
+        facts: Facts::of(a.nnz(), Some(f.nnz()), Some(stats.flops)),
+        op: Box::new(move || {
+            std::hint::black_box(must(ilut(a, opts)));
+        }),
     }
 }
 
-/// One scenario's measurement.
-struct Measurement {
-    name: &'static str,
-    /// Problem dimension (unknowns).
-    n: usize,
-    /// Entries processed per operation (0 when no natural count exists).
-    nnz: usize,
-    reps: usize,
+fn trisolve_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
+    let f = must(ilut(a, opts));
+    let b: Vec<f64> = (0..a.n_rows()).map(|i| ((i % 13) as f64) - 6.0).collect();
+    let mut x = vec![0.0; a.n_rows()];
+    Kernel {
+        facts: Facts::of(f.nnz(), Some(f.nnz()), None),
+        op: Box::new(move || {
+            f.solve_into(&b, &mut x);
+            std::hint::black_box(&x);
+        }),
+    }
+}
+
+fn block_factor_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
+    let ab = BcsrMatrix::from_csr(a, DOFS);
+    let (f, stats) = must(block_ilut_with_stats(&ab, opts));
+    Kernel {
+        facts: Facts::of(a.nnz(), Some(f.stored_entries()), Some(stats.flops)),
+        op: Box::new(move || {
+            std::hint::black_box(must(block_ilut(&ab, opts)));
+        }),
+    }
+}
+
+fn block_trisolve_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
+    block_solve_kernel(a, opts, 1)
+}
+
+fn block_rhs8_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
+    block_solve_kernel(a, opts, 8)
+}
+
+/// The blocked factors solved against `k` right-hand sides at once; the
+/// panel streams each stored tile once for all `k`.
+fn block_solve_kernel<'a>(a: &'a CsrMatrix, opts: &IlutOptions, k: usize) -> Kernel<'a> {
+    let f = must(block_ilut(&BcsrMatrix::from_csr(a, DOFS), opts));
+    let slots = f.stored_entries();
+    let rhs: Vec<f64> = (0..a.n_rows() * k)
+        .map(|i| ((i % 29) as f64) * 0.25 - 3.5)
+        .collect();
+    let mut x = vec![0.0; f.padded_len() * k];
+    Kernel {
+        facts: Facts::of(slots * k, Some(slots), None),
+        op: Box::new(move || {
+            if k == 1 {
+                f.solve_into(&rhs, &mut x);
+            } else {
+                f.solve_panel_into(&rhs, k, &mut x);
+            }
+            std::hint::black_box(&x);
+        }),
+    }
+}
+
+fn spmv_kernel<'a>(a: &'a CsrMatrix, _: &'a IlutOptions) -> Kernel<'a> {
+    let x: Vec<f64> = (0..a.n_rows()).map(|i| (i as f64 * 0.37).sin()).collect();
+    let mut y = vec![0.0; a.n_rows()];
+    Kernel {
+        facts: Facts::of(a.nnz(), None, None),
+        op: Box::new(move || {
+            a.spmv(&x, &mut y);
+            std::hint::black_box(&y);
+        }),
+    }
+}
+
+fn gmres_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
+    let b = a.spmv_owned(&vec![1.0; a.n_rows()]);
+    let f = must(ilut(a, opts));
+    let fill = f.nnz();
+    let pre = IluPreconditioner::new(f);
+    let gopts = GmresOptions {
+        rtol: 1e-8,
+        ..GmresOptions::default()
+    };
+    let solve = move || {
+        let r = gmres(a, &b, &pre, &gopts);
+        assert!(r.converged, "gmres bench problem must converge");
+        r.matvecs
+    };
+    // The solver is deterministic: every solve applies A and the
+    // preconditioner `matvecs` times, which makes that the entry count.
+    Kernel {
+        facts: Facts::of((a.nnz() + fill) * solve(), Some(fill), None),
+        op: Box::new(move || {
+            std::hint::black_box(solve());
+        }),
+    }
+}
+
+/// Wall ns per operation of `inner` back-to-back `op`s on this rank, from a
+/// barrier-aligned start (the scenario reports the max over ranks, which
+/// is what a real machine would observe).
+fn timed(ctx: &mut Ctx, inner: usize, mut op: impl FnMut(&mut Ctx)) -> u64 {
+    ctx.barrier();
+    let t = Instant::now();
+    for _ in 0..inner {
+        op(ctx);
+    }
+    (t.elapsed().as_nanos() / inner as u128) as u64
+}
+
+fn local_nnz(dm: &DistMatrix, local: &LocalView) -> usize {
+    local.nodes.iter().map(|&g| dm.matrix().row_nnz(g)).sum()
+}
+
+fn par_ilut_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner: usize) -> RankOut {
+    let local = dm.local_view(ctx.rank());
+    let mut store = None;
+    let ns = timed(ctx, inner, |ctx| {
+        let rf = must(par_ilut(ctx, dm, &local, opts));
+        store = Some((rf.stats.nnz_l + rf.stats.nnz_u, rf.heap_bytes()));
+        std::hint::black_box(&rf);
+    });
+    RankOut {
+        ns,
+        nnz: local_nnz(dm, &local),
+        store,
+    }
+}
+
+fn dist_trisolve_ranks(
+    ctx: &mut Ctx,
+    dm: &DistMatrix,
+    opts: &IlutOptions,
     inner: usize,
+) -> RankOut {
+    let local = dm.local_view(ctx.rank());
+    let rf = must(par_ilut(ctx, dm, &local, opts));
+    let plan = TrisolvePlan::build(ctx, dm, &local, &rf);
+    let b: Vec<f64> = local.nodes.iter().map(|&g| (g as f64).sin()).collect();
+    let mut scratch = SolveScratch::build(&local, &plan);
+    let mut x = vec![0.0; local.len()];
+    let ns = timed(ctx, inner, |ctx| {
+        dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x);
+        std::hint::black_box(&x);
+    });
+    let fill = rf.stats.nnz_l + rf.stats.nnz_u;
+    RankOut {
+        ns,
+        nnz: fill,
+        store: Some((fill, rf.heap_bytes())),
+    }
+}
+
+/// The self-healing solve (`dist_solve_robust`: factor, plan, GMRES(30) to
+/// 1e-8, and the catch/adopt/shrink loop around them) on a known solution.
+fn robust_solve_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner: usize) -> RankOut {
+    let a = dm.matrix();
+    let x_true: Vec<f64> = (0..dm.n()).map(|i| 1.0 + (i % 3) as f64).collect();
+    let b = a.spmv_owned(&x_true);
+    let gopts = GmresOptions {
+        restart: 30,
+        rtol: 1e-8,
+        max_matvecs: 400,
+    };
+    let nnz = local_nnz(dm, &dm.local_view(ctx.rank()));
+    let mut dead = false;
+    let ns = timed(ctx, inner, |ctx| {
+        let rep = dist_solve_robust(ctx, a, &b, dm.dist(), opts, &gopts);
+        assert!(rep.dead || rep.converged, "survivors must converge");
+        dead = rep.dead;
+        std::hint::black_box(&rep);
+    });
+    RankOut {
+        ns: if dead { 0 } else { ns },
+        nnz,
+        store: None,
+    }
+}
+
+// ---- Runners ---------------------------------------------------------------
+
+/// The bit-reproducible half of a row: what one run of its body
+/// establishes without a clock. `paper`'s `kernels` experiment renders
+/// these; [`check`] asserts their self-consistency.
+#[derive(Default)]
+pub(crate) struct Facts {
+    pub(crate) n: usize,
+    /// Entries processed per operation.
+    pub(crate) nnz: usize,
+    pub(crate) fill: Option<usize>,
+    pub(crate) heap_bytes: Option<usize>,
+    /// Modelled flops: the factorization's own count on a serial row, the
+    /// machine's total on a machine row.
+    pub(crate) flops: Option<f64>,
+    /// Simulated T3D seconds of the whole stats pass (machine rows).
+    pub(crate) sim_time: Option<f64>,
+    /// Measured and planned traffic (all zero on a serial row).
+    pub(crate) stats: MachineStats,
+    /// Injected faults that fired. A killed epoch abandons planned rounds
+    /// mid-flight, so planned = measured is a fault-free contract only.
+    pub(crate) faults: usize,
+}
+
+impl Facts {
+    /// What a serial kernel can know (the runner fills in `n`).
+    fn of(nnz: usize, fill: Option<usize>, flops: Option<f64>) -> Facts {
+        Facts {
+            nnz,
+            fill,
+            flops,
+            ..Facts::default()
+        }
+    }
+}
+
+fn machine_run(s: &Scenario, dm: &DistMatrix, body: RankBody, inner: usize) -> RunOutput<RankOut> {
+    let (opts, ranks) = ((s.opts)(dm.n()), dm.dist().n_ranks());
+    let mut machine = Machine::builder(MachineModel::cray_t3d());
+    if s.net != Net::Plain {
+        machine = machine.reliable(true).recovery(true);
+    }
+    if s.net != Net::Killed {
+        return machine.run(ranks, |ctx| body(ctx, dm, &opts, inner));
+    }
+    let kill = FaultRule::new(FaultAction::Kill).rank(2).after_op(60);
+    machine = machine.fault_plan(FaultPlan::new(17).with(kill));
+    // The kill is by design and its unwind is handled inside the machine:
+    // keep the induced backtrace out of the log.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let out = machine.run(ranks, |ctx| body(ctx, dm, &opts, inner));
+    std::panic::set_hook(hook);
+    out
+}
+
+/// Median and min of `reps` samples taken after one warm-up.
+fn sample(reps: usize, mut op: impl FnMut() -> u64) -> (u64, u64) {
+    op();
+    let mut ns: Vec<u64> = (0..reps).map(|_| op()).collect();
+    ns.sort_unstable();
+    (ns[ns.len() / 2], ns[0])
+}
+
+/// Runs one row: `reps` timed samples when `reps > 0`, and the facts — for
+/// a machine row from exactly one further pass of the same body.
+fn run_row(s: &Scenario, quick: bool, reps: usize) -> Measurement {
+    let a = (s.matrix)(if quick { s.dims.0 } else { s.dims.1 });
+    let n = a.n_rows();
+    let (timing, facts) = match (s.body, s.ranks) {
+        (Body::Serial(build), _) => {
+            let opts = (s.opts)(n);
+            let mut k = build(&a, &opts);
+            let timing = (reps > 0).then(|| {
+                sample(reps, || {
+                    let t = Instant::now();
+                    (0..s.inner).for_each(|_| (k.op)());
+                    (t.elapsed().as_nanos() / s.inner as u128) as u64
+                })
+            });
+            (timing, Facts { n, ..k.facts })
+        }
+        (Body::Ranks(body), ranks) => {
+            // lint: allow(unwrap): a table invariant (unit-tested): every machine body names its ranks
+            let dm = DistMatrix::from_matrix(a, ranks.expect("machine rows set ranks"), 17);
+            let slowest = |out: RunOutput<RankOut>| out.results.iter().map(|r| r.ns).max();
+            let timing = (reps > 0).then(|| {
+                sample(reps, || {
+                    slowest(machine_run(s, &dm, body, s.inner)).unwrap_or(0)
+                })
+            });
+            let out = machine_run(s, &dm, body, 1);
+            let stores = out.results.iter().map(|r| r.store);
+            let store = stores.reduce(|x, y| Some((x?.0 + y?.0, x?.1 + y?.1)));
+            let facts = Facts {
+                n,
+                nnz: out.results.iter().map(|r| r.nnz).sum(),
+                fill: store.flatten().map(|s| s.0),
+                heap_bytes: store.flatten().map(|s| s.1),
+                flops: Some(out.stats.flops),
+                sim_time: Some(out.sim_time),
+                faults: out.injected_faults.len(),
+                stats: out.stats,
+            };
+            (timing, facts)
+        }
+    };
+    let (median_ns, min_ns) = timing.unwrap_or((0, 0));
+    Measurement {
+        row: *s,
+        reps,
+        median_ns,
+        min_ns,
+        facts,
+        regions: Vec::new(),
+    }
+}
+
+/// The facts of one row at its quick or full size, untimed.
+pub(crate) fn facts(s: &Scenario, quick: bool) -> Facts {
+    run_row(s, quick, 0).facts
+}
+
+/// One row's measurement: the reported wall half, the facts, and the
+/// scenario's audit-region traffic (warm-up, timed samples and stats pass
+/// together — zero per scenario implies zero per operation).
+struct Measurement {
+    row: Scenario,
+    reps: usize,
     median_ns: u64,
     min_ns: u64,
-    /// Total messages the scenario's machine run put on the wire (0 for
-    /// serial scenarios — they have no machine).
-    comm_messages: u64,
-    /// Total bytes behind `comm_messages`.
-    comm_bytes: u64,
-    /// Per-tag breakdown, `"name:messages/bytes"` space-separated (empty
-    /// for serial scenarios). Names come from `tags::tag_name`.
-    comm_tags: String,
-    /// Per-tag *predicted* traffic from the static `CommPlan` analysis
-    /// (`MachineStats::planned_by_tag`): `"name:messages/bytes"` when the
-    /// byte prediction is exact, `"name:messages/~"` for producer-defined
-    /// rounds that predict message counts only. `bench-verify` gates the
-    /// measured counters against this.
-    comm_planned: String,
-    /// Steady-region allocation profile (`--profile-alloc`; zeros and an
-    /// empty breakdown otherwise). `bench-verify` gates the
-    /// [`STEADY_REGIONS`] entries of the breakdown to zero.
-    alloc: AllocProfile,
+    facts: Facts,
+    regions: Vec<RegionStats>,
 }
 
 impl Measurement {
     fn mnnz_per_s(&self) -> f64 {
-        if self.nnz == 0 || self.median_ns == 0 {
-            0.0
-        } else {
-            self.nnz as f64 / (self.median_ns as f64 / 1e9) / 1e6
-        }
+        self.facts.nnz as f64 * 1e3 / self.median_ns.max(1) as f64
     }
 }
 
-/// Harness configuration, derived from the CLI flags.
-struct Cfg {
-    quick: bool,
-    reps: usize,
-}
-
-/// Entry point for `xtask bench`. Returns `Err(message)` on bad usage.
-pub fn run(args: &[String]) -> Result<(), String> {
-    let mut quick = false;
-    let mut scaling = false;
-    let mut profile_alloc = false;
-    let mut out_path = String::from("BENCH.json");
-    let mut label = String::from("local");
-    let mut baseline = String::from("none");
-    let mut only: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--scaling" => scaling = true,
-            "--profile-alloc" => profile_alloc = true,
-            "--out" => {
-                out_path = it
-                    .next()
-                    .ok_or_else(|| "--out needs a path".to_string())?
-                    .clone();
-            }
-            "--label" => {
-                label = it
-                    .next()
-                    .ok_or_else(|| "--label needs a value".to_string())?
-                    .clone();
-            }
-            "--baseline" => {
-                baseline = it
-                    .next()
-                    .ok_or_else(|| "--baseline needs a filename".to_string())?
-                    .clone();
-            }
-            "--scenario" => {
-                only.push(
-                    it.next()
-                        .ok_or_else(|| "--scenario needs a name".to_string())?
-                        .clone(),
-                );
-            }
-            other => return Err(format!("unknown bench flag {other}")),
-        }
-    }
-    let cfg = Cfg {
-        quick,
-        reps: if quick { 3 } else { 9 },
-    };
-    let all: Vec<(&'static str, fn(&Cfg) -> Measurement)> = if quick {
-        vec![
-            ("spmv", bench_spmv as fn(&Cfg) -> Measurement),
-            ("serial_ilut", bench_serial_ilut),
-        ]
-    } else {
-        vec![
-            ("serial_ilut", bench_serial_ilut as fn(&Cfg) -> Measurement),
-            ("serial_ilut_unbounded", bench_serial_ilut_unbounded),
-            ("trisolve_serial", bench_trisolve_serial),
-            ("block_ilut", bench_block_ilut),
-            ("block_trisolve", bench_block_trisolve),
-            ("block_trisolve_rhs8", bench_block_trisolve_rhs8),
-            ("spmv", bench_spmv),
-            ("gmres_ilut", bench_gmres),
-            ("par_ilut_p4", bench_par_ilut_p4),
-            ("par_ilut_p8", bench_par_ilut_p8),
-            ("par_ilut_star_p4", bench_par_ilut_star_p4),
-            ("par_ilut_star_p8", bench_par_ilut_star_p8),
-            ("dist_trisolve_p4", bench_dist_trisolve_p4),
-            ("dist_trisolve_p1", bench_dist_trisolve_p1),
-            ("dist_solve_robust_p4", bench_dist_solve_robust_p4),
-            ("recovery_p4", bench_recovery_p4),
-        ]
-    };
-    if profile_alloc && !pilut_allocaudit::audit_enabled() {
-        return Err("--profile-alloc needs the audit feature compiled in".to_string());
-    }
-    let mut results = Vec::new();
-    for (name, f) in all {
-        if !only.is_empty() && !only.iter().any(|s| s == name) {
-            continue;
-        }
-        eprint!("bench {name} ... ");
-        // Per-scenario audit window: reset the region registry, run the
-        // scenario (warmup + timed reps + stats pass — the regions count
-        // throughout, so the timings are the same with and without the
-        // flag), then read the accumulated per-region traffic back out.
-        if profile_alloc {
-            pilut_allocaudit::reset_regions();
-        }
-        let mut m = f(&cfg);
-        if profile_alloc {
-            m.alloc = AllocProfile::from_registry(&pilut_allocaudit::region_stats());
-        }
-        eprintln!(
-            "median {:.3} ms, min {:.3} ms{}{}",
-            m.median_ns as f64 / 1e6,
-            m.min_ns as f64 / 1e6,
-            if m.nnz > 0 {
-                format!(", {:.1} Mnnz/s", m.mnnz_per_s())
-            } else {
-                String::new()
-            },
-            if profile_alloc {
-                format!(", steady allocs {}", m.alloc.allocs)
-            } else {
-                String::new()
-            }
-        );
-        results.push(m);
-    }
-    if results.is_empty() {
-        return Err("no scenario matched the --scenario filter".to_string());
-    }
-    let curves = if scaling {
-        run_scaling(quick)
-    } else {
-        Vec::new()
-    };
-    let json = render_json(&label, &baseline, quick, &results, &curves);
-    std::fs::write(&out_path, &json).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!(
-        "bench: wrote {} scenario(s){} to {out_path}",
-        results.len(),
-        if curves.is_empty() {
-            String::new()
-        } else {
-            format!(" and {} scaling curve(s)", curves.len())
-        }
-    );
-    Ok(())
-}
-
-/// Folds a machine run's stats into the measurement's comm fields: the
-/// aggregate message/byte totals, the per-tag breakdown string, and the
-/// per-tag prediction string from the static plan analysis.
-fn comm_fields(stats: &MachineStats) -> (u64, u64, String, String) {
-    let detail = stats
-        .by_tag
-        .iter()
-        .map(|(&tag, &(m, b))| format!("{}:{m}/{b}", tags::tag_name(tag)))
-        .collect::<Vec<_>>()
-        .join(" ");
-    let planned = stats
-        .planned_by_tag
-        .iter()
-        .map(|(&tag, &(m, b, exact))| {
-            if exact {
-                format!("{}:{m}/{b}", tags::tag_name(tag))
-            } else {
-                format!("{}:{m}/~", tags::tag_name(tag))
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(" ");
-    (stats.messages, stats.bytes, detail, planned)
-}
-
-// ---------------------------------------------------------------------------
-// Timing helpers.
-
-/// Times `op` (`reps` samples of `inner` back-to-back calls after one
-/// warmup) and returns (median, min) ns per call.
-fn sample<F: FnMut()>(reps: usize, inner: usize, mut op: F) -> (u64, u64) {
-    op(); // warmup
-    let mut ns: Vec<u64> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        for _ in 0..inner {
-            op();
-        }
-        ns.push((t.elapsed().as_nanos() / inner as u128) as u64);
-    }
-    ns.sort_unstable();
-    (ns[ns.len() / 2], ns[0])
-}
-
-/// Like [`sample`] but for operations that measure themselves (the
-/// machine-backed scenarios report the max per-rank wall time).
-fn sample_reported<F: FnMut() -> u64>(reps: usize, mut op: F) -> (u64, u64) {
-    op(); // warmup
-    let mut ns: Vec<u64> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        ns.push(op());
-    }
-    ns.sort_unstable();
-    (ns[ns.len() / 2], ns[0])
-}
-
-// ---------------------------------------------------------------------------
-// Scenarios.
-
-fn bench_serial_ilut(cfg: &Cfg) -> Measurement {
-    let dim = if cfg.quick { 24 } else { 64 };
-    let a = gen::convection_diffusion_2d(dim, dim, 4.0, -3.0);
-    let opts = IlutOptions::new(10, 1e-4);
-    let (median_ns, min_ns) = sample(cfg.reps, 1, || {
-        // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-        let f = ilut(&a, &opts).expect("factorization failed");
-        std::hint::black_box(&f);
-    });
-    Measurement {
-        name: "serial_ilut",
-        n: a.n_rows(),
-        nnz: a.nnz(),
-        reps: cfg.reps,
-        inner: 1,
-        median_ns,
-        min_ns,
-        comm_messages: 0,
-        comm_bytes: 0,
-        comm_tags: String::new(),
-        comm_planned: String::new(),
-        alloc: AllocProfile::default(),
-    }
-}
-
-fn bench_serial_ilut_unbounded(cfg: &Cfg) -> Measurement {
-    let dim = if cfg.quick { 12 } else { 64 };
-    let a = gen::laplace_2d(dim, dim);
-    let opts = IlutOptions::new(a.n_rows(), 0.0);
-    let (median_ns, min_ns) = sample(cfg.reps, 1, || {
-        // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-        let f = ilut(&a, &opts).expect("factorization failed");
-        std::hint::black_box(&f);
-    });
-    Measurement {
-        name: "serial_ilut_unbounded",
-        n: a.n_rows(),
-        nnz: a.nnz(),
-        reps: cfg.reps,
-        inner: 1,
-        median_ns,
-        min_ns,
-        comm_messages: 0,
-        comm_bytes: 0,
-        comm_tags: String::new(),
-        comm_planned: String::new(),
-        alloc: AllocProfile::default(),
-    }
-}
-
-fn bench_trisolve_serial(cfg: &Cfg) -> Measurement {
-    let dim = if cfg.quick { 24 } else { 64 };
-    let a = gen::convection_diffusion_2d(dim, dim, 4.0, -3.0);
-    // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-    let f = ilut(&a, &IlutOptions::new(10, 1e-4)).expect("factorization failed");
-    let fill = f.nnz();
-    let b: Vec<f64> = (0..a.n_rows()).map(|i| ((i % 13) as f64) - 6.0).collect();
-    let mut x = vec![0.0; a.n_rows()];
-    let inner = 50;
-    let (median_ns, min_ns) = sample(cfg.reps, inner, || {
-        f.solve_into(&b, &mut x);
-        std::hint::black_box(&x);
-    });
-    Measurement {
-        name: "trisolve_serial",
-        n: a.n_rows(),
-        nnz: fill,
-        reps: cfg.reps,
-        inner,
-        median_ns,
-        min_ns,
-        comm_messages: 0,
-        comm_bytes: 0,
-        comm_tags: String::new(),
-        comm_planned: String::new(),
-        alloc: AllocProfile::default(),
-    }
-}
-
-/// Shared setup for the blocked scenarios: the `serial_ilut` matrix
-/// blocked at b = 4 (the widest tile the micro-kernels support), so every
-/// blocked row in the report has a scalar row to compare against.
-fn blocked_setup(cfg: &Cfg) -> (usize, BcsrMatrix) {
-    let dim = if cfg.quick { 24 } else { 64 };
-    let a = gen::convection_diffusion_2d(dim, dim, 4.0, -3.0);
-    let nnz = a.nnz();
-    (nnz, BcsrMatrix::from_csr(&a, 4))
-}
-
-fn bench_block_ilut(cfg: &Cfg) -> Measurement {
-    let (nnz, ab) = blocked_setup(cfg);
-    let opts = IlutOptions::new(10, 1e-4);
-    let (median_ns, min_ns) = sample(cfg.reps, 1, || {
-        // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-        let f = block_ilut(&ab, &opts).expect("factorization failed");
-        std::hint::black_box(&f);
-    });
-    Measurement {
-        name: "block_ilut",
-        n: ab.n_rows(),
-        nnz,
-        reps: cfg.reps,
-        inner: 1,
-        median_ns,
-        min_ns,
-        comm_messages: 0,
-        comm_bytes: 0,
-        comm_tags: String::new(),
-        comm_planned: String::new(),
-        alloc: AllocProfile::default(),
-    }
-}
-
-fn bench_block_trisolve(cfg: &Cfg) -> Measurement {
-    let (_, ab) = blocked_setup(cfg);
-    // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-    let f = block_ilut(&ab, &IlutOptions::new(10, 1e-4)).expect("factorization failed");
-    let slots = f.stored_entries();
-    let b: Vec<f64> = (0..ab.n_rows()).map(|i| ((i % 13) as f64) - 6.0).collect();
-    let mut x = vec![0.0; f.padded_len()];
-    let inner = 50;
-    let (median_ns, min_ns) = sample(cfg.reps, inner, || {
-        f.solve_into(&b, &mut x);
-        std::hint::black_box(&x);
-    });
-    Measurement {
-        name: "block_trisolve",
-        n: ab.n_rows(),
-        nnz: slots,
-        reps: cfg.reps,
-        inner,
-        median_ns,
-        min_ns,
-        comm_messages: 0,
-        comm_bytes: 0,
-        comm_tags: String::new(),
-        comm_planned: String::new(),
-        alloc: AllocProfile::default(),
-    }
-}
-
-fn bench_block_trisolve_rhs8(cfg: &Cfg) -> Measurement {
-    let (_, ab) = blocked_setup(cfg);
-    // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-    let f = block_ilut(&ab, &IlutOptions::new(10, 1e-4)).expect("factorization failed");
-    let k = 8;
-    // Per-RHS throughput: the panel streams each stored tile once for k
-    // right-hand sides, so the denominator is slots × k.
-    let slots = f.stored_entries() * k;
-    let n = ab.n_rows();
-    let rhs: Vec<f64> = (0..n * k).map(|i| ((i % 29) as f64) * 0.25 - 3.5).collect();
-    let mut x = vec![0.0; f.padded_len() * k];
-    let inner = 10;
-    let (median_ns, min_ns) = sample(cfg.reps, inner, || {
-        f.solve_panel_into(&rhs, k, &mut x);
-        std::hint::black_box(&x);
-    });
-    Measurement {
-        name: "block_trisolve_rhs8",
-        n,
-        nnz: slots,
-        reps: cfg.reps,
-        inner,
-        median_ns,
-        min_ns,
-        comm_messages: 0,
-        comm_bytes: 0,
-        comm_tags: String::new(),
-        comm_planned: String::new(),
-        alloc: AllocProfile::default(),
-    }
-}
-
-fn bench_spmv(cfg: &Cfg) -> Measurement {
-    let dim = if cfg.quick { 40 } else { 200 };
-    let a = gen::laplace_2d(dim, dim);
-    let x: Vec<f64> = (0..a.n_rows()).map(|i| (i as f64 * 0.37).sin()).collect();
-    let mut y = vec![0.0; a.n_rows()];
-    let inner = 50;
-    let (median_ns, min_ns) = sample(cfg.reps, inner, || {
-        a.spmv(&x, &mut y);
-        std::hint::black_box(&y);
-    });
-    Measurement {
-        name: "spmv",
-        n: a.n_rows(),
-        nnz: a.nnz(),
-        reps: cfg.reps,
-        inner,
-        median_ns,
-        min_ns,
-        comm_messages: 0,
-        comm_bytes: 0,
-        comm_tags: String::new(),
-        comm_planned: String::new(),
-        alloc: AllocProfile::default(),
-    }
-}
-
-fn bench_gmres(cfg: &Cfg) -> Measurement {
-    let dim = if cfg.quick { 16 } else { 48 };
-    let a = gen::convection_diffusion_2d(dim, dim, 8.0, 2.0);
-    let x_true = vec![1.0; a.n_rows()];
-    let b = a.spmv_owned(&x_true);
-    // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-    let f = ilut(&a, &IlutOptions::new(10, 1e-4)).expect("factorization failed");
-    let fill = f.nnz();
-    let pre = IluPreconditioner::new(f);
-    let opts = GmresOptions {
-        rtol: 1e-8,
-        ..GmresOptions::default()
-    };
-    // One untimed solve to learn the work per solve: the solver is
-    // deterministic, so every timed repetition performs the same
-    // `matvecs` applications of A (`a.nnz()` entries) and of the ILU
-    // preconditioner (`fill` entries). That entry count is the natural
-    // throughput denominator — without it the scenario reported
-    // `nnz: 0` / `0.00 Mnnz/s` and sat outside the gated trajectory.
-    let probe = gmres(&a, &b, &pre, &opts);
-    assert!(probe.converged, "gmres bench problem must converge");
-    let nnz = (a.nnz() + fill) * probe.matvecs;
-    let (median_ns, min_ns) = sample(cfg.reps, 1, || {
-        let r = gmres(&a, &b, &pre, &opts);
-        assert!(r.converged, "gmres bench problem must converge");
-        std::hint::black_box(&r);
-    });
-    Measurement {
-        name: "gmres_ilut",
-        n: a.n_rows(),
-        nnz,
-        reps: cfg.reps,
-        inner: 1,
-        median_ns,
-        min_ns,
-        comm_messages: 0,
-        comm_bytes: 0,
-        comm_tags: String::new(),
-        comm_planned: String::new(),
-        alloc: AllocProfile::default(),
-    }
-}
-
-/// Machine-backed factorization scenario: each rank times `inner`
-/// collective factorizations after a barrier; the scenario reports the max
-/// per-rank wall time, which is what a real machine would observe.
-fn bench_par_ilut(name: &'static str, cfg: &Cfg, p: usize, opts: IlutOptions) -> Measurement {
-    let dim = if cfg.quick { 16 } else { 48 };
-    let a = gen::laplace_2d(dim, dim);
-    let nnz = a.nnz();
-    let n = a.n_rows();
-    let dm = DistMatrix::from_matrix(a, p, 17);
-    let inner = 2;
-    let (median_ns, min_ns) = sample_reported(cfg.reps, || {
-        let out = Machine::run(p, MachineModel::cray_t3d(), |ctx| {
-            let local = dm.local_view(ctx.rank());
-            ctx.barrier();
-            let t = Instant::now();
-            for _ in 0..inner {
-                // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-                let rf = par_ilut(ctx, &dm, &local, &opts).expect("factorization failed");
-                std::hint::black_box(&rf);
-            }
-            (t.elapsed().as_nanos() / inner as u128) as u64
-        });
-        out.results.into_iter().max().unwrap_or(0)
-    });
-    // One untimed run to read the comm volume of a single factorization.
-    let stats = Machine::run(p, MachineModel::cray_t3d(), |ctx| {
-        let local = dm.local_view(ctx.rank());
-        // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-        let rf = par_ilut(ctx, &dm, &local, &opts).expect("factorization failed");
-        std::hint::black_box(&rf);
-    })
-    .stats;
-    let (comm_messages, comm_bytes, comm_tags, comm_planned) = comm_fields(&stats);
-    Measurement {
-        name,
-        n,
-        nnz,
-        reps: cfg.reps,
-        inner,
-        median_ns,
-        min_ns,
-        comm_messages,
-        comm_bytes,
-        comm_tags,
-        comm_planned,
-        alloc: AllocProfile::default(),
-    }
-}
-
-fn bench_par_ilut_p4(cfg: &Cfg) -> Measurement {
-    bench_par_ilut("par_ilut_p4", cfg, 4, IlutOptions::new(10, 1e-4))
-}
-
-fn bench_par_ilut_p8(cfg: &Cfg) -> Measurement {
-    bench_par_ilut("par_ilut_p8", cfg, 8, IlutOptions::new(10, 1e-4))
-}
-
-fn bench_par_ilut_star_p4(cfg: &Cfg) -> Measurement {
-    bench_par_ilut("par_ilut_star_p4", cfg, 4, IlutOptions::star(10, 1e-4, 2))
-}
-
-fn bench_par_ilut_star_p8(cfg: &Cfg) -> Measurement {
-    bench_par_ilut("par_ilut_star_p8", cfg, 8, IlutOptions::star(10, 1e-4, 2))
-}
-
-fn bench_dist_trisolve_p4(cfg: &Cfg) -> Measurement {
-    let dim = if cfg.quick { 16 } else { 48 };
-    bench_dist_trisolve("dist_trisolve_p4", cfg, 4, gen::laplace_2d(dim, dim), 20)
-}
-
-/// The `trisolve_serial` factor (same matrix, same ILUT(10, 1e-4), which at
-/// p = 1 is the serial factor entry for entry) replayed through the
-/// distributed sweeps with zero messages: what is left of the gap to
-/// `LuFactors::solve_into` is the distributed path's own overhead, and
-/// `bench-verify` gates the ratio of the two rates within one report.
-fn bench_dist_trisolve_p1(cfg: &Cfg) -> Measurement {
-    let dim = if cfg.quick { 24 } else { 64 };
-    let a = gen::convection_diffusion_2d(dim, dim, 4.0, -3.0);
-    bench_dist_trisolve("dist_trisolve_p1", cfg, 1, a, 50)
-}
-
-fn bench_dist_trisolve(
-    name: &'static str,
-    cfg: &Cfg,
-    p: usize,
-    a: pilut_sparse::CsrMatrix,
-    inner: usize,
-) -> Measurement {
-    let n = a.n_rows();
-    let dm = DistMatrix::from_matrix(a, p, 17);
-    let opts = IlutOptions::new(10, 1e-4);
-    let (median_ns, min_ns) = sample_reported(cfg.reps, || {
-        let out = Machine::run(p, MachineModel::cray_t3d(), |ctx| {
-            let local = dm.local_view(ctx.rank());
-            // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-            let rf = par_ilut(ctx, &dm, &local, &opts).expect("factorization failed");
-            let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
-            let b: Vec<f64> = local.nodes.iter().map(|&g| (g as f64).sin()).collect();
-            let mut scratch = SolveScratch::build(&local, &plan);
-            let mut x = vec![0.0; local.len()];
-            ctx.barrier();
-            let t = Instant::now();
-            for _ in 0..inner {
-                dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x);
-                std::hint::black_box(&x);
-            }
-            (t.elapsed().as_nanos() / inner as u128) as u64
-        });
-        out.results.into_iter().max().unwrap_or(0)
-    });
-    // Factor fill for the throughput figure plus the comm volume of one
-    // factor + plan build + solve: rebuild once outside timing.
-    let (fill, stats) = {
-        let out = Machine::run(p, MachineModel::cray_t3d(), |ctx| {
-            let local = dm.local_view(ctx.rank());
-            // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-            let rf = par_ilut(ctx, &dm, &local, &opts).expect("factorization failed");
-            let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
-            let b: Vec<f64> = local.nodes.iter().map(|&g| (g as f64).sin()).collect();
-            let mut scratch = SolveScratch::build(&local, &plan);
-            let mut x = vec![0.0; local.len()];
-            dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x);
-            std::hint::black_box(&x);
-            rf.stats.nnz_l + rf.stats.nnz_u
-        });
-        (out.results.into_iter().sum::<usize>(), out.stats)
-    };
-    let (comm_messages, comm_bytes, comm_tags, comm_planned) = comm_fields(&stats);
-    Measurement {
-        name,
-        n,
-        nnz: fill,
-        reps: cfg.reps,
-        inner,
-        median_ns,
-        min_ns,
-        comm_messages,
-        comm_bytes,
-        comm_tags,
-        comm_planned,
-        alloc: AllocProfile::default(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Robustness scenarios: the self-healing solve with and without a kill.
-
-/// Shared setup for the robustness scenarios: matrix, known-solution RHS,
-/// and partitioned distribution at p = 4.
-fn robust_setup(cfg: &Cfg) -> (pilut_sparse::CsrMatrix, Vec<f64>, Distribution) {
-    let dim = if cfg.quick { 12 } else { 32 };
-    let a = gen::laplace_2d(dim, dim);
-    let n = a.n_rows();
-    let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
-    let b = a.spmv_owned(&x_true);
-    let dist = Distribution::from_matrix(&a, 4, 17);
-    (a, b, dist)
-}
-
-fn robust_gmres_opts() -> GmresOptions {
-    GmresOptions {
-        restart: 30,
-        rtol: 1e-8,
-        max_matvecs: 400,
-    }
-}
-
-/// Machine with both robustness layers armed (the configuration every
-/// robust production solve would run under).
-fn robust_machine(plan: Option<FaultPlan>) -> pilut_par::MachineBuilder {
-    let mut b = Machine::builder(MachineModel::cray_t3d())
-        .reliable(true)
-        .recovery(true);
-    if let Some(plan) = plan {
-        b = b.fault_plan(plan);
-    }
-    b
-}
-
-/// Steady-state overhead scenario: reliable delivery and recovery armed,
-/// zero faults fired. Trackable against the plain solve scenarios — the
-/// robustness layers must cost nothing when nothing goes wrong, and the
-/// recorded planned traffic lets `bench-verify --slack 0` prove no ack or
-/// recovery frame ever hit the wire.
-fn bench_dist_solve_robust_p4(cfg: &Cfg) -> Measurement {
-    let p = 4;
-    let (a, b, dist) = robust_setup(cfg);
-    let opts = IlutOptions::new(10, 1e-4);
-    let gopts = robust_gmres_opts();
-    let (median_ns, min_ns) = sample_reported(cfg.reps, || {
-        let out = robust_machine(None).run(p, |ctx| {
-            ctx.barrier();
-            let t = Instant::now();
-            let rep = dist_solve_robust(ctx, &a, &b, &dist, &opts, &gopts);
-            assert!(rep.converged, "bench solve must converge");
-            std::hint::black_box(&rep);
-            t.elapsed().as_nanos() as u64
-        });
-        out.results.into_iter().max().unwrap_or(0)
-    });
-    let stats = robust_machine(None)
-        .run(p, |ctx| {
-            let rep = dist_solve_robust(ctx, &a, &b, &dist, &opts, &gopts);
-            std::hint::black_box(&rep);
-        })
-        .stats;
-    let (comm_messages, comm_bytes, comm_tags, comm_planned) = comm_fields(&stats);
-    Measurement {
-        name: "dist_solve_robust_p4",
-        n: a.n_rows(),
-        nnz: a.nnz(),
-        reps: cfg.reps,
-        inner: 1,
-        median_ns,
-        min_ns,
-        comm_messages,
-        comm_bytes,
-        comm_tags,
-        comm_planned,
-        alloc: AllocProfile::default(),
-    }
-}
-
-/// The deterministic kill every `recovery_p4` run survives: rank 2 dies at
-/// its 60th comm op — mid-factorization, after plans exist.
-fn recovery_kill_plan() -> FaultPlan {
-    FaultPlan::new(17).with(FaultRule::new(FaultAction::Kill).rank(2).after_op(60))
-}
-
-/// Time-to-recover scenario: the same robust solve with a mid-solve kill.
-/// The measured wall time spans loss detection, world adoption, the
-/// recovery agreement round, shrink-and-redistribute re-planning,
-/// re-factorization, and the checkpoint-warm-started re-solve to
-/// convergence.
-fn bench_recovery_p4(cfg: &Cfg) -> Measurement {
-    let p = 4;
-    let (a, b, dist) = robust_setup(cfg);
-    let opts = IlutOptions::new(10, 1e-4);
-    let gopts = robust_gmres_opts();
-    // Every run kills a rank by design; keep its induced backtrace out of
-    // the bench log (the unwind is caught and handled inside the machine).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let (median_ns, min_ns) = sample_reported(cfg.reps, || {
-        let out = robust_machine(Some(recovery_kill_plan())).run(p, |ctx| {
-            ctx.barrier();
-            let t = Instant::now();
-            let rep = dist_solve_robust(ctx, &a, &b, &dist, &opts, &gopts);
-            std::hint::black_box(&rep);
-            if rep.dead {
-                0
-            } else {
-                assert!(rep.converged, "survivors must converge");
-                assert!(!rep.recoveries.is_empty(), "the kill must be recovered");
-                t.elapsed().as_nanos() as u64
-            }
-        });
-        out.results.into_iter().max().unwrap_or(0)
-    });
-    // Untimed run for the comm totals. The planned column stays blank on
-    // purpose: the killed epoch abandons its planned rounds mid-flight, so
-    // planned-vs-measured agreement is a contract of the fault-free path
-    // only (`dist_solve_robust_p4` carries it).
-    let stats = robust_machine(Some(recovery_kill_plan()))
-        .run(p, |ctx| {
-            let rep = dist_solve_robust(ctx, &a, &b, &dist, &opts, &gopts);
-            std::hint::black_box(&rep);
-        })
-        .stats;
-    std::panic::set_hook(default_hook);
-    let (comm_messages, comm_bytes, comm_tags, _) = comm_fields(&stats);
-    Measurement {
-        name: "recovery_p4",
-        n: a.n_rows(),
-        nnz: a.nnz(),
-        reps: cfg.reps,
-        inner: 1,
-        median_ns,
-        min_ns,
-        comm_messages,
-        comm_bytes,
-        comm_tags,
-        comm_planned: String::new(),
-        alloc: AllocProfile::default(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scaling sweeps (`--scaling`).
-
-/// One (p, time) sample on a scaling curve, with the serial reference time
-/// for the same matrix alongside so the speedup is self-contained.
-struct ScalingPoint {
-    p: usize,
-    n: usize,
-    nnz: usize,
-    /// Serial ILUT wall time on this point's matrix.
-    serial_ns: u64,
-    /// Max-over-ranks parallel factorization wall time.
-    par_ns: u64,
-}
-
-impl ScalingPoint {
-    fn speedup(&self) -> f64 {
-        if self.par_ns == 0 {
-            0.0
-        } else {
-            self.serial_ns as f64 / self.par_ns as f64
-        }
-    }
-}
-
-/// A strong- or weak-scaling sweep over processor counts for one problem
-/// family.
-struct ScalingScenario {
-    scenario: &'static str,
-    /// `"strong"` (fixed matrix, growing p) or `"weak"` (matrix grows
-    /// with p).
-    mode: &'static str,
-    /// Generator family, for the report reader.
-    gen_name: &'static str,
-    points: Vec<ScalingPoint>,
-}
-
-impl ScalingScenario {
-    /// Smallest p whose speedup over serial reaches 1.0 — the
-    /// serial/parallel crossover the report tracks. 0 when no point
-    /// crosses.
-    fn crossover_p(&self) -> usize {
-        self.points
-            .iter()
-            .filter(|pt| pt.speedup() >= 1.0)
-            .map(|pt| pt.p)
-            .min()
-            .unwrap_or(0)
-    }
-}
-
-/// Times one serial ILUT factorization of `a`.
-fn time_serial_ilut(a: &pilut_sparse::CsrMatrix, opts: &IlutOptions) -> u64 {
-    let t = Instant::now();
-    // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-    let f = ilut(a, opts).expect("factorization failed");
-    std::hint::black_box(&f);
-    t.elapsed().as_nanos() as u64
-}
-
-/// Times one parallel ILUT factorization of `dm` on `p` simulated ranks;
-/// reports the max per-rank wall time after a barrier, as
-/// [`bench_par_ilut`] does.
-fn time_par_ilut(dm: &DistMatrix, p: usize, opts: &IlutOptions) -> u64 {
-    let out = Machine::run(p, MachineModel::cray_t3d(), |ctx| {
-        let local = dm.local_view(ctx.rank());
-        ctx.barrier();
-        let t = Instant::now();
-        // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
-        let rf = par_ilut(ctx, dm, &local, opts).expect("factorization failed");
-        std::hint::black_box(&rf);
-        t.elapsed().as_nanos() as u64
-    });
-    out.results.into_iter().max().unwrap_or(0)
-}
-
-/// Runs the strong- and weak-scaling sweeps. Single timed run per point —
-/// the full-mode problems are 10–100× the gated scenarios (n ≥ 10⁶ at the
-/// top), so each factorization runs for seconds and the curve shape, not
-/// the last percent, is the product. Quick mode shrinks both families to
-/// a two-point smoke that exercises the identical code path.
-fn run_scaling(quick: bool) -> Vec<ScalingScenario> {
-    let opts = IlutOptions::new(10, 1e-4);
-    let mut out = Vec::new();
-
-    // Strong scaling: one fixed 3-D Laplacian, partitioned for each p.
-    let (dim, ps): (usize, &[usize]) = if quick {
-        (12, &[1, 2])
-    } else {
-        (100, &[1, 2, 4, 8])
-    };
-    let a = gen::laplace_3d(dim, dim, dim);
-    let (n, nnz) = (a.n_rows(), a.nnz());
-    eprint!("scaling strong_laplace3d n={n} serial ... ");
-    let serial_ns = time_serial_ilut(&a, &opts);
-    eprintln!("{:.3} s", serial_ns as f64 / 1e9);
-    let mut points = Vec::new();
-    for &p in ps {
-        eprint!("scaling strong_laplace3d p={p} ... ");
-        let dm = DistMatrix::from_matrix(a.clone(), p, 17);
-        let par_ns = time_par_ilut(&dm, p, &opts);
-        let pt = ScalingPoint {
-            p,
-            n,
-            nnz,
-            serial_ns,
-            par_ns,
-        };
-        eprintln!("{:.3} s, speedup {:.2}", par_ns as f64 / 1e9, pt.speedup());
-        points.push(pt);
-    }
-    out.push(ScalingScenario {
-        scenario: "strong_laplace3d",
-        mode: "strong",
-        gen_name: "laplace_3d",
-        points,
-    });
-
-    // Weak scaling: fem_torso grown with p so work per rank stays near
-    // constant (the ellipsoid mask keeps ~0.52·dim³ unknowns, so dims are
-    // chosen for n(p) ≈ p · n(1); the top full-mode point passes 10⁶
-    // unknowns). Serial reference re-timed per point since the matrix
-    // changes.
-    let pdims: &[(usize, usize)] = if quick {
-        &[(1, 10), (2, 13)]
-    } else {
-        &[(1, 69), (2, 87), (4, 110), (8, 138)]
-    };
-    let mut points = Vec::new();
-    for &(p, dim) in pdims {
-        let a = gen::fem_torso(dim, 7);
-        let (n, nnz) = (a.n_rows(), a.nnz());
-        eprint!("scaling weak_fem_torso p={p} n={n} ... ");
-        let serial_ns = time_serial_ilut(&a, &opts);
-        let dm = DistMatrix::from_matrix(a, p, 17);
-        let par_ns = time_par_ilut(&dm, p, &opts);
-        let pt = ScalingPoint {
-            p,
-            n,
-            nnz,
-            serial_ns,
-            par_ns,
-        };
-        eprintln!(
-            "serial {:.3} s, par {:.3} s, speedup {:.2}",
-            serial_ns as f64 / 1e9,
-            par_ns as f64 / 1e9,
-            pt.speedup()
-        );
-        points.push(pt);
-    }
-    out.push(ScalingScenario {
-        scenario: "weak_fem_torso",
-        mode: "weak",
-        gen_name: "fem_torso",
-        points,
-    });
-    out
-}
-
-// ---------------------------------------------------------------------------
-// JSON.
-
-fn render_json(
-    label: &str,
-    baseline: &str,
-    quick: bool,
-    results: &[Measurement],
-    curves: &[ScalingScenario],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"pilut-bench-v2\",\n");
-    out.push_str(&format!("  \"label\": \"{label}\",\n"));
-    out.push_str(&format!("  \"baseline\": \"{baseline}\",\n"));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"nnz\": {}, \"reps\": {}, \"inner\": {}, \
-             \"median_ns\": {}, \"min_ns\": {}, \"mnnz_per_s\": {:.2}, \
-             \"comm_messages\": {}, \"comm_bytes\": {}, \"comm_tags\": \"{}\", \
-             \"comm_planned\": \"{}\", \"allocs\": {}, \"alloc_bytes\": {}, \
-             \"alloc_regions\": \"{}\"}}{}\n",
-            m.name,
-            m.n,
-            m.nnz,
-            m.reps,
-            m.inner,
-            m.median_ns,
-            m.min_ns,
-            m.mnnz_per_s(),
-            m.comm_messages,
-            m.comm_bytes,
-            m.comm_tags,
-            m.comm_planned,
-            m.alloc.allocs,
-            m.alloc.bytes,
-            m.alloc.regions,
-            if i + 1 < results.len() { "," } else { "" }
+/// The gate: every invariant a row must satisfy on its own, checked on the
+/// typed measurement. The error names the scenario and the tag or region.
+fn check(m: &Measurement) -> Result<(), String> {
+    let stats = &m.facts.stats;
+    let fail = |what: String| Err(format!("scenario {}: {what}", m.row.name));
+    if m.row.ranks.is_none() && stats.messages + stats.bytes != 0 {
+        let (msgs, bytes) = (stats.messages, stats.bytes);
+        return fail(format!(
+            "a serial row must put nothing on the wire, measured {msgs} message(s) / {bytes} byte(s)"
         ));
     }
-    if curves.is_empty() {
-        out.push_str("  ]\n}\n");
-        return out;
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"scaling\": [\n");
-    for (i, c) in curves.iter().enumerate() {
-        let points = c
-            .points
-            .iter()
-            .map(|pt| {
-                format!(
-                    "{{\"p\": {}, \"n\": {}, \"nnz\": {}, \"serial_ns\": {}, \
-                     \"par_ns\": {}, \"speedup\": {:.3}}}",
-                    pt.p,
-                    pt.n,
-                    pt.nnz,
-                    pt.serial_ns,
-                    pt.par_ns,
-                    pt.speedup()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"mode\": \"{}\", \"gen\": \"{}\", \
-             \"crossover_p\": {}, \"points\": [{}]}}{}\n",
-            c.scenario,
-            c.mode,
-            c.gen_name,
-            c.crossover_p(),
-            points,
-            if i + 1 < curves.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Entry point for `xtask bench-verify <file> [--slack PCT]`: structural
-/// well-formedness check of a bench JSON report plus the planned-vs-
-/// measured traffic gate, used by the CI smoke run. Verifies the schema
-/// marker, that at least one scenario is present, that every scenario line
-/// carries the required numeric fields with positive timings — and that
-/// every machine scenario's measured per-tag counters agree with the
-/// static `CommPlan` predictions it recorded: message counts exactly,
-/// byte counts within `--slack` percent (default 0 — the values-only wire
-/// format is deterministic, so the exact predictions must hold to the
-/// byte; the flag exists for future payloads with platform-dependent
-/// encodings). Measured traffic on a protocol tag no plan predicted is a
-/// data-plane escape and always fails. Serial scenarios — every name
-/// without a `_p<ranks>` suffix — run no machine at all, so their
-/// `comm_messages` must be exactly zero: a nonzero count there means a
-/// serial code path acquired a hidden machine dependency. Scaling curves,
-/// when present, must each carry their mode, generator, crossover verdict,
-/// and at least one fully-populated point.
-///
-/// v2 reports additionally carry the memory-plane columns (`allocs`,
-/// `alloc_bytes`, `alloc_regions`) and are gated on them: every
-/// [`STEADY_REGIONS`] entry in a scenario's region breakdown must report
-/// exactly zero heap acquisitions — the zero-steady-alloc gate. v1
-/// baselines predate the memory plane and verify on the comm contract
-/// alone.
-pub fn verify(args: &[String]) -> Result<(), String> {
-    let mut path: Option<&String> = None;
-    let mut slack_pct = 0.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--slack" => {
-                slack_pct = it
-                    .next()
-                    .ok_or_else(|| "--slack needs a percentage".to_string())?
-                    .parse()
-                    .map_err(|e| format!("bad --slack value: {e}"))?;
+    if m.facts.faults == 0 {
+        for (&tag, &(messages, bytes, exact)) in &stats.planned_by_tag {
+            let (name, (mm, mb)) = (tags::tag_name(tag), stats.tag_totals(tag));
+            if mm != messages {
+                return fail(format!(
+                    "tag {name}: planned {messages} message(s), measured {mm}"
+                ));
             }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown bench-verify flag {other}"));
-            }
-            _ if path.is_none() => path = Some(arg),
-            other => return Err(format!("unexpected bench-verify argument {other}")),
-        }
-    }
-    let path = path.ok_or_else(|| "usage: bench-verify <file.json> [--slack PCT]".to_string())?;
-    let content =
-        std::fs::read_to_string(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
-    // v2 reports carry the allocation columns and are gated on them; v1
-    // baselines from earlier PRs predate the memory plane and still verify
-    // on their comm contract alone.
-    let v2 = content.contains("\"schema\": \"pilut-bench-v2\"");
-    if !v2 && !content.contains("\"schema\": \"pilut-bench-v1\"") {
-        return Err(format!("{path}: missing pilut-bench-v1/v2 schema marker"));
-    }
-    // Brace balance (the writer emits no braces inside strings).
-    let opens = content.matches('{').count();
-    let closes = content.matches('}').count();
-    if opens != closes || opens == 0 {
-        return Err(format!(
-            "{path}: unbalanced JSON braces ({opens} vs {closes})"
-        ));
-    }
-    let mut scenarios = 0usize;
-    let mut curves = 0usize;
-    // Entries per nanosecond of the median rep, by scenario name.
-    let mut rate_per_ns: HashMap<String, f64> = HashMap::new();
-    for line in content.lines() {
-        let line = line.trim();
-        // Scaling curves (optional — only `--scaling` reports carry them):
-        // each must name its mode and generator, carry a crossover verdict,
-        // and hold at least one fully-populated point.
-        if line.starts_with("{\"scenario\":") {
-            curves += 1;
-            for key in [
-                "\"mode\":",
-                "\"gen\":",
-                "\"crossover_p\":",
-                "\"points\": [{\"p\":",
-                "\"serial_ns\":",
-                "\"par_ns\":",
-                "\"speedup\":",
-            ] {
-                if !line.contains(key) {
-                    return Err(format!("{path}: scaling curve {curves} missing {key}"));
-                }
-            }
-            continue;
-        }
-        if !line.starts_with("{\"name\":") {
-            continue;
-        }
-        scenarios += 1;
-        for key in [
-            "\"n\":",
-            "\"nnz\":",
-            "\"reps\":",
-            "\"inner\":",
-            "\"mnnz_per_s\":",
-            "\"comm_messages\":",
-            "\"comm_bytes\":",
-        ] {
-            if !line.contains(key) {
-                return Err(format!("{path}: scenario {scenarios} missing {key}"));
+            if exact && mb != bytes {
+                return fail(format!(
+                    "tag {name}: planned {bytes} byte(s), measured {mb}"
+                ));
             }
         }
-        let median = field_u64(line, "\"median_ns\":")
-            .ok_or_else(|| format!("{path}: scenario {scenarios} missing median_ns"))?;
-        let min = field_u64(line, "\"min_ns\":")
-            .ok_or_else(|| format!("{path}: scenario {scenarios} missing min_ns"))?;
-        if median == 0 || min == 0 || min > median {
-            return Err(format!(
-                "{path}: scenario {scenarios} has implausible timings (median {median}, min {min})"
-            ));
-        }
-        let measured = field_str(line, "\"comm_tags\":").unwrap_or_default();
-        let planned = field_str(line, "\"comm_planned\":").unwrap_or_default();
-        check_planned(&measured, &planned, slack_pct)
-            .map_err(|e| format!("{path}: scenario {scenarios}: {e}"))?;
-        let name = field_str(line, "\"name\":")
-            .ok_or_else(|| format!("{path}: scenario {scenarios} missing name"))?;
-        let comm = field_u64(line, "\"comm_messages\":")
-            .ok_or_else(|| format!("{path}: scenario {scenarios} missing comm_messages"))?;
-        let nnz = field_u64(line, "\"nnz\":").unwrap_or(0);
-        rate_per_ns.insert(name.clone(), nnz as f64 / median as f64);
-        if !is_machine_scenario(&name) && comm != 0 {
-            return Err(format!(
-                "{path}: serial scenario {name} reports {comm} comm message(s); \
-                 a serial path must put nothing on the wire"
-            ));
-        }
-        if v2 {
-            // The zero-steady-alloc gate: a v2 scenario must carry the
-            // allocation columns, and every steady region in its breakdown
-            // must report exactly zero heap acquisitions. Scenarios
-            // profiled without `--profile-alloc` carry an empty breakdown
-            // and pass vacuously; the CI bench run profiles.
-            for key in ["\"allocs\":", "\"alloc_bytes\":", "\"alloc_regions\":"] {
-                if !line.contains(key) {
-                    return Err(format!("{path}: scenario {name} missing {key}"));
-                }
-            }
-            let regions = field_str(line, "\"alloc_regions\":").unwrap_or_default();
-            for (region, allocs, bytes) in
-                parse_breakdown(&regions).map_err(|e| format!("{path}: scenario {name}: {e}"))?
-            {
-                if STEADY_REGIONS.contains(&region.as_str()) && allocs != 0 {
-                    return Err(format!(
-                        "{path}: scenario {name}: steady region {region} acquired \
-                         {allocs} allocation(s) / {} byte(s); steady-state replay \
-                         paths must not touch the heap",
-                        bytes.unwrap_or(0)
-                    ));
-                }
-            }
-        }
-    }
-    if scenarios == 0 {
-        return Err(format!("{path}: no scenarios recorded"));
-    }
-    // The ratio gate: the distributed sweeps at p = 1 replay the very
-    // factor `trisolve_serial` times, so within one report (same box, same
-    // minutes) their rate must reach half the serial one. A ratio of two
-    // rates measured side by side survives a noisy host where an absolute
-    // floor would not.
-    if let (Some(serial), Some(dist)) = (
-        rate_per_ns.get("trisolve_serial"),
-        rate_per_ns.get("dist_trisolve_p1"),
-    ) {
-        if *dist < 0.5 * serial {
-            return Err(format!(
-                "{path}: dist_trisolve_p1 runs at {:.2}x trisolve_serial \
-                 ({:.1} vs {:.1} Mnnz/s); the floor is 0.5x",
-                dist / serial,
-                dist * 1e3,
-                serial * 1e3
-            ));
-        }
-    }
-    println!(
-        "bench-verify: {path} ok ({scenarios} scenario(s), {curves} scaling curve(s), \
-         slack {slack_pct}%)"
-    );
-    Ok(())
-}
-
-/// Whether a scenario name marks a machine-backed run: the `_p<ranks>`
-/// naming convention every parallel scenario follows (`par_ilut_p4`,
-/// `dist_solve_robust_p4`, ...). Everything else is serial and must report
-/// zero communication.
-fn is_machine_scenario(name: &str) -> bool {
-    name.match_indices("_p").any(|(i, _)| {
-        name.as_bytes()
-            .get(i + 2)
-            .is_some_and(|c| c.is_ascii_digit())
-    })
-}
-
-/// Parses a `"name:messages/bytes"` breakdown string into a map; a `~`
-/// byte field (inexact prediction) parses as `None`.
-fn parse_breakdown(s: &str) -> Result<Vec<(String, u64, Option<u64>)>, String> {
-    let mut out = Vec::new();
-    for entry in s.split_whitespace() {
-        let (name, counts) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("malformed breakdown entry {entry}"))?;
-        let (m, b) = counts
-            .split_once('/')
-            .ok_or_else(|| format!("malformed breakdown entry {entry}"))?;
-        let messages: u64 = m
-            .parse()
-            .map_err(|e| format!("bad count in {entry}: {e}"))?;
-        let bytes = if b == "~" {
-            None
-        } else {
-            Some(
-                b.parse()
-                    .map_err(|e| format!("bad bytes in {entry}: {e}"))?,
-            )
-        };
-        out.push((name.to_string(), messages, bytes));
-    }
-    Ok(out)
-}
-
-/// The planned-vs-measured gate of `bench-verify`: every prediction the
-/// scenario's plans recorded must agree with what the machine measured —
-/// message counts exactly, exact byte predictions within `slack_pct`
-/// percent — and every measured protocol tag must have a prediction.
-/// Collective traffic (`coll`) is gated like every other tag when the
-/// report carries a `coll` prediction; only reports written before the
-/// collectives planned themselves get the explicit legacy allowance
-/// below. Scenarios with no predictions (serial, or reports predating
-/// the analysis) pass vacuously.
-fn check_planned(measured: &str, planned: &str, slack_pct: f64) -> Result<(), String> {
-    let planned = parse_breakdown(planned)?;
-    if planned.is_empty() {
-        return Ok(());
-    }
-    let measured = parse_breakdown(measured)?;
-    for (name, pm, pb) in &planned {
-        // A tag absent from the measured breakdown shipped nothing: that
-        // agrees with a plan of zero messages (a one-rank machine has no
-        // peers) and fails the count check below otherwise.
-        let absent = (String::new(), 0, Some(0));
-        let found = measured.iter().find(|(n, _, _)| n == name);
-        let (_, mm, mb) = found.unwrap_or(&absent);
-        if mm != pm {
-            return Err(format!(
-                "tag {name}: planned {pm} message(s), measured {mm}"
-            ));
-        }
-        if let (Some(pb), Some(mb)) = (pb, mb) {
-            let diverge_pct = if *pb == 0 {
-                if *mb == 0 {
-                    0.0
-                } else {
-                    100.0
-                }
-            } else {
-                (*mb as f64 - *pb as f64).abs() * 100.0 / *pb as f64
-            };
-            if diverge_pct > slack_pct {
-                return Err(format!(
-                    "tag {name}: predicted {pb} byte(s), measured {mb} \
-                     ({diverge_pct:.2}% > {slack_pct}% slack)"
+        for (&tag, &(mm, _)) in &stats.by_tag {
+            if !stats.planned_by_tag.contains_key(&tag) {
+                let name = tags::tag_name(tag);
+                return fail(format!(
+                    "tag {name}: {mm} measured message(s) bypassed the planned data plane"
                 ));
             }
         }
     }
-    for (name, mm, _) in &measured {
-        if name == "coll" && !planned.iter().any(|(n, _, _)| n == "coll") {
-            // Deliberate legacy allowance, not a silent skip: collectives
-            // have planned their own message counts since PR 7, so any
-            // report written by the current harness carries a `coll`
-            // prediction and is gated by the loop above. A measured-only
-            // `coll` entry can therefore only come from a baseline file
-            // written by an older harness — let it pass instead of
-            // retroactively failing history. Every other unplanned tag is
-            // still a data-plane escape.
-            continue;
-        }
-        if !planned.iter().any(|(n, _, _)| n == name) {
-            return Err(format!(
-                "tag {name}: {mm} measured message(s) bypassed the planned data plane"
+    for r in &m.regions {
+        if STEADY_REGIONS.contains(&r.name) && r.allocs != 0 {
+            let (name, allocs, bytes) = (r.name, r.allocs, r.bytes);
+            return fail(format!(
+                "steady region {name} acquired {allocs} allocation(s) / {bytes} byte(s); \
+                 steady-state replay paths must not touch the heap"
             ));
         }
     }
     Ok(())
 }
 
-/// Entry point for
-/// `xtask bench-compare <new> <baseline> [--tolerance PCT] [--geomean]`:
-/// guards against performance regressions by comparing scenario medians
-/// between two bench reports. Scenarios are matched by name and are only
-/// comparable when `n` and `inner` agree (quick-mode reports shrink the
-/// problems, so their numbers never cross-compare against full-mode
-/// baselines). A scenario counts as regressed when **both** its median and
-/// its min exceed the baseline by more than the tolerance — the min is the
-/// stable floor of the measurement, requiring both keeps one noisy median
-/// sample from failing CI.
-///
-/// With `--geomean` the pass/fail verdict is instead the geometric mean of
-/// the **min**-time ratios across all compared scenarios (per-scenario
-/// lines are still printed and marked). Two noise sources motivate this:
-/// sub-millisecond scenarios shift by ±10–15% from harness-binary code
-/// layout alone (measured here by benching an identical library source
-/// from two differently-sized xtask binaries), and shared virtualized
-/// hardware moves *medians* of the very same binary by ±20–30% between
-/// quiet and loaded minutes. Layout noise is undirected and cancels in
-/// the aggregate; the min is the contention-robust floor of each
-/// measurement; a real regression moves both. Pick the tolerance for the
-/// environment — on shared hardware this is a gross-regression tripwire,
-/// not a precision gate.
-pub fn compare(args: &[String]) -> Result<(), String> {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut tolerance_pct = 5.0f64;
-    let mut geomean = false;
-    let mut baseline_flag: Option<&String> = None;
+/// Pairs whose wall ratio the report prints: the one-rank distributed
+/// sweeps against the serial ones on the same factor, and the blocked
+/// kernels against their scalar twins at matched fill (ROADMAP item 4).
+const RATIOS: &[(&str, &str)] = &[
+    ("dist_trisolve_p1", "trisolve_serial"),
+    ("block_ilut", "serial_ilut_dof3"),
+    ("block_trisolve", "trisolve_serial_dof3"),
+];
+
+/// `bench [--quick] [--out PATH] [--label STR] [--scenario NAME]...`
+pub fn run(args: &[String]) -> Result<(), String> {
+    let mut quick = false;
+    let mut out_path = String::from("BENCH.json");
+    let mut label = String::from("local");
+    let mut only: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
-            "--tolerance" => {
-                tolerance_pct = it
-                    .next()
-                    .ok_or_else(|| "--tolerance needs a percentage".to_string())?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance value: {e}"))?;
-            }
-            "--geomean" => geomean = true,
-            "--baseline" => {
-                baseline_flag = Some(
-                    it.next()
-                        .ok_or_else(|| "--baseline needs a path".to_string())?,
-                );
-            }
-            _ => paths.push(arg),
+            "--quick" => quick = true,
+            "--out" => out_path = value()?.clone(),
+            "--label" => label = value()?.clone(),
+            "--scenario" => only.push(value()?.as_str()),
+            other => return Err(format!("unknown bench flag {other}")),
         }
     }
-    // The baseline names itself either positionally (second path) or via
-    // the explicit `--baseline <path>` flag; mixing both is ambiguous.
-    let (new_path, base_path) = match (&paths[..], baseline_flag) {
-        ([new], Some(base)) => (*new, base),
-        ([new, base], None) => (*new, *base),
-        _ => {
-            return Err(
-                "usage: bench-compare <new.json> [<baseline.json> | --baseline <path>] \
-                 [--tolerance PCT] [--geomean]"
-                    .into(),
+    let known: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+    if let Some(bad) = only.iter().find(|o| !known.contains(o)) {
+        let known = known.join(", ");
+        return Err(format!("unknown scenario {bad} (known: {known})"));
+    }
+    let selected = |s: &&Scenario| only.is_empty() || only.contains(&s.name);
+    let mut results = Vec::new();
+    for s in SCENARIOS.iter().filter(selected) {
+        eprint!("bench {} ... ", s.name);
+        pilut_allocaudit::reset_regions();
+        let mut m = run_row(s, quick, if quick { 3 } else { 9 });
+        m.regions = pilut_allocaudit::region_stats();
+        eprintln!(
+            "median {:.3} ms, min {:.3} ms, {:.1} Mnnz/s",
+            m.median_ns as f64 / 1e6,
+            m.min_ns as f64 / 1e6,
+            m.mnnz_per_s()
+        );
+        check(&m)?;
+        results.push(m);
+    }
+    let min_of = |name: &str| {
+        results
+            .iter()
+            .find(|m| m.row.name == name)
+            .map(|m| m.min_ns)
+    };
+    for (a, b) in RATIOS {
+        if let (Some(x), Some(y)) = (min_of(a), min_of(b)) {
+            println!(
+                "bench: {a} takes {:.2}x the time of {b} (min {x} vs {y} ns, reported only)",
+                x as f64 / y as f64
             );
         }
+    }
+    let json = render_json(&label, quick, &results);
+    std::fs::write(&out_path, json).map_err(|e| format!("writing {out_path}: {e}"))?;
+    println!(
+        "bench: {} scenario(s) passed their invariants, report in {out_path}",
+        results.len()
+    );
+    Ok(())
+}
+
+/// A per-tag ledger as `"name:messages/bytes"` cells (`~` for a byte count
+/// the plan does not predict exactly).
+pub(crate) fn ledger(entries: impl Iterator<Item = (u64, u64, Option<u64>)>) -> Vec<String> {
+    let cell = |(tag, m, b): (u64, u64, Option<u64>)| {
+        let bytes = b.map_or("~".to_string(), |b| b.to_string());
+        format!("{}:{m}/{bytes}", tags::tag_name(tag))
     };
-    let new = read_scenarios(new_path)?;
-    let base = read_scenarios(base_path)?;
-    let factor = 1.0 + tolerance_pct / 100.0;
-    let mut compared = 0usize;
-    let mut regressions: Vec<String> = Vec::new();
-    let mut log_ratio_sum = 0.0f64;
-    for s in &new {
-        let Some(b) = base
+    entries.map(cell).collect()
+}
+
+/// Measured traffic by tag, as [`ledger`] entries.
+pub(crate) fn measured(stats: &MachineStats) -> impl Iterator<Item = (u64, u64, Option<u64>)> + '_ {
+    stats.by_tag.iter().map(|(&t, &(m, b))| (t, m, Some(b)))
+}
+
+fn render_json(label: &str, quick: bool, results: &[Measurement]) -> String {
+    let row = |m: &Measurement| {
+        let stats = &m.facts.stats;
+        let planned = stats
+            .planned_by_tag
             .iter()
-            .find(|b| b.name == s.name && b.n == s.n && b.inner == s.inner)
-        else {
+            .map(|(&t, &(m, b, exact))| (t, m, exact.then_some(b)));
+        let regions = m.regions.iter();
+        let steady = regions.clone().filter(|r| STEADY_REGIONS.contains(&r.name));
+        let regions: Vec<String> = regions
+            .map(|r| format!("{}:{}/{}", r.name, r.allocs, r.bytes))
+            .collect();
+        format!(
+            "    {{\"name\": \"{}\", \"n\": {}, \"nnz\": {}, \"reps\": {}, \"inner\": {}, \
+             \"median_ns\": {}, \"min_ns\": {}, \"mnnz_per_s\": {:.2}, \
+             \"comm_messages\": {}, \"comm_bytes\": {}, \"comm_tags\": \"{}\", \
+             \"comm_planned\": \"{}\", \"allocs\": {}, \"alloc_bytes\": {}, \
+             \"alloc_regions\": \"{}\"}}",
+            m.row.name,
+            m.facts.n,
+            m.facts.nnz,
+            m.reps,
+            m.row.inner,
+            m.median_ns,
+            m.min_ns,
+            m.mnnz_per_s(),
+            stats.messages,
+            stats.bytes,
+            ledger(measured(stats)).join(" "),
+            ledger(planned).join(" "),
+            steady.clone().map(|r| r.allocs).sum::<u64>(),
+            steady.map(|r| r.bytes).sum::<u64>(),
+            regions.join(" "),
+        )
+    };
+    let rows: Vec<String> = results.iter().map(row).collect();
+    format!(
+        "{{\n  \"schema\": \"pilut-bench-v2\",\n  \"label\": \"{label}\",\n  \
+         \"quick\": {quick},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
+}
+
+/// `bench-compare <new.json> <base.json>`: per-row wall ratios between two
+/// reports and the geometric mean of the min-time ratios. Rows match by
+/// name and compare only when `n` and `inner` agree (a quick report never
+/// cross-compares with a full one). A report, not a gate: the exit status
+/// is zero for any two readable reports.
+pub fn compare(args: &[String]) -> Result<(), String> {
+    let [new_path, base_path] = args else {
+        return Err("usage: bench-compare <new.json> <base.json>".into());
+    };
+    let (new, base) = (read_scenarios(new_path)?, read_scenarios(base_path)?);
+    let mut log_ratios = Vec::new();
+    for s in &new {
+        let same = |b: &&ParsedScenario| b.name == s.name && b.n == s.n && b.inner == s.inner;
+        let Some(b) = base.iter().find(same) else {
             continue;
         };
-        compared += 1;
-        let med_ratio = s.median_ns as f64 / b.median_ns as f64;
-        let min_ratio = s.min_ns as f64 / b.min_ns as f64;
-        let regressed = med_ratio > factor && min_ratio > factor;
-        log_ratio_sum += min_ratio.ln();
+        let pct = |new: u64, old: u64| (new as f64 / old as f64 - 1.0) * 100.0;
         println!(
-            "bench-compare: {:<24} median {:>10} -> {:>10} ns ({:+.1}%), min {:+.1}%{}",
+            "bench-compare: {:<24} median {:>10} -> {:>10} ns ({:+.1}%), min {:+.1}%",
             s.name,
             b.median_ns,
             s.median_ns,
-            (med_ratio - 1.0) * 100.0,
-            (min_ratio - 1.0) * 100.0,
-            if regressed { "  REGRESSION" } else { "" }
+            pct(s.median_ns, b.median_ns),
+            pct(s.min_ns, b.min_ns)
         );
-        if regressed {
-            regressions.push(s.name.clone());
-        }
+        log_ratios.push((s.min_ns as f64 / b.min_ns as f64).ln());
     }
-    if compared == 0 {
-        return Err(format!(
-            "no comparable scenarios between {new_path} and {base_path} \
-             (names must match with equal n and inner)"
-        ));
-    }
-    if geomean {
-        let gm = (log_ratio_sum / compared as f64).exp();
-        let delta = (gm - 1.0) * 100.0;
-        println!(
-            "bench-compare: geomean of {compared} min-time ratio(s) {:+.1}% \
-             (tolerance {tolerance_pct}%)",
-            delta
-        );
-        if gm > factor {
-            return Err(format!(
-                "aggregate regression: geomean {delta:+.1}% exceeds {tolerance_pct}%"
-            ));
-        }
-        return Ok(());
-    }
-    if regressions.is_empty() {
-        println!("bench-compare: {compared} scenario(s) within {tolerance_pct}% of baseline");
-        Ok(())
-    } else {
-        Err(format!(
-            "{} scenario(s) regressed beyond {tolerance_pct}%: {}",
-            regressions.len(),
-            regressions.join(", ")
-        ))
-    }
+    let compared = log_ratios.len();
+    let geomean = (log_ratios.iter().sum::<f64>() / compared.max(1) as f64).exp();
+    println!(
+        "bench-compare: geomean of {compared} min-time ratio(s) {:+.1}% (wall time: reported, not gated)",
+        (geomean - 1.0) * 100.0
+    );
+    Ok(())
 }
 
 /// One scenario row parsed back out of a bench report.
@@ -1577,35 +819,33 @@ struct ParsedScenario {
     min_ns: u64,
 }
 
-/// Parses the scenario lines of a bench JSON report (the writer's own
-/// line-oriented format; see [`render_json`]).
+/// Parses the scenario lines of a bench JSON report — the writer's own
+/// one-row-per-line format, in either schema generation (the timing fields
+/// are the same in both).
 fn read_scenarios(path: &str) -> Result<Vec<ParsedScenario>, String> {
     let content =
         std::fs::read_to_string(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
-    // Both schema generations parse here: the comparison fields are
-    // identical, so a v2 report compares against a v1 baseline directly
-    // (the alloc columns are a v2-only addition, gated by `verify`).
-    if !content.contains("\"schema\": \"pilut-bench-v1\"")
-        && !content.contains("\"schema\": \"pilut-bench-v2\"")
-    {
-        return Err(format!("{path}: missing pilut-bench-v1/v2 schema marker"));
+    if !content.contains("\"schema\": \"pilut-bench-v") {
+        return Err(format!("{path}: missing pilut-bench schema marker"));
     }
     let mut out = Vec::new();
-    for line in content.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"name\":") {
+    for line in content.lines().map(str::trim) {
+        let Some(rest) = line.strip_prefix("{\"name\": \"") else {
             continue;
-        }
-        let name = field_str(line, "\"name\":")
-            .ok_or_else(|| format!("{path}: scenario line missing name: {line}"))?;
+        };
+        let name = rest.split('"').next().unwrap_or_default().to_string();
         let grab = |key: &str| {
             field_u64(line, key).ok_or_else(|| format!("{path}: scenario {name} missing {key}"))
         };
+        let timings = (grab("\"median_ns\":")?, grab("\"min_ns\":")?);
+        if timings.0 == 0 || timings.1 == 0 {
+            return Err(format!("{path}: scenario {name} has a zero timing"));
+        }
         out.push(ParsedScenario {
             n: grab("\"n\":")?,
             inner: grab("\"inner\":")?,
-            median_ns: grab("\"median_ns\":")?,
-            min_ns: grab("\"min_ns\":")?,
+            median_ns: timings.0,
+            min_ns: timings.1,
             name,
         });
     }
@@ -1615,17 +855,9 @@ fn read_scenarios(path: &str) -> Result<Vec<ParsedScenario>, String> {
     Ok(out)
 }
 
-/// Extracts the quoted string following `key` on `line`.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let at = line.find(key)? + key.len();
-    let rest = line[at..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 /// Extracts the unsigned integer following `key` on `line`.
 fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let at = line.find(key)? + key.len();
-    let rest = line[at..].trim_start();
+    let rest = line[line.find(key)? + key.len()..].trim_start();
     let end = rest
         .find(|c: char| !c.is_ascii_digit())
         .unwrap_or(rest.len());
@@ -1635,288 +867,263 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
-    fn fake() -> Vec<Measurement> {
-        // A machine-backed name (`_p4` suffix): the fixture carries comm
-        // counters, which the serial-zero-comm gate forbids on serial names.
-        vec![Measurement {
-            name: "spmv_p4",
-            n: 100,
-            nnz: 460,
+    /// A healthy p = 4 row: 12 messages / 4096 bytes under `spmv`, planned
+    /// exactly, nothing allocated in a steady region.
+    fn healthy() -> Measurement {
+        let stats = MachineStats {
+            messages: 12,
+            bytes: 4096,
+            by_tag: [(tags::SPMV, (12, 4096))].into(),
+            planned_by_tag: [(tags::SPMV, (12, 4096, true))].into(),
+            ..MachineStats::default()
+        };
+        Measurement {
+            row: PAR_ILUT_P4,
             reps: 3,
-            inner: 10,
             median_ns: 1000,
             min_ns: 900,
-            comm_messages: 12,
-            comm_bytes: 4096,
-            comm_tags: "spmv:12/4096".to_string(),
-            comm_planned: "spmv:12/4096".to_string(),
-            alloc: AllocProfile::default(),
-        }]
-    }
-
-    fn verify_file(name: &str, json: &str) -> Result<(), String> {
-        let path = std::env::temp_dir().join(name);
-        std::fs::write(&path, json).unwrap();
-        verify(&[path.to_str().unwrap().to_string()])
-    }
-
-    fn fake_curves() -> Vec<ScalingScenario> {
-        vec![ScalingScenario {
-            scenario: "strong_test",
-            mode: "strong",
-            gen_name: "laplace_3d",
-            points: vec![
-                ScalingPoint {
-                    p: 1,
-                    n: 1000,
-                    nnz: 6400,
-                    serial_ns: 500,
-                    par_ns: 1000,
-                },
-                ScalingPoint {
-                    p: 4,
-                    n: 1000,
-                    nnz: 6400,
-                    serial_ns: 500,
-                    par_ns: 400,
-                },
-            ],
-        }]
-    }
-
-    #[test]
-    fn json_roundtrips_through_verify() {
-        let json = render_json("test", "none", true, &fake(), &[]);
-        assert!(json.contains("\"baseline\": \"none\""));
-        verify_file("pilut_bench_test.json", &json).unwrap();
-    }
-
-    #[test]
-    fn scaling_curves_roundtrip_and_report_the_crossover() {
-        let curves = fake_curves();
-        // Speedup 0.5 at p=1, 1.25 at p=4 → crossover at p=4.
-        assert_eq!(curves[0].crossover_p(), 4);
-        let json = render_json("test", "none", true, &fake(), &curves);
-        assert!(json.contains("\"scaling\": ["));
-        assert!(json.contains("\"crossover_p\": 4"));
-        assert!(json.contains("\"speedup\": 1.250"));
-        verify_file("pilut_bench_scaling.json", &json).unwrap();
-        // A curve stripped of its points must be rejected.
-        let broken = json.replace("\"points\": [{\"p\": 1", "\"points\": [{\"q\": 1");
-        let err = verify_file("pilut_bench_scaling_bad.json", &broken).unwrap_err();
-        assert!(err.contains("scaling curve 1 missing"), "{err}");
-    }
-
-    #[test]
-    fn uncrossed_curves_report_crossover_zero() {
-        let mut curves = fake_curves();
-        for pt in &mut curves[0].points {
-            pt.par_ns = pt.serial_ns * 2;
+            facts: Facts {
+                n: 100,
+                nnz: 460,
+                stats,
+                ..Facts::default()
+            },
+            regions: vec![region("mis_rounds", 40), region("trisolve_replay", 0)],
         }
-        assert_eq!(curves[0].crossover_p(), 0);
+    }
+
+    fn region(name: &'static str, allocs: u64) -> RegionStats {
+        RegionStats {
+            name,
+            allocs,
+            bytes: allocs * 64,
+            deallocs: allocs,
+            entries: 5,
+        }
+    }
+
+    /// The violation is reported, naming the scenario and `what`.
+    fn assert_fails(m: &Measurement, what: &str) {
+        let err = check(m).unwrap_err();
+        assert!(err.starts_with("scenario par_ilut_p4: "), "{err}");
+        assert!(err.contains(what), "{err}");
     }
 
     #[test]
-    fn coll_gates_when_planned_and_passes_as_legacy_when_not() {
-        // A report from the current harness plans `coll`; a mismatch fails.
-        let mut m = fake();
-        m[0].comm_tags = "spmv:12/4096 coll:7/320".to_string();
-        m[0].comm_planned = "spmv:12/4096 coll:6/~".to_string();
-        let err = verify_file(
-            "pilut_bench_coll_gate.json",
-            &render_json("t", "none", true, &m, &[]),
-        )
-        .unwrap_err();
-        assert!(err.contains("coll"), "{err}");
-        // A legacy report (measured coll, no prediction) still passes.
-        m[0].comm_planned = "spmv:12/4096".to_string();
-        verify_file(
-            "pilut_bench_coll_legacy.json",
-            &render_json("t", "none", true, &m, &[]),
-        )
-        .unwrap();
-    }
-
-    #[test]
-    fn serial_scenarios_must_report_zero_comm() {
-        assert!(is_machine_scenario("par_ilut_p4"));
-        assert!(is_machine_scenario("dist_solve_robust_p4"));
-        assert!(!is_machine_scenario("block_trisolve_rhs8"));
-        assert!(!is_machine_scenario("serial_ilut_unbounded"));
-        let mut m = fake();
-        m[0].name = "block_trisolve";
-        m[0].comm_tags = String::new();
-        m[0].comm_planned = String::new();
-        let err = verify_file(
-            "pilut_bench_serial_comm.json",
-            &render_json("t", "none", true, &m, &[]),
-        )
-        .unwrap_err();
-        assert!(err.contains("nothing on the wire"), "{err}");
-        m[0].comm_messages = 0;
-        m[0].comm_bytes = 0;
-        verify_file(
-            "pilut_bench_serial_comm_ok.json",
-            &render_json("t", "none", true, &m, &[]),
-        )
-        .unwrap();
-    }
-
-    #[test]
-    fn verify_rejects_garbage() {
-        assert!(verify_file("pilut_bench_bad.json", "{\"schema\": \"other\"}").is_err());
-    }
-
-    #[test]
-    fn verify_gates_planned_against_measured() {
-        // Exact byte prediction off by one fails at zero slack, passes
-        // under a generous slack; message mismatches never pass; measured
-        // protocol traffic with no prediction never passes.
-        let mut m = fake();
-        m[0].comm_planned = "spmv:12/4000".to_string();
-        let json = render_json("test", "none", true, &m, &[]);
-        let err = verify_file("pilut_bench_gate.json", &json).unwrap_err();
-        assert!(err.contains("slack"), "{err}");
-        let path = std::env::temp_dir().join("pilut_bench_gate.json");
-        verify(&[
-            path.to_str().unwrap().to_string(),
-            "--slack".into(),
-            "5".into(),
-        ])
-        .unwrap();
-        m[0].comm_planned = "spmv:11/~".to_string();
-        let err = verify_file(
-            "pilut_bench_gate2.json",
-            &render_json("t", "none", true, &m, &[]),
-        )
-        .unwrap_err();
-        assert!(err.contains("planned 11 message(s), measured 12"), "{err}");
-        m[0].comm_tags = "spmv:12/4096 fwd:3/24".to_string();
-        m[0].comm_planned = "spmv:12/4096".to_string();
-        let err = verify_file(
-            "pilut_bench_gate3.json",
-            &render_json("t", "none", true, &m, &[]),
-        )
-        .unwrap_err();
-        assert!(err.contains("bypassed the planned data plane"), "{err}");
-    }
-
-    #[test]
-    fn dist_trisolve_p1_must_reach_half_the_serial_rate() {
-        // Same factor, same report: 460 entries in 1000 ns serially, so the
-        // one-rank distributed replay may take at most 2000 ns. A one-rank
-        // machine plans zero messages per tag and measures none.
-        let mut m = fake();
-        m.push(fake().remove(0));
-        m[0].name = "trisolve_serial";
-        (m[0].comm_messages, m[0].comm_bytes) = (0, 0);
-        (m[0].comm_tags, m[0].comm_planned) = (String::new(), String::new());
-        m[1].name = "dist_trisolve_p1";
-        (m[1].comm_messages, m[1].comm_bytes) = (0, 0);
-        m[1].comm_tags = String::new();
-        m[1].comm_planned = "fwd:0/0 bwd:0/0".to_string();
-        (m[1].median_ns, m[1].min_ns) = (2000, 1900);
-        let ok = render_json("t", "none", true, &m, &[]);
-        verify_file("pilut_bench_ratio_ok.json", &ok).unwrap();
-        (m[1].median_ns, m[1].min_ns) = (2100, 1900);
-        let slow = render_json("t", "none", true, &m, &[]);
-        let err = verify_file("pilut_bench_ratio.json", &slow).unwrap_err();
-        assert!(err.contains("the floor is 0.5x"), "{err}");
-        // A planned message that never shipped is still a divergence.
-        m[1].comm_planned = "fwd:1/8".to_string();
-        let unshipped = render_json("t", "none", true, &m, &[]);
-        let err = verify_file("pilut_bench_unshipped.json", &unshipped).unwrap_err();
-        assert!(err.contains("planned 1 message(s), measured 0"), "{err}");
-    }
-
-    #[test]
-    fn steady_region_allocs_fail_the_zero_gate() {
-        // A steady region with traffic fails; a measured-only region
-        // (mis_rounds) with the same traffic passes.
-        let mut m = fake();
-        m[0].alloc = AllocProfile {
-            allocs: 3,
-            bytes: 1024,
-            regions: "trisolve_replay:3/1024".to_string(),
+    fn healthy_rows_pass() {
+        check(&healthy()).unwrap();
+        // A one-rank machine plans zero messages per tag and measures none.
+        let mut m = healthy();
+        m.facts.stats = MachineStats {
+            planned_by_tag: [(tags::FWD, (0, 0, true)), (tags::BWD, (0, 0, true))].into(),
+            ..MachineStats::default()
         };
-        let err = verify_file(
-            "pilut_bench_alloc_gate.json",
-            &render_json("t", "none", true, &m, &[]),
-        )
-        .unwrap_err();
-        assert!(err.contains("steady region trisolve_replay"), "{err}");
-        assert!(err.contains("3 allocation(s)"), "{err}");
-        m[0].alloc = AllocProfile {
-            allocs: 0,
-            bytes: 0,
-            regions: "mis_rounds:3/1024 trisolve_replay:0/0".to_string(),
-        };
-        verify_file(
-            "pilut_bench_alloc_gate_ok.json",
-            &render_json("t", "none", true, &m, &[]),
-        )
+        check(&m).unwrap();
+    }
+
+    #[test]
+    fn message_count_mismatch_fails() {
+        let mut m = healthy();
+        m.facts.stats.planned_by_tag = [(tags::SPMV, (11, 0, false))].into();
+        assert_fails(&m, "tag spmv: planned 11 message(s), measured 12");
+        // A planned message that never shipped is a divergence too.
+        m.facts.stats.planned_by_tag =
+            [(tags::SPMV, (12, 4096, true)), (tags::FWD, (1, 8, true))].into();
+        assert_fails(&m, "tag fwd: planned 1 message(s), measured 0");
+    }
+
+    #[test]
+    fn byte_mismatch_fails_when_the_prediction_is_exact() {
+        let mut m = healthy();
+        m.facts.stats.planned_by_tag = [(tags::SPMV, (12, 4095, true))].into();
+        assert_fails(&m, "tag spmv: planned 4095 byte(s), measured 4096");
+        // A producer-defined round predicts its message count only.
+        m.facts.stats.planned_by_tag = [(tags::SPMV, (12, 4095, false))].into();
+        check(&m).unwrap();
+    }
+
+    #[test]
+    fn unplanned_tag_fails() {
+        let mut m = healthy();
+        m.facts.stats.by_tag.insert(tags::FWD, (3, 24));
+        assert_fails(
+            &m,
+            "tag fwd: 3 measured message(s) bypassed the planned data plane",
+        );
+        // Collectives plan themselves like every other tag: no allowance.
+        let mut m = healthy();
+        m.facts
+            .stats
+            .by_tag
+            .insert(Ctx::RESERVED_TAG_BASE, (7, 320));
+        assert_fails(&m, "tag coll: 7 measured message(s) bypassed");
+    }
+
+    #[test]
+    fn steady_region_acquisitions_fail() {
+        let mut m = healthy();
+        m.regions = vec![region("mis_rounds", 40), region("trisolve_replay", 3)];
+        assert_fails(
+            &m,
+            "steady region trisolve_replay acquired 3 allocation(s) / 192 byte(s)",
+        );
+        // The planned = measured contract is waived once a fault fired (a
+        // killed epoch abandons planned rounds); the memory plane is not.
+        m.facts.faults = 1;
+        m.facts.stats.planned_by_tag.clear();
+        assert_fails(&m, "steady region trisolve_replay");
+        m.regions.pop();
+        check(&m).unwrap();
+    }
+
+    #[test]
+    fn serial_row_with_traffic_fails() {
+        let mut m = healthy();
+        m.row.ranks = None;
+        assert_fails(
+            &m,
+            "a serial row must put nothing on the wire, measured 12 message(s)",
+        );
+    }
+
+    #[test]
+    fn table_is_well_formed() {
+        let names: BTreeSet<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+        assert_eq!(names.len(), SCENARIOS.len(), "scenario names are unique");
+        for s in &SCENARIOS {
+            let serial = matches!(s.body, Body::Serial(_));
+            assert_eq!(
+                serial,
+                s.ranks.is_none(),
+                "{}: body and ranks agree",
+                s.name
+            );
+            assert!(serial || s.ranks.is_some_and(|p| p >= 1), "{}", s.name);
+            assert!(
+                s.net == Net::Plain || !serial,
+                "{}: only a machine is armed",
+                s.name
+            );
+        }
+        for (a, b) in RATIOS {
+            assert!(names.contains(a) && names.contains(b), "{a} / {b}");
+        }
+    }
+
+    #[test]
+    fn every_row_passes_its_invariants_at_quick_size() {
+        for s in &SCENARIOS {
+            let m = run_row(s, true, 0);
+            check(&m).unwrap();
+            if s.ranks.is_some_and(|p| p >= 2) {
+                let planned = &m.facts.stats.planned_by_tag;
+                assert!(
+                    !planned.is_empty(),
+                    "{}: a machine row plans its traffic",
+                    s.name
+                );
+                assert!(m.facts.stats.messages > 0, "{}", s.name);
+            }
+            assert_eq!(m.facts.faults > 0, s.net == Net::Killed, "{}", s.name);
+        }
+        // The pair the report prints as a ratio is the same factor twice.
+        let fill = |name| facts(SCENARIOS.iter().find(|s| s.name == name).unwrap(), true).fill;
+        assert_eq!(fill("dist_trisolve_p1"), fill("trisolve_serial"));
+    }
+
+    fn flags(s: &[&str]) -> Vec<String> {
+        s.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_scenario_is_an_error() {
+        let err = run(&flags(&["--quick", "--scenario", "par_ilut_p5"])).unwrap_err();
+        assert!(err.contains("unknown scenario par_ilut_p5"), "{err}");
+        assert!(run(&flags(&["--scaling"])).is_err());
+        assert!(run(&flags(&["--out"])).is_err());
+    }
+
+    #[test]
+    fn quick_selects_any_row_and_the_report_reads_back() {
+        let out = std::env::temp_dir().join("pilut_bench_quick_par.json");
+        let out = out.to_str().unwrap();
+        run(&flags(&[
+            "--quick",
+            "--scenario",
+            "par_ilut_p4",
+            "--out",
+            out,
+            "--label",
+            "t",
+        ]))
         .unwrap();
+        let rows = read_scenarios(out).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(
+            (rows[0].name.as_str(), rows[0].n, rows[0].inner),
+            ("par_ilut_p4", 256, 2)
+        );
+        assert!(rows[0].min_ns > 0 && rows[0].min_ns <= rows[0].median_ns);
+        let json = std::fs::read_to_string(out).unwrap();
+        assert!(json.contains("\"label\": \"t\"") && json.contains("\"comm_planned\": \"urows:"));
     }
 
     #[test]
-    fn v1_baselines_still_verify_and_compare() {
-        // A v1 report (no alloc columns) must pass verify's legacy path
-        // and parse for comparison against a v2 report.
-        let v1 = "{\n  \"schema\": \"pilut-bench-v1\",\n  \"label\": \"pr9\",\n  \
-                  \"baseline\": \"none\",\n  \"quick\": true,\n  \"scenarios\": [\n    \
-                  {\"name\": \"spmv_p4\", \"n\": 100, \"nnz\": 460, \"reps\": 3, \
-                  \"inner\": 10, \"median_ns\": 1100, \"min_ns\": 950, \
-                  \"mnnz_per_s\": 418.18, \"comm_messages\": 12, \"comm_bytes\": 4096, \
-                  \"comm_tags\": \"spmv:12/4096\", \"comm_planned\": \"spmv:12/4096\"}\n  \
-                  ]\n}\n";
-        verify_file("pilut_bench_v1_legacy.json", v1).unwrap();
-        let base_path = std::env::temp_dir().join("pilut_bench_v1_base.json");
-        std::fs::write(&base_path, v1).unwrap();
-        let new_path = std::env::temp_dir().join("pilut_bench_v2_new.json");
-        std::fs::write(&new_path, render_json("t", "pr9", true, &fake(), &[])).unwrap();
-        compare(&[
-            new_path.to_str().unwrap().to_string(),
-            base_path.to_str().unwrap().to_string(),
-            "--tolerance".into(),
-            "25".into(),
-        ])
-        .unwrap();
+    fn compare_reports_and_never_gates() {
+        // A schema-v1 baseline (no alloc columns) against a current report
+        // 10x slower: compared, printed, exit 0.
+        let v1 = "{\n  \"schema\": \"pilut-bench-v1\",\n  \"scenarios\": [\n    \
+                  {\"name\": \"par_ilut_p4\", \"n\": 100, \"nnz\": 460, \"reps\": 3, \
+                  \"inner\": 2, \"median_ns\": 100, \"min_ns\": 90, \"mnnz_per_s\": 4600.0}\n  ]\n}\n";
+        let dir = std::env::temp_dir();
+        let (base, new) = (
+            dir.join("pilut_bench_v1_base.json"),
+            dir.join("pilut_bench_v2_new.json"),
+        );
+        std::fs::write(&base, v1).unwrap();
+        std::fs::write(&new, render_json("t", true, &[healthy()])).unwrap();
+        let paths = flags(&[new.to_str().unwrap(), base.to_str().unwrap()]);
+        compare(&paths).unwrap();
+        // No comparable row is still a readable pair.
+        std::fs::write(&base, v1.replace("\"n\": 100", "\"n\": 7")).unwrap();
+        compare(&paths).unwrap();
+        // Unreadable input and the retired flags are errors.
+        std::fs::write(&base, "{\"schema\": \"other\"}").unwrap();
+        assert!(compare(&paths).is_err());
+        assert!(compare(&flags(&["a.json", "b.json", "--geomean"])).is_err());
     }
 
     #[test]
-    fn alloc_profile_folds_steady_regions_only() {
-        let stats = vec![
-            pilut_allocaudit::RegionStats {
-                name: "mis_rounds",
-                allocs: 40,
-                bytes: 2048,
-                deallocs: 40,
-                entries: 5,
-            },
-            pilut_allocaudit::RegionStats {
-                name: "trisolve_replay",
-                allocs: 2,
-                bytes: 128,
-                deallocs: 0,
-                entries: 50,
-            },
-        ];
-        let p = AllocProfile::from_registry(&stats);
-        assert_eq!(p.allocs, 2, "only steady regions count toward the total");
-        assert_eq!(p.bytes, 128);
-        assert_eq!(p.regions, "mis_rounds:40/2048 trisolve_replay:2/128");
+    fn every_committed_report_still_reads() {
+        let root = crate::workspace_root();
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&root).unwrap().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_pr") && name.ends_with(".json") {
+                let rows = read_scenarios(entry.path().to_str().unwrap()).unwrap();
+                assert!(rows.len() >= 5, "{name}");
+                seen += 1;
+            }
+        }
+        assert!(seen >= 9, "the committed trajectory is present");
     }
 
     #[test]
-    fn throughput_math() {
-        let m = &fake()[0];
+    fn throughput_and_report_columns() {
+        let m = healthy();
         // 460 entries in 1000 ns = 460 Mnnz/s.
         assert!((m.mnnz_per_s() - 460.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn field_extraction() {
+        // The report's alloc totals cover steady regions only.
+        let mut m = healthy();
+        m.regions[1] = region("trisolve_replay", 2);
+        let json = render_json("t", true, &[m]);
+        assert!(
+            json.contains("\"allocs\": 2, \"alloc_bytes\": 128"),
+            "{json}"
+        );
+        assert!(json.contains("\"alloc_regions\": \"mis_rounds:40/2560 trisolve_replay:2/128\""));
         assert_eq!(field_u64("{\"median_ns\": 42,", "\"median_ns\":"), Some(42));
         assert_eq!(field_u64("no field", "\"median_ns\":"), None);
     }

@@ -2,22 +2,26 @@
 //!
 //! * `cargo run -p xtask -- lint` — repo-local lint (below).
 //! * `cargo run -p xtask --release -- bench [--quick] [--out PATH]
-//!   [--label STR] [--scenario NAME]...` — the zero-dependency benchmark
-//!   harness (see [`bench`]).
-//! * `cargo run -p xtask -- bench-verify PATH` — structural check of a
-//!   bench JSON report (the CI smoke gate).
-//! * `cargo run -p xtask -- bench-compare NEW BASELINE [--tolerance PCT] [--geomean]`
-//!   — regression gate comparing two bench reports (see [`bench::compare`]).
-//! * `cargo run -p xtask --release -- chaos [--quick]` — the seeded
-//!   fault-injection regression suite (see [`chaos`]).
+//!   [--label STR] [--scenario NAME]...` — the kernel benchmark: gates each
+//!   scenario's self-consistency invariants in-process, reports wall time
+//!   (see [`bench`]).
+//! * `cargo run -p xtask -- bench-compare NEW BASE` — per-row wall ratios
+//!   between two bench reports; a report, never a gate (see
+//!   [`bench::compare`]).
+//! * `cargo run -p xtask --release -- chaos [--recover] [--quick]` — the
+//!   seeded fault-injection regression suite (see [`chaos`]).
 //! * `cargo run -p xtask --release -- schedcheck [--quick]` — the
 //!   bitwise-determinism sanitizer: seeded workloads re-run under
 //!   perturbed schedules must reproduce identical results and traffic
 //!   (see [`schedcheck`]).
+//! * `cargo run -p xtask --release -- modelcheck [--quick]` — exhaustive
+//!   DPOR exploration of the schedule space of small configurations (see
+//!   [`modelcheck`]).
 //! * `cargo run -p xtask --release -- paper [--check] [--record]` — the
-//!   paper's tables and figures, regenerated and gated (see [`paper`]).
-//! * `cargo run -p xtask -- loc` — non-test code lines per crate (see
-//!   [`code_lines`]), the tracked size column of ROADMAP aim 2.
+//!   paper's tables and figures plus the bench scenarios' deterministic
+//!   counts, regenerated and exact-diffed (see [`paper`]).
+//! * `cargo run -p xtask -- loc` — code lines and test lines per crate (see
+//!   [`code_and_test_lines`]), the tracked size columns of ROADMAP aim 2.
 //!
 //! The `lint` task enforces repo-local rules that `rustc` and `clippy`
 //! (which is not guaranteed to exist in the offline toolchain) do not:
@@ -96,7 +100,6 @@ fn main() -> ExitCode {
     let cmd = args.first().map_or("", String::as_str);
     let task: fn(&[String]) -> Result<(), String> = match cmd {
         "bench" => bench::run,
-        "bench-verify" => bench::verify,
         "bench-compare" => bench::compare,
         "chaos" => chaos::run,
         "schedcheck" => schedcheck::run,
@@ -106,9 +109,10 @@ fn main() -> ExitCode {
         "loc" => loc_task,
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint | bench [flags] | bench-verify <file> [--slack PCT] \
-                 | bench-compare <new> <baseline> [--tolerance PCT] [--geomean] | chaos [--quick] \
-                 | schedcheck [--quick] | modelcheck [--quick] | paper [--check] [--record] | loc"
+                "usage: cargo run -p xtask -- lint \
+                 | bench [--quick] [--out PATH] [--label STR] [--scenario NAME]... \
+                 | bench-compare <new> <base> | chaos [--recover] [--quick] | schedcheck [--quick] \
+                 | modelcheck [--quick] | paper [--check] [--record] | loc"
             );
             return ExitCode::FAILURE;
         }
@@ -136,39 +140,53 @@ fn lint_task(_args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Code lines of one source file: non-blank, not comment-only, and before
-/// the file's first `#[cfg(test)]` (the same tail convention as the lint).
-fn code_lines(content: &str) -> usize {
-    content
-        .lines()
-        .map(str::trim)
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
-        .filter(|l| !l.is_empty() && !l.starts_with("//"))
-        .count()
+/// `(code, test)` lines of one source file, counting non-blank lines that
+/// are not comment-only: code is everything before the file's first
+/// `#[cfg(test)]` (the same tail convention as the lint), test the rest.
+fn code_and_test_lines(content: &str) -> (usize, usize) {
+    let (mut counts, mut in_tests) = ([0, 0], false);
+    for line in content.lines().map(str::trim) {
+        in_tests |= line.starts_with("#[cfg(test)]");
+        counts[usize::from(in_tests)] += usize::from(!line.is_empty() && !line.starts_with("//"));
+    }
+    (counts[0], counts[1])
 }
 
-/// `loc`: code lines over `src/**/*.rs`, for the root facade and for every
-/// crate under `crates/` in path order, then the total.
+/// `loc`: code and test lines for the root facade and for every crate under
+/// `crates/` in path order, then the totals. A crate's test column is its
+/// `#[cfg(test)]` tails plus everything under its `tests/` directory, so
+/// code moved into tests shows up instead of vanishing.
 fn loc_task(_args: &[String]) -> Result<(), String> {
     let root = workspace_root();
-    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
         .map_err(|e| format!("crates/: {e}"))?
         .flatten()
-        .map(|e| e.path().join("src"))
+        .map(|e| e.path())
         .collect();
-    dirs.sort();
-    dirs.insert(0, root.join("src"));
-    let mut total = 0;
-    for dir in dirs.iter().filter(|dir| dir.is_dir()) {
-        let lines: usize = rust_files(dir)
-            .iter()
-            .filter_map(|f| std::fs::read_to_string(f).ok())
-            .map(|content| code_lines(&content))
-            .sum();
-        println!("{lines:>7}  {}", rel_label(&root, dir));
-        total += lines;
+    crates.sort();
+    crates.insert(0, root.clone());
+    let count = |dir: PathBuf| {
+        let read = |f: PathBuf| std::fs::read_to_string(f).ok();
+        let contents = rust_files(&dir).into_iter().filter_map(read);
+        contents.fold((0, 0), |(c, t), content| {
+            let (code, test) = code_and_test_lines(&content);
+            (c + code, t + test)
+        })
+    };
+    let (mut code_total, mut test_total) = (0, 0);
+    println!("   code    test");
+    for dir in crates.iter().filter(|dir| dir.join("src").is_dir()) {
+        let (src, outside) = (count(dir.join("src")), count(dir.join("tests")));
+        let (code, test) = (src.0, src.1 + outside.0 + outside.1);
+        let label = rel_label(&root, &dir.join("src"));
+        println!("{code:>7} {test:>7}  {label}");
+        code_total += code;
+        test_total += test;
     }
-    println!("{total:>7}  total (code lines: non-blank, not comment-only, before #[cfg(test)])");
+    println!(
+        "{code_total:>7} {test_total:>7}  total (non-blank, not comment-only lines; code: src before \
+         the first #[cfg(test)]; test: from it on, plus tests/)"
+    );
     Ok(())
 }
 
@@ -1346,11 +1364,11 @@ mod tests {
     }
 
     #[test]
-    fn code_lines_skip_blanks_comments_and_the_test_tail() {
+    fn loc_skips_blanks_and_comments_and_splits_at_the_test_tail() {
         let src = "//! Docs.\n\nuse a::b;\n/// Doc.\nfn f() {\n    g(); // trailing\n}\n\n\
                    #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
-        assert_eq!(code_lines(src), 4);
-        assert_eq!(code_lines(""), 0);
+        assert_eq!(code_and_test_lines(src), (4, 4));
+        assert_eq!(code_and_test_lines(""), (0, 0));
     }
 
     #[test]

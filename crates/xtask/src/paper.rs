@@ -13,6 +13,11 @@
 //! not absolute values. Wall-clock progress (one line per experiment) goes to
 //! stderr only.
 //!
+//! The thirteenth entry, `kernels`, is not from the paper: it is the
+//! deterministic half of every `xtask bench` scenario (flops, simulated
+//! seconds, per-tag traffic, fill, factor bytes), held to the same exact
+//! diff so those counts are the kernel benchmark's regression gate.
+//!
 //! Figures 4–6 are ratios of Table 1's and Table 2's sweeps: they name the
 //! same grid and sizes as their table (`..TABLE1`), so [`sweep`] hands them
 //! the table's cached runs and they launch none of their own.
@@ -21,6 +26,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
+use pilut_core::dist::exchange::tags;
 use pilut_core::dist::op::{DistCsr, DistOperator};
 use pilut_core::dist::spmv::{dist_spmv, SpmvPlan};
 use pilut_core::dist::{DistMatrix, Distribution, LocalView};
@@ -33,6 +39,8 @@ use pilut_par::{Ctx, Machine, MachineModel, RunOutput};
 use pilut_solver::dist_gmres::{dist_gmres, DistDiagonal, DistIlu, DistPrecond};
 use pilut_solver::gmres::GmresOptions;
 use pilut_sparse::{gen, CsrMatrix};
+
+use crate::bench;
 
 /// One tier's problem size: the matrix scale (1.0 = the paper's magnitude;
 /// the fixed-size grid families ignore it) and the processor counts.
@@ -138,7 +146,7 @@ const TABLE2: Experiment = Experiment {
 };
 
 /// Every table and figure of the paper, in the order they are generated.
-const EXPERIMENTS: [Experiment; 12] = [
+const EXPERIMENTS: [Experiment; 13] = [
     TABLE1,
     TABLE2,
     Experiment {
@@ -222,6 +230,16 @@ const EXPERIMENTS: [Experiment; 12] = [
         ci: ci(&[8]),
         record: at(0.15, &[32]),
         render: baseline_ilu0,
+    },
+    // The bench table sizes itself: below scale 1 its `--quick` sizes.
+    Experiment {
+        name: "kernels",
+        title: "Kernels — the deterministic half of every `xtask bench` scenario",
+        families: &[],
+        grid: Vec::new,
+        ci: ci(&[]),
+        record: at(1.0, &[]),
+        render: kernels,
     },
 ];
 
@@ -860,6 +878,70 @@ fn baseline_ilu0(e: &Experiment, size: Size, _: &mut Runs) -> String {
     )
 }
 
+/// One row per bench scenario: what a single run of its body establishes
+/// without a wall clock, then the per-tag traffic of the machine rows.
+///
+/// A cell is printed only if it reproduces bit for bit; which do was
+/// measured, not assumed (EXPERIMENTS, PR 16: regenerations under seeded
+/// stalls and host load). Under reliable delivery a receiver blocked for
+/// 4 ms of *wall* time sends NACKs — real, exactly planned `ack` traffic —
+/// so an armed row's `ack` count and totals follow the host's load. A
+/// killed epoch goes further: how much each survivor did before a poll told
+/// it of the loss is wall time too, and only the tags that first appear
+/// after recovery (and the agreement ring itself) are fixed.
+fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> String {
+    fn cell<T: ToString>(v: Option<T>) -> String {
+        v.map_or_else(|| "-".into(), |v| v.to_string())
+    }
+    let head = [
+        "scenario", "p", "n", "nnz/op", "fill", "factor B", "flops", "sim (s)", "msgs", "bytes",
+    ];
+    let (mut rows, mut tags) = (Vec::new(), String::new());
+    for s in &bench::SCENARIOS {
+        let f = bench::facts(s, size.scale < 1.0);
+        let (totals, clock, tag): (bool, bool, fn(&str) -> bool) = match s.net {
+            bench::Net::Plain => (true, true, |_| true),
+            bench::Net::Armed => (false, true, |t| t != "ack"),
+            bench::Net::Killed => (false, false, |t| {
+                ["spmv", "fwd", "bwd", "recover"].contains(&t)
+            }),
+        };
+        rows.push(vec![
+            s.name.to_string(),
+            cell(s.ranks),
+            f.n.to_string(),
+            f.nnz.to_string(),
+            cell(f.fill),
+            cell(f.heap_bytes),
+            cell(f.flops.filter(|_| clock)),
+            cell(f.sim_time.filter(|_| clock)),
+            cell(totals.then_some(f.stats.messages)),
+            cell(totals.then_some(f.stats.bytes)),
+        ]);
+        if s.ranks.is_some_and(|p| p > 1) {
+            let printed = bench::measured(&f.stats).filter(|t| tag(tags::tag_name(t.0)));
+            let cells = bench::ledger(printed).join(" ");
+            tags += &format!("  {:<21} {cells}\n", s.name);
+        }
+    }
+    format!(
+        "{}
+Measured traffic by tag, messages/bytes (`xtask bench` asserts it equals the
+plans' prediction, tag for tag, on every fault-free row):
+{tags}
+(`-`: not defined for the row — a serial kernel has no simulated clock, a
+ solve holds no factor of its own — or not reproducible. The last two rows
+ run under reliable delivery, where a receiver blocked for 4 ms of wall time
+ sends NACKs, so their `ack` traffic and totals follow the host's load.
+ `recovery_p4` also loses a rank mid-factorization, and what each survivor
+ did before a poll told it so is wall time too: it keeps only the tags that
+ first appear after recovery, and the agreement ring.
+ Every printed cell is bit-reproducible.)
+",
+        table(e.title, &head, &rows)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -918,7 +1000,7 @@ mod tests {
 
     #[test]
     fn regeneration_is_byte_identical() {
-        for name in ["fig1", "fig3"] {
+        for name in ["fig1", "fig3", "kernels"] {
             let e = by_name(name);
             let first = (e.render)(&e, e.ci, &mut Runs::default());
             assert_eq!(first, (e.render)(&e, e.ci, &mut Runs::default()), "{name}");
