@@ -35,6 +35,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 mod replay;
+pub use replay::PeerSet;
 
 /// Registered buffers warmed per send link at plan build. Deep enough that
 /// a plan's full send fan-out plus the in-flight buffers the receivers have
@@ -145,8 +146,8 @@ impl DistVector {
 /// from the frames about to ship). Only the
 /// generic producer-defined rounds predict message counts alone. The
 /// replay helpers feed these predictions to
-/// [`pilut_par::Ctx::note_planned`] as they run, and `xtask bench-verify`
-/// fails the build when the measured per-tag counters diverge from the
+/// [`pilut_par::Ctx::note_planned`] as they run, and `xtask bench` fails
+/// in-process when the measured per-tag counters diverge from the
 /// accumulated predictions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanCost {

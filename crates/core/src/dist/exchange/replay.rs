@@ -24,6 +24,25 @@ use crate::dist::LocalView;
 use pilut_par::{pool, Ctx, Payload};
 use std::collections::HashSet;
 
+/// The live subset of a plan's peers for one sparse replay round.
+pub trait PeerSet {
+    /// Whether the link to rank `peer` carries a message this round.
+    fn has(&self, peer: usize) -> bool;
+}
+
+impl PeerSet for HashSet<usize> {
+    fn has(&self, peer: usize) -> bool {
+        self.contains(&peer)
+    }
+}
+
+/// Liveness flags indexed by peer rank — what the dist-MIS rounds keep.
+impl PeerSet for [bool] {
+    fn has(&self, peer: usize) -> bool {
+        self[peer]
+    }
+}
+
 impl CommPlan {
     /// The round's wire tag for the send half under `base`, advancing the
     /// send counter. Computed once per round — every peer of one round must
@@ -107,12 +126,12 @@ impl CommPlan {
     /// round-dependent **live subset** of the plan's links: every live
     /// send-side frame is built *before* any byte ships, the frame sizes
     /// are summed, and the ledger records `(messages, bytes)` with the
-    /// exact flag set — `bench-verify --slack 0` then gates the tag
-    /// byte-for-byte. This is the replay the delta-MIS rounds run on;
-    /// producer-defined rounds whose sizes the caller cannot commit to up
-    /// front keep using [`CommPlan::replay_tagged`]. Frames are staged in
-    /// the plan-owned scratch (reserved at build) so the round itself
-    /// stays allocation-free. Peers absent from `live_send` get no
+    /// exact flag set — `xtask bench`'s in-process planned = measured check
+    /// then gates the tag byte-for-byte. This is the replay the delta-MIS
+    /// rounds run on; producer-defined rounds whose sizes the caller cannot
+    /// commit to up front keep using [`CommPlan::replay_tagged`]. Frames are
+    /// staged in the plan-owned scratch (reserved at build) so the round
+    /// itself stays allocation-free. Peers absent from `live_send` get no
     /// frame this round, peers absent from `live_recv` are not received
     /// from, and the ledger records the surviving traffic exactly. The two
     /// sets must be mirror-consistent across ranks (`q ∈ live_send` on rank
@@ -126,8 +145,8 @@ impl CommPlan {
         &self,
         ctx: &mut Ctx,
         tag: u64,
-        live_send: &HashSet<usize>,
-        live_recv: &HashSet<usize>,
+        live_send: &(impl PeerSet + ?Sized),
+        live_recv: &(impl PeerSet + ?Sized),
         mut make: impl FnMut(usize, &[usize]) -> Payload,
         mut take: impl FnMut(usize, &[usize], Payload),
     ) {
@@ -135,7 +154,7 @@ impl CommPlan {
         let mut frames = self.frame_scratch.borrow_mut();
         frames.clear();
         for (peer, nodes) in &self.send {
-            if live_send.contains(peer) {
+            if live_send.has(*peer) {
                 frames.push(make(*peer, nodes));
             }
         }
@@ -144,7 +163,7 @@ impl CommPlan {
         let send_tag = self.send_round_tag(tag);
         let mut staged = frames.drain(..);
         for (peer, _) in &self.send {
-            if live_send.contains(peer) {
+            if live_send.has(*peer) {
                 // lint: allow(unwrap): one frame was staged per live send peer just above
                 let frame = staged.next().expect("frame staged per live peer");
                 ctx.send_as(*peer, send_tag, tag, frame);
@@ -154,7 +173,7 @@ impl CommPlan {
         drop(frames);
         let recv_tag = self.recv_round_tag(tag);
         for (peer, nodes) in &self.recv {
-            if !live_recv.contains(peer) {
+            if !live_recv.has(*peer) {
                 continue;
             }
             let payload = ctx.recv(*peer, recv_tag);
@@ -171,7 +190,7 @@ impl CommPlan {
         &self,
         ctx: &mut Ctx,
         tag: u64,
-        live: &HashSet<usize>,
+        live: &(impl PeerSet + ?Sized),
         mut make: impl FnMut(usize) -> Payload,
         mut take: impl FnMut(usize, Payload),
     ) {
@@ -179,7 +198,7 @@ impl CommPlan {
         let mut frames = self.frame_scratch.borrow_mut();
         frames.clear();
         for &peer in &self.union_peers {
-            if live.contains(&peer) {
+            if live.has(peer) {
                 frames.push(make(peer));
             }
         }
@@ -188,7 +207,7 @@ impl CommPlan {
         let send_tag = self.send_round_tag(tag);
         let mut staged = frames.drain(..);
         for &peer in &self.union_peers {
-            if live.contains(&peer) {
+            if live.has(peer) {
                 // lint: allow(unwrap): one frame was staged per live union peer just above
                 let frame = staged.next().expect("frame staged per live peer");
                 ctx.send_as(peer, send_tag, tag, frame);
@@ -198,7 +217,7 @@ impl CommPlan {
         drop(frames);
         let recv_tag = self.recv_round_tag(tag);
         for &peer in &self.union_peers {
-            if !live.contains(&peer) {
+            if !live.has(peer) {
                 continue;
             }
             let payload = ctx.recv(peer, recv_tag);

@@ -19,7 +19,7 @@ use crate::breakdown::{PivotDoctor, PivotFault};
 use crate::dist::exchange::tags;
 use crate::dist::{DistMatrix, LocalView};
 use crate::options::{BreakdownPolicy, FactorError};
-use crate::parallel::dist_mis::{build_level_links, dist_mis};
+use crate::parallel::dist_mis::{link_plan, LevelMis};
 use crate::parallel::store::{FactorBuilder, RemoteURows};
 use crate::parallel::{
     collective_fault_verdict, reduced_patterns, role_map, split_diag, ParStats, RankFactors,
@@ -27,7 +27,7 @@ use crate::parallel::{
 };
 use pilut_par::Ctx;
 use pilut_sparse::WorkRow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Runs the parallel zero-fill factorization. Collective. Aborts on the
 /// first unusable pivot; use [`par_ilu0_with`] to recover instead.
@@ -123,6 +123,7 @@ pub fn par_ilu0_with(
     let mut remaining: HashSet<usize> = local.interface.iter().copied().collect();
     let mut scheduled_remote: HashSet<usize> = HashSet::new();
     let mut schedule: Vec<Vec<usize>> = Vec::new();
+    let mut mis = LevelMis::default();
     let mut level_idx = 0u64;
     loop {
         let left = ctx.all_reduce_sum_u64(remaining.len() as u64);
@@ -134,23 +135,31 @@ pub fn par_ilu0_with(
         let keep = |v: usize, c: usize| {
             c == v || remaining.contains(&c) || (role[c] == 0 && !scheduled_remote.contains(&c))
         };
-        let unscheduled = local.interface.iter().zip(&reduced);
-        let pat: HashMap<usize, Vec<usize>> = unscheduled
-            .filter(|(v, _)| remaining.contains(v))
-            .map(|(&v, row)| {
-                let cols = row.iter().flatten().map(|&(c, _)| c);
-                (v, cols.filter(|&c| keep(v, c)).collect())
-            })
-            .collect();
-        let plan = build_level_links(ctx, dm.dist(), &pat);
-        let mis = dist_mis(ctx, &plan, &pat, 0xC0105, level_idx, 5)?;
-        for &v in &mis.my_in {
-            remaining.remove(&v);
+        let unscheduled = || {
+            let rows = local.interface.iter().zip(&reduced);
+            rows.filter(|(v, _)| remaining.contains(v))
+        };
+        // An upper bound on the kept entries: exact room, no regrowth.
+        mis.begin(
+            unscheduled()
+                .map(|(_, row)| row.iter().flatten().count())
+                .sum(),
+        );
+        for (&v, row) in unscheduled() {
+            let cols = row.iter().flatten().map(|&(c, _)| c);
+            mis.push_row(v, cols.filter(|&c| keep(v, c)));
         }
-        scheduled_remote.extend(mis.remote_in.iter().copied());
-        schedule.push(mis.my_in);
+        let plan = mis.link(ctx, dm.dist());
+        mis.run(ctx, &plan, 0xC0105, level_idx, 5)?;
+        let my_in: Vec<usize> = mis.my_in().collect();
+        for v in &my_in {
+            remaining.remove(v);
+        }
+        scheduled_remote.extend(mis.remote_in());
+        schedule.push(my_in);
         level_idx += 1;
     }
+    stats.mis_work = mis.work();
 
     // ---- Numeric interface factorization, level by level.
     let mut remote_u = RemoteURows::new(n);
@@ -181,8 +190,8 @@ pub fn par_ilu0_with(
 
         // Ship the new U rows along the current level's plan, then eliminate
         // this level's unknowns from the remaining rows (pattern-restricted).
-        let pat: HashMap<usize, Vec<usize>> = reduced_patterns(local, &reduced).collect();
-        let plan = build_level_links(ctx, dm.dist(), &pat);
+        let live = reduced.iter().flatten();
+        let plan = link_plan(ctx, dm.dist(), live.flatten().map(|&(c, _)| c));
         let in_mine = |v: usize| level.binary_search(&v).is_ok();
         remote_u.clear();
         plan.replay_tagged(

@@ -31,9 +31,8 @@ use crate::dist::{DistMatrix, LocalView};
 use crate::options::{FactorError, IlutOptions};
 use crate::serial::drop_rules::{selection_cost, threshold_and_cap_in_place};
 use crate::serial::kernel::IlutRow;
-use dist_mis::{build_level_links, dist_mis};
+use dist_mis::LevelMis;
 use pilut_par::Ctx;
-use std::collections::HashMap;
 use store::{FactorBuilder, RemoteURows};
 
 /// Counters describing one rank's factorization.
@@ -43,6 +42,9 @@ pub struct ParStats {
     pub levels: usize,
     /// Modelled floating-point operations on this rank.
     pub flops: f64,
+    /// Modelled dist-MIS units charged to this rank's clock (5 per key
+    /// hashed, 1 per pattern entry read); not part of `flops`.
+    pub mis_work: f64,
     /// Retained entries in L (strict) / U (incl. diagonal) on this rank.
     pub nnz_l: usize,
     pub nnz_u: usize,
@@ -181,6 +183,7 @@ pub fn par_ilut(
 
     // ---- Phase 2: iterative interface factorization.
     let mut levels: Vec<Vec<usize>> = Vec::new();
+    let mut mis = LevelMis::default();
     let mut remote_u = RemoteURows::new(n);
     let mut pivots: Vec<usize> = Vec::new();
     let mut remaining = reduced.len();
@@ -202,21 +205,20 @@ pub fn par_ilut(
         let cur_nnz: usize = reduced.iter().flatten().map(|r| r.len()).sum();
         stats.reduced_nnz_peak = stats.reduced_nnz_peak.max(cur_nnz);
 
-        // Column patterns for the MIS and the links.
-        let reduced_cols: HashMap<usize, Vec<usize>> = reduced_patterns(local, &reduced).collect();
-        let plan = build_level_links(ctx, dm.dist(), &reduced_cols);
-        let mis = dist_mis(
-            ctx,
-            &plan,
-            &reduced_cols,
-            opts.seed,
-            level_idx,
-            opts.mis_rounds,
-        )?;
-        drop(reduced_cols); // a third of the reduced matrix's bytes; free before the sweep
+        // The level's pattern over slots, its links, and the MIS.
+        mis.begin(cur_nnz);
+        for (&i, rr) in local.interface.iter().zip(&reduced) {
+            if let Some(rr) = rr {
+                mis.push_row(i, rr.iter().map(|&(c, _)| c));
+            }
+        }
+        let plan = mis.link(ctx, dm.dist());
+        mis.run(ctx, &plan, opts.seed, level_idx, opts.mis_rounds)?;
+        let mut my_in: Vec<usize> = mis.my_in().collect();
+        my_in.shrink_to_fit(); // kept in `levels`: part of the factor's heap footprint
 
         // Factor my I_l rows: independence means only rule-2 dropping.
-        for &v in &mis.my_in {
+        for &v in &my_in {
             let q = fb.interface_index(v);
             // lint: allow(unwrap): set members always carry a reduced row
             let rr = reduced[q].take().expect("member without a reduced row");
@@ -241,7 +243,7 @@ pub fn par_ilut(
             row.diag = diag;
             row.u = kern.upper.to_vec();
         }
-        levels.push(mis.my_in.clone());
+        levels.push(my_in);
 
         // Ship the new U rows directly along the level plan: each rank
         // sends one (possibly empty) batch to every peer that references its
@@ -250,16 +252,13 @@ pub fn par_ilut(
         plan.replay_tagged(
             ctx,
             tags::UROWS,
-            |_, nodes| fb.encode_urows(nodes, |v| mis.my_in.binary_search(&v).is_ok()),
+            |_, nodes| fb.encode_urows(nodes, |v| mis.is_in(v)),
             |_, _, payload| remote_u.decode(payload),
         );
 
         // Algorithm 4.2: eliminate the I_l unknowns from my remaining rows,
         // in ascending interface position — the logical clock accumulates
         // the per-row charges in one fixed order on every run.
-        let in_level = |j: usize| -> bool {
-            mis.my_in.binary_search(&j).is_ok() || mis.remote_in.binary_search(&j).is_ok()
-        };
         for (q, &i) in local.interface.iter().enumerate() {
             let Some(rr) = reduced[q].as_ref() else {
                 continue;
@@ -270,7 +269,7 @@ pub fn par_ilut(
             // I_l columns).
             pivots.clear();
             let cols = rr.iter().map(|&(c, _)| c);
-            pivots.extend(cols.filter(|&c| c != i && in_level(c)));
+            pivots.extend(cols.filter(|&c| c != i && mis.is_in(c)));
             if pivots.is_empty() {
                 continue;
             }
@@ -316,6 +315,8 @@ pub fn par_ilut(
     }
 
     stats.flops = kern.flops;
+    stats.mis_work = mis.work();
+    drop(mis); // slot arrays and pattern: free before `finish` copies the staged rows
     stats.breakdowns_repaired = kern.doctor.repairs();
     Ok(fb.finish(levels, initial_reduced_cols, stats))
 }

@@ -14,9 +14,10 @@
 //! * **Deterministic quantities gate.** The self-consistency invariants
 //!   ([`check`]: measured per-tag traffic equals the static `CommPlan`
 //!   prediction exactly, no protocol tag escapes the plan, every
-//!   [`STEADY_REGIONS`] entry performed zero heap acquisitions, a serial
-//!   row puts nothing on the wire) are asserted on the typed
-//!   [`Measurement`] inside `xtask bench`, before the report is written.
+//!   [`STEADY_REGIONS`] entry performed zero heap acquisitions, the
+//!   `mis_rounds` region at most [`MIS_ALLOCS_PER_MESSAGE`] per dist-MIS
+//!   message, a serial row puts nothing on the wire) are asserted on the
+//!   typed [`Measurement`] inside `xtask bench`, before the report is written.
 //!   The counts themselves ([`Facts`]: flops, simulated T3D seconds,
 //!   per-tag messages and bytes, fill, factor heap bytes) are rendered by
 //!   `xtask paper` as the `kernels` experiment and exact-diffed by
@@ -54,8 +55,9 @@ use pilut_sparse::{gen, BcsrMatrix, CsrMatrix};
 /// Audit regions that must perform **zero** heap acquisitions over a whole
 /// scenario: each is a replay path whose plan, pools and workspaces are
 /// built before the steady state begins, so one allocation inside is a
-/// regression of the memory plane. Regions outside this list (`mis_rounds`,
-/// `plan_replay`) ship content-dependent frames and are reported only.
+/// regression of the memory plane. `mis_rounds` ships content-dependent
+/// frames and is budgeted per message instead
+/// ([`MIS_ALLOCS_PER_MESSAGE`]); `plan_replay` is reported only.
 const STEADY_REGIONS: &[&str] = &[
     "gmres_inner",
     "recv_values",
@@ -63,6 +65,13 @@ const STEADY_REGIONS: &[&str] = &[
     "send_values",
     "trisolve_replay",
 ];
+
+/// Heap acquisitions the `mis_rounds` region may make per dist-MIS message
+/// a rank puts on the wire (`mis_keys` + `mis_tent` + `mis_conf`): the
+/// exact-size frame buffer and nothing else — the kernel's slot arrays are
+/// sized before the region opens. Counted against messages *sent*, i.e.
+/// c = ½ over sent + received.
+const MIS_ALLOCS_PER_MESSAGE: u64 = 1;
 
 /// Dofs per node of `gen::elasticity_3d` = the tile size of the blocked rows.
 const DOFS: usize = 3;
@@ -598,6 +607,12 @@ impl Measurement {
     fn mnnz_per_s(&self) -> f64 {
         self.facts.nnz as f64 * 1e3 / self.median_ns.max(1) as f64
     }
+
+    /// Runs of the operation the audit regions cover: the warm-up and the
+    /// timed samples at `inner` operations each, plus the stats pass.
+    fn passes(&self) -> u64 {
+        ((self.reps + 1) * self.row.inner + 1) as u64
+    }
 }
 
 /// The gate: every invariant a row must satisfy on its own, checked on the
@@ -630,6 +645,21 @@ fn check(m: &Measurement) -> Result<(), String> {
                 let name = tags::tag_name(tag);
                 return fail(format!(
                     "tag {name}: {mm} measured message(s) bypassed the planned data plane"
+                ));
+            }
+        }
+        // Every pass repeats the stats pass's traffic (a body that factors
+        // once outside its operation only makes the budget looser).
+        let mis_tags = [tags::MIS_KEYS, tags::MIS_TENT, tags::MIS_CONF];
+        let messages: u64 = mis_tags.iter().map(|&t| stats.tag_totals(t).0).sum();
+        let passes = m.passes();
+        let budget = MIS_ALLOCS_PER_MESSAGE * messages * passes;
+        if let Some(r) = m.regions.iter().find(|r| r.name == "mis_rounds") {
+            if r.allocs > budget {
+                let allocs = r.allocs;
+                return fail(format!(
+                    "region mis_rounds acquired {allocs} allocation(s) over {passes} pass(es) of \
+                     {messages} dist-MIS message(s), budget {budget}: only wire frames may allocate"
                 ));
             }
         }
@@ -870,7 +900,8 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// A healthy p = 4 row: 12 messages / 4096 bytes under `spmv`, planned
-    /// exactly, nothing allocated in a steady region.
+    /// exactly, nothing allocated in a steady region or (no dist-MIS
+    /// message, so no frame) in `mis_rounds`.
     fn healthy() -> Measurement {
         let stats = MachineStats {
             messages: 12,
@@ -890,7 +921,7 @@ mod tests {
                 stats,
                 ..Facts::default()
             },
-            regions: vec![region("mis_rounds", 40), region("trisolve_replay", 0)],
+            regions: vec![region("mis_rounds", 0), region("trisolve_replay", 0)],
         }
     }
 
@@ -964,7 +995,7 @@ mod tests {
     #[test]
     fn steady_region_acquisitions_fail() {
         let mut m = healthy();
-        m.regions = vec![region("mis_rounds", 40), region("trisolve_replay", 3)];
+        m.regions = vec![region("mis_rounds", 0), region("trisolve_replay", 3)];
         assert_fails(
             &m,
             "steady region trisolve_replay acquired 3 allocation(s) / 192 byte(s)",
@@ -975,6 +1006,28 @@ mod tests {
         m.facts.stats.planned_by_tag.clear();
         assert_fails(&m, "steady region trisolve_replay");
         m.regions.pop();
+        check(&m).unwrap();
+    }
+
+    #[test]
+    fn mis_rounds_acquisitions_beyond_the_frame_budget_fail() {
+        // 5 dist-MIS messages per pass over 9 passes (warm-up + 3 reps at
+        // 2 operations each, + the stats pass): 45 frames may allocate.
+        let mut m = healthy();
+        for (tag, traffic) in [(tags::MIS_KEYS, (3, 96)), (tags::MIS_CONF, (2, 64))] {
+            m.facts.stats.by_tag.insert(tag, traffic);
+            let planned = (traffic.0, traffic.1, true);
+            m.facts.stats.planned_by_tag.insert(tag, planned);
+        }
+        m.regions[0] = region("mis_rounds", 45);
+        check(&m).unwrap();
+        m.regions[0] = region("mis_rounds", 46);
+        assert_fails(
+            &m,
+            "region mis_rounds acquired 46 allocation(s) over 9 pass(es) of 5 dist-MIS message(s), budget 45",
+        );
+        // A killed epoch abandons rounds mid-flight: waived like planned = measured.
+        m.facts.faults = 1;
         check(&m).unwrap();
     }
 
@@ -1123,7 +1176,7 @@ mod tests {
             json.contains("\"allocs\": 2, \"alloc_bytes\": 128"),
             "{json}"
         );
-        assert!(json.contains("\"alloc_regions\": \"mis_rounds:40/2560 trisolve_replay:2/128\""));
+        assert!(json.contains("\"alloc_regions\": \"mis_rounds:0/0 trisolve_replay:2/128\""));
         assert_eq!(field_u64("{\"median_ns\": 42,", "\"median_ns\":"), Some(42));
         assert_eq!(field_u64("no field", "\"median_ns\":"), None);
     }

@@ -50,7 +50,8 @@
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
 //!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the blocked
 //!   and serial triangular-solve functions, the distributed sweeps, the
-//!   whole `CommPlan` replay half, and the GMRES restart loop. The scan is a token walk over the blanked text — macro
+//!   whole `CommPlan` replay half, the dist-MIS round, and the GMRES
+//!   restart loop. The scan is a token walk over the blanked text — macro
 //!   invocations are first-class tokens, so `vec![` in a string or
 //!   comment can't fire and `Avec![` can't hide. Backed at run time by
 //!   the allocation-audit regions and the `zero-steady-alloc` bench gate.
@@ -494,6 +495,10 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
         &["forward_sweep_into", "backward_sweep_into", "load"],
     ),
     ("crates/core/src/dist/exchange/replay.rs", &["*"]),
+    (
+        "crates/core/src/parallel/dist_mis.rs",
+        &["refresh_links", "round", "frame"],
+    ),
     (
         "crates/solver/src/krylov.rs",
         &["inner_product", "norm", "residual", "solve"],
