@@ -39,13 +39,14 @@ cargo run -q -p xtask --release -- schedcheck --quick
 echo "==> modelcheck (DPOR schedule-space exploration, quick)"
 cargo run -q -p xtask --release -- modelcheck --quick
 
-# The paper's tables and figures at CI size, plus the deterministic half of
+# The paper's tables and figures at CI size, plus the per-level attribution
+# of the three factorizations (levels.txt) and the deterministic half of
 # every bench scenario (kernels.txt): simulated time and every count in
 # them are bit-reproducible, so the committed experiments/ci/*.txt must
 # regenerate exactly. A change that moves them re-blesses with
 # `xtask paper` (and `xtask paper --record` for experiments/*.txt) and
 # shows the moved numbers in its diff.
-echo "==> paper --check (Tables 1-3, Figures 1-6, ablations, bench kernels; exact diff)"
+echo "==> paper --check (Tables 1-3, Figures 1-6, ablations, levels, bench kernels; exact diff)"
 cargo run -q -p xtask --release -- paper --check
 
 # ThreadSanitizer pass over the VM crate: the logical-clock machine is the
@@ -72,7 +73,8 @@ fi
 # Every bench scenario at its small size. The gate is in-process and made
 # of deterministic quantities only: measured per-tag traffic equal to the
 # plans' prediction, no unplanned tag, zero heap acquisitions in every
-# steady-state replay region, nothing on the wire from a serial row. The
+# steady-state replay region, dist-MIS frames and Algorithm 4.2's row
+# buffers inside their budgets, nothing on the wire from a serial row. The
 # counts themselves are in experiments/ci/kernels.txt, exact-diffed by
 # `paper --check` above; wall time is written to the report and gates nothing.
 echo "==> bench smoke (all scenarios, quick sizes; invariants gate in-process)"

@@ -321,8 +321,10 @@ pub(crate) struct LevelMis {
     live_send: Vec<bool>,
     live_recv: Vec<bool>,
     live_pair: Vec<bool>,
-    /// Modelled units charged to the clock since construction.
+    /// Modelled units this level has charged to the clock, and the number
+    /// of its rounds that began with a row of mine still `CAND`.
     work: f64,
+    live_rounds: usize,
 }
 
 impl LevelMis {
@@ -338,6 +340,8 @@ impl LevelMis {
         self.ptr.push(0);
         self.adj.clear();
         self.adj.reserve_exact(nnz);
+        self.work = 0.0;
+        self.live_rounds = 0;
     }
 
     /// The slot of `node` in this level, [`NONE`] without one.
@@ -457,6 +461,7 @@ impl LevelMis {
         // traffic, which `xtask bench` budgets per MIS message.
         let _audit = pilut_allocaudit::region("mis_rounds");
         for round in 0..max_rounds as u64 {
+            self.live_rounds += usize::from(!self.frontier.is_empty());
             self.round(ctx, plan, seed, level, round)?;
         }
         Ok(())
@@ -702,9 +707,14 @@ impl LevelMis {
         self.state[self.slot_of[node] as usize] == S_IN
     }
 
-    /// Modelled MIS units this kernel has charged to the clock.
+    /// Modelled MIS units this level has charged to the clock.
     pub(crate) fn work(&self) -> f64 {
         self.work
+    }
+
+    /// Rounds of this level that began with a candidate row of mine.
+    pub(crate) fn live_rounds(&self) -> usize {
+        self.live_rounds
     }
 }
 

@@ -22,8 +22,8 @@ use crate::options::{BreakdownPolicy, FactorError};
 use crate::parallel::dist_mis::{link_plan, LevelMis};
 use crate::parallel::store::{FactorBuilder, RemoteURows};
 use crate::parallel::{
-    collective_fault_verdict, reduced_patterns, role_map, split_diag, ParStats, RankFactors,
-    ReducedRows,
+    collective_fault_verdict, lap, phase1_entry, reduced_patterns, role_map, seal_levels,
+    split_diag, LevelStats, ParStats, RankFactors, ReducedRows,
 };
 use pilut_par::Ctx;
 use pilut_sparse::WorkRow;
@@ -54,6 +54,11 @@ pub fn par_ilu0_with(
     let role = role_map(local, n);
     let mut fb = FactorBuilder::new(local);
     let mut stats = ParStats::default();
+    // The level table of `par_ilut`, filled the same way: `meter` collects
+    // the flops and pivots of the entry being measured from `mark`. ILU(0)
+    // has no dropping rule, so the selection and rule-1 columns stay zero.
+    let mut meter = LevelStats::default();
+    let mut mark = ctx.time();
     let mut w = WorkRow::new(n);
     // Scratch reused across rows; stored rows are exact-size copies.
     let mut entries: Vec<(usize, f64)> = Vec::new();
@@ -91,7 +96,8 @@ pub fn par_ilu0_with(
                     w.add(j, -mult * uv);
                 }
             }
-            stats.flops += cost;
+            meter.pivots_applied += 1;
+            meter.elim_flops += cost;
             ctx.work(cost);
         }
         w.drain_sorted_into(&mut entries);
@@ -117,12 +123,14 @@ pub fn par_ilu0_with(
     stats.reduced_nnz_peak = stats.reduced_nnz_initial;
     let initial_reduced_cols: Vec<(usize, Vec<usize>)> =
         reduced_patterns(local, &reduced).collect();
+    let phase1 = phase1_entry(local, stats.reduced_nnz_initial, lap(ctx, &mut mark), meter);
 
     // ---- Symbolic schedule: peel independent sets off the static pattern.
     // (This is the "colouring" of Figure 1a: it depends only on structure.)
     let mut remaining: HashSet<usize> = local.interface.iter().copied().collect();
     let mut scheduled_remote: HashSet<usize> = HashSet::new();
     let mut schedule: Vec<Vec<usize>> = Vec::new();
+    let mut per_level: Vec<LevelStats> = Vec::new();
     let mut mis = LevelMis::default();
     let mut level_idx = 0u64;
     loop {
@@ -156,15 +164,26 @@ pub fn par_ilu0_with(
             remaining.remove(v);
         }
         scheduled_remote.extend(mis.remote_in());
+        per_level.push(LevelStats {
+            candidates: remaining.len() + my_in.len(),
+            set_size: my_in.len(),
+            luby_rounds: mis.live_rounds(),
+            mis_units: mis.work(),
+            clock_delta: lap(ctx, &mut mark),
+            ..LevelStats::default()
+        });
         schedule.push(my_in);
         level_idx += 1;
     }
-    stats.mis_work = mis.work();
+    // What the clock did since `mark` — the all-reduce that found nothing
+    // left to schedule — lands in the first numeric level below.
 
     // ---- Numeric interface factorization, level by level.
     let mut remote_u = RemoteURows::new(n);
     let mut pivots: Vec<usize> = Vec::new();
-    for level in &schedule {
+    let mut live_nnz = stats.reduced_nnz_initial;
+    for (level, lvl) in schedule.iter().zip(&mut per_level) {
+        lvl.reduced_nnz_before = live_nnz;
         // Finish the rows of this level: their remaining couplings to
         // *unfactored* nodes form U; couplings to already-factored interface
         // nodes were eliminated in earlier sweeps below.
@@ -172,6 +191,7 @@ pub fn par_ilu0_with(
             let q = fb.interface_index(v);
             // lint: allow(unwrap): scheduling inserts every reduced row before it is scheduled
             let rr = reduced[q].take().expect("scheduled row missing");
+            live_nnz -= rr.len();
             let (mut diag, has_diag) = split_diag(&rr, v, &mut upper);
             let row = &mut fb.staged[q];
             doctor.repair_or_defer(
@@ -197,7 +217,7 @@ pub fn par_ilu0_with(
         plan.replay_tagged(
             ctx,
             tags::U0,
-            |_, nodes| fb.encode_urows(nodes, in_mine),
+            |_, nodes| fb.encode_urows(nodes, in_mine, lvl),
             |_, _, payload| remote_u.decode(payload),
         );
         // Remote members of this level are detectable from the shipped
@@ -212,6 +232,7 @@ pub fn par_ilu0_with(
             if pivots.is_empty() {
                 continue;
             }
+            lvl.rows_touched += 1;
             for &(c, v) in rr {
                 w.set(c, v);
             }
@@ -229,15 +250,19 @@ pub fn par_ilu0_with(
                         w.add(j, -mult * uv);
                     }
                 }
-                stats.flops += 2.0 * urow.len() as f64 + 1.0;
+                lvl.pivots_applied += 1;
+                lvl.elim_flops += 2.0 * urow.len() as f64 + 1.0;
                 ctx.work(2.0 * urow.len() as f64 + 1.0);
                 lower.push((k, mult));
             }
             lower.sort_unstable_by_key(|&(c, _)| c);
             fb.staged[q].l = lower.to_vec();
             w.drain_sorted_into(&mut entries);
+            live_nnz = live_nnz - rr.len() + entries.len();
             reduced[q] = Some(entries.to_vec());
         }
+        lvl.reduced_nnz_after = live_nnz;
+        lvl.clock_delta += lap(ctx, &mut mark);
     }
 
     // Global error check once at the end (the schedule loop above already
@@ -246,6 +271,7 @@ pub fn par_ilu0_with(
     if err_flag > 0 {
         return Err(collective_fault_verdict(ctx, &my_err));
     }
+    seal_levels(ctx, mark, phase1, per_level, &mut stats);
     stats.breakdowns_repaired = doctor.repairs();
     Ok(fb.finish(schedule, initial_reduced_cols, stats))
 }

@@ -15,7 +15,7 @@
 //! (not slot order) — the order every earlier representation summed in, so
 //! each dot product rounds identically.
 
-use super::ParStats;
+use super::{LevelStats, ParStats};
 use crate::dist::LocalView;
 use crate::factors::{Arena, FactorStore};
 use pilut_par::Payload;
@@ -205,11 +205,13 @@ impl<'a> FactorBuilder<'a> {
     }
 
     /// Wire encoding of the `U` rows of the level members among `nodes`:
-    /// `U64 = [node, len, cols...]*`, `F64 = [diag, vals...]*`.
+    /// `U64 = [node, len, cols...]*`, `F64 = [diag, vals...]*`. The rows
+    /// and bytes shipped are added to the level's `tally`.
     pub(crate) fn encode_urows(
         &self,
         nodes: &[usize],
         is_member: impl Fn(usize) -> bool,
+        tally: &mut LevelStats,
     ) -> Payload {
         let mut bu = Vec::new();
         let mut bf = Vec::new();
@@ -220,8 +222,11 @@ impl<'a> FactorBuilder<'a> {
             bu.extend(row.u.iter().map(|&(c, _)| c as u64));
             bf.push(row.diag);
             bf.extend(row.u.iter().map(|&(_, x)| x));
+            tally.urows_rows += 1;
         }
-        Payload::mixed(bu, bf)
+        let batch = Payload::mixed(bu, bf);
+        tally.urows_bytes += batch.bytes();
+        batch
     }
 
     /// Appends the staged interface rows in local-view order and seals the

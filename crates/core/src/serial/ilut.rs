@@ -43,7 +43,7 @@ pub fn ilut_with_stats(
     }
     let factors = LuFactors::from_store(store);
     let stats = FactorStats {
-        flops: kernel.flops,
+        flops: kernel.meter.flops(),
         nnz_l: factors.nnz_l(),
         nnz_u: factors.nnz_u(),
         breakdowns_repaired: kernel.doctor.repairs(),

@@ -14,6 +14,7 @@
 use crate::breakdown::{PivotDoctor, PivotFault};
 use crate::factors::FactorStore;
 use crate::options::IlutOptions;
+use crate::parallel::LevelStats;
 use crate::serial::drop_rules::{selection_cost, threshold_and_cap_in_place};
 use pilut_sparse::{CsrMatrix, WorkRow};
 use std::cmp::Reverse;
@@ -21,7 +22,7 @@ use std::collections::BinaryHeap;
 
 /// Per-factorization state of the row kernel: the scratch reused across
 /// rows (everything that outlives a row is copied out at exact size), the
-/// breakdown state and the flop count.
+/// breakdown state and the work meter.
 pub(crate) struct IlutRow {
     pub(crate) w: WorkRow,
     /// Min-heap of pivot columns still to eliminate in the current row,
@@ -37,8 +38,10 @@ pub(crate) struct IlutRow {
     /// the serial driver returns it at once, a rank defers it to the next
     /// collective error check.
     pub(crate) fault: Option<(usize, PivotFault)>,
-    /// Modelled floating-point operations so far.
-    pub(crate) flops: f64,
+    /// Modelled work since the meter was last taken: the flop split and
+    /// the pivot counts of a [`LevelStats`] entry (the serial driver never
+    /// takes it and reads its total; a rank takes it once per level).
+    pub(crate) meter: LevelStats,
 }
 
 impl IlutRow {
@@ -52,7 +55,7 @@ impl IlutRow {
             upper: Vec::new(),
             doctor: PivotDoctor::new(opts.breakdown),
             fault: None,
-            flops: 0.0,
+            meter: LevelStats::default(),
         }
     }
 
@@ -91,9 +94,10 @@ impl IlutRow {
             }
             let p = slot_of(k);
             let mult = wk / store.diag[p];
-            self.flops += 1.0;
+            self.meter.elim_flops += 1.0;
             // First dropping rule.
             if mult.abs() < tau_i {
+                self.meter.dropped_rule1 += 1;
                 self.w.drop_pos(k);
                 continue;
             }
@@ -110,11 +114,12 @@ impl IlutRow {
                     self.heap.push(Reverse(j));
                 }
             }
-            self.flops += cost;
+            self.meter.pivots_applied += 1;
+            self.meter.elim_flops += cost;
             work(cost + 1.0);
         }
         self.w.drain_sorted_into(&mut self.entries);
-        self.flops += selection_cost(self.entries.len());
+        self.meter.select_flops += selection_cost(self.entries.len());
         work(selection_cost(self.entries.len()));
         self.lower.clear();
         self.upper.clear();

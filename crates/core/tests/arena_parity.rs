@@ -8,13 +8,23 @@
 //! it shares nothing with the store it checks except the MIS and the
 //! dropping rule. It visits reduced rows in ascending node order (any
 //! order yields the same rows; this one also yields the same flop count).
+//!
+//! It is also the oracle for *when* the third dropping rule runs: the
+//! reference re-selects the `m` largest multipliers of a row's `L` at the
+//! end of **every level** that touched the row, as the paper's Algorithm
+//! 4.2 is written, while `par_ilut` appends and selects when the row is
+//! factored (and before that only to keep `L` within `2m` entries). Equal
+//! rows are the proof that the deferral is exact. Only the reference's flop
+//! meter follows the shipped charge — a selection over what the shipped `L`
+//! holds at those moments (`l_held`) — so that the flop comparison keeps
+//! checking every other term.
 
 use pilut_core::dist::exchange::tags;
 use pilut_core::dist::{DistMatrix, LocalView};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::dist_mis::{build_level_links, dist_mis};
 use pilut_core::parallel::{assemble_factors, par_ilut};
-use pilut_core::serial::drop_rules::{selection_cost, threshold_and_cap};
+use pilut_core::serial::drop_rules::{keep_largest_multipliers, selection_cost, threshold_and_cap};
 use pilut_core::serial::ilut_with_stats;
 use pilut_core::LuFactors;
 use pilut_par::collectives::ReduceOp;
@@ -103,6 +113,9 @@ fn reference_par_ilut(
 
     let mut reduced: BTreeMap<usize, Vec<(usize, f64)>> = BTreeMap::new();
     let mut tau_of: HashMap<usize, f64> = HashMap::new();
+    // Length of the shipped code's staged `L`, per row: the phase-1 cut
+    // plus the multipliers appended since its last selection.
+    let mut l_held: HashMap<usize, usize> = HashMap::new();
     for &i in &local.interface {
         let tau_i = opts.tau * a.row_norm2(i);
         tau_of.insert(i, tau_i);
@@ -113,10 +126,13 @@ fn reference_par_ilut(
         let lower = eliminate(&mut w, &rows, interior, tau_i, &mut flops);
         let rest = w.drain_sorted();
         flops += selection_cost(rest.len() + lower.len());
+        let mut lower = lower;
+        keep_largest_multipliers(&mut lower, tau_i, opts.m);
         let row = RefRow {
-            l: threshold_and_cap(lower, tau_i, opts.m, None),
+            l: lower,
             ..RefRow::default()
         };
+        l_held.insert(i, row.l.len());
         rows.insert(i, row);
         reduced.insert(
             i,
@@ -145,7 +161,7 @@ fn reference_par_ilut(
             row.diag = rr.iter().find(|&&(c, _)| c == v).expect("pivot").1;
             let off = rr.into_iter().filter(|&(c, _)| c != v).collect();
             row.u = threshold_and_cap(off, tau_of[&v], opts.m, None);
-            flops += selection_cost(row.u.len());
+            flops += selection_cost(l_held[&v]) + selection_cost(row.u.len());
         }
         levels.push(mis.my_in.clone());
 
@@ -200,6 +216,7 @@ fn reference_par_ilut(
                 w.set(c, v);
             }
             let mut lmerge = std::mem::take(&mut rows.get_mut(&i).expect("row").l);
+            let kept = lmerge.len();
             for k in pivots {
                 let urow = rows.get(&k).or_else(|| remote_u.get(&k)).expect("U row");
                 let wk = w.get(k);
@@ -218,8 +235,14 @@ fn reference_par_ilut(
                 flops += 2.0 * urow.u.len() as f64;
                 lmerge.push((k, mult));
             }
-            flops += selection_cost(lmerge.len());
-            rows.get_mut(&i).expect("row").l = threshold_and_cap(lmerge, tau_i, opts.m, None);
+            let (held, new) = (l_held.get_mut(&i).expect("row"), lmerge.len() - kept);
+            if *held + new > 2 * opts.m {
+                flops += selection_cost(*held);
+                *held = opts.m.min(*held);
+            }
+            *held += new;
+            keep_largest_multipliers(&mut lmerge, tau_i, opts.m);
+            rows.get_mut(&i).expect("row").l = lmerge;
             let rest = w.drain_sorted();
             reduced.insert(
                 i,

@@ -16,7 +16,8 @@
 //!   prediction exactly, no protocol tag escapes the plan, every
 //!   [`STEADY_REGIONS`] entry performed zero heap acquisitions, the
 //!   `mis_rounds` region at most [`MIS_ALLOCS_PER_MESSAGE`] per dist-MIS
-//!   message, a serial row puts nothing on the wire) are asserted on the
+//!   message, the `alg42_sweep` region at most [`SWEEP_GROWTHS_PER_ROW`]
+//!   per interface row, a serial row puts nothing on the wire) are asserted on the
 //!   typed [`Measurement`] inside `xtask bench`, before the report is written.
 //!   The counts themselves ([`Facts`]: flops, simulated T3D seconds,
 //!   per-tag messages and bytes, fill, factor heap bytes) are rendered by
@@ -72,6 +73,17 @@ const STEADY_REGIONS: &[&str] = &[
 /// sized before the region opens. Counted against messages *sent*, i.e.
 /// c = ½ over sent + received.
 const MIS_ALLOCS_PER_MESSAGE: u64 = 1;
+
+/// Heap acquisitions the `alg42_sweep` region (Algorithm 4.2's pass over
+/// the live reduced rows, once per level) may make per interface row per
+/// factorization. A live row owns the two buffers the sweep writes — its
+/// staged `L`, held to `2m` entries, and its reduced row — and each takes
+/// a quarter more than it needs when it must grow, so a row pays for
+/// growth a few times in its life and never per touch. Measured on the
+/// machine rows: 2.6–2.9 at full size, up to 3.7 at `--quick` size,
+/// against 16.0 (p = 4) / 18.6 (p = 8) for the two exact-size copies per
+/// row-touch that preceded it; three growths per buffer is the budget.
+const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 
 /// Dofs per node of `gen::elasticity_3d` = the tile size of the blocked rows.
 const DOFS: usize = 3;
@@ -478,6 +490,8 @@ pub(crate) struct Facts {
     pub(crate) n: usize,
     /// Entries processed per operation.
     pub(crate) nnz: usize,
+    /// Interface rows over all ranks (zero on a serial row).
+    pub(crate) interface: usize,
     pub(crate) fill: Option<usize>,
     pub(crate) heap_bytes: Option<usize>,
     /// Modelled flops: the factorization's own count on a serial row, the
@@ -565,6 +579,7 @@ fn run_row(s: &Scenario, quick: bool, reps: usize) -> Measurement {
             let facts = Facts {
                 n,
                 nnz: out.results.iter().map(|r| r.nnz).sum(),
+                interface: dm.total_interface(),
                 fill: store.flatten().map(|s| s.0),
                 heap_bytes: store.flatten().map(|s| s.1),
                 flops: Some(out.stats.flops),
@@ -653,15 +668,27 @@ fn check(m: &Measurement) -> Result<(), String> {
         let mis_tags = [tags::MIS_KEYS, tags::MIS_TENT, tags::MIS_CONF];
         let messages: u64 = mis_tags.iter().map(|&t| stats.tag_totals(t).0).sum();
         let passes = m.passes();
+        let acquired = |name: &str| {
+            let region = m.regions.iter().find(|r| r.name == name);
+            region.map_or(0, |r| r.allocs)
+        };
+        let allocs = acquired("mis_rounds");
         let budget = MIS_ALLOCS_PER_MESSAGE * messages * passes;
-        if let Some(r) = m.regions.iter().find(|r| r.name == "mis_rounds") {
-            if r.allocs > budget {
-                let allocs = r.allocs;
-                return fail(format!(
-                    "region mis_rounds acquired {allocs} allocation(s) over {passes} pass(es) of \
-                     {messages} dist-MIS message(s), budget {budget}: only wire frames may allocate"
-                ));
-            }
+        if allocs > budget {
+            return fail(format!(
+                "region mis_rounds acquired {allocs} allocation(s) over {passes} pass(es) of \
+                 {messages} dist-MIS message(s), budget {budget}: only wire frames may allocate"
+            ));
+        }
+        let rows = m.facts.interface as u64;
+        let allocs = acquired("alg42_sweep");
+        let budget = SWEEP_GROWTHS_PER_ROW * rows * passes;
+        if allocs > budget {
+            return fail(format!(
+                "region alg42_sweep acquired {allocs} allocation(s) over {passes} pass(es) of \
+                 {rows} interface row(s), budget {budget}: a live row's buffers may grow, \
+                 a row-touch may not allocate"
+            ));
         }
     }
     for r in &m.regions {
@@ -774,7 +801,7 @@ fn render_json(label: &str, quick: bool, results: &[Measurement]) -> String {
             .map(|r| format!("{}:{}/{}", r.name, r.allocs, r.bytes))
             .collect();
         format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"nnz\": {}, \"reps\": {}, \"inner\": {}, \
+            "    {{\"name\": \"{}\", \"n\": {}, \"nnz\": {}, \"interface\": {}, \"reps\": {}, \"inner\": {}, \
              \"median_ns\": {}, \"min_ns\": {}, \"mnnz_per_s\": {:.2}, \
              \"comm_messages\": {}, \"comm_bytes\": {}, \"comm_tags\": \"{}\", \
              \"comm_planned\": \"{}\", \"allocs\": {}, \"alloc_bytes\": {}, \
@@ -782,6 +809,7 @@ fn render_json(label: &str, quick: bool, results: &[Measurement]) -> String {
             m.row.name,
             m.facts.n,
             m.facts.nnz,
+            m.facts.interface,
             m.reps,
             m.row.inner,
             m.median_ns,
@@ -1027,6 +1055,24 @@ mod tests {
             "region mis_rounds acquired 46 allocation(s) over 9 pass(es) of 5 dist-MIS message(s), budget 45",
         );
         // A killed epoch abandons rounds mid-flight: waived like planned = measured.
+        m.facts.faults = 1;
+        check(&m).unwrap();
+    }
+
+    #[test]
+    fn sweep_acquisitions_beyond_the_growth_budget_fail() {
+        // 10 interface rows over 9 passes: 6 · 10 · 9 growths, and no more
+        // (one acquisition per row-touch would be hundreds per pass).
+        let mut m = healthy();
+        m.facts.interface = 10;
+        m.regions.push(region("alg42_sweep", 540));
+        check(&m).unwrap();
+        m.regions[2] = region("alg42_sweep", 541);
+        assert_fails(
+            &m,
+            "region alg42_sweep acquired 541 allocation(s) over 9 pass(es) of 10 interface row(s), budget 540",
+        );
+        // A killed epoch re-partitions: its rows are not this count.
         m.facts.faults = 1;
         check(&m).unwrap();
     }

@@ -30,7 +30,8 @@
 //!   code. Recoverable paths must return `Result`; genuinely impossible
 //!   cases carry `// lint: allow(unwrap): <why>` on the same or the
 //!   previous line. Test code (`tests/`, `benches/`, `examples/`, and
-//!   everything after `#[cfg(test)]` in a source file) is exempt.
+//!   everything after `#[cfg(test)]` or `#[cfg(all(test, …))]` in a
+//!   source file) is exempt.
 //! * **no-float-eq** — comparing against a float literal with `==`/`!=`
 //!   is forbidden in library code; use a tolerance or
 //!   `// lint: allow(float-eq): <why>` for exact-representation cases
@@ -141,13 +142,22 @@ fn lint_task(_args: &[String]) -> Result<(), String> {
     }
 }
 
+/// Whether a line of code opens its file's test tail — the convention of
+/// this repo, shared by `loc` and every lint rule: the test module is the
+/// end of the file, under `#[cfg(test)]` or, for tests that also need a
+/// feature, `#[cfg(all(test, …))]`.
+fn opens_test_tail(code: &str) -> bool {
+    let attr = code.trim_start();
+    attr.starts_with("#[cfg(test)]") || attr.starts_with("#[cfg(all(test,")
+}
+
 /// `(code, test)` lines of one source file, counting non-blank lines that
-/// are not comment-only: code is everything before the file's first
-/// `#[cfg(test)]` (the same tail convention as the lint), test the rest.
+/// are not comment-only: code is everything before the file's test tail
+/// ([`opens_test_tail`]), test the rest.
 fn code_and_test_lines(content: &str) -> (usize, usize) {
     let (mut counts, mut in_tests) = ([0, 0], false);
     for line in content.lines().map(str::trim) {
-        in_tests |= line.starts_with("#[cfg(test)]");
+        in_tests |= opens_test_tail(line);
         counts[usize::from(in_tests)] += usize::from(!line.is_empty() && !line.starts_with("//"));
     }
     (counts[0], counts[1])
@@ -186,7 +196,7 @@ fn loc_task(_args: &[String]) -> Result<(), String> {
     }
     println!(
         "{code_total:>7} {test_total:>7}  total (non-blank, not comment-only lines; code: src before \
-         the first #[cfg(test)]; test: from it on, plus tests/)"
+         the test tail, #[cfg(test)] or #[cfg(all(test, ..))]; test: from it on, plus tests/)"
     );
     Ok(())
 }
@@ -361,11 +371,7 @@ fn lint_source(label: &str, content: &str, in_par: bool) -> Vec<Violation> {
     let mut in_tests = false;
     for (i, raw) in lines.iter().enumerate() {
         let code = blanked_lines.get(i).copied().unwrap_or("");
-        if code.contains("#[cfg(test)]") {
-            // Convention in this repo: the test module is the tail of the
-            // file, so everything after the marker is test code.
-            in_tests = true;
-        }
+        in_tests |= opens_test_tail(code);
         if in_tests {
             continue;
         }
@@ -637,8 +643,7 @@ fn alloc_in_hot_violations(label: &str, lines: &[&str], blanked_lines: &[&str]) 
     let mut out = Vec::new();
     let mut in_hot_fn = false;
     for (i, code) in blanked_lines.iter().enumerate() {
-        if code.contains("#[cfg(test)]") {
-            // Same tail convention as the per-line rules.
+        if opens_test_tail(code) {
             break;
         }
         if let Some(name) = fn_decl_name(code) {
@@ -671,10 +676,9 @@ fn alloc_in_hot_violations(label: &str, lines: &[&str], blanked_lines: &[&str]) 
 fn untagged_send_violations(label: &str, lines: &[&str], blanked: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let blanked_lines: Vec<&str> = blanked.lines().collect();
-    // Same convention as the per-line rules: the test module is the tail.
     let cutoff = blanked_lines
         .iter()
-        .position(|l| l.contains("#[cfg(test)]"))
+        .position(|l| opens_test_tail(l))
         .unwrap_or(usize::MAX);
     for (call, tag_args) in [("ctx.send(", &[1usize][..]), ("ctx.send_as(", &[1, 2][..])] {
         let mut start = 0;
@@ -1374,6 +1378,21 @@ mod tests {
                    #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
         assert_eq!(code_and_test_lines(src), (4, 4));
         assert_eq!(code_and_test_lines(""), (0, 0));
+    }
+
+    #[test]
+    fn feature_gated_test_modules_are_test_tails_too() {
+        let src = "fn f() {}\n#[cfg(all(test, feature = \"audit\"))]\nmod tests {\n    \
+                   fn t() { g().unwrap(); }\n}\n";
+        assert_eq!(code_and_test_lines(src), (1, 4));
+        assert!(lint_source("crates/fake/src/a.rs", src, false).is_empty());
+        // Any other `all(…)` is still code.
+        let code = src.replace("all(test,", "all(unix,");
+        assert_eq!(code_and_test_lines(&code), (5, 0));
+        assert_eq!(
+            rules(&lint_source("crates/fake/src/a.rs", &code, false)),
+            vec!["no-unwrap"]
+        );
     }
 
     #[test]

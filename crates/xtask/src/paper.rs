@@ -13,7 +13,9 @@
 //! not absolute values. Wall-clock progress (one line per experiment) goes to
 //! stderr only.
 //!
-//! The thirteenth entry, `kernels`, is not from the paper: it is the
+//! The last two entries are not from the paper. `levels` is the library's
+//! own per-level attribution of a factorization (`ParStats::per_level`):
+//! what every independent set cost and in which currency. `kernels` is the
 //! deterministic half of every `xtask bench` scenario (flops, simulated
 //! seconds, per-tag traffic, fill, factor bytes), held to the same exact
 //! diff so those counts are the kernel benchmark's regression gate.
@@ -31,7 +33,7 @@ use pilut_core::dist::op::{DistCsr, DistOperator};
 use pilut_core::dist::spmv::{dist_spmv, SpmvPlan};
 use pilut_core::dist::{DistMatrix, Distribution, LocalView};
 use pilut_core::options::IlutOptions;
-use pilut_core::parallel::{par_ilu0, par_ilut, RankFactors};
+use pilut_core::parallel::{par_ilu0, par_ilut, LevelStats, RankFactors};
 use pilut_core::trisolve::{dist_backward, dist_forward, TrisolvePlan};
 use pilut_graph::coloring::{color_classes, greedy_coloring};
 use pilut_graph::Graph;
@@ -146,7 +148,7 @@ const TABLE2: Experiment = Experiment {
 };
 
 /// Every table and figure of the paper, in the order they are generated.
-const EXPERIMENTS: [Experiment; 13] = [
+const EXPERIMENTS: [Experiment; 14] = [
     TABLE1,
     TABLE2,
     Experiment {
@@ -230,6 +232,15 @@ const EXPERIMENTS: [Experiment; 13] = [
         ci: ci(&[8]),
         record: at(0.15, &[32]),
         render: baseline_ilu0,
+    },
+    Experiment {
+        name: "levels",
+        title: "Levels — what each independent set cost (ParStats::per_level)",
+        families: &[Family::Torso],
+        grid: || vec![IlutOptions::new(10, 1e-4), IlutOptions::star(10, 1e-4, 2)],
+        ci: ci(&[8]),
+        record: at(0.15, &[32]),
+        render: levels,
     },
     // The bench table sizes itself: below scale 1 its `--quick` sizes.
     Experiment {
@@ -417,6 +428,17 @@ impl Precond {
             Precond::Ilut(o) => o.name(),
         }
     }
+
+    /// This rank's share of the factorization (none for the diagonal).
+    fn factor(&self, ctx: &mut Ctx, dm: &DistMatrix, local: &LocalView) -> Option<RankFactors> {
+        let rf = match self {
+            Precond::Diagonal => return None,
+            Precond::Ilu0 => par_ilu0(ctx, dm, local),
+            Precond::Ilut(o) => par_ilut(ctx, dm, local, o),
+        };
+        // lint: allow(unwrap): the paper's problems factor by construction; a failure is fatal to the table
+        Some(rf.expect("factorization failed"))
+    }
 }
 
 /// One preconditioned GMRES solve of `A x = A·1` from `x₀ = 0` (paper §6),
@@ -439,13 +461,7 @@ fn run_gmres(dm: &DistMatrix, pre: &Precond, restart: usize) -> GmresRun {
         let mut op = DistCsr::new(ctx, dm, local);
         ctx.barrier();
         let t0 = ctx.time();
-        let rf = match pre {
-            Precond::Diagonal => None,
-            Precond::Ilu0 => Some(par_ilu0(ctx, dm, local)),
-            Precond::Ilut(o) => Some(par_ilut(ctx, dm, local, o)),
-        };
-        // lint: allow(unwrap): the paper's problems factor by construction; a failure is fatal to the table
-        let rf = rf.map(|rf| rf.expect("factorization failed"));
+        let rf = pre.factor(ctx, dm, local);
         ctx.barrier();
         let factor_time = ctx.time() - t0;
         let levels = rf.as_ref().map_or(0, |rf| rf.stats.levels);
@@ -875,6 +891,104 @@ fn baseline_ilu0(e: &Experiment, size: Size, _: &mut Runs) -> String {
  factorization, far fewer iterations — the paper's §2 trade-off.)
 ",
         table(&title, &head, &rows)
+    )
+}
+
+/// The level table of ILU(0), ILUT and ILUT\* on one input: phase 1, then
+/// one row per independent set. The count columns are sums over the ranks
+/// (the global level); the cost columns — the flop split, the dist-MIS
+/// units, the words copied and the clock — are the slowest rank's, whose
+/// clock column therefore adds up to the factorization's simulated time.
+fn levels(e: &Experiment, size: Size, _: &mut Runs) -> String {
+    let (p, family) = (size.procs[0], e.families[0]);
+    let dm = partition(&family.matrix(size.scale), p);
+    let head = [
+        "level",
+        "cand",
+        "set",
+        "rounds",
+        "touched",
+        "pivots",
+        "drop1",
+        "nnz in",
+        "nnz out",
+        "urows",
+        "urow B",
+        "elim flops",
+        "select flops",
+        "mis units",
+        "copy words",
+        "clock (ms)",
+    ];
+    let ilut = (e.grid)().into_iter().map(Precond::Ilut);
+    let section = |pre: Precond| {
+        let run = spmd(&dm, MachineModel::cray_t3d(), |ctx, local| {
+            // lint: allow(unwrap): every method of this table factors
+            pre.factor(ctx, &dm, local).expect("a factorization").stats
+        });
+        let slowest = (0..p).max_by(|&a, &b| {
+            let (ta, tb) = (run.stats.rank_times[a], run.stats.rank_times[b]);
+            ta.total_cmp(&tb).then(b.cmp(&a))
+        });
+        // lint: allow(unwrap): Machine::run panics on p = 0
+        let slowest = slowest.expect("p > 0");
+        let slow = &run.results[slowest];
+        // One table row from one entry per rank.
+        let row = |label: String, ranks: Vec<&LevelStats>| {
+            let count = |f: fn(&LevelStats) -> usize| {
+                let total: usize = ranks.iter().map(|l| f(l)).sum();
+                total.to_string()
+            };
+            let rounds = ranks.iter().map(|l| l.luby_rounds).max();
+            let l = ranks[slowest];
+            vec![
+                label,
+                count(|l| l.candidates),
+                count(|l| l.set_size),
+                rounds.unwrap_or(0).to_string(),
+                count(|l| l.rows_touched),
+                count(|l| l.pivots_applied),
+                count(|l| l.dropped_rule1),
+                count(|l| l.reduced_nnz_before),
+                count(|l| l.reduced_nnz_after),
+                count(|l| l.urows_rows),
+                count(|l| l.urows_bytes),
+                l.elim_flops.to_string(),
+                l.select_flops.to_string(),
+                l.mis_units.to_string(),
+                l.copy_words.to_string(),
+                format!("{:.3}", 1e3 * l.clock_delta),
+            ]
+        };
+        let ranks = || run.results.iter();
+        let mut rows = vec![row("phase 1".into(), ranks().map(|s| &s.phase1).collect())];
+        let level_row = |l: usize| row(l.to_string(), ranks().map(|s| &s.per_level[l]).collect());
+        rows.extend((0..slow.levels).map(level_row));
+        let title = format!("{}, {}, p = {p}: {}", e.title, family.name(), pre.name());
+        let (q, time) = (slow.levels, fmt_time(run.sim_time));
+        format!(
+            "{}\nq = {q} levels, {time} s on the slowest rank (the clock column's sum); \
+             flops {}, dist-MIS units {} on that rank.\n",
+            table(&title, &head, &rows),
+            slow.flops,
+            slow.mis_work
+        )
+    };
+    let sections: Vec<String> = [Precond::Ilu0]
+        .into_iter()
+        .chain(ilut)
+        .map(section)
+        .collect();
+    format!(
+        "{}
+(`cand`…`urow B` are sums over the ranks, `rounds` the largest rank's count
+ of Luby rounds that began with a candidate; the flop split, the dist-MIS
+ units, the words copied and the clock are the slowest rank's. `drop1`
+ multipliers cost one flop each in `elim flops` and nothing on the clock;
+ `select flops` is where the third dropping rule is paid: in the level
+ that factors the row, and in one where its `L` would pass 2m entries.)
+",
+        sections.join("\n")
     )
 }
 
