@@ -24,12 +24,13 @@
 //!   of one protocol can never be confused even if same-pair delivery order
 //!   is inverted — the chaos suite's `reorder` fault exercises exactly this;
 //! * payload contents are producer-defined ([`CommPlan::replay`]) or
-//!   values-only ([`CommPlan::replay_halo`], which ships `f64`s in the node
-//!   order both sides agreed on at plan time — no ids on the wire);
+//!   values-only ([`CommPlan::send_values`] / [`CommPlan::recv_values`] —
+//!   the one halo mechanism of SpMV and both triangular sweeps — which ship
+//!   `f64`s in the node order both sides agreed on at plan time, no ids on
+//!   the wire);
 //! * a plan built from empty need-lists replays as a no-op, so ranks that
 //!   own zero rows participate safely.
 
-use crate::dist::LocalView;
 use pilut_par::{pool, Ctx, Payload};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -106,42 +107,11 @@ pub mod tags {
     }
 }
 
-/// A distributed vector: this rank's owned values (in local-view order)
-/// plus a halo of remote values filled in by [`CommPlan::replay_halo`].
-#[derive(Clone, Debug)]
-pub struct DistVector {
-    /// Owned values, indexed in local-view order (interiors then
-    /// interfaces; see [`LocalView::nodes`]).
-    pub owned: Vec<f64>,
-    /// Dense halo scratch indexed by *global* node id. Only the positions
-    /// named in a plan's receive lists are meaningful after a replay.
-    halo: Vec<f64>,
-}
-
-impl DistVector {
-    /// A zero vector for a rank owning `local_len` of `n` global nodes.
-    pub fn new(local_len: usize, n: usize) -> Self {
-        DistVector {
-            owned: vec![0.0; local_len],
-            halo: vec![0.0; n],
-        }
-    }
-
-    /// The value of a global node: owned storage when local, halo otherwise
-    /// (valid for remote nodes only after a halo replay that covered them).
-    pub fn value(&self, local: &LocalView, node: usize) -> f64 {
-        match local.pos_of(node) {
-            Some(p) => self.owned[p],
-            None => self.halo[node],
-        }
-    }
-}
-
 /// The statically-predicted per-round communication cost of a plan, read
 /// off its schedules alone — no replay needed. Message counts are exact
 /// for every round kind; byte counts are exact for values-only rounds
-/// (halo replays, sweep value halves, label rounds: 8 bytes per scheduled
-/// node) and for exact-framed rounds
+/// (value halves, label rounds: 8 bytes per scheduled node) and for
+/// exact-framed rounds
 /// ([`CommPlan::replay_exact_sparse_tagged`], whose byte totals are computed
 /// from the frames about to ship). Only the
 /// generic producer-defined rounds predict message counts alone. The
@@ -486,7 +456,7 @@ impl CommPlan {
     /// remote nodes; `recv` must preserve their order). Nothing on the wire
     /// carries an id, so replays are unaffected; the callbacks of
     /// [`CommPlan::send_values`] / [`CommPlan::recv_values`] see the new
-    /// names — the triangular sweeps rename to solution-vector slots.
+    /// names — SpMV and the triangular sweeps rename to vector slots.
     pub fn relabel(
         mut self,
         send: impl Fn(usize) -> usize,
@@ -528,7 +498,7 @@ impl CommPlan {
         &self.recv
     }
 
-    /// Total values this rank ships per halo replay.
+    /// Total values this rank ships per values-only round.
     pub fn sent_values(&self) -> usize {
         self.send.iter().map(|(_, v)| v.len()).sum()
     }
@@ -658,27 +628,18 @@ mod tests {
         let dm = DistMatrix::new(a, Distribution::block(n, p));
         let out = Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| {
             let local = dm.local_view(ctx.rank());
-            let needed = local.nodes.iter().flat_map(|&i| {
-                dm.matrix()
-                    .row(i)
-                    .0
-                    .iter()
-                    .copied()
-                    .filter(|&j| !local.owns(j))
-                    .collect::<Vec<_>>()
-            });
+            let needed = local.remote_cols(dm.matrix());
             let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
-            // Halo roundtrip: owned value of node g is g as f64.
-            let mut v = DistVector::new(local.len(), dm.n());
-            for (slot, &g) in v.owned.iter_mut().zip(&local.nodes) {
-                *slot = g as f64;
-            }
-            plan.replay_halo(ctx, &local, &mut v);
-            for (_, nodes) in plan.recv_lists() {
-                for &g in nodes {
-                    assert!((v.value(&local, g) - g as f64).abs() < 1e-15);
-                    assert_eq!(plan.owner_of(g), Some(dm.dist().owner(g)));
-                }
+            // Halo roundtrip: owned value of node g is g as f64, and every
+            // needed node arrives once, in receive-list order.
+            plan.send_values(ctx, |g| g as f64);
+            let mut halo = Vec::new();
+            plan.recv_values(ctx, |g, val| halo.push((g, val)));
+            let needed = plan.recv_lists().iter().flat_map(|(_, nodes)| nodes);
+            assert!(needed.copied().eq(halo.iter().map(|&(g, _)| g)));
+            for (g, val) in halo {
+                assert_eq!(val, g as f64);
+                assert_eq!(plan.owner_of(g), Some(dm.dist().owner(g)));
             }
             // Labels: owners answer node id + 7.
             let labels = plan.exchange_labels(ctx, |g| g as u64 + 7);
@@ -709,21 +670,10 @@ mod tests {
         let dm = DistMatrix::new(a, Distribution::block(5, 8));
         let out = Machine::run_checked(8, MachineModel::cray_t3d(), |ctx| {
             let local = dm.local_view(ctx.rank());
-            let needed = local.nodes.iter().flat_map(|&i| {
-                dm.matrix()
-                    .row(i)
-                    .0
-                    .iter()
-                    .copied()
-                    .filter(|&j| !local.owns(j))
-                    .collect::<Vec<_>>()
-            });
+            let needed = local.remote_cols(dm.matrix());
             let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
-            let mut v = DistVector::new(local.len(), dm.n());
-            for (slot, &g) in v.owned.iter_mut().zip(&local.nodes) {
-                *slot = 1.0 + g as f64;
-            }
-            plan.replay_halo(ctx, &local, &mut v);
+            plan.send_values(ctx, |g| 1.0 + g as f64);
+            plan.recv_values(ctx, |g, val| assert_eq!(val, 1.0 + g as f64));
             plan.is_idle()
         });
         // The empty trailing ranks have nothing scheduled.
@@ -818,7 +768,7 @@ mod tests {
 
     #[test]
     fn planned_counters_match_measured_value_rounds() {
-        // Two halo replays plus a label round: all values-only, so the
+        // Two halo rounds plus a label round: all values-only, so the
         // static prediction must agree with the measured per-tag counters
         // to the byte, and the exact flag must survive aggregation.
         let a = gen::laplace_2d(6, 6);
@@ -826,19 +776,12 @@ mod tests {
         let dm = DistMatrix::new(a, Distribution::block(n, 3));
         let out = Machine::run_checked(3, MachineModel::cray_t3d(), |ctx| {
             let local = dm.local_view(ctx.rank());
-            let needed = local.nodes.iter().flat_map(|&i| {
-                dm.matrix()
-                    .row(i)
-                    .0
-                    .iter()
-                    .copied()
-                    .filter(|&j| !local.owns(j))
-                    .collect::<Vec<_>>()
-            });
+            let needed = local.remote_cols(dm.matrix());
             let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
-            let mut v = DistVector::new(local.len(), dm.n());
-            plan.replay_halo(ctx, &local, &mut v);
-            plan.replay_halo(ctx, &local, &mut v);
+            for _ in 0..2 {
+                plan.send_values(ctx, |_| 0.0);
+                plan.recv_values(ctx, |_, _| {});
+            }
             plan.exchange_labels(ctx, |g| g as u64);
             let cost = plan.predicted_cost();
             assert_eq!(cost.value_bytes, 8 * plan.sent_values() as u64);

@@ -19,8 +19,7 @@
 //! The allocation sites that remain are annotated `allow(alloc-in-hot)`
 //! with the setup-vs-steady reasoning inline.
 
-use super::{CommPlan, DistVector};
-use crate::dist::LocalView;
+use super::CommPlan;
 use pilut_par::{pool, Ctx, Payload};
 use std::collections::HashSet;
 
@@ -250,55 +249,11 @@ impl CommPlan {
         }
     }
 
-    /// Values-only halo replay: ships the owned values named by the send
-    /// schedule (one `f64` batch per peer, no node ids on the wire) and
-    /// scatters the received batches into `v`'s halo. Send buffers come
-    /// from the registered-buffer pool (warmed at build time) and receive
-    /// buffers are returned to it, so a replay performs no heap
-    /// allocation on either side.
-    pub fn replay_halo(&self, ctx: &mut Ctx, local: &LocalView, v: &mut DistVector) {
-        let _audit = pilut_allocaudit::region("replay_halo");
-        // Values-only wire format: the byte prediction is exact.
-        let cost = self.predicted_cost();
-        ctx.note_planned(
-            self.stats_tag,
-            cost.directed_messages,
-            cost.value_bytes,
-            true,
-        );
-        let send_tag = self.send_round_tag(self.tag);
-        for (peer, nodes) in &self.send {
-            let mut vals = pool::take_f64(nodes.len());
-            vals.extend(nodes.iter().map(
-                // lint: allow(unwrap): the plan was built from this view's own nodes
-                |&g| v.owned[local.pos_of(g).expect("plan refers to non-local node")],
-            ));
-            ctx.copy_words(vals.len() as f64);
-            ctx.send_as(*peer, send_tag, self.stats_tag, Payload::f64s(vals));
-        }
-        let recv_tag = self.recv_round_tag(self.tag);
-        for (peer, nodes) in &self.recv {
-            // Borrow the values in place, then recycle the handle: under
-            // reliable delivery the sender still retains the frame, and
-            // `into_f64` here would deep-copy every round while the pooled
-            // buffer died with the retained clone. Whichever side drops
-            // the last reference (us now, or the sender's cumulative-ACK
-            // release) shelves the buffer back into the pool.
-            let payload = ctx.recv(*peer, recv_tag);
-            let vals = payload.as_f64();
-            assert_eq!(vals.len(), nodes.len(), "plan mismatch from rank {peer}");
-            for (&g, &val) in nodes.iter().zip(vals) {
-                v.halo[g] = val;
-            }
-            ctx.copy_words(nodes.len() as f64);
-            payload.recycle();
-        }
-    }
-
     /// The send half of a values-only round: one `f64` batch per send-side
-    /// peer, values in the agreed node order, staged in pooled buffers.
-    /// Pairs with a matching [`CommPlan::recv_values`] on the other side —
-    /// the triangular sweeps use the halves at different loop iterations,
+    /// peer, values in the agreed node order (no node ids on the wire),
+    /// staged in pooled buffers warmed at build time. Pairs with a matching
+    /// [`CommPlan::recv_values`] on the other side — SpMV calls the halves
+    /// back to back, the triangular sweeps at different loop iterations,
     /// which is why they are split.
     pub fn send_values(&self, ctx: &mut Ctx, value_of: impl Fn(usize) -> f64) {
         let _audit = pilut_allocaudit::region("send_values");
@@ -320,13 +275,17 @@ impl CommPlan {
 
     /// The receive half of a values-only round: drains one `f64` batch per
     /// recv-side peer, hands each `(node, value)` to `take`, and recycles
-    /// the batch toward the registered-buffer pool (the values are read
-    /// through a borrow — see [`CommPlan::replay_halo`] for why the
-    /// receiver must not unwrap the payload).
+    /// the batch toward the registered-buffer pool.
     pub fn recv_values(&self, ctx: &mut Ctx, mut take: impl FnMut(usize, f64)) {
         let _audit = pilut_allocaudit::region("recv_values");
         let recv_tag = self.recv_round_tag(self.tag);
         for (peer, nodes) in &self.recv {
+            // Borrow the values in place, then recycle the handle: under
+            // reliable delivery the sender still retains the frame, and
+            // `into_f64` here would deep-copy every round while the pooled
+            // buffer died with the retained clone. Whichever side drops
+            // the last reference (us now, or the sender's cumulative-ACK
+            // release) shelves the buffer back into the pool.
             let payload = ctx.recv(*peer, recv_tag);
             let vals = payload.as_f64();
             assert_eq!(vals.len(), nodes.len(), "plan mismatch from rank {peer}");

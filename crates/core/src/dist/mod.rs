@@ -140,6 +140,14 @@ impl LocalView {
     pub fn owns(&self, node: usize) -> bool {
         self.local_pos[node] != usize::MAX
     }
+
+    /// The columns of this rank's rows of `a` that another rank owns, row
+    /// after row with repeats — the `needed` list of a halo
+    /// [`exchange::CommPlan`].
+    pub fn remote_cols<'a>(&'a self, a: &'a CsrMatrix) -> impl Iterator<Item = usize> + 'a {
+        let cols = self.nodes.iter().flat_map(move |&i| a.row(i).0);
+        cols.copied().filter(move |&j| !self.owns(j))
+    }
 }
 
 impl DistMatrix {

@@ -5,7 +5,8 @@
 //! dimension); [`DistOperator`] is its distributed counterpart, where one
 //! application is a collective over the SPMD machine. [`DistCsr`] is the
 //! canonical implementation: a distributed CSR matrix applied through the
-//! plan-once/replay-many halo exchange of [`crate::dist::spmv`].
+//! plan-once/replay-many values-only exchange of [`crate::dist::spmv`], in
+//! the slot space the triangular sweeps share.
 
 use crate::dist::spmv::{dist_spmv_into, SpmvPlan};
 use crate::dist::{DistMatrix, LocalView};

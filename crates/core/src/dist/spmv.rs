@@ -4,37 +4,57 @@
 //! communication pattern — push boundary `x` values to the neighbouring
 //! ranks that reference them — is fixed by the matrix, so it is planned once
 //! ([`SpmvPlan::build`], a collective wrapping [`CommPlan::build`]) and
-//! replayed on every product as a values-only halo exchange
-//! ([`CommPlan::replay_halo`]).
+//! replayed on every product as a values-only round
+//! ([`CommPlan::send_values`] / [`CommPlan::recv_values`]).
+//!
+//! The product runs in the index space the triangular sweeps use
+//! ([`crate::trisolve`]): one *slot-indexed* vector — the rank's local
+//! vector extended by one entry per referenced remote column — with the
+//! plan renamed to slots and the columns of the rank's rows translated to
+//! slots once, at build time. A received batch lands directly in the ghost
+//! tail and the inner loop is one indexed load per stored entry. Entries
+//! keep the matrix's stored order within a row, so every sum rounds exactly
+//! as [`pilut_sparse::CsrMatrix::spmv`] rounds it.
 
-use crate::dist::exchange::{tags, CommPlan, DistVector};
+use crate::dist::exchange::{tags, CommPlan};
 use crate::dist::{DistMatrix, LocalView};
 use pilut_par::Ctx;
+use std::collections::HashMap;
 
-/// The communication plan of a rank for repeated products: the halo
-/// exchange schedule plus the [`DistVector`] scratch it replays into.
+/// The communication plan of a rank for repeated products: the exchange
+/// schedule over slots, the slot of every stored entry of the rank's rows,
+/// and the slot-indexed `owned | ghosts` vector the rounds fill.
 pub struct SpmvPlan {
     plan: CommPlan,
-    v: DistVector,
+    /// Slots of the stored entries of `local.nodes`' rows, row after row in
+    /// stored order — laid alongside the matrix's own values.
+    slot: Vec<u32>,
+    /// Local values, then one ghost per remote column in receive-list order.
+    x: Vec<f64>,
 }
 
 impl SpmvPlan {
     /// Collectively builds the exchange plan (every rank must call this).
     pub fn build(ctx: &mut Ctx, dm: &DistMatrix, local: &LocalView) -> SpmvPlan {
-        // Remote columns referenced by my rows.
-        let needed = local.nodes.iter().flat_map(|&i| {
-            dm.matrix()
-                .row(i)
-                .0
-                .iter()
-                .copied()
-                .filter(|&j| !local.owns(j))
-                .collect::<Vec<_>>()
+        let a = dm.matrix();
+        let plan = CommPlan::build(ctx, tags::SPMV, local.remote_cols(a), |j| {
+            dm.dist().owner(j)
         });
-        let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
+        let ghosts = plan.recv_lists().iter().flat_map(|(_, nodes)| nodes);
+        let ghost_slot: HashMap<usize, usize> = ghosts.copied().zip(local.len()..).collect();
+        let n_slots = local.len() + ghost_slot.len();
+        assert!(u32::try_from(n_slots).is_ok(), "slots are stored as u32");
+        let slot_of = |j: usize| local.pos_of(j).unwrap_or_else(|| ghost_slot[&j]);
+        // Sized up front: collecting a `flat_map` would grow by doubling and
+        // keep up to twice the entries for the life of the operator.
+        let mut slot = Vec::with_capacity(local.nodes.iter().map(|&i| a.row_nnz(i)).sum());
+        for &i in &local.nodes {
+            slot.extend(a.row(i).0.iter().map(|&j| slot_of(j) as u32));
+        }
         SpmvPlan {
-            plan,
-            v: DistVector::new(local.len(), dm.n()),
+            slot,
+            x: vec![0.0; n_slots],
+            plan: plan.relabel(slot_of, slot_of),
         }
     }
 
@@ -59,9 +79,9 @@ pub fn dist_spmv(
 }
 
 /// Computes the local block of `y = A x` into a caller-owned buffer — the
-/// zero-allocation steady-state form of [`dist_spmv`]. The halo exchange
-/// replays through the registered-buffer pool (audited under the
-/// `replay_halo` region); the local product touches no heap at all.
+/// zero-allocation steady-state form of [`dist_spmv`]. The exchange replays
+/// through the registered-buffer pool (audited under the `send_values` /
+/// `recv_values` regions); the local product touches no heap at all.
 pub fn dist_spmv_into(
     ctx: &mut Ctx,
     dm: &DistMatrix,
@@ -70,37 +90,41 @@ pub fn dist_spmv_into(
     x: &[f64],
     y: &mut [f64],
 ) {
-    assert_eq!(x.len(), local.len());
     assert_eq!(y.len(), local.len());
-    // Halo exchange of boundary values.
-    plan.v.owned.clear();
-    plan.v.owned.extend_from_slice(x);
-    plan.plan.replay_halo(ctx, local, &mut plan.v);
+    let SpmvPlan { plan, slot, x: xs } = plan;
+    // Exchange of boundary values, straight into the ghost tail.
+    xs[..local.len()].copy_from_slice(x);
+    plan.send_values(ctx, |p| xs[p]);
+    plan.recv_values(ctx, |s, v| xs[s] = v);
     // Local product.
-    let mut flops = 0usize;
+    let mut slots = slot.as_slice();
     for (out, &i) in y.iter_mut().zip(&local.nodes) {
-        let (cols, vals) = dm.matrix().row(i);
+        let vals = dm.matrix().row(i).1;
+        let (row, rest) = slots.split_at(vals.len());
+        slots = rest;
         let mut acc = 0.0;
-        for (&j, &v) in cols.iter().zip(vals) {
-            acc += v * plan.v.value(local, j);
+        for (&s, &v) in row.iter().zip(vals) {
+            acc += v * xs[s as usize];
         }
-        flops += 2 * cols.len();
         *out = acc;
     }
-    ctx.work(flops as f64);
+    ctx.work(2.0 * slot.len() as f64);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::Distribution;
     use pilut_par::{Machine, MachineModel};
-    use pilut_sparse::gen;
+    use pilut_sparse::{gen, CooMatrix};
 
-    fn check_matches_serial(a: pilut_sparse::CsrMatrix, p: usize) {
-        let n = a.n_rows();
+    /// Same stored entry order, same sum: the distributed product must
+    /// reproduce [`CsrMatrix::spmv`] to the bit on any distribution.
+    fn check_matches_serial(dm: DistMatrix) {
+        let n = dm.n();
         let x_global: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let y_serial = a.spmv_owned(&x_global);
-        let dm = DistMatrix::from_matrix(a, p, 11);
+        let y_serial = dm.matrix().spmv_owned(&x_global);
+        let p = dm.dist().n_ranks();
         let out = Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| {
             let local = dm.local_view(ctx.rank());
             let mut plan = SpmvPlan::build(ctx, &dm, &local);
@@ -115,23 +139,41 @@ mod tests {
             }
         }
         for i in 0..n {
-            assert!(
-                (y[i] - y_serial[i]).abs() < 1e-12,
-                "row {i}: {} vs {}",
-                y[i],
-                y_serial[i]
-            );
+            assert_eq!(y[i].to_bits(), y_serial[i].to_bits(), "row {i} at p = {p}");
         }
     }
 
     #[test]
     fn matches_serial_on_grid() {
-        check_matches_serial(gen::convection_diffusion_2d(12, 12, 4.0, -2.0), 4);
+        // p = 1 has no halo at all.
+        for p in [1, 4] {
+            let a = gen::convection_diffusion_2d(12, 12, 4.0, -2.0);
+            check_matches_serial(DistMatrix::from_matrix(a, p, 11));
+        }
     }
 
     #[test]
     fn matches_serial_on_torso() {
-        check_matches_serial(gen::fem_torso(8, 3), 3);
+        check_matches_serial(DistMatrix::from_matrix(gen::fem_torso(8, 3), 3, 11));
+    }
+
+    #[test]
+    fn matches_serial_on_one_way_halos_and_empty_ranks() {
+        // Upper bidiagonal: rank r reads the first node of rank r + 1, whose
+        // owner references nothing back.
+        let mut coo = CooMatrix::new(12, 12);
+        for i in 0..12 {
+            coo.push(i, i, 2.0 + i as f64);
+            if i + 1 < 12 {
+                coo.push(i, i + 1, -0.3 * (i + 1) as f64);
+            }
+        }
+        check_matches_serial(DistMatrix::new(coo.to_csr(), Distribution::block(12, 3)));
+        // Ranks 5..8 own no rows.
+        check_matches_serial(DistMatrix::new(
+            gen::laplace_2d(5, 1),
+            Distribution::block(5, 8),
+        ));
     }
 
     #[test]

@@ -3,27 +3,10 @@
 //! that never leaves the rank, zero-length payload rounds, and the
 //! stats-vs-wire tag split of a rebased plan.
 
-use pilut_core::dist::exchange::{tags, CommPlan, DistVector};
+use pilut_core::dist::exchange::{tags, CommPlan};
 use pilut_core::dist::{DistMatrix, Distribution};
 use pilut_par::{Machine, MachineModel, Payload};
 use pilut_sparse::gen;
-
-fn remote_cols(dm: &DistMatrix, rank: usize) -> Vec<usize> {
-    let local = dm.local_view(rank);
-    local
-        .nodes
-        .iter()
-        .flat_map(|&i| {
-            dm.matrix()
-                .row(i)
-                .0
-                .iter()
-                .copied()
-                .filter(|&j| !local.owns(j))
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
 
 #[test]
 fn empty_owned_region_rank_counts_no_traffic() {
@@ -33,13 +16,10 @@ fn empty_owned_region_rank_counts_no_traffic() {
     let dm = DistMatrix::new(gen::laplace_2d(5, 1), Distribution::block(5, 8));
     let out = Machine::run_checked(8, MachineModel::cray_t3d(), |ctx| {
         let local = dm.local_view(ctx.rank());
-        let needed = remote_cols(&dm, ctx.rank());
+        let needed = local.remote_cols(dm.matrix());
         let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
-        let mut v = DistVector::new(local.len(), dm.n());
-        for (slot, &g) in v.owned.iter_mut().zip(&local.nodes) {
-            *slot = g as f64;
-        }
-        plan.replay_halo(ctx, &local, &mut v);
+        plan.send_values(ctx, |g| g as f64);
+        plan.recv_values(ctx, |g, val| assert_eq!(val, g as f64));
         (plan.is_idle(), plan.sent_values())
     });
     assert!(out.results[5..].iter().all(|&(idle, _)| idle));
@@ -57,10 +37,9 @@ fn fully_self_owned_halo_is_silent() {
     // exchange" whose halo is entirely self-owned costs nothing.
     let dm = DistMatrix::new(gen::laplace_2d(4, 4), Distribution::block(16, 4));
     let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
-        let local = dm.local_view(ctx.rank());
         let plan = CommPlan::build(ctx, tags::SPMV, std::iter::empty(), |j| dm.dist().owner(j));
-        let mut v = DistVector::new(local.len(), dm.n());
-        plan.replay_halo(ctx, &local, &mut v);
+        plan.send_values(ctx, |_| unreachable!("nothing is scheduled"));
+        plan.recv_values(ctx, |_, _| unreachable!("nothing is scheduled"));
         plan.is_idle()
     });
     assert!(out.results.iter().all(|&idle| idle));

@@ -62,7 +62,6 @@ use pilut_sparse::{gen, BcsrMatrix, CsrMatrix};
 const STEADY_REGIONS: &[&str] = &[
     "gmres_inner",
     "recv_values",
-    "replay_halo",
     "send_values",
     "trisolve_replay",
 ];

@@ -51,11 +51,12 @@
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
 //!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the blocked
 //!   and serial triangular-solve functions, the distributed sweeps, the
-//!   whole `CommPlan` replay half, the dist-MIS round, and the GMRES
-//!   restart loop. The scan is a token walk over the blanked text — macro
-//!   invocations are first-class tokens, so `vec![` in a string or
-//!   comment can't fire and `Avec![` can't hide. Backed at run time by
-//!   the allocation-audit regions and the `zero-steady-alloc` bench gate.
+//!   whole `CommPlan` replay half, the distributed SpMV, the dist-MIS
+//!   round, and the GMRES restart loop. The scan is a token walk over the
+//!   blanked text — macro invocations are first-class tokens, so `vec![`
+//!   in a string or comment can't fire and `Avec![` can't hide. Backed at
+//!   run time by the allocation-audit regions and the `zero-steady-alloc`
+//!   bench gate.
 //!   Escape hatch: `// lint: allow(alloc-in-hot): <why>`.
 //! * **no-reserved-tag** — building a tag with `|`/`+`/`^`/`*` on
 //!   `RESERVED_TAG_BASE` is allowed only inside `crates/par`; the
@@ -501,6 +502,7 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
         &["forward_sweep_into", "backward_sweep_into", "load"],
     ),
     ("crates/core/src/dist/exchange/replay.rs", &["*"]),
+    ("crates/core/src/dist/spmv.rs", &["dist_spmv_into"]),
     (
         "crates/core/src/parallel/dist_mis.rs",
         &["refresh_links", "round", "frame"],

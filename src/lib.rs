@@ -47,7 +47,7 @@ pub use pilut_sparse as sparse;
 /// Everything a typical application needs, in one import:
 /// `use pilut::prelude::*;`
 pub mod prelude {
-    pub use pilut_core::dist::exchange::{CommPlan, DistVector};
+    pub use pilut_core::dist::exchange::CommPlan;
     pub use pilut_core::dist::op::{DistCsr, DistOperator, LinOp};
     pub use pilut_core::dist::spmv::{dist_spmv, SpmvPlan};
     pub use pilut_core::dist::{DistMatrix, Distribution, LocalView};
