@@ -1,67 +1,75 @@
-//! The unified data plane: plan-once / replay-many neighbour exchange.
+//! The unified data plane: plan once, then run rounds along the plan.
 //!
 //! The paper's three kernels (factorization, triangular solve, SpMV — §1,
 //! §3) all ride the same structural fact: the neighbour communication
-//! pattern is fixed by the matrix distribution, so it can be **planned
-//! once** (a collective that teaches every rank which peers reference which
-//! of its nodes) and **replayed** many times with one packed message per
-//! peer per round. [`CommPlan`] is that plan; every distributed kernel in
-//! the repository ([`crate::dist::spmv`], [`crate::trisolve`],
-//! [`crate::parallel`], the distributed GMRES in the solver crate) is built
-//! on its replay primitives, and the `no-raw-comm` lint keeps it that way:
-//! this module and the `pilut-par` VM itself are the only places allowed to
-//! touch `ctx.send` / `ctx.recv` directly.
+//! pattern is fixed by the matrix distribution, so a "communication setup
+//! phase" can teach every rank which peers reference which of its nodes,
+//! once, and every later exchange is one packed message per peer. The
+//! module keeps that fact in **two planes, one job each**:
 //!
-//! Replay contract:
+//! * **Frames** — [`CommPlan`], the neighbour schedule: the send and
+//!   receive node lists of every linked peer, and two rounds that put
+//!   producer-built frames on the wire along them — directed
+//!   ([`CommPlan::exact_round`]) and symmetric
+//!   ([`CommPlan::exact_round_symmetric`]), both over a live subset of the
+//!   links and both *exact*: every frame is built before the first byte
+//!   ships, so the round is priced from the frames' sizes. The level loop
+//!   of the factorizations builds one plan per level and ships dist-MIS
+//!   frames and `U` rows over it.
+//! * **Values** — [`Halo`], built *from* a plan at plan-build time: per
+//!   peer one slot list cut into levels, and values-only rounds
+//!   ([`Halo::send_values`] / [`Halo::recv_values`]) that ship `f64`s in the
+//!   node order both sides agreed on, no ids on the wire. SpMV holds a
+//!   one-level halo, the triangular solve one per sweep direction; the halo
+//!   is the only thing that warms the registered `f64` buffer pool.
 //!
-//! * every replay sends **exactly one message per scheduled peer** and
-//!   receives exactly one from each peer on the opposite side, in ascending
-//!   peer order — deterministic, deadlock-free, and observable (each
-//!   protocol runs under its own tag from [`tags`], so the per-tag counters
-//!   in `MachineStats::by_tag` break comm volume down by kernel);
-//! * every round ships under a fresh wire tag `base + round` (stats still
-//!   attribute to the base tag via `Ctx::send_as`), so two in-flight rounds
-//!   of one protocol can never be confused even if same-pair delivery order
-//!   is inverted — the chaos suite's `reorder` fault exercises exactly this;
-//! * payload contents are producer-defined ([`CommPlan::replay`]) or
-//!   values-only ([`CommPlan::send_values`] / [`CommPlan::recv_values`] —
-//!   the one halo mechanism of SpMV and both triangular sweeps — which ship
-//!   `f64`s in the node order both sides agreed on at plan time, no ids on
-//!   the wire);
-//! * a plan built from empty need-lists replays as a no-op, so ranks that
-//!   own zero rows participate safely.
+//! The `no-raw-comm` lint keeps every distributed kernel on these two
+//! planes: this module and the `pilut-par` VM itself are the only places
+//! allowed to touch `ctx.send` / `ctx.recv` directly.
+//!
+//! Round contract, both planes:
+//!
+//! * a round sends **exactly one message per live scheduled peer** and
+//!   receives exactly one from each live peer on the opposite side, in
+//!   ascending peer order — deterministic, deadlock-free, and observable
+//!   (each protocol runs under its own tag from [`tags`], so the per-tag
+//!   counters in `MachineStats::by_tag` break comm volume down by kernel);
+//! * every round ships under a fresh wire tag — `tag + round` for frames,
+//!   `tag + (level << 20) + sweep` for values — while the traffic counters
+//!   stay under `tag` (`Ctx::send_as`), so two in-flight rounds of one
+//!   protocol can never be confused even if same-pair delivery order is
+//!   inverted — the chaos suite's `reorder` fault exercises exactly this;
+//! * every round records its messages and bytes in the planned-traffic
+//!   ledger (`Ctx::note_planned`) with the exact flag set, and `xtask bench`
+//!   fails in-process when the measured per-tag counters diverge;
+//! * a plan built from empty need-lists runs its rounds as no-ops, so ranks
+//!   that own zero rows participate safely.
 
-use pilut_par::{pool, Ctx, Payload};
+use pilut_par::{Ctx, Payload};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-mod replay;
-pub use replay::PeerSet;
-
-/// Registered buffers warmed per send link at plan build. Deep enough that
-/// a plan's full send fan-out plus the in-flight buffers the receivers have
-/// not yet returned never miss the pool in the steady state. Under
-/// reliable delivery the sender additionally retains every frame until the
-/// link's cumulative ACK passes it, so plan build adds
-/// [`pilut_par::ACK_EVERY`] on top of this skew allowance (see
-/// [`CommPlan::build`]).
-const WARM_BUFFERS_PER_LINK: usize = 8;
+mod halo;
+pub use halo::Halo;
 
 /// The user-tag namespace of every planned protocol in the repository.
 ///
-/// One constant per kernel keeps repeated replays unambiguous (matching is
+/// One constant per kernel keeps repeated rounds unambiguous (matching is
 /// FIFO per `(sender, tag)`) and makes the per-tag counters in
 /// `MachineStats::by_tag` legible. Values are stable across releases — the
 /// bench JSON reports them by [`tag_name`].
 pub mod tags {
     /// Uniform stride between protocol namespaces. Each protocol owns
-    /// `[base, base + STRIDE)`: room for a 20-bit per-level rebase shift
+    /// `[base, base + STRIDE)`: room for a 20-bit level shift
     /// (`base + (level << 20)`) times a 20-bit round counter within every
     /// level's private base, with no way for one protocol's derived wire
     /// tags to drift into its neighbour's namespace. The `tag_name`
     /// *strings* are the stable interface reported in bench JSON; the
     /// numeric values may restride between releases.
     pub const STRIDE: u64 = 1 << 40;
+    /// Namespaces below, the unnamed `[0, STRIDE)` included: a plan keeps
+    /// one round counter per namespace, indexed by `tag / STRIDE`.
+    pub const NAMESPACES: usize = 11;
     /// Boundary `x` values of the distributed SpMV.
     pub const SPMV: u64 = STRIDE;
     /// U-row shipping of the parallel ILUT interface factorization.
@@ -107,68 +115,64 @@ pub mod tags {
     }
 }
 
-/// The statically-predicted per-round communication cost of a plan, read
-/// off its schedules alone — no replay needed. Message counts are exact
-/// for every round kind; byte counts are exact for values-only rounds
-/// (value halves, label rounds: 8 bytes per scheduled node) and for
-/// exact-framed rounds
-/// ([`CommPlan::replay_exact_sparse_tagged`], whose byte totals are computed
-/// from the frames about to ship). Only the
-/// generic producer-defined rounds predict message counts alone. The
-/// replay helpers feed these predictions to
-/// [`pilut_par::Ctx::note_planned`] as they run, and `xtask bench` fails
-/// in-process when the measured per-tag counters diverge from the
-/// accumulated predictions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlanCost {
-    /// Messages this rank ships per directed replay round (one per
-    /// send-side peer).
-    pub directed_messages: u64,
-    /// Messages this rank ships per symmetric round (one per union peer).
-    pub symmetric_messages: u64,
-    /// Bytes this rank ships per values-only round: 8 per node in the send
-    /// schedule.
-    pub value_bytes: u64,
+/// The live subset of a plan's peers for one round.
+pub trait PeerSet {
+    /// Whether the link to rank `peer` carries a message this round.
+    fn has(&self, peer: usize) -> bool;
 }
 
-/// A reusable per-rank communication schedule, built collectively from
-/// "which remote nodes do I need, and who owns them".
+/// Every link is live: the round ships one frame per scheduled peer.
+pub struct AllPeers;
+
+impl PeerSet for AllPeers {
+    fn has(&self, _: usize) -> bool {
+        true
+    }
+}
+
+/// Liveness flags indexed by peer rank — what the dist-MIS rounds keep.
+impl PeerSet for [bool] {
+    fn has(&self, peer: usize) -> bool {
+        self[peer]
+    }
+}
+
+/// A per-rank neighbour schedule, built collectively from "which remote
+/// nodes do I need, and who owns them".
 ///
 /// `recv` lists the nodes this rank declared a need for, grouped by owning
 /// peer and sorted; `send` lists the nodes each peer declared a need for,
 /// in the exact order that peer's receive side expects. Both sides of every
-/// pair hold mirror-image lists, which is what lets replays ship values
-/// without node ids on the wire.
+/// pair hold mirror-image lists, which is what lets frames address nodes by
+/// index and a [`Halo`] ship values without node ids on the wire.
 pub struct CommPlan {
     tag: u64,
-    /// Counter key for the per-tag traffic stats. Equal to `tag` unless the
-    /// plan was [`CommPlan::rebase`]d into a private wire-tag namespace —
-    /// derived sub-plans keep reporting under their protocol's tag.
-    stats_tag: u64,
     /// `(peer, my nodes to send)` — in the order `peer` expects them.
     send: Vec<(usize, Vec<usize>)>,
     /// `(peer, peer's nodes I need)` — sorted ascending.
     recv: Vec<(usize, Vec<usize>)>,
     /// Sorted union of send and recv peers (the symmetric-round pairs).
     union_peers: Vec<usize>,
-    /// Per-base-tag `(send, recv)` round counters. Every replay round ships
-    /// under the fresh wire tag `base + round` so two in-flight rounds can
-    /// never be confused, even if the network inverts same-pair delivery
-    /// order (the same trick the VM's collectives play with their sequence
-    /// numbers). Interior-mutable because replays take `&self` — plans are
-    /// shared immutably by long-lived solvers. Both halves of a round
-    /// advance in lockstep across ranks because every replay call is
-    /// collective over the plan's participants.
-    rounds: RefCell<HashMap<u64, (u64, u64)>>,
-    /// Frame staging area for the exact-framed replays: capacity reserved
-    /// at construction (one slot per possible peer), cleared and refilled
-    /// each round, so staging never allocates in the steady state.
-    frame_scratch: RefCell<Vec<Payload>>,
-    /// Pool buffers to warm per send link: the plain skew allowance, plus
-    /// the reliable-delivery retention window when the machine has it
-    /// armed. Captured at build so derived sub-plans ([`CommPlan::restrict`],
-    /// which has no `Ctx`) warm to the same depth.
-    warm_depth: usize,
+    /// Rounds run so far in each protocol namespace, by `tag / STRIDE`.
+    /// Round `r` under `tag` ships under the fresh wire tag `tag + r`, so
+    /// two in-flight rounds can never be confused, even if the network
+    /// inverts same-pair delivery order (the same trick the VM's
+    /// collectives play with their sequence numbers). Interior-mutable
+    /// because rounds take `&self`; the counters advance in lockstep across
+    /// ranks because every round is collective over the plan's participants.
+    rounds: RefCell<[u64; tags::NAMESPACES]>,
+    /// Frame staging area of a round, `(peer, frame)`: capacity reserved at
+    /// construction (one slot per possible peer), cleared and refilled each
+    /// round, so staging never allocates.
+    staged: RefCell<Vec<(usize, Payload)>>,
+}
+
+/// Sorted union of the peers of two schedules.
+fn union_of(send: &[(usize, Vec<usize>)], recv: &[(usize, Vec<usize>)]) -> Vec<usize> {
+    let mut union: Vec<usize> = send.iter().chain(recv).map(|&(q, _)| q).collect();
+    union.sort_unstable();
+    union.dedup();
+    union
 }
 
 impl CommPlan {
@@ -177,7 +181,8 @@ impl CommPlan {
     /// `needed` enumerates the remote nodes this rank references (duplicates
     /// welcome — the plan dedups); `owner_of` maps each to its owning rank.
     /// One sparse all-to-all teaches every owner which peers need which of
-    /// its nodes. `tag` names the user-tag namespace later replays use.
+    /// its nodes. `tag` names the plan's own protocol namespace (the label
+    /// round's, and a derived [`Halo`]'s).
     pub fn build(
         ctx: &mut Ctx,
         tag: u64,
@@ -211,42 +216,9 @@ impl CommPlan {
             let nodes: Vec<usize> = payload.into_u64().into_iter().map(|x| x as usize).collect();
             send.push((peer, nodes));
         }
-        let mut union_peers: Vec<usize> = send
-            .iter()
-            .map(|&(q, _)| q)
-            .chain(recv.iter().map(|&(q, _)| q))
-            .collect();
-        union_peers.sort_unstable();
-        union_peers.dedup();
-        let scratch = Vec::with_capacity(union_peers.len());
-        // A reliable sender holds every frame until the cumulative ACK
-        // passes it — up to ACK_EVERY pooled buffers per link beyond the
-        // plain in-flight skew — so the warm depth must cover the window.
-        let warm_depth = WARM_BUFFERS_PER_LINK
-            + if ctx.is_reliable() {
-                pilut_par::ACK_EVERY as usize
-            } else {
-                0
-            };
-        // Seed the round counters for the plan's own tag now: the first
-        // replay's map insert is otherwise charged to its steady region.
-        // Multiplexed bases (explicit `*_tagged` tags) still insert lazily.
-        let plan = CommPlan {
-            tag,
-            stats_tag: tag,
-            send,
-            recv,
-            union_peers,
-            rounds: RefCell::new(HashMap::from([(tag, (0, 0))])),
-            frame_scratch: RefCell::new(scratch),
-            warm_depth,
-        };
-        // Registered-buffer warm-up: provision the pool classes every
-        // values-only replay round will draw from, so the steady state
-        // never allocates a send buffer (receivers recycle them back).
-        plan.warm_buffers();
+        let plan = CommPlan::from_lists(tag, send, recv);
         // In checked mode every freshly-built plan is proved consistent
-        // *before* any replay can ship a byte under it — peer symmetry,
+        // *before* any round can ship a byte under it — peer symmetry,
         // packing sizes, tag discipline, round counters (see `verify`).
         if ctx.is_checked() {
             if let Err(e) = plan.verify(ctx) {
@@ -256,12 +228,28 @@ impl CommPlan {
         plan
     }
 
+    fn from_lists(
+        tag: u64,
+        send: Vec<(usize, Vec<usize>)>,
+        recv: Vec<(usize, Vec<usize>)>,
+    ) -> CommPlan {
+        let union_peers = union_of(&send, &recv);
+        CommPlan {
+            tag,
+            staged: RefCell::new(Vec::with_capacity(union_peers.len())),
+            send,
+            recv,
+            union_peers,
+            rounds: RefCell::new([0; tags::NAMESPACES]),
+        }
+    }
+
     /// Structural self-checks that need no communication: schedules sorted
     /// by peer with no duplicates or empty lists, peers in range and never
     /// `me`, receive-side node lists strictly ascending (the order both
     /// sides agreed on), and the union-peer list consistent with the two
     /// directions. Every violation is a plan-construction bug, reported
-    /// before any replay can act on it.
+    /// before any round can act on it.
     pub fn verify_local(&self, me: usize, p: usize) -> Result<(), String> {
         let check_side = |side: &str, lists: &[(usize, Vec<usize>)]| -> Result<(), String> {
             let mut prev: Option<usize> = None;
@@ -292,14 +280,7 @@ impl CommPlan {
                 ));
             }
         }
-        let mut union: Vec<usize> = self
-            .send
-            .iter()
-            .map(|&(q, _)| q)
-            .chain(self.recv.iter().map(|&(q, _)| q))
-            .collect();
-        union.sort_unstable();
-        union.dedup();
+        let union = union_of(&self.send, &self.recv);
         if union != self.union_peers {
             return Err(format!(
                 "union peers {:?} inconsistent with schedules {union:?}",
@@ -314,40 +295,40 @@ impl CommPlan {
     /// its schedules and every rank verifies the global invariants —
     ///
     /// * **tag discipline** — the plan runs under a named `tags::`
-    ///   protocol namespace and all ranks agree on it (wire and stats);
+    ///   protocol namespace and all ranks agree on it;
     /// * **mirror symmetry** — rank `r` sends to `q` exactly when `q`
     ///   receives from `r`;
     /// * **packing-size agreement** — both sides of every pair schedule
-    ///   the same node count, so values-only rounds can never misalign;
-    /// * **round-count agreement** — all ranks have advanced every wire
-    ///   namespace by the same number of send and receive rounds (plans
-    ///   fresh from [`CommPlan::build`] agree trivially at zero).
+    ///   the same node count, so index-addressed frames and values-only
+    ///   rounds can never misalign;
+    /// * **round-count agreement** — all ranks have run the same number of
+    ///   rounds (plans fresh from [`CommPlan::build`] agree trivially at
+    ///   zero).
     ///
     /// Runs automatically from `build` in checked mode; long-lived callers
-    /// may re-verify later (e.g. after replay rounds) at will.
+    /// may re-verify later (e.g. after rounds) at will.
     pub fn verify(&self, ctx: &mut Ctx) -> Result<(), String> {
         let me = ctx.rank();
         let p = ctx.nprocs();
         self.verify_local(me, p)?;
-        if self.stats_tag % tags::STRIDE != 0 || tags::tag_name(self.stats_tag) == "user" {
+        if self.tag % tags::STRIDE != 0 || tags::tag_name(self.tag) == "user" {
             return Err(format!(
-                "stats tag {:#x} is not a named protocol namespace",
-                self.stats_tag
+                "tag {:#x} is not a named protocol namespace",
+                self.tag
             ));
         }
-        // Summary: [tag, stats_tag, send rounds, recv rounds, n_send,
-        // n_recv, (peer, len)...]. Round counters are summed over wire
-        // namespaces — replays advance them in lockstep, so totals agree.
-        let (srounds, rrounds) = self
-            .rounds
-            .borrow()
-            .values()
-            .fold((0u64, 0u64), |(s, r), &(a, b)| (s + a, r + b));
+        // Summary: [rank, tag, rounds, rounds weighted by namespace, n_send,
+        // n_recv, (peer, len)...]. Rounds advance in lockstep, so the sums
+        // agree; the weighted one tells namespaces apart. Six header words,
+        // as ever: checked runs pin the bytes of this gather.
+        let rounds = self.rounds.borrow();
+        let weighted = rounds.iter().zip(1..).map(|(&r, k)| k * r).sum::<u64>();
+        let rounds = [rounds.iter().sum::<u64>(), weighted];
         let mut summary = vec![
+            me as u64,
             self.tag,
-            self.stats_tag,
-            srounds,
-            rrounds,
+            rounds[0],
+            rounds[1],
             self.send.len() as u64,
             self.recv.len() as u64,
         ];
@@ -368,17 +349,19 @@ impl CommPlan {
                 sides.push((HashMap::new(), HashMap::new()));
                 continue;
             }
-            if enc[0] != self.tag || enc[1] != self.stats_tag {
+            if enc[0] != r as u64 {
+                return Err(format!("gather slot {r} holds rank {}'s summary", enc[0]));
+            }
+            if enc[1] != self.tag {
                 return Err(format!(
-                    "rank {r} runs tag ({:#x}, {:#x}) but rank {me} runs ({:#x}, {:#x})",
-                    enc[0], enc[1], self.tag, self.stats_tag
+                    "rank {r} runs tag {:#x} but rank {me} runs {:#x}",
+                    enc[1], self.tag
                 ));
             }
-            if (enc[2], enc[3]) != (srounds, rrounds) {
+            if enc[2..4] != rounds {
                 return Err(format!(
-                    "round counters disagree: rank {r} at ({}, {}), rank {me} at \
-                     ({srounds}, {rrounds})",
-                    enc[2], enc[3]
+                    "round counters disagree: rank {r} at {:?}, rank {me} at {rounds:?}",
+                    &enc[2..4]
                 ));
             }
             let n_send = enc[4] as usize;
@@ -428,60 +411,7 @@ impl CommPlan {
         Ok(())
     }
 
-    /// The per-round cost this plan predicts from structure alone — see
-    /// [`PlanCost`].
-    pub fn predicted_cost(&self) -> PlanCost {
-        PlanCost {
-            directed_messages: self.send.len() as u64,
-            symmetric_messages: self.union_peers.len() as u64,
-            value_bytes: 8 * self.sent_values() as u64,
-        }
-    }
-
-    /// Moves the plan into its own wire-tag namespace while keeping traffic
-    /// attributed to the original tag. Derived sub-plans that replay side by
-    /// side in one logical round (e.g. the per-level triangular-sweep plans)
-    /// must not share a wire namespace: with a common base, level `l` and
-    /// level `l+1` values shipped in the same sweep would carry the same
-    /// `(sender, tag)` and a reordered network could swap them.
-    pub fn rebase(mut self, wire_base: u64) -> CommPlan {
-        self.tag = wire_base;
-        // The new wire base gets its round counters seeded here, at
-        // setup time, like `build` does for the original tag.
-        self.rounds.get_mut().entry(wire_base).or_insert((0, 0));
-        self
-    }
-
-    /// Renames the scheduled nodes (`send` over my nodes, `recv` over
-    /// remote nodes; `recv` must preserve their order). Nothing on the wire
-    /// carries an id, so replays are unaffected; the callbacks of
-    /// [`CommPlan::send_values`] / [`CommPlan::recv_values`] see the new
-    /// names — SpMV and the triangular sweeps rename to vector slots.
-    pub fn relabel(
-        mut self,
-        send: impl Fn(usize) -> usize,
-        recv: impl Fn(usize) -> usize,
-    ) -> CommPlan {
-        for g in self.send.iter_mut().flat_map(|(_, ns)| ns) {
-            *g = send(*g);
-        }
-        for g in self.recv.iter_mut().flat_map(|(_, ns)| ns) {
-            *g = recv(*g);
-        }
-        self
-    }
-
-    /// Pre-provisions the registered-buffer pool for this plan's
-    /// values-only rounds: one class entry per send list, sized to the
-    /// list. Build-time setup by definition — this is the allocation the
-    /// zero-alloc replay gate pushes out of the steady state.
-    fn warm_buffers(&self) {
-        for (_, nodes) in &self.send {
-            pool::warm_f64(nodes.len(), self.warm_depth);
-        }
-    }
-
-    /// The user tag this plan's replays run under.
+    /// The protocol namespace the plan was built under.
     pub fn tag(&self) -> u64 {
         self.tag
     }
@@ -498,106 +428,120 @@ impl CommPlan {
         &self.recv
     }
 
-    /// Total values this rank ships per values-only round.
-    pub fn sent_values(&self) -> usize {
-        self.send.iter().map(|(_, v)| v.len()).sum()
-    }
-
     /// True when this rank neither sends nor receives under this plan.
     pub fn is_idle(&self) -> bool {
         self.union_peers.is_empty()
     }
 
-    /// The owning peer of a remote node this plan receives, if any (every
-    /// needed node appears in exactly one peer's receive list).
-    pub fn owner_of(&self, node: usize) -> Option<usize> {
-        self.recv
-            .iter()
-            .find_map(|(peer, nodes)| nodes.binary_search(&node).ok().map(|_| *peer))
+    /// The wire tag of the next round under `tag`, advancing its counter.
+    /// Both halves of a round ship and match under this one tag.
+    fn next_round(&self, tag: u64) -> u64 {
+        let round = &mut self.rounds.borrow_mut()[(tag / tags::STRIDE) as usize];
+        *round += 1;
+        tag + *round - 1
     }
 
-    /// A sub-plan keeping only the scheduled nodes that pass the filters
-    /// (`keep_send` over my nodes, `keep_recv` over remote nodes). Peers
-    /// left with empty lists drop out entirely. Both sides of a pair must
-    /// restrict by the same criterion for replays to stay matched — the
-    /// triangular solves guarantee this by exchanging level labels first
-    /// ([`CommPlan::exchange_labels`]) and restricting per level.
-    pub fn restrict(
+    /// The send half of every round: stages one frame per destination
+    /// *before* any byte ships, records the round in the planned-traffic
+    /// ledger from the staged sizes — messages and bytes, exact — and sends
+    /// the frames in the order given.
+    fn ship(
         &self,
-        keep_send: impl Fn(usize) -> bool,
-        keep_recv: impl Fn(usize) -> bool,
-    ) -> CommPlan {
-        let filter = |lists: &[(usize, Vec<usize>)], keep: &dyn Fn(usize) -> bool| {
-            lists
-                .iter()
-                .filter_map(|(peer, nodes)| {
-                    let kept: Vec<usize> = nodes.iter().copied().filter(|&g| keep(g)).collect();
-                    if kept.is_empty() {
-                        None
-                    } else {
-                        Some((*peer, kept))
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        let send = filter(&self.send, &keep_send);
-        let recv = filter(&self.recv, &keep_recv);
-        let mut union_peers: Vec<usize> = send
-            .iter()
-            .map(|&(q, _)| q)
-            .chain(recv.iter().map(|&(q, _)| q))
-            .collect();
-        union_peers.sort_unstable();
-        union_peers.dedup();
-        let scratch = Vec::with_capacity(union_peers.len());
-        let sub = CommPlan {
-            tag: self.tag,
-            stats_tag: self.stats_tag,
-            send,
-            recv,
-            union_peers,
-            rounds: RefCell::new(HashMap::from([(self.tag, (0, 0))])),
-            frame_scratch: RefCell::new(scratch),
-            warm_depth: self.warm_depth,
-        };
-        // Per-level sub-plans replay values rounds too; warm their classes
-        // so the first sweep is already steady.
-        sub.warm_buffers();
-        sub
+        ctx: &mut Ctx,
+        tag: u64,
+        wire: u64,
+        frames: impl Iterator<Item = (usize, Payload)>,
+    ) {
+        let mut staged = self.staged.borrow_mut();
+        staged.clear();
+        staged.extend(frames);
+        let bytes: u64 = staged.iter().map(|(_, f)| f.bytes() as u64).sum();
+        ctx.note_planned(tag, staged.len() as u64, bytes, true);
+        for (peer, frame) in staged.drain(..) {
+            ctx.send_as(peer, wire, tag, frame);
+        }
     }
 
-    /// One label round: every owner answers `label_of(node)` for each node
-    /// in its send schedule; the result maps each of this rank's needed
-    /// remote nodes to its owner's label. Used at plan-build time (e.g. the
-    /// triangular solves exchange level indices so both sides can derive
-    /// the identical per-level batch schedule).
+    /// One directed round under `tag` over a round-dependent **live subset**
+    /// of the plan's links: sends `make(peer, nodes)` to every live
+    /// send-side peer, then hands each live receive-side peer's frame to
+    /// `take(peer, nodes, frame)`, both in ascending peer order. The tag
+    /// names the counter key and the wire namespace, so one plan multiplexes
+    /// several protocols (the three dist-MIS steps, the `U`-row shipment).
+    /// Peers absent from `live_send` get no frame this round, peers absent
+    /// from `live_recv` are not received from, and the ledger records the
+    /// surviving traffic exactly. The two sets must be mirror-consistent
+    /// across ranks (`q ∈ live_send` on rank `r` iff `r ∈ live_recv` on rank
+    /// `q`); callers derive them from state both endpoints provably share —
+    /// the delta-MIS rounds use the shipped-state view, which owner and
+    /// referencer update in lockstep; [`AllPeers`] is trivially consistent —
+    /// otherwise the round deadlocks, which checked runs diagnose. The round
+    /// counter advances whether or not any link is live, so rounds stay
+    /// aligned across ranks.
+    pub fn exact_round(
+        &self,
+        ctx: &mut Ctx,
+        tag: u64,
+        live_send: &(impl PeerSet + ?Sized),
+        live_recv: &(impl PeerSet + ?Sized),
+        mut make: impl FnMut(usize, &[usize]) -> Payload,
+        mut take: impl FnMut(usize, &[usize], Payload),
+    ) {
+        let _audit = pilut_allocaudit::region("plan_replay");
+        let wire = self.next_round(tag);
+        let live = self.send.iter().filter(|(q, _)| live_send.has(*q));
+        self.ship(ctx, tag, wire, live.map(|(q, nodes)| (*q, make(*q, nodes))));
+        for (peer, nodes) in self.recv.iter().filter(|(q, _)| live_recv.has(*q)) {
+            let frame = ctx.recv(*peer, wire);
+            take(*peer, nodes, frame);
+        }
+    }
+
+    /// The symmetric counterpart of [`CommPlan::exact_round`]: one frame to
+    /// and from every union peer in `live` (used by MIS step 3, where
+    /// confirmations flow owner → referencer but kills flow the other way).
+    /// `live` must be agreed by both endpoints of each pair (`q ∈ live` on
+    /// rank `r` iff `r ∈ live` on rank `q`).
+    pub fn exact_round_symmetric(
+        &self,
+        ctx: &mut Ctx,
+        tag: u64,
+        live: &(impl PeerSet + ?Sized),
+        mut make: impl FnMut(usize) -> Payload,
+        mut take: impl FnMut(usize, Payload),
+    ) {
+        let _audit = pilut_allocaudit::region("plan_replay");
+        let wire = self.next_round(tag);
+        let peers = || self.union_peers.iter().copied().filter(|&q| live.has(q));
+        self.ship(ctx, tag, wire, peers().map(|q| (q, make(q))));
+        for peer in peers() {
+            let frame = ctx.recv(peer, wire);
+            take(peer, frame);
+        }
+    }
+
+    /// One label round under the plan's own tag: every owner answers
+    /// `label_of(node)` for each node in its send schedule, and `take(node,
+    /// label)` sees the answer for each of this rank's needed remote nodes.
+    /// Used at plan-build time (the triangular solves exchange level indices
+    /// so both sides derive the identical levelled [`Halo`]).
     pub fn exchange_labels(
         &self,
         ctx: &mut Ctx,
         label_of: impl Fn(usize) -> u64,
-    ) -> HashMap<usize, u64> {
-        let cost = self.predicted_cost();
-        ctx.note_planned(
-            self.stats_tag,
-            cost.directed_messages,
-            cost.value_bytes,
-            true,
-        );
-        let send_tag = self.send_round_tag(self.tag);
-        for (peer, nodes) in &self.send {
-            let labels: Vec<u64> = nodes.iter().map(|&g| label_of(g)).collect();
-            ctx.send_as(*peer, send_tag, self.stats_tag, Payload::u64s(labels));
-        }
-        let mut out = HashMap::new();
-        let recv_tag = self.recv_round_tag(self.tag);
+        mut take: impl FnMut(usize, u64),
+    ) {
+        let wire = self.next_round(self.tag);
+        let labels = |nodes: &[usize]| Payload::u64s(nodes.iter().map(|&g| label_of(g)).collect());
+        let frames = self.send.iter().map(|(q, nodes)| (*q, labels(nodes)));
+        self.ship(ctx, self.tag, wire, frames);
         for (peer, nodes) in &self.recv {
-            let labels = ctx.recv(*peer, recv_tag).into_u64();
+            let labels = ctx.recv(*peer, wire).into_u64();
             assert_eq!(labels.len(), nodes.len(), "plan mismatch from rank {peer}");
             for (&g, l) in nodes.iter().zip(labels) {
-                out.insert(g, l);
+                take(g, l);
             }
         }
-        out
     }
 }
 
@@ -607,7 +551,6 @@ mod tests {
     use crate::dist::{DistMatrix, Distribution};
     use pilut_par::{Machine, MachineModel};
     use pilut_sparse::gen;
-    use std::collections::HashSet;
 
     /// `pilut-par` cannot depend on this crate, so the reliability and
     /// recovery stats tags are defined in both places; this is the pin
@@ -618,6 +561,17 @@ mod tests {
         assert_eq!(tags::RECOVER, pilut_par::RECOVER_TAG);
         assert_eq!(tags::tag_name(tags::ACK), "ack");
         assert_eq!(tags::tag_name(tags::RECOVER), "recover");
+        assert_eq!(tags::RECOVER / tags::STRIDE + 1, tags::NAMESPACES as u64);
+    }
+
+    /// The SpMV plan of this rank's rows of `dm`, and its one-level halo
+    /// over node ids (slot = node).
+    fn halo_of(ctx: &mut Ctx, dm: &DistMatrix) -> (CommPlan, Halo) {
+        let local = dm.local_view(ctx.rank());
+        let needed = local.remote_cols(dm.matrix());
+        let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
+        let halo = Halo::new(ctx, &plan, 1, |g| (0, g));
+        (plan, halo)
     }
 
     /// Builds a plan over a block-distributed grid where every rank needs
@@ -627,26 +581,30 @@ mod tests {
         let n = a.n_rows();
         let dm = DistMatrix::new(a, Distribution::block(n, p));
         let out = Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| {
-            let local = dm.local_view(ctx.rank());
-            let needed = local.remote_cols(dm.matrix());
-            let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
+            let (plan, halo) = halo_of(ctx, &dm);
             // Halo roundtrip: owned value of node g is g as f64, and every
             // needed node arrives once, in receive-list order.
-            plan.send_values(ctx, |g| g as f64);
-            let mut halo = Vec::new();
-            plan.recv_values(ctx, |g, val| halo.push((g, val)));
+            halo.send_values(ctx, 0, |g| g as f64);
+            let mut got = Vec::new();
+            halo.recv_values(ctx, 0, |g, val| got.push((g, val)));
             let needed = plan.recv_lists().iter().flat_map(|(_, nodes)| nodes);
-            assert!(needed.copied().eq(halo.iter().map(|&(g, _)| g)));
-            for (g, val) in halo {
+            assert!(needed.copied().eq(got.iter().map(|&(g, _)| g)));
+            for (g, val) in got {
                 assert_eq!(val, g as f64);
-                assert_eq!(plan.owner_of(g), Some(dm.dist().owner(g)));
             }
-            // Labels: owners answer node id + 7.
-            let labels = plan.exchange_labels(ctx, |g| g as u64 + 7);
-            for (&g, &l) in &labels {
-                assert_eq!(l, g as u64 + 7);
-            }
-            (plan.sent_values(), labels.len())
+            // Labels: owners answer node id + 7. (The barrier orders the
+            // label round after the halo's: both ship under `SPMV + 0`.)
+            ctx.barrier();
+            let mut labels = 0;
+            plan.exchange_labels(
+                ctx,
+                |g| g as u64 + 7,
+                |g, l| {
+                    assert_eq!(l, g as u64 + 7);
+                    labels += 1;
+                },
+            );
+            (halo.sent_values(), labels)
         });
         out.results
     }
@@ -669,11 +627,9 @@ mod tests {
         let a = gen::laplace_2d(5, 1);
         let dm = DistMatrix::new(a, Distribution::block(5, 8));
         let out = Machine::run_checked(8, MachineModel::cray_t3d(), |ctx| {
-            let local = dm.local_view(ctx.rank());
-            let needed = local.remote_cols(dm.matrix());
-            let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
-            plan.send_values(ctx, |g| 1.0 + g as f64);
-            plan.recv_values(ctx, |g, val| assert_eq!(val, 1.0 + g as f64));
+            let (plan, halo) = halo_of(ctx, &dm);
+            halo.send_values(ctx, 0, |g| 1.0 + g as f64);
+            halo.recv_values(ctx, 0, |g, val| assert_eq!(val, 1.0 + g as f64));
             plan.is_idle()
         });
         // The empty trailing ranks have nothing scheduled.
@@ -683,23 +639,7 @@ mod tests {
 
     /// A hand-built plan for white-box verification tests.
     fn raw_plan(send: Vec<(usize, Vec<usize>)>, recv: Vec<(usize, Vec<usize>)>) -> CommPlan {
-        let mut union_peers: Vec<usize> = send
-            .iter()
-            .map(|&(q, _)| q)
-            .chain(recv.iter().map(|&(q, _)| q))
-            .collect();
-        union_peers.sort_unstable();
-        union_peers.dedup();
-        CommPlan {
-            tag: tags::SPMV,
-            stats_tag: tags::SPMV,
-            send,
-            recv,
-            union_peers,
-            rounds: RefCell::new(HashMap::new()),
-            frame_scratch: RefCell::new(Vec::new()),
-            warm_depth: WARM_BUFFERS_PER_LINK,
-        }
+        CommPlan::from_lists(tags::SPMV, send, recv)
     }
 
     #[test]
@@ -753,7 +693,6 @@ mod tests {
             // A tag outside every named protocol namespace.
             let mut untagged = raw_plan(vec![], vec![]);
             untagged.tag = 42;
-            untagged.stats_tag = 42;
             let undisciplined = untagged.verify(ctx).unwrap_err();
             (asym, undisciplined)
         });
@@ -775,16 +714,13 @@ mod tests {
         let n = a.n_rows();
         let dm = DistMatrix::new(a, Distribution::block(n, 3));
         let out = Machine::run_checked(3, MachineModel::cray_t3d(), |ctx| {
-            let local = dm.local_view(ctx.rank());
-            let needed = local.remote_cols(dm.matrix());
-            let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
+            let (plan, halo) = halo_of(ctx, &dm);
             for _ in 0..2 {
-                plan.send_values(ctx, |_| 0.0);
-                plan.recv_values(ctx, |_, _| {});
+                halo.send_values(ctx, 0, |_| 0.0);
+                halo.recv_values(ctx, 0, |_, _| {});
             }
-            plan.exchange_labels(ctx, |g| g as u64);
-            let cost = plan.predicted_cost();
-            assert_eq!(cost.value_bytes, 8 * plan.sent_values() as u64);
+            ctx.barrier(); // the label round reuses the first halo round's wire tag
+            plan.exchange_labels(ctx, |g| g as u64, |_, _| {});
         });
         let (m, b) = out.stats.tag_totals(tags::SPMV);
         assert!(m > 0, "workload must ship halo traffic");
@@ -799,9 +735,9 @@ mod tests {
 
     #[test]
     fn exact_replays_predict_measured_bytes_exactly() {
-        // Directed and symmetric exact-framed rounds with data-dependent
-        // frame sizes: the ledger must match the measured counters to the
-        // byte and keep the exact flag through aggregation.
+        // Directed and symmetric rounds with data-dependent frame sizes:
+        // the ledger must match the measured counters to the byte and keep
+        // the exact flag through aggregation.
         let dist = Distribution::block(4, 4);
         let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
             let me = ctx.rank();
@@ -810,19 +746,18 @@ mod tests {
             let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
             // Frame sizes vary by rank (me words) — nothing values-only
             // could have predicted statically. Every link is live.
-            let all: HashSet<usize> = (0..4).collect();
-            plan.replay_exact_sparse_tagged(
+            plan.exact_round(
                 ctx,
                 tags::MIS_KEYS,
-                &all,
-                &all,
+                &AllPeers,
+                &AllPeers,
                 |_, _| Payload::u64s(vec![7; me]),
                 |peer, _, payload| assert_eq!(payload.into_u64(), vec![7; peer]),
             );
-            plan.replay_symmetric_exact_sparse_tagged(
+            plan.exact_round_symmetric(
                 ctx,
                 tags::MIS_CONF,
-                &all,
+                &AllPeers,
                 |_| Payload::u64s(vec![9; me + 1]),
                 |peer, payload| assert_eq!(payload.into_u64(), vec![9; peer + 1]),
             );
@@ -833,9 +768,9 @@ mod tests {
                 .stats
                 .planned_by_tag
                 .get(&tag)
-                .expect("exact replays record predictions");
+                .expect("exact rounds record predictions");
             assert_eq!((m, b), (pm, pb), "tag {}", tags::tag_name(tag));
-            assert!(exact, "exact-framed rounds keep the exact flag");
+            assert!(exact, "exact rounds keep the exact flag");
         }
     }
 
@@ -848,9 +783,10 @@ mod tests {
             let needed = vec![(me + 1) % 4];
             let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
             let mut heard: Vec<usize> = Vec::new();
-            plan.replay_symmetric_tagged(
+            plan.exact_round_symmetric(
                 ctx,
                 tags::MIS_CONF,
+                &AllPeers,
                 |_| Payload::u64s(vec![me as u64]),
                 |peer, payload| {
                     assert_eq!(payload.into_u64(), vec![peer as u64]);

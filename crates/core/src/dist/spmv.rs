@@ -4,28 +4,28 @@
 //! communication pattern — push boundary `x` values to the neighbouring
 //! ranks that reference them — is fixed by the matrix, so it is planned once
 //! ([`SpmvPlan::build`], a collective wrapping [`CommPlan::build`]) and
-//! replayed on every product as a values-only round
-//! ([`CommPlan::send_values`] / [`CommPlan::recv_values`]).
+//! replayed on every product as the values-only round of a one-level
+//! [`Halo`] ([`Halo::send_values`] / [`Halo::recv_values`]).
 //!
 //! The product runs in the index space the triangular sweeps use
 //! ([`crate::trisolve`]): one *slot-indexed* vector — the rank's local
 //! vector extended by one entry per referenced remote column — with the
-//! plan renamed to slots and the columns of the rank's rows translated to
-//! slots once, at build time. A received batch lands directly in the ghost
+//! halo over slots and the columns of the rank's rows translated to slots
+//! once, at build time. A received batch lands directly in the ghost
 //! tail and the inner loop is one indexed load per stored entry. Entries
 //! keep the matrix's stored order within a row, so every sum rounds exactly
 //! as [`pilut_sparse::CsrMatrix::spmv`] rounds it.
 
-use crate::dist::exchange::{tags, CommPlan};
+use crate::dist::exchange::{tags, CommPlan, Halo};
 use crate::dist::{DistMatrix, LocalView};
 use pilut_par::Ctx;
 use std::collections::HashMap;
 
-/// The communication plan of a rank for repeated products: the exchange
-/// schedule over slots, the slot of every stored entry of the rank's rows,
-/// and the slot-indexed `owned | ghosts` vector the rounds fill.
+/// The communication plan of a rank for repeated products: the halo over
+/// slots, the slot of every stored entry of the rank's rows, and the
+/// slot-indexed `owned | ghosts` vector the rounds fill.
 pub struct SpmvPlan {
-    plan: CommPlan,
+    halo: Halo,
     /// Slots of the stored entries of `local.nodes`' rows, row after row in
     /// stored order — laid alongside the matrix's own values.
     slot: Vec<u32>,
@@ -54,13 +54,13 @@ impl SpmvPlan {
         SpmvPlan {
             slot,
             x: vec![0.0; n_slots],
-            plan: plan.relabel(slot_of, slot_of),
+            halo: Halo::new(ctx, &plan, 1, |j| (0, slot_of(j))),
         }
     }
 
     /// Number of boundary values this rank ships per product.
     pub fn sent_values(&self) -> usize {
-        self.plan.sent_values()
+        self.halo.sent_values()
     }
 }
 
@@ -91,11 +91,11 @@ pub fn dist_spmv_into(
     y: &mut [f64],
 ) {
     assert_eq!(y.len(), local.len());
-    let SpmvPlan { plan, slot, x: xs } = plan;
+    let SpmvPlan { halo, slot, x: xs } = plan;
     // Exchange of boundary values, straight into the ghost tail.
     xs[..local.len()].copy_from_slice(x);
-    plan.send_values(ctx, |p| xs[p]);
-    plan.recv_values(ctx, |s, v| xs[s] = v);
+    halo.send_values(ctx, 0, |p| xs[p]);
+    halo.recv_values(ctx, 0, |s, v| xs[s] = v);
     // Local product.
     let mut slots = slot.as_slice();
     for (out, &i) in y.iter_mut().zip(&local.nodes) {

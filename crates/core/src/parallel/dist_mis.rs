@@ -18,7 +18,7 @@
 //! the node lists both sides agreed on at plan time — no node ids, no keys
 //! on the wire — and every round's byte count is recorded **exactly** in
 //! the planned-traffic ledger before a byte ships
-//! ([`CommPlan::replay_exact_sparse_tagged`]), so `xtask bench`'s in-process
+//! ([`CommPlan::exact_round`]), so `xtask bench`'s in-process
 //! planned = measured check gates the diet:
 //!
 //! 1. **`MIS_KEYS` — state deltas** (owner → referencing ranks): one word
@@ -66,7 +66,7 @@
 //!   referencer update in lockstep), no word can ever flow on that link
 //!   again — deltas need a state change, tentatives/confirmations/kills
 //!   need a candidate — so both endpoints skip its messages outright
-//!   ([`CommPlan::replay_exact_sparse_tagged`]). Late rounds of a level,
+//!   ([`CommPlan::exact_round`]). Late rounds of a level,
 //!   where most nodes are decided, collapse to near-zero messages.
 //!
 //! Malformed frames (an out-of-range index, an unknown state code — e.g. a
@@ -485,7 +485,7 @@ impl LevelMis {
         self.refresh_links();
         let (mine, theirs) = self.state.split_at_mut(n_mine);
         let (links, shipped) = (&self.links, &self.shipped);
-        plan.replay_exact_sparse_tagged(
+        plan.exact_round(
             ctx,
             tags::MIS_KEYS,
             &self.live_send[..],
@@ -549,7 +549,7 @@ impl LevelMis {
         let (my_flag, their_flag) = self.flag.split_at_mut(n_mine);
         let remote_tent = &mut self.remote_tent;
         remote_tent.clear();
-        plan.replay_exact_sparse_tagged(
+        plan.exact_round(
             ctx,
             tags::MIS_TENT,
             &self.live_send[..],
@@ -624,7 +624,7 @@ impl LevelMis {
         // list by index. Every live pair exchanges exactly one message
         // carrying both event kinds where the directions coincide.
         let (state, flag, kills) = (&mut self.state, &self.flag, &self.kills);
-        plan.replay_symmetric_exact_sparse_tagged(
+        plan.exact_round_symmetric(
             ctx,
             tags::MIS_CONF,
             &self.live_pair[..],
@@ -761,6 +761,7 @@ pub fn dist_mis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::exchange::AllPeers;
     use pilut_par::{Machine, MachineModel};
     use std::collections::HashSet;
 
@@ -786,9 +787,11 @@ mod tests {
             ctx.work(5.0 * undecided as f64);
 
             // --- Step 1 replay: push (key, state) of referenced nodes. --------
-            plan.replay_tagged(
+            plan.exact_round(
                 ctx,
                 tags::MIS_KEYS,
+                &AllPeers,
+                &AllPeers,
                 |_, nodes| {
                     let mut buf = Vec::with_capacity(nodes.len() * 3);
                     for &v in nodes {
@@ -841,9 +844,11 @@ mod tests {
 
             // --- Step 2 replay: push tentative flags of referenced nodes. -----
             let mut remote_tentative: HashMap<usize, bool> = HashMap::new();
-            plan.replay_tagged(
+            plan.exact_round(
                 ctx,
                 tags::MIS_TENT,
+                &AllPeers,
+                &AllPeers,
                 |_, nodes| {
                     Payload::u64s(
                         nodes
@@ -890,9 +895,11 @@ mod tests {
                         }
                         None => {
                             let owner = plan
-                                .owner_of(u)
-                                // lint: allow(unwrap): every referenced remote node is in the plan
-                                .expect("referenced node missing from plan");
+                                .recv_lists()
+                                .iter()
+                                .find(|(_, nodes)| nodes.binary_search(&u).is_ok())
+                                .expect("referenced node missing from plan")
+                                .0;
                             kills_by_rank.entry(owner).or_default().push(u as u64);
                         }
                     }
@@ -916,9 +923,10 @@ mod tests {
                     )
                 })
                 .collect();
-            plan.replay_symmetric_tagged(
+            plan.exact_round_symmetric(
                 ctx,
                 tags::MIS_CONF,
+                &AllPeers,
                 |peer| {
                     let conf = conf_by_peer.get(&peer).cloned().unwrap_or_default();
                     let kills = kills_by_rank.get(&peer).cloned().unwrap_or_default();
@@ -1211,12 +1219,11 @@ mod tests {
             let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
             if me == 1 {
                 // A hand-rolled corrupt round in place of the real one.
-                let all: HashSet<usize> = [0, 1].into();
-                plan.replay_exact_sparse_tagged(
+                plan.exact_round(
                     ctx,
                     tags::MIS_KEYS,
-                    &all,
-                    &all,
+                    &AllPeers,
+                    &AllPeers,
                     |_, _| Payload::u64s(vec![(9 << 2) | OUT]),
                     |_, _, _| {},
                 );

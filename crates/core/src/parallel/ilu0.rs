@@ -16,7 +16,7 @@
 //! unchanged.
 
 use crate::breakdown::{PivotDoctor, PivotFault};
-use crate::dist::exchange::tags;
+use crate::dist::exchange::{tags, AllPeers};
 use crate::dist::{DistMatrix, LocalView};
 use crate::options::{BreakdownPolicy, FactorError};
 use crate::parallel::dist_mis::{link_plan, LevelMis};
@@ -214,9 +214,11 @@ pub fn par_ilu0_with(
         let plan = link_plan(ctx, dm.dist(), live.flatten().map(|&(c, _)| c));
         let in_mine = |v: usize| level.binary_search(&v).is_ok();
         remote_u.clear();
-        plan.replay_tagged(
+        plan.exact_round(
             ctx,
             tags::U0,
+            &AllPeers,
+            &AllPeers,
             |_, nodes| fb.encode_urows(nodes, in_mine, lvl),
             |_, _, payload| remote_u.decode(payload),
         );

@@ -26,7 +26,7 @@ pub use ilu0::{par_ilu0, par_ilu0_with};
 pub use store::{RankFactors, RowRef};
 
 use crate::breakdown::PivotFault;
-use crate::dist::exchange::tags;
+use crate::dist::exchange::{tags, AllPeers};
 use crate::dist::{DistMatrix, LocalView};
 use crate::options::{FactorError, IlutOptions};
 use crate::serial::drop_rules::{
@@ -370,10 +370,14 @@ pub fn par_ilut(
         // Ship the new U rows directly along the level plan: each rank
         // sends one (possibly empty) batch to every peer that references its
         // nodes and receives one from every peer whose nodes it references.
+        // Encoding charges nothing to the clock, so building every batch
+        // before the first ships — which prices the round — moves no number.
         remote_u.clear();
-        plan.replay_tagged(
+        plan.exact_round(
             ctx,
             tags::UROWS,
+            &AllPeers,
+            &AllPeers,
             |_, nodes| fb.encode_urows(nodes, |v| mis.is_in(v), &mut kern.meter),
             |_, _, payload| remote_u.decode(payload),
         );

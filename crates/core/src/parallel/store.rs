@@ -205,17 +205,22 @@ impl<'a> FactorBuilder<'a> {
     }
 
     /// Wire encoding of the `U` rows of the level members among `nodes`:
-    /// `U64 = [node, len, cols...]*`, `F64 = [diag, vals...]*`. The rows
-    /// and bytes shipped are added to the level's `tally`.
+    /// `U64 = [node, len, cols...]*`, `F64 = [diag, vals...]*`, each buffer
+    /// sized exactly (none at all for an empty batch). The rows and bytes
+    /// shipped are added to the level's `tally`.
     pub(crate) fn encode_urows(
         &self,
         nodes: &[usize],
         is_member: impl Fn(usize) -> bool,
         tally: &mut LevelStats,
     ) -> Payload {
-        let mut bu = Vec::new();
-        let mut bf = Vec::new();
-        for &v in nodes.iter().filter(|&&v| is_member(v)) {
+        let members = || nodes.iter().filter(|&&v| is_member(v));
+        let (rows, entries) = members().fold((0, 0), |(rows, entries), &v| {
+            (rows + 1, entries + self.staged(v).u.len())
+        });
+        let mut bu = Vec::with_capacity(2 * rows + entries);
+        let mut bf = Vec::with_capacity(rows + entries);
+        for &v in members() {
             let row = self.staged(v);
             bu.push(v as u64);
             bu.push(row.u.len() as u64);

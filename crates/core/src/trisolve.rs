@@ -12,25 +12,26 @@
 //!
 //! The exchange is fully planned: [`TrisolvePlan::build`] builds one
 //! [`CommPlan`] per direction, asks every owner for the *level index* of
-//! each needed node ([`CommPlan::exchange_labels`]), and restricts the plan
-//! into one sub-plan per level. A sweep then replays a fixed schedule —
-//! at iteration `l` it drains the batches of the previously computed level
-//! and, after computing level `l`, ships one values-only message per peer
-//! that needs any of them. This is valid because remote `L` dependencies
-//! sit at strictly earlier levels and remote `U` dependencies at strictly
-//! later ones (the level construction eliminates a row only against
-//! already-pivoted levels), and received values persist for any
-//! level-skipping consumer. No node ids travel on the wire.
+//! each needed node ([`CommPlan::exchange_labels`]), and sorts the plan into
+//! one levelled [`Halo`]. A sweep then replays a fixed schedule — at
+//! iteration `l` it drains the batches of the previously computed level
+//! and, after computing level `l`, ships that level's range of the halo,
+//! one values-only message per peer that needs any of it. This is valid
+//! because remote `L` dependencies sit at strictly earlier levels and
+//! remote `U` dependencies at strictly later ones (the level construction
+//! eliminates a row only against already-pivoted levels), and received
+//! values persist for any level-skipping consumer. No node ids travel on
+//! the wire.
 //!
 //! The sweeps stream the factor's two CSR arenas over one *slot-indexed*
 //! vector — the rank's local vector extended by one entry per referenced
 //! remote node (`RankFactors::ghosts`). Rows name their columns by slot and
-//! the per-level plans are renamed to slots at build time, so the inner
-//! loop is `x[p] -= val * x[slot]` with no id translation and a received
-//! batch lands directly in the ghost tail. Entries keep ascending *global*
-//! column order within a row, so every sum rounds as it always did.
+//! the halos are over slots, so the inner loop is `x[p] -= val * x[slot]`
+//! with no id translation and a received batch lands directly in the ghost
+//! tail. Entries keep ascending *global* column order within a row, so
+//! every sum rounds as it always did.
 
-use crate::dist::exchange::{tags, CommPlan};
+use crate::dist::exchange::{tags, CommPlan, Halo};
 use crate::dist::{DistMatrix, LocalView};
 use crate::factors::Arena;
 use crate::parallel::RankFactors;
@@ -38,16 +39,16 @@ use pilut_par::collectives::ReduceOp;
 use pilut_par::Ctx;
 
 /// The communication plan for repeated triangular solves with one
-/// factorization: one per-level sub-plan per direction, every scheduled
-/// node renamed to its *slot* in the solution vector (local position for my
-/// nodes, ghost slot for remote ones — see [`RankFactors::ghosts`]), so a
-/// sweep moves values between the wire and the vector without a lookup.
+/// factorization: one levelled halo per direction over the *slots* of the
+/// solution vector (local position for my nodes, ghost slot for remote ones
+/// — see [`RankFactors::ghosts`]), so a sweep moves values between the wire
+/// and the vector without a lookup.
 pub struct TrisolvePlan {
-    /// `fwd_at[l]`: level-`l` forward traffic (my level-`l` nodes on the
-    /// send side, remote level-`l` nodes on the receive side).
-    fwd_at: Vec<CommPlan>,
-    /// `bwd_at[l]`: level-`l` backward traffic.
-    bwd_at: Vec<CommPlan>,
+    /// Forward traffic: at level `l`, my level-`l` nodes on the send side,
+    /// remote level-`l` nodes on the receive side.
+    fwd: Halo,
+    /// Backward traffic, levelled the same way.
+    bwd: Halo,
     /// `level_pos[l]`: local positions of my level-`l` rows.
     level_pos: Vec<Vec<usize>>,
     /// Length of the slot-indexed solution vector: owned nodes + ghosts.
@@ -58,59 +59,53 @@ impl TrisolvePlan {
     /// Collectively builds the plan from the distributed factors.
     pub fn build(ctx: &mut Ctx, dm: &DistMatrix, local: &LocalView, rf: &RankFactors) -> Self {
         let n_local = local.len();
-        let mut level_of: std::collections::HashMap<usize, u64> = Default::default();
-        for (l, level) in rf.levels.iter().enumerate() {
-            level_of.extend(level.iter().map(|&i| (i, l as u64)));
-        }
         // The factorization's level loop is collective (one push per
         // iteration on every rank), so the global level count must agree —
         // the whole sweep schedule hangs on that.
         let n_levels = rf.levels.len();
         let lmax = ctx.all_reduce_u64(vec![n_levels as u64], ReduceOp::Max)[0];
         assert_eq!(lmax as usize, n_levels, "level count differs across ranks");
-        // One direction's per-level schedule: plan the exchange from the
-        // ghosts the triangle references, learn each one's level from its
-        // owner, restrict the plan level by level, rename to slots.
-        let mut build_sweep = |tag: u64, arena: &Arena| -> Vec<CommPlan> {
+        // lint: allow(unwrap): levels hold this rank's interface nodes
+        let pos = |&i: &usize| local.pos_of(i).expect("level row must be local");
+        let level_pos: Vec<Vec<usize>> = rf
+            .levels
+            .iter()
+            .map(|lv| lv.iter().map(pos).collect())
+            .collect();
+        let n_slots = n_local + rf.ghosts.len();
+        let slot_of = |g: usize| {
+            local.pos_of(g).unwrap_or_else(|| {
+                // lint: allow(unwrap): the plans are built from these very ghosts
+                n_local + rf.ghosts.binary_search(&g).expect("unlisted ghost")
+            })
+        };
+        // Level by slot: my interface rows now, each ghost when its owner
+        // answers; `Halo::new` rejects a scheduled node still without one
+        // (peers only reference interface pivots, which all carry a level).
+        let mut level_of = vec![u64::MAX; n_slots];
+        for (l, rows) in level_pos.iter().enumerate() {
+            rows.iter().for_each(|&p| level_of[p] = l as u64);
+        }
+        // One direction: plan the exchange from the ghosts the triangle
+        // references, learn each one's level from its owner, sort by level.
+        let mut build_sweep = |tag: u64, arena: &Arena| -> Halo {
             let ghost_refs = arena.slot.iter().filter(|&&s| s >= n_local);
             let needed = ghost_refs.map(|&s| rf.ghosts[s - n_local]);
             let plan = CommPlan::build(ctx, tag, needed, |j| dm.dist().owner(j));
-            let remote_level = plan.exchange_labels(ctx, |g| {
-                // lint: allow(unwrap): peers only reference interface pivots, which all carry a level
-                *level_of.get(&g).expect("referenced node has no level")
-            });
-            (0..n_levels as u64)
-                .map(|l| {
-                    plan.restrict(
-                        |g| level_of.get(&g) == Some(&l),
-                        |g| remote_level.get(&g) == Some(&l),
-                    )
-                    // Each level gets a private wire-tag namespace: values of two
-                    // adjacent levels can be in flight from one sender at once, and
-                    // sharing a wire tag would let a reordered network swap them.
-                    .rebase(tag + (l << 20))
-                    .relabel(
-                        // lint: allow(unwrap): the plan ships only locally owned nodes
-                        |g| local.pos_of(g).expect("plan ships non-local node"),
-                        // lint: allow(unwrap): the plan was built from these very ghosts
-                        |g| n_local + rf.ghosts.binary_search(&g).expect("unlisted ghost"),
-                    )
-                })
-                .collect()
+            let (mine, ghost) = level_of.split_at_mut(n_local);
+            plan.exchange_labels(
+                ctx,
+                |g| mine[slot_of(g)],
+                |g, l| ghost[slot_of(g) - n_local] = l,
+            );
+            let key = |slot: usize| (level_of[slot] as usize, slot);
+            Halo::new(ctx, &plan, n_levels, |g| key(slot_of(g)))
         };
-        let fwd_at = build_sweep(tags::FWD, &rf.store.l);
-        let bwd_at = build_sweep(tags::BWD, &rf.store.u);
-        // lint: allow(unwrap): levels hold this rank's interface nodes
-        let pos = |&i: &usize| local.pos_of(i).expect("level row must be local");
         TrisolvePlan {
-            fwd_at,
-            bwd_at,
-            level_pos: rf
-                .levels
-                .iter()
-                .map(|lv| lv.iter().map(pos).collect())
-                .collect(),
-            n_slots: n_local + rf.ghosts.len(),
+            fwd: build_sweep(tags::FWD, &rf.store.l),
+            bwd: build_sweep(tags::BWD, &rf.store.u),
+            level_pos,
+            n_slots,
         }
     }
 }
@@ -228,10 +223,10 @@ fn forward_sweep_into(
     // compute, then ship this level's values (one message per peer).
     for (l, level) in plan.level_pos.iter().enumerate() {
         if l > 0 {
-            plan.fwd_at[l - 1].recv_values(ctx, |slot, v| x[slot] = v);
+            plan.fwd.recv_values(ctx, l - 1, |slot, v| x[slot] = v);
         }
         rf.store.forward_rows(level.iter().copied(), x);
-        plan.fwd_at[l].send_values(ctx, |pos| x[pos]);
+        plan.fwd.send_values(ctx, l, |pos| x[pos]);
     }
     ctx.work(2.0 * rf.store.l.val.len() as f64);
 }
@@ -251,10 +246,10 @@ fn backward_sweep_into(
     let n_levels = plan.level_pos.len();
     for l in (0..n_levels).rev() {
         if l + 1 < n_levels {
-            plan.bwd_at[l + 1].recv_values(ctx, |slot, v| x[slot] = v);
+            plan.bwd.recv_values(ctx, l + 1, |slot, v| x[slot] = v);
         }
         rf.store.backward_rows(plan.level_pos[l].iter().copied(), x);
-        plan.bwd_at[l].send_values(ctx, |pos| x[pos]);
+        plan.bwd.send_values(ctx, l, |pos| x[pos]);
     }
     // Interior phase, descending elimination order; U columns of interior
     // rows are local (later interiors or own interfaces).

@@ -19,7 +19,7 @@
 //! holds at those moments (`l_held`) — so that the flop comparison keeps
 //! checking every other term.
 
-use pilut_core::dist::exchange::tags;
+use pilut_core::dist::exchange::{tags, AllPeers};
 use pilut_core::dist::{DistMatrix, LocalView};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::dist_mis::{build_level_links, dist_mis};
@@ -166,9 +166,11 @@ fn reference_par_ilut(
         levels.push(mis.my_in.clone());
 
         let mut remote_u: HashMap<usize, RefRow> = HashMap::new();
-        plan.replay_tagged(
+        plan.exact_round(
             ctx,
             tags::UROWS,
+            &AllPeers,
+            &AllPeers,
             |_, nodes| {
                 let (mut bu, mut bf) = (Vec::new(), Vec::new());
                 for &v in nodes.iter().filter(|v| mis.my_in.contains(v)) {

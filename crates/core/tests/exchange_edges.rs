@@ -1,9 +1,9 @@
-//! Edge cases of the plan-once/replay-many data plane, each pinned down by
-//! the machine's per-tag traffic counters: a rank owning nothing, a halo
-//! that never leaves the rank, zero-length payload rounds, and the
-//! stats-vs-wire tag split of a rebased plan.
+//! Edge cases of the two-plane data plane, each pinned down by the
+//! machine's per-tag traffic counters: a rank owning nothing, a halo that
+//! never leaves the rank, rounds of empty frames, and the wire-vs-stats tag
+//! split of a levelled halo.
 
-use pilut_core::dist::exchange::{tags, CommPlan};
+use pilut_core::dist::exchange::{tags, AllPeers, CommPlan, Halo};
 use pilut_core::dist::{DistMatrix, Distribution};
 use pilut_par::{Machine, MachineModel, Payload};
 use pilut_sparse::gen;
@@ -18,9 +18,10 @@ fn empty_owned_region_rank_counts_no_traffic() {
         let local = dm.local_view(ctx.rank());
         let needed = local.remote_cols(dm.matrix());
         let plan = CommPlan::build(ctx, tags::SPMV, needed, |j| dm.dist().owner(j));
-        plan.send_values(ctx, |g| g as f64);
-        plan.recv_values(ctx, |g, val| assert_eq!(val, g as f64));
-        (plan.is_idle(), plan.sent_values())
+        let halo = Halo::new(ctx, &plan, 1, |g| (0, g));
+        halo.send_values(ctx, 0, |g| g as f64);
+        halo.recv_values(ctx, 0, |g, val| assert_eq!(val, g as f64));
+        (plan.is_idle(), halo.sent_values())
     });
     assert!(out.results[5..].iter().all(|&(idle, _)| idle));
     // The 5-row chain has 4 ownership boundaries, each crossed once per
@@ -38,29 +39,38 @@ fn fully_self_owned_halo_is_silent() {
     let dm = DistMatrix::new(gen::laplace_2d(4, 4), Distribution::block(16, 4));
     let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
         let plan = CommPlan::build(ctx, tags::SPMV, std::iter::empty(), |j| dm.dist().owner(j));
-        plan.send_values(ctx, |_| unreachable!("nothing is scheduled"));
-        plan.recv_values(ctx, |_, _| unreachable!("nothing is scheduled"));
+        let halo = Halo::new(ctx, &plan, 1, |_| unreachable!("nothing is scheduled"));
+        halo.send_values(ctx, 0, |_| unreachable!("nothing is scheduled"));
+        halo.recv_values(ctx, 0, |_, _| unreachable!("nothing is scheduled"));
         plan.is_idle()
     });
     assert!(out.results.iter().all(|&idle| idle));
     assert_eq!(out.stats.tag_totals(tags::SPMV), (0, 0));
 }
 
-#[test]
-fn zero_length_payloads_replay_as_counted_messages() {
-    // A replay round whose producer ships empty payloads still sends one
-    // message per scheduled peer — the round structure is the contract, not
-    // the byte count. Counters must show the messages with zero bytes.
+/// The ring plan of the tests below: rank `r` of 4 needs the node owned by
+/// rank `r + 1`.
+fn ring_plan(ctx: &mut pilut_par::Ctx, tag: u64) -> CommPlan {
     let dist = Distribution::block(4, 4);
+    let needed = vec![(ctx.rank() + 1) % 4];
+    CommPlan::build(ctx, tag, needed, |j| dist.owner(j))
+}
+
+#[test]
+fn rounds_of_empty_frames_count_one_message_per_live_link() {
+    // A round whose producer ships empty frames still sends one message per
+    // live scheduled peer — the round structure is the contract, not the
+    // byte count. Counters and ledger must show the messages with zero
+    // bytes, exactly.
     let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
-        let me = ctx.rank();
-        // Ring: rank r needs the node owned by rank r+1.
-        let needed = vec![(me + 1) % 4];
-        let plan = CommPlan::build(ctx, tags::MIS_TENT, needed, |j| dist.owner(j));
+        let plan = ring_plan(ctx, tags::MIS_TENT);
         let mut rounds = 0u64;
         for _ in 0..3 {
-            plan.replay(
+            plan.exact_round(
                 ctx,
+                tags::MIS_TENT,
+                &AllPeers,
+                &AllPeers,
                 |_, _| Payload::Empty,
                 |_, _, payload| {
                     assert_eq!(payload, Payload::Empty);
@@ -74,61 +84,48 @@ fn zero_length_payloads_replay_as_counted_messages() {
     assert!(out.results.iter().all(|&r| r == 3));
     // 4 directed edges × 3 rounds, all empty.
     assert_eq!(out.stats.tag_totals(tags::MIS_TENT), (12, 0));
+    assert_eq!(out.stats.planned_by_tag[&tags::MIS_TENT], (12, 0, true));
 }
 
 #[test]
-fn rebased_plan_attributes_stats_to_protocol_tag() {
-    // Regression: `replay()` on a rebased plan used to record its traffic
-    // under the private wire base instead of the protocol tag, so per-level
-    // sub-plans silently vanished from the per-tag breakdown.
-    let dist = Distribution::block(4, 4);
+fn levelled_halo_ships_each_level_alone_under_the_protocol_tag() {
+    // A three-level halo on the ring: rank r's node (node r) sits at level
+    // r % 3, so levels 0, 1, 2 hold nodes {0, 3}, {1}, {2}. The level-l
+    // round must deliver exactly that level's values, a peer whose range
+    // at a level is empty gets no message, and every byte is attributed to
+    // the protocol tag — nothing under the per-level wire bases. Two sweeps
+    // interleaved with the plan's own label round stay matched: the halo
+    // counts its sweeps per level, apart from the plan's rounds (whose wire
+    // tags level 0's coincide with — the barriers order the two, as the
+    // collectives of a plan build do in the solve).
     let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
-        let me = ctx.rank();
-        let needed = vec![(me + 1) % 4];
-        let plan = CommPlan::build(ctx, tags::FWD, needed, |j| dist.owner(j))
-            .rebase(tags::FWD + (3 << 20));
-        plan.replay(
-            ctx,
-            |_, nodes| Payload::u64s(nodes.iter().map(|&g| g as u64).collect()),
-            |peer, nodes, payload| {
-                assert_eq!(
-                    payload.into_u64(),
-                    nodes.iter().map(|&g| g as u64).collect::<Vec<_>>(),
-                    "from rank {peer}"
-                );
-            },
-        );
-    });
-    let (msgs, bytes) = out.stats.tag_totals(tags::FWD);
-    assert_eq!(msgs, 4);
-    assert_eq!(bytes, 4 * 8);
-    // Nothing may leak into the counter map under the wire base.
-    assert_eq!(out.stats.tag_totals(tags::FWD + (3 << 20)), (0, 0));
-}
-
-#[test]
-fn plan_rebuilt_after_rebase_starts_fresh_rounds() {
-    // A rebase keeps the plan's schedule but its round counters are
-    // per-base: replays before and after a restrict+rebase must stay
-    // matched on both sides even when interleaved with the parent plan's
-    // own rounds.
-    let dist = Distribution::block(4, 4);
-    let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
-        let me = ctx.rank();
-        let needed = vec![(me + 1) % 4];
-        let parent = CommPlan::build(ctx, tags::BWD, needed, |j| dist.owner(j));
-        let child = parent
-            .restrict(|_| true, |_| true)
-            .rebase(tags::BWD + (1 << 20));
-        let mut heard = 0u64;
-        for _ in 0..2 {
-            parent.replay(ctx, |_, _| Payload::Empty, |_, _, _| heard += 1);
-            child.replay(ctx, |_, _| Payload::Empty, |_, _, _| heard += 1);
+        let plan = ring_plan(ctx, tags::FWD);
+        let halo = Halo::new(ctx, &plan, 3, |g| (g % 3, g));
+        let mut heard = Vec::new();
+        for sweep in 0..2 {
+            for level in 0..3 {
+                halo.send_values(ctx, level, |g| (10 * sweep + g) as f64);
+                halo.recv_values(ctx, level, |g, val| {
+                    assert_eq!(val, (10 * sweep + g) as f64);
+                    heard.push((level, g));
+                });
+            }
+            ctx.barrier();
+            plan.exchange_labels(ctx, |g| g as u64, |g, l| assert_eq!(l, g as u64));
+            ctx.barrier();
         }
         heard
     });
-    assert!(out.results.iter().all(|&h| h == 4));
-    // Parent and child rounds both attribute to the protocol tag.
-    let (msgs, _) = out.stats.tag_totals(tags::BWD);
-    assert_eq!(msgs, 16);
+    for (r, heard) in out.results.iter().enumerate() {
+        // Rank r receives node r + 1, at that node's level and no other.
+        let g = (r + 1) % 4;
+        assert_eq!(heard, &[(g % 3, g), (g % 3, g)], "rank {r}");
+    }
+    // Per sweep: 4 values (one per ring link, each at exactly one level)
+    // plus 4 labels — 8 messages of 8 bytes, twice.
+    assert_eq!(out.stats.tag_totals(tags::FWD), (16, 16 * 8));
+    assert_eq!(out.stats.planned_by_tag[&tags::FWD], (16, 16 * 8, true));
+    for level in 1..3 {
+        assert_eq!(out.stats.tag_totals(tags::FWD + (level << 20)), (0, 0));
+    }
 }

@@ -2,20 +2,25 @@
 //! else the factorization reports: the table is only worth reading if its
 //! columns add up to the totals the rest of the system is gated on — the
 //! level sets, `ParStats::flops` / `mis_work`, the machine's own flop and
-//! copy counters, and the rank's logical clock across the call.
+//! copy counters, the `U`-row traffic under the factorization's tag (wire,
+//! planned-traffic ledger and table alike), and the rank's logical clock
+//! across the call.
 
+use pilut_core::dist::exchange::tags;
 use pilut_core::dist::DistMatrix;
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::{par_ilu0, par_ilut, LevelStats, RankFactors};
 use pilut_par::{Ctx, Machine, MachineModel};
 use pilut_sparse::{gen, CsrMatrix};
 
-/// Runs `factor` on `p` ranks and checks every invariant of the table.
-/// Returns the per-rank factors for method-specific checks.
+/// Runs `factor` — which ships its `U` rows under `urows` — on `p` ranks
+/// and checks every invariant of the table. Returns the per-rank factors
+/// for method-specific checks.
 fn check(
     what: &str,
     a: &CsrMatrix,
     p: usize,
+    urows: u64,
     factor: impl Fn(&mut Ctx, &DistMatrix) -> RankFactors + Sync,
 ) -> Vec<RankFactors> {
     let dm = DistMatrix::from_matrix(a.clone(), p, 17);
@@ -78,6 +83,17 @@ fn check(
     }
     assert_eq!(charged, out.stats.flops, "{what} p={p}: machine flops");
     assert_eq!(copied, out.stats.words_copied, "{what} p={p}: words copied");
+    // U rows are planned to the byte: the batches are priced before the
+    // first ships, so ledger = wire, exactly, and the table tallied the same.
+    let (messages, bytes) = out.stats.tag_totals(urows);
+    // (One rank has no interface, no level and no round to record.)
+    let planned = out.stats.planned_by_tag.get(&urows).copied();
+    let planned = planned.unwrap_or((0, 0, true));
+    assert_eq!(planned, (messages, bytes, true), "{what} p={p}");
+    let levels = out.results.iter().flat_map(|r| &r.0.stats.per_level);
+    let tallied: usize = levels.map(|l| l.urows_bytes).sum();
+    assert_eq!(tallied as u64, bytes, "{what} p={p}: U-row bytes");
+    assert_eq!(messages > 0, p > 1, "{what} p={p}: U-row messages");
     out.results.into_iter().map(|r| r.0).collect()
 }
 
@@ -86,7 +102,7 @@ fn par_ilut_levels_add_up_to_the_totals() {
     let a = gen::fem_torso(12, 1);
     for opts in [IlutOptions::new(20, 1e-6), IlutOptions::star(8, 1e-4, 2)] {
         for p in [1, 2, 4, 8] {
-            let factors = check(&opts.name(), &a, p, |ctx, dm| {
+            let factors = check(&opts.name(), &a, p, tags::UROWS, |ctx, dm| {
                 let local = dm.local_view(ctx.rank());
                 par_ilut(ctx, dm, &local, &opts).expect("factorization failed")
             });
@@ -109,7 +125,7 @@ fn par_ilut_levels_add_up_to_the_totals() {
 fn par_ilu0_fills_the_same_table() {
     let a = gen::fem_torso(12, 1);
     for p in [1, 2, 4, 8] {
-        let factors = check("ILU(0)", &a, p, |ctx, dm| {
+        let factors = check("ILU(0)", &a, p, tags::U0, |ctx, dm| {
             let local = dm.local_view(ctx.rank());
             par_ilu0(ctx, dm, &local).expect("factorization failed")
         });

@@ -17,8 +17,12 @@
 //!   [`STEADY_REGIONS`] entry performed zero heap acquisitions, the
 //!   `mis_rounds` region at most [`MIS_ALLOCS_PER_MESSAGE`] per dist-MIS
 //!   message, the `alg42_sweep` region at most [`SWEEP_GROWTHS_PER_ROW`]
-//!   per interface row, a serial row puts nothing on the wire) are asserted on the
-//!   typed [`Measurement`] inside `xtask bench`, before the report is written.
+//!   per interface row, the `plan_replay` region the frames' buffers and
+//!   nothing else, a serial row puts nothing on the wire) are asserted on the
+//!   typed [`Measurement`] inside `xtask bench`, before the report is written;
+//!   an unfiltered run also asserts that every gated region was entered by
+//!   some scenario ([`unrecorded_region`]), so a renamed region cannot pass
+//!   by vanishing.
 //!   The counts themselves ([`Facts`]: flops, simulated T3D seconds,
 //!   per-tag messages and bytes, fill, factor heap bytes) are rendered by
 //!   `xtask paper` as the `kernels` experiment and exact-diffed by
@@ -56,9 +60,9 @@ use pilut_sparse::{gen, BcsrMatrix, CsrMatrix};
 /// Audit regions that must perform **zero** heap acquisitions over a whole
 /// scenario: each is a replay path whose plan, pools and workspaces are
 /// built before the steady state begins, so one allocation inside is a
-/// regression of the memory plane. `mis_rounds` ships content-dependent
-/// frames and is budgeted per message instead
-/// ([`MIS_ALLOCS_PER_MESSAGE`]); `plan_replay` is reported only.
+/// regression of the memory plane. The level loop ships content-dependent
+/// frames and grows live rows, so its regions are budgeted instead
+/// ([`BUDGETED_REGIONS`]).
 const STEADY_REGIONS: &[&str] = &[
     "gmres_inner",
     "recv_values",
@@ -66,12 +70,27 @@ const STEADY_REGIONS: &[&str] = &[
     "trisolve_replay",
 ];
 
+/// Audit regions [`check`] holds to a budget per unit of work:
+/// `mis_rounds` ([`MIS_ALLOCS_PER_MESSAGE`]), `alg42_sweep`
+/// ([`SWEEP_GROWTHS_PER_ROW`]) and `plan_replay` — every frame round of a
+/// `CommPlan`, the dist-MIS rounds nested in `mis_rounds` and the `U`-row
+/// shipment ([`UROWS_ALLOCS_PER_MESSAGE`]).
+const BUDGETED_REGIONS: &[&str] = &["alg42_sweep", "mis_rounds", "plan_replay"];
+
 /// Heap acquisitions the `mis_rounds` region may make per dist-MIS message
 /// a rank puts on the wire (`mis_keys` + `mis_tent` + `mis_conf`): the
 /// exact-size frame buffer and nothing else — the kernel's slot arrays are
 /// sized before the region opens. Counted against messages *sent*, i.e.
 /// c = ½ over sent + received.
 const MIS_ALLOCS_PER_MESSAGE: u64 = 1;
+
+/// Heap acquisitions the `plan_replay` region may make per `U`-row message
+/// (`urows` / `u0`) on top of its dist-MIS frames: the batch's index and
+/// value buffers, sized exactly by the encoder — a round's staging area and
+/// its round counters are the plan's from birth, and the receiver decodes
+/// into buffers that regrow a handful of times per factorization, inside
+/// what the empty batches leave of the budget.
+const UROWS_ALLOCS_PER_MESSAGE: u64 = 2;
 
 /// Heap acquisitions the `alg42_sweep` region (Algorithm 4.2's pass over
 /// the live reduced rows, once per level) may make per interface row per
@@ -664,30 +683,40 @@ fn check(m: &Measurement) -> Result<(), String> {
         }
         // Every pass repeats the stats pass's traffic (a body that factors
         // once outside its operation only makes the budget looser).
-        let mis_tags = [tags::MIS_KEYS, tags::MIS_TENT, tags::MIS_CONF];
-        let messages: u64 = mis_tags.iter().map(|&t| stats.tag_totals(t).0).sum();
-        let passes = m.passes();
-        let acquired = |name: &str| {
-            let region = m.regions.iter().find(|r| r.name == name);
-            region.map_or(0, |r| r.allocs)
-        };
-        let allocs = acquired("mis_rounds");
-        let budget = MIS_ALLOCS_PER_MESSAGE * messages * passes;
-        if allocs > budget {
-            return fail(format!(
-                "region mis_rounds acquired {allocs} allocation(s) over {passes} pass(es) of \
-                 {messages} dist-MIS message(s), budget {budget}: only wire frames may allocate"
-            ));
-        }
+        let sent = |tags: &[u64]| tags.iter().map(|&t| stats.tag_totals(t).0).sum::<u64>();
+        let mis = sent(&[tags::MIS_KEYS, tags::MIS_TENT, tags::MIS_CONF]);
+        let urows = sent(&[tags::UROWS, tags::U0]);
         let rows = m.facts.interface as u64;
-        let allocs = acquired("alg42_sweep");
-        let budget = SWEEP_GROWTHS_PER_ROW * rows * passes;
-        if allocs > budget {
-            return fail(format!(
-                "region alg42_sweep acquired {allocs} allocation(s) over {passes} pass(es) of \
-                 {rows} interface row(s), budget {budget}: a live row's buffers may grow, \
-                 a row-touch may not allocate"
-            ));
+        let passes = m.passes();
+        let budgets = [
+            (
+                "mis_rounds",
+                MIS_ALLOCS_PER_MESSAGE * mis,
+                format!("{mis} dist-MIS message(s)"),
+                "only wire frames may allocate",
+            ),
+            (
+                "alg42_sweep",
+                SWEEP_GROWTHS_PER_ROW * rows,
+                format!("{rows} interface row(s)"),
+                "a live row's buffers may grow, a row-touch may not allocate",
+            ),
+            (
+                "plan_replay",
+                MIS_ALLOCS_PER_MESSAGE * mis + UROWS_ALLOCS_PER_MESSAGE * urows,
+                format!("{mis} dist-MIS and {urows} U-row message(s)"),
+                "only wire frames may allocate",
+            ),
+        ];
+        for (name, per_pass, of, why) in budgets {
+            let region = m.regions.iter().find(|r| r.name == name);
+            let (allocs, budget) = (region.map_or(0, |r| r.allocs), per_pass * passes);
+            if allocs > budget {
+                return fail(format!(
+                    "region {name} acquired {allocs} allocation(s) over {passes} pass(es) of \
+                     {of}, budget {budget}: {why}"
+                ));
+            }
         }
     }
     for r in &m.regions {
@@ -700,6 +729,16 @@ fn check(m: &Measurement) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The first gated region no measurement recorded, if any. A region is
+/// recorded when a scenario enters it, whatever it allocates, so on a run
+/// of the whole table a missing name means the gate it belongs to has been
+/// passing vacuously — the region was renamed, or lost its last caller.
+fn unrecorded_region(results: &[Measurement]) -> Option<&'static str> {
+    let regions = || results.iter().flat_map(|m| &m.regions);
+    let mut gated = STEADY_REGIONS.iter().chain(BUDGETED_REGIONS).copied();
+    gated.find(|&name| regions().all(|r| r.name != name))
 }
 
 /// Pairs whose wall ratio the report prints: the one-rank distributed
@@ -748,6 +787,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
         check(&m)?;
         results.push(m);
+    }
+    if only.is_empty() {
+        if let Some(name) = unrecorded_region(&results) {
+            return Err(format!(
+                "region {name} is gated but no scenario entered it: the gate passes vacuously"
+            ));
+        }
     }
     let min_of = |name: &str| {
         results
@@ -1056,6 +1102,41 @@ mod tests {
         // A killed epoch abandons rounds mid-flight: waived like planned = measured.
         m.facts.faults = 1;
         check(&m).unwrap();
+    }
+
+    #[test]
+    fn plan_replay_acquisitions_beyond_the_frame_budget_fail() {
+        // Per pass 3 dist-MIS frames at one buffer and 4 U-row batches at
+        // two, over 9 passes: (3 + 2 · 4) · 9 = 99 acquisitions.
+        let mut m = healthy();
+        for (tag, traffic) in [(tags::MIS_TENT, (3, 96)), (tags::UROWS, (4, 640))] {
+            m.facts.stats.by_tag.insert(tag, traffic);
+            let planned = (traffic.0, traffic.1, true);
+            m.facts.stats.planned_by_tag.insert(tag, planned);
+        }
+        m.regions.push(region("plan_replay", 99));
+        check(&m).unwrap();
+        m.regions[2] = region("plan_replay", 100);
+        assert_fails(
+            &m,
+            "region plan_replay acquired 100 allocation(s) over 9 pass(es) of 3 dist-MIS and 4 U-row message(s), budget 99",
+        );
+        m.facts.faults = 1;
+        check(&m).unwrap();
+    }
+
+    #[test]
+    fn a_gated_region_no_scenario_entered_is_reported() {
+        // Between them the rows record every gated name; take one away (as
+        // a rename of the region in the library would) and it is named.
+        let gated = STEADY_REGIONS.iter().chain(BUDGETED_REGIONS);
+        let mut m = healthy();
+        m.regions = gated.map(|name| region(name, 0)).collect();
+        assert_eq!(unrecorded_region(&[healthy(), m]), None);
+        assert_eq!(unrecorded_region(&[healthy()]), Some("gmres_inner"));
+        let mut m = healthy();
+        m.regions.push(region("gmres_inner", 0));
+        assert_eq!(unrecorded_region(&[m]), Some("recv_values"));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! p)` alone, and the failure line prints all three plus the workload.
 //! Two workloads are swept: `factor` (the parallel ILUT factorization,
 //! where faults land in plan *construction* traffic) and `replay`
-//! (prebuilt SpMV and trisolve `CommPlan`s driven through repeated
-//! `replay` rounds, so faults land in the steady-state data plane). Full
+//! (prebuilt SpMV and trisolve halos driven through repeated value
+//! rounds, so faults land in the steady-state data plane). Full
 //! mode sweeps p ∈ {4, 8} × 20 seeds × both workloads; `--quick` runs one
 //! trial per (fault class, workload) at p = 4 (the CI configuration).
 //!
@@ -63,8 +63,8 @@ fn plan_for(work: &str, kind: &str, seed: u64, p: usize) -> FaultPlan {
     let mut s = seed ^ 0xc7a_5_u64.rotate_left(17);
     let victim = (mix(&mut s) % p as u64) as usize;
     // The replay workload arms its rules well past the factorization and
-    // plan-build prefix, so destructive fires land inside the
-    // `CommPlan::replay` rounds that workload exists to stress.
+    // plan-build prefix, so destructive fires land inside the `Halo`
+    // value rounds that workload exists to stress.
     let after = if work == "replay" {
         64 + mix(&mut s) % 192
     } else {
@@ -151,8 +151,8 @@ fn factor_workload(dm: &DistMatrix, p: usize, plan: Option<FaultPlan>) -> Vec<u6
 }
 
 /// The steady-state data-plane workload: factor once, build the SpMV and
-/// trisolve plans, then drive several matvec+solve rounds through
-/// `CommPlan::replay` — the path every iterative solve sits on. Later
+/// trisolve plans, then drive several matvec+solve rounds through their
+/// halos — the path every iterative solve sits on. Later
 /// fault `after_op` offsets land inside the replays rather than the plan
 /// builds, which is exactly the coverage the factor workload lacks.
 fn replay_workload(dm: &DistMatrix, p: usize, plan: Option<FaultPlan>) -> Vec<u64> {

@@ -42,8 +42,8 @@
 //! * **no-raw-comm** — raw point-to-point traffic (`ctx.send(` /
 //!   `ctx.recv(`) is allowed only inside `crates/par` (which implements
 //!   it) and the planned-exchange layer under
-//!   `crates/core/src/dist/exchange` (the module plus its `replay` child).
-//!   Everything else must route through a `CommPlan` or a
+//!   `crates/core/src/dist/exchange` (the module plus its `halo` child).
+//!   Everything else must route through a `CommPlan`, a `Halo` or a
 //!   collective, so every message is scheduled, counted, and replayable.
 //!   Escape hatch: `// lint: allow(raw-comm): <why>`.
 //! * **no-alloc-in-hot** — allocating constructs (`Vec::new`, `vec![`,
@@ -51,8 +51,10 @@
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
 //!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the blocked
 //!   and serial triangular-solve functions, the distributed sweeps, the
-//!   whole `CommPlan` replay half, the distributed SpMV, the dist-MIS
-//!   round, and the GMRES restart loop. The scan is a token walk over the
+//!   `CommPlan` rounds and the `Halo` round halves, the distributed SpMV,
+//!   the dist-MIS round, and the GMRES restart loop. An entry that names a
+//!   missing file or an undeclared function is itself a violation — a
+//!   rename must not retire the policing. The scan is a token walk over the
 //!   blanked text — macro invocations are first-class tokens, so `vec![`
 //!   in a string or comment can't fire and `Avec![` can't hide. Backed at
 //!   run time by the allocation-audit regions and the `zero-steady-alloc`
@@ -283,6 +285,7 @@ fn run_lint(root: &Path) -> Vec<Violation> {
             }),
         }
     }
+    violations.extend(stale_hot_modules(root, HOT_MODULES));
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     violations
 }
@@ -501,7 +504,14 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
         "crates/core/src/trisolve.rs",
         &["forward_sweep_into", "backward_sweep_into", "load"],
     ),
-    ("crates/core/src/dist/exchange/replay.rs", &["*"]),
+    (
+        "crates/core/src/dist/exchange.rs",
+        &["next_round", "ship", "exact_round", "exact_round_symmetric"],
+    ),
+    (
+        "crates/core/src/dist/exchange/halo.rs",
+        &["wire_tag", "send_values", "recv_values"],
+    ),
     ("crates/core/src/dist/spmv.rs", &["dist_spmv_into"]),
     (
         "crates/core/src/parallel/dist_mis.rs",
@@ -512,6 +522,39 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
         &["inner_product", "norm", "residual", "solve"],
     ),
 ];
+
+/// Entries of a hot-module table that police nothing: a file that does not
+/// exist under `root`, or a function the file does not declare before its
+/// test tail. Renaming either would otherwise switch the rule off silently.
+fn stale_hot_modules(root: &Path, table: &[(&str, &[&str])]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (file, hot_fns) in table {
+        let mut stale = |text: String| {
+            out.push(Violation {
+                file: file.to_string(),
+                line: 0,
+                rule: "no-alloc-in-hot",
+                text,
+            })
+        };
+        let Ok(content) = std::fs::read_to_string(root.join(file)) else {
+            stale("declared hot module does not exist".to_string());
+            continue;
+        };
+        let blanked = blank_noncode(&content);
+        let code = blanked.lines().take_while(|l| !opens_test_tail(l));
+        let declared: Vec<&str> = code.filter_map(fn_decl_name).collect();
+        for f in hot_fns
+            .iter()
+            .filter(|f| **f != "*" && !declared.contains(f))
+        {
+            stale(format!(
+                "declared hot function `{f}` is not declared in the file"
+            ));
+        }
+    }
+    out
+}
 
 /// Allocation tokens the hot-path rule recognizes on a blanked code line.
 /// The scan is a real token walk, not a substring grep: macro invocations
@@ -1257,11 +1300,30 @@ mod tests {
 
     #[test]
     fn alloc_in_hot_escape_and_test_tail() {
-        let hot = "crates/core/src/dist/exchange/replay.rs";
+        let hot = "crates/sparse/src/tile.rs";
         let marked = "fn k() {\n    // lint: allow(alloc-in-hot): first-round warm-up only\n    let v = Vec::with_capacity(4);\n}\n";
         assert!(lint_source(hot, marked, false).is_empty());
         let tail = "fn k() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let v = vec![1]; }\n}\n";
         assert!(lint_source(hot, tail, false).is_empty());
+    }
+
+    #[test]
+    fn hot_module_entries_that_name_nothing_are_violations() {
+        // The live table polices what it names ...
+        let root = workspace_root();
+        assert!(rules(&stale_hot_modules(&root, HOT_MODULES)).is_empty());
+        // ... and a planted rename is reported, not silently unpoliced: a
+        // file that is gone, and a function its file does not declare
+        // (`load` it does; a name only a comment or a test mentions it
+        // does not).
+        let planted: &[(&str, &[&str])] = &[
+            ("crates/core/src/dist/exchange/replay.rs", &["*"]),
+            ("crates/core/src/trisolve.rs", &["load", "sweep_into"]),
+        ];
+        let got = stale_hot_modules(&root, planted);
+        assert_eq!(rules(&got), vec!["no-alloc-in-hot"; 2]);
+        assert!(got[0].text.contains("does not exist"), "{}", got[0]);
+        assert!(got[1].text.contains("`sweep_into`"), "{}", got[1]);
     }
 
     #[test]
