@@ -11,7 +11,7 @@
 use crate::dist::spmv::{dist_spmv_into, SpmvPlan};
 use crate::dist::{DistMatrix, LocalView};
 use pilut_par::Ctx;
-use pilut_sparse::{BcsrMatrix, CsrMatrix};
+use pilut_sparse::CsrMatrix;
 
 /// A serial linear operator: everything GMRES and CG need to know about the
 /// system matrix.
@@ -32,16 +32,6 @@ pub trait LinOp {
 impl LinOp for CsrMatrix {
     fn n_rows(&self) -> usize {
         CsrMatrix::n_rows(self)
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv(x, y);
-    }
-}
-
-impl LinOp for BcsrMatrix {
-    fn n_rows(&self) -> usize {
-        BcsrMatrix::n_rows(self)
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
@@ -117,19 +107,6 @@ mod tests {
         let op: &dyn LinOp = &a;
         assert_eq!(op.n_rows(), 16);
         assert_eq!(op.apply(&x), a.spmv_owned(&x));
-    }
-
-    #[test]
-    fn bcsr_linop_matches_csr() {
-        let a = gen::convection_diffusion_2d(5, 7, 1.0, -2.0); // n = 35, ragged at b=4
-        let blocked = BcsrMatrix::from_csr(&a, 4);
-        let x: Vec<f64> = (0..a.n_cols()).map(|i| (i as f64).sin()).collect();
-        let (c, b): (&dyn LinOp, &dyn LinOp) = (&a, &blocked);
-        assert_eq!(b.n_rows(), c.n_rows());
-        let (yc, yb) = (c.apply(&x), b.apply(&x));
-        for (u, v) in yc.iter().zip(&yb) {
-            assert!((u - v).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -6,15 +6,13 @@
 //!   Algorithm 2.1, after Saad) — the one scalar row kernel, which the
 //!   parallel formulation's interior phase runs too, so serial ILUT is its
 //!   one-rank case — and the static-pattern baselines **ILU(0)** and
-//!   **ILU(k)**;
+//!   **ILU(k)**; and [`serial::block_ilut`], the same elimination at
+//!   dense-tile granularity for multi-dof matrices, whose result is
+//!   refined into the same scalar store;
 //! * [`factors`] — the one scalar factor store (two CSR arenas for strict
 //!   `L` and strict `U` plus a pivot vector, over a slot space) with its
 //!   row sweeps: [`factors::LuFactors`] is the store with slot = row,
 //!   [`parallel::RankFactors`] the same store over a rank's local slots;
-//! * [`block_factors`] — the blocked (BCSR-tile) factor storage with
-//!   level-scheduled tile trisolves (single vector and `n × k` panel) fed
-//!   by [`serial::block_ilut`], plus the exact scalar refinement bridging
-//!   back to [`factors::LuFactors`];
 //! * [`precond`] — the preconditioner interface consumed by the solver
 //!   crate, with ILU and diagonal implementations;
 //! * [`dist`] — the distributed matrix: a partition-driven row distribution
@@ -31,7 +29,6 @@
 //! * [`breakdown`] — the [`breakdown::PivotDoctor`] that applies one
 //!   breakdown policy identically across every kernel.
 
-pub mod block_factors;
 pub mod breakdown;
 pub mod dist;
 pub mod factors;
@@ -41,7 +38,6 @@ pub mod precond;
 pub mod serial;
 pub mod trisolve;
 
-pub use block_factors::{BlockLuFactors, BlockTileRow};
 pub use breakdown::PivotDoctor;
 pub use factors::LuFactors;
 pub use options::{BreakdownPolicy, FactorError, IlutOptions};

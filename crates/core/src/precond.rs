@@ -1,6 +1,5 @@
 //! Preconditioner interface and serial implementations.
 
-use crate::block_factors::BlockLuFactors;
 use crate::factors::LuFactors;
 use crate::options::FactorError;
 use pilut_sparse::CsrMatrix;
@@ -123,62 +122,11 @@ impl Preconditioner for IluPreconditioner {
     }
 }
 
-/// Blocked incomplete-LU preconditioning: `M⁻¹ r` through the
-/// level-scheduled tile sweeps of [`BlockLuFactors`] — the dense-tile
-/// counterpart of [`IluPreconditioner`] for factors out of
-/// [`crate::serial::block_ilut`].
-pub struct BlockIluPreconditioner {
-    factors: BlockLuFactors,
-    label: String,
-    /// Padded solve buffer for [`Preconditioner::apply_into`]: the blocked
-    /// sweeps work over `n_brows · b` lanes, so the in-place apply stages
-    /// through this scratch (reserved once at construction) and copies the
-    /// first `n` lanes out. Interior-mutable because `apply_into` takes
-    /// `&self` — preconditioners are shared immutably by the solvers.
-    padded: std::cell::RefCell<Vec<f64>>,
-}
-
-impl BlockIluPreconditioner {
-    /// Wraps blocked factors as a preconditioner, labelled by block size
-    /// (e.g. `BILU(4)`).
-    pub fn new(factors: BlockLuFactors) -> Self {
-        let label = format!("BILU({})", factors.block_size());
-        Self::with_label(factors, label)
-    }
-
-    /// Wraps blocked factors with a custom label for reporting.
-    pub fn with_label(factors: BlockLuFactors, label: impl Into<String>) -> Self {
-        let padded = std::cell::RefCell::new(vec![0.0; factors.padded_len()]);
-        BlockIluPreconditioner {
-            factors,
-            label: label.into(),
-            padded,
-        }
-    }
-
-    /// The underlying blocked factors.
-    pub fn factors(&self) -> &BlockLuFactors {
-        &self.factors
-    }
-}
-
-impl Preconditioner for BlockIluPreconditioner {
-    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        let mut padded = self.padded.borrow_mut();
-        self.factors.solve_into(r, &mut padded);
-        z.copy_from_slice(&padded[..z.len()]);
-    }
-
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::options::IlutOptions;
-    use crate::serial::{block_ilut, ilut};
+    use crate::serial::ilut;
     use pilut_sparse::gen;
 
     #[test]
@@ -210,21 +158,5 @@ mod tests {
             assert!((xi - ti).abs() < 1e-9);
         }
         assert_eq!(p.name(), "ILUT(25,0)");
-    }
-
-    #[test]
-    fn block_ilu_preconditioner_applies_blocked_factors() {
-        use pilut_sparse::BcsrMatrix;
-        let a = gen::laplace_2d(5, 5);
-        let ab = BcsrMatrix::from_csr(&a, 4);
-        let f = block_ilut(&ab, &IlutOptions::new(25, 0.0)).unwrap();
-        let x_true = vec![2.0; 25];
-        let b = a.spmv_owned(&x_true);
-        let p = BlockIluPreconditioner::new(f);
-        assert_eq!(p.name(), "BILU(4)");
-        let x = p.apply(&b);
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-9);
-        }
     }
 }

@@ -19,23 +19,40 @@
 //!   the matching scalar row — geometric shift escalation and replace-row
 //!   semantics carry over unchanged.
 //!
+//! The tile rows are working state of the elimination only. The result is
+//! an ordinary [`LuFactors`]: once every block row is factored, `refine`
+//! writes the exact scalar refinement of the tiles into the one factor
+//! store, so a blocked factorization is applied through
+//! `LuFactors::solve_into` / `IluPreconditioner` like every other serial
+//! factor.
+//!
 //! At `b = 1` every one of those reductions is bitwise the scalar
-//! operation (see the `tile` module contract), so `block_ilut` on a
-//! 1-blocked matrix produces factors bitwise-identical to `ilut` — the
-//! differential test the whole blocked layer is anchored to. The one
-//! deliberate divergence: scrubbed non-finite slots are *zeroed* in place
-//! rather than structurally removed (a tile cannot lose a single slot), so
-//! under the recovery policies a poisoned factor keeps an explicit zero
-//! where the scalar kernel removes the entry.
+//! operation (see the `tile` module contract) and the refinement is a copy,
+//! so `block_ilut` on a 1-blocked matrix returns factors bitwise-identical
+//! to `ilut`'s — the differential test this kernel is anchored to. The one
+//! deliberate divergence inside the elimination: scrubbed non-finite slots
+//! are *zeroed* in place rather than structurally removed (a tile cannot
+//! lose a single slot). The refinement skips exact zeros, so the returned
+//! factor stores no entry there, as the scalar kernel does not; a zeroed
+//! slot can still have fed a later row's update as a zero.
 
-use crate::block_factors::{BlockLuFactors, BlockTileRow};
 use crate::breakdown::{PivotDoctor, PivotFault, PivotFix};
+use crate::factors::{FactorStore, LuFactors};
 use crate::options::{FactorError, FactorStats, IlutOptions};
 use crate::serial::drop_rules::selection_cost;
 use pilut_sparse::tile;
 use pilut_sparse::{BcsrMatrix, LanedRow};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// One block row of working tiles: ascending block-column indices with the
+/// matching concatenated row-major `b²`-slot tiles.
+#[derive(Default)]
+struct TileRow {
+    cols: Vec<usize>,
+    /// Tile `t` occupies `tiles[t·b² .. (t+1)·b²]`.
+    tiles: Vec<f64>,
+}
 
 /// A retained tile candidate during the second dropping rule: block column,
 /// tile index into the drained lane buffer, and dropping magnitude.
@@ -115,13 +132,14 @@ fn tile_lu_cost(b: usize) -> f64 {
 /// rounds; the cap only guards pathological policies.
 const MAX_DIAG_REPAIRS: usize = 64;
 
-/// Computes blocked ILUT(m, t) of a square BCSR matrix.
+/// Computes blocked ILUT(m, t) of a square BCSR matrix, returned as scalar
+/// factors.
 ///
 /// `m` caps the number of *tiles* kept per strict block-lower and
 /// block-upper part of each block row; `tau` scales the per-block-row
 /// Frobenius norm into the drop threshold. See the module docs for the
 /// scalar correspondence.
-pub fn block_ilut(a: &BcsrMatrix, opts: &IlutOptions) -> Result<BlockLuFactors, FactorError> {
+pub fn block_ilut(a: &BcsrMatrix, opts: &IlutOptions) -> Result<LuFactors, FactorError> {
     block_ilut_with_stats(a, opts).map(|(f, _)| f)
 }
 
@@ -131,7 +149,7 @@ pub fn block_ilut(a: &BcsrMatrix, opts: &IlutOptions) -> Result<BlockLuFactors, 
 pub fn block_ilut_with_stats(
     a: &BcsrMatrix,
     opts: &IlutOptions,
-) -> Result<(BlockLuFactors, FactorStats), FactorError> {
+) -> Result<(LuFactors, FactorStats), FactorError> {
     assert_eq!(a.n_rows(), a.n_cols(), "blocked ILUT needs a square matrix");
     opts.validate()?;
     let n = a.n_rows();
@@ -139,8 +157,8 @@ pub fn block_ilut_with_stats(
     let bb = b * b;
     let nb = a.n_brows();
     let mut doctor = PivotDoctor::new(opts.breakdown);
-    let mut l_rows: Vec<BlockTileRow> = Vec::with_capacity(nb);
-    let mut u_rows: Vec<BlockTileRow> = Vec::with_capacity(nb);
+    let mut l_rows: Vec<TileRow> = Vec::with_capacity(nb);
+    let mut u_rows: Vec<TileRow> = Vec::with_capacity(nb);
     let mut diag_lus: Vec<f64> = Vec::with_capacity(nb * bb);
     let mut w = LanedRow::new(nb, bb);
     let mut stats = FactorStats::default();
@@ -200,7 +218,7 @@ pub fn block_ilut_with_stats(
                     heap.push(Reverse(j));
                 }
             }
-            stats.flops += 2.0 * (bb * b) as f64 * urow.len() as f64;
+            stats.flops += 2.0 * (bb * b) as f64 * urow.cols.len() as f64;
         }
         // Second dropping rule at tile granularity.
         w.drain_sorted_lanes_into(&mut cols_buf, &mut lanes_buf);
@@ -231,7 +249,7 @@ pub fn block_ilut_with_stats(
         threshold_and_cap_tiles(&mut upper, tau_i, opts.m);
         // Materialise the survivors.
         let materialise = |refs: &[TileRef]| {
-            let mut row = BlockTileRow::default();
+            let mut row = TileRow::default();
             for r in refs {
                 row.cols.push(r.col);
                 row.tiles
@@ -263,8 +281,8 @@ pub fn block_ilut_with_stats(
                         }
                     }
                     PivotFix::ReplaceRow(dv) => {
-                        lrow = BlockTileRow::default();
-                        urow = BlockTileRow::default();
+                        lrow = TileRow::default();
+                        urow = TileRow::default();
                         for r in 0..rows {
                             d[r * b + r] = dv;
                         }
@@ -296,8 +314,8 @@ pub fn block_ilut_with_stats(
                     match doctor.resolve(bi * b + lane, fault, PivotDoctor::usable_scale(norm_i))? {
                         PivotFix::Shift(boost) => diag[lane * b + lane] = boost,
                         PivotFix::ReplaceRow(dv) => {
-                            lrow = BlockTileRow::default();
-                            urow = BlockTileRow::default();
+                            lrow = TileRow::default();
+                            urow = TileRow::default();
                             diag = [0.0; tile::MAX_BLOCK * tile::MAX_BLOCK];
                             for r in 0..rows {
                                 diag[r * b + r] = dv;
@@ -311,17 +329,100 @@ pub fn block_ilut_with_stats(
             }
         };
         stats.flops += tile_lu_cost(b);
-        stats.nnz_l += lrow.len() * bb;
-        stats.nnz_u += (urow.len() + 1) * bb;
+        stats.nnz_l += lrow.cols.len() * bb;
+        stats.nnz_u += (urow.cols.len() + 1) * bb;
         l_rows.push(lrow);
         u_rows.push(urow);
         diag_lus.extend_from_slice(&dlu[..bb]);
     }
     stats.breakdowns_repaired = doctor.repairs();
-    Ok((
-        BlockLuFactors::from_parts(n, b, l_rows, u_rows, diag_lus),
-        stats,
-    ))
+    Ok((refine(n, b, &l_rows, &u_rows, &diag_lus), stats))
+}
+
+/// The scalar refinement of the finished tile rows: a [`LuFactors`] whose
+/// product equals the blocked `L·U` exactly.
+///
+/// With each diagonal tile `D = L_d U_d` (unit-lower/upper, `L\U`-packed in
+/// `diag_lu`), the scalar factors are `L_s = (I + M)·diag(L_d)` and
+/// `U_s = diag(U_d) + diag(L_d)⁻¹·V` — so off-diagonal `L` tiles become
+/// `M·L_d` and off-diagonal `U` tiles `L_d⁻¹·V`, while the in-block
+/// entries come straight from the packed tile LU. At `b = 1` both
+/// corrections are identities and the refinement is a bitwise copy.
+/// Exact zeros (tile padding, scrubbed slots) are skipped, as are the
+/// padding lanes of a ragged last block row.
+fn refine(n: usize, b: usize, l: &[TileRow], u: &[TileRow], diag_lu: &[f64]) -> LuFactors {
+    let bb = b * b;
+    let mut store = FactorStore::with_capacity(n);
+    let mut mod_tile = [0.0f64; tile::MAX_BLOCK * tile::MAX_BLOCK];
+    // Per-lane assembly buffers of the block row being refined.
+    let mut lrows: [Vec<(usize, f64)>; tile::MAX_BLOCK] = Default::default();
+    let mut urows: [Vec<(usize, f64)>; tile::MAX_BLOCK] = Default::default();
+    // Appends the rows of a corrected off-diagonal tile at block column
+    // `bj`, skipping padding columns and exact zeros.
+    let push_tile = |out: &mut [Vec<(usize, f64)>], bj: usize, tile: &[f64]| {
+        for (r, row) in out.iter_mut().enumerate() {
+            for (c, &v) in tile[r * b..(r + 1) * b].iter().enumerate() {
+                // lint: allow(float-eq): padding slots are exact zeros
+                if bj * b + c < n && v != 0.0 {
+                    row.push((bj * b + c, v));
+                }
+            }
+        }
+    };
+    for (bi, (lrow, urow)) in l.iter().zip(u).enumerate() {
+        let rows = (n - bi * b).min(b);
+        let dlu_i = &diag_lu[bi * bb..(bi + 1) * bb];
+        let (lrows, urows) = (&mut lrows[..rows], &mut urows[..rows]);
+        lrows
+            .iter_mut()
+            .chain(urows.iter_mut())
+            .for_each(Vec::clear);
+        // Strict block-lower tiles, corrected to M·L_d(J): unit-lower L_d
+        // is packed below the diagonal of block row J's tile.
+        for (m, &bj) in lrow.tiles.chunks_exact(bb).zip(&lrow.cols) {
+            let dlu_j = &diag_lu[bj * bb..(bj + 1) * bb];
+            for r in 0..b {
+                for c in 0..b {
+                    let mut s = m[r * b + c];
+                    for q in c + 1..b {
+                        s += m[r * b + q] * dlu_j[q * b + c];
+                    }
+                    mod_tile[r * b + c] = s;
+                }
+            }
+            push_tile(lrows, bj, &mod_tile[..bb]);
+        }
+        // In-block entries from the packed diagonal LU (the pivot
+        // `dlu_i[r, r]` goes to the store's `diag`).
+        for r in 0..rows {
+            for c in (0..rows).filter(|&c| c != r) {
+                let v = dlu_i[r * b + c];
+                // lint: allow(float-eq): skip exact zeros
+                if v != 0.0 {
+                    let part = if c < r { &mut *lrows } else { &mut *urows };
+                    part[r].push((bi * b + c, v));
+                }
+            }
+        }
+        // Strict block-upper tiles, corrected to L_d(I)⁻¹·V, column by
+        // column (forward substitution).
+        for (v, &bj) in urow.tiles.chunks_exact(bb).zip(&urow.cols) {
+            for c in 0..b {
+                for r in 0..b {
+                    let mut s = v[r * b + c];
+                    for q in 0..r {
+                        s -= dlu_i[r * b + q] * mod_tile[q * b + c];
+                    }
+                    mod_tile[r * b + c] = s;
+                }
+            }
+            push_tile(urows, bj, &mod_tile[..bb]);
+        }
+        for r in 0..rows {
+            store.push_row(&lrows[r], dlu_i[r * b + r], &urows[r], |j| j);
+        }
+    }
+    LuFactors::from_store(store)
 }
 
 #[cfg(test)]
@@ -346,11 +447,10 @@ mod tests {
             assert_eq!(ss.flops, bs.flops, "m={m} tau={tau}");
             assert_eq!(ss.nnz_l, bs.nnz_l);
             assert_eq!(ss.nnz_u, bs.nnz_u);
-            let refined = bf.to_lu_factors();
             for i in 0..a.n_rows() {
-                assert!(sf.l_row(i).eq(refined.l_row(i)), "L row {i}");
-                assert_eq!(sf.diag(i), refined.diag(i), "diag {i}");
-                assert!(sf.u_row(i).eq(refined.u_row(i)), "U row {i}");
+                assert!(sf.l_row(i).eq(bf.l_row(i)), "L row {i}");
+                assert_eq!(sf.diag(i), bf.diag(i), "diag {i}");
+                assert!(sf.u_row(i).eq(bf.u_row(i)), "U row {i}");
             }
             let r: Vec<f64> = (0..a.n_rows()).map(|i| (i % 11) as f64 - 5.0).collect();
             assert_eq!(sf.solve(&r), bf.solve(&r), "trisolve diverged");
@@ -392,38 +492,25 @@ mod tests {
         }
     }
 
-    /// The blocked factors' scalar refinement solves like the blocked
-    /// sweep (same operator, different evaluation order).
+    /// Padding never reaches the scalar store: with n % b != 0 the returned
+    /// factor has exactly n rows, is structurally valid, and stores no
+    /// column past n and no exact zero — with dropping on, so tiles carry
+    /// genuine zero slots next to their padding.
     #[test]
-    fn refinement_matches_blocked_solve() {
-        let a = gen::laplace_2d(8, 8);
-        let ab = BcsrMatrix::from_csr(&a, 4);
-        let f = block_ilut(&ab, &IlutOptions::new(6, 1e-3)).unwrap();
-        let s = f.to_lu_factors();
-        s.check_structure().unwrap();
-        let r: Vec<f64> = (0..a.n_rows()).map(|i| (i as f64).sin()).collect();
-        let (got, want) = (f.solve(&r), s.solve(&r));
-        let scale = want.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() <= 1e-12 * scale, "blocked vs refined solve");
-        }
-    }
-
-    /// A panel solve's columns are bitwise the single-vector solves.
-    #[test]
-    fn panel_solve_is_columnwise_bitwise() {
-        let a = gen::convection_diffusion_2d(6, 6, 3.0, 0.5);
-        let ab = BcsrMatrix::from_csr(&a, 2);
-        let f = block_ilut(&ab, &IlutOptions::new(8, 1e-3)).unwrap();
+    fn ragged_blocks_refine_to_exactly_n_clean_rows() {
+        let a = gen::convection_diffusion_2d(5, 7, 1.0, 1.0); // n = 35
         let n = a.n_rows();
-        let k = 8;
-        let rhs: Vec<f64> = (0..n * k).map(|i| ((i * 37) % 19) as f64 - 9.0).collect();
-        let panel = f.solve_panel(&rhs, k);
-        for c in 0..k {
-            let col: Vec<f64> = (0..n).map(|i| rhs[i * k + c]).collect();
-            let single = f.solve(&col);
+        for b in [2usize, 3, 4] {
+            assert_ne!(n % b, 0);
+            let ab = BcsrMatrix::from_csr(&a, b);
+            let f = block_ilut(&ab, &IlutOptions::new(3, 1e-3)).unwrap();
+            assert_eq!(f.n, n, "b={b}");
+            f.check_structure().unwrap();
             for i in 0..n {
-                assert_eq!(panel[i * k + c], single[i], "col {c} row {i}");
+                for (c, v) in f.l_row(i).chain(f.u_row(i)) {
+                    assert!(c < n, "b={b}: row {i} stores padding column {c}");
+                    assert_ne!(v, 0.0, "b={b}: row {i} stores a zero at {c}");
+                }
             }
         }
     }
@@ -450,9 +537,15 @@ mod tests {
         let ab = BcsrMatrix::from_csr(&a, 2);
         let m = 2;
         let f = block_ilut(&ab, &IlutOptions::new(m, 0.0)).unwrap();
-        for bi in 0..f.n_brows() {
-            assert!(f.l_row(bi).0.len() <= m, "L block row {bi}");
-            assert!(f.u_row(bi).0.len() <= m, "U block row {bi}");
+        // Off-diagonal block columns a scalar row's entries fall into.
+        fn tiles_of(i: usize, row: impl Iterator<Item = (usize, f64)>) -> usize {
+            let mut bcols: Vec<usize> = row.map(|(c, _)| c / 2).collect();
+            bcols.dedup();
+            bcols.iter().filter(|&&bc| bc != i / 2).count()
+        }
+        for i in 0..a.n_rows() {
+            assert!(tiles_of(i, f.l_row(i)) <= m, "L row {i}");
+            assert!(tiles_of(i, f.u_row(i)) <= m, "U row {i}");
         }
     }
 

@@ -1,10 +1,10 @@
 //! Blocked-vs-scalar ILUT differentials at integration scale.
 //!
 //! The anchor property: at block size 1 the blocked pipeline (BCSR
-//! conversion → `block_ilut` → blocked level-scheduled trisolve) is
-//! *bitwise* the scalar pipeline (`ilut` → `LuFactors::solve`). At real
-//! block sizes the factors differ (tile-granular dropping), so those are
-//! checked for quality and internal consistency instead.
+//! conversion → `block_ilut` → `LuFactors::solve`) is *bitwise* the scalar
+//! pipeline (`ilut` → `LuFactors::solve`). At real block sizes the factors
+//! differ (tile-granular dropping), so those are checked for quality and
+//! internal consistency instead.
 
 use pilut_core::serial::{block_ilut, block_ilut_with_stats, ilut_with_stats};
 use pilut_core::IlutOptions;
@@ -21,17 +21,15 @@ fn b1_pipeline_is_bitwise_scalar_on_random_matrices() {
         let (bf, bs) = block_ilut_with_stats(&ab, &opts).unwrap();
         assert_eq!(ss.flops.to_bits(), bs.flops.to_bits(), "seed {seed}");
         assert_eq!((ss.nnz_l, ss.nnz_u), (bs.nnz_l, bs.nnz_u));
-        let refined = bf.to_lu_factors();
         for i in 0..a.n_rows() {
             let bits = |(c, v): (usize, f64)| (c, v.to_bits());
-            let (sl, rl) = (sf.l_row(i).map(bits), refined.l_row(i).map(bits));
+            let (sl, rl) = (sf.l_row(i).map(bits), bf.l_row(i).map(bits));
             assert!(sl.eq(rl), "seed {seed} L row {i}");
-            assert_eq!(sf.diag(i).to_bits(), refined.diag(i).to_bits());
-            let (su, ru) = (sf.u_row(i).map(bits), refined.u_row(i).map(bits));
+            assert_eq!(sf.diag(i).to_bits(), bf.diag(i).to_bits());
+            let (su, ru) = (sf.u_row(i).map(bits), bf.u_row(i).map(bits));
             assert!(su.eq(ru), "seed {seed} U row {i}");
         }
-        // The blocked level-scheduled trisolve must also be bitwise the
-        // scalar sweep at b = 1 (per-row arithmetic order is unchanged).
+        // Equal rows solve to equal bits through the one scalar sweep.
         let r: Vec<f64> = (0..a.n_rows())
             .map(|i| ((i * 31) % 17) as f64 - 8.0)
             .collect();
@@ -74,44 +72,4 @@ fn blocked_preconditioner_quality_tracks_scalar() {
             "b={b}: blocked residual {rb} far off scalar {scalar}"
         );
     }
-}
-
-#[test]
-fn panel_solve_bitwise_at_scale() {
-    let a = gen::laplace_2d(16, 16); // n = 256, divisible by 4
-    let ab = BcsrMatrix::from_csr(&a, 4);
-    let f = block_ilut(&ab, &IlutOptions::new(6, 1e-3)).unwrap();
-    let n = a.n_rows();
-    let k = 8;
-    let rhs: Vec<f64> = (0..n * k)
-        .map(|i| ((i * 131) % 263) as f64 * 0.01 - 1.3)
-        .collect();
-    let panel = f.solve_panel(&rhs, k);
-    for c in 0..k {
-        let col: Vec<f64> = (0..n).map(|i| rhs[i * k + c]).collect();
-        let single = f.solve(&col);
-        for i in 0..n {
-            assert_eq!(
-                panel[i * k + c].to_bits(),
-                single[i].to_bits(),
-                "col {c} row {i}"
-            );
-        }
-    }
-}
-
-#[test]
-fn level_schedules_expose_parallelism() {
-    // On a banded problem the dependency levels must be far fewer than the
-    // block rows — that's the concurrency a parallel tile sweep would get.
-    let a = gen::laplace_2d(24, 24);
-    let ab = BcsrMatrix::from_csr(&a, 4);
-    let f = block_ilut(&ab, &IlutOptions::new(4, 1e-2)).unwrap();
-    let (fwd, bwd) = f.level_counts();
-    assert!(fwd < f.n_brows(), "forward levels {fwd} of {}", f.n_brows());
-    assert!(
-        bwd < f.n_brows(),
-        "backward levels {bwd} of {}",
-        f.n_brows()
-    );
 }

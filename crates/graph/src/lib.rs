@@ -18,20 +18,15 @@
 //!   *structurally unsymmetric* dependency graphs (paper §4.1), and a cap on
 //!   the number of augmentation rounds (the paper uses 5),
 //! * [`coloring`] — greedy colouring (the ILU(0) concurrency mechanism the
-//!   paper contrasts against, Figure 1),
-//! * [`supernode`] — block-structure detection (tile fill measurement,
-//!   coarse-pattern supernode runs, RCM-based blocking permutation)
-//!   guiding the CSR → BCSR conversion for the blocked factorization.
+//!   paper contrasts against, Figure 1).
 
 pub mod adj;
 pub mod coloring;
 pub mod mis;
 pub mod partition;
 pub mod rcm;
-pub mod supernode;
 
 pub use adj::Graph;
 pub use mis::{luby_mis, MisOptions};
 pub use partition::{partition_kway, PartitionOptions, PartitionResult};
 pub use rcm::reverse_cuthill_mckee;
-pub use supernode::{suggest_block_size, tile_fill};

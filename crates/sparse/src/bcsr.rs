@@ -197,38 +197,6 @@ impl BcsrMatrix {
         (&self.bcol_idx[lo..hi], &self.tiles[lo * bb..hi * bb])
     }
 
-    /// The occupancy masks of block row `bi`, parallel to
-    /// [`BcsrMatrix::block_row`]'s block columns.
-    pub fn block_row_masks(&self, bi: usize) -> &[u16] {
-        &self.masks[self.brow_ptr[bi]..self.brow_ptr[bi + 1]]
-    }
-
-    /// The tile-row pointer array (raw storage accessor; code outside
-    /// `crates/sparse` should go through [`BcsrMatrix::block_row`] or the
-    /// [`crate::storage::SparseStorage`] trait instead — see the
-    /// `no-storage-poke` lint).
-    pub fn brow_ptr(&self) -> &[usize] {
-        &self.brow_ptr
-    }
-
-    /// The block-column index array (raw storage accessor; see
-    /// [`BcsrMatrix::brow_ptr`] for the access discipline).
-    pub fn bcol_idx(&self) -> &[usize] {
-        &self.bcol_idx
-    }
-
-    /// The concatenated tile slots (raw storage accessor; see
-    /// [`BcsrMatrix::brow_ptr`] for the access discipline).
-    pub fn tile_values(&self) -> &[f64] {
-        &self.tiles
-    }
-
-    /// The per-tile occupancy masks (raw storage accessor; see
-    /// [`BcsrMatrix::brow_ptr`] for the access discipline).
-    pub fn tile_masks(&self) -> &[u16] {
-        &self.masks
-    }
-
     /// The stored entry at `(i, j)`, if the mask marks it present.
     pub fn get(&self, i: usize, j: usize) -> Option<f64> {
         let b = self.b;
@@ -242,51 +210,6 @@ impl BcsrMatrix {
         } else {
             None
         }
-    }
-
-    /// Computes `y = A x` through the dense tiles.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_cols);
-        assert_eq!(y.len(), self.n_rows);
-        let b = self.b;
-        let bb = b * b;
-        let mut acc = [0.0f64; tile::MAX_BLOCK];
-        for bi in 0..self.n_brows() {
-            let r0 = bi * b;
-            let rows = (self.n_rows - r0).min(b);
-            acc[..b].fill(0.0);
-            let (bcols, tiles) = self.block_row(bi);
-            for (t, &bc) in bcols.iter().enumerate() {
-                let tl = &tiles[t * bb..(t + 1) * bb];
-                let c0 = bc * b;
-                let cols = (self.n_cols - c0).min(b);
-                if cols == b {
-                    let xs = &x[c0..c0 + b];
-                    for (r, a) in acc[..b].iter_mut().enumerate() {
-                        let mut s = 0.0;
-                        for (c, xv) in xs.iter().enumerate() {
-                            s += tl[r * b + c] * xv;
-                        }
-                        *a += s;
-                    }
-                } else {
-                    // Ragged last block column: only the in-range slots.
-                    for (r, a) in acc[..b].iter_mut().enumerate() {
-                        for c in 0..cols {
-                            *a += tl[r * b + c] * x[c0 + c];
-                        }
-                    }
-                }
-            }
-            y[r0..r0 + rows].copy_from_slice(&acc[..rows]);
-        }
-    }
-
-    /// Returns `A x` as a fresh vector.
-    pub fn spmv_owned(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.n_rows];
-        self.spmv(x, &mut y);
-        y
     }
 
     /// Frobenius norm of block row `bi`, summing squared slots in tile
@@ -334,20 +257,6 @@ mod tests {
         let back = blocked.to_csr();
         assert_eq!(back.values(), a.values());
         assert_eq!(back.col_idx(), a.col_idx());
-    }
-
-    #[test]
-    fn spmv_matches_csr() {
-        let a = gen::convection_diffusion_2d(6, 5, 2.0, -1.0); // n = 30
-        let x: Vec<f64> = (0..a.n_cols()).map(|i| (i as f64 * 0.37).sin()).collect();
-        let want = a.spmv_owned(&x);
-        for b in [1, 2, 3, 4] {
-            let blocked = BcsrMatrix::from_csr(&a, b);
-            let got = blocked.spmv_owned(&x);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-12, "b={b}: {g} vs {w}");
-            }
-        }
     }
 
     #[test]

@@ -3,16 +3,14 @@
 //! The SC'97 paper builds on SPARSKIT-style compressed sparse row kernels;
 //! this crate provides that substrate from scratch:
 //!
-//! * [`SparseStorage`] — the storage-generic trait (row iteration, triplet
-//!   access, nnz accounting) every matrix format implements,
 //! * [`CsrMatrix`] — compressed sparse row storage with the kernels the
 //!   factorization and solver layers need (SpMV, transpose, permutation,
 //!   row norms, pattern queries),
 //! * [`BcsrMatrix`] — block CSR with small dense tiles and per-tile
 //!   occupancy masks (lossless CSR round trip), feeding the blocked
 //!   factorization's dense micro-kernels,
-//! * [`tile`] — the `b × b` dense tile micro-kernels (rank-k update, small
-//!   LU, tile-inverse application, panel solves),
+//! * [`tile`] — the `b × b` dense tile micro-kernels of that factorization
+//!   (rank-`b` update, small LU, tile-inverse application, magnitudes),
 //! * [`CooMatrix`] — a coordinate-format builder,
 //! * [`WorkRow`] — the full-length working row with a companion nonzero
 //!   pointer list used by the ILUT elimination loop (paper §2.1), and
@@ -33,7 +31,6 @@ pub mod io;
 pub mod permute;
 pub mod rng;
 pub mod stats;
-pub mod storage;
 pub mod tile;
 pub mod vec_ops;
 pub mod workrow;
@@ -44,5 +41,4 @@ pub use csr::{CsrLayoutError, CsrMatrix};
 pub use permute::Permutation;
 pub use rng::SplitMix64;
 pub use stats::MatrixStats;
-pub use storage::SparseStorage;
 pub use workrow::{LanedRow, WorkRow};

@@ -1,12 +1,12 @@
 //! Dense tile micro-kernels for the blocked (BCSR) storage and the blocked
-//! factorization/trisolve layers built on it.
+//! factorization built on it.
 //!
 //! A *tile* is a small `b × b` dense matrix stored row-major in a `&[f64]`
 //! of length `b²`, with `b ≤ 4` ([`MAX_BLOCK`]). Every kernel here is a
 //! straight-line dense loop — no index arrays in the inner loop — so the
-//! compiler can keep the tile in registers and vectorize; the public entry
-//! points dispatch on `b` to monomorphized const-generic bodies for the
-//! supported block sizes.
+//! compiler can keep the tile in registers and vectorize; [`gemm_sub`],
+//! the one kernel the elimination calls per stored tile, dispatches on `b`
+//! to a monomorphized const-generic body for the supported block sizes.
 //!
 //! Invariants shared by all kernels (the "micro-kernel contract"):
 //!
@@ -59,83 +59,6 @@ pub fn gemm_sub(b: usize, c: &mut [f64], a: &[f64], x: &[f64]) {
     }
 }
 
-#[inline(always)]
-fn matvec_sub_fixed<const B: usize>(y: &mut [f64], a: &[f64], x: &[f64]) {
-    for i in 0..B {
-        let mut s = y[i];
-        for j in 0..B {
-            s -= a[i * B + j] * x[j];
-        }
-        y[i] = s;
-    }
-}
-
-/// Tile–vector update `y -= A · x` (`y`, `x` of length `b`).
-///
-/// The inner kernel of the blocked triangular sweeps.
-#[inline]
-pub fn matvec_sub(b: usize, y: &mut [f64], a: &[f64], x: &[f64]) {
-    match b {
-        1 => y[0] -= a[0] * x[0],
-        2 => matvec_sub_fixed::<2>(y, a, x),
-        3 => matvec_sub_fixed::<3>(y, a, x),
-        4 => matvec_sub_fixed::<4>(y, a, x),
-        _ => {
-            for i in 0..b {
-                let mut s = y[i];
-                for j in 0..b {
-                    s -= a[i * b + j] * x[j];
-                }
-                y[i] = s;
-            }
-        }
-    }
-}
-
-#[inline(always)]
-fn panel_sub_fixed<const B: usize>(k: usize, y: &mut [f64], a: &[f64], x: &[f64]) {
-    for i in 0..B {
-        for j in 0..B {
-            let aij = a[i * B + j];
-            let (yrow, xrow) = (i * k, j * k);
-            for c in 0..k {
-                y[yrow + c] -= aij * x[xrow + c];
-            }
-        }
-    }
-}
-
-/// Tile–panel update `Y -= A · X` where `Y` and `X` are `b × k` row-major
-/// panels (`k` right-hand sides side by side).
-///
-/// Column `c` of the panel sees exactly the arithmetic [`matvec_sub`] would
-/// apply to it in isolation, so a panel solve is bitwise-identical to `k`
-/// independent single-vector solves.
-#[inline]
-pub fn panel_sub(b: usize, k: usize, y: &mut [f64], a: &[f64], x: &[f64]) {
-    match b {
-        1 => {
-            let a00 = a[0];
-            for c in 0..k {
-                y[c] -= a00 * x[c];
-            }
-        }
-        2 => panel_sub_fixed::<2>(k, y, a, x),
-        3 => panel_sub_fixed::<3>(k, y, a, x),
-        4 => panel_sub_fixed::<4>(k, y, a, x),
-        _ => {
-            for i in 0..b {
-                for j in 0..b {
-                    let aij = a[i * b + j];
-                    for c in 0..k {
-                        y[i * k + c] -= aij * x[j * k + c];
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Factors a `b × b` tile in place into `L\U` (Doolittle, no pivoting: unit
 /// lower multipliers below the diagonal, `U` on and above).
 ///
@@ -161,54 +84,6 @@ pub fn lu_factor(b: usize, t: &mut [f64]) -> Result<(), usize> {
         }
     }
     Ok(())
-}
-
-/// Solves `A x = rhs` in place given `lu = ` [`lu_factor`]`(A)` (`x` holds
-/// `rhs` on entry, the solution on exit; length `b`).
-#[inline]
-pub fn lu_solve_vec(b: usize, lu: &[f64], x: &mut [f64]) {
-    for i in 0..b {
-        let mut s = x[i];
-        for j in 0..i {
-            s -= lu[i * b + j] * x[j];
-        }
-        x[i] = s;
-    }
-    for i in (0..b).rev() {
-        let mut s = x[i];
-        for j in i + 1..b {
-            s -= lu[i * b + j] * x[j];
-        }
-        x[i] = s / lu[i * b + i];
-    }
-}
-
-/// Solves `A X = RHS` in place for a `b × k` row-major panel `X`.
-///
-/// Bitwise-identical to applying [`lu_solve_vec`] to each of the `k`
-/// columns independently.
-#[inline]
-pub fn lu_solve_panel(b: usize, k: usize, lu: &[f64], x: &mut [f64]) {
-    for i in 0..b {
-        for j in 0..i {
-            let m = lu[i * b + j];
-            for c in 0..k {
-                x[i * k + c] -= m * x[j * k + c];
-            }
-        }
-    }
-    for i in (0..b).rev() {
-        for j in i + 1..b {
-            let m = lu[i * b + j];
-            for c in 0..k {
-                x[i * k + c] -= m * x[j * k + c];
-            }
-        }
-        let d = lu[i * b + i];
-        for c in 0..k {
-            x[i * k + c] /= d;
-        }
-    }
 }
 
 /// Solves `M · A = B` in place (`m` holds `B` on entry, `M = B · A⁻¹` on
@@ -289,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn lu_factor_and_solve_invert() {
+    fn lu_factor_reconstructs_the_tile() {
         // A diagonally dominant 4x4 tile.
         let a = [
             5.0, 1.0, 0.5, 0.0, //
@@ -299,15 +174,17 @@ mod tests {
         ];
         let mut lu = a;
         lu_factor(4, &mut lu).expect("nonsingular");
-        let x_true = [1.0, -2.0, 3.0, -4.0];
-        let mut rhs = [0.0; 4];
+        // (L·U)_ij with unit-lower L below the packed diagonal, U on and above.
+        let mut back = [0.0; 16];
         for i in 0..4 {
             for j in 0..4 {
-                rhs[i] += a[i * 4 + j] * x_true[j];
+                for k in 0..=i.min(j) {
+                    let l = if k == i { 1.0 } else { lu[i * 4 + k] };
+                    back[i * 4 + j] += l * lu[k * 4 + j];
+                }
             }
         }
-        lu_solve_vec(4, &lu, &mut rhs);
-        approx(&rhs, &x_true, 1e-12);
+        approx(&back, &a, 1e-12);
     }
 
     #[test]
@@ -343,46 +220,6 @@ mod tests {
         assert_eq!(lu_factor(2, &mut t), Err(1));
         let mut nf = [f64::NAN, 0.0, 0.0, 1.0];
         assert_eq!(lu_factor(2, &mut nf), Err(0));
-    }
-
-    #[test]
-    fn panel_solve_matches_columnwise_vec_solve_bitwise() {
-        let a = [
-            5.0, 1.0, 0.5, 0.0, //
-            1.0, 6.0, 1.0, 0.5, //
-            0.0, 1.0, 7.0, 1.0, //
-            0.5, 0.0, 1.0, 8.0,
-        ];
-        let mut lu = a;
-        lu_factor(4, &mut lu).expect("nonsingular");
-        let k = 3;
-        let panel: Vec<f64> = (0..4 * k).map(|i| (i as f64) * 0.3 - 1.7).collect();
-        let mut got = panel.clone();
-        lu_solve_panel(4, k, &lu, &mut got);
-        for c in 0..k {
-            let mut col: Vec<f64> = (0..4).map(|r| panel[r * k + c]).collect();
-            lu_solve_vec(4, &lu, &mut col);
-            for r in 0..4 {
-                assert_eq!(got[r * k + c], col[r], "panel column {c} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn panel_sub_matches_columnwise_matvec_bitwise() {
-        let a = [1.5, -0.5, 2.0, 0.25];
-        let k = 5;
-        let x: Vec<f64> = (0..2 * k).map(|i| i as f64 * 0.1).collect();
-        let y0: Vec<f64> = (0..2 * k).map(|i| 1.0 - i as f64 * 0.2).collect();
-        let mut y = y0.clone();
-        panel_sub(2, k, &mut y, &a, &x);
-        for c in 0..k {
-            let xc = [x[c], x[k + c]];
-            let mut yc = [y0[c], y0[k + c]];
-            matvec_sub(2, &mut yc, &a, &xc);
-            assert_eq!(y[c], yc[0]);
-            assert_eq!(y[k + c], yc[1]);
-        }
     }
 
     #[test]

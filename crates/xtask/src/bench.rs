@@ -103,7 +103,7 @@ const UROWS_ALLOCS_PER_MESSAGE: u64 = 2;
 /// row-touch that preceded it; three growths per buffer is the budget.
 const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 
-/// Dofs per node of `gen::elasticity_3d` = the tile size of the blocked rows.
+/// Dofs per node of `gen::elasticity_3d` = the tile size of `block_ilut`.
 const DOFS: usize = 3;
 
 /// What the machine arms around a body.
@@ -179,7 +179,7 @@ const TRISOLVE_SERIAL: Scenario = Scenario {
     ..SERIAL_ILUT
 };
 
-/// The scalar twin of the blocked rows: same matrix, matched fill
+/// The scalar twin of `block_ilut`: same matrix, matched fill
 /// (m_scalar = [`DOFS`] · m_tile).
 const SERIAL_ILUT_DOF3: Scenario = Scenario {
     name: "serial_ilut_dof3",
@@ -218,7 +218,7 @@ const DIST_SOLVE_ROBUST_P4: Scenario = Scenario {
 
 /// Every scenario, in report order. Rows that read as a pair sit next to
 /// each other: a scalar kernel and its one-rank or blocked counterpart.
-pub(crate) const SCENARIOS: [Scenario; 18] = [
+pub(crate) const SCENARIOS: [Scenario; 15] = [
     SERIAL_ILUT,
     // ILUT(n, 0) on a Laplacian: exact LU, the hardest fill per unknown.
     Scenario {
@@ -239,26 +239,6 @@ pub(crate) const SCENARIOS: [Scenario; 18] = [
     },
     SERIAL_ILUT_DOF3,
     BLOCK_ILUT,
-    Scenario {
-        name: "trisolve_serial_dof3",
-        inner: 50,
-        body: Body::Serial(trisolve_kernel),
-        ..SERIAL_ILUT_DOF3
-    },
-    Scenario {
-        name: "block_trisolve",
-        inner: 50,
-        body: Body::Serial(block_trisolve_kernel),
-        ..BLOCK_ILUT
-    },
-    // An n × 8 right-hand-side panel: Mnnz/s is per-RHS throughput, the
-    // gain over `block_trisolve` the amortised tile loads.
-    Scenario {
-        name: "block_trisolve_rhs8",
-        inner: 10,
-        body: Body::Serial(block_rhs8_kernel),
-        ..BLOCK_ILUT
-    },
     Scenario {
         name: "spmv",
         matrix: |d| gen::laplace_2d(d, d),
@@ -344,39 +324,9 @@ fn block_factor_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a
     let ab = BcsrMatrix::from_csr(a, DOFS);
     let (f, stats) = must(block_ilut_with_stats(&ab, opts));
     Kernel {
-        facts: Facts::of(a.nnz(), Some(f.stored_entries()), Some(stats.flops)),
+        facts: Facts::of(a.nnz(), Some(f.nnz()), Some(stats.flops)),
         op: Box::new(move || {
             std::hint::black_box(must(block_ilut(&ab, opts)));
-        }),
-    }
-}
-
-fn block_trisolve_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
-    block_solve_kernel(a, opts, 1)
-}
-
-fn block_rhs8_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
-    block_solve_kernel(a, opts, 8)
-}
-
-/// The blocked factors solved against `k` right-hand sides at once; the
-/// panel streams each stored tile once for all `k`.
-fn block_solve_kernel<'a>(a: &'a CsrMatrix, opts: &IlutOptions, k: usize) -> Kernel<'a> {
-    let f = must(block_ilut(&BcsrMatrix::from_csr(a, DOFS), opts));
-    let slots = f.stored_entries();
-    let rhs: Vec<f64> = (0..a.n_rows() * k)
-        .map(|i| ((i % 29) as f64) * 0.25 - 3.5)
-        .collect();
-    let mut x = vec![0.0; f.padded_len() * k];
-    Kernel {
-        facts: Facts::of(slots * k, Some(slots), None),
-        op: Box::new(move || {
-            if k == 1 {
-                f.solve_into(&rhs, &mut x);
-            } else {
-                f.solve_panel_into(&rhs, k, &mut x);
-            }
-            std::hint::black_box(&x);
         }),
     }
 }
@@ -743,11 +693,10 @@ fn unrecorded_region(results: &[Measurement]) -> Option<&'static str> {
 
 /// Pairs whose wall ratio the report prints: the one-rank distributed
 /// sweeps against the serial ones on the same factor, and the blocked
-/// kernels against their scalar twins at matched fill (ROADMAP item 4).
+/// factorization against its scalar twin at matched fill.
 const RATIOS: &[(&str, &str)] = &[
     ("dist_trisolve_p1", "trisolve_serial"),
     ("block_ilut", "serial_ilut_dof3"),
-    ("block_trisolve", "trisolve_serial_dof3"),
 ];
 
 /// `bench [--quick] [--out PATH] [--label STR] [--scenario NAME]...`

@@ -49,8 +49,8 @@
 //! * **no-alloc-in-hot** — allocating constructs (`Vec::new`, `vec![`,
 //!   `with_capacity`, `.collect(`, `.to_vec(`, `.clone(`, `Box::new`,
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
-//!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the blocked
-//!   and serial triangular-solve functions, the distributed sweeps, the
+//!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the serial
+//!   triangular-solve functions, the distributed sweeps, the
 //!   `CommPlan` rounds and the `Halo` round halves, the distributed SpMV,
 //!   the dist-MIS round, and the GMRES restart loop. An entry that names a
 //!   missing file or an undeclared function is itself a violation — a
@@ -67,12 +67,11 @@
 //!   with them. Comparing against the base stays legal. Escape hatch:
 //!   `// lint: allow(reserved-tag): <why>`.
 //! * **no-storage-poke** — reaching into sparse-storage internals
-//!   (`.row_ptr()` / `.col_idx()` on CSR, `.brow_ptr()` / `.bcol_idx()` /
-//!   `.tile_values()` / `.tile_masks()` on BCSR) is allowed only inside
-//!   `crates/sparse`; every other crate must go through the
-//!   `SparseStorage` trait or the logical accessors (`row`, `block_row`,
-//!   `get`, `spmv`, …) so storage layout stays a private contract of the
-//!   sparse crate. Escape hatch: `// lint: allow(storage-poke): <why>`.
+//!   (`.row_ptr()` / `.col_idx()` on CSR; BCSR exposes no raw array) is
+//!   allowed only inside `crates/sparse`; every other crate must go through
+//!   the logical accessors (`row`, `block_row`, `get`, `spmv`, …) so
+//!   storage layout stays a private contract of the sparse crate.
+//!   Escape hatch: `// lint: allow(storage-poke): <why>`.
 //! * **dep-allowlist** — every `Cargo.toml` may depend only on in-repo
 //!   path crates (`pilut-*` and the `pilut` facade): no registry
 //!   dependency anywhere. This is what keeps the tier-1 gate offline-safe.
@@ -348,18 +347,11 @@ fn allowed(lines: &[&str], i: usize, marker: &str) -> bool {
 }
 
 /// Raw storage accessors only `crates/sparse` may call: the index arrays
-/// of CSR and the tile arrays of BCSR. The value arrays (`.values()`,
-/// `.values_mut()`) are deliberately not matched — the names collide with
-/// `HashMap` iteration — but any layout-dependent poke needs the index
-/// arrays too, which these patterns do catch.
-const STORAGE_POKES: &[&str] = &[
-    ".row_ptr()",
-    ".col_idx()",
-    ".brow_ptr()",
-    ".bcol_idx()",
-    ".tile_values()",
-    ".tile_masks()",
-];
+/// of CSR. The value arrays (`.values()`, `.values_mut()`) are deliberately
+/// not matched — the names collide with `HashMap` iteration — but any
+/// layout-dependent poke needs the index arrays too, which these patterns
+/// do catch.
+const STORAGE_POKES: &[&str] = &[".row_ptr()", ".col_idx()"];
 
 /// Source-code rules over one file. `in_par` exempts the file from the
 /// thread-confinement rule.
@@ -482,15 +474,6 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
         ],
     ),
     ("crates/sparse/src/tile.rs", &["*"]),
-    (
-        "crates/core/src/block_factors.rs",
-        &[
-            "forward_solve_padded",
-            "backward_solve_padded",
-            "solve_into",
-            "solve_panel_into",
-        ],
-    ),
     (
         "crates/core/src/factors.rs",
         &[
@@ -1402,11 +1385,6 @@ mod tests {
         let bad = "fn f(a: &CsrMatrix) { let p = a.row_ptr(); let c = a.col_idx(); }\n";
         assert_eq!(
             rules(&lint_source("crates/core/src/a.rs", bad, false)),
-            vec!["no-storage-poke"]
-        );
-        let bad_bcsr = "fn f(a: &BcsrMatrix) { let t = a.tile_values(); }\n";
-        assert_eq!(
-            rules(&lint_source("crates/solver/src/a.rs", bad_bcsr, false)),
             vec!["no-storage-poke"]
         );
         // The sparse crate implements the storage and may touch its arrays.
