@@ -175,11 +175,6 @@ impl DistMatrix {
         &self.dist
     }
 
-    /// Symmetrised pattern (used for adjacency queries).
-    pub fn sym_pattern(&self) -> &CsrMatrix {
-        &self.sym
-    }
-
     /// Global matrix dimension.
     pub fn n(&self) -> usize {
         self.a.n_rows()

@@ -72,11 +72,6 @@ impl<'a> DistCsr<'a> {
         let plan = SpmvPlan::build(ctx, dm, local);
         DistCsr { dm, local, plan }
     }
-
-    /// Wraps an already-built exchange plan.
-    pub fn from_plan(dm: &'a DistMatrix, local: &'a LocalView, plan: SpmvPlan) -> Self {
-        DistCsr { dm, local, plan }
-    }
 }
 
 impl DistOperator for DistCsr<'_> {

@@ -94,8 +94,8 @@ mod tests {
         let a = shrink(&d, &[1, 3]);
         // Order and duplicates in the dead set must not matter.
         let b = shrink(&d, &[3, 1]);
-        // Sequential losses pass the *cumulative* dead set (the driver's
-        // `Ctx::dead_ranks()` is cumulative), else the second shrink would
+        // Sequential losses pass the *cumulative* dead set (what
+        // `Ctx::adopt_world` returns is cumulative), else the second shrink would
         // happily refill the first victim.
         let c = shrink(&shrink(&d, &[1]), &[1, 3]);
         for row in 0..20 {

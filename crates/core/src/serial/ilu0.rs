@@ -4,10 +4,10 @@
 //! allowed, so `L + U` has exactly the pattern of `A` and concurrency can be
 //! extracted with a one-time colouring (paper Figure 1a).
 
-use crate::breakdown::PivotDoctor;
-use crate::factors::{FactorStore, LuFactors};
+use crate::factors::LuFactors;
 use crate::options::{BreakdownPolicy, FactorError};
-use pilut_sparse::{CsrMatrix, WorkRow};
+use crate::serial::iluk::iluk_with;
+use pilut_sparse::CsrMatrix;
 
 /// Computes ILU(0): Gaussian elimination restricted to the pattern of `A`.
 ///
@@ -19,52 +19,13 @@ pub fn ilu0(a: &CsrMatrix) -> Result<LuFactors, FactorError> {
 /// [`ilu0`] with an explicit [`BreakdownPolicy`] for unusable pivots. Note
 /// that the recovery policies may shrink the factor pattern below the
 /// pattern of `A` (scrubbed entries, replaced rows).
+///
+/// ILU(0) is level-of-fill ILU(k) at `k = 0`: every original entry has
+/// level 0 and every fill entry level ≥ 1, so nothing outside the pattern
+/// survives — and a position inside it stays even when its value cancels
+/// to zero, because levels are structural.
 pub fn ilu0_with(a: &CsrMatrix, policy: BreakdownPolicy) -> Result<LuFactors, FactorError> {
-    assert_eq!(a.n_rows(), a.n_cols(), "ILU(0) needs a square matrix");
-    policy.validate()?;
-    let mut doctor = PivotDoctor::new(policy);
-    let n = a.n_rows();
-    let mut store = FactorStore::with_capacity(n);
-    let mut w = WorkRow::new(n);
-    for i in 0..n {
-        let (cols, vals) = a.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            w.set(j, v);
-        }
-        // Pivots are exactly the lower-pattern positions of row i (no fill
-        // can appear, so a simple ascending sweep over the original pattern
-        // is a complete elimination order).
-        let mut lower: Vec<(usize, f64)> = Vec::new();
-        for &k in cols.iter().filter(|&&k| k < i) {
-            let wk = w.get(k);
-            // lint: allow(float-eq): skips exactly cancelled multipliers
-            if wk == 0.0 {
-                // The position is part of the pattern even when the value
-                // cancelled to zero — ILU(0) is defined by structure alone.
-                lower.push((k, 0.0));
-                w.drop_pos(k);
-                continue;
-            }
-            let mult = wk / store.diag[k];
-            lower.push((k, mult));
-            // Update only positions already present in row i.
-            for (j, uv) in store.u.entries(k) {
-                if w.contains(j) {
-                    w.add(j, -mult * uv);
-                }
-            }
-            w.drop_pos(k);
-        }
-        let mut upper: Vec<(usize, f64)> = Vec::new();
-        for (j, v) in w.drain_sorted() {
-            if j >= i {
-                upper.push((j, v));
-            }
-        }
-        doctor.repair_row(i, a.row_norm2(i), &mut lower, &mut upper)?;
-        store.push_row(&lower, upper[0].1, &upper[1..], |j| j);
-    }
-    Ok(LuFactors::from_store(store))
+    iluk_with(a, 0, policy)
 }
 
 #[cfg(test)]
@@ -110,6 +71,24 @@ mod tests {
             assert_eq!(f0.diag(i), ft.diag(i), "diag {i}");
             assert!(f0.u_row(i).eq(ft.u_row(i)), "U row {i}");
         }
+    }
+
+    #[test]
+    fn stored_zero_keeps_its_position() {
+        use pilut_sparse::CsrMatrix;
+        let a = CsrMatrix::from_raw(
+            2,
+            2,
+            vec![0, 2, 4],
+            vec![0, 1, 0, 1],
+            vec![-2.0, 1.0, 0.0, 3.0],
+        );
+        let f = ilu0(&a).unwrap();
+        assert_eq!(f.l_row(1).collect::<Vec<_>>(), vec![(0, 0.0)]);
+        assert_eq!(
+            (f.diag(1), f.u_row(0).collect::<Vec<_>>()),
+            (3.0, vec![(1, 1.0)])
+        );
     }
 
     #[test]

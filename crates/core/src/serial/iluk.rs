@@ -13,7 +13,8 @@ use pilut_sparse::CsrMatrix;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Computes ILU(k) with the given fill level. `iluk(a, 0)` equals ILU(0).
+/// Computes ILU(k) with the given fill level; `k = 0` is ILU(0)
+/// ([`crate::serial::ilu0`] calls this).
 ///
 /// Aborts on the first unusable pivot; use [`iluk_with`] to recover instead.
 pub fn iluk(a: &CsrMatrix, k: usize) -> Result<LuFactors, FactorError> {
@@ -116,21 +117,8 @@ pub fn iluk_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serial::ilu0::ilu0;
     use pilut_sparse::gen;
     use pilut_sparse::vec_ops::norm2;
-
-    #[test]
-    fn level_zero_matches_ilu0() {
-        let a = gen::convection_diffusion_2d(7, 5, 2.0, -1.0);
-        let f0 = ilu0(&a).unwrap();
-        let fk = iluk(&a, 0).unwrap();
-        for i in 0..a.n_rows() {
-            assert!(f0.l_row(i).eq(fk.l_row(i)), "L row {i}");
-            assert_eq!(f0.diag(i), fk.diag(i), "diag {i}");
-            assert!(f0.u_row(i).eq(fk.u_row(i)), "U row {i}");
-        }
-    }
 
     #[test]
     fn fill_grows_with_level() {

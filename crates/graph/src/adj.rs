@@ -97,11 +97,6 @@ impl Graph {
         self.vwgt.len()
     }
 
-    /// Number of undirected edges.
-    pub fn n_edges(&self) -> usize {
-        self.adjncy.len() / 2
-    }
-
     /// Number of neighbours of `u`.
     pub fn degree(&self, u: usize) -> usize {
         self.xadj[u + 1] - self.xadj[u]
@@ -183,7 +178,6 @@ mod tests {
     fn basic_accessors() {
         let g = path4();
         assert_eq!(g.n_vertices(), 4);
-        assert_eq!(g.n_edges(), 3);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.edge_weight(1, 2), Some(1));
         assert_eq!(g.edge_weight(0, 3), None);
@@ -195,8 +189,8 @@ mod tests {
         let a = gen::convection_diffusion_2d(3, 3, 5.0, 0.0);
         let g = Graph::from_csr_pattern(&a);
         assert_eq!(g.n_vertices(), 9);
-        // 2D grid: 12 edges for 3x3.
-        assert_eq!(g.n_edges(), 12);
+        // 2D grid: 12 edges for 3x3, each stored from both ends.
+        assert_eq!((0..9).map(|u| g.degree(u)).sum::<usize>(), 24);
         // no self loops
         for u in 0..9 {
             assert!(!g.neighbor_ids(u).contains(&u));

@@ -21,34 +21,28 @@
 use crate::adj::Graph;
 use pilut_sparse::SplitMix64;
 
-/// Tuning knobs for [`partition_kway`].
+/// Allowed imbalance: max part weight ≤ `IMBALANCE · total / k`.
+const IMBALANCE: f64 = 1.05;
+/// Coarsening stops once the graph has at most `max(COARSEN_TO, 4k)` vertices.
+const COARSEN_TO: usize = 200;
+/// Refinement passes per uncoarsening level.
+const REFINE_PASSES: usize = 4;
+/// Region-growing attempts per bisection.
+const BISECTION_TRIES: usize = 4;
+
+/// What a caller chooses for [`partition_kway`].
 #[derive(Clone, Debug)]
 pub struct PartitionOptions {
     /// Number of parts.
     pub k: usize,
     /// RNG seed (the whole pipeline is deterministic given the seed).
     pub seed: u64,
-    /// Allowed imbalance: max part weight ≤ `imbalance · total / k`.
-    pub imbalance: f64,
-    /// Stop coarsening once the graph has at most `max(coarsen_to, 4k)` vertices.
-    pub coarsen_to: usize,
-    /// Refinement passes per uncoarsening level.
-    pub refine_passes: usize,
-    /// Number of region-growing attempts per bisection.
-    pub bisection_tries: usize,
 }
 
 impl PartitionOptions {
-    /// Options for a `k`-way partition with default refinement settings.
+    /// Options for a `k`-way partition with seed 1.
     pub fn new(k: usize) -> Self {
-        PartitionOptions {
-            k,
-            seed: 1,
-            imbalance: 1.05,
-            coarsen_to: 200,
-            refine_passes: 4,
-            bisection_tries: 4,
-        }
+        PartitionOptions { k, seed: 1 }
     }
 }
 
@@ -81,7 +75,7 @@ pub fn partition_kway(g: &Graph, opts: &PartitionOptions) -> PartitionResult {
     // --- Coarsening phase -------------------------------------------------
     let mut levels: Vec<(Graph, Vec<usize>)> = Vec::new(); // (finer graph, cmap)
     let mut cur = g.clone();
-    let floor = opts.coarsen_to.max(4 * k);
+    let floor = COARSEN_TO.max(4 * k);
     while cur.n_vertices() > floor {
         let (coarse, cmap) = coarsen_once(&cur, &mut rng);
         // Stalled coarsening (e.g. star graphs): give up and partition as-is.
@@ -102,18 +96,18 @@ pub fn partition_kway(g: &Graph, opts: &PartitionOptions) -> PartitionResult {
         })
         .collect();
     let all: Vec<usize> = (0..cur.n_vertices()).collect();
-    recursive_bisect(&cur, &all, &targets, 0, &mut part, &mut rng, opts);
+    recursive_bisect(&cur, &all, &targets, 0, &mut part, &mut rng);
     debug_assert!(part.iter().all(|&p| p < k));
 
     // --- Uncoarsening + refinement ----------------------------------------
-    refine_kway(&cur, &mut part, k, opts, &mut rng);
+    refine_kway(&cur, &mut part, k, &mut rng);
     while let Some((finer, cmap)) = levels.pop() {
         let mut fine_part = vec![0usize; finer.n_vertices()];
         for (u, &c) in cmap.iter().enumerate() {
             fine_part[u] = part[c];
         }
         part = fine_part;
-        refine_kway(&finer, &mut part, k, opts, &mut rng);
+        refine_kway(&finer, &mut part, k, &mut rng);
     }
     finish(g, part, k)
 }
@@ -229,7 +223,6 @@ fn recursive_bisect(
     base: usize,
     part: &mut [usize],
     rng: &mut SplitMix64,
-    opts: &PartitionOptions,
 ) {
     let k = targets.len();
     if k == 1 {
@@ -248,17 +241,9 @@ fn recursive_bisect(
     }
     let k_left = k / 2;
     let w_left: i64 = targets[..k_left].iter().sum();
-    let (left, right) = bisect(g, vertices, w_left, rng, opts);
-    recursive_bisect(g, &left, &targets[..k_left], base, part, rng, opts);
-    recursive_bisect(
-        g,
-        &right,
-        &targets[k_left..],
-        base + k_left,
-        part,
-        rng,
-        opts,
-    );
+    let (left, right) = bisect(g, vertices, w_left, rng);
+    recursive_bisect(g, &left, &targets[..k_left], base, part, rng);
+    recursive_bisect(g, &right, &targets[k_left..], base + k_left, part, rng);
 }
 
 /// Splits `vertices` into two sets, the first with weight ≈ `w_left`,
@@ -268,19 +253,18 @@ fn bisect(
     vertices: &[usize],
     w_left: i64,
     rng: &mut SplitMix64,
-    opts: &PartitionOptions,
 ) -> (Vec<usize>, Vec<usize>) {
     let mut in_set = vec![false; g.n_vertices()];
     for &u in vertices {
         in_set[u] = true;
     }
     let total: i64 = vertices.iter().map(|&u| g.vertex_weight(u)).sum();
-    let tol = ((total as f64 * (opts.imbalance - 1.0)).ceil() as i64).max(1);
+    let tol = ((total as f64 * (IMBALANCE - 1.0)).ceil() as i64).max(1);
     // Rank trials by (balance violation beyond tolerance, cut): a cheap cut
     // is worthless if the split is lopsided, because recursion below this
     // level can never restore weight that landed on the wrong side.
     let mut best: Option<((i64, i64), Vec<bool>)> = None;
-    for _ in 0..opts.bisection_tries.max(1) {
+    for _ in 0..BISECTION_TRIES {
         let seed = vertices[rng.next_usize(vertices.len())];
         let mut side = vec![false; g.n_vertices()]; // true = left
         let mut grown = 0i64;
@@ -308,7 +292,7 @@ fn bisect(
                 }
             }
         }
-        refine_bisection(g, vertices, &in_set, &mut side, w_left, opts);
+        refine_bisection(g, vertices, &in_set, &mut side, w_left);
         let cut = cut_within(g, vertices, &side);
         let lw: i64 = vertices
             .iter()
@@ -363,16 +347,15 @@ fn refine_bisection(
     in_set: &[bool],
     side: &mut [bool],
     w_left: i64,
-    opts: &PartitionOptions,
 ) {
     let total: i64 = vertices.iter().map(|&u| g.vertex_weight(u)).sum();
-    let tol = ((total as f64 * (opts.imbalance - 1.0)).ceil() as i64).max(1);
+    let tol = ((total as f64 * (IMBALANCE - 1.0)).ceil() as i64).max(1);
     let mut weight_left: i64 = vertices
         .iter()
         .filter(|&&u| side[u])
         .map(|&u| g.vertex_weight(u))
         .sum();
-    for _ in 0..opts.refine_passes {
+    for _ in 0..REFINE_PASSES {
         let mut moved_any = false;
         for &u in vertices {
             // Gain of flipping u = (cut edges) - (uncut edges) incident in-set.
@@ -410,19 +393,13 @@ fn refine_bisection(
 }
 
 /// Greedy balance-constrained k-way boundary refinement.
-fn refine_kway(
-    g: &Graph,
-    part: &mut [usize],
-    k: usize,
-    opts: &PartitionOptions,
-    rng: &mut SplitMix64,
-) {
+fn refine_kway(g: &Graph, part: &mut [usize], k: usize, rng: &mut SplitMix64) {
     let n = g.n_vertices();
     let total = g.total_vertex_weight();
-    let max_w = ((total as f64 / k as f64) * opts.imbalance).ceil() as i64;
+    let max_w = ((total as f64 / k as f64) * IMBALANCE).ceil() as i64;
     let mut pw = g.part_weights(part, k);
     let mut order: Vec<usize> = (0..n).collect();
-    for _ in 0..opts.refine_passes {
+    for _ in 0..REFINE_PASSES {
         rng.shuffle(&mut order);
         let mut moved_any = false;
         let mut conn: Vec<i64> = vec![0; k]; // connectivity scratch

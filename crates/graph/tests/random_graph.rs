@@ -1,10 +1,9 @@
-//! Randomized property tests of partitioning, MIS, and colouring.
+//! Randomized property tests of partitioning and colouring.
 //!
 //! Formerly proptest strategies; now driven by the in-tree seeded
 //! [`SplitMix64`] so the suite runs with zero registry dependencies.
 
 use pilut_graph::coloring::{greedy_coloring, is_proper_coloring};
-use pilut_graph::mis::{is_independent, is_maximal_independent, luby_mis, MisOptions};
 use pilut_graph::{partition_kway, Graph, PartitionOptions};
 use pilut_sparse::{CooMatrix, CsrMatrix, SplitMix64};
 
@@ -24,24 +23,6 @@ fn undirected(rng: &mut SplitMix64, max_n: usize, max_edges: usize) -> CsrMatrix
         if i != j {
             coo.push(i, j, -1.0);
             coo.push(j, i, -1.0);
-        }
-    }
-    coo.to_csr()
-}
-
-/// Random directed pattern (unsymmetric).
-fn directed(rng: &mut SplitMix64, max_n: usize, max_arcs: usize) -> CsrMatrix {
-    let n = 2 + rng.next_usize(max_n - 1);
-    let m = rng.next_usize(max_arcs + 1);
-    let mut coo = CooMatrix::new(n, n);
-    for i in 0..n {
-        coo.push(i, i, 1.0);
-    }
-    for _ in 0..m {
-        let i = rng.next_usize(n);
-        let j = rng.next_usize(n);
-        if i != j {
-            coo.push(i, j, 1.0);
         }
     }
     coo.to_csr()
@@ -74,44 +55,6 @@ fn partition_covers_and_balances() {
                 r.part_weights
             );
         }
-    }
-}
-
-#[test]
-fn mis_is_independent_on_any_digraph() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(case);
-        let p = directed(&mut rng, 40, 120);
-        let seed = rng.next_u64() % 50;
-        let mis = luby_mis(
-            &p,
-            &MisOptions {
-                seed,
-                max_rounds: 5,
-            },
-        );
-        assert!(is_independent(&p, &mis), "case {case}");
-        assert!(
-            !mis.is_empty(),
-            "case {case}: at least one vertex always joins"
-        );
-    }
-}
-
-#[test]
-fn mis_is_maximal_with_enough_rounds() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(case);
-        let p = directed(&mut rng, 30, 80);
-        let seed = rng.next_u64() % 20;
-        let mis = luby_mis(
-            &p,
-            &MisOptions {
-                seed,
-                max_rounds: 128,
-            },
-        );
-        assert!(is_maximal_independent(&p, &mis), "case {case}");
     }
 }
 

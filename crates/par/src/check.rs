@@ -80,14 +80,12 @@ pub enum RankStatus {
 pub enum CollKind {
     /// [`crate::Ctx::barrier`]
     Barrier,
-    /// [`crate::Ctx::all_reduce_f64`] and its scalar conveniences.
+    /// [`crate::Ctx::all_reduce_sum`], the scalar `f64` all-reduce.
     AllReduceF64,
     /// [`crate::Ctx::all_reduce_u64`] and its scalar conveniences.
     AllReduceU64,
     /// [`crate::Ctx::all_gather_u64`]
     AllGatherU64,
-    /// [`crate::Ctx::all_gather_f64`]
-    AllGatherF64,
     /// The data phase of [`crate::Ctx::exchange`].
     Exchange,
 }

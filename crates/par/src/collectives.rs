@@ -10,6 +10,15 @@
 //! slots and ranks coincide and nothing changes; after a rank loss
 //! ([`crate::MachineBuilder::recovery`]) the same code runs the collectives
 //! over the shrunk world with no holes in the tree.
+//!
+//! There is one stack: [`Ctx::barrier`], [`Ctx::all_reduce_sum`],
+//! [`Ctx::all_reduce_u64`] and [`Ctx::all_gather_u64`] are each one
+//! `tree_reduce` followed by one `tree_bcast` over the epoch-cached slot
+//! map, and differ only in the payload codec they pass it — `u64` vectors
+//! by value up and as one shared payload down, a single `f64` in a pooled
+//! one-element buffer per hop. The combine order is therefore the same
+//! for every collective by construction. [`Ctx::exchange`] adds a data
+//! phase of direct sends behind a count-learning all-reduce.
 
 use crate::check::CollKind;
 use crate::ctx::Ctx;
@@ -45,33 +54,14 @@ impl Ctx {
         tag
     }
 
-    /// This rank's position in the compacted surviving world: its slot index
-    /// and the sorted list of alive ranks. Slot `i` maps to rank `alive[i]`;
-    /// in epoch 0 (nobody lost) the map is the identity.
-    fn slots(&self) -> (usize, Vec<usize>) {
-        let alive: Vec<usize> = (0..self.nprocs()).filter(|&r| self.alive[r]).collect();
-        let slot = alive
-            .iter()
-            .position(|&r| r == self.rank())
-            // lint: allow(unwrap): a rank that reached a collective is alive
-            .expect("a lost rank cannot run a collective");
-        (slot, alive)
-    }
-
-    /// Messages this rank sends during one reduce + broadcast pair (every
-    /// tree collective is exactly that): each non-root slot forwards one
-    /// combined payload up, then every slot feeds its broadcast children.
-    fn tree_collective_sends(&self) -> u64 {
-        let (slot, alive) = self.slots();
-        u64::from(slot != 0) + Self::bcast_children(slot, alive.len()).len() as u64
-    }
-
-    /// Rebuilds the slot cache if the recovery epoch moved since the last
-    /// collective, then returns `(my slot, alive count)`. The rebuild is
-    /// the only allocation and runs under the audit harness: the slot map
+    /// This rank's position in the compacted surviving world as `(my slot,
+    /// alive count)`; slot `i` maps to rank `self.slot_cache[i]`, and in
+    /// epoch 0 (nobody lost) the map is the identity. The map is rebuilt
+    /// only when the recovery epoch moved since the last collective — the
+    /// only allocation, and it runs under the audit harness: the slot map
     /// is a topology table (DESIGN §16), valid for a whole epoch, and
     /// steady-state collectives merely index it.
-    fn slots_cached(&mut self) -> (usize, usize) {
+    fn slots(&mut self) -> (usize, usize) {
         if self.slot_cache_epoch != self.epoch() {
             let _h = pilut_allocaudit::harness();
             self.slot_cache = (0..self.nprocs()).filter(|&r| self.alive[r]).collect();
@@ -86,12 +76,12 @@ impl Ctx {
         (slot, self.slot_cache.len())
     }
 
-    /// Planned sends for one reduce + broadcast pair, computed from the
-    /// cached slot map — the allocation-free twin of
-    /// [`Ctx::tree_collective_sends`].
-    fn tree_collective_sends_cached(&mut self) -> u64 {
-        let (slot, p) = self.slots_cached();
-        u64::from(slot != 0) + Self::bcast_children_iter(slot, p).count() as u64
+    /// Messages this rank sends during one reduce + broadcast pair (every
+    /// tree collective is exactly that): each non-root slot forwards one
+    /// combined payload up, then every slot feeds its broadcast children.
+    fn tree_collective_sends(&mut self) -> u64 {
+        let (slot, p) = self.slots();
+        u64::from(slot != 0) + Self::bcast_children(slot, p).count() as u64
     }
 
     /// Closes the collective opened by [`Ctx::begin_collective`].
@@ -104,46 +94,12 @@ impl Ctx {
         s & s.wrapping_neg()
     }
 
-    /// Reduce-to-root along the binomial tree over the alive slots,
-    /// combining with `combine`. `to_payload` consumes the accumulator (a
-    /// slot sends exactly once, right before leaving the reduction), so no
-    /// copy is taken. Returns `Some` only at slot 0 (the lowest alive rank).
-    fn tree_reduce<T, C>(
-        &mut self,
-        tag: u64,
-        mut acc: T,
-        to_payload: fn(T) -> Payload,
-        from_payload: fn(Payload) -> T,
-        combine: C,
-    ) -> Option<T>
-    where
-        C: Fn(&mut T, T),
-    {
-        let (s, alive) = self.slots();
-        let p = alive.len();
-        let mut bit = 1usize;
-        while bit < p {
-            if s & bit != 0 {
-                let payload = to_payload(acc);
-                self.send_internal(alive[s - bit], tag, tag, payload);
-                return None;
-            }
-            if s + bit < p {
-                let got = from_payload(self.recv_internal(alive[s + bit], tag));
-                combine(&mut acc, got);
-            }
-            bit <<= 1;
-        }
-        Some(acc)
-    }
-
     /// Children of slot `s` in the binomial broadcast tree over `p` slots,
     /// farthest first so the far half of the tree starts as early as
-    /// possible. Purely arithmetic (no allocation) so the scalar
-    /// collectives can walk it on the steady path; the single source of
-    /// truth for the send loops, the planned `coll` message counts, and
-    /// the collected [`Ctx::bcast_children`] — they cannot drift.
-    fn bcast_children_iter(s: usize, p: usize) -> impl Iterator<Item = usize> {
+    /// possible. Purely arithmetic (no allocation); the single source of
+    /// truth for the send loop and the planned `coll` message counts —
+    /// they cannot drift.
+    fn bcast_children(s: usize, p: usize) -> impl Iterator<Item = usize> {
         // Children: s + 2^j for j below the parent-bit.
         let t = if s == 0 {
             usize::BITS as usize
@@ -157,130 +113,115 @@ impl Ctx {
             .map(|(_, child)| child)
     }
 
-    /// [`Ctx::bcast_children_iter`], collected — for the vector
-    /// collectives, whose per-call allocations are setup-path by contract.
-    fn bcast_children(s: usize, p: usize) -> Vec<usize> {
-        Self::bcast_children_iter(s, p).collect()
-    }
-
-    /// Reduce-to-root for a single scalar, allocation-free: sends travel
-    /// in pooled one-element buffers ([`crate::pool::take_f64`]) and
-    /// receives borrow the payload ([`Payload::as_f64`]) then
-    /// [`Payload::recycle`] it. Combine order is identical to the vector
-    /// reduce, so results stay bitwise-equal to the old `vec![x]` path.
-    fn tree_reduce_scalar<C>(&mut self, tag: u64, mut acc: f64, combine: C) -> Option<f64>
+    /// Reduce-to-root along the binomial tree over the alive slots,
+    /// combining with `combine` — the one combine order every collective
+    /// shares, so a result's bits cannot depend on which collective
+    /// carried it. `to_payload` consumes the accumulator (a slot sends
+    /// exactly once, right before leaving the reduction), so no copy is
+    /// taken. Returns `Some` only at slot 0 (the lowest alive rank).
+    fn tree_reduce<T, C>(
+        &mut self,
+        tag: u64,
+        mut acc: T,
+        to_payload: fn(T) -> Payload,
+        from_payload: fn(Payload) -> T,
+        combine: C,
+    ) -> Option<T>
     where
-        C: Fn(f64, f64) -> f64,
+        C: Fn(&mut T, T),
     {
-        let (s, p) = self.slots_cached();
+        let (s, p) = self.slots();
         let mut bit = 1usize;
         while bit < p {
             if s & bit != 0 {
                 let parent = self.slot_cache[s - bit];
-                let mut buf = crate::pool::take_f64(1);
-                buf.push(acc);
-                self.send_internal(parent, tag, tag, Payload::f64s(buf));
+                self.send_internal(parent, tag, tag, to_payload(acc));
                 return None;
             }
             if s + bit < p {
                 let peer = self.slot_cache[s + bit];
-                let payload = self.recv_internal(peer, tag);
-                acc = combine(acc, payload.as_f64()[0]);
-                payload.recycle();
+                let got = from_payload(self.recv_internal(peer, tag));
+                combine(&mut acc, got);
             }
             bit <<= 1;
         }
         Some(acc)
     }
 
-    /// Broadcast of a single scalar from slot 0, allocation-free (see
-    /// [`Ctx::tree_reduce_scalar`]). Each child gets its own pooled
-    /// buffer — no `Arc` fan-out sharing — which is also how a real
-    /// message-passing runtime ships a scalar to each subtree.
-    fn tree_bcast_scalar(&mut self, tag: u64, val: Option<f64>) -> f64 {
-        let (s, p) = self.slots_cached();
+    /// Broadcast from slot 0 (the lowest alive rank) along the binomial
+    /// tree: a non-root slot reads its value off the wire with
+    /// `from_payload`, then every slot ships `to_payload(&value)` to each
+    /// of its children.
+    fn tree_bcast<T>(
+        &mut self,
+        tag: u64,
+        val: Option<T>,
+        to_payload: fn(&T) -> Payload,
+        from_payload: fn(Payload) -> T,
+    ) -> T {
+        let (s, p) = self.slots();
         let val = if s == 0 {
-            // lint: allow(unwrap): only called with Some at the root
+            // lint: allow(unwrap): tree_bcast is only called with Some at the root
             val.expect("root must provide the broadcast value")
         } else {
             let parent = self.slot_cache[s - Self::lowbit(s)];
-            let payload = self.recv_internal(parent, tag);
-            let v = payload.as_f64()[0];
-            payload.recycle();
-            v
+            from_payload(self.recv_internal(parent, tag))
         };
-        for child in Self::bcast_children_iter(s, p) {
+        for child in Self::bcast_children(s, p) {
             let peer = self.slot_cache[child];
-            let mut buf = crate::pool::take_f64(1);
-            buf.push(val);
-            self.send_internal(peer, tag, tag, Payload::f64s(buf));
+            self.send_internal(peer, tag, tag, to_payload(&val));
         }
         val
     }
 
-    /// Broadcast from slot 0 (the lowest alive rank) along the binomial tree.
-    fn tree_bcast(&mut self, tag: u64, data: Option<Payload>) -> Payload {
-        let (s, alive) = self.slots();
-        let p = alive.len();
-        let data = if s == 0 {
-            // lint: allow(unwrap): tree_bcast is only called with Some at the root
-            data.expect("root must provide the broadcast payload")
-        } else {
-            let parent = s - Self::lowbit(s);
-            self.recv_internal(alive[parent], tag)
-        };
-        for child in Self::bcast_children(s, p) {
-            self.send_internal(alive[child], tag, tag, data.clone());
-        }
-        data
+    /// One reduce + broadcast pair over `u64` vectors: the accumulator
+    /// moves up by value, the result fans out as one shared payload.
+    fn all_reduce_vec<C>(&mut self, kind: CollKind, data: Vec<u64>, combine: C) -> Vec<u64>
+    where
+        C: Fn(&mut Vec<u64>, Vec<u64>),
+    {
+        let planned = self.tree_collective_sends();
+        let tag = self.begin_collective(kind, planned);
+        let root = self.tree_reduce(tag, data, Payload::u64s, Payload::into_u64, combine);
+        let out = self.tree_bcast(tag, root.map(Payload::u64s), Payload::clone, |p| p);
+        self.end_collective();
+        out.into_u64()
+    }
+
+    /// One reduce + broadcast pair over a single `f64` — the hot form
+    /// (GMRES calls it every inner iteration, twice per orthogonalisation
+    /// column), so it stays off the heap: every hop ships a pooled
+    /// one-element buffer ([`scalar_payload`]) which the receiver reads
+    /// and recycles ([`scalar_value`]). Each broadcast child gets its own
+    /// buffer — no `Arc` fan-out sharing — which is also how a real
+    /// message-passing runtime ships a scalar to each subtree.
+    fn all_reduce_scalar(&mut self, kind: CollKind, x: f64, combine: fn(&mut f64, f64)) -> f64 {
+        let planned = self.tree_collective_sends();
+        let tag = self.begin_collective(kind, planned);
+        let root = self.tree_reduce(tag, x, scalar_payload, scalar_value, combine);
+        let out = self.tree_bcast(tag, root, |&v| scalar_payload(v), scalar_value);
+        self.end_collective();
+        out
     }
 
     /// Synchronises all ranks; every rank leaves with the same logical clock:
     /// the maximum entry clock plus the barrier's modelled cost
     /// (`2·⌈log2 p⌉` message latencies — an up-sweep and a down-sweep).
     pub fn barrier(&mut self) {
-        let tag = self.begin_collective(CollKind::Barrier, self.tree_collective_sends());
-        let entry = self.time();
-        let root = self.tree_reduce(
-            tag,
-            vec![entry],
-            Payload::f64s,
-            Payload::into_f64,
-            |acc, got| acc[0] = acc[0].max(got[0]),
-        );
-        let max_entry = self.tree_bcast(tag, root.map(Payload::f64s)).into_f64()[0];
+        let max_entry = self.all_reduce_scalar(CollKind::Barrier, self.time(), |acc, got| {
+            *acc = acc.max(got)
+        });
         let levels = self.n_alive().next_power_of_two().trailing_zeros() as f64;
         // Each sweep hop moves one 8-byte clock stamp.
         let hop = self.model().latency + 8.0 * self.model().inv_bandwidth;
         let aligned = max_entry + 2.0 * levels * hop;
         let t = self.time().max(aligned);
         self.elapse(t - self.time());
-        self.end_collective();
     }
 
-    /// Element-wise all-reduce over `f64` vectors (same length on all ranks).
-    pub fn all_reduce_f64(&mut self, data: Vec<f64>, op: ReduceOp) -> Vec<f64> {
-        let tag = self.begin_collective(CollKind::AllReduceF64, self.tree_collective_sends());
-        let combine = move |acc: &mut Vec<f64>, got: Vec<f64>| {
-            assert_eq!(acc.len(), got.len(), "all_reduce length mismatch");
-            for (a, g) in acc.iter_mut().zip(got) {
-                match op {
-                    ReduceOp::Sum => *a += g,
-                    ReduceOp::Max => *a = a.max(g),
-                    ReduceOp::Min => *a = a.min(g),
-                }
-            }
-        };
-        let root = self.tree_reduce(tag, data, Payload::f64s, Payload::into_f64, combine);
-        let out = self.tree_bcast(tag, root.map(Payload::f64s)).into_f64();
-        self.end_collective();
-        out
-    }
-
-    /// Element-wise all-reduce over `u64` vectors.
+    /// Element-wise all-reduce over `u64` vectors (same length on all ranks).
     pub fn all_reduce_u64(&mut self, data: Vec<u64>, op: ReduceOp) -> Vec<u64> {
-        let tag = self.begin_collective(CollKind::AllReduceU64, self.tree_collective_sends());
-        let combine = move |acc: &mut Vec<u64>, got: Vec<u64>| {
+        self.all_reduce_vec(CollKind::AllReduceU64, data, move |acc, got| {
             assert_eq!(acc.len(), got.len(), "all_reduce length mismatch");
             for (a, g) in acc.iter_mut().zip(got) {
                 match op {
@@ -289,40 +230,12 @@ impl Ctx {
                     ReduceOp::Min => *a = (*a).min(g),
                 }
             }
-        };
-        let root = self.tree_reduce(tag, data, Payload::u64s, Payload::into_u64, combine);
-        let out = self.tree_bcast(tag, root.map(Payload::u64s)).into_u64();
-        self.end_collective();
-        out
+        })
     }
 
-    /// Scalar all-reduce: the hot collective (GMRES calls it every inner
-    /// iteration, twice per orthogonalisation column), so unlike the
-    /// vector forms it runs the pooled zero-allocation tree path. Wire
-    /// behaviour — message counts, combine order, `CollKind` — is
-    /// identical to `all_reduce_f64(vec![x], op)[0]`.
-    fn all_reduce_scalar(&mut self, x: f64, op: ReduceOp) -> f64 {
-        let planned = self.tree_collective_sends_cached();
-        let tag = self.begin_collective(CollKind::AllReduceF64, planned);
-        let combine = move |a: f64, b: f64| match op {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Min => a.min(b),
-        };
-        let root = self.tree_reduce_scalar(tag, x, combine);
-        let out = self.tree_bcast_scalar(tag, root);
-        self.end_collective();
-        out
-    }
-
-    /// Scalar conveniences.
+    /// Scalar sum all-reduce over `f64`.
     pub fn all_reduce_sum(&mut self, x: f64) -> f64 {
-        self.all_reduce_scalar(x, ReduceOp::Sum)
-    }
-
-    /// Scalar max all-reduce.
-    pub fn all_reduce_max(&mut self, x: f64) -> f64 {
-        self.all_reduce_scalar(x, ReduceOp::Max)
+        self.all_reduce_scalar(CollKind::AllReduceF64, x, |acc, got| *acc += got)
     }
 
     /// Scalar sum all-reduce over `u64`.
@@ -333,54 +246,16 @@ impl Ctx {
     /// Gathers each rank's (variable-length) `u64` vector; every rank
     /// receives all of them, indexed by rank.
     pub fn all_gather_u64(&mut self, local: &[u64]) -> Vec<Vec<u64>> {
-        let tag = self.begin_collective(CollKind::AllGatherU64, self.tree_collective_sends());
         // Encoding: repeated [rank, len, data...]. The tree reduce simply
         // concatenates encodings.
         let mut enc = Vec::with_capacity(local.len() + 2);
         enc.push(self.rank() as u64);
         enc.push(local.len() as u64);
         enc.extend_from_slice(local);
-        let root = self.tree_reduce(
-            tag,
-            enc,
-            Payload::u64s,
-            Payload::into_u64,
-            |acc, mut got| acc.append(&mut got),
-        );
-        let all = self.tree_bcast(tag, root.map(Payload::u64s)).into_u64();
-        self.end_collective();
+        let all = self.all_reduce_vec(CollKind::AllGatherU64, enc, |acc, mut got| {
+            acc.append(&mut got)
+        });
         decode_u64_blocks(&all, self.nprocs())
-    }
-
-    /// Gathers each rank's (variable-length) `f64` vector.
-    pub fn all_gather_f64(&mut self, local: &[f64]) -> Vec<Vec<f64>> {
-        let tag = self.begin_collective(CollKind::AllGatherF64, self.tree_collective_sends());
-        let enc = (vec![self.rank() as u64, local.len() as u64], local.to_vec());
-        let root = self.tree_reduce(
-            tag,
-            enc,
-            |(h, d)| Payload::mixed(h, d),
-            Payload::into_mixed,
-            |acc, mut got| {
-                acc.0.append(&mut got.0);
-                acc.1.append(&mut got.1);
-            },
-        );
-        let (heads, data) = self
-            .tree_bcast(tag, root.map(|(h, d)| Payload::mixed(h, d)))
-            .into_mixed();
-        self.end_collective();
-        let mut out = vec![Vec::new(); self.nprocs()];
-        let mut cursor = 0usize;
-        let mut i = 0usize;
-        while i + 1 < heads.len() + 1 && i < heads.len() {
-            let rank = heads[i] as usize;
-            let len = heads[i + 1] as usize;
-            out[rank] = data[cursor..cursor + len].to_vec();
-            cursor += len;
-            i += 2;
-        }
-        out
     }
 
     /// Sparse all-to-all: each rank supplies `(destination, payload)` pairs
@@ -469,6 +344,21 @@ impl Ctx {
     }
 }
 
+/// One `f64` in a pooled one-element buffer, ready to ship.
+fn scalar_payload(x: f64) -> Payload {
+    let mut buf = crate::pool::take_f64(1);
+    buf.push(x);
+    Payload::f64s(buf)
+}
+
+/// Reads the `f64` of a [`scalar_payload`] and hands its buffer back to
+/// the pool.
+fn scalar_value(payload: Payload) -> f64 {
+    let x = payload.as_f64()[0];
+    payload.recycle();
+    x
+}
+
 /// Packs one exchange's payload sequence for a single destination into one
 /// wire message. Frame (all in the `u64` half of a [`Payload::Mixed`]):
 /// `[n, (variant, u64_len, f64_len) × n, u64 bodies…]`; the `f64` bodies are
@@ -540,6 +430,7 @@ fn decode_u64_blocks(all: &[u64], p: usize) -> Vec<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::splitmix64;
     use crate::machine::{Machine, MachineModel};
 
     fn model() -> MachineModel {
@@ -566,20 +457,75 @@ mod tests {
         }
     }
 
+    /// Serial reference for every tree collective: round `bit` folds slot
+    /// `s + bit` into slot `s` for every `s` that is a multiple of
+    /// `2·bit`; slot 0 ends up holding the result.
+    fn binomial_fold<T: Clone>(vals: &[T], combine: impl Fn(&mut T, T)) -> T {
+        let mut vals = vals.to_vec();
+        let mut bit = 1;
+        while bit < vals.len() {
+            for s in (0..vals.len() - bit).step_by(2 * bit) {
+                let got = vals[s + bit].clone();
+                combine(&mut vals[s], got);
+            }
+            bit <<= 1;
+        }
+        vals[0].clone()
+    }
+
     #[test]
-    fn all_reduce_sum_and_max() {
-        for p in [1, 2, 4, 7] {
-            let out = Machine::run_checked(p, model(), |ctx| {
-                let s = ctx.all_reduce_sum(ctx.rank() as f64 + 1.0);
-                let m = ctx.all_reduce_max(ctx.rank() as f64);
-                (s, m)
+    fn all_reduce_combines_in_binomial_tree_order_to_the_bit() {
+        let mut discriminating = false;
+        for p in [1usize, 2, 3, 4, 5, 7, 8] {
+            // Signed magnitudes spread over 1e-8…1e8: the sum depends on
+            // the order it is taken in.
+            let mut seed = 0x5eed_0000 + p as u64;
+            let xs: Vec<f64> = (0..p)
+                .map(|_| {
+                    let u = splitmix64(&mut seed) as f64 / u64::MAX as f64;
+                    let sign = if splitmix64(&mut seed) & 1 == 0 {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    sign * 10f64.powf(16.0 * u - 8.0)
+                })
+                .collect();
+            let us: Vec<Vec<u64>> = (0..p)
+                .map(|_| (0..3).map(|_| splitmix64(&mut seed) >> 24).collect())
+                .collect();
+            let (xs_in, us_in) = (xs.clone(), us.clone());
+            let out = Machine::run_checked(p, model(), move |ctx| {
+                let me = ctx.rank();
+                let sum = ctx.all_reduce_sum(xs_in[me]).to_bits();
+                let ops = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min];
+                (sum, ops.map(|op| ctx.all_reduce_u64(us_in[me].clone(), op)))
             });
-            let expect_sum = (p * (p + 1)) as f64 / 2.0;
-            for &(s, m) in &out.results {
-                assert_eq!(s, expect_sum);
-                assert_eq!(m, (p - 1) as f64);
+            let sum = binomial_fold(&xs, |a, g| *a += g);
+            discriminating |= sum.to_bits() != xs.iter().sum::<f64>().to_bits();
+            let elementwise = |f: fn(u64, u64) -> u64| {
+                binomial_fold(&us, |a: &mut Vec<u64>, g: Vec<u64>| {
+                    for (a, g) in a.iter_mut().zip(g) {
+                        *a = f(*a, g);
+                    }
+                })
+            };
+            let expect = (
+                sum.to_bits(),
+                [
+                    elementwise(|a, g| a + g),
+                    elementwise(u64::max),
+                    elementwise(u64::min),
+                ],
+            );
+            for (r, got) in out.results.iter().enumerate() {
+                assert_eq!(got, &expect, "rank {r} of {p}");
             }
         }
+        assert!(
+            discriminating,
+            "no input set told tree order from left-to-right order"
+        );
     }
 
     #[test]
@@ -605,18 +551,6 @@ mod tests {
                 let expect: Vec<u64> = (0..r as u64).collect();
                 assert_eq!(v, &expect, "rank {r}");
             }
-        }
-    }
-
-    #[test]
-    fn all_gather_f64_roundtrip() {
-        let out = Machine::run_checked(3, model(), |ctx| {
-            let local = vec![ctx.rank() as f64 * 1.5; ctx.rank() + 1];
-            ctx.all_gather_f64(&local)
-        });
-        for gathered in &out.results {
-            assert_eq!(gathered[2], vec![3.0, 3.0, 3.0]);
-            assert_eq!(gathered[0], vec![0.0]);
         }
     }
 
@@ -701,26 +635,78 @@ mod tests {
         );
     }
 
+    /// `coll` `(messages, bytes)` one rank has sent.
+    type Sent = (u64, u64);
+
+    /// Per rank, cumulative `coll` `(messages, bytes)` after each of
+    /// barrier, scalar all-reduce, vector all-reduce, all-gather and
+    /// exchange — recorded at the commit before the scalar and vector
+    /// stacks were folded into one.
+    #[rustfmt::skip]
+    const WIRE_BEFORE_FOLD: [(usize, &[[Sent; 5]]); 5] = [
+        (1, &[
+            [(0, 0), (0, 0), (0, 0), (0, 0), (1, 64)],
+        ]),
+        (2, &[
+            [(1, 8), (2, 16), (3, 40), (4, 96), (6, 176)],
+            [(1, 8), (2, 16), (3, 40), (4, 72), (6, 128)],
+        ]),
+        (3, &[
+            [(2, 16), (4, 32), (6, 80), (8, 272), (12, 392)],
+            [(1, 8), (2, 16), (3, 40), (4, 72), (6, 136)],
+            [(1, 8), (2, 16), (3, 40), (4, 80), (6, 144)],
+        ]),
+        (5, &[
+            [(3, 24), (6, 48), (9, 120), (12, 720), (17, 912)],
+            [(1, 8), (2, 16), (3, 40), (4, 72), (6, 152)],
+            [(2, 16), (4, 32), (6, 80), (8, 368), (11, 488)],
+            [(1, 8), (2, 16), (3, 40), (4, 88), (6, 168)],
+            [(1, 8), (2, 16), (3, 40), (4, 96), (6, 176)],
+        ]),
+        (8, &[
+            [(3, 24), (6, 48), (9, 120), (12, 1368), (17, 1632)],
+            [(1, 8), (2, 16), (3, 40), (4, 72), (6, 176)],
+            [(2, 16), (4, 32), (6, 80), (8, 584), (11, 752)],
+            [(1, 8), (2, 16), (3, 40), (4, 88), (6, 192)],
+            [(3, 24), (6, 48), (9, 120), (12, 1224), (16, 1456)],
+            [(1, 8), (2, 16), (3, 40), (4, 104), (6, 208)],
+            [(2, 16), (4, 32), (6, 80), (8, 648), (11, 816)],
+            [(1, 8), (2, 16), (3, 40), (4, 120), (6, 224)],
+        ]),
+    ];
+
+    /// This rank's `coll` `(messages, bytes)` so far.
+    fn coll_sent(ctx: &Ctx) -> Sent {
+        let sent = ctx.counters.by_tag.get(&Ctx::RESERVED_TAG_BASE);
+        sent.copied().unwrap_or((0, 0))
+    }
+
     #[test]
     fn planned_collective_messages_match_measured() {
         // Every collective predicts its exact point-to-point message count
         // before sending; the reserved-tag bucket must agree with the
         // measured counters at every rank count (bytes stay unpredicted —
-        // the `coll` tag is inexact by design).
-        for p in [1, 2, 3, 5, 8] {
+        // the `coll` tag is inexact by design). What each rank puts on the
+        // wire per collective is pinned to the byte.
+        for (p, wire) in WIRE_BEFORE_FOLD {
             let out = Machine::run_checked(p, model(), |ctx| {
-                ctx.barrier();
-                ctx.all_reduce_sum(ctx.rank() as f64);
-                ctx.all_reduce_sum_u64(3);
-                ctx.all_gather_u64(&[ctx.rank() as u64]);
-                ctx.all_gather_f64(&[1.0; 2]);
                 let me = ctx.rank();
+                ctx.barrier();
+                let barrier = coll_sent(ctx);
+                ctx.all_reduce_sum(me as f64);
+                let scalar = coll_sent(ctx);
+                ctx.all_reduce_u64(vec![me as u64, 3, 7], ReduceOp::Sum);
+                let vector = coll_sent(ctx);
+                ctx.all_gather_u64(&vec![me as u64; me + 1]);
+                let gather = coll_sent(ctx);
                 let mut sends = vec![((me + 1) % p, Payload::u64s(vec![me as u64]))];
                 if me == 0 {
                     sends.push((p - 1, Payload::Empty));
                 }
                 ctx.exchange(sends);
+                [barrier, scalar, vector, gather, coll_sent(ctx)]
             });
+            assert_eq!(out.results, wire, "p={p}");
             let (measured, _) = out.stats.tag_totals(Ctx::RESERVED_TAG_BASE);
             let &(planned, planned_bytes, exact) = out
                 .stats
@@ -731,6 +717,48 @@ mod tests {
             assert_eq!(planned_bytes, 0, "p={p}");
             assert!(!exact, "coll bytes are not predicted, p={p}");
         }
+    }
+
+    #[test]
+    fn collectives_run_over_the_shrunk_world_after_a_rank_loss() {
+        // One rank of four dies inside the first collective; the survivors
+        // adopt the three-rank world and both forms of tree collective
+        // complete over it with an up-sweep and a down-sweep of
+        // `alive − 1` messages each.
+        use crate::fault::{FaultAction, FaultPlan, FaultRule};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let plan = FaultPlan::new(5).with(FaultRule::new(FaultAction::Kill).rank(1).after_op(1));
+        let out = Machine::builder(model())
+            .recovery(true)
+            .fault_plan(plan)
+            .run(4, |ctx| loop {
+                let pass = catch_unwind(AssertUnwindSafe(|| {
+                    let before = coll_sent(ctx).0;
+                    let n = ctx.all_reduce_u64(vec![1, ctx.rank() as u64], ReduceOp::Sum);
+                    let vector = coll_sent(ctx).0;
+                    let s = ctx.all_reduce_sum(ctx.rank() as f64);
+                    let scalar = coll_sent(ctx).0;
+                    (ctx.epoch(), n, s, vector - before, scalar - vector)
+                }));
+                match pass {
+                    Ok(done) => return Some(done),
+                    Err(_) if ctx.killed() => return None,
+                    Err(_) => {
+                        ctx.adopt_world();
+                        ctx.recover_sync();
+                    }
+                }
+            });
+        assert_eq!(out.results[1], None, "the victim tombstones");
+        let survivors: Vec<_> = out.results.iter().flatten().collect();
+        assert_eq!(survivors.len(), 3);
+        for &&(epoch, ref n, s, ..) in &survivors {
+            assert_eq!((epoch, n.as_slice(), s), (1, &[3, 5][..], 5.0));
+        }
+        let alive = survivors.len() as u64;
+        let vector: u64 = survivors.iter().map(|r| r.3).sum();
+        let scalar: u64 = survivors.iter().map(|r| r.4).sum();
+        assert_eq!((vector, scalar), (2 * (alive - 1), 2 * (alive - 1)));
     }
 
     #[test]

@@ -190,9 +190,9 @@ pub struct Ctx {
     /// The ranks this rank has adopted as dead.
     dead: Vec<usize>,
     /// Cached slot map for collectives: the sorted alive ranks as of
-    /// [`Ctx::slot_cache_epoch`]. Scalar collectives run every GMRES inner
-    /// iteration; indexing this cache instead of collecting a fresh map
-    /// keeps them off the heap. Rebuilt (under the audit harness — a
+    /// [`Ctx::slot_cache_epoch`]. A scalar all-reduce runs every GMRES
+    /// inner iteration; indexing this cache instead of collecting a fresh
+    /// map keeps it off the heap. Rebuilt (under the audit harness — a
     /// topology table, DESIGN §16) whenever the recovery epoch moves.
     pub(crate) slot_cache: Vec<usize>,
     /// Epoch [`Ctx::slot_cache`] was built for; `u64::MAX` = never built.
@@ -320,11 +320,6 @@ impl Ctx {
     /// Number of ranks alive in the current epoch.
     pub fn n_alive(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// The ranks this rank has adopted as dead, ascending.
-    pub fn dead_ranks(&self) -> &[usize] {
-        &self.dead
     }
 
     /// Tears the context down at rank exit, reporting any leftover

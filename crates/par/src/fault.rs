@@ -304,7 +304,7 @@ pub(crate) struct FaultSession {
 }
 
 /// splitmix64 step — tiny, seedable, and plenty for fault-coin flips.
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

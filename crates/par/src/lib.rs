@@ -5,8 +5,8 @@
 //! **What this crate provides →** the closest synthetic equivalent that
 //! exercises the same code paths: [`Machine::run`] launches `p` OS threads,
 //! one per *rank*, each holding a [`Ctx`] with point-to-point `send`/`recv`
-//! and the collectives the algorithms need (`barrier`, `all_reduce_*`,
-//! `all_gather_*`, `exchange`).
+//! and the collectives the algorithms need (`barrier`, `all_reduce_sum`,
+//! `all_reduce_u64`, `all_gather_u64`, `exchange`).
 //!
 //! Every rank carries a **logical clock**. Compute advances it through
 //! [`Ctx::work`] (a flop-cost model) and [`Ctx::copy_words`] (a data-motion

@@ -105,8 +105,9 @@ impl Payload {
         }
     }
 
-    /// Drops this handle, returning the underlying buffer(s) to the
-    /// registered pool when it was the last reference. This is how pooled
+    /// Drops this handle, returning the underlying `f64` buffer to the
+    /// registered pool when it was the last reference (index buffers are
+    /// not pooled and simply drop). This is how pooled
     /// replay buffers complete their cycle: each holder — the receiver
     /// after scattering, the sender's reliable-delivery retention on
     /// cumulative ACK — recycles its handle, and whichever drops last
@@ -116,22 +117,9 @@ impl Payload {
     /// reference, draining the pool one buffer per acknowledged frame).
     pub fn recycle(self) {
         match self {
-            Payload::Empty => {}
-            Payload::U64(v) => {
+            Payload::Empty | Payload::U64(_) => {}
+            Payload::F64(v) | Payload::Mixed(_, v) => {
                 if let Ok(buf) = Arc::try_unwrap(v) {
-                    crate::pool::give_u64(buf);
-                }
-            }
-            Payload::F64(v) => {
-                if let Ok(buf) = Arc::try_unwrap(v) {
-                    crate::pool::give_f64(buf);
-                }
-            }
-            Payload::Mixed(a, b) => {
-                if let Ok(buf) = Arc::try_unwrap(a) {
-                    crate::pool::give_u64(buf);
-                }
-                if let Ok(buf) = Arc::try_unwrap(b) {
                     crate::pool::give_f64(buf);
                 }
             }

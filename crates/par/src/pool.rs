@@ -4,7 +4,8 @@
 //! MPI codes register their halo buffers once and reuse them for every
 //! exchange; nothing on the steady path touches the heap. The VM's
 //! equivalent is this pool: a process-wide shelf of power-of-two size
-//! classes holding `Vec<f64>` / `Vec<u64>` payload buffers. A plan warms
+//! classes holding `Vec<f64>` payload buffers (index buffers are not
+//! pooled: no steady-state region ships one). A plan warms
 //! the classes it needs at build time ([`warm_f64`]); replay then
 //! [`take`](take_f64)s an empty buffer, fills and ships it, and the
 //! *receiver* — a different rank thread — [`give`](give_f64)s it back
@@ -34,14 +35,14 @@ const MAX_CLASS: usize = 26;
 /// the partition interface, link count with the neighbor degree).
 const PER_CLASS: usize = 1024;
 
-struct Pool<T> {
+struct Pool {
     /// `classes[c]` holds empty buffers with `capacity ≥ 2^c`. The spine
     /// and each class vector are pre-reserved at warm time so steady-state
     /// `give`/`take` never grow them.
-    classes: Mutex<Vec<Vec<Vec<T>>>>,
+    classes: Mutex<Vec<Vec<Vec<f64>>>>,
 }
 
-impl<T> Pool<T> {
+impl Pool {
     const fn new() -> Self {
         Pool {
             classes: Mutex::new(Vec::new()),
@@ -87,7 +88,7 @@ impl<T> Pool<T> {
         }
     }
 
-    fn take(&self, len: usize) -> Vec<T> {
+    fn take(&self, len: usize) -> Vec<f64> {
         let c = Self::class_for_len(len);
         if c <= MAX_CLASS {
             // lint: allow(unwrap): pool lock is never poisoned (no panics under it)
@@ -99,7 +100,7 @@ impl<T> Pool<T> {
         Vec::with_capacity(len.max(1).next_power_of_two())
     }
 
-    fn give(&self, mut buf: Vec<T>) {
+    fn give(&self, mut buf: Vec<f64>) {
         if buf.capacity() == 0 {
             return;
         }
@@ -127,8 +128,7 @@ impl<T> Pool<T> {
     }
 }
 
-static F64_POOL: Pool<f64> = Pool::new();
-static U64_POOL: Pool<u64> = Pool::new();
+static F64_POOL: Pool = Pool::new();
 
 /// Adds `count` empty `f64` buffers able to hold `len` values (additive
 /// per call, capped at the per-class shelf size — see [`Pool::warm`]).
@@ -147,22 +147,6 @@ pub fn take_f64(len: usize) -> Vec<f64> {
 /// Returns a consumed `f64` buffer to the pool for the next replay round.
 pub fn give_f64(buf: Vec<f64>) {
     F64_POOL.give(buf);
-}
-
-/// Adds `count` empty `u64` buffers able to hold `len` values (additive
-/// per call; see [`warm_f64`]).
-pub fn warm_u64(len: usize, count: usize) {
-    U64_POOL.warm(len, count);
-}
-
-/// Takes an empty `u64` buffer with capacity ≥ `len` from the pool.
-pub fn take_u64(len: usize) -> Vec<u64> {
-    U64_POOL.take(len)
-}
-
-/// Returns a consumed `u64` buffer to the pool for the next replay round.
-pub fn give_u64(buf: Vec<u64>) {
-    U64_POOL.give(buf);
 }
 
 /// Tops the scalar class (single-element `f64` buffers) up to its shelf
@@ -203,15 +187,11 @@ mod tests {
     #[test]
     fn warmed_classes_serve_steadily_without_allocating() {
         warm_f64(1000, 2);
-        warm_u64(500, 2);
         let guard = pilut_allocaudit::zero_alloc("pool_steady");
         for _ in 0..4 {
             let mut f = take_f64(1000);
-            let mut u = take_u64(500);
             f.extend(std::iter::repeat(1.5).take(1000));
-            u.extend(0..500u64);
             give_f64(f);
-            give_u64(u);
         }
         drop(guard);
     }
@@ -221,9 +201,9 @@ mod tests {
         let big = take_f64((1 << MAX_CLASS) + 1);
         assert!(big.capacity() > 1 << MAX_CLASS);
         give_f64(big); // dropped, not shelved
-        let odd = take_u64(3);
+        let odd = take_f64(3);
         assert!(odd.capacity() >= 3);
-        give_u64(odd);
+        give_f64(odd);
     }
 
     /// Differential test for the production path: an *unchecked*

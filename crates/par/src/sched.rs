@@ -105,11 +105,6 @@ impl SchedulePlan {
         self.forced.entry((rank, tag)).or_default().push_back(src);
         self
     }
-
-    /// Number of forced entries across all `(rank, tag)` scripts.
-    pub fn forced_len(&self) -> usize {
-        self.forced.values().map(VecDeque::len).sum()
-    }
 }
 
 /// Shared run state: the plan (read-only after install) and the global
@@ -214,7 +209,6 @@ mod tests {
             .force(1, 7, 0)
             .force(1, 7, 2)
             .force(0, 7, 3);
-        assert_eq!(plan.forced_len(), 3);
         let handle = SchedHandle::new(plan);
         let mut s1 = SchedSession::new(&handle, 1);
         let s0 = SchedSession::new(&handle, 0);

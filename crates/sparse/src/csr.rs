@@ -117,17 +117,6 @@ impl CsrMatrix {
         })
     }
 
-    /// An `n_rows × n_cols` matrix with no stored entries.
-    pub fn zeros(n_rows: usize, n_cols: usize) -> Self {
-        CsrMatrix {
-            n_rows,
-            n_cols,
-            row_ptr: vec![0; n_rows + 1],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// The `n × n` identity.
     pub fn identity(n: usize) -> Self {
         CsrMatrix {
@@ -137,11 +126,6 @@ impl CsrMatrix {
             col_idx: (0..n).collect(),
             values: vec![1.0; n],
         }
-    }
-
-    /// Builds from coordinate form, summing duplicates.
-    pub fn from_coo(coo: &CooMatrix) -> Self {
-        coo.to_csr()
     }
 
     /// Number of rows.
@@ -326,11 +310,6 @@ impl CsrMatrix {
         vals.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Frobenius norm of the whole matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Symmetric permutation `P A Pᵀ`: entry `(i, j)` moves to
     /// `(perm.new_of(i), perm.new_of(j))`.
     pub fn permute_symmetric(&self, perm: &Permutation) -> CsrMatrix {
@@ -368,22 +347,6 @@ impl CsrMatrix {
             }
         }
         coo.to_csr()
-    }
-
-    /// Scales every row to unit diagonal where possible; returns the original
-    /// diagonal. Rows with a zero diagonal are left untouched.
-    pub fn scale_rows_by_diagonal(&mut self) -> Vec<f64> {
-        let d = self.diagonal();
-        for (i, &di) in d.iter().enumerate() {
-            // lint: allow(float-eq): rows with exactly zero diagonal are skipped
-            if di != 0.0 {
-                let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
-                for v in &mut self.values[s..e] {
-                    *v /= di;
-                }
-            }
-        }
-        d
     }
 }
 
@@ -515,15 +478,5 @@ mod tests {
     fn row_norms() {
         let a = small();
         assert!((a.row_norm2(0) - (17.0f64).sqrt()).abs() < 1e-15);
-        assert!((a.frobenius_norm() - (52.0f64).sqrt()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn diagonal_scaling() {
-        let mut a = small();
-        let d = a.scale_rows_by_diagonal();
-        assert_eq!(d, vec![4.0, 4.0, 4.0]);
-        assert_eq!(a.get(1, 1), Some(1.0));
-        assert_eq!(a.get(1, 0), Some(-0.25));
     }
 }

@@ -68,14 +68,6 @@ impl Permutation {
         self.old_of[new]
     }
 
-    /// The inverse permutation.
-    pub fn inverse(&self) -> Permutation {
-        Permutation {
-            new_of: self.old_of.clone(),
-            old_of: self.new_of.clone(),
-        }
-    }
-
     /// Applies to a dense vector: `out[new_of(i)] = x[i]`.
     pub fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.len());
@@ -117,15 +109,6 @@ mod tests {
         assert_eq!(p.new_of(2), 0);
         let q = Permutation::from_new_order(&[1, 2, 0]);
         assert_eq!(p, q);
-    }
-
-    #[test]
-    fn inverse_composes_to_identity() {
-        let p = Permutation::from_new_order(&[3, 1, 0, 2]);
-        let inv = p.inverse();
-        for i in 0..4 {
-            assert_eq!(inv.new_of(p.new_of(i)), i);
-        }
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!
 //! Every trial is replayable: the fault plan is derived from `(kind, seed,
 //! p)` alone, and the failure line prints all three plus the workload.
-//! Two workloads are swept: `factor` (the parallel ILUT factorization,
-//! where faults land in plan *construction* traffic) and `replay`
-//! (prebuilt SpMV and trisolve halos driven through repeated value
-//! rounds, so faults land in the steady-state data plane). Full
+//! Two of the shared sweep workloads ([`crate::sweep::run_workload`]) are
+//! swept: `factor` (the parallel ILUT factorization, where faults land in
+//! plan *construction* traffic) and `trisolve` (factor once, then
+//! prebuilt SpMV and trisolve halos driven through repeated value rounds,
+//! so faults land in the steady-state data plane); a benign trial must
+//! reproduce the clean run's whole [`Fingerprint`]. Full
 //! mode sweeps p ∈ {4, 8} × 20 seeds × both workloads; `--quick` runs one
 //! trial per (fault class, workload) at p = 4 (the CI configuration).
 //!
@@ -34,11 +36,7 @@
 
 use std::panic::AssertUnwindSafe;
 
-use crate::sweep::{checked_builder, dist_matrix, ilut_options, mix};
-use pilut_core::dist::op::{DistCsr, DistOperator};
-use pilut_core::dist::DistMatrix;
-use pilut_core::parallel::par_ilut;
-use pilut_core::trisolve::{dist_solve, TrisolvePlan};
+use crate::sweep::{checked_builder, dist_matrix, ilut_options, mix, run_workload, Fingerprint};
 use pilut_par::{FaultAction, FaultPlan, FaultRule, FAULT_KILL_PREFIX};
 use pilut_solver::dist_solve_robust;
 use pilut_solver::gmres::GmresOptions;
@@ -48,7 +46,7 @@ use pilut_solver::gmres::GmresOptions;
 const KINDS: &[&str] = &["delay", "reorder", "stall", "drop", "duplicate", "kill"];
 
 /// The two workloads every fault class is thrown at.
-const WORKLOADS: &[&str] = &["factor", "replay"];
+const WORKLOADS: &[&str] = &["factor", "trisolve"];
 
 fn is_benign(kind: &str) -> bool {
     matches!(kind, "delay" | "reorder" | "stall")
@@ -62,10 +60,10 @@ fn is_benign(kind: &str) -> bool {
 fn plan_for(work: &str, kind: &str, seed: u64, p: usize) -> FaultPlan {
     let mut s = seed ^ 0xc7a_5_u64.rotate_left(17);
     let victim = (mix(&mut s) % p as u64) as usize;
-    // The replay workload arms its rules well past the factorization and
+    // The trisolve workload arms its rules well past the factorization and
     // plan-build prefix, so destructive fires land inside the `Halo`
     // value rounds that workload exists to stress.
-    let after = if work == "replay" {
+    let after = if work == "trisolve" {
         64 + mix(&mut s) % 192
     } else {
         1 + mix(&mut s) % 12
@@ -97,8 +95,7 @@ fn plan_for(work: &str, kind: &str, seed: u64, p: usize) -> FaultPlan {
 
 /// How one trial ended.
 enum Outcome {
-    /// Run completed; per-rank factorization checksums matched the clean
-    /// run (benign contract).
+    /// Run completed with the clean run's fingerprint (benign contract).
     CleanMatch,
     /// Run completed and no rule ever fired (the seed armed the rule past
     /// the program's op count) — vacuous but not a violation.
@@ -109,95 +106,29 @@ enum Outcome {
     Fail(String),
 }
 
-/// Builds the machine for one trial, with or without a fault plan.
-fn trial_machine(plan: Option<FaultPlan>) -> pilut_par::MachineBuilder {
+/// Runs one chaos workload — a shared sweep workload, see
+/// [`run_workload`] — under an optional fault plan. Returns its
+/// fingerprint (every factor entry or solution bit, plus per-tag traffic)
+/// and the number of faults that fired.
+fn workload(name: &str, p: usize, plan: Option<FaultPlan>) -> (Fingerprint, usize) {
     let mut builder = checked_builder();
     if let Some(plan) = plan {
         builder = builder.fault_plan(plan);
     }
-    builder
-}
-
-/// Dispatches one of the two chaos workloads; both reduce to one checksum
-/// per rank plus a trailing fired-fault count.
-fn workload(name: &str, dm: &DistMatrix, p: usize, plan: Option<FaultPlan>) -> Vec<u64> {
-    match name {
-        "factor" => factor_workload(dm, p, plan),
-        "replay" => replay_workload(dm, p, plan),
-        other => unreachable!("unknown chaos workload {other}"),
-    }
-}
-
-/// The factorization workload: par_ilut over a block-partitioned Laplacian,
-/// reduced to one checksum per rank (the sum of owned pivots) so benign
-/// trials can be compared bit-for-bit against a clean run.
-fn factor_workload(dm: &DistMatrix, p: usize, plan: Option<FaultPlan>) -> Vec<u64> {
-    let opts = ilut_options();
-    let out = trial_machine(plan).run(p, |ctx| {
-        let local = dm.local_view(ctx.rank());
-        // lint: allow(unwrap): the workload matrix factors cleanly; a corrupted run dies in the VM's diagnosis
-        let rf = par_ilut(ctx, dm, &local, &opts).expect("chaos workload must factor");
-        // Sum pivots in one fixed order (local-view order): a different
-        // summation order would change the rounding and break the
-        // bit-for-bit benign comparison.
-        let sum: f64 = rf.rows().map(|(_, r)| r.diag()).sum();
-        sum.to_bits()
-    });
-    // The trailing element carries the fired-fault count: completed
-    // destructive runs are judged on whether anything actually fired.
-    let mut sums = out.results;
-    sums.push(out.injected_faults.len() as u64);
-    sums
-}
-
-/// The steady-state data-plane workload: factor once, build the SpMV and
-/// trisolve plans, then drive several matvec+solve rounds through their
-/// halos — the path every iterative solve sits on. Later
-/// fault `after_op` offsets land inside the replays rather than the plan
-/// builds, which is exactly the coverage the factor workload lacks.
-fn replay_workload(dm: &DistMatrix, p: usize, plan: Option<FaultPlan>) -> Vec<u64> {
-    let opts = ilut_options();
-    let out = trial_machine(plan).run(p, |ctx| {
-        let local = dm.local_view(ctx.rank());
-        // lint: allow(unwrap): the workload matrix factors cleanly; a corrupted run dies in the VM's diagnosis
-        let rf = par_ilut(ctx, dm, &local, &opts).expect("chaos workload must factor");
-        let tplan = TrisolvePlan::build(ctx, dm, &local, &rf);
-        let mut op = DistCsr::new(ctx, dm, &local);
-        // Four rounds of matvec + two-sweep solve, feeding each round's
-        // output into the next so a corrupted replay cannot cancel out.
-        let mut x = vec![1.0; local.len()];
-        for _ in 0..4 {
-            let y = op.apply(ctx, &x);
-            x = dist_solve(ctx, &local, &rf, &tplan, &y);
-        }
-        // Local-view order is deterministic per rank, so a sequential sum
-        // is bit-stable for the benign comparison.
-        let sum: f64 = x.iter().sum();
-        sum.to_bits()
-    });
-    let mut sums = out.results;
-    sums.push(out.injected_faults.len() as u64);
-    sums
+    run_workload(name, &dist_matrix(p), p, builder)
 }
 
 /// Runs one trial and classifies it against the fault-class contract.
-fn run_trial(work: &str, kind: &str, seed: u64, p: usize, clean: &[u64]) -> Outcome {
+fn run_trial(work: &str, kind: &str, seed: u64, p: usize, clean: &Fingerprint) -> Outcome {
     let plan = plan_for(work, kind, seed, p);
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        workload(work, &dist_matrix(p), p, Some(plan))
-    }));
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| workload(work, p, Some(plan))));
     match result {
-        Ok(sums) => {
-            let fired = *sums.last().unwrap_or(&0);
+        Ok((fp, fired)) => {
             if is_benign(kind) {
-                if sums[..p] == clean[..p] {
-                    if fired == 0 {
-                        Outcome::NoFire
-                    } else {
-                        Outcome::CleanMatch
-                    }
-                } else {
-                    Outcome::Fail("benign fault changed the factorization result".into())
+                match clean.diff(&fp) {
+                    Some(why) => Outcome::Fail(format!("benign fault changed the run: {why}")),
+                    None if fired == 0 => Outcome::NoFire,
+                    None => Outcome::CleanMatch,
                 }
             } else if fired == 0 {
                 Outcome::NoFire
@@ -441,7 +372,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     std::panic::set_hook(Box::new(|_| {}));
     for &p in procs {
         for &work in WORKLOADS {
-            let clean = workload(work, &dist_matrix(p), p, None);
+            let (clean, _) = workload(work, p, None);
             for seed in 0..seeds_per_p {
                 let kind = KINDS[(seed as usize) % KINDS.len()];
                 match run_trial(work, kind, seed, p, &clean) {

@@ -254,7 +254,7 @@ where
 /// chain's two-peer bound is what keeps the orderings product finite.
 fn workload_runner(work: &'static str, p: usize) -> impl Fn(MachineBuilder) -> Fingerprint {
     let dm = tiny_matrix(p, work == "spmv");
-    move |builder| crate::sweep::run_workload(work, &dm, p, builder)
+    move |builder| crate::sweep::run_workload(work, &dm, p, builder).0
 }
 
 /// The mutation runner: drives the preserved pre-packing exchange

@@ -180,7 +180,7 @@ fn run_workload(work: &str, p: usize, plan: Option<FaultPlan>) -> Fingerprint {
         builder = builder.fault_plan(plan);
     }
     let body = if reliable { "gmres" } else { work };
-    let mut fp = crate::sweep::run_workload(body, &dm, p, builder);
+    let (mut fp, _) = crate::sweep::run_workload(body, &dm, p, builder);
     if reliable {
         fp.messages = 0;
         fp.bytes = 0;

@@ -2,7 +2,9 @@
 //! `xtask schedcheck`, `xtask modelcheck`): the workload table and runner,
 //! result fingerprinting, the trial matrices, checksum folding, panic-text
 //! extraction, and the generic first-failing shrink loop. Each suite keeps
-//! only its own sweep policy (what to perturb, how to classify outcomes).
+//! only its own sweep policy (what to perturb, how to classify outcomes):
+//! chaos throws fault plans at `factor` and `trisolve`, schedcheck and
+//! modelcheck perturb schedules under all five.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
@@ -157,7 +159,9 @@ pub fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs one fingerprinted workload on `builder`'s machine and returns its
-/// fingerprint. Panics propagate to the caller for classification.
+/// fingerprint, with the number of injected faults that fired next to it
+/// (zero without a fault plan). Panics propagate to the caller for
+/// classification.
 ///
 /// * `spmv` — plan-build plus repeated matvec replay (no factorization);
 /// * `mis` — the delta-protocol MIS rounds in isolation (link build,
@@ -166,7 +170,12 @@ pub fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// * `factor` — the parallel ILUT factorization, checksummed entry-wise;
 /// * `trisolve` — factor, then chained matvec + two-sweep solves;
 /// * `gmres` — the preconditioned iteration with its reduction traffic.
-pub fn run_workload(work: &str, dm: &DistMatrix, p: usize, builder: MachineBuilder) -> Fingerprint {
+pub fn run_workload(
+    work: &str,
+    dm: &DistMatrix,
+    p: usize,
+    builder: MachineBuilder,
+) -> (Fingerprint, usize) {
     let opts = ilut_options();
     let out = builder.run(p, |ctx| {
         let local = dm.local_view(ctx.rank());
@@ -236,12 +245,13 @@ pub fn run_workload(work: &str, dm: &DistMatrix, p: usize, builder: MachineBuild
             other => unreachable!("unknown sweep workload {other}"),
         }
     });
-    Fingerprint {
+    let fingerprint = Fingerprint {
         rank_sums: out.results,
         messages: out.stats.messages,
         bytes: out.stats.bytes,
         by_tag: out.stats.by_tag,
-    }
+    };
+    (fingerprint, out.injected_faults.len())
 }
 
 /// The generic shrink loop every suite's minimizer is built on: tries
@@ -306,8 +316,8 @@ mod tests {
     fn spmv_workload_fingerprints_deterministically() {
         let p = 2;
         let dm = tiny_matrix(p, false);
-        let a = run_workload("spmv", &dm, p, checked_builder());
-        let b = run_workload("spmv", &dm, p, checked_builder());
+        let (a, _) = run_workload("spmv", &dm, p, checked_builder());
+        let (b, _) = run_workload("spmv", &dm, p, checked_builder());
         assert_eq!(a, b);
         assert!(a.messages > 0, "spmv must exchange halo traffic");
     }
@@ -316,8 +326,8 @@ mod tests {
     fn mis_workload_fingerprints_deterministically() {
         let p = 2;
         let dm = dist_matrix(p);
-        let a = run_workload("mis", &dm, p, checked_builder());
-        let b = run_workload("mis", &dm, p, checked_builder());
+        let (a, _) = run_workload("mis", &dm, p, checked_builder());
+        let (b, _) = run_workload("mis", &dm, p, checked_builder());
         assert_eq!(a, b);
         assert!(a.messages > 0, "MIS must ship cross-rank deltas");
     }
