@@ -8,7 +8,9 @@
 //!
 //! * [`region`] — a named accounting span. Entry snapshots the thread's
 //!   counters; drop folds the delta into a process-wide registry keyed
-//!   by region name, which the bench harness reads out per scenario.
+//!   by region name, which the bench harness reads out per scenario,
+//!   together with the most the thread held at once inside the region
+//!   beyond what it held on entry (`peak_live_bytes`).
 //!   Nested regions each see their own delta; an outer region's delta
 //!   includes everything its inner regions saw (the outer snapshot is
 //!   older), which is the natural reading for "allocations inside the
@@ -51,6 +53,13 @@ mod imp {
         pub alloc_bytes: u64,
         /// Bytes requested by `realloc` (new size).
         pub realloc_bytes: u64,
+        /// Bytes this thread holds: what it acquired minus what it
+        /// released, by requested size. Negative once it has freed more of
+        /// other threads' memory than it holds of its own.
+        pub live_bytes: i64,
+        /// The highest `live_bytes` since the thread started or, inside a
+        /// [`region`], since the innermost open one began.
+        pub live_high_water: i64,
     }
 
     impl Counts {
@@ -81,6 +90,9 @@ mod imp {
         pub deallocs: u64,
         /// Times the region was entered.
         pub entries: u64,
+        /// Over all entries, the most a thread's `live_bytes` rose above
+        /// its value at entry while inside the region.
+        pub peak_live_bytes: u64,
     }
 
     struct Tls {
@@ -99,20 +111,16 @@ mod imp {
         /// process-wide registry lock; replay paths enter regions every
         /// level-sweep on every rank thread, and a shared lock at that
         /// frequency was measurable contention inside the timed loops the
-        /// regions exist to audit. Flushed to [`REGIONS`] at thread exit
-        /// (rank threads are scope-joined before the harness reads) and
-        /// by [`region_stats`] / [`reset_regions`] for the calling thread.
+        /// regions exist to audit. Flushed to [`REGIONS`] when the
+        /// thread's outermost region drops — the machine wraps every rank
+        /// body in one, so a rank publishes once, before its result does —
+        /// and by [`region_stats`] for the calling thread. Not at thread
+        /// exit: a scope's join does not wait for thread-local
+        /// destructors, so a flush from there could land after the
+        /// harness's [`reset_regions`] and be read as the next scenario's.
         regions: RefCell<BTreeMap<&'static str, RegionStats>>,
-    }
-
-    impl Drop for Tls {
-        fn drop(&mut self) {
-            // Thread teardown: publish this thread's region deltas. Any
-            // allocation in here goes unattributed (note()'s `try_with`
-            // fails during TLS destruction), which is exactly right —
-            // registry bookkeeping is never counted.
-            flush_regions(&mut self.regions.borrow_mut());
-        }
+        /// Open regions on this thread.
+        depth: Cell<u32>,
     }
 
     /// Folds a thread's local region accumulator into the process-wide
@@ -130,6 +138,7 @@ mod imp {
             slot.bytes += s.bytes;
             slot.deallocs += s.deallocs;
             slot.entries += s.entries;
+            slot.peak_live_bytes = slot.peak_live_bytes.max(s.peak_live_bytes);
         }
     }
 
@@ -142,6 +151,8 @@ mod imp {
                     deallocs: 0,
                     alloc_bytes: 0,
                     realloc_bytes: 0,
+                    live_bytes: 0,
+                    live_high_water: 0,
                 }),
                 suppress: Cell::new(0),
                 forbid: Cell::new(0),
@@ -149,6 +160,7 @@ mod imp {
                 violation: Cell::new(0),
                 violation_trace: Cell::new(None),
                 regions: RefCell::new(BTreeMap::new()),
+                depth: Cell::new(0),
             }
         };
     }
@@ -159,7 +171,8 @@ mod imp {
 
     enum Kind {
         Alloc,
-        Realloc,
+        /// Carries the size of the block being resized.
+        Realloc(usize),
         Dealloc,
     }
 
@@ -181,13 +194,19 @@ mod imp {
                 Kind::Alloc => {
                     c.allocs += 1;
                     c.alloc_bytes += size as u64;
+                    c.live_bytes += size as i64;
                 }
-                Kind::Realloc => {
+                Kind::Realloc(old) => {
                     c.reallocs += 1;
                     c.realloc_bytes += size as u64;
+                    c.live_bytes += size as i64 - *old as i64;
                 }
-                Kind::Dealloc => c.deallocs += 1,
+                Kind::Dealloc => {
+                    c.deallocs += 1;
+                    c.live_bytes -= size as i64;
+                }
             }
+            c.live_high_water = c.live_high_water.max(c.live_bytes);
             t.counts.set(c);
             if t.forbid.get() > 0 && !matches!(kind, Kind::Dealloc) {
                 t.violation.set(t.violation.get() + 1);
@@ -222,7 +241,7 @@ mod imp {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            note(&Kind::Realloc, new_size);
+            note(&Kind::Realloc(layout.size()), new_size);
             System.realloc(ptr, layout, new_size)
         }
 
@@ -245,13 +264,22 @@ mod imp {
 
     /// Named accounting span; see the crate docs. Drop folds the counter
     /// delta into the thread's local accumulator (published to the
-    /// process-wide registry at thread exit or first read).
+    /// process-wide registry when the thread's outermost region drops, or
+    /// at its first read).
     #[must_use = "a region accounts between construction and drop"]
     pub fn region(name: &'static str) -> Region {
-        Region {
-            name,
-            entry: thread_counts(),
-        }
+        let entry = TLS.with(|t| {
+            t.depth.set(t.depth.get() + 1);
+            let entry = t.counts.get();
+            // The region's own high-water starts where the thread stands;
+            // the enclosing one is restored, raised if need be, at drop.
+            t.counts.set(Counts {
+                live_high_water: entry.live_bytes,
+                ..entry
+            });
+            entry
+        });
+        Region { name, entry }
     }
 
     /// Guard returned by [`region`].
@@ -260,11 +288,24 @@ mod imp {
         entry: Counts,
     }
 
+    impl Region {
+        /// The most this thread's `live_bytes` has risen above its value at
+        /// entry since the region opened.
+        pub fn peak_live_bytes(&self) -> u64 {
+            (thread_counts().live_high_water - self.entry.live_bytes) as u64
+        }
+    }
+
     impl Drop for Region {
         fn drop(&mut self) {
+            let peak = self.peak_live_bytes();
             let now = thread_counts();
             let _s = harness(); // registry bookkeeping must not count itself
             TLS.with(|t| {
+                t.counts.set(Counts {
+                    live_high_water: now.live_high_water.max(self.entry.live_high_water),
+                    ..now
+                });
                 let mut local = t.regions.borrow_mut();
                 let slot = local.entry(self.name).or_default();
                 slot.name = self.name;
@@ -272,6 +313,11 @@ mod imp {
                 slot.bytes += now.acquired_bytes() - self.entry.acquired_bytes();
                 slot.deallocs += now.deallocs - self.entry.deallocs;
                 slot.entries += 1;
+                slot.peak_live_bytes = slot.peak_live_bytes.max(peak);
+                t.depth.set(t.depth.get() - 1);
+                if t.depth.get() == 0 {
+                    flush_regions(&mut local);
+                }
             });
         }
     }
@@ -334,9 +380,9 @@ mod imp {
 
     /// Every region accumulated since the last [`reset_regions`], sorted
     /// by name (BTreeMap order): the bench harness's per-scenario readout.
-    /// Flushes the calling thread's local accumulator first; other
-    /// threads' regions are visible once those threads exit (machine rank
-    /// threads are scope-joined before any readout).
+    /// Flushes the calling thread's local accumulator first; another
+    /// thread's regions are visible once its outermost region has dropped
+    /// (a machine rank's does before the rank hands back its result).
     pub fn region_stats() -> Vec<RegionStats> {
         let _s = harness();
         TLS.with(|t| flush_regions(&mut t.regions.borrow_mut()));
@@ -375,6 +421,10 @@ mod noop {
         pub alloc_bytes: u64,
         /// Bytes requested by `realloc` (new size).
         pub realloc_bytes: u64,
+        /// Bytes this thread holds.
+        pub live_bytes: i64,
+        /// The highest `live_bytes` seen.
+        pub live_high_water: i64,
     }
 
     impl Counts {
@@ -402,6 +452,8 @@ mod noop {
         pub deallocs: u64,
         /// Times the region was entered.
         pub entries: u64,
+        /// Most bytes held at once inside the region beyond those at entry.
+        pub peak_live_bytes: u64,
     }
 
     /// Whether the audit layer is compiled in (here: it is not).
@@ -423,6 +475,13 @@ mod noop {
     /// Guard returned by [`region`] (zero-sized no-op).
     pub struct Region {
         _priv: (),
+    }
+
+    impl Region {
+        /// Peak live bytes inside the region (always zero without `audit`).
+        pub fn peak_live_bytes(&self) -> u64 {
+            0
+        }
     }
 
     /// Hard zero-allocation gate (no-op without `audit`).
@@ -469,6 +528,14 @@ mod tests {
     // The counters are thread-local and the registry is global, so tests
     // that read the registry filter by their own region names; names are
     // unique per test to stay independent of sibling tests and threads.
+    // `reset_regions` clears every name, so a test that calls it or reads
+    // the registry holds this lock for as long as its regions matter.
+    static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn registry() -> std::sync::MutexGuard<'static, ()> {
+        // A sibling that failed under the lock has already been reported.
+        REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn counts_advance_and_suppression_hides() {
@@ -492,6 +559,7 @@ mod tests {
 
     #[test]
     fn nested_regions_attribute_to_both() {
+        let _registry = registry();
         reset_regions();
         {
             let _outer = region("test_nested_outer");
@@ -522,7 +590,91 @@ mod tests {
     }
 
     #[test]
+    fn live_bytes_follow_alloc_realloc_and_free() {
+        let at = |c: Counts| (c.live_bytes, c.live_high_water);
+        let (live0, _) = at(thread_counts());
+        let mut v: Vec<u8> = Vec::with_capacity(1000);
+        assert_eq!(thread_counts().live_bytes, live0 + 1000);
+        v.reserve_exact(4000); // realloc: the old block's size comes off
+        assert_eq!(thread_counts().live_bytes, live0 + 4000);
+        drop(v);
+        let (live, high) = at(thread_counts());
+        assert_eq!(live, live0);
+        assert!(high >= live0 + 4000, "high-water must keep the peak");
+    }
+
+    #[test]
+    fn region_peak_is_its_own_high_water_above_entry() {
+        let _registry = registry();
+        reset_regions();
+        let _held = vec![0u8; 10_000]; // live before entry: not the region's
+        {
+            let _outer = region("test_peak_outer");
+            let a = vec![0u8; 3000];
+            {
+                let _inner = region("test_peak_inner");
+                drop(vec![0u8; 500]);
+            }
+            drop(a);
+            drop(vec![0u8; 2000]); // below the earlier 3500: no new peak
+        }
+        {
+            let _again = region("test_peak_inner"); // max over entries
+            drop(vec![0u8; 800]);
+        }
+        let stats = region_stats();
+        let peak = |n: &str| {
+            stats
+                .iter()
+                .find(|r| r.name == n)
+                .map(|r| r.peak_live_bytes)
+        };
+        assert_eq!(peak("test_peak_inner"), Some(800));
+        assert_eq!(peak("test_peak_outer"), Some(3500));
+    }
+
+    #[test]
+    fn a_thread_publishes_when_its_outermost_region_drops() {
+        let _registry = registry();
+        // Two scenarios back to back, as the bench harness runs them: the
+        // first's worker has dropped its regions but not yet exited when
+        // the harness reads and resets. Its counts must be there for that
+        // read, and nothing of it may arrive afterwards.
+        use std::sync::mpsc::channel;
+        let stats_of = |name: &str| region_stats().into_iter().find(|r| r.name == name);
+        let (done, seen) = (channel::<()>(), channel::<()>());
+        let (done_tx, seen_rx) = (done.0, seen.1);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                {
+                    let _outer = region("test_publish_outer");
+                    let _inner = region("test_publish_inner");
+                    drop(vec![0u8; 64]);
+                }
+                done_tx.send(()).expect("harness is waiting");
+                seen_rx.recv().expect("harness releases the worker");
+            });
+            done.1.recv().expect("worker reports its regions closed");
+            let first = stats_of("test_publish_inner").expect("published before thread exit");
+            assert_eq!((first.allocs, first.entries), (1, 1));
+            assert!(stats_of("test_publish_outer").is_some());
+            reset_regions();
+            seen.0.send(()).expect("worker is waiting");
+        });
+        {
+            let _second = region("test_publish_second");
+            drop(vec![0u8; 32]);
+        }
+        assert!(
+            stats_of("test_publish_inner").is_none(),
+            "moved a scenario down"
+        );
+        assert_eq!(stats_of("test_publish_second").map(|r| r.allocs), Some(1));
+    }
+
+    #[test]
     fn realloc_is_attributed_to_the_region() {
+        let _registry = registry();
         reset_regions();
         let mut v: Vec<u64> = Vec::with_capacity(4);
         {

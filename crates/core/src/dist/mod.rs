@@ -91,13 +91,14 @@ impl Distribution {
 }
 
 /// The read-only shared state of a distributed matrix: the matrix, its
-/// distribution, and the symmetrised pattern used for interior/interface
-/// classification.
+/// distribution, and the interior/interface classification of every row.
 #[derive(Clone, Debug)]
 pub struct DistMatrix {
     a: CsrMatrix,
     dist: Distribution,
-    sym: CsrMatrix,
+    /// `interface[i]`: row `i` couples, in the symmetrised pattern, to a
+    /// row of another rank.
+    interface: Vec<bool>,
 }
 
 /// A rank's view of the distribution: its nodes in *local order* —
@@ -113,8 +114,8 @@ pub struct LocalView {
     pub interface: Vec<usize>,
     /// interior ++ interface — the local vector ordering.
     pub nodes: Vec<usize>,
-    /// Dense global→local map (`usize::MAX` for non-local nodes).
-    local_pos: Vec<usize>,
+    /// Dense global→local map (`u32::MAX` for non-local nodes).
+    local_pos: Vec<u32>,
 }
 
 impl LocalView {
@@ -131,14 +132,19 @@ impl LocalView {
     /// Local position of a global node, if owned by this rank.
     pub fn pos_of(&self, node: usize) -> Option<usize> {
         match self.local_pos[node] {
-            usize::MAX => None,
-            p => Some(p),
+            u32::MAX => None,
+            p => Some(p as usize),
         }
     }
 
     /// True when global `node` is owned by this rank.
     pub fn owns(&self, node: usize) -> bool {
-        self.local_pos[node] != usize::MAX
+        self.local_pos[node] != u32::MAX
+    }
+
+    /// Stored entries of this rank's rows of `a`.
+    pub fn nnz(&self, a: &CsrMatrix) -> usize {
+        self.nodes.iter().map(|&i| a.row_nnz(i)).sum()
     }
 
     /// The columns of this rank's rows of `a` that another rank owns, row
@@ -155,8 +161,19 @@ impl DistMatrix {
     pub fn new(a: CsrMatrix, dist: Distribution) -> Self {
         assert_eq!(a.n_rows(), a.n_cols());
         assert_eq!(a.n_rows(), dist.n_rows());
-        let sym = a.symmetrized_pattern();
-        DistMatrix { a, dist, sym }
+        // A stored `(k, j)` is an edge of the symmetrised pattern from both
+        // of its ends.
+        let mut interface = vec![false; a.n_rows()];
+        for k in 0..a.n_rows() {
+            let owner = dist.owner(k);
+            for &j in a.row(k).0 {
+                if dist.owner(j) != owner {
+                    interface[k] = true;
+                    interface[j] = true;
+                }
+            }
+        }
+        DistMatrix { a, dist, interface }
     }
 
     /// Partition-and-wrap convenience.
@@ -180,26 +197,18 @@ impl DistMatrix {
         self.a.n_rows()
     }
 
-    /// Builds rank `rank`'s local view, classifying interior vs interface
-    /// nodes by the symmetrised pattern.
+    /// Builds rank `rank`'s local view: its rows, interiors before
+    /// interfaces.
     pub fn local_view(&self, rank: usize) -> LocalView {
-        let rows = self.dist.rows_of(rank);
-        let mut interior = Vec::new();
-        let mut interface = Vec::new();
-        for &i in rows {
-            let (nbrs, _) = self.sym.row(i);
-            let is_interior = nbrs.iter().all(|&j| self.dist.owner(j) == rank);
-            if is_interior {
-                interior.push(i);
-            } else {
-                interface.push(i);
-            }
-        }
+        assert!(self.n() < u32::MAX as usize, "local positions are 32-bit");
+        let rows = self.dist.rows_of(rank).iter().copied();
+        let (interface, interior): (Vec<usize>, Vec<usize>) =
+            rows.partition(|&i| self.interface[i]);
         let mut nodes = interior.clone();
         nodes.extend_from_slice(&interface);
-        let mut local_pos = vec![usize::MAX; self.n()];
+        let mut local_pos = vec![u32::MAX; self.n()];
         for (p, &g) in nodes.iter().enumerate() {
-            local_pos[g] = p;
+            local_pos[g] = p as u32;
         }
         LocalView {
             rank,
@@ -213,9 +222,7 @@ impl DistMatrix {
     /// Total interface nodes over all ranks — the size of the paper's
     /// reduced matrix `A_I`.
     pub fn total_interface(&self) -> usize {
-        (0..self.dist.n_ranks())
-            .map(|r| self.local_view(r).interface.len())
-            .sum()
+        self.interface.iter().filter(|&&f| f).count()
     }
 }
 
@@ -276,6 +283,54 @@ mod tests {
         assert_eq!(v0.pos_of(1), Some(4));
         assert_eq!(v0.pos_of(2), None);
         assert!(v1.owns(2));
+    }
+
+    #[test]
+    fn classification_equals_the_definition_on_unsymmetric_patterns() {
+        // The definition: a row is interface iff some row coupled to it in
+        // `pattern(A) ∪ pattern(Aᵀ)` has another owner. Inputs carry
+        // one-way entries, two-way pairs, explicit and missing diagonals,
+        // empty rows and empty ranks.
+        use pilut_sparse::{CooMatrix, SplitMix64};
+        for case in 0..64 {
+            let mut rng = SplitMix64::new(case);
+            let n = 1 + rng.next_usize(24);
+            let mut coo = CooMatrix::new(n, n);
+            for _ in 0..rng.next_usize(3 * n) {
+                let (i, j) = (rng.next_usize(n), rng.next_usize(n));
+                coo.push(i, j, 1.0);
+                if rng.next_usize(3) == 0 {
+                    coo.push(j, i, 1.0);
+                }
+            }
+            let a = coo.to_csr();
+            let p = 1 + rng.next_usize(5);
+            let part: Vec<usize> = (0..n).map(|_| rng.next_usize(p)).collect();
+            let mut coupled = vec![Vec::new(); n];
+            for i in 0..n {
+                for &j in a.row(i).0 {
+                    coupled[i].push(j);
+                    coupled[j].push(i);
+                }
+            }
+            let is_interface = |i: usize| coupled[i].iter().any(|&j| part[j] != part[i]);
+            let dm = DistMatrix::new(a, Distribution::from_part(part.clone(), p));
+            for r in 0..p {
+                let v = dm.local_view(r);
+                let mine = || (0..n).filter(|&i| part[i] == r);
+                let want: Vec<usize> = mine().filter(|&i| !is_interface(i)).collect();
+                assert_eq!(v.interior, want, "case {case}, rank {r}");
+                let want: Vec<usize> = mine().filter(|&i| is_interface(i)).collect();
+                assert_eq!(v.interface, want, "case {case}, rank {r}");
+                for (i, &owner) in part.iter().enumerate() {
+                    assert_eq!(v.owns(i), owner == r, "case {case}, rank {r}");
+                    let pos = v.nodes.iter().position(|&g| g == i);
+                    assert_eq!(v.pos_of(i), pos, "case {case}, rank {r}");
+                }
+            }
+            let total = (0..n).filter(|&i| is_interface(i)).count();
+            assert_eq!(dm.total_interface(), total, "case {case}");
+        }
     }
 
     #[test]

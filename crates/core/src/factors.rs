@@ -61,6 +61,26 @@ impl Arena {
     }
 }
 
+/// What [`triangle_reserve`] takes at most, in multiples of the entries of
+/// the rows being factored: above `rows · m` wherever `m` is a real bound
+/// (TORSO ILUT(20, 1e-6): 3.0 times its input, of which a triangle keeps
+/// 2.3), far below `m = n`.
+const RESERVE_CAP: usize = 4;
+
+/// Entries to reserve in each triangle of an ILUT(m, t) factor of `rows`
+/// rows with `nnz` input entries, before the first row is pushed: the
+/// dropping rules keep at most `m` of a row per triangle and a row has no
+/// more than `n` columns, so `rows · min(m, n)` holds the whole factor —
+/// unless `m` is too loose to say anything (the exact-LU configurations
+/// pass `m = n`), where [`RESERVE_CAP`] times the input is the first guess
+/// and the arenas grow from there. Reserved once, shrunk once: four
+/// vectors that reach their size by doubling leave a trail of holes in a
+/// rank thread's malloc arena that nothing later fits into (DESIGN §16.6).
+pub(crate) fn triangle_reserve(rows: usize, n: usize, m: usize, nnz: usize) -> usize {
+    let cap = RESERVE_CAP.saturating_mul(nnz);
+    rows.saturating_mul(m.min(n)).min(cap)
+}
+
 /// Strict `L`, pivots and strict `U` of rows `0..n_rows()`, row `p` living
 /// at slot `p`. `L` has an implicit unit diagonal. Entries keep the order
 /// they were pushed in; the sweeps sum in that order.
@@ -279,6 +299,20 @@ mod tests {
     /// Exact LU of [[2,1],[4,5]]: L21 = 2, U = [[2,1],[0,3]].
     fn small() -> LuFactors {
         factors(&[(&[], 2.0, &[(1, 1.0)]), (&[(0, 2.0)], 3.0, &[])])
+    }
+
+    #[test]
+    fn triangle_reserve_is_rows_times_m_until_m_says_nothing() {
+        // TORSO ILUT(20, 1e-6) on two ranks: the dropping rules' bound.
+        assert_eq!(triangle_reserve(11_588, 23_176, 20, 78_148), 231_760);
+        // The exact-LU configurations of the tests pass m = n (or more):
+        // O(nnz), not rows · n.
+        for m in [576, 577, usize::MAX] {
+            assert_eq!(triangle_reserve(288, 576, m, 1_392), RESERVE_CAP * 1_392);
+        }
+        // No rows, or rows with no entries, reserve nothing.
+        assert_eq!(triangle_reserve(0, 576, 10, 0), 0);
+        assert_eq!(triangle_reserve(3, 576, 10, 0), 0);
     }
 
     #[test]

@@ -52,7 +52,8 @@ pub fn par_ilu0_with(
     let a = dm.matrix();
     let n = dm.n();
     let role = role_map(local, n);
-    let mut fb = FactorBuilder::new(local);
+    // Zero fill: neither triangle outgrows the rank's rows of `A`.
+    let mut fb = FactorBuilder::new(local, local.nnz(a));
     let mut stats = ParStats::default();
     // The level table of `par_ilut`, filled the same way: `meter` collects
     // the flops and pivots of the entry being measured from `mark`. ILU(0)

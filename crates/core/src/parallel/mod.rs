@@ -28,6 +28,7 @@ pub use store::{RankFactors, RowRef};
 use crate::breakdown::PivotFault;
 use crate::dist::exchange::{tags, AllPeers};
 use crate::dist::{DistMatrix, LocalView};
+use crate::factors::triangle_reserve;
 use crate::options::{FactorError, IlutOptions};
 use crate::serial::drop_rules::{
     keep_largest_multipliers, selection_cost, threshold_and_cap_in_place,
@@ -217,7 +218,10 @@ pub fn par_ilut(
     let a = dm.matrix();
     let n = dm.n();
     let role = role_map(local, n);
-    let mut fb = FactorBuilder::new(local);
+    let mut fb = FactorBuilder::new(
+        local,
+        triangle_reserve(local.len(), n, opts.m, local.nnz(a)),
+    );
     let mut stats = ParStats::default();
     // The row kernel carries the working row, the scratch parts, the
     // breakdown state (its first unusable pivot is deferred to the

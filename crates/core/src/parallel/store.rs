@@ -148,10 +148,14 @@ pub(crate) struct FactorBuilder<'a> {
 }
 
 impl<'a> FactorBuilder<'a> {
-    pub(crate) fn new(local: &'a LocalView) -> Self {
+    /// A builder whose arenas hold `reserve` entries per triangle from the
+    /// start; [`finish`](Self::finish) gives back what was not used.
+    pub(crate) fn new(local: &'a LocalView, reserve: usize) -> Self {
+        let mut store = FactorStore::with_capacity(local.len());
+        store.reserve_entries(reserve);
         FactorBuilder {
             local,
-            store: FactorStore::with_capacity(local.len()),
+            store,
             staged: local.interface.iter().map(|_| Staged::default()).collect(),
         }
     }

@@ -4,7 +4,7 @@
 //! phase: every row runs through the same [`IlutRow`] kernel, with identity
 //! slot numbering and nobody listening to the work charges.
 
-use crate::factors::{FactorStore, LuFactors};
+use crate::factors::{triangle_reserve, FactorStore, LuFactors};
 use crate::options::{FactorError, FactorStats, IlutOptions};
 use crate::serial::kernel::IlutRow;
 use pilut_sparse::CsrMatrix;
@@ -31,9 +31,7 @@ pub fn ilut_with_stats(
     let n = a.n_rows();
     let mut kernel = IlutRow::new(n, opts);
     let mut store = FactorStore::with_capacity(n);
-    // Each triangle keeps at most `m` entries per row; for a cap too loose
-    // to say anything, twice the input is the first guess.
-    store.reserve_entries(n.saturating_mul(opts.m).min(2 * a.nnz()));
+    store.reserve_entries(triangle_reserve(n, n, opts.m, a.nnz()));
     let id = |j: usize| j;
     for i in 0..n {
         kernel.factor_row(a, i, opts, |j| j < i, &mut store, id, id, &mut |_| {});

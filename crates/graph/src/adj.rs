@@ -8,7 +8,7 @@ use pilut_sparse::CsrMatrix;
 ///
 /// Invariants: no self-loops; for every arc `(u, v)` the reverse arc
 /// `(v, u)` is present with the same weight; neighbour lists are sorted.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Graph {
     xadj: Vec<usize>,
     adjncy: Vec<usize>,
@@ -69,19 +69,21 @@ impl Graph {
             a.n_cols(),
             "structure graph needs a square matrix"
         );
-        let s = a.symmetrized_pattern();
-        let n = s.n_rows();
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy = Vec::with_capacity(s.nnz());
-        xadj.push(0);
-        for i in 0..n {
-            let (cols, _) = s.row(i);
-            for &j in cols {
-                if j != i {
-                    adjncy.push(j);
-                }
-            }
-            xadj.push(adjncy.len());
+        let n = a.n_rows();
+        let mut xadj = vec![0usize; n + 1];
+        for_each_arc(a, |u, _| xadj[u + 1] += 1);
+        for u in 0..n {
+            xadj[u + 1] += xadj[u];
+        }
+        let mut adjncy = vec![0usize; xadj[n]];
+        let mut next = xadj[..n].to_vec();
+        for_each_arc(a, |u, v| {
+            adjncy[next[u]] = v;
+            next[u] += 1;
+        });
+        // A row's transposed arcs land around its own (sorted) columns.
+        for u in 0..n {
+            adjncy[xadj[u]..xadj[u + 1]].sort_unstable();
         }
         let m = adjncy.len();
         Graph {
@@ -159,6 +161,20 @@ impl Graph {
     }
 }
 
+/// Calls `emit(u, v)` once per arc of the symmetrised pattern of `a`: a
+/// stored off-diagonal entry `(i, j)` gives `i → j`, and `j → i` too unless
+/// `(j, i)` is stored and gives that arc itself.
+fn for_each_arc(a: &CsrMatrix, mut emit: impl FnMut(usize, usize)) {
+    for i in 0..a.n_rows() {
+        for &j in a.row(i).0.iter().filter(|&&j| j != i) {
+            emit(i, j);
+            if a.row(j).0.binary_search(&i).is_err() {
+                emit(j, i);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +210,46 @@ mod tests {
         // no self loops
         for u in 0..9 {
             assert!(!g.neighbor_ids(u).contains(&u));
+        }
+    }
+
+    /// The definition, row by row: the sorted union of row `i` of the
+    /// pattern and of its transpose, without the diagonal.
+    fn symmetrised_rows(a: &CsrMatrix) -> Vec<Vec<usize>> {
+        let mut rows = vec![std::collections::BTreeSet::new(); a.n_rows()];
+        for i in 0..a.n_rows() {
+            for &j in a.row(i).0.iter().filter(|&&j| j != i) {
+                rows[i].insert(j);
+                rows[j].insert(i);
+            }
+        }
+        rows.into_iter().map(|r| r.into_iter().collect()).collect()
+    }
+
+    #[test]
+    fn from_matrix_pattern_equals_the_definition_on_unsymmetric_patterns() {
+        // One-way entries, two-way pairs, explicit and missing diagonals,
+        // empty rows; `from_raw` re-asserts every invariant of the result.
+        for case in 0..64 {
+            let mut rng = pilut_sparse::SplitMix64::new(case);
+            let n = 1 + rng.next_usize(24);
+            let mut coo = pilut_sparse::CooMatrix::new(n, n);
+            for _ in 0..rng.next_usize(4 * n) {
+                let (i, j) = (rng.next_usize(n), rng.next_usize(n));
+                coo.push(i, j, 1.0);
+                if rng.next_usize(3) == 0 {
+                    coo.push(j, i, 1.0);
+                }
+            }
+            let a = coo.to_csr();
+            let g = Graph::from_csr_pattern(&a);
+            let want = symmetrised_rows(&a);
+            for (u, row) in want.iter().enumerate() {
+                assert_eq!(g.neighbor_ids(u), &row[..], "case {case}, row {u}");
+            }
+            let checked = Graph::from_raw(g.xadj, g.adjncy, g.adjwgt, g.vwgt);
+            assert_eq!(checked.n_vertices(), n, "case {case}");
+            assert!(checked.adjwgt.iter().all(|&w| w == 1), "case {case}");
         }
     }
 

@@ -73,20 +73,25 @@ pub fn partition_kway(g: &Graph, opts: &PartitionOptions) -> PartitionResult {
     let mut rng = SplitMix64::new(opts.seed);
 
     // --- Coarsening phase -------------------------------------------------
-    let mut levels: Vec<(Graph, Vec<usize>)> = Vec::new(); // (finer graph, cmap)
-    let mut cur = g.clone();
+    // `levels[i]` = (map of level i's vertices onto the next coarser graph,
+    // that graph); level 0 is the caller's `g`, borrowed.
+    let mut levels: Vec<(Vec<usize>, Graph)> = Vec::new();
     let floor = COARSEN_TO.max(4 * k);
-    while cur.n_vertices() > floor {
-        let (coarse, cmap) = coarsen_once(&cur, &mut rng);
+    loop {
+        let cur = levels.last().map_or(g, |(_, coarse)| coarse);
+        if cur.n_vertices() <= floor {
+            break;
+        }
+        let (coarse, cmap) = coarsen_once(cur, &mut rng);
         // Stalled coarsening (e.g. star graphs): give up and partition as-is.
         if coarse.n_vertices() as f64 > 0.95 * cur.n_vertices() as f64 {
             break;
         }
-        levels.push((cur, cmap));
-        cur = coarse;
+        levels.push((cmap, coarse));
     }
 
     // --- Initial partitioning on the coarsest graph -----------------------
+    let cur = levels.last().map_or(g, |(_, coarse)| coarse);
     let total = cur.total_vertex_weight();
     let mut part = vec![usize::MAX; cur.n_vertices()];
     let targets: Vec<i64> = (0..k)
@@ -96,18 +101,16 @@ pub fn partition_kway(g: &Graph, opts: &PartitionOptions) -> PartitionResult {
         })
         .collect();
     let all: Vec<usize> = (0..cur.n_vertices()).collect();
-    recursive_bisect(&cur, &all, &targets, 0, &mut part, &mut rng);
+    recursive_bisect(cur, &all, &targets, 0, &mut part, &mut rng);
     debug_assert!(part.iter().all(|&p| p < k));
 
     // --- Uncoarsening + refinement ----------------------------------------
-    refine_kway(&cur, &mut part, k, &mut rng);
-    while let Some((finer, cmap)) = levels.pop() {
-        let mut fine_part = vec![0usize; finer.n_vertices()];
-        for (u, &c) in cmap.iter().enumerate() {
-            fine_part[u] = part[c];
-        }
-        part = fine_part;
-        refine_kway(&finer, &mut part, k, &mut rng);
+    refine_kway(cur, &mut part, k, &mut rng);
+    while let Some((cmap, coarse)) = levels.pop() {
+        drop(coarse); // `part` is all that is left to read of it
+        part = cmap.iter().map(|&c| part[c]).collect();
+        let finer = levels.last().map_or(g, |(_, coarse)| coarse);
+        refine_kway(finer, &mut part, k, &mut rng);
     }
     finish(g, part, k)
 }
@@ -167,50 +170,47 @@ fn coarsen_once(g: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<usize>) {
     for u in 0..n {
         cvwgt[cmap[u]] += g.vertex_weight(u);
     }
-    // Accumulate coarse adjacency with a dense scratch map (reset per vertex).
+    // One coarse row per matched pair, built at the pair's lower endpoint
+    // (coarse ids ascend with it) in a scratch row; `pos` maps a coarse
+    // neighbour to its slot there and is reset per row.
+    let arcs: usize = (0..n).map(|u| g.degree(u)).sum();
     let mut xadj = Vec::with_capacity(nc + 1);
-    let mut adjncy: Vec<usize> = Vec::new();
-    let mut adjwgt: Vec<i64> = Vec::new();
+    let mut adjncy: Vec<usize> = Vec::with_capacity(arcs);
+    let mut adjwgt: Vec<i64> = Vec::with_capacity(arcs);
     xadj.push(0);
-    let mut pos = vec![usize::MAX; nc]; // coarse nbr -> slot in current row
-                                        // Group fine vertices by coarse id.
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); nc];
+    let mut pos = vec![usize::MAX; nc];
+    let mut row: Vec<(usize, i64)> = Vec::new();
     for u in 0..n {
-        members[cmap[u]].push(u);
-    }
-    for (c, mem) in members.iter().enumerate() {
-        let row_start = adjncy.len();
-        for &u in mem {
-            for (v, w) in g.neighbors(u) {
-                let cv = cmap[v];
-                if cv == c {
+        let v = mate[u];
+        if v < u {
+            continue;
+        }
+        let c = cmap[u];
+        row.clear();
+        for x in [u, v].into_iter().take(1 + usize::from(v != u)) {
+            for (y, w) in g.neighbors(x) {
+                let cy = cmap[y];
+                if cy == c {
                     continue; // internal edge collapses
                 }
-                if pos[cv] == usize::MAX {
-                    pos[cv] = adjncy.len();
-                    adjncy.push(cv);
-                    adjwgt.push(w);
+                if pos[cy] == usize::MAX {
+                    pos[cy] = row.len();
+                    row.push((cy, w));
                 } else {
-                    adjwgt[pos[cv]] += w;
+                    row[pos[cy]].1 += w;
                 }
             }
         }
-        // Reset scratch and sort the row.
-        let mut row: Vec<(usize, i64)> = adjncy[row_start..]
-            .iter()
-            .copied()
-            .zip(adjwgt[row_start..].iter().copied())
-            .collect();
-        for &(v, _) in &row {
-            pos[v] = usize::MAX;
+        for &(cy, _) in &row {
+            pos[cy] = usize::MAX;
         }
-        row.sort_unstable_by_key(|&(v, _)| v);
-        for (slot, (v, w)) in row.into_iter().enumerate() {
-            adjncy[row_start + slot] = v;
-            adjwgt[row_start + slot] = w;
-        }
+        row.sort_unstable_by_key(|&(cy, _)| cy);
+        adjncy.extend(row.iter().map(|&(cy, _)| cy));
+        adjwgt.extend(row.iter().map(|&(_, w)| w));
         xadj.push(adjncy.len());
     }
+    adjncy.shrink_to_fit();
+    adjwgt.shrink_to_fit();
     (Graph::from_raw(xadj, adjncy, adjwgt, cvwgt), cmap)
 }
 

@@ -358,6 +358,10 @@ impl Machine {
                     .map(|shared| FaultSession::new(Arc::clone(shared), rank));
                 let ssched = sched.as_ref().map(|h| SchedSession::new(h, rank));
                 scope.spawn(move || {
+                    // The rank's outermost audit region: every region the
+                    // body enters publishes when this one drops, which is
+                    // before the scope can see the rank as finished.
+                    let _audit = pilut_allocaudit::region("rank");
                     let mut ctx = Ctx::new(
                         rank, p, model, senders, rx, check, poll, session, ssched, flags,
                     );

@@ -212,7 +212,9 @@ mod tests {
     /// refcounts, pending queues) is harness-owned by the DESIGN §16
     /// taxonomy, so even with the audit allocator compiled in, a
     /// production exchange inside a `ZeroAllocScope` is silent and no
-    /// region is ever recorded.
+    /// region is recorded but the span the machine puts around every rank
+    /// body (through which a rank's regions reach the registry before the
+    /// rank is joined).
     #[test]
     fn production_run_records_no_audit_regions() {
         pilut_allocaudit::reset_regions();
@@ -235,7 +237,7 @@ mod tests {
         assert_eq!(out.results, vec![1.0, 0.0]);
         let regions = pilut_allocaudit::region_stats();
         assert!(
-            regions.is_empty(),
+            regions.iter().all(|r| r.name == "rank"),
             "production Machine::run recorded audit regions: {regions:?}"
         );
     }

@@ -258,52 +258,6 @@ impl CsrMatrix {
         self.row_ptr == t.row_ptr && self.col_idx == t.col_idx
     }
 
-    /// The union of the pattern with its transpose, keeping this matrix's
-    /// values and storing explicit zeros for the added positions.
-    pub fn symmetrized_pattern(&self) -> CsrMatrix {
-        assert_eq!(
-            self.n_rows, self.n_cols,
-            "pattern symmetrisation needs a square matrix"
-        );
-        let t = self.transpose();
-        let n = self.n_rows;
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for i in 0..n {
-            let (ca, va) = self.row(i);
-            let (cb, _) = t.row(i);
-            let (mut p, mut q) = (0, 0);
-            while p < ca.len() || q < cb.len() {
-                let ja = ca.get(p).copied().unwrap_or(usize::MAX);
-                let jb = cb.get(q).copied().unwrap_or(usize::MAX);
-                if ja < jb {
-                    col_idx.push(ja);
-                    values.push(va[p]);
-                    p += 1;
-                } else if jb < ja {
-                    col_idx.push(jb);
-                    values.push(0.0);
-                    q += 1;
-                } else {
-                    col_idx.push(ja);
-                    values.push(va[p]);
-                    p += 1;
-                    q += 1;
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix {
-            n_rows: n,
-            n_cols: n,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// The 2-norm of row `i`.
     pub fn row_norm2(&self, i: usize) -> f64 {
         let (_, vals) = self.row(i);
@@ -439,10 +393,6 @@ mod tests {
         assert!(small().is_structurally_symmetric());
         let a = CsrMatrix::from_raw(2, 2, vec![0, 2, 3], vec![0, 1, 1], vec![1.0, 2.0, 3.0]);
         assert!(!a.is_structurally_symmetric());
-        let s = a.symmetrized_pattern();
-        assert!(s.is_structurally_symmetric());
-        assert_eq!(s.get(1, 0), Some(0.0)); // added explicit zero
-        assert_eq!(s.get(0, 1), Some(2.0)); // original value kept
     }
 
     #[test]

@@ -95,23 +95,6 @@ fn symmetric_permutation_preserves_entries() {
 }
 
 #[test]
-fn symmetrized_pattern_contains_both_directions() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(case);
-        let a = coo_matrix(&mut rng, 15, 50);
-        let s = a.symmetrized_pattern();
-        assert!(s.is_structurally_symmetric(), "case {case}");
-        for i in 0..a.n_rows() {
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                assert_eq!(s.get(i, j), Some(v), "case {case}");
-                assert!(s.get(j, i).is_some(), "case {case}");
-            }
-        }
-    }
-}
-
-#[test]
 fn matrix_market_roundtrip() {
     for case in 0..CASES {
         let mut rng = SplitMix64::new(case);

@@ -18,7 +18,9 @@
 //!   `mis_rounds` region at most [`MIS_ALLOCS_PER_MESSAGE`] per dist-MIS
 //!   message, the `alg42_sweep` region at most [`SWEEP_GROWTHS_PER_ROW`]
 //!   per interface row, the `plan_replay` region the frames' buffers and
-//!   nothing else, a serial row puts nothing on the wire) are asserted on the
+//!   nothing else, `distribute_p8` at most [`DISTRIBUTE_LIVE_PER_INPUT`]
+//!   live bytes per byte of its matrix, a serial row puts nothing on the
+//!   wire) are asserted on the
 //!   typed [`Measurement`] inside `xtask bench`, before the report is written;
 //!   an unfiltered run also asserts that every gated region was entered by
 //!   some scenario ([`unrecorded_region`]), so a renamed region cannot pass
@@ -45,12 +47,13 @@ use std::time::Instant;
 
 use pilut_allocaudit::RegionStats;
 use pilut_core::dist::exchange::tags;
-use pilut_core::dist::{DistMatrix, LocalView};
+use pilut_core::dist::{DistMatrix, Distribution, LocalView};
 use pilut_core::options::{FactorError, IlutOptions};
 use pilut_core::parallel::par_ilut;
 use pilut_core::precond::IluPreconditioner;
 use pilut_core::serial::{block_ilut, block_ilut_with_stats, ilut, ilut_with_stats};
 use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
+use pilut_graph::{partition_kway, Graph, PartitionOptions};
 use pilut_par::{
     Ctx, FaultAction, FaultPlan, FaultRule, Machine, MachineModel, MachineStats, RunOutput,
 };
@@ -102,6 +105,16 @@ const UROWS_ALLOCS_PER_MESSAGE: u64 = 2;
 /// against 16.0 (p = 4) / 18.6 (p = 8) for the two exact-size copies per
 /// row-touch that preceded it; three growths per buffer is the budget.
 const SWEEP_GROWTHS_PER_ROW: u64 = 6;
+
+/// Most bytes `distribute_p8` may hold at once, per byte of its matrix
+/// (`8·(n + 1) + 16·nnz`). Resident at the peak — the deepest coarsening
+/// level — are the matrix `DistMatrix` will keep (1.0), the structure
+/// graph (0.9), the coarsening hierarchy (a geometric sum, 1.3 graphs) and
+/// one level's scratch: 3.49 at full size, 3.46 at `--quick` size. The
+/// transpose and the symmetrised copy behind the graph, the partitioner's
+/// clone of it and the symmetrised copy in `DistMatrix` held 5.04 / 5.18
+/// (EXPERIMENTS).
+const DISTRIBUTE_LIVE_PER_INPUT: f64 = 3.6;
 
 /// Dofs per node of `gen::elasticity_3d` = the tile size of `block_ilut`.
 const DOFS: usize = 3;
@@ -218,7 +231,7 @@ const DIST_SOLVE_ROBUST_P4: Scenario = Scenario {
 
 /// Every scenario, in report order. Rows that read as a pair sit next to
 /// each other: a scalar kernel and its one-rank or blocked counterpart.
-pub(crate) const SCENARIOS: [Scenario; 15] = [
+pub(crate) const SCENARIOS: [Scenario; 16] = [
     SERIAL_ILUT,
     // ILUT(n, 0) on a Laplacian: exact LU, the hardest fill per unknown.
     Scenario {
@@ -245,6 +258,15 @@ pub(crate) const SCENARIOS: [Scenario; 15] = [
         dims: (40, 200),
         inner: 50,
         body: Body::Serial(spmv_kernel),
+        ..SERIAL_ILUT
+    },
+    // Set-up on the driver thread, for 8 ranks: structure graph, k-way
+    // partition, `DistMatrix`, every rank's `LocalView`.
+    Scenario {
+        name: "distribute_p8",
+        matrix: gen::g40,
+        dims: (1, 6),
+        body: Body::Serial(distribute_kernel),
         ..SERIAL_ILUT
     },
     // Right-preconditioned GMRES(30) to 1e-8, ILUT preconditioner.
@@ -343,6 +365,34 @@ fn spmv_kernel<'a>(a: &'a CsrMatrix, _: &'a IlutOptions) -> Kernel<'a> {
     }
 }
 
+fn distribute_kernel<'a>(a: &'a CsrMatrix, _: &'a IlutOptions) -> Kernel<'a> {
+    const P: usize = 8;
+    let distribute = move || {
+        let owned = a.clone(); // the pipeline consumes its matrix
+        let g = Graph::from_csr_pattern(&owned);
+        let popts = PartitionOptions {
+            seed: 17,
+            ..PartitionOptions::new(P)
+        };
+        let part = partition_kway(&g, &popts).part;
+        let dm = DistMatrix::new(owned, Distribution::from_part(part, P));
+        let views: Vec<LocalView> = (0..P).map(|r| dm.local_view(r)).collect();
+        std::hint::black_box((&g, &dm, &views)); // the caller still reads the graph's weights
+    };
+    let audit = pilut_allocaudit::region("distribute");
+    distribute();
+    let peak = audit.peak_live_bytes();
+    drop(audit);
+    let input_bytes = 8 * (a.n_rows() + 1) + 16 * a.nnz();
+    Kernel {
+        facts: Facts {
+            live_per_input: Some(peak as f64 / input_bytes as f64),
+            ..Facts::of(a.nnz(), None, None)
+        },
+        op: Box::new(distribute),
+    }
+}
+
 fn gmres_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
     let b = a.spmv_owned(&vec![1.0; a.n_rows()]);
     let f = must(ilut(a, opts));
@@ -379,10 +429,6 @@ fn timed(ctx: &mut Ctx, inner: usize, mut op: impl FnMut(&mut Ctx)) -> u64 {
     (t.elapsed().as_nanos() / inner as u128) as u64
 }
 
-fn local_nnz(dm: &DistMatrix, local: &LocalView) -> usize {
-    local.nodes.iter().map(|&g| dm.matrix().row_nnz(g)).sum()
-}
-
 fn par_ilut_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner: usize) -> RankOut {
     let local = dm.local_view(ctx.rank());
     let mut store = None;
@@ -393,7 +439,7 @@ fn par_ilut_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner: usi
     });
     RankOut {
         ns,
-        nnz: local_nnz(dm, &local),
+        nnz: local.nnz(dm.matrix()),
         store,
     }
 }
@@ -433,7 +479,7 @@ fn robust_solve_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner:
         rtol: 1e-8,
         max_matvecs: 400,
     };
-    let nnz = local_nnz(dm, &dm.local_view(ctx.rank()));
+    let nnz = dm.local_view(ctx.rank()).nnz(dm.matrix());
     let mut dead = false;
     let ns = timed(ctx, inner, |ctx| {
         let rep = dist_solve_robust(ctx, a, &b, dm.dist(), opts, &gopts);
@@ -467,6 +513,9 @@ pub(crate) struct Facts {
     pub(crate) flops: Option<f64>,
     /// Simulated T3D seconds of the whole stats pass (machine rows).
     pub(crate) sim_time: Option<f64>,
+    /// Peak live heap bytes of one operation per byte of its input matrix
+    /// (`distribute_p8`).
+    pub(crate) live_per_input: Option<f64>,
     /// Measured and planned traffic (all zero on a serial row).
     pub(crate) stats: MachineStats,
     /// Injected faults that fired. A killed epoch abandons planned rounds
@@ -552,6 +601,7 @@ fn run_row(s: &Scenario, quick: bool, reps: usize) -> Measurement {
                 heap_bytes: store.flatten().map(|s| s.1),
                 flops: Some(out.stats.flops),
                 sim_time: Some(out.sim_time),
+                live_per_input: None,
                 faults: out.injected_faults.len(),
                 stats: out.stats,
             };
@@ -608,6 +658,15 @@ fn check(m: &Measurement) -> Result<(), String> {
         return fail(format!(
             "a serial row must put nothing on the wire, measured {msgs} message(s) / {bytes} byte(s)"
         ));
+    }
+    match m.facts.live_per_input {
+        Some(live) if live > DISTRIBUTE_LIVE_PER_INPUT => {
+            return fail(format!(
+                "set-up held {live:.3} live byte(s) per byte of its matrix, budget \
+                 {DISTRIBUTE_LIVE_PER_INPUT}: a second copy of the pattern is resident"
+            ));
+        }
+        _ => {}
     }
     if m.facts.faults == 0 {
         for (&tag, &(messages, bytes, exact)) in &stats.planned_by_tag {
@@ -791,6 +850,10 @@ fn render_json(label: &str, quick: bool, results: &[Measurement]) -> String {
             .map(|(&t, &(m, b, exact))| (t, m, exact.then_some(b)));
         let regions = m.regions.iter();
         let steady = regions.clone().filter(|r| STEADY_REGIONS.contains(&r.name));
+        let live_peaks: Vec<String> = regions
+            .clone()
+            .map(|r| format!("{}:{}", r.name, r.peak_live_bytes))
+            .collect();
         let regions: Vec<String> = regions
             .map(|r| format!("{}:{}/{}", r.name, r.allocs, r.bytes))
             .collect();
@@ -799,7 +862,7 @@ fn render_json(label: &str, quick: bool, results: &[Measurement]) -> String {
              \"median_ns\": {}, \"min_ns\": {}, \"mnnz_per_s\": {:.2}, \
              \"comm_messages\": {}, \"comm_bytes\": {}, \"comm_tags\": \"{}\", \
              \"comm_planned\": \"{}\", \"allocs\": {}, \"alloc_bytes\": {}, \
-             \"alloc_regions\": \"{}\"}}",
+             \"alloc_regions\": \"{}\", \"alloc_live_peaks\": \"{}\"}}",
             m.row.name,
             m.facts.n,
             m.facts.nnz,
@@ -816,6 +879,7 @@ fn render_json(label: &str, quick: bool, results: &[Measurement]) -> String {
             steady.clone().map(|r| r.allocs).sum::<u64>(),
             steady.map(|r| r.bytes).sum::<u64>(),
             regions.join(" "),
+            live_peaks.join(" "),
         )
     };
     let rows: Vec<String> = results.iter().map(row).collect();
@@ -954,6 +1018,7 @@ mod tests {
             bytes: allocs * 64,
             deallocs: allocs,
             entries: 5,
+            peak_live_bytes: 0,
         }
     }
 
@@ -1159,6 +1224,31 @@ mod tests {
         // The pair the report prints as a ratio is the same factor twice.
         let fill = |name| facts(SCENARIOS.iter().find(|s| s.name == name).unwrap(), true).fill;
         assert_eq!(fill("dist_trisolve_p1"), fill("trisolve_serial"));
+    }
+
+    #[test]
+    fn exact_lu_holds_a_small_multiple_of_the_factor_it_returns() {
+        // ILUT(n, 0) is every test's exact-LU configuration: `m` bounds
+        // nothing there, and arenas reserved for `rows · m` entries would
+        // hold O(n²) bytes for a factor of O(n log n). What a rank holds at
+        // once — arenas in mid-growth, the live reduced rows, the working
+        // row — stays within 3× the store it hands back (1.9× and 1.5×
+        // here; `rows · n` reserved up front would be 23×).
+        let a = gen::laplace_2d(24, 24);
+        let opts = IlutOptions::new(a.n_rows(), 0.0);
+        let dm = DistMatrix::from_matrix(a, 2, 17);
+        let out = Machine::run(2, MachineModel::cray_t3d(), |ctx| {
+            let local = dm.local_view(ctx.rank());
+            let audit = pilut_allocaudit::region("test_exact_lu");
+            let rf = must(par_ilut(ctx, &dm, &local, &opts));
+            (audit.peak_live_bytes() as usize, rf.heap_bytes())
+        });
+        for (rank, &(peak, kept)) in out.results.iter().enumerate() {
+            assert!(
+                peak <= 3 * kept,
+                "rank {rank}: {peak} B live for {kept} B kept"
+            );
+        }
     }
 
     fn flags(s: &[&str]) -> Vec<String> {

@@ -1009,6 +1009,7 @@ fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> String {
     }
     let head = [
         "scenario", "p", "n", "nnz/op", "fill", "factor B", "flops", "sim (s)", "msgs", "bytes",
+        "live/A",
     ];
     let (mut rows, mut tags) = (Vec::new(), String::new());
     for s in &bench::SCENARIOS {
@@ -1031,6 +1032,7 @@ fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> String {
             cell(f.sim_time.filter(|_| clock)),
             cell(totals.then_some(f.stats.messages)),
             cell(totals.then_some(f.stats.bytes)),
+            cell(f.live_per_input.map(|l| format!("{l:.3}"))),
         ]);
         if s.ranks.is_some_and(|p| p > 1) {
             let printed = bench::measured(&f.stats).filter(|t| tag(tags::tag_name(t.0)));
@@ -1043,7 +1045,8 @@ fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> String {
 Measured traffic by tag, messages/bytes (`xtask bench` asserts it equals the
 plans' prediction, tag for tag, on every fault-free row):
 {tags}
-(`-`: not defined for the row — a serial kernel has no simulated clock, a
+(`live/A`: the most heap bytes the operation holds at once, per byte of its
+ matrix. `-`: not defined for the row — a serial kernel has no simulated clock, a
  solve holds no factor of its own — or not reproducible. The last two rows
  run under reliable delivery, where a receiver blocked for 4 ms of wall time
  sends NACKs, so their `ack` traffic and totals follow the host's load.
