@@ -8,12 +8,30 @@ use pilut_sparse::CsrMatrix;
 ///
 /// Invariants: no self-loops; for every arc `(u, v)` the reverse arc
 /// `(v, u)` is present with the same weight; neighbour lists are sorted.
+///
+/// Only the arc offsets are 64-bit. Ids are `u32` and weights `i32`: every
+/// graph is a [`Graph::from_csr_pattern`] (unit weights, its size checked by
+/// `assert_fits_32`) or a coarsening of one, whose weights are sums of its
+/// vertices or arcs.
 #[derive(Debug)]
 pub struct Graph {
     xadj: Vec<usize>,
-    adjncy: Vec<usize>,
-    adjwgt: Vec<i64>,
-    vwgt: Vec<i64>,
+    adjncy: Vec<u32>,
+    adjwgt: Vec<i32>,
+    vwgt: Vec<i32>,
+}
+
+/// Asserts that `n` vertices and `arcs` arcs fit [`Graph`]'s 32-bit ids and
+/// weights: a coarse vertex weight is at most `n`, a coarse edge weight at
+/// most `arcs`, so both must fit an `i32` (and an id then fits a `u32` with
+/// `u32::MAX` to spare as a sentinel).
+pub(crate) fn assert_fits_32(n: usize, arcs: usize) {
+    let max = i32::MAX as usize;
+    assert!(
+        n <= max && arcs <= max,
+        "graph of {n} vertices and {arcs} arcs exceeds the 32-bit ids and weights of `Graph` \
+         (at most {max} of each)"
+    );
 }
 
 impl Graph {
@@ -22,11 +40,11 @@ impl Graph {
     /// # Panics
     /// Panics on inconsistent arrays, self-loops, unsorted neighbour lists,
     /// or an asymmetric arc set.
-    pub fn from_raw(
+    pub(crate) fn from_raw(
         xadj: Vec<usize>,
-        adjncy: Vec<usize>,
-        adjwgt: Vec<i64>,
-        vwgt: Vec<i64>,
+        adjncy: Vec<u32>,
+        adjwgt: Vec<i32>,
+        vwgt: Vec<i32>,
     ) -> Self {
         let n = xadj.len().saturating_sub(1);
         assert_eq!(vwgt.len(), n);
@@ -38,8 +56,8 @@ impl Graph {
                 assert!(w[0] < w[1], "neighbour list of {u} not strictly sorted");
             }
             for &v in nbrs {
-                assert_ne!(v, u, "self-loop at {u}");
-                assert!(v < n, "neighbour out of range at {u}");
+                assert_ne!(v as usize, u, "self-loop at {u}");
+                assert!((v as usize) < n, "neighbour out of range at {u}");
             }
         }
         let g = Graph {
@@ -63,6 +81,10 @@ impl Graph {
     /// and `{i, j}` is an edge iff `a_ij != 0` or `a_ji != 0` structurally
     /// (the pattern is symmetrised; the diagonal is ignored). Unit vertex
     /// and edge weights.
+    ///
+    /// # Panics
+    /// Panics when the rows or the arcs outnumber an `i32`
+    /// (`assert_fits_32`).
     pub fn from_csr_pattern(a: &CsrMatrix) -> Self {
         assert_eq!(
             a.n_rows(),
@@ -75,10 +97,11 @@ impl Graph {
         for u in 0..n {
             xadj[u + 1] += xadj[u];
         }
-        let mut adjncy = vec![0usize; xadj[n]];
+        assert_fits_32(n, xadj[n]);
+        let mut adjncy = vec![0u32; xadj[n]];
         let mut next = xadj[..n].to_vec();
         for_each_arc(a, |u, v| {
-            adjncy[next[u]] = v;
+            adjncy[next[u]] = v as u32;
             next[u] += 1;
         });
         // A row's transposed arcs land around its own (sorted) columns.
@@ -106,16 +129,21 @@ impl Graph {
 
     /// The weight of vertex `u`.
     pub fn vertex_weight(&self, u: usize) -> i64 {
-        self.vwgt[u]
+        self.vwgt[u].into()
     }
 
     /// Sum of all vertex weights.
     pub fn total_vertex_weight(&self) -> i64 {
-        self.vwgt.iter().sum()
+        self.vwgt.iter().map(|&w| i64::from(w)).sum()
     }
 
     /// Iterates `(neighbour, edge_weight)` pairs of `u`.
     pub fn neighbors(&self, u: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
+        self.arcs(u).map(|(v, w)| (v as usize, w.into()))
+    }
+
+    /// [`Graph::neighbors`] as stored: what a coarser graph is built from.
+    pub(crate) fn arcs(&self, u: usize) -> impl Iterator<Item = (u32, i32)> + '_ {
         let (s, e) = (self.xadj[u], self.xadj[u + 1]);
         self.adjncy[s..e]
             .iter()
@@ -123,18 +151,13 @@ impl Graph {
             .zip(self.adjwgt[s..e].iter().copied())
     }
 
-    /// Neighbour ids only.
-    pub fn neighbor_ids(&self, u: usize) -> &[usize] {
-        &self.adjncy[self.xadj[u]..self.xadj[u + 1]]
-    }
-
     /// Weight of edge `{u, v}` if present.
     pub fn edge_weight(&self, u: usize, v: usize) -> Option<i64> {
         let (s, e) = (self.xadj[u], self.xadj[u + 1]);
-        self.adjncy[s..e]
-            .binary_search(&v)
-            .ok()
-            .map(|k| self.adjwgt[s + k])
+        let k = self.adjncy[s..e]
+            .binary_search(&u32::try_from(v).ok()?)
+            .ok()?;
+        Some(self.adjwgt[s + k].into())
     }
 
     /// Sum of the weights of edges crossing the given partition.
@@ -155,7 +178,7 @@ impl Graph {
     pub fn part_weights(&self, part: &[usize], k: usize) -> Vec<i64> {
         let mut w = vec![0i64; k];
         for (u, &p) in part.iter().enumerate() {
-            w[p] += self.vwgt[u];
+            w[p] += self.vertex_weight(u);
         }
         w
     }
@@ -209,7 +232,7 @@ mod tests {
         assert_eq!((0..9).map(|u| g.degree(u)).sum::<usize>(), 24);
         // no self loops
         for u in 0..9 {
-            assert!(!g.neighbor_ids(u).contains(&u));
+            assert!(g.neighbors(u).all(|(v, _)| v != u));
         }
     }
 
@@ -245,7 +268,8 @@ mod tests {
             let g = Graph::from_csr_pattern(&a);
             let want = symmetrised_rows(&a);
             for (u, row) in want.iter().enumerate() {
-                assert_eq!(g.neighbor_ids(u), &row[..], "case {case}, row {u}");
+                let got: Vec<usize> = g.neighbors(u).map(|(v, _)| v).collect();
+                assert_eq!(&got, row, "case {case}, row {u}");
             }
             let checked = Graph::from_raw(g.xadj, g.adjncy, g.adjwgt, g.vwgt);
             assert_eq!(checked.n_vertices(), n, "case {case}");
@@ -265,6 +289,19 @@ mod tests {
     fn part_weights_sum() {
         let g = path4();
         assert_eq!(g.part_weights(&[0, 1, 1, 0], 2), vec![2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "graph of 2147483648 vertices and 0 arcs exceeds the 32-bit")]
+    fn fit_guard_rejects_more_vertices_than_an_i32_holds() {
+        assert_fits_32(i32::MAX as usize, i32::MAX as usize); // the bound itself fits
+        assert_fits_32(i32::MAX as usize + 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "graph of 0 vertices and 2147483648 arcs exceeds the 32-bit")]
+    fn fit_guard_rejects_more_arcs_than_an_i32_holds() {
+        assert_fits_32(0, i32::MAX as usize + 1);
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub struct PartitionResult {
 pub fn partition_kway(g: &Graph, opts: &PartitionOptions) -> PartitionResult {
     let n = g.n_vertices();
     let k = opts.k.max(1);
-    assert!(k >= 1);
     if k == 1 || n == 0 {
         return finish(g, vec![0; n], k);
     }
@@ -75,7 +74,7 @@ pub fn partition_kway(g: &Graph, opts: &PartitionOptions) -> PartitionResult {
     // --- Coarsening phase -------------------------------------------------
     // `levels[i]` = (map of level i's vertices onto the next coarser graph,
     // that graph); level 0 is the caller's `g`, borrowed.
-    let mut levels: Vec<(Vec<usize>, Graph)> = Vec::new();
+    let mut levels: Vec<(Vec<u32>, Graph)> = Vec::new();
     let floor = COARSEN_TO.max(4 * k);
     loop {
         let cur = levels.last().map_or(g, |(_, coarse)| coarse);
@@ -108,7 +107,7 @@ pub fn partition_kway(g: &Graph, opts: &PartitionOptions) -> PartitionResult {
     refine_kway(cur, &mut part, k, &mut rng);
     while let Some((cmap, coarse)) = levels.pop() {
         drop(coarse); // `part` is all that is left to read of it
-        part = cmap.iter().map(|&c| part[c]).collect();
+        part = cmap.iter().map(|&c| part[c as usize]).collect();
         let finer = levels.last().map_or(g, |(_, coarse)| coarse);
         refine_kway(finer, &mut part, k, &mut rng);
     }
@@ -127,82 +126,85 @@ fn finish(g: &Graph, part: Vec<usize>, k: usize) -> PartitionResult {
 
 /// One level of heavy-edge matching coarsening. Returns the coarse graph and
 /// the fine→coarse vertex map.
-fn coarsen_once(g: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<usize>) {
+///
+/// Everything here is 32-bit, as the graphs are: ids below `u32::MAX`
+/// (the "none" mark below), weights that sum to at most the finest graph's
+/// vertex or arc count (`assert_fits_32`).
+fn coarsen_once(g: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<u32>) {
+    const NONE: u32 = u32::MAX;
     let n = g.n_vertices();
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut order: Vec<u32> = (0..n as u32).collect();
     rng.shuffle(&mut order);
-    let mut mate = vec![usize::MAX; n];
-    for &u in &order {
-        if mate[u] != usize::MAX {
+    let mut mate = vec![NONE; n];
+    for u in order {
+        if mate[u as usize] != NONE {
             continue;
         }
-        let mut best = usize::MAX;
-        let mut best_w = i64::MIN;
-        for (v, w) in g.neighbors(u) {
-            if mate[v] == usize::MAX && w > best_w {
+        let mut best = NONE;
+        let mut best_w = i32::MIN;
+        for (v, w) in g.arcs(u as usize) {
+            if mate[v as usize] == NONE && w > best_w {
                 best = v;
                 best_w = w;
             }
         }
-        if best != usize::MAX {
-            mate[u] = best;
-            mate[best] = u;
+        if best != NONE {
+            mate[u as usize] = best;
+            mate[best as usize] = u;
         } else {
-            mate[u] = u; // singleton
+            mate[u as usize] = u; // singleton
         }
     }
     // Assign coarse ids: the lower-numbered endpoint of each pair owns the id.
-    let mut cmap = vec![usize::MAX; n];
-    let mut nc = 0usize;
+    let mut cmap = vec![NONE; n];
+    let mut nc = 0u32;
     for u in 0..n {
-        if cmap[u] != usize::MAX {
+        if cmap[u] != NONE {
             continue;
         }
-        let v = mate[u];
         cmap[u] = nc;
-        if v != u {
-            cmap[v] = nc;
-        }
+        cmap[mate[u] as usize] = nc;
         nc += 1;
     }
     // Build the coarse graph with merged parallel edges.
-    let mut cvwgt = vec![0i64; nc];
-    for u in 0..n {
-        cvwgt[cmap[u]] += g.vertex_weight(u);
+    let mut cvwgt = vec![0i32; nc as usize];
+    for (u, &c) in cmap.iter().enumerate() {
+        cvwgt[c as usize] += g.vertex_weight(u) as i32;
     }
     // One coarse row per matched pair, built at the pair's lower endpoint
     // (coarse ids ascend with it) in a scratch row; `pos` maps a coarse
     // neighbour to its slot there and is reset per row.
     let arcs: usize = (0..n).map(|u| g.degree(u)).sum();
-    let mut xadj = Vec::with_capacity(nc + 1);
-    let mut adjncy: Vec<usize> = Vec::with_capacity(arcs);
-    let mut adjwgt: Vec<i64> = Vec::with_capacity(arcs);
+    let mut xadj = Vec::with_capacity(nc as usize + 1);
+    let mut adjncy: Vec<u32> = Vec::with_capacity(arcs);
+    let mut adjwgt: Vec<i32> = Vec::with_capacity(arcs);
     xadj.push(0);
-    let mut pos = vec![usize::MAX; nc];
-    let mut row: Vec<(usize, i64)> = Vec::new();
+    let mut pos = vec![NONE; nc as usize];
+    let mut row: Vec<(u32, i32)> = Vec::new();
     for u in 0..n {
-        let v = mate[u];
+        let v = mate[u] as usize;
         if v < u {
             continue;
         }
         let c = cmap[u];
         row.clear();
         for x in [u, v].into_iter().take(1 + usize::from(v != u)) {
-            for (y, w) in g.neighbors(x) {
-                let cy = cmap[y];
+            for (y, w) in g.arcs(x) {
+                let cy = cmap[y as usize];
                 if cy == c {
                     continue; // internal edge collapses
                 }
-                if pos[cy] == usize::MAX {
-                    pos[cy] = row.len();
+                let slot = &mut pos[cy as usize];
+                if *slot == NONE {
+                    *slot = row.len() as u32;
                     row.push((cy, w));
                 } else {
-                    row[pos[cy]].1 += w;
+                    row[*slot as usize].1 += w;
                 }
             }
         }
         for &(cy, _) in &row {
-            pos[cy] = usize::MAX;
+            pos[cy as usize] = NONE;
         }
         row.sort_unstable_by_key(|&(cy, _)| cy);
         adjncy.extend(row.iter().map(|&(cy, _)| cy));
@@ -292,13 +294,8 @@ fn bisect(
                 }
             }
         }
-        refine_bisection(g, vertices, &in_set, &mut side, w_left);
+        let lw = refine_bisection(g, vertices, &in_set, &mut side, w_left, tol);
         let cut = cut_within(g, vertices, &side);
-        let lw: i64 = vertices
-            .iter()
-            .filter(|&&u| side[u])
-            .map(|&u| g.vertex_weight(u))
-            .sum();
         let violation = ((lw - w_left).abs() - tol).max(0);
         let key = (violation, cut);
         if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
@@ -307,15 +304,7 @@ fn bisect(
     }
     // lint: allow(unwrap): the trial loop always records at least one candidate
     let (_, side) = best.unwrap();
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for &u in vertices {
-        if side[u] {
-            left.push(u);
-        } else {
-            right.push(u);
-        }
-    }
+    let (mut left, mut right): (Vec<usize>, Vec<usize>) = vertices.iter().partition(|&&u| side[u]);
     // Degenerate splits can happen on tiny graphs; force non-emptiness.
     if left.is_empty() && !right.is_empty() {
         // lint: allow(unwrap): pop is guarded by the non-emptiness test
@@ -340,16 +329,15 @@ fn cut_within(g: &Graph, vertices: &[usize], side: &[bool]) -> i64 {
 }
 
 /// FM-style single-vertex moves on a bisection, keeping the left-side weight
-/// near `w_left`.
+/// within `tol` of `w_left`. Returns the left-side weight it ends with.
 fn refine_bisection(
     g: &Graph,
     vertices: &[usize],
     in_set: &[bool],
     side: &mut [bool],
     w_left: i64,
-) {
-    let total: i64 = vertices.iter().map(|&u| g.vertex_weight(u)).sum();
-    let tol = ((total as f64 * (IMBALANCE - 1.0)).ceil() as i64).max(1);
+    tol: i64,
+) -> i64 {
     let mut weight_left: i64 = vertices
         .iter()
         .filter(|&&u| side[u])
@@ -390,6 +378,7 @@ fn refine_bisection(
             break;
         }
     }
+    weight_left
 }
 
 /// Greedy balance-constrained k-way boundary refinement.
@@ -567,7 +556,7 @@ mod tests {
         assert!(c.n_vertices() < g.n_vertices());
         assert!(c.n_vertices() * 2 >= g.n_vertices());
         assert_eq!(cmap.len(), g.n_vertices());
-        assert!(cmap.iter().all(|&c_id| c_id < c.n_vertices()));
+        assert!(cmap.iter().all(|&c_id| (c_id as usize) < c.n_vertices()));
     }
 
     /// Regression: a 3-D mesh at a large part count drives the recursive

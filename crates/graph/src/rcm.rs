@@ -35,7 +35,7 @@ pub fn reverse_cuthill_mckee(g: &Graph) -> Permutation {
         while let Some(u) = queue.pop_front() {
             order.push(u);
             nbrs.clear();
-            nbrs.extend(g.neighbor_ids(u).iter().copied().filter(|&v| !visited[v]));
+            nbrs.extend(g.neighbors(u).map(|(v, _)| v).filter(|&v| !visited[v]));
             nbrs.sort_by_key(|&v| g.degree(v));
             for &v in &nbrs {
                 visited[v] = true;

@@ -20,18 +20,10 @@ use crate::krylov::{self, Space};
 use crate::report::Breakdown;
 
 /// A distributed preconditioner: maps a local residual slice to a local
-/// correction slice. Collective — every rank calls `apply` together.
+/// correction slice. Collective — every rank calls `apply_into` together.
 pub trait DistPrecond {
-    /// Writes the correction into a caller-owned buffer — the required
-    /// method and the only one the solver's inner loop calls.
+    /// Writes the correction into a caller-owned buffer.
     fn apply_into(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64], z: &mut [f64]);
-
-    /// Allocating convenience over [`DistPrecond::apply_into`].
-    fn apply(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64]) -> Vec<f64> {
-        let mut z = vec![0.0; r.len()];
-        self.apply_into(ctx, local, r, &mut z);
-        z
-    }
 
     fn name(&self) -> String;
 }

@@ -72,10 +72,24 @@ fn residual<S: Space>(space: &mut S, b: &[f64], x: &[f64], out: &mut [f64]) {
 /// DESIGN §14).
 ///
 /// Everything the solve allocates is allocated in the setup block at the
-/// top; restart cycles and inner iterations only ever reuse it, which is
+/// top; restart cycles and inner iterations only ever reuse it (a basis
+/// vector is written into the capacity reserved for it), which is
 /// what the `no-alloc-in-hot` lint polices here and the `gmres_inner`
 /// zero-steady-alloc bench gate measures.
 pub(crate) fn solve<S: Space>(
+    space: &mut S,
+    b: &[f64],
+    opts: &GmresOptions,
+    x0: Option<Vec<f64>>,
+    ckpt: Option<&mut Vec<f64>>,
+) -> GmresResult {
+    solve_in(&mut Vec::new(), space, b, opts, x0, ckpt) // lint: allow(alloc-in-hot): empty
+}
+
+/// [`solve`] in the basis `v`, which it reserves and is left holding: the
+/// vectors the Arnoldi process reached, and only those (tests count them).
+fn solve_in<S: Space>(
+    v: &mut Vec<Vec<f64>>,
     space: &mut S,
     b: &[f64],
     opts: &GmresOptions,
@@ -103,12 +117,15 @@ pub(crate) fn solve<S: Space>(
         return out;
     }
     let m = opts.restart.max(1);
-    // The workspace: `v` is the Krylov basis; `h` the Hessenberg (`h[i][j]`
+    // The workspace: `v` is the Krylov basis, `m + 1` vectors' capacity
+    // reserved here and each written only once a cycle reaches it, so the
+    // pages of vectors no cycle reaches are never touched (DESIGN §2.6);
+    // `h` the Hessenberg (`h[i][j]`
     // with `i` the row, triangular once rotated); `cs`/`sn` the Givens
     // cosines and sines; `g` the rotated right-hand side, solved in place
     // into the combination `y`; `z` takes preconditioner output; `w` holds
     // the new Arnoldi column, then `V y`, then the final true residual.
-    let mut v = vec![vec![0.0; len]; m + 1]; // lint: allow(alloc-in-hot): setup
+    v.extend((0..=m).map(|_| Vec::with_capacity(len))); // lint: allow(alloc-in-hot): setup
     let mut h = vec![vec![0.0; m]; m + 1]; // lint: allow(alloc-in-hot): setup
     let mut cs = vec![0.0; m]; // lint: allow(alloc-in-hot): setup
     let mut sn = vec![0.0; m]; // lint: allow(alloc-in-hot): setup
@@ -128,6 +145,7 @@ pub(crate) fn solve<S: Space>(
 
     loop {
         // r = b - A x, normalized straight into the first basis vector.
+        v[0].resize(len, 0.0); // a no-op after the first cycle
         residual(space, b, &out.x, &mut v[0]);
         out.matvecs += 1;
         let beta = norm(space, &v[0]);
@@ -209,9 +227,8 @@ pub(crate) fn solve<S: Space>(
             // lint: allow(float-eq): exact (lucky) breakdown test
             let lucky = wn == 0.0;
             if !lucky {
-                for (next, wi) in v[j + 1].iter_mut().zip(&w) {
-                    *next = wi / wn;
-                }
+                v[j + 1].clear();
+                v[j + 1].extend(w.iter().map(|wi| wi / wn));
                 space.work(n);
             }
             if g[j + 1].abs() <= target || out.matvecs >= opts.max_matvecs || lucky {
@@ -350,6 +367,51 @@ mod tests {
             r.history.len() <= 2 * opts.max_matvecs + 2,
             "reservation held"
         );
+    }
+
+    /// FNV-1a over the bits of a float slice.
+    fn bits_hash(xs: &[f64]) -> u64 {
+        xs.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A cold-started solve of the Laplace problem under Jacobi, in a basis
+    /// the test reads afterwards.
+    fn run_in(v: &mut Vec<Vec<f64>>, restart: usize) -> GmresResult {
+        let (a, b, _) = laplace_problem();
+        let precond = &DiagonalPreconditioner::new(&a);
+        let opts = GmresOptions {
+            restart,
+            ..Default::default()
+        };
+        solve_in(v, &mut Serial { a: &a, precond }, &b, &opts, None, None)
+    }
+
+    #[test]
+    fn an_early_convergence_writes_only_the_vectors_it_reaches() {
+        let mut v = Vec::new();
+        let r = run_in(&mut v, 50);
+        // One cycle of `k` inner steps, then the residual that confirms it.
+        let k = r.matvecs - 2;
+        assert!(r.converged && k < 50, "{k} inner steps");
+        assert_eq!(v.len(), 51, "every vector reserved");
+        assert!(v.iter().all(|vj| vj.capacity() >= 64));
+        let written = v.iter().take_while(|vj| vj.len() == 64).count();
+        assert_eq!(written, k + 1, "v_0 ..= v_k written");
+        assert!(v[written..].iter().all(Vec::is_empty), "nothing past v_k");
+    }
+
+    #[test]
+    fn a_multi_cycle_solve_keeps_its_bits() {
+        // Recorded at the parent of the on-demand basis (every vector
+        // written up front): restart cycles overwrite the prefix they have.
+        let mut v = Vec::new();
+        let r = run_in(&mut v, 5);
+        assert_eq!(r.matvecs, 48);
+        assert!(v.iter().all(|vj| vj.len() == 64), "every cycle ran full");
+        assert_eq!(bits_hash(&r.x), 0xf794_b6a0_fc16_a48b);
+        assert_eq!(bits_hash(&r.history), 0x5a24_11cc_d20d_eb6b);
     }
 
     #[test]

@@ -109,12 +109,13 @@ const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 /// Most bytes `distribute_p8` may hold at once, per byte of its matrix
 /// (`8·(n + 1) + 16·nnz`). Resident at the peak — the deepest coarsening
 /// level — are the matrix `DistMatrix` will keep (1.0), the structure
-/// graph (0.9), the coarsening hierarchy (a geometric sum, 1.3 graphs) and
-/// one level's scratch: 3.49 at full size, 3.46 at `--quick` size. The
-/// transpose and the symmetrised copy behind the graph, the partitioner's
-/// clone of it and the symmetrised copy in `DistMatrix` held 5.04 / 5.18
-/// (EXPERIMENTS).
-const DISTRIBUTE_LIVE_PER_INPUT: f64 = 3.6;
+/// graph (0.5: 64-bit offsets, 32-bit ids and weights), the coarsening
+/// hierarchy (a geometric sum, 1.3 graphs) and one level's 32-bit scratch:
+/// 2.36 at full size, 2.39 at `--quick` size. With `usize` ids and `i64`
+/// weights they held 3.49 / 3.46, and with the transpose and the
+/// symmetrised copy behind the graph, the partitioner's clone of it and the
+/// symmetrised copy in `DistMatrix` 5.04 / 5.18 (EXPERIMENTS).
+const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.45;
 
 /// Dofs per node of `gen::elasticity_3d` = the tile size of `block_ilut`.
 const DOFS: usize = 3;
@@ -663,7 +664,8 @@ fn check(m: &Measurement) -> Result<(), String> {
         Some(live) if live > DISTRIBUTE_LIVE_PER_INPUT => {
             return fail(format!(
                 "set-up held {live:.3} live byte(s) per byte of its matrix, budget \
-                 {DISTRIBUTE_LIVE_PER_INPUT}: a second copy of the pattern is resident"
+                 {DISTRIBUTE_LIVE_PER_INPUT}: a second copy of the pattern, or a graph with \
+                 64-bit ids, is resident"
             ));
         }
         _ => {}

@@ -502,7 +502,7 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
     ),
     (
         "crates/solver/src/krylov.rs",
-        &["inner_product", "norm", "residual", "solve"],
+        &["inner_product", "norm", "residual", "solve", "solve_in"],
     ),
 ];
 
