@@ -9,14 +9,14 @@
 //!
 //! The two round halves run in the steady state of a solve and are on the
 //! `no-alloc-in-hot` lint list and under the zero-alloc bench gate: a batch
-//! is staged in a pooled buffer ([`pilut_par::pool`]) warmed at
-//! construction, the receiver reads it through a borrow, and both sides
-//! `recycle` their payload handles, so whichever reference drops last (the
+//! is staged in a buffer of the run's registered pool ([`Ctx::pool`])
+//! warmed at construction, the receiver reads it through a borrow, and both
+//! sides `recycle` their payload handles, so whichever reference drops last (the
 //! receiver, or the sender's reliable-delivery retention on cumulative ACK)
 //! shelves the buffer back — no per-round heap traffic on either side.
 
 use super::CommPlan;
-use pilut_par::{pool, Ctx, Payload};
+use pilut_par::{Ctx, Payload};
 use std::cell::RefCell;
 
 /// Registered buffers warmed per (send link, level) at construction. Deep
@@ -61,8 +61,8 @@ impl Halo {
     /// Cuts `plan` into `n_levels` levels over slots: `key(node)` is the
     /// `(level, slot)` of a scheduled node, mine or remote. Both endpoints
     /// of a link must level its nodes alike — the triangular solves exchange
-    /// level labels first ([`CommPlan::exchange_labels`]). Warms the `f64`
-    /// pool for every non-empty (send link, level) batch. Level 0's wire
+    /// level labels first ([`CommPlan::exchange_labels`]). Warms the run's
+    /// `f64` pool for every non-empty (send link, level) batch. Level 0's wire
     /// tags are the ones the plan's own label rounds count through, so a
     /// label round run once sweeps have begun needs a collective in between.
     ///
@@ -96,14 +96,11 @@ impl Halo {
         // A reliable sender holds every frame until the cumulative ACK
         // passes it — up to ACK_EVERY pooled buffers per link beyond the
         // plain in-flight skew — so the warm depth must cover the window.
-        let reliable = if ctx.is_reliable() {
-            pilut_par::ACK_EVERY as usize
-        } else {
-            0
-        };
+        let retained = usize::from(ctx.is_reliable()) * pilut_par::ACK_EVERY as usize;
         for batch in halo.send.iter().flat_map(|k| k.cut.windows(2)) {
             if batch[1] > batch[0] {
-                pool::warm_f64(batch[1] - batch[0], WARM_BUFFERS_PER_LINK + reliable);
+                ctx.pool()
+                    .warm(batch[1] - batch[0], WARM_BUFFERS_PER_LINK + retained);
             }
         }
         halo
@@ -137,7 +134,7 @@ impl Halo {
         let values: usize = live().map(|(_, slots)| slots.len()).sum();
         ctx.note_planned(self.tag, live().count() as u64, 8 * values as u64, true);
         for (peer, slots) in live() {
-            let mut vals = pool::take_f64(slots.len());
+            let mut vals = ctx.pool().take(slots.len());
             vals.extend(slots.iter().map(|&s| value_of(s)));
             ctx.copy_words(vals.len() as f64);
             ctx.send_as(peer, wire, self.tag, Payload::f64s(vals));
@@ -169,7 +166,7 @@ impl Halo {
                 take(s, val);
             }
             ctx.copy_words(slots.len() as f64);
-            payload.recycle();
+            payload.recycle(ctx.pool());
         }
     }
 }

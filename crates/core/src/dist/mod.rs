@@ -20,23 +20,24 @@ pub mod spmv;
 
 use pilut_graph::{partition_kway, Graph, PartitionOptions};
 use pilut_sparse::CsrMatrix;
+use std::sync::Arc;
 
-/// Which rank owns each row, plus the per-rank row lists.
+/// Which rank owns each row.
 #[derive(Clone, Debug)]
 pub struct Distribution {
-    part: Vec<usize>,
-    rows_of: Vec<Vec<usize>>,
+    /// The owner of every row.
+    part: Vec<u32>,
+    n_ranks: usize,
 }
 
 impl Distribution {
     /// Builds from an explicit row→rank map.
     pub fn from_part(part: Vec<usize>, p: usize) -> Self {
-        let mut rows_of = vec![Vec::new(); p];
-        for (row, &r) in part.iter().enumerate() {
-            assert!(r < p, "row {row} assigned to rank {r} >= {p}");
-            rows_of[r].push(row);
+        if let Some((row, r)) = part.iter().enumerate().find(|&(_, &r)| r >= p) {
+            panic!("row {row} assigned to rank {r} >= {p}");
         }
-        Distribution { part, rows_of }
+        let part = part.into_iter().map(|r| r as u32).collect();
+        Distribution { part, n_ranks: p }
     }
 
     /// Partitions the matrix graph with the multilevel k-way partitioner.
@@ -76,29 +77,47 @@ impl Distribution {
 
     /// Number of ranks the rows are distributed over.
     pub fn n_ranks(&self) -> usize {
-        self.rows_of.len()
+        self.n_ranks
     }
 
     /// The rank that owns global `row`.
     pub fn owner(&self, row: usize) -> usize {
-        self.part[row]
+        self.part[row] as usize
     }
 
-    /// The rows of `rank`, ascending.
-    pub fn rows_of(&self, rank: usize) -> &[usize] {
-        &self.rows_of[rank]
+    /// The rows of `rank`, ascending (a scan of the owner map).
+    pub fn rows_of(&self, rank: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n_rows()).filter(move |&row| self.owner(row) == rank)
     }
 }
 
+/// Flags a [`Numbering`] code that holds an interface number.
+const INTERFACE: u32 = 1 << 31;
+
+/// The one copy of everything of length `n` the ranks read: the owner of
+/// every node, its position in its owner's local order, and its global
+/// interface number. Shared read-only by the [`DistMatrix`] and every
+/// [`LocalView`] of it, so no rank holds an array of global length.
+#[derive(Debug)]
+struct Numbering {
+    dist: Distribution,
+    /// `code[g]`: `g`'s position in its owner's local order when it is an
+    /// interior; `INTERFACE | k` when it is interface node `k`, numbered in
+    /// ascending id over all ranks. One load answers the kernels' question,
+    /// interior slot or interface number.
+    code: Vec<u32>,
+    /// Per interface number: the node, and its position in its owner's
+    /// local order.
+    iface_nodes: Vec<u32>,
+    iface_pos: Vec<u32>,
+}
+
 /// The read-only shared state of a distributed matrix: the matrix, its
-/// distribution, and the interior/interface classification of every row.
+/// distribution, and the interior/interface numbering of every row.
 #[derive(Clone, Debug)]
 pub struct DistMatrix {
     a: CsrMatrix,
-    dist: Distribution,
-    /// `interface[i]`: row `i` couples, in the symmetrised pattern, to a
-    /// row of another rank.
-    interface: Vec<bool>,
+    num: Arc<Numbering>,
 }
 
 /// A rank's view of the distribution: its nodes in *local order* —
@@ -114,8 +133,8 @@ pub struct LocalView {
     pub interface: Vec<usize>,
     /// interior ++ interface — the local vector ordering.
     pub nodes: Vec<usize>,
-    /// Dense global→local map (`u32::MAX` for non-local nodes).
-    local_pos: Vec<u32>,
+    /// The numbering every view of the matrix shares.
+    num: Arc<Numbering>,
 }
 
 impl LocalView {
@@ -131,15 +150,15 @@ impl LocalView {
 
     /// Local position of a global node, if owned by this rank.
     pub fn pos_of(&self, node: usize) -> Option<usize> {
-        match self.local_pos[node] {
-            u32::MAX => None,
-            p => Some(p as usize),
-        }
+        self.owns(node).then(|| match self.num.code[node] {
+            c if c & INTERFACE != 0 => self.num.iface_pos[(c ^ INTERFACE) as usize] as usize,
+            c => c as usize,
+        })
     }
 
     /// True when global `node` is owned by this rank.
     pub fn owns(&self, node: usize) -> bool {
-        self.local_pos[node] != u32::MAX
+        self.num.dist.owner(node) == self.rank
     }
 
     /// Stored entries of this rank's rows of `a`.
@@ -154,6 +173,46 @@ impl LocalView {
         let cols = self.nodes.iter().flat_map(move |&i| a.row(i).0);
         cols.copied().filter(move |&j| !self.owns(j))
     }
+
+    /// Slots in the column space of this rank's factorization: its
+    /// interiors in local order, then every interface node of the machine
+    /// by interface number. An interior row couples to local nodes only and
+    /// fill from interface rows lands on interface nodes, so no other column
+    /// ever appears in a row the rank eliminates.
+    pub(crate) fn n_slots(&self) -> usize {
+        self.interior.len() + self.num.iface_nodes.len()
+    }
+
+    /// The column-space slot of `j`, a column this rank's rows can reach.
+    pub(crate) fn slot(&self, j: usize) -> usize {
+        // An interior's code is its slot; an interface number follows them.
+        let c = self.num.code[j];
+        (c & !INTERFACE) as usize + usize::from(c & INTERFACE != 0) * self.interior.len()
+    }
+
+    /// [`slot`](Self::slot) of `j`, which this rank stores at local position
+    /// `s`: an interior's slot is its local position, so the kernels skip
+    /// the lookup for it.
+    pub(crate) fn slot_at(&self, s: usize, j: usize) -> usize {
+        if s < self.interior.len() {
+            return s;
+        }
+        self.slot(j)
+    }
+
+    /// The column at column-space slot `s`.
+    pub(crate) fn col(&self, s: usize) -> usize {
+        match self.interior.get(s) {
+            Some(&g) => g,
+            None => self.num.iface_nodes[s - self.interior.len()] as usize,
+        }
+    }
+
+    /// Whether `j`, a column this rank's rows can reach, is one of its
+    /// interiors.
+    pub(crate) fn is_interior(&self, j: usize) -> bool {
+        self.num.code[j] & INTERFACE == 0
+    }
 }
 
 impl DistMatrix {
@@ -161,19 +220,43 @@ impl DistMatrix {
     pub fn new(a: CsrMatrix, dist: Distribution) -> Self {
         assert_eq!(a.n_rows(), a.n_cols());
         assert_eq!(a.n_rows(), dist.n_rows());
+        assert!(a.n_rows() < INTERFACE as usize, "node numbers are 31-bit");
         // A stored `(k, j)` is an edge of the symmetrised pattern from both
-        // of its ends.
-        let mut interface = vec![false; a.n_rows()];
+        // of its ends; a cut edge makes both interface.
+        let mut code = vec![0; a.n_rows()];
         for k in 0..a.n_rows() {
-            let owner = dist.owner(k);
             for &j in a.row(k).0 {
-                if dist.owner(j) != owner {
-                    interface[k] = true;
-                    interface[j] = true;
+                if dist.part[j] != dist.part[k] {
+                    (code[k], code[j]) = (INTERFACE, INTERFACE);
                 }
             }
         }
-        DistMatrix { a, dist, interface }
+        // `next[r]` hands out rank r's local positions, interiors from 0
+        // and interfaces from its interior count; interface numbers go in
+        // ascending id.
+        let mut next = vec![[0u32; 2]; dist.n_ranks()];
+        for (g, _) in code.iter().enumerate().filter(|(_, &c)| c == 0) {
+            next[dist.part[g] as usize][1] += 1;
+        }
+        let (mut iface_nodes, mut iface_pos) = (Vec::new(), Vec::new());
+        for (g, c) in code.iter_mut().enumerate() {
+            let at = &mut next[dist.part[g] as usize][usize::from(*c == INTERFACE)];
+            if *c == INTERFACE {
+                *c = INTERFACE | iface_nodes.len() as u32;
+                iface_nodes.push(g as u32);
+                iface_pos.push(*at);
+            } else {
+                *c = *at;
+            }
+            *at += 1;
+        }
+        let num = Arc::new(Numbering {
+            dist,
+            code,
+            iface_nodes,
+            iface_pos,
+        });
+        DistMatrix { a, num }
     }
 
     /// Partition-and-wrap convenience.
@@ -189,7 +272,7 @@ impl DistMatrix {
 
     /// The row distribution.
     pub fn dist(&self) -> &Distribution {
-        &self.dist
+        &self.num.dist
     }
 
     /// Global matrix dimension.
@@ -200,29 +283,24 @@ impl DistMatrix {
     /// Builds rank `rank`'s local view: its rows, interiors before
     /// interfaces.
     pub fn local_view(&self, rank: usize) -> LocalView {
-        assert!(self.n() < u32::MAX as usize, "local positions are 32-bit");
-        let rows = self.dist.rows_of(rank).iter().copied();
+        let rows = self.num.dist.rows_of(rank);
         let (interface, interior): (Vec<usize>, Vec<usize>) =
-            rows.partition(|&i| self.interface[i]);
+            rows.partition(|&g| self.num.code[g] & INTERFACE != 0);
         let mut nodes = interior.clone();
         nodes.extend_from_slice(&interface);
-        let mut local_pos = vec![u32::MAX; self.n()];
-        for (p, &g) in nodes.iter().enumerate() {
-            local_pos[g] = p as u32;
-        }
         LocalView {
             rank,
             interior,
             interface,
             nodes,
-            local_pos,
+            num: Arc::clone(&self.num),
         }
     }
 
     /// Total interface nodes over all ranks — the size of the paper's
     /// reduced matrix `A_I`.
     pub fn total_interface(&self) -> usize {
-        self.interface.iter().filter(|&&f| f).count()
+        self.num.iface_nodes.len()
     }
 }
 
@@ -234,9 +312,9 @@ mod tests {
     #[test]
     fn block_distribution_covers_everything() {
         let d = Distribution::block(10, 3);
-        assert_eq!(d.rows_of(0), &[0, 1, 2, 3]);
-        assert_eq!(d.rows_of(1), &[4, 5, 6]);
-        assert_eq!(d.rows_of(2), &[7, 8, 9]);
+        assert!(d.rows_of(0).eq([0, 1, 2, 3]));
+        assert!(d.rows_of(1).eq([4, 5, 6]));
+        assert!(d.rows_of(2).eq([7, 8, 9]));
         assert_eq!(d.owner(5), 1);
     }
 
@@ -245,17 +323,17 @@ mod tests {
         // p > n: the trailing ranks legally own nothing.
         let d = Distribution::block(5, 8);
         for r in 0..5 {
-            assert_eq!(d.rows_of(r), &[r]);
+            assert!(d.rows_of(r).eq([r]));
         }
         for r in 5..8 {
-            assert!(d.rows_of(r).is_empty(), "rank {r} must be empty");
+            assert!(d.rows_of(r).next().is_none(), "rank {r} must be empty");
         }
         // Every p <= n leaves no rank empty and sizes within one of each
         // other (the old ceil-based blocking violated both at e.g. 10/8).
         for n in 1..=12usize {
             for p in 1..=n {
                 let d = Distribution::block(n, p);
-                let sizes: Vec<usize> = (0..p).map(|r| d.rows_of(r).len()).collect();
+                let sizes: Vec<usize> = (0..p).map(|r| d.rows_of(r).count()).collect();
                 let lo = *sizes.iter().min().unwrap_or(&0);
                 let hi = *sizes.iter().max().unwrap_or(&0);
                 assert!(lo >= 1, "n={n} p={p}: empty rank in {sizes:?}");
@@ -288,9 +366,11 @@ mod tests {
     #[test]
     fn classification_equals_the_definition_on_unsymmetric_patterns() {
         // The definition: a row is interface iff some row coupled to it in
-        // `pattern(A) ∪ pattern(Aᵀ)` has another owner. Inputs carry
-        // one-way entries, two-way pairs, explicit and missing diagonals,
-        // empty rows and empty ranks.
+        // `pattern(A) ∪ pattern(Aᵀ)` has another owner. The shared
+        // numbering follows from it: a node's position in its owner's
+        // local order, and its interface number — how many interface nodes
+        // have a smaller id. Inputs carry one-way entries, two-way pairs,
+        // explicit and missing diagonals, empty rows and empty ranks.
         use pilut_sparse::{CooMatrix, SplitMix64};
         for case in 0..64 {
             let mut rng = SplitMix64::new(case);
@@ -314,7 +394,13 @@ mod tests {
                 }
             }
             let is_interface = |i: usize| coupled[i].iter().any(|&j| part[j] != part[i]);
+            let interfaces: Vec<usize> = (0..n).filter(|&i| is_interface(i)).collect();
             let dm = DistMatrix::new(a, Distribution::from_part(part.clone(), p));
+            for (i, &c) in dm.num.code.iter().enumerate() {
+                let want = interfaces.iter().position(|&g| g == i);
+                let k = (c & INTERFACE != 0).then_some((c ^ INTERFACE) as usize);
+                assert_eq!(k, want, "case {case}");
+            }
             for r in 0..p {
                 let v = dm.local_view(r);
                 let mine = || (0..n).filter(|&i| part[i] == r);
@@ -326,6 +412,18 @@ mod tests {
                     assert_eq!(v.owns(i), owner == r, "case {case}, rank {r}");
                     let pos = v.nodes.iter().position(|&g| g == i);
                     assert_eq!(v.pos_of(i), pos, "case {case}, rank {r}");
+                }
+                // The kernels' column space: my interiors, then every
+                // interface node, each at the next slot and mapped back.
+                let reach: Vec<usize> = v.interior.iter().chain(&interfaces).copied().collect();
+                assert_eq!(v.n_slots(), reach.len(), "case {case}, rank {r}");
+                for (slot, &j) in reach.iter().enumerate() {
+                    assert_eq!(v.slot(j), slot, "case {case}, rank {r}");
+                    assert_eq!(v.col(slot), j, "case {case}, rank {r}");
+                    assert_eq!(v.is_interior(j), slot < v.interior.len());
+                    if let Some(s) = v.pos_of(j) {
+                        assert_eq!(v.slot_at(s, j), slot, "case {case}, rank {r}");
+                    }
                 }
             }
             let total = (0..n).filter(|&i| is_interface(i)).count();

@@ -22,8 +22,8 @@ use crate::options::{BreakdownPolicy, FactorError};
 use crate::parallel::dist_mis::{link_plan, LevelMis};
 use crate::parallel::store::{FactorBuilder, RemoteURows};
 use crate::parallel::{
-    collective_fault_verdict, lap, phase1_entry, reduced_patterns, role_map, seal_levels,
-    split_diag, LevelStats, ParStats, RankFactors, ReducedRows,
+    collective_fault_verdict, lap, phase1_entry, reduced_patterns, seal_levels, split_diag,
+    LevelStats, ParStats, RankFactors, ReducedRows,
 };
 use pilut_par::Ctx;
 use pilut_sparse::WorkRow;
@@ -50,8 +50,6 @@ pub fn par_ilu0_with(
     policy.validate()?; // deterministic: every rank rejects the same way
     let mut doctor = PivotDoctor::new(policy);
     let a = dm.matrix();
-    let n = dm.n();
-    let role = role_map(local, n);
     // Zero fill: neither triangle outgrows the rank's rows of `A`.
     let mut fb = FactorBuilder::new(local, local.nnz(a));
     let mut stats = ParStats::default();
@@ -60,7 +58,8 @@ pub fn par_ilu0_with(
     // has no dropping rule, so the selection and rule-1 columns stay zero.
     let mut meter = LevelStats::default();
     let mut mark = ctx.time();
-    let mut w = WorkRow::new(n);
+    // The working row spans the rank's column space, as in `par_ilut`.
+    let mut w = WorkRow::new(local.n_slots());
     // Scratch reused across rows; stored rows are exact-size copies.
     let mut entries: Vec<(usize, f64)> = Vec::new();
     let mut lower: Vec<(usize, f64)> = Vec::new();
@@ -77,31 +76,31 @@ pub fn par_ilu0_with(
         let is_interior = p < n_int;
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
-            w.set(j, v);
+            w.set(local.slot(j), v);
         }
         // Pivots come from the original pattern only: no fill can extend
         // the pivot set, and updates land only on occupied positions.
         lower.clear();
         for &k in cols
             .iter()
-            .filter(|&&k| role[k] == 1 && (!is_interior || k < i))
+            .filter(|&&k| local.is_interior(k) && (!is_interior || k < i))
         {
-            let wk = w.get(k);
-            w.drop_pos(k);
+            let wk = w.get(local.slot(k));
+            w.drop_pos(local.slot(k));
             let (udiag, urow) = fb.interior_pivot(k);
             let mult = wk / udiag;
             lower.push((k, mult));
             let cost = 2.0 * urow.len() as f64 + 1.0;
             for (j, uv) in urow {
-                if w.contains(j) {
-                    w.add(j, -mult * uv);
+                if w.contains(local.slot(j)) {
+                    w.add(local.slot(j), -mult * uv);
                 }
             }
             meter.pivots_applied += 1;
             meter.elim_flops += cost;
             ctx.work(cost);
         }
-        w.drain_sorted_into(&mut entries);
+        w.drain_sorted_by_into(&mut entries, |s| local.col(s));
         if !is_interior {
             fb.staged[p - n_int].l = lower.to_vec();
             stats.reduced_nnz_initial += entries.len();
@@ -142,7 +141,7 @@ pub fn par_ilu0_with(
         // Pattern restricted to the still-unscheduled nodes (local ones we
         // know directly; remote ones from the previous levels' outcomes).
         let keep = |v: usize, c: usize| {
-            c == v || remaining.contains(&c) || (role[c] == 0 && !scheduled_remote.contains(&c))
+            c == v || remaining.contains(&c) || (!local.owns(c) && !scheduled_remote.contains(&c))
         };
         let unscheduled = || {
             let rows = local.interface.iter().zip(&reduced);
@@ -180,7 +179,7 @@ pub fn par_ilu0_with(
     // left to schedule — lands in the first numeric level below.
 
     // ---- Numeric interface factorization, level by level.
-    let mut remote_u = RemoteURows::new(n);
+    let mut remote_u = RemoteURows::new(local);
     let mut pivots: Vec<usize> = Vec::new();
     let mut live_nnz = stats.reduced_nnz_initial;
     for (level, lvl) in schedule.iter().zip(&mut per_level) {
@@ -237,20 +236,20 @@ pub fn par_ilu0_with(
             }
             lvl.rows_touched += 1;
             for &(c, v) in rr {
-                w.set(c, v);
+                w.set(local.slot(c), v);
             }
             lower.clear();
             lower.extend_from_slice(&fb.staged[q].l);
             for &k in &pivots {
                 let (udiag, urow) = fb.level_pivot(k, &remote_u);
-                let wk = w.get(k);
-                w.drop_pos(k);
+                let wk = w.get(local.slot(k));
+                w.drop_pos(local.slot(k));
                 // As in phase 1, a multiplier that cancelled to exactly zero
                 // keeps its position: ILU(0) is defined by structure alone.
                 let mult = wk / udiag;
                 for &(j, uv) in urow {
-                    if w.contains(j) {
-                        w.add(j, -mult * uv);
+                    if w.contains(local.slot(j)) {
+                        w.add(local.slot(j), -mult * uv);
                     }
                 }
                 lvl.pivots_applied += 1;
@@ -260,7 +259,7 @@ pub fn par_ilu0_with(
             }
             lower.sort_unstable_by_key(|&(c, _)| c);
             fb.staged[q].l = lower.to_vec();
-            w.drain_sorted_into(&mut entries);
+            w.drain_sorted_by_into(&mut entries, |s| local.col(s));
             live_nnz = live_nnz - rr.len() + entries.len();
             reduced[q] = Some(entries.to_vec());
         }

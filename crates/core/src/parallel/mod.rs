@@ -140,16 +140,6 @@ pub(crate) fn collective_fault_verdict(
     }
 }
 
-/// Role of every global node on this rank: 0 = remote, 1 = my interior,
-/// 2 = my interface.
-pub(crate) fn role_map(local: &LocalView, n: usize) -> Vec<u8> {
-    let mut role = vec![0u8; n];
-    for (p, &v) in local.nodes.iter().enumerate() {
-        role[v] = if p < local.interior.len() { 1 } else { 2 };
-    }
-    role
-}
-
 /// My slice of a reduced matrix, indexed by interface position; a row is
 /// `None` once its level has factored it.
 pub(crate) type ReducedRows = Vec<Option<Vec<(usize, f64)>>>;
@@ -216,18 +206,17 @@ pub fn par_ilut(
 ) -> Result<RankFactors, FactorError> {
     opts.validate()?; // deterministic: every rank rejects the same way
     let a = dm.matrix();
-    let n = dm.n();
-    let role = role_map(local, n);
     let mut fb = FactorBuilder::new(
         local,
-        triangle_reserve(local.len(), n, opts.m, local.nnz(a)),
+        triangle_reserve(local.len(), dm.n(), opts.m, local.nnz(a)),
     );
     let mut stats = ParStats::default();
     // The row kernel carries the working row, the scratch parts, the
     // breakdown state (its first unusable pivot is deferred to the
     // collective error check) and, as its work meter, the open entry of
-    // the level table, whose clock is measured from `mark`.
-    let mut kern = IlutRow::new(n, opts);
+    // the level table, whose clock is measured from `mark`. Its working
+    // row spans the rank's column space, not the global one.
+    let mut kern = IlutRow::new(dm.n(), Some(local), opts);
     let mut mark = ctx.time();
 
     // ---- Phase 1: my rows in local-view order, through the serial row
@@ -246,7 +235,7 @@ pub fn par_ilut(
     for (p, &i) in local.nodes.iter().enumerate() {
         let mut work = |cost| ctx.work(cost);
         if p < n_int {
-            let before = |j: usize| role[j] == 1 && j < i;
+            let before = |j: usize| local.is_interior(j) && j < i;
             kern.factor_row(
                 a,
                 i,
@@ -260,7 +249,7 @@ pub fn par_ilut(
             continue;
         }
         let tau_i = opts.tau * a.row_norm2(i);
-        let mine = |j: usize| role[j] == 1;
+        let mine = |j: usize| local.is_interior(j);
         // lower = the multipliers; upper = the interface columns (mine or
         // remote) including the diagonal.
         kern.reduce(
@@ -299,7 +288,7 @@ pub fn par_ilut(
     let mut levels: Vec<Vec<usize>> = Vec::new();
     let mut per_level: Vec<LevelStats> = Vec::new();
     let mut mis = LevelMis::default();
-    let mut remote_u = RemoteURows::new(n);
+    let mut remote_u = RemoteURows::new(local);
     let mut pivots: Vec<usize> = Vec::new();
     let mut remaining = reduced.len();
     // Entries in my live reduced rows, kept current by every row hand-over.
@@ -411,13 +400,13 @@ pub fn par_ilut(
             }
             kern.meter.rows_touched += 1;
             for &(c, v) in rr.iter() {
-                kern.w.set(c, v);
+                kern.w.set(local.slot(c), v);
             }
             kern.lower.clear();
             for &k in &pivots {
                 let (udiag, urow) = fb.level_pivot(k, &remote_u);
-                let wk = kern.w.get(k);
-                kern.w.drop_pos(k);
+                let wk = kern.w.get(local.slot(k));
+                kern.w.drop_pos(local.slot(k));
                 // lint: allow(float-eq): skips exactly cancelled multipliers
                 if wk == 0.0 {
                     continue;
@@ -429,7 +418,7 @@ pub fn par_ilut(
                     continue; // first dropping rule
                 }
                 for &(j, uv) in urow {
-                    kern.w.add(j, -mult * uv);
+                    kern.w.add(local.slot(j), -mult * uv);
                 }
                 let cost = 2.0 * urow.len() as f64;
                 kern.meter.pivots_applied += 1;
@@ -444,7 +433,8 @@ pub fn par_ilut(
             make_room(l, kern.lower.len());
             l.extend_from_slice(&kern.lower);
             // The surviving working row becomes the next-level reduced row.
-            kern.w.drain_sorted_into(&mut kern.entries);
+            kern.w
+                .drain_sorted_by_into(&mut kern.entries, |s| local.col(s));
             threshold_and_cap_in_place(&mut kern.entries, tau_i, opts.reduced_cap(), Some(i));
             ctx.copy_words(kern.entries.len() as f64);
             kern.meter.copy_words += kern.entries.len() as f64;

@@ -283,11 +283,12 @@ impl<'a> FactorBuilder<'a> {
 }
 
 /// The `U` rows of one level's remote members, as shipped by their owners:
-/// one flat buffer reused across levels, looked up through a dense
-/// global-id index.
-pub(crate) struct RemoteURows {
-    /// `at[g]` = index of node `g` in this level's batch (`usize::MAX`
-    /// when absent).
+/// one flat buffer reused across levels, looked up through a dense index
+/// over the rank's column space (only interface nodes are ever shipped).
+pub(crate) struct RemoteURows<'a> {
+    local: &'a LocalView,
+    /// `at[local.slot(g)]` = index of node `g` in this level's batch
+    /// (`usize::MAX` when absent).
     at: Vec<usize>,
     nodes: Vec<usize>,
     ptr: Vec<usize>,
@@ -295,10 +296,11 @@ pub(crate) struct RemoteURows {
     entries: Vec<(usize, f64)>,
 }
 
-impl RemoteURows {
-    pub(crate) fn new(n: usize) -> Self {
+impl<'a> RemoteURows<'a> {
+    pub(crate) fn new(local: &'a LocalView) -> Self {
         RemoteURows {
-            at: vec![usize::MAX; n],
+            local,
+            at: vec![usize::MAX; local.n_slots()],
             nodes: Vec::new(),
             ptr: vec![0],
             diag: Vec::new(),
@@ -309,7 +311,7 @@ impl RemoteURows {
     /// Forgets the previous level's batch.
     pub(crate) fn clear(&mut self) {
         for &g in &self.nodes {
-            self.at[g] = usize::MAX;
+            self.at[self.local.slot(g)] = usize::MAX;
         }
         self.nodes.clear();
         self.ptr.truncate(1);
@@ -323,7 +325,7 @@ impl RemoteURows {
         let (mut iu, mut ifl) = (0usize, 0usize);
         while iu < bu.len() {
             let (node, len) = (bu[iu] as usize, bu[iu + 1] as usize);
-            self.at[node] = self.nodes.len();
+            self.at[self.local.slot(node)] = self.nodes.len();
             self.nodes.push(node);
             self.diag.push(bf[ifl]);
             let cols = bu[iu + 2..iu + 2 + len].iter().map(|&c| c as usize);
@@ -337,7 +339,7 @@ impl RemoteURows {
 
     /// Pivot and strict-`U` entries of remote node `g`, if in this batch.
     pub(crate) fn get(&self, g: usize) -> Option<(f64, &[(usize, f64)])> {
-        let i = self.at[g];
+        let i = self.at[self.local.slot(g)];
         (i != usize::MAX).then(|| (self.diag[i], &self.entries[self.ptr[i]..self.ptr[i + 1]]))
     }
 }

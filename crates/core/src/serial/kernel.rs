@@ -7,11 +7,15 @@
 //! pivot / rest, repaired by the [`PivotDoctor`], capped (dropping rule 2)
 //! and pushed. The store's slot numbering is the caller's: `slot_of` maps a
 //! column to the slot of its factored row and `col_of` maps back, both the
-//! identity for the serial factorization. Modelled work is reported to a
-//! caller-supplied `work` sink in the order it is spent, so the distributed
-//! caller can charge its logical clock and the serial one can ignore it.
+//! identity for the serial factorization. The working row has a slot per
+//! column for the serial factorization and a slot per column of the rank's
+//! column space ([`LocalView::slot`]) for the distributed one. Modelled work
+//! is reported to a caller-supplied `work` sink in the order it is spent, so
+//! the distributed caller can charge its logical clock and the serial one
+//! can ignore it.
 
 use crate::breakdown::{PivotDoctor, PivotFault};
+use crate::dist::LocalView;
 use crate::factors::FactorStore;
 use crate::options::IlutOptions;
 use crate::parallel::LevelStats;
@@ -23,12 +27,14 @@ use std::collections::BinaryHeap;
 /// Per-factorization state of the row kernel: the scratch reused across
 /// rows (everything that outlives a row is copied out at exact size), the
 /// breakdown state and the work meter.
-pub(crate) struct IlutRow {
+pub(crate) struct IlutRow<'a> {
+    /// The working row: a slot per column, or per column of `space`.
     pub(crate) w: WorkRow,
-    /// Min-heap of pivot columns still to eliminate in the current row,
-    /// with a membership marker so each is pushed at most once.
+    space: Option<&'a LocalView>,
+    /// Min-heap of pivot columns still to eliminate in the current row. A
+    /// column is pushed as it enters the working row and leaves the row
+    /// only once popped, so row membership is the heap's marker.
     heap: BinaryHeap<Reverse<usize>>,
-    in_heap: Vec<bool>,
     /// The drained working row and its two parts.
     pub(crate) entries: Vec<(usize, f64)>,
     pub(crate) lower: Vec<(usize, f64)>,
@@ -44,12 +50,14 @@ pub(crate) struct IlutRow {
     pub(crate) meter: LevelStats,
 }
 
-impl IlutRow {
-    pub(crate) fn new(n: usize, opts: &IlutOptions) -> Self {
+impl<'a> IlutRow<'a> {
+    /// A kernel for rows of `n` columns, or for the rows of the rank
+    /// `space` views, whose working row then spans its column space.
+    pub(crate) fn new(n: usize, space: Option<&'a LocalView>, opts: &IlutOptions) -> Self {
         IlutRow {
-            w: WorkRow::new(n),
+            w: WorkRow::new(space.map_or(n, LocalView::n_slots)),
+            space,
             heap: BinaryHeap::new(),
-            in_heap: vec![false; n],
             entries: Vec::new(),
             lower: Vec::new(),
             upper: Vec::new(),
@@ -77,19 +85,21 @@ impl IlutRow {
         work: &mut impl FnMut(f64),
     ) -> (f64, bool) {
         debug_assert!(self.heap.is_empty(), "heap drained by the previous row");
+        let space = self.space;
+        let slot = |j| space.map_or(j, |space| space.slot(j));
         for (&j, &v) in cols.iter().zip(vals) {
-            self.w.set(j, v);
-            if eligible(j) && !self.in_heap[j] {
-                self.in_heap[j] = true;
+            let c = slot(j);
+            if !self.w.contains(c) && eligible(j) {
                 self.heap.push(Reverse(j));
             }
+            self.w.set(c, v);
         }
         while let Some(Reverse(k)) = self.heap.pop() {
-            self.in_heap[k] = false;
-            let wk = self.w.get(k);
+            let ck = slot(k);
+            let wk = self.w.get(ck);
             // lint: allow(float-eq): skips exactly cancelled multipliers
             if wk == 0.0 {
-                self.w.drop_pos(k);
+                self.w.drop_pos(ck);
                 continue;
             }
             let p = slot_of(k);
@@ -98,19 +108,22 @@ impl IlutRow {
             // First dropping rule.
             if mult.abs() < tau_i {
                 self.meter.dropped_rule1 += 1;
-                self.w.drop_pos(k);
+                self.w.drop_pos(ck);
                 continue;
             }
-            self.w.set(k, mult);
+            self.w.set(ck, mult);
             // w -= mult * u_k (strict upper part of the pivot row).
             let urow = store.u.entries(p);
             let cost = 2.0 * urow.len() as f64;
             for (s, uv) in urow {
                 let j = col_of(s);
-                let newly = !self.w.contains(j);
-                self.w.add(j, -mult * uv);
-                if newly && eligible(j) && !self.in_heap[j] {
-                    self.in_heap[j] = true;
+                // The store slot is the working-row slot of every serial
+                // column and of a rank's interiors: only interface columns
+                // read the numbering.
+                let c = space.map_or(s, |space| space.slot_at(s, j));
+                let newly = !self.w.contains(c);
+                self.w.add(c, -mult * uv);
+                if newly && eligible(j) {
                     self.heap.push(Reverse(j));
                 }
             }
@@ -118,7 +131,8 @@ impl IlutRow {
             self.meter.elim_flops += cost;
             work(cost + 1.0);
         }
-        self.w.drain_sorted_into(&mut self.entries);
+        let col = |s| space.map_or(s, |space| space.col(s));
+        self.w.drain_sorted_by_into(&mut self.entries, col);
         self.meter.select_flops += selection_cost(self.entries.len());
         work(selection_cost(self.entries.len()));
         self.lower.clear();

@@ -24,6 +24,7 @@ use crate::check::CollKind;
 use crate::ctx::Ctx;
 use crate::hb::RecvMode;
 use crate::payload::Payload;
+use crate::pool::Pool;
 
 /// Element-wise reduction operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,8 +124,8 @@ impl Ctx {
         &mut self,
         tag: u64,
         mut acc: T,
-        to_payload: fn(T) -> Payload,
-        from_payload: fn(Payload) -> T,
+        to_payload: impl Fn(T) -> Payload,
+        from_payload: impl Fn(Payload) -> T,
         combine: C,
     ) -> Option<T>
     where
@@ -156,8 +157,8 @@ impl Ctx {
         &mut self,
         tag: u64,
         val: Option<T>,
-        to_payload: fn(&T) -> Payload,
-        from_payload: fn(Payload) -> T,
+        to_payload: impl Fn(&T) -> Payload,
+        from_payload: impl Fn(Payload) -> T,
     ) -> T {
         let (s, p) = self.slots();
         let val = if s == 0 {
@@ -198,8 +199,11 @@ impl Ctx {
     fn all_reduce_scalar(&mut self, kind: CollKind, x: f64, combine: fn(&mut f64, f64)) -> f64 {
         let planned = self.tree_collective_sends();
         let tag = self.begin_collective(kind, planned);
-        let root = self.tree_reduce(tag, x, scalar_payload, scalar_value, combine);
-        let out = self.tree_bcast(tag, root, |&v| scalar_payload(v), scalar_value);
+        // The codecs hold the run's pool while the tree borrows the rank.
+        let pool = self.pool.clone();
+        let (to, from) = (|x| scalar_payload(&pool, x), |p| scalar_value(&pool, p));
+        let root = self.tree_reduce(tag, x, to, from, combine);
+        let out = self.tree_bcast(tag, root, |&v| to(v), from);
         self.end_collective();
         out
     }
@@ -345,17 +349,17 @@ impl Ctx {
 }
 
 /// One `f64` in a pooled one-element buffer, ready to ship.
-fn scalar_payload(x: f64) -> Payload {
-    let mut buf = crate::pool::take_f64(1);
+fn scalar_payload(pool: &Pool, x: f64) -> Payload {
+    let mut buf = pool.take(1);
     buf.push(x);
     Payload::f64s(buf)
 }
 
 /// Reads the `f64` of a [`scalar_payload`] and hands its buffer back to
 /// the pool.
-fn scalar_value(payload: Payload) -> f64 {
+fn scalar_value(pool: &Pool, payload: Payload) -> f64 {
     let x = payload.as_f64()[0];
-    payload.recycle();
+    payload.recycle(pool);
     x
 }
 

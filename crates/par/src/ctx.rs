@@ -6,6 +6,7 @@ use crate::fault::{FaultSession, MessageFate, RankFate, FAULT_KILL_PREFIX};
 use crate::hb::{HbState, RecvMode};
 use crate::machine::MachineModel;
 use crate::payload::Payload;
+use crate::pool::Pool;
 use crate::rel::{Ingress, RelState, ACK_TAG, RECOVER_TAG};
 use crate::sched::{match_kind, SchedSession, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
@@ -201,6 +202,9 @@ pub struct Ctx {
     /// adopted a loss this rank has not yet detected); replayed through
     /// ingress once `adopt_world` resets to the new epoch.
     future_frames: Vec<Envelope>,
+    /// The run's registered-buffer shelf, shared by every rank of the run
+    /// like the commcheck board and dropped with it (see [`crate::pool`]).
+    pub(crate) pool: Arc<Pool>,
 }
 
 impl Ctx {
@@ -218,6 +222,7 @@ impl Ctx {
         fault: Option<FaultSession>,
         sched: Option<SchedSession>,
         flags: RunFlags,
+        pool: Arc<Pool>,
     ) -> Self {
         assert!(
             (!flags.reliable && !flags.recovery) || check.is_some(),
@@ -256,6 +261,7 @@ impl Ctx {
             slot_cache: Vec::new(),
             slot_cache_epoch: u64::MAX,
             future_frames: Vec::new(),
+            pool,
         }
     }
 
@@ -297,6 +303,12 @@ impl Ctx {
     /// per link are in flight beyond the plain send/recv skew.
     pub fn is_reliable(&self) -> bool {
         self.rel.is_some()
+    }
+
+    /// The run's registered-buffer pool: plans warm it at build time, and
+    /// replay takes its buffers and recycles payloads into it.
+    pub fn pool(&self) -> &Pool {
+        &self.pool
     }
 
     /// True when this rank was killed by fault injection. A recovery
@@ -694,7 +706,7 @@ impl Ctx {
         match kind {
             CTRL_ACK => {
                 if let Some(rel) = self.rel.as_mut() {
-                    rel.on_ack(env.from, val);
+                    rel.on_ack(env.from, val, &self.pool);
                 }
             }
             CTRL_NACK => {

@@ -5,6 +5,7 @@ use crate::check::{
 };
 use crate::ctx::{Ctx, Envelope, RankExit, CTRL_TAG, DEFAULT_CHECK_POLL};
 use crate::fault::{FaultPlan, FaultSession, FaultShared, InjectedFault, FAULT_KILL_PREFIX};
+use crate::pool::{Pool, PER_CLASS};
 use crate::sched::{SchedHandle, SchedSession};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
@@ -328,10 +329,14 @@ impl Machine {
         F: Fn(&mut Ctx) -> R + Sync,
     {
         assert!(p > 0, "need at least one rank");
+        // The run's registered-buffer shelf, dropped when the run returns.
         // Scalar collectives (GMRES dot products) draw single-element
-        // buffers from the pool every inner iteration; fill that class
-        // before any rank starts so the steady state never misses.
-        crate::pool::warm_scalars();
+        // buffers from it every inner iteration, and under reliable
+        // delivery each link's retention window holds up to `ACK_EVERY` of
+        // them hostage — far more than any plan-driven warm would request:
+        // fill that class to its cap before any rank starts.
+        let pool = Arc::new(Pool::default());
+        pool.warm(1, PER_CLASS);
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
         for _ in 0..p {
@@ -357,13 +362,14 @@ impl Machine {
                     .as_ref()
                     .map(|shared| FaultSession::new(Arc::clone(shared), rank));
                 let ssched = sched.as_ref().map(|h| SchedSession::new(h, rank));
+                let pool = Arc::clone(&pool);
                 scope.spawn(move || {
                     // The rank's outermost audit region: every region the
                     // body enters publishes when this one drops, which is
                     // before the scope can see the rank as finished.
                     let _audit = pilut_allocaudit::region("rank");
                     let mut ctx = Ctx::new(
-                        rank, p, model, senders, rx, check, poll, session, ssched, flags,
+                        rank, p, model, senders, rx, check, poll, session, ssched, flags, pool,
                     );
                     match std::panic::catch_unwind(AssertUnwindSafe(|| fref(&mut ctx))) {
                         Ok(r) => {

@@ -1,5 +1,6 @@
 //! Message payloads.
 
+use crate::pool::Pool;
 use std::sync::Arc;
 
 /// The data carried by one message. Index data travels as `u64`, numeric
@@ -106,8 +107,8 @@ impl Payload {
     }
 
     /// Drops this handle, returning the underlying `f64` buffer to the
-    /// registered pool when it was the last reference (index buffers are
-    /// not pooled and simply drop). This is how pooled
+    /// run's registered `pool` when it was the last reference (index
+    /// buffers are not pooled and simply drop). This is how pooled
     /// replay buffers complete their cycle: each holder — the receiver
     /// after scattering, the sender's reliable-delivery retention on
     /// cumulative ACK — recycles its handle, and whichever drops last
@@ -115,12 +116,12 @@ impl Payload {
     /// drops, copy-free (where [`Payload::into_f64`] would have deep-
     /// cloned and the pooled original would have died with the other
     /// reference, draining the pool one buffer per acknowledged frame).
-    pub fn recycle(self) {
+    pub fn recycle(self, pool: &Pool) {
         match self {
             Payload::Empty | Payload::U64(_) => {}
             Payload::F64(v) | Payload::Mixed(_, v) => {
                 if let Ok(buf) = Arc::try_unwrap(v) {
-                    crate::pool::give_f64(buf);
+                    pool.give(buf);
                 }
             }
         }

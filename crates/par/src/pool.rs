@@ -1,18 +1,23 @@
-//! Registered communication buffers: a cross-rank pool of reusable
-//! message payloads.
+//! Registered communication buffers: one run's pool of reusable message
+//! payloads.
 //!
 //! MPI codes register their halo buffers once and reuse them for every
 //! exchange; nothing on the steady path touches the heap. The VM's
-//! equivalent is this pool: a process-wide shelf of power-of-two size
-//! classes holding `Vec<f64>` payload buffers (index buffers are not
-//! pooled: no steady-state region ships one). A plan warms
-//! the classes it needs at build time ([`warm_f64`]); replay then
-//! [`take`](take_f64)s an empty buffer, fills and ships it, and the
-//! *receiver* — a different rank thread — [`give`](give_f64)s it back
-//! after unwrapping, closing the producer/consumer cycle without a
-//! single steady-state allocation. The zero-alloc bench gate is what
-//! keeps everyone honest: a pool sized too small shows up as a counted
-//! allocation inside a steady region, not as silent churn.
+//! equivalent is this pool: a shelf of power-of-two size classes holding
+//! `Vec<f64>` payload buffers (index buffers are not pooled: no
+//! steady-state region ships one). The shelf belongs to one
+//! [`Machine::run`](crate::Machine::run): the machine creates it, every
+//! rank reaches it through its [`Ctx`](crate::Ctx), and it is dropped when
+//! the run returns — as MPI frees registered buffers with their
+//! communicator — so a run never sees the buffers of the run before it or
+//! of one running beside it. A plan warms the classes it needs at build
+//! time ([`Pool::warm`]); replay then [`take`](Pool::take)s an empty
+//! buffer, fills and ships it, and the *receiver* — a different rank
+//! thread — [`recycle`](crate::Payload::recycle)s it after reading, closing
+//! the producer/consumer cycle without a single steady-state allocation.
+//! The zero-alloc bench gate is what keeps everyone honest: a pool sized too
+//! small shows up as a counted allocation inside a steady region, not as
+//! silent churn.
 //!
 //! Misses are deliberate, not hidden: an empty class allocates a fresh
 //! buffer (fine during setup/warm-up, a gate failure inside a steady
@@ -32,10 +37,16 @@ const MAX_CLASS: usize = 26;
 /// senders retain each frame until the cumulative ACK passes it. The cap
 /// is a count, not a byte bound: it relies on large classes having few
 /// links, which holds for halo/sweep schedules (link length scales with
-/// the partition interface, link count with the neighbor degree).
-const PER_CLASS: usize = 1024;
+/// the partition interface, link count with the neighbor degree). It stays
+/// although the shelf is per run: a warm is a per-link allowance rather
+/// than an exact count, the scalar class has no plan to size it, and a run
+/// that re-plans (a recovery epoch, a second operator) warms again.
+pub(crate) const PER_CLASS: usize = 1024;
 
-struct Pool {
+/// One run's shelf of empty `f64` buffers, reached through
+/// [`Ctx::pool`](crate::Ctx::pool).
+#[derive(Debug, Default)]
+pub struct Pool {
     /// `classes[c]` holds empty buffers with `capacity ≥ 2^c`. The spine
     /// and each class vector are pre-reserved at warm time so steady-state
     /// `give`/`take` never grow them.
@@ -43,12 +54,6 @@ struct Pool {
 }
 
 impl Pool {
-    const fn new() -> Self {
-        Pool {
-            classes: Mutex::new(Vec::new()),
-        }
-    }
-
     /// Class exponent serving a request of `len` elements.
     fn class_for_len(len: usize) -> usize {
         len.max(1).next_power_of_two().trailing_zeros() as usize
@@ -71,7 +76,7 @@ impl Pool {
     /// buffers for *all* links of a class and drained under cross-rank
     /// skew, which the zero-alloc bench gate caught as steady-state
     /// `take` misses.
-    fn warm(&self, len: usize, count: usize) {
+    pub fn warm(&self, len: usize, count: usize) {
         let c = Self::class_for_len(len);
         if c > MAX_CLASS {
             return;
@@ -88,7 +93,9 @@ impl Pool {
         }
     }
 
-    fn take(&self, len: usize) -> Vec<f64> {
+    /// An empty buffer with capacity ≥ `len`, allocated fresh on a miss
+    /// (setup-only by contract).
+    pub fn take(&self, len: usize) -> Vec<f64> {
         let c = Self::class_for_len(len);
         if c <= MAX_CLASS {
             // lint: allow(unwrap): pool lock is never poisoned (no panics under it)
@@ -100,7 +107,8 @@ impl Pool {
         Vec::with_capacity(len.max(1).next_power_of_two())
     }
 
-    fn give(&self, mut buf: Vec<f64>) {
+    /// Shelves a consumed buffer for the next replay round.
+    pub(crate) fn give(&self, mut buf: Vec<f64>) {
         if buf.capacity() == 0 {
             return;
         }
@@ -120,7 +128,10 @@ impl Pool {
         }
     }
 
-    fn available(&self, len: usize) -> usize {
+    /// Buffers shelved in the class serving `len` — a test and diagnostic
+    /// hook, not part of any protocol.
+    #[doc(hidden)]
+    pub fn available(&self, len: usize) -> usize {
         let c = Self::class_for_len(len);
         // lint: allow(unwrap): pool lock is never poisoned (no panics under it)
         let classes = self.classes.lock().unwrap();
@@ -128,82 +139,118 @@ impl Pool {
     }
 }
 
-static F64_POOL: Pool = Pool::new();
-
-/// Adds `count` empty `f64` buffers able to hold `len` values (additive
-/// per call, capped at the per-class shelf size — see [`Pool::warm`]).
-/// Called at plan-build time, once per send link; replay then runs
-/// allocation-free.
-pub fn warm_f64(len: usize, count: usize) {
-    F64_POOL.warm(len, count);
-}
-
-/// Takes an empty `f64` buffer with capacity ≥ `len` from the pool
-/// (allocating a fresh one on a miss — setup-only by contract).
-pub fn take_f64(len: usize) -> Vec<f64> {
-    F64_POOL.take(len)
-}
-
-/// Returns a consumed `f64` buffer to the pool for the next replay round.
-pub fn give_f64(buf: Vec<f64>) {
-    F64_POOL.give(buf);
-}
-
-/// Tops the scalar class (single-element `f64` buffers) up to its shelf
-/// cap. Called once per machine launch: scalar collectives draw from this
-/// class on every GMRES inner iteration, and under reliable delivery each
-/// link's retention window holds up to [`crate::ACK_EVERY`] of them
-/// hostage — far more than any plan-driven warm would request. Warming is
-/// additive and capped, so repeated launches are idempotent.
-pub fn warm_scalars() {
-    F64_POOL.warm(1, PER_CLASS);
-}
-
-/// Buffers currently shelved in the class serving `len` (test/diagnostic
-/// hook).
-pub fn pooled_f64(len: usize) -> usize {
-    F64_POOL.available(len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{Machine, MachineModel};
     use crate::payload::Payload;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn take_give_roundtrip_reuses_the_buffer() {
-        warm_f64(100, 1);
-        let mut a = take_f64(100);
+        let pool = Pool::default();
+        pool.warm(100, 1);
+        let mut a = pool.take(100);
         let ptr = a.as_ptr();
         a.extend((0..100).map(|i| i as f64));
-        give_f64(a);
-        let b = take_f64(80); // same class (2^7): must get the same buffer
+        pool.give(a);
+        let b = pool.take(80); // same class (2^7): must get the same buffer
         assert_eq!(b.as_ptr(), ptr, "pool did not recycle the buffer");
         assert!(b.is_empty(), "recycled buffer not cleared");
-        give_f64(b);
+        pool.give(b);
     }
 
     #[test]
     fn warmed_classes_serve_steadily_without_allocating() {
-        warm_f64(1000, 2);
+        let pool = Pool::default();
+        pool.warm(1000, 2);
         let guard = pilut_allocaudit::zero_alloc("pool_steady");
         for _ in 0..4 {
-            let mut f = take_f64(1000);
+            let mut f = pool.take(1000);
             f.extend(std::iter::repeat(1.5).take(1000));
-            give_f64(f);
+            pool.give(f);
         }
         drop(guard);
     }
 
     #[test]
     fn oversized_and_unwarmed_requests_still_work() {
-        let big = take_f64((1 << MAX_CLASS) + 1);
+        let pool = Pool::default();
+        let big = pool.take((1 << MAX_CLASS) + 1);
         assert!(big.capacity() > 1 << MAX_CLASS);
-        give_f64(big); // dropped, not shelved
-        let odd = take_f64(3);
+        pool.give(big); // dropped, not shelved
+        let odd = pool.take(3);
         assert!(odd.capacity() >= 3);
-        give_f64(odd);
+        pool.give(odd);
+        assert_eq!(pool.available(3), 0, "an unwarmed class shelves nothing");
+    }
+
+    #[test]
+    fn warming_is_additive_and_capped() {
+        let pool = Pool::default();
+        pool.warm(10, 3);
+        pool.warm(16, 4); // same class (2^4)
+        assert_eq!(pool.available(9), 7);
+        pool.warm(10, PER_CLASS);
+        assert_eq!(pool.available(10), PER_CLASS);
+    }
+
+    /// The shelf a run sees at a given point is what *that run* warmed:
+    /// two back-to-back runs with the same warms count the same buffers,
+    /// where a process-wide shelf showed the second run the first one's.
+    #[test]
+    fn back_to_back_runs_see_the_same_shelf() {
+        let run = || {
+            Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
+                ctx.pool().warm(300, 5);
+                ctx.barrier(); // both ranks have warmed; nobody takes 300s
+                ctx.pool().available(300)
+            })
+            .results
+        };
+        let first = run();
+        assert_eq!(first, vec![10, 10], "both ranks warm one shared shelf");
+        assert_eq!(run(), first, "the second run saw the first run's buffers");
+    }
+
+    /// Two runs on two threads at once: each sees its own warms only and
+    /// never takes a buffer the other one registered.
+    #[test]
+    fn concurrent_runs_never_share_buffers() {
+        let meet = Barrier::new(2);
+        let run = |warm: usize| {
+            Machine::run(1, MachineModel::cray_t3d(), |ctx| {
+                ctx.pool().warm(700, warm);
+                meet.wait(); // both shelves are warm before either is read
+                let count = ctx.pool().available(700);
+                let bufs: Vec<Vec<f64>> = (0..count).map(|_| ctx.pool().take(700)).collect();
+                let ptrs: Vec<usize> = bufs.iter().map(|b| b.as_ptr() as usize).collect();
+                meet.wait(); // both runs hold all their buffers at once
+                (count, ptrs)
+            })
+            .results
+            .remove(0)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(3));
+            let b = s.spawn(|| run(4));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!((a.0, b.0), (3, 4), "a run counted the other run's warms");
+        assert!(a.1.iter().all(|p| !b.1.contains(p)), "runs shared a buffer");
+    }
+
+    /// The shelf is dropped with its run: nothing keeps the registered
+    /// buffers alive once `Machine::run` has returned.
+    #[test]
+    fn a_runs_shelf_is_gone_once_it_returns() {
+        let out = Machine::run(2, MachineModel::cray_t3d(), |ctx| {
+            ctx.pool().warm(5000, 2);
+            Arc::downgrade(&ctx.pool)
+        });
+        for shelf in out.results {
+            assert!(shelf.upgrade().is_none(), "a run's shelf outlived the run");
+        }
     }
 
     /// Differential test for the production path: an *unchecked*

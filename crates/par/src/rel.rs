@@ -21,6 +21,7 @@
 //! are documented in DESIGN §14.
 
 use crate::ctx::Envelope;
+use crate::pool::Pool;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Stats tag for all reliable-delivery traffic: acks, nacks, and resends.
@@ -96,11 +97,11 @@ impl RelState {
     /// handle, so retention holds the *last* reference to the payload —
     /// for pooled replay buffers this is the moment the buffer returns to
     /// the registered pool instead of dying with the frame.
-    pub(crate) fn on_ack(&mut self, from: usize, upto: u64) {
+    pub(crate) fn on_ack(&mut self, from: usize, upto: u64, pool: &Pool) {
         let q = &mut self.retained[from];
         while q.front().is_some_and(|e| e.seq.is_some_and(|s| s <= upto)) {
             if let Some(env) = q.pop_front() {
-                env.payload.recycle();
+                env.payload.recycle(pool);
             }
         }
     }
@@ -268,10 +269,10 @@ mod tests {
             rel.retain(e);
         }
         assert_eq!(rel.resend_from(2, 3).len(), 2);
-        rel.on_ack(2, 3);
+        rel.on_ack(2, 3, &Pool::default());
         assert_eq!(rel.resend_from(2, 1).len(), 1);
         assert_eq!(rel.unacked().len(), 1);
-        rel.on_ack(2, 4);
+        rel.on_ack(2, 4, &Pool::default());
         assert!(rel.unacked().is_empty());
     }
 

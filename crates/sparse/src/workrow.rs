@@ -242,9 +242,20 @@ impl WorkRow {
     /// buffer (cleared first), so a hot loop can reuse one allocation
     /// across rows.
     pub fn drain_sorted_into(&mut self, out: &mut Vec<(usize, f64)>) {
+        self.drain_sorted_by_into(out, |j| j);
+    }
+
+    /// Like [`WorkRow::drain_sorted_into`] for a row whose positions stand
+    /// for other ids: yields `(id(position), value)` pairs sorted by id.
+    /// `id` must be injective.
+    pub fn drain_sorted_by_into(
+        &mut self,
+        out: &mut Vec<(usize, f64)>,
+        id: impl Fn(usize) -> usize,
+    ) {
         out.clear();
         for &j in &self.inner.nz_list {
-            out.push((j, self.inner.values[j]));
+            out.push((id(j), self.inner.values[j]));
             self.inner.slot[j] = 0;
             self.inner.values[j] = 0.0;
         }

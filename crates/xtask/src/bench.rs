@@ -111,11 +111,15 @@ const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 /// level — are the matrix `DistMatrix` will keep (1.0), the structure
 /// graph (0.5: 64-bit offsets, 32-bit ids and weights), the coarsening
 /// hierarchy (a geometric sum, 1.3 graphs) and one level's 32-bit scratch:
-/// 2.36 at full size, 2.39 at `--quick` size. With `usize` ids and `i64`
-/// weights they held 3.49 / 3.46, and with the transpose and the
-/// symmetrised copy behind the graph, the partitioner's clone of it and the
-/// symmetrised copy in `DistMatrix` 5.04 / 5.18 (EXPERIMENTS).
-const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.45;
+/// 2.34 at full size, 2.32 at `--quick` size. The eight views now hold
+/// O(rows) each — their nodes and a handle on the shared numbering — so
+/// the end of the scenario (1.92 / 1.95) stays below that; while each held
+/// a `u32` per global row, the end peaked at 2.39 at `--quick` size. With
+/// `usize` ids and `i64` weights the partitioner held 3.49 / 3.46, and with
+/// the transpose and the symmetrised copy behind the graph, the
+/// partitioner's clone of it and the symmetrised copy in `DistMatrix` 5.04
+/// / 5.18 (EXPERIMENTS).
+const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.35;
 
 /// Dofs per node of `gen::elasticity_3d` = the tile size of `block_ilut`.
 const DOFS: usize = 3;

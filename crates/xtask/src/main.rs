@@ -77,6 +77,13 @@
 //!   dependency anywhere. This is what keeps the tier-1 gate offline-safe.
 //! * **doc-pub-fn** — every `pub fn` in `crates/*/src` carries a doc
 //!   comment (`///` or `#[doc = ...]`).
+//! * **no-global-state** — a `static` item (`static`, `static mut`, a
+//!   `thread_local!` entry) in a library crate is a violation: state a run
+//!   uses belongs to the run (the registered-buffer pool lives in the
+//!   `Machine::run` that warmed it), or two runs in one process see each
+//!   other. `allocaudit` is exempt — it audits the whole process and is
+//!   not scanned — and so is `xtask`, a binary. Escape hatch:
+//!   `// lint: allow(global-state): <why>`.
 //!
 //! Before any source rule runs, the file goes through a small in-tree
 //! lexer ([`blank_noncode`]) that blanks line comments, doc comments,
@@ -438,6 +445,17 @@ fn lint_source(label: &str, content: &str, in_par: bool) -> Vec<Violation> {
                 out.push(v);
             }
         }
+        if !label.starts_with("crates/xtask/")
+            && declares_static(code)
+            && !allowed(&lines, i, "global-state")
+        {
+            out.push(Violation {
+                file: label.to_string(),
+                line: i + 1,
+                rule: "no-global-state",
+                text: raw.to_string(),
+            });
+        }
     }
     // The tag-discipline rule runs over the whole blanked text rather than
     // per line: a call's argument list regularly spans lines.
@@ -464,6 +482,7 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
             "drop_pos",
             "drain_sorted_lanes_into",
             "drain_sorted_into",
+            "drain_sorted_by_into",
             "axpy",
             "add",
             "set",
@@ -764,6 +783,20 @@ fn nth_top_level_arg(s: &str, k: usize) -> Option<&str> {
         }
     }
     None
+}
+
+/// Whether a blanked code line declares a `static` item: the keyword as a
+/// word of its own followed by a space (`static X`, `pub(crate) static X`,
+/// `static mut X`, an entry of `thread_local!`). The lifetime `'static`
+/// keeps its quote in the blanked text and never matches.
+fn declares_static(code: &str) -> bool {
+    const KW: &str = "static";
+    code.match_indices(KW).any(|(at, _)| {
+        let before = code[..at].chars().next_back();
+        let after = code[at + KW.len()..].chars().next();
+        let glued = |c: char| c == '\'' || c == '_' || c.is_ascii_alphanumeric();
+        !before.is_some_and(glued) && after.is_some_and(char::is_whitespace)
+    })
 }
 
 /// Detects arithmetic on `RESERVED_TAG_BASE` — `|`, `+`, `^`, or `*`
@@ -1378,6 +1411,40 @@ mod tests {
         assert!(lint_source("crates/core/src/a.rs", cmp, false).is_empty());
         let marked = "// lint: allow(reserved-tag): test rig builds a protocol tag\nfn f() { let t = Ctx::RESERVED_TAG_BASE | 1; }\n";
         assert!(lint_source("crates/core/src/a.rs", marked, false).is_empty());
+    }
+
+    #[test]
+    fn global_state_is_caught_in_library_crates() {
+        for bad in [
+            "static POOL: Mutex<Vec<f64>> = Mutex::new(Vec::new());\n",
+            "pub(crate) static mut HITS: u64 = 0;\n",
+            "thread_local! {\n    static SCRATCH: RefCell<Vec<u8>> = RefCell::new(Vec::new());\n}\n",
+        ] {
+            assert_eq!(
+                rules(&lint_source("crates/par/src/pool.rs", bad, true)),
+                vec!["no-global-state"],
+                "{bad}"
+            );
+            assert_eq!(
+                rules(&lint_source("src/lib.rs", bad, false)),
+                vec!["no-global-state"]
+            );
+            // The binary crate may keep process state.
+            assert!(lint_source("crates/xtask/src/main.rs", bad, false).is_empty());
+        }
+    }
+
+    #[test]
+    fn static_lifetimes_and_marked_statics_are_fine() {
+        for ok in [
+            "fn f(s: &'static str) -> Box<dyn Fn() + 'static> { todo!() }\n",
+            "const NAME: &'static str = \"static x\"; // a static in prose\n",
+            "fn f<T: 'static>(x: T) { let statics = 1; let _ = x; }\n",
+            "// lint: allow(global-state): the one process-wide registry\nstatic R: u8 = 0;\n",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    static LOCK: Mutex<()> = Mutex::new(());\n}\n",
+        ] {
+            assert!(lint_source("crates/core/src/a.rs", ok, false).is_empty(), "{ok}");
+        }
     }
 
     #[test]
