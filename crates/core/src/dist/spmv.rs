@@ -43,7 +43,7 @@ impl SpmvPlan {
         let ghosts = plan.recv_lists().iter().flat_map(|(_, nodes)| nodes);
         let ghost_slot: HashMap<usize, usize> = ghosts.copied().zip(local.len()..).collect();
         let n_slots = local.len() + ghost_slot.len();
-        assert!(u32::try_from(n_slots).is_ok(), "slots are stored as u32");
+        crate::to_u32(n_slots, "SpMV slot count");
         let slot_of = |j: usize| local.pos_of(j).unwrap_or_else(|| ghost_slot[&j]);
         // Sized up front: collecting a `flat_map` would grow by doubling and
         // keep up to twice the entries for the life of the operator.

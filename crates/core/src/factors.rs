@@ -9,12 +9,19 @@
 //! local numbering with ghost slots behind it. Both are filled through the
 //! one `FactorStore::push_row` and solved through the one pair of row
 //! sweeps below.
+//!
+//! Slots and row pointers are `u32`: a strict entry costs 12 bytes, its
+//! slot and its value; a pivot costs 8, and a row 8 more for its two row
+//! pointers. `push_row` is where a slot or an entry count is narrowed, and
+//! checked.
+
+use crate::to_u32;
 
 /// One triangle of a factor: CSR over slots.
 #[derive(Clone, Debug)]
 pub(crate) struct Arena {
-    pub(crate) ptr: Vec<usize>,
-    pub(crate) slot: Vec<usize>,
+    pub(crate) ptr: Vec<u32>,
+    pub(crate) slot: Vec<u32>,
     pub(crate) val: Vec<f64>,
 }
 
@@ -32,8 +39,8 @@ impl Arena {
 
     /// Row `p` as parallel `(slots, values)` slices.
     #[inline]
-    pub(crate) fn row(&self, p: usize) -> (&[usize], &[f64]) {
-        let (lo, hi) = (self.ptr[p], self.ptr[p + 1]);
+    pub(crate) fn row(&self, p: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.ptr[p] as usize, self.ptr[p + 1] as usize);
         (&self.slot[lo..hi], &self.val[lo..hi])
     }
 
@@ -41,7 +48,7 @@ impl Arena {
     #[inline]
     pub(crate) fn entries(&self, p: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
         let (slots, vals) = self.row(p);
-        slots.iter().copied().zip(vals.iter().copied())
+        slots.iter().map(|&s| s as usize).zip(vals.iter().copied())
     }
 
     /// `x[p] − Σ val·x[slot]` over row `p`, summed in stored entry order —
@@ -51,13 +58,13 @@ impl Arena {
         let (slots, vals) = self.row(p);
         let mut s = x[p];
         for (&j, &v) in slots.iter().zip(vals) {
-            s -= v * x[j];
+            s -= v * x[j as usize];
         }
         s
     }
 
     fn heap_bytes(&self) -> usize {
-        8 * (self.ptr.capacity() + self.slot.capacity() + self.val.capacity())
+        4 * (self.ptr.capacity() + self.slot.capacity()) + 8 * self.val.capacity()
     }
 }
 
@@ -101,7 +108,8 @@ impl FactorStore {
     }
 
     /// Appends the next row: strict-`L` entries, pivot, strict-`U` entries,
-    /// every column renamed to its slot by `slot_of`.
+    /// every column renamed to its slot by `slot_of`. Panics if a slot or a
+    /// triangle's entry count outgrows `u32`.
     pub(crate) fn push_row(
         &mut self,
         l: &[(usize, f64)],
@@ -109,10 +117,11 @@ impl FactorStore {
         u: &[(usize, f64)],
         slot_of: impl Fn(usize) -> usize,
     ) {
+        let slot = |&(j, _): &(usize, f64)| to_u32(slot_of(j), "factor slot");
         for (arena, entries) in [(&mut self.l, l), (&mut self.u, u)] {
-            arena.slot.extend(entries.iter().map(|&(j, _)| slot_of(j)));
+            arena.slot.extend(entries.iter().map(slot));
             arena.val.extend(entries.iter().map(|&(_, v)| v));
-            arena.ptr.push(arena.slot.len());
+            arena.ptr.push(to_u32(arena.slot.len(), "factor entries"));
         }
         self.diag.push(diag);
     }
@@ -313,6 +322,17 @@ mod tests {
         // No rows, or rows with no entries, reserve nothing.
         assert_eq!(triangle_reserve(0, 576, 10, 0), 0);
         assert_eq!(triangle_reserve(3, 576, 10, 0), 0);
+    }
+
+    #[test]
+    fn heap_bytes_counts_four_byte_indices() {
+        let store = small().store;
+        let (l, u) = (&store.l, &store.u);
+        let index = l.ptr.capacity() + l.slot.capacity() + u.ptr.capacity() + u.slot.capacity();
+        let values = l.val.capacity() + u.val.capacity() + store.diag.capacity();
+        assert_eq!(store.heap_bytes(), 4 * index + 8 * values);
+        // Two rows, one strict entry per triangle: 4·(3 + 1 + 3 + 1) + 8·(1 + 1 + 2).
+        assert_eq!(store.heap_bytes(), 64);
     }
 
     #[test]

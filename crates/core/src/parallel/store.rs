@@ -1,5 +1,5 @@
 //! The rank-local factor store: the shared `FactorStore` (two flat CSR
-//! arenas plus pivots — the very store under
+//! arenas of `u32` slots and `f64` values plus pivots — the very store under
 //! [`LuFactors`](crate::factors::LuFactors)) over a compact slot space.
 //!
 //! ```text

@@ -25,7 +25,8 @@
 //!
 //! The sweeps stream the factor's two CSR arenas over one *slot-indexed*
 //! vector — the rank's local vector extended by one entry per referenced
-//! remote node (`RankFactors::ghosts`). Rows name their columns by slot and
+//! remote node (`RankFactors::ghosts`). Rows name their columns by slot (a
+//! `u32` beside each `f64` value, 12 bytes per entry) and
 //! the halos are over slots, so the inner loop is `x[p] -= val * x[slot]`
 //! with no id translation and a received batch lands directly in the ghost
 //! tail. Entries keep ascending *global* column order within a row, so
@@ -89,8 +90,8 @@ impl TrisolvePlan {
         // One direction: plan the exchange from the ghosts the triangle
         // references, learn each one's level from its owner, sort by level.
         let mut build_sweep = |tag: u64, arena: &Arena| -> Halo {
-            let ghost_refs = arena.slot.iter().filter(|&&s| s >= n_local);
-            let needed = ghost_refs.map(|&s| rf.ghosts[s - n_local]);
+            let ghost = |&s: &u32| (s as usize).checked_sub(n_local);
+            let needed = arena.slot.iter().filter_map(ghost).map(|g| rf.ghosts[g]);
             let plan = CommPlan::build(ctx, tag, needed, |j| dm.dist().owner(j));
             let (mine, ghost) = level_of.split_at_mut(n_local);
             plan.exchange_labels(

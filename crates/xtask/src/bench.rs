@@ -19,8 +19,9 @@
 //!   message, the `alg42_sweep` region at most [`SWEEP_GROWTHS_PER_ROW`]
 //!   per interface row, the `plan_replay` region the frames' buffers and
 //!   nothing else, `distribute_p8` at most [`DISTRIBUTE_LIVE_PER_INPUT`]
-//!   live bytes per byte of its matrix, a serial row puts nothing on the
-//!   wire) are asserted on the
+//!   live bytes per byte of its matrix, a row's factors at most
+//!   [`FACTOR_BYTES_PER_ENTRY`] heap bytes per entry, a serial row puts
+//!   nothing on the wire) are asserted on the
 //!   typed [`Measurement`] inside `xtask bench`, before the report is written;
 //!   an unfiltered run also asserts that every gated region was entered by
 //!   some scenario ([`unrecorded_region`]), so a renamed region cannot pass
@@ -120,6 +121,16 @@ const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 /// partitioner's clone of it and the symmetrised copy in `DistMatrix` 5.04
 /// / 5.18 (EXPERIMENTS).
 const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.35;
+
+/// Most heap bytes a machine row's factors may hold per stored entry
+/// (`RankFactors::heap_bytes` over `nnz_l + nnz_u`, summed over ranks). A
+/// `usize` slot beside its `f64` value is 16 B per strict entry before any
+/// pivot, row pointer or node list is counted, so a store above 16 carries
+/// a 64-bit index per entry. With `u32` slots and row pointers the rows
+/// read 12.60 (`dist_trisolve_p1`) to 15.39 (`par_ilut_star_p8`) at
+/// `--quick` size and 12.58 to 13.10 at full size; with `usize` ones, 16.80
+/// to 19.67 and 16.77 to 17.32.
+const FACTOR_BYTES_PER_ENTRY: f64 = 16.0;
 
 /// Dofs per node of `gen::elasticity_3d` = the tile size of `block_ilut`.
 const DOFS: usize = 3;
@@ -674,6 +685,15 @@ fn check(m: &Measurement) -> Result<(), String> {
         }
         _ => {}
     }
+    if let (Some(fill), Some(bytes)) = (m.facts.fill, m.facts.heap_bytes) {
+        let per_entry = bytes as f64 / fill as f64;
+        if per_entry > FACTOR_BYTES_PER_ENTRY {
+            return fail(format!(
+                "factors hold {bytes} byte(s) for {fill} entries, {per_entry:.2} per entry, \
+                 budget {FACTOR_BYTES_PER_ENTRY}: a `usize` slot or row pointer per factor entry"
+            ));
+        }
+    }
     if m.facts.faults == 0 {
         for (&tag, &(messages, bytes, exact)) in &stats.planned_by_tag {
             let (name, (mm, mb)) = (tags::tag_name(tag), stats.tag_totals(tag));
@@ -1175,6 +1195,22 @@ mod tests {
         // A killed epoch re-partitions: its rows are not this count.
         m.facts.faults = 1;
         check(&m).unwrap();
+    }
+
+    #[test]
+    fn factors_above_the_entry_budget_fail() {
+        // `par_ilut_p4 --quick`'s counts, with `u32` and then `usize` slots.
+        let mut m = healthy();
+        (m.facts.fill, m.facts.heap_bytes) = (Some(3984), Some(55_464));
+        check(&m).unwrap();
+        m.facts.heap_bytes = Some(16 * 3984);
+        check(&m).unwrap();
+        m.facts.heap_bytes = Some(72_456);
+        assert_fails(
+            &m,
+            "factors hold 72456 byte(s) for 3984 entries, 18.19 per entry, budget 16: \
+             a `usize` slot or row pointer per factor entry",
+        );
     }
 
     #[test]
