@@ -10,10 +10,53 @@
 //! domain with inhomogeneous "tissue" conductivities, which exercises the
 //! same qualitative structure: an unstructured 3-D pattern with coefficient
 //! jumps and a large interface/interior ratio under partitioning.
+//!
+//! The stencil generators ([`convection_diffusion_2d`], [`laplace_3d`],
+//! [`fem_torso`]) know each row in full when they visit it, so they write
+//! CSR rows directly, in row order, with no triplet list and no sort.
+//! [`CooMatrix`] is the assembly path only where that does not hold:
+//! [`random_diag_dominant`] can draw a column twice and needs its entries
+//! summed, and [`elasticity_3d`] emits a node's three rows block by block.
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::rng::SplitMix64;
+
+/// A CSR matrix written one row at a time, in row order, with each row's
+/// columns pushed in ascending order — a stencil generator's rows are known
+/// in full when they are visited, so they need no triplet list and no sort.
+/// `CsrMatrix::from_raw` checks the result.
+struct RowWriter {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl RowWriter {
+    fn with_capacity(n: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        RowWriter {
+            row_ptr,
+            col_idx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    fn push(&mut self, col: usize, value: f64) {
+        self.col_idx.push(col);
+        self.values.push(value);
+    }
+
+    fn end_row(&mut self) {
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    fn finish(self) -> CsrMatrix {
+        let n = self.row_ptr.len() - 1;
+        CsrMatrix::from_raw(n, n, self.row_ptr, self.col_idx, self.values)
+    }
+}
 
 /// 5-point Laplacian on an `nx × ny` grid (Dirichlet boundary folded in).
 ///
@@ -34,66 +77,63 @@ pub fn convection_diffusion_2d(nx: usize, ny: usize, cx: f64, cy: f64) -> CsrMat
     let n = nx * ny;
     let hx = 1.0 / (nx as f64 + 1.0);
     let hy = 1.0 / (ny as f64 + 1.0);
-    let idx = |i: usize, j: usize| j * nx + i;
-    let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
+    let mut a = RowWriter::with_capacity(n, 5 * n - 2 * nx - 2 * ny);
     let (ax, ay) = (1.0, 1.0);
     // Centred first-derivative contributions (half the cell Péclet number).
     let bx = cx * hx / 2.0;
     let by = cy * hy / 2.0;
+    // Row r = j·nx + i: south, west, centre, east, north is column order.
     for j in 0..ny {
         for i in 0..nx {
-            let r = idx(i, j);
-            coo.push(r, r, 2.0 * ax + 2.0 * ay);
-            if i > 0 {
-                coo.push(r, idx(i - 1, j), -ax - bx);
-            }
-            if i + 1 < nx {
-                coo.push(r, idx(i + 1, j), -ax + bx);
-            }
+            let r = j * nx + i;
             if j > 0 {
-                coo.push(r, idx(i, j - 1), -ay - by);
+                a.push(r - nx, -ay - by);
+            }
+            if i > 0 {
+                a.push(r - 1, -ax - bx);
+            }
+            a.push(r, 2.0 * ax + 2.0 * ay);
+            if i + 1 < nx {
+                a.push(r + 1, -ax + bx);
             }
             if j + 1 < ny {
-                coo.push(r, idx(i, j + 1), -ay + by);
+                a.push(r + nx, -ay + by);
             }
+            a.end_row();
         }
     }
-    coo.to_csr()
+    a.finish()
 }
 
 /// 7-point Laplacian on an `nx × ny × nz` grid.
 pub fn laplace_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     assert!(nx >= 1 && ny >= 1 && nz >= 1);
     let n = nx * ny * nz;
-    let idx = |i: usize, j: usize, k: usize| (k * ny + j) * nx + i;
-    let mut coo = CooMatrix::with_capacity(n, n, 7 * n);
+    let (sx, sy) = (1, nx);
+    let sz = nx * ny;
+    let mut a = RowWriter::with_capacity(n, 7 * n - 2 * (ny * nz + nx * nz + nx * ny));
+    // Row r = (k·ny + j)·nx + i: the −z, −y, −x neighbours, the centre, then
+    // +x, +y, +z is column order.
     for k in 0..nz {
         for j in 0..ny {
             for i in 0..nx {
-                let r = idx(i, j, k);
-                coo.push(r, r, 6.0);
-                if i > 0 {
-                    coo.push(r, idx(i - 1, j, k), -1.0);
+                let r = (k * ny + j) * nx + i;
+                for (below, stride) in [(k > 0, sz), (j > 0, sy), (i > 0, sx)] {
+                    if below {
+                        a.push(r - stride, -1.0);
+                    }
                 }
-                if i + 1 < nx {
-                    coo.push(r, idx(i + 1, j, k), -1.0);
+                a.push(r, 6.0);
+                for (above, stride) in [(i + 1 < nx, sx), (j + 1 < ny, sy), (k + 1 < nz, sz)] {
+                    if above {
+                        a.push(r + stride, -1.0);
+                    }
                 }
-                if j > 0 {
-                    coo.push(r, idx(i, j - 1, k), -1.0);
-                }
-                if j + 1 < ny {
-                    coo.push(r, idx(i, j + 1, k), -1.0);
-                }
-                if k > 0 {
-                    coo.push(r, idx(i, j, k - 1), -1.0);
-                }
-                if k + 1 < nz {
-                    coo.push(r, idx(i, j, k + 1), -1.0);
-                }
+                a.end_row();
             }
         }
     }
-    coo.to_csr()
+    a.finish()
 }
 
 /// Elasticity-like problem with **3 dofs per node** on an `nx × ny × nz`
@@ -178,30 +218,30 @@ pub fn fem_torso(dim: usize, seed: u64) -> CsrMatrix {
         }
     };
     let lin = |i: usize, j: usize, k: usize| (k * dim + j) * dim + i;
-    // Collect domain nodes.
-    let mut grid_to_node = vec![usize::MAX; dim * dim * dim];
-    let mut nodes: Vec<(usize, usize, usize)> = Vec::new();
+    // Collect domain nodes (as grid cells) and cache their conductivities.
+    let mut cond = vec![0.0; dim * dim * dim];
+    let mut nodes: Vec<usize> = Vec::new();
     for k in 0..dim {
         for j in 0..dim {
             for i in 0..dim {
-                if sigma(i, j, k).is_some() {
-                    grid_to_node[lin(i, j, k)] = nodes.len();
-                    nodes.push((i, j, k));
+                if let Some(s) = sigma(i, j, k) {
+                    cond[lin(i, j, k)] = s;
+                    nodes.push(lin(i, j, k));
                 }
             }
         }
     }
     let n = nodes.len();
     assert!(n > 0, "torso domain is empty at dim={dim}");
-    // Random renumbering (unstructured-mesh surrogate).
+    // Random renumbering (unstructured-mesh surrogate): row r is node
+    // order[r].
     let mut rng = SplitMix64::new(seed);
     let mut order: Vec<usize> = (0..n).collect();
     rng.shuffle(&mut order);
-    let mut renum = vec![0usize; n];
-    for (new, &old) in order.iter().enumerate() {
-        renum[old] = new;
+    let mut row_of = vec![usize::MAX; dim * dim * dim];
+    for (r, &old) in order.iter().enumerate() {
+        row_of[nodes[old]] = r;
     }
-    let mut coo = CooMatrix::with_capacity(n, n, 7 * n);
     let neighbours: [(isize, isize, isize); 6] = [
         (-1, 0, 0),
         (1, 0, 0),
@@ -210,40 +250,39 @@ pub fn fem_torso(dim: usize, seed: u64) -> CsrMatrix {
         (0, 0, -1),
         (0, 0, 1),
     ];
-    for (old, &(i, j, k)) in nodes.iter().enumerate() {
-        let r = renum[old];
-        // lint: allow(unwrap): (i, j, k) ranges over the grid interior
-        let si = sigma(i, j, k).unwrap();
+    let mut a = RowWriter::with_capacity(n, 7 * n);
+    let mut row: Vec<(usize, f64)> = Vec::with_capacity(7);
+    for (r, &old) in order.iter().enumerate() {
+        let cell = nodes[old];
+        let (i, j, k) = (cell % dim, cell / dim % dim, cell / (dim * dim));
+        let si = cond[cell];
         let mut diag = 0.0;
+        row.clear();
         for &(di, dj, dk) in &neighbours {
-            let (ni, nj, nk) = (i as isize + di, j as isize + dj, k as isize + dk);
-            if ni < 0 || nj < 0 || nk < 0 {
-                // Dirichlet wall of the bounding box: contributes own sigma.
+            // A step off the box wraps to a coordinate >= dim.
+            let ni = i.wrapping_add_signed(di);
+            let (nj, nk) = (j.wrapping_add_signed(dj), k.wrapping_add_signed(dk));
+            if ni >= dim || nj >= dim || nk >= dim || row_of[lin(ni, nj, nk)] == usize::MAX {
+                // Wall of the box or of the domain: Dirichlet, own sigma
+                // folded into the diagonal.
                 diag += si;
                 continue;
             }
-            let (ni, nj, nk) = (ni as usize, nj as usize, nk as usize);
-            if ni >= dim || nj >= dim || nk >= dim {
-                diag += si;
-                continue;
-            }
-            match sigma(ni, nj, nk) {
-                Some(sj) => {
-                    // Harmonic mean across the interface face.
-                    let w = 2.0 * si * sj / (si + sj);
-                    diag += w;
-                    let c = renum[grid_to_node[lin(ni, nj, nk)]];
-                    coo.push(r, c, -w);
-                }
-                None => {
-                    // Domain boundary: Dirichlet, folded into the diagonal.
-                    diag += si;
-                }
-            }
+            let nb = lin(ni, nj, nk);
+            // Harmonic mean across the interface face.
+            let sj = cond[nb];
+            let w = 2.0 * si * sj / (si + sj);
+            diag += w;
+            row.push((row_of[nb], -w));
         }
-        coo.push(r, r, diag);
+        row.push((r, diag));
+        row.sort_unstable_by_key(|&(c, _)| c);
+        for &(c, v) in &row {
+            a.push(c, v);
+        }
+        a.end_row();
     }
-    coo.to_csr()
+    a.finish()
 }
 
 /// A random strictly diagonally dominant matrix with roughly `nnz_per_row`
@@ -399,6 +438,163 @@ mod tests {
                 }
             }
             assert!(diag > off, "row {i} not strictly dominant");
+        }
+    }
+
+    /// Asserts equal `row_ptr`, `col_idx` and value bits.
+    fn assert_bit_identical(a: &CsrMatrix, b: &CsrMatrix, what: &str) {
+        assert_eq!(a.n_rows(), b.n_rows(), "{what}: rows");
+        assert_eq!(a.row_ptr(), b.row_ptr(), "{what}: row_ptr");
+        assert_eq!(a.col_idx(), b.col_idx(), "{what}: col_idx");
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}: value bits");
+    }
+
+    /// The triplet-list assembly of [`convection_diffusion_2d`]: entries
+    /// pushed centre first, ordered by `CooMatrix::to_csr`'s row sort.
+    fn coo_convection_diffusion_2d(nx: usize, ny: usize, cx: f64, cy: f64) -> CsrMatrix {
+        let idx = |i: usize, j: usize| j * nx + i;
+        let mut coo = CooMatrix::new(nx * ny, nx * ny);
+        let (hx, hy) = (1.0 / (nx as f64 + 1.0), 1.0 / (ny as f64 + 1.0));
+        let (bx, by) = (cx * hx / 2.0, cy * hy / 2.0);
+        for j in 0..ny {
+            for i in 0..nx {
+                let r = idx(i, j);
+                coo.push(r, r, 4.0);
+                if i > 0 {
+                    coo.push(r, idx(i - 1, j), -1.0 - bx);
+                }
+                if i + 1 < nx {
+                    coo.push(r, idx(i + 1, j), -1.0 + bx);
+                }
+                if j > 0 {
+                    coo.push(r, idx(i, j - 1), -1.0 - by);
+                }
+                if j + 1 < ny {
+                    coo.push(r, idx(i, j + 1), -1.0 + by);
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// The triplet-list assembly of [`laplace_3d`].
+    fn coo_laplace_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
+        let n = nx * ny * nz;
+        let idx = |c: [usize; 3]| (c[2] * ny + c[1]) * nx + c[0];
+        let dims = [nx, ny, nz];
+        let mut coo = CooMatrix::new(n, n);
+        for r in 0..n {
+            let c = [r % nx, r / nx % ny, r / (nx * ny)];
+            coo.push(r, r, 6.0);
+            for d in 0..3 {
+                let mut nb = c;
+                if c[d] > 0 {
+                    nb[d] = c[d] - 1;
+                    coo.push(r, idx(nb), -1.0);
+                }
+                if c[d] + 1 < dims[d] {
+                    nb[d] = c[d] + 1;
+                    coo.push(r, idx(nb), -1.0);
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// The triplet-list assembly of [`fem_torso`]: nodes visited in grid
+    /// order, `sigma` re-evaluated per node and per neighbour, rows sorted
+    /// by `CooMatrix::to_csr`.
+    fn coo_fem_torso(dim: usize, seed: u64) -> CsrMatrix {
+        let c = (dim as f64 - 1.0) / 2.0;
+        let inside = |p: [isize; 3], s: [f64; 3]| {
+            let q = |d: usize| (p[d] as f64 - c) / (c * s[d]);
+            q(0) * q(0) + q(1) * q(1) + q(2) * q(2) <= 1.0
+        };
+        let sigma = |p: [isize; 3]| {
+            if p.iter().any(|&x| x < 0 || x >= dim as isize) || !inside(p, [1.0, 0.75, 1.0]) {
+                None
+            } else if inside(p, [0.25, 0.2, 0.25]) {
+                Some(5.0)
+            } else if inside(p, [0.6, 0.45, 0.7]) {
+                Some(0.04)
+            } else {
+                Some(1.0)
+            }
+        };
+        let d = dim as isize;
+        let cells = (0..d * d * d).map(|l| [l % d, l / d % d, l / (d * d)]);
+        let nodes: Vec<[isize; 3]> = cells.filter(|&p| sigma(p).is_some()).collect();
+        let mut order: Vec<usize> = (0..nodes.len()).collect();
+        SplitMix64::new(seed).shuffle(&mut order);
+        let mut renum = vec![0; nodes.len()];
+        for (new, &old) in order.iter().enumerate() {
+            renum[old] = new;
+        }
+        let node_of =
+            |p: [isize; 3]| nodes.binary_search_by_key(&[p[2], p[1], p[0]], |q| [q[2], q[1], q[0]]);
+        let mut coo = CooMatrix::new(nodes.len(), nodes.len());
+        for (old, &p) in nodes.iter().enumerate() {
+            // lint: allow(unwrap): p is a domain node
+            let si = sigma(p).unwrap();
+            let mut diag = 0.0;
+            for (axis, step) in [(0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)] {
+                let mut q = p;
+                q[axis] += step;
+                match sigma(q) {
+                    Some(sj) => {
+                        let w = 2.0 * si * sj / (si + sj);
+                        diag += w;
+                        // lint: allow(unwrap): q is a domain node
+                        coo.push(renum[old], renum[node_of(q).unwrap()], -w);
+                    }
+                    None => diag += si,
+                }
+            }
+            coo.push(renum[old], renum[old], diag);
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn stencils_match_the_triplet_path_bit_for_bit() {
+        let grids = [(1, 1), (1, 7), (7, 1), (2, 2), (7, 5), (5, 7), (13, 9)];
+        for (nx, ny) in grids {
+            for (cx, cy) in [(0.0, 0.0), (10.0, 20.0), (-3.0, 0.5)] {
+                let what = format!("convection_diffusion_2d({nx}, {ny}, {cx}, {cy})");
+                let a = convection_diffusion_2d(nx, ny, cx, cy);
+                assert_bit_identical(&a, &coo_convection_diffusion_2d(nx, ny, cx, cy), &what);
+            }
+            let what = format!("laplace_2d({nx}, {ny})");
+            assert_bit_identical(
+                &laplace_2d(nx, ny),
+                &coo_convection_diffusion_2d(nx, ny, 0.0, 0.0),
+                &what,
+            );
+        }
+        let g = coo_convection_diffusion_2d(40, 40, 10.0, 20.0);
+        assert_bit_identical(&g40(1), &g, "g40(1)");
+        let boxes = [
+            (1, 1, 1),
+            (1, 1, 6),
+            (1, 6, 1),
+            (6, 1, 1),
+            (3, 4, 5),
+            (5, 3, 2),
+        ];
+        for (nx, ny, nz) in boxes {
+            let what = format!("laplace_3d({nx}, {ny}, {nz})");
+            assert_bit_identical(&laplace_3d(nx, ny, nz), &coo_laplace_3d(nx, ny, nz), &what);
+        }
+    }
+
+    #[test]
+    fn torso_matches_the_triplet_path_bit_for_bit() {
+        for dim in [3, 12, 40] {
+            for seed in [1, 17, 99, 0x1234_5678_9abc] {
+                let what = format!("fem_torso({dim}, {seed})");
+                assert_bit_identical(&fem_torso(dim, seed), &coo_fem_torso(dim, seed), &what);
+            }
         }
     }
 

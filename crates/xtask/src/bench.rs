@@ -1293,6 +1293,32 @@ mod tests {
         }
     }
 
+    /// The stencil generators write their rows straight into CSR: G40 holds
+    /// only the matrix it returns (1.0 live bytes per byte of it), TORSO
+    /// that plus two `dim³` grid maps and the renumbering (≈ 1.6). A
+    /// triplet list, its counting-sort `order` and the row sort — the path
+    /// both took through `CooMatrix` — cost ≈ 2.9 and ≈ 3.6, so a budget of
+    /// 2 fails the moment either goes back to it.
+    #[test]
+    fn generators_hold_little_more_than_the_matrix_they_return() {
+        const BUDGET: f64 = 2.0;
+        let cases: [(&str, fn() -> CsrMatrix); 2] = [
+            ("g40(6)", || gen::g40(6)),
+            ("fem_torso(40, 17)", || gen::fem_torso(40, 17)),
+        ];
+        for (name, generate) in cases {
+            let audit = pilut_allocaudit::region("test_generation");
+            let a = generate();
+            let peak = audit.peak_live_bytes() as f64;
+            let bytes = (8 * (a.n_rows() + 1) + 16 * a.nnz()) as f64;
+            assert!(
+                peak <= BUDGET * bytes,
+                "{name}: {:.2} live bytes per byte of the matrix, budget {BUDGET}",
+                peak / bytes
+            );
+        }
+    }
+
     fn flags(s: &[&str]) -> Vec<String> {
         s.iter().map(|s| s.to_string()).collect()
     }
