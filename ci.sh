@@ -21,10 +21,13 @@ cargo test --workspace -q
 
 # The benchmark crate is outside the workspace and pins a slice of the
 # public surface (serial::ilut, LuFactors::{nnz, solve_into},
-# IluPreconditioner::new, par_ilut, ParStats, dist_mis/build_level_links,
-# RankFactors::initial_reduced_cols, DistCsr::new,
-# DistOperator::apply_into): compile and smoke it here so a break
-# of that surface is red CI. Read-only use; its target/ is git-ignored.
+# IluPreconditioner::new, solver::gmres::gmres over a &CsrMatrix, par_ilut,
+# ParStats, dist_mis/build_level_links, RankFactors::initial_reduced_cols,
+# DistCsr::new, DistOperator::apply_into, dist_gmres, DistIlu, DistPrecond):
+# compile and smoke it here so a break of that surface is red CI.
+# DistOperator keeps a trait although DistCsr is its only implementation,
+# because the benchmark imports it. Read-only use; its target/ is
+# git-ignored.
 echo "==> benchmark crate (pinned API surface)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 

@@ -1,6 +1,6 @@
 //! Shared breakdown handling for every factorization kernel.
 //!
-//! All kernels (serial ILUT/ILU(0)/ILU(k)/IC(0) and the parallel ILUT
+//! All kernels (serial ILUT/ILU(0)/ILU(k) and the parallel ILUT
 //! formulations) route unusable pivots through one [`PivotDoctor`] so a
 //! given [`BreakdownPolicy`] means exactly the same thing everywhere:
 //! serial and parallel factors of the same matrix stay comparable, and the
@@ -11,8 +11,7 @@ use crate::options::{BreakdownPolicy, FactorError};
 /// Why a pivot is unusable.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PivotFault {
-    /// The diagonal position exists but carries exactly 0 (or, for IC(0),
-    /// a non-positive value).
+    /// The diagonal position exists but carries exactly 0.
     Zero,
     /// The row has no diagonal position at all and elimination created no
     /// fill on it.

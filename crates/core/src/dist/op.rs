@@ -1,43 +1,15 @@
-//! Operator abstractions the Krylov solvers consume instead of concrete
-//! matrices.
+//! The operator abstraction the distributed Krylov solver consumes instead
+//! of a concrete matrix.
 //!
-//! [`LinOp`] is the serial surface (GMRES/CG only ever need `y = A x` and a
-//! dimension); [`DistOperator`] is its distributed counterpart, where one
-//! application is a collective over the SPMD machine. [`DistCsr`] is the
-//! canonical implementation: a distributed CSR matrix applied through the
-//! plan-once/replay-many values-only exchange of [`crate::dist::spmv`], in
-//! the slot space the triangular sweeps share.
+//! [`DistOperator`] is one application of `y = A x` as a collective over
+//! the SPMD machine. [`DistCsr`] is the canonical implementation: a
+//! distributed CSR matrix applied through the plan-once/replay-many
+//! values-only exchange of [`crate::dist::spmv`], in the slot space the
+//! triangular sweeps share.
 
 use crate::dist::spmv::{dist_spmv_into, SpmvPlan};
 use crate::dist::{DistMatrix, LocalView};
 use pilut_par::Ctx;
-use pilut_sparse::CsrMatrix;
-
-/// A serial linear operator: everything GMRES and CG need to know about the
-/// system matrix.
-pub trait LinOp {
-    /// Operator dimension (square).
-    fn n_rows(&self) -> usize;
-    /// Computes `y = A x` into a caller-owned buffer — the required method
-    /// and the only one the solvers' inner loops call.
-    fn apply_into(&self, x: &[f64], y: &mut [f64]);
-    /// Allocating convenience over [`LinOp::apply_into`].
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.n_rows()];
-        self.apply_into(x, &mut y);
-        y
-    }
-}
-
-impl LinOp for CsrMatrix {
-    fn n_rows(&self) -> usize {
-        CsrMatrix::n_rows(self)
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv(x, y);
-    }
-}
 
 /// A distributed linear operator: one application is a collective in which
 /// every rank passes its owned slice (local-view order) and receives the
@@ -94,15 +66,6 @@ mod tests {
     use crate::dist::Distribution;
     use pilut_par::{Machine, MachineModel};
     use pilut_sparse::gen;
-
-    #[test]
-    fn csr_linop_matches_spmv() {
-        let a = gen::laplace_2d(4, 4);
-        let x: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        let op: &dyn LinOp = &a;
-        assert_eq!(op.n_rows(), 16);
-        assert_eq!(op.apply(&x), a.spmv_owned(&x));
-    }
 
     #[test]
     fn dist_csr_matches_serial() {

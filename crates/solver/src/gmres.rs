@@ -2,8 +2,8 @@
 
 use crate::krylov::{self, Space};
 use crate::report::Breakdown;
-use pilut_core::dist::op::LinOp;
 use pilut_core::precond::Preconditioner;
+use pilut_sparse::CsrMatrix;
 
 /// Solver parameters.
 #[derive(Clone, Debug)]
@@ -45,17 +45,17 @@ pub struct GmresResult {
 
 /// The serial [`Space`]: one participant owns whole vectors, so reductions
 /// are the identity and there is no clock to charge.
-pub(crate) struct Serial<'a, A: LinOp + ?Sized> {
-    pub(crate) a: &'a A,
+pub(crate) struct Serial<'a> {
+    pub(crate) a: &'a CsrMatrix,
     pub(crate) precond: &'a dyn Preconditioner,
 }
 
-impl<A: LinOp + ?Sized> Space for Serial<'_, A> {
+impl Space for Serial<'_> {
     fn len(&self) -> usize {
         self.a.n_rows()
     }
     fn apply_op(&mut self, x: &[f64], y: &mut [f64]) {
-        self.a.apply_into(x, y);
+        self.a.spmv(x, y);
     }
     fn apply_precond(&mut self, r: &[f64], z: &mut [f64]) {
         self.precond.apply_into(r, z);
@@ -70,11 +70,10 @@ impl<A: LinOp + ?Sized> Space for Serial<'_, A> {
 }
 
 /// Solves `A x = b` with right-preconditioned GMRES(restart):
-/// iterates on `A M⁻¹ u = b`, `x = M⁻¹ u`. The operator is any [`LinOp`]
-/// (a plain `CsrMatrix` at every existing call site). The iteration itself
-/// is the shared kernel (`solver::krylov`, DESIGN §2.6).
-pub fn gmres<A: LinOp + ?Sized>(
-    a: &A,
+/// iterates on `A M⁻¹ u = b`, `x = M⁻¹ u`. The iteration itself is the
+/// shared kernel (`solver::krylov`, DESIGN §2.6).
+pub fn gmres(
+    a: &CsrMatrix,
     b: &[f64],
     precond: &dyn Preconditioner,
     opts: &GmresOptions,
@@ -87,8 +86,8 @@ mod tests {
     use super::*;
     use pilut_core::precond::{DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner};
     use pilut_core::serial::{ilut, IlutOptions};
+    use pilut_sparse::gen;
     use pilut_sparse::vec_ops::norm2;
-    use pilut_sparse::{gen, CsrMatrix};
 
     fn problem(nx: usize, cx: f64) -> (CsrMatrix, Vec<f64>, Vec<f64>) {
         let a = gen::convection_diffusion_2d(nx, nx, cx, cx / 2.0);

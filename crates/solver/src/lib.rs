@@ -20,20 +20,19 @@
 //! bit for bit, and fixes one order of work charges and collectives for
 //! every caller (DESIGN §2.6).
 //!
-//! Robustness layer: all solvers detect numerical breakdown (non-finite
-//! Arnoldi/recurrence values, stagnation across restarts, indefinite
-//! curvature in CG) and report it as a typed [`Breakdown`] instead of
-//! looping on garbage. One degradation ladder (caller's ILUT → boosted-shift
-//! refactorization → Jacobi → unpreconditioned; `robust::climb`) serves
-//! both [`solve_robust`] and [`dist_solve_robust`] and records every rung
-//! tried in the returned [`SolveReport`] / [`DistSolveReport`].
+//! Robustness layer: the kernel detects numerical breakdown (non-finite
+//! Arnoldi values, stagnation across restarts) and reports it as a typed
+//! [`Breakdown`] instead of looping on garbage. One degradation ladder
+//! (caller's ILUT → boosted-shift refactorization → Jacobi →
+//! unpreconditioned; `robust::climb`) serves both [`solve_robust`] and
+//! [`dist_solve_robust`] and records every rung tried in the returned
+//! [`SolveReport`] / [`DistSolveReport`].
 //!
 //! Rank-loss recovery: [`dist_solve_robust`] wraps the distributed ladder in
 //! the lost-rank rung — a kill mid-solve (under `MachineBuilder::recovery`)
 //! shrinks the world, rebuilds plans and factors, warm-starts GMRES from a
 //! per-restart-cycle checkpoint, and records the recovery in the report.
 
-pub mod cg;
 pub mod dist_gmres;
 pub mod dist_robust;
 pub mod gmres;
@@ -41,7 +40,6 @@ mod krylov;
 pub mod report;
 pub mod robust;
 
-pub use cg::{cg, CgOptions, CgResult, IcPreconditioner};
 pub use dist_gmres::{
     dist_gmres, dist_gmres_from, DistDiagonal, DistGmresResult, DistIdentity, DistIlu, DistPrecond,
 };

@@ -1,19 +1,18 @@
-//! Structured breakdown and recovery reporting for the iterative solvers.
+//! Structured breakdown and recovery reporting for the GMRES solvers.
 //!
-//! A Krylov solve can fail *numerically* (NaN/Inf in the Arnoldi process,
-//! indefinite curvature in CG) or *practically* (stagnation across restart
-//! cycles). Both are detected and reported as a typed [`Breakdown`] instead
-//! of silently returning garbage; [`crate::robust::solve_robust`] consumes
-//! these to drive its degradation ladder and summarises what happened in a
-//! [`SolveReport`].
+//! A Krylov solve can fail *numerically* (NaN/Inf in the Arnoldi process)
+//! or *practically* (stagnation across restart cycles). Both are detected
+//! and reported as a typed [`Breakdown`] instead of silently returning
+//! garbage; [`crate::robust::solve_robust`] consumes these to drive its
+//! degradation ladder and summarises what happened in a [`SolveReport`].
 
 use pilut_core::options::FactorError;
 
 /// Why an iterative solve stopped making (trustworthy) progress.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Breakdown {
-    /// A NaN or infinity entered the iteration (Arnoldi vector, Hessenberg
-    /// entry, or CG recurrence scalar) at the given matvec/iteration count.
+    /// A NaN or infinity entered the iteration (Arnoldi vector or
+    /// Hessenberg entry) at the given matvec count.
     NonFinite {
         /// Matrix–vector products performed when the poison was detected.
         at: usize,
@@ -22,12 +21,6 @@ pub enum Breakdown {
     /// consecutive restart cycles ended with no measurable decrease.
     Stagnation {
         /// Matrix–vector products performed when stagnation was declared.
-        at: usize,
-    },
-    /// CG met a direction `p` with `pᵀAp ≤ 0`: the matrix (or the
-    /// preconditioner) is not positive definite.
-    IndefiniteCurvature {
-        /// CG iterations performed when the curvature test failed.
         at: usize,
     },
 }
@@ -40,9 +33,6 @@ impl std::fmt::Display for Breakdown {
             }
             Breakdown::Stagnation { at } => {
                 write!(f, "residual stagnated across restarts after {at} matvecs")
-            }
-            Breakdown::IndefiniteCurvature { at } => {
-                write!(f, "indefinite curvature direction at iteration {at}")
             }
         }
     }
@@ -159,9 +149,6 @@ pub struct SolveReport {
     pub attempts: Vec<AttemptRecord>,
     /// Index into `attempts` of the rung that produced `x`.
     pub chosen: usize,
-    /// Rank losses survived on the way to `x` (always empty for serial
-    /// solves).
-    pub recoveries: Vec<RecoveryRecord>,
 }
 
 impl SolveReport {
@@ -180,12 +167,6 @@ impl SolveReport {
     /// [ILUT(10,1e-4): factor failed: zero pivot at row 7]`.
     pub fn summary(&self) -> String {
         let name = format!("{} (rel {:.1e})", self.fallback(), self.rel_residual);
-        summary_line(
-            self.converged,
-            &name,
-            &self.attempts,
-            self.chosen,
-            &self.recoveries,
-        )
+        summary_line(self.converged, &name, &self.attempts, self.chosen, &[])
     }
 }

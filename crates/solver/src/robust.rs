@@ -158,13 +158,13 @@ pub fn solve_robust(
         rel_residual: climbed.best.rel_residual,
         attempts: climbed.attempts,
         chosen: climbed.chosen,
-        recoveries: Vec::new(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Breakdown;
     use pilut_sparse::gen;
     use pilut_sparse::vec_ops::norm2;
     use pilut_sparse::CooMatrix;
@@ -269,6 +269,23 @@ mod tests {
         assert!(r.summary().contains("FAILED"), "{}", r.summary());
     }
 
+    /// The breakdowns of the rungs before `chosen` that ran and then broke
+    /// down, each checked to be named in `summary()` after its rung.
+    fn named_breakdowns(r: &SolveReport) -> Vec<Breakdown> {
+        let s = r.summary();
+        let mut found = Vec::new();
+        for a in &r.attempts[..r.chosen] {
+            if let AttemptOutcome::SolveFailed {
+                breakdown: Some(b), ..
+            } = a.outcome
+            {
+                assert!(s.contains(&format!("{}: {b}", a.preconditioner)), "{s}");
+                found.push(b);
+            }
+        }
+        found
+    }
+
     #[test]
     fn poisoned_matrix_falls_through_to_the_last_rung_with_a_finite_iterate() {
         // A NaN off-diagonal poisons every residual: no rung can report a
@@ -290,5 +307,37 @@ mod tests {
         assert_eq!(r.chosen, r.attempts.len() - 1, "{:?}", r.attempts);
         assert_eq!(r.fallback(), "none");
         assert!(r.x.iter().all(|v| v.is_finite()));
+        // The shift and Jacobi rungs ran and met the NaN in the iteration.
+        assert!(
+            matches!(
+                named_breakdowns(&r)[..],
+                [Breakdown::NonFinite { .. }, Breakdown::NonFinite { .. }]
+            ),
+            "{}",
+            r.summary()
+        );
+
+        // The skew system GMRES(1) cannot reduce: row replacement leaves a
+        // diagonal preconditioner, so the caller's rung stagnates and the
+        // shift rung solves.
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 1, 1.0);
+        coo.push(1, 0, -1.0);
+        let r = solve_robust(
+            &coo.to_csr(),
+            &[1.0, 0.0],
+            &IlutOptions::new(3, 0.0).with_breakdown(BreakdownPolicy::ReplaceRow),
+            &GmresOptions {
+                restart: 1,
+                rtol: 1e-10,
+                max_matvecs: 1000,
+            },
+        );
+        assert!(r.converged && r.chosen == 1, "{}", r.summary());
+        assert!(
+            matches!(named_breakdowns(&r)[..], [Breakdown::Stagnation { .. }]),
+            "{}",
+            r.summary()
+        );
     }
 }

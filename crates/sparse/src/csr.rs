@@ -1,7 +1,6 @@
 //! Compressed sparse row matrices.
 
 use crate::coo::CooMatrix;
-use crate::permute::Permutation;
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -264,23 +263,6 @@ impl CsrMatrix {
         vals.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Symmetric permutation `P A Pᵀ`: entry `(i, j)` moves to
-    /// `(perm.new_of(i), perm.new_of(j))`.
-    pub fn permute_symmetric(&self, perm: &Permutation) -> CsrMatrix {
-        assert_eq!(self.n_rows, self.n_cols);
-        assert_eq!(perm.len(), self.n_rows);
-        let n = self.n_rows;
-        let mut coo = CooMatrix::with_capacity(n, n, self.nnz());
-        for i in 0..n {
-            let (cols, vals) = self.row(i);
-            let ni = perm.new_of(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                coo.push(ni, perm.new_of(j), v);
-            }
-        }
-        coo.to_csr()
-    }
-
     /// Extracts the square principal submatrix on `keep` (global indices,
     /// ascending); returned matrix is indexed by position within `keep`.
     pub fn principal_submatrix(&self, keep: &[usize]) -> CsrMatrix {
@@ -400,18 +382,6 @@ mod tests {
         let i = CsrMatrix::identity(4);
         let x = [1.0, -2.0, 3.5, 0.0];
         assert_eq!(i.spmv_owned(&x), x.to_vec());
-    }
-
-    #[test]
-    fn permute_symmetric_reverses() {
-        let a = small();
-        let p = Permutation::from_new_order(&[2, 1, 0]);
-        let b = a.permute_symmetric(&p);
-        assert_eq!(b.get(0, 0), Some(4.0));
-        assert_eq!(b.get(2, 1), Some(-1.0));
-        assert_eq!(b.get(0, 2), None);
-        // Double reversal gives the original back.
-        assert_eq!(b.permute_symmetric(&p), a);
     }
 
     #[test]

@@ -11,15 +11,6 @@ pub struct Permutation {
 }
 
 impl Permutation {
-    /// Identity permutation on `0..n`.
-    pub fn identity(n: usize) -> Self {
-        let v: Vec<usize> = (0..n).collect();
-        Permutation {
-            new_of: v.clone(),
-            old_of: v,
-        }
-    }
-
     /// Builds from a `new_of` map (`new_of[old] = new`).
     ///
     /// # Panics
@@ -92,14 +83,6 @@ impl Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identity_roundtrip() {
-        let p = Permutation::identity(4);
-        assert_eq!(p.new_of(2), 2);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(p.apply_vec(&x), x.to_vec());
-    }
 
     #[test]
     fn from_orders_agree() {

@@ -61,16 +61,6 @@ fn main() {
         "ILUT(10,1e-4)",
         ilut(&a, &IlutOptions::new(10, 1e-4)).expect("ILUT failed"),
     );
-    // Orderings matter to incomplete factorizations: compare the bandwidth
-    // under the natural and the reverse Cuthill-McKee orderings.
-    let g = pilut::graph::Graph::from_csr_pattern(&a);
-    let ident = pilut::sparse::Permutation::identity(a.n_rows());
-    let rcm = pilut::graph::reverse_cuthill_mckee(&g);
-    println!(
-        "\nbandwidth: natural {} vs RCM {}",
-        pilut::graph::rcm::bandwidth(&g, &ident),
-        pilut::graph::rcm::bandwidth(&g, &rcm)
-    );
     println!("\n(threshold dropping adapts fill to the values, which is why ILUT");
     println!(" usually beats level-of-fill preconditioners at equal memory — §2)");
 }

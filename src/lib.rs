@@ -48,7 +48,7 @@ pub use pilut_sparse as sparse;
 /// `use pilut::prelude::*;`
 pub mod prelude {
     pub use pilut_core::dist::exchange::CommPlan;
-    pub use pilut_core::dist::op::{DistCsr, DistOperator, LinOp};
+    pub use pilut_core::dist::op::{DistCsr, DistOperator};
     pub use pilut_core::dist::spmv::{dist_spmv, SpmvPlan};
     pub use pilut_core::dist::{DistMatrix, Distribution, LocalView};
     pub use pilut_core::options::{FactorError, IlutOptions};
@@ -56,13 +56,12 @@ pub mod prelude {
     pub use pilut_core::precond::{
         DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner, Preconditioner,
     };
-    pub use pilut_core::serial::{block_ilut, ic0, ilu0, iluk, ilut};
+    pub use pilut_core::serial::{block_ilut, ilu0, iluk, ilut};
     pub use pilut_core::trisolve::{dist_solve, TrisolvePlan};
     pub use pilut_core::LuFactors;
     pub use pilut_graph::{partition_kway, Graph, PartitionOptions};
     pub use pilut_par::{Ctx, Machine, MachineModel, Payload};
     pub use pilut_solver::dist_gmres::{dist_gmres, DistDiagonal, DistIlu, DistPrecond};
     pub use pilut_solver::gmres::{gmres, GmresOptions};
-    pub use pilut_solver::{cg, CgOptions, IcPreconditioner};
     pub use pilut_sparse::{gen, io, BcsrMatrix, CooMatrix, CsrMatrix, MatrixStats, Permutation};
 }

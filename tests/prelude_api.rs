@@ -13,13 +13,6 @@ fn the_whole_pipeline_is_reachable_from_the_prelude() {
     let r = gmres(&a, &b, &IluPreconditioner::new(f), &GmresOptions::default());
     assert!(r.converged);
 
-    // SPD path.
-    let spd = gen::laplace_2d(8, 8);
-    let ic = ic0(&spd).unwrap();
-    let bs = spd.spmv_owned(&vec![2.0; 64]);
-    let rc = cg(&spd, &bs, &IcPreconditioner::new(ic), &CgOptions::default());
-    assert!(rc.converged);
-
     // Distributed path.
     let dm = DistMatrix::from_matrix(a.clone(), 2, 1);
     let out = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
