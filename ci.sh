@@ -19,13 +19,18 @@ cargo build --workspace --release
 echo "==> tests"
 cargo test --workspace -q
 
+# A doc comment that links to a deleted or renamed item is red CI.
+echo "==> doc links (cargo doc, broken intra-doc links denied)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
+
 # The benchmark crate is outside the workspace and pins a slice of the
 # public surface (serial::ilut, LuFactors::{nnz, solve_into},
 # IluPreconditioner::new, solver::gmres::gmres over a &CsrMatrix, par_ilut,
 # ParStats, dist_mis/build_level_links, RankFactors::initial_reduced_cols,
-# DistCsr::new, DistOperator::apply_into, dist_gmres, DistIlu, DistPrecond):
-# compile and smoke it here so a break of that surface is red CI.
-# DistOperator keeps a trait although DistCsr is its only implementation,
+# DistCsr::new, DistOperator::apply_into, dist_gmres, DistGmresResult,
+# DistIlu::new, DistPrecond::apply_into): compile and smoke it here so a
+# break of that surface is red CI. DistOperator keeps a trait although
+# DistCsr (which holds the SpMV plan itself) is its only implementation,
 # because the benchmark imports it. Read-only use; its target/ is
 # git-ignored.
 echo "==> benchmark crate (pinned API surface)"

@@ -57,7 +57,7 @@ pub use halo::Halo;
 /// One constant per kernel keeps repeated rounds unambiguous (matching is
 /// FIFO per `(sender, tag)`) and makes the per-tag counters in
 /// `MachineStats::by_tag` legible. Values are stable across releases — the
-/// bench JSON reports them by [`tag_name`].
+/// bench JSON reports them by [`tags::tag_name`].
 pub mod tags {
     /// Uniform stride between protocol namespaces. Each protocol owns
     /// `[base, base + STRIDE)`: room for a 20-bit level shift

@@ -16,7 +16,6 @@
 pub mod exchange;
 pub mod op;
 pub mod recover;
-pub mod spmv;
 
 use pilut_graph::{partition_kway, Graph, PartitionOptions};
 use pilut_sparse::CsrMatrix;

@@ -6,7 +6,7 @@
 //!   Algorithm 2.1, after Saad) — the one scalar row kernel, which the
 //!   parallel formulation's interior phase runs too, so serial ILUT is its
 //!   one-rank case — and the static-pattern baselines **ILU(0)** and
-//!   **ILU(k)**; and [`serial::block_ilut`], the same elimination at
+//!   **ILU(k)**; and [`serial::block_ilut()`], the same elimination at
 //!   dense-tile granularity for multi-dof matrices, whose result is
 //!   refined into the same scalar store;
 //! * [`factors`] — the one scalar factor store (two CSR arenas for strict

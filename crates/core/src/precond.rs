@@ -1,28 +1,14 @@
 //! Preconditioner interface and serial implementations.
 
 use crate::factors::LuFactors;
-use crate::options::FactorError;
 use pilut_sparse::CsrMatrix;
 
 /// A preconditioner `M`: given a residual-like vector `r`, produces
 /// `z ≈ M⁻¹ r`.
 pub trait Preconditioner {
-    /// Writes `z = M⁻¹ r` into a caller-owned buffer. This is the required
-    /// method — and the only one the solvers' inner loops call — so an
-    /// implementation cannot allocate per application by omission.
+    /// Writes `z = M⁻¹ r` into a caller-owned buffer — the one method, so
+    /// an implementation cannot allocate per application.
     fn apply_into(&self, r: &[f64], z: &mut [f64]);
-
-    /// Allocating convenience over [`Preconditioner::apply_into`].
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        let mut z = vec![0.0; r.len()];
-        self.apply_into(r, &mut z);
-        z
-    }
-
-    /// Display name for experiment tables.
-    fn name(&self) -> String {
-        "preconditioner".to_string()
-    }
 }
 
 /// No preconditioning (`M = I`).
@@ -31,10 +17,6 @@ pub struct IdentityPreconditioner;
 impl Preconditioner for IdentityPreconditioner {
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         z.copy_from_slice(r);
-    }
-
-    fn name(&self) -> String {
-        "none".to_string()
     }
 }
 
@@ -45,29 +27,18 @@ pub struct DiagonalPreconditioner {
 
 impl DiagonalPreconditioner {
     /// # Panics
-    /// Panics if the matrix has a zero or non-finite diagonal entry; use
-    /// [`DiagonalPreconditioner::try_new`] to get a typed error instead.
+    /// Panics if the matrix has a zero or non-finite diagonal entry, naming
+    /// the first such row.
     pub fn new(a: &CsrMatrix) -> Self {
-        // lint: allow(unwrap): documented panic on unusable diagonals
-        Self::try_new(a).expect("unusable diagonal")
-    }
-
-    /// Builds Jacobi preconditioning, reporting an unusable diagonal entry
-    /// as a typed error — the fallible entry point the robust-solve ladder
-    /// uses to decide whether this rung is available at all.
-    pub fn try_new(a: &CsrMatrix) -> Result<Self, FactorError> {
         let mut inv_diag = Vec::with_capacity(a.n_rows());
         for (i, &d) in a.diagonal().iter().enumerate() {
-            if !d.is_finite() {
-                return Err(FactorError::NonFinite { row: i });
-            }
             // lint: allow(float-eq): exact zero-diagonal guard
-            if d == 0.0 {
-                return Err(FactorError::ZeroPivot { row: i });
+            if !d.is_finite() || d == 0.0 {
+                panic!("unusable diagonal: {d} at row {i}");
             }
             inv_diag.push(1.0 / d);
         }
-        Ok(DiagonalPreconditioner { inv_diag })
+        DiagonalPreconditioner { inv_diag }
     }
 }
 
@@ -77,48 +48,23 @@ impl Preconditioner for DiagonalPreconditioner {
             *zi = x * d;
         }
     }
-
-    fn name(&self) -> String {
-        "Diagonal".to_string()
-    }
 }
 
 /// Incomplete-LU preconditioning: `M⁻¹ r = U⁻¹ L⁻¹ r`.
 pub struct IluPreconditioner {
     factors: LuFactors,
-    label: String,
 }
 
 impl IluPreconditioner {
-    /// Wraps factors as a preconditioner with a default label.
+    /// Wraps factors as a preconditioner.
     pub fn new(factors: LuFactors) -> Self {
-        IluPreconditioner {
-            factors,
-            label: "ILU".to_string(),
-        }
-    }
-
-    /// Wraps factors with a custom label for reporting.
-    pub fn with_label(factors: LuFactors, label: impl Into<String>) -> Self {
-        IluPreconditioner {
-            factors,
-            label: label.into(),
-        }
-    }
-
-    /// The underlying factors.
-    pub fn factors(&self) -> &LuFactors {
-        &self.factors
+        IluPreconditioner { factors }
     }
 }
 
 impl Preconditioner for IluPreconditioner {
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         self.factors.solve_into(r, z);
-    }
-
-    fn name(&self) -> String {
-        self.label.clone()
     }
 }
 
@@ -129,10 +75,16 @@ mod tests {
     use crate::serial::ilut;
     use pilut_sparse::gen;
 
+    fn apply(p: &dyn Preconditioner, r: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; r.len()];
+        p.apply_into(r, &mut z);
+        z
+    }
+
     #[test]
     fn identity_is_noop() {
         let r = vec![1.0, -2.0];
-        assert_eq!(IdentityPreconditioner.apply(&r), r);
+        assert_eq!(apply(&IdentityPreconditioner, &r), r);
     }
 
     #[test]
@@ -140,10 +92,20 @@ mod tests {
         let a = gen::laplace_2d(3, 3); // diagonal entries all equal
         let p = DiagonalPreconditioner::new(&a);
         let d = a.get(0, 0).unwrap();
-        let z = p.apply(&[d; 9]);
-        for zi in z {
+        for zi in apply(&p, &[d; 9]) {
             assert!((zi - 1.0).abs() < 1e-15);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "unusable diagonal: 0 at row 1")]
+    fn diagonal_rejects_a_zero_entry() {
+        let mut a = gen::laplace_2d(3, 1);
+        let k = (a.row_ptr()[1]..a.row_ptr()[2])
+            .find(|&k| a.col_idx()[k] == 1)
+            .unwrap();
+        a.values_mut()[k] = 0.0;
+        DiagonalPreconditioner::new(&a);
     }
 
     #[test]
@@ -152,11 +114,9 @@ mod tests {
         let f = ilut(&a, &IlutOptions::new(25, 0.0)).unwrap();
         let x_true = vec![2.0; 25];
         let b = a.spmv_owned(&x_true);
-        let p = IluPreconditioner::with_label(f, "ILUT(25,0)");
-        let x = p.apply(&b);
+        let x = apply(&IluPreconditioner::new(f), &b);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9);
         }
-        assert_eq!(p.name(), "ILUT(25,0)");
     }
 }

@@ -14,7 +14,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Computes ILU(k) with the given fill level; `k = 0` is ILU(0)
-/// ([`crate::serial::ilu0`] calls this).
+/// ([`crate::serial::ilu0()`] calls this).
 ///
 /// Aborts on the first unusable pivot; use [`iluk_with`] to recover instead.
 pub fn iluk(a: &CsrMatrix, k: usize) -> Result<LuFactors, FactorError> {

@@ -2,12 +2,16 @@
 //!
 //! Vectors are distributed in local-view order (interiors then interfaces of
 //! each rank). Inner products are all-reduces, the matrix–vector product is
-//! any [`DistOperator`] — canonically [`DistCsr`](pilut_core::dist::op::DistCsr),
-//! the planned boundary exchange of [`pilut_core::dist::spmv`] — and the
-//! preconditioner action is either a diagonal scaling or the parallel
-//! ILUT/ILUT\* triangular solves of [`pilut_core::trisolve`]. The small
-//! Hessenberg least-squares recurrence is replicated on every rank — the
-//! deterministic reduction tree guarantees bit-identical replicas.
+//! any [`DistOperator`] — canonically [`DistCsr`](pilut_core::dist::op::DistCsr)
+//! with its planned boundary exchange — and the preconditioner action is
+//! either a diagonal scaling or the parallel ILUT/ILUT\* triangular solves
+//! of [`pilut_core::trisolve`]. The small Hessenberg least-squares
+//! recurrence is replicated on every rank — the deterministic reduction
+//! tree guarantees bit-identical replicas.
+//!
+//! [`dist_gmres`] solves from a zero start. The self-healing ladder
+//! ([`crate::dist_robust`]) runs the same kernel over the same
+//! `Distributed` space, warm-started from its checkpoint.
 
 use pilut_core::dist::op::DistOperator;
 use pilut_core::dist::{DistMatrix, LocalView};
@@ -24,8 +28,6 @@ use crate::report::Breakdown;
 pub trait DistPrecond {
     /// Writes the correction into a caller-owned buffer.
     fn apply_into(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64], z: &mut [f64]);
-
-    fn name(&self) -> String;
 }
 
 /// No preconditioning.
@@ -34,10 +36,6 @@ pub struct DistIdentity;
 impl DistPrecond for DistIdentity {
     fn apply_into(&mut self, _ctx: &mut Ctx, _local: &LocalView, r: &[f64], z: &mut [f64]) {
         z.copy_from_slice(r);
-    }
-
-    fn name(&self) -> String {
-        "none".into()
     }
 }
 
@@ -86,10 +84,6 @@ impl DistPrecond for DistDiagonal {
             *zi = x * d;
         }
     }
-
-    fn name(&self) -> String {
-        "Diagonal".into()
-    }
 }
 
 /// Parallel incomplete-LU preconditioning: forward + backward substitution
@@ -97,7 +91,6 @@ impl DistPrecond for DistDiagonal {
 pub struct DistIlu {
     pub rf: RankFactors,
     pub plan: TrisolvePlan,
-    pub label: String,
     /// Reusable sweep workspace: built with the plan so every steady-state
     /// apply runs the zero-allocation [`dist_solve_into`] path.
     scratch: SolveScratch,
@@ -108,28 +101,13 @@ impl DistIlu {
     pub fn new(ctx: &mut Ctx, dm: &DistMatrix, local: &LocalView, rf: RankFactors) -> Self {
         let plan = TrisolvePlan::build(ctx, dm, local, &rf);
         let scratch = SolveScratch::build(local, &plan);
-        DistIlu {
-            rf,
-            plan,
-            label: "ILU".into(),
-            scratch,
-        }
-    }
-
-    /// Sets the label used in convergence reports.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
+        DistIlu { rf, plan, scratch }
     }
 }
 
 impl DistPrecond for DistIlu {
     fn apply_into(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64], z: &mut [f64]) {
         dist_solve_into(ctx, local, &self.rf, &self.plan, r, &mut self.scratch, z);
-    }
-
-    fn name(&self) -> String {
-        self.label.clone()
     }
 }
 
@@ -185,8 +163,8 @@ impl Space for Distributed<'_> {
     }
 }
 
-/// Right-preconditioned GMRES(restart) over a distributed operator.
-/// Collective: every rank calls with its own slices.
+/// Right-preconditioned GMRES(restart) over a distributed operator, from a
+/// zero start. Collective: every rank calls with its own slices.
 pub fn dist_gmres(
     ctx: &mut Ctx,
     op: &mut dyn DistOperator,
@@ -195,30 +173,6 @@ pub fn dist_gmres(
     b: &[f64],
     opts: &GmresOptions,
 ) -> DistGmresResult {
-    dist_gmres_from(ctx, op, local, precond, b, opts, None, None)
-}
-
-/// [`dist_gmres`] with a warm start and a checkpoint hook — the entry point
-/// of the self-healing solve ladder (`crate::dist_robust`).
-///
-/// `x0` seeds the iterate (zeros when `None`); `ckpt`, when supplied, is
-/// overwritten with the current iterate at the end of **every outer restart
-/// cycle**. Because the write happens between collectives, a rank-loss
-/// unwind anywhere inside the next cycle leaves `ckpt` holding a complete,
-/// consistent iterate from at most one restart ago — the recovery driver
-/// re-seeds the shrunk-world solve from it instead of starting over.
-/// Checkpoint cadence is therefore the restart length; see DESIGN §14.
-#[allow(clippy::too_many_arguments)]
-pub fn dist_gmres_from(
-    ctx: &mut Ctx,
-    op: &mut dyn DistOperator,
-    local: &LocalView,
-    precond: &mut dyn DistPrecond,
-    b: &[f64],
-    opts: &GmresOptions,
-    x0: Option<Vec<f64>>,
-    ckpt: Option<&mut Vec<f64>>,
-) -> DistGmresResult {
     assert_eq!(op.local_len(), local.len());
     let mut space = Distributed {
         ctx,
@@ -226,7 +180,7 @@ pub fn dist_gmres_from(
         local,
         precond,
     };
-    let r = krylov::solve(&mut space, b, opts, x0, ckpt);
+    let r = krylov::solve(&mut space, b, opts, None, None);
     DistGmresResult {
         x_local: r.x,
         converged: r.converged,

@@ -1,10 +1,29 @@
-//! The self-healing distributed solve: survive rank loss mid-solve.
+//! Graceful degradation: the self-healing distributed solve, which
+//! survives factorization breakdown, solver breakdown and rank loss.
 //!
-//! [`dist_solve_robust`] is the lost-rank rung of the degradation ladder.
-//! It drives par-ILUT + distributed GMRES exactly like a hand-rolled
-//! workload would, but wraps every attempt in an unwind catcher so that an
-//! injected `Kill` (surfaced by the VM's recovery layer as a
-//! [`pilut_par::RankLost`] unwind on every survivor — requires
+//! [`dist_solve_robust`] climbs one ladder, collectively, until a rung
+//! converges:
+//!
+//! 1. **Primary**: par-ILUT with the caller's options (whatever breakdown
+//!    policy they chose, `Abort` by default).
+//! 2. **Boosted-shift refactorization**: the same ILUT but under an
+//!    aggressive [`BreakdownPolicy::Shift`] — repairs every unusable pivot
+//!    with an escalating diagonal boost, trading preconditioner quality for
+//!    existence. Skipped when the caller already runs that policy.
+//! 3. **Jacobi**: diagonal scaling, skipped on every rank when any rank's
+//!    diagonal is unusable.
+//! 4. **Unpreconditioned** GMRES — always constructible.
+//!
+//! Every rung's availability and every convergence verdict is collective,
+//! so all ranks climb in lockstep, and every rung warm-starts from the
+//! current checkpoint (any finite iterate is a legal warm start, so a later
+//! rung keeps what an earlier one achieved). Every rung tried is recorded
+//! in the returned report, which names the rung that produced the answer
+//! and why the better ones were rejected.
+//!
+//! Around the ladder sits the lost-rank rung. Every attempt runs inside an
+//! unwind catcher, so an injected `Kill` (surfaced by the VM's recovery
+//! layer as a [`pilut_par::RankLost`] unwind on every survivor — requires
 //! `MachineBuilder::recovery(true)`) is *handled* instead of fatal:
 //!
 //! 1. the victim itself observes `Ctx::killed()` and returns a tombstone
@@ -14,17 +33,10 @@
 //!    agreement round (`Ctx::recover_sync`), and shrinks the row
 //!    distribution ([`pilut_core::dist::recover::shrink`]) with the
 //!    *cumulative* dead set;
-//! 3. the attempt re-runs on the shrunk world: plans and factors are
+//! 3. the ladder re-runs on the shrunk world: plans and factors are
 //!    rebuilt from the replicated input matrix, and GMRES warm-starts from
-//!    the checkpoint ([`crate::dist_gmres::dist_gmres_from`]), so only the
-//!    in-flight restart cycle's progress is lost.
-//!
-//! Inside one epoch the preconditioner degrades down the same ladder as the
-//! serial [`crate::robust::solve_robust`] — the shared `climb` of
-//! [`crate::robust`] — in a distributed environment where every rung's
-//! availability is a collective verdict and every solve warm-starts from
-//! the current checkpoint (any finite iterate is a legal warm start, so a
-//! later rung keeps what an earlier one achieved).
+//!    the checkpoint, which the kernel overwrites at the end of every
+//!    restart cycle, so only the in-flight cycle's progress is lost.
 //!
 //! Every recovery is recorded as a [`RecoveryRecord`] (epoch, lost ranks,
 //! time-to-recover) in the returned [`DistSolveReport`]. Invariants of this
@@ -35,17 +47,16 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use pilut_core::dist::op::DistCsr;
 use pilut_core::dist::recover::shrink;
 use pilut_core::dist::{DistMatrix, Distribution, LocalView};
-use pilut_core::options::{FactorError, IlutOptions};
+use pilut_core::options::{BreakdownPolicy, FactorError, IlutOptions};
 use pilut_core::parallel::par_ilut;
 use pilut_par::collectives::ReduceOp;
 use pilut_par::{Ctx, RankLost};
 use pilut_sparse::CsrMatrix;
 
 use crate::dist_gmres::{DistDiagonal, DistIdentity, DistIlu, DistPrecond, Distributed};
-use crate::gmres::GmresOptions;
+use crate::gmres::{GmresOptions, GmresResult};
 use crate::krylov;
-use crate::report::{summary_line, AttemptRecord, Breakdown, RecoveryRecord};
-use crate::robust::{climb, Rung};
+use crate::report::{AttemptOutcome, AttemptRecord, Breakdown, RecoveryRecord};
 
 /// A typed, recoverable error surfaced between attempts of a distributed
 /// solve. Today the only variant is rank loss; the VM raises it as a panic
@@ -123,25 +134,50 @@ impl DistSolveReport {
         }
     }
 
-    /// One-line summary naming the rungs passed over and each recovery
-    /// epoch, e.g. `converged via Jacobi (rel 3.1e-9, 24 matvecs) after
-    /// [ILUT(10,1e-4): factor failed: zero pivot at row 7] surviving
-    /// [epoch 1: lost rank(s) [2], recovered in 1.2e-4s]`.
+    /// One-line summary for logs: the verdict and the chosen rung with its
+    /// figures, then ` after [rung: why; …]` for every rung tried before it
+    /// and ` surviving [epoch …; …]` for every rank loss — each clause only
+    /// when it has something to name. E.g. `converged via Jacobi (rel
+    /// 3.1e-9, 24 matvecs) after [ILUT(10,1e-4): factor failed: zero pivot
+    /// at row 7] surviving [epoch 1: lost rank(s) [2], recovered in
+    /// 1.2e-4s]`.
     pub fn summary(&self) -> String {
         if self.dead {
             return "rank killed mid-solve (tombstone)".into();
         }
-        let name = format!(
-            "{} (rel {:.1e}, {} matvecs)",
+        let status = if self.converged {
+            "converged"
+        } else {
+            "FAILED to converge"
+        };
+        let mut s = format!(
+            "{status} via {} (rel {:.1e}, {} matvecs)",
             self.preconditioner, self.rel_residual, self.matvecs
         );
-        summary_line(
-            self.converged,
-            &name,
-            &self.attempts,
-            self.chosen,
-            &self.recoveries,
-        )
+        let skipped: Vec<String> = self.attempts[..self.chosen]
+            .iter()
+            .map(|a| {
+                let why = match &a.outcome {
+                    AttemptOutcome::FactorFailed(e) => format!("factor failed: {e}"),
+                    AttemptOutcome::SolveFailed {
+                        breakdown: Some(b), ..
+                    } => format!("{b}"),
+                    AttemptOutcome::SolveFailed { rel_residual, .. } => {
+                        format!("stalled at rel {rel_residual:.1e}")
+                    }
+                    AttemptOutcome::Converged { .. } => "converged".to_string(),
+                };
+                format!("{}: {why}", a.preconditioner)
+            })
+            .collect();
+        if !skipped.is_empty() {
+            s.push_str(&format!(" after [{}]", skipped.join("; ")));
+        }
+        if !self.recoveries.is_empty() {
+            let named: Vec<String> = self.recoveries.iter().map(|r| r.to_string()).collect();
+            s.push_str(&format!(" surviving [{}]", named.join("; ")));
+        }
+        s
     }
 }
 
@@ -170,11 +206,11 @@ fn agreed_jacobi(
 /// for actual kills to be survivable; without faults it is a plain
 /// par-ILUT + GMRES solve with a checkpoint written once per restart cycle.
 ///
-/// Inside each epoch the preconditioner degrades down the shared ladder
-/// (caller's ILUT → boosted-shift refactorization → Jacobi → none); every
-/// rung's availability and every convergence verdict is collective, so all
-/// ranks climb in lockstep. While the primary rung converges the traffic is
-/// exactly that of a hand-written par-ILUT + GMRES solve.
+/// Inside each epoch the preconditioner degrades down the ladder of the
+/// module docs (caller's ILUT → boosted-shift refactorization → Jacobi →
+/// none) until a rung converges, keeping the best-residual fallback
+/// otherwise. While the primary rung converges the traffic is exactly that
+/// of a hand-written par-ILUT + GMRES solve.
 pub fn dist_solve_robust(
     ctx: &mut Ctx,
     a: &CsrMatrix,
@@ -186,6 +222,21 @@ pub fn dist_solve_robust(
     let n = a.n_rows();
     assert_eq!(b_global.len(), n);
     assert_eq!(dist.n_rows(), n);
+
+    // The ILUT rungs: the caller's options, then the same under a shift
+    // strong enough to survive rows the caller's policy could not,
+    // escalating fast on repeated breakdowns — skipped when the caller
+    // already runs it, as retrying it would be a no-op. Jacobi and the
+    // unpreconditioned rung follow.
+    let shift = BreakdownPolicy::Shift {
+        initial: 1e-4,
+        growth: 100.0,
+    };
+    let mut iluts = vec![(ilut_opts.name(), ilut_opts.clone())];
+    if ilut_opts.breakdown != shift {
+        let name = format!("{}+shift(1e-4)", ilut_opts.name());
+        iluts.push((name, ilut_opts.clone().with_breakdown(shift)));
+    }
 
     // The iterate checkpoint lives in *global* index space so it survives
     // redistribution: after a loss, a row's last value is valid no matter
@@ -210,33 +261,75 @@ pub fn dist_solve_robust(
             // factorization, where a hand-written par-ILUT + GMRES driver
             // plans it too.
             let mut op = None;
-            climb(ilut_opts, |rung, name| {
-                let mut precond: Box<dyn DistPrecond> = match rung {
-                    // par_ilut's fault verdict is collective: Ok/Err is agreed.
-                    Rung::Ilut(opts) => {
-                        let rf = par_ilut(ctx, &dm, &local, opts)?;
-                        Box::new(DistIlu::new(ctx, &dm, &local, rf).with_label(name))
-                    }
-                    Rung::Jacobi => Box::new(agreed_jacobi(ctx, &dm, &local)?),
-                    Rung::Plain => Box::new(DistIdentity),
+            let mut attempts: Vec<AttemptRecord> = Vec::new();
+            // Best non-converged fallback so far: (attempt index, result).
+            let mut best: Option<(usize, GmresResult)> = None;
+            for idx in 0..iluts.len() + 2 {
+                // An `Err` means the rung is unavailable and nothing is
+                // solved; every verdict is agreed across ranks.
+                let (name, built): (String, Result<Box<dyn DistPrecond>, FactorError>) =
+                    match iluts.get(idx) {
+                        // par_ilut's fault verdict is collective.
+                        Some((name, opts)) => (
+                            name.clone(),
+                            par_ilut(ctx, &dm, &local, opts)
+                                .map(|rf| Box::new(DistIlu::new(ctx, &dm, &local, rf)) as _),
+                        ),
+                        None if idx == iluts.len() => (
+                            "Jacobi".into(),
+                            agreed_jacobi(ctx, &dm, &local).map(|d| Box::new(d) as _),
+                        ),
+                        None => ("none".into(), Ok(Box::new(DistIdentity))),
+                    };
+                let solved = built.map(|mut precond| {
+                    let mut space = Distributed {
+                        op: op.get_or_insert_with(|| DistCsr::new(ctx, &dm, &local)),
+                        ctx,
+                        local: &local,
+                        precond: precond.as_mut(),
+                    };
+                    // Any finite iterate is a legal warm start, so a later
+                    // rung keeps what an earlier one achieved.
+                    let x0 = ckpt_local.clone();
+                    let ckpt = Some(&mut ckpt_local);
+                    krylov::solve(&mut space, &b, gmres_opts, Some(x0), ckpt)
+                });
+                let outcome = match &solved {
+                    Err(e) => AttemptOutcome::FactorFailed(e.clone()),
+                    Ok(r) if r.converged => AttemptOutcome::Converged {
+                        rel_residual: r.rel_residual,
+                        matvecs: r.matvecs,
+                    },
+                    Ok(r) => AttemptOutcome::SolveFailed {
+                        rel_residual: r.rel_residual,
+                        matvecs: r.matvecs,
+                        breakdown: r.breakdown,
+                    },
                 };
-                let mut space = Distributed {
-                    op: op.get_or_insert_with(|| DistCsr::new(ctx, &dm, &local)),
-                    ctx,
-                    local: &local,
-                    precond: precond.as_mut(),
-                };
-                // Any finite iterate is a legal warm start, so a later rung
-                // keeps what an earlier one achieved.
-                let x0 = ckpt_local.clone();
-                let ckpt = Some(&mut ckpt_local);
-                Ok(krylov::solve(&mut space, &b, gmres_opts, Some(x0), ckpt))
-            })
+                attempts.push(AttemptRecord {
+                    preconditioner: name,
+                    outcome,
+                });
+                let Ok(r) = solved else { continue };
+                if r.converged {
+                    return (r, attempts, idx);
+                }
+                // Keep the best residual; a non-finite one is displaced by
+                // anything later, so with nothing finite the last rung stands.
+                let better = best.as_ref().is_none_or(|(_, prev)| {
+                    r.rel_residual < prev.rel_residual || !prev.rel_residual.is_finite()
+                });
+                if better {
+                    best = Some((idx, r));
+                }
+            }
+            // lint: allow(unwrap): the unpreconditioned rung needs no factorization
+            let (chosen, best) = best.expect("no rung of the ladder was solved");
+            (best, attempts, chosen)
         }));
 
         match attempt {
-            Ok(climbed) => {
-                let best = climbed.best;
+            Ok((best, attempts, chosen)) => {
                 return DistSolveReport {
                     x_local: best.x,
                     nodes,
@@ -244,9 +337,9 @@ pub fn dist_solve_robust(
                     rel_residual: best.rel_residual,
                     matvecs: best.matvecs,
                     breakdown: best.breakdown,
-                    preconditioner: climbed.attempts[climbed.chosen].preconditioner.clone(),
-                    attempts: climbed.attempts,
-                    chosen: climbed.chosen,
+                    preconditioner: attempts[chosen].preconditioner.clone(),
+                    attempts,
+                    chosen,
                     recoveries,
                     dead: false,
                 };
@@ -289,18 +382,17 @@ pub fn dist_solve_robust(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::AttemptOutcome;
-    use pilut_core::options::BreakdownPolicy;
     use pilut_par::{FaultAction, FaultPlan, FaultRule, Machine, MachineModel};
-    use pilut_sparse::gen;
+    use pilut_sparse::vec_ops::norm2;
+    use pilut_sparse::{gen, CooMatrix};
 
     fn model() -> MachineModel {
         MachineModel::cray_t3d()
     }
 
-    /// Assembles the global solution from surviving ranks' reports and
-    /// checks it against `x_true`.
-    fn assemble_and_check(reports: &[DistSolveReport], n: usize, x_true: &[f64]) {
+    /// Assembles the global solution from surviving ranks' reports, checks
+    /// it against `x_true` and returns it.
+    fn assemble_and_check(reports: &[DistSolveReport], n: usize, x_true: &[f64]) -> Vec<f64> {
         let mut x = vec![f64::NAN; n];
         for r in reports.iter().filter(|r| !r.dead) {
             assert!(r.converged, "survivor failed: {}", r.summary());
@@ -314,6 +406,7 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         assert!(err < 1e-4, "assembled solution wrong: err = {err}");
+        x
     }
 
     #[test]
@@ -322,26 +415,22 @@ mod tests {
         let n = a.n_rows();
         let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
         let b = a.spmv_owned(&x_true);
-        let dist = Distribution::from_matrix(&a, 4, 23);
-        let out = Machine::run_checked(4, model(), |ctx| {
-            dist_solve_robust(
-                ctx,
+        // The primary rung alone carries the solve, on one rank as on four.
+        for p in [1, 4] {
+            let reports = solve_on(
+                p,
                 &a,
                 &b,
-                &dist,
                 &IlutOptions::new(10, 1e-4),
                 &GmresOptions::default(),
-            )
-        });
-        assemble_and_check(&out.results, n, &x_true);
-        for r in &out.results {
-            assert!(r.recoveries.is_empty());
-            assert!(!r.dead);
-            assert!(
-                r.preconditioner.starts_with("ILUT("),
-                "{}",
-                r.preconditioner
             );
+            assemble_and_check(&reports, n, &x_true);
+            for r in &reports {
+                assert!(r.recoveries.is_empty());
+                assert!(!r.dead);
+                assert_eq!((r.chosen, r.attempts.len()), (0, 1), "{}", r.summary());
+                assert_eq!(r.preconditioner, "ILUT(10,1e-4)");
+            }
         }
     }
 
@@ -398,7 +487,7 @@ mod tests {
     /// A 6×6 Laplacian whose row 0 has its diagonal zeroed — first in
     /// elimination order, so no update can repair it — with the RHS of a
     /// known solution.
-    fn zero_diag_problem() -> (CsrMatrix, Vec<f64>) {
+    fn zero_diag_problem() -> (CsrMatrix, Vec<f64>, Vec<f64>) {
         let mut a = gen::laplace_2d(6, 6);
         let k = (a.row_ptr()[0]..a.row_ptr()[1])
             .find(|&k| a.col_idx()[k] == 0)
@@ -406,7 +495,7 @@ mod tests {
         a.values_mut()[k] = 0.0;
         let x_true: Vec<f64> = (0..a.n_rows()).map(|i| 1.0 + (i % 2) as f64).collect();
         let b = a.spmv_owned(&x_true);
-        (a, b)
+        (a, b, x_true)
     }
 
     fn solve_on(
@@ -426,23 +515,44 @@ mod tests {
     #[test]
     fn aborted_factorization_recovers_through_the_boosted_shift() {
         // Under BreakdownPolicy::Abort the zero pivot makes par_ilut fail
-        // collectively; the shared ladder's second rung refactors under the
+        // collectively; the ladder's second rung refactors under the
         // boosted shift and carries the solve — on every rank alike.
-        let (a, b) = zero_diag_problem();
+        let (a, b, x_true) = zero_diag_problem();
         let opts = IlutOptions::new(10, 1e-4).with_breakdown(BreakdownPolicy::Abort);
-        for r in solve_on(2, &a, &b, &opts, &GmresOptions::default()) {
-            assert!(r.converged && r.recoveries.is_empty(), "{}", r.summary());
-            assert_eq!(r.chosen, 1, "{}", r.summary());
-            assert_eq!(r.preconditioner, "ILUT(10,1e-4)+shift(1e-4)");
-            assert!(matches!(
-                r.attempts[0].outcome,
-                AttemptOutcome::FactorFailed(_)
-            ));
-            assert!(
-                r.summary().contains("after [ILUT(10,1e-4): factor failed"),
-                "summary must name the skipped rung: {}",
-                r.summary()
-            );
+        for p in [1, 2] {
+            let reports = solve_on(p, &a, &b, &opts, &GmresOptions::default());
+            for r in &reports {
+                assert!(r.converged && r.recoveries.is_empty(), "{}", r.summary());
+                assert_eq!(r.chosen, 1, "{}", r.summary());
+                assert_eq!(r.preconditioner, "ILUT(10,1e-4)+shift(1e-4)");
+                assert!(matches!(
+                    r.attempts[0].outcome,
+                    AttemptOutcome::FactorFailed(_)
+                ));
+                // The report names every rung it tried.
+                let names: Vec<&str> = r
+                    .attempts
+                    .iter()
+                    .map(|a| a.preconditioner.as_str())
+                    .collect();
+                assert_eq!(names, ["ILUT(10,1e-4)", "ILUT(10,1e-4)+shift(1e-4)"]);
+                assert!(
+                    r.summary()
+                        .starts_with("converged via ILUT(10,1e-4)+shift(1e-4) (rel ")
+                        && r.summary().contains("after [ILUT(10,1e-4): factor failed"),
+                    "summary must name the chosen and the skipped rung: {}",
+                    r.summary()
+                );
+            }
+            // The answer must actually solve the system.
+            let x = assemble_and_check(&reports, a.n_rows(), &x_true);
+            let resid: Vec<f64> = a
+                .spmv_owned(&x)
+                .iter()
+                .zip(&b)
+                .map(|(y, bi)| y - bi)
+                .collect();
+            assert!(norm2(&resid) <= 1e-5 * norm2(&b).max(1.0), "p = {p}");
         }
     }
 
@@ -482,7 +592,7 @@ mod tests {
         // Invalid ILUT options *and* a zero diagonal: Jacobi is unusable on
         // the one rank owning row 0, which names the row; its peers must
         // skip the rung too and name that rank.
-        let (a, b) = zero_diag_problem();
+        let (a, b, _) = zero_diag_problem();
         let reports = solve_on(
             3,
             &a,
@@ -548,5 +658,102 @@ mod tests {
             assert!(r.converged, "{}", r.summary());
             assert_eq!(r.preconditioner, "ILUT*(10,1e-4,2)");
         }
+    }
+
+    #[test]
+    fn singular_system_fails_with_a_structured_report() {
+        // Exactly singular (a zero row): nothing can converge, but the
+        // report must say so without panicking, with every rung recorded.
+        let mut coo = CooMatrix::new(4, 4);
+        for i in 0..3 {
+            coo.push(i, i, 1.0);
+        }
+        let gopts = GmresOptions {
+            max_matvecs: 50,
+            ..Default::default()
+        };
+        let r = solve_on(
+            1,
+            &coo.to_csr(),
+            &[1.0; 4],
+            &IlutOptions::new(4, 0.0),
+            &gopts,
+        )
+        .remove(0);
+        assert!(!r.converged);
+        assert_eq!(r.attempts.len(), 4, "{:?}", r.attempts);
+        assert!(r.rel_residual.is_finite());
+        assert!(r.summary().contains("FAILED"), "{}", r.summary());
+    }
+
+    /// The breakdowns of the rungs before `chosen` that ran and then broke
+    /// down, each checked to be named in `summary()` after its rung.
+    fn named_breakdowns(r: &DistSolveReport) -> Vec<Breakdown> {
+        let s = r.summary();
+        let mut found = Vec::new();
+        for a in &r.attempts[..r.chosen] {
+            if let AttemptOutcome::SolveFailed {
+                breakdown: Some(b), ..
+            } = a.outcome
+            {
+                assert!(s.contains(&format!("{}: {b}", a.preconditioner)), "{s}");
+                found.push(b);
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn poisoned_matrix_falls_through_to_the_last_rung_with_a_finite_iterate() {
+        // A NaN off-diagonal poisons every residual: no rung can report a
+        // finite one, so the ladder stands on its last rung — with the
+        // kernel's guarded (finite) iterate, not garbage.
+        let mut coo = CooMatrix::new(3, 3);
+        for i in 0..3 {
+            coo.push(i, i, 2.0);
+        }
+        coo.push(0, 1, f64::NAN);
+        let gopts = GmresOptions::default();
+        let r = solve_on(
+            1,
+            &coo.to_csr(),
+            &[1.0; 3],
+            &IlutOptions::new(3, 0.0),
+            &gopts,
+        )
+        .remove(0);
+        assert!(!r.converged && r.rel_residual.is_infinite());
+        assert_eq!(r.chosen, r.attempts.len() - 1, "{:?}", r.attempts);
+        assert_eq!(r.preconditioner, "none");
+        assert!(r.x_local.iter().all(|v| v.is_finite()));
+        // The shift and Jacobi rungs ran and met the NaN in the iteration.
+        assert!(
+            matches!(
+                named_breakdowns(&r)[..],
+                [Breakdown::NonFinite { .. }, Breakdown::NonFinite { .. }]
+            ),
+            "{}",
+            r.summary()
+        );
+
+        // The skew system GMRES(1) cannot reduce: row replacement leaves a
+        // diagonal preconditioner, so the caller's rung stagnates and the
+        // shift rung solves.
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 1, 1.0);
+        coo.push(1, 0, -1.0);
+        let gopts = GmresOptions {
+            restart: 1,
+            rtol: 1e-10,
+            max_matvecs: 1000,
+        };
+        let opts = IlutOptions::new(3, 0.0).with_breakdown(BreakdownPolicy::ReplaceRow);
+        let r = solve_on(1, &coo.to_csr(), &[1.0, 0.0], &opts, &gopts).remove(0);
+        assert!(r.converged && r.chosen == 1, "{}", r.summary());
+        assert!(
+            matches!(named_breakdowns(&r)[..], [Breakdown::Stagnation { .. }]),
+            "{}",
+            r.summary()
+        );
     }
 }

@@ -22,15 +22,12 @@
 //!
 //! Robustness layer: the kernel detects numerical breakdown (non-finite
 //! Arnoldi values, stagnation across restarts) and reports it as a typed
-//! [`Breakdown`] instead of looping on garbage. One degradation ladder
-//! (caller's ILUT → boosted-shift refactorization → Jacobi →
-//! unpreconditioned; `robust::climb`) serves both [`solve_robust`] and
-//! [`dist_solve_robust`] and records every rung tried in the returned
-//! [`SolveReport`] / [`DistSolveReport`].
-//!
-//! Rank-loss recovery: [`dist_solve_robust`] wraps the distributed ladder in
-//! the lost-rank rung — a kill mid-solve (under `MachineBuilder::recovery`)
-//! shrinks the world, rebuilds plans and factors, warm-starts GMRES from a
+//! [`Breakdown`] instead of looping on garbage. [`dist_solve_robust`] is
+//! the one degradation ladder (caller's ILUT → boosted-shift
+//! refactorization → Jacobi → unpreconditioned) and records every rung
+//! tried in the returned [`DistSolveReport`]. Around it sits the lost-rank
+//! rung: a kill mid-solve (under `MachineBuilder::recovery`) shrinks the
+//! world, rebuilds plans and factors, warm-starts GMRES from a
 //! per-restart-cycle checkpoint, and records the recovery in the report.
 
 pub mod dist_gmres;
@@ -38,12 +35,10 @@ pub mod dist_robust;
 pub mod gmres;
 mod krylov;
 pub mod report;
-pub mod robust;
 
 pub use dist_gmres::{
-    dist_gmres, dist_gmres_from, DistDiagonal, DistGmresResult, DistIdentity, DistIlu, DistPrecond,
+    dist_gmres, DistDiagonal, DistGmresResult, DistIdentity, DistIlu, DistPrecond,
 };
 pub use dist_robust::{dist_solve_robust, DistSolveReport, SolveError};
 pub use gmres::{gmres, GmresOptions, GmresResult};
-pub use report::{AttemptOutcome, AttemptRecord, Breakdown, RecoveryRecord, SolveReport};
-pub use robust::solve_robust;
+pub use report::{AttemptOutcome, AttemptRecord, Breakdown, RecoveryRecord};

@@ -3,8 +3,10 @@
 //! A Krylov solve can fail *numerically* (NaN/Inf in the Arnoldi process)
 //! or *practically* (stagnation across restart cycles). Both are detected
 //! and reported as a typed [`Breakdown`] instead of silently returning
-//! garbage; [`crate::robust::solve_robust`] consumes these to drive its
-//! degradation ladder and summarises what happened in a [`SolveReport`].
+//! garbage; [`crate::dist_robust::dist_solve_robust`] consumes these to
+//! drive its degradation ladder, records each rung as an [`AttemptRecord`]
+//! and each survived rank loss as a [`RecoveryRecord`], and summarises what
+//! happened in its [`DistSolveReport`](crate::dist_robust::DistSolveReport).
 
 use pilut_core::options::FactorError;
 
@@ -38,7 +40,7 @@ impl std::fmt::Display for Breakdown {
     }
 }
 
-/// What one rung of the [`crate::robust::solve_robust`] ladder did.
+/// What one rung of the [`crate::dist_robust::dist_solve_robust`] ladder did.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AttemptOutcome {
     /// The preconditioner could not even be built.
@@ -65,8 +67,7 @@ pub struct AttemptRecord {
 
 /// One survived rank loss: when it happened, who died, and how long the
 /// agreement round took. Recorded by the distributed self-healing driver
-/// ([`crate::dist_robust::dist_solve_robust`]); serial solves never populate
-/// these.
+/// ([`crate::dist_robust::dist_solve_robust`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryRecord {
     /// Recovery epoch entered (1 = first loss this solve adopted).
@@ -86,87 +87,5 @@ impl std::fmt::Display for RecoveryRecord {
             "epoch {}: lost rank(s) {:?}, recovered in {:.3e}s",
             self.epoch, self.lost, self.time_to_recover
         )
-    }
-}
-
-/// The one-line summary both reports share: the verdict and `chosen` (the
-/// rung that produced the answer, with its figures), then ` after [rung:
-/// why; …]` for every rung tried before it and ` surviving [epoch …; …]`
-/// for every rank loss — each clause only when it has something to name.
-pub(crate) fn summary_line(
-    converged: bool,
-    chosen_rung: &str,
-    attempts: &[AttemptRecord],
-    chosen: usize,
-    recoveries: &[RecoveryRecord],
-) -> String {
-    let skipped: Vec<String> = attempts
-        .iter()
-        .take(chosen)
-        .map(|a| {
-            let why = match &a.outcome {
-                AttemptOutcome::FactorFailed(e) => format!("factor failed: {e}"),
-                AttemptOutcome::SolveFailed {
-                    rel_residual,
-                    breakdown,
-                    ..
-                } => match breakdown {
-                    Some(b) => format!("{b}"),
-                    None => format!("stalled at rel {rel_residual:.1e}"),
-                },
-                AttemptOutcome::Converged { .. } => "converged".to_string(),
-            };
-            format!("{}: {}", a.preconditioner, why)
-        })
-        .collect();
-    let status = if converged {
-        "converged"
-    } else {
-        "FAILED to converge"
-    };
-    let mut s = format!("{status} via {chosen_rung}");
-    if !skipped.is_empty() {
-        s.push_str(&format!(" after [{}]", skipped.join("; ")));
-    }
-    if !recoveries.is_empty() {
-        let named: Vec<String> = recoveries.iter().map(|r| r.to_string()).collect();
-        s.push_str(&format!(" surviving [{}]", named.join("; ")));
-    }
-    s
-}
-
-/// The structured outcome of a robust solve: which rungs were tried, which
-/// one produced the answer, and how good that answer is.
-#[derive(Clone, Debug)]
-pub struct SolveReport {
-    /// The best solution found (from the converged attempt, or the
-    /// best-residual attempt if nothing converged).
-    pub x: Vec<f64>,
-    pub converged: bool,
-    /// True relative residual of `x`.
-    pub rel_residual: f64,
-    /// Every rung tried, in order.
-    pub attempts: Vec<AttemptRecord>,
-    /// Index into `attempts` of the rung that produced `x`.
-    pub chosen: usize,
-}
-
-impl SolveReport {
-    /// Name of the preconditioner that produced the reported solution.
-    pub fn fallback(&self) -> &str {
-        &self.attempts[self.chosen].preconditioner
-    }
-
-    /// True when the primary (first) attempt already converged — no
-    /// degradation was needed.
-    pub fn primary_succeeded(&self) -> bool {
-        self.chosen == 0 && self.converged
-    }
-
-    /// One-line summary for logs: `converged via Jacobi (rel 3.1e-9) after
-    /// [ILUT(10,1e-4): factor failed: zero pivot at row 7]`.
-    pub fn summary(&self) -> String {
-        let name = format!("{} (rel {:.1e})", self.fallback(), self.rel_residual);
-        summary_line(self.converged, &name, &self.attempts, self.chosen, &[])
     }
 }

@@ -85,7 +85,14 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix, MmError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| parse_err("bad nnz count"))?;
-    let mut coo = CooMatrix::with_capacity(n_rows, n_cols, if symmetric { 2 * nnz } else { nnz });
+    // The counts are outside input: every index downstream is 32-bit, and
+    // the triplets grow with the entries actually read, not the claimed nnz.
+    if n_rows > u32::MAX as usize || n_cols > u32::MAX as usize {
+        return Err(parse_err(format!(
+            "{n_rows} x {n_cols} exceeds 32-bit indices"
+        )));
+    }
+    let mut coo = CooMatrix::new(n_rows, n_cols);
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -200,6 +207,24 @@ mod tests {
     fn rejects_wrong_count() {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n";
         assert!(read_matrix_market(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn hostile_header_counts_are_parse_errors() {
+        // Each once aborted or panicked before reading a single entry.
+        let sizes = [
+            ("general", "2 2 1000000000000".to_string()),
+            ("general", format!("2 2 {}", 1u64 << 62)),
+            ("general", format!("{} 2 0", usize::MAX)),
+            ("general", format!("2 {} 0", usize::MAX)),
+            ("general", format!("{} 1 0", 1u64 << 40)),
+            ("symmetric", format!("2 2 {}", (1u64 << 63) + 1)),
+        ];
+        for (symmetry, size) in sizes {
+            let text = format!("%%MatrixMarket matrix coordinate real {symmetry}\n{size}\n");
+            let got = read_matrix_market(text.as_bytes());
+            assert!(matches!(got, Err(MmError::Parse(_))), "{size}: {got:?}");
+        }
     }
 
     #[test]

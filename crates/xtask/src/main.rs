@@ -4,7 +4,7 @@
 //! * `cargo run -p xtask --release -- bench [--quick] [--out PATH]
 //!   [--label STR] [--scenario NAME]...` — the kernel benchmark: gates each
 //!   scenario's self-consistency invariants in-process, reports wall time
-//!   (see [`bench`]).
+//!   (see [`mod@bench`]).
 //! * `cargo run -p xtask -- bench-compare NEW BASE` — per-row wall ratios
 //!   between two bench reports; a report, never a gate (see
 //!   [`bench::compare`]).
@@ -514,7 +514,7 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
         "crates/core/src/dist/exchange/halo.rs",
         &["wire_tag", "send_values", "recv_values"],
     ),
-    ("crates/core/src/dist/spmv.rs", &["dist_spmv_into"]),
+    ("crates/core/src/dist/op.rs", &["apply_into"]),
     (
         "crates/core/src/parallel/dist_mis.rs",
         &["refresh_links", "round", "frame"],
@@ -1232,7 +1232,7 @@ mod tests {
         let src =
             "fn f(ctx: &mut Ctx) { ctx.send(1, tags::SPMV, p); let _ = ctx.recv(0, tags::SPMV); }\n";
         assert_eq!(
-            rules(&lint_source("crates/core/src/dist/spmv.rs", src, false)),
+            rules(&lint_source("crates/core/src/dist/op.rs", src, false)),
             vec!["no-raw-comm"; 1]
         );
         assert!(lint_source("crates/par/src/ctx.rs", src, true).is_empty());

@@ -30,7 +30,6 @@ use std::time::Instant;
 
 use pilut_core::dist::exchange::tags;
 use pilut_core::dist::op::{DistCsr, DistOperator};
-use pilut_core::dist::spmv::{dist_spmv, SpmvPlan};
 use pilut_core::dist::{DistMatrix, Distribution, LocalView};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::{par_ilu0, par_ilut, LevelStats, RankFactors};
@@ -363,7 +362,7 @@ fn run_trisolve(dm: &DistMatrix, opts: &IlutOptions) -> SolveRun {
     let out = spmd(dm, MachineModel::cray_t3d(), |ctx, local| {
         let rf = factor(ctx, dm, local, opts);
         let tplan = TrisolvePlan::build(ctx, dm, local, &rf);
-        let mut splan = SpmvPlan::build(ctx, dm, local);
+        let mut op = DistCsr::new(ctx, dm, local);
         let b: Vec<f64> = local.nodes.iter().map(|&g| 1.0 + (g % 5) as f64).collect();
         // Align clocks so the timed section measures the kernel alone.
         ctx.barrier();
@@ -372,7 +371,7 @@ fn run_trisolve(dm: &DistMatrix, opts: &IlutOptions) -> SolveRun {
         let _x = dist_backward(ctx, local, &rf, &tplan, &y);
         ctx.barrier();
         let t1 = ctx.time();
-        let _ = dist_spmv(ctx, dm, local, &mut splan, &b);
+        let _ = op.apply(ctx, &b);
         ctx.barrier();
         (t1 - t0, ctx.time() - t1)
     });

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example matrix_market [path/to/matrix.mtx]`
 
-use pilut::core::precond::{IluPreconditioner, Preconditioner};
+use pilut::core::precond::IluPreconditioner;
 use pilut::core::serial::{ilu0, iluk, ilut, IlutOptions};
 use pilut::solver::gmres::{gmres, GmresOptions};
 use pilut::sparse::{gen, io};
@@ -40,11 +40,10 @@ fn main() {
     };
     let report = |label: &str, factors: pilut::core::LuFactors| {
         let fill = factors.nnz();
-        let pre = IluPreconditioner::with_label(factors, label);
-        let r = gmres(&a, &b, &pre, &opts);
+        let r = gmres(&a, &b, &IluPreconditioner::new(factors), &opts);
         println!(
             "{:<16} fill = {:>8} ({:.2}x A)   NMV = {:>5}   converged = {}",
-            pre.name(),
+            label,
             fill,
             fill as f64 / a.nnz() as f64,
             r.matvecs,

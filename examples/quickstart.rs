@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use pilut::core::precond::{DiagonalPreconditioner, IluPreconditioner, Preconditioner};
+use pilut::core::precond::{DiagonalPreconditioner, IluPreconditioner};
 use pilut::core::serial::{ilut, IlutOptions};
 use pilut::solver::gmres::{gmres, GmresOptions};
 use pilut::sparse::gen;
@@ -36,13 +36,10 @@ fn main() {
         factors.nnz(),
         factors.nnz() as f64 / a.nnz() as f64
     );
-    let pre = IluPreconditioner::with_label(factors, "ILUT(10,1e-4)");
-    let r1 = gmres(&a, &b, &pre, &opts);
+    let r1 = gmres(&a, &b, &IluPreconditioner::new(factors), &opts);
     println!(
-        "GMRES(10) + {} : {} matvecs, converged = {}",
-        pre.name(),
-        r1.matvecs,
-        r1.converged
+        "GMRES(10) + ILUT(10,1e-4) : {} matvecs, converged = {}",
+        r1.matvecs, r1.converged
     );
     println!(
         "speedup in iterations: {:.1}x",

@@ -49,7 +49,6 @@ pub use pilut_sparse as sparse;
 pub mod prelude {
     pub use pilut_core::dist::exchange::CommPlan;
     pub use pilut_core::dist::op::{DistCsr, DistOperator};
-    pub use pilut_core::dist::spmv::{dist_spmv, SpmvPlan};
     pub use pilut_core::dist::{DistMatrix, Distribution, LocalView};
     pub use pilut_core::options::{FactorError, IlutOptions};
     pub use pilut_core::parallel::{assemble_factors, par_ilu0, par_ilut, RankFactors};

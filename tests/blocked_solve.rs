@@ -23,9 +23,7 @@ fn elasticity_3d_is_a_blocked_input_both_paths_solve() {
     let sf = ilut(&a, &IlutOptions::new(6, 1e-4)).unwrap();
     let scalar = gmres(&a, &rhs, &IluPreconditioner::new(sf), &opts);
     let bf = block_ilut(&ab, &IlutOptions::new(2, 1e-4)).unwrap();
-    let precond = IluPreconditioner::with_label(bf, "BILU(3)");
-    assert_eq!(precond.name(), "BILU(3)");
-    let blocked = gmres(&a, &rhs, &precond, &opts);
+    let blocked = gmres(&a, &rhs, &IluPreconditioner::new(bf), &opts);
     for r in [&scalar, &blocked] {
         assert!(r.converged);
         for (x, t) in r.x.iter().zip(&x_true) {
