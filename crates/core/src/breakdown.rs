@@ -68,18 +68,12 @@ pub struct PivotDoctor {
     policy: BreakdownPolicy,
     /// Rows repaired so far (drives geometric escalation under `Shift`).
     repairs: usize,
-    /// Non-finite off-diagonal entries discarded so far.
-    scrubbed: usize,
 }
 
 impl PivotDoctor {
     /// A doctor applying `policy` for one factorization.
     pub fn new(policy: BreakdownPolicy) -> Self {
-        PivotDoctor {
-            policy,
-            repairs: 0,
-            scrubbed: 0,
-        }
+        PivotDoctor { policy, repairs: 0 }
     }
 
     /// Rows repaired so far — goes into
@@ -120,10 +114,10 @@ impl PivotDoctor {
 
     /// Scrubs non-finite values from a row's retained entries. Under
     /// [`BreakdownPolicy::Abort`] a non-finite entry is fatal; the recovery
-    /// policies discard such entries (counting them) and let the pivot
-    /// check deal with the diagonal.
+    /// policies discard such entries and let the pivot check deal with the
+    /// diagonal.
     pub fn scrub_row(
-        &mut self,
+        &self,
         row: usize,
         entries: &mut Vec<(usize, f64)>,
     ) -> Result<(), FactorError> {
@@ -133,9 +127,7 @@ impl PivotDoctor {
         if self.policy == BreakdownPolicy::Abort {
             return Err(FactorError::NonFinite { row });
         }
-        let before = entries.len();
         entries.retain(|&(_, v)| v.is_finite());
-        self.scrubbed += before - entries.len();
         Ok(())
     }
 
@@ -243,10 +235,8 @@ impl PivotDoctor {
             return;
         }
         if off_poisoned {
-            let before = lower.len() + upper.len();
             lower.retain(|&(_, v)| v.is_finite());
             upper.retain(|&(_, v)| v.is_finite());
-            self.scrubbed += before - (lower.len() + upper.len());
         }
         let Some(fault) = pivot_fault else { return };
         match self.resolve(row, fault, Self::usable_scale(norm)) {
@@ -313,13 +303,13 @@ mod tests {
 
     #[test]
     fn scrub_removes_nonfinite_under_recovery_only() {
-        let mut strict = PivotDoctor::new(BreakdownPolicy::Abort);
+        let strict = PivotDoctor::new(BreakdownPolicy::Abort);
         let mut row = vec![(0, 1.0), (1, f64::NAN)];
         assert_eq!(
             strict.scrub_row(9, &mut row),
             Err(FactorError::NonFinite { row: 9 })
         );
-        let mut lenient = PivotDoctor::new(BreakdownPolicy::shift());
+        let lenient = PivotDoctor::new(BreakdownPolicy::shift());
         let mut row = vec![(0, 1.0), (1, f64::NAN), (2, f64::INFINITY)];
         lenient.scrub_row(9, &mut row).unwrap();
         assert_eq!(row, vec![(0, 1.0)]);

@@ -6,9 +6,7 @@
 //!   Algorithm 2.1, after Saad) — the one scalar row kernel, which the
 //!   parallel formulation's interior phase runs too, so serial ILUT is its
 //!   one-rank case — and the static-pattern baselines **ILU(0)** and
-//!   **ILU(k)**; and [`serial::block_ilut()`], the same elimination at
-//!   dense-tile granularity for multi-dof matrices, whose result is
-//!   refined into the same scalar store;
+//!   **ILU(k)**;
 //! * [`factors`] — the one scalar factor store (two CSR arenas for strict
 //!   `L` and strict `U` plus a pivot vector, over a slot space) with its
 //!   row sweeps: [`factors::LuFactors`] is the store with slot = row,
@@ -41,7 +39,7 @@ pub mod trisolve;
 pub use breakdown::PivotDoctor;
 pub use factors::LuFactors;
 pub use options::{BreakdownPolicy, FactorError, IlutOptions};
-pub use serial::{block_ilut, ilu0, iluk, ilut};
+pub use serial::{ilu0, iluk, ilut};
 
 /// `n` as a 32-bit index, or a panic naming `what` overflowed: the one
 /// narrowing behind every `u32` slot and row-pointer array in the crate.

@@ -9,61 +9,44 @@
 //! *and removal* all `O(1)` and keeps `nz_list` exactly equal to the set of
 //! occupied positions at all times — a drop followed by a re-scatter of the
 //! same position can never leave a duplicate behind.
-//!
-//! The sparse-set machinery is implemented once, in [`LanedRow`], over a
-//! configurable *lane width*: each logical position owns `width` contiguous
-//! `f64` lanes. Width 1 is the classic scalar working row ([`WorkRow`]
-//! wraps it with the scalar API); width `b²` makes each position a `b × b`
-//! dense tile — the working row of the blocked ILUT, whose inner loops then
-//! run the dense micro-kernels in [`crate::tile`] over the lanes.
 
-/// A full-length working row whose positions each hold `width` contiguous
-/// `f64` lanes, with a companion list of occupied positions.
+/// The full-length working row of the ILUT kernels, one `f64` per position,
+/// with a companion list of occupied positions.
 ///
-/// `O(1)` scatter/lookup/removal, `O(nnz · width)` iteration and reset
-/// regardless of the logical length. Invariant: the lanes of an unoccupied
-/// position are all exactly `0.0`, so occupying a position always starts
-/// from a zero tile.
+/// `O(1)` scatter/lookup/removal, `O(nnz)` iteration and reset regardless
+/// of the logical length. Invariant: an unoccupied position reads exactly
+/// `0.0`, so [`WorkRow::get`] needs no membership test.
 #[derive(Clone, Debug)]
-pub struct LanedRow {
-    width: usize,
+pub struct WorkRow {
     values: Vec<f64>,
     /// `slot[j]` = index of `j` in `nz_list`, plus one; 0 when unoccupied.
     slot: Vec<usize>,
     nz_list: Vec<usize>,
 }
 
-impl LanedRow {
-    /// A working row of logical length `n` with `width` lanes per position,
-    /// initially empty.
-    pub fn new(n: usize, width: usize) -> Self {
-        assert!(width >= 1, "lane width must be at least 1");
-        LanedRow {
-            width,
-            values: vec![0.0; n * width],
+impl WorkRow {
+    /// A working row of logical length `n`, initially empty.
+    pub fn new(n: usize) -> Self {
+        WorkRow {
+            values: vec![0.0; n],
             slot: vec![0; n],
             nz_list: Vec::new(),
         }
     }
 
-    /// Lanes per position (the `width` it was created with).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Logical length of the row (the `n` it was created with), independent
-    /// of how many positions are occupied — see [`LanedRow::nnz`] for that.
+    /// of how many positions are occupied — see [`WorkRow::nnz`] for that.
     pub fn logical_len(&self) -> usize {
         self.slot.len()
     }
 
-    /// True when no position is occupied.
+    /// True when no entry is occupied.
     pub fn is_empty(&self) -> bool {
         self.nz_list.is_empty()
     }
 
     /// Number of occupied positions (including ones holding exact zeros,
-    /// excluding positions removed with [`LanedRow::drop_pos`]).
+    /// excluding positions removed with [`WorkRow::drop_pos`]).
     pub fn nnz(&self) -> usize {
         self.nz_list.len()
     }
@@ -74,32 +57,34 @@ impl LanedRow {
         self.slot[j] != 0
     }
 
-    /// The lanes of position `j` (all zero if unoccupied).
+    /// The value at `j` (zero if unoccupied).
     #[inline]
-    pub fn lane(&self, j: usize) -> &[f64] {
-        &self.values[j * self.width..(j + 1) * self.width]
+    pub fn get(&self, j: usize) -> f64 {
+        self.values[j]
     }
 
-    /// Marks position `j` occupied and returns its lanes mutably; a freshly
-    /// occupied position starts from all-zero lanes.
+    /// Sets position `j` to `v`, marking it occupied.
     #[inline]
-    pub fn occupy(&mut self, j: usize) -> &mut [f64] {
+    pub fn set(&mut self, j: usize, v: f64) {
         if self.slot[j] == 0 {
             self.nz_list.push(j);
             self.slot[j] = self.nz_list.len();
         }
-        &mut self.values[j * self.width..(j + 1) * self.width]
+        self.values[j] = v;
     }
 
-    /// Copies `src` (exactly `width` lanes) into position `j`, marking it
-    /// occupied.
+    /// Adds `v` into position `j`, marking it occupied.
     #[inline]
-    pub fn set_lane(&mut self, j: usize, src: &[f64]) {
-        self.occupy(j).copy_from_slice(src);
+    pub fn add(&mut self, j: usize, v: f64) {
+        if self.slot[j] == 0 {
+            self.set(j, v);
+        } else {
+            self.values[j] += v;
+        }
     }
 
     /// Removes position `j` from the occupied set in `O(1)` (swap-remove
-    /// from the companion list); its lanes are zeroed immediately.
+    /// from the companion list; the slot value is zeroed immediately).
     pub fn drop_pos(&mut self, j: usize) {
         let s = self.slot[j];
         if s == 0 {
@@ -111,110 +96,7 @@ impl LanedRow {
             self.slot[moved] = idx + 1;
         }
         self.slot[j] = 0;
-        self.values[j * self.width..(j + 1) * self.width].fill(0.0);
-    }
-
-    /// The occupied positions, unsorted (insertion order, except that a
-    /// [`LanedRow::drop_pos`] moves the most recent position into the hole).
-    pub fn positions(&self) -> impl Iterator<Item = usize> + '_ {
-        self.nz_list.iter().copied()
-    }
-
-    /// Extracts all occupied positions sorted ascending into `cols` and
-    /// their lanes, concatenated in the same order, into `lanes` (both
-    /// cleared first), and resets the row to empty.
-    pub fn drain_sorted_lanes_into(&mut self, cols: &mut Vec<usize>, lanes: &mut Vec<f64>) {
-        cols.clear();
-        lanes.clear();
-        cols.extend_from_slice(&self.nz_list);
-        cols.sort_unstable();
-        for &j in cols.iter() {
-            lanes.extend_from_slice(&self.values[j * self.width..(j + 1) * self.width]);
-        }
-        for &j in &self.nz_list {
-            self.slot[j] = 0;
-            self.values[j * self.width..(j + 1) * self.width].fill(0.0);
-        }
-        self.nz_list.clear();
-    }
-
-    /// Resets to empty in `O(nnz · width)`.
-    pub fn clear(&mut self) {
-        for &j in &self.nz_list {
-            self.slot[j] = 0;
-            self.values[j * self.width..(j + 1) * self.width].fill(0.0);
-        }
-        self.nz_list.clear();
-    }
-}
-
-/// The scalar (width-1) working row of the scalar ILUT kernels: a thin
-/// wrapper over [`LanedRow`] with the classic `f64`-per-position API.
-///
-/// `O(1)` scatter/lookup/removal, `O(nnz)` iteration and reset regardless
-/// of the logical length.
-#[derive(Clone, Debug)]
-pub struct WorkRow {
-    inner: LanedRow,
-}
-
-impl WorkRow {
-    /// A working row of logical length `n`, initially empty.
-    pub fn new(n: usize) -> Self {
-        WorkRow {
-            inner: LanedRow::new(n, 1),
-        }
-    }
-
-    /// Logical length of the row (the `n` it was created with), independent
-    /// of how many positions are occupied — see [`WorkRow::nnz`] for that.
-    pub fn logical_len(&self) -> usize {
-        self.inner.logical_len()
-    }
-
-    /// True when no entry is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of occupied positions (including ones holding exact zeros,
-    /// excluding positions removed with [`WorkRow::drop_pos`]).
-    pub fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
-
-    /// True if position `j` is occupied.
-    #[inline]
-    pub fn contains(&self, j: usize) -> bool {
-        self.inner.contains(j)
-    }
-
-    /// The value at `j` (zero if unoccupied).
-    #[inline]
-    pub fn get(&self, j: usize) -> f64 {
-        self.inner.values[j]
-    }
-
-    /// Sets position `j` to `v`, marking it occupied.
-    #[inline]
-    pub fn set(&mut self, j: usize, v: f64) {
-        self.inner.occupy(j)[0] = v;
-    }
-
-    /// Adds `v` into position `j`, marking it occupied.
-    #[inline]
-    pub fn add(&mut self, j: usize, v: f64) {
-        if self.inner.slot[j] == 0 {
-            self.inner.occupy(j)[0] = v;
-        } else {
-            self.inner.values[j] += v;
-        }
-    }
-
-    /// Removes position `j` from the occupied set in `O(1)` (swap-remove
-    /// from the companion list; the slot value is zeroed immediately).
-    pub fn drop_pos(&mut self, j: usize) {
-        self.inner.drop_pos(j);
+        self.values[j] = 0.0;
     }
 
     /// Scatters a sparse row `w[cols[k]] += scale * vals[k]`.
@@ -227,13 +109,13 @@ impl WorkRow {
     /// The occupied positions, unsorted (insertion order, except that a
     /// [`WorkRow::drop_pos`] moves the most recent position into the hole).
     pub fn positions(&self) -> impl Iterator<Item = usize> + '_ {
-        self.inner.positions()
+        self.nz_list.iter().copied()
     }
 
     /// Extracts all occupied `(col, value)` pairs sorted by column and resets
     /// the row to empty, in `O(nnz log nnz)`.
     pub fn drain_sorted(&mut self) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> = Vec::with_capacity(self.inner.nz_list.len());
+        let mut out: Vec<(usize, f64)> = Vec::with_capacity(self.nz_list.len());
         self.drain_sorted_into(&mut out);
         out
     }
@@ -254,18 +136,22 @@ impl WorkRow {
         id: impl Fn(usize) -> usize,
     ) {
         out.clear();
-        for &j in &self.inner.nz_list {
-            out.push((id(j), self.inner.values[j]));
-            self.inner.slot[j] = 0;
-            self.inner.values[j] = 0.0;
+        for &j in &self.nz_list {
+            out.push((id(j), self.values[j]));
+            self.slot[j] = 0;
+            self.values[j] = 0.0;
         }
-        self.inner.nz_list.clear();
+        self.nz_list.clear();
         out.sort_unstable_by_key(|&(j, _)| j);
     }
 
     /// Resets to empty in `O(nnz)`.
     pub fn clear(&mut self) {
-        self.inner.clear();
+        for &j in &self.nz_list {
+            self.slot[j] = 0;
+            self.values[j] = 0.0;
+        }
+        self.nz_list.clear();
     }
 }
 
@@ -397,32 +283,16 @@ mod tests {
         assert!(w.is_empty());
     }
 
+    /// The zero-on-drop invariant: a dropped position reads `0.0`, and a
+    /// later `add` re-occupies it with exactly the added value.
     #[test]
-    fn laned_tiles_scatter_and_drain() {
-        let mut w = LanedRow::new(5, 4); // 2x2 tiles
-        assert_eq!(w.width(), 4);
-        w.set_lane(3, &[1.0, 2.0, 3.0, 4.0]);
-        let t = w.occupy(0);
-        t[2] = -1.0;
-        assert!(w.contains(3) && w.contains(0));
-        assert_eq!(w.lane(0), &[0.0, 0.0, -1.0, 0.0]);
-        assert_eq!(w.lane(2), &[0.0; 4], "unoccupied lanes read as zero");
-        let (mut cols, mut lanes) = (Vec::new(), Vec::new());
-        w.drain_sorted_lanes_into(&mut cols, &mut lanes);
-        assert_eq!(cols, vec![0, 3]);
-        assert_eq!(lanes, vec![0.0, 0.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
-        assert!(w.is_empty());
-    }
-
-    /// The zero-lane invariant: dropping a position must zero its lanes so
-    /// a later `occupy` starts from a clean tile.
-    #[test]
-    fn laned_drop_zeroes_lanes() {
-        let mut w = LanedRow::new(3, 2);
-        w.set_lane(1, &[5.0, 6.0]);
+    fn drop_pos_zeroes_the_value() {
+        let mut w = WorkRow::new(3);
+        w.set(1, 5.0);
         w.drop_pos(1);
+        assert_eq!(w.get(1), 0.0);
         assert!(!w.contains(1));
-        let t = w.occupy(1);
-        assert_eq!(t, &[0.0, 0.0]);
+        w.add(1, 0.25);
+        assert_eq!(w.get(1), 0.25);
     }
 }

@@ -52,14 +52,14 @@ use pilut_core::dist::{DistMatrix, Distribution, LocalView};
 use pilut_core::options::{FactorError, IlutOptions};
 use pilut_core::parallel::par_ilut;
 use pilut_core::precond::IluPreconditioner;
-use pilut_core::serial::{block_ilut, block_ilut_with_stats, ilut, ilut_with_stats};
+use pilut_core::serial::{ilut, ilut_with_stats};
 use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_graph::{partition_kway, Graph, PartitionOptions};
 use pilut_par::{
     Ctx, FaultAction, FaultPlan, FaultRule, Machine, MachineModel, MachineStats, RunOutput,
 };
 use pilut_solver::{dist_solve_robust, gmres, GmresOptions};
-use pilut_sparse::{gen, BcsrMatrix, CsrMatrix};
+use pilut_sparse::{gen, CsrMatrix};
 
 /// Audit regions that must perform **zero** heap acquisitions over a whole
 /// scenario: each is a replay path whose plan, pools and workspaces are
@@ -131,9 +131,6 @@ const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.35;
 /// `--quick` size and 12.58 to 13.10 at full size; with `usize` ones, 16.80
 /// to 19.67 and 16.77 to 17.32.
 const FACTOR_BYTES_PER_ENTRY: f64 = 16.0;
-
-/// Dofs per node of `gen::elasticity_3d` = the tile size of `block_ilut`.
-const DOFS: usize = 3;
 
 /// What the machine arms around a body.
 #[derive(Clone, Copy, PartialEq)]
@@ -208,24 +205,6 @@ const TRISOLVE_SERIAL: Scenario = Scenario {
     ..SERIAL_ILUT
 };
 
-/// The scalar twin of `block_ilut`: same matrix, matched fill
-/// (m_scalar = [`DOFS`] · m_tile).
-const SERIAL_ILUT_DOF3: Scenario = Scenario {
-    name: "serial_ilut_dof3",
-    // 3 dofs per node: the input with a block structure to find.
-    matrix: |d| gen::elasticity_3d(d, d, d),
-    dims: (5, 14),
-    opts: |_| IlutOptions::new(10 * DOFS, 1e-4),
-    ..SERIAL_ILUT
-};
-
-const BLOCK_ILUT: Scenario = Scenario {
-    name: "block_ilut",
-    opts: |_| IlutOptions::new(10, 1e-4),
-    body: Body::Serial(block_factor_kernel),
-    ..SERIAL_ILUT_DOF3
-};
-
 const PAR_ILUT_P4: Scenario = Scenario {
     name: "par_ilut_p4",
     matrix: |d| gen::laplace_2d(d, d),
@@ -246,8 +225,8 @@ const DIST_SOLVE_ROBUST_P4: Scenario = Scenario {
 };
 
 /// Every scenario, in report order. Rows that read as a pair sit next to
-/// each other: a scalar kernel and its one-rank or blocked counterpart.
-pub(crate) const SCENARIOS: [Scenario; 16] = [
+/// each other: a scalar kernel and its one-rank counterpart.
+pub(crate) const SCENARIOS: [Scenario; 14] = [
     SERIAL_ILUT,
     // ILUT(n, 0) on a Laplacian: exact LU, the hardest fill per unknown.
     Scenario {
@@ -266,8 +245,6 @@ pub(crate) const SCENARIOS: [Scenario; 16] = [
         body: Body::Ranks(dist_trisolve_ranks),
         ..TRISOLVE_SERIAL
     },
-    SERIAL_ILUT_DOF3,
-    BLOCK_ILUT,
     Scenario {
         name: "spmv",
         matrix: |d| gen::laplace_2d(d, d),
@@ -354,17 +331,6 @@ fn trisolve_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
         op: Box::new(move || {
             f.solve_into(&b, &mut x);
             std::hint::black_box(&x);
-        }),
-    }
-}
-
-fn block_factor_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
-    let ab = BcsrMatrix::from_csr(a, DOFS);
-    let (f, stats) = must(block_ilut_with_stats(&ab, opts));
-    Kernel {
-        facts: Facts::of(a.nnz(), Some(f.nnz()), Some(stats.flops)),
-        op: Box::new(move || {
-            std::hint::black_box(must(block_ilut(&ab, opts)));
         }),
     }
 }
@@ -777,12 +743,8 @@ fn unrecorded_region(results: &[Measurement]) -> Option<&'static str> {
 }
 
 /// Pairs whose wall ratio the report prints: the one-rank distributed
-/// sweeps against the serial ones on the same factor, and the blocked
-/// factorization against its scalar twin at matched fill.
-const RATIOS: &[(&str, &str)] = &[
-    ("dist_trisolve_p1", "trisolve_serial"),
-    ("block_ilut", "serial_ilut_dof3"),
-];
+/// sweeps against the serial ones on the same factor.
+const RATIOS: &[(&str, &str)] = &[("dist_trisolve_p1", "trisolve_serial")];
 
 /// `bench [--quick] [--out PATH] [--label STR] [--scenario NAME]...`
 pub fn run(args: &[String]) -> Result<(), String> {

@@ -49,7 +49,7 @@
 //! * **no-alloc-in-hot** — allocating constructs (`Vec::new`, `vec![`,
 //!   `with_capacity`, `.collect(`, `.to_vec(`, `.clone(`, `Box::new`,
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
-//!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the serial
+//!   ([`HOT_MODULES`]): the sparse work row, the serial
 //!   triangular-solve functions, the distributed sweeps, the
 //!   `CommPlan` rounds and the `Halo` round halves, the distributed SpMV,
 //!   the dist-MIS round, and the GMRES restart loop. An entry that names a
@@ -67,9 +67,9 @@
 //!   with them. Comparing against the base stays legal. Escape hatch:
 //!   `// lint: allow(reserved-tag): <why>`.
 //! * **no-storage-poke** — reaching into sparse-storage internals
-//!   (`.row_ptr()` / `.col_idx()` on CSR; BCSR exposes no raw array) is
+//!   (`.row_ptr()` / `.col_idx()` on CSR) is
 //!   allowed only inside `crates/sparse`; every other crate must go through
-//!   the logical accessors (`row`, `block_row`, `get`, `spmv`, …) so
+//!   the logical accessors (`row`, `get`, `spmv`, …) so
 //!   storage layout stays a private contract of the sparse crate.
 //!   Escape hatch: `// lint: allow(storage-poke): <why>`.
 //! * **dep-allowlist** — every `Cargo.toml` may depend only on in-repo
@@ -467,8 +467,7 @@ fn lint_source(label: &str, content: &str, in_par: bool) -> Vec<Violation> {
 }
 
 /// The declared hot modules of the `no-alloc-in-hot` rule: files whose
-/// steady-state functions must not allocate. `"*"` covers the whole file
-/// (minus the `#[cfg(test)]` tail); otherwise only the named functions are
+/// steady-state functions must not allocate. Only the named functions are
 /// policed, so constructors and one-shot setup stay free to allocate.
 /// These are exactly the paths the allocation-audit regions gate at run
 /// time — the lint catches the regression at review time, the
@@ -477,22 +476,17 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
     (
         "crates/sparse/src/workrow.rs",
         &[
-            "occupy",
-            "set_lane",
             "drop_pos",
-            "drain_sorted_lanes_into",
             "drain_sorted_into",
             "drain_sorted_by_into",
             "axpy",
             "add",
             "set",
             "get",
-            "lane",
             "contains",
             "clear",
         ],
     ),
-    ("crates/sparse/src/tile.rs", &["*"]),
     (
         "crates/core/src/factors.rs",
         &[
@@ -546,10 +540,7 @@ fn stale_hot_modules(root: &Path, table: &[(&str, &[&str])]) -> Vec<Violation> {
         let blanked = blank_noncode(&content);
         let code = blanked.lines().take_while(|l| !opens_test_tail(l));
         let declared: Vec<&str> = code.filter_map(fn_decl_name).collect();
-        for f in hot_fns
-            .iter()
-            .filter(|f| **f != "*" && !declared.contains(f))
-        {
+        for f in hot_fns.iter().filter(|f| !declared.contains(f)) {
             stale(format!(
                 "declared hot function `{f}` is not declared in the file"
             ));
@@ -686,7 +677,6 @@ fn alloc_in_hot_violations(label: &str, lines: &[&str], blanked_lines: &[&str]) 
     let Some((_, hot_fns)) = HOT_MODULES.iter().find(|(file, _)| *file == label) else {
         return Vec::new();
     };
-    let whole_file = hot_fns.contains(&"*");
     let mut out = Vec::new();
     let mut in_hot_fn = false;
     for (i, code) in blanked_lines.iter().enumerate() {
@@ -696,7 +686,7 @@ fn alloc_in_hot_violations(label: &str, lines: &[&str], blanked_lines: &[&str]) 
         if let Some(name) = fn_decl_name(code) {
             in_hot_fn = hot_fns.iter().any(|f| *f == name);
         }
-        if !(whole_file || in_hot_fn) {
+        if !in_hot_fn {
             continue;
         }
         if let Some(tok) = hot_alloc_token(code) {
@@ -1273,11 +1263,11 @@ mod tests {
 
     #[test]
     fn alloc_in_hot_catches_every_construct() {
-        // Whole-file hot module: each construct fires as its own violation,
-        // and macro invocations are matched as tokens — `vec![` and
-        // `format!` are first-class, `avec![` is some other macro.
-        let hot = "crates/sparse/src/tile.rs";
-        let bad = "fn k() {\n    let a = Vec::new();\n    let b = vec![0.0; 4];\n    let c = Vec::with_capacity(8);\n    let d = xs.iter().collect();\n    let e = xs.to_vec();\n    let f = xs.clone();\n    let g = Box::new(0);\n    let h = format!(\"x\");\n    let i = String::new();\n}\n";
+        // A hot function: each construct fires as its own violation, and
+        // macro invocations are matched as tokens — `vec![` and `format!`
+        // are first-class, `avec![` is some other macro.
+        let hot = "crates/core/src/dist/op.rs";
+        let bad = "fn apply_into() {\n    let a = Vec::new();\n    let b = vec![0.0; 4];\n    let c = Vec::with_capacity(8);\n    let d = xs.iter().collect();\n    let e = xs.to_vec();\n    let f = xs.clone();\n    let g = Box::new(0);\n    let h = format!(\"x\");\n    let i = String::new();\n}\n";
         assert_eq!(
             rules(&lint_source(hot, bad, false)),
             vec!["no-alloc-in-hot"; 9]
@@ -1288,16 +1278,16 @@ mod tests {
 
     #[test]
     fn alloc_in_hot_macro_tokens_do_not_false_positive() {
-        let hot = "crates/sparse/src/tile.rs";
+        let hot = "crates/core/src/dist/op.rs";
         for ok in [
             // `vec!` inside a string or comment is blanked before the walk.
-            "fn k() { let s = \"vec![0; 4]\"; } // vec![format!]\n",
+            "fn apply_into() { let s = \"vec![0; 4]\"; } // vec![format!]\n",
             // Some other macro ending in `vec`, and `Clone` in a bound.
-            "fn k<T: Clone>() { avec![1]; assert_ne!(a, b); }\n",
+            "fn apply_into<T: Clone>() { avec![1]; assert_ne!(a, b); }\n",
             // `cloned()` / `collected` are different identifiers.
-            "fn k() { xs.iter().cloned().sum::<f64>(); let collected = 0; }\n",
+            "fn apply_into() { xs.iter().cloned().sum::<f64>(); let collected = 0; }\n",
             // A field access named `clone` without a call doesn't fire.
-            "fn k() { let c = self.clone_count; }\n",
+            "fn apply_into() { let c = self.clone_count; }\n",
         ] {
             assert!(lint_source(hot, ok, false).is_empty(), "{ok}");
         }
@@ -1316,10 +1306,10 @@ mod tests {
 
     #[test]
     fn alloc_in_hot_escape_and_test_tail() {
-        let hot = "crates/sparse/src/tile.rs";
-        let marked = "fn k() {\n    // lint: allow(alloc-in-hot): first-round warm-up only\n    let v = Vec::with_capacity(4);\n}\n";
+        let hot = "crates/core/src/dist/op.rs";
+        let marked = "fn apply_into() {\n    // lint: allow(alloc-in-hot): first-round warm-up only\n    let v = Vec::with_capacity(4);\n}\n";
         assert!(lint_source(hot, marked, false).is_empty());
-        let tail = "fn k() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let v = vec![1]; }\n}\n";
+        let tail = "fn apply_into() {}\n#[cfg(test)]\nmod tests {\n    fn apply_into() { let v = vec![1]; }\n}\n";
         assert!(lint_source(hot, tail, false).is_empty());
     }
 
@@ -1333,7 +1323,7 @@ mod tests {
         // (`load` it does; a name only a comment or a test mentions it
         // does not).
         let planted: &[(&str, &[&str])] = &[
-            ("crates/core/src/dist/exchange/replay.rs", &["*"]),
+            ("crates/core/src/dist/exchange/replay.rs", &["replay"]),
             ("crates/core/src/trisolve.rs", &["load", "sweep_into"]),
         ];
         let got = stale_hot_modules(&root, planted);
@@ -1346,8 +1336,8 @@ mod tests {
     fn alloc_in_hot_sees_multi_line_calls() {
         // The allocating token is flagged on its own line even when the
         // call spans lines — the walk is per physical line of blanked code.
-        let hot = "crates/sparse/src/tile.rs";
-        let src = "fn k() {\n    let v: Vec<f64> = xs\n        .iter()\n        .map(|x| x * 2.0)\n        .collect();\n}\n";
+        let hot = "crates/core/src/dist/op.rs";
+        let src = "fn apply_into() {\n    let v: Vec<f64> = xs\n        .iter()\n        .map(|x| x * 2.0)\n        .collect();\n}\n";
         let got = lint_source(hot, src, false);
         assert_eq!(rules(&got), vec!["no-alloc-in-hot"]);
         assert_eq!(got[0].line, 5, "reported at the `.collect()` line");
@@ -1455,7 +1445,7 @@ mod tests {
             vec!["no-storage-poke"]
         );
         // The sparse crate implements the storage and may touch its arrays.
-        assert!(lint_source("crates/sparse/src/bcsr.rs", bad, false).is_empty());
+        assert!(lint_source("crates/sparse/src/csr.rs", bad, false).is_empty());
         // HashMap iteration does not pattern-match the rule.
         let map = "fn f(m: &mut HashMap<usize, Vec<u8>>) { for v in m.values_mut() {} }\n";
         assert!(lint_source("crates/core/src/a.rs", map, false).is_empty());

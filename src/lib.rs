@@ -12,7 +12,8 @@
 //! This facade crate re-exports the workspace layers:
 //!
 //! * [`sparse`] — CSR/COO matrices, the ILUT working row, generators, I/O;
-//! * [`graph`] — multilevel k-way partitioning, Luby MIS, colouring;
+//! * [`graph`] — multilevel k-way partitioning and colouring (the Luby
+//!   MIS runs distributed, in `core::parallel::dist_mis`);
 //! * [`par`] — the SPMD message-passing virtual machine with a Cray-T3D
 //!   logical-clock cost model (the paper's testbed, simulated);
 //! * [`core`] — serial and parallel ILUT / ILUT\* / ILU(0) / ILU(k) and the
@@ -55,12 +56,12 @@ pub mod prelude {
     pub use pilut_core::precond::{
         DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner, Preconditioner,
     };
-    pub use pilut_core::serial::{block_ilut, ilu0, iluk, ilut};
+    pub use pilut_core::serial::{ilu0, iluk, ilut};
     pub use pilut_core::trisolve::{dist_solve, TrisolvePlan};
     pub use pilut_core::LuFactors;
     pub use pilut_graph::{partition_kway, Graph, PartitionOptions};
     pub use pilut_par::{Ctx, Machine, MachineModel, Payload};
     pub use pilut_solver::dist_gmres::{dist_gmres, DistDiagonal, DistIlu, DistPrecond};
     pub use pilut_solver::gmres::{gmres, GmresOptions};
-    pub use pilut_sparse::{gen, io, BcsrMatrix, CooMatrix, CsrMatrix, MatrixStats, Permutation};
+    pub use pilut_sparse::{gen, io, CooMatrix, CsrMatrix, MatrixStats, Permutation};
 }
