@@ -85,8 +85,8 @@ fi
 # steady-state replay region, dist-MIS frames and Algorithm 4.2's row
 # buffers inside their budgets, nothing on the wire from a serial row. The
 # counts themselves are in experiments/ci/kernels.txt, exact-diffed by
-# `paper --check` above; wall time is written to the report and gates nothing.
-echo "==> bench smoke (all scenarios, quick sizes; invariants gate in-process)"
-cargo run -q -p xtask --release -- bench --quick --out target/bench_smoke.json
+# `paper --check` above.
+echo "==> bench gate (all scenarios, quick sizes; invariants gate in-process)"
+cargo run -q -p xtask --release -- bench --quick
 
 echo "ci.sh: all green"

@@ -1,50 +1,45 @@
-//! `xtask bench` — the in-tree, zero-registry-dependency kernel benchmark.
+//! `xtask bench` — the in-tree, zero-registry-dependency invariant gate
+//! over the kernels.
 //!
 //! [`SCENARIOS`] is the whole configuration: one row per scenario with its
 //! matrix, its two sizes (`--quick` and full), `ranks` (`None` = a serial
 //! kernel, `Some(p)` = `p` ranks of the simulated machine), the ILUT
-//! options, the operations per timed sample, and one body. Two runners
-//! drive the table: a serial kernel is built once and its operation timed;
-//! a machine body runs the timed repetitions and then **exactly one more
-//! time** for the statistics, so what is timed and what is counted are the
-//! same code.
+//! options, the operations per audit pass, and one body. Every row runs
+//! its body twice, untimed: an **audit pass** of `inner` back-to-back
+//! operations, which replays each steady region more than once, and the
+//! **facts pass**. A serial kernel is built once — the build establishes
+//! its facts — and its operation replayed; a machine body runs the audit
+//! pass and then **exactly one more time** for the statistics, so what is
+//! audited and what is counted are the same code.
 //!
-//! Every row has two halves, and one rule decides which may fail a build:
+//! Only deterministic quantities are measured, and they gate:
 //!
-//! * **Deterministic quantities gate.** The self-consistency invariants
-//!   ([`check`]: measured per-tag traffic equals the static `CommPlan`
-//!   prediction exactly, no protocol tag escapes the plan, every
-//!   [`STEADY_REGIONS`] entry performed zero heap acquisitions, the
-//!   `mis_rounds` region at most [`MIS_ALLOCS_PER_MESSAGE`] per dist-MIS
-//!   message, the `alg42_sweep` region at most [`SWEEP_GROWTHS_PER_ROW`]
-//!   per interface row, the `plan_replay` region the frames' buffers and
-//!   nothing else, `distribute_p8` at most [`DISTRIBUTE_LIVE_PER_INPUT`]
-//!   live bytes per byte of its matrix, a row's factors at most
-//!   [`FACTOR_BYTES_PER_ENTRY`] heap bytes per entry, a serial row puts
-//!   nothing on the wire) are asserted on the
-//!   typed [`Measurement`] inside `xtask bench`, before the report is written;
-//!   an unfiltered run also asserts that every gated region was entered by
-//!   some scenario ([`unrecorded_region`]), so a renamed region cannot pass
-//!   by vanishing.
-//!   The counts themselves ([`Facts`]: flops, simulated T3D seconds,
+//! * The self-consistency invariants ([`check`]: measured per-tag traffic
+//!   equals the static `CommPlan` prediction exactly, no protocol tag
+//!   escapes the plan, every [`STEADY_REGIONS`] entry performed zero heap
+//!   acquisitions, the `mis_rounds` region at most
+//!   [`MIS_ALLOCS_PER_MESSAGE`] per dist-MIS message, the `alg42_sweep`
+//!   region at most [`SWEEP_GROWTHS_PER_ROW`] per interface row, the
+//!   `plan_replay` region the frames' buffers and nothing else,
+//!   `distribute_p8` at most [`DISTRIBUTE_LIVE_PER_INPUT`] live bytes per
+//!   byte of its matrix, a row's factors at most [`FACTOR_BYTES_PER_ENTRY`]
+//!   heap bytes per entry, a serial row puts nothing on the wire) are
+//!   asserted on the typed [`Measurement`] of each row; an unfiltered run
+//!   also asserts that every gated region was entered by some scenario
+//!   ([`unrecorded_region`]), so a renamed region cannot pass by vanishing.
+//! * The counts themselves ([`Facts`]: flops, simulated T3D seconds,
 //!   per-tag messages and bytes, fill, factor heap bytes) are rendered by
 //!   `xtask paper` as the `kernels` experiment and exact-diffed by
 //!   `paper --check` like every table of the paper.
-//! * **Wall time only reports.** Median/min ns per operation and Mnnz/s
-//!   (entries processed per operation — for the GMRES solve,
-//!   `(nnz(A) + nnz(M)) · matvecs`) go into the JSON report
-//!   (`BENCH_<label>.json` at the repo root by convention), and
-//!   `bench-compare <new> <base>` prints per-row ratios and their geometric
-//!   mean. Nothing derived from `Instant` can fail a stage: same-code wall
-//!   spreads of 0.2–0.5 were measured on the shared host (EXPERIMENTS).
 //!
-//! `--quick` runs *every* row at its small size (the CI smoke: harness,
-//! invariants and JSON writer, not quotable numbers); `--scenario NAME`
-//! (repeatable) selects rows; `--out PATH` and `--label STR` name the
-//! report.
-
-use std::path::Path;
-use std::time::Instant;
+//! Wall time lives in the standalone `benchmark/` package, whose per-layer
+//! metrics time the same kernels: `core.serial.ilut_s`,
+//! `core.factors.solve_s`, `sparse.spmv_s`, `graph.partition_s` and
+//! `core.dist.matrix_build_s`, `solver.gmres_s`, `core.parallel.par_ilut_s`
+//! and `core.trisolve.solve_s`.
+//!
+//! `--quick` runs *every* row at its small size (the CI gate);
+//! `--scenario NAME` (repeatable) selects rows.
 
 use pilut_allocaudit::RegionStats;
 use pilut_core::dist::exchange::tags;
@@ -137,14 +132,14 @@ const FACTOR_BYTES_PER_ENTRY: f64 = 16.0;
 pub(crate) enum Net {
     Plain,
     /// Reliable delivery and rank-loss recovery on, no fault fired: the
-    /// steady-state cost of the robustness layers.
+    /// robustness layers in their steady state.
     Armed,
     /// Armed, and rank 2 dies at its 60th comm op — mid-factorization,
-    /// after plans exist: the end-to-end time to recover.
+    /// after plans exist: the recovery end to end.
     Killed,
 }
 
-/// A serial scenario, built once: the operation to time and what one
+/// A serial scenario, built once: the operation to replay and what one
 /// operation establishes without a clock.
 struct Kernel<'a> {
     facts: Facts,
@@ -153,8 +148,6 @@ struct Kernel<'a> {
 
 /// One rank's share of a machine scenario.
 struct RankOut {
-    /// Barrier-aligned wall ns per operation (0 on a rank that died).
-    ns: u64,
     /// This rank's share of the entries processed per operation.
     nnz: usize,
     /// `(fill, heap_bytes)` of this rank's factor rows, when the body holds them.
@@ -182,7 +175,7 @@ pub(crate) struct Scenario {
     pub(crate) net: Net,
     /// The factorization's options, given the problem dimension.
     opts: fn(usize) -> IlutOptions,
-    /// Back-to-back operations per timed sample.
+    /// Back-to-back operations in the audit pass.
     inner: usize,
     body: Body,
 }
@@ -297,7 +290,7 @@ pub(crate) const SCENARIOS: [Scenario; 14] = [
     },
     DIST_SOLVE_ROBUST_P4,
     // Detection, world adoption, re-planning, re-factorization and the
-    // checkpoint-warm-started re-solve, all inside the timed operation.
+    // checkpoint-warm-started re-solve, all inside the operation.
     Scenario {
         name: "recovery_p4",
         net: Net::Killed,
@@ -399,28 +392,24 @@ fn gmres_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
     }
 }
 
-/// Wall ns per operation of `inner` back-to-back `op`s on this rank, from a
-/// barrier-aligned start (the scenario reports the max over ranks, which
-/// is what a real machine would observe).
-fn timed(ctx: &mut Ctx, inner: usize, mut op: impl FnMut(&mut Ctx)) -> u64 {
+/// `inner` back-to-back `op`s on this rank, from a barrier-aligned start
+/// (the barrier is part of every pass's simulated time and `coll` traffic).
+fn repeat(ctx: &mut Ctx, inner: usize, mut op: impl FnMut(&mut Ctx)) {
     ctx.barrier();
-    let t = Instant::now();
     for _ in 0..inner {
         op(ctx);
     }
-    (t.elapsed().as_nanos() / inner as u128) as u64
 }
 
 fn par_ilut_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner: usize) -> RankOut {
     let local = dm.local_view(ctx.rank());
     let mut store = None;
-    let ns = timed(ctx, inner, |ctx| {
+    repeat(ctx, inner, |ctx| {
         let rf = must(par_ilut(ctx, dm, &local, opts));
         store = Some((rf.stats.nnz_l + rf.stats.nnz_u, rf.heap_bytes()));
         std::hint::black_box(&rf);
     });
     RankOut {
-        ns,
         nnz: local.nnz(dm.matrix()),
         store,
     }
@@ -438,13 +427,12 @@ fn dist_trisolve_ranks(
     let b: Vec<f64> = local.nodes.iter().map(|&g| (g as f64).sin()).collect();
     let mut scratch = SolveScratch::build(&local, &plan);
     let mut x = vec![0.0; local.len()];
-    let ns = timed(ctx, inner, |ctx| {
+    repeat(ctx, inner, |ctx| {
         dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x);
         std::hint::black_box(&x);
     });
     let fill = rf.stats.nnz_l + rf.stats.nnz_u;
     RankOut {
-        ns,
         nnz: fill,
         store: Some((fill, rf.heap_bytes())),
     }
@@ -462,23 +450,17 @@ fn robust_solve_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner:
         max_matvecs: 400,
     };
     let nnz = dm.local_view(ctx.rank()).nnz(dm.matrix());
-    let mut dead = false;
-    let ns = timed(ctx, inner, |ctx| {
+    repeat(ctx, inner, |ctx| {
         let rep = dist_solve_robust(ctx, a, &b, dm.dist(), opts, &gopts);
         assert!(rep.dead || rep.converged, "survivors must converge");
-        dead = rep.dead;
         std::hint::black_box(&rep);
     });
-    RankOut {
-        ns: if dead { 0 } else { ns },
-        nnz,
-        store: None,
-    }
+    RankOut { nnz, store: None }
 }
 
 // ---- Runners ---------------------------------------------------------------
 
-/// The bit-reproducible half of a row: what one run of its body
+/// The bit-reproducible facts of a row: what one run of its body
 /// establishes without a clock. `paper`'s `kernels` experiment renders
 /// these; [`check`] asserts their self-consistency.
 #[derive(Default)]
@@ -493,7 +475,7 @@ pub(crate) struct Facts {
     /// Modelled flops: the factorization's own count on a serial row, the
     /// machine's total on a machine row.
     pub(crate) flops: Option<f64>,
-    /// Simulated T3D seconds of the whole stats pass (machine rows).
+    /// Simulated T3D seconds of the whole facts pass (machine rows).
     pub(crate) sim_time: Option<f64>,
     /// Peak live heap bytes of one operation per byte of its input matrix
     /// (`distribute_p8`).
@@ -537,45 +519,26 @@ fn machine_run(s: &Scenario, dm: &DistMatrix, body: RankBody, inner: usize) -> R
     out
 }
 
-/// Median and min of `reps` samples taken after one warm-up.
-fn sample(reps: usize, mut op: impl FnMut() -> u64) -> (u64, u64) {
-    op();
-    let mut ns: Vec<u64> = (0..reps).map(|_| op()).collect();
-    ns.sort_unstable();
-    (ns[ns.len() / 2], ns[0])
-}
-
-/// Runs one row: `reps` timed samples when `reps > 0`, and the facts — for
+/// Runs one row: the audit pass of `inner` operations, and the facts — for
 /// a machine row from exactly one further pass of the same body.
-fn run_row(s: &Scenario, quick: bool, reps: usize) -> Measurement {
+fn run_row(s: &Scenario, quick: bool) -> Measurement {
     let a = (s.matrix)(if quick { s.dims.0 } else { s.dims.1 });
     let n = a.n_rows();
-    let (timing, facts) = match (s.body, s.ranks) {
+    let facts = match (s.body, s.ranks) {
         (Body::Serial(build), _) => {
             let opts = (s.opts)(n);
             let mut k = build(&a, &opts);
-            let timing = (reps > 0).then(|| {
-                sample(reps, || {
-                    let t = Instant::now();
-                    (0..s.inner).for_each(|_| (k.op)());
-                    (t.elapsed().as_nanos() / s.inner as u128) as u64
-                })
-            });
-            (timing, Facts { n, ..k.facts })
+            (0..s.inner).for_each(|_| (k.op)());
+            Facts { n, ..k.facts }
         }
         (Body::Ranks(body), ranks) => {
             // lint: allow(unwrap): a table invariant (unit-tested): every machine body names its ranks
             let dm = DistMatrix::from_matrix(a, ranks.expect("machine rows set ranks"), 17);
-            let slowest = |out: RunOutput<RankOut>| out.results.iter().map(|r| r.ns).max();
-            let timing = (reps > 0).then(|| {
-                sample(reps, || {
-                    slowest(machine_run(s, &dm, body, s.inner)).unwrap_or(0)
-                })
-            });
+            machine_run(s, &dm, body, s.inner);
             let out = machine_run(s, &dm, body, 1);
             let stores = out.results.iter().map(|r| r.store);
             let store = stores.reduce(|x, y| Some((x?.0 + y?.0, x?.1 + y?.1)));
-            let facts = Facts {
+            Facts {
                 n,
                 nnz: out.results.iter().map(|r| r.nnz).sum(),
                 interface: dm.total_interface(),
@@ -586,47 +549,35 @@ fn run_row(s: &Scenario, quick: bool, reps: usize) -> Measurement {
                 live_per_input: None,
                 faults: out.injected_faults.len(),
                 stats: out.stats,
-            };
-            (timing, facts)
+            }
         }
     };
-    let (median_ns, min_ns) = timing.unwrap_or((0, 0));
     Measurement {
         row: *s,
-        reps,
-        median_ns,
-        min_ns,
         facts,
         regions: Vec::new(),
     }
 }
 
-/// The facts of one row at its quick or full size, untimed.
+/// The facts of one row at its quick or full size.
 pub(crate) fn facts(s: &Scenario, quick: bool) -> Facts {
-    run_row(s, quick, 0).facts
+    run_row(s, quick).facts
 }
 
-/// One row's measurement: the reported wall half, the facts, and the
-/// scenario's audit-region traffic (warm-up, timed samples and stats pass
-/// together — zero per scenario implies zero per operation).
+/// One row's measurement: the facts and the scenario's audit-region
+/// traffic (audit pass and facts pass together — zero per scenario implies
+/// zero per operation).
 struct Measurement {
     row: Scenario,
-    reps: usize,
-    median_ns: u64,
-    min_ns: u64,
     facts: Facts,
     regions: Vec<RegionStats>,
 }
 
 impl Measurement {
-    fn mnnz_per_s(&self) -> f64 {
-        self.facts.nnz as f64 * 1e3 / self.median_ns.max(1) as f64
-    }
-
-    /// Runs of the operation the audit regions cover: the warm-up and the
-    /// timed samples at `inner` operations each, plus the stats pass.
+    /// Runs of the operation the audit regions cover: the audit pass's
+    /// `inner` and the facts pass's one.
     fn passes(&self) -> u64 {
-        ((self.reps + 1) * self.row.inner + 1) as u64
+        (self.row.inner + 1) as u64
     }
 }
 
@@ -742,27 +693,26 @@ fn unrecorded_region(results: &[Measurement]) -> Option<&'static str> {
     gated.find(|&name| regions().all(|r| r.name != name))
 }
 
-/// Pairs whose wall ratio the report prints: the one-rank distributed
-/// sweeps against the serial ones on the same factor.
-const RATIOS: &[(&str, &str)] = &[("dist_trisolve_p1", "trisolve_serial")];
-
-/// `bench [--quick] [--out PATH] [--label STR] [--scenario NAME]...`
+/// `bench [--quick] [--scenario NAME]...`
 pub fn run(args: &[String]) -> Result<(), String> {
     let mut quick = false;
-    let mut out_path = String::from("BENCH.json");
-    let mut label = String::from("local");
     let mut only: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
             "--quick" => quick = true,
-            "--out" => out_path = value()?.clone(),
-            "--label" => label = value()?.clone(),
-            "--scenario" => only.push(value()?.as_str()),
+            "--scenario" => only.push(it.next().ok_or("--scenario needs a value")?),
             other => return Err(format!("unknown bench flag {other}")),
         }
     }
+    let passed = gate(quick, &only)?.len();
+    println!("bench: {passed} scenario(s) passed their invariants");
+    Ok(())
+}
+
+/// Runs and [`check`]s the rows `only` names, or every row and then
+/// [`unrecorded_region`] when it names none.
+fn gate(quick: bool, only: &[&str]) -> Result<Vec<Measurement>, String> {
     let known: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
     if let Some(bad) = only.iter().find(|o| !known.contains(o)) {
         let known = known.join(", ");
@@ -773,14 +723,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     for s in SCENARIOS.iter().filter(selected) {
         eprint!("bench {} ... ", s.name);
         pilut_allocaudit::reset_regions();
-        let mut m = run_row(s, quick, if quick { 3 } else { 9 });
+        let mut m = run_row(s, quick);
         m.regions = pilut_allocaudit::region_stats();
-        eprintln!(
-            "median {:.3} ms, min {:.3} ms, {:.1} Mnnz/s",
-            m.median_ns as f64 / 1e6,
-            m.min_ns as f64 / 1e6,
-            m.mnnz_per_s()
-        );
+        eprintln!("{} pass(es)", m.passes());
         check(&m)?;
         results.push(m);
     }
@@ -791,187 +736,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
             ));
         }
     }
-    let min_of = |name: &str| {
-        results
-            .iter()
-            .find(|m| m.row.name == name)
-            .map(|m| m.min_ns)
-    };
-    for (a, b) in RATIOS {
-        if let (Some(x), Some(y)) = (min_of(a), min_of(b)) {
-            println!(
-                "bench: {a} takes {:.2}x the time of {b} (min {x} vs {y} ns, reported only)",
-                x as f64 / y as f64
-            );
-        }
-    }
-    let json = render_json(&label, quick, &results);
-    std::fs::write(&out_path, json).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!(
-        "bench: {} scenario(s) passed their invariants, report in {out_path}",
-        results.len()
-    );
-    Ok(())
-}
-
-/// A per-tag ledger as `"name:messages/bytes"` cells (`~` for a byte count
-/// the plan does not predict exactly).
-pub(crate) fn ledger(entries: impl Iterator<Item = (u64, u64, Option<u64>)>) -> Vec<String> {
-    let cell = |(tag, m, b): (u64, u64, Option<u64>)| {
-        let bytes = b.map_or("~".to_string(), |b| b.to_string());
-        format!("{}:{m}/{bytes}", tags::tag_name(tag))
-    };
-    entries.map(cell).collect()
-}
-
-/// Measured traffic by tag, as [`ledger`] entries.
-pub(crate) fn measured(stats: &MachineStats) -> impl Iterator<Item = (u64, u64, Option<u64>)> + '_ {
-    stats.by_tag.iter().map(|(&t, &(m, b))| (t, m, Some(b)))
-}
-
-fn render_json(label: &str, quick: bool, results: &[Measurement]) -> String {
-    let row = |m: &Measurement| {
-        let stats = &m.facts.stats;
-        let planned = stats
-            .planned_by_tag
-            .iter()
-            .map(|(&t, &(m, b, exact))| (t, m, exact.then_some(b)));
-        let regions = m.regions.iter();
-        let steady = regions.clone().filter(|r| STEADY_REGIONS.contains(&r.name));
-        let live_peaks: Vec<String> = regions
-            .clone()
-            .map(|r| format!("{}:{}", r.name, r.peak_live_bytes))
-            .collect();
-        let regions: Vec<String> = regions
-            .map(|r| format!("{}:{}/{}", r.name, r.allocs, r.bytes))
-            .collect();
-        format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"nnz\": {}, \"interface\": {}, \"reps\": {}, \"inner\": {}, \
-             \"median_ns\": {}, \"min_ns\": {}, \"mnnz_per_s\": {:.2}, \
-             \"comm_messages\": {}, \"comm_bytes\": {}, \"comm_tags\": \"{}\", \
-             \"comm_planned\": \"{}\", \"allocs\": {}, \"alloc_bytes\": {}, \
-             \"alloc_regions\": \"{}\", \"alloc_live_peaks\": \"{}\"}}",
-            m.row.name,
-            m.facts.n,
-            m.facts.nnz,
-            m.facts.interface,
-            m.reps,
-            m.row.inner,
-            m.median_ns,
-            m.min_ns,
-            m.mnnz_per_s(),
-            stats.messages,
-            stats.bytes,
-            ledger(measured(stats)).join(" "),
-            ledger(planned).join(" "),
-            steady.clone().map(|r| r.allocs).sum::<u64>(),
-            steady.map(|r| r.bytes).sum::<u64>(),
-            regions.join(" "),
-            live_peaks.join(" "),
-        )
-    };
-    let rows: Vec<String> = results.iter().map(row).collect();
-    format!(
-        "{{\n  \"schema\": \"pilut-bench-v2\",\n  \"label\": \"{label}\",\n  \
-         \"quick\": {quick},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    )
-}
-
-/// `bench-compare <new.json> <base.json>`: per-row wall ratios between two
-/// reports and the geometric mean of the min-time ratios. Rows match by
-/// name and compare only when `n` and `inner` agree (a quick report never
-/// cross-compares with a full one). A report, not a gate: the exit status
-/// is zero for any two readable reports.
-pub fn compare(args: &[String]) -> Result<(), String> {
-    let [new_path, base_path] = args else {
-        return Err("usage: bench-compare <new.json> <base.json>".into());
-    };
-    let (new, base) = (read_scenarios(new_path)?, read_scenarios(base_path)?);
-    let mut log_ratios = Vec::new();
-    for s in &new {
-        let same = |b: &&ParsedScenario| b.name == s.name && b.n == s.n && b.inner == s.inner;
-        let Some(b) = base.iter().find(same) else {
-            continue;
-        };
-        let pct = |new: u64, old: u64| (new as f64 / old as f64 - 1.0) * 100.0;
-        println!(
-            "bench-compare: {:<24} median {:>10} -> {:>10} ns ({:+.1}%), min {:+.1}%",
-            s.name,
-            b.median_ns,
-            s.median_ns,
-            pct(s.median_ns, b.median_ns),
-            pct(s.min_ns, b.min_ns)
-        );
-        log_ratios.push((s.min_ns as f64 / b.min_ns as f64).ln());
-    }
-    let compared = log_ratios.len();
-    let geomean = (log_ratios.iter().sum::<f64>() / compared.max(1) as f64).exp();
-    println!(
-        "bench-compare: geomean of {compared} min-time ratio(s) {:+.1}% (wall time: reported, not gated)",
-        (geomean - 1.0) * 100.0
-    );
-    Ok(())
-}
-
-/// One scenario row parsed back out of a bench report.
-struct ParsedScenario {
-    name: String,
-    n: u64,
-    inner: u64,
-    median_ns: u64,
-    min_ns: u64,
-}
-
-/// Parses the scenario lines of a bench JSON report — the writer's own
-/// one-row-per-line format, in either schema generation (the timing fields
-/// are the same in both).
-fn read_scenarios(path: &str) -> Result<Vec<ParsedScenario>, String> {
-    let content =
-        std::fs::read_to_string(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
-    if !content.contains("\"schema\": \"pilut-bench-v") {
-        return Err(format!("{path}: missing pilut-bench schema marker"));
-    }
-    let mut out = Vec::new();
-    for line in content.lines().map(str::trim) {
-        let Some(rest) = line.strip_prefix("{\"name\": \"") else {
-            continue;
-        };
-        let name = rest.split('"').next().unwrap_or_default().to_string();
-        let grab = |key: &str| {
-            field_u64(line, key).ok_or_else(|| format!("{path}: scenario {name} missing {key}"))
-        };
-        let timings = (grab("\"median_ns\":")?, grab("\"min_ns\":")?);
-        if timings.0 == 0 || timings.1 == 0 {
-            return Err(format!("{path}: scenario {name} has a zero timing"));
-        }
-        out.push(ParsedScenario {
-            n: grab("\"n\":")?,
-            inner: grab("\"inner\":")?,
-            median_ns: timings.0,
-            min_ns: timings.1,
-            name,
-        });
-    }
-    if out.is_empty() {
-        return Err(format!("{path}: no scenarios recorded"));
-    }
-    Ok(out)
-}
-
-/// Extracts the unsigned integer following `key` on `line`.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = line[line.find(key)? + key.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    Ok(results)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// A healthy p = 4 row: 12 messages / 4096 bytes under `spmv`, planned
     /// exactly, nothing allocated in a steady region or (no dist-MIS
@@ -986,9 +757,6 @@ mod tests {
         };
         Measurement {
             row: PAR_ILUT_P4,
-            reps: 3,
-            median_ns: 1000,
-            min_ns: 900,
             facts: Facts {
                 n: 100,
                 nnz: 460,
@@ -1086,20 +854,20 @@ mod tests {
 
     #[test]
     fn mis_rounds_acquisitions_beyond_the_frame_budget_fail() {
-        // 5 dist-MIS messages per pass over 9 passes (warm-up + 3 reps at
-        // 2 operations each, + the stats pass): 45 frames may allocate.
+        // 5 dist-MIS messages per pass over 3 passes (the audit pass's 2
+        // operations + the facts pass): 15 frames may allocate.
         let mut m = healthy();
         for (tag, traffic) in [(tags::MIS_KEYS, (3, 96)), (tags::MIS_CONF, (2, 64))] {
             m.facts.stats.by_tag.insert(tag, traffic);
             let planned = (traffic.0, traffic.1, true);
             m.facts.stats.planned_by_tag.insert(tag, planned);
         }
-        m.regions[0] = region("mis_rounds", 45);
+        m.regions[0] = region("mis_rounds", 15);
         check(&m).unwrap();
-        m.regions[0] = region("mis_rounds", 46);
+        m.regions[0] = region("mis_rounds", 16);
         assert_fails(
             &m,
-            "region mis_rounds acquired 46 allocation(s) over 9 pass(es) of 5 dist-MIS message(s), budget 45",
+            "region mis_rounds acquired 16 allocation(s) over 3 pass(es) of 5 dist-MIS message(s), budget 15",
         );
         // A killed epoch abandons rounds mid-flight: waived like planned = measured.
         m.facts.faults = 1;
@@ -1109,19 +877,19 @@ mod tests {
     #[test]
     fn plan_replay_acquisitions_beyond_the_frame_budget_fail() {
         // Per pass 3 dist-MIS frames at one buffer and 4 U-row batches at
-        // two, over 9 passes: (3 + 2 · 4) · 9 = 99 acquisitions.
+        // two, over 3 passes: (3 + 2 · 4) · 3 = 33 acquisitions.
         let mut m = healthy();
         for (tag, traffic) in [(tags::MIS_TENT, (3, 96)), (tags::UROWS, (4, 640))] {
             m.facts.stats.by_tag.insert(tag, traffic);
             let planned = (traffic.0, traffic.1, true);
             m.facts.stats.planned_by_tag.insert(tag, planned);
         }
-        m.regions.push(region("plan_replay", 99));
+        m.regions.push(region("plan_replay", 33));
         check(&m).unwrap();
-        m.regions[2] = region("plan_replay", 100);
+        m.regions[2] = region("plan_replay", 34);
         assert_fails(
             &m,
-            "region plan_replay acquired 100 allocation(s) over 9 pass(es) of 3 dist-MIS and 4 U-row message(s), budget 99",
+            "region plan_replay acquired 34 allocation(s) over 3 pass(es) of 3 dist-MIS and 4 U-row message(s), budget 33",
         );
         m.facts.faults = 1;
         check(&m).unwrap();
@@ -1143,16 +911,16 @@ mod tests {
 
     #[test]
     fn sweep_acquisitions_beyond_the_growth_budget_fail() {
-        // 10 interface rows over 9 passes: 6 · 10 · 9 growths, and no more
+        // 10 interface rows over 3 passes: 6 · 10 · 3 growths, and no more
         // (one acquisition per row-touch would be hundreds per pass).
         let mut m = healthy();
         m.facts.interface = 10;
-        m.regions.push(region("alg42_sweep", 540));
+        m.regions.push(region("alg42_sweep", 180));
         check(&m).unwrap();
-        m.regions[2] = region("alg42_sweep", 541);
+        m.regions[2] = region("alg42_sweep", 181);
         assert_fails(
             &m,
-            "region alg42_sweep acquired 541 allocation(s) over 9 pass(es) of 10 interface row(s), budget 540",
+            "region alg42_sweep acquired 181 allocation(s) over 3 pass(es) of 10 interface row(s), budget 180",
         );
         // A killed epoch re-partitions: its rows are not this count.
         m.facts.faults = 1;
@@ -1204,15 +972,12 @@ mod tests {
                 s.name
             );
         }
-        for (a, b) in RATIOS {
-            assert!(names.contains(a) && names.contains(b), "{a} / {b}");
-        }
     }
 
     #[test]
     fn every_row_passes_its_invariants_at_quick_size() {
         for s in &SCENARIOS {
-            let m = run_row(s, true, 0);
+            let m = run_row(s, true);
             check(&m).unwrap();
             if s.ranks.is_some_and(|p| p >= 2) {
                 let planned = &m.facts.stats.planned_by_tag;
@@ -1225,7 +990,7 @@ mod tests {
             }
             assert_eq!(m.facts.faults > 0, s.net == Net::Killed, "{}", s.name);
         }
-        // The pair the report prints as a ratio is the same factor twice.
+        // The one-rank sweeps replay the serial row's factor, entry for entry.
         let fill = |name| facts(SCENARIOS.iter().find(|s| s.name == name).unwrap(), true).fill;
         assert_eq!(fill("dist_trisolve_p1"), fill("trisolve_serial"));
     }
@@ -1289,90 +1054,85 @@ mod tests {
     fn unknown_scenario_is_an_error() {
         let err = run(&flags(&["--quick", "--scenario", "par_ilut_p5"])).unwrap_err();
         assert!(err.contains("unknown scenario par_ilut_p5"), "{err}");
-        assert!(run(&flags(&["--scaling"])).is_err());
-        assert!(run(&flags(&["--out"])).is_err());
-    }
-
-    #[test]
-    fn quick_selects_any_row_and_the_report_reads_back() {
-        let out = std::env::temp_dir().join("pilut_bench_quick_par.json");
-        let out = out.to_str().unwrap();
-        run(&flags(&[
-            "--quick",
-            "--scenario",
-            "par_ilut_p4",
-            "--out",
-            out,
-            "--label",
-            "t",
-        ]))
-        .unwrap();
-        let rows = read_scenarios(out).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(
-            (rows[0].name.as_str(), rows[0].n, rows[0].inner),
-            ("par_ilut_p4", 256, 2)
-        );
-        assert!(rows[0].min_ns > 0 && rows[0].min_ns <= rows[0].median_ns);
-        let json = std::fs::read_to_string(out).unwrap();
-        assert!(json.contains("\"label\": \"t\"") && json.contains("\"comm_planned\": \"urows:"));
-    }
-
-    #[test]
-    fn compare_reports_and_never_gates() {
-        // A schema-v1 baseline (no alloc columns) against a current report
-        // 10x slower: compared, printed, exit 0.
-        let v1 = "{\n  \"schema\": \"pilut-bench-v1\",\n  \"scenarios\": [\n    \
-                  {\"name\": \"par_ilut_p4\", \"n\": 100, \"nnz\": 460, \"reps\": 3, \
-                  \"inner\": 2, \"median_ns\": 100, \"min_ns\": 90, \"mnnz_per_s\": 4600.0}\n  ]\n}\n";
-        let dir = std::env::temp_dir();
-        let (base, new) = (
-            dir.join("pilut_bench_v1_base.json"),
-            dir.join("pilut_bench_v2_new.json"),
-        );
-        std::fs::write(&base, v1).unwrap();
-        std::fs::write(&new, render_json("t", true, &[healthy()])).unwrap();
-        let paths = flags(&[new.to_str().unwrap(), base.to_str().unwrap()]);
-        compare(&paths).unwrap();
-        // No comparable row is still a readable pair.
-        std::fs::write(&base, v1.replace("\"n\": 100", "\"n\": 7")).unwrap();
-        compare(&paths).unwrap();
-        // Unreadable input and the retired flags are errors.
-        std::fs::write(&base, "{\"schema\": \"other\"}").unwrap();
-        assert!(compare(&paths).is_err());
-        assert!(compare(&flags(&["a.json", "b.json", "--geomean"])).is_err());
-    }
-
-    #[test]
-    fn every_committed_report_still_reads() {
-        let root = crate::workspace_root();
-        let mut seen = 0;
-        for entry in std::fs::read_dir(&root).unwrap().flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with("BENCH_pr") && name.ends_with(".json") {
-                let rows = read_scenarios(entry.path().to_str().unwrap()).unwrap();
-                assert!(rows.len() >= 5, "{name}");
-                seen += 1;
-            }
+        assert!(run(&flags(&["--scenario"])).is_err());
+        // Retired flags and the retired subcommand are usage errors.
+        let retired: [&[&str]; 3] = [&["--scaling"], &["--out", "x"], &["--label", "x"]];
+        for args in retired {
+            let err = run(&flags(args)).unwrap_err();
+            assert!(err.starts_with("unknown bench flag --"), "{err}");
         }
-        assert!(seen >= 9, "the committed trajectory is present");
+        assert!(crate::task("bench-compare").is_none());
+    }
+
+    /// The region registry is process-wide, and the other tests of this
+    /// binary enter the same regions: the tests that read it are ignored
+    /// in a shared run and run here, one at a time, in a child process.
+    #[test]
+    fn registry_tests_pass_in_a_process_of_their_own() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--ignored", "--test-threads=1", "bench::tests::"])
+            .output()
+            .unwrap();
+        let log = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{log}");
+        assert!(log.contains(" 2 passed;"), "{log}");
     }
 
     #[test]
-    fn throughput_and_report_columns() {
-        let m = healthy();
-        // 460 entries in 1000 ns = 460 Mnnz/s.
-        assert!((m.mnnz_per_s() - 460.0).abs() < 1e-9);
-        // The report's alloc totals cover steady regions only.
-        let mut m = healthy();
-        m.regions[1] = region("trisolve_replay", 2);
-        let json = render_json("t", true, &[m]);
-        assert!(
-            json.contains("\"allocs\": 2, \"alloc_bytes\": 128"),
-            "{json}"
-        );
-        assert!(json.contains("\"alloc_regions\": \"mis_rounds:0/0 trisolve_replay:2/128\""));
-        assert_eq!(field_u64("{\"median_ns\": 42,", "\"median_ns\":"), Some(42));
-        assert_eq!(field_u64("no field", "\"median_ns\":"), None);
+    #[ignore = "reads the region registry: run by registry_tests_pass_in_a_process_of_their_own"]
+    fn quick_selects_any_row() {
+        let rows = gate(true, &["par_ilut_p4"]).unwrap();
+        let [m] = &rows[..] else {
+            panic!("{} rows ran", rows.len())
+        };
+        assert_eq!((m.row.name, m.facts.n, m.passes()), ("par_ilut_p4", 256, 3));
+        assert!(m.facts.stats.planned_by_tag.contains_key(&tags::UROWS));
+        assert!(m.regions.iter().any(|r| r.name == "plan_replay"));
+    }
+
+    /// Entries of each gated region while `run` runs.
+    fn gated_entries(run: impl FnOnce()) -> BTreeMap<&'static str, u64> {
+        pilut_allocaudit::reset_regions();
+        run();
+        let gated = |name| STEADY_REGIONS.contains(&name) || BUDGETED_REGIONS.contains(&name);
+        let stats = pilut_allocaudit::region_stats();
+        let entered = stats.iter().filter(|r| gated(r.name));
+        entered.map(|r| (r.name, r.entries)).collect()
+    }
+
+    #[test]
+    #[ignore = "reads the region registry: run by registry_tests_pass_in_a_process_of_their_own"]
+    fn the_audit_pass_replays_the_regions_a_row_enters() {
+        // A row of several operations enters each gated region it touches
+        // more often than its facts pass alone — a serial build, or one
+        // machine pass of one operation — does: the audit pass replays
+        // them, and the budgets count its passes.
+        for s in SCENARIOS.iter().filter(|s| s.inner > 1) {
+            let a = (s.matrix)(s.dims.0);
+            let alone = match s.body {
+                Body::Serial(build) => gated_entries(|| {
+                    build(&a, &(s.opts)(a.n_rows()));
+                }),
+                Body::Ranks(body) => {
+                    let dm = DistMatrix::from_matrix(a, s.ranks.unwrap(), 17);
+                    gated_entries(|| {
+                        machine_run(s, &dm, body, 1);
+                    })
+                }
+            };
+            let row = gated_entries(|| {
+                run_row(s, true);
+            });
+            for (name, &entries) in &row {
+                let once = alone.get(name).copied().unwrap_or(0);
+                assert!(
+                    entries > once,
+                    "{}: region {name} entered {entries} time(s), by the facts pass alone {once}",
+                    s.name
+                );
+            }
+            let ops_enter = s.name != "spmv"; // a serial SpMV opens no region
+            assert_eq!(!row.is_empty(), ops_enter, "{}: {row:?}", s.name);
+        }
     }
 }

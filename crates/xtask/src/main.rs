@@ -1,13 +1,10 @@
 //! `xtask` — in-repo workspace automation:
 //!
 //! * `cargo run -p xtask -- lint` — repo-local lint (below).
-//! * `cargo run -p xtask --release -- bench [--quick] [--out PATH]
-//!   [--label STR] [--scenario NAME]...` — the kernel benchmark: gates each
-//!   scenario's self-consistency invariants in-process, reports wall time
-//!   (see [`mod@bench`]).
-//! * `cargo run -p xtask -- bench-compare NEW BASE` — per-row wall ratios
-//!   between two bench reports; a report, never a gate (see
-//!   [`bench::compare`]).
+//! * `cargo run -p xtask --release -- bench [--quick] [--scenario NAME]...`
+//!   — the kernel invariant gate: runs each scenario untimed and checks its
+//!   traffic and allocation invariants in-process (see [`mod@bench`]; wall
+//!   time is the `benchmark/` package's).
 //! * `cargo run -p xtask --release -- chaos [--recover] [--quick]` — the
 //!   seeded fault-injection regression suite (see [`chaos`]).
 //! * `cargo run -p xtask --release -- schedcheck [--quick]` — the
@@ -109,24 +106,13 @@ mod sweep;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map_or("", String::as_str);
-    let task: fn(&[String]) -> Result<(), String> = match cmd {
-        "bench" => bench::run,
-        "bench-compare" => bench::compare,
-        "chaos" => chaos::run,
-        "schedcheck" => schedcheck::run,
-        "modelcheck" => modelcheck::run,
-        "paper" => paper::run,
-        "lint" => lint_task,
-        "loc" => loc_task,
-        _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- lint \
-                 | bench [--quick] [--out PATH] [--label STR] [--scenario NAME]... \
-                 | bench-compare <new> <base> | chaos [--recover] [--quick] | schedcheck [--quick] \
-                 | modelcheck [--quick] | paper [--check] [--record] | loc"
-            );
-            return ExitCode::FAILURE;
-        }
+    let Some(task) = task(cmd) else {
+        eprintln!(
+            "usage: cargo run -p xtask -- lint | bench [--quick] [--scenario NAME]... \
+             | chaos [--recover] [--quick] | schedcheck [--quick] \
+             | modelcheck [--quick] | paper [--check] [--record] | loc"
+        );
+        return ExitCode::FAILURE;
     };
     match task(&args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
@@ -135,6 +121,20 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The task a subcommand names; `None` is a usage error.
+fn task(cmd: &str) -> Option<fn(&[String]) -> Result<(), String>> {
+    Some(match cmd {
+        "bench" => bench::run,
+        "chaos" => chaos::run,
+        "schedcheck" => schedcheck::run,
+        "modelcheck" => modelcheck::run,
+        "paper" => paper::run,
+        "lint" => lint_task,
+        "loc" => loc_task,
+        _ => return None,
+    })
 }
 
 /// `lint`: prints every violation; fails when there is one.

@@ -1034,9 +1034,12 @@ fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> String {
             cell(f.live_per_input.map(|l| format!("{l:.3}"))),
         ]);
         if s.ranks.is_some_and(|p| p > 1) {
-            let printed = bench::measured(&f.stats).filter(|t| tag(tags::tag_name(t.0)));
-            let cells = bench::ledger(printed).join(" ");
-            tags += &format!("  {:<21} {cells}\n", s.name);
+            let cells: Vec<String> = (f.stats.by_tag.iter())
+                .map(|(&t, (m, b))| (tags::tag_name(t), m, b))
+                .filter(|(name, ..)| tag(name))
+                .map(|(name, m, b)| format!("{name}:{m}/{b}"))
+                .collect();
+            tags += &format!("  {:<21} {}\n", s.name, cells.join(" "));
         }
     }
     format!(
