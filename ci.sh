@@ -30,8 +30,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # DistCsr::new, DistOperator::apply_into, dist_gmres, DistGmresResult,
 # DistIlu::new, DistPrecond::apply_into): compile and smoke it here so a
 # break of that surface is red CI. DistOperator keeps a trait although
-# DistCsr (which holds the SpMV plan itself) is its only implementation,
-# because the benchmark imports it. Read-only use; its target/ is
+# DistCsr (which holds the SpMV plan itself) is its only implementation and
+# apply_into its one product, and dist_mis/build_level_links keep their
+# HashMap-keyed rows (the only allow(hash-order) lines of the no-hash-order
+# lint), because the benchmark imports them. Read-only use; its target/ is
 # git-ignored.
 echo "==> benchmark crate (pinned API surface)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml

@@ -47,7 +47,6 @@
 
 use pilut_par::{Ctx, Payload};
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 mod halo;
 pub use halo::Halo;
@@ -337,16 +336,23 @@ impl CommPlan {
             summary.push(nodes.len() as u64);
         }
         let all = ctx.all_gather_u64(&summary);
-        // Decode every rank's two sides once, then check the global mirror
-        // property on all pairs — every rank sees the same verdict.
-        let mut sides: Vec<(HashMap<usize, u64>, HashMap<usize, u64>)> = Vec::with_capacity(p);
+        // Decode every rank's two sides once, as `(peer, len)` lists in the
+        // ascending peer order `verify_local` enforces, then check the
+        // global mirror property on all pairs in ascending `(rank, peer)`
+        // order — every rank reports the same first violation.
+        type Side = Vec<(usize, u64)>;
+        let find = |side: &Side, q: usize| {
+            let at = side.binary_search_by_key(&q, |&(peer, _)| peer);
+            at.ok().map(|i| side[i].1)
+        };
+        let mut sides: Vec<(Side, Side)> = Vec::with_capacity(p);
         for (r, enc) in all.iter().enumerate() {
             if enc.is_empty() {
                 // A rank lost in an earlier epoch contributes nothing to the
                 // gather and owns no plan side to mirror — a shrunk-world
                 // plan must never pair a live side with it, which the empty
-                // maps below enforce.
-                sides.push((HashMap::new(), HashMap::new()));
+                // lists below enforce.
+                sides.push((Vec::new(), Vec::new()));
                 continue;
             }
             if enc[0] != r as u64 {
@@ -364,31 +370,23 @@ impl CommPlan {
                     &enc[2..4]
                 ));
             }
-            let n_send = enc[4] as usize;
-            let n_recv = enc[5] as usize;
-            let mut at = 6;
-            let mut decode = |k: usize| {
-                let mut m = HashMap::with_capacity(k);
-                for _ in 0..k {
-                    m.insert(enc[at] as usize, enc[at + 1]);
-                    at += 2;
-                }
-                m
+            let pairs = |from: usize, k: usize| {
+                let words = enc[from..from + 2 * k].chunks_exact(2);
+                words.map(|w| (w[0] as usize, w[1])).collect::<Side>()
             };
-            let send = decode(n_send);
-            let recv = decode(n_recv);
-            sides.push((send, recv));
+            let (n_send, n_recv) = (enc[4] as usize, enc[5] as usize);
+            sides.push((pairs(6, n_send), pairs(6 + 2 * n_send, n_recv)));
         }
         for (r, (send, _)) in sides.iter().enumerate() {
-            for (&q, &len) in send {
-                match sides[q].1.get(&r) {
+            for &(q, len) in send {
+                match find(&sides[q].1, r) {
                     None => {
                         return Err(format!(
                             "peer asymmetry: rank {r} sends to {q} but {q} schedules \
                              no receive from {r}"
                         ));
                     }
-                    Some(&expect) if expect != len => {
+                    Some(expect) if expect != len => {
                         return Err(format!(
                             "packing-size disagreement: rank {r} sends {len} node(s) \
                              to {q} but {q} expects {expect}"
@@ -399,8 +397,8 @@ impl CommPlan {
             }
         }
         for (r, (_, recv)) in sides.iter().enumerate() {
-            for &q in recv.keys() {
-                if !sides[q].0.contains_key(&r) {
+            for &(q, _) in recv {
+                if find(&sides[q].0, r).is_none() {
                     return Err(format!(
                         "peer asymmetry: rank {r} expects values from {q} but {q} \
                          schedules no send to {r}"
@@ -702,6 +700,28 @@ mod tests {
                 undisciplined.contains("named protocol namespace"),
                 "{undisciplined}"
             );
+        }
+    }
+
+    #[test]
+    fn collective_verify_reports_the_lowest_offending_pair() {
+        // Two violations, (0, 1) and (0, 2): every rank names the lower one,
+        // the same on every run.
+        for _ in 0..20 {
+            let out = Machine::run_checked(3, MachineModel::cray_t3d(), |ctx| {
+                let plan = if ctx.rank() == 0 {
+                    raw_plan(vec![(1, vec![0]), (2, vec![1])], vec![])
+                } else {
+                    raw_plan(vec![], vec![])
+                };
+                plan.verify(ctx).unwrap_err()
+            });
+            for msg in &out.results {
+                assert_eq!(
+                    msg,
+                    "peer asymmetry: rank 0 sends to 1 but 1 schedules no receive from 0"
+                );
+            }
         }
     }
 

@@ -23,7 +23,6 @@
 use crate::dist::exchange::{tags, CommPlan, Halo};
 use crate::dist::{DistMatrix, LocalView};
 use pilut_par::Ctx;
-use std::collections::HashMap;
 
 /// A distributed linear operator: one application is a collective in which
 /// every rank passes its owned slice (local-view order) and receives the
@@ -32,15 +31,8 @@ pub trait DistOperator {
     /// Length of this rank's owned slice.
     fn local_len(&self) -> usize;
     /// Collectively computes the local block of `y = A x` into a
-    /// caller-owned buffer — the required method and the only one the
-    /// solvers' inner loops call.
+    /// caller-owned buffer of [`DistOperator::local_len`] entries.
     fn apply_into(&mut self, ctx: &mut Ctx, x: &[f64], y: &mut [f64]);
-    /// Allocating convenience over [`DistOperator::apply_into`].
-    fn apply(&mut self, ctx: &mut Ctx, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.local_len()];
-        self.apply_into(ctx, x, &mut y);
-        y
-    }
 }
 
 /// A distributed CSR matrix with its rank's exchange plan for repeated
@@ -54,7 +46,7 @@ pub struct DistCsr<'a> {
     /// Slots of the stored entries of `local.nodes`' rows, row after row in
     /// stored order — laid alongside the matrix's own values.
     slot: Vec<u32>,
-    /// Local values, then one ghost per remote column in receive-list order.
+    /// Local values, then one ghost per remote column, ascending node id.
     x: Vec<f64>,
 }
 
@@ -66,11 +58,18 @@ impl<'a> DistCsr<'a> {
         let plan = CommPlan::build(ctx, tags::SPMV, local.remote_cols(a), |j| {
             dm.dist().owner(j)
         });
-        let ghosts = plan.recv_lists().iter().flat_map(|(_, nodes)| nodes);
-        let ghost_slot: HashMap<usize, usize> = ghosts.copied().zip(local.len()..).collect();
-        let n_slots = local.len() + ghost_slot.len();
+        // Ghost `g` is slot `local.len() + g`, ghosts ascending.
+        let recv = plan.recv_lists().iter().flat_map(|(_, nodes)| nodes);
+        let mut ghosts: Vec<usize> = recv.copied().collect();
+        ghosts.sort_unstable();
+        let n_slots = local.len() + ghosts.len();
         crate::to_u32(n_slots, "SpMV slot count");
-        let slot_of = |j: usize| local.pos_of(j).unwrap_or_else(|| ghost_slot[&j]);
+        let slot_of = |j: usize| {
+            local.pos_of(j).unwrap_or_else(|| {
+                // lint: allow(unwrap): the plan's receive lists hold every remote column
+                local.len() + ghosts.binary_search(&j).expect("unlisted ghost")
+            })
+        };
         // Sized up front: collecting a `flat_map` would grow by doubling and
         // keep up to twice the entries for the life of the operator.
         let mut slot = Vec::with_capacity(local.nodes.iter().map(|&i| a.row_nnz(i)).sum());
@@ -132,6 +131,13 @@ mod tests {
     use pilut_sparse::{gen, CooMatrix};
     use std::collections::HashSet;
 
+    /// One product into a fresh vector.
+    fn product(op: &mut DistCsr, ctx: &mut Ctx, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; op.local_len()];
+        op.apply_into(ctx, x, &mut y);
+        y
+    }
+
     /// Same stored entry order, same sum: the distributed product must
     /// reproduce [`CsrMatrix::spmv`](pilut_sparse::CsrMatrix::spmv) to the
     /// bit on any distribution.
@@ -145,7 +151,7 @@ mod tests {
             let mut op = DistCsr::new(ctx, &dm, &local);
             assert_eq!(op.local_len(), local.len());
             let x_local: Vec<f64> = local.nodes.iter().map(|&g| x_global[g]).collect();
-            let y_local = op.apply(ctx, &x_local);
+            let y_local = product(&mut op, ctx, &x_local);
             (local.nodes.clone(), y_local)
         });
         let mut y = vec![f64::NAN; n];
@@ -200,7 +206,7 @@ mod tests {
             let local = dm.local_view(0);
             let mut op = DistCsr::new(ctx, &dm, &local);
             let x = vec![1.0; local.len()];
-            op.apply(ctx, &x)
+            product(&mut op, ctx, &x)
         });
         assert_eq!(out.stats.tag_totals(tags::SPMV), (0, 0));
         // Row sums of the Laplacian are nonnegative.
@@ -215,8 +221,8 @@ mod tests {
             let local = dm.local_view(ctx.rank());
             let mut op = DistCsr::new(ctx, &dm, &local);
             let x = vec![1.0; local.len()];
-            let y1 = op.apply(ctx, &x);
-            let y2 = op.apply(ctx, &x);
+            let y1 = product(&mut op, ctx, &x);
+            let y2 = product(&mut op, ctx, &x);
             (y1, y2)
         });
         for (y1, y2) in out.results {
@@ -232,7 +238,7 @@ mod tests {
             let local = dm.local_view(ctx.rank());
             let mut op = DistCsr::new(ctx, &dm, &local);
             let x = vec![1.0; local.len()];
-            op.apply(ctx, &x);
+            product(&mut op, ctx, &x);
             // One ghost per distinct remote column: one value on the wire.
             let ghosts: HashSet<usize> = local.remote_cols(dm.matrix()).collect();
             ghosts.len()

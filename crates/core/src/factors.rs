@@ -4,7 +4,7 @@
 //! A `FactorStore` holds the strict `L` part, the pivots and the strict
 //! `U` part of a run of rows as two CSR arenas plus a `diag` vector, over a
 //! *slot* space chosen by its owner. [`LuFactors`] is the store with
-//! slot = row = column (the serial case and the assembled case);
+//! slot = row = column (the serial case);
 //! [`crate::parallel::RankFactors`] is the same store over a rank's compact
 //! local numbering with ghost slots behind it. Both are filled through the
 //! one `FactorStore::push_row` and solved through the one pair of row

@@ -108,6 +108,7 @@ use crate::dist::exchange::{tags, CommPlan};
 use crate::dist::Distribution;
 use crate::options::FactorError;
 use pilut_par::{Ctx, Payload};
+// lint: allow(hash-order): the two map-keyed doors below sort what they read
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -185,6 +186,7 @@ pub(crate) fn link_plan(
 pub fn build_level_links(
     ctx: &mut Ctx,
     dist: &Distribution,
+    // lint: allow(hash-order): `CommPlan::build` sorts and dedups the columns
     reduced_cols: &HashMap<usize, Vec<usize>>,
 ) -> CommPlan {
     link_plan(ctx, dist, reduced_cols.values().flatten().copied())
@@ -736,6 +738,7 @@ impl LevelMis {
 pub fn dist_mis(
     ctx: &mut Ctx,
     plan: &CommPlan,
+    // lint: allow(hash-order): the rows are sorted by node before use
     reduced_cols: &HashMap<usize, Vec<usize>>,
     seed: u64,
     level: u64,

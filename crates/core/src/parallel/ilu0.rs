@@ -27,28 +27,15 @@ use crate::parallel::{
 };
 use pilut_par::Ctx;
 use pilut_sparse::WorkRow;
-use std::collections::HashSet;
 
 /// Runs the parallel zero-fill factorization. Collective. Aborts on the
-/// first unusable pivot; use [`par_ilu0_with`] to recover instead.
+/// first unusable pivot ([`BreakdownPolicy::Abort`]).
 pub fn par_ilu0(
     ctx: &mut Ctx,
     dm: &DistMatrix,
     local: &LocalView,
 ) -> Result<RankFactors, FactorError> {
-    par_ilu0_with(ctx, dm, local, BreakdownPolicy::Abort)
-}
-
-/// [`par_ilu0`] with an explicit [`BreakdownPolicy`]. Collective; every
-/// rank must pass the same policy.
-pub fn par_ilu0_with(
-    ctx: &mut Ctx,
-    dm: &DistMatrix,
-    local: &LocalView,
-    policy: BreakdownPolicy,
-) -> Result<RankFactors, FactorError> {
-    policy.validate()?; // deterministic: every rank rejects the same way
-    let mut doctor = PivotDoctor::new(policy);
+    let mut doctor = PivotDoctor::new(BreakdownPolicy::Abort);
     let a = dm.matrix();
     // Zero fill: neither triangle outgrows the rank's rows of `A`.
     let mut fb = FactorBuilder::new(local, local.nnz(a));
@@ -127,25 +114,33 @@ pub fn par_ilu0_with(
 
     // ---- Symbolic schedule: peel independent sets off the static pattern.
     // (This is the "colouring" of Figure 1a: it depends only on structure.)
-    let mut remaining: HashSet<usize> = local.interface.iter().copied().collect();
-    let mut scheduled_remote: HashSet<usize> = HashSet::new();
+    // `remaining[q]`: my interface row `q` is not scheduled yet (`left` of
+    // them); `scheduled_remote[s]`: the remote node at column-space slot `s`
+    // is, as far as the levels' outcomes have told me.
+    let mut remaining = vec![true; local.interface.len()];
+    let mut left = remaining.len();
+    let mut scheduled_remote = vec![false; local.n_slots()];
     let mut schedule: Vec<Vec<usize>> = Vec::new();
     let mut per_level: Vec<LevelStats> = Vec::new();
     let mut mis = LevelMis::default();
     let mut level_idx = 0u64;
     loop {
-        let left = ctx.all_reduce_sum_u64(remaining.len() as u64);
-        if left == 0 {
+        if ctx.all_reduce_sum_u64(left as u64) == 0 {
             break;
         }
         // Pattern restricted to the still-unscheduled nodes (local ones we
         // know directly; remote ones from the previous levels' outcomes).
+        // A reduced row's columns are interface nodes, mine or remote.
         let keep = |v: usize, c: usize| {
-            c == v || remaining.contains(&c) || (!local.owns(c) && !scheduled_remote.contains(&c))
+            c == v
+                || match local.pos_of(c) {
+                    Some(p) => remaining[p - n_int],
+                    None => !scheduled_remote[local.slot(c)],
+                }
         };
         let unscheduled = || {
-            let rows = local.interface.iter().zip(&reduced);
-            rows.filter(|(v, _)| remaining.contains(v))
+            let rows = local.interface.iter().zip(&reduced).zip(&remaining);
+            rows.filter_map(|(row, &unscheduled)| unscheduled.then_some(row))
         };
         // An upper bound on the kept entries: exact room, no regrowth.
         mis.begin(
@@ -160,12 +155,15 @@ pub fn par_ilu0_with(
         let plan = mis.link(ctx, dm.dist());
         mis.run(ctx, &plan, 0xC0105, level_idx, 5)?;
         let my_in: Vec<usize> = mis.my_in().collect();
-        for v in &my_in {
-            remaining.remove(v);
+        for &v in &my_in {
+            remaining[fb.interface_index(v)] = false;
         }
-        scheduled_remote.extend(mis.remote_in());
+        left -= my_in.len();
+        for c in mis.remote_in() {
+            scheduled_remote[local.slot(c)] = true;
+        }
         per_level.push(LevelStats {
-            candidates: remaining.len() + my_in.len(),
+            candidates: left + my_in.len(),
             set_size: my_in.len(),
             luby_rounds: mis.live_rounds(),
             mis_units: mis.work(),

@@ -15,14 +15,18 @@
 //!    apply Algorithm 4.2 to form `A_I^{l+1}`. ILUT keeps every
 //!    above-threshold entry in the reduced rows; ILUT\* caps each row at
 //!    `k·m` entries, which is the paper's key scalability modification.
+//!
+//! The result stays distributed, as in the paper's §5: each rank keeps the
+//! [`RankFactors`] of its own rows, and the triangular solves
+//! ([`crate::trisolve`]) apply them where they live. No global copy of the
+//! factors is ever built; [`RankFactors::rows`] reads a rank's rows back
+//! with global column ids.
 
-pub mod assemble;
 pub mod dist_mis;
 pub mod ilu0;
 pub(crate) mod store;
 
-pub use assemble::assemble_factors;
-pub use ilu0::{par_ilu0, par_ilu0_with};
+pub use ilu0::par_ilu0;
 pub use store::{RankFactors, RowRef};
 
 use crate::breakdown::PivotFault;

@@ -31,6 +31,10 @@
 //! with no id translation and a received batch lands directly in the ghost
 //! tail. Entries keep ascending *global* column order within a row, so
 //! every sum rounds as it always did.
+//!
+//! [`dist_solve_into`] is the one way to apply the factors: both sweeps
+//! into a caller-owned buffer over a [`SolveScratch`] built once per plan
+//! (the solver crate's `DistIlu` holds the plan and the scratch together).
 
 use crate::dist::exchange::{tags, CommPlan, Halo};
 use crate::dist::{DistMatrix, LocalView};
@@ -133,25 +137,11 @@ impl SolveScratch {
     }
 }
 
-/// Solves `L U x = b` for this rank's unknowns. `b` is in local-view order
-/// (interiors first, then interfaces); so is the returned `x`.
-///
-/// Collective: all ranks must call with their own local data.
-pub fn dist_solve(
-    ctx: &mut Ctx,
-    local: &LocalView,
-    rf: &RankFactors,
-    plan: &TrisolvePlan,
-    b: &[f64],
-) -> Vec<f64> {
-    let y = dist_forward(ctx, local, rf, plan, b);
-    dist_backward(ctx, local, rf, plan, &y)
-}
-
-/// Solves `L U x = b` into a caller-owned buffer using a reusable
-/// [`SolveScratch`] — the zero-allocation steady-state form of
-/// [`dist_solve`]. The whole replay runs under the `trisolve_replay` audit
-/// region, and with a warmed scratch it performs no heap acquisitions.
+/// Solves `L U x = b` for this rank's unknowns into `out`, using a reusable
+/// [`SolveScratch`]: the forward sweep `L y = b` (unit lower triangular),
+/// then the backward sweep `U x = y`. `b` and `out` are in local-view
+/// order (interiors first, then interfaces). The whole replay runs under
+/// the `trisolve_replay` audit region and performs no heap acquisitions.
 ///
 /// Collective: all ranks must call with their own local data.
 pub fn dist_solve_into(
@@ -168,34 +158,6 @@ pub fn dist_solve_into(
     forward_sweep_into(ctx, rf, plan, b, &mut scratch.y);
     backward_sweep_into(ctx, rf, plan, &scratch.y[..n], &mut scratch.x);
     out.copy_from_slice(&scratch.x[..n]);
-}
-
-/// Forward sweep `L y = b` (unit lower triangular).
-pub fn dist_forward(
-    ctx: &mut Ctx,
-    local: &LocalView,
-    rf: &RankFactors,
-    plan: &TrisolvePlan,
-    b: &[f64],
-) -> Vec<f64> {
-    let mut x = Vec::new();
-    forward_sweep_into(ctx, rf, plan, b, &mut x);
-    x.truncate(local.len());
-    x
-}
-
-/// Backward sweep `U x = y`.
-pub fn dist_backward(
-    ctx: &mut Ctx,
-    local: &LocalView,
-    rf: &RankFactors,
-    plan: &TrisolvePlan,
-    y: &[f64],
-) -> Vec<f64> {
-    let mut x = Vec::new();
-    backward_sweep_into(ctx, rf, plan, y, &mut x);
-    x.truncate(local.len());
-    x
 }
 
 /// Loads the owned part of the slot-indexed vector from `rhs`; the ghost

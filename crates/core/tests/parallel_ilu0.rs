@@ -5,7 +5,7 @@ use pilut_core::dist::{DistMatrix, Distribution};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::{par_ilu0, par_ilut};
 use pilut_core::serial::ilu0;
-use pilut_core::trisolve::{dist_solve, TrisolvePlan};
+use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::{gen, CooMatrix};
 
@@ -134,7 +134,9 @@ fn factors_drive_the_parallel_trisolve() {
         let rf = par_ilu0(ctx, &dm, &local).unwrap();
         let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
         let b: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
-        let x = dist_solve(ctx, &local, &rf, &plan, &b);
+        let mut scratch = SolveScratch::build(&local, &plan);
+        let mut x = vec![0.0; local.len()];
+        dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x);
         (local.nodes.clone(), x)
     });
     // ILU(0) is approximate on a grid; check it acts like a decent

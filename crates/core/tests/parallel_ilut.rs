@@ -5,7 +5,7 @@ use pilut_core::dist::DistMatrix;
 use pilut_core::options::{FactorError, IlutOptions};
 use pilut_core::parallel::{par_ilut, RankFactors};
 use pilut_core::serial::ilut_with_stats;
-use pilut_core::trisolve::{dist_solve, TrisolvePlan};
+use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::vec_ops::norm2;
 use pilut_sparse::{gen, CsrMatrix};
@@ -24,7 +24,17 @@ fn factor_and_solve(
         let rf = par_ilut(ctx, &dm, &local, opts).expect("factorization failed");
         let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
         let b_local: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
-        let x_local = dist_solve(ctx, &local, &rf, &plan, &b_local);
+        let mut scratch = SolveScratch::build(&local, &plan);
+        let mut x_local = vec![0.0; local.len()];
+        dist_solve_into(
+            ctx,
+            &local,
+            &rf,
+            &plan,
+            &b_local,
+            &mut scratch,
+            &mut x_local,
+        );
         (local.nodes.clone(), x_local, rf)
     });
     let mut x = vec![f64::NAN; a.n_rows()];
@@ -328,7 +338,7 @@ fn ilut_star_uses_no_more_levels_than_ilut() {
 
 #[test]
 fn solve_roundtrip_repeatable_for_gmres_use() {
-    // Two successive dist_solve calls with the same plan must agree —
+    // Two successive solves with the same plan and scratch must agree —
     // the message protocol has to stay aligned across repeated solves.
     let a = gen::laplace_2d(9, 9);
     let dm = DistMatrix::from_matrix(a.clone(), 3, 7);
@@ -338,8 +348,10 @@ fn solve_roundtrip_repeatable_for_gmres_use() {
         let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
         let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
         let b: Vec<f64> = local.nodes.iter().map(|&g| (g as f64).sin()).collect();
-        let x1 = dist_solve(ctx, &local, &rf, &plan, &b);
-        let x2 = dist_solve(ctx, &local, &rf, &plan, &b);
+        let mut scratch = SolveScratch::build(&local, &plan);
+        let (mut x1, mut x2) = (vec![0.0; local.len()], vec![0.0; local.len()]);
+        dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x1);
+        dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x2);
         (x1, x2)
     });
     for (x1, x2) in out.results {

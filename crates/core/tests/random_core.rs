@@ -8,7 +8,7 @@ use pilut_core::dist::DistMatrix;
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::par_ilut;
 use pilut_core::serial::{ilu0, iluk, ilut};
-use pilut_core::trisolve::{dist_solve, TrisolvePlan};
+use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::{CooMatrix, CsrMatrix, SplitMix64, WorkRow};
 
@@ -274,7 +274,9 @@ fn parallel_exactness_any_rank_count() {
             let rf = par_ilut(ctx, &dm, &local, &opts).expect("no breakdown");
             let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
             let b: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
-            let x = dist_solve(ctx, &local, &rf, &plan, &b);
+            let mut scratch = SolveScratch::build(&local, &plan);
+            let mut x = vec![0.0; local.len()];
+            dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x);
             (local.nodes.clone(), x)
         });
         let mut x = vec![f64::NAN; n];

@@ -1,16 +1,32 @@
-//! Parity tests: the parallel triangular solves against the serial ones on
-//! a single rank, and forward/backward sweeps individually across ranks.
+//! Parity tests: the parallel triangular solve against the serial one on
+//! a single rank, and the two sweeps composed across ranks.
 
-use pilut_core::dist::DistMatrix;
+use pilut_core::dist::{DistMatrix, LocalView};
 use pilut_core::options::IlutOptions;
-use pilut_core::parallel::par_ilut;
+use pilut_core::parallel::{par_ilut, RankFactors};
 use pilut_core::serial::ilut;
-use pilut_core::trisolve::{dist_backward, dist_forward, TrisolvePlan};
-use pilut_par::{Machine, MachineModel};
+use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
+use pilut_par::{Ctx, Machine, MachineModel};
 use pilut_sparse::gen;
 
-/// On one rank the parallel forward/backward sweeps must agree with the
-/// serial factor solves entry for entry.
+/// One forward + backward solve of `b` into a fresh vector.
+fn solve(
+    ctx: &mut Ctx,
+    local: &LocalView,
+    rf: &RankFactors,
+    plan: &TrisolvePlan,
+    b: &[f64],
+) -> Vec<f64> {
+    let mut scratch = SolveScratch::build(local, plan);
+    let mut x = vec![0.0; local.len()];
+    dist_solve_into(ctx, local, rf, plan, b, &mut scratch, &mut x);
+    x
+}
+
+/// On one rank the parallel solve must agree with the serial factor solve
+/// bit for bit: serial `ilut` is the one-rank `par_ilut`, the local-view
+/// order is the natural order, and both sweep the one factor store row by
+/// row in that order (DESIGN §2.5).
 #[test]
 fn single_rank_sweeps_match_serial() {
     let a = gen::convection_diffusion_2d(9, 9, 5.0, -2.0);
@@ -19,26 +35,18 @@ fn single_rank_sweeps_match_serial() {
     let b: Vec<f64> = (0..a.n_rows())
         .map(|i| ((i * 13) % 7) as f64 - 3.0)
         .collect();
-    let mut y_serial = b.clone();
-    serial.forward_solve(&mut y_serial);
-    let mut x_serial = y_serial.clone();
-    serial.backward_solve(&mut x_serial);
+    let x_serial = serial.solve(&b);
 
     let dm = DistMatrix::from_matrix(a, 1, 1);
-    let b2 = b.clone();
     let out = Machine::run_checked(1, MachineModel::cray_t3d(), |ctx| {
         let local = dm.local_view(0);
         let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
         let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
-        // On a single rank the local order is the global order.
-        let y = dist_forward(ctx, &local, &rf, &plan, &b2);
-        let x = dist_backward(ctx, &local, &rf, &plan, &y);
-        (y, x)
+        solve(ctx, &local, &rf, &plan, &b)
     });
-    let (y, x) = &out.results[0];
+    let x = &out.results[0];
     for i in 0..b.len() {
-        assert!((y[i] - y_serial[i]).abs() < 1e-13, "forward row {i}");
-        assert!((x[i] - x_serial[i]).abs() < 1e-13, "backward row {i}");
+        assert_eq!(x[i].to_bits(), x_serial[i].to_bits(), "row {i}");
     }
 }
 
@@ -57,8 +65,7 @@ fn multi_rank_forward_backward_compose() {
         let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
         let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
         let b: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
-        let y = dist_forward(ctx, &local, &rf, &plan, &b);
-        let x = dist_backward(ctx, &local, &rf, &plan, &y);
+        let x = solve(ctx, &local, &rf, &plan, &b);
         (local.nodes.clone(), x)
     });
     for (nodes, x) in out.results {
@@ -89,8 +96,7 @@ fn more_levels_cost_more_simulated_time() {
             let b = vec![1.0; local.len()];
             ctx.barrier();
             let t0 = ctx.time();
-            let y = dist_forward(ctx, &local, &rf, &plan, &b);
-            let _ = dist_backward(ctx, &local, &rf, &plan, &y);
+            solve(ctx, &local, &rf, &plan, &b);
             ctx.barrier();
             (ctx.time() - t0, rf.stats.levels)
         });

@@ -81,6 +81,13 @@
 //!   other. `allocaudit` is exempt — it audits the whole process and is
 //!   not scanned — and so is `xtask`, a binary. Escape hatch:
 //!   `// lint: allow(global-state): <why>`.
+//! * **no-hash-order** — a `HashMap` / `HashSet` in the library code of
+//!   `core`, `solver`, `sparse` and `graph` is a violation: it iterates in
+//!   `RandomState` order, which changes from run to run, so determinism
+//!   would rest on every caller sorting. Use a sorted vector or an array
+//!   over the shared numbering. `par`'s checkers and `xtask` are harness
+//!   code and exempt. Escape hatch, for a map whose order never reaches an
+//!   output: `// lint: allow(hash-order): <why>`.
 //!
 //! Before any source rule runs, the file goes through a small in-tree
 //! lexer ([`blank_noncode`]) that blanks line comments, doc comments,
@@ -360,6 +367,15 @@ fn allowed(lines: &[&str], i: usize, marker: &str) -> bool {
 /// do catch.
 const STORAGE_POKES: &[&str] = &[".row_ptr()", ".col_idx()"];
 
+/// The algorithm crates the `no-hash-order` rule covers; `par`'s checkers
+/// and `xtask` are harness code.
+const HASH_ORDER_SCOPE: &[&str] = &[
+    "crates/core/src",
+    "crates/solver/src",
+    "crates/sparse/src",
+    "crates/graph/src",
+];
+
 /// Source-code rules over one file. `in_par` exempts the file from the
 /// thread-confinement rule.
 fn lint_source(label: &str, content: &str, in_par: bool) -> Vec<Violation> {
@@ -453,6 +469,17 @@ fn lint_source(label: &str, content: &str, in_par: bool) -> Vec<Violation> {
                 file: label.to_string(),
                 line: i + 1,
                 rule: "no-global-state",
+                text: raw.to_string(),
+            });
+        }
+        if HASH_ORDER_SCOPE.iter().any(|dir| label.starts_with(dir))
+            && (code.contains("HashMap") || code.contains("HashSet"))
+            && !allowed(&lines, i, "hash-order")
+        {
+            out.push(Violation {
+                file: label.to_string(),
+                line: i + 1,
+                rule: "no-hash-order",
                 text: raw.to_string(),
             });
         }
@@ -1438,6 +1465,43 @@ mod tests {
     }
 
     #[test]
+    fn hash_order_is_caught_in_the_algorithm_crates() {
+        let bad = "fn f() {\n    let m: HashMap<usize, usize> = HashMap::new();\n}\n";
+        let got = lint_source("crates/core/src/dist/op.rs", bad, false);
+        assert_eq!(rules(&got), vec!["no-hash-order"]);
+        assert_eq!(
+            (got[0].file.as_str(), got[0].line),
+            ("crates/core/src/dist/op.rs", 2)
+        );
+        let set = "use std::collections::HashSet;\n";
+        for label in [
+            "crates/solver/src/a.rs",
+            "crates/sparse/src/a.rs",
+            "crates/graph/src/a.rs",
+        ] {
+            assert_eq!(
+                rules(&lint_source(label, set, false)),
+                vec!["no-hash-order"]
+            );
+        }
+        // Harness crates are exempt.
+        assert!(lint_source("crates/par/src/hb.rs", bad, true).is_empty());
+        assert!(lint_source("crates/xtask/src/paper.rs", bad, false).is_empty());
+    }
+
+    #[test]
+    fn allowed_and_test_only_hash_maps_are_fine() {
+        for ok in [
+            "// lint: allow(hash-order): the rows are sorted before use\nfn f(m: &HashMap<usize, usize>) {}\n",
+            "fn f(m: &HashMap<usize, usize>) {} // lint: allow(hash-order): lookups only\n",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n",
+            "/// Not a `HashMap`.\nfn f() { let s = \"HashSet\"; }\n",
+        ] {
+            assert!(lint_source("crates/core/src/a.rs", ok, false).is_empty(), "{ok}");
+        }
+    }
+
+    #[test]
     fn storage_poke_confined_to_sparse() {
         let bad = "fn f(a: &CsrMatrix) { let p = a.row_ptr(); let c = a.col_idx(); }\n";
         assert_eq!(
@@ -1446,8 +1510,8 @@ mod tests {
         );
         // The sparse crate implements the storage and may touch its arrays.
         assert!(lint_source("crates/sparse/src/csr.rs", bad, false).is_empty());
-        // HashMap iteration does not pattern-match the rule.
-        let map = "fn f(m: &mut HashMap<usize, Vec<u8>>) { for v in m.values_mut() {} }\n";
+        // Map iteration does not pattern-match the rule.
+        let map = "fn f(m: &mut BTreeMap<usize, Vec<u8>>) { for v in m.values_mut() {} }\n";
         assert!(lint_source("crates/core/src/a.rs", map, false).is_empty());
         // Escape hatch and test tail opt out as usual.
         let marked =

@@ -14,9 +14,8 @@ use pilut_core::dist::{DistMatrix, Distribution};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::dist_mis::{build_level_links, dist_mis};
 use pilut_core::parallel::par_ilut;
-use pilut_core::trisolve::{dist_solve, TrisolvePlan};
 use pilut_par::{Machine, MachineBuilder, MachineModel};
-use pilut_solver::dist_gmres::{dist_gmres, DistIlu};
+use pilut_solver::dist_gmres::{dist_gmres, DistIlu, DistPrecond};
 use pilut_solver::gmres::GmresOptions;
 use pilut_sparse::gen;
 
@@ -182,8 +181,10 @@ pub fn run_workload(
         if work == "spmv" {
             let mut op = DistCsr::new(ctx, dm, &local);
             let mut x: Vec<f64> = (0..local.len()).map(|i| 1.0 + i as f64).collect();
+            let mut y = vec![0.0; local.len()];
             for _ in 0..3 {
-                x = op.apply(ctx, &x);
+                op.apply_into(ctx, &x, &mut y);
+                std::mem::swap(&mut x, &mut y);
             }
             return vector_checksum(&x);
         }
@@ -215,14 +216,15 @@ pub fn run_workload(
         match work {
             "factor" => factor_checksum(&rf),
             "trisolve" => {
-                let tplan = TrisolvePlan::build(ctx, dm, &local, &rf);
+                let mut pre = DistIlu::new(ctx, dm, &local, rf);
                 let mut op = DistCsr::new(ctx, dm, &local);
                 // Chain matvec + two-sweep solves so any divergence
                 // compounds instead of cancelling.
                 let mut x = vec![1.0; local.len()];
+                let mut y = vec![0.0; local.len()];
                 for _ in 0..3 {
-                    let y = op.apply(ctx, &x);
-                    x = dist_solve(ctx, &local, &rf, &tplan, &y);
+                    op.apply_into(ctx, &x, &mut y);
+                    pre.apply_into(ctx, &local, &y, &mut x);
                 }
                 vector_checksum(&x)
             }

@@ -7,8 +7,8 @@
 use pilut::core::dist::DistMatrix;
 use pilut::core::options::IlutOptions;
 use pilut::core::parallel::par_ilut;
-use pilut::core::trisolve::{dist_solve, TrisolvePlan};
 use pilut::par::{Machine, MachineModel};
+use pilut::solver::dist_gmres::{DistIlu, DistPrecond};
 use pilut::sparse::gen;
 
 fn measure(a: &pilut::sparse::CsrMatrix, p: usize, opts: &IlutOptions) -> (f64, f64, usize) {
@@ -20,13 +20,15 @@ fn measure(a: &pilut::sparse::CsrMatrix, p: usize, opts: &IlutOptions) -> (f64, 
         let rf = par_ilut(ctx, &dm, &local, opts).expect("factorization failed");
         ctx.barrier();
         let t_factor = ctx.time() - t0;
-        let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
+        let levels = rf.stats.levels;
+        let mut pre = DistIlu::new(ctx, &dm, &local, rf);
         let b = vec![1.0; local.len()];
+        let mut x = vec![0.0; local.len()];
         ctx.barrier();
         let t1 = ctx.time();
-        let _x = dist_solve(ctx, &local, &rf, &plan, &b);
+        pre.apply_into(ctx, &local, &b, &mut x);
         ctx.barrier();
-        (t_factor, ctx.time() - t1, rf.stats.levels)
+        (t_factor, ctx.time() - t1, levels)
     });
     let tf = out.results.iter().map(|r| r.0).fold(0.0, f64::max);
     let ts = out.results.iter().map(|r| r.1).fold(0.0, f64::max);

@@ -47,7 +47,8 @@ fn main() {
             let q = rf.stats.levels;
 
             let ones = vec![1.0; local.len()];
-            let b = op.apply(ctx, &ones);
+            let mut b = vec![0.0; local.len()];
+            op.apply_into(ctx, &ones, &mut b);
             let mut pre = DistIlu::new(ctx, &dm, &local, rf);
             let gopts = GmresOptions {
                 restart: 50,

@@ -52,16 +52,15 @@ pub mod prelude {
     pub use pilut_core::dist::op::{DistCsr, DistOperator};
     pub use pilut_core::dist::{DistMatrix, Distribution, LocalView};
     pub use pilut_core::options::{FactorError, IlutOptions};
-    pub use pilut_core::parallel::{assemble_factors, par_ilu0, par_ilut, RankFactors};
+    pub use pilut_core::parallel::{par_ilu0, par_ilut, RankFactors};
     pub use pilut_core::precond::{
         DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner, Preconditioner,
     };
     pub use pilut_core::serial::{ilu0, iluk, ilut};
-    pub use pilut_core::trisolve::{dist_solve, TrisolvePlan};
     pub use pilut_core::LuFactors;
     pub use pilut_graph::{partition_kway, Graph, PartitionOptions};
     pub use pilut_par::{Ctx, Machine, MachineModel, Payload};
     pub use pilut_solver::dist_gmres::{dist_gmres, DistDiagonal, DistIlu, DistPrecond};
     pub use pilut_solver::gmres::{gmres, GmresOptions};
-    pub use pilut_sparse::{gen, io, CooMatrix, CsrMatrix, MatrixStats, Permutation};
+    pub use pilut_sparse::{gen, io, CooMatrix, CsrMatrix, MatrixStats};
 }

@@ -11,9 +11,8 @@ use pilut::core::dist::op::{DistCsr, DistOperator};
 use pilut::core::dist::DistMatrix;
 use pilut::core::options::IlutOptions;
 use pilut::core::parallel::par_ilut;
-use pilut::core::trisolve::{dist_solve, TrisolvePlan};
 use pilut::par::{Machine, MachineModel, MachineStats};
-use pilut::solver::dist_gmres::{dist_gmres, DistIlu};
+use pilut::solver::dist_gmres::{dist_gmres, DistIlu, DistPrecond};
 use pilut::solver::gmres::{gmres, GmresOptions};
 use pilut::sparse::{gen, CooMatrix};
 
@@ -59,7 +58,8 @@ fn spmv_matches_serial_across_sizes_and_seeds() {
                 let local = dm.local_view(ctx.rank());
                 let mut op = DistCsr::new(ctx, &dm, &local);
                 let xl: Vec<f64> = local.nodes.iter().map(|&g| x2[g]).collect();
-                let y = op.apply(ctx, &xl);
+                let mut y = vec![0.0; local.len()];
+                op.apply_into(ctx, &xl, &mut y);
                 (local.nodes.clone(), y)
             });
             let y = gather(n, out.results);
@@ -94,9 +94,10 @@ fn complete_lu_trisolve_recovers_truth_across_sizes() {
         let out = Machine::run_checked(p, MachineModel::cray_t3d(), move |ctx| {
             let local = dm.local_view(ctx.rank());
             let rf = par_ilut(ctx, &dm, &local, &opts2).unwrap();
-            let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
+            let mut pre = DistIlu::new(ctx, &dm, &local, rf);
             let b: Vec<f64> = local.nodes.iter().map(|&g| b2[g]).collect();
-            let x = dist_solve(ctx, &local, &rf, &plan, &b);
+            let mut x = vec![0.0; local.len()];
+            pre.apply_into(ctx, &local, &b, &mut x);
             (local.nodes.clone(), x)
         });
         let x = gather(n, out.results);
@@ -261,9 +262,10 @@ fn empty_ranks_run_the_full_pipeline() {
     let out = Machine::run_checked(8, MachineModel::cray_t3d(), move |ctx| {
         let local = dm.local_view(ctx.rank());
         let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
-        let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
+        let mut pre = DistIlu::new(ctx, &dm, &local, rf);
         let b: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
-        let x = dist_solve(ctx, &local, &rf, &plan, &b);
+        let mut x = vec![0.0; local.len()];
+        pre.apply_into(ctx, &local, &b, &mut x);
         (local.nodes.clone(), x)
     });
     let x = gather(5, out.results);

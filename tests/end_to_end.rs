@@ -8,7 +8,6 @@ use pilut::core::options::IlutOptions;
 use pilut::core::parallel::par_ilut;
 use pilut::core::precond::IluPreconditioner;
 use pilut::core::serial::ilut;
-use pilut::core::trisolve::{dist_solve, TrisolvePlan};
 use pilut::par::{Machine, MachineModel};
 use pilut::solver::dist_gmres::{dist_gmres, DistDiagonal, DistIlu, DistPrecond};
 use pilut::solver::gmres::{gmres, GmresOptions};
@@ -122,15 +121,16 @@ fn trisolve_cost_is_comparable_to_matvec() {
     let out = Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| {
         let local = dm.local_view(ctx.rank());
         let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
-        let tplan = TrisolvePlan::build(ctx, &dm, &local, &rf);
+        let mut pre = DistIlu::new(ctx, &dm, &local, rf);
         let mut op = DistCsr::new(ctx, &dm, &local);
         let b = vec![1.0; local.len()];
+        let mut x = vec![0.0; local.len()];
         ctx.barrier();
         let t0 = ctx.time();
-        let _ = dist_solve(ctx, &local, &rf, &tplan, &b);
+        pre.apply_into(ctx, &local, &b, &mut x);
         ctx.barrier();
         let t1 = ctx.time();
-        let _ = op.apply(ctx, &b);
+        op.apply_into(ctx, &b, &mut x);
         ctx.barrier();
         (t1 - t0, ctx.time() - t1)
     });
@@ -159,7 +159,8 @@ fn parallel_ilut_preconditioning_beats_diagonal_end_to_end() {
             let local = dm.local_view(ctx.rank());
             let mut op = DistCsr::new(ctx, &dm, &local);
             let ones = vec![1.0; local.len()];
-            let b = op.apply(ctx, &ones);
+            let mut b = vec![0.0; local.len()];
+            op.apply_into(ctx, &ones, &mut b);
             let mut pre: Box<dyn DistPrecond> = if use_ilut {
                 let rf = par_ilut(ctx, &dm, &local, &IlutOptions::new(10, 1e-4)).unwrap();
                 Box::new(DistIlu::new(ctx, &dm, &local, rf))

@@ -13,24 +13,24 @@ fn the_whole_pipeline_is_reachable_from_the_prelude() {
     let r = gmres(&a, &b, &IluPreconditioner::new(f), &GmresOptions::default());
     assert!(r.converged);
 
-    // Distributed path.
+    // Distributed path: a complete factorization (`m = n`, `t = 0`) on two
+    // ranks, applied through `DistIlu`, solves `A x = A·1` exactly.
     let dm = DistMatrix::from_matrix(a.clone(), 2, 1);
     let out = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
         let local = dm.local_view(ctx.rank());
-        let rf = par_ilut(ctx, &dm, &local, &IlutOptions::star(6, 1e-3, 2)).unwrap();
-        let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
-        let bl = vec![1.0; local.len()];
-        dist_solve(ctx, &local, &rf, &plan, &bl).len()
+        let rf = par_ilut(ctx, &dm, &local, &IlutOptions::new(100, 0.0)).unwrap();
+        let mut pre = DistIlu::new(ctx, &dm, &local, rf);
+        let bl: Vec<f64> = local.nodes.iter().map(|&g| b[g]).collect();
+        let mut xl = vec![0.0; local.len()];
+        pre.apply_into(ctx, &local, &bl, &mut xl);
+        (local.nodes.clone(), xl)
     });
-    assert_eq!(out.results.iter().sum::<usize>(), 100);
-
-    // Assembly utility.
-    let out2 = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
-        let local = dm.local_view(ctx.rank());
-        par_ilut(ctx, &dm, &local, &IlutOptions::new(100, 0.0)).unwrap()
-    });
-    let asm = assemble_factors(&out2.results, 100);
-    let x = asm.solve(&b);
+    let mut x = vec![f64::NAN; 100];
+    for (nodes, xl) in out.results {
+        for (g, v) in nodes.into_iter().zip(xl) {
+            x[g] = v;
+        }
+    }
     for xi in x {
         assert!((xi - 1.0).abs() < 1e-8);
     }
