@@ -1,12 +1,19 @@
 //! Shared breakdown handling for every factorization kernel.
 //!
-//! All kernels (serial ILUT/ILU(0)/ILU(k) and the parallel ILUT
-//! formulations) route unusable pivots through one [`PivotDoctor`] so a
-//! given [`BreakdownPolicy`] means exactly the same thing everywhere:
-//! serial and parallel factors of the same matrix stay comparable, and the
-//! tests for one kernel's recovery carry over to the others.
+//! All kernels (serial ILUT/ILU(0)/ILU(k) and the parallel ILUT and ILU(0)
+//! formulations) route every factored row through one repair step,
+//! [`PivotDoctor::repair_or_defer`], so a given [`BreakdownPolicy`] means
+//! exactly the same thing everywhere: serial and parallel factors of the
+//! same matrix stay comparable, and the tests for one kernel's recovery
+//! carry over to the others.
 
 use crate::options::{BreakdownPolicy, FactorError};
+
+/// First pivot boost of [`BreakdownPolicy::Shift`], relative to the row's
+/// 2-norm.
+const SHIFT_INITIAL: f64 = 1e-4;
+/// Escalation of the boost per repaired pivot within one factorization.
+const SHIFT_GROWTH: f64 = 100.0;
 
 /// Why a pivot is unusable.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -50,17 +57,6 @@ impl PivotFault {
     }
 }
 
-/// What the caller must do about an unusable pivot.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PivotFix {
-    /// Use this value as the pivot (diagonal boost); the rest of the row
-    /// stands.
-    Shift(f64),
-    /// Replace the entire factor row with a scaled identity row: no `L`
-    /// entries, no strict-`U` entries, this diagonal.
-    ReplaceRow(f64),
-}
-
 /// Per-factorization breakdown state: applies the policy, escalates the
 /// shift geometrically, and counts repairs.
 #[derive(Clone, Debug)]
@@ -82,116 +78,22 @@ impl PivotDoctor {
         self.repairs
     }
 
-    /// Resolves an unusable pivot at `row`. `scale` is a positive magnitude
-    /// reference for the row (usually `‖a_row‖₂`); callers pass 1 when the
-    /// row is entirely zero. Under [`BreakdownPolicy::Abort`] this returns
-    /// the typed error; under the recovery policies it says how to repair
-    /// the row and counts the repair.
-    pub fn resolve(
-        &mut self,
-        row: usize,
-        fault: PivotFault,
-        scale: f64,
-    ) -> Result<PivotFix, FactorError> {
-        debug_assert!(scale > 0.0 && scale.is_finite(), "scale must be usable");
-        match self.policy {
-            BreakdownPolicy::Abort => Err(match fault {
-                PivotFault::Zero => FactorError::ZeroPivot { row },
-                PivotFault::StructurallyMissing => FactorError::StructurallySingular { row },
-                PivotFault::NonFinite => FactorError::NonFinite { row },
-            }),
-            BreakdownPolicy::Shift { initial, growth } => {
-                let boost = initial * growth.powi(self.repairs as i32) * scale;
-                self.repairs += 1;
-                Ok(PivotFix::Shift(boost))
-            }
-            BreakdownPolicy::ReplaceRow => {
-                self.repairs += 1;
-                Ok(PivotFix::ReplaceRow(scale))
-            }
-        }
-    }
-
-    /// Scrubs non-finite values from a row's retained entries. Under
-    /// [`BreakdownPolicy::Abort`] a non-finite entry is fatal; the recovery
-    /// policies discard such entries and let the pivot check deal with the
-    /// diagonal.
-    pub fn scrub_row(
-        &self,
-        row: usize,
-        entries: &mut Vec<(usize, f64)>,
-    ) -> Result<(), FactorError> {
-        if entries.iter().all(|&(_, v)| v.is_finite()) {
-            return Ok(());
-        }
-        if self.policy == BreakdownPolicy::Abort {
-            return Err(FactorError::NonFinite { row });
-        }
-        entries.retain(|&(_, v)| v.is_finite());
-        Ok(())
-    }
-
-    /// A positive, finite magnitude reference from a row norm that may be
-    /// zero or polluted.
-    pub fn usable_scale(norm: f64) -> f64 {
-        if norm.is_finite() && norm > 0.0 {
-            norm
-        } else {
-            1.0
-        }
-    }
-
-    /// The complete per-row repair step shared by the serial kernels:
-    /// scrub non-finite entries from the retained `lower`/`upper` parts,
-    /// classify the pivot (`upper` is diagonal-first when the diagonal
-    /// exists), and apply the policy. `norm` is the original row's 2-norm.
-    /// After `Ok(())`, `upper` is non-empty and starts with a finite,
-    /// non-zero diagonal.
-    pub fn repair_row(
-        &mut self,
-        row: usize,
-        norm: f64,
-        lower: &mut Vec<(usize, f64)>,
-        upper: &mut Vec<(usize, f64)>,
-    ) -> Result<(), FactorError> {
-        self.scrub_row(row, lower)?;
-        self.scrub_row(row, upper)?;
-        let diag_present = upper.first().map(|&(c, _)| c) == Some(row);
-        let fault = if !diag_present {
-            Some(PivotFault::StructurallyMissing)
-        } else if !upper[0].1.is_finite() {
-            Some(PivotFault::NonFinite)
-        // lint: allow(float-eq): exact zero-pivot test
-        } else if upper[0].1 == 0.0 {
-            Some(PivotFault::Zero)
-        } else {
-            None
-        };
-        let Some(fault) = fault else { return Ok(()) };
-        match self.resolve(row, fault, Self::usable_scale(norm))? {
-            PivotFix::Shift(boost) => {
-                if diag_present {
-                    upper[0].1 = boost;
-                } else {
-                    upper.insert(0, (row, boost));
-                }
-            }
-            PivotFix::ReplaceRow(diag) => {
-                lower.clear();
-                upper.clear();
-                upper.push((row, diag));
-            }
-        }
-        Ok(())
-    }
-
-    /// Collective-safe variant of [`repair_row`](Self::repair_row) for the
-    /// distributed kernels. A rank meeting a fault there cannot return
-    /// early — its peers would strand inside the next collective — so under
-    /// [`BreakdownPolicy::Abort`] the first fault is recorded in `pending`
-    /// and the pivot patched with `fallback` so the rank keeps marching to
-    /// the collective error check. The recovery policies repair in place
-    /// exactly like `repair_row` and leave `pending` untouched.
+    /// The one repair step of every kernel, for row `row` split into its
+    /// pivot (`diag`, `has_diag` when the position exists), multipliers
+    /// `lower` and strict-upper part `upper`; `norm` is the original row's
+    /// 2-norm.
+    ///
+    /// Under [`BreakdownPolicy::Abort`] nothing is repaired: the first
+    /// fault (an unusable pivot, or else a non-finite entry) is recorded
+    /// in `pending`, and an unusable pivot is patched with `fallback`. A
+    /// serial kernel returns the fault at once; a rank cannot — its peers
+    /// would strand inside the next collective — so it keeps marching on
+    /// the patched pivot to the collective error check.
+    ///
+    /// Under [`BreakdownPolicy::Shift`] non-finite entries are discarded
+    /// and an unusable pivot becomes `1e-4 · 100^k · ‖a_row‖₂` for the
+    /// `k`-th repair (`‖a_row‖₂` read as 1 when zero or non-finite),
+    /// saturating at `f64::MAX`; `pending` is left untouched.
     #[allow(clippy::too_many_arguments)]
     pub fn repair_or_defer(
         &mut self,
@@ -218,36 +120,44 @@ impl PivotDoctor {
         } else {
             None
         };
-        if self.policy == BreakdownPolicy::Abort {
-            let fault = if off_poisoned && pivot_fault.is_none() {
-                Some(PivotFault::NonFinite)
-            } else {
-                pivot_fault
-            };
-            if let Some(fault) = fault {
-                if pending.is_none() {
-                    *pending = Some((row, fault));
+        match self.policy {
+            BreakdownPolicy::Abort => {
+                let fault = if off_poisoned && pivot_fault.is_none() {
+                    Some(PivotFault::NonFinite)
+                } else {
+                    pivot_fault
+                };
+                if let Some(fault) = fault {
+                    if pending.is_none() {
+                        *pending = Some((row, fault));
+                    }
+                    if pivot_fault.is_some() {
+                        *diag = fallback; // keep marching to the collective abort
+                    }
+                }
+            }
+            BreakdownPolicy::Shift => {
+                if off_poisoned {
+                    lower.retain(|&(_, v)| v.is_finite());
+                    upper.retain(|&(_, v)| v.is_finite());
                 }
                 if pivot_fault.is_some() {
-                    *diag = fallback; // keep marching to the collective abort
+                    let boost = SHIFT_INITIAL * SHIFT_GROWTH.powi(self.repairs as i32);
+                    *diag = (boost * usable_scale(norm)).min(f64::MAX);
+                    self.repairs += 1;
                 }
             }
-            return;
         }
-        if off_poisoned {
-            lower.retain(|&(_, v)| v.is_finite());
-            upper.retain(|&(_, v)| v.is_finite());
-        }
-        let Some(fault) = pivot_fault else { return };
-        match self.resolve(row, fault, Self::usable_scale(norm)) {
-            Ok(PivotFix::Shift(boost)) => *diag = boost,
-            Ok(PivotFix::ReplaceRow(d)) => {
-                lower.clear();
-                upper.clear();
-                *diag = d;
-            }
-            Err(_) => unreachable!("recovery policies never abort"),
-        }
+    }
+}
+
+/// A positive, finite magnitude reference from a row norm that may be zero
+/// or polluted.
+fn usable_scale(norm: f64) -> f64 {
+    if norm.is_finite() && norm > 0.0 {
+        norm
+    } else {
+        1.0
     }
 }
 
@@ -255,71 +165,108 @@ impl PivotDoctor {
 mod tests {
     use super::*;
 
+    /// Runs one repair on a row with pivot `(has_diag, diag)`, multipliers
+    /// `lower` and norm `norm`; returns the pivot and what was deferred.
+    fn repair(
+        d: &mut PivotDoctor,
+        row: usize,
+        norm: f64,
+        (has_diag, mut diag): (bool, f64),
+        lower: &mut Vec<(usize, f64)>,
+    ) -> (f64, Option<(usize, PivotFault)>) {
+        let mut pending = None;
+        let mut upper = vec![(row + 1, 1.0)];
+        d.repair_or_defer(
+            row,
+            norm,
+            has_diag,
+            &mut diag,
+            lower,
+            &mut upper,
+            &mut pending,
+            0.5,
+        );
+        (diag, pending)
+    }
+
     #[test]
-    fn abort_maps_faults_to_typed_errors() {
+    fn abort_defers_every_fault_kind_and_repairs_nothing() {
         let mut d = PivotDoctor::new(BreakdownPolicy::Abort);
-        assert_eq!(
-            d.resolve(3, PivotFault::Zero, 1.0),
-            Err(FactorError::ZeroPivot { row: 3 })
-        );
-        assert_eq!(
-            d.resolve(4, PivotFault::StructurallyMissing, 1.0),
-            Err(FactorError::StructurallySingular { row: 4 })
-        );
-        assert_eq!(
-            d.resolve(5, PivotFault::NonFinite, 1.0),
-            Err(FactorError::NonFinite { row: 5 })
-        );
+        for (pivot, fault) in [
+            ((true, 0.0), PivotFault::Zero),
+            ((false, 0.0), PivotFault::StructurallyMissing),
+            ((true, f64::NAN), PivotFault::NonFinite),
+        ] {
+            let (diag, pending) = repair(&mut d, 3, 1.0, pivot, &mut vec![]);
+            assert_eq!(pending, Some((3, fault)));
+            assert_eq!(diag, 0.5, "the placeholder keeps the rank marching");
+        }
+        // A poisoned multiplier is fatal too, but leaves a good pivot alone.
+        let mut lower = vec![(0, f64::INFINITY)];
+        let (diag, pending) = repair(&mut d, 4, 1.0, (true, 2.0), &mut lower);
+        assert_eq!((diag, pending), (2.0, Some((4, PivotFault::NonFinite))));
+        assert_eq!(lower.len(), 1, "Abort scrubs nothing");
         assert_eq!(d.repairs(), 0);
     }
 
     #[test]
+    fn abort_keeps_the_first_fault() {
+        let mut d = PivotDoctor::new(BreakdownPolicy::Abort);
+        let mut pending = None;
+        let (mut lo, mut up) = (vec![], vec![]);
+        for (row, mut diag) in [(4, 0.0), (9, f64::NAN)] {
+            d.repair_or_defer(
+                row,
+                1.0,
+                true,
+                &mut diag,
+                &mut lo,
+                &mut up,
+                &mut pending,
+                0.5,
+            );
+        }
+        assert_eq!(pending, Some((4, PivotFault::Zero)));
+    }
+
+    #[test]
     fn shift_escalates_geometrically() {
-        let mut d = PivotDoctor::new(BreakdownPolicy::Shift {
-            initial: 1e-4,
-            growth: 10.0,
-        });
-        let b0 = match d.resolve(0, PivotFault::Zero, 2.0) {
-            Ok(PivotFix::Shift(b)) => b,
-            other => panic!("unexpected {other:?}"),
-        };
-        let b1 = match d.resolve(1, PivotFault::Zero, 2.0) {
-            Ok(PivotFix::Shift(b)) => b,
-            other => panic!("unexpected {other:?}"),
-        };
+        let mut d = PivotDoctor::new(BreakdownPolicy::Shift);
+        let (b0, p0) = repair(&mut d, 0, 2.0, (true, 0.0), &mut vec![]);
+        let (b1, p1) = repair(&mut d, 1, 2.0, (false, 0.0), &mut vec![]);
+        assert_eq!((p0, p1), (None, None), "Shift never flags the abort");
         assert!((b0 - 2e-4).abs() < 1e-18);
-        assert!((b1 - 2e-3).abs() < 1e-17, "second repair escalates ×10");
+        assert!((b1 - 2e-2).abs() < 1e-16, "second repair escalates ×100");
         assert_eq!(d.repairs(), 2);
+        // An all-zero row repairs against a unit scale.
+        let (b2, _) = repair(&mut d, 2, 0.0, (true, f64::NAN), &mut vec![]);
+        assert!((b2 - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn replace_row_uses_the_scale_as_pivot() {
-        let mut d = PivotDoctor::new(BreakdownPolicy::ReplaceRow);
-        assert_eq!(
-            d.resolve(7, PivotFault::NonFinite, 3.5),
-            Ok(PivotFix::ReplaceRow(3.5))
-        );
+    fn shift_saturates_instead_of_overflowing() {
+        let mut d = PivotDoctor::new(BreakdownPolicy::Shift);
+        for row in 0..400 {
+            let (b, _) = repair(&mut d, row, 3.0, (true, 0.0), &mut vec![]);
+            assert!(b > 0.0 && b.is_finite(), "repair {row}: boost {b}");
+        }
     }
 
     #[test]
-    fn scrub_removes_nonfinite_under_recovery_only() {
-        let strict = PivotDoctor::new(BreakdownPolicy::Abort);
-        let mut row = vec![(0, 1.0), (1, f64::NAN)];
-        assert_eq!(
-            strict.scrub_row(9, &mut row),
-            Err(FactorError::NonFinite { row: 9 })
-        );
-        let lenient = PivotDoctor::new(BreakdownPolicy::shift());
-        let mut row = vec![(0, 1.0), (1, f64::NAN), (2, f64::INFINITY)];
-        lenient.scrub_row(9, &mut row).unwrap();
-        assert_eq!(row, vec![(0, 1.0)]);
+    fn shift_scrubs_non_finite_entries_and_keeps_a_good_pivot() {
+        let mut d = PivotDoctor::new(BreakdownPolicy::Shift);
+        let mut lower = vec![(0, f64::NAN), (1, 1.0)];
+        let (diag, pending) = repair(&mut d, 2, 4.0, (true, 3.0), &mut lower);
+        assert_eq!((diag, pending), (3.0, None));
+        assert_eq!(lower, vec![(1, 1.0)], "non-finite multiplier scrubbed");
+        assert_eq!(d.repairs(), 0, "a scrub alone is no repair");
     }
 
     #[test]
     fn usable_scale_guards_zero_and_nan() {
-        assert_eq!(PivotDoctor::usable_scale(2.0), 2.0);
-        assert_eq!(PivotDoctor::usable_scale(0.0), 1.0);
-        assert_eq!(PivotDoctor::usable_scale(f64::NAN), 1.0);
+        assert_eq!(usable_scale(2.0), 2.0);
+        assert_eq!(usable_scale(0.0), 1.0);
+        assert_eq!(usable_scale(f64::NAN), 1.0);
     }
 
     #[test]
@@ -335,43 +282,5 @@ mod tests {
             PivotFault::NonFinite.error_at(5),
             FactorError::NonFinite { row: 5 }
         );
-    }
-
-    #[test]
-    fn defer_records_the_first_fault_and_patches_the_pivot() {
-        let mut d = PivotDoctor::new(BreakdownPolicy::Abort);
-        let mut pending = None;
-        let mut diag = 0.0;
-        let (mut lo, mut up) = (vec![], vec![]);
-        d.repair_or_defer(4, 1.0, true, &mut diag, &mut lo, &mut up, &mut pending, 0.5);
-        assert_eq!(pending, Some((4, PivotFault::Zero)));
-        assert_eq!(diag, 0.5, "placeholder keeps the rank marching");
-        // A later fault must not overwrite the first.
-        let mut diag2 = f64::NAN;
-        d.repair_or_defer(
-            9,
-            1.0,
-            true,
-            &mut diag2,
-            &mut lo,
-            &mut up,
-            &mut pending,
-            0.5,
-        );
-        assert_eq!(pending, Some((4, PivotFault::Zero)));
-    }
-
-    #[test]
-    fn defer_repairs_in_place_under_recovery() {
-        let mut d = PivotDoctor::new(BreakdownPolicy::shift());
-        let mut pending = None;
-        let mut diag = 0.0;
-        let mut lo = vec![(0, f64::NAN)];
-        let mut up = vec![(3, 1.0)];
-        d.repair_or_defer(2, 4.0, true, &mut diag, &mut lo, &mut up, &mut pending, 1.0);
-        assert_eq!(pending, None, "recovery never flags the collective abort");
-        assert!(diag > 0.0 && diag.is_finite());
-        assert!(lo.is_empty(), "non-finite multiplier scrubbed");
-        assert_eq!(d.repairs(), 1);
     }
 }

@@ -22,12 +22,12 @@
 //! * [`trisolve`] — the parallel forward/backward substitutions (§5) that
 //!   make the factorization usable as a preconditioner;
 //! * [`options`] — shared parameter types (`m`, `t`, the ILUT\* cap `k`),
-//!   the [`options::BreakdownPolicy`] selecting what an unusable pivot does,
-//!   and the typed [`options::FactorError`];
-//! * [`breakdown`] — the [`breakdown::PivotDoctor`] that applies one
-//!   breakdown policy identically across every kernel.
+//!   the [`options::BreakdownPolicy`] selecting what an unusable pivot does
+//!   in ILUT (`Abort` or `Shift`; ILU(0) and ILU(k) always abort), and the
+//!   typed [`options::FactorError`]. One crate-private repair step applies
+//!   the policy identically in every kernel, serial and parallel.
 
-pub mod breakdown;
+mod breakdown;
 pub mod dist;
 pub mod factors;
 pub mod options;
@@ -36,7 +36,6 @@ pub mod precond;
 pub mod serial;
 pub mod trisolve;
 
-pub use breakdown::PivotDoctor;
 pub use factors::LuFactors;
 pub use options::{BreakdownPolicy, FactorError, IlutOptions};
 pub use serial::{ilu0, iluk, ilut};

@@ -1,66 +1,27 @@
 //! Shared parameter and error types.
 
-/// What a factorization does when it meets an unusable pivot (exactly
-/// zero, structurally missing, or non-finite).
+/// What an ILUT factorization does when it meets an unusable pivot
+/// (exactly zero, structurally missing, or non-finite). ILU(0) and ILU(k)
+/// always abort.
 ///
 /// Robust ILU packages treat breakdown as a recoverable condition rather
 /// than a crash: BILU perturbs pivots based on inverse-norm bounds, and
-/// parGeMSLR falls back when a local factorization fails. The policies
-/// here are deliberately simpler but cover the same decision:
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// parGeMSLR falls back when a local factorization fails. Here the one
+/// recovery is the shift, and `dist_solve_robust` reaches for it on its
+/// own when the caller's factorization aborts.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum BreakdownPolicy {
     /// Return a [`FactorError`] at the first unusable pivot — the strict,
     /// paper-faithful behaviour, and the default.
+    #[default]
     Abort,
     /// Replace the unusable pivot with a diagonal boost scaled by the
     /// row's magnitude, escalating geometrically on repeated breakdowns
     /// within one factorization: the `k`-th repaired pivot becomes
-    /// `initial · growth^k · ‖a_i‖₂` (or `initial · growth^k` for an
-    /// all-zero row). Non-finite off-diagonal entries are discarded.
-    Shift {
-        /// First boost, relative to the row norm (e.g. `1e-8`).
-        initial: f64,
-        /// Geometric escalation factor per repair (e.g. `10.0`).
-        growth: f64,
-    },
-    /// Replace the whole offending row of the factor with a scaled
-    /// identity row: no `L` entries, no strict-`U` entries, diagonal
-    /// `‖a_i‖₂` (or 1 for an all-zero row). Cruder than a shift but
-    /// keeps the triangular solves exact no-ops for the bad row.
-    ReplaceRow,
-}
-
-impl BreakdownPolicy {
-    /// The shift policy with the default constants (`1e-8`, ×10).
-    pub fn shift() -> Self {
-        BreakdownPolicy::Shift {
-            initial: 1e-8,
-            growth: 10.0,
-        }
-    }
-
-    /// Validates the policy's own constants.
-    pub fn validate(&self) -> Result<(), FactorError> {
-        if let BreakdownPolicy::Shift { initial, growth } = self {
-            if !initial.is_finite() || *initial <= 0.0 {
-                return Err(FactorError::InvalidOptions {
-                    what: format!("shift initial boost must be positive and finite, got {initial}"),
-                });
-            }
-            if !growth.is_finite() || *growth < 1.0 {
-                return Err(FactorError::InvalidOptions {
-                    what: format!("shift growth must be finite and >= 1, got {growth}"),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Default for BreakdownPolicy {
-    fn default() -> Self {
-        BreakdownPolicy::Abort
-    }
+    /// `1e-4 · 100^k · ‖a_i‖₂` (or `1e-4 · 100^k` for an all-zero row),
+    /// saturating at `f64::MAX`. Non-finite off-diagonal entries are
+    /// discarded.
+    Shift,
 }
 
 /// Parameters of the ILUT(m, t) / ILUT\*(m, t, k) factorizations.
@@ -131,7 +92,7 @@ impl IlutOptions {
                 what: "mis_rounds must be at least 1".into(),
             });
         }
-        self.breakdown.validate()
+        Ok(())
     }
 
     /// ILUT\*(m, t, k).
@@ -236,8 +197,8 @@ pub struct FactorStats {
     pub nnz_l: usize,
     /// Entries retained in `U` (including the diagonal).
     pub nnz_u: usize,
-    /// Rows whose pivot (or contents) the [`BreakdownPolicy`] repaired;
-    /// always 0 under [`BreakdownPolicy::Abort`].
+    /// Rows whose pivot [`BreakdownPolicy::Shift`] repaired; always 0
+    /// under [`BreakdownPolicy::Abort`].
     pub breakdowns_repaired: usize,
 }
 

@@ -272,6 +272,5 @@ pub fn par_ilu0(
         return Err(collective_fault_verdict(ctx, &my_err));
     }
     seal_levels(ctx, mark, phase1, per_level, &mut stats);
-    stats.breakdowns_repaired = doctor.repairs();
     Ok(fb.finish(schedule, initial_reduced_cols, stats))
 }

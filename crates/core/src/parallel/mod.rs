@@ -59,9 +59,9 @@ pub struct ParStats {
     pub reduced_nnz_initial: usize,
     /// Largest reduced-matrix slice seen across levels.
     pub reduced_nnz_peak: usize,
-    /// Rows on this rank whose pivot the
-    /// [`BreakdownPolicy`](crate::options::BreakdownPolicy) repaired;
-    /// always 0 under `Abort`.
+    /// Rows on this rank whose pivot
+    /// [`BreakdownPolicy::Shift`](crate::options::BreakdownPolicy::Shift)
+    /// repaired; always 0 under `Abort` and in [`par_ilu0`].
     pub breakdowns_repaired: usize,
     /// Phase 1 (interior factorization and the initial reduced rows) in
     /// the shape of a level: `candidates` = my rows, `set_size` = the

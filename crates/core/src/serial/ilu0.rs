@@ -5,27 +5,19 @@
 //! extracted with a one-time colouring (paper Figure 1a).
 
 use crate::factors::LuFactors;
-use crate::options::{BreakdownPolicy, FactorError};
-use crate::serial::iluk::iluk_with;
+use crate::options::FactorError;
+use crate::serial::iluk::iluk;
 use pilut_sparse::CsrMatrix;
 
 /// Computes ILU(0): Gaussian elimination restricted to the pattern of `A`.
-///
-/// Aborts on the first unusable pivot; use [`ilu0_with`] to recover instead.
-pub fn ilu0(a: &CsrMatrix) -> Result<LuFactors, FactorError> {
-    ilu0_with(a, BreakdownPolicy::Abort)
-}
-
-/// [`ilu0`] with an explicit [`BreakdownPolicy`] for unusable pivots. Note
-/// that the recovery policies may shrink the factor pattern below the
-/// pattern of `A` (scrubbed entries, replaced rows).
+/// Aborts on the first unusable pivot.
 ///
 /// ILU(0) is level-of-fill ILU(k) at `k = 0`: every original entry has
 /// level 0 and every fill entry level ≥ 1, so nothing outside the pattern
 /// survives — and a position inside it stays even when its value cancels
 /// to zero, because levels are structural.
-pub fn ilu0_with(a: &CsrMatrix, policy: BreakdownPolicy) -> Result<LuFactors, FactorError> {
-    iluk_with(a, 0, policy)
+pub fn ilu0(a: &CsrMatrix) -> Result<LuFactors, FactorError> {
+    iluk(a, 0)
 }
 
 #[cfg(test)]
@@ -99,16 +91,8 @@ mod tests {
             ilu0(&a).err(),
             Some(FactorError::StructurallySingular { row: 0 })
         );
-    }
-
-    #[test]
-    fn recovery_policies_factor_the_singular_pattern() {
-        use crate::options::BreakdownPolicy;
-        use pilut_sparse::CsrMatrix;
-        let a = CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0, 1.0]);
-        for policy in [BreakdownPolicy::shift(), BreakdownPolicy::ReplaceRow] {
-            let f = ilu0_with(&a, policy).unwrap();
-            f.check_structure().unwrap();
-        }
+        // An exactly zero pivot in a later row is named by its row.
+        let a = CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 0.0]);
+        assert_eq!(ilu0(&a).err(), Some(FactorError::ZeroPivot { row: 1 }));
     }
 }

@@ -14,22 +14,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Computes ILU(k) with the given fill level; `k = 0` is ILU(0)
-/// ([`crate::serial::ilu0()`] calls this).
-///
-/// Aborts on the first unusable pivot; use [`iluk_with`] to recover instead.
+/// ([`crate::serial::ilu0()`] calls this). Aborts on the first unusable
+/// pivot, or on a non-finite entry, with the row's [`FactorError`].
 pub fn iluk(a: &CsrMatrix, k: usize) -> Result<LuFactors, FactorError> {
-    iluk_with(a, k, BreakdownPolicy::Abort)
-}
-
-/// [`iluk`] with an explicit [`BreakdownPolicy`] for unusable pivots.
-pub fn iluk_with(
-    a: &CsrMatrix,
-    k: usize,
-    policy: BreakdownPolicy,
-) -> Result<LuFactors, FactorError> {
     assert_eq!(a.n_rows(), a.n_cols(), "ILU(k) needs a square matrix");
-    policy.validate()?;
-    let mut doctor = PivotDoctor::new(policy);
+    let mut doctor = PivotDoctor::new(BreakdownPolicy::Abort);
     let n = a.n_rows();
     let mut store = FactorStore::with_capacity(n);
     // Levels of the kept strict-U rows (aligned with the store's columns).
@@ -40,6 +29,9 @@ pub fn iluk_with(
     let mut lev = vec![usize::MAX; n];
     let mut touched: Vec<usize> = Vec::new();
     let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+    let mut lower: Vec<(usize, f64)> = Vec::new();
+    let mut upper: Vec<(usize, f64)> = Vec::new();
+    let mut pending = None;
 
     for i in 0..n {
         let (cols, vals) = a.row(i);
@@ -78,38 +70,41 @@ pub fn iluk_with(
                 }
             }
         }
-        let mut lower: Vec<(usize, f64)> = Vec::new();
-        let mut upper: Vec<(usize, f64)> = Vec::new();
-        let mut upper_lev: Vec<(usize, usize)> = Vec::new();
+        lower.clear();
+        upper.clear();
+        let mut upper_lev: Vec<usize> = Vec::new();
+        let (mut diag, mut has_diag) = (0.0, false);
         touched.sort_unstable();
         for &j in &touched {
             if lev[j] <= k {
                 if j < i {
                     lower.push((j, val[j]));
+                } else if j == i {
+                    (diag, has_diag) = (val[j], true);
                 } else {
                     upper.push((j, val[j]));
-                    upper_lev.push((j, lev[j]));
+                    upper_lev.push(lev[j]);
                 }
             }
             val[j] = 0.0;
             lev[j] = usize::MAX;
         }
         touched.clear();
-        doctor.repair_row(i, a.row_norm2(i), &mut lower, &mut upper)?;
-        // A repair can change the upper pattern (replaced row, scrubbed
-        // entries); realign the strict-U levels with it.
-        u_levels.push(
-            upper[1..]
-                .iter()
-                .map(|&(j, _)| {
-                    upper_lev
-                        .iter()
-                        .find(|&&(c, _)| c == j)
-                        .map_or(0, |&(_, lv)| lv)
-                })
-                .collect(),
+        doctor.repair_or_defer(
+            i,
+            a.row_norm2(i),
+            has_diag,
+            &mut diag,
+            &mut lower,
+            &mut upper,
+            &mut pending,
+            1.0,
         );
-        store.push_row(&lower, upper[0].1, &upper[1..], |j| j);
+        if let Some((row, fault)) = pending {
+            return Err(fault.error_at(row));
+        }
+        u_levels.push(upper_lev);
+        store.push_row(&lower, diag, &upper, |j| j);
     }
     Ok(LuFactors::from_store(store))
 }

@@ -15,7 +15,7 @@ use pilut_sparse::CsrMatrix;
 /// order using a full-length working row (the paper's `w`); the first
 /// dropping rule discards multipliers below `t·‖a_i‖₂`, the second keeps the
 /// `m` largest entries in each of the strict `L` and `U` parts (the diagonal
-/// is always kept). Unusable pivots are handled per
+/// is always kept). An unusable pivot aborts or is shifted per
 /// [`crate::options::BreakdownPolicy`] (`opts.breakdown`).
 pub fn ilut(a: &CsrMatrix, opts: &IlutOptions) -> Result<LuFactors, FactorError> {
     ilut_with_stats(a, opts).map(|(f, _)| f)
@@ -125,11 +125,12 @@ mod tests {
     fn shift_policy_recovers_the_structural_zero_pivot() {
         use crate::options::BreakdownPolicy;
         let a = CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0, 1.0]);
-        let opts = IlutOptions::new(2, 0.0).with_breakdown(BreakdownPolicy::shift());
+        let opts = IlutOptions::new(2, 0.0).with_breakdown(BreakdownPolicy::Shift);
         let (f, s) = ilut_with_stats(&a, &opts).unwrap();
         f.check_structure().unwrap();
         assert_eq!(s.breakdowns_repaired, 1);
-        assert!(f.diag(0) > 0.0 && f.diag(0).is_finite());
+        // The first boost is 1e-4 · ‖a_0‖₂ = 1e-4.
+        assert_eq!(f.diag(0), 1e-4);
     }
 
     #[test]

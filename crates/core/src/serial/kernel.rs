@@ -40,7 +40,7 @@ pub(crate) struct IlutRow<'a> {
     pub(crate) lower: Vec<(usize, f64)>,
     pub(crate) upper: Vec<(usize, f64)>,
     pub(crate) doctor: PivotDoctor,
-    /// First unusable pivot met (only set under `BreakdownPolicy::Abort`):
+    /// First fault met (only set under `BreakdownPolicy::Abort`):
     /// the serial driver returns it at once, a rank defers it to the next
     /// collective error check.
     pub(crate) fault: Option<(usize, PivotFault)>,

@@ -6,8 +6,8 @@ pub mod iluk;
 pub mod ilut;
 pub(crate) mod kernel;
 
-pub use ilu0::{ilu0, ilu0_with};
-pub use iluk::{iluk, iluk_with};
+pub use ilu0::ilu0;
+pub use iluk::iluk;
 pub use ilut::ilut;
 pub use ilut::ilut_with_stats;
 

@@ -6,9 +6,9 @@
 //!
 //! 1. **Primary**: par-ILUT with the caller's options (whatever breakdown
 //!    policy they chose, `Abort` by default).
-//! 2. **Boosted-shift refactorization**: the same ILUT but under an
-//!    aggressive [`BreakdownPolicy::Shift`] — repairs every unusable pivot
-//!    with an escalating diagonal boost, trading preconditioner quality for
+//! 2. **Boosted-shift refactorization**: the same ILUT but under
+//!    [`BreakdownPolicy::Shift`] — repairs every unusable pivot with an
+//!    escalating diagonal boost, trading preconditioner quality for
 //!    existence. Skipped when the caller already runs that policy.
 //! 3. **Jacobi**: diagonal scaling, skipped on every rank when any rank's
 //!    diagonal is unusable.
@@ -223,19 +223,17 @@ pub fn dist_solve_robust(
     assert_eq!(b_global.len(), n);
     assert_eq!(dist.n_rows(), n);
 
-    // The ILUT rungs: the caller's options, then the same under a shift
-    // strong enough to survive rows the caller's policy could not,
-    // escalating fast on repeated breakdowns — skipped when the caller
+    // The ILUT rungs: the caller's options, then the same under the shift,
+    // which survives the rows an abort could not — skipped when the caller
     // already runs it, as retrying it would be a no-op. Jacobi and the
     // unpreconditioned rung follow.
-    let shift = BreakdownPolicy::Shift {
-        initial: 1e-4,
-        growth: 100.0,
-    };
     let mut iluts = vec![(ilut_opts.name(), ilut_opts.clone())];
-    if ilut_opts.breakdown != shift {
+    if ilut_opts.breakdown == BreakdownPolicy::Abort {
         let name = format!("{}+shift(1e-4)", ilut_opts.name());
-        iluts.push((name, ilut_opts.clone().with_breakdown(shift)));
+        iluts.push((
+            name,
+            ilut_opts.clone().with_breakdown(BreakdownPolicy::Shift),
+        ));
     }
 
     // The iterate checkpoint lives in *global* index space so it survives
@@ -736,20 +734,24 @@ mod tests {
             r.summary()
         );
 
-        // The skew system GMRES(1) cannot reduce: row replacement leaves a
-        // diagonal preconditioner, so the caller's rung stagnates and the
-        // shift rung solves.
+        // A = [[1, 4], [-4, 2]], b = (1, 1): right-preconditioned by its
+        // diagonal D, A·D⁻¹·b = (3, -3) is orthogonal to b, so GMRES(1)
+        // cannot move from x = 0 and the Jacobi rung stagnates;
+        // A itself has a positive definite symmetric part, so the
+        // unpreconditioned rung solves. Invalid ILUT options skip both
+        // ILUT rungs.
         let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 1, 1.0);
-        coo.push(1, 0, -1.0);
+        for (i, j, v) in [(0, 0, 1.0), (0, 1, 4.0), (1, 0, -4.0), (1, 1, 2.0)] {
+            coo.push(i, j, v);
+        }
         let gopts = GmresOptions {
             restart: 1,
             rtol: 1e-10,
             max_matvecs: 1000,
         };
-        let opts = IlutOptions::new(3, 0.0).with_breakdown(BreakdownPolicy::ReplaceRow);
-        let r = solve_on(1, &coo.to_csr(), &[1.0, 0.0], &opts, &gopts).remove(0);
-        assert!(r.converged && r.chosen == 1, "{}", r.summary());
+        let opts = IlutOptions::new(0, 0.0);
+        let r = solve_on(1, &coo.to_csr(), &[1.0, 1.0], &opts, &gopts).remove(0);
+        assert!(r.converged && r.preconditioner == "none", "{}", r.summary());
         assert!(
             matches!(named_breakdowns(&r)[..], [Breakdown::Stagnation { .. }]),
             "{}",
