@@ -16,6 +16,8 @@ cargo run -q -p xtask -- loc
 echo "==> release build"
 cargo build --workspace --release
 
+# The tests include the quick forms of the sweep suites (chaos, chaos
+# --recover, schedcheck, modelcheck), each as one #[test] of xtask.
 echo "==> tests"
 cargo test --workspace -q
 
@@ -37,18 +39,6 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # git-ignored.
 echo "==> benchmark crate (pinned API surface)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
-
-echo "==> chaos (seeded fault-injection suite, quick)"
-cargo run -q -p xtask --release -- chaos --quick
-
-echo "==> chaos --recover (self-healing solve under kill/drop plans, quick)"
-cargo run -q -p xtask --release -- chaos --recover --quick
-
-echo "==> schedcheck (bitwise-determinism sanitizer, quick)"
-cargo run -q -p xtask --release -- schedcheck --quick
-
-echo "==> modelcheck (DPOR schedule-space exploration, quick)"
-cargo run -q -p xtask --release -- modelcheck --quick
 
 # The paper's tables and figures at CI size, plus the per-level attribution
 # of the three factorizations (levels.txt) and the deterministic half of

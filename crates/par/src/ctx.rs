@@ -14,11 +14,12 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default watchdog poll: how often a blocked rank in checked mode wakes to
-/// run the watchdog predicate. Pure overhead tuning: correctness does not
-/// depend on it. Overridable per run via
-/// [`crate::MachineBuilder::watchdog_poll`].
-pub(crate) const DEFAULT_CHECK_POLL: Duration = Duration::from_millis(1);
+/// Watchdog poll: how often a blocked rank in checked mode wakes to run the
+/// watchdog predicate. It sets only how fast a deadlock is detected; it can
+/// never cause a false positive, because the predicate looks only at the
+/// status board (a stalled-but-running rank shows `Running`, and injected
+/// *simulated* delays do not consume wall-clock time at all).
+const CHECK_POLL: Duration = Duration::from_millis(1);
 
 /// Idle watchdog polls before a blocked reliable receiver sends its first
 /// NACK round asking senders to re-ship what it is missing.
@@ -162,8 +163,6 @@ pub struct Ctx {
     /// Vector-clock + match-order race state; allocated only in checked
     /// mode, so production runs carry no clocks (see [`crate::hb`]).
     hb: Option<HbState>,
-    /// Watchdog poll interval used by the checked receive loop.
-    poll: Duration,
     /// Fault-injection session; `None` unless a plan was installed via
     /// [`crate::MachineBuilder::fault_plan`].
     fault: Option<FaultSession>,
@@ -218,7 +217,6 @@ impl Ctx {
         senders: Vec<Sender<Envelope>>,
         receiver: Receiver<Envelope>,
         check: Option<Arc<CheckState>>,
-        poll: Duration,
         fault: Option<FaultSession>,
         sched: Option<SchedSession>,
         flags: RunFlags,
@@ -248,7 +246,6 @@ impl Ctx {
             last_accepted_from: usize::MAX,
             check,
             hb,
-            poll,
             fault,
             sched,
             held: Vec::new(),
@@ -772,7 +769,7 @@ impl Ctx {
                 if check.all_registered(self.epoch) {
                     return dead;
                 }
-                std::thread::sleep(self.poll);
+                std::thread::sleep(CHECK_POLL);
             }
         }
     }
@@ -1023,7 +1020,7 @@ impl Ctx {
         let mut backoff: u32 = NACK_START_POLLS;
         let mut next_nack: u32 = NACK_START_POLLS;
         loop {
-            match self.receiver.recv_timeout(self.poll) {
+            match self.receiver.recv_timeout(CHECK_POLL) {
                 Ok(env) => {
                     if !ingress {
                         let matches = env.tag == tag && from.is_none_or(|f| env.from == f);

@@ -3,14 +3,13 @@
 use crate::check::{
     collective_divergence, CheckState, LeakRecord, RankLost, RunFlags, SECONDARY_ABORT,
 };
-use crate::ctx::{Ctx, Envelope, RankExit, CTRL_TAG, DEFAULT_CHECK_POLL};
+use crate::ctx::{Ctx, Envelope, RankExit, CTRL_TAG};
 use crate::fault::{FaultPlan, FaultSession, FaultShared, InjectedFault, FAULT_KILL_PREFIX};
 use crate::pool::{Pool, PER_CLASS};
 use crate::sched::{SchedHandle, SchedSession};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Cost-model constants of the simulated machine.
 ///
@@ -120,7 +119,7 @@ pub struct RunOutput<R> {
 }
 
 /// Configures a machine run beyond the two standard entry points: checked
-/// mode, the commcheck watchdog poll interval, and fault injection.
+/// mode, fault injection, schedule forcing, reliable delivery and recovery.
 ///
 /// ```
 /// use pilut_par::{Machine, MachineModel, Payload};
@@ -132,7 +131,6 @@ pub struct RunOutput<R> {
 pub struct MachineBuilder {
     model: MachineModel,
     checked: bool,
-    watchdog_poll: Duration,
     fault_plan: Option<FaultPlan>,
     sched: Option<SchedHandle>,
     flags: RunFlags,
@@ -144,20 +142,6 @@ impl MachineBuilder {
     /// implicitly: injection without diagnosis would just be a hang.
     pub fn checked(mut self, on: bool) -> Self {
         self.checked = on;
-        self
-    }
-
-    /// Sets how often a blocked rank wakes to run the deadlock watchdog.
-    ///
-    /// The poll interval is pure detection latency/overhead tuning; it can
-    /// never cause a false positive, because the watchdog predicate looks
-    /// only at the status board (a stalled-but-running rank shows
-    /// `Running`, and injected *simulated* delays do not consume wall-clock
-    /// time at all). Raise it for long soak runs, lower it for fast failure
-    /// in CI. Runs that do not call this poll every 1 ms.
-    pub fn watchdog_poll(mut self, poll: Duration) -> Self {
-        assert!(!poll.is_zero(), "watchdog poll must be non-zero");
-        self.watchdog_poll = poll;
         self
     }
 
@@ -215,16 +199,7 @@ impl MachineBuilder {
             || self.flags.recovery;
         let check = checked.then(|| Arc::new(CheckState::new(p, self.flags)));
         let fault = self.fault_plan.map(|plan| Arc::new(FaultShared::new(plan)));
-        Machine::run_impl(
-            p,
-            self.model,
-            check,
-            fault,
-            self.sched,
-            self.watchdog_poll,
-            self.flags,
-            f,
-        )
+        Machine::run_impl(p, self.model, check, fault, self.sched, self.flags, f)
     }
 }
 
@@ -250,25 +225,15 @@ impl Machine {
         R: Send,
         F: Fn(&mut Ctx) -> R + Sync,
     {
-        Self::run_impl(
-            p,
-            model,
-            None,
-            None,
-            None,
-            DEFAULT_CHECK_POLL,
-            RunFlags::default(),
-            f,
-        )
+        Self::run_impl(p, model, None, None, None, RunFlags::default(), f)
     }
 
-    /// Starts a configurable run: checked mode, watchdog poll interval,
-    /// fault injection. See [`MachineBuilder`].
+    /// Starts a configurable run: checked mode, fault injection, schedule
+    /// forcing, reliable delivery, recovery. See [`MachineBuilder`].
     pub fn builder(model: MachineModel) -> MachineBuilder {
         MachineBuilder {
             model,
             checked: false,
-            watchdog_poll: DEFAULT_CHECK_POLL,
             fault_plan: None,
             sched: None,
             flags: RunFlags::default(),
@@ -307,20 +272,17 @@ impl Machine {
             Some(Arc::new(CheckState::new(p, RunFlags::default()))),
             None,
             None,
-            DEFAULT_CHECK_POLL,
             RunFlags::default(),
             f,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_impl<R, F>(
         p: usize,
         model: MachineModel,
         check: Option<Arc<CheckState>>,
         fault: Option<Arc<FaultShared>>,
         sched: Option<SchedHandle>,
-        poll: Duration,
         flags: RunFlags,
         f: F,
     ) -> RunOutput<R>
@@ -369,7 +331,7 @@ impl Machine {
                     // before the scope can see the rank as finished.
                     let _audit = pilut_allocaudit::region("rank");
                     let mut ctx = Ctx::new(
-                        rank, p, model, senders, rx, check, poll, session, ssched, flags, pool,
+                        rank, p, model, senders, rx, check, session, ssched, flags, pool,
                     );
                     match std::panic::catch_unwind(AssertUnwindSafe(|| fref(&mut ctx))) {
                         Ok(r) => {
@@ -711,7 +673,6 @@ mod tests {
     fn builder_checked_run_matches_run_checked() {
         let out = Machine::builder(MachineModel::cray_t3d())
             .checked(true)
-            .watchdog_poll(Duration::from_millis(2))
             .run(3, |ctx| {
                 if ctx.rank() == 0 {
                     ctx.send(1, 4, Payload::u64s(vec![9]));

@@ -6,7 +6,6 @@
 
 use pilut_par::{FaultAction, FaultPlan, FaultRule, Machine, MachineModel, Payload};
 use std::panic::AssertUnwindSafe;
-use std::time::Duration;
 
 /// Runs `f` at `p` ranks under `plan`, expecting a panic, and returns the
 /// panic message for inspection.
@@ -222,9 +221,9 @@ fn stall_does_not_trip_the_watchdog() {
             .max_fires(1),
     );
     let out = Machine::builder(MachineModel::cray_t3d())
+        // The watchdog polls every 1 ms, much faster than the stall, so a
+        // false positive would fire.
         .fault_plan(plan)
-        // Poll much faster than the stall so a false positive would fire.
-        .watchdog_poll(Duration::from_millis(1))
         .run(2, |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 6, Payload::u64s(vec![77]));

@@ -58,35 +58,6 @@ use crate::gmres::{GmresOptions, GmresResult};
 use crate::krylov;
 use crate::report::{AttemptOutcome, AttemptRecord, Breakdown, RecoveryRecord};
 
-/// A typed, recoverable error surfaced between attempts of a distributed
-/// solve. Today the only variant is rank loss; the VM raises it as a panic
-/// payload ([`pilut_par::RankLost`]) and [`dist_solve_robust`] catches and
-/// classifies it here.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SolveError {
-    /// One or more ranks died mid-solve.
-    RankLost {
-        /// The epoch the survivors adopt.
-        epoch: u64,
-        /// All ranks dead at detection, ascending (cumulative).
-        dead: Vec<usize>,
-    },
-}
-
-/// Downcasts an unwind payload to the recoverable [`SolveError`] it
-/// represents, or hands the payload back for re-raising.
-fn classify(
-    payload: Box<dyn std::any::Any + Send>,
-) -> Result<SolveError, Box<dyn std::any::Any + Send>> {
-    match payload.downcast::<RankLost>() {
-        Ok(lost) => Ok(SolveError::RankLost {
-            epoch: lost.epoch,
-            dead: lost.dead,
-        }),
-        Err(other) => Err(other),
-    }
-}
-
 /// Per-rank outcome of [`dist_solve_robust`]. Scalar fields are identical
 /// on every *surviving* rank; a killed rank returns a tombstone
 /// (`dead == true`).
@@ -350,8 +321,10 @@ pub fn dist_solve_robust(
                     // `MachineBuilder::recovery`).
                     return DistSolveReport::tombstone(recoveries);
                 }
-                match classify(payload) {
-                    Ok(SolveError::RankLost { .. }) => {
+                // Rank loss is the one recoverable unwind; anything else
+                // is re-raised.
+                match payload.downcast::<RankLost>() {
+                    Ok(_) => {
                         // Preserve progress before the world changes hands.
                         for (&g, &v) in nodes.iter().zip(&ckpt_local) {
                             ckpt_global[g] = v;

@@ -39,6 +39,6 @@ pub mod report;
 pub use dist_gmres::{
     dist_gmres, DistDiagonal, DistGmresResult, DistIdentity, DistIlu, DistPrecond,
 };
-pub use dist_robust::{dist_solve_robust, DistSolveReport, SolveError};
+pub use dist_robust::{dist_solve_robust, DistSolveReport};
 pub use gmres::{gmres, GmresOptions, GmresResult};
 pub use report::{AttemptOutcome, AttemptRecord, Breakdown, RecoveryRecord};

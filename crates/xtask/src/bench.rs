@@ -512,11 +512,7 @@ fn machine_run(s: &Scenario, dm: &DistMatrix, body: RankBody, inner: usize) -> R
     machine = machine.fault_plan(FaultPlan::new(17).with(kill));
     // The kill is by design and its unwind is handled inside the machine:
     // keep the induced backtrace out of the log.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = machine.run(ranks, |ctx| body(ctx, dm, &opts, inner));
-    std::panic::set_hook(hook);
-    out
+    crate::sweep::muted(|| machine.run(ranks, |ctx| body(ctx, dm, &opts, inner)))
 }
 
 /// Runs one row: the audit pass of `inner` operations, and the facts — for

@@ -52,13 +52,12 @@
 //!
 //! Full mode explores `spmv`, `mis` (the delta-protocol MIS rounds with
 //! their sparse, round-varying message shapes), `trisolve`, and `factor`
-//! at p ∈ {2, 3, 4}; `--quick` (the CI stage) explores `spmv` and
-//! `trisolve` at p ∈ {2, 3} plus the mutation stage.
+//! at p ∈ {2, 3, 4}; `--quick` explores `spmv` and `trisolve` at
+//! p ∈ {2, 3} plus the mutation stage.
 
 use std::collections::BTreeMap;
-use std::panic::AssertUnwindSafe;
 
-use crate::sweep::{checked_builder, fold, panic_text, shrink, tiny_matrix, Fingerprint};
+use crate::sweep::{catching, checked_builder, fold, shrink, tiny_matrix, Fingerprint, Report};
 use pilut_par::{MachineBuilder, Payload, SchedHandle, SchedulePlan, TraceEvent};
 
 /// One schedule-forcing op `(rank, tag, source)`, kept as an ordered list
@@ -106,9 +105,9 @@ where
 {
     let handle = SchedHandle::new(plan_of(forces));
     let builder = checked_builder().schedule(handle.clone());
-    match std::panic::catch_unwind(AssertUnwindSafe(|| runner(builder))) {
+    match catching(|| runner(builder)) {
         Ok(fp) => RunResult::Done(fp, handle.take_trace()),
-        Err(payload) => RunResult::Died(panic_text(payload)),
+        Err(msg) => RunResult::Died(msg),
     }
 }
 
@@ -262,7 +261,7 @@ fn workload_runner(work: &'static str, p: usize) -> impl Fn(MachineBuilder) -> F
 /// one tag — the PR 5 match-order race, reintroduced on purpose.
 fn mutant_runner(p: usize) -> impl Fn(MachineBuilder) -> Fingerprint {
     move |builder| {
-        let out = builder.run(p, |ctx| {
+        Fingerprint::of(builder.run(p, |ctx| {
             let sends = if ctx.rank() == 0 {
                 vec![
                     (p - 1, Payload::u64s(vec![1])),
@@ -280,100 +279,62 @@ fn mutant_runner(p: usize) -> impl Fn(MachineBuilder) -> Fingerprint {
                 }
             }
             h
-        });
-        Fingerprint {
-            rank_sums: out.results,
-            messages: out.stats.messages,
-            bytes: out.stats.bytes,
-            by_tag: out.stats.by_tag,
-        }
+        }))
     }
 }
 
-/// Runs the mutation stage: the checker must *fail* on the mutant, with a
-/// match-order race diagnosis. Returns the human line for the report.
-fn mutation_stage() -> Result<String, String> {
-    let p = 2;
-    match explore(&mutant_runner(p)) {
-        Ok(report) => Err(format!(
-            "mutant per-payload exchange survived exploration undiagnosed \
-             ({} schedule(s), {} run(s)) — the checker has a hole",
-            report.schedules, report.runs
-        )),
-        Err(msg) if msg.contains("match-order race") => Ok(format!(
-            "mutation per-payload-exchange: caught (match-order race diagnosed)"
-        )),
-        Err(msg) => Err(format!(
-            "mutant per-payload exchange failed for the wrong reason:\n{msg}"
-        )),
+/// The label a config proved schedule-independent counts under.
+const PROVED: &str = "config(s) proved schedule-independent";
+
+/// Explores every `(workload, p)` config and then the mutation stage on
+/// `mutant`, which the checker must *fail* with a match-order race
+/// diagnosis. Proved configs and the caught mutant count apart in `report`.
+fn check<M>(report: &mut Report, workloads: &[&'static str], procs: &[usize], mutant: &M)
+where
+    M: Fn(MachineBuilder) -> Fingerprint,
+{
+    let (mut schedules, mut runs) = (0, 0);
+    for &work in workloads {
+        for &p in procs {
+            let config = format!("work={work} p={p}");
+            let outcome = explore(&workload_runner(work, p)).map(|space| {
+                println!(
+                    "modelcheck: {config}: {} inequivalent schedule(s) explored exhaustively, \
+                     one fingerprint ({} run(s))",
+                    space.schedules, space.runs
+                );
+                schedules += space.schedules;
+                runs += space.runs;
+                PROVED
+            });
+            report.record(config, outcome);
+        }
     }
+    println!("modelcheck: {schedules} schedule(s) over {runs} run(s) explored");
+    let outcome = match explore(mutant) {
+        Ok(space) => Err(format!(
+            "survived exploration undiagnosed ({} schedule(s), {} run(s)) — the checker has \
+             a hole",
+            space.schedules, space.runs
+        )),
+        Err(msg) if msg.contains("match-order race") => Ok("mutant(s) caught"),
+        Err(msg) => Err(format!("failed for the wrong reason:\n{msg}")),
+    };
+    report.record("mutation per-payload-exchange", outcome);
 }
 
 /// Entry point for `xtask modelcheck`. Returns `Err(message)` on bad
 /// usage, any schedule-space violation, or an undetected mutant.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let mut quick = false;
-    for arg in args {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other => return Err(format!("unknown modelcheck flag {other}")),
-        }
-    }
-    let workloads: &[&'static str] = if quick {
-        &["spmv", "trisolve"]
-    } else {
-        &["spmv", "mis", "trisolve", "factor"]
-    };
-    let procs: &[usize] = if quick { &[2, 3] } else { &[2, 3, 4] };
-    let mut failures: Vec<String> = Vec::new();
-    let mut lines: Vec<String> = Vec::new();
-    let mut total_schedules = 0usize;
-    let mut total_runs = 0usize;
-    // Forced runs that fail do so by panic (race report, watchdog); keep
-    // the induced backtraces out of the log like the other sweep suites.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    for &work in workloads {
-        for &p in procs {
-            match explore(&workload_runner(work, p)) {
-                Ok(report) => {
-                    total_schedules += report.schedules;
-                    total_runs += report.runs;
-                    lines.push(format!(
-                        "work={work} p={p}: {} inequivalent schedule(s) explored exhaustively, \
-                         one fingerprint ({} run(s))",
-                        report.schedules, report.runs
-                    ));
-                }
-                Err(msg) => failures.push(format!("work={work} p={p}: {msg}")),
-            }
-        }
-    }
-    match mutation_stage() {
-        Ok(line) => lines.push(line),
-        Err(msg) => failures.push(msg),
-    }
-    std::panic::set_hook(default_hook);
-    for line in &lines {
-        println!("modelcheck: {line}");
-    }
-    println!(
-        "modelcheck: {} config(s) proved schedule-independent — {total_schedules} schedule(s) \
-         over {total_runs} run(s), {} violation(s)",
-        lines.len().saturating_sub(1),
-        failures.len()
-    );
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        for f in &failures {
-            eprintln!("modelcheck FAIL: {f}");
-        }
-        Err(format!(
-            "{} config(s) violated the schedule-independence contract",
-            failures.len()
-        ))
-    }
+    crate::sweep::drive("modelcheck", args, false, |flags, report| {
+        let workloads: &[&'static str] = if flags.quick {
+            &["spmv", "trisolve"]
+        } else {
+            &["spmv", "mis", "trisolve", "factor"]
+        };
+        let procs: &[usize] = if flags.quick { &[2, 3] } else { &[2, 3, 4] };
+        check(report, workloads, procs, &mutant_runner(2));
+    })
 }
 
 #[cfg(test)]
@@ -433,6 +394,18 @@ mod tests {
             ev(0, 9, 1, vec![0, 2], 2),
         ];
         assert!(expansions(&trace).is_empty());
+    }
+
+    #[test]
+    fn a_failed_mutation_stage_leaves_the_proved_count_whole() {
+        // A race-free "mutant" survives exploration, so the mutation stage
+        // fails; the one proved config must still count as proved.
+        let mut report = Report::new("modelcheck".to_string());
+        check(&mut report, &["spmv"], &[2], &workload_runner("spmv", 2));
+        assert_eq!(
+            report.summary(),
+            format!("modelcheck: 2 trial(s) — 1 {PROVED}, 1 failure(s)")
+        );
     }
 
     #[test]

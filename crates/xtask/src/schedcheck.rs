@@ -29,7 +29,7 @@
 //!
 //! This suite *samples* the schedule space; `xtask modelcheck` walks the
 //! DPOR-reduced space *exhaustively* for small configs (see DESIGN §12).
-//! The fingerprints, workloads, and shrink loop are shared via
+//! The driver, fingerprints, workloads, and shrink loop are shared via
 //! [`crate::sweep`].
 //!
 //! The fifth workload, `reliable`, is a *differential* property: the full
@@ -42,11 +42,11 @@
 //!
 //! Full mode sweeps 20 schedules × p ∈ {2, 4, 8} × five workloads
 //! (`mis`, `factor`, `trisolve`, `gmres`, `reliable`); `--quick` runs 3
-//! schedules at p ∈ {2, 4} (the CI configuration).
+//! schedules at p ∈ {2, 4}. This is the suite that enforces the benign
+//! fault contract across the workloads; `xtask chaos` sweeps the
+//! destructive faults.
 
-use std::panic::AssertUnwindSafe;
-
-use crate::sweep::{checked_builder, dist_matrix, mix, panic_text, shrink, Fingerprint};
+use crate::sweep::{catching, mix, run_planned, shrink, Fingerprint};
 use pilut_par::{FaultAction, FaultPlan, FaultRule};
 
 /// The workloads swept per process count: the delta-protocol MIS rounds in
@@ -162,33 +162,6 @@ fn mask_names(work: &str, mask: u8) -> String {
     names.join("+")
 }
 
-/// Runs one workload under an optional perturbation and returns its
-/// fingerprint. Panics propagate to the caller for classification.
-///
-/// The `reliable` workload runs the `gmres` body under
-/// `MachineBuilder::reliable` and blanks the traffic counters: its
-/// differential claim is results-only (retransmissions and acks are allowed
-/// to vary with the losses; the factors and the solution are not).
-fn run_workload(work: &str, p: usize, plan: Option<FaultPlan>) -> Fingerprint {
-    let dm = dist_matrix(p);
-    let mut builder = checked_builder();
-    let reliable = work == "reliable";
-    if reliable {
-        builder = builder.reliable(true);
-    }
-    if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
-    }
-    let body = if reliable { "gmres" } else { work };
-    let (mut fp, _) = crate::sweep::run_workload(body, &dm, p, builder);
-    if reliable {
-        fp.messages = 0;
-        fp.bytes = 0;
-        fp.by_tag.clear();
-    }
-    fp
-}
-
 /// How one perturbed trial related to its clean fingerprint.
 enum Trial {
     /// Bit-identical to the clean run.
@@ -204,110 +177,69 @@ enum Trial {
 /// Runs one `(work, p, seed, mask)` trial and classifies it.
 fn run_trial(work: &str, p: usize, seed: u64, mask: u8, clean: &Fingerprint) -> Trial {
     let plan = trial_plan(work, seed, p, mask);
-    match std::panic::catch_unwind(AssertUnwindSafe(|| run_workload(work, p, Some(plan)))) {
-        Ok(fp) => match clean.diff(&fp) {
+    match catching(|| run_planned(work, p, Some(plan))) {
+        Ok((fp, _)) => match clean.diff(&fp) {
             None => Trial::Identical,
             Some(why) => Trial::Diverged(why),
         },
-        Err(payload) => Trial::Panicked(panic_text(payload)),
+        Err(msg) => Trial::Panicked(msg),
     }
 }
 
 /// Shrinks a failing trial to the smallest rule subset that still fails,
-/// trying singletons before pairs before the full plan.
-fn minimize(work: &str, p: usize, seed: u64, clean: &Fingerprint) -> (u8, Trial) {
+/// trying singletons before pairs before the full plan, and describes it.
+fn minimize(work: &str, p: usize, seed: u64, clean: &Fingerprint) -> String {
     let mut masks: Vec<u8> = (1u8..8).collect();
     masks.sort_by_key(|m| m.count_ones());
     let failing = shrink(&masks, |mask| match run_trial(work, p, seed, mask, clean) {
         Trial::Identical => None,
         outcome => Some(outcome),
     });
-    match failing {
+    let (mask, minimal) = match failing {
         Some((mask, outcome)) => (mask, outcome),
         // The full plan failed once but no subset reproduces (a flaky
         // host-side interleaving): report the full plan.
         None => (7, run_trial(work, p, seed, 7, clean)),
-    }
+    };
+    let detail = match minimal {
+        Trial::Identical => "failure did not reproduce during minimization".to_string(),
+        Trial::Diverged(why) => format!(
+            "fingerprint diverged ({why}); no race report — the detector missed a schedule \
+             dependence"
+        ),
+        Trial::Panicked(msg) => format!("run died:\n{msg}"),
+    };
+    format!("rules=[{}]: {detail}", mask_names(work, mask))
 }
 
 /// Entry point for `xtask schedcheck`. Returns `Err(message)` on bad usage
 /// or any determinism violation.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let mut quick = false;
-    for arg in args {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other => return Err(format!("unknown schedcheck flag {other}")),
-        }
-    }
-    let procs: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
-    let schedules: u64 = if quick { 3 } else { 20 };
-    let mut identical = 0usize;
-    let mut failures: Vec<String> = Vec::new();
-    // Failing trials are re-run several times during minimization; suppress
-    // the induced backtraces the way the chaos suite does. The messages
-    // still reach the classifier through `catch_unwind`.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    for &p in procs {
-        for &work in WORKLOADS {
-            let clean =
-                match std::panic::catch_unwind(AssertUnwindSafe(|| run_workload(work, p, None))) {
-                    Ok(fp) => fp,
-                    Err(payload) => {
-                        failures.push(format!(
-                            "work={work} p={p}: clean run died: {}",
-                            panic_text(payload)
-                        ));
+    crate::sweep::drive("schedcheck", args, false, |flags, report| {
+        let procs: &[usize] = if flags.quick { &[2, 4] } else { &[2, 4, 8] };
+        let schedules: u64 = if flags.quick { 3 } else { 20 };
+        for &p in procs {
+            for &work in WORKLOADS {
+                let clean = match catching(|| run_planned(work, p, None)) {
+                    Ok((fp, _)) => fp,
+                    Err(msg) => {
+                        report.record(
+                            format!("work={work} p={p}"),
+                            Err(format!("clean run died: {msg}")),
+                        );
                         continue;
                     }
                 };
-            for seed in 0..schedules {
-                match run_trial(work, p, seed, 7, &clean) {
-                    Trial::Identical => identical += 1,
-                    outcome => {
-                        let (mask, minimal) = match outcome {
-                            Trial::Identical => unreachable!(),
-                            _ => minimize(work, p, seed, &clean),
-                        };
-                        let detail = match minimal {
-                            Trial::Identical => {
-                                "failure did not reproduce during minimization".to_string()
-                            }
-                            Trial::Diverged(why) => format!(
-                                "fingerprint diverged ({why}); no race report — the detector \
-                                 missed a schedule dependence"
-                            ),
-                            Trial::Panicked(msg) => format!("run died:\n{msg}"),
-                        };
-                        failures.push(format!(
-                            "work={work} p={p} seed={seed} rules=[{}]: {detail}",
-                            mask_names(work, mask)
-                        ));
-                    }
+                for seed in 0..schedules {
+                    let outcome = match run_trial(work, p, seed, 7, &clean) {
+                        Trial::Identical => Ok("bitwise-identical"),
+                        _ => Err(minimize(work, p, seed, &clean)),
+                    };
+                    report.record(format!("work={work} p={p} seed={seed}"), outcome);
                 }
             }
         }
-    }
-    std::panic::set_hook(default_hook);
-    let total = identical + failures.len();
-    println!(
-        "schedcheck: {total} perturbed schedule(s) over {} workload(s) × p ∈ {procs:?} — \
-         {identical} bitwise-identical, {} violation(s)",
-        WORKLOADS.len(),
-        failures.len()
-    );
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        for f in &failures {
-            eprintln!("schedcheck FAIL: {f}");
-        }
-        Err(format!(
-            "{} schedule(s) violated bitwise determinism",
-            failures.len()
-        ))
-    }
+    })
 }
 
 #[cfg(test)]
@@ -338,7 +270,7 @@ mod tests {
     fn reliable_workload_blank_traffic_and_matches_under_losses() {
         // One targeted differential trial outside the full sweep: lossy
         // links under reliable delivery reproduce the clean results.
-        let clean = run_workload("reliable", 2, None);
+        let (clean, _) = run_planned("reliable", 2, None);
         assert_eq!((clean.messages, clean.bytes), (0, 0), "traffic blanked");
         match run_trial("reliable", 2, 1, 7, &clean) {
             Trial::Identical => {}

@@ -1,23 +1,150 @@
-//! Shared infrastructure for the seeded sweep suites (`xtask chaos`,
-//! `xtask schedcheck`, `xtask modelcheck`): the workload table and runner,
-//! result fingerprinting, the trial matrices, checksum folding, panic-text
-//! extraction, and the generic first-failing shrink loop. Each suite keeps
-//! only its own sweep policy (what to perturb, how to classify outcomes):
-//! chaos throws fault plans at `factor` and `trisolve`, schedcheck and
-//! modelcheck perturb schedules under all five.
+//! The one driver of the seeded sweep suites (`xtask chaos`, `xtask
+//! schedcheck`, `xtask modelcheck`): flag parsing, the muted panic hook,
+//! panic catching, the tally and its `FAIL:` report ([`drive`]); the
+//! workload table and runner ([`run_workload`], [`run_planned`]), result
+//! fingerprinting, the trial matrices, checksum folding, and the generic
+//! first-failing shrink loop. Each suite keeps only its own sweep policy
+//! (what to perturb, how to classify outcomes): chaos throws destructive
+//! fault plans at `factor` and `trisolve`; schedcheck perturbs the
+//! schedules of `mis`, `factor`, `trisolve`, `gmres` and `reliable`;
+//! modelcheck enumerates those of `spmv`, `mis`, `trisolve` and `factor`.
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::Duration;
+use std::panic::AssertUnwindSafe;
 
 use pilut_core::dist::op::{DistCsr, DistOperator};
 use pilut_core::dist::{DistMatrix, Distribution};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::dist_mis::{build_level_links, dist_mis};
 use pilut_core::parallel::par_ilut;
-use pilut_par::{Machine, MachineBuilder, MachineModel};
+use pilut_par::{FaultPlan, Machine, MachineBuilder, MachineModel, RunOutput};
 use pilut_solver::dist_gmres::{dist_gmres, DistIlu, DistPrecond};
 use pilut_solver::gmres::GmresOptions;
 use pilut_sparse::gen;
+
+/// The flags a sweep suite was invoked with.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Flags {
+    /// `--quick`: the small CI-sized sweep.
+    pub quick: bool,
+    /// `--recover`: chaos's self-healing sweep (no other suite takes it).
+    pub recover: bool,
+}
+
+/// Parses a suite's flags; `--recover` is accepted only when `recoverable`.
+fn parse_flags(suite: &str, args: &[String], recoverable: bool) -> Result<Flags, String> {
+    let mut flags = Flags::default();
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => flags.quick = true,
+            "--recover" if recoverable => flags.recover = true,
+            other => return Err(format!("unknown {suite} flag {other}")),
+        }
+    }
+    Ok(flags)
+}
+
+/// The tally of one sweep: a count per passing outcome, in the order the
+/// outcomes first occur, and one line per failing trial.
+pub struct Report {
+    suite: String,
+    passes: Vec<(&'static str, usize)>,
+    failures: Vec<String>,
+}
+
+impl Report {
+    /// An empty tally for `suite`.
+    pub fn new(suite: String) -> Self {
+        Report {
+            suite,
+            passes: Vec::new(),
+            failures: Vec::new(),
+        }
+    }
+
+    /// Records one trial: `Ok(label)` counts a pass under `label`,
+    /// `Err(why)` a failure reported as `{trial}: {why}`.
+    pub fn record(&mut self, trial: impl std::fmt::Display, outcome: Result<&'static str, String>) {
+        match outcome {
+            Ok(label) => match self.passes.iter_mut().find(|(l, _)| *l == label) {
+                Some((_, n)) => *n += 1,
+                None => self.passes.push((label, 1)),
+            },
+            Err(why) => self.failures.push(format!("{trial}: {why}")),
+        }
+    }
+
+    /// The one-line summary: every trial, each pass count, the failures.
+    pub fn summary(&self) -> String {
+        let total = self.passes.iter().map(|&(_, n)| n).sum::<usize>() + self.failures.len();
+        let mut line = format!("{}: {total} trial(s) —", self.suite);
+        for (label, n) in &self.passes {
+            line.push_str(&format!(" {n} {label},"));
+        }
+        line.push_str(&format!(" {} failure(s)", self.failures.len()));
+        line
+    }
+
+    /// Prints the summary and one `FAIL:` line per failure; `Err` when any
+    /// trial failed.
+    fn finish(self) -> Result<(), String> {
+        println!("{}", self.summary());
+        for f in &self.failures {
+            eprintln!("{} FAIL: {f}", self.suite);
+        }
+        if self.failures.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("{} trial(s) failed", self.failures.len()))
+        }
+    }
+}
+
+/// Runs one sweep suite: parses `args` (`--recover` only when
+/// `recoverable`), runs `sweep` under the muted panic hook, and prints its
+/// report. The report is named `suite`, or `suite --recover`.
+pub fn drive(
+    suite: &str,
+    args: &[String],
+    recoverable: bool,
+    sweep: impl FnOnce(Flags, &mut Report),
+) -> Result<(), String> {
+    let flags = parse_flags(suite, args, recoverable)?;
+    let mut report = Report::new(if flags.recover {
+        format!("{suite} --recover")
+    } else {
+        suite.to_string()
+    });
+    muted(|| sweep(flags, &mut report));
+    report.finish()
+}
+
+/// Runs `f` with the panic hook muted. Sweep trials and killed ranks end in
+/// panics by design; the default hook would spray every induced backtrace
+/// over the log, while the messages still reach the caller through
+/// [`catching`] or the machine's own diagnosis.
+pub fn muted<T>(f: impl FnOnce() -> T) -> T {
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let out = f();
+    std::panic::set_hook(hook);
+    out
+}
+
+/// Runs `f`, returning a panic as its message.
+pub fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| {
+                payload
+                    .downcast_ref::<&'static str>()
+                    .map(|s| s.to_string())
+            })
+            .unwrap_or_else(|| "<non-string panic payload>".into())
+    })
+}
 
 /// splitmix64 — the same mixer the fault layer uses, so seeded parameters
 /// are well spread without any external RNG crate; also the fold step of
@@ -78,6 +205,16 @@ impl Fingerprint {
         }
         None
     }
+
+    /// The fingerprint of a finished run whose ranks return checksums.
+    pub fn of(out: RunOutput<u64>) -> Self {
+        Fingerprint {
+            rank_sums: out.results,
+            messages: out.stats.messages,
+            bytes: out.stats.bytes,
+            by_tag: out.stats.by_tag,
+        }
+    }
 }
 
 /// The sweep matrix shared by chaos and schedcheck: big enough that every
@@ -110,9 +247,7 @@ pub fn ilut_options() -> IlutOptions {
 /// The checked machine configuration every sweep trial runs under; suites
 /// layer their perturbation (fault plan, schedule script) on top.
 pub fn checked_builder() -> MachineBuilder {
-    Machine::builder(MachineModel::cray_t3d())
-        .checked(true)
-        .watchdog_poll(Duration::from_millis(2))
+    Machine::builder(MachineModel::cray_t3d()).checked(true)
 }
 
 /// Checksums one rank's full factorization: every retained entry of L, the
@@ -144,19 +279,6 @@ pub fn vector_checksum(x: &[f64]) -> u64 {
     h
 }
 
-/// Extracts a printable message from a caught panic payload.
-pub fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| {
-            payload
-                .downcast_ref::<&'static str>()
-                .map(|s| s.to_string())
-        })
-        .unwrap_or_else(|| "<non-string panic payload>".into())
-}
-
 /// Runs one fingerprinted workload on `builder`'s machine and returns its
 /// fingerprint, with the number of injected faults that fired next to it
 /// (zero without a fault plan). Panics propagate to the caller for
@@ -168,7 +290,10 @@ pub fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 ///   pruning), checksummed over both selection vectors;
 /// * `factor` — the parallel ILUT factorization, checksummed entry-wise;
 /// * `trisolve` — factor, then chained matvec + two-sweep solves;
-/// * `gmres` — the preconditioned iteration with its reduction traffic.
+/// * `gmres` — the preconditioned iteration with its reduction traffic;
+/// * `reliable` — the `gmres` body under reliable delivery, with the
+///   traffic counters blanked: its claim is results-only (retransmissions
+///   and acks may vary with injected losses; factors and solution may not).
 pub fn run_workload(
     work: &str,
     dm: &DistMatrix,
@@ -176,7 +301,9 @@ pub fn run_workload(
     builder: MachineBuilder,
 ) -> (Fingerprint, usize) {
     let opts = ilut_options();
-    let out = builder.run(p, |ctx| {
+    let reliable = work == "reliable";
+    let work = if reliable { "gmres" } else { work };
+    let out = builder.reliable(reliable).run(p, |ctx| {
         let local = dm.local_view(ctx.rank());
         if work == "spmv" {
             let mut op = DistCsr::new(ctx, dm, &local);
@@ -246,13 +373,24 @@ pub fn run_workload(
             other => unreachable!("unknown sweep workload {other}"),
         }
     });
-    let fingerprint = Fingerprint {
-        rank_sums: out.results,
-        messages: out.stats.messages,
-        bytes: out.stats.bytes,
-        by_tag: out.stats.by_tag,
-    };
-    (fingerprint, out.injected_faults.len())
+    let fired = out.injected_faults.len();
+    let mut fp = Fingerprint::of(out);
+    if reliable {
+        fp.messages = 0;
+        fp.bytes = 0;
+        fp.by_tag.clear();
+    }
+    (fp, fired)
+}
+
+/// Runs workload `work` on the sweep matrix at `p` checked ranks under an
+/// optional fault plan; see [`run_workload`].
+pub fn run_planned(work: &str, p: usize, plan: Option<FaultPlan>) -> (Fingerprint, usize) {
+    let mut builder = checked_builder();
+    if let Some(plan) = plan {
+        builder = builder.fault_plan(plan);
+    }
+    run_workload(work, &dist_matrix(p), p, builder)
 }
 
 /// The generic shrink loop every suite's minimizer is built on: tries
@@ -292,6 +430,41 @@ mod tests {
             a.diff(&b).expect("diff").contains("only in the perturbed"),
             "tag diff"
         );
+    }
+
+    #[test]
+    fn every_suite_rejects_unknown_flags_and_only_chaos_takes_recover() {
+        type Suite = fn(&[String]) -> Result<(), String>;
+        let suites: [(&str, Suite); 3] = [
+            ("chaos", crate::chaos::run),
+            ("schedcheck", crate::schedcheck::run),
+            ("modelcheck", crate::modelcheck::run),
+        ];
+        let args =
+            |flags: &[&str]| -> Vec<String> { flags.iter().map(|f| f.to_string()).collect() };
+        for (name, run) in suites {
+            // Parsing fails before any trial runs, so these calls are fast.
+            let err = run(&args(&["--quick", "--bogus"])).expect_err(name);
+            assert_eq!(err, format!("unknown {name} flag --bogus"));
+            let err = run(&args(&["--recover", "--bogus"])).expect_err(name);
+            let rejected = format!("unknown {name} flag --recover");
+            assert_eq!(err == rejected, name != "chaos", "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn report_counts_passes_by_label_and_names_failures() {
+        let mut report = Report::new("suite".to_string());
+        report.record("a", Ok("clean"));
+        report.record("b", Err("broke".to_string()));
+        report.record("c", Ok("clean"));
+        report.record("d", Ok("no-fire"));
+        assert_eq!(
+            report.summary(),
+            "suite: 4 trial(s) — 2 clean, 1 no-fire, 1 failure(s)"
+        );
+        assert_eq!(report.failures, vec!["b: broke".to_string()]);
+        assert_eq!(report.finish(), Err("1 trial(s) failed".to_string()));
     }
 
     #[test]
