@@ -26,7 +26,9 @@ echo "==> doc links (cargo doc, broken intra-doc links denied)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
 
 # The benchmark crate is outside the workspace and pins a slice of the
-# public surface (serial::ilut, LuFactors::{nnz, solve_into},
+# public surface (CsrMatrix::{n_rows, nnz, spmv, spmv_owned} and Clone,
+# gen::{g40, fem_torso}, Graph::from_csr_pattern, partition_kway,
+# DistMatrix::new, serial::ilut, LuFactors::{nnz, solve_into},
 # IluPreconditioner::new, solver::gmres::gmres over a &CsrMatrix, par_ilut,
 # ParStats, dist_mis/build_level_links, RankFactors::initial_reduced_cols,
 # DistCsr::new, DistOperator::apply_into, dist_gmres, DistGmresResult,

@@ -170,7 +170,7 @@ impl LocalView {
     /// [`exchange::CommPlan`].
     pub fn remote_cols<'a>(&'a self, a: &'a CsrMatrix) -> impl Iterator<Item = usize> + 'a {
         let cols = self.nodes.iter().flat_map(move |&i| a.row(i).0);
-        cols.copied().filter(move |&j| !self.owns(j))
+        cols.map(|&j| j as usize).filter(move |&j| !self.owns(j))
     }
 
     /// Slots in the column space of this rank's factorization: its
@@ -225,6 +225,7 @@ impl DistMatrix {
         let mut code = vec![0; a.n_rows()];
         for k in 0..a.n_rows() {
             for &j in a.row(k).0 {
+                let j = j as usize;
                 if dist.part[j] != dist.part[k] {
                     (code[k], code[j]) = (INTERFACE, INTERFACE);
                 }
@@ -388,8 +389,8 @@ mod tests {
             let mut coupled = vec![Vec::new(); n];
             for i in 0..n {
                 for &j in a.row(i).0 {
-                    coupled[i].push(j);
-                    coupled[j].push(i);
+                    coupled[i].push(j as usize);
+                    coupled[j as usize].push(i);
                 }
             }
             let is_interface = |i: usize| coupled[i].iter().any(|&j| part[j] != part[i]);

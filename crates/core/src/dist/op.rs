@@ -62,8 +62,8 @@ impl<'a> DistCsr<'a> {
         let recv = plan.recv_lists().iter().flat_map(|(_, nodes)| nodes);
         let mut ghosts: Vec<usize> = recv.copied().collect();
         ghosts.sort_unstable();
+        // Slots number distinct matrix columns, so they fit its `u32` ids.
         let n_slots = local.len() + ghosts.len();
-        crate::to_u32(n_slots, "SpMV slot count");
         let slot_of = |j: usize| {
             local.pos_of(j).unwrap_or_else(|| {
                 // lint: allow(unwrap): the plan's receive lists hold every remote column
@@ -74,7 +74,7 @@ impl<'a> DistCsr<'a> {
         // keep up to twice the entries for the life of the operator.
         let mut slot = Vec::with_capacity(local.nodes.iter().map(|&i| a.row_nnz(i)).sum());
         for &i in &local.nodes {
-            slot.extend(a.row(i).0.iter().map(|&j| slot_of(j) as u32));
+            slot.extend(a.row(i).0.iter().map(|&j| slot_of(j as usize) as u32));
         }
         DistCsr {
             dm,

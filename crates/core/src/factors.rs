@@ -12,10 +12,11 @@
 //!
 //! Slots and row pointers are `u32`: a strict entry costs 12 bytes, its
 //! slot and its value; a pivot costs 8, and a row 8 more for its two row
-//! pointers. `push_row` is where a slot or an entry count is narrowed, and
-//! checked.
+//! pointers. A slot numbers a column of the `u32`-indexed matrix, so it
+//! fits by construction; `push_row` is where an entry count is narrowed,
+//! and checked.
 
-use crate::to_u32;
+use pilut_sparse::csr::narrow;
 
 /// One triangle of a factor: CSR over slots.
 #[derive(Clone, Debug)]
@@ -108,7 +109,7 @@ impl FactorStore {
     }
 
     /// Appends the next row: strict-`L` entries, pivot, strict-`U` entries,
-    /// every column renamed to its slot by `slot_of`. Panics if a slot or a
+    /// every column renamed to its slot by `slot_of`. Panics if a
     /// triangle's entry count outgrows `u32`.
     pub(crate) fn push_row(
         &mut self,
@@ -117,11 +118,14 @@ impl FactorStore {
         u: &[(usize, f64)],
         slot_of: impl Fn(usize) -> usize,
     ) {
-        let slot = |&(j, _): &(usize, f64)| to_u32(slot_of(j), "factor slot");
+        // Slots are below the matrix dimension, which fits a `u32`.
+        let slot = |&(j, _): &(usize, f64)| slot_of(j) as u32;
         for (arena, entries) in [(&mut self.l, l), (&mut self.u, u)] {
             arena.slot.extend(entries.iter().map(slot));
             arena.val.extend(entries.iter().map(|&(_, v)| v));
-            arena.ptr.push(to_u32(arena.slot.len(), "factor entries"));
+            // lint: allow(unwrap): documented panic: a triangle past 2^32 entries
+            let end = narrow(arena.slot.len(), "factor entries").expect("factor outgrew u32");
+            arena.ptr.push(end);
         }
         self.diag.push(diag);
     }

@@ -39,26 +39,3 @@ pub mod trisolve;
 pub use factors::LuFactors;
 pub use options::{BreakdownPolicy, FactorError, IlutOptions};
 pub use serial::{ilu0, iluk, ilut};
-
-/// `n` as a 32-bit index, or a panic naming `what` overflowed: the one
-/// narrowing behind every `u32` slot and row-pointer array in the crate.
-pub(crate) fn to_u32(n: usize, what: &str) -> u32 {
-    u32::try_from(n).unwrap_or_else(|_| panic!("{what} {n} does not fit in u32"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::to_u32;
-
-    #[test]
-    fn to_u32_keeps_the_largest_u32() {
-        assert_eq!(to_u32(u32::MAX as usize, "factor slot"), u32::MAX);
-        assert_eq!(to_u32(0, "factor slot"), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor slot 4294967296 does not fit in u32")]
-    fn to_u32_names_what_overflowed() {
-        to_u32(u32::MAX as usize + 1, "factor slot");
-    }
-}

@@ -63,14 +63,15 @@ pub fn par_ilu0(
         let is_interior = p < n_int;
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
-            w.set(local.slot(j), v);
+            w.set(local.slot(j as usize), v);
         }
         // Pivots come from the original pattern only: no fill can extend
         // the pivot set, and updates land only on occupied positions.
         lower.clear();
-        for &k in cols
+        for k in cols
             .iter()
-            .filter(|&&k| local.is_interior(k) && (!is_interior || k < i))
+            .map(|&k| k as usize)
+            .filter(|&k| local.is_interior(k) && (!is_interior || k < i))
         {
             let wk = w.get(local.slot(k));
             w.drop_pos(local.slot(k));

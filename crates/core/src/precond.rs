@@ -101,7 +101,7 @@ mod tests {
     #[should_panic(expected = "unusable diagonal: 0 at row 1")]
     fn diagonal_rejects_a_zero_entry() {
         let mut a = gen::laplace_2d(3, 1);
-        let k = (a.row_ptr()[1]..a.row_ptr()[2])
+        let k = (a.row_ptr()[1] as usize..a.row_ptr()[2] as usize)
             .find(|&k| a.col_idx()[k] == 1)
             .unwrap();
         a.values_mut()[k] = 0.0;

@@ -36,7 +36,8 @@ mod tests {
             let (cols, _) = a.row(i);
             let lower = f.l_row(i).map(|(c, _)| c);
             let merged: Vec<usize> = lower.chain([i]).chain(f.u_row(i).map(|(c, _)| c)).collect();
-            assert_eq!(merged, cols.to_vec(), "row {i} pattern changed");
+            let cols: Vec<usize> = cols.iter().map(|&j| j as usize).collect();
+            assert_eq!(merged, cols, "row {i} pattern changed");
         }
     }
 

@@ -36,6 +36,7 @@ pub fn iluk(a: &CsrMatrix, k: usize) -> Result<LuFactors, FactorError> {
     for i in 0..n {
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
+            let j = j as usize;
             val[j] = v;
             lev[j] = 0;
             touched.push(j);

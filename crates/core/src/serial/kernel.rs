@@ -75,7 +75,7 @@ impl<'a> IlutRow<'a> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn reduce(
         &mut self,
-        (cols, vals): (&[usize], &[f64]),
+        (cols, vals): (&[u32], &[f64]),
         tau_i: f64,
         pivot: Option<usize>,
         eligible: impl Fn(usize) -> bool,
@@ -88,6 +88,7 @@ impl<'a> IlutRow<'a> {
         let space = self.space;
         let slot = |j| space.map_or(j, |space| space.slot(j));
         for (&j, &v) in cols.iter().zip(vals) {
+            let j = j as usize;
             let c = slot(j);
             if !self.w.contains(c) && eligible(j) {
                 self.heap.push(Reverse(j));

@@ -96,7 +96,7 @@ fn reference_par_ilut(
         let tau_i = opts.tau * a.row_norm2(i);
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
-            w.set(j, v);
+            w.set(j as usize, v);
         }
         let lower = eliminate(&mut w, &rows, |j| interior(j) && j < i, tau_i, &mut flops);
         let entries = w.drain_sorted();
@@ -121,7 +121,7 @@ fn reference_par_ilut(
         tau_of.insert(i, tau_i);
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
-            w.set(j, v);
+            w.set(j as usize, v);
         }
         let lower = eliminate(&mut w, &rows, interior, tau_i, &mut flops);
         let rest = w.drain_sorted();

@@ -79,7 +79,7 @@ fn pattern_is_preserved_across_ranks() {
                 let mut got: Vec<usize> = row.l().chain(row.u()).map(|(c, _)| c).collect();
                 got.push(v);
                 got.sort_unstable();
-                let expect: Vec<usize> = a.row(v).0.to_vec();
+                let expect: Vec<usize> = a.row(v).0.iter().map(|&j| j as usize).collect();
                 assert_eq!(
                     got, expect,
                     "p = {p}, node {v}: ILU(0) must keep the exact pattern"

@@ -204,7 +204,7 @@ fn unbounded_ilut_matches_dense_lu() {
         for i in 0..n {
             let (cols, vals) = a.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                d[i][j] += v;
+                d[i][j as usize] += v;
             }
         }
         for k in 0..n - 1 {

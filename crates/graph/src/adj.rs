@@ -10,9 +10,12 @@ use pilut_sparse::CsrMatrix;
 /// `(v, u)` is present with the same weight; neighbour lists are sorted.
 ///
 /// Only the arc offsets are 64-bit. Ids are `u32` and weights `i32`: every
-/// graph is a [`Graph::from_csr_pattern`] (unit weights, its size checked by
-/// `assert_fits_32`) or a coarsening of one, whose weights are sums of its
-/// vertices or arcs.
+/// graph is a [`Graph::from_csr_pattern`] or a coarsening of one. Its ids
+/// are the matrix's, below `u32::MAX` (spare as a sentinel) because a
+/// [`CsrMatrix`] dimension fits a `u32`. Its weights are unit, and a coarse
+/// weight is at most the finest graph's arc count — a coarse vertex is a
+/// set of vertices joined by matched edges, a coarse edge a merge of arcs —
+/// which `assert_arcs_fit_32` bounds by an `i32`.
 #[derive(Debug)]
 pub struct Graph {
     xadj: Vec<usize>,
@@ -21,16 +24,13 @@ pub struct Graph {
     vwgt: Vec<i32>,
 }
 
-/// Asserts that `n` vertices and `arcs` arcs fit [`Graph`]'s 32-bit ids and
-/// weights: a coarse vertex weight is at most `n`, a coarse edge weight at
-/// most `arcs`, so both must fit an `i32` (and an id then fits a `u32` with
-/// `u32::MAX` to spare as a sentinel).
-pub(crate) fn assert_fits_32(n: usize, arcs: usize) {
+/// Asserts that `arcs` arcs fit [`Graph`]'s 32-bit weights: every coarse
+/// vertex or edge weight is at most `arcs`, so it must fit an `i32`.
+pub(crate) fn assert_arcs_fit_32(arcs: usize) {
     let max = i32::MAX as usize;
     assert!(
-        n <= max && arcs <= max,
-        "graph of {n} vertices and {arcs} arcs exceeds the 32-bit ids and weights of `Graph` \
-         (at most {max} of each)"
+        arcs <= max,
+        "graph of {arcs} arcs exceeds the 32-bit weights of `Graph` (at most {max})"
     );
 }
 
@@ -83,8 +83,7 @@ impl Graph {
     /// and edge weights.
     ///
     /// # Panics
-    /// Panics when the rows or the arcs outnumber an `i32`
-    /// (`assert_fits_32`).
+    /// Panics when the arcs outnumber an `i32` (`assert_arcs_fit_32`).
     pub fn from_csr_pattern(a: &CsrMatrix) -> Self {
         assert_eq!(
             a.n_rows(),
@@ -93,16 +92,16 @@ impl Graph {
         );
         let n = a.n_rows();
         let mut xadj = vec![0usize; n + 1];
-        for_each_arc(a, |u, _| xadj[u + 1] += 1);
+        for_each_arc(a, |u, _| xadj[u as usize + 1] += 1);
         for u in 0..n {
             xadj[u + 1] += xadj[u];
         }
-        assert_fits_32(n, xadj[n]);
+        assert_arcs_fit_32(xadj[n]);
         let mut adjncy = vec![0u32; xadj[n]];
         let mut next = xadj[..n].to_vec();
         for_each_arc(a, |u, v| {
-            adjncy[next[u]] = v as u32;
-            next[u] += 1;
+            adjncy[next[u as usize]] = v;
+            next[u as usize] += 1;
         });
         // A row's transposed arcs land around its own (sorted) columns.
         for u in 0..n {
@@ -187,11 +186,12 @@ impl Graph {
 /// Calls `emit(u, v)` once per arc of the symmetrised pattern of `a`: a
 /// stored off-diagonal entry `(i, j)` gives `i → j`, and `j → i` too unless
 /// `(j, i)` is stored and gives that arc itself.
-fn for_each_arc(a: &CsrMatrix, mut emit: impl FnMut(usize, usize)) {
-    for i in 0..a.n_rows() {
-        for &j in a.row(i).0.iter().filter(|&&j| j != i) {
+fn for_each_arc(a: &CsrMatrix, mut emit: impl FnMut(u32, u32)) {
+    // A row number fits a `u32`, as the matrix's column ids do.
+    for i in 0..a.n_rows() as u32 {
+        for &j in a.row(i as usize).0.iter().filter(|&&j| j != i) {
             emit(i, j);
-            if a.row(j).0.binary_search(&i).is_err() {
+            if a.row(j as usize).0.binary_search(&i).is_err() {
                 emit(j, i);
             }
         }
@@ -241,9 +241,9 @@ mod tests {
     fn symmetrised_rows(a: &CsrMatrix) -> Vec<Vec<usize>> {
         let mut rows = vec![std::collections::BTreeSet::new(); a.n_rows()];
         for i in 0..a.n_rows() {
-            for &j in a.row(i).0.iter().filter(|&&j| j != i) {
-                rows[i].insert(j);
-                rows[j].insert(i);
+            for &j in a.row(i).0.iter().filter(|&&j| j as usize != i) {
+                rows[i].insert(j as usize);
+                rows[j as usize].insert(i);
             }
         }
         rows.into_iter().map(|r| r.into_iter().collect()).collect()
@@ -292,16 +292,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "graph of 2147483648 vertices and 0 arcs exceeds the 32-bit")]
-    fn fit_guard_rejects_more_vertices_than_an_i32_holds() {
-        assert_fits_32(i32::MAX as usize, i32::MAX as usize); // the bound itself fits
-        assert_fits_32(i32::MAX as usize + 1, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "graph of 0 vertices and 2147483648 arcs exceeds the 32-bit")]
+    #[should_panic(expected = "graph of 2147483648 arcs exceeds the 32-bit weights")]
     fn fit_guard_rejects_more_arcs_than_an_i32_holds() {
-        assert_fits_32(0, i32::MAX as usize + 1);
+        assert_arcs_fit_32(i32::MAX as usize); // the bound itself fits
+        assert_arcs_fit_32(i32::MAX as usize + 1);
     }
 
     #[test]

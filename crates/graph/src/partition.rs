@@ -129,7 +129,7 @@ fn finish(g: &Graph, part: Vec<usize>, k: usize) -> PartitionResult {
 ///
 /// Everything here is 32-bit, as the graphs are: ids below `u32::MAX`
 /// (the "none" mark below), weights that sum to at most the finest graph's
-/// vertex or arc count (`assert_fits_32`).
+/// arc count (`assert_arcs_fit_32`).
 fn coarsen_once(g: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<u32>) {
     const NONE: u32 = u32::MAX;
     let n = g.n_vertices();

@@ -460,7 +460,7 @@ mod tests {
     /// known solution.
     fn zero_diag_problem() -> (CsrMatrix, Vec<f64>, Vec<f64>) {
         let mut a = gen::laplace_2d(6, 6);
-        let k = (a.row_ptr()[0]..a.row_ptr()[1])
+        let k = (a.row_ptr()[0] as usize..a.row_ptr()[1] as usize)
             .find(|&k| a.col_idx()[k] == 0)
             .expect("the Laplacian has its diagonal");
         a.values_mut()[k] = 0.0;

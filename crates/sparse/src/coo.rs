@@ -1,33 +1,40 @@
 //! Coordinate-format matrix builder.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{narrow, CsrMatrix};
 
 /// A sparse matrix under construction, as a list of `(row, col, value)`
 /// triplets. Duplicate positions are summed when converting to CSR, which is
 /// the convenient semantics for finite-element style assembly.
+///
+/// Positions are stored as the `u32` ids [`CsrMatrix`] keeps, so both
+/// dimensions must fit one.
 #[derive(Clone, Debug, Default)]
 pub struct CooMatrix {
     n_rows: usize,
     n_cols: usize,
-    rows: Vec<usize>,
-    cols: Vec<usize>,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
     vals: Vec<f64>,
 }
 
 impl CooMatrix {
     /// An empty `n_rows x n_cols` triplet matrix.
+    ///
+    /// # Panics
+    /// Panics if a dimension exceeds `u32::MAX`.
     pub fn new(n_rows: usize, n_cols: usize) -> Self {
-        CooMatrix {
-            n_rows,
-            n_cols,
-            rows: Vec::new(),
-            cols: Vec::new(),
-            vals: Vec::new(),
-        }
+        Self::with_capacity(n_rows, n_cols, 0)
     }
 
     /// Like `new`, reserving space for `cap` triplets.
+    ///
+    /// # Panics
+    /// Panics if a dimension exceeds `u32::MAX`.
     pub fn with_capacity(n_rows: usize, n_cols: usize, cap: usize) -> Self {
+        for (n, what) in [(n_rows, "n_rows"), (n_cols, "n_cols")] {
+            // lint: allow(unwrap): documented panic past the 32-bit index range
+            narrow(n, what).expect("triplet matrix too large");
+        }
         CooMatrix {
             n_rows,
             n_cols,
@@ -67,8 +74,9 @@ impl CooMatrix {
             "col {col} out of range ({})",
             self.n_cols
         );
-        self.rows.push(row);
-        self.cols.push(col);
+        // Both are below a dimension, which fits a `u32`.
+        self.rows.push(row as u32);
+        self.cols.push(col as u32);
         self.vals.push(value);
     }
 
@@ -76,32 +84,41 @@ impl CooMatrix {
     /// whose accumulated value is exactly zero only if they never appeared
     /// (i.e. explicit zeros are kept — incomplete factorizations care about
     /// patterns, not just values).
+    ///
+    /// Besides the result it holds one `u32` per row and one per triplet.
+    ///
+    /// # Panics
+    /// Panics if more than `u32::MAX` triplets were pushed.
     pub fn to_csr(&self) -> CsrMatrix {
+        // lint: allow(unwrap): documented panic past the 32-bit index range
+        narrow(self.nnz(), "triplet count").expect("too many triplets");
         // Counting sort by row, then sort each row segment by column and
-        // merge duplicates.
-        let mut counts = vec![0usize; self.n_rows + 1];
+        // merge duplicates. `ptr[r]` starts as row r's first slot in
+        // `order`, hands the slots out and so ends at row r + 1's first.
+        let mut ptr = vec![0u32; self.n_rows + 1];
         for &r in &self.rows {
-            counts[r + 1] += 1;
+            ptr[r as usize + 1] += 1;
         }
         for i in 0..self.n_rows {
-            counts[i + 1] += counts[i];
+            ptr[i + 1] += ptr[i];
         }
-        let mut order: Vec<usize> = vec![0; self.nnz()];
-        {
-            let mut next = counts.clone();
-            for (k, &r) in self.rows.iter().enumerate() {
-                order[next[r]] = k;
-                next[r] += 1;
-            }
+        let mut order = vec![0u32; self.nnz()];
+        for (k, &r) in self.rows.iter().enumerate() {
+            order[ptr[r as usize] as usize] = k as u32;
+            ptr[r as usize] += 1;
         }
-        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
-        let mut col_idx: Vec<usize> = Vec::with_capacity(self.nnz());
+        // Row i's triplets end at `ptr[i]`, which is overwritten with the
+        // end of its merged entries: the row pointers, one place early. The
+        // entry count is at most the triplet count, which fits a `u32`.
+        let mut col_idx: Vec<u32> = Vec::with_capacity(self.nnz());
         let mut values: Vec<f64> = Vec::with_capacity(self.nnz());
-        row_ptr.push(0);
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
-        for i in 0..self.n_rows {
+        let mut scratch: Vec<(u32, f64)> = Vec::new();
+        let mut begin = 0;
+        for row_end in &mut ptr[..self.n_rows] {
+            let end = *row_end as usize;
             scratch.clear();
-            for &k in &order[counts[i]..counts[i + 1]] {
+            for &k in &order[begin..end] {
+                let k = k as usize;
                 scratch.push((self.cols[k], self.vals[k]));
             }
             scratch.sort_unstable_by_key(|&(c, _)| c);
@@ -120,9 +137,12 @@ impl CooMatrix {
                 col_idx.push(cur_c);
                 values.push(cur_v);
             }
-            row_ptr.push(col_idx.len());
+            *row_end = col_idx.len() as u32;
+            begin = end;
         }
-        CsrMatrix::from_raw(self.n_rows, self.n_cols, row_ptr, col_idx, values)
+        ptr.rotate_right(1);
+        ptr[0] = 0;
+        CsrMatrix::from_raw(self.n_rows, self.n_cols, ptr, col_idx, values)
     }
 }
 

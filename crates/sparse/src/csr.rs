@@ -6,18 +6,24 @@ use crate::coo::CooMatrix;
 ///
 /// Column indices within each row are kept sorted in ascending order and
 /// duplicate entries are not allowed; every constructor enforces this.
+///
+/// Row pointers and column ids are `u32`, like every index downstream (the
+/// factor arenas, the structure graph, the SpMV slots): 12 B per stored
+/// entry plus 4 B per row ([`CsrMatrix::heap_bytes`]). Dimensions and the
+/// entry count are therefore at most `u32::MAX`; [`narrow`] is the one
+/// place a count or index is checked into that range.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix {
     n_rows: usize,
     n_cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
 /// Why a set of raw CSR arrays was rejected by
-/// [`CsrMatrix::try_from_raw`]. The message names the first inconsistency
-/// found, with the offending row where one exists.
+/// [`CsrMatrix::try_from_raw`], or a count by [`narrow`]. The message names
+/// the first inconsistency found, with the offending row where one exists.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrLayoutError(pub String);
 
@@ -29,6 +35,18 @@ impl std::fmt::Display for CsrLayoutError {
 
 impl std::error::Error for CsrLayoutError {}
 
+/// `value`, a dimension, entry count or index named `what`, as the `u32`
+/// that [`CsrMatrix`] stores; an error naming the index width when it does
+/// not fit.
+pub fn narrow(value: usize, what: &str) -> Result<u32, CsrLayoutError> {
+    u32::try_from(value).map_err(|_| {
+        CsrLayoutError(format!(
+            "{what} = {value} exceeds the 32-bit indices of CsrMatrix (at most {})",
+            u32::MAX
+        ))
+    })
+}
+
 impl CsrMatrix {
     /// Builds a matrix from raw CSR arrays.
     ///
@@ -39,8 +57,8 @@ impl CsrMatrix {
     pub fn from_raw(
         n_rows: usize,
         n_cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        row_ptr: Vec<u32>,
+        col_idx: Vec<u32>,
         values: Vec<f64>,
     ) -> Self {
         // lint: allow(unwrap): documented panic on inconsistent raw arrays
@@ -48,19 +66,22 @@ impl CsrMatrix {
     }
 
     /// Validates raw CSR arrays and builds a matrix, reporting the first
-    /// inconsistency as a [`CsrLayoutError`]: `row_ptr` must have
-    /// `n_rows + 1` monotone entries starting at 0 and ending at
-    /// `col_idx.len()`, column indices must be in range and strictly
-    /// ascending within each row, and `col_idx`/`values` must have equal
-    /// length.
+    /// inconsistency as a [`CsrLayoutError`]: both dimensions and the entry
+    /// count must fit a `u32` ([`narrow`]), `row_ptr` must have `n_rows + 1`
+    /// monotone entries starting at 0 and ending at `col_idx.len()`, column
+    /// indices must be in range and strictly ascending within each row, and
+    /// `col_idx`/`values` must have equal length.
     pub fn try_from_raw(
         n_rows: usize,
         n_cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        row_ptr: Vec<u32>,
+        col_idx: Vec<u32>,
         values: Vec<f64>,
     ) -> Result<Self, CsrLayoutError> {
         let fail = |msg: String| Err(CsrLayoutError(msg));
+        narrow(n_rows, "n_rows")?;
+        narrow(n_cols, "n_cols")?;
+        narrow(col_idx.len(), "nnz")?;
         if row_ptr.len() != n_rows + 1 {
             return fail(format!(
                 "row_ptr has {} entries, expected n_rows + 1 = {}",
@@ -76,7 +97,7 @@ impl CsrMatrix {
             ));
         }
         // lint: allow(unwrap): row_ptr has n_rows + 1 >= 1 entries, checked above
-        let end = *row_ptr.last().unwrap();
+        let end = *row_ptr.last().unwrap() as usize;
         if end != col_idx.len() {
             return fail(format!(
                 "row_ptr ends at {end} but col_idx has {} entries",
@@ -90,7 +111,7 @@ impl CsrMatrix {
             if row_ptr[i] > row_ptr[i + 1] {
                 return fail(format!("row_ptr decreases at row {i}"));
             }
-            let row = &col_idx[row_ptr[i]..row_ptr[i + 1]];
+            let row = &col_idx[row_ptr[i] as usize..row_ptr[i + 1] as usize];
             for w in row.windows(2) {
                 if w[0] >= w[1] {
                     return fail(format!(
@@ -100,7 +121,7 @@ impl CsrMatrix {
                 }
             }
             if let Some(&last) = row.last() {
-                if last >= n_cols {
+                if last as usize >= n_cols {
                     return fail(format!(
                         "column index {last} out of range in row {i} (n_cols = {n_cols})"
                     ));
@@ -117,12 +138,17 @@ impl CsrMatrix {
     }
 
     /// The `n × n` identity.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds `u32::MAX`.
     pub fn identity(n: usize) -> Self {
+        // lint: allow(unwrap): documented panic past the 32-bit index range
+        let m = narrow(n, "n").expect("identity too large");
         CsrMatrix {
             n_rows: n,
             n_cols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
+            row_ptr: (0..=m).collect(),
+            col_idx: (0..m).collect(),
             values: vec![1.0; n],
         }
     }
@@ -143,13 +169,22 @@ impl CsrMatrix {
     }
 
     /// Row pointer array (`n_rows + 1` entries).
-    pub fn row_ptr(&self) -> &[usize] {
+    pub fn row_ptr(&self) -> &[u32] {
         &self.row_ptr
     }
 
     /// Column indices, concatenated row-major.
-    pub fn col_idx(&self) -> &[usize] {
+    pub fn col_idx(&self) -> &[u32] {
         &self.col_idx
+    }
+
+    /// Heap bytes of the three arrays, by capacity: `4·(n_rows + 1) +
+    /// 12·nnz` for a matrix built to size.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            std::mem::size_of::<T>() * v.capacity()
+        }
+        bytes(&self.row_ptr) + bytes(&self.col_idx) + bytes(&self.values)
     }
 
     /// Stored values, parallel to `col_idx`.
@@ -163,19 +198,20 @@ impl CsrMatrix {
     }
 
     /// The column indices and values of row `i`.
-    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
+    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
+        let (s, e) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
         (&self.col_idx[s..e], &self.values[s..e])
     }
 
     /// Number of stored entries in row `i`.
     pub fn row_nnz(&self, i: usize) -> usize {
-        self.row_ptr[i + 1] - self.row_ptr[i]
+        (self.row_ptr[i + 1] - self.row_ptr[i]) as usize
     }
 
     /// The stored value at `(i, j)`, or `None` if the position is not stored.
     pub fn get(&self, i: usize, j: usize) -> Option<f64> {
         let (cols, vals) = self.row(i);
+        let j = u32::try_from(j).ok()?;
         cols.binary_search(&j).ok().map(|k| vals[k])
     }
 
@@ -202,7 +238,7 @@ impl CsrMatrix {
             let (cols, vals) = self.row(i);
             let mut acc = 0.0;
             for (&j, &v) in cols.iter().zip(vals) {
-                acc += v * x[j];
+                acc += v * x[j as usize];
             }
             *out = acc;
         }
@@ -217,23 +253,24 @@ impl CsrMatrix {
 
     /// The transpose.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.n_cols + 1];
+        let mut counts = vec![0u32; self.n_cols + 1];
         for &j in &self.col_idx {
-            counts[j + 1] += 1;
+            counts[j as usize + 1] += 1;
         }
         for j in 0..self.n_cols {
             counts[j + 1] += counts[j];
         }
         let row_ptr = counts.clone();
-        let mut col_idx = vec![0usize; self.nnz()];
+        let mut col_idx = vec![0u32; self.nnz()];
         let mut values = vec![0.0; self.nnz()];
         let mut next = counts;
         for i in 0..self.n_rows {
             let (cols, vals) = self.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                let p = next[j];
-                next[j] += 1;
-                col_idx[p] = i;
+                let p = next[j as usize] as usize;
+                next[j as usize] += 1;
+                // `i < n_rows`, which fits a `u32`.
+                col_idx[p] = i as u32;
                 values[p] = v;
             }
         }
@@ -276,7 +313,7 @@ impl CsrMatrix {
         for (li, &gi) in keep.iter().enumerate() {
             let (cols, vals) = self.row(gi);
             for (&gj, &v) in cols.iter().zip(vals) {
-                let lj = to_local[gj];
+                let lj = to_local[gj as usize];
                 if lj != usize::MAX {
                     coo.push(li, lj, v);
                 }
@@ -351,6 +388,31 @@ mod tests {
         let err = CsrMatrix::try_from_raw(1, 2, vec![0, 1], vec![1], vec![1.0, 2.0])
             .expect_err("length mismatch must be rejected");
         assert!(err.0.contains("values"), "{err}");
+    }
+
+    #[test]
+    fn heap_bytes_counts_four_byte_indices() {
+        // 4·(3 + 1) row pointers + 7 · (4-byte column id + 8-byte value).
+        assert_eq!(small().heap_bytes(), 4 * 4 + 12 * 7);
+        assert_eq!(CsrMatrix::identity(5).heap_bytes(), 4 * 6 + 12 * 5);
+        // The benchmark's G40: 5 053 448 B while the indices were `usize`.
+        assert_eq!(crate::gen::g40(6).heap_bytes(), 3_674_884);
+    }
+
+    #[test]
+    fn narrowing_accepts_u32_max_and_rejects_one_past_it() {
+        let max = u32::MAX as usize;
+        assert_eq!(narrow(max, "n_cols"), Ok(u32::MAX));
+        let err = narrow(max + 1, "n_cols").expect_err("one past u32::MAX");
+        assert!(err.0.contains("n_cols = 4294967296"), "{err}");
+        assert!(err.0.contains("32-bit"), "{err}");
+        // The same boundary through the constructor, on a matrix with no
+        // rows: nothing proportional to the width is allocated.
+        let a = CsrMatrix::try_from_raw(0, max, vec![0], vec![], vec![]).expect("fits");
+        assert_eq!((a.n_cols(), a.heap_bytes()), (max, 4));
+        let err = CsrMatrix::try_from_raw(0, max + 1, vec![0], vec![], vec![])
+            .expect_err("one column past the 32-bit range");
+        assert!(err.0.contains("exceeds the 32-bit indices"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! summed.
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use crate::csr::{narrow, CsrMatrix};
 use crate::rng::SplitMix64;
 
 /// A CSR matrix written one row at a time, in row order, with each row's
@@ -27,13 +27,20 @@ use crate::rng::SplitMix64;
 /// in full when they are visited, so they need no triplet list and no sort.
 /// `CsrMatrix::from_raw` checks the result.
 struct RowWriter {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
 impl RowWriter {
+    /// A writer for `n` rows and at most `nnz` entries, both checked into
+    /// the 32-bit range here, so every column (below `n`) and row pointer
+    /// (at most `nnz`) narrows losslessly.
     fn with_capacity(n: usize, nnz: usize) -> Self {
+        for (count, what) in [(n, "n"), (nnz, "nnz")] {
+            // lint: allow(unwrap): a generator past the 32-bit range is a caller bug
+            narrow(count, what).expect("generated matrix too large");
+        }
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0);
         RowWriter {
@@ -44,12 +51,12 @@ impl RowWriter {
     }
 
     fn push(&mut self, col: usize, value: f64) {
-        self.col_idx.push(col);
+        self.col_idx.push(col as u32);
         self.values.push(value);
     }
 
     fn end_row(&mut self) {
-        self.row_ptr.push(self.col_idx.len());
+        self.row_ptr.push(self.col_idx.len() as u32);
     }
 
     fn finish(self) -> CsrMatrix {
@@ -295,7 +302,7 @@ mod tests {
             let mut off = 0.0;
             let mut diag = 0.0;
             for (&j, &v) in cols.iter().zip(vals) {
-                if j == i {
+                if j as usize == i {
                     diag = v.abs();
                 } else {
                     off += v.abs();
@@ -336,7 +343,7 @@ mod tests {
         for i in 0..a.n_rows() {
             let (cols, vals) = a.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                if j != i {
+                if j as usize != i {
                     assert!(v <= 0.0);
                 } else {
                     assert!(v > 0.0);
@@ -358,7 +365,7 @@ mod tests {
             let mut off = 0.0;
             let mut diag = 0.0;
             for (&j, &v) in cols.iter().zip(vals) {
-                if j == i {
+                if j as usize == i {
                     diag = v;
                 } else {
                     off += v.abs();

@@ -3,9 +3,15 @@
 //! Supports `matrix coordinate real {general|symmetric}` — the format the
 //! paper-era test matrices (Harwell–Boeing successors) ship in. Symmetric
 //! files are expanded to full storage on read.
+//!
+//! The size line is outside input, so the reader trusts none of its counts
+//! with memory: the triplets grow with the entries actually read, and the
+//! row pointers — 4 B per row, whatever the entries — are allocated only
+//! for a matrix with at most one row per byte of input. A size line such as
+//! `4294967295 1 0` is a parse error, not 16 GiB of row pointers.
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use crate::csr::{narrow, CsrMatrix};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
@@ -38,9 +44,20 @@ fn parse_err(msg: impl Into<String>) -> MmError {
     MmError::Parse(msg.into())
 }
 
+/// A count or index of the input as the `u32` every index downstream is.
+fn narrow_input(value: usize, what: &str) -> Result<u32, MmError> {
+    narrow(value, what).map_err(|e| parse_err(e.0))
+}
+
 /// Reads a matrix from a Matrix Market stream.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix, MmError> {
-    let mut lines = BufReader::new(reader).lines();
+    // Bytes of input read so far, line terminators included.
+    let mut bytes = 0usize;
+    let mut lines = BufReader::new(reader).lines().inspect(|line| {
+        if let Ok(line) = line {
+            bytes += line.len() + 1;
+        }
+    });
     let header = lines.next().ok_or_else(|| parse_err("empty file"))??;
     let h: Vec<String> = header
         .split_whitespace()
@@ -85,13 +102,10 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix, MmError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| parse_err("bad nnz count"))?;
-    // The counts are outside input: every index downstream is 32-bit, and
-    // the triplets grow with the entries actually read, not the claimed nnz.
-    if n_rows > u32::MAX as usize || n_cols > u32::MAX as usize {
-        return Err(parse_err(format!(
-            "{n_rows} x {n_cols} exceeds 32-bit indices"
-        )));
-    }
+    // Every index downstream is 32-bit (the module doc has the memory bound).
+    narrow_input(n_rows, "row count")?;
+    narrow_input(n_cols, "column count")?;
+    narrow_input(nnz, "entry count")?;
     let mut coo = CooMatrix::new(n_rows, n_cols);
     let mut seen = 0usize;
     for line in lines {
@@ -126,6 +140,12 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix, MmError> {
     }
     if seen != nnz {
         return Err(parse_err(format!("expected {nnz} entries, found {seen}")));
+    }
+    narrow_input(coo.nnz(), "expanded entry count")?;
+    if n_rows > bytes {
+        return Err(parse_err(format!(
+            "{n_rows} rows claimed by {bytes} bytes of input: at most one row per byte"
+        )));
     }
     Ok(coo.to_csr())
 }
@@ -218,6 +238,8 @@ mod tests {
             ("general", format!("{} 2 0", usize::MAX)),
             ("general", format!("2 {} 0", usize::MAX)),
             ("general", format!("{} 1 0", 1u64 << 40)),
+            ("general", format!("{} 1 0", u32::MAX)),
+            ("general", "100000 100000 0".to_string()),
             ("symmetric", format!("2 2 {}", (1u64 << 63) + 1)),
         ];
         for (symmetry, size) in sizes {
@@ -225,6 +247,9 @@ mod tests {
             let got = read_matrix_market(text.as_bytes());
             assert!(matches!(got, Err(MmError::Parse(_))), "{size}: {got:?}");
         }
+        // Within one row per byte of input, an empty matrix still reads.
+        let text = "%%MatrixMarket matrix coordinate real general\n40 40 0\n";
+        assert_eq!(read_matrix_market(text.as_bytes()).unwrap().n_rows(), 40);
     }
 
     #[test]

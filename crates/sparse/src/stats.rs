@@ -41,6 +41,7 @@ impl MatrixStats {
             let mut diag = 0.0;
             let mut off = 0.0;
             for (&j, &v) in cols.iter().zip(vals) {
+                let j = j as usize;
                 if j == i {
                     diag = v;
                 } else {

@@ -42,7 +42,7 @@ fn transpose_preserves_nnz_and_swaps_entries() {
         for i in 0..a.n_rows() {
             let (cols, vals) = a.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                assert_eq!(t.get(j, i), Some(v), "case {case}");
+                assert_eq!(t.get(j as usize, i), Some(v), "case {case}");
             }
         }
     }

@@ -22,8 +22,9 @@
 //!   region at most [`SWEEP_GROWTHS_PER_ROW`] per interface row, the
 //!   `plan_replay` region the frames' buffers and nothing else,
 //!   `distribute_p8` at most [`DISTRIBUTE_LIVE_PER_INPUT`] live bytes per
-//!   byte of its matrix, a row's factors at most [`FACTOR_BYTES_PER_ENTRY`]
-//!   heap bytes per entry, a serial row puts nothing on the wire) are
+//!   byte of its matrix, a row's matrix at most [`MATRIX_BYTES_PER_ENTRY`]
+//!   and its factors at most [`FACTOR_BYTES_PER_ENTRY`] heap bytes per
+//!   entry, a serial row puts nothing on the wire) are
 //!   asserted on the typed [`Measurement`] of each row; an unfiltered run
 //!   also asserts that every gated region was entered by some scenario
 //!   ([`unrecorded_region`]), so a renamed region cannot pass by vanishing.
@@ -103,19 +104,30 @@ const UROWS_ALLOCS_PER_MESSAGE: u64 = 2;
 const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 
 /// Most bytes `distribute_p8` may hold at once, per byte of its matrix
-/// (`8·(n + 1) + 16·nnz`). Resident at the peak — the deepest coarsening
-/// level — are the matrix `DistMatrix` will keep (1.0), the structure
-/// graph (0.5: 64-bit offsets, 32-bit ids and weights), the coarsening
-/// hierarchy (a geometric sum, 1.3 graphs) and one level's 32-bit scratch:
-/// 2.34 at full size, 2.32 at `--quick` size. The eight views now hold
-/// O(rows) each — their nodes and a handle on the shared numbering — so
-/// the end of the scenario (1.92 / 1.95) stays below that; while each held
-/// a `u32` per global row, the end peaked at 2.39 at `--quick` size. With
-/// `usize` ids and `i64` weights the partitioner held 3.49 / 3.46, and with
-/// the transpose and the symmetrised copy behind the graph, the
-/// partitioner's clone of it and the symmetrised copy in `DistMatrix` 5.04
-/// / 5.18 (EXPERIMENTS).
-const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.35;
+/// ([`CsrMatrix::heap_bytes`], `4·(n + 1) + 12·nnz`). Resident at the peak
+/// — the deepest coarsening level — are the matrix `DistMatrix` will keep
+/// (1.0), the structure graph (0.69: 64-bit offsets, 32-bit ids and
+/// weights) and the coarsening hierarchy (a geometric sum, 1.3 graphs) with
+/// one level's 32-bit scratch (1.16): 2.847 at full size, 2.820 at
+/// `--quick` size, 10 463 916 / 283 340 live bytes. The ratio rose from
+/// 2.343 / 2.323 when the matrix went from `usize` to `u32` indices: the
+/// live bytes fell by the matrix's quarter (from 11 842 480 / 321 104), the
+/// graph and the hierarchy did not. The eight views hold O(rows) each —
+/// their nodes and a handle on the shared numbering. With `usize` graph
+/// ids and `i64` weights the partitioner held 3.49 / 3.46 of a `usize`
+/// matrix, and with the transpose and the symmetrised copy behind the
+/// graph, the partitioner's clone of it and the symmetrised copy in
+/// `DistMatrix` 5.04 / 5.18 (EXPERIMENTS).
+const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.85;
+
+/// Most heap bytes a row's matrix may hold per stored entry
+/// ([`CsrMatrix::heap_bytes`] over `nnz`). A `usize` column id beside its
+/// `f64` value is 16 B per entry before any row pointer is counted, so a
+/// matrix above 16 carries a 64-bit index per entry. With `u32` row
+/// pointers and column ids the rows read 12.82 to 12.86 at `--quick` size
+/// and 12.80 to 12.82 at full size; with `usize` ones, 17.63 to 17.73 and
+/// 17.61 to 17.64.
+const MATRIX_BYTES_PER_ENTRY: f64 = 16.0;
 
 /// Most heap bytes a machine row's factors may hold per stored entry
 /// (`RankFactors::heap_bytes` over `nnz_l + nnz_u`, summed over ranks). A
@@ -358,7 +370,7 @@ fn distribute_kernel<'a>(a: &'a CsrMatrix, _: &'a IlutOptions) -> Kernel<'a> {
     distribute();
     let peak = audit.peak_live_bytes();
     drop(audit);
-    let input_bytes = 8 * (a.n_rows() + 1) + 16 * a.nnz();
+    let input_bytes = a.heap_bytes();
     Kernel {
         facts: Facts {
             live_per_input: Some(peak as f64 / input_bytes as f64),
@@ -519,7 +531,7 @@ fn machine_run(s: &Scenario, dm: &DistMatrix, body: RankBody, inner: usize) -> R
 /// a machine row from exactly one further pass of the same body.
 fn run_row(s: &Scenario, quick: bool) -> Measurement {
     let a = (s.matrix)(if quick { s.dims.0 } else { s.dims.1 });
-    let n = a.n_rows();
+    let (n, matrix) = (a.n_rows(), (a.heap_bytes(), a.nnz()));
     let facts = match (s.body, s.ranks) {
         (Body::Serial(build), _) => {
             let opts = (s.opts)(n);
@@ -551,6 +563,7 @@ fn run_row(s: &Scenario, quick: bool) -> Measurement {
     Measurement {
         row: *s,
         facts,
+        matrix,
         regions: Vec::new(),
     }
 }
@@ -566,6 +579,8 @@ pub(crate) fn facts(s: &Scenario, quick: bool) -> Facts {
 struct Measurement {
     row: Scenario,
     facts: Facts,
+    /// `(heap bytes, stored entries)` of the row's matrix.
+    matrix: (usize, usize),
     regions: Vec<RegionStats>,
 }
 
@@ -597,6 +612,14 @@ fn check(m: &Measurement) -> Result<(), String> {
             ));
         }
         _ => {}
+    }
+    let (bytes, nnz) = m.matrix;
+    let per_entry = bytes as f64 / nnz.max(1) as f64;
+    if per_entry > MATRIX_BYTES_PER_ENTRY {
+        return fail(format!(
+            "the matrix holds {bytes} byte(s) for {nnz} entries, {per_entry:.2} per entry, \
+             budget {MATRIX_BYTES_PER_ENTRY}: a `usize` column id or row pointer per entry"
+        ));
     }
     if let (Some(fill), Some(bytes)) = (m.facts.fill, m.facts.heap_bytes) {
         let per_entry = bytes as f64 / fill as f64;
@@ -759,6 +782,8 @@ mod tests {
                 stats,
                 ..Facts::default()
             },
+            // `par_ilut_p4 --quick`'s `laplace_2d(16, 16)`.
+            matrix: (4 * 257 + 12 * 1216, 1216),
             regions: vec![region("mis_rounds", 0), region("trisolve_replay", 0)],
         }
     }
@@ -940,6 +965,20 @@ mod tests {
     }
 
     #[test]
+    fn a_matrix_above_the_entry_budget_fails() {
+        // `par_ilut_p4 --quick`'s matrix with a `u32` column id per entry
+        // passes, with a `usize` one it does not.
+        let mut m = healthy();
+        check(&m).unwrap();
+        m.matrix.0 = 4 * 257 + 16 * 1216;
+        assert_fails(
+            &m,
+            "the matrix holds 20484 byte(s) for 1216 entries, 16.85 per entry, budget 16: \
+             a `usize` column id or row pointer per entry",
+        );
+    }
+
+    #[test]
     fn serial_row_with_traffic_fails() {
         let mut m = healthy();
         m.row.ranks = None;
@@ -1018,10 +1057,11 @@ mod tests {
 
     /// The stencil generators write their rows straight into CSR: G40 holds
     /// only the matrix it returns (1.0 live bytes per byte of it), TORSO
-    /// that plus two `dim³` grid maps and the renumbering (≈ 1.6). A
-    /// triplet list, its counting-sort `order` and the row sort — the path
-    /// both took through `CooMatrix` — cost ≈ 2.9 and ≈ 3.6, so a budget of
-    /// 2 fails the moment either goes back to it.
+    /// that plus two `dim³` grid maps and the renumbering (1.72; 1.58 while
+    /// the matrix had `usize` indices and the maps weighed less beside it).
+    /// A triplet list, its counting-sort `order` and the row sort — the
+    /// path both took through `CooMatrix` — cost 3.6 and 4.0, so a budget
+    /// of 2 fails the moment either goes back to it.
     #[test]
     fn generators_hold_little_more_than_the_matrix_they_return() {
         const BUDGET: f64 = 2.0;
@@ -1033,13 +1073,34 @@ mod tests {
             let audit = pilut_allocaudit::region("test_generation");
             let a = generate();
             let peak = audit.peak_live_bytes() as f64;
-            let bytes = (8 * (a.n_rows() + 1) + 16 * a.nnz()) as f64;
+            let bytes = a.heap_bytes() as f64;
             assert!(
                 peak <= BUDGET * bytes,
                 "{name}: {:.2} live bytes per byte of the matrix, budget {BUDGET}",
                 peak / bytes
             );
         }
+    }
+
+    /// A Matrix Market size line is outside input. `4294967295 1 0` once
+    /// made the reader ask for 24 B per claimed row (counts, their clone,
+    /// the row pointers: 96 GiB) after reading no entry; the row pointers
+    /// are now bounded by the bytes of input.
+    #[test]
+    fn a_hostile_size_line_allocates_nothing_per_claimed_row() {
+        let text = format!(
+            "%%MatrixMarket matrix coordinate real general\n{} 1 0\n",
+            u32::MAX
+        );
+        let audit = pilut_allocaudit::region("test_hostile_size_line");
+        let got = pilut_sparse::io::read_matrix_market(text.as_bytes());
+        let peak = audit.peak_live_bytes();
+        assert!(got.is_err(), "{got:?}");
+        assert!(
+            peak < 64 << 10,
+            "{peak} B live to reject {} B of input",
+            text.len()
+        );
     }
 
     fn flags(s: &[&str]) -> Vec<String> {

@@ -323,7 +323,12 @@ pub fn run_workload(
             let reduced_cols: HashMap<usize, Vec<usize>> = dm
                 .dist()
                 .rows_of(ctx.rank())
-                .map(|g| (g, dm.matrix().row(g).0.to_vec()))
+                .map(|g| {
+                    (
+                        g,
+                        dm.matrix().row(g).0.iter().map(|&j| j as usize).collect(),
+                    )
+                })
                 .collect();
             let plan = build_level_links(ctx, dm.dist(), &reduced_cols);
             let mis = dist_mis(ctx, &plan, &reduced_cols, 0x5eed, 0, 5)
