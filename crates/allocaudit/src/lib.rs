@@ -349,7 +349,6 @@ mod imp {
                     (0, None)
                 }
             });
-            // lint: allow(thread): panic-in-drop reentrancy guard, no threads spawned
             if hits > 0 && !std::thread::panicking() {
                 panic!(
                     "alloc_audit: {hits} allocation(s) inside zero-alloc region `{}`; first callsite:\n{}",

@@ -108,7 +108,7 @@ pub mod tags {
             U0 => "u0",
             ACK => "ack",
             RECOVER => "recover",
-            t if t >= pilut_par::Ctx::RESERVED_TAG_BASE => "coll",
+            t if pilut_par::Ctx::is_reserved(t) => "coll",
             _ => "user",
         }
     }

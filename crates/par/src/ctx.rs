@@ -89,7 +89,7 @@ pub struct Counters {
     /// Per-tag `(messages, bytes)` breakdown of everything counted in
     /// `messages`/`bytes`. User tags are keyed by their literal value; all
     /// collective traffic (whose tags embed a per-call sequence number) is
-    /// folded under the single key [`Ctx::RESERVED_TAG_BASE`].
+    /// folded under a single key, and [`Ctx::is_reserved`] tells it apart.
     pub by_tag: BTreeMap<u64, (u64, u64)>,
     /// Per-tag `(messages, bytes, exact)` *predicted* by the static plan
     /// analysis ([`Ctx::note_planned`]) before the traffic was sent. The
@@ -103,10 +103,10 @@ impl Counters {
     /// Records one `bytes`-sized message on `tag` in the per-tag breakdown
     /// (the aggregate `messages`/`bytes` fields are bumped by the caller).
     fn note_tag(&mut self, tag: u64, bytes: u64) {
-        let key = if tag < Ctx::RESERVED_TAG_BASE {
-            tag
-        } else {
+        let key = if Ctx::is_reserved(tag) {
             Ctx::RESERVED_TAG_BASE
+        } else {
+            tag
         };
         let slot = self.by_tag.entry(key).or_insert((0, 0));
         slot.0 += 1;
@@ -135,12 +135,13 @@ pub(crate) struct RankExit {
 
 /// A rank's handle onto the virtual machine.
 ///
-/// All communication is matched by `(from, tag)`. Tags below
-/// [`Ctx::RESERVED_TAG_BASE`] are free for user protocols; the collectives
-/// use tags above it, namespaced by an internal sequence number, so user
-/// traffic can never be confused with collective traffic as long as every
-/// rank calls the collectives in the same program order (the usual SPMD
-/// contract). [`crate::Machine::run_checked`] verifies that contract.
+/// All communication is matched by `(from, tag)`. Tags for which
+/// [`Ctx::is_reserved`] does not hold are free for user protocols; the
+/// collectives use the reserved ones, namespaced by an internal sequence
+/// number, so user traffic can never be confused with collective traffic as
+/// long as every rank calls the collectives in the same program order (the
+/// usual SPMD contract). [`crate::Machine::run_checked`] verifies that
+/// contract.
 pub struct Ctx {
     rank: usize,
     nprocs: usize,
@@ -207,8 +208,35 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Tags at or above this value are reserved for collectives.
-    pub const RESERVED_TAG_BASE: u64 = 1 << 48;
+    /// Tags at or above this value are reserved for collectives. Private to
+    /// this crate: everywhere else a tag is classified by [`Ctx::is_reserved`]
+    /// and never built in the reserved range.
+    pub(crate) const RESERVED_TAG_BASE: u64 = 1 << 48;
+
+    /// Whether `tag` lies in the range the collectives and protocol traffic
+    /// own. `send`, `send_as`, `recv` and `recv_any` reject such a tag, and
+    /// [`Counters::by_tag`] folds all of it under one key for which this
+    /// holds.
+    ///
+    /// The range's base is private to this crate, so no other crate can
+    /// build a tag inside it; the compiler refuses to let it read the base:
+    ///
+    /// ```compile_fail,E0624
+    /// use pilut_par::Ctx;
+    /// let coll = u64::MAX >= Ctx::RESERVED_TAG_BASE;
+    /// assert!(coll);
+    /// ```
+    ///
+    /// and the same check through this predicate compiles:
+    ///
+    /// ```
+    /// use pilut_par::Ctx;
+    /// let coll = Ctx::is_reserved(u64::MAX);
+    /// assert!(coll);
+    /// ```
+    pub const fn is_reserved(tag: u64) -> bool {
+        tag >= Self::RESERVED_TAG_BASE
+    }
 
     pub(crate) fn new(
         rank: usize,
@@ -438,11 +466,11 @@ impl Ctx {
         slot.2 &= exact;
     }
 
-    /// Sends `payload` to rank `to` with a user `tag`
-    /// (`tag < RESERVED_TAG_BASE`).
+    /// Sends `payload` to rank `to` with a user `tag` (one for which
+    /// [`Ctx::is_reserved`] does not hold).
     pub fn send(&mut self, to: usize, tag: u64, payload: Payload) {
         assert!(
-            tag < Self::RESERVED_TAG_BASE,
+            !Self::is_reserved(tag),
             "tag {tag} is reserved for collectives"
         );
         self.send_internal(to, tag, tag, payload);
@@ -455,7 +483,7 @@ impl Ctx {
     /// the whole protocol's volume under one stable counter key.
     pub fn send_as(&mut self, to: usize, wire_tag: u64, stats_tag: u64, payload: Payload) {
         assert!(
-            wire_tag < Self::RESERVED_TAG_BASE,
+            !Self::is_reserved(wire_tag),
             "tag {wire_tag} is reserved for collectives"
         );
         self.send_internal(to, wire_tag, stats_tag, payload);
@@ -478,7 +506,7 @@ impl Ctx {
         self.counters.messages += 1;
         self.counters.bytes += payload.bytes() as u64;
         self.counters.note_tag(stats_tag, payload.bytes() as u64);
-        let coll_kind = if tag >= Self::RESERVED_TAG_BASE {
+        let coll_kind = if Self::is_reserved(tag) {
             self.current_coll
         } else {
             None
@@ -887,7 +915,7 @@ impl Ctx {
     /// forever.
     pub fn recv(&mut self, from: usize, tag: u64) -> Payload {
         assert!(
-            tag < Self::RESERVED_TAG_BASE,
+            !Self::is_reserved(tag),
             "tag {tag} is reserved for collectives"
         );
         self.recv_internal(from, tag)
@@ -941,7 +969,7 @@ impl Ctx {
     /// variant instead.
     pub fn recv_any(&mut self, tag: u64) -> (usize, Payload) {
         assert!(
-            tag < Self::RESERVED_TAG_BASE,
+            !Self::is_reserved(tag),
             "tag {tag} is reserved for collectives"
         );
         self.recv_any_internal(tag, RecvMode::Wildcard)
@@ -1085,7 +1113,7 @@ impl Ctx {
     }
 
     fn accept(&mut self, env: Envelope, mode: RecvMode) -> Payload {
-        if env.tag >= Self::RESERVED_TAG_BASE {
+        if Self::is_reserved(env.tag) {
             self.verify_collective_kind(&env);
         }
         if let Some(hb) = self.hb.as_mut() {

@@ -21,7 +21,7 @@
 //! only on per-rank operation counts, message counts/volumes, and
 //! synchronisation depth — exactly the three quantities the model tracks.
 //! Real wall-clock time can of course also be measured around `Machine::run`
-//! for small `p`; the `xtask bench` machine scenarios do that.
+//! for small `p`; the `benchmark/` package does that.
 //!
 //! # Checked mode (`commcheck`)
 //!

@@ -83,8 +83,9 @@ pub struct MachineStats {
     /// the ranks agree on the count).
     pub collectives: u64,
     /// Per-tag `(messages, bytes)` totals across all ranks. User tags keep
-    /// their literal value; all collective traffic is folded under
-    /// [`crate::Ctx::RESERVED_TAG_BASE`] (see [`crate::ctx::Counters::by_tag`]).
+    /// their literal value; all collective traffic is folded under one key,
+    /// for which [`crate::Ctx::is_reserved`] holds (see
+    /// [`crate::ctx::Counters::by_tag`]).
     pub by_tag: std::collections::BTreeMap<u64, (u64, u64)>,
     /// Per-tag `(messages, bytes, exact)` totals *predicted* by the static
     /// plan analysis before the traffic was sent (see

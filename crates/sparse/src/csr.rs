@@ -168,13 +168,20 @@ impl CsrMatrix {
         self.col_idx.len()
     }
 
-    /// Row pointer array (`n_rows + 1` entries).
-    pub fn row_ptr(&self) -> &[u32] {
+    /// Row pointer array (`n_rows + 1` entries). Crate-private, like
+    /// [`CsrMatrix::col_idx`]: the layout is this crate's contract, and
+    /// other crates read a matrix through [`CsrMatrix::row`]. Only this
+    /// crate's tests read the arrays whole; the pair is not `cfg(test)` so
+    /// that the `compile_fail` doctest on `row` meets a private method, not
+    /// a missing one.
+    #[allow(dead_code)]
+    pub(crate) fn row_ptr(&self) -> &[u32] {
         &self.row_ptr
     }
 
-    /// Column indices, concatenated row-major.
-    pub fn col_idx(&self) -> &[u32] {
+    /// Column indices, concatenated row-major (crate-private).
+    #[allow(dead_code)]
+    pub(crate) fn col_idx(&self) -> &[u32] {
         &self.col_idx
     }
 
@@ -187,7 +194,8 @@ impl CsrMatrix {
         bytes(&self.row_ptr) + bytes(&self.col_idx) + bytes(&self.values)
     }
 
-    /// Stored values, parallel to `col_idx`.
+    /// Stored values, concatenated row-major: row `i`'s are
+    /// [`CsrMatrix::row`]`(i).1`.
     pub fn values(&self) -> &[f64] {
         &self.values
     }
@@ -197,7 +205,23 @@ impl CsrMatrix {
         &mut self.values
     }
 
-    /// The column indices and values of row `i`.
+    /// The column indices and values of row `i`: how code outside this
+    /// crate reads the storage. The index arrays are private to this crate,
+    /// so the compiler refuses an outside reader:
+    ///
+    /// ```compile_fail,E0624
+    /// let a = pilut_sparse::gen::laplace_2d(3, 3);
+    /// let cols: &[u32] = a.col_idx();
+    /// assert!(cols.contains(&4));
+    /// ```
+    ///
+    /// and the same read through this accessor compiles:
+    ///
+    /// ```
+    /// let a = pilut_sparse::gen::laplace_2d(3, 3);
+    /// let cols: &[u32] = a.row(4).0;
+    /// assert!(cols.contains(&4));
+    /// ```
     pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
         let (s, e) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
         (&self.col_idx[s..e], &self.values[s..e])

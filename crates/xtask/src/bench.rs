@@ -849,10 +849,7 @@ mod tests {
         );
         // Collectives plan themselves like every other tag: no allowance.
         let mut m = healthy();
-        m.facts
-            .stats
-            .by_tag
-            .insert(Ctx::RESERVED_TAG_BASE, (7, 320));
+        m.facts.stats.by_tag.insert(u64::MAX, (7, 320));
         assert_fails(&m, "tag coll: 7 measured message(s) bypassed");
     }
 
