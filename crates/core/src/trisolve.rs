@@ -32,6 +32,11 @@
 //! tail. Entries keep ascending *global* column order within a row, so
 //! every sum rounds as it always did.
 //!
+//! Both sweeps run over one such vector: the backward sweep starts from
+//! the forward sweep's result in place, and the ghosts the forward sweep
+//! left in the tail are never read, since every ghost a `U` row reads is
+//! delivered by its level's batch first.
+//!
 //! [`dist_solve_into`] is the one way to apply the factors: both sweeps
 //! into a caller-owned buffer over a [`SolveScratch`] built once per plan
 //! (the solver crate's `DistIlu` holds the plan and the scratch together).
@@ -115,14 +120,12 @@ impl TrisolvePlan {
     }
 }
 
-/// Caller-owned workspace for repeated [`dist_solve_into`] calls: the two
-/// slot-indexed sweep vectors, sized once from the plan so the steady-state
-/// solve allocates nothing. Build one per `(local, plan)` pair and reuse it
-/// across every solve of a Krylov iteration.
+/// Caller-owned workspace for repeated [`dist_solve_into`] calls: the
+/// slot-indexed vector both sweeps run over, sized once from the plan so
+/// the steady-state solve allocates nothing. Build one per `(local, plan)`
+/// pair and reuse it across every solve of a Krylov iteration.
 pub struct SolveScratch {
-    /// Forward-sweep solution (the backward sweep's right-hand side).
-    y: Vec<f64>,
-    /// Backward-sweep solution.
+    /// The forward sweep's solution, overwritten by the backward sweep's.
     x: Vec<f64>,
 }
 
@@ -131,7 +134,6 @@ impl SolveScratch {
     pub fn build(local: &LocalView, plan: &TrisolvePlan) -> Self {
         debug_assert!(plan.n_slots >= local.len());
         SolveScratch {
-            y: Vec::with_capacity(plan.n_slots),
             x: Vec::with_capacity(plan.n_slots),
         }
     }
@@ -139,9 +141,10 @@ impl SolveScratch {
 
 /// Solves `L U x = b` for this rank's unknowns into `out`, using a reusable
 /// [`SolveScratch`]: the forward sweep `L y = b` (unit lower triangular),
-/// then the backward sweep `U x = y`. `b` and `out` are in local-view
-/// order (interiors first, then interfaces). The whole replay runs under
-/// the `trisolve_replay` audit region and performs no heap acquisitions.
+/// then the backward sweep `U x = y` over `y` in place. `b` and `out` are
+/// in local-view order (interiors first, then interfaces). The whole replay
+/// runs under the `trisolve_replay` audit region and performs no heap
+/// acquisitions.
 ///
 /// Collective: all ranks must call with their own local data.
 pub fn dist_solve_into(
@@ -155,18 +158,9 @@ pub fn dist_solve_into(
 ) {
     let _audit = pilut_allocaudit::region("trisolve_replay");
     let n = local.len();
-    forward_sweep_into(ctx, rf, plan, b, &mut scratch.y);
-    backward_sweep_into(ctx, rf, plan, &scratch.y[..n], &mut scratch.x);
+    forward_sweep_into(ctx, rf, plan, b, &mut scratch.x);
+    backward_sweep_in_place(ctx, rf, plan, &mut scratch.x);
     out.copy_from_slice(&scratch.x[..n]);
-}
-
-/// Loads the owned part of the slot-indexed vector from `rhs`; the ghost
-/// tail keeps whatever it held (every ghost a row reads is delivered by its
-/// level's batch first). No allocation once `x` has seen `n_slots`.
-fn load(x: &mut Vec<f64>, rhs: &[f64], n_slots: usize) {
-    x.clear();
-    x.extend_from_slice(rhs);
-    x.resize(n_slots, 0.0);
 }
 
 /// The forward sweep body over a caller-owned slot-indexed vector.
@@ -178,7 +172,12 @@ fn forward_sweep_into(
     x: &mut Vec<f64>,
 ) {
     assert_eq!(b.len(), rf.n_rows());
-    load(x, b, plan.n_slots);
+    // Load the owned part; the ghost tail keeps whatever the last backward
+    // sweep left in it (every ghost a row reads is delivered by its level's
+    // batch first). No allocation once `x` has seen `n_slots`.
+    x.clear();
+    x.extend_from_slice(b);
+    x.resize(plan.n_slots, 0.0);
     // Interior phase: L columns of interior rows are earlier interiors of
     // this rank — all local, all already computed in ascending order.
     rf.store.forward_rows(0..rf.interior.len(), x);
@@ -194,16 +193,11 @@ fn forward_sweep_into(
     ctx.work(2.0 * rf.store.l.val.len() as f64);
 }
 
-/// The backward sweep body (see [`forward_sweep_into`]).
-fn backward_sweep_into(
-    ctx: &mut Ctx,
-    rf: &RankFactors,
-    plan: &TrisolvePlan,
-    y: &[f64],
-    x: &mut Vec<f64>,
-) {
-    assert_eq!(y.len(), rf.n_rows());
-    load(x, y, plan.n_slots);
+/// The backward sweep body (see [`forward_sweep_into`]), over the forward
+/// sweep's slot-indexed vector: its owned part is the right-hand side, its
+/// ghost tail is overwritten before any row reads it.
+fn backward_sweep_in_place(ctx: &mut Ctx, rf: &RankFactors, plan: &TrisolvePlan, x: &mut [f64]) {
+    assert_eq!(x.len(), plan.n_slots);
     // Interface levels in reverse order: drain the batches of the level
     // computed just before (the next-higher index), compute, ship.
     let n_levels = plan.level_pos.len();

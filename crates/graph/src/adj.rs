@@ -9,23 +9,36 @@ use pilut_sparse::CsrMatrix;
 /// Invariants: no self-loops; for every arc `(u, v)` the reverse arc
 /// `(v, u)` is present with the same weight; neighbour lists are sorted.
 ///
-/// Only the arc offsets are 64-bit. Ids are `u32` and weights `i32`: every
+/// Everything is 32-bit: arc offsets and ids `u32`, weights `i32`. Every
 /// graph is a [`Graph::from_csr_pattern`] or a coarsening of one. Its ids
 /// are the matrix's, below `u32::MAX` (spare as a sentinel) because a
 /// [`CsrMatrix`] dimension fits a `u32`. Its weights are unit, and a coarse
 /// weight is at most the finest graph's arc count — a coarse vertex is a
 /// set of vertices joined by matched edges, a coarse edge a merge of arcs —
-/// which `assert_arcs_fit_32` bounds by an `i32`.
+/// which `assert_arcs_fit_32` bounds by an `i32`, and so the offsets by a
+/// `u32`. Unit weights are not stored: an empty `adjwgt` (`vwgt`) weighs
+/// every edge (vertex) 1, as in every [`Graph::from_csr_pattern`] result;
+/// a coarse graph stores its own.
 #[derive(Debug)]
 pub struct Graph {
-    xadj: Vec<usize>,
+    xadj: Vec<u32>,
     adjncy: Vec<u32>,
     adjwgt: Vec<i32>,
     vwgt: Vec<i32>,
 }
 
-/// Asserts that `arcs` arcs fit [`Graph`]'s 32-bit weights: every coarse
-/// vertex or edge weight is at most `arcs`, so it must fit an `i32`.
+/// Weight `k` of `ws`, where an empty `ws` weighs everything 1.
+fn weight(ws: &[i32], k: usize) -> i32 {
+    if ws.is_empty() {
+        1
+    } else {
+        ws[k]
+    }
+}
+
+/// Asserts that `arcs` arcs fit [`Graph`]'s 32-bit offsets and weights:
+/// every coarse vertex or edge weight is at most `arcs`, so it must fit an
+/// `i32`.
 pub(crate) fn assert_arcs_fit_32(arcs: usize) {
     let max = i32::MAX as usize;
     assert!(
@@ -35,23 +48,25 @@ pub(crate) fn assert_arcs_fit_32(arcs: usize) {
 }
 
 impl Graph {
-    /// Builds from raw adjacency arrays.
+    /// Builds from raw adjacency arrays; an empty `adjwgt` or `vwgt` means
+    /// unit weights.
     ///
     /// # Panics
     /// Panics on inconsistent arrays, self-loops, unsorted neighbour lists,
     /// or an asymmetric arc set.
     pub(crate) fn from_raw(
-        xadj: Vec<usize>,
+        xadj: Vec<u32>,
         adjncy: Vec<u32>,
         adjwgt: Vec<i32>,
         vwgt: Vec<i32>,
     ) -> Self {
-        let n = xadj.len().saturating_sub(1);
-        assert_eq!(vwgt.len(), n);
-        assert_eq!(adjncy.len(), adjwgt.len());
-        assert_eq!(*xadj.last().unwrap_or(&0), adjncy.len());
+        // lint: allow(unwrap): a graph of `n` vertices has `n + 1` offsets
+        let n = xadj.len().checked_sub(1).expect("no arc offsets");
+        assert!(vwgt.is_empty() || vwgt.len() == n);
+        assert!(adjwgt.is_empty() || adjwgt.len() == adjncy.len());
+        assert_eq!(xadj[n] as usize, adjncy.len());
         for u in 0..n {
-            let nbrs = &adjncy[xadj[u]..xadj[u + 1]];
+            let nbrs = &adjncy[xadj[u] as usize..xadj[u + 1] as usize];
             for w in nbrs.windows(2) {
                 assert!(w[0] < w[1], "neighbour list of {u} not strictly sorted");
             }
@@ -91,49 +106,55 @@ impl Graph {
             "structure graph needs a square matrix"
         );
         let n = a.n_rows();
-        let mut xadj = vec![0usize; n + 1];
+        let mut xadj = vec![0u32; n + 1];
+        // A degree is below `n`, which fits a `u32`; the sum is checked.
         for_each_arc(a, |u, _| xadj[u as usize + 1] += 1);
+        assert_arcs_fit_32(xadj.iter().map(|&d| d as usize).sum());
         for u in 0..n {
             xadj[u + 1] += xadj[u];
         }
-        assert_arcs_fit_32(xadj[n]);
-        let mut adjncy = vec![0u32; xadj[n]];
+        let mut adjncy = vec![0u32; xadj[n] as usize];
         let mut next = xadj[..n].to_vec();
         for_each_arc(a, |u, v| {
-            adjncy[next[u as usize]] = v;
+            adjncy[next[u as usize] as usize] = v;
             next[u as usize] += 1;
         });
         // A row's transposed arcs land around its own (sorted) columns.
         for u in 0..n {
-            adjncy[xadj[u]..xadj[u + 1]].sort_unstable();
+            adjncy[xadj[u] as usize..xadj[u + 1] as usize].sort_unstable();
         }
-        let m = adjncy.len();
         Graph {
             xadj,
             adjncy,
-            adjwgt: vec![1; m],
-            vwgt: vec![1; n],
+            adjwgt: Vec::new(),
+            vwgt: Vec::new(),
         }
+    }
+
+    /// Heap bytes held: the capacities of the four arrays.
+    pub fn heap_bytes(&self) -> usize {
+        let ids = self.xadj.capacity() + self.adjncy.capacity();
+        4 * (ids + self.adjwgt.capacity() + self.vwgt.capacity())
     }
 
     /// Number of vertices.
     pub fn n_vertices(&self) -> usize {
-        self.vwgt.len()
+        self.xadj.len() - 1
     }
 
     /// Number of neighbours of `u`.
     pub fn degree(&self, u: usize) -> usize {
-        self.xadj[u + 1] - self.xadj[u]
+        (self.xadj[u + 1] - self.xadj[u]) as usize
     }
 
     /// The weight of vertex `u`.
     pub fn vertex_weight(&self, u: usize) -> i64 {
-        self.vwgt[u].into()
+        weight(&self.vwgt, u).into()
     }
 
     /// Sum of all vertex weights.
     pub fn total_vertex_weight(&self) -> i64 {
-        self.vwgt.iter().map(|&w| i64::from(w)).sum()
+        (0..self.n_vertices()).map(|u| self.vertex_weight(u)).sum()
     }
 
     /// Iterates `(neighbour, edge_weight)` pairs of `u`.
@@ -143,20 +164,17 @@ impl Graph {
 
     /// [`Graph::neighbors`] as stored: what a coarser graph is built from.
     pub(crate) fn arcs(&self, u: usize) -> impl Iterator<Item = (u32, i32)> + '_ {
-        let (s, e) = (self.xadj[u], self.xadj[u + 1]);
-        self.adjncy[s..e]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[s..e].iter().copied())
+        let s = self.xadj[u] as usize;
+        let ids = &self.adjncy[s..self.xadj[u + 1] as usize];
+        (ids.iter().enumerate()).map(move |(k, &v)| (v, weight(&self.adjwgt, s + k)))
     }
 
     /// Weight of edge `{u, v}` if present.
     pub fn edge_weight(&self, u: usize, v: usize) -> Option<i64> {
-        let (s, e) = (self.xadj[u], self.xadj[u + 1]);
-        let k = self.adjncy[s..e]
-            .binary_search(&u32::try_from(v).ok()?)
-            .ok()?;
-        Some(self.adjwgt[s + k].into())
+        let s = self.xadj[u] as usize;
+        let ids = &self.adjncy[s..self.xadj[u + 1] as usize];
+        let k = ids.binary_search(&u32::try_from(v).ok()?).ok()?;
+        Some(weight(&self.adjwgt, s + k).into())
     }
 
     /// Sum of the weights of edges crossing the given partition.
@@ -273,7 +291,28 @@ mod tests {
             }
             let checked = Graph::from_raw(g.xadj, g.adjncy, g.adjwgt, g.vwgt);
             assert_eq!(checked.n_vertices(), n, "case {case}");
-            assert!(checked.adjwgt.iter().all(|&w| w == 1), "case {case}");
+            assert!(checked.adjwgt.is_empty(), "case {case}");
+            assert!(checked.vwgt.is_empty(), "case {case}");
+        }
+    }
+
+    #[test]
+    fn a_pattern_graph_holds_its_offsets_and_ids_only() {
+        let g = Graph::from_csr_pattern(&gen::g40(1));
+        let (n, arcs) = (g.n_vertices(), g.adjncy.len());
+        assert_eq!(g.heap_bytes(), 4 * (n + 1) + 4 * arcs);
+    }
+
+    #[test]
+    fn a_pattern_graph_weighs_everything_one() {
+        let g = Graph::from_csr_pattern(&gen::g40(1));
+        assert_eq!(g.total_vertex_weight(), g.n_vertices() as i64);
+        for u in 0..g.n_vertices() {
+            assert_eq!(g.vertex_weight(u), 1);
+            for (v, w) in g.neighbors(u) {
+                assert_eq!(w, 1);
+                assert_eq!(g.edge_weight(u, v), Some(1));
+            }
         }
     }
 

@@ -209,7 +209,7 @@ fn coarsen_once(g: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<u32>) {
         row.sort_unstable_by_key(|&(cy, _)| cy);
         adjncy.extend(row.iter().map(|&(cy, _)| cy));
         adjwgt.extend(row.iter().map(|&(_, w)| w));
-        xadj.push(adjncy.len());
+        xadj.push(adjncy.len() as u32);
     }
     adjncy.shrink_to_fit();
     adjwgt.shrink_to_fit();
@@ -387,13 +387,13 @@ fn refine_kway(g: &Graph, part: &mut [usize], k: usize, rng: &mut SplitMix64) {
     let total = g.total_vertex_weight();
     let max_w = ((total as f64 / k as f64) * IMBALANCE).ceil() as i64;
     let mut pw = g.part_weights(part, k);
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut order: Vec<u32> = (0..n as u32).collect();
     for _ in 0..REFINE_PASSES {
         rng.shuffle(&mut order);
         let mut moved_any = false;
         let mut conn: Vec<i64> = vec![0; k]; // connectivity scratch
         let mut touched: Vec<usize> = Vec::new();
-        for &u in &order {
+        for u in order.iter().map(|&u| u as usize) {
             let pu = part[u];
             // Connectivity of u to each adjacent part.
             touched.clear();
@@ -557,6 +557,20 @@ mod tests {
         assert!(c.n_vertices() * 2 >= g.n_vertices());
         assert_eq!(cmap.len(), g.n_vertices());
         assert!(cmap.iter().all(|&c_id| (c_id as usize) < c.n_vertices()));
+    }
+
+    #[test]
+    fn a_coarse_graph_keeps_its_weights() {
+        let g = Graph::from_csr_pattern(&gen::g40(1));
+        let (c, _) = coarsen_once(&g, &mut SplitMix64::new(1));
+        let nc = c.n_vertices();
+        let arcs: usize = (0..nc).map(|u| c.degree(u)).sum();
+        assert!(nc < g.n_vertices());
+        // Offsets, ids, edge weights and vertex weights, all 4 bytes.
+        assert_eq!(c.heap_bytes(), 4 * (nc + 1 + arcs + arcs + nc));
+        assert_eq!(c.total_vertex_weight(), g.n_vertices() as i64);
+        let heavy = (0..nc).flat_map(|u| c.neighbors(u)).any(|(_, w)| w > 1);
+        assert!(heavy, "no merged edge");
     }
 
     /// Regression: a 3-D mesh at a large part count drives the recursive

@@ -75,7 +75,10 @@ fn residual<S: Space>(space: &mut S, b: &[f64], x: &[f64], out: &mut [f64]) {
 /// top; restart cycles and inner iterations only ever reuse it (a basis
 /// vector is written into the capacity reserved for it), which is
 /// what the `no-alloc-in-hot` lint polices here and the `gmres_inner`
-/// zero-steady-alloc bench gate measures.
+/// zero-steady-alloc bench gate measures. The one exception is the
+/// residual history: each cycle's top, outside `gmres_inner`, makes room
+/// for the pushes that cycle can make, so no budget — not even an
+/// unlimited one — is reserved up front.
 pub(crate) fn solve<S: Space>(
     space: &mut S,
     b: &[f64],
@@ -123,19 +126,15 @@ fn solve_in<S: Space>(
     // `h` the Hessenberg (`h[i][j]`
     // with `i` the row, triangular once rotated); `cs`/`sn` the Givens
     // cosines and sines; `g` the rotated right-hand side, solved in place
-    // into the combination `y`; `z` takes preconditioner output; `w` holds
-    // the new Arnoldi column, then `V y`, then the final true residual.
+    // into the combination `y`; `z` takes preconditioner output. The new
+    // Arnoldi column is built in its own basis slot, `V y` in the first slot
+    // past the combination, and the final true residual in `v_0`.
     v.extend((0..=m).map(|_| Vec::with_capacity(len))); // lint: allow(alloc-in-hot): setup
     let mut h = vec![vec![0.0; m]; m + 1]; // lint: allow(alloc-in-hot): setup
     let mut cs = vec![0.0; m]; // lint: allow(alloc-in-hot): setup
     let mut sn = vec![0.0; m]; // lint: allow(alloc-in-hot): setup
     let mut g = vec![0.0; m + 1]; // lint: allow(alloc-in-hot): setup
     let mut z = vec![0.0; len]; // lint: allow(alloc-in-hot): setup
-    let mut w = vec![0.0; len]; // lint: allow(alloc-in-hot): setup
-
-    // One residual push per matvec plus one per cycle, never more — the
-    // reservation keeps steady-state pushes off the allocator.
-    out.history.reserve_exact(2 * opts.max_matvecs + 2);
 
     let n = b.len() as f64;
     let target = opts.rtol * b_norm;
@@ -149,6 +148,8 @@ fn solve_in<S: Space>(
         residual(space, b, &out.x, &mut v[0]);
         out.matvecs += 1;
         let beta = norm(space, &v[0]);
+        // One push per matvec: this residual's, then one per inner step.
+        out.history.reserve(m + 1);
         out.history.push(beta);
         if !beta.is_finite() {
             out.breakdown = Some(Breakdown::NonFinite { at: out.matvecs });
@@ -182,18 +183,21 @@ fn solve_in<S: Space>(
 
         let audit = pilut_allocaudit::region("gmres_inner");
         for j in 0..cs.len() {
-            // w = A M⁻¹ v_j.
+            // w = A M⁻¹ v_j, in the slot of v_{j+1}.
             space.apply_precond(&v[j], &mut z);
-            space.apply_op(&z, &mut w);
+            let (basis, next) = v.split_at_mut(j + 1);
+            let w = &mut next[0];
+            w.resize(len, 0.0); // within the reservation
+            space.apply_op(&z, w);
             out.matvecs += 1;
             // Modified Gram–Schmidt.
             for i in 0..=j {
-                let hij = inner_product(space, &w, &v[i]);
+                let hij = inner_product(space, w, &basis[i]);
                 h[i][j] = hij;
-                axpy(-hij, &v[i], &mut w);
+                axpy(-hij, &basis[i], w);
                 space.work(2.0 * n);
             }
-            let wn = norm(space, &w);
+            let wn = norm(space, w);
             if !wn.is_finite() {
                 // The preconditioner or operator poisoned this column
                 // (NaN/Inf anywhere in w makes its norm non-finite; the
@@ -227,8 +231,7 @@ fn solve_in<S: Space>(
             // lint: allow(float-eq): exact (lucky) breakdown test
             let lucky = wn == 0.0;
             if !lucky {
-                v[j + 1].clear();
-                v[j + 1].extend(w.iter().map(|wi| wi / wn));
+                w.iter_mut().for_each(|wi| *wi /= wn);
                 space.work(n);
             }
             if g[j + 1].abs() <= target || out.matvecs >= opts.max_matvecs || lucky {
@@ -236,19 +239,21 @@ fn solve_in<S: Space>(
             }
         }
         // Back-substitute through the triangular H (in place: g becomes y)
-        // and accumulate V y into w.
+        // and accumulate V y into v_inner, which the sum does not read.
         for i in (0..inner).rev() {
             for k in i + 1..inner {
                 g[i] -= h[i][k] * g[k];
             }
             g[i] /= h[i][i];
         }
-        w.fill(0.0);
-        for (yi, vi) in g[..inner].iter().zip(v.iter()) {
-            axpy(*yi, vi, &mut w);
+        let (basis, rest) = v.split_at_mut(inner);
+        let vy = &mut rest[0];
+        vy.fill(0.0);
+        for (yi, vi) in g[..inner].iter().zip(basis.iter()) {
+            axpy(*yi, vi, vy);
         }
         space.work(2.0 * inner as f64 * n);
-        space.apply_precond(&w, &mut z);
+        space.apply_precond(vy, &mut z);
         drop(audit);
         // x += M⁻¹ (V y), guarded: a poisoned correction is discarded
         // rather than destroying the best solution found so far. Every
@@ -273,8 +278,8 @@ fn solve_in<S: Space>(
         }
     }
     // Budget exhausted or breakdown: report the true residual.
-    residual(space, b, &out.x, &mut w);
-    out.rel_residual = norm(space, &w) / b_norm;
+    residual(space, b, &out.x, &mut v[0]);
+    out.rel_residual = norm(space, &v[0]) / b_norm;
     if !out.rel_residual.is_finite() {
         out.rel_residual = f64::INFINITY;
     }
@@ -367,6 +372,18 @@ mod tests {
             r.history.len() <= 2 * opts.max_matvecs + 2,
             "reservation held"
         );
+    }
+
+    #[test]
+    fn an_unlimited_budget_solves_without_reserving_it() {
+        let (a, b, _) = laplace_problem();
+        let opts = GmresOptions {
+            max_matvecs: usize::MAX / 4,
+            ..Default::default()
+        };
+        let r = run(&a, &IdentityPreconditioner, &b, &opts, None, None);
+        assert!(r.converged);
+        assert_eq!(r.history.len(), r.matvecs, "one push per matvec");
     }
 
     /// FNV-1a over the bits of a float slice.

@@ -106,19 +106,18 @@ const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 /// Most bytes `distribute_p8` may hold at once, per byte of its matrix
 /// ([`CsrMatrix::heap_bytes`], `4·(n + 1) + 12·nnz`). Resident at the peak
 /// — the deepest coarsening level — are the matrix `DistMatrix` will keep
-/// (1.0), the structure graph (0.69: 64-bit offsets, 32-bit ids and
-/// weights) and the coarsening hierarchy (a geometric sum, 1.3 graphs) with
-/// one level's 32-bit scratch (1.16): 2.847 at full size, 2.820 at
-/// `--quick` size, 10 463 916 / 283 340 live bytes. The ratio rose from
-/// 2.343 / 2.323 when the matrix went from `usize` to `u32` indices: the
-/// live bytes fell by the matrix's quarter (from 11 842 480 / 321 104), the
-/// graph and the hierarchy did not. The eight views hold O(rows) each —
-/// their nodes and a handle on the shared numbering. With `usize` graph
-/// ids and `i64` weights the partitioner held 3.49 / 3.46 of a `usize`
-/// matrix, and with the transpose and the symmetrised copy behind the
-/// graph, the partitioner's clone of it and the symmetrised copy in
-/// `DistMatrix` 5.04 / 5.18 (EXPERIMENTS).
-const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.85;
+/// (1.0), the structure graph (0.31: 32-bit offsets and ids, no unit
+/// weights) and the coarsening hierarchy (a geometric sum of graphs that
+/// store their weights) with one level's 32-bit scratch (1.09):
+/// 2.398 at full size, 2.373 at `--quick` size, 8 810 696 / 238 464 live
+/// bytes. With `usize` offsets and a stored unit weight per arc and per
+/// vertex the graph was 0.69 and the total 2.847 / 2.820 (10 463 916 /
+/// 283 340); against the `usize` matrix it read 2.343 / 2.323. With
+/// `usize` graph ids and `i64` weights the partitioner held 3.49 / 3.46 of
+/// a `usize` matrix, and with the transpose and the symmetrised copy
+/// behind the graph, the partitioner's clone of it and the symmetrised
+/// copy in `DistMatrix` 5.04 / 5.18 (EXPERIMENTS).
+const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.40;
 
 /// Most heap bytes a row's matrix may hold per stored entry
 /// ([`CsrMatrix::heap_bytes`] over `nnz`). A `usize` column id beside its
@@ -608,7 +607,7 @@ fn check(m: &Measurement) -> Result<(), String> {
             return fail(format!(
                 "set-up held {live:.3} live byte(s) per byte of its matrix, budget \
                  {DISTRIBUTE_LIVE_PER_INPUT}: a second copy of the pattern, or a graph with \
-                 64-bit ids, is resident"
+                 64-bit offsets or stored unit weights, is resident"
             ));
         }
         _ => {}

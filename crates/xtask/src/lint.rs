@@ -334,7 +334,7 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
     ),
     (
         "crates/core/src/trisolve.rs",
-        &["forward_sweep_into", "backward_sweep_into", "load"],
+        &["forward_sweep_into", "backward_sweep_in_place"],
     ),
     (
         "crates/core/src/dist/exchange.rs",
@@ -1101,11 +1101,14 @@ mod tests {
         assert!(rules(&stale_hot_modules(&root, HOT_MODULES)).is_empty());
         // ... and a planted rename is reported, not silently unpoliced: a
         // file that is gone, and a function its file does not declare
-        // (`load` it does; a name only a comment or a test mentions it
-        // does not).
+        // (`forward_sweep_into` it does; a name only a comment or a test
+        // mentions it does not).
         let planted: &[(&str, &[&str])] = &[
             ("crates/core/src/dist/exchange/replay.rs", &["replay"]),
-            ("crates/core/src/trisolve.rs", &["load", "sweep_into"]),
+            (
+                "crates/core/src/trisolve.rs",
+                &["forward_sweep_into", "sweep_into"],
+            ),
         ];
         let got = stale_hot_modules(&root, planted);
         assert_eq!(rules(&got), vec!["no-alloc-in-hot"; 2]);
