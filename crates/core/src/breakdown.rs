@@ -8,6 +8,7 @@
 //! carry over to the others.
 
 use crate::options::{BreakdownPolicy, FactorError};
+use pilut_sparse::Entry;
 
 /// First pivot boost of [`BreakdownPolicy::Shift`], relative to the row's
 /// 2-norm.
@@ -101,15 +102,15 @@ impl PivotDoctor {
         norm: f64,
         has_diag: bool,
         diag: &mut f64,
-        lower: &mut Vec<(usize, f64)>,
-        upper: &mut Vec<(usize, f64)>,
+        lower: &mut Vec<Entry>,
+        upper: &mut Vec<Entry>,
         pending: &mut Option<(usize, PivotFault)>,
         fallback: f64,
     ) {
         let off_poisoned = lower
             .iter()
             .chain(upper.iter())
-            .any(|&(_, v)| !v.is_finite());
+            .any(|e| !e.val().is_finite());
         let pivot_fault = if !has_diag {
             Some(PivotFault::StructurallyMissing)
         } else if !diag.is_finite() {
@@ -138,8 +139,8 @@ impl PivotDoctor {
             }
             BreakdownPolicy::Shift => {
                 if off_poisoned {
-                    lower.retain(|&(_, v)| v.is_finite());
-                    upper.retain(|&(_, v)| v.is_finite());
+                    lower.retain(|e| e.val().is_finite());
+                    upper.retain(|e| e.val().is_finite());
                 }
                 if pivot_fault.is_some() {
                     let boost = SHIFT_INITIAL * SHIFT_GROWTH.powi(self.repairs as i32);
@@ -172,10 +173,10 @@ mod tests {
         row: usize,
         norm: f64,
         (has_diag, mut diag): (bool, f64),
-        lower: &mut Vec<(usize, f64)>,
+        lower: &mut Vec<Entry>,
     ) -> (f64, Option<(usize, PivotFault)>) {
         let mut pending = None;
-        let mut upper = vec![(row + 1, 1.0)];
+        let mut upper = vec![Entry::new(row + 1, 1.0)];
         d.repair_or_defer(
             row,
             norm,
@@ -202,7 +203,7 @@ mod tests {
             assert_eq!(diag, 0.5, "the placeholder keeps the rank marching");
         }
         // A poisoned multiplier is fatal too, but leaves a good pivot alone.
-        let mut lower = vec![(0, f64::INFINITY)];
+        let mut lower = vec![Entry::new(0, f64::INFINITY)];
         let (diag, pending) = repair(&mut d, 4, 1.0, (true, 2.0), &mut lower);
         assert_eq!((diag, pending), (2.0, Some((4, PivotFault::NonFinite))));
         assert_eq!(lower.len(), 1, "Abort scrubs nothing");
@@ -255,10 +256,14 @@ mod tests {
     #[test]
     fn shift_scrubs_non_finite_entries_and_keeps_a_good_pivot() {
         let mut d = PivotDoctor::new(BreakdownPolicy::Shift);
-        let mut lower = vec![(0, f64::NAN), (1, 1.0)];
+        let mut lower = vec![Entry::new(0, f64::NAN), Entry::new(1, 1.0)];
         let (diag, pending) = repair(&mut d, 2, 4.0, (true, 3.0), &mut lower);
         assert_eq!((diag, pending), (3.0, None));
-        assert_eq!(lower, vec![(1, 1.0)], "non-finite multiplier scrubbed");
+        assert_eq!(
+            lower,
+            vec![Entry::new(1, 1.0)],
+            "non-finite multiplier scrubbed"
+        );
         assert_eq!(d.repairs(), 0, "a scrub alone is no repair");
     }
 

@@ -173,6 +173,11 @@ impl LocalView {
         cols.map(|&j| j as usize).filter(move |&j| !self.owns(j))
     }
 
+    /// Global number of nodes, the matrix dimension.
+    pub(crate) fn n_global(&self) -> usize {
+        self.num.code.len()
+    }
+
     /// Slots in the column space of this rank's factorization: its
     /// interiors in local order, then every interface node of the machine
     /// by interface number. An interior row couples to local nodes only and

@@ -17,6 +17,7 @@
 //! and checked.
 
 use pilut_sparse::csr::narrow;
+use pilut_sparse::Entry;
 
 /// One triangle of a factor: CSR over slots.
 #[derive(Clone, Debug)]
@@ -113,16 +114,16 @@ impl FactorStore {
     /// triangle's entry count outgrows `u32`.
     pub(crate) fn push_row(
         &mut self,
-        l: &[(usize, f64)],
+        l: &[Entry],
         diag: f64,
-        u: &[(usize, f64)],
+        u: &[Entry],
         slot_of: impl Fn(usize) -> usize,
     ) {
         // Slots are below the matrix dimension, which fits a `u32`.
-        let slot = |&(j, _): &(usize, f64)| slot_of(j) as u32;
+        let slot = |e: &Entry| slot_of(e.col()) as u32;
         for (arena, entries) in [(&mut self.l, l), (&mut self.u, u)] {
             arena.slot.extend(entries.iter().map(slot));
-            arena.val.extend(entries.iter().map(|&(_, v)| v));
+            arena.val.extend(entries.iter().map(|e| e.val()));
             // lint: allow(unwrap): documented panic: a triangle past 2^32 entries
             let end = narrow(arena.slot.len(), "factor entries").expect("factor outgrew u32");
             arena.ptr.push(end);
@@ -303,8 +304,13 @@ mod tests {
     /// `LuFactors` over the given `(l, diag, u)` rows.
     fn factors(rows: &[(Entries, f64, Entries)]) -> LuFactors {
         let mut store = FactorStore::with_capacity(rows.len());
+        let entries = |row: Entries| {
+            row.iter()
+                .map(|&(j, v)| Entry::new(j, v))
+                .collect::<Vec<_>>()
+        };
         for &(l, d, u) in rows {
-            store.push_row(l, d, u, |j| j);
+            store.push_row(&entries(l), d, &entries(u), |j| j);
         }
         LuFactors::from_store(store)
     }

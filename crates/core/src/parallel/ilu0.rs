@@ -19,14 +19,14 @@ use crate::breakdown::{PivotDoctor, PivotFault};
 use crate::dist::exchange::{tags, AllPeers};
 use crate::dist::{DistMatrix, LocalView};
 use crate::options::{BreakdownPolicy, FactorError};
-use crate::parallel::dist_mis::{link_plan, LevelMis};
-use crate::parallel::store::{FactorBuilder, RemoteURows};
+use crate::parallel::dist_mis::{link_plan, note_err, LevelMis};
+use crate::parallel::store::{FactorBuilder, InitialPattern, RemoteURows};
 use crate::parallel::{
-    collective_fault_verdict, lap, phase1_entry, reduced_patterns, seal_levels, split_diag,
-    LevelStats, ParStats, RankFactors, ReducedRows,
+    collective_fault_verdict, lap, phase1_entry, seal_levels, split_diag, LevelStats, ParStats,
+    RankFactors, ReducedRows,
 };
 use pilut_par::Ctx;
-use pilut_sparse::WorkRow;
+use pilut_sparse::{Entry, WorkRow};
 
 /// Runs the parallel zero-fill factorization. Collective. Aborts on the
 /// first unusable pivot ([`BreakdownPolicy::Abort`]).
@@ -48,10 +48,12 @@ pub fn par_ilu0(
     // The working row spans the rank's column space, as in `par_ilut`.
     let mut w = WorkRow::new(local.n_slots());
     // Scratch reused across rows; stored rows are exact-size copies.
-    let mut entries: Vec<(usize, f64)> = Vec::new();
-    let mut lower: Vec<(usize, f64)> = Vec::new();
-    let mut upper: Vec<(usize, f64)> = Vec::new();
+    let mut entries: Vec<Entry> = Vec::new();
+    let mut lower: Vec<Entry> = Vec::new();
+    let mut upper: Vec<Entry> = Vec::new();
     let mut my_err: Option<(usize, PivotFault)> = None;
+    // The first malformed `U`-row batch I received, for the final check.
+    let mut protocol: Option<FactorError> = None;
 
     // ---- Phase 1: my rows in local-view order, pattern-restricted. An
     // interior row eliminates the interiors preceding it; an interface row
@@ -77,7 +79,7 @@ pub fn par_ilu0(
             w.drop_pos(local.slot(k));
             let (udiag, urow) = fb.interior_pivot(k);
             let mult = wk / udiag;
-            lower.push((k, mult));
+            lower.push(Entry::new(k, mult));
             let cost = 2.0 * urow.len() as f64 + 1.0;
             for (j, uv) in urow {
                 if w.contains(local.slot(j)) {
@@ -109,8 +111,7 @@ pub fn par_ilu0(
         fb.push_interior(&lower, diag, &upper);
     }
     stats.reduced_nnz_peak = stats.reduced_nnz_initial;
-    let initial_reduced_cols: Vec<(usize, Vec<usize>)> =
-        reduced_patterns(local, &reduced).collect();
+    let initial = InitialPattern::of(&reduced);
     let phase1 = phase1_entry(local, stats.reduced_nnz_initial, lap(ctx, &mut mark), meter);
 
     // ---- Symbolic schedule: peel independent sets off the static pattern.
@@ -150,7 +151,7 @@ pub fn par_ilu0(
                 .sum(),
         );
         for (&v, row) in unscheduled() {
-            let cols = row.iter().flatten().map(|&(c, _)| c);
+            let cols = row.iter().flatten().map(|e| e.col());
             mis.push_row(v, cols.filter(|&c| keep(v, c)));
         }
         let plan = mis.link(ctx, dm.dist());
@@ -210,7 +211,7 @@ pub fn par_ilu0(
         // Ship the new U rows along the current level's plan, then eliminate
         // this level's unknowns from the remaining rows (pattern-restricted).
         let live = reduced.iter().flatten();
-        let plan = link_plan(ctx, dm.dist(), live.flatten().map(|&(c, _)| c));
+        let plan = link_plan(ctx, dm.dist(), live.flatten().map(|e| e.col()));
         let in_mine = |v: usize| level.binary_search(&v).is_ok();
         remote_u.clear();
         plan.exact_round(
@@ -219,7 +220,11 @@ pub fn par_ilu0(
             &AllPeers,
             &AllPeers,
             |_, nodes| fb.encode_urows(nodes, in_mine, lvl),
-            |_, _, payload| remote_u.decode(payload),
+            |peer, nodes, payload| {
+                if let Err(what) = remote_u.decode(nodes, &payload) {
+                    note_err(&mut protocol, "u0", peer, what);
+                }
+            },
         );
         // Remote members of this level are detectable from the shipped
         // rows. Ascending interface position keeps the clock reproducible.
@@ -228,35 +233,38 @@ pub fn par_ilu0(
                 continue;
             };
             pivots.clear();
-            let cols = rr.iter().map(|&(c, _)| c);
+            let cols = rr.iter().map(|e| e.col());
             pivots.extend(cols.filter(|&c| c != i && (in_mine(c) || remote_u.get(c).is_some())));
             if pivots.is_empty() {
                 continue;
             }
             lvl.rows_touched += 1;
-            for &(c, v) in rr {
-                w.set(local.slot(c), v);
+            for e in rr {
+                w.set(local.slot(e.col()), e.val());
             }
             lower.clear();
             lower.extend_from_slice(&fb.staged[q].l);
             for &k in &pivots {
-                let (udiag, urow) = fb.level_pivot(k, &remote_u);
+                // Every pivot was chosen for having a row here.
+                let Some((udiag, urow)) = fb.level_pivot(k, &remote_u) else {
+                    continue;
+                };
                 let wk = w.get(local.slot(k));
                 w.drop_pos(local.slot(k));
                 // As in phase 1, a multiplier that cancelled to exactly zero
                 // keeps its position: ILU(0) is defined by structure alone.
                 let mult = wk / udiag;
-                for &(j, uv) in urow {
-                    if w.contains(local.slot(j)) {
-                        w.add(local.slot(j), -mult * uv);
+                for e in urow {
+                    if w.contains(local.slot(e.col())) {
+                        w.add(local.slot(e.col()), -mult * e.val());
                     }
                 }
                 lvl.pivots_applied += 1;
                 lvl.elim_flops += 2.0 * urow.len() as f64 + 1.0;
                 ctx.work(2.0 * urow.len() as f64 + 1.0);
-                lower.push((k, mult));
+                lower.push(Entry::new(k, mult));
             }
-            lower.sort_unstable_by_key(|&(c, _)| c);
+            lower.sort_unstable_by_key(|e| e.col());
             fb.staged[q].l = lower.to_vec();
             w.drain_sorted_by_into(&mut entries, |s| local.col(s));
             live_nnz = live_nnz - rr.len() + entries.len();
@@ -268,10 +276,10 @@ pub fn par_ilu0(
 
     // Global error check once at the end (the schedule loop above already
     // synchronised every rank the same number of times).
-    let err_flag = ctx.all_reduce_sum_u64(my_err.map_or(0, |_| 1));
+    let err_flag = ctx.all_reduce_sum_u64(u64::from(my_err.is_some() || protocol.is_some()));
     if err_flag > 0 {
-        return Err(collective_fault_verdict(ctx, &my_err));
+        return Err(collective_fault_verdict(ctx, &my_err, protocol));
     }
     seal_levels(ctx, mark, phase1, per_level, &mut stats);
-    Ok(fb.finish(schedule, initial_reduced_cols, stats))
+    Ok(fb.finish(schedule, initial, stats))
 }

@@ -38,9 +38,10 @@ use crate::serial::drop_rules::{
     keep_largest_multipliers, selection_cost, threshold_and_cap_in_place,
 };
 use crate::serial::kernel::IlutRow;
-use dist_mis::LevelMis;
+use dist_mis::{note_err, LevelMis};
 use pilut_par::Ctx;
-use store::{FactorBuilder, RemoteURows};
+use pilut_sparse::Entry;
+use store::{FactorBuilder, InitialPattern, RemoteURows};
 
 /// Counters describing one rank's factorization.
 #[derive(Clone, Debug, Default)]
@@ -121,22 +122,26 @@ impl LevelStats {
 
 /// Agrees on a factorization error once at least one rank flagged a fault
 /// (collective). Every rank min-reduces its first deferred fault encoded as
-/// `row << 2 | kind`, then the id of the rank holding the winner. The
-/// owning rank reports the detailed per-row error; its peers report
-/// [`FactorError::RankFailure`] naming it.
+/// `row << 2 | kind` — a malformed message it received as kind 3 at row 0
+/// — then the id of the rank holding the winner. The owning rank reports
+/// the detailed error; its peers report [`FactorError::RankFailure`]
+/// naming it.
 pub(crate) fn collective_fault_verdict(
     ctx: &mut Ctx,
     my_err: &Option<(usize, PivotFault)>,
+    protocol: Option<FactorError>,
 ) -> FactorError {
     let me = ctx.rank() as u64;
-    let mine = my_err.map_or(u64::MAX, |(row, fault)| ((row as u64) << 2) | fault.code());
+    let fault = my_err.map_or(u64::MAX, |(row, fault)| ((row as u64) << 2) | fault.code());
+    let mine = if protocol.is_some() { 3 } else { fault };
     let winner = ctx.all_reduce_u64(vec![mine], pilut_par::collectives::ReduceOp::Min)[0];
     let owner = ctx.all_reduce_u64(
         vec![if mine == winner { me } else { u64::MAX }],
         pilut_par::collectives::ReduceOp::Min,
     )[0];
     if mine == winner {
-        PivotFault::from_code(winner & 3).error_at((winner >> 2) as usize)
+        protocol
+            .unwrap_or_else(|| PivotFault::from_code(winner & 3).error_at((winner >> 2) as usize))
     } else {
         FactorError::RankFailure {
             rank: owner as usize,
@@ -144,18 +149,10 @@ pub(crate) fn collective_fault_verdict(
     }
 }
 
-/// My slice of a reduced matrix, indexed by interface position; a row is
-/// `None` once its level has factored it.
-pub(crate) type ReducedRows = Vec<Option<Vec<(usize, f64)>>>;
-
-/// `(node, column pattern)` of every live reduced row, ascending node id.
-pub(crate) fn reduced_patterns<'a>(
-    local: &'a LocalView,
-    reduced: &'a ReducedRows,
-) -> impl Iterator<Item = (usize, Vec<usize>)> + 'a {
-    let rows = local.interface.iter().zip(reduced);
-    rows.filter_map(|(&v, row)| Some((v, row.as_ref()?.iter().map(|&(c, _)| c).collect())))
-}
+/// My slice of a reduced matrix, indexed by interface position: a row of
+/// [`Entry`]s of global columns (12 bytes each), ascending, `None` once its
+/// level has factored it.
+pub(crate) type ReducedRows = Vec<Option<Vec<Entry>>>;
 
 /// Seconds the clock advanced since `mark`, which moves to now: the
 /// `clock_delta` of the table entry being closed.
@@ -279,8 +276,7 @@ pub fn par_ilut(
         tau_of.push(tau_i);
     }
     stats.reduced_nnz_peak = stats.reduced_nnz_initial;
-    let initial_reduced_cols: Vec<(usize, Vec<usize>)> =
-        reduced_patterns(local, &reduced).collect();
+    let initial = InitialPattern::of(&reduced);
     let phase1 = phase1_entry(
         local,
         stats.reduced_nnz_initial,
@@ -293,18 +289,22 @@ pub fn par_ilut(
     let mut per_level: Vec<LevelStats> = Vec::new();
     let mut mis = LevelMis::default();
     let mut remote_u = RemoteURows::new(local);
+    // The first malformed `U`-row batch (or missing member row) I met; it
+    // goes to the next level head's error check, like a pivot fault.
+    let mut protocol: Option<FactorError> = None;
     let mut pivots: Vec<usize> = Vec::new();
     let mut remaining = reduced.len();
     // Entries in my live reduced rows, kept current by every row hand-over.
     let mut live_nnz = stats.reduced_nnz_initial;
     loop {
         // Collective loop head: termination and error detection.
+        let failed = kern.fault.is_some() || protocol.is_some();
         let flags = ctx.all_reduce_u64(
-            vec![remaining as u64, kern.fault.map_or(0, |_| 1)],
+            vec![remaining as u64, u64::from(failed)],
             pilut_par::collectives::ReduceOp::Sum,
         );
         if flags[1] > 0 {
-            return Err(collective_fault_verdict(ctx, &kern.fault));
+            return Err(collective_fault_verdict(ctx, &kern.fault, protocol));
         }
         if flags[0] == 0 {
             break;
@@ -317,7 +317,7 @@ pub fn par_ilut(
         mis.begin(live_nnz);
         for (&i, rr) in local.interface.iter().zip(&reduced) {
             if let Some(rr) = rr {
-                mis.push_row(i, rr.iter().map(|&(c, _)| c));
+                mis.push_row(i, rr.iter().map(|e| e.col()));
             }
         }
         let plan = mis.link(ctx, dm.dist());
@@ -376,7 +376,11 @@ pub fn par_ilut(
             &AllPeers,
             &AllPeers,
             |_, nodes| fb.encode_urows(nodes, |v| mis.is_in(v), &mut kern.meter),
-            |_, _, payload| remote_u.decode(payload),
+            |peer, nodes, payload| {
+                if let Err(what) = remote_u.decode(nodes, &payload) {
+                    note_err(&mut protocol, "urows", peer, what);
+                }
+            },
         );
 
         // Algorithm 4.2: eliminate the I_l unknowns from my remaining rows,
@@ -397,20 +401,24 @@ pub fn par_ilut(
             // appear during the sweep: U rows of independent nodes contain no
             // I_l columns).
             pivots.clear();
-            let cols = rr.iter().map(|&(c, _)| c);
+            let cols = rr.iter().map(|e| e.col());
             pivots.extend(cols.filter(|&c| c != i && mis.is_in(c)));
             if pivots.is_empty() {
                 continue;
             }
             kern.meter.rows_touched += 1;
-            for &(c, v) in rr.iter() {
-                kern.w.set(local.slot(c), v);
+            for e in rr.iter() {
+                kern.w.set(local.slot(e.col()), e.val());
             }
             kern.lower.clear();
             for &k in &pivots {
-                let (udiag, urow) = fb.level_pivot(k, &remote_u);
                 let wk = kern.w.get(local.slot(k));
                 kern.w.drop_pos(local.slot(k));
+                let Some((udiag, urow)) = fb.level_pivot(k, &remote_u) else {
+                    let what = format!("no U row arrived for level member {k}");
+                    note_err(&mut protocol, "urows", dm.dist().owner(k), what);
+                    continue;
+                };
                 // lint: allow(float-eq): skips exactly cancelled multipliers
                 if wk == 0.0 {
                     continue;
@@ -421,14 +429,14 @@ pub fn par_ilut(
                     kern.meter.dropped_rule1 += 1;
                     continue; // first dropping rule
                 }
-                for &(j, uv) in urow {
-                    kern.w.add(local.slot(j), -mult * uv);
+                for e in urow {
+                    kern.w.add(local.slot(e.col()), -mult * e.val());
                 }
                 let cost = 2.0 * urow.len() as f64;
                 kern.meter.pivots_applied += 1;
                 kern.meter.elim_flops += cost;
                 ctx.work(cost + 1.0);
-                kern.lower.push((k, mult));
+                kern.lower.push(Entry::new(k, mult));
             }
             let l = &mut fb.staged[q].l;
             if l.len() + kern.lower.len() > opts.m.saturating_mul(2) {
@@ -455,28 +463,30 @@ pub fn par_ilut(
     }
 
     seal_levels(ctx, mark, phase1, per_level, &mut stats);
-    drop(mis); // slot arrays and pattern: free before `finish` copies the staged rows
     stats.breakdowns_repaired = kern.doctor.repairs();
-    Ok(fb.finish(levels, initial_reduced_cols, stats))
+    // Free before `finish` copies the staged rows: the slot arrays and
+    // pattern, the reduced rows' husks, the shipped rows, the working row.
+    drop((mis, reduced, tau_of, remote_u, kern));
+    Ok(fb.finish(levels, initial, stats))
 }
 
 /// The third dropping rule on a staged `L`, with its charge. Exact whenever
 /// it runs (DESIGN §2.2), so when is a matter of cost: once per row at the
 /// latest, and before that only to keep `L` within `2m` entries.
-fn rule3(ctx: &mut Ctx, meter: &mut LevelStats, l: &mut Vec<(usize, f64)>, tau: f64, m: usize) {
+fn rule3(ctx: &mut Ctx, meter: &mut LevelStats, l: &mut Vec<Entry>, tau: f64, m: usize) {
     let cost = selection_cost(l.len());
     meter.select_flops += cost;
     ctx.work(cost);
     keep_largest_multipliers(l, tau, m);
 }
 
-/// Room for `extra` more entries in a live row's buffer. A buffer that must
-/// grow takes a quarter more than it needs: enough that a row's `L` and its
-/// reduced row grow a few times per factorization instead of once per
-/// touch, and little enough that a row never reserves more than 5/4 of
-/// what it has needed (amortized doubling held 2.3× the live entries on
-/// TORSO ILUT(20,1e-6), `peak_rss_mib` +5 %).
-fn make_room(row: &mut Vec<(usize, f64)>, extra: usize) {
+/// Room for `extra` more [`Entry`]s (12 bytes each) in a live row's
+/// buffer. A buffer that must grow takes a quarter more than it needs:
+/// enough that a row's `L` and its reduced row grow a few times per
+/// factorization instead of once per touch, and little enough that a row
+/// never reserves more than 5/4 of what it has needed (amortized doubling
+/// held 2.3× the live entries on TORSO ILUT(20,1e-6), `peak_rss_mib` +5 %).
+fn make_room(row: &mut Vec<Entry>, extra: usize) {
     let need = row.len() + extra;
     if need > row.capacity() {
         row.reserve_exact(need + need / 4 - row.len());
@@ -485,18 +495,14 @@ fn make_room(row: &mut Vec<(usize, f64)>, extra: usize) {
 
 /// Moves a row's off-diagonal entries into `off` (cleared first) and
 /// returns `(diagonal value, whether it is stored)`.
-pub(crate) fn split_diag(
-    row: &[(usize, f64)],
-    i: usize,
-    off: &mut Vec<(usize, f64)>,
-) -> (f64, bool) {
+pub(crate) fn split_diag(row: &[Entry], i: usize, off: &mut Vec<Entry>) -> (f64, bool) {
     off.clear();
     let mut diag = (0.0, false);
-    for &(c, v) in row {
-        if c == i {
-            diag = (v, true);
+    for &e in row {
+        if e.col() == i {
+            diag = (e.val(), true);
         } else {
-            off.push((c, v));
+            off.push(e);
         }
     }
     diag

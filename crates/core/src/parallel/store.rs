@@ -15,10 +15,12 @@
 //! (not slot order) — the order every earlier representation summed in, so
 //! each dot product rounds identically.
 
-use super::{LevelStats, ParStats};
+use super::{LevelStats, ParStats, ReducedRows};
 use crate::dist::LocalView;
 use crate::factors::{Arena, FactorStore};
 use pilut_par::Payload;
+use pilut_sparse::csr::narrow;
+use pilut_sparse::Entry;
 
 /// One rank's share of the distributed factorization. `L` has an implicit
 /// unit diagonal; a row's `diag` is its `U` pivot; `l` couples to rows
@@ -127,13 +129,47 @@ impl RankFactors {
     }
 }
 
-/// An interface row while the level loop is still changing it: global
-/// column ids, exact-size vectors.
+/// An interface row while the level loop is still changing it, as
+/// [`Entry`]s of global columns (12 bytes each). `u` is written once, at
+/// exact size, when the row's level factors it; `l` gains each level's
+/// multipliers in a buffer that grows by a quarter (`make_room` in
+/// `par_ilut`) and is shrunk to size once the row is factored.
 #[derive(Default)]
 pub(crate) struct Staged {
-    pub(crate) l: Vec<(usize, f64)>,
+    pub(crate) l: Vec<Entry>,
     pub(crate) diag: f64,
-    pub(crate) u: Vec<(usize, f64)>,
+    pub(crate) u: Vec<Entry>,
+}
+
+/// The column pattern of my slice of the initial reduced matrix `A_I⁰`,
+/// flat while the level loop runs (4 bytes per entry and per row): row `q`,
+/// my interface node `q`, is `cols[ptr[q]..ptr[q + 1]]`.
+pub(crate) struct InitialPattern {
+    ptr: Vec<u32>,
+    cols: Vec<u32>,
+}
+
+impl InitialPattern {
+    /// The pattern of `reduced`, a row per interface node, all still live.
+    pub(crate) fn of(reduced: &ReducedRows) -> Self {
+        let mut ptr = Vec::with_capacity(reduced.len() + 1);
+        let mut cols = Vec::with_capacity(reduced.iter().flatten().map(Vec::len).sum());
+        ptr.push(0);
+        for row in reduced.iter().flatten() {
+            cols.extend(row.iter().map(|e| e.col() as u32));
+            // lint: allow(unwrap): documented panic: a rank's reduced slice past 2^32 entries
+            ptr.push(narrow(cols.len(), "reduced entries").expect("reduced slice outgrew u32"));
+        }
+        InitialPattern { ptr, cols }
+    }
+
+    /// `(node, columns)` per row, the form [`RankFactors`] keeps.
+    fn expand(self, interface: &[usize]) -> Vec<(usize, Vec<usize>)> {
+        let cols = |w: &[u32]| self.cols[w[0] as usize..w[1] as usize].iter();
+        let row = |w| cols(w).map(|&c| c as usize).collect();
+        let rows = interface.iter().zip(self.ptr.windows(2));
+        rows.map(|(&v, w)| (v, row(w))).collect()
+    }
 }
 
 /// The store under construction: interior rows go straight into the arenas
@@ -161,7 +197,7 @@ impl<'a> FactorBuilder<'a> {
     }
 
     /// Appends the next interior row (all of its columns are local).
-    pub(crate) fn push_interior(&mut self, l: &[(usize, f64)], diag: f64, u: &[(usize, f64)]) {
+    pub(crate) fn push_interior(&mut self, l: &[Entry], diag: f64, u: &[Entry]) {
         let local = self.local;
         // lint: allow(unwrap): interior rows couple only to this rank's nodes
         let pos = |j| local.pos_of(j).expect("interior column must be local");
@@ -194,18 +230,18 @@ impl<'a> FactorBuilder<'a> {
     }
 
     /// Pivot and strict-`U` entries of node `k`, factored in the current
-    /// level: staged when it is mine, else among the rows its owner shipped.
+    /// level: staged when it is mine, else among the rows its owner shipped
+    /// (`None` when its owner did not ship it).
     pub(crate) fn level_pivot<'r>(
         &'r self,
         k: usize,
         shipped: &'r RemoteURows,
-    ) -> (f64, &'r [(usize, f64)]) {
+    ) -> Option<(f64, &'r [Entry])> {
         if self.local.owns(k) {
             let row = self.staged(k);
-            return (row.diag, &row.u);
+            return Some((row.diag, &row.u));
         }
-        // lint: allow(unwrap): owners ship a level's rows before anyone eliminates against them
-        shipped.get(k).expect("missing U row for level pivot")
+        shipped.get(k)
     }
 
     /// Wire encoding of the `U` rows of the level members among `nodes`:
@@ -228,9 +264,9 @@ impl<'a> FactorBuilder<'a> {
             let row = self.staged(v);
             bu.push(v as u64);
             bu.push(row.u.len() as u64);
-            bu.extend(row.u.iter().map(|&(c, _)| c as u64));
+            bu.extend(row.u.iter().map(|e| e.col() as u64));
             bf.push(row.diag);
-            bf.extend(row.u.iter().map(|&(_, x)| x));
+            bf.extend(row.u.iter().map(|e| e.val()));
             tally.urows_rows += 1;
         }
         let batch = Payload::mixed(bu, bf);
@@ -239,18 +275,20 @@ impl<'a> FactorBuilder<'a> {
     }
 
     /// Appends the staged interface rows in local-view order and seals the
-    /// store; the fill and level counters of `stats` are read off it.
+    /// store; the fill and level counters of `stats` are read off it. The
+    /// initial reduced pattern is expanded last, once the staged rows are
+    /// gone.
     pub(crate) fn finish(
         mut self,
         levels: Vec<Vec<usize>>,
-        initial_reduced_cols: Vec<(usize, Vec<usize>)>,
+        initial: InitialPattern,
         mut stats: ParStats,
     ) -> RankFactors {
         let local = self.local;
         let staged = std::mem::take(&mut self.staged);
         let columns = staged.iter().flat_map(|r| r.l.iter().chain(&r.u));
         let mut ghosts: Vec<usize> = columns
-            .map(|&(j, _)| j)
+            .map(|e| e.col())
             .filter(|&j| !local.owns(j))
             .collect();
         ghosts.sort_unstable();
@@ -276,31 +314,33 @@ impl<'a> FactorBuilder<'a> {
             levels,
             ghosts,
             store: self.store,
-            initial_reduced_cols,
+            initial_reduced_cols: initial.expand(&local.interface),
             stats,
         }
     }
 }
 
 /// The `U` rows of one level's remote members, as shipped by their owners:
-/// one flat buffer reused across levels, looked up through a dense index
-/// over the rank's column space (only interface nodes are ever shipped).
+/// one flat [`Entry`] buffer reused across levels, looked up through a
+/// dense `u32` index over the rank's column space (only interface nodes are
+/// ever shipped, and a batch is checked against the plan before any of its
+/// nodes is looked up there).
 pub(crate) struct RemoteURows<'a> {
     local: &'a LocalView,
     /// `at[local.slot(g)]` = index of node `g` in this level's batch
-    /// (`usize::MAX` when absent).
-    at: Vec<usize>,
+    /// (`u32::MAX` when absent).
+    at: Vec<u32>,
     nodes: Vec<usize>,
     ptr: Vec<usize>,
     diag: Vec<f64>,
-    entries: Vec<(usize, f64)>,
+    entries: Vec<Entry>,
 }
 
 impl<'a> RemoteURows<'a> {
     pub(crate) fn new(local: &'a LocalView) -> Self {
         RemoteURows {
             local,
-            at: vec![usize::MAX; local.n_slots()],
+            at: vec![u32::MAX; local.n_slots()],
             nodes: Vec::new(),
             ptr: vec![0],
             diag: Vec::new(),
@@ -311,7 +351,7 @@ impl<'a> RemoteURows<'a> {
     /// Forgets the previous level's batch.
     pub(crate) fn clear(&mut self) {
         for &g in &self.nodes {
-            self.at[self.local.slot(g)] = usize::MAX;
+            self.at[self.local.slot(g)] = u32::MAX;
         }
         self.nodes.clear();
         self.ptr.truncate(1);
@@ -319,27 +359,164 @@ impl<'a> RemoteURows<'a> {
         self.entries.clear();
     }
 
-    /// Appends one peer's batch (the inverse of [`FactorBuilder::encode_urows`]).
-    pub(crate) fn decode(&mut self, payload: Payload) {
-        let (bu, bf) = payload.into_mixed();
+    /// Appends one peer's batch (the inverse of
+    /// [`FactorBuilder::encode_urows`]), checked against `expected`, the
+    /// plan's receive list from that peer: the rows' nodes must come from
+    /// the list in its order, each row must fit both buffers and name
+    /// columns of the matrix, and the rows must use both buffers up. The
+    /// error describes the first violation; the rows before it stay.
+    pub(crate) fn decode(&mut self, expected: &[usize], payload: &Payload) -> Result<(), String> {
+        let Payload::Mixed(bu, bf) = payload else {
+            return Err(format!("not an index/value batch ({} B)", payload.bytes()));
+        };
+        let (n, mut next) = (self.local.n_global() as u64, 0);
         let (mut iu, mut ifl) = (0usize, 0usize);
         while iu < bu.len() {
-            let (node, len) = (bu[iu] as usize, bu[iu + 1] as usize);
-            self.at[self.local.slot(node)] = self.nodes.len();
+            let Some(&[node, len]) = bu.get(iu..iu + 2) else {
+                return Err(format!("{} stray index word(s)", bu.len() - iu));
+            };
+            let Some(skip) = expected[next..].iter().position(|&v| v as u64 == node) else {
+                return Err(format!("node {node} is not next in the receive list"));
+            };
+            next += skip + 1;
+            if len > (bu.len() - iu - 2) as u64 || len >= (bf.len() - ifl) as u64 {
+                return Err(format!("node {node}: {len} entries overrun the batch"));
+            }
+            let (len, node) = (len as usize, node as usize);
+            let cols = &bu[iu + 2..iu + 2 + len];
+            if let Some(c) = cols.iter().find(|&&c| c >= n) {
+                return Err(format!("node {node}: column {c} of {n}"));
+            }
+            self.at[self.local.slot(node)] = self.nodes.len() as u32;
             self.nodes.push(node);
             self.diag.push(bf[ifl]);
-            let cols = bu[iu + 2..iu + 2 + len].iter().map(|&c| c as usize);
-            let vals = bf[ifl + 1..ifl + 1 + len].iter().copied();
-            self.entries.extend(cols.zip(vals));
+            for (&c, &v) in cols.iter().zip(&bf[ifl + 1..ifl + 1 + len]) {
+                self.entries.push(Entry::new(c as usize, v));
+            }
             self.ptr.push(self.entries.len());
             iu += 2 + len;
             ifl += 1 + len;
         }
+        match bf.len() - ifl {
+            0 => Ok(()),
+            extra => Err(format!("{extra} stray value word(s)")),
+        }
     }
 
     /// Pivot and strict-`U` entries of remote node `g`, if in this batch.
-    pub(crate) fn get(&self, g: usize) -> Option<(f64, &[(usize, f64)])> {
-        let i = self.at[self.local.slot(g)];
-        (i != usize::MAX).then(|| (self.diag[i], &self.entries[self.ptr[i]..self.ptr[i + 1]]))
+    pub(crate) fn get(&self, g: usize) -> Option<(f64, &[Entry])> {
+        let i = self.at[self.local.slot(g)] as usize;
+        let row = |i| (self.diag[i], &self.entries[self.ptr[i]..self.ptr[i + 1]]);
+        (i != u32::MAX as usize).then(|| row(i))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::exchange::{tags, AllPeers, CommPlan};
+    use crate::dist::{DistMatrix, Distribution};
+    use crate::options::FactorError;
+    use crate::parallel::collective_fault_verdict;
+    use crate::parallel::dist_mis::note_err;
+    use pilut_par::{Machine, MachineModel};
+    use pilut_sparse::gen;
+
+    /// The path 0 – 1 – 2 – 3 on two ranks: rank 0 owns interior 0 and
+    /// interface 1, rank 1 interface 2 and interior 3, so rank 0 receives
+    /// node 2's row from rank 1, and node 3 — rank 1's interior at local
+    /// position 0 — has rank 0's interior slot 0 for its `slot`.
+    fn path() -> DistMatrix {
+        DistMatrix::new(gen::laplace_2d(4, 1), Distribution::block(4, 2))
+    }
+
+    /// Decodes one batch from rank 1 into rank 0's shipped rows.
+    fn decode(bu: Vec<u64>, bf: Vec<f64>) -> Result<Option<(f64, Vec<Entry>)>, String> {
+        let dm = path();
+        let local = dm.local_view(0);
+        let mut shipped = RemoteURows::new(&local);
+        shipped.decode(&[2], &Payload::mixed(bu, bf))?;
+        Ok(shipped.get(2).map(|(d, u)| (d, u.to_vec())))
+    }
+
+    #[test]
+    fn a_well_formed_batch_decodes() {
+        let row = decode(vec![2, 1, 3], vec![4.0, -1.0]).unwrap();
+        assert_eq!(row, Some((4.0, vec![Entry::new(3, -1.0)])));
+        assert_eq!(decode(vec![], vec![]).unwrap(), None, "an empty batch");
+    }
+
+    #[test]
+    fn every_malformed_batch_shape_is_an_error_not_a_panic() {
+        let cases: [(Vec<u64>, Vec<f64>, &str); 9] = [
+            (vec![2], vec![4.0], "1 stray index word(s)"),
+            (vec![2, 0, 7], vec![4.0], "1 stray index word(s)"),
+            (
+                vec![3, 0],
+                vec![4.0],
+                "node 3 is not next in the receive list",
+            ),
+            (
+                vec![1, 0],
+                vec![4.0],
+                "node 1 is not next in the receive list",
+            ),
+            (vec![2, 0, 2, 0], vec![4.0, 4.0], "node 2 is not next"),
+            (
+                vec![2, 2, 3],
+                vec![4.0, 1.0, 1.0],
+                "node 2: 2 entries overrun",
+            ),
+            (vec![2, 1, 3], vec![4.0], "node 2: 1 entries overrun"),
+            (vec![2, u64::MAX, 3], vec![4.0, 1.0], "entries overrun"),
+            (vec![2, 1, 9], vec![4.0, 1.0], "node 2: column 9 of 4"),
+        ];
+        for (bu, bf, what) in cases {
+            let err = decode(bu.clone(), bf).unwrap_err();
+            assert!(err.contains(what), "{bu:?}: {err}");
+        }
+        let err = decode(vec![2, 0], vec![4.0, 1.0]).unwrap_err();
+        assert_eq!(err, "1 stray value word(s)");
+        let dm = path();
+        let local = dm.local_view(0);
+        let err = RemoteURows::new(&local)
+            .decode(&[2], &Payload::u64s(vec![2, 0]))
+            .unwrap_err();
+        assert_eq!(err, "not an index/value batch (16 B)");
+    }
+
+    #[test]
+    fn a_corrupt_urows_round_reaches_every_rank_as_an_error() {
+        // Rank 1 ships node 3, an interior, in place of its level's batch;
+        // rank 0 must refuse it, and the collective check that follows
+        // tells rank 1 who failed instead of leaving it to stall.
+        let dm = path();
+        let out = Machine::run(2, MachineModel::cray_t3d(), |ctx| {
+            let me = ctx.rank();
+            let local = dm.local_view(me);
+            let plan = CommPlan::build(ctx, tags::UROWS, [2 - me], |j| dm.dist().owner(j));
+            let mut shipped = RemoteURows::new(&local);
+            let mut protocol = None;
+            plan.exact_round(
+                ctx,
+                tags::UROWS,
+                &AllPeers,
+                &AllPeers,
+                |_, _| match me {
+                    0 => Payload::mixed(vec![], vec![]),
+                    _ => Payload::mixed(vec![3, 0], vec![1.0]),
+                },
+                |peer, nodes, payload| {
+                    if let Err(what) = shipped.decode(nodes, &payload) {
+                        note_err(&mut protocol, "urows", peer, what);
+                    }
+                },
+            );
+            collective_fault_verdict(ctx, &None, protocol)
+        });
+        let what = "from rank 1: node 3 is not next in the receive list".to_string();
+        let tag = "urows";
+        assert_eq!(out.results[0], FactorError::Protocol { tag, what });
+        assert_eq!(out.results[1], FactorError::RankFailure { rank: 0 });
     }
 }

@@ -1,28 +1,18 @@
 //! The ILUT dropping rules, shared by the serial and parallel formulations.
+//! They select among a row's [`Entry`]s.
 
+use pilut_sparse::Entry;
 use std::cmp::Ordering;
 
-/// Rule 2/3 selection: from `entries`, drop everything with magnitude below
+/// Rule 2/3 selection, in place so that a hot loop keeps one scratch buffer
+/// across rows: from `entries`, drop everything with magnitude below
 /// `tau_i`, then keep the `cap` entries of largest magnitude. Entries whose
 /// column appears in `always_keep` (e.g. the diagonal) bypass both filters
-/// and do not count against `cap`. Returns the survivors sorted by column.
-pub fn threshold_and_cap(
-    mut entries: Vec<(usize, f64)>,
-    tau_i: f64,
-    cap: usize,
-    always_keep: Option<usize>,
-) -> Vec<(usize, f64)> {
-    threshold_and_cap_in_place(&mut entries, tau_i, cap, always_keep);
-    entries
-}
-
-/// In-place variant of [`threshold_and_cap`] for hot loops that reuse one
-/// scratch buffer across rows: `entries` is filtered, capped, and left
-/// sorted by column, without giving up its allocation. Which of several
-/// equal magnitudes at the cut survive is a function of the input order;
-/// callers offer ascending columns.
+/// and do not count against `cap`. The survivors are left sorted by
+/// column. Which of several equal magnitudes at the cut survive is a
+/// function of the input order; callers offer ascending columns.
 pub fn threshold_and_cap_in_place(
-    entries: &mut Vec<(usize, f64)>,
+    entries: &mut Vec<Entry>,
     tau_i: f64,
     cap: usize,
     always_keep: Option<usize>,
@@ -37,37 +27,37 @@ pub fn threshold_and_cap_in_place(
 /// only on the *set* offered — selecting once over everything appended
 /// equals re-selecting after every batch (the test below), which is what
 /// lets `par_ilut` apply the rule when the row is factored.
-pub fn keep_largest_multipliers(entries: &mut Vec<(usize, f64)>, tau_i: f64, m: usize) {
+pub fn keep_largest_multipliers(entries: &mut Vec<Entry>, tau_i: f64, m: usize) {
     select(entries, tau_i, m, None, |a, b| a.cmp(&b));
 }
 
 fn select(
-    entries: &mut Vec<(usize, f64)>,
+    entries: &mut Vec<Entry>,
     tau_i: f64,
     cap: usize,
     always_keep: Option<usize>,
     tie: impl Fn(usize, usize) -> Ordering,
 ) {
-    let mut kept_special: Option<(usize, f64)> = None;
+    let mut kept_special: Option<Entry> = None;
     if let Some(d) = always_keep {
-        if let Some(pos) = entries.iter().position(|&(c, _)| c == d) {
+        if let Some(pos) = entries.iter().position(|e| e.col() == d) {
             kept_special = Some(entries.swap_remove(pos));
         }
     }
     // lint: allow(float-eq): drops exactly-zero entries only
-    entries.retain(|&(_, v)| v.abs() >= tau_i && v != 0.0);
+    entries.retain(|e| e.val().abs() >= tau_i && e.val() != 0.0);
     if entries.len() > cap {
         // Partial selection of the `cap` largest magnitudes.
         entries.select_nth_unstable_by(cap, |a, b| {
-            let by_magnitude = b.1.abs().partial_cmp(&a.1.abs());
+            let by_magnitude = b.val().abs().partial_cmp(&a.val().abs());
             // lint: allow(unwrap): factor values are finite; NaN would poison comparisons
             let by_magnitude = by_magnitude.expect("NaN in factorization");
-            by_magnitude.then_with(|| tie(a.0, b.0))
+            by_magnitude.then_with(|| tie(a.col(), b.col()))
         });
         entries.truncate(cap);
     }
     entries.extend(kept_special);
-    entries.sort_unstable_by_key(|&(c, _)| c);
+    entries.sort_unstable_by_key(|e| e.col());
 }
 
 /// Approximate flop cost of the selection (comparisons modelled as one op
@@ -81,28 +71,40 @@ mod tests {
     use super::*;
     use pilut_sparse::SplitMix64;
 
+    /// `threshold_and_cap_in_place` over `(column, value)` pairs.
+    fn kept(
+        entries: &[(usize, f64)],
+        tau_i: f64,
+        cap: usize,
+        always_keep: Option<usize>,
+    ) -> Vec<(usize, f64)> {
+        let mut out = entries.iter().map(|&(c, v)| Entry::new(c, v)).collect();
+        threshold_and_cap_in_place(&mut out, tau_i, cap, always_keep);
+        out.into_iter().map(|e| (e.col(), e.val())).collect()
+    }
+
     #[test]
     fn drops_below_threshold() {
-        let out = threshold_and_cap(vec![(0, 5.0), (1, 0.01), (2, -3.0)], 0.1, 10, None);
+        let out = kept(&[(0, 5.0), (1, 0.01), (2, -3.0)], 0.1, 10, None);
         assert_eq!(out, vec![(0, 5.0), (2, -3.0)]);
     }
 
     #[test]
     fn caps_to_largest() {
-        let out = threshold_and_cap(vec![(0, 1.0), (1, 4.0), (2, -3.0), (3, 2.0)], 0.0, 2, None);
+        let out = kept(&[(0, 1.0), (1, 4.0), (2, -3.0), (3, 2.0)], 0.0, 2, None);
         assert_eq!(out, vec![(1, 4.0), (2, -3.0)]);
     }
 
     #[test]
     fn always_keep_bypasses_everything() {
-        let out = threshold_and_cap(vec![(0, 1.0), (1, 1e-9), (2, -3.0)], 0.1, 1, Some(1));
+        let out = kept(&[(0, 1.0), (1, 1e-9), (2, -3.0)], 0.1, 1, Some(1));
         // Diagonal 1 kept despite being tiny; cap=1 keeps only the largest other.
         assert_eq!(out, vec![(1, 1e-9), (2, -3.0)]);
     }
 
     #[test]
     fn exact_zeros_always_dropped() {
-        let out = threshold_and_cap(vec![(0, 0.0), (1, 1.0)], 0.0, 10, None);
+        let out = kept(&[(0, 0.0), (1, 1.0)], 0.0, 10, None);
         assert_eq!(out, vec![(1, 1.0)]);
     }
 
@@ -123,9 +125,9 @@ mod tests {
             }
             let value =
                 |r: u64| [0.5, 1.0, 2.0, 3.0][r as usize % 4] * [1.0, -1.0][(r >> 2) as usize % 2];
-            let stream: Vec<(usize, f64)> = cols
+            let stream: Vec<Entry> = cols
                 .into_iter()
-                .map(|c| (c, value(rng.next_u64())))
+                .map(|c| Entry::new(c, value(rng.next_u64())))
                 .collect();
             let (mut once, mut stepwise) = (Vec::new(), Vec::new());
             let mut rest = &stream[..];
@@ -143,7 +145,7 @@ mod tests {
 
     #[test]
     fn cap_zero_keeps_only_special() {
-        let out = threshold_and_cap(vec![(0, 9.0), (1, 2.0)], 0.0, 0, Some(0));
+        let out = kept(&[(0, 9.0), (1, 2.0)], 0.0, 0, Some(0));
         assert_eq!(out, vec![(0, 9.0)]);
     }
 }

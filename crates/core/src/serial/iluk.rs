@@ -9,7 +9,7 @@
 use crate::breakdown::PivotDoctor;
 use crate::factors::{FactorStore, LuFactors};
 use crate::options::{BreakdownPolicy, FactorError};
-use pilut_sparse::CsrMatrix;
+use pilut_sparse::{CsrMatrix, Entry};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -29,8 +29,8 @@ pub fn iluk(a: &CsrMatrix, k: usize) -> Result<LuFactors, FactorError> {
     let mut lev = vec![usize::MAX; n];
     let mut touched: Vec<usize> = Vec::new();
     let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-    let mut lower: Vec<(usize, f64)> = Vec::new();
-    let mut upper: Vec<(usize, f64)> = Vec::new();
+    let mut lower: Vec<Entry> = Vec::new();
+    let mut upper: Vec<Entry> = Vec::new();
     let mut pending = None;
 
     for i in 0..n {
@@ -79,11 +79,11 @@ pub fn iluk(a: &CsrMatrix, k: usize) -> Result<LuFactors, FactorError> {
         for &j in &touched {
             if lev[j] <= k {
                 if j < i {
-                    lower.push((j, val[j]));
+                    lower.push(Entry::new(j, val[j]));
                 } else if j == i {
                     (diag, has_diag) = (val[j], true);
                 } else {
-                    upper.push((j, val[j]));
+                    upper.push(Entry::new(j, val[j]));
                     upper_lev.push(lev[j]);
                 }
             }

@@ -20,7 +20,7 @@ use crate::factors::FactorStore;
 use crate::options::IlutOptions;
 use crate::parallel::LevelStats;
 use crate::serial::drop_rules::{selection_cost, threshold_and_cap_in_place};
-use pilut_sparse::{CsrMatrix, WorkRow};
+use pilut_sparse::{CsrMatrix, Entry, WorkRow};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -36,9 +36,9 @@ pub(crate) struct IlutRow<'a> {
     /// only once popped, so row membership is the heap's marker.
     heap: BinaryHeap<Reverse<usize>>,
     /// The drained working row and its two parts.
-    pub(crate) entries: Vec<(usize, f64)>,
-    pub(crate) lower: Vec<(usize, f64)>,
-    pub(crate) upper: Vec<(usize, f64)>,
+    pub(crate) entries: Vec<Entry>,
+    pub(crate) lower: Vec<Entry>,
+    pub(crate) upper: Vec<Entry>,
     pub(crate) doctor: PivotDoctor,
     /// First fault met (only set under `BreakdownPolicy::Abort`):
     /// the serial driver returns it at once, a rank defers it to the next
@@ -139,13 +139,13 @@ impl<'a> IlutRow<'a> {
         self.lower.clear();
         self.upper.clear();
         let (mut diag, mut has_diag) = (0.0, false);
-        for &(j, v) in &self.entries {
-            if Some(j) == pivot {
-                (diag, has_diag) = (v, true);
-            } else if eligible(j) {
-                self.lower.push((j, v));
+        for &e in &self.entries {
+            if Some(e.col()) == pivot {
+                (diag, has_diag) = (e.val(), true);
+            } else if eligible(e.col()) {
+                self.lower.push(e);
             } else {
-                self.upper.push((j, v));
+                self.upper.push(e);
             }
         }
         (diag, has_diag)

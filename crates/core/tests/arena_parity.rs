@@ -4,7 +4,7 @@
 //! must equal the reference row entry for entry, in the same order.
 //!
 //! The reference is deliberately the old, plain formulation — global
-//! column ids everywhere, by-value `threshold_and_cap`, no slot space — so
+//! column ids in `(usize, f64)` pairs everywhere, no slot space — so
 //! it shares nothing with the store it checks except the MIS and the
 //! dropping rule. It visits reduced rows in ascending node order (any
 //! order yields the same rows; this one also yields the same flop count).
@@ -24,13 +24,39 @@ use pilut_core::dist::{DistMatrix, LocalView};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::dist_mis::{build_level_links, dist_mis};
 use pilut_core::parallel::par_ilut;
-use pilut_core::serial::drop_rules::{keep_largest_multipliers, selection_cost, threshold_and_cap};
+use pilut_core::serial::drop_rules::{
+    keep_largest_multipliers, selection_cost, threshold_and_cap_in_place,
+};
 use pilut_core::serial::ilut_with_stats;
 use pilut_core::LuFactors;
 use pilut_par::collectives::ReduceOp;
 use pilut_par::{Ctx, Machine, MachineModel, Payload};
-use pilut_sparse::{gen, WorkRow};
+use pilut_sparse::{gen, Entry, WorkRow};
 use std::collections::{BTreeMap, HashMap};
+
+/// The reference's `(column, value)` pairs through a dropping rule, which
+/// selects among [`Entry`]s.
+fn pairs_through(row: Vec<(usize, f64)>, rule: impl FnOnce(&mut Vec<Entry>)) -> Vec<(usize, f64)> {
+    let mut entries = row.into_iter().map(|(c, v)| Entry::new(c, v)).collect();
+    rule(&mut entries);
+    pairs(entries)
+}
+
+fn pairs(row: Vec<Entry>) -> Vec<(usize, f64)> {
+    row.into_iter().map(|e| (e.col(), e.val())).collect()
+}
+
+/// `threshold_and_cap_in_place` over pairs.
+fn cap(row: Vec<(usize, f64)>, tau_i: f64, cap: usize, keep: Option<usize>) -> Vec<(usize, f64)> {
+    pairs_through(row, |e| threshold_and_cap_in_place(e, tau_i, cap, keep))
+}
+
+/// `keep_largest_multipliers` over pairs.
+fn keep_largest(row: &mut Vec<(usize, f64)>, tau_i: f64, m: usize) {
+    *row = pairs_through(std::mem::take(row), |e| {
+        keep_largest_multipliers(e, tau_i, m)
+    });
+}
 
 #[derive(Clone, Debug, Default, PartialEq)]
 struct RefRow {
@@ -99,14 +125,14 @@ fn reference_par_ilut(
             w.set(j as usize, v);
         }
         let lower = eliminate(&mut w, &rows, |j| interior(j) && j < i, tau_i, &mut flops);
-        let entries = w.drain_sorted();
+        let entries = pairs(w.drain_sorted());
         flops += selection_cost(entries.len() + lower.len());
         let diag = entries.iter().find(|&&(j, _)| j == i).map(|&(_, v)| v);
         let upper = entries.into_iter().filter(|&(j, _)| j != i).collect();
         let row = RefRow {
-            l: threshold_and_cap(lower, tau_i, opts.m, None),
+            l: cap(lower, tau_i, opts.m, None),
             diag: diag.expect("test matrices keep their diagonal"),
-            u: threshold_and_cap(upper, tau_i, opts.m, None),
+            u: cap(upper, tau_i, opts.m, None),
         };
         rows.insert(i, row);
     }
@@ -124,20 +150,17 @@ fn reference_par_ilut(
             w.set(j as usize, v);
         }
         let lower = eliminate(&mut w, &rows, interior, tau_i, &mut flops);
-        let rest = w.drain_sorted();
+        let rest = pairs(w.drain_sorted());
         flops += selection_cost(rest.len() + lower.len());
         let mut lower = lower;
-        keep_largest_multipliers(&mut lower, tau_i, opts.m);
+        keep_largest(&mut lower, tau_i, opts.m);
         let row = RefRow {
             l: lower,
             ..RefRow::default()
         };
         l_held.insert(i, row.l.len());
         rows.insert(i, row);
-        reduced.insert(
-            i,
-            threshold_and_cap(rest, tau_i, opts.reduced_cap(), Some(i)),
-        );
+        reduced.insert(i, cap(rest, tau_i, opts.reduced_cap(), Some(i)));
     }
 
     let mut levels: Vec<Vec<usize>> = Vec::new();
@@ -160,7 +183,7 @@ fn reference_par_ilut(
             let row = rows.get_mut(&v).expect("interface row missing");
             row.diag = rr.iter().find(|&&(c, _)| c == v).expect("pivot").1;
             let off = rr.into_iter().filter(|&(c, _)| c != v).collect();
-            row.u = threshold_and_cap(off, tau_of[&v], opts.m, None);
+            row.u = cap(off, tau_of[&v], opts.m, None);
             flops += selection_cost(l_held[&v]) + selection_cost(row.u.len());
         }
         levels.push(mis.my_in.clone());
@@ -243,13 +266,10 @@ fn reference_par_ilut(
                 *held = opts.m.min(*held);
             }
             *held += new;
-            keep_largest_multipliers(&mut lmerge, tau_i, opts.m);
+            keep_largest(&mut lmerge, tau_i, opts.m);
             rows.get_mut(&i).expect("row").l = lmerge;
-            let rest = w.drain_sorted();
-            reduced.insert(
-                i,
-                threshold_and_cap(rest, tau_i, opts.reduced_cap(), Some(i)),
-            );
+            let rest = pairs(w.drain_sorted());
+            reduced.insert(i, cap(rest, tau_i, opts.reduced_cap(), Some(i)));
         }
     }
     Reference {

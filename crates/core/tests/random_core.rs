@@ -177,14 +177,14 @@ fn workrow_drain_matches_dense_mirror() {
             .collect();
         assert_eq!(w.nnz(), expected.len(), "case {case}: nnz over-count");
         let drained = w.drain_sorted();
-        let cols: Vec<usize> = drained.iter().map(|&(j, _)| j).collect();
+        let cols: Vec<usize> = drained.iter().map(|e| e.col()).collect();
         let mut uniq = cols.clone();
         uniq.dedup();
         assert_eq!(cols, uniq, "case {case}: duplicate positions emitted");
         assert_eq!(drained.len(), expected.len(), "case {case}");
-        for ((ja, va), (jb, vb)) in drained.iter().zip(&expected) {
-            assert_eq!(ja, jb, "case {case}");
-            assert!((va - vb).abs() < 1e-12, "case {case}");
+        for (e, (jb, vb)) in drained.iter().zip(&expected) {
+            assert_eq!(e.col(), *jb, "case {case}");
+            assert!((e.val() - vb).abs() < 1e-12, "case {case}");
         }
         assert!(w.is_empty());
     }

@@ -8,7 +8,9 @@
 //!   pattern queries),
 //! * [`CooMatrix`] — a coordinate-format builder,
 //! * [`WorkRow`] — the full-length working row with a companion nonzero
-//!   pointer list used by the ILUT elimination loop (paper §2.1),
+//!   pointer list used by the ILUT elimination loop (paper §2.1), and
+//!   [`Entry`], the 12-byte `(u32 column, f64)` entry every row in flight
+//!   is made of,
 //! * [`gen`] — synthetic problem generators standing in for the paper's
 //!   G40 and TORSO matrices (see DESIGN.md §4),
 //! * [`io`] — Matrix Market coordinate-format reader/writer,
@@ -28,4 +30,4 @@ pub use coo::CooMatrix;
 pub use csr::{CsrLayoutError, CsrMatrix};
 pub use rng::SplitMix64;
 pub use stats::MatrixStats;
-pub use workrow::WorkRow;
+pub use workrow::{Entry, WorkRow};

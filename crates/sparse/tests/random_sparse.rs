@@ -118,9 +118,9 @@ fn workrow_matches_model() {
         expect.sort_unstable_by_key(|&(c, _)| c);
         let got = w.drain_sorted();
         assert_eq!(got.len(), expect.len(), "case {case}");
-        for ((gc, gv), (ec, ev)) in got.iter().zip(&expect) {
-            assert_eq!(gc, ec, "case {case}");
-            assert!((gv - ev).abs() < 1e-9, "case {case}");
+        for (g, (ec, ev)) in got.iter().zip(&expect) {
+            assert_eq!(g.col(), *ec, "case {case}");
+            assert!((g.val() - ev).abs() < 1e-9, "case {case}");
         }
         assert!(w.is_empty(), "case {case}");
     }

@@ -315,7 +315,6 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
             "drop_pos",
             "drain_sorted_into",
             "drain_sorted_by_into",
-            "axpy",
             "add",
             "set",
             "get",
