@@ -71,7 +71,7 @@ pub mod tags {
     pub const NAMESPACES: usize = 11;
     /// Boundary `x` values of the distributed SpMV.
     pub const SPMV: u64 = STRIDE;
-    /// U-row shipping of the parallel ILUT interface factorization.
+    /// U-row shipping of the interface levels (`par_ilut` and `par_ilu0`).
     pub const UROWS: u64 = 2 * STRIDE;
     /// Forward-sweep values of the distributed triangular solve.
     pub const FWD: u64 = 3 * STRIDE;
@@ -83,8 +83,7 @@ pub mod tags {
     pub const MIS_TENT: u64 = 6 * STRIDE;
     /// Distributed-MIS step 3: confirmation + kill push.
     pub const MIS_CONF: u64 = 7 * STRIDE;
-    /// U-row shipping of the parallel ILU(0) numeric levels.
-    pub const U0: u64 = 8 * STRIDE;
+    // Namespace 8 stays empty: `ACK` and `RECOVER` are pinned to `par`'s constants.
     /// Reliable-delivery protocol traffic (acks, nacks, resends) of the
     /// `pilut-par` VM. The numeric value is pinned to `pilut_par::ACK_TAG`
     /// by a test: `par` cannot depend on this crate, so the constant is
@@ -105,7 +104,6 @@ pub mod tags {
             MIS_KEYS => "mis_keys",
             MIS_TENT => "mis_tent",
             MIS_CONF => "mis_conf",
-            U0 => "u0",
             ACK => "ack",
             RECOVER => "recover",
             t if pilut_par::Ctx::is_reserved(t) => "coll",

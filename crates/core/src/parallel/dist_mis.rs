@@ -168,11 +168,7 @@ pub fn mis_key(seed: u64, level: u64, round: u64, node: u64) -> u64 {
 /// The level's communication plan, given every column of my live reduced
 /// rows (collective): the send side lists my nodes each peer's rows
 /// reference; the receive side lists the remote nodes my rows reference.
-pub(crate) fn link_plan(
-    ctx: &mut Ctx,
-    dist: &Distribution,
-    cols: impl Iterator<Item = usize>,
-) -> CommPlan {
+fn link_plan(ctx: &mut Ctx, dist: &Distribution, cols: impl Iterator<Item = usize>) -> CommPlan {
     let me = ctx.rank();
     let needed = cols.filter(|&j| dist.owner(j) != me);
     CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j))

@@ -16,6 +16,14 @@
 //!    above-threshold entry in the reduced rows; ILUT\* caps each row at
 //!    `k·m` entries, which is the paper's key scalability modification.
 //!
+//! Phase 2 is one function, `interface_levels`, which [`par_ilu0`] calls
+//! too, under the fixed-pattern rule (`Rule::Pattern`: no fill, no
+//! dropping). ILU(0) never fills, so its reduced matrix at every level is
+//! the original interface pattern restricted to the nodes not yet
+//! factored: the sets the loop computes level by level are exactly those
+//! of a schedule computed up front from structure alone (the paper's
+//! Figure 1a colouring), and need no loop of their own.
+//!
 //! The result stays distributed, as in the paper's §5: each rank keeps the
 //! [`RankFactors`] of its own rows, and the triangular solves
 //! ([`crate::trisolve`]) apply them where they live. No global copy of the
@@ -40,7 +48,7 @@ use crate::serial::drop_rules::{
 use crate::serial::kernel::IlutRow;
 use dist_mis::{note_err, LevelMis};
 use pilut_par::Ctx;
-use pilut_sparse::Entry;
+use pilut_sparse::{Entry, WorkRow};
 use store::{FactorBuilder, InitialPattern, RemoteURows};
 
 /// Counters describing one rank's factorization.
@@ -156,45 +164,10 @@ pub(crate) type ReducedRows = Vec<Option<Vec<Entry>>>;
 
 /// Seconds the clock advanced since `mark`, which moves to now: the
 /// `clock_delta` of the table entry being closed.
-pub(crate) fn lap(ctx: &Ctx, mark: &mut f64) -> f64 {
+fn lap(ctx: &Ctx, mark: &mut f64) -> f64 {
     let since = ctx.time() - *mark;
     *mark = ctx.time();
     since
-}
-
-/// Closes phase 1 as the table's first entry; `meter` holds its flops,
-/// pivots and copies.
-pub(crate) fn phase1_entry(
-    local: &LocalView,
-    reduced_nnz: usize,
-    clock_delta: f64,
-    meter: LevelStats,
-) -> LevelStats {
-    LevelStats {
-        candidates: local.len(),
-        set_size: local.interior.len(),
-        rows_touched: local.interface.len(),
-        reduced_nnz_after: reduced_nnz,
-        clock_delta,
-        ..meter
-    }
-}
-
-/// Seals the level table: what the clock did since `mark` (the terminating
-/// collective) goes to the last entry, and the totals are its column sums.
-pub(crate) fn seal_levels(
-    ctx: &Ctx,
-    mut mark: f64,
-    mut phase1: LevelStats,
-    mut per_level: Vec<LevelStats>,
-    stats: &mut ParStats,
-) {
-    per_level.last_mut().unwrap_or(&mut phase1).clock_delta += lap(ctx, &mut mark);
-    let entries = || [&phase1].into_iter().chain(&per_level);
-    stats.flops = entries().map(LevelStats::flops).sum();
-    stats.mis_work = entries().map(|l| l.mis_units).sum();
-    stats.phase1 = phase1;
-    stats.per_level = per_level;
 }
 
 /// Runs the parallel ILUT / ILUT\* factorization. Collective: every rank of
@@ -211,14 +184,13 @@ pub fn par_ilut(
         local,
         triangle_reserve(local.len(), dm.n(), opts.m, local.nnz(a)),
     );
-    let mut stats = ParStats::default();
     // The row kernel carries the working row, the scratch parts, the
     // breakdown state (its first unusable pivot is deferred to the
     // collective error check) and, as its work meter, the open entry of
     // the level table, whose clock is measured from `mark`. Its working
     // row spans the rank's column space, not the global one.
-    let mut kern = IlutRow::new(dm.n(), Some(local), opts);
-    let mut mark = ctx.time();
+    let mut kern = IlutRow::new(dm.n(), Some(local), opts.breakdown);
+    let mark = ctx.time();
 
     // ---- Phase 1: my rows in local-view order, through the serial row
     // kernel. Interior rows (ascending global id = elimination order)
@@ -271,20 +243,110 @@ pub fn par_ilut(
         threshold_and_cap_in_place(&mut kern.upper, tau_i, opts.reduced_cap(), Some(i));
         ctx.copy_words(kern.upper.len() as f64);
         kern.meter.copy_words += kern.upper.len() as f64;
-        stats.reduced_nnz_initial += kern.upper.len();
         reduced.push(Some(kern.upper.to_vec()));
         tau_of.push(tau_i);
     }
-    stats.reduced_nnz_peak = stats.reduced_nnz_initial;
-    let initial = InitialPattern::of(&reduced);
-    let phase1 = phase1_entry(
-        local,
-        stats.reduced_nnz_initial,
-        lap(ctx, &mut mark),
-        std::mem::take(&mut kern.meter),
-    );
+    let rule = Rule::Ilut { opts, tau_of };
+    interface_levels(ctx, dm, local, rule, kern, fb, reduced, mark)
+}
 
-    // ---- Phase 2: iterative interface factorization.
+/// ILU(0)'s dist-MIS seed and Luby rounds per level. They fix its sets.
+const ILU0_MIS_SEED: u64 = 0xC0105;
+const ILU0_MIS_ROUNDS: usize = 5;
+
+/// What the level loop ([`interface_levels`]) does differently for the two
+/// factorizations that share it; the match arms on it are the whole
+/// difference.
+pub(crate) enum Rule<'o> {
+    /// ILUT / ILUT\*: fill is kept where the dropping rules of `opts` let
+    /// it, at threshold `tau_of[q]` for my interface row `q`.
+    Ilut {
+        opts: &'o IlutOptions,
+        tau_of: Vec<f64>,
+    },
+    /// ILU(0): the pattern of `A` and nothing else. A multiplier that
+    /// cancelled to exactly zero keeps its position, an update lands only
+    /// where the working row already holds one, and no dropping rule runs.
+    /// With a zero threshold and no cap, rule 1 and the `2m` re-selection
+    /// never fire.
+    Pattern,
+}
+
+impl Rule<'_> {
+    /// The dropping threshold of my interface row `q`.
+    fn tau(&self, q: usize) -> f64 {
+        match self {
+            Rule::Ilut { tau_of, .. } => tau_of[q],
+            Rule::Pattern => 0.0,
+        }
+    }
+
+    /// `w -= mult · u` over the columns of `u` (global ids), or, under the
+    /// fixed pattern, over those `w` already holds.
+    pub(crate) fn update(
+        &self,
+        w: &mut WorkRow,
+        local: &LocalView,
+        mult: f64,
+        u: impl IntoIterator<Item = (usize, f64)>,
+    ) {
+        match self {
+            Rule::Ilut { .. } => {
+                for (j, uv) in u {
+                    w.add(local.slot(j), -mult * uv);
+                }
+            }
+            Rule::Pattern => {
+                for (j, uv) in u {
+                    let s = local.slot(j);
+                    if w.contains(s) {
+                        w.add(s, -mult * uv);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Phase 2 of both factorizations: closes phase 1 (its work is on `kern`'s
+/// meter, its clock runs from `mark`), then factors the interface one
+/// level at a time — a distributed independent set `I_l` of the current
+/// reduced rows, its rows factored, its `U` rows shipped, and Algorithm 4.2
+/// over the rows left — until no rank has a reduced row left. Faults are
+/// agreed at every level head. `reduced` holds my interface rows of `A_I⁰`,
+/// `fb` their staged `L` parts.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn interface_levels(
+    ctx: &mut Ctx,
+    dm: &DistMatrix,
+    local: &LocalView,
+    rule: Rule<'_>,
+    mut kern: IlutRow<'_>,
+    mut fb: FactorBuilder<'_>,
+    mut reduced: ReducedRows,
+    mut mark: f64,
+) -> Result<RankFactors, FactorError> {
+    let a = dm.matrix();
+    let (m, seed, mis_rounds) = match rule {
+        Rule::Ilut { opts, .. } => (opts.m, opts.seed, opts.mis_rounds),
+        Rule::Pattern => (usize::MAX, ILU0_MIS_SEED, ILU0_MIS_ROUNDS),
+    };
+    let initial_nnz = reduced.iter().flatten().map(Vec::len).sum();
+    let mut stats = ParStats {
+        reduced_nnz_initial: initial_nnz,
+        reduced_nnz_peak: initial_nnz,
+        ..ParStats::default()
+    };
+    let initial = InitialPattern::of(&reduced);
+    let mut phase1 = LevelStats {
+        candidates: local.len(),
+        set_size: local.interior.len(),
+        rows_touched: local.interface.len(),
+        reduced_nnz_after: stats.reduced_nnz_initial,
+        clock_delta: lap(ctx, &mut mark),
+        ..std::mem::take(&mut kern.meter)
+    };
+
     let mut levels: Vec<Vec<usize>> = Vec::new();
     let mut per_level: Vec<LevelStats> = Vec::new();
     let mut mis = LevelMis::default();
@@ -321,17 +383,17 @@ pub fn par_ilut(
             }
         }
         let plan = mis.link(ctx, dm.dist());
-        mis.run(ctx, &plan, opts.seed, levels.len() as u64, opts.mis_rounds)?;
+        mis.run(ctx, &plan, seed, levels.len() as u64, mis_rounds)?;
         let mut my_in: Vec<usize> = mis.my_in().collect();
         my_in.shrink_to_fit(); // kept in `levels`: part of the factor's heap footprint
         kern.meter.set_size = my_in.len();
         kern.meter.luby_rounds = mis.live_rounds();
         kern.meter.mis_units = mis.work();
 
-        // Factor my I_l rows. The third dropping rule runs here, over what
-        // the row's `L` holds of phase 1 and of every multiplier the levels
-        // appended since: multipliers never change once computed and the
-        // rule's order is total, so this keeps exactly the entries a
+        // Factor my I_l rows. Under ILUT the third dropping rule runs here,
+        // over what the row's `L` holds of phase 1 and of every multiplier
+        // the levels appended since: multipliers never change once computed
+        // and the rule's order is total, so this keeps exactly the entries a
         // per-level application would (DESIGN §2.2). Independence means
         // the `U` part needs only rule-2 dropping.
         for &v in &my_in {
@@ -340,10 +402,13 @@ pub fn par_ilut(
             let rr = reduced[q].take().expect("member without a reduced row");
             remaining -= 1;
             live_nnz -= rr.len();
-            let tau_v = tau_of[q];
+            let tau_v = rule.tau(q);
             let (mut diag, has_diag) = split_diag(&rr, v, &mut kern.upper);
             let row = &mut fb.staged[q];
-            rule3(ctx, &mut kern.meter, &mut row.l, tau_v, opts.m);
+            match rule {
+                Rule::Ilut { .. } => rule3(ctx, &mut kern.meter, &mut row.l, tau_v, m),
+                Rule::Pattern => row.l.sort_unstable_by_key(|e| e.col()),
+            }
             row.l.shrink_to_fit(); // final: give back the room the appends took
             let fallback = if tau_v > 0.0 { tau_v } else { 1.0 };
             kern.doctor.repair_or_defer(
@@ -356,10 +421,12 @@ pub fn par_ilut(
                 &mut kern.fault,
                 fallback,
             );
-            threshold_and_cap_in_place(&mut kern.upper, tau_v, opts.m, None);
-            let cost = selection_cost(kern.upper.len());
-            kern.meter.select_flops += cost;
-            ctx.work(cost);
+            if let Rule::Ilut { .. } = rule {
+                threshold_and_cap_in_place(&mut kern.upper, tau_v, m, None);
+                let cost = selection_cost(kern.upper.len());
+                kern.meter.select_flops += cost;
+                ctx.work(cost);
+            }
             row.diag = diag;
             row.u = kern.upper.to_vec();
         }
@@ -396,7 +463,7 @@ pub fn par_ilut(
             let Some(rr) = reduced[q].as_mut() else {
                 continue;
             };
-            let tau_i = tau_of[q];
+            let tau_i = rule.tau(q);
             // Pivot columns of this row that belong to I_l (no new ones can
             // appear during the sweep: U rows of independent nodes contain no
             // I_l columns).
@@ -419,8 +486,10 @@ pub fn par_ilut(
                     note_err(&mut protocol, "urows", dm.dist().owner(k), what);
                     continue;
                 };
+                // ILUT skips an exactly cancelled multiplier; ILU(0) keeps
+                // its position, being defined by structure alone.
                 // lint: allow(float-eq): skips exactly cancelled multipliers
-                if wk == 0.0 {
+                if wk == 0.0 && matches!(rule, Rule::Ilut { .. }) {
                     continue;
                 }
                 let mult = wk / udiag;
@@ -429,9 +498,8 @@ pub fn par_ilut(
                     kern.meter.dropped_rule1 += 1;
                     continue; // first dropping rule
                 }
-                for e in urow {
-                    kern.w.add(local.slot(e.col()), -mult * e.val());
-                }
+                let u = urow.iter().map(|e| (e.col(), e.val()));
+                rule.update(&mut kern.w, local, mult, u);
                 let cost = 2.0 * urow.len() as f64;
                 kern.meter.pivots_applied += 1;
                 kern.meter.elim_flops += cost;
@@ -439,15 +507,18 @@ pub fn par_ilut(
                 kern.lower.push(Entry::new(k, mult));
             }
             let l = &mut fb.staged[q].l;
-            if l.len() + kern.lower.len() > opts.m.saturating_mul(2) {
-                rule3(ctx, &mut kern.meter, l, tau_i, opts.m);
+            if l.len() + kern.lower.len() > m.saturating_mul(2) {
+                rule3(ctx, &mut kern.meter, l, tau_i, m);
             }
             make_room(l, kern.lower.len());
             l.extend_from_slice(&kern.lower);
             // The surviving working row becomes the next-level reduced row.
             kern.w
                 .drain_sorted_by_into(&mut kern.entries, |s| local.col(s));
-            threshold_and_cap_in_place(&mut kern.entries, tau_i, opts.reduced_cap(), Some(i));
+            if let Rule::Ilut { opts, .. } = rule {
+                let cap = opts.reduced_cap();
+                threshold_and_cap_in_place(&mut kern.entries, tau_i, cap, Some(i));
+            }
             ctx.copy_words(kern.entries.len() as f64);
             kern.meter.copy_words += kern.entries.len() as f64;
             live_nnz = live_nnz - rr.len() + kern.entries.len();
@@ -462,11 +533,19 @@ pub fn par_ilut(
         levels.push(my_in);
     }
 
-    seal_levels(ctx, mark, phase1, per_level, &mut stats);
+    // Seal the table: the terminating collective goes to the last entry,
+    // and the totals are its column sums.
+    per_level.last_mut().unwrap_or(&mut phase1).clock_delta += lap(ctx, &mut mark);
+    let entries = || [&phase1].into_iter().chain(&per_level);
+    stats.flops = entries().map(LevelStats::flops).sum();
+    stats.mis_work = entries().map(|l| l.mis_units).sum();
+    stats.phase1 = phase1;
+    stats.per_level = per_level;
     stats.breakdowns_repaired = kern.doctor.repairs();
     // Free before `finish` copies the staged rows: the slot arrays and
-    // pattern, the reduced rows' husks, the shipped rows, the working row.
-    drop((mis, reduced, tau_of, remote_u, kern));
+    // pattern, the reduced rows' husks, the thresholds, the shipped rows,
+    // the working row.
+    drop((mis, reduced, rule, remote_u, kern));
     Ok(fb.finish(levels, initial, stats))
 }
 

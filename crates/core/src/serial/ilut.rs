@@ -29,7 +29,7 @@ pub fn ilut_with_stats(
     assert_eq!(a.n_rows(), a.n_cols(), "ILUT needs a square matrix");
     opts.validate()?;
     let n = a.n_rows();
-    let mut kernel = IlutRow::new(n, None, opts);
+    let mut kernel = IlutRow::new(n, None, opts.breakdown);
     let mut store = FactorStore::with_capacity(n);
     store.reserve_entries(triangle_reserve(n, n, opts.m, a.nnz()));
     let id = |j: usize| j;

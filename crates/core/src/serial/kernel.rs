@@ -17,7 +17,7 @@
 use crate::breakdown::{PivotDoctor, PivotFault};
 use crate::dist::LocalView;
 use crate::factors::FactorStore;
-use crate::options::IlutOptions;
+use crate::options::{BreakdownPolicy, IlutOptions};
 use crate::parallel::LevelStats;
 use crate::serial::drop_rules::{selection_cost, threshold_and_cap_in_place};
 use pilut_sparse::{CsrMatrix, Entry, WorkRow};
@@ -26,7 +26,8 @@ use std::collections::BinaryHeap;
 
 /// Per-factorization state of the row kernel: the scratch reused across
 /// rows (everything that outlives a row is copied out at exact size), the
-/// breakdown state and the work meter.
+/// breakdown state and the work meter. `par_ilu0` and the interface level
+/// loop use them without the elimination loop.
 pub(crate) struct IlutRow<'a> {
     /// The working row: a slot per column, or per column of `space`.
     pub(crate) w: WorkRow,
@@ -52,8 +53,9 @@ pub(crate) struct IlutRow<'a> {
 
 impl<'a> IlutRow<'a> {
     /// A kernel for rows of `n` columns, or for the rows of the rank
-    /// `space` views, whose working row then spans its column space.
-    pub(crate) fn new(n: usize, space: Option<&'a LocalView>, opts: &IlutOptions) -> Self {
+    /// `space` views, whose working row then spans its column space; an
+    /// unusable pivot is handled under `policy`.
+    pub(crate) fn new(n: usize, space: Option<&'a LocalView>, policy: BreakdownPolicy) -> Self {
         IlutRow {
             w: WorkRow::new(space.map_or(n, LocalView::n_slots)),
             space,
@@ -61,7 +63,7 @@ impl<'a> IlutRow<'a> {
             entries: Vec::new(),
             lower: Vec::new(),
             upper: Vec::new(),
-            doctor: PivotDoctor::new(opts.breakdown),
+            doctor: PivotDoctor::new(policy),
             fault: None,
             meter: LevelStats::default(),
         }

@@ -2,7 +2,7 @@
 //! else the factorization reports: the table is only worth reading if its
 //! columns add up to the totals the rest of the system is gated on — the
 //! level sets, `ParStats::flops` / `mis_work`, the machine's own flop and
-//! copy counters, the `U`-row traffic under the factorization's tag (wire,
+//! copy counters, the `U`-row traffic under `urows` (wire,
 //! planned-traffic ledger and table alike), and the rank's logical clock
 //! across the call.
 
@@ -13,14 +13,12 @@ use pilut_core::parallel::{par_ilu0, par_ilut, LevelStats, RankFactors};
 use pilut_par::{Ctx, Machine, MachineModel};
 use pilut_sparse::{gen, CsrMatrix};
 
-/// Runs `factor` — which ships its `U` rows under `urows` — on `p` ranks
-/// and checks every invariant of the table. Returns the per-rank factors
-/// for method-specific checks.
+/// Runs `factor` on `p` ranks and checks every invariant of the table.
+/// Returns the per-rank factors for method-specific checks.
 fn check(
     what: &str,
     a: &CsrMatrix,
     p: usize,
-    urows: u64,
     factor: impl Fn(&mut Ctx, &DistMatrix) -> RankFactors + Sync,
 ) -> Vec<RankFactors> {
     let dm = DistMatrix::from_matrix(a.clone(), p, 17);
@@ -85,9 +83,9 @@ fn check(
     assert_eq!(copied, out.stats.words_copied, "{what} p={p}: words copied");
     // U rows are planned to the byte: the batches are priced before the
     // first ships, so ledger = wire, exactly, and the table tallied the same.
-    let (messages, bytes) = out.stats.tag_totals(urows);
+    let (messages, bytes) = out.stats.tag_totals(tags::UROWS);
     // (One rank has no interface, no level and no round to record.)
-    let planned = out.stats.planned_by_tag.get(&urows).copied();
+    let planned = out.stats.planned_by_tag.get(&tags::UROWS).copied();
     let planned = planned.unwrap_or((0, 0, true));
     assert_eq!(planned, (messages, bytes, true), "{what} p={p}");
     let levels = out.results.iter().flat_map(|r| &r.0.stats.per_level);
@@ -102,7 +100,7 @@ fn par_ilut_levels_add_up_to_the_totals() {
     let a = gen::fem_torso(12, 1);
     for opts in [IlutOptions::new(20, 1e-6), IlutOptions::star(8, 1e-4, 2)] {
         for p in [1, 2, 4, 8] {
-            let factors = check(&opts.name(), &a, p, tags::UROWS, |ctx, dm| {
+            let factors = check(&opts.name(), &a, p, |ctx, dm| {
                 let local = dm.local_view(ctx.rank());
                 par_ilut(ctx, dm, &local, &opts).expect("factorization failed")
             });
@@ -125,16 +123,16 @@ fn par_ilut_levels_add_up_to_the_totals() {
 fn par_ilu0_fills_the_same_table() {
     let a = gen::fem_torso(12, 1);
     for p in [1, 2, 4, 8] {
-        let factors = check("ILU(0)", &a, p, tags::U0, |ctx, dm| {
+        let factors = check("ILU(0)", &a, p, |ctx, dm| {
             let local = dm.local_view(ctx.rank());
             par_ilu0(ctx, dm, &local).expect("factorization failed")
         });
-        // No dropping rule: nothing selected, nothing dropped, no copy charge.
+        // No dropping rule: nothing selected, nothing dropped.
         for rf in &factors {
             let s = &rf.stats;
-            let unused = |l: &LevelStats| (l.select_flops, l.dropped_rule1, l.copy_words);
+            let unused = |l: &LevelStats| (l.select_flops, l.dropped_rule1);
             let mut entries = [&s.phase1].into_iter().chain(&s.per_level);
-            assert!(entries.all(|l| unused(l) == (0.0, 0, 0.0)), "p={p}");
+            assert!(entries.all(|l| unused(l) == (0.0, 0)), "p={p}");
         }
     }
 }

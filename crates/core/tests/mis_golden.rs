@@ -21,11 +21,17 @@
 //! On a mismatch the panic message prints the observed table as Rust
 //! literals; paste it over the constants only when the change is meant to
 //! alter the sets, the numerics or the traffic.
+//!
+//! `ILU0_GOLDEN` pins `par_ilu0` the same way, minus the traffic. It was
+//! recorded at commit 9d64d65, where ILU(0) still ran a schedule loop and a
+//! numeric loop of its own, before it moved onto `par_ilut`'s level loop;
+//! that move changes its messages and collectives by design, but not its
+//! level sets, a bit of its factors or its flops.
 
 use pilut_core::dist::DistMatrix;
 use pilut_core::options::IlutOptions;
-use pilut_core::parallel::par_ilut;
-use pilut_par::{Machine, MachineModel};
+use pilut_core::parallel::{par_ilu0, par_ilut, RankFactors};
+use pilut_par::{Ctx, Machine, MachineModel, RunOutput};
 use pilut_sparse::{gen, SplitMix64};
 
 /// Folds one word into a running SplitMix64 hash.
@@ -45,15 +51,28 @@ const GOLDEN: &[Row] = &[
     (8, 99, 0xa7c3cdac5377c8bd, 0x9ecbb2f4cda5ecda, 39178, 3265696, 0x4e63591a0af4fffa),
 ];
 
-/// One checked run: the row above plus the simulated time's bits.
-fn run(p: usize) -> (Row, u64) {
-    let a = gen::fem_torso(12, 1);
-    let opts = IlutOptions::new(20, 1e-6);
-    let dm = DistMatrix::from_matrix(a, p, 17);
-    let out = Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| {
-        let local = dm.local_view(ctx.rank());
-        par_ilut(ctx, &dm, &local, &opts).expect("factorization failed")
-    });
+/// `(p, levels, factor hash, flops hash)`.
+type Ilu0Row = (usize, usize, u64, u64);
+
+const ILU0_GOLDEN: &[Ilu0Row] = &[
+    (2, 4, 0x726a6edf03630932, 0x1e757dfb98718102),
+    (4, 5, 0x49223bf4ef5df834, 0x0d6461a01ed15560),
+    (8, 4, 0x50972d12d5b6c390, 0x12f459bca64c58d4),
+];
+
+/// One checked run of `factor` on every rank of `fem_torso(12, 1)` split
+/// `p` ways.
+fn factor_torso(
+    p: usize,
+    factor: impl Fn(&mut Ctx, &DistMatrix) -> RankFactors + Sync,
+) -> RunOutput<RankFactors> {
+    let dm = DistMatrix::from_matrix(gen::fem_torso(12, 1), p, 17);
+    Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| factor(ctx, &dm))
+}
+
+/// `(levels, factor hash, flops hash)` of one run: every rank's level
+/// sets, every bit of its rows and its `ParStats::flops`.
+fn fingerprint(out: &RunOutput<RankFactors>) -> (usize, u64, u64) {
     let levels = out.results[0].stats.levels;
     let (mut factors, mut flops) = (SEED, SEED);
     for rf in &out.results {
@@ -71,6 +90,17 @@ fn run(p: usize) -> (Row, u64) {
             }
         }
     }
+    (levels, factors, flops)
+}
+
+/// One checked run: the row above plus the simulated time's bits.
+fn run(p: usize) -> (Row, u64) {
+    let opts = IlutOptions::new(20, 1e-6);
+    let out = factor_torso(p, |ctx, dm| {
+        let local = dm.local_view(ctx.rank());
+        par_ilut(ctx, dm, &local, &opts).expect("factorization failed")
+    });
+    let (levels, factors, flops) = fingerprint(&out);
     let by_tag = out.stats.by_tag.iter();
     let tags = by_tag.fold(SEED, |h, (&t, &(m, by))| fold(fold(fold(h, t), m), by));
     let (messages, bytes) = (out.stats.messages, out.stats.bytes);
@@ -101,6 +131,28 @@ fn par_ilut_sets_factors_flops_and_traffic_match_the_recorded_fingerprints() {
             .map(|(p, lv, f, fl, m, by, tg)| format!(
                 "    ({p}, {lv}, {f:#018x}, {fl:#018x}, {m}, {by}, {tg:#018x}),\n"
             ))
+            .collect::<String>()
+    );
+}
+
+#[test]
+fn par_ilu0_sets_factors_and_flops_match_the_recorded_fingerprints() {
+    let seen: Vec<Ilu0Row> = [2usize, 4, 8]
+        .into_iter()
+        .map(|p| {
+            let out = factor_torso(p, |ctx, dm| {
+                let local = dm.local_view(ctx.rank());
+                par_ilu0(ctx, dm, &local).expect("factorization failed")
+            });
+            let (levels, factors, flops) = fingerprint(&out);
+            (p, levels, factors, flops)
+        })
+        .collect();
+    assert!(
+        seen == ILU0_GOLDEN,
+        "par_ilu0 fingerprints moved; observed:\n{}",
+        seen.iter()
+            .map(|(p, lv, f, fl)| format!("    ({p}, {lv}, {f:#018x}, {fl:#018x}),\n"))
             .collect::<String>()
     );
 }

@@ -2,7 +2,7 @@
 //! contrast case).
 
 use pilut_core::dist::{DistMatrix, Distribution};
-use pilut_core::options::IlutOptions;
+use pilut_core::options::{FactorError, IlutOptions};
 use pilut_core::parallel::{par_ilu0, par_ilut};
 use pilut_core::serial::ilu0;
 use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
@@ -89,6 +89,81 @@ fn pattern_is_preserved_across_ranks() {
         }
         assert_eq!(covered, a.n_rows());
     }
+}
+
+#[test]
+fn no_two_nodes_of_one_level_share_an_entry_of_a() {
+    // The levels are ILU(0)'s colouring of the interface (Figure 1a): each
+    // interface node is in exactly one, and a level is independent in the
+    // pattern of `A` itself, since ILU(0) never adds to it.
+    for a in [gen::fem_torso(12, 1), gen::laplace_3d(10, 10, 10)] {
+        for p in [2, 4, 8] {
+            let dm = DistMatrix::from_matrix(a.clone(), p, 17);
+            let out = Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| {
+                let local = dm.local_view(ctx.rank());
+                let rf = par_ilu0(ctx, &dm, &local).unwrap();
+                (rf.interface.len(), rf.levels)
+            });
+            let mut level_of = vec![None; a.n_rows()];
+            for (_, levels) in &out.results {
+                for (l, level) in levels.iter().enumerate() {
+                    for &v in level {
+                        assert!(level_of[v].replace(l).is_none(), "p={p}: {v} twice");
+                    }
+                }
+            }
+            let interface: usize = out.results.iter().map(|r| r.0).sum();
+            assert_eq!(level_of.iter().flatten().count(), interface, "p={p}");
+            for (v, &l) in level_of.iter().enumerate() {
+                let Some(l) = l else { continue };
+                for &u in a.row(v).0 {
+                    let u = u as usize;
+                    assert!(
+                        u == v || level_of[u] != Some(l),
+                        "p={p}: {v} and {u} share level {l} and a_vu"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_pivot_that_cancels_at_a_level_fails_every_rank() {
+    // Two interface nodes, one per rank, coupled by unit entries: whichever
+    // the first level factors, its elimination cancels the other's pivot to
+    // exactly 0.0, and the next level head agrees on the fault. The owner
+    // of that row reports it; its peer names the owner.
+    let mut coo = CooMatrix::new(2, 2);
+    for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+        coo.push(i, j, 1.0);
+    }
+    let dm = DistMatrix::new(coo.to_csr(), Distribution::block(2, 2));
+    let out = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
+        let local = dm.local_view(ctx.rank());
+        assert_eq!(local.interface.len(), 1, "rank {}", ctx.rank());
+        par_ilu0(ctx, &dm, &local).err()
+    });
+    let zero = out
+        .results
+        .iter()
+        .enumerate()
+        .find_map(|(rank, r)| match r {
+            Some(FactorError::ZeroPivot { row }) => Some((rank, *row)),
+            _ => None,
+        });
+    let (owner, row) = zero.expect("one rank reports the zero pivot");
+    assert_eq!(
+        dm.dist().owner(row),
+        owner,
+        "the owner of row {row} reports it"
+    );
+    let peer = 1 - owner;
+    assert_eq!(
+        out.results[peer],
+        Some(FactorError::RankFailure { rank: owner }),
+        "rank {peer}"
+    );
 }
 
 #[test]

@@ -3,22 +3,20 @@
 //! The paper decomposes the matrix across processors with the authors'
 //! multilevel k-way partitioner (METIS / ParMETIS [Karypis & Kumar,
 //! SC'96]), which the Rust ecosystem does not provide; it is implemented
-//! here from scratch, next to the greedy colouring the paper's ILU(0)
-//! baseline schedules by. (The paper's other graph algorithm, the modified
+//! here from scratch. (The paper's other graph algorithm, the modified
 //! Luby independent set of §4.1, lives where it runs: `pilut_core`'s
-//! `parallel::dist_mis`, whose one-rank run is its serial form.)
+//! `parallel::dist_mis`, whose one-rank run is its serial form. The
+//! colouring that schedules the paper's ILU(0) baseline, Figure 1(a), is
+//! the level sets `pilut_core::parallel::par_ilu0` runs.)
 //!
 //! * [`Graph`] — undirected adjacency structure (CSR-style) with vertex and
 //!   edge weights,
 //! * [`partition`] — multilevel k-way partitioning: heavy-edge-matching
 //!   coarsening, greedy-growing recursive bisection on the coarsest graph,
 //!   boundary Kernighan–Lin/Fiduccia–Mattheyses-style refinement during
-//!   uncoarsening,
-//! * [`coloring`] — greedy colouring (the ILU(0) concurrency mechanism the
-//!   paper contrasts against, Figure 1).
+//!   uncoarsening.
 
 pub mod adj;
-pub mod coloring;
 pub mod partition;
 
 pub use adj::Graph;

@@ -1,9 +1,8 @@
-//! Randomized property tests of partitioning and colouring.
+//! Randomized property tests of partitioning.
 //!
 //! Formerly proptest strategies; now driven by the in-tree seeded
 //! [`SplitMix64`] so the suite runs with zero registry dependencies.
 
-use pilut_graph::coloring::{greedy_coloring, is_proper_coloring};
 use pilut_graph::{partition_kway, Graph, PartitionOptions};
 use pilut_sparse::{CooMatrix, CsrMatrix, SplitMix64};
 
@@ -55,23 +54,6 @@ fn partition_covers_and_balances() {
                 r.part_weights
             );
         }
-    }
-}
-
-#[test]
-fn coloring_is_always_proper() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(case);
-        let a = undirected(&mut rng, 50, 120);
-        let g = Graph::from_csr_pattern(&a);
-        let (colors, nc) = greedy_coloring(&g);
-        assert!(is_proper_coloring(&g, &colors), "case {case}");
-        let max_deg = (0..g.n_vertices()).map(|u| g.degree(u)).max().unwrap_or(0);
-        assert!(
-            nc <= max_deg + 1,
-            "case {case}: greedy exceeded Δ+1: {nc} > {}",
-            max_deg + 1
-        );
     }
 }
 

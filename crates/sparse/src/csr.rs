@@ -1,7 +1,5 @@
 //! Compressed sparse row matrices.
 
-use crate::coo::CooMatrix;
-
 /// A sparse matrix in compressed sparse row format.
 ///
 /// Column indices within each row are kept sorted in ascending order and
@@ -323,28 +321,6 @@ impl CsrMatrix {
         let (_, vals) = self.row(i);
         vals.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
-
-    /// Extracts the square principal submatrix on `keep` (global indices,
-    /// ascending); returned matrix is indexed by position within `keep`.
-    pub fn principal_submatrix(&self, keep: &[usize]) -> CsrMatrix {
-        assert_eq!(self.n_rows, self.n_cols);
-        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]));
-        let mut to_local = vec![usize::MAX; self.n_cols];
-        for (l, &g) in keep.iter().enumerate() {
-            to_local[g] = l;
-        }
-        let mut coo = CooMatrix::new(keep.len(), keep.len());
-        for (li, &gi) in keep.iter().enumerate() {
-            let (cols, vals) = self.row(gi);
-            for (&gj, &v) in cols.iter().zip(vals) {
-                let lj = to_local[gj as usize];
-                if lj != usize::MAX {
-                    coo.push(li, lj, v);
-                }
-            }
-        }
-        coo.to_csr()
-    }
 }
 
 #[cfg(test)]
@@ -468,16 +444,6 @@ mod tests {
         let i = CsrMatrix::identity(4);
         let x = [1.0, -2.0, 3.5, 0.0];
         assert_eq!(i.spmv_owned(&x), x.to_vec());
-    }
-
-    #[test]
-    fn principal_submatrix_picks_block() {
-        let a = small();
-        let s = a.principal_submatrix(&[0, 2]);
-        assert_eq!(s.n_rows(), 2);
-        assert_eq!(s.get(0, 0), Some(4.0));
-        assert_eq!(s.get(0, 1), None); // (0,2) of A is zero
-        assert_eq!(s.get(1, 1), Some(4.0));
     }
 
     #[test]

@@ -125,13 +125,3 @@ fn workrow_matches_model() {
         assert!(w.is_empty(), "case {case}");
     }
 }
-
-#[test]
-fn principal_submatrix_of_everything_is_identity_op() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(case);
-        let a = coo_matrix(&mut rng, 12, 40);
-        let keep: Vec<usize> = (0..a.n_rows()).collect();
-        assert_eq!(a.principal_submatrix(&keep), a, "case {case}");
-    }
-}

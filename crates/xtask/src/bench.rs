@@ -87,7 +87,7 @@ const BUDGETED_REGIONS: &[&str] = &["alg42_sweep", "mis_rounds", "plan_replay"];
 const MIS_ALLOCS_PER_MESSAGE: u64 = 1;
 
 /// Heap acquisitions the `plan_replay` region may make per `U`-row message
-/// (`urows` / `u0`) on top of its dist-MIS frames: the batch's index and
+/// (`urows`) on top of its dist-MIS frames: the batch's index and
 /// value buffers, sized exactly by the encoder — a round's staging area and
 /// its round counters are the plan's from birth, and the receiver decodes
 /// into buffers that regrow a handful of times per factorization, inside
@@ -709,7 +709,7 @@ fn check(m: &Measurement) -> Result<(), String> {
         // once outside its operation only makes the budget looser).
         let sent = |tags: &[u64]| tags.iter().map(|&t| stats.tag_totals(t).0).sum::<u64>();
         let mis = sent(&[tags::MIS_KEYS, tags::MIS_TENT, tags::MIS_CONF]);
-        let urows = sent(&[tags::UROWS, tags::U0]);
+        let urows = sent(&[tags::UROWS]);
         let rows = m.facts.interface as u64;
         let passes = m.passes();
         let budgets = [

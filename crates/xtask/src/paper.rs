@@ -33,8 +33,6 @@ use pilut_core::dist::op::{DistCsr, DistOperator};
 use pilut_core::dist::{DistMatrix, Distribution, LocalView};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::{par_ilu0, par_ilut, LevelStats, RankFactors};
-use pilut_graph::coloring::{color_classes, greedy_coloring};
-use pilut_graph::Graph;
 use pilut_par::{Ctx, Machine, MachineModel, RunOutput};
 use pilut_solver::dist_gmres::{dist_gmres, DistDiagonal, DistIlu, DistPrecond};
 use pilut_solver::gmres::GmresOptions;
@@ -641,46 +639,48 @@ fn table3(e: &Experiment, size: Size, _: &mut Runs) -> String {
 }
 
 /// Why ILU(0)'s colouring schedule breaks down for ILUT: ILU(0) never fills,
-/// so one colouring of the interface nodes (original pattern) gives valid
-/// concurrent elimination classes; ILUT's interior fill adds dependencies
-/// among them, counted here as same-colour pairs that `A_I⁰` now couples.
+/// so the levels `par_ilu0` runs — independent sets of the original
+/// interface pattern, computable before any numeric work — colour the
+/// interface nodes into valid concurrent elimination classes; ILUT's
+/// interior fill adds dependencies among them, counted here as same-colour
+/// pairs that `A_I⁰` now couples.
 fn fig1(e: &Experiment, size: Size, _: &mut Runs) -> String {
     let (p, family, opts) = (size.procs[0], e.families[0].name(), &(e.grid)()[0]);
     let a = e.families[0].matrix(size.scale);
     let dm = partition(&a, p);
-    let mut interface: Vec<usize> = (0..p).flat_map(|r| dm.local_view(r).interface).collect();
-    interface.sort_unstable();
-    let g = Graph::from_csr_pattern(&a.principal_submatrix(&interface));
-    let (colors, nc) = greedy_coloring(&g);
-    let classes: String = color_classes(&colors, nc)
-        .iter()
-        .enumerate()
-        .map(|(c, class)| format!("    colour {c}: {:3} nodes\n", class.len()))
-        .collect();
-
     let run = spmd(&dm, MachineModel::cray_t3d(), |ctx, local| {
+        let ilu0 = Precond::Ilu0.factor(ctx, &dm, local); // always `Some`
         let rf = factor(ctx, &dm, local, opts);
-        (rf.initial_reduced_cols, rf.stats.levels)
+        let schedule = ilu0.map(|rf| rf.levels).unwrap_or_default();
+        (schedule, rf.initial_reduced_cols, rf.stats.levels)
     });
-    let pos: HashMap<usize, usize> = interface.iter().enumerate().map(|(k, &v)| (v, k)).collect();
+    let (mut sizes, mut colour) = (vec![0; run.results[0].0.len()], HashMap::new());
+    for (c, level) in run.results.iter().flat_map(|r| r.0.iter().enumerate()) {
+        sizes[c] += level.len();
+        colour.extend(level.iter().map(|&v| (v, c)));
+    }
+    let classes: String = (sizes.iter().enumerate())
+        .map(|(c, nodes)| format!("    colour {c}: {nodes:3} nodes\n"))
+        .collect();
     let (mut original, mut fill, mut same_colour) = (0usize, 0usize, 0usize);
-    for (v, cols) in run.results.iter().flat_map(|(rows, _)| rows) {
+    for (v, cols) in run.results.iter().flat_map(|(_, rows, _)| rows) {
         for &u in cols.iter().filter(|&u| u != v) {
             if a.get(*v, u).is_some() {
                 original += 1;
             } else {
                 fill += 1;
-                same_colour += usize::from(colors[pos[v]] == colors[pos[&u]]);
+                same_colour += usize::from(colour[v] == colour[&u]);
             }
         }
     }
-    let (title, n_iface, name, q) = (e.title, interface.len(), opts.name(), run.results[0].1);
+    let (title, n_iface, nc) = (e.title, colour.len(), sizes.len());
+    let (name, q) = (opts.name(), run.results[0].2);
     format!(
         "## {title}
 
 {family}, {p} domains, {n_iface} interface nodes.
 
-(a) ILU(0): one colouring schedules the whole interface elimination:
+(a) ILU(0): its levels, fixed by the pattern alone, colour the interface:
 {classes}
 (b) {name} after interior elimination:
     original interface couplings : {original}
