@@ -1,6 +1,6 @@
 //! Shared breakdown handling for every factorization kernel.
 //!
-//! All kernels (serial ILUT/ILU(0)/ILU(k) and the parallel ILUT and ILU(0)
+//! All kernels (serial ILUT/ILU(0) and the parallel ILUT and ILU(0)
 //! formulations) route every factored row through one repair step,
 //! [`PivotDoctor::repair_or_defer`], so a given [`BreakdownPolicy`] means
 //! exactly the same thing everywhere: serial and parallel factors of the

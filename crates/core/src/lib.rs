@@ -5,8 +5,8 @@
 //! * [`serial`] — the classic row-wise algorithms: **ILUT(m, t)** (paper
 //!   Algorithm 2.1, after Saad) — the one scalar row kernel, which the
 //!   parallel formulation's interior phase runs too, so serial ILUT is its
-//!   one-rank case — and the static-pattern baselines **ILU(0)** and
-//!   **ILU(k)**;
+//!   one-rank case — and the static-pattern baseline **ILU(0)**, the same
+//!   kernel with the pattern of `A` frozen;
 //! * [`factors`] — the one scalar factor store (two CSR arenas for strict
 //!   `L` and strict `U` plus a pivot vector, over a slot space) with its
 //!   row sweeps: [`factors::LuFactors`] is the store with slot = row,
@@ -23,7 +23,7 @@
 //!   make the factorization usable as a preconditioner;
 //! * [`options`] — shared parameter types (`m`, `t`, the ILUT\* cap `k`),
 //!   the [`options::BreakdownPolicy`] selecting what an unusable pivot does
-//!   in ILUT (`Abort` or `Shift`; ILU(0) and ILU(k) always abort), and the
+//!   in ILUT (`Abort` or `Shift`; ILU(0) always aborts), and the
 //!   typed [`options::FactorError`]. One crate-private repair step applies
 //!   the policy identically in every kernel, serial and parallel.
 
@@ -38,4 +38,4 @@ pub mod trisolve;
 
 pub use factors::LuFactors;
 pub use options::{BreakdownPolicy, FactorError, IlutOptions};
-pub use serial::{ilu0, iluk, ilut};
+pub use serial::{ilu0, ilut};

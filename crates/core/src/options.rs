@@ -1,8 +1,8 @@
 //! Shared parameter and error types.
 
 /// What an ILUT factorization does when it meets an unusable pivot
-/// (exactly zero, structurally missing, or non-finite). ILU(0) and ILU(k)
-/// always abort.
+/// (exactly zero, structurally missing, or non-finite). ILU(0) always
+/// aborts.
 ///
 /// Robust ILU packages treat breakdown as a recoverable condition rather
 /// than a crash: BILU perturbs pivots based on inverse-norm bounds, and

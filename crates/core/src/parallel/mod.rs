@@ -16,10 +16,11 @@
 //!    above-threshold entry in the reduced rows; ILUT\* caps each row at
 //!    `k·m` entries, which is the paper's key scalability modification.
 //!
-//! Phase 2 is one function, `interface_levels`, which [`par_ilu0`] calls
-//! too, under the fixed-pattern rule (`Rule::Pattern`: no fill, no
-//! dropping). ILU(0) never fills, so its reduced matrix at every level is
-//! the original interface pattern restricted to the nodes not yet
+//! Both phases are shared with [`par_ilu0`], which runs them under the
+//! fixed-pattern rule (`Rule::Pattern`: no fill, no dropping): phase 1's
+//! rows go through the same row kernel, and phase 2 is one function,
+//! `interface_levels`. ILU(0) never fills, so its reduced matrix at every
+//! level is the original interface pattern restricted to the nodes not yet
 //! factored: the sets the loop computes level by level are exactly those
 //! of a schedule computed up front from structure alone (the paper's
 //! Figure 1a colouring), and need no loop of their own.
@@ -45,10 +46,10 @@ use crate::options::{FactorError, IlutOptions};
 use crate::serial::drop_rules::{
     keep_largest_multipliers, selection_cost, threshold_and_cap_in_place,
 };
-use crate::serial::kernel::IlutRow;
+use crate::serial::kernel::{IlutRow, Rule};
 use dist_mis::{note_err, LevelMis};
 use pilut_par::Ctx;
-use pilut_sparse::{Entry, WorkRow};
+use pilut_sparse::Entry;
 use store::{FactorBuilder, InitialPattern, RemoteURows};
 
 /// Counters describing one rank's factorization.
@@ -178,18 +179,29 @@ pub fn par_ilut(
     local: &LocalView,
     opts: &IlutOptions,
 ) -> Result<RankFactors, FactorError> {
-    opts.validate()?; // deterministic: every rank rejects the same way
+    let reserve = triangle_reserve(local.len(), dm.n(), opts.m, local.nnz(dm.matrix()));
+    factor(ctx, dm, local, Rule::Ilut(opts), reserve)
+}
+
+/// Both parallel factorizations on my rows, under `rule`, into a store
+/// with room for `reserve` entries per triangle: phase 1 through the row
+/// kernel, then the level loop ([`interface_levels`]).
+pub(crate) fn factor(
+    ctx: &mut Ctx,
+    dm: &DistMatrix,
+    local: &LocalView,
+    rule: Rule<'_>,
+    reserve: usize,
+) -> Result<RankFactors, FactorError> {
+    rule.validate()?; // deterministic: every rank rejects the same way
     let a = dm.matrix();
-    let mut fb = FactorBuilder::new(
-        local,
-        triangle_reserve(local.len(), dm.n(), opts.m, local.nnz(a)),
-    );
-    // The row kernel carries the working row, the scratch parts, the
-    // breakdown state (its first unusable pivot is deferred to the
+    let mut fb = FactorBuilder::new(local, reserve);
+    // The row kernel carries the rule, the working row, the scratch parts,
+    // the breakdown state (its first unusable pivot is deferred to the
     // collective error check) and, as its work meter, the open entry of
     // the level table, whose clock is measured from `mark`. Its working
     // row spans the rank's column space, not the global one.
-    let mut kern = IlutRow::new(dm.n(), Some(local), opts.breakdown);
+    let mut kern = IlutRow::new(dm.n(), Some(local), rule);
     let mark = ctx.time();
 
     // ---- Phase 1: my rows in local-view order, through the serial row
@@ -209,19 +221,10 @@ pub fn par_ilut(
         let mut work = |cost| ctx.work(cost);
         if p < n_int {
             let before = |j: usize| local.is_interior(j) && j < i;
-            kern.factor_row(
-                a,
-                i,
-                opts,
-                before,
-                &mut fb.store,
-                slot_of,
-                col_of,
-                &mut work,
-            );
+            kern.factor_row(a, i, before, &mut fb.store, slot_of, col_of, &mut work);
             continue;
         }
-        let tau_i = opts.tau * a.row_norm2(i);
+        let tau_i = rule.tau(a.row_norm2(i));
         let mine = |j: usize| local.is_interior(j);
         // lower = the multipliers; upper = the interface columns (mine or
         // remote) including the diagonal.
@@ -235,77 +238,20 @@ pub fn par_ilut(
             col_of,
             &mut work,
         );
-        // The first cut of the third rule; the levels append to the staged
-        // `L` and the rule runs again when the row is factored.
-        keep_largest_multipliers(&mut kern.lower, tau_i, opts.m);
+        if let Rule::Ilut(opts) = rule {
+            // The first cut of the third rule; the levels append to the
+            // staged `L` and the rule runs again when the row is factored.
+            keep_largest_multipliers(&mut kern.lower, tau_i, opts.m);
+            // Reduced row: threshold always applies; ILUT* additionally caps.
+            threshold_and_cap_in_place(&mut kern.upper, tau_i, opts.reduced_cap(), Some(i));
+        }
         fb.staged[p - n_int].l = kern.lower.to_vec();
-        // Reduced row: threshold always applies; ILUT* additionally caps.
-        threshold_and_cap_in_place(&mut kern.upper, tau_i, opts.reduced_cap(), Some(i));
         ctx.copy_words(kern.upper.len() as f64);
         kern.meter.copy_words += kern.upper.len() as f64;
         reduced.push(Some(kern.upper.to_vec()));
         tau_of.push(tau_i);
     }
-    let rule = Rule::Ilut { opts, tau_of };
-    interface_levels(ctx, dm, local, rule, kern, fb, reduced, mark)
-}
-
-/// ILU(0)'s dist-MIS seed and Luby rounds per level. They fix its sets.
-const ILU0_MIS_SEED: u64 = 0xC0105;
-const ILU0_MIS_ROUNDS: usize = 5;
-
-/// What the level loop ([`interface_levels`]) does differently for the two
-/// factorizations that share it; the match arms on it are the whole
-/// difference.
-pub(crate) enum Rule<'o> {
-    /// ILUT / ILUT\*: fill is kept where the dropping rules of `opts` let
-    /// it, at threshold `tau_of[q]` for my interface row `q`.
-    Ilut {
-        opts: &'o IlutOptions,
-        tau_of: Vec<f64>,
-    },
-    /// ILU(0): the pattern of `A` and nothing else. A multiplier that
-    /// cancelled to exactly zero keeps its position, an update lands only
-    /// where the working row already holds one, and no dropping rule runs.
-    /// With a zero threshold and no cap, rule 1 and the `2m` re-selection
-    /// never fire.
-    Pattern,
-}
-
-impl Rule<'_> {
-    /// The dropping threshold of my interface row `q`.
-    fn tau(&self, q: usize) -> f64 {
-        match self {
-            Rule::Ilut { tau_of, .. } => tau_of[q],
-            Rule::Pattern => 0.0,
-        }
-    }
-
-    /// `w -= mult · u` over the columns of `u` (global ids), or, under the
-    /// fixed pattern, over those `w` already holds.
-    pub(crate) fn update(
-        &self,
-        w: &mut WorkRow,
-        local: &LocalView,
-        mult: f64,
-        u: impl IntoIterator<Item = (usize, f64)>,
-    ) {
-        match self {
-            Rule::Ilut { .. } => {
-                for (j, uv) in u {
-                    w.add(local.slot(j), -mult * uv);
-                }
-            }
-            Rule::Pattern => {
-                for (j, uv) in u {
-                    let s = local.slot(j);
-                    if w.contains(s) {
-                        w.add(s, -mult * uv);
-                    }
-                }
-            }
-        }
-    }
+    interface_levels(ctx, dm, local, kern, fb, reduced, tau_of, mark)
 }
 
 /// Phase 2 of both factorizations: closes phase 1 (its work is on `kern`'s
@@ -314,22 +260,23 @@ impl Rule<'_> {
 /// reduced rows, its rows factored, its `U` rows shipped, and Algorithm 4.2
 /// over the rows left — until no rank has a reduced row left. Faults are
 /// agreed at every level head. `reduced` holds my interface rows of `A_I⁰`,
-/// `fb` their staged `L` parts.
+/// `fb` their staged `L` parts, `tau_of` their dropping thresholds.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn interface_levels(
+fn interface_levels(
     ctx: &mut Ctx,
     dm: &DistMatrix,
     local: &LocalView,
-    rule: Rule<'_>,
     mut kern: IlutRow<'_>,
     mut fb: FactorBuilder<'_>,
     mut reduced: ReducedRows,
+    tau_of: Vec<f64>,
     mut mark: f64,
 ) -> Result<RankFactors, FactorError> {
     let a = dm.matrix();
+    let rule = kern.rule;
     let (m, seed, mis_rounds) = match rule {
-        Rule::Ilut { opts, .. } => (opts.m, opts.seed, opts.mis_rounds),
-        Rule::Pattern => (usize::MAX, ILU0_MIS_SEED, ILU0_MIS_ROUNDS),
+        Rule::Ilut(opts) => (opts.m, opts.seed, opts.mis_rounds),
+        Rule::Pattern => (usize::MAX, ilu0::MIS_SEED, ilu0::MIS_ROUNDS),
     };
     let initial_nnz = reduced.iter().flatten().map(Vec::len).sum();
     let mut stats = ParStats {
@@ -402,11 +349,11 @@ pub(crate) fn interface_levels(
             let rr = reduced[q].take().expect("member without a reduced row");
             remaining -= 1;
             live_nnz -= rr.len();
-            let tau_v = rule.tau(q);
+            let tau_v = tau_of[q];
             let (mut diag, has_diag) = split_diag(&rr, v, &mut kern.upper);
             let row = &mut fb.staged[q];
             match rule {
-                Rule::Ilut { .. } => rule3(ctx, &mut kern.meter, &mut row.l, tau_v, m),
+                Rule::Ilut(_) => rule3(ctx, &mut kern.meter, &mut row.l, tau_v, m),
                 Rule::Pattern => row.l.sort_unstable_by_key(|e| e.col()),
             }
             row.l.shrink_to_fit(); // final: give back the room the appends took
@@ -421,7 +368,7 @@ pub(crate) fn interface_levels(
                 &mut kern.fault,
                 fallback,
             );
-            if let Rule::Ilut { .. } = rule {
+            if let Rule::Ilut(_) = rule {
                 threshold_and_cap_in_place(&mut kern.upper, tau_v, m, None);
                 let cost = selection_cost(kern.upper.len());
                 kern.meter.select_flops += cost;
@@ -463,7 +410,7 @@ pub(crate) fn interface_levels(
             let Some(rr) = reduced[q].as_mut() else {
                 continue;
             };
-            let tau_i = rule.tau(q);
+            let tau_i = tau_of[q];
             // Pivot columns of this row that belong to I_l (no new ones can
             // appear during the sweep: U rows of independent nodes contain no
             // I_l columns).
@@ -489,7 +436,7 @@ pub(crate) fn interface_levels(
                 // ILUT skips an exactly cancelled multiplier; ILU(0) keeps
                 // its position, being defined by structure alone.
                 // lint: allow(float-eq): skips exactly cancelled multipliers
-                if wk == 0.0 && matches!(rule, Rule::Ilut { .. }) {
+                if wk == 0.0 && rule.fills() {
                     continue;
                 }
                 let mult = wk / udiag;
@@ -515,7 +462,7 @@ pub(crate) fn interface_levels(
             // The surviving working row becomes the next-level reduced row.
             kern.w
                 .drain_sorted_by_into(&mut kern.entries, |s| local.col(s));
-            if let Rule::Ilut { opts, .. } = rule {
+            if let Rule::Ilut(opts) = rule {
                 let cap = opts.reduced_cap();
                 threshold_and_cap_in_place(&mut kern.entries, tau_i, cap, Some(i));
             }
@@ -545,7 +492,7 @@ pub(crate) fn interface_levels(
     // Free before `finish` copies the staged rows: the slot arrays and
     // pattern, the reduced rows' husks, the thresholds, the shipped rows,
     // the working row.
-    drop((mis, reduced, rule, remote_u, kern));
+    drop((mis, reduced, tau_of, remote_u, kern));
     Ok(fb.finish(levels, initial, stats))
 }
 

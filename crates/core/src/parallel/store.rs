@@ -196,28 +196,6 @@ impl<'a> FactorBuilder<'a> {
         }
     }
 
-    /// Appends the next interior row (all of its columns are local).
-    pub(crate) fn push_interior(&mut self, l: &[Entry], diag: f64, u: &[Entry]) {
-        let local = self.local;
-        // lint: allow(unwrap): interior rows couple only to this rank's nodes
-        let pos = |j| local.pos_of(j).expect("interior column must be local");
-        self.store.push_row(l, diag, u, pos);
-    }
-
-    /// Pivot and strict-`U` entries `(global column, value)` of the
-    /// already-factored interior `k`.
-    #[inline]
-    pub(crate) fn interior_pivot(
-        &self,
-        k: usize,
-    ) -> (f64, impl ExactSizeIterator<Item = (usize, f64)> + '_) {
-        // lint: allow(unwrap): pivots are this rank's already-factored interiors
-        let p = self.local.pos_of(k).expect("pivot must be local");
-        let nodes = &self.local.nodes;
-        let urow = self.store.u.entries(p).map(move |(s, v)| (nodes[s], v));
-        (self.store.diag[p], urow)
-    }
-
     /// Interface position of my interface node `v`.
     pub(crate) fn interface_index(&self, v: usize) -> usize {
         // lint: allow(unwrap): callers pass this rank's interface nodes only

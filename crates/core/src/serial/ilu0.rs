@@ -1,23 +1,25 @@
 //! Zero-fill incomplete factorization ILU(0).
 //!
 //! The static-pattern baseline the paper contrasts ILUT against: no fill is
-//! allowed, so `L + U` has exactly the pattern of `A` and concurrency can be
-//! extracted with a one-time colouring (paper Figure 1a).
+//! allowed, so `L + U` has exactly the pattern of `A`, and the schedule of
+//! its parallel form ([`crate::parallel::par_ilu0`]) follows from that
+//! pattern alone.
 
 use crate::factors::LuFactors;
 use crate::options::FactorError;
-use crate::serial::iluk::iluk;
+use crate::serial::ilut::factor;
+use crate::serial::kernel::Rule;
 use pilut_sparse::CsrMatrix;
 
 /// Computes ILU(0): Gaussian elimination restricted to the pattern of `A`.
 /// Aborts on the first unusable pivot.
 ///
-/// ILU(0) is level-of-fill ILU(k) at `k = 0`: every original entry has
-/// level 0 and every fill entry level ≥ 1, so nothing outside the pattern
-/// survives — and a position inside it stays even when its value cancels
-/// to zero, because levels are structural.
+/// This is serial ILUT's driver under the fixed-pattern rule: no fill, no
+/// dropping — and a position inside the pattern stays even when its value
+/// cancels to zero, because the pattern is structural.
 pub fn ilu0(a: &CsrMatrix) -> Result<LuFactors, FactorError> {
-    iluk(a, 0)
+    // Zero fill: neither triangle outgrows `A`.
+    factor(a, Rule::Pattern, a.nnz()).map(|(f, _)| f)
 }
 
 #[cfg(test)]

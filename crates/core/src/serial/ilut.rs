@@ -2,11 +2,13 @@
 //!
 //! This is the one-rank case of [`crate::parallel::par_ilut`]'s interior
 //! phase: every row runs through the same [`IlutRow`] kernel, with identity
-//! slot numbering and nobody listening to the work charges.
+//! slot numbering and nobody listening to the work charges. Serial
+//! [`crate::serial::ilu0()`] is the same driver under the fixed-pattern
+//! rule.
 
 use crate::factors::{triangle_reserve, FactorStore, LuFactors};
 use crate::options::{FactorError, FactorStats, IlutOptions};
-use crate::serial::kernel::IlutRow;
+use crate::serial::kernel::{IlutRow, Rule};
 use pilut_sparse::CsrMatrix;
 
 /// Computes ILUT(m, t) of a square matrix.
@@ -26,15 +28,27 @@ pub fn ilut_with_stats(
     a: &CsrMatrix,
     opts: &IlutOptions,
 ) -> Result<(LuFactors, FactorStats), FactorError> {
-    assert_eq!(a.n_rows(), a.n_cols(), "ILUT needs a square matrix");
-    opts.validate()?;
     let n = a.n_rows();
-    let mut kernel = IlutRow::new(n, None, opts.breakdown);
+    factor(a, Rule::Ilut(opts), triangle_reserve(n, n, opts.m, a.nnz()))
+}
+
+/// The serial driver: every row of `a` through the row kernel under
+/// `rule`, into a store with room for `reserve` entries per triangle.
+/// Returns at the first fault the rule's policy does not repair.
+pub(crate) fn factor(
+    a: &CsrMatrix,
+    rule: Rule<'_>,
+    reserve: usize,
+) -> Result<(LuFactors, FactorStats), FactorError> {
+    assert_eq!(a.n_rows(), a.n_cols(), "ILUT needs a square matrix");
+    rule.validate()?;
+    let n = a.n_rows();
+    let mut kernel = IlutRow::new(n, None, rule);
     let mut store = FactorStore::with_capacity(n);
-    store.reserve_entries(triangle_reserve(n, n, opts.m, a.nnz()));
+    store.reserve_entries(reserve);
     let id = |j: usize| j;
     for i in 0..n {
-        kernel.factor_row(a, i, opts, |j| j < i, &mut store, id, id, &mut |_| {});
+        kernel.factor_row(a, i, |j| j < i, &mut store, id, id, &mut |_| {});
         if let Some((row, fault)) = kernel.fault {
             return Err(fault.error_at(row));
         }

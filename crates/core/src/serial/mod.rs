@@ -2,12 +2,10 @@
 
 pub mod drop_rules;
 pub mod ilu0;
-pub mod iluk;
 pub mod ilut;
 pub(crate) mod kernel;
 
 pub use ilu0::ilu0;
-pub use iluk::iluk;
 pub use ilut::ilut;
 pub use ilut::ilut_with_stats;
 

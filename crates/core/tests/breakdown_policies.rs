@@ -1,7 +1,7 @@
 //! Breakdown-policy property tests: pathological matrices — zero
 //! diagonals, exactly singular systems, symmetric indefinite systems —
 //! driven through ILUT under both [`BreakdownPolicy`] values and through
-//! ILU(0) / ILU(k), which always abort. The contract:
+//! ILU(0), which always aborts. The contract:
 //!
 //! * **No kernel ever panics** on these inputs. Under `Abort` the result
 //!   may be a typed [`FactorError`]; under `Shift` the factorization must
@@ -14,7 +14,7 @@
 //! failing case replays from its printed seed.
 
 use pilut_core::options::{BreakdownPolicy, FactorError, IlutOptions};
-use pilut_core::serial::{ilu0, iluk, ilut};
+use pilut_core::serial::{ilu0, ilut};
 use pilut_sparse::{CooMatrix, CsrMatrix, SplitMix64};
 
 /// The two policies under test.
@@ -143,8 +143,8 @@ fn check(out: Result<pilut_core::factors::LuFactors, FactorError>, may_abort: bo
     }
 }
 
-/// Runs one matrix through ILUT under both policies and through ILU(0)
-/// and ILU(1), and checks the contract.
+/// Runs one matrix through ILUT under both policies and through ILU(0),
+/// and checks the contract.
 fn exercise(a: &CsrMatrix, label: &str) {
     for policy in POLICIES {
         let opts = IlutOptions::new(4, 1e-3).with_breakdown(policy);
@@ -152,7 +152,6 @@ fn exercise(a: &CsrMatrix, label: &str) {
         check(ilut(a, &opts), aborts, &format!("{label} ilut {policy:?}"));
     }
     check(ilu0(a), true, &format!("{label} ilu0"));
-    check(iluk(a, 1), true, &format!("{label} iluk(1)"));
 }
 
 #[test]

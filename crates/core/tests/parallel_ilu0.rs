@@ -8,27 +8,56 @@ use pilut_core::serial::ilu0;
 use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::{gen, CooMatrix};
+use support::{pinned_factoring, planted_cancellation, reference_ilu0};
+
+mod support;
 
 #[test]
 fn single_rank_matches_serial_ilu0() {
     // One rank owns only interior rows, so phase 1 is the whole
-    // factorization and runs serial ILU(0)'s operations in serial's order:
-    // every stored entry must agree bit for bit.
-    let a = gen::convection_diffusion_2d(7, 7, 4.0, -1.0);
-    let serial = ilu0(&a).unwrap();
-    let dm = DistMatrix::from_matrix(a.clone(), 1, 1);
-    let out = Machine::run_checked(1, MachineModel::cray_t3d(), |ctx| {
-        let local = dm.local_view(0);
-        par_ilu0(ctx, &dm, &local).unwrap()
-    });
-    let rf = &out.results[0];
+    // factorization. Serial `ilu0` and one-rank `par_ilu0` both run the
+    // library's row kernel, so each is held to the dense-pattern reference,
+    // which shares no loop with it: every stored entry bit for bit.
+    let one_rank = |a: &pilut_sparse::CsrMatrix| {
+        let dm = DistMatrix::from_matrix(a.clone(), 1, 1);
+        let out = Machine::run_checked(1, MachineModel::cray_t3d(), |ctx| {
+            par_ilu0(ctx, &dm, &dm.local_view(0))
+        });
+        out.results.into_iter().next().expect("one rank")
+    };
     let bits = |(c, v): (usize, f64)| (c, v.to_bits());
-    for i in 0..a.n_rows() {
-        let row = rf.row(i).expect("one rank owns every row");
-        assert!(row.l().map(bits).eq(serial.l_row(i).map(bits)), "L row {i}");
-        assert_eq!(row.diag().to_bits(), serial.diag(i).to_bits(), "diag {i}");
-        assert!(row.u().map(bits).eq(serial.u_row(i).map(bits)), "U row {i}");
+    for (label, a) in pinned_factoring() {
+        let serial = ilu0(&a).unwrap();
+        let rf = one_rank(&a).unwrap();
+        for (i, want) in reference_ilu0(&a).into_iter().enumerate() {
+            let want = (
+                want.l.into_iter().map(bits).collect::<Vec<_>>(),
+                want.diag.to_bits(),
+                want.u.into_iter().map(bits).collect::<Vec<_>>(),
+            );
+            let serial_row = (
+                serial.l_row(i).map(bits).collect(),
+                serial.diag(i).to_bits(),
+                serial.u_row(i).map(bits).collect(),
+            );
+            let row = rf.row(i).expect("one rank owns every row");
+            let rank_row = (
+                row.l().map(bits).collect(),
+                row.diag().to_bits(),
+                row.u().map(bits).collect(),
+            );
+            assert_eq!(serial_row, want, "{label}: serial row {i}");
+            assert_eq!(rank_row, want, "{label}: p = 1 row {i}");
+        }
     }
+    // On the planted cancellation the reference meets its zero pivot in
+    // row 6, and both factorizations abort there.
+    let a = planted_cancellation();
+    let first_zero = reference_ilu0(&a).iter().position(|r| r.diag == 0.0);
+    assert_eq!(first_zero, Some(6));
+    let expected = Some(FactorError::ZeroPivot { row: 6 });
+    assert_eq!(ilu0(&a).err(), expected);
+    assert_eq!(one_rank(&a).err(), expected);
 }
 
 /// Interior node 0 couples interface nodes 1 and 2 with unit entries, so

@@ -7,10 +7,13 @@
 use pilut_core::dist::DistMatrix;
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::par_ilut;
-use pilut_core::serial::{ilu0, iluk, ilut};
+use pilut_core::serial::{ilu0, ilut};
 use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::{CooMatrix, CsrMatrix, SplitMix64, WorkRow};
+use support::reference_ilu0;
+
+mod support;
 
 /// Random strictly diagonally dominant matrix — ILUT never breaks down on
 /// these and the exact factorization is well conditioned.
@@ -92,19 +95,36 @@ fn threshold_monotonicity() {
     }
 }
 
-/// ILU(k) fill grows monotonically with the level, and level 0 = ILU(0).
+/// ILU(0) keeps `A`'s pattern exactly — a stored zero, or an entry that
+/// cancels to zero, keeps its position — and agrees bit for bit with the
+/// dense-pattern reference.
 #[test]
-fn iluk_level_monotonicity() {
+fn ilu0_keeps_the_pattern_and_matches_the_reference() {
     for case in 0..48u64 {
         let mut rng = SplitMix64::new(case);
         let a = diag_dominant(&mut rng, 20, 60);
-        let f0 = ilu0(&a).expect("no breakdown");
-        let k0 = iluk(&a, 0).expect("no breakdown");
-        assert_eq!(f0.nnz(), k0.nnz(), "case {case}");
-        let k1 = iluk(&a, 1).expect("no breakdown");
-        let k2 = iluk(&a, 2).expect("no breakdown");
-        assert!(k0.nnz() <= k1.nnz(), "case {case}");
-        assert!(k1.nnz() <= k2.nnz(), "case {case}");
+        let f = ilu0(&a).expect("no breakdown");
+        let bits = |(c, v): (usize, f64)| (c, v.to_bits());
+        for (i, want) in reference_ilu0(&a).into_iter().enumerate() {
+            let mut held: Vec<usize> = f.l_row(i).chain(f.u_row(i)).map(|(c, _)| c).collect();
+            held.push(i);
+            held.sort_unstable();
+            let pattern: Vec<usize> = a.row(i).0.iter().map(|&j| j as usize).collect();
+            assert_eq!(held, pattern, "case {case}: row {i} pattern");
+            assert!(
+                f.l_row(i).map(bits).eq(want.l.into_iter().map(bits)),
+                "case {case}: L {i}"
+            );
+            assert_eq!(
+                f.diag(i).to_bits(),
+                want.diag.to_bits(),
+                "case {case}: diag {i}"
+            );
+            assert!(
+                f.u_row(i).map(bits).eq(want.u.into_iter().map(bits)),
+                "case {case}: U {i}"
+            );
+        }
     }
 }
 

@@ -12,11 +12,11 @@
 //! This facade crate re-exports the workspace layers:
 //!
 //! * [`sparse`] — CSR/COO matrices, the ILUT working row, generators, I/O;
-//! * [`graph`] — multilevel k-way partitioning and colouring (the Luby
+//! * [`graph`] — multilevel k-way partitioning (the Luby
 //!   MIS runs distributed, in `core::parallel::dist_mis`);
 //! * [`par`] — the SPMD message-passing virtual machine with a Cray-T3D
 //!   logical-clock cost model (the paper's testbed, simulated);
-//! * [`core`] — serial and parallel ILUT / ILUT\* / ILU(0) / ILU(k) and the
+//! * [`core`] — serial and parallel ILUT / ILUT\* / ILU(0) and the
 //!   parallel forward/backward substitutions;
 //! * [`solver`] — GMRES(restart), serial and distributed.
 //!
@@ -56,7 +56,7 @@ pub mod prelude {
     pub use pilut_core::precond::{
         DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner, Preconditioner,
     };
-    pub use pilut_core::serial::{ilu0, iluk, ilut};
+    pub use pilut_core::serial::{ilu0, ilut};
     pub use pilut_core::LuFactors;
     pub use pilut_graph::{partition_kway, Graph, PartitionOptions};
     pub use pilut_par::{Ctx, Machine, MachineModel, Payload};
