@@ -14,7 +14,7 @@ cargo fmt --check
 echo "==> xtask lint"
 cargo run -p xtask -- lint
 
-echo "==> xtask loc (code and test lines per crate, tracked in CHANGES.md)"
+echo "==> xtask loc (code and test lines per crate, doc bytes; tracked in CHANGES.md)"
 cargo run -q -p xtask -- loc
 
 echo "==> release build"
@@ -50,10 +50,13 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # of the three factorizations (levels.txt) and the deterministic half of
 # every bench scenario (kernels.txt): simulated time and every count in
 # them are bit-reproducible, so the committed experiments/ci/*.txt must
-# regenerate exactly. A change that moves them re-blesses with
-# `xtask paper` (and `xtask paper --record` for experiments/*.txt) and
-# shows the moved numbers in its diff.
-echo "==> paper --check (Tables 1-3, Figures 1-6, ablations, levels, bench kernels; exact diff)"
+# regenerate exactly. README.md and EXPERIMENTS.md quote experiments/ files
+# in blocks between `<!-- experiments/<file>.txt[#fragment] -->` and
+# `<!-- end -->`; the check also diffs every block against the committed
+# file and fails at its doc:line. A change that moves them re-blesses with
+# `xtask paper` (and `xtask paper --record` for experiments/*.txt), which
+# re-renders every block too, and shows the moved numbers in its diff.
+echo "==> paper --check (Tables 1-3, Figures 1-6, ablations, levels, bench kernels, doc blocks; exact diff)"
 cargo run -q -p xtask --release -- paper --check
 
 # ThreadSanitizer pass over the VM crate: the logical-clock machine is the

@@ -33,6 +33,8 @@
 //! `pilut` facade carries no audit code and `Machine::run` pays
 //! nothing. The differential test in `crates/par` pins that down.
 
+#![deny(missing_docs)]
+
 #[cfg(feature = "audit")]
 mod imp {
     use std::alloc::{GlobalAlloc, Layout, System};

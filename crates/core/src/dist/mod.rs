@@ -124,6 +124,7 @@ pub struct DistMatrix {
 /// Local vectors (`x`, `b`, GMRES basis vectors) are indexed in this order.
 #[derive(Clone, Debug)]
 pub struct LocalView {
+    /// The rank this view belongs to.
     pub rank: usize,
     /// Interior nodes, ascending global id; their ascending order is also
     /// their elimination order in phase 1.

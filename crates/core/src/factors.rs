@@ -185,6 +185,7 @@ impl FactorStore {
 /// [`LuFactors::diag`].
 #[derive(Clone, Debug)]
 pub struct LuFactors {
+    /// Order of the factored matrix.
     pub n: usize,
     store: FactorStore,
 }

@@ -27,6 +27,8 @@
 //!   typed [`options::FactorError`]. One crate-private repair step applies
 //!   the policy identically in every kernel, serial and parallel.
 
+#![deny(missing_docs)]
+
 mod breakdown;
 pub mod dist;
 pub mod factors;

@@ -62,8 +62,9 @@ pub struct ParStats {
     /// Modelled dist-MIS units charged to this rank's clock (5 per key
     /// hashed, 1 per pattern entry read); not part of `flops`.
     pub mis_work: f64,
-    /// Retained entries in L (strict) / U (incl. diagonal) on this rank.
+    /// Retained entries in `L` (strict) on this rank.
     pub nnz_l: usize,
+    /// Retained entries in `U` (diagonal included) on this rank.
     pub nnz_u: usize,
     /// Entries in this rank's slice of the initial reduced matrix.
     pub reduced_nnz_initial: usize,
@@ -102,15 +103,17 @@ pub struct LevelStats {
     /// flop in `elim_flops` that the logical clock is *not* charged for
     /// (DESIGN §13.2).
     pub dropped_rule1: usize,
-    /// Entries in my slice of the reduced matrix entering / leaving the level.
+    /// Entries in my slice of the reduced matrix entering the level.
     pub reduced_nnz_before: usize,
+    /// Entries in my slice of the reduced matrix leaving the level.
     pub reduced_nnz_after: usize,
-    /// `U` rows I shipped to referencing peers, and their bytes on the wire.
+    /// `U` rows I shipped to referencing peers.
     pub urows_rows: usize,
+    /// Bytes on the wire of those `U` rows.
     pub urows_bytes: usize,
-    /// Flops of elimination (divisions and row updates) and of the
-    /// dropping rules' selections.
+    /// Flops of elimination (divisions and row updates).
     pub elim_flops: f64,
+    /// Flops of the dropping rules' selections.
     pub select_flops: f64,
     /// Dist-MIS units charged to the clock (not flops).
     pub mis_units: f64,

@@ -27,6 +27,7 @@ use pilut_sparse::Entry;
 /// factored earlier, `u` to rows factored later.
 #[derive(Clone, Debug)]
 pub struct RankFactors {
+    /// The rank that factored these rows.
     pub rank: usize,
     /// Interior nodes in elimination order (ascending global id).
     pub interior: Vec<usize>,
@@ -44,6 +45,7 @@ pub struct RankFactors {
     /// (after interior elimination, before any interface level) — used by
     /// the Figure 1/2 structure illustrations.
     pub initial_reduced_cols: Vec<(usize, Vec<usize>)>,
+    /// This rank's counters of the factorization.
     pub stats: ParStats,
 }
 

@@ -16,6 +16,8 @@
 //!   boundary Kernighan–Lin/Fiduccia–Mattheyses-style refinement during
 //!   uncoarsening.
 
+#![deny(missing_docs)]
+
 pub mod adj;
 pub mod partition;
 

@@ -29,8 +29,11 @@ use crate::pool::Pool;
 /// Element-wise reduction operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReduceOp {
+    /// Element-wise sum.
     Sum,
+    /// Element-wise maximum.
     Max,
+    /// Element-wise minimum.
     Min,
 }
 
@@ -272,10 +275,10 @@ impl Ctx {
     /// per-source order promise structural: the wire contract leaves
     /// same-`(sender, tag)` delivery order undefined, so shipping each
     /// payload separately was a match-order race (found by the
-    /// happens-before detector; see EXPERIMENTS.md). Cross-source arrival
-    /// order remains free, which is fine — the result is canonicalized by
-    /// the source sort, and the any-source receive declares itself
-    /// order-insensitive to the race detector.
+    /// happens-before detector; EXPERIMENTS.md at 039f5b3 has the triage).
+    /// Cross-source arrival order remains free, which is fine — the result
+    /// is canonicalized by the source sort, and the any-source receive
+    /// declares itself order-insensitive to the race detector.
     pub fn exchange(&mut self, sends: Vec<(usize, Payload)>) -> Vec<(usize, Payload)> {
         let p = self.nprocs();
         let mut by_dest: Vec<Vec<Payload>> = (0..p).map(|_| Vec::new()).collect();

@@ -56,6 +56,8 @@
 //!   shrunk world and resume; collectives re-root themselves over the
 //!   surviving ranks automatically.
 
+#![deny(missing_docs)]
+
 pub mod check;
 pub mod collectives;
 pub mod ctx;

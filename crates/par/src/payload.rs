@@ -15,8 +15,11 @@ use std::sync::Arc;
 /// owner — the common point-to-point case).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
+    /// No data (a pure signal).
     Empty,
+    /// Unsigned words: indices, counts, flags.
     U64(Arc<Vec<u64>>),
+    /// Floating-point values.
     F64(Arc<Vec<f64>>),
     /// Paired index/value arrays (not necessarily of equal length).
     Mixed(Arc<Vec<u64>>, Arc<Vec<f64>>),

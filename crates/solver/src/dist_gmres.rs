@@ -89,7 +89,9 @@ impl DistPrecond for DistDiagonal {
 /// Parallel incomplete-LU preconditioning: forward + backward substitution
 /// through the distributed factors.
 pub struct DistIlu {
+    /// This rank's factors.
     pub rf: RankFactors,
+    /// The sweeps' communication plan over those factors.
     pub plan: TrisolvePlan,
     /// Reusable sweep workspace: built with the plan so every steady-state
     /// apply runs the zero-allocation [`dist_solve_into`] path.
@@ -117,8 +119,11 @@ impl DistPrecond for DistIlu {
 pub struct DistGmresResult {
     /// This rank's slice of the solution, in local-view order.
     pub x_local: Vec<f64>,
+    /// Whether the relative residual reached the tolerance.
     pub converged: bool,
+    /// Matrix–vector products performed.
     pub matvecs: usize,
+    /// Final relative residual (true residual, recomputed).
     pub rel_residual: f64,
     /// Residual-norm history, one entry per inner iteration plus one per
     /// restart cycle — same semantics as

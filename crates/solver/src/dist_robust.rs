@@ -68,8 +68,11 @@ pub struct DistSolveReport {
     pub x_local: Vec<f64>,
     /// Global row ids of `x_local`'s entries (final epoch).
     pub nodes: Vec<usize>,
+    /// Whether the chosen rung reached the tolerance.
     pub converged: bool,
+    /// Final relative residual of the chosen rung.
     pub rel_residual: f64,
+    /// Matrix–vector products of the chosen rung's solve.
     pub matvecs: usize,
     /// Why the chosen rung's iteration stopped early, if it did.
     pub breakdown: Option<Breakdown>,

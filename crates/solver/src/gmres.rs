@@ -29,7 +29,9 @@ impl Default for GmresOptions {
 /// Solver outcome.
 #[derive(Clone, Debug)]
 pub struct GmresResult {
+    /// The solution.
     pub x: Vec<f64>,
+    /// Whether the relative residual reached the tolerance.
     pub converged: bool,
     /// Matrix–vector products performed (the paper's "NMV" column).
     pub matvecs: usize,

@@ -30,6 +30,8 @@
 //! world, rebuilds plans and factors, warm-starts GMRES from a
 //! per-restart-cycle checkpoint, and records the recovery in the report.
 
+#![deny(missing_docs)]
+
 pub mod dist_gmres;
 pub mod dist_robust;
 pub mod gmres;

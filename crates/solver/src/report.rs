@@ -48,12 +48,20 @@ pub enum AttemptOutcome {
     /// The solve ran but did not converge (breakdown and/or residual above
     /// target).
     SolveFailed {
+        /// Relative residual when the solve stopped.
         rel_residual: f64,
+        /// Matrix–vector products the solve performed.
         matvecs: usize,
+        /// Why the iteration stopped early, if it did.
         breakdown: Option<Breakdown>,
     },
     /// The solve converged — this attempt produced the reported solution.
-    Converged { rel_residual: f64, matvecs: usize },
+    Converged {
+        /// Final relative residual.
+        rel_residual: f64,
+        /// Matrix–vector products the solve performed.
+        matvecs: usize,
+    },
 }
 
 /// One rung of the degradation ladder, as tried.
@@ -62,6 +70,7 @@ pub struct AttemptRecord {
     /// Human-readable preconditioner description, e.g. `ILUT(10,1e-4)`,
     /// `ILUT+shift(1e-4)`, `Jacobi`, `none`.
     pub preconditioner: String,
+    /// What the rung's factorization and solve did.
     pub outcome: AttemptOutcome,
 }
 

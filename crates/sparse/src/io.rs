@@ -18,6 +18,7 @@ use std::path::Path;
 /// Errors from Matrix Market parsing.
 #[derive(Debug)]
 pub enum MmError {
+    /// The file could not be read or written.
     Io(std::io::Error),
     /// Malformed header/body with a human-readable description.
     Parse(String),

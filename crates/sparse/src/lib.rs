@@ -17,6 +17,8 @@
 //! * [`rng`] — a seeded SplitMix64 generator so the workspace carries no
 //!   external `rand` dependency and builds fully offline.
 
+#![deny(missing_docs)]
+
 pub mod coo;
 pub mod csr;
 pub mod gen;

@@ -6,9 +6,13 @@ use crate::csr::CsrMatrix;
 /// Summary statistics of a square sparse matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MatrixStats {
+    /// Rows (= columns).
     pub n: usize,
+    /// Stored entries.
     pub nnz: usize,
+    /// `nnz / n`.
     pub avg_nnz_per_row: f64,
+    /// Stored entries of the fullest row.
     pub max_nnz_per_row: usize,
     /// True if the nonzero *pattern* is symmetric.
     pub structurally_symmetric: bool,

@@ -118,7 +118,7 @@ const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 /// `usize` graph ids and `i64` weights the partitioner held 3.49 / 3.46 of
 /// a `usize` matrix, and with the transpose and the symmetrised copy
 /// behind the graph, the partitioner's clone of it and the symmetrised
-/// copy in `DistMatrix` 5.04 / 5.18 (EXPERIMENTS).
+/// copy in `DistMatrix` 5.04 / 5.18 (EXPERIMENTS.md at 039f5b3).
 const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.40;
 
 /// Most heap bytes a row's matrix may hold per stored entry

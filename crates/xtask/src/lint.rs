@@ -44,7 +44,10 @@
 //!   (`[dependencies.name]`). This is what keeps the tier-1 gate
 //!   offline-safe.
 //! * **doc-pub-fn** — every `pub fn` in `crates/*/src` carries a doc
-//!   comment (`///` or `#[doc = ...]`).
+//!   comment (`///` or `#[doc = ...]`). The six library crates also deny
+//!   rustc's `missing_docs`, which covers their exported fields and
+//!   variants; this rule stays because `missing_docs` cannot see `xtask`'s
+//!   `pub fn`s or those of a module the crate does not export.
 //! * **no-global-state** — a `static` item (`static`, `static mut`, a
 //!   `thread_local!` entry) in a library crate is a violation: state a run
 //!   uses belongs to the run (the registered-buffer pool lives in the

@@ -20,7 +20,8 @@
 //!   paper's tables and figures plus the bench scenarios' deterministic
 //!   counts, regenerated and exact-diffed (see [`paper`]).
 //! * `cargo run -p xtask -- loc` — code lines and test lines per crate (see
-//!   [`code_and_test_lines`]), the tracked size columns of ROADMAP aim 2.
+//!   [`code_and_test_lines`]) and the bytes of the top-level `*.md` files,
+//!   the tracked size columns of ROADMAP aim 2.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -123,6 +124,16 @@ fn loc_task(_args: &[String]) -> Result<(), String> {
         "{code_total:>7} {test_total:>7}  total (non-blank, not comment-only lines; code: src before \
          the test tail, #[cfg(test)] or #[cfg(all(test, ..))]; test: from it on, plus tests/)"
     );
+    let entries = std::fs::read_dir(&root).map_err(|e| e.to_string())?;
+    let mut docs: Vec<(String, u64)> = (entries.flatten())
+        .filter_map(|e| Some((e.file_name().into_string().ok()?, e.metadata().ok()?.len())))
+        .filter(|(name, _)| name.ends_with(".md"))
+        .collect();
+    docs.sort();
+    let total: u64 = docs.iter().map(|d| d.1).sum();
+    let each: Vec<String> = docs.iter().map(|(name, b)| format!("{name} {b}")).collect();
+    let each = each.join(", ");
+    println!("{total:>7} doc bytes  (top-level *.md: {each})");
     Ok(())
 }
 

@@ -23,6 +23,13 @@
 //! Figures 4–6 are ratios of Table 1's and Table 2's sweeps: they name the
 //! same grid and sizes as their table (`..TABLE1`), so [`sweep`] hands them
 //! the table's cached runs and they launch none of their own.
+//!
+//! The numbers README.md and EXPERIMENTS.md quote are those files, not
+//! copies typed from them: a block between `<!-- experiments/<file>.txt -->`
+//! (or `…txt#fragment`, the one `## ` section whose heading contains the
+//! fragment) and `<!-- end -->` holds the committed text byte for byte.
+//! `paper` and `--record` rewrite every block ([`splice`]) after writing
+//! their tier; `--check` diffs every block and names the doc line.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -284,12 +291,69 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
         eprintln!("[paper] {label}: {:.1}s", t0.elapsed().as_secs_f64());
     }
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).map_err(|e| e.to_string());
+    for doc in DOCS {
+        let text = read(doc).map_err(|e| format!("{doc}: {e}"))?;
+        let fresh = splice(&text, read).map_err(|e| format!("{doc}:{e}"))?;
+        if check {
+            diff(doc, &text, &fresh)?;
+        } else if fresh != text {
+            std::fs::write(root.join(doc), fresh).map_err(|e| format!("{doc}: {e}"))?;
+        }
+    }
     let verb = if check { "match" } else { "written to" };
     println!(
-        "xtask paper: {} experiments {verb} {dir}/",
+        "xtask paper: {} experiments {verb} {dir}/, quoted in {DOCS:?}",
         EXPERIMENTS.len()
     );
     Ok(())
+}
+
+/// The documents whose quoted blocks [`splice`] keeps equal to the files.
+const DOCS: [&str; 2] = ["README.md", "EXPERIMENTS.md"];
+
+/// `doc` with every quoted block rewritten from the file it names, read
+/// through `read`; text outside the blocks is copied unchanged. An error
+/// starts with the line number of the block's opening marker.
+fn splice(doc: &str, read: impl Fn(&str) -> Result<String, String>) -> Result<String, String> {
+    let mut out = String::with_capacity(doc.len());
+    let mut lines = doc.split_inclusive('\n').zip(1..);
+    while let Some((line, at)) = lines.next() {
+        out += line;
+        let marker = line.trim_end().strip_suffix(" -->");
+        let marker = marker.and_then(|m| m.strip_prefix("<!-- "));
+        let Some(source) = marker.filter(|s| s.starts_with("experiments/")) else {
+            continue;
+        };
+        let (file, fragment) = source.split_once('#').unwrap_or((source, ""));
+        let text = read(file).map_err(|e| format!("{at}: {file}: {e}"))?;
+        out += section(&text, fragment).map_err(|e| format!("{at}: {file}: {e}"))?;
+        // The block runs to the next comment line, which must close it: a
+        // missing end never swallows the prose and blocks after it.
+        let end = lines.find(|(l, _)| l.starts_with("<!-- "));
+        let end = end.filter(|(l, _)| l.trim_end() == "<!-- end -->");
+        out += end.ok_or(format!("{at}: no `<!-- end -->`"))?.0;
+    }
+    Ok(out)
+}
+
+/// All of `text` for an empty `fragment`, else its one `## ` section
+/// (heading to the next heading) whose heading contains `fragment`.
+fn section<'a>(text: &'a str, fragment: &str) -> Result<&'a str, String> {
+    if fragment.is_empty() {
+        return Ok(text);
+    }
+    let head = |&i: &usize| i == 0 || text.as_bytes()[i - 1] == b'\n';
+    let starts = text.match_indices("## ").map(|(i, _)| i);
+    let mut heads: Vec<usize> = starts.filter(head).collect();
+    heads.push(text.len());
+    let heading = |s: &&str| s.lines().next().is_some_and(|h| h.contains(fragment));
+    let mut found = heads.windows(2).map(|w| &text[w[0]..w[1]]).filter(heading);
+    match (found.next(), found.next()) {
+        (Some(s), None) => Ok(s),
+        (None, _) => Err(format!("no `## ` heading contains `{fragment}`")),
+        (Some(_), Some(_)) => Err(format!("more than one `## ` heading contains `{fragment}`")),
+    }
 }
 
 /// Exact comparison of a committed file with its regenerated text; the
@@ -995,8 +1059,8 @@ fn levels(e: &Experiment, size: Size, _: &mut Runs) -> String {
 /// without a wall clock, then the per-tag traffic of the machine rows.
 ///
 /// A cell is printed only if it reproduces bit for bit; which do was
-/// measured, not assumed (EXPERIMENTS, PR 16: regenerations under seeded
-/// stalls and host load). Under reliable delivery a receiver blocked for
+/// measured, not assumed (EXPERIMENTS.md at 039f5b3: regenerations under
+/// seeded stalls and host load). Under reliable delivery a receiver blocked for
 /// 4 ms of *wall* time sends NACKs — real, exactly planned `ack` traffic —
 /// so an armed row's `ack` count and totals follow the host's load. A
 /// killed epoch goes further: how much each survivor did before a poll told
@@ -1115,6 +1179,81 @@ mod tests {
 
         // Not even the final newline may go missing.
         assert!(diff("f", fresh.trim_end(), &fresh).is_err());
+    }
+
+    /// The committed files a splice test reads.
+    fn files(path: &str) -> Result<String, String> {
+        match path {
+            "experiments/t.txt" => {
+                Ok("## T — one, A\n\n| x | 1 |\n\n## T — two, B\n\n| y | 2 |\n".into())
+            }
+            "experiments/u.txt" => Ok("q = 3\n".into()),
+            _ => Err("No such file or directory".into()),
+        }
+    }
+
+    const DOC: &str = "# Doc\n\nprose 7, `<!-- experiments/u.txt -->`\n<!-- experiments/u.txt -->\nstale\n\
+                       <!-- end -->\n<!-- note 8 -->\n<!-- experiments/t.txt#B -->\n<!-- end -->\ntail 9";
+
+    #[test]
+    fn splice_quotes_a_file_or_one_section_and_touches_nothing_else() {
+        let once = splice(DOC, files).unwrap();
+        let expect = "# Doc\n\nprose 7, `<!-- experiments/u.txt -->`\n<!-- experiments/u.txt -->\nq = 3\n\
+                      <!-- end -->\n<!-- note 8 -->\n<!-- experiments/t.txt#B -->\n## T — two, B\n\n\
+                      | y | 2 |\n<!-- end -->\ntail 9";
+        assert_eq!(once, expect);
+        assert_eq!(splice(&once, files).unwrap(), once, "not a fixed point");
+        let plain = "# No blocks\n<!-- experiments -->\n<!-- end -->\n\n  x\r\n";
+        assert_eq!(splice(plain, files).unwrap(), plain);
+    }
+
+    #[test]
+    fn a_drifted_digit_in_a_block_fails_at_its_doc_line() {
+        let once = splice(DOC, files).unwrap();
+        let drifted = once.replace("| y | 2 |", "| y | 3 |");
+        let fresh = splice(&drifted, files).unwrap();
+        assert_eq!(fresh, once, "the splice restores the digit");
+        let err = diff("D.md", &drifted, &fresh).unwrap_err();
+        assert!(err.starts_with("D.md:11: committed `| y | 3 |`"), "{err}");
+    }
+
+    #[test]
+    fn unknown_files_absent_or_ambiguous_fragments_and_open_blocks_are_errors() {
+        for (doc, want) in [
+            (
+                "x\n<!-- experiments/v.txt -->\n<!-- end -->\n",
+                "2: experiments/v.txt: No such",
+            ),
+            (
+                "<!-- experiments/t.txt#C -->\n<!-- end -->\n",
+                "1: experiments/t.txt: no `## `",
+            ),
+            (
+                "<!-- experiments/t.txt#T — -->\n<!-- end -->\n",
+                "1: experiments/t.txt: more than one",
+            ),
+            (
+                "<!-- experiments/u.txt -->\nq = 3\n",
+                "1: no `<!-- end -->`",
+            ),
+            (
+                "<!-- experiments/u.txt -->\nprose\n<!-- experiments/u.txt -->\n<!-- end -->\n",
+                "1: no `<!-- end -->`",
+            ),
+        ] {
+            let err = splice(doc, files).unwrap_err();
+            assert!(err.starts_with(want), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_committed_docs_quote_the_committed_files() {
+        let root = crate::workspace_root();
+        let read = |f: &str| std::fs::read_to_string(root.join(f)).map_err(|e| e.to_string());
+        for doc in DOCS {
+            let text = read(doc).unwrap();
+            diff(doc, &text, &splice(&text, read).unwrap()).unwrap();
+        }
     }
 
     #[test]
