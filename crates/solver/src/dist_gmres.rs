@@ -125,8 +125,8 @@ pub struct DistGmresResult {
     pub matvecs: usize,
     /// Final relative residual (true residual, recomputed).
     pub rel_residual: f64,
-    /// Residual-norm history, one entry per inner iteration plus one per
-    /// restart cycle — same semantics as
+    /// Residual-norm history, `matvecs + 1` entries with `‖b‖` first —
+    /// same semantics as
     /// [`GmresResult::history`](crate::gmres::GmresResult::history), and
     /// identical on every rank.
     pub history: Vec<f64>,
@@ -294,6 +294,33 @@ mod tests {
             mv_star <= 3 * mv_ilut.max(1),
             "ILUT* quality collapsed: {mv_star} vs {mv_ilut}"
         );
+    }
+
+    #[test]
+    fn a_hostile_cold_start_breaks_down_on_every_rank() {
+        // A NaN in A surfaces in the first Arnoldi column, a NaN in b in
+        // `β = ‖b‖`, before any product: at p = 2 as serially.
+        let a = gen::laplace_2d(8, 8);
+        let b = a.spmv_owned(&vec![1.0; a.n_rows()]);
+        let mut poisoned = a.clone();
+        poisoned.values_mut()[5] = f64::NAN;
+        let mut nan_b = b.clone();
+        nan_b[3] = f64::NAN;
+        for (a, b_global, at) in [(poisoned, &b, 1), (a, &nan_b, 0)] {
+            let dm = DistMatrix::from_matrix(a, 2, 23);
+            let out = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
+                let local = dm.local_view(ctx.rank());
+                let mut op = DistCsr::new(ctx, &dm, &local);
+                let b: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
+                let opts = GmresOptions::default();
+                dist_gmres(ctx, &mut op, &local, &mut DistIdentity, &b, &opts)
+            });
+            for r in out.results {
+                assert_eq!(r.breakdown, Some(Breakdown::NonFinite { at }));
+                assert!(!r.converged && r.rel_residual == f64::INFINITY);
+                assert!(r.x_local.iter().all(|x| x.is_finite()));
+            }
+        }
     }
 
     #[test]

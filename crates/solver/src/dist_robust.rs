@@ -15,9 +15,10 @@
 //! 4. **Unpreconditioned** GMRES — always constructible.
 //!
 //! Every rung's availability and every convergence verdict is collective,
-//! so all ranks climb in lockstep, and every rung warm-starts from the
-//! current checkpoint (any finite iterate is a legal warm start, so a later
-//! rung keeps what an earlier one achieved). Every rung tried is recorded
+//! so all ranks climb in lockstep. The first rung to solve starts from
+//! zero; every later one warm-starts from the current checkpoint (any
+//! finite iterate is a legal warm start, so a later rung keeps what an
+//! earlier one achieved). Every rung tried is recorded
 //! in the returned report, which names the rung that produced the answer
 //! and why the better ones were rejected.
 //!
@@ -216,6 +217,10 @@ pub fn dist_solve_robust(
     // was last scattered for them (the initial guess 0.0 if never owned by
     // a survivor) — any warm start is a legal warm start.
     let mut ckpt_global = vec![0.0f64; n];
+    // Set once a solve has returned or a rank was lost, at the same point
+    // of the climb on every rank: until then the checkpoint is the zero
+    // guess and the kernel's cold start skips the product `A·0`.
+    let mut warm = false;
     let mut recoveries: Vec<RecoveryRecord> = Vec::new();
     let mut cur = dist.clone();
 
@@ -262,9 +267,9 @@ pub fn dist_solve_robust(
                     };
                     // Any finite iterate is a legal warm start, so a later
                     // rung keeps what an earlier one achieved.
-                    let x0 = ckpt_local.clone();
+                    let x0 = warm.then(|| ckpt_local.clone());
                     let ckpt = Some(&mut ckpt_local);
-                    krylov::solve(&mut space, &b, gmres_opts, Some(x0), ckpt)
+                    krylov::solve(&mut space, &b, gmres_opts, x0, ckpt)
                 });
                 let outcome = match &solved {
                     Err(e) => AttemptOutcome::FactorFailed(e.clone()),
@@ -283,6 +288,7 @@ pub fn dist_solve_robust(
                     outcome,
                 });
                 let Ok(r) = solved else { continue };
+                warm = true;
                 if r.converged {
                     return (r, attempts, idx);
                 }
@@ -332,6 +338,7 @@ pub fn dist_solve_robust(
                         for (&g, &v) in nodes.iter().zip(&ckpt_local) {
                             ckpt_global[g] = v;
                         }
+                        warm = true;
                         let t_lost = ctx.time();
                         let dead = ctx.adopt_world();
                         ctx.recover_sync();

@@ -37,7 +37,9 @@ pub struct GmresResult {
     pub matvecs: usize,
     /// Final relative residual (true residual, recomputed).
     pub rel_residual: f64,
-    /// Residual-norm history, one entry per inner iteration.
+    /// Residual-norm history: the residual at each restart cycle's top and
+    /// the estimate after each inner iteration. The zero start's first
+    /// residual, `‖b‖`, costs no product, so it has `matvecs + 1` entries.
     pub history: Vec<f64>,
     /// Why the iteration stopped early, when it did not converge cleanly:
     /// non-finite poisoning of the Arnoldi process or stagnation across

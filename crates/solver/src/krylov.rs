@@ -64,7 +64,10 @@ fn residual<S: Space>(space: &mut S, b: &[f64], x: &[f64], out: &mut [f64]) {
 /// Solves `A x = b` with right-preconditioned GMRES(restart): iterates on
 /// `A M⁻¹ u = b`, `x = M⁻¹ u`.
 ///
-/// `x0` seeds the iterate (zeros when `None`). `ckpt`, when supplied, is
+/// `x0` seeds the iterate. `None` is the zero guess: the first residual
+/// is then `b` itself, taken without a product, so `matvecs` counts one
+/// product fewer than a warm start from zeros and `history` holds one
+/// entry more than `matvecs` (`history[0] = ‖b‖`). `ckpt`, when supplied, is
 /// overwritten with the current iterate at the end of **every restart
 /// cycle**, between reductions — so an unwind anywhere inside the next
 /// cycle leaves it holding a complete, consistent iterate from at most one
@@ -101,6 +104,8 @@ fn solve_in<S: Space>(
 ) -> GmresResult {
     let len = space.len();
     assert_eq!(b.len(), len);
+    // A cold start's first residual is `b` itself: no product, no norm.
+    let mut cold = x0.is_none();
     let mut out = GmresResult {
         x: x0.unwrap_or_else(|| vec![0.0; len]), // lint: allow(alloc-in-hot): setup
         converged: false,
@@ -145,10 +150,17 @@ fn solve_in<S: Space>(
     loop {
         // r = b - A x, normalized straight into the first basis vector.
         v[0].resize(len, 0.0); // a no-op after the first cycle
-        residual(space, b, &out.x, &mut v[0]);
-        out.matvecs += 1;
-        let beta = norm(space, &v[0]);
-        // One push per matvec: this residual's, then one per inner step.
+        let beta = if cold {
+            cold = false;
+            v[0].copy_from_slice(b);
+            b_norm
+        } else {
+            residual(space, b, &out.x, &mut v[0]);
+            out.matvecs += 1;
+            norm(space, &v[0])
+        };
+        // One push per cycle top and one per inner step: one per matvec,
+        // plus the cold start's `‖b‖`.
         out.history.reserve(m + 1);
         out.history.push(beta);
         if !beta.is_finite() {
@@ -230,13 +242,13 @@ fn solve_in<S: Space>(
             out.history.push(g[j + 1].abs());
             // lint: allow(float-eq): exact (lucky) breakdown test
             let lucky = wn == 0.0;
-            if !lucky {
-                w.iter_mut().for_each(|wi| *wi /= wn);
-                space.work(n);
-            }
-            if g[j + 1].abs() <= target || out.matvecs >= opts.max_matvecs || lucky {
+            if g[j + 1].abs() <= target || out.matvecs >= opts.max_matvecs || lucky || inner == m {
                 break;
             }
+            // Only step j+1 reads v_{j+1}: the cycle's last column is
+            // overwritten by `V y` unread, so it is never normalized.
+            w.iter_mut().for_each(|wi| *wi /= wn);
+            space.work(n);
         }
         // Back-substitute through the triangular H (in place: g becomes y)
         // and accumulate V y into v_inner, which the sum does not read.
@@ -383,7 +395,88 @@ mod tests {
         };
         let r = run(&a, &IdentityPreconditioner, &b, &opts, None, None);
         assert!(r.converged);
-        assert_eq!(r.history.len(), r.matvecs, "one push per matvec");
+        assert_eq!(r.history[0].to_bits(), dot(&b, &b).sqrt().to_bits());
+        assert_eq!(r.history.len(), r.matvecs + 1, "‖b‖, then one per matvec");
+    }
+
+    /// The serial space, counting the products it performs.
+    struct Counting<'a> {
+        serial: Serial<'a>,
+        ops: usize,
+        preconds: usize,
+    }
+
+    impl Space for Counting<'_> {
+        fn len(&self) -> usize {
+            self.serial.len()
+        }
+        fn apply_op(&mut self, x: &[f64], y: &mut [f64]) {
+            self.ops += 1;
+            self.serial.apply_op(x, y);
+        }
+        fn apply_precond(&mut self, r: &[f64], z: &mut [f64]) {
+            self.preconds += 1;
+            self.serial.apply_precond(r, z);
+        }
+        fn reduce_sum(&mut self, local: f64) -> f64 {
+            local
+        }
+        fn any(&mut self, local: bool) -> bool {
+            local
+        }
+        fn work(&mut self, _flops: f64) {}
+    }
+
+    #[test]
+    fn a_converged_solve_counts_the_products_it_performs() {
+        let (a, b, x_true) = laplace_problem();
+        let precond = &DiagonalPreconditioner::new(&a);
+        // (matvecs, A applies, M⁻¹ applies, history length).
+        let count = |restart: usize, x0: Option<Vec<f64>>| {
+            let serial = Serial { a: &a, precond };
+            let mut space = Counting {
+                serial,
+                ops: 0,
+                preconds: 0,
+            };
+            let opts = GmresOptions {
+                restart,
+                ..Default::default()
+            };
+            let r = solve(&mut space, &b, &opts, x0, None);
+            assert!(r.converged, "restart {restart}");
+            (r.matvecs, space.ops, space.preconds, r.history.len())
+        };
+        // Each inner step applies A and M⁻¹ once, each cycle's end applies
+        // M⁻¹ to `V y`, and each cycle top but a cold start's first applies
+        // A: cold, in one cycle or several, both counts are `matvecs`.
+        for restart in [50, 5] {
+            let (mv, ops, preconds, history) = count(restart, None);
+            assert_eq!((ops, preconds, history), (mv, mv, mv + 1));
+        }
+        // A warm start's first top applies A, and no cycle's end follows
+        // the top that confirms convergence.
+        let x0 = x_true.iter().map(|x| x / 2.0).collect();
+        let (mv, ops, preconds, history) = count(50, Some(x0));
+        assert_eq!((ops, preconds + 1, history), (mv, mv, mv));
+    }
+
+    #[test]
+    fn a_hostile_cold_start_breaks_down_without_a_panic() {
+        // A NaN in A surfaces in the first Arnoldi column, a NaN in b in
+        // `β = ‖b‖`, before any product.
+        let (a, b, _) = laplace_problem();
+        let mut poisoned = a.clone();
+        poisoned.values_mut()[5] = f64::NAN;
+        let mut nan_b = b.clone();
+        nan_b[3] = f64::NAN;
+        for (a, b, at) in [(&poisoned, &b, 1), (&a, &nan_b, 0)] {
+            let opts = GmresOptions::default();
+            let r = run(a, &IdentityPreconditioner, b, &opts, None, None);
+            assert_eq!(r.breakdown, Some(Breakdown::NonFinite { at }));
+            assert!(!r.converged && r.rel_residual == f64::INFINITY);
+            assert!(r.x.iter().all(|x| x.is_finite()));
+        }
     }
 
     /// FNV-1a over the bits of a float slice.
@@ -409,8 +502,9 @@ mod tests {
     fn an_early_convergence_writes_only_the_vectors_it_reaches() {
         let mut v = Vec::new();
         let r = run_in(&mut v, 50);
-        // One cycle of `k` inner steps, then the residual that confirms it.
-        let k = r.matvecs - 2;
+        // One cycle of `k` inner steps from `b`, then the residual that
+        // confirms it.
+        let k = r.matvecs - 1;
         assert!(r.converged && k < 50, "{k} inner steps");
         assert_eq!(v.len(), 51, "every vector reserved");
         assert!(v.iter().all(|vj| vj.capacity() >= 64));
@@ -423,9 +517,11 @@ mod tests {
     fn a_multi_cycle_solve_keeps_its_bits() {
         // Recorded at the parent of the on-demand basis (every vector
         // written up front): restart cycles overwrite the prefix they have.
+        // They held when the cold start stopped computing `A·0` (48 → 47
+        // matvecs).
         let mut v = Vec::new();
         let r = run_in(&mut v, 5);
-        assert_eq!(r.matvecs, 48);
+        assert_eq!(r.matvecs, 47);
         assert!(v.iter().all(|vj| vj.len() == 64), "every cycle ran full");
         assert_eq!(bits_hash(&r.x), 0xf794_b6a0_fc16_a48b);
         assert_eq!(bits_hash(&r.history), 0x5a24_11cc_d20d_eb6b);

@@ -53,6 +53,10 @@ fn one_rank_dist_gmres_equals_serial_gmres_bitwise() {
             "histories differ"
         );
         assert!(serial.converged && dist.converged);
-        assert_eq!(serial.history.len(), serial.matvecs, "one entry per matvec");
+        assert_eq!(
+            serial.history.len(),
+            serial.matvecs + 1,
+            "‖b‖, then one entry per matvec"
+        );
     }
 }

@@ -410,8 +410,9 @@ fn gmres_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
         assert!(r.converged, "gmres bench problem must converge");
         r.matvecs
     };
-    // The solver is deterministic: every solve applies A and the
-    // preconditioner `matvecs` times, which makes that the entry count.
+    // The solver is deterministic: a converged cold solve applies A and
+    // the preconditioner `matvecs` times each (the `krylov` tests count
+    // them), which makes that the entry count.
     Kernel {
         facts: Facts::of((a.nnz() + fill) * solve(), Some(fill), None),
         op: Box::new(move || {

@@ -185,20 +185,21 @@ fn dist_gmres_matches_serial_across_sizes_and_seeds() {
 /// factorization, whose count must stay inside the band recorded here, so
 /// store or kernel work cannot quietly weaken the factors while staying
 /// deterministic. Rows: `(matrix, options, serial NMV, max NMV for p > 1)`;
-/// the bound is the worst count observed when recorded (PR 14) plus one.
+/// the bound is the worst count observed when recorded plus one. Both
+/// columns dropped by one when the cold start stopped computing `A·0`.
 #[test]
 fn table3_matvecs_hold_against_serial() {
     let g40 = gen::convection_diffusion_2d(32, 32, 10.0, 20.0);
     let torso = gen::torso(10);
     let table = [
-        ("g40", &g40, IlutOptions::new(5, 1e-2), 19, 24),
-        ("g40", &g40, IlutOptions::new(10, 1e-4), 8, 13),
-        ("g40", &g40, IlutOptions::star(5, 1e-2, 2), 19, 24),
-        ("g40", &g40, IlutOptions::star(10, 1e-4, 2), 8, 13),
-        ("torso", &torso, IlutOptions::new(5, 1e-2), 14, 15),
-        ("torso", &torso, IlutOptions::new(10, 1e-4), 9, 9),
-        ("torso", &torso, IlutOptions::star(5, 1e-2, 2), 14, 15),
-        ("torso", &torso, IlutOptions::star(10, 1e-4, 2), 9, 9),
+        ("g40", &g40, IlutOptions::new(5, 1e-2), 18, 23),
+        ("g40", &g40, IlutOptions::new(10, 1e-4), 7, 12),
+        ("g40", &g40, IlutOptions::star(5, 1e-2, 2), 18, 23),
+        ("g40", &g40, IlutOptions::star(10, 1e-4, 2), 7, 12),
+        ("torso", &torso, IlutOptions::new(5, 1e-2), 13, 14),
+        ("torso", &torso, IlutOptions::new(10, 1e-4), 8, 8),
+        ("torso", &torso, IlutOptions::star(5, 1e-2, 2), 13, 14),
+        ("torso", &torso, IlutOptions::star(10, 1e-4, 2), 8, 8),
     ];
     let gopts = GmresOptions {
         restart: 10,
