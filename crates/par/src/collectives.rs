@@ -144,8 +144,8 @@ impl Ctx {
             }
             if s + bit < p {
                 let peer = self.slot_cache[s + bit];
-                let got = from_payload(self.recv_internal(peer, tag));
-                combine(&mut acc, got);
+                let (_, got) = self.recv_internal(Some(peer), tag, RecvMode::Directed);
+                combine(&mut acc, from_payload(got));
             }
             bit <<= 1;
         }
@@ -169,7 +169,7 @@ impl Ctx {
             val.expect("root must provide the broadcast value")
         } else {
             let parent = self.slot_cache[s - Self::lowbit(s)];
-            from_payload(self.recv_internal(parent, tag))
+            from_payload(self.recv_internal(Some(parent), tag, RecvMode::Directed).1)
         };
         for child in Self::bcast_children(s, p) {
             let peer = self.slot_cache[child];
@@ -302,7 +302,7 @@ impl Ctx {
         }
         let mut out = Vec::new();
         for _ in 0..incoming {
-            let (src, packed) = self.recv_any_internal(tag, RecvMode::WildcardUnordered);
+            let (src, packed) = self.recv_internal(None, tag, RecvMode::WildcardUnordered);
             for payload in unpack_exchange(packed) {
                 out.push((src, payload));
             }
@@ -311,41 +311,6 @@ impl Ctx {
         // Deterministic order regardless of arrival interleaving: sort by
         // source; per-source order is already structural (one message per
         // source), and the stable sort keeps it.
-        out.sort_by_key(|&(src, _)| src);
-        out
-    }
-
-    /// The pre-packing sparse all-to-all, preserved verbatim as a seeded
-    /// mutation target for `xtask modelcheck`: every payload ships in its
-    /// *own* envelope under one tag, so two payloads from one source are
-    /// concurrent same-`(sender, tag)` envelopes — exactly the match-order
-    /// race the packed [`Ctx::exchange`] removed. The model checker runs a
-    /// workload through this on purpose and asserts the race is diagnosed;
-    /// nothing else may call it.
-    #[doc(hidden)]
-    pub fn exchange_per_payload(&mut self, sends: Vec<(usize, Payload)>) -> Vec<(usize, Payload)> {
-        let p = self.nprocs();
-        let mut by_dest: Vec<Vec<Payload>> = (0..p).map(|_| Vec::new()).collect();
-        for (dest, payload) in sends {
-            assert!(dest < p, "exchange destination {dest} out of range");
-            by_dest[dest].push(payload);
-        }
-        let counts: Vec<u64> = by_dest.iter().map(|l| l.len() as u64).collect();
-        let totals = self.all_reduce_u64(counts, ReduceOp::Sum);
-        let incoming = totals[self.rank()] as usize;
-        let outgoing = by_dest.iter().map(|l| l.len() as u64).sum();
-        let tag = self.begin_collective(CollKind::Exchange, outgoing);
-        for (dest, parts) in by_dest.into_iter().enumerate() {
-            for payload in parts {
-                self.send_internal(dest, tag, tag, payload);
-            }
-        }
-        let mut out = Vec::new();
-        for _ in 0..incoming {
-            let (src, payload) = self.recv_any_internal(tag, RecvMode::WildcardUnordered);
-            out.push((src, payload));
-        }
-        self.end_collective();
         out.sort_by_key(|&(src, _)| src);
         out
     }

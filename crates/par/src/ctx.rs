@@ -100,9 +100,11 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Records one `bytes`-sized message on `tag` in the per-tag breakdown
-    /// (the aggregate `messages`/`bytes` fields are bumped by the caller).
-    fn note_tag(&mut self, tag: u64, bytes: u64) {
+    /// Counts one `bytes`-sized message sent on `tag`: the aggregate
+    /// `messages`/`bytes` fields and the per-tag breakdown.
+    fn note_message(&mut self, tag: u64, bytes: u64) {
+        self.messages += 1;
+        self.bytes += bytes;
         let key = if Ctx::is_reserved(tag) {
             Ctx::RESERVED_TAG_BASE
         } else {
@@ -156,9 +158,6 @@ pub struct Ctx {
     pub(crate) coll_seq: u64,
     /// The collective currently executing on this rank, if any.
     pub(crate) current_coll: Option<CollKind>,
-    /// Source rank of the most recently accepted envelope; the checked
-    /// any-source receive learns the source only at accept time.
-    last_accepted_from: usize,
     /// Commcheck board; `None` on the zero-overhead production path.
     check: Option<Arc<CheckState>>,
     /// Vector-clock + match-order race state; allocated only in checked
@@ -271,7 +270,6 @@ impl Ctx {
             counters: Counters::default(),
             coll_seq: 0,
             current_coll: None,
-            last_accepted_from: usize::MAX,
             check,
             hb,
             fault,
@@ -375,24 +373,20 @@ impl Ctx {
         if !panicked && !self.killed && self.fault.is_some() {
             if let Some(rel) = &self.rel {
                 for env in rel.unacked() {
-                    self.resend(env);
+                    self.ship_protocol(env);
                 }
             }
         }
-        // Drain the channel so late-but-already-sent envelopes are visible.
-        let ingress = self.rel.is_some() || self.flags.recovery;
+        // Drain the channel so late-but-already-sent envelopes are visible,
+        // admitting each frame like a receive does: late control frames
+        // are honoured (a peer's NACK can still trigger a resend here) and
+        // late retransmissions deduplicated.
         while let Ok(env) = self.receiver.try_recv() {
             if let Some(check) = &self.check {
                 check.note_drain(self.rank);
             }
-            if ingress {
-                // Honour late control frames (a peer's NACK can still
-                // trigger a resend here) and dedup late retransmissions.
-                let (ready, _) = self.ingress_frame(env);
-                self.pending.extend(ready);
-            } else {
-                self.pending.push_back(env);
-            }
+            let (ready, _) = self.ingress_frame(env);
+            self.pending.extend(ready);
         }
         // Frames still parked behind a sequence gap were never delivered:
         // surface them to the leak sweep.
@@ -503,9 +497,8 @@ impl Ctx {
             self.alive[to],
             "send to rank {to}, which was lost in a previous epoch"
         );
-        self.counters.messages += 1;
-        self.counters.bytes += payload.bytes() as u64;
-        self.counters.note_tag(stats_tag, payload.bytes() as u64);
+        self.counters
+            .note_message(stats_tag, payload.bytes() as u64);
         let coll_kind = if Self::is_reserved(tag) {
             self.current_coll
         } else {
@@ -563,9 +556,8 @@ impl Ctx {
                 // The duplicate carries the same sequence number, so a
                 // reliable receiver discards it at ingress.
                 let dup = env.clone();
-                self.counters.messages += 1;
-                self.counters.bytes += dup.payload.bytes() as u64;
-                self.counters.note_tag(dup.tag, dup.payload.bytes() as u64);
+                self.counters
+                    .note_message(dup.tag, dup.payload.bytes() as u64);
                 self.ship(env);
                 self.ship(dup);
             }
@@ -599,19 +591,10 @@ impl Ctx {
         }
     }
 
-    /// Sends one reliability control frame (ACK or NACK). Control traffic
-    /// bypasses fault injection — the protocol's own frames are the
-    /// mechanism that absorbs injected faults, so injecting into them
-    /// would only lengthen recovery, never change the outcome — and is
-    /// counted (and exactly priced) under [`ACK_TAG`].
+    /// Sends one reliability control frame (ACK or NACK) through
+    /// [`Ctx::ship_protocol`].
     fn send_ctrl(&mut self, to: usize, kind: u64, val: u64) {
-        let payload = Payload::u64s(vec![kind, val]);
-        let bytes = payload.bytes() as u64;
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.note_tag(ACK_TAG, bytes);
-        self.note_planned(ACK_TAG, 1, bytes, true);
-        let env = Envelope {
+        self.ship_protocol(Envelope {
             from: self.rank,
             to,
             tag: CTRL_TAG,
@@ -620,20 +603,20 @@ impl Ctx {
             vclock: None,
             seq: None,
             epoch: self.epoch,
-            payload,
-        };
-        self.ship(env);
+            payload: Payload::u64s(vec![kind, val]),
+        });
     }
 
-    /// Re-ships a retained frame in answer to a NACK (or in the exit
-    /// flush). Bypasses fault injection for the same reason control frames
-    /// do; the extra traffic is counted and exactly priced under
-    /// [`ACK_TAG`] (the original send already paid under its own tag).
-    fn resend(&mut self, env: Envelope) {
+    /// Ships one reliability-protocol frame: a control frame, or a
+    /// retained frame re-shipped in answer to a NACK (or in the exit
+    /// flush). Protocol frames bypass fault injection — they are the
+    /// mechanism that absorbs injected faults, so injecting into them
+    /// would only lengthen recovery, never change the outcome — and are
+    /// counted and exactly priced under [`ACK_TAG`] (a resend's original
+    /// send already paid under its own tag).
+    fn ship_protocol(&mut self, env: Envelope) {
         let bytes = env.payload.bytes() as u64;
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.note_tag(ACK_TAG, bytes);
+        self.counters.note_message(ACK_TAG, bytes);
         self.note_planned(ACK_TAG, 1, bytes, true);
         self.ship(env);
     }
@@ -668,14 +651,16 @@ impl Ctx {
         }
     }
 
-    /// Classifies one frame read off the channel against the reliability
-    /// and recovery layers. Returns the frames now deliverable, in link
-    /// order, plus a progress flag: `true` when the frame carried new data
-    /// (delivered or parked a gap), `false` for control frames, absorbed
-    /// duplicates, and stale-epoch traffic. The caller uses the flag to
-    /// decide whether a blocked receive's idle clock resets — control
-    /// chatter between two deadlocked ranks must not suppress the
-    /// watchdog forever.
+    /// The one admission step for every frame read off the channel — by a
+    /// receive, unchecked or checked, and by the exit drain: classifies it
+    /// against the reliability and recovery layers. Returns the frames now
+    /// deliverable, in link order, plus a progress flag: `true` when the
+    /// frame carried new data (delivered or parked a gap), `false` for
+    /// control frames, absorbed duplicates, and stale-epoch traffic. With
+    /// neither layer on, a frame is handed back unchanged as
+    /// `(vec![env], true)`. A blocked receive uses the flag to decide
+    /// whether its idle clock resets — control chatter between two
+    /// deadlocked ranks must not suppress the watchdog forever.
     fn ingress_frame(&mut self, env: Envelope) -> (Vec<Envelope>, bool) {
         if env.tag == CTRL_TAG {
             if env.epoch == self.epoch {
@@ -741,7 +726,7 @@ impl Ctx {
                     .map(|rel| rel.resend_from(env.from, val))
                     .unwrap_or_default();
                 for f in frames {
-                    self.resend(f);
+                    self.ship_protocol(f);
                 }
             }
             other => panic!("unknown reliability control kind {other}"),
@@ -831,8 +816,8 @@ impl Ctx {
         let payload = Payload::u64s(vec![self.epoch, h]);
         self.note_planned(RECOVER_TAG, 1, payload.bytes() as u64, true);
         self.send_internal(succ, wire, RECOVER_TAG, payload);
-        let got = self.recv_internal(pred, wire).into_u64();
-        if got != [self.epoch, h] {
+        let (_, got) = self.recv_internal(Some(pred), wire, RecvMode::Directed);
+        if got.into_u64() != [self.epoch, h] {
             // lint: allow(unwrap): recovery mode implies checked mode
             let check = Arc::clone(self.check.as_ref().expect("recovery implies checked"));
             let msg = check.fail(format!(
@@ -910,7 +895,9 @@ impl Ctx {
     /// Receives the message with the given `(from, tag)`, blocking until it
     /// arrives, and advances the clock by the modelled transfer time.
     ///
-    /// Under [`crate::Machine::run_checked`] a receive that can never be
+    /// A directed receive never reads a model-checker schedule script: its
+    /// match is already forced by the program. Under checked mode (see
+    /// [`crate::MachineBuilder::checked`]) a receive that can never be
     /// satisfied aborts the run with a deadlock report instead of blocking
     /// forever.
     pub fn recv(&mut self, from: usize, tag: u64) -> Payload {
@@ -918,42 +905,7 @@ impl Ctx {
             !Self::is_reserved(tag),
             "tag {tag} is reserved for collectives"
         );
-        self.recv_internal(from, tag)
-    }
-
-    pub(crate) fn recv_internal(&mut self, from: usize, tag: u64) -> Payload {
-        // Harness-owned, like `send_internal`: pending-queue growth and
-        // ingress bookkeeping model runtime-owned receive machinery.
-        let _audit = pilut_allocaudit::harness();
-        self.check_rank_loss();
-        self.fault_point();
-        // About to (possibly) block: release reorder-held envelopes so the
-        // injector cannot manufacture a deadlock of its own.
-        self.flush_held();
-        // Check the pending queue first.
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-        {
-            // lint: allow(unwrap): the position came from a search of the same deque
-            let env = self.pending.remove(pos).expect("position came from iter");
-            return self.accept(env, RecvMode::Directed);
-        }
-        if self.check.is_some() {
-            return self.recv_checked(Some(from), tag, RecvMode::Directed);
-        }
-        loop {
-            let env = self
-                .receiver
-                .recv()
-                // lint: allow(unwrap): every live rank holds a sender to this channel
-                .expect("all senders hung up while waiting");
-            if env.from == from && env.tag == tag {
-                return self.accept(env, RecvMode::Directed);
-            }
-            self.pending.push_back(env);
-        }
+        self.recv_internal(Some(from), tag, RecvMode::Directed).1
     }
 
     /// Receives the next message with the given `tag` from *any* rank,
@@ -965,50 +917,51 @@ impl Ctx {
     /// detector reports any pair of concurrent candidate messages for the
     /// same `(rank, tag)` as a match-order race (see [`crate::hb`]). Callers
     /// that canonicalize the result afterwards (like the internal sparse
-    /// all-to-all, which sorts by source) use an order-insensitive internal
-    /// variant instead.
+    /// all-to-all, which sorts by source) receive through the same loop
+    /// declared order-insensitive instead. A model-checker schedule script
+    /// (see [`crate::sched`]) can pin the source this receive matches.
     pub fn recv_any(&mut self, tag: u64) -> (usize, Payload) {
         assert!(
             !Self::is_reserved(tag),
             "tag {tag} is reserved for collectives"
         );
-        self.recv_any_internal(tag, RecvMode::Wildcard)
+        self.recv_internal(None, tag, RecvMode::Wildcard)
     }
 
-    /// Receives the next message with the given `tag` from *any* rank,
-    /// blocking until one arrives. Used by the sparse all-to-all, where the
-    /// receiver knows how many messages to expect but not their order.
-    /// `mode` declares whether the caller is order-sensitive — the race
-    /// detector flags concurrent cross-sender candidates only for
-    /// [`RecvMode::Wildcard`] consumers (see [`crate::hb`]).
-    pub(crate) fn recv_any_internal(&mut self, tag: u64, mode: RecvMode) -> (usize, Payload) {
-        // Harness-owned, like `send_internal`.
+    /// The one receive loop behind [`Ctx::recv`], [`Ctx::recv_any`], the
+    /// collectives and [`Ctx::recover_sync`]: matches the next envelope on
+    /// `tag` from `from` — from any rank when `from` is `None` — blocking
+    /// until one arrives, and returns `(source, payload)`. `mode` declares
+    /// whether the caller is order-sensitive; the race detector flags
+    /// concurrent cross-sender candidates only for [`RecvMode::Wildcard`]
+    /// consumers (see [`crate::hb`]).
+    pub(crate) fn recv_internal(
+        &mut self,
+        from: Option<usize>,
+        tag: u64,
+        mode: RecvMode,
+    ) -> (usize, Payload) {
+        // Harness-owned, like `send_internal`: pending-queue growth and
+        // frame admission model runtime-owned receive machinery.
         let _audit = pilut_allocaudit::harness();
         self.check_rank_loss();
         self.fault_point();
+        // About to (possibly) block: release reorder-held envelopes so the
+        // injector cannot manufacture a deadlock of its own.
         self.flush_held();
-        // A model-checker schedule script can pin which source this
-        // wildcard receive must match next; while an entry is pending the
-        // receive behaves as if directed at that source and every other
-        // candidate stays buffered (see [`crate::sched`]).
-        let forced = self.sched.as_ref().and_then(|s| s.forced_source(tag));
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|e| e.tag == tag && forced.is_none_or(|src| e.from == src))
-        {
+        // A model-checker schedule script can pin which source a wildcard
+        // receive must match next; while an entry is pending the receive
+        // behaves as if directed at that source and every other candidate
+        // stays buffered (see [`crate::sched`]). The race detector still
+        // sees the receive's true `mode`, so forcing never hides a race.
+        let from = from.or_else(|| self.sched.as_ref()?.forced_source(tag));
+        if let Some(pos) = self.pending.iter().position(|e| wanted(e, from, tag)) {
             // lint: allow(unwrap): the position came from a search of the same deque
             let env = self.pending.remove(pos).expect("position came from iter");
-            let from = env.from;
-            return (from, self.accept(env, mode));
+            return self.accept(env, mode);
         }
         if self.check.is_some() {
-            // `forced` narrows the channel match too; the race detector
-            // still sees the receive's true wildcard `mode`, so forcing
-            // never hides a race it would otherwise report.
-            let payload = self.recv_checked(forced, tag, mode);
-            let from = self.last_accepted_from;
-            return (from, payload);
+            return self.recv_checked(from, tag, mode);
         }
         loop {
             let env = self
@@ -1016,12 +969,27 @@ impl Ctx {
                 .recv()
                 // lint: allow(unwrap): every live rank holds a sender to this channel
                 .expect("all senders hung up while waiting");
-            if env.tag == tag {
-                let from = env.from;
-                return (from, self.accept(env, mode));
+            if let (Some(env), _) = self.admit(env, from, tag) {
+                return self.accept(env, mode);
             }
-            self.pending.push_back(env);
         }
+    }
+
+    /// Admits one frame read off the channel through
+    /// [`Ctx::ingress_frame`], buffers every deliverable frame but the
+    /// first one matching `(from, tag)`, and returns that one (if any)
+    /// with ingress's progress flag.
+    fn admit(&mut self, env: Envelope, from: Option<usize>, tag: u64) -> (Option<Envelope>, bool) {
+        let (ready, progress) = self.ingress_frame(env);
+        let mut hit = None;
+        for e in ready {
+            if hit.is_none() && wanted(&e, from, tag) {
+                hit = Some(e);
+            } else {
+                self.pending.push_back(e);
+            }
+        }
+        (hit, progress)
     }
 
     /// The checked receive loop: publish the blocked state, poll the
@@ -1032,11 +1000,10 @@ impl Ctx {
     /// receiver idle for [`NACK_START_POLLS`] polls asks the likely
     /// senders to re-ship, backing off exponentially for up to
     /// [`MAX_NACKS`] rounds before conceding the episode to the watchdog.
-    fn recv_checked(&mut self, from: Option<usize>, tag: u64, mode: RecvMode) -> Payload {
+    fn recv_checked(&mut self, from: Option<usize>, tag: u64, mode: RecvMode) -> (usize, Payload) {
         // lint: allow(unwrap): recv_checked is only entered in checked mode
         let check = Arc::clone(self.check.as_ref().expect("checked mode"));
         let reliable = self.rel.is_some();
-        let ingress = reliable || self.flags.recovery;
         if reliable {
             // A fresh blocked episode gets a fresh NACK budget; the board
             // suppresses deadlock verdicts until the budget is spent.
@@ -1050,38 +1017,17 @@ impl Ctx {
         loop {
             match self.receiver.recv_timeout(CHECK_POLL) {
                 Ok(env) => {
-                    if !ingress {
-                        let matches = env.tag == tag && from.is_none_or(|f| env.from == f);
-                        if matches {
-                            // One board transition: decrement in-flight and go
-                            // back to Running atomically, or a watchdog polling
-                            // between the two steps sees "blocked, nothing in
-                            // flight" and reports a spurious deadlock.
-                            check.note_drain_matched(self.rank);
-                            return self.accept(env, mode);
-                        }
-                        check.note_drain(self.rank);
-                        self.pending.push_back(env);
-                        continue;
-                    }
-                    // Reliability/recovery path: linearize the frame first
-                    // (dedup, gap parking, epoch filter, control frames),
-                    // then match whatever became deliverable.
-                    let (ready, progress) = self.ingress_frame(env);
+                    let (hit, progress) = self.admit(env, from, tag);
                     if progress {
                         idle_polls = 0;
                     }
-                    let mut hit: Option<Envelope> = None;
-                    for e in ready {
-                        if hit.is_none() && e.tag == tag && from.is_none_or(|f| e.from == f) {
-                            hit = Some(e);
-                        } else {
-                            self.pending.push_back(e);
-                        }
-                    }
-                    if let Some(e) = hit {
+                    if let Some(env) = hit {
+                        // One board transition: decrement in-flight and go
+                        // back to Running atomically, or a watchdog polling
+                        // between the two steps sees "blocked, nothing in
+                        // flight" and reports a spurious deadlock.
                         check.note_drain_matched(self.rank);
-                        return self.accept(e, mode);
+                        return self.accept(env, mode);
                     }
                     check.note_drain(self.rank);
                 }
@@ -1112,7 +1058,10 @@ impl Ctx {
         }
     }
 
-    fn accept(&mut self, env: Envelope, mode: RecvMode) -> Payload {
+    /// Takes a matched envelope: the collective-order and race checks, the
+    /// schedule script and trace, and the clock advance. Returns
+    /// `(source, payload)`.
+    fn accept(&mut self, env: Envelope, mode: RecvMode) -> (usize, Payload) {
         if Self::is_reserved(env.tag) {
             self.verify_collective_kind(&env);
         }
@@ -1148,8 +1097,7 @@ impl Ctx {
             self.model.latency + env.payload.bytes() as f64 * self.model.inv_bandwidth
         };
         self.time = self.time.max(env.time + wire);
-        self.last_accepted_from = env.from;
-        env.payload
+        (env.from, env.payload)
     }
 
     /// Collective-order check: the kind piggybacked by the sender must
@@ -1181,10 +1129,17 @@ impl Ctx {
     }
 }
 
+/// Whether `env` is the envelope a receive on `tag` from `from` (any rank
+/// when `None`) is waiting for.
+fn wanted(env: &Envelope, from: Option<usize>, tag: u64) -> bool {
+    env.tag == tag && from.is_none_or(|f| env.from == f)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{Machine, MachineModel};
+    use crate::sched::{SchedHandle, SchedulePlan};
 
     #[test]
     fn out_of_order_tags_are_buffered() {
@@ -1250,6 +1205,41 @@ mod tests {
         });
         assert_eq!(out.results[0], 6.0);
         assert_eq!(out.stats.words_copied, 3.0);
+    }
+
+    #[test]
+    fn a_directed_receive_leaves_a_forced_wildcard_entry_on_its_tag() {
+        // Rank 0's wildcard receives on tag T are scripted to match rank 2.
+        // Its directed receive on T from rank 1 must match rank 1 — reading
+        // no script entry — and leave both the entry and rank 2's envelope
+        // to the wildcard receive after it. Rank 2's envelope reaches rank
+        // 0's channel first: rank 1 sends only after rank 2's go on tag G.
+        const T: u64 = 5;
+        const G: u64 = 6;
+        let handle = SchedHandle::new(SchedulePlan::new().force(0, T, 2).record(true));
+        let out = Machine::builder(MachineModel::cray_t3d())
+            .schedule(handle.clone())
+            .run(3, |ctx| match ctx.rank() {
+                0 => {
+                    let a = ctx.recv(1, T).into_u64()[0];
+                    let (src, b) = ctx.recv_internal(None, T, RecvMode::WildcardUnordered);
+                    vec![a, src as u64, b.into_u64()[0]]
+                }
+                1 => {
+                    ctx.recv(2, G);
+                    ctx.send(0, T, Payload::u64s(vec![10]));
+                    Vec::new()
+                }
+                _ => {
+                    ctx.send(0, T, Payload::u64s(vec![20]));
+                    ctx.send(1, G, Payload::Empty);
+                    Vec::new()
+                }
+            });
+        assert_eq!(out.results[0], vec![10, 2, 20]);
+        let trace = handle.take_trace();
+        assert_eq!(trace.len(), 1, "only the wildcard accept is traced");
+        assert_eq!((trace[0].rank, trace[0].tag, trace[0].from), (0, T, 2));
     }
 
     #[test]

@@ -139,8 +139,9 @@ pub struct MachineBuilder {
 
 impl MachineBuilder {
     /// Enables or disables the commcheck verification layer
-    /// (see [`Machine::run_checked`]). Installing a fault plan enables it
-    /// implicitly: injection without diagnosis would just be a hang.
+    /// (see [`Machine::run_checked`]). Installing a fault plan, a schedule,
+    /// reliable delivery or recovery enables it implicitly: injection
+    /// without diagnosis would just be a hang.
     pub fn checked(mut self, on: bool) -> Self {
         self.checked = on;
         self
@@ -182,116 +183,31 @@ impl MachineBuilder {
         self
     }
 
-    /// Runs `f` on `p` ranks with this configuration.
+    /// Runs `f` on `p` ranks (one OS thread each) with this configuration
+    /// and gathers the results — the one launch path: [`Machine::run`] and
+    /// [`Machine::run_checked`] are this with the default and the checked
+    /// configuration.
     ///
     /// # Panics
-    /// As [`Machine::run_checked`] when checked (or a fault plan is
-    /// installed); as [`Machine::run`] otherwise.
+    /// Panics if `p == 0` or if any rank panics (the panic of the
+    /// lowest-numbered panicking rank is propagated); when checked (or a
+    /// fault plan, schedule, reliable delivery or recovery is installed),
+    /// also on any protocol error commcheck detects, as
+    /// [`Machine::run_checked`] describes.
     pub fn run<R, F>(self, p: usize, f: F) -> RunOutput<R>
     where
         R: Send,
         F: Fn(&mut Ctx) -> R + Sync,
     {
         assert!(p > 0, "need at least one rank");
+        let (model, sched, flags) = (self.model, self.sched, self.flags);
         let checked = self.checked
             || self.fault_plan.is_some()
-            || self.sched.is_some()
-            || self.flags.reliable
-            || self.flags.recovery;
-        let check = checked.then(|| Arc::new(CheckState::new(p, self.flags)));
+            || sched.is_some()
+            || flags.reliable
+            || flags.recovery;
+        let check = checked.then(|| Arc::new(CheckState::new(p, flags)));
         let fault = self.fault_plan.map(|plan| Arc::new(FaultShared::new(plan)));
-        Machine::run_impl(p, self.model, check, fault, self.sched, self.flags, f)
-    }
-}
-
-/// The SPMD launcher.
-pub struct Machine;
-
-impl Machine {
-    /// Runs `f` on `p` ranks (one OS thread each) and gathers the results.
-    ///
-    /// The closure receives each rank's [`Ctx`]; ranks communicate only via
-    /// the `Ctx`, so `f` must be `Sync` (it is shared) and the per-rank
-    /// return values are collected in rank order.
-    ///
-    /// This is the zero-overhead production path: no verification state is
-    /// shared and receives block indefinitely. Use [`Machine::run_checked`]
-    /// in tests and protocol bring-up.
-    ///
-    /// # Panics
-    /// Panics if `p == 0` or if any rank panics (the panic of the
-    /// lowest-numbered panicking rank is propagated).
-    pub fn run<R, F>(p: usize, model: MachineModel, f: F) -> RunOutput<R>
-    where
-        R: Send,
-        F: Fn(&mut Ctx) -> R + Sync,
-    {
-        Self::run_impl(p, model, None, None, None, RunFlags::default(), f)
-    }
-
-    /// Starts a configurable run: checked mode, fault injection, schedule
-    /// forcing, reliable delivery, recovery. See [`MachineBuilder`].
-    pub fn builder(model: MachineModel) -> MachineBuilder {
-        MachineBuilder {
-            model,
-            checked: false,
-            fault_plan: None,
-            sched: None,
-            flags: RunFlags::default(),
-        }
-    }
-
-    /// Runs `f` on `p` ranks under the commcheck verification layer
-    /// (see [`crate::check`]).
-    ///
-    /// Functionally identical to [`Machine::run`] for correct programs, with
-    /// three extra guarantees for incorrect ones:
-    ///
-    /// * a deadlocked run **aborts with a wait-for graph and the deadlock
-    ///   cycle** instead of hanging forever;
-    /// * any envelope left unconsumed at rank exit is reported as a
-    ///   **message leak** `(from, to, tag, bytes)` and fails the run;
-    /// * collectives called in different orders on different ranks are
-    ///   caught (**collective-order check**) and reported with both ranks'
-    ///   call sequences.
-    ///
-    /// All tests run through this entry point; production callers keep the
-    /// unchecked path.
-    ///
-    /// # Panics
-    /// Panics on any detected protocol error, with the commcheck report as
-    /// the panic message; rank panics propagate as in [`Machine::run`].
-    pub fn run_checked<R, F>(p: usize, model: MachineModel, f: F) -> RunOutput<R>
-    where
-        R: Send,
-        F: Fn(&mut Ctx) -> R + Sync,
-    {
-        assert!(p > 0, "need at least one rank");
-        Self::run_impl(
-            p,
-            model,
-            Some(Arc::new(CheckState::new(p, RunFlags::default()))),
-            None,
-            None,
-            RunFlags::default(),
-            f,
-        )
-    }
-
-    fn run_impl<R, F>(
-        p: usize,
-        model: MachineModel,
-        check: Option<Arc<CheckState>>,
-        fault: Option<Arc<FaultShared>>,
-        sched: Option<SchedHandle>,
-        flags: RunFlags,
-        f: F,
-    ) -> RunOutput<R>
-    where
-        R: Send,
-        F: Fn(&mut Ctx) -> R + Sync,
-    {
-        assert!(p > 0, "need at least one rank");
         // The run's registered-buffer shelf, dropped when the run returns.
         // Scalar collectives (GMRES dot products) draw single-element
         // buffers from it every inner iteration, and under reliable
@@ -354,7 +270,7 @@ impl Machine {
         });
         if let Some(check) = &check {
             let fired = fault.as_ref().map(|s| s.snapshot()).unwrap_or_default();
-            Self::verdict(check, &mut panic_slots, &exit_slots, &fired);
+            Machine::verdict(check, &mut panic_slots, &exit_slots, &fired);
         }
         // Deterministic propagation: the lowest-numbered panicking rank
         // wins, regardless of the order the threads actually died in.
@@ -420,6 +336,74 @@ impl Machine {
             stats,
             injected_faults: fault.map(|s| s.take_log()).unwrap_or_default(),
         }
+    }
+}
+
+/// The SPMD launcher.
+pub struct Machine;
+
+impl Machine {
+    /// Runs `f` on `p` ranks (one OS thread each) and gathers the results:
+    /// `builder(model).run(p, f)`, the default configuration of the one
+    /// launch path ([`MachineBuilder::run`]).
+    ///
+    /// The closure receives each rank's [`Ctx`]; ranks communicate only via
+    /// the `Ctx`, so `f` must be `Sync` (it is shared) and the per-rank
+    /// return values are collected in rank order.
+    ///
+    /// This is the zero-overhead production path: no verification state is
+    /// shared and receives block indefinitely. Use [`Machine::run_checked`]
+    /// in tests and protocol bring-up.
+    ///
+    /// # Panics
+    /// Panics if `p == 0` or if any rank panics (the panic of the
+    /// lowest-numbered panicking rank is propagated).
+    pub fn run<R, F>(p: usize, model: MachineModel, f: F) -> RunOutput<R>
+    where
+        R: Send,
+        F: Fn(&mut Ctx) -> R + Sync,
+    {
+        Self::builder(model).run(p, f)
+    }
+
+    /// Starts a configurable run: checked mode, fault injection, schedule
+    /// forcing, reliable delivery, recovery. See [`MachineBuilder`].
+    pub fn builder(model: MachineModel) -> MachineBuilder {
+        MachineBuilder {
+            model,
+            checked: false,
+            fault_plan: None,
+            sched: None,
+            flags: RunFlags::default(),
+        }
+    }
+
+    /// Runs `f` on `p` ranks under the commcheck verification layer
+    /// (see [`crate::check`]): `builder(model).checked(true).run(p, f)`.
+    ///
+    /// Functionally identical to [`Machine::run`] for correct programs, with
+    /// three extra guarantees for incorrect ones:
+    ///
+    /// * a deadlocked run **aborts with a wait-for graph and the deadlock
+    ///   cycle** instead of hanging forever;
+    /// * any envelope left unconsumed at rank exit is reported as a
+    ///   **message leak** `(from, to, tag, bytes)` and fails the run;
+    /// * collectives called in different orders on different ranks are
+    ///   caught (**collective-order check**) and reported with both ranks'
+    ///   call sequences.
+    ///
+    /// All tests run through this entry point; production callers keep the
+    /// unchecked path.
+    ///
+    /// # Panics
+    /// Panics on any detected protocol error, with the commcheck report as
+    /// the panic message; rank panics propagate as in [`Machine::run`].
+    pub fn run_checked<R, F>(p: usize, model: MachineModel, f: F) -> RunOutput<R>
+    where
+        R: Send,
+        F: Fn(&mut Ctx) -> R + Sync,
+    {
+        Self::builder(model).checked(true).run(p, f)
     }
 
     /// Post-join commcheck verdict: sweep the channels for leaks, surface

@@ -46,9 +46,10 @@
 //! match-order race, and (c) produce the *bitwise-identical* fingerprint
 //! of the canonical run (results + traffic totals + per-tag counters).
 //! Failures are shrunk to the shortest forced prefix that still fails.
-//! A mutation stage reintroduces the pre-PR 5 per-payload exchange
-//! (`Ctx::exchange_per_payload`) and asserts the checker diagnoses its
-//! match-order race — the regression this subsystem exists to prevent.
+//! A mutation stage seeds the race the packed exchange removed — two raw
+//! sends from one source under one user tag, taken by `recv_any` — and
+//! asserts the checker diagnoses it as a match-order race: the regression
+//! this subsystem exists to prevent.
 //!
 //! Full mode explores `spmv`, `mis` (the delta-protocol MIS rounds with
 //! their sparse, round-varying message shapes), `trisolve`, and `factor`
@@ -256,26 +257,31 @@ fn workload_runner(work: &'static str, p: usize) -> impl Fn(MachineBuilder) -> F
     move |builder| crate::sweep::run_workload(work, &dm, p, builder).0
 }
 
-/// The mutation runner: drives the preserved pre-packing exchange
-/// (`Ctx::exchange_per_payload`) with two payloads from one source under
-/// one tag — the PR 5 match-order race, reintroduced on purpose.
+/// The user tag the mutant's two envelopes share.
+const MUTANT_TAG: u64 = 7;
+
+/// The mutation runner: rank 0 ships two payloads to rank `p - 1` in
+/// their own envelopes under one tag, and the receiver takes them with
+/// `recv_any` — the per-payload sparse all-to-all's match-order race,
+/// reintroduced on purpose.
 fn mutant_runner(p: usize) -> impl Fn(MachineBuilder) -> Fingerprint {
     move |builder| {
         Fingerprint::of(builder.run(p, |ctx| {
-            let sends = if ctx.rank() == 0 {
-                vec![
-                    (p - 1, Payload::u64s(vec![1])),
-                    (p - 1, Payload::u64s(vec![2])),
-                ]
-            } else {
-                Vec::new()
-            };
-            let got = ctx.exchange_per_payload(sends);
             let mut h = 0x5eed_0003u64;
-            for (src, payload) in got {
-                fold(&mut h, src as u64);
-                for v in payload.into_u64() {
-                    fold(&mut h, v);
+            if ctx.rank() == 0 {
+                for v in [1, 2] {
+                    // lint: allow(raw-comm): the seeded race needs two envelopes on one tag
+                    ctx.send(p - 1, MUTANT_TAG, Payload::u64s(vec![v]));
+                }
+            }
+            if ctx.rank() == p - 1 {
+                for _ in 0..2 {
+                    // lint: allow(raw-comm): a wildcard receive is the race's other half
+                    let (src, payload) = ctx.recv_any(MUTANT_TAG);
+                    fold(&mut h, src as u64);
+                    for v in payload.into_u64() {
+                        fold(&mut h, v);
+                    }
                 }
             }
             h

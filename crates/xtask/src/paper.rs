@@ -882,8 +882,10 @@ fn ablation_comm(e: &Experiment, size: Size, _: &mut Runs) -> String {
     let head = ["Machine", "ILUT (s)", "ILUT* (s)", "ILUT/ILUT*"];
     format!(
         "{}
-(The slower the network, the larger ILUT*'s advantage — its smaller
- reduced matrices need fewer independent sets, i.e. fewer synchronisations.)
+(The slower the network, the more seconds ILUT* saves — its smaller
+ reduced matrices need fewer independent sets, i.e. fewer synchronisations —
+ but the smaller the ILUT/ILUT* ratio: communication slows ILUT* by a larger
+ factor than ILUT.)
 ",
         table(&title, &head, &rows)
     )
