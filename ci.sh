@@ -47,16 +47,26 @@ echo "==> benchmark crate (pinned API surface)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 # The paper's tables and figures at CI size, plus the per-level attribution
-# of the three factorizations (levels.txt) and the deterministic half of
-# every bench scenario (kernels.txt): simulated time and every count in
-# them are bit-reproducible, so the committed experiments/ci/*.txt must
-# regenerate exactly. README.md and EXPERIMENTS.md quote experiments/ files
-# in blocks between `<!-- experiments/<file>.txt[#fragment] -->` and
-# `<!-- end -->`; the check also diffs every block against the committed
-# file and fails at its doc:line. A change that moves them re-blesses with
+# of the three factorizations (levels.txt) and the kernel gate (kernels.txt):
+# simulated time and every count in them are bit-reproducible, so the
+# committed experiments/ci/*.txt must regenerate exactly. Before kernels.txt
+# is diffed, the gate runs every scenario of the kernel table at its quick
+# size, untimed, and fails the stage, naming scenario and tag or region, on
+#   - planned != measured traffic for any tag, or an unplanned tag;
+#   - any heap acquisition in a steady region;
+#   - the mis_rounds, alg42_sweep or plan_replay allocation budgets exceeded;
+#   - the byte budgets exceeded (set-up live bytes, matrix and factor bytes
+#     per entry, par_ilut live bytes per factor byte), or a serial row
+#     putting anything on the wire;
+#   - a gated region that no scenario entered.
+# `xtask paper --record` gates the full sizes the same way. README.md and
+# EXPERIMENTS.md quote experiments/ files in blocks between
+# `<!-- experiments/<file>.txt[#fragment] -->` and `<!-- end -->`; the check
+# also diffs every block against the committed file and fails at its
+# doc:line. A change that moves them re-blesses with
 # `xtask paper` (and `xtask paper --record` for experiments/*.txt), which
 # re-renders every block too, and shows the moved numbers in its diff.
-echo "==> paper --check (Tables 1-3, Figures 1-6, ablations, levels, bench kernels, doc blocks; exact diff)"
+echo "==> paper --check (Tables 1-3, Figures 1-6, ablations, levels, kernel gate, doc blocks; exact diff)"
 cargo run -q -p xtask --release -- paper --check
 
 # ThreadSanitizer pass over the VM crate: the logical-clock machine is the
@@ -79,15 +89,5 @@ else
     echo "tsan: $TSAN_TOOLCHAIN lacks rust-src (std cannot be instrumented); stage skipped."
     echo "      enable with: rustup toolchain install nightly-2026-05-20 -c rust-src"
 fi
-
-# Every bench scenario at its small size. The gate is in-process and made
-# of deterministic quantities only: measured per-tag traffic equal to the
-# plans' prediction, no unplanned tag, zero heap acquisitions in every
-# steady-state replay region, dist-MIS frames and Algorithm 4.2's row
-# buffers inside their budgets, nothing on the wire from a serial row. The
-# counts themselves are in experiments/ci/kernels.txt, exact-diffed by
-# `paper --check` above.
-echo "==> bench gate (all scenarios, quick sizes; invariants gate in-process)"
-cargo run -q -p xtask --release -- bench --quick
 
 echo "ci.sh: all green"

@@ -40,8 +40,8 @@
 //!   protocol can never be confused even if same-pair delivery order is
 //!   inverted — the chaos suite's `reorder` fault exercises exactly this;
 //! * every round records its messages and bytes in the planned-traffic
-//!   ledger (`Ctx::note_planned`) with the exact flag set, and `xtask bench`
-//!   fails in-process when the measured per-tag counters diverge;
+//!   ledger (`Ctx::note_planned`) with the exact flag set, and the kernel
+//!   gate of `xtask paper` fails when the measured per-tag counters diverge;
 //! * a plan built from empty need-lists runs its rounds as no-ops, so ranks
 //!   that own zero rows participate safely.
 

@@ -8,8 +8,8 @@
 //! the wire and a slot-indexed vector. SpMV is the one-level case.
 //!
 //! The two round halves run in the steady state of a solve and are on the
-//! `no-alloc-in-hot` lint list and under the zero-alloc bench gate: a batch
-//! is staged in a buffer of the run's registered pool ([`Ctx::pool`])
+//! `no-alloc-in-hot` lint list and under the kernel gate's zero-alloc
+//! steady regions: a batch is staged in a buffer of the run's registered pool ([`Ctx::pool`])
 //! warmed at construction, the receiver reads it through a borrow, and both
 //! sides `recycle` their payload handles, so whichever reference drops last (the
 //! receiver, or the sender's reliable-delivery retention on cumulative ACK)

@@ -18,8 +18,8 @@
 //! the node lists both sides agreed on at plan time — no node ids, no keys
 //! on the wire — and every round's byte count is recorded **exactly** in
 //! the planned-traffic ledger before a byte ships
-//! ([`CommPlan::exact_round`]), so `xtask bench`'s in-process
-//! planned = measured check gates the diet:
+//! ([`CommPlan::exact_round`]), so the planned = measured check of
+//! `xtask paper`'s kernel gate gates the diet:
 //!
 //! 1. **`MIS_KEYS` — state deltas** (owner → referencing ranks): one word
 //!    `(idx << 2) | state` per owned node whose state changed since the
@@ -461,7 +461,8 @@ impl LevelMis {
     ) -> Result<(), FactorError> {
         // Everything from here on is replay along the fixed plan over
         // buffers sized at bind time: the wire frames are the only heap
-        // traffic, which `xtask bench` budgets per MIS message.
+        // traffic, which the kernel gate of `xtask paper` budgets per MIS
+        // message.
         let _audit = pilut_allocaudit::region("mis_rounds");
         for round in 0..max_rounds as u64 {
             self.live_rounds += usize::from(!self.frontier.is_empty());

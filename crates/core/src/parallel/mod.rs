@@ -407,7 +407,7 @@ fn interface_levels(
         // appended to its staged `L` (re-selected only when that would
         // pass `2m` entries), the rewritten row is copied back into its own
         // buffer, and neither buffer is acquired again once it has reached
-        // size (`xtask bench` budgets the growths).
+        // size (the kernel gate of `xtask paper` budgets the growths).
         let audit = pilut_allocaudit::region("alg42_sweep");
         for (q, &i) in local.interface.iter().enumerate() {
             let Some(rr) = reduced[q].as_mut() else {

@@ -15,9 +15,9 @@
 //! buffer, fills and ships it, and the *receiver* — a different rank
 //! thread — [`recycle`](crate::Payload::recycle)s it after reading, closing
 //! the producer/consumer cycle without a single steady-state allocation.
-//! The zero-alloc bench gate is what keeps everyone honest: a pool sized too
-//! small shows up as a counted allocation inside a steady region, not as
-//! silent churn.
+//! The kernel gate's zero-alloc steady regions are what keep everyone
+//! honest: a pool sized too small shows up as a counted allocation inside a
+//! steady region, not as silent churn.
 //!
 //! Misses are deliberate, not hidden: an empty class allocates a fresh
 //! buffer (fine during setup/warm-up, a gate failure inside a steady
@@ -74,8 +74,8 @@ impl Pool {
     /// sub-plan, and concurrent solve) that drew from it, not a fixed
     /// per-class constant. A top-up policy here left exactly `count`
     /// buffers for *all* links of a class and drained under cross-rank
-    /// skew, which the zero-alloc bench gate caught as steady-state
-    /// `take` misses.
+    /// skew, which the kernel gate's zero-alloc regions caught as
+    /// steady-state `take` misses.
     pub fn warm(&self, len: usize, count: usize) {
         let c = Self::class_for_len(len);
         if c > MAX_CLASS {

@@ -11,8 +11,9 @@
 //! **NACK** naming the sequence number it is missing; the sender re-ships
 //! the retained tail. The protocol's own traffic (ACK/NACK control frames
 //! and retransmissions) is attributed to the dedicated [`ACK_TAG`] counter
-//! and priced exactly in the planned-traffic ledger, so `xtask bench`'s
-//! in-process planned = measured check gates it like any data-plane tag.
+//! and priced exactly in the planned-traffic ledger, so the kernel gate's
+//! planned = measured check (`xtask paper`'s `kernels` experiment) gates it
+//! like any data-plane tag.
 //!
 //! The state machine here is deliberately free of `Ctx` plumbing: it owns
 //! the sequence/stash/retention bookkeeping and nothing else, so it can be

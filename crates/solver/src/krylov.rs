@@ -78,7 +78,7 @@ fn residual<S: Space>(space: &mut S, b: &[f64], x: &[f64], out: &mut [f64]) {
 /// top; restart cycles and inner iterations only ever reuse it (a basis
 /// vector is written into the capacity reserved for it), which is
 /// what the `no-alloc-in-hot` lint polices here and the `gmres_inner`
-/// zero-steady-alloc bench gate measures. The one exception is the
+/// steady region of the kernel gate measures. The one exception is the
 /// residual history: each cycle's top, outside `gmres_inner`, makes room
 /// for the pushes that cycle can make, so no budget — not even an
 /// unlimited one — is reserved up front.

@@ -1,9 +1,10 @@
-//! `xtask bench` — the in-tree, zero-registry-dependency invariant gate
-//! over the kernels.
+//! The kernel gate: the in-tree, zero-registry-dependency invariant check
+//! over the kernels, run by `xtask paper`'s `kernels` experiment.
 //!
 //! [`SCENARIOS`] is the whole configuration: one row per scenario with its
-//! matrix, its two sizes (`--quick` and full), `ranks` (`None` = a serial
-//! kernel, `Some(p)` = `p` ranks of the simulated machine), the ILUT
+//! matrix, its two sizes (quick for `paper`'s CI tier, full for its record
+//! tier), `ranks` (`None` = a serial kernel, `Some(p)` = `p` ranks of the
+//! simulated machine), the ILUT
 //! options, the operations per audit pass, and one body. Every row runs
 //! its body twice, untimed: an **audit pass** of `inner` back-to-back
 //! operations, which replays each steady region more than once, and the
@@ -12,7 +13,8 @@
 //! pass and then **exactly one more time** for the statistics, so what is
 //! audited and what is counted are the same code.
 //!
-//! Only deterministic quantities are measured, and they gate:
+//! Only deterministic quantities are measured, and [`gate`] holds every row
+//! to them before `paper` renders or diffs a line of `kernels.txt`:
 //!
 //! * The self-consistency invariants ([`check`]: measured per-tag traffic
 //!   equals the static `CommPlan` prediction exactly, no protocol tag
@@ -27,22 +29,19 @@
 //!   entry, `par_ilut` at most [`FACTOR_LIVE_PER_KEPT`] live bytes per
 //!   byte of the factors it returns, a serial row puts nothing on the
 //!   wire) are
-//!   asserted on the typed [`Measurement`] of each row; an unfiltered run
-//!   also asserts that every gated region was entered by some scenario
-//!   ([`unrecorded_region`]), so a renamed region cannot pass by vanishing.
-//! * The counts themselves ([`Facts`]: flops, simulated T3D seconds,
-//!   per-tag messages and bytes, fill, factor heap bytes) are rendered by
-//!   `xtask paper` as the `kernels` experiment and exact-diffed by
-//!   `paper --check` like every table of the paper.
+//!   asserted on the typed [`Measurement`] of each row; after the last row
+//!   the gate also asserts that every gated region was entered by some
+//!   scenario ([`unrecorded_region`]), so a renamed region cannot pass by
+//!   vanishing.
+//! * The counts themselves (flops, simulated T3D seconds, per-tag messages
+//!   and bytes, fill, factor heap bytes) are what `kernels` renders, and
+//!   `paper --check` exact-diffs them like every table of the paper.
 //!
 //! Wall time lives in the standalone `benchmark/` package, whose per-layer
 //! metrics time the same kernels: `core.serial.ilut_s`,
 //! `core.factors.solve_s`, `sparse.spmv_s`, `graph.partition_s` and
 //! `core.dist.matrix_build_s`, `solver.gmres_s`, `core.parallel.par_ilut_s`
 //! and `core.trisolve.solve_s`.
-//!
-//! `--quick` runs *every* row at its small size (the CI gate);
-//! `--scenario NAME` (repeatable) selects rows.
 
 use pilut_allocaudit::RegionStats;
 use pilut_core::dist::exchange::tags;
@@ -100,7 +99,7 @@ const UROWS_ALLOCS_PER_MESSAGE: u64 = 2;
 /// staged `L`, held to `2m` entries, and its reduced row — and each takes
 /// a quarter more than it needs when it must grow, so a row pays for
 /// growth a few times in its life and never per touch. Measured on the
-/// machine rows: 2.6–2.9 at full size, up to 3.7 at `--quick` size,
+/// machine rows: 2.6–2.9 at full size, up to 3.7 at quick size,
 /// against 16.0 (p = 4) / 18.6 (p = 8) for the two exact-size copies per
 /// row-touch that preceded it; three growths per buffer is the budget.
 const SWEEP_GROWTHS_PER_ROW: u64 = 6;
@@ -111,7 +110,7 @@ const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 /// (1.0), the structure graph (0.31: 32-bit offsets and ids, no unit
 /// weights) and the coarsening hierarchy (a geometric sum of graphs that
 /// store their weights) with one level's 32-bit scratch (1.09):
-/// 2.398 at full size, 2.373 at `--quick` size, 8 810 696 / 238 464 live
+/// 2.398 at full size, 2.373 at quick size, 8 810 696 / 238 464 live
 /// bytes. With `usize` offsets and a stored unit weight per arc and per
 /// vertex the graph was 0.69 and the total 2.847 / 2.820 (10 463 916 /
 /// 283 340); against the `usize` matrix it read 2.343 / 2.323. With
@@ -125,7 +124,7 @@ const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.40;
 /// ([`CsrMatrix::heap_bytes`] over `nnz`). A `usize` column id beside its
 /// `f64` value is 16 B per entry before any row pointer is counted, so a
 /// matrix above 16 carries a 64-bit index per entry. With `u32` row
-/// pointers and column ids the rows read 12.82 to 12.86 at `--quick` size
+/// pointers and column ids the rows read 12.82 to 12.86 at quick size
 /// and 12.80 to 12.82 at full size; with `usize` ones, 17.63 to 17.73 and
 /// 17.61 to 17.64.
 const MATRIX_BYTES_PER_ENTRY: f64 = 16.0;
@@ -136,7 +135,7 @@ const MATRIX_BYTES_PER_ENTRY: f64 = 16.0;
 /// pivot, row pointer or node list is counted, so a store above 16 carries
 /// a 64-bit index per entry. With `u32` slots and row pointers the rows
 /// read 12.60 (`dist_trisolve_p1`) to 15.39 (`par_ilut_star_p8`) at
-/// `--quick` size and 12.58 to 13.10 at full size; with `usize` ones, 16.80
+/// quick size and 12.58 to 13.10 at full size; with `usize` ones, 16.80
 /// to 19.67 and 16.77 to 17.32.
 const FACTOR_BYTES_PER_ENTRY: f64 = 16.0;
 
@@ -147,7 +146,7 @@ const FACTOR_BYTES_PER_ENTRY: f64 = 16.0;
 /// the staged interface rows, the shipped `U` rows, the working row and the
 /// dist-MIS slot arrays. With 12-byte row entries and 32-bit scratch the
 /// rows read 1.10 (`dist_trisolve_p1`) to 3.074 (`par_ilut_p8`) at
-/// `--quick` size and 1.05 to 1.953 at full size; with a `(usize, f64)`
+/// quick size and 1.05 to 1.953 at full size; with a `(usize, f64)`
 /// entry per row in flight, `usize` working-row slots and the initial
 /// reduced pattern as a `Vec` per row, 1.13 to 3.654 and 1.09 to 2.233.
 /// The budget sits 1.8 % above the largest reading.
@@ -168,8 +167,26 @@ pub(crate) enum Net {
 /// A serial scenario, built once: the operation to replay and what one
 /// operation establishes without a clock.
 struct Kernel<'a> {
-    facts: Facts,
+    /// Entries processed per operation.
+    nnz: usize,
+    fill: Option<usize>,
+    /// The factorization's own flop count.
+    flops: Option<f64>,
+    /// Peak live heap bytes of one operation per byte of its matrix.
+    live_per_input: Option<f64>,
     op: Box<dyn FnMut() + 'a>,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(nnz: usize, fill: Option<usize>, flops: Option<f64>, op: impl FnMut() + 'a) -> Self {
+        Kernel {
+            nnz,
+            fill,
+            flops,
+            live_per_input: None,
+            op: Box::new(op),
+        }
+    }
 }
 
 /// One rank's share of a machine scenario.
@@ -196,7 +213,7 @@ pub(crate) struct Scenario {
     pub(crate) name: &'static str,
     /// The matrix, given the grid side.
     matrix: fn(usize) -> CsrMatrix,
-    /// Grid side at (`--quick`, full) size.
+    /// Grid side at (quick, full) size.
     dims: (usize, usize),
     /// `None`: a serial kernel, no machine. `Some(p)`: `p` simulated ranks.
     pub(crate) ranks: Option<usize>,
@@ -335,37 +352,28 @@ fn must<T>(r: Result<T, FactorError>) -> T {
 
 fn factor_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
     let (f, stats) = must(ilut_with_stats(a, opts));
-    Kernel {
-        facts: Facts::of(a.nnz(), Some(f.nnz()), Some(stats.flops)),
-        op: Box::new(move || {
-            std::hint::black_box(must(ilut(a, opts)));
-        }),
-    }
+    Kernel::new(a.nnz(), Some(f.nnz()), Some(stats.flops), move || {
+        std::hint::black_box(must(ilut(a, opts)));
+    })
 }
 
 fn trisolve_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
     let f = must(ilut(a, opts));
     let b: Vec<f64> = (0..a.n_rows()).map(|i| ((i % 13) as f64) - 6.0).collect();
     let mut x = vec![0.0; a.n_rows()];
-    Kernel {
-        facts: Facts::of(f.nnz(), Some(f.nnz()), None),
-        op: Box::new(move || {
-            f.solve_into(&b, &mut x);
-            std::hint::black_box(&x);
-        }),
-    }
+    Kernel::new(f.nnz(), Some(f.nnz()), None, move || {
+        f.solve_into(&b, &mut x);
+        std::hint::black_box(&x);
+    })
 }
 
 fn spmv_kernel<'a>(a: &'a CsrMatrix, _: &'a IlutOptions) -> Kernel<'a> {
     let x: Vec<f64> = (0..a.n_rows()).map(|i| (i as f64 * 0.37).sin()).collect();
     let mut y = vec![0.0; a.n_rows()];
-    Kernel {
-        facts: Facts::of(a.nnz(), None, None),
-        op: Box::new(move || {
-            a.spmv(&x, &mut y);
-            std::hint::black_box(&y);
-        }),
-    }
+    Kernel::new(a.nnz(), None, None, move || {
+        a.spmv(&x, &mut y);
+        std::hint::black_box(&y);
+    })
 }
 
 fn distribute_kernel<'a>(a: &'a CsrMatrix, _: &'a IlutOptions) -> Kernel<'a> {
@@ -388,11 +396,8 @@ fn distribute_kernel<'a>(a: &'a CsrMatrix, _: &'a IlutOptions) -> Kernel<'a> {
     drop(audit);
     let input_bytes = a.heap_bytes();
     Kernel {
-        facts: Facts {
-            live_per_input: Some(peak as f64 / input_bytes as f64),
-            ..Facts::of(a.nnz(), None, None)
-        },
-        op: Box::new(distribute),
+        live_per_input: Some(peak as f64 / input_bytes as f64),
+        ..Kernel::new(a.nnz(), None, None, distribute)
     }
 }
 
@@ -413,12 +418,9 @@ fn gmres_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
     // The solver is deterministic: a converged cold solve applies A and
     // the preconditioner `matvecs` times each (the `krylov` tests count
     // them), which makes that the entry count.
-    Kernel {
-        facts: Facts::of((a.nnz() + fill) * solve(), Some(fill), None),
-        op: Box::new(move || {
-            std::hint::black_box(solve());
-        }),
-    }
+    Kernel::new((a.nnz() + fill) * solve(), Some(fill), None, move || {
+        std::hint::black_box(solve());
+    })
 }
 
 /// `inner` back-to-back `op`s on this rank, from a barrier-aligned start
@@ -509,11 +511,12 @@ fn robust_solve_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner:
 
 // ---- Runners ---------------------------------------------------------------
 
-/// The bit-reproducible facts of a row: what one run of its body
-/// establishes without a clock. `paper`'s `kernels` experiment renders
-/// these; [`check`] asserts their self-consistency.
-#[derive(Default)]
-pub(crate) struct Facts {
+/// One row's measurement: what one run of its body establishes without a
+/// clock, and the scenario's audit-region traffic (audit pass and facts
+/// pass together — zero per scenario implies zero per operation). `paper`'s
+/// `kernels` experiment renders it; [`check`] asserts its self-consistency.
+pub(crate) struct Measurement {
+    pub(crate) row: Scenario,
     pub(crate) n: usize,
     /// Entries processed per operation.
     pub(crate) nnz: usize,
@@ -537,17 +540,36 @@ pub(crate) struct Facts {
     /// Injected faults that fired. A killed epoch abandons planned rounds
     /// mid-flight, so planned = measured is a fault-free contract only.
     pub(crate) faults: usize,
+    /// `(heap bytes, stored entries)` of the row's matrix.
+    matrix: (usize, usize),
+    regions: Vec<RegionStats>,
 }
 
-impl Facts {
-    /// What a serial kernel can know (the runner fills in `n`).
-    fn of(nnz: usize, fill: Option<usize>, flops: Option<f64>) -> Facts {
-        Facts {
-            nnz,
-            fill,
-            flops,
-            ..Facts::default()
+impl Measurement {
+    /// What a row of matrix `a` establishes before its body counts anything.
+    fn of(row: Scenario, a: &CsrMatrix) -> Measurement {
+        Measurement {
+            row,
+            n: a.n_rows(),
+            nnz: 0,
+            interface: 0,
+            fill: None,
+            heap_bytes: None,
+            flops: None,
+            sim_time: None,
+            live_per_input: None,
+            factor_live_per_kept: None,
+            stats: MachineStats::default(),
+            faults: 0,
+            matrix: (a.heap_bytes(), a.nnz()),
+            regions: Vec::new(),
         }
+    }
+
+    /// Runs of the operation the audit regions cover: the audit pass's
+    /// `inner` and the facts pass's one.
+    fn passes(&self) -> u64 {
+        (self.row.inner + 1) as u64
     }
 }
 
@@ -571,13 +593,19 @@ fn machine_run(s: &Scenario, dm: &DistMatrix, body: RankBody, inner: usize) -> R
 /// a machine row from exactly one further pass of the same body.
 fn run_row(s: &Scenario, quick: bool) -> Measurement {
     let a = (s.matrix)(if quick { s.dims.0 } else { s.dims.1 });
-    let (n, matrix) = (a.n_rows(), (a.heap_bytes(), a.nnz()));
-    let facts = match (s.body, s.ranks) {
+    let uncounted = Measurement::of(*s, &a);
+    match (s.body, s.ranks) {
         (Body::Serial(build), _) => {
-            let opts = (s.opts)(n);
+            let opts = (s.opts)(a.n_rows());
             let mut k = build(&a, &opts);
             (0..s.inner).for_each(|_| (k.op)());
-            Facts { n, ..k.facts }
+            Measurement {
+                nnz: k.nnz,
+                fill: k.fill,
+                flops: k.flops,
+                live_per_input: k.live_per_input,
+                ..uncounted
+            }
         }
         (Body::Ranks(body), ranks) => {
             // lint: allow(unwrap): a table invariant (unit-tested): every machine body names its ranks
@@ -589,57 +617,26 @@ fn run_row(s: &Scenario, quick: bool) -> Measurement {
             let lives = out.results.iter().map(|r| r.factor_live);
             let live = lives.reduce(|x, y| Some(x? + y?)).flatten();
             let kept = store.flatten().map(|s| s.1 as f64);
-            Facts {
-                n,
+            Measurement {
                 nnz: out.results.iter().map(|r| r.nnz).sum(),
                 interface: dm.total_interface(),
                 fill: store.flatten().map(|s| s.0),
                 heap_bytes: store.flatten().map(|s| s.1),
                 flops: Some(out.stats.flops),
                 sim_time: Some(out.sim_time),
-                live_per_input: None,
                 factor_live_per_kept: live.zip(kept).map(|(l, k)| l as f64 / k),
                 faults: out.injected_faults.len(),
                 stats: out.stats,
+                ..uncounted
             }
         }
-    };
-    Measurement {
-        row: *s,
-        facts,
-        matrix,
-        regions: Vec::new(),
-    }
-}
-
-/// The facts of one row at its quick or full size.
-pub(crate) fn facts(s: &Scenario, quick: bool) -> Facts {
-    run_row(s, quick).facts
-}
-
-/// One row's measurement: the facts and the scenario's audit-region
-/// traffic (audit pass and facts pass together — zero per scenario implies
-/// zero per operation).
-struct Measurement {
-    row: Scenario,
-    facts: Facts,
-    /// `(heap bytes, stored entries)` of the row's matrix.
-    matrix: (usize, usize),
-    regions: Vec<RegionStats>,
-}
-
-impl Measurement {
-    /// Runs of the operation the audit regions cover: the audit pass's
-    /// `inner` and the facts pass's one.
-    fn passes(&self) -> u64 {
-        (self.row.inner + 1) as u64
     }
 }
 
 /// The gate: every invariant a row must satisfy on its own, checked on the
 /// typed measurement. The error names the scenario and the tag or region.
 fn check(m: &Measurement) -> Result<(), String> {
-    let stats = &m.facts.stats;
+    let stats = &m.stats;
     let fail = |what: String| Err(format!("scenario {}: {what}", m.row.name));
     if m.row.ranks.is_none() && stats.messages + stats.bytes != 0 {
         let (msgs, bytes) = (stats.messages, stats.bytes);
@@ -647,7 +644,7 @@ fn check(m: &Measurement) -> Result<(), String> {
             "a serial row must put nothing on the wire, measured {msgs} message(s) / {bytes} byte(s)"
         ));
     }
-    match m.facts.live_per_input {
+    match m.live_per_input {
         Some(live) if live > DISTRIBUTE_LIVE_PER_INPUT => {
             return fail(format!(
                 "set-up held {live:.3} live byte(s) per byte of its matrix, budget \
@@ -657,7 +654,7 @@ fn check(m: &Measurement) -> Result<(), String> {
         }
         _ => {}
     }
-    match m.facts.factor_live_per_kept {
+    match m.factor_live_per_kept {
         Some(live) if live > FACTOR_LIVE_PER_KEPT => {
             return fail(format!(
                 "par_ilut held {live:.3} live byte(s) per byte of the factors it returned, \
@@ -675,7 +672,7 @@ fn check(m: &Measurement) -> Result<(), String> {
              budget {MATRIX_BYTES_PER_ENTRY}: a `usize` column id or row pointer per entry"
         ));
     }
-    if let (Some(fill), Some(bytes)) = (m.facts.fill, m.facts.heap_bytes) {
+    if let (Some(fill), Some(bytes)) = (m.fill, m.heap_bytes) {
         let per_entry = bytes as f64 / fill as f64;
         if per_entry > FACTOR_BYTES_PER_ENTRY {
             return fail(format!(
@@ -684,7 +681,7 @@ fn check(m: &Measurement) -> Result<(), String> {
             ));
         }
     }
-    if m.facts.faults == 0 {
+    if m.faults == 0 {
         for (&tag, &(messages, bytes, exact)) in &stats.planned_by_tag {
             let (name, (mm, mb)) = (tags::tag_name(tag), stats.tag_totals(tag));
             if mm != messages {
@@ -711,7 +708,7 @@ fn check(m: &Measurement) -> Result<(), String> {
         let sent = |tags: &[u64]| tags.iter().map(|&t| stats.tag_totals(t).0).sum::<u64>();
         let mis = sent(&[tags::MIS_KEYS, tags::MIS_TENT, tags::MIS_CONF]);
         let urows = sent(&[tags::UROWS]);
-        let rows = m.facts.interface as u64;
+        let rows = m.interface as u64;
         let passes = m.passes();
         let budgets = [
             (
@@ -766,48 +763,22 @@ fn unrecorded_region(results: &[Measurement]) -> Option<&'static str> {
     gated.find(|&name| regions().all(|r| r.name != name))
 }
 
-/// `bench [--quick] [--scenario NAME]...`
-pub fn run(args: &[String]) -> Result<(), String> {
-    let mut quick = false;
-    let mut only: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--scenario" => only.push(it.next().ok_or("--scenario needs a value")?),
-            other => return Err(format!("unknown bench flag {other}")),
-        }
-    }
-    let passed = gate(quick, &only)?.len();
-    println!("bench: {passed} scenario(s) passed their invariants");
-    Ok(())
-}
-
-/// Runs and [`check`]s the rows `only` names, or every row and then
-/// [`unrecorded_region`] when it names none.
-fn gate(quick: bool, only: &[&str]) -> Result<Vec<Measurement>, String> {
-    let known: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
-    if let Some(bad) = only.iter().find(|o| !known.contains(o)) {
-        let known = known.join(", ");
-        return Err(format!("unknown scenario {bad} (known: {known})"));
-    }
-    let selected = |s: &&Scenario| only.is_empty() || only.contains(&s.name);
+/// Runs every row at its quick or full size and [`check`]s it, then
+/// [`unrecorded_region`]: the gate `paper`'s `kernels` experiment applies
+/// before it renders the measurements.
+pub(crate) fn gate(quick: bool) -> Result<Vec<Measurement>, String> {
     let mut results = Vec::new();
-    for s in SCENARIOS.iter().filter(selected) {
-        eprint!("bench {} ... ", s.name);
+    for s in &SCENARIOS {
         pilut_allocaudit::reset_regions();
         let mut m = run_row(s, quick);
         m.regions = pilut_allocaudit::region_stats();
-        eprintln!("{} pass(es)", m.passes());
         check(&m)?;
         results.push(m);
     }
-    if only.is_empty() {
-        if let Some(name) = unrecorded_region(&results) {
-            return Err(format!(
-                "region {name} is gated but no scenario entered it: the gate passes vacuously"
-            ));
-        }
+    if let Some(name) = unrecorded_region(&results) {
+        return Err(format!(
+            "region {name} is gated but no scenario entered it: the gate passes vacuously"
+        ));
     }
     Ok(results)
 }
@@ -829,16 +800,11 @@ mod tests {
             ..MachineStats::default()
         };
         Measurement {
-            row: PAR_ILUT_P4,
-            facts: Facts {
-                n: 100,
-                nnz: 460,
-                stats,
-                ..Facts::default()
-            },
-            // `par_ilut_p4 --quick`'s `laplace_2d(16, 16)`.
-            matrix: (4 * 257 + 12 * 1216, 1216),
+            nnz: 460,
+            stats,
             regions: vec![region("mis_rounds", 0), region("trisolve_replay", 0)],
+            // `par_ilut_p4`'s quick matrix.
+            ..Measurement::of(PAR_ILUT_P4, &gen::laplace_2d(16, 16))
         }
     }
 
@@ -865,7 +831,7 @@ mod tests {
         check(&healthy()).unwrap();
         // A one-rank machine plans zero messages per tag and measures none.
         let mut m = healthy();
-        m.facts.stats = MachineStats {
+        m.stats = MachineStats {
             planned_by_tag: [(tags::FWD, (0, 0, true)), (tags::BWD, (0, 0, true))].into(),
             ..MachineStats::default()
         };
@@ -875,35 +841,34 @@ mod tests {
     #[test]
     fn message_count_mismatch_fails() {
         let mut m = healthy();
-        m.facts.stats.planned_by_tag = [(tags::SPMV, (11, 0, false))].into();
+        m.stats.planned_by_tag = [(tags::SPMV, (11, 0, false))].into();
         assert_fails(&m, "tag spmv: planned 11 message(s), measured 12");
         // A planned message that never shipped is a divergence too.
-        m.facts.stats.planned_by_tag =
-            [(tags::SPMV, (12, 4096, true)), (tags::FWD, (1, 8, true))].into();
+        m.stats.planned_by_tag = [(tags::SPMV, (12, 4096, true)), (tags::FWD, (1, 8, true))].into();
         assert_fails(&m, "tag fwd: planned 1 message(s), measured 0");
     }
 
     #[test]
     fn byte_mismatch_fails_when_the_prediction_is_exact() {
         let mut m = healthy();
-        m.facts.stats.planned_by_tag = [(tags::SPMV, (12, 4095, true))].into();
+        m.stats.planned_by_tag = [(tags::SPMV, (12, 4095, true))].into();
         assert_fails(&m, "tag spmv: planned 4095 byte(s), measured 4096");
         // A producer-defined round predicts its message count only.
-        m.facts.stats.planned_by_tag = [(tags::SPMV, (12, 4095, false))].into();
+        m.stats.planned_by_tag = [(tags::SPMV, (12, 4095, false))].into();
         check(&m).unwrap();
     }
 
     #[test]
     fn unplanned_tag_fails() {
         let mut m = healthy();
-        m.facts.stats.by_tag.insert(tags::FWD, (3, 24));
+        m.stats.by_tag.insert(tags::FWD, (3, 24));
         assert_fails(
             &m,
             "tag fwd: 3 measured message(s) bypassed the planned data plane",
         );
         // Collectives plan themselves like every other tag: no allowance.
         let mut m = healthy();
-        m.facts.stats.by_tag.insert(u64::MAX, (7, 320));
+        m.stats.by_tag.insert(u64::MAX, (7, 320));
         assert_fails(&m, "tag coll: 7 measured message(s) bypassed");
     }
 
@@ -917,8 +882,8 @@ mod tests {
         );
         // The planned = measured contract is waived once a fault fired (a
         // killed epoch abandons planned rounds); the memory plane is not.
-        m.facts.faults = 1;
-        m.facts.stats.planned_by_tag.clear();
+        m.faults = 1;
+        m.stats.planned_by_tag.clear();
         assert_fails(&m, "steady region trisolve_replay");
         m.regions.pop();
         check(&m).unwrap();
@@ -930,9 +895,9 @@ mod tests {
         // operations + the facts pass): 15 frames may allocate.
         let mut m = healthy();
         for (tag, traffic) in [(tags::MIS_KEYS, (3, 96)), (tags::MIS_CONF, (2, 64))] {
-            m.facts.stats.by_tag.insert(tag, traffic);
+            m.stats.by_tag.insert(tag, traffic);
             let planned = (traffic.0, traffic.1, true);
-            m.facts.stats.planned_by_tag.insert(tag, planned);
+            m.stats.planned_by_tag.insert(tag, planned);
         }
         m.regions[0] = region("mis_rounds", 15);
         check(&m).unwrap();
@@ -942,7 +907,7 @@ mod tests {
             "region mis_rounds acquired 16 allocation(s) over 3 pass(es) of 5 dist-MIS message(s), budget 15",
         );
         // A killed epoch abandons rounds mid-flight: waived like planned = measured.
-        m.facts.faults = 1;
+        m.faults = 1;
         check(&m).unwrap();
     }
 
@@ -952,9 +917,9 @@ mod tests {
         // two, over 3 passes: (3 + 2 · 4) · 3 = 33 acquisitions.
         let mut m = healthy();
         for (tag, traffic) in [(tags::MIS_TENT, (3, 96)), (tags::UROWS, (4, 640))] {
-            m.facts.stats.by_tag.insert(tag, traffic);
+            m.stats.by_tag.insert(tag, traffic);
             let planned = (traffic.0, traffic.1, true);
-            m.facts.stats.planned_by_tag.insert(tag, planned);
+            m.stats.planned_by_tag.insert(tag, planned);
         }
         m.regions.push(region("plan_replay", 33));
         check(&m).unwrap();
@@ -963,7 +928,7 @@ mod tests {
             &m,
             "region plan_replay acquired 34 allocation(s) over 3 pass(es) of 3 dist-MIS and 4 U-row message(s), budget 33",
         );
-        m.facts.faults = 1;
+        m.faults = 1;
         check(&m).unwrap();
     }
 
@@ -986,7 +951,7 @@ mod tests {
         // 10 interface rows over 3 passes: 6 · 10 · 3 growths, and no more
         // (one acquisition per row-touch would be hundreds per pass).
         let mut m = healthy();
-        m.facts.interface = 10;
+        m.interface = 10;
         m.regions.push(region("alg42_sweep", 180));
         check(&m).unwrap();
         m.regions[2] = region("alg42_sweep", 181);
@@ -995,19 +960,19 @@ mod tests {
             "region alg42_sweep acquired 181 allocation(s) over 3 pass(es) of 10 interface row(s), budget 180",
         );
         // A killed epoch re-partitions: its rows are not this count.
-        m.facts.faults = 1;
+        m.faults = 1;
         check(&m).unwrap();
     }
 
     #[test]
     fn factors_above_the_entry_budget_fail() {
-        // `par_ilut_p4 --quick`'s counts, with `u32` and then `usize` slots.
+        // `par_ilut_p4`'s quick counts, with `u32` and then `usize` slots.
         let mut m = healthy();
-        (m.facts.fill, m.facts.heap_bytes) = (Some(3984), Some(55_464));
+        (m.fill, m.heap_bytes) = (Some(3984), Some(55_464));
         check(&m).unwrap();
-        m.facts.heap_bytes = Some(16 * 3984);
+        m.heap_bytes = Some(16 * 3984);
         check(&m).unwrap();
-        m.facts.heap_bytes = Some(72_456);
+        m.heap_bytes = Some(72_456);
         assert_fails(
             &m,
             "factors hold 72456 byte(s) for 3984 entries, 18.19 per entry, budget 16: \
@@ -1017,12 +982,12 @@ mod tests {
 
     #[test]
     fn a_factorization_above_the_live_budget_fails() {
-        // `par_ilut_p8 --quick` with 12-byte row entries, then with the
+        // `par_ilut_p8` at quick size with 12-byte row entries, then with the
         // `(usize, f64)` ones.
         let mut m = healthy();
-        m.facts.factor_live_per_kept = Some(3.074);
+        m.factor_live_per_kept = Some(3.074);
         check(&m).unwrap();
-        m.facts.factor_live_per_kept = Some(3.654);
+        m.factor_live_per_kept = Some(3.654);
         assert_fails(
             &m,
             "par_ilut held 3.654 live byte(s) per byte of the factors it returned, budget 3.13",
@@ -1031,7 +996,7 @@ mod tests {
 
     #[test]
     fn a_matrix_above_the_entry_budget_fails() {
-        // `par_ilut_p4 --quick`'s matrix with a `u32` column id per entry
+        // `par_ilut_p4`'s quick matrix with a `u32` column id per entry
         // passes, with a `usize` one it does not.
         let mut m = healthy();
         check(&m).unwrap();
@@ -1072,27 +1037,6 @@ mod tests {
                 s.name
             );
         }
-    }
-
-    #[test]
-    fn every_row_passes_its_invariants_at_quick_size() {
-        for s in &SCENARIOS {
-            let m = run_row(s, true);
-            check(&m).unwrap();
-            if s.ranks.is_some_and(|p| p >= 2) {
-                let planned = &m.facts.stats.planned_by_tag;
-                assert!(
-                    !planned.is_empty(),
-                    "{}: a machine row plans its traffic",
-                    s.name
-                );
-                assert!(m.facts.stats.messages > 0, "{}", s.name);
-            }
-            assert_eq!(m.facts.faults > 0, s.net == Net::Killed, "{}", s.name);
-        }
-        // The one-rank sweeps replay the serial row's factor, entry for entry.
-        let fill = |name| facts(SCENARIOS.iter().find(|s| s.name == name).unwrap(), true).fill;
-        assert_eq!(fill("dist_trisolve_p1"), fill("trisolve_serial"));
     }
 
     #[test]
@@ -1170,21 +1114,10 @@ mod tests {
         );
     }
 
-    fn flags(s: &[&str]) -> Vec<String> {
-        s.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
-    fn unknown_scenario_is_an_error() {
-        let err = run(&flags(&["--quick", "--scenario", "par_ilut_p5"])).unwrap_err();
-        assert!(err.contains("unknown scenario par_ilut_p5"), "{err}");
-        assert!(run(&flags(&["--scenario"])).is_err());
-        // Retired flags and the retired subcommand are usage errors.
-        let retired: [&[&str]; 3] = [&["--scaling"], &["--out", "x"], &["--label", "x"]];
-        for args in retired {
-            let err = run(&flags(args)).unwrap_err();
-            assert!(err.starts_with("unknown bench flag --"), "{err}");
-        }
+    fn the_bench_subcommands_are_retired() {
+        // The gate runs inside `xtask paper`'s `kernels` experiment.
+        assert!(crate::task("bench").is_none());
         assert!(crate::task("bench-compare").is_none());
     }
 
@@ -1194,24 +1127,38 @@ mod tests {
     #[test]
     fn registry_tests_pass_in_a_process_of_their_own() {
         let out = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--ignored", "--test-threads=1", "bench::tests::"])
+            .args(["--ignored", "--test-threads=1"])
             .output()
             .unwrap();
         let log = String::from_utf8_lossy(&out.stdout);
         assert!(out.status.success(), "{log}");
-        assert!(log.contains(" 2 passed;"), "{log}");
+        assert!(log.contains(" 3 passed;"), "{log}");
     }
 
     #[test]
     #[ignore = "reads the region registry: run by registry_tests_pass_in_a_process_of_their_own"]
-    fn quick_selects_any_row() {
-        let rows = gate(true, &["par_ilut_p4"]).unwrap();
-        let [m] = &rows[..] else {
-            panic!("{} rows ran", rows.len())
-        };
-        assert_eq!((m.row.name, m.facts.n, m.passes()), ("par_ilut_p4", 256, 3));
-        assert!(m.facts.stats.planned_by_tag.contains_key(&tags::UROWS));
+    fn every_row_passes_the_gate_at_quick_size() {
+        let rows = gate(true).unwrap();
+        assert_eq!(rows.len(), 14);
+        assert_eq!(unrecorded_region(&rows), None);
+        for m in &rows {
+            let (name, planned) = (m.row.name, &m.stats.planned_by_tag);
+            if m.row.ranks.is_some_and(|p| p >= 2) {
+                assert!(
+                    !planned.is_empty(),
+                    "{name}: a machine row plans its traffic"
+                );
+                assert!(m.stats.messages > 0, "{name}");
+            }
+            assert_eq!(m.faults > 0, m.row.net == Net::Killed, "{name}");
+        }
+        let row = |name| rows.iter().find(|m| m.row.name == name).unwrap();
+        let m = row("par_ilut_p4");
+        assert_eq!((m.n, m.passes()), (256, 3));
+        assert!(m.stats.planned_by_tag.contains_key(&tags::UROWS));
         assert!(m.regions.iter().any(|r| r.name == "plan_replay"));
+        // The one-rank sweeps replay the serial row's factor, entry for entry.
+        assert_eq!(row("dist_trisolve_p1").fill, row("trisolve_serial").fill);
     }
 
     /// Entries of each gated region while `run` runs.

@@ -30,10 +30,11 @@
 //! p ∈ {4, 8} × 24 seeds; `--recover --quick` runs one trial per kind at
 //! p = 4.
 
-use crate::sweep::{catching, checked_builder, dist_matrix, ilut_options, mix, run_planned};
+use crate::sweep::{catching, checked_builder, dist_matrix, ilut_options, run_planned};
 use pilut_par::{FaultAction, FaultPlan, FaultRule, FAULT_KILL_PREFIX};
 use pilut_solver::dist_solve_robust;
 use pilut_solver::gmres::GmresOptions;
+use pilut_sparse::SplitMix64;
 
 /// The destructive fault kinds, cycled over seeds so every kind is
 /// exercised at every process count.
@@ -46,15 +47,15 @@ const WORKLOADS: &[&str] = &["factor", "trisolve"];
 /// probability 1 at a seed-chosen victim rank and comm-op, so a failure
 /// reproduces from its printed `(kind, seed, p)` triple.
 fn plan_for(work: &str, kind: &str, seed: u64, p: usize) -> FaultPlan {
-    let mut s = seed ^ 0xc7a_5_u64.rotate_left(17);
-    let victim = (mix(&mut s) % p as u64) as usize;
+    let mut s = SplitMix64::new(seed ^ 0xc7a_5_u64.rotate_left(17));
+    let victim = (s.next_u64() % p as u64) as usize;
     // The trisolve workload arms its rules well past the factorization and
     // plan-build prefix, so fires land inside the `Halo` value rounds that
     // workload exists to stress.
     let after = if work == "trisolve" {
-        64 + mix(&mut s) % 192
+        64 + s.next_u64() % 192
     } else {
-        1 + mix(&mut s) % 12
+        1 + s.next_u64() % 12
     };
     let rule = match kind {
         "drop" => FaultRule::new(FaultAction::Drop).max_fires(1),
@@ -110,12 +111,12 @@ const RECOVER_KINDS: &[&str] = &["kill", "drop", "kill+drop"];
 /// Builds the deterministic plan for one recovery trial: an exact kill at
 /// a seed-chosen rank and comm-op, probabilistic bounded drops, or both.
 fn recover_plan(kind: &str, seed: u64, p: usize) -> FaultPlan {
-    let mut s = seed ^ 0x4ec0_4e4du64.rotate_left(21);
-    let victim = (mix(&mut s) % p as u64) as usize;
+    let mut s = SplitMix64::new(seed ^ 0x4ec0_4e4du64.rotate_left(21));
+    let victim = (s.next_u64() % p as u64) as usize;
     // Offsets span plan construction, factorization, and the GMRES
     // iteration, so recovery is exercised at every phase of the solve.
-    let after = 8 + mix(&mut s) % 300;
-    let drop_sender = (mix(&mut s) % p as u64) as usize;
+    let after = 8 + s.next_u64() % 300;
+    let drop_sender = (s.next_u64() % p as u64) as usize;
     let mut plan = FaultPlan::new(seed);
     if kind.contains("kill") {
         plan = plan.with(

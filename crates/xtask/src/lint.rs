@@ -35,8 +35,8 @@
 //!   rename must not retire the policing. The scan is a token walk over the
 //!   blanked text — macro invocations are first-class tokens, so `vec![`
 //!   in a string or comment can't fire and `Avec![` can't hide. Backed at
-//!   run time by the allocation-audit regions and the `zero-steady-alloc`
-//!   bench gate.
+//!   run time by the allocation-audit regions and the kernel gate's
+//!   zero-acquisition steady regions.
 //!   Escape hatch: `// lint: allow(alloc-in-hot): <why>`.
 //! * **dep-allowlist** — every `Cargo.toml` may depend only on in-repo
 //!   path crates (`pilut-*` and the `pilut` facade): no registry
@@ -310,7 +310,7 @@ fn lint_source(label: &str, content: &str) -> Vec<Violation> {
 /// policed, so constructors and one-shot setup stay free to allocate.
 /// These are exactly the paths the allocation-audit regions gate at run
 /// time — the lint catches the regression at review time, the
-/// `zero-steady-alloc` bench gate catches whatever the lexer cannot see.
+/// kernel gate's steady regions catch whatever the lexer cannot see.
 const HOT_MODULES: &[(&str, &[&str])] = &[
     (
         "crates/sparse/src/workrow.rs",

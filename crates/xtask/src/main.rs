@@ -3,10 +3,6 @@
 //! * `cargo run -p xtask -- lint` — the repo-local lint: one table of
 //!   per-line rules plus the scanners that need more than a line (see
 //!   [`lint`]).
-//! * `cargo run -p xtask --release -- bench [--quick] [--scenario NAME]...`
-//!   — the kernel invariant gate: runs each scenario untimed and checks its
-//!   traffic and allocation invariants in-process (see [`mod@bench`]; wall
-//!   time is the `benchmark/` package's).
 //! * `cargo run -p xtask --release -- chaos [--recover] [--quick]` — the
 //!   seeded fault-injection regression suite (see [`chaos`]).
 //! * `cargo run -p xtask --release -- schedcheck [--quick]` — the
@@ -17,8 +13,11 @@
 //!   DPOR exploration of the schedule space of small configurations (see
 //!   [`modelcheck`]).
 //! * `cargo run -p xtask --release -- paper [--check] [--record]` — the
-//!   paper's tables and figures plus the bench scenarios' deterministic
-//!   counts, regenerated and exact-diffed (see [`paper`]).
+//!   paper's tables and figures, regenerated and exact-diffed (see
+//!   [`paper`]); its `kernels` experiment is the kernel gate, which runs
+//!   every scenario untimed and fails the task on a broken traffic or
+//!   allocation invariant before it renders the scenarios' deterministic
+//!   counts (see [`mod@bench`]; wall time is the `benchmark/` package's).
 //! * `cargo run -p xtask -- loc` — code lines and test lines per crate (see
 //!   [`code_and_test_lines`]) and the bytes of the top-level `*.md` files,
 //!   the tracked size columns of ROADMAP aim 2.
@@ -39,8 +38,7 @@ fn main() -> ExitCode {
     let cmd = args.first().map_or("", String::as_str);
     let Some(task) = task(cmd) else {
         eprintln!(
-            "usage: cargo run -p xtask -- lint | bench [--quick] [--scenario NAME]... \
-             | chaos [--recover] [--quick] | schedcheck [--quick] \
+            "usage: cargo run -p xtask -- lint | chaos [--recover] [--quick] | schedcheck [--quick] \
              | modelcheck [--quick] | paper [--check] [--record] | loc"
         );
         return ExitCode::FAILURE;
@@ -57,7 +55,6 @@ fn main() -> ExitCode {
 /// The task a subcommand names; `None` is a usage error.
 fn task(cmd: &str) -> Option<fn(&[String]) -> Result<(), String>> {
     Some(match cmd {
-        "bench" => bench::run,
         "chaos" => chaos::run,
         "schedcheck" => schedcheck::run,
         "modelcheck" => modelcheck::run,

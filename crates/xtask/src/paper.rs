@@ -16,9 +16,12 @@
 //! The last two entries are not from the paper. `levels` is the library's
 //! own per-level attribution of a factorization (`ParStats::per_level`):
 //! what every independent set cost and in which currency. `kernels` is the
-//! deterministic half of every `xtask bench` scenario (flops, simulated
-//! seconds, per-tag traffic, fill, factor bytes), held to the same exact
-//! diff so those counts are the kernel benchmark's regression gate.
+//! kernel gate ([`bench::gate`]): it runs every scenario of
+//! [`bench::SCENARIOS`], fails `paper` in every mode if one breaks an
+//! invariant (planned = measured traffic, zero-acquisition steady regions,
+//! the allocation and byte budgets, every gated region entered), and
+//! renders the deterministic counts (flops, simulated seconds, per-tag
+//! traffic, fill, factor bytes), held to the same exact diff.
 //!
 //! Figures 4–6 are ratios of Table 1's and Table 2's sweeps: they name the
 //! same grid and sizes as their table (`..TABLE1`), so [`sweep`] hands them
@@ -115,8 +118,12 @@ struct Experiment {
     grid: fn() -> Vec<IlutOptions>,
     ci: Size,
     record: Size,
-    render: fn(&Experiment, Size, &mut Runs) -> String,
+    render: fn(&Experiment, Size, &mut Runs) -> Rendered,
 }
+
+/// An experiment's text, or why it could not be rendered: a violated
+/// invariant of the kernel gate.
+type Rendered = Result<String, String>;
 
 /// The paper's parameter grid, m ∈ {5, 10, 20} × t ∈ {1e-2, 1e-4, 1e-6}:
 /// the nine ILUT configurations, then the nine ILUT\* ones (k = 2).
@@ -245,10 +252,10 @@ const EXPERIMENTS: [Experiment; 14] = [
         record: at(0.15, &[32]),
         render: levels,
     },
-    // The bench table sizes itself: below scale 1 its `--quick` sizes.
+    // The kernel gate's table sizes itself: below scale 1 its quick sizes.
     Experiment {
         name: "kernels",
-        title: "Kernels — the deterministic half of every `xtask bench` scenario",
+        title: "Kernels — the deterministic counts of every kernel-gate scenario",
         families: &[],
         grid: Vec::new,
         ci: ci(&[]),
@@ -282,7 +289,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     for e in &EXPERIMENTS {
         let t0 = Instant::now();
         let label = format!("{dir}/{}.txt", e.name);
-        let text = (e.render)(e, if record { e.record } else { e.ci }, &mut runs);
+        let text = (e.render)(e, if record { e.record } else { e.ci }, &mut runs)?;
         if check {
             let golden = std::fs::read_to_string(root.join(&label));
             diff(&label, &golden.map_err(|e| format!("{label}: {e}"))?, &text)?;
@@ -602,7 +609,7 @@ fn joined<T>(items: &[T], cell: impl Fn(&T) -> String) -> String {
     items.iter().map(cell).collect::<Vec<_>>().join(", ")
 }
 
-fn table1(e: &Experiment, size: Size, runs: &mut Runs) -> String {
+fn table1(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
     let section = |&family: &Family| {
         let sweep = sweep(&mut runs.factor, e, family, size, run_factorization);
         let head = row_of("Factorization".into(), size.procs, |p| format!("p = {p}"));
@@ -615,14 +622,14 @@ fn table1(e: &Experiment, size: Size, runs: &mut Runs) -> String {
         }
         out
     };
-    e.families
+    Ok(e.families
         .iter()
         .map(section)
         .collect::<Vec<_>>()
-        .join("\n")
+        .join("\n"))
 }
 
-fn table2(e: &Experiment, size: Size, runs: &mut Runs) -> String {
+fn table2(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
     let family = e.families[0];
     let sweep = sweep(&mut runs.trisolve, e, family, size, run_trisolve);
     let head = row_of("Factorization".into(), size.procs, |p| format!("p = {p}"));
@@ -637,7 +644,7 @@ fn table2(e: &Experiment, size: Size, runs: &mut Runs) -> String {
         let ratios = joined(rs, |r| format!("{:.2}", r.trisolve / r.matvec));
         out += &format!("  {:<18} trisolve/matvec by p: {ratios}\n", opts.name());
     }
-    out
+    Ok(out)
 }
 
 /// Figures 4–6 as data series: per configuration, `time(p₀) / time(p)`.
@@ -652,20 +659,20 @@ fn speedup<R>(e: &Experiment, size: Size, sweep: &Sweep<R>, time: fn(&R) -> f64)
     format!("{}\n{note}\n", table(&title, &head, &rows))
 }
 
-fn factor_speedup(e: &Experiment, size: Size, runs: &mut Runs) -> String {
+fn factor_speedup(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
     let sweep = sweep(&mut runs.factor, e, e.families[0], size, run_factorization);
-    speedup(e, size, &sweep, |r| r.time)
+    Ok(speedup(e, size, &sweep, |r| r.time))
 }
 
-fn trisolve_speedup(e: &Experiment, size: Size, runs: &mut Runs) -> String {
+fn trisolve_speedup(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
     let sweep = sweep(&mut runs.trisolve, e, e.families[0], size, run_trisolve);
-    speedup(e, size, &sweep, |r| r.trisolve)
+    Ok(speedup(e, size, &sweep, |r| r.trisolve))
 }
 
 /// GMRES(10) and GMRES(50) at one `p`: solve time (excluding the
 /// factorization, as in the paper) and matrix–vector products, for the 18
 /// ILUT/ILUT\* preconditioners plus the diagonal baseline.
-fn table3(e: &Experiment, size: Size, _: &mut Runs) -> String {
+fn table3(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     let p = size.procs[0];
     let mut pres: Vec<Precond> = (e.grid)().into_iter().map(Precond::Ilut).collect();
     pres.push(Precond::Diagonal);
@@ -695,11 +702,11 @@ fn table3(e: &Experiment, size: Size, _: &mut Runs) -> String {
             "(`--`/`*` = not converged within the NMV budget, as for the paper's diagonal runs.)";
         format!("{}\n{note}\n", table(&title, &head, &rows))
     };
-    e.families
+    Ok(e.families
         .iter()
         .map(section)
         .collect::<Vec<_>>()
-        .join("\n")
+        .join("\n"))
 }
 
 /// Why ILU(0)'s colouring schedule breaks down for ILUT: ILU(0) never fills,
@@ -708,7 +715,7 @@ fn table3(e: &Experiment, size: Size, _: &mut Runs) -> String {
 /// interface nodes into valid concurrent elimination classes; ILUT's
 /// interior fill adds dependencies among them, counted here as same-colour
 /// pairs that `A_I⁰` now couples.
-fn fig1(e: &Experiment, size: Size, _: &mut Runs) -> String {
+fn fig1(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     let (p, family, opts) = (size.procs[0], e.families[0].name(), &(e.grid)()[0]);
     let a = e.families[0].matrix(size.scale);
     let dm = partition(&a, p);
@@ -739,7 +746,7 @@ fn fig1(e: &Experiment, size: Size, _: &mut Runs) -> String {
     }
     let (title, n_iface, nc) = (e.title, colour.len(), sizes.len());
     let (name, q) = (opts.name(), run.results[0].2);
-    format!(
+    Ok(format!(
         "## {title}
 
 {family}, {p} domains, {n_iface} interface nodes.
@@ -755,13 +762,13 @@ fn fig1(e: &Experiment, size: Size, _: &mut Runs) -> String {
    the parallel ILUT run instead needed q = {q} dynamically computed
    independent sets (paper Figure 1b / Section 3).
 "
-    )
+    ))
 }
 
 /// The interface nodes being factored by repeatedly taking a maximal
 /// independent set of the successively reduced matrices: per level, how
 /// many nodes the set captured and how many remain, for ILUT and ILUT\*.
-fn fig2(e: &Experiment, size: Size, _: &mut Runs) -> String {
+fn fig2(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     let (p, family) = (size.procs[0], e.families[0]);
     let dm = partition(&family.matrix(size.scale), p);
     let mut out = format!("## {}\n\n{}, {p} domains.\n\n", e.title, family.name());
@@ -786,13 +793,13 @@ fn fig2(e: &Experiment, size: Size, _: &mut Runs) -> String {
     }
     out += "(The paper's Figure 2 illustrates the same process on a toy mesh: each\n \
             level factors an independent set and forms the next reduced matrix.)\n";
-    out
+    Ok(out)
 }
 
 /// The block structure of the permuted triangular factors: unknowns ordered
 /// the way the parallel factorization eliminates them (each rank's
 /// interiors, then the interface levels), nonzeros counted per block pair.
-fn fig3(e: &Experiment, size: Size, _: &mut Runs) -> String {
+fn fig3(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     let (p, family, opts) = (size.procs[0], e.families[0], &(e.grid)()[0]);
     let dm = partition(&family.matrix(size.scale), p);
     let run = spmd(&dm, MachineModel::cray_t3d(), |ctx, local| {
@@ -838,7 +845,7 @@ fn fig3(e: &Experiment, size: Size, _: &mut Runs) -> String {
     };
     let (title, family) = (e.title, family.name());
     let (l_map, u_map) = (map("L (lower)", &l_blocks), map("U (upper)", &u_blocks));
-    format!(
+    Ok(format!(
         "## {title}
 
 {family}, {p} processors, q = {q} independent sets.
@@ -850,14 +857,14 @@ Reading the map: interior blocks are block-diagonal (each processor's
 own elimination); every interface level couples only to earlier blocks
 in L and later blocks in U — the paper's colour-coded wedge structure.
 "
-    )
+    ))
 }
 
 /// How the machine's communication parameters change the ILUT-vs-ILUT\*
 /// picture (the paper's conclusion: ILUT\* matters most on slow networks):
 /// the same problem on a zero-communication ideal, the T3D model and a
 /// workstation-cluster model (50× the latency, ~1/15 the bandwidth).
-fn ablation_comm(e: &Experiment, size: Size, _: &mut Runs) -> String {
+fn ablation_comm(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     let (p, family, grid) = (size.procs[0], e.families[0], (e.grid)());
     let dm = partition(&family.matrix(size.scale), p);
     let machine_row = |(name, model): (&str, MachineModel)| {
@@ -880,7 +887,7 @@ fn ablation_comm(e: &Experiment, size: Size, _: &mut Runs) -> String {
     let rows: Vec<_> = machines.into_iter().map(machine_row).collect();
     let title = format!("{} ({}, p = {p})", e.title, family.name());
     let head = ["Machine", "ILUT (s)", "ILUT* (s)", "ILUT/ILUT*"];
-    format!(
+    Ok(format!(
         "{}
 (The slower the network, the more seconds ILUT* saves — its smaller
  reduced matrices need fewer independent sets, i.e. fewer synchronisations —
@@ -888,14 +895,14 @@ fn ablation_comm(e: &Experiment, size: Size, _: &mut Runs) -> String {
  factor than ILUT.)
 ",
         table(&title, &head, &rows)
-    )
+    ))
 }
 
 /// How much the multilevel k-way partition matters (paper §1: "a good
 /// domain decomposition … significantly decreases the amount of
 /// communication"): the same factorization under it and under a naive
 /// contiguous block distribution.
-fn ablation_partition(e: &Experiment, size: Size, _: &mut Runs) -> String {
+fn ablation_partition(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     let (p, family, opts) = (size.procs[0], e.families[0], &(e.grid)()[0]);
     let a = family.matrix(size.scale);
     let n = a.n_rows();
@@ -918,18 +925,18 @@ fn ablation_partition(e: &Experiment, size: Size, _: &mut Runs) -> String {
     let rows: Vec<_> = dists.into_iter().map(dist_row).collect();
     let title = format!("{} ({}, p = {p}, {})", e.title, family.name(), opts.name());
     let head = ["Distribution", "interface", "(% n)", "factor (s)", "q"];
-    format!(
+    Ok(format!(
         "{}
 (A bad decomposition inflates the interface set, hence the reduced
  matrices, the independent-set count, and the factorization time.)
 ",
         table(&title, &head, &rows)
-    )
+    ))
 }
 
 /// Parallel ILU(0) vs ILUT / ILUT\* end to end (the paper's §2–3
 /// narrative): simulated factor time, schedule length q, and GMRES(50).
-fn baseline_ilu0(e: &Experiment, size: Size, _: &mut Runs) -> String {
+fn baseline_ilu0(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     let (p, family) = (size.procs[0], e.families[0]);
     let dm = partition(&family.matrix(size.scale), p);
     let method_row = |pre: Precond| {
@@ -950,13 +957,13 @@ fn baseline_ilu0(e: &Experiment, size: Size, _: &mut Runs) -> String {
         .collect();
     let title = format!("{} ({}, p = {p}, GMRES(50))", e.title, family.name());
     let head = ["Method", "factor (s)", "q", "solve (s)", "NMV", "conv"];
-    format!(
+    Ok(format!(
         "{}
 (ILU(0): short static schedule, weak preconditioner; ILUT*: costlier
  factorization, far fewer iterations — the paper's §2 trade-off.)
 ",
         table(&title, &head, &rows)
-    )
+    ))
 }
 
 /// The level table of ILU(0), ILUT and ILUT\* on one input: phase 1, then
@@ -964,7 +971,7 @@ fn baseline_ilu0(e: &Experiment, size: Size, _: &mut Runs) -> String {
 /// (the global level); the cost columns — the flop split, the dist-MIS
 /// units, the words copied and the clock — are the slowest rank's, whose
 /// clock column therefore adds up to the factorization's simulated time.
-fn levels(e: &Experiment, size: Size, _: &mut Runs) -> String {
+fn levels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     let (p, family) = (size.procs[0], e.families[0]);
     let dm = partition(&family.matrix(size.scale), p);
     let head = [
@@ -1044,7 +1051,7 @@ fn levels(e: &Experiment, size: Size, _: &mut Runs) -> String {
         .chain(ilut)
         .map(section)
         .collect();
-    format!(
+    Ok(format!(
         "{}
 (`cand`…`urow B` are sums over the ranks, `rounds` the largest rank's count
  of Luby rounds that began with a candidate; the flop split, the dist-MIS
@@ -1054,11 +1061,13 @@ fn levels(e: &Experiment, size: Size, _: &mut Runs) -> String {
  that factors the row, and in one where its `L` would pass 2m entries.)
 ",
         sections.join("\n")
-    )
+    ))
 }
 
-/// One row per bench scenario: what a single run of its body establishes
-/// without a wall clock, then the per-tag traffic of the machine rows.
+/// One row per kernel-gate scenario: what a single run of its body
+/// establishes without a wall clock, then the per-tag traffic of the machine
+/// rows. The rows are [`bench::gate`]'s measurements, so a violated
+/// invariant fails the experiment before a line is rendered.
 ///
 /// A cell is printed only if it reproduces bit for bit; which do was
 /// measured, not assumed (EXPERIMENTS.md at 039f5b3: regenerations under
@@ -1068,7 +1077,7 @@ fn levels(e: &Experiment, size: Size, _: &mut Runs) -> String {
 /// killed epoch goes further: how much each survivor did before a poll told
 /// it of the loss is wall time too, and only the tags that first appear
 /// after recovery (and the agreement ring itself) are fixed.
-fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> String {
+fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     fn cell<T: ToString>(v: Option<T>) -> String {
         v.map_or_else(|| "-".into(), |v| v.to_string())
     }
@@ -1077,8 +1086,8 @@ fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> String {
         "live/A",
     ];
     let (mut rows, mut tags) = (Vec::new(), String::new());
-    for s in &bench::SCENARIOS {
-        let f = bench::facts(s, size.scale < 1.0);
+    for f in &bench::gate(size.scale < 1.0)? {
+        let s = &f.row;
         let (totals, clock, tag): (bool, bool, fn(&str) -> bool) = match s.net {
             bench::Net::Plain => (true, true, |_| true),
             bench::Net::Armed => (false, true, |t| t != "ack"),
@@ -1108,10 +1117,10 @@ fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> String {
             tags += &format!("  {:<21} {}\n", s.name, cells.join(" "));
         }
     }
-    format!(
+    Ok(format!(
         "{}
-Measured traffic by tag, messages/bytes (`xtask bench` asserts it equals the
-plans' prediction, tag for tag, on every fault-free row):
+Measured traffic by tag, messages/bytes (the kernel gate asserts it equals
+the plans' prediction, tag for tag, on every fault-free row):
 {tags}
 (`live/A`: the most heap bytes the operation holds at once, per byte of its
  matrix. `-`: not defined for the row — a serial kernel has no simulated clock, a
@@ -1124,7 +1133,7 @@ plans' prediction, tag for tag, on every fault-free row):
  Every printed cell is bit-reproducible.)
 ",
         table(e.title, &head, &rows)
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -1162,7 +1171,7 @@ mod tests {
     #[test]
     fn check_names_file_line_and_both_texts() {
         let e = by_name("fig1");
-        let fresh = (e.render)(&e, e.ci, &mut Runs::default());
+        let fresh = (e.render)(&e, e.ci, &mut Runs::default()).unwrap();
         assert_eq!(diff("experiments/ci/fig1.txt", &fresh, &fresh), Ok(()));
 
         let mut golden: Vec<&str> = fresh.split('\n').collect();
@@ -1258,13 +1267,26 @@ mod tests {
         }
     }
 
+    fn renders_twice_alike(name: &str) {
+        let e = by_name(name);
+        let first = (e.render)(&e, e.ci, &mut Runs::default()).unwrap();
+        let second = (e.render)(&e, e.ci, &mut Runs::default()).unwrap();
+        assert_eq!(first, second, "{name}");
+    }
+
     #[test]
     fn regeneration_is_byte_identical() {
-        for name in ["fig1", "fig3", "kernels"] {
-            let e = by_name(name);
-            let first = (e.render)(&e, e.ci, &mut Runs::default());
-            assert_eq!(first, (e.render)(&e, e.ci, &mut Runs::default()), "{name}");
-        }
+        renders_twice_alike("fig1");
+        renders_twice_alike("fig3");
+    }
+
+    /// `kernels` is the kernel gate, which resets and reads the process-wide
+    /// region registry: other tests' threads would fold their regions into
+    /// its counts.
+    #[test]
+    #[ignore = "reads the region registry: run by registry_tests_pass_in_a_process_of_their_own"]
+    fn kernels_regeneration_is_byte_identical() {
+        renders_twice_alike("kernels");
     }
 
     #[test]
@@ -1289,7 +1311,7 @@ mod tests {
                 grid: || vec![IlutOptions::new(5, 1e-2)],
                 ..by_name(name)
             };
-            let lines = (e.render)(&e, size, &mut runs);
+            let lines = (e.render)(&e, size, &mut runs).unwrap();
             assert!(lines.lines().count() > 5, "{name}");
             assert_eq!(
                 (runs.factor.len(), runs.trisolve.len()),

@@ -46,8 +46,9 @@
 //! fault contract across the workloads; `xtask chaos` sweeps the
 //! destructive faults.
 
-use crate::sweep::{catching, mix, run_planned, shrink, Fingerprint};
+use crate::sweep::{catching, run_planned, shrink, Fingerprint};
 use pilut_par::{FaultAction, FaultPlan, FaultRule};
+use pilut_sparse::SplitMix64;
 
 /// The workloads swept per process count: the delta-protocol MIS rounds in
 /// isolation (`mis` — sparse per-round message shapes, dead links going
@@ -77,12 +78,12 @@ fn rule_names(work: &str) -> &'static [&'static str] {
 /// regenerated from the seed rather than cloned, so any subset reproduces
 /// the full plan's parameters exactly.
 fn schedule_plan(seed: u64, p: usize, mask: u8) -> FaultPlan {
-    let mut s = seed ^ 0x5eed_5c4e_du64.rotate_left(13);
+    let mut s = SplitMix64::new(seed ^ 0x5eed_5c4e_du64.rotate_left(13));
     // Always draw in the same order so a subset keeps the full plan's
     // victim ranks and offsets.
-    let reorder_victim = (mix(&mut s) % p as u64) as usize;
-    let stall_victim = (mix(&mut s) % p as u64) as usize;
-    let stall_after = 1 + mix(&mut s) % 64;
+    let reorder_victim = (s.next_u64() % p as u64) as usize;
+    let stall_victim = (s.next_u64() % p as u64) as usize;
+    let stall_after = 1 + s.next_u64() % 64;
     let mut plan = FaultPlan::new(seed);
     if mask & 1 != 0 {
         plan = plan.with(FaultRule::new(FaultAction::Delay { seconds: 3.0 }).probability(0.25));
@@ -110,10 +111,10 @@ fn schedule_plan(seed: u64, p: usize, mask: u8) -> FaultPlan {
 /// legal to absorb because the trial runs under reliable delivery. Same
 /// subset-stability contract as [`schedule_plan`].
 fn lossy_plan(seed: u64, p: usize, mask: u8) -> FaultPlan {
-    let mut s = seed ^ 0x10c5_5b1a_du64.rotate_left(17);
-    let drop_sender = (mix(&mut s) % p as u64) as usize;
-    let dup_sender = (mix(&mut s) % p as u64) as usize;
-    let reorder_victim = (mix(&mut s) % p as u64) as usize;
+    let mut s = SplitMix64::new(seed ^ 0x10c5_5b1a_du64.rotate_left(17));
+    let drop_sender = (s.next_u64() % p as u64) as usize;
+    let dup_sender = (s.next_u64() % p as u64) as usize;
+    let reorder_victim = (s.next_u64() % p as u64) as usize;
     let mut plan = FaultPlan::new(seed);
     if mask & 1 != 0 {
         plan = plan.with(

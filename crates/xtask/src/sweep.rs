@@ -20,7 +20,7 @@ use pilut_core::parallel::par_ilut;
 use pilut_par::{FaultPlan, Machine, MachineBuilder, MachineModel, RunOutput};
 use pilut_solver::dist_gmres::{dist_gmres, DistIlu, DistPrecond};
 use pilut_solver::gmres::GmresOptions;
-use pilut_sparse::gen;
+use pilut_sparse::{gen, SplitMix64};
 
 /// The flags a sweep suite was invoked with.
 #[derive(Clone, Copy, Debug, Default)]
@@ -146,21 +146,10 @@ pub fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// splitmix64 — the same mixer the fault layer uses, so seeded parameters
-/// are well spread without any external RNG crate; also the fold step of
-/// the result checksums.
-pub fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Folds one word into a running checksum (order-sensitive).
+/// Folds one word into a running checksum (order-sensitive): one
+/// SplitMix64 step from the checksum with the word mixed in.
 pub fn fold(h: &mut u64, v: u64) {
-    *h ^= v;
-    *h = mix(h);
+    *h = SplitMix64::new(*h ^ v).next_u64();
 }
 
 /// Everything a deterministic run must reproduce bit-for-bit.
