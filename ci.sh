@@ -7,10 +7,30 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# The repo-local rules (crates/xtask/src/lint.rs). Two boundaries are not
-# linted because privacy holds them: the CSR index arrays and the reserved
-# tag range; their compile_fail doctests run in the tests stage below
-# (cargo test --workspace).
+# The rules clippy holds: no-unwrap (unwrap_used, expect_used), no-hash-order
+# and par-confinement (disallowed_types / disallowed_methods over the items
+# of clippy.toml) and no-raw-comm (the Ctx send/recv entries of clippy.toml),
+# all denied in the root Cargo.toml's [workspace.lints.clippy]. The escape is
+# #[expect(clippy::<lint>, reason = "...")], and -D warnings turns an
+# expectation that suppresses nothing (unfulfilled_lint_expectations) red
+# too. --lib --bins is non-test code. No skip branch: a toolchain without
+# clippy is red CI. -D warnings reaches lints only, and a clippy.toml path
+# that names nothing is a plain warning, so any warning line is red as well.
+echo "==> cargo clippy (-D warnings)"
+clippy_out="$(cargo clippy --workspace --lib --bins --color never -- -D warnings 2>&1)" || {
+    printf '%s\n' "$clippy_out"
+    exit 1
+}
+printf '%s\n' "$clippy_out"
+if printf '%s\n' "$clippy_out" | grep -q '^warning'; then
+    echo "cargo clippy: the warnings above fail the stage"
+    exit 1
+fi
+
+# The repo-local rules clippy lacks (crates/xtask/src/lint.rs). Two
+# boundaries are not linted because privacy holds them: the CSR index arrays
+# and the reserved tag range; their compile_fail doctests run in the tests
+# stage below (cargo test --workspace).
 echo "==> xtask lint"
 cargo run -p xtask -- lint
 
@@ -40,8 +60,8 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # break of that surface is red CI. DistOperator keeps a trait although
 # DistCsr (which holds the SpMV plan itself) is its only implementation and
 # apply_into its one product, and dist_mis/build_level_links keep their
-# HashMap-keyed rows (the only allow(hash-order) lines of the no-hash-order
-# lint), because the benchmark imports them. Read-only use; its target/ is
+# HashMap-keyed rows (the library's only #[expect(clippy::disallowed_types)]
+# lines), because the benchmark imports them. Read-only use; its target/ is
 # git-ignored.
 echo "==> benchmark crate (pinned API surface)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml

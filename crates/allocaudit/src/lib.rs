@@ -131,7 +131,7 @@ mod imp {
         if local.is_empty() {
             return;
         }
-        // lint: allow(unwrap): audit registry lock is never poisoned (no panics under it)
+        #[expect(clippy::unwrap_used, reason = "nothing panics under the registry lock")]
         let mut reg = REGIONS.lock().unwrap();
         for (name, s) in std::mem::take(local) {
             let slot = reg.entry(name).or_default();
@@ -384,10 +384,10 @@ mod imp {
     /// Flushes the calling thread's local accumulator first; another
     /// thread's regions are visible once its outermost region has dropped
     /// (a machine rank's does before the rank hands back its result).
+    #[expect(clippy::unwrap_used, reason = "nothing panics under the registry lock")]
     pub fn region_stats() -> Vec<RegionStats> {
         let _s = harness();
         TLS.with(|t| flush_regions(&mut t.regions.borrow_mut()));
-        // lint: allow(unwrap): audit registry lock is never poisoned (no panics under it)
         REGIONS.lock().unwrap().values().cloned().collect()
     }
 
@@ -396,7 +396,7 @@ mod imp {
     pub fn reset_regions() {
         let _s = harness();
         TLS.with(|t| t.regions.borrow_mut().clear());
-        // lint: allow(unwrap): audit registry lock is never poisoned (no panics under it)
+        #[expect(clippy::unwrap_used, reason = "nothing panics under the registry lock")]
         REGIONS.lock().unwrap().clear();
     }
 }
@@ -701,7 +701,6 @@ mod tests {
             let _guard = zero_alloc("test_forbidden_region");
             let _v = vec![0u8; 32];
         })
-        // lint: allow(unwrap): the scope must panic; a clean return is the test failing
         .unwrap_err();
         let msg = err
             .downcast_ref::<String>()

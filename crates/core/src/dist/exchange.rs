@@ -23,9 +23,10 @@
 //!   one-level halo, the triangular solve one per sweep direction; the halo
 //!   is the only thing that warms the registered `f64` buffer pool.
 //!
-//! The `no-raw-comm` lint keeps every distributed kernel on these two
-//! planes: this module and the `pilut-par` VM itself are the only places
-//! allowed to touch `ctx.send` / `ctx.recv` directly.
+//! Clippy's `disallowed_methods` (the `no-raw-comm` rule of `clippy.toml`)
+//! keeps every distributed kernel on these two planes: this module, its
+//! `halo` child and the `pilut-par` VM itself are the only places allowed to
+//! touch `ctx.send` / `ctx.recv` directly.
 //!
 //! Round contract, both planes:
 //!
@@ -44,6 +45,8 @@
 //!   gate of `xtask paper` fails when the measured per-tag counters diverge;
 //! * a plan built from empty need-lists runs its rounds as no-ops, so ranks
 //!   that own zero rows participate safely.
+
+#![expect(clippy::disallowed_methods, reason = "planned rounds send raw frames")]
 
 use pilut_par::{Ctx, Payload};
 use std::cell::RefCell;
@@ -308,7 +311,7 @@ impl CommPlan {
         let me = ctx.rank();
         let p = ctx.nprocs();
         self.verify_local(me, p)?;
-        if self.tag % tags::STRIDE != 0 || tags::tag_name(self.tag) == "user" {
+        if !self.tag.is_multiple_of(tags::STRIDE) || tags::tag_name(self.tag) == "user" {
             return Err(format!(
                 "tag {:#x} is not a named protocol namespace",
                 self.tag

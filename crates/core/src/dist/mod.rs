@@ -64,7 +64,7 @@ impl Distribution {
         let mut part = Vec::with_capacity(n);
         for r in 0..p {
             let size = base + usize::from(r < extra);
-            part.extend(std::iter::repeat(r).take(size));
+            part.extend(std::iter::repeat_n(r, size));
         }
         Self::from_part(part, p)
     }

@@ -64,11 +64,11 @@ impl<'a> DistCsr<'a> {
         ghosts.sort_unstable();
         // Slots number distinct matrix columns, so they fit its `u32` ids.
         let n_slots = local.len() + ghosts.len();
+        #[expect(clippy::expect_used, reason = "receive lists hold every ghost")]
         let slot_of = |j: usize| {
-            local.pos_of(j).unwrap_or_else(|| {
-                // lint: allow(unwrap): the plan's receive lists hold every remote column
-                local.len() + ghosts.binary_search(&j).expect("unlisted ghost")
-            })
+            local
+                .pos_of(j)
+                .unwrap_or_else(|| local.len() + ghosts.binary_search(&j).expect("unlisted ghost"))
         };
         // Sized up front: collecting a `flat_map` would grow by doubling and
         // keep up to twice the entries for the life of the operator.

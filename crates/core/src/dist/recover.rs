@@ -50,11 +50,11 @@ pub fn shrink(dist: &Distribution, dead: &[usize]) -> Distribution {
     dead_sorted.dedup();
     for &d in &dead_sorted {
         for row in dist.rows_of(d) {
+            #[expect(clippy::expect_used, reason = "the assert above keeps a survivor")]
             let (slot, _) = counts
                 .iter()
                 .enumerate()
                 .min_by_key(|&(i, &c)| (c, i))
-                // lint: allow(unwrap): survivors is non-empty by the assert above
                 .expect("at least one survivor");
             part[row] = survivors[slot];
             counts[slot] += 1;

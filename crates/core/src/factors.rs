@@ -124,7 +124,7 @@ impl FactorStore {
         for (arena, entries) in [(&mut self.l, l), (&mut self.u, u)] {
             arena.slot.extend(entries.iter().map(slot));
             arena.val.extend(entries.iter().map(|e| e.val()));
-            // lint: allow(unwrap): documented panic: a triangle past 2^32 entries
+            #[expect(clippy::expect_used, reason = "documented panic past 2^32 entries")]
             let end = narrow(arena.slot.len(), "factor entries").expect("factor outgrew u32");
             arena.ptr.push(end);
         }

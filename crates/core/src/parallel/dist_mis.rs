@@ -108,7 +108,7 @@ use crate::dist::exchange::{tags, CommPlan};
 use crate::dist::Distribution;
 use crate::options::FactorError;
 use pilut_par::{Ctx, Payload};
-// lint: allow(hash-order): the two map-keyed doors below sort what they read
+#[expect(clippy::disallowed_types, reason = "both doors sort what they read")]
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -146,8 +146,8 @@ const KILL: u8 = 4;
 /// per-rank arrays of this kernel whose size follows the matrix.
 const NONE: u32 = u32::MAX;
 
+#[expect(clippy::expect_used, reason = "2^32 nodes do not fit in memory")]
 fn narrow(x: usize) -> u32 {
-    // lint: allow(unwrap): a level with 2^32 nodes does not fit this machine's memory
     u32::try_from(x).expect("node ids and level slots fit 32 bits")
 }
 
@@ -179,10 +179,10 @@ fn link_plan(ctx: &mut Ctx, dist: &Distribution, cols: impl Iterator<Item = usiz
 /// The send side lists my nodes each peer's rows reference; the receive
 /// side lists the remote nodes my rows reference. The factorizations reuse
 /// the same plan to route freshly factored `U` rows after the set is known.
+#[expect(clippy::disallowed_types, reason = "the plan sorts and dedups columns")]
 pub fn build_level_links(
     ctx: &mut Ctx,
     dist: &Distribution,
-    // lint: allow(hash-order): `CommPlan::build` sorts and dedups the columns
     reduced_cols: &HashMap<usize, Vec<usize>>,
 ) -> CommPlan {
     link_plan(ctx, dist, reduced_cols.values().flatten().copied())
@@ -737,10 +737,10 @@ impl LevelMis {
 /// This is the map-keyed door to the slot kernel the factorizations drive
 /// directly: it lays the rows out in ascending node order and runs the
 /// same rounds.
+#[expect(clippy::disallowed_types, reason = "rows are sorted by node first")]
 pub fn dist_mis(
     ctx: &mut Ctx,
     plan: &CommPlan,
-    // lint: allow(hash-order): the rows are sorted by node before use
     reduced_cols: &HashMap<usize, Vec<usize>>,
     seed: u64,
     level: u64,
@@ -831,7 +831,6 @@ mod tests {
                         None => {
                             let &(ku, su) = remote
                                 .get(&u)
-                                // lint: allow(unwrap): the replay returns exactly the requested remote nodes
                                 .expect("referenced remote node missing from exchange");
                             (ku, su)
                         }

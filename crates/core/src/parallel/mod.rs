@@ -217,7 +217,7 @@ pub(crate) fn factor(
     let n_int = local.interior.len();
     let mut reduced: ReducedRows = Vec::with_capacity(local.interface.len());
     let mut tau_of: Vec<f64> = Vec::with_capacity(local.interface.len());
-    // lint: allow(unwrap): phase 1 pivots are this rank's interiors, whose rows hold local columns only
+    #[expect(clippy::expect_used, reason = "interior rows hold local columns only")]
     let slot_of = |j| local.pos_of(j).expect("interior column must be local");
     let col_of = |s: usize| local.nodes[s];
     for (p, &i) in local.nodes.iter().enumerate() {
@@ -348,7 +348,7 @@ fn interface_levels(
         // the `U` part needs only rule-2 dropping.
         for &v in &my_in {
             let q = fb.interface_index(v);
-            // lint: allow(unwrap): set members always carry a reduced row
+            #[expect(clippy::expect_used, reason = "set members always carry a reduced row")]
             let rr = reduced[q].take().expect("member without a reduced row");
             remaining -= 1;
             live_nnz -= rr.len();

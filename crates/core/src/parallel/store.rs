@@ -159,7 +159,7 @@ impl InitialPattern {
         ptr.push(0);
         for row in reduced.iter().flatten() {
             cols.extend(row.iter().map(|e| e.col() as u32));
-            // lint: allow(unwrap): documented panic: a rank's reduced slice past 2^32 entries
+            #[expect(clippy::expect_used, reason = "documented panic past 2^32 entries")]
             ptr.push(narrow(cols.len(), "reduced entries").expect("reduced slice outgrew u32"));
         }
         InitialPattern { ptr, cols }
@@ -199,8 +199,8 @@ impl<'a> FactorBuilder<'a> {
     }
 
     /// Interface position of my interface node `v`.
+    #[expect(clippy::expect_used, reason = "callers pass own interface nodes")]
     pub(crate) fn interface_index(&self, v: usize) -> usize {
-        // lint: allow(unwrap): callers pass this rank's interface nodes only
         self.local.pos_of(v).expect("interface node must be local") - self.local.interior.len()
     }
 
@@ -274,11 +274,11 @@ impl<'a> FactorBuilder<'a> {
         ghosts.sort_unstable();
         ghosts.dedup();
         ghosts.shrink_to_fit();
+        #[expect(clippy::expect_used, reason = "every remote column is in `ghosts`")]
         let slot_of = |j| {
-            local.pos_of(j).unwrap_or_else(|| {
-                // lint: allow(unwrap): every remote column was collected into `ghosts` above
-                local.len() + ghosts.binary_search(&j).expect("unlisted ghost")
-            })
+            local
+                .pos_of(j)
+                .unwrap_or_else(|| local.len() + ghosts.binary_search(&j).expect("unlisted ghost"))
         };
         for row in staged {
             self.store.push_row(&row.l, row.diag, &row.u, slot_of);

@@ -50,7 +50,7 @@ fn select(
         // Partial selection of the `cap` largest magnitudes.
         entries.select_nth_unstable_by(cap, |a, b| {
             let by_magnitude = b.val().abs().partial_cmp(&a.val().abs());
-            // lint: allow(unwrap): factor values are finite; NaN would poison comparisons
+            #[expect(clippy::expect_used, reason = "factor values are never NaN")]
             let by_magnitude = by_magnitude.expect("NaN in factorization");
             by_magnitude.then_with(|| tie(a.col(), b.col()))
         });

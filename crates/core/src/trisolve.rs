@@ -75,7 +75,7 @@ impl TrisolvePlan {
         let n_levels = rf.levels.len();
         let lmax = ctx.all_reduce_u64(vec![n_levels as u64], ReduceOp::Max)[0];
         assert_eq!(lmax as usize, n_levels, "level count differs across ranks");
-        // lint: allow(unwrap): levels hold this rank's interface nodes
+        #[expect(clippy::expect_used, reason = "levels hold own interface nodes")]
         let pos = |&i: &usize| local.pos_of(i).expect("level row must be local");
         let level_pos: Vec<Vec<usize>> = rf
             .levels
@@ -83,11 +83,11 @@ impl TrisolvePlan {
             .map(|lv| lv.iter().map(pos).collect())
             .collect();
         let n_slots = n_local + rf.ghosts.len();
+        #[expect(clippy::expect_used, reason = "the plans are built from these ghosts")]
         let slot_of = |g: usize| {
-            local.pos_of(g).unwrap_or_else(|| {
-                // lint: allow(unwrap): the plans are built from these very ghosts
-                n_local + rf.ghosts.binary_search(&g).expect("unlisted ghost")
-            })
+            local
+                .pos_of(g)
+                .unwrap_or_else(|| n_local + rf.ghosts.binary_search(&g).expect("unlisted ghost"))
         };
         // Level by slot: my interface rows now, each ghost when its owner
         // answers; `Halo::new` rejects a scheduled node still without one

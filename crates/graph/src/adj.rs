@@ -60,7 +60,7 @@ impl Graph {
         adjwgt: Vec<i32>,
         vwgt: Vec<i32>,
     ) -> Self {
-        // lint: allow(unwrap): a graph of `n` vertices has `n + 1` offsets
+        #[expect(clippy::expect_used, reason = "a graph has `n + 1` arc offsets")]
         let n = xadj.len().checked_sub(1).expect("no arc offsets");
         assert!(vwgt.is_empty() || vwgt.len() == n);
         assert!(adjwgt.is_empty() || adjwgt.len() == adjncy.len());

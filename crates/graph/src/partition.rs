@@ -302,15 +302,15 @@ fn bisect(
             best = Some((key, side));
         }
     }
-    // lint: allow(unwrap): the trial loop always records at least one candidate
+    #[expect(clippy::unwrap_used, reason = "the trial loop records a candidate")]
     let (_, side) = best.unwrap();
     let (mut left, mut right): (Vec<usize>, Vec<usize>) = vertices.iter().partition(|&&u| side[u]);
     // Degenerate splits can happen on tiny graphs; force non-emptiness.
     if left.is_empty() && !right.is_empty() {
-        // lint: allow(unwrap): pop is guarded by the non-emptiness test
+        #[expect(clippy::unwrap_used, reason = "the popped side is non-empty")]
         left.push(right.pop().unwrap());
     } else if right.is_empty() && !left.is_empty() {
-        // lint: allow(unwrap): pop is guarded by the non-emptiness test
+        #[expect(clippy::unwrap_used, reason = "the popped side is non-empty")]
         right.push(left.pop().unwrap());
     }
     (left, right)

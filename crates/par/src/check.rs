@@ -475,10 +475,10 @@ fn find_cycle(status: &[RankStatus]) -> Option<Vec<usize>> {
         loop {
             if mark[cur] == 1 {
                 // Found a cycle: trim the walk's tail leading into it.
+                #[expect(clippy::expect_used, reason = "`cur` is marked as on this walk")]
                 let pos = walk
                     .iter()
                     .position(|&x| x == cur)
-                    // lint: allow(unwrap): `cur` was just found marked as on the current walk
                     .expect("on current walk");
                 for &w in &walk {
                     mark[w] = 2;

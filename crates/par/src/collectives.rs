@@ -71,11 +71,11 @@ impl Ctx {
             self.slot_cache = (0..self.nprocs()).filter(|&r| self.alive[r]).collect();
             self.slot_cache_epoch = self.epoch();
         }
+        #[expect(clippy::expect_used, reason = "a rank in a collective is alive")]
         let slot = self
             .slot_cache
             .iter()
             .position(|&r| r == self.rank())
-            // lint: allow(unwrap): a rank that reached a collective is alive
             .expect("a lost rank cannot run a collective");
         (slot, self.slot_cache.len())
     }
@@ -164,8 +164,8 @@ impl Ctx {
         from_payload: impl Fn(Payload) -> T,
     ) -> T {
         let (s, p) = self.slots();
+        #[expect(clippy::expect_used, reason = "the root always passes Some")]
         let val = if s == 0 {
-            // lint: allow(unwrap): tree_bcast is only called with Some at the root
             val.expect("root must provide the broadcast value")
         } else {
             let parent = self.slot_cache[s - Self::lowbit(s)];

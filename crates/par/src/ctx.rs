@@ -237,6 +237,7 @@ impl Ctx {
         tag >= Self::RESERVED_TAG_BASE
     }
 
+    #[expect(clippy::too_many_arguments, reason = "one argument per part of a run")]
     pub(crate) fn new(
         rank: usize,
         nprocs: usize,
@@ -579,7 +580,7 @@ impl Ctx {
             // channel so the watchdog can never undercount.
             check.note_send(env.to);
         }
-        // lint: allow(unwrap): the machine keeps every receiver alive until all ranks join
+        #[expect(clippy::expect_used, reason = "receivers live until every rank joins")]
         self.senders[env.to].send(env).expect("receiver hung up");
     }
 
@@ -687,7 +688,7 @@ impl Ctx {
                 let from = env.from;
                 let mut out = vec![env];
                 let ack = {
-                    // lint: allow(unwrap): verdict came from the same Some(rel)
+                    #[expect(clippy::expect_used, reason = "verdict came from the same Some(rel)")]
                     let rel = self.rel.as_mut().expect("rel present");
                     out.extend(rel.release(from));
                     rel.ack_due(from).then(|| rel.delivered_upto(from))
@@ -699,7 +700,7 @@ impl Ctx {
             }
             Ingress::Duplicate => (Vec::new(), false),
             Ingress::Stashed => {
-                // lint: allow(unwrap): verdict came from the same Some(rel)
+                #[expect(clippy::expect_used, reason = "verdict came from the same Some(rel)")]
                 self.rel.as_mut().expect("rel present").park(env);
                 (Vec::new(), true)
             }
@@ -768,7 +769,7 @@ impl Ctx {
     /// larger dead set, so sequential losses fold into one barrier.
     pub fn adopt_world(&mut self) -> Vec<usize> {
         assert!(self.flags.recovery, "adopt_world requires recovery mode");
-        // lint: allow(unwrap): recovery mode implies checked mode (asserted at construction)
+        #[expect(clippy::expect_used, reason = "recovery mode implies checked mode")]
         let check = Arc::clone(self.check.as_ref().expect("recovery implies checked"));
         check.set_status(self.rank, RankStatus::Running);
         loop {
@@ -801,24 +802,24 @@ impl Ctx {
         if alive.len() <= 1 {
             return;
         }
+        #[expect(clippy::expect_used, reason = "a dead rank cannot call recover_sync")]
         let slot = alive
             .iter()
             .position(|&r| r == self.rank)
-            // lint: allow(unwrap): a dead rank cannot call recover_sync
             .expect("caller is alive");
         let succ = alive[(slot + 1) % alive.len()];
         let pred = alive[(slot + alive.len() - 1) % alive.len()];
         let wire = RECOVER_TAG + self.epoch;
         let mut h = 0xcbf2_9ce4_8422_2325_u64 ^ self.epoch;
         for &d in &self.dead {
-            h = h.wrapping_mul(0x1_0000_0001_b3).wrapping_add(d as u64 + 1);
+            h = h.wrapping_mul(0x0100_0000_01b3).wrapping_add(d as u64 + 1);
         }
         let payload = Payload::u64s(vec![self.epoch, h]);
         self.note_planned(RECOVER_TAG, 1, payload.bytes() as u64, true);
         self.send_internal(succ, wire, RECOVER_TAG, payload);
         let (_, got) = self.recv_internal(Some(pred), wire, RecvMode::Directed);
         if got.into_u64() != [self.epoch, h] {
-            // lint: allow(unwrap): recovery mode implies checked mode
+            #[expect(clippy::expect_used, reason = "recovery mode implies checked mode")]
             let check = Arc::clone(self.check.as_ref().expect("recovery implies checked"));
             let msg = check.fail(format!(
                 "recovery agreement mismatch at epoch {}: rank {} disagrees with rank {} about the dead set {:?}",
@@ -956,7 +957,7 @@ impl Ctx {
         // sees the receive's true `mode`, so forcing never hides a race.
         let from = from.or_else(|| self.sched.as_ref()?.forced_source(tag));
         if let Some(pos) = self.pending.iter().position(|e| wanted(e, from, tag)) {
-            // lint: allow(unwrap): the position came from a search of the same deque
+            #[expect(clippy::expect_used, reason = "the position came from this deque")]
             let env = self.pending.remove(pos).expect("position came from iter");
             return self.accept(env, mode);
         }
@@ -964,10 +965,10 @@ impl Ctx {
             return self.recv_checked(from, tag, mode);
         }
         loop {
+            #[expect(clippy::expect_used, reason = "every live rank holds a sender")]
             let env = self
                 .receiver
                 .recv()
-                // lint: allow(unwrap): every live rank holds a sender to this channel
                 .expect("all senders hung up while waiting");
             if let (Some(env), _) = self.admit(env, from, tag) {
                 return self.accept(env, mode);
@@ -1001,7 +1002,7 @@ impl Ctx {
     /// senders to re-ship, backing off exponentially for up to
     /// [`MAX_NACKS`] rounds before conceding the episode to the watchdog.
     fn recv_checked(&mut self, from: Option<usize>, tag: u64, mode: RecvMode) -> (usize, Payload) {
-        // lint: allow(unwrap): recv_checked is only entered in checked mode
+        #[expect(clippy::expect_used, reason = "only checked mode enters here")]
         let check = Arc::clone(self.check.as_ref().expect("checked mode"));
         let reliable = self.rel.is_some();
         if reliable {
@@ -1070,7 +1071,7 @@ impl Ctx {
             if let Some(report) = report {
                 // A match-order race is a protocol failure like a collective
                 // mismatch: store it as the primary diagnosis and abort.
-                // lint: allow(unwrap): hb exists only when check does
+                #[expect(clippy::expect_used, reason = "hb exists only when check does")]
                 let check = self.check.as_ref().expect("hb implies checked mode");
                 let msg = check.fail(report);
                 check.set_status(self.rank, RankStatus::Panicked);

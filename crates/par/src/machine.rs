@@ -291,7 +291,7 @@ impl MachineBuilder {
                      Ctx::killed()) and return a tombstone value instead of re-raising"
                 )
             };
-            // lint: allow(unwrap): the thread scope joined every rank
+            #[expect(clippy::expect_used, reason = "the thread scope joined every rank")]
             let exit = eslot.expect("rank exit not recorded");
             results.push(r);
             stats.messages += exit.counters.messages;
@@ -323,7 +323,7 @@ impl MachineBuilder {
         } else {
             let total_collectives: u64 = per_rank_collectives.iter().sum();
             assert!(
-                total_collectives % p as u64 == 0,
+                total_collectives.is_multiple_of(p as u64),
                 "ranks disagree on collective participation (per-rank counts: \
                  {per_rank_collectives:?}) — rerun under Machine::run_checked for a diagnosis"
             );
@@ -576,7 +576,7 @@ impl Machine {
         // each survivor re-logs the collectives it aborted and re-ran, so
         // the logs legitimately differ per rank (epoch-tagged wire tags
         // already enforce agreement within each epoch).
-        if !(flags.recovery && !killed.is_empty()) {
+        if !flags.recovery || killed.is_empty() {
             if let Some(divergence) = collective_divergence(&check.coll_logs()) {
                 panic!("commcheck: {divergence}");
             }

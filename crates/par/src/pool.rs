@@ -81,7 +81,7 @@ impl Pool {
         if c > MAX_CLASS {
             return;
         }
-        // lint: allow(unwrap): pool lock is never poisoned (no panics under it)
+        #[expect(clippy::unwrap_used, reason = "nothing panics under the pool lock")]
         let mut classes = self.classes.lock().unwrap();
         if classes.len() <= c {
             classes.resize_with(c + 1, || Vec::with_capacity(PER_CLASS));
@@ -98,7 +98,7 @@ impl Pool {
     pub fn take(&self, len: usize) -> Vec<f64> {
         let c = Self::class_for_len(len);
         if c <= MAX_CLASS {
-            // lint: allow(unwrap): pool lock is never poisoned (no panics under it)
+            #[expect(clippy::unwrap_used, reason = "nothing panics under the pool lock")]
             let mut classes = self.classes.lock().unwrap();
             if let Some(buf) = classes.get_mut(c).and_then(Vec::pop) {
                 return buf;
@@ -117,7 +117,7 @@ impl Pool {
             return; // oversized: drop
         }
         buf.clear();
-        // lint: allow(unwrap): pool lock is never poisoned (no panics under it)
+        #[expect(clippy::unwrap_used, reason = "nothing panics under the pool lock")]
         let mut classes = self.classes.lock().unwrap();
         if let Some(shelf) = classes.get_mut(c) {
             if shelf.len() < shelf.capacity() {
@@ -133,7 +133,7 @@ impl Pool {
     #[doc(hidden)]
     pub fn available(&self, len: usize) -> usize {
         let c = Self::class_for_len(len);
-        // lint: allow(unwrap): pool lock is never poisoned (no panics under it)
+        #[expect(clippy::unwrap_used, reason = "nothing panics under the pool lock")]
         let classes = self.classes.lock().unwrap();
         classes.get(c).map_or(0, Vec::len)
     }

@@ -146,7 +146,7 @@ impl RelState {
 
     /// Parks an out-of-order frame (idempotent for duplicate stashes).
     pub(crate) fn park(&mut self, env: Envelope) {
-        // lint: allow(unwrap): ingress classified the frame as Stashed, so seq is present
+        #[expect(clippy::expect_used, reason = "a stashed frame carries its sequence")]
         let seq = env.seq.expect("stashed frames carry a sequence number");
         self.stash[env.from].entry(seq).or_insert(env);
     }

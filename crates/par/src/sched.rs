@@ -137,8 +137,8 @@ impl SchedHandle {
     /// Drains the recorded wildcard-accept trace, in global accept order.
     /// Empty when the plan did not enable recording (or nothing wildcard
     /// was accepted).
+    #[expect(clippy::expect_used, reason = "nothing panics under the trace lock")]
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        // lint: allow(unwrap): trace pushes never panic while holding the lock
         std::mem::take(&mut *self.0.trace.lock().expect("trace lock poisoned"))
     }
 }
@@ -193,7 +193,7 @@ impl SchedSession {
         }
         if self.shared.plan.record {
             let mut trace = self.shared.trace.lock();
-            // lint: allow(unwrap): trace pushes never panic while holding the lock
+            #[expect(clippy::expect_used, reason = "nothing panics under the trace lock")]
             trace.as_mut().expect("trace lock poisoned").push(ev);
         }
     }

@@ -50,8 +50,8 @@ impl DistDiagonal {
     /// # Panics
     /// Panics on a zero or non-finite diagonal entry; use
     /// [`DistDiagonal::try_new`] for a typed error.
+    #[expect(clippy::expect_used, reason = "documented panic on unusable diagonals")]
     pub fn new(dm: &DistMatrix, local: &LocalView) -> Self {
-        // lint: allow(unwrap): documented panic on unusable diagonals
         Self::try_new(dm, local).expect("unusable diagonal")
     }
 

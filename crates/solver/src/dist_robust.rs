@@ -301,7 +301,7 @@ pub fn dist_solve_robust(
                     best = Some((idx, r));
                 }
             }
-            // lint: allow(unwrap): the unpreconditioned rung needs no factorization
+            #[expect(clippy::expect_used, reason = "the unpreconditioned rung always runs")]
             let (chosen, best) = best.expect("no rung of the ladder was solved");
             (best, attempts, chosen)
         }));

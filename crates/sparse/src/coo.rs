@@ -32,7 +32,7 @@ impl CooMatrix {
     /// Panics if a dimension exceeds `u32::MAX`.
     pub fn with_capacity(n_rows: usize, n_cols: usize, cap: usize) -> Self {
         for (n, what) in [(n_rows, "n_rows"), (n_cols, "n_cols")] {
-            // lint: allow(unwrap): documented panic past the 32-bit index range
+            #[expect(clippy::expect_used, reason = "documented panic past 32-bit indices")]
             narrow(n, what).expect("triplet matrix too large");
         }
         CooMatrix {
@@ -90,7 +90,7 @@ impl CooMatrix {
     /// # Panics
     /// Panics if more than `u32::MAX` triplets were pushed.
     pub fn to_csr(&self) -> CsrMatrix {
-        // lint: allow(unwrap): documented panic past the 32-bit index range
+        #[expect(clippy::expect_used, reason = "documented panic past 32-bit indices")]
         narrow(self.nnz(), "triplet count").expect("too many triplets");
         // Counting sort by row, then sort each row segment by column and
         // merge duplicates. `ptr[r]` starts as row r's first slot in

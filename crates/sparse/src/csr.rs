@@ -52,6 +52,7 @@ impl CsrMatrix {
     /// Panics if the arrays are inconsistent; use
     /// [`CsrMatrix::try_from_raw`] to validate untrusted input and get a
     /// typed error instead.
+    #[expect(clippy::expect_used, reason = "documented panic on invalid arrays")]
     pub fn from_raw(
         n_rows: usize,
         n_cols: usize,
@@ -59,7 +60,6 @@ impl CsrMatrix {
         col_idx: Vec<u32>,
         values: Vec<f64>,
     ) -> Self {
-        // lint: allow(unwrap): documented panic on inconsistent raw arrays
         Self::try_from_raw(n_rows, n_cols, row_ptr, col_idx, values).expect("invalid CSR arrays")
     }
 
@@ -94,7 +94,7 @@ impl CsrMatrix {
                 values.len()
             ));
         }
-        // lint: allow(unwrap): row_ptr has n_rows + 1 >= 1 entries, checked above
+        #[expect(clippy::unwrap_used, reason = "row_ptr holds n_rows + 1 entries")]
         let end = *row_ptr.last().unwrap() as usize;
         if end != col_idx.len() {
             return fail(format!(
@@ -140,7 +140,7 @@ impl CsrMatrix {
     /// # Panics
     /// Panics if `n` exceeds `u32::MAX`.
     pub fn identity(n: usize) -> Self {
-        // lint: allow(unwrap): documented panic past the 32-bit index range
+        #[expect(clippy::expect_used, reason = "documented panic past 32-bit indices")]
         let m = narrow(n, "n").expect("identity too large");
         CsrMatrix {
             n_rows: n,

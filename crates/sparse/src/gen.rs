@@ -38,7 +38,7 @@ impl RowWriter {
     /// (at most `nnz`) narrows losslessly.
     fn with_capacity(n: usize, nnz: usize) -> Self {
         for (count, what) in [(n, "n"), (nnz, "nnz")] {
-            // lint: allow(unwrap): a generator past the 32-bit range is a caller bug
+            #[expect(clippy::expect_used, reason = "past 32 bits is a caller bug")]
             narrow(count, what).expect("generated matrix too large");
         }
         let mut row_ptr = Vec::with_capacity(n + 1);
@@ -469,7 +469,6 @@ mod tests {
             |p: [isize; 3]| nodes.binary_search_by_key(&[p[2], p[1], p[0]], |q| [q[2], q[1], q[0]]);
         let mut coo = CooMatrix::new(nodes.len(), nodes.len());
         for (old, &p) in nodes.iter().enumerate() {
-            // lint: allow(unwrap): p is a domain node
             let si = sigma(p).unwrap();
             let mut diag = 0.0;
             for (axis, step) in [(0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)] {
@@ -479,7 +478,6 @@ mod tests {
                     Some(sj) => {
                         let w = 2.0 * si * sj / (si + sj);
                         diag += w;
-                        // lint: allow(unwrap): q is a domain node
                         coo.push(renum[old], renum[node_of(q).unwrap()], -w);
                     }
                     None => diag += si,

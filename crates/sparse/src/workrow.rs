@@ -36,7 +36,7 @@ impl Entry {
     /// Panics if `col` does not fit a `u32`.
     #[inline]
     pub fn new(col: usize, val: f64) -> Self {
-        // lint: allow(unwrap): documented panic: columns are 32-bit
+        #[expect(clippy::expect_used, reason = "documented panic: columns are 32-bit")]
         let col = u32::try_from(col).expect("Entry columns are 32-bit");
         Entry { col, val }
     }
@@ -76,7 +76,7 @@ impl WorkRow {
     /// # Panics
     /// Panics, before allocating, if `n` does not fit a `u32`.
     pub fn new(n: usize) -> Self {
-        // lint: allow(unwrap): documented panic: positions are 32-bit
+        #[expect(clippy::expect_used, reason = "documented panic: positions are 32-bit")]
         narrow(n, "WorkRow length").expect("WorkRow positions are 32-bit");
         WorkRow {
             values: vec![0.0; n],

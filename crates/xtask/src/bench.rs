@@ -345,8 +345,8 @@ pub(crate) const SCENARIOS: [Scenario; 14] = [
 
 // ---- Bodies ----------------------------------------------------------------
 
+#[expect(clippy::expect_used, reason = "bench problems factor by construction")]
 fn must<T>(r: Result<T, FactorError>) -> T {
-    // lint: allow(unwrap): bench problems factor by construction; a failure is fatal to the measurement
     r.expect("factorization failed")
 }
 
@@ -608,7 +608,7 @@ fn run_row(s: &Scenario, quick: bool) -> Measurement {
             }
         }
         (Body::Ranks(body), ranks) => {
-            // lint: allow(unwrap): a table invariant (unit-tested): every machine body names its ranks
+            #[expect(clippy::expect_used, reason = "every machine row names its ranks")]
             let dm = DistMatrix::from_matrix(a, ranks.expect("machine rows set ranks"), 17);
             machine_run(s, &dm, body, s.inner);
             let out = machine_run(s, &dm, body, 1);

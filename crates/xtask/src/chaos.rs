@@ -47,7 +47,7 @@ const WORKLOADS: &[&str] = &["factor", "trisolve"];
 /// probability 1 at a seed-chosen victim rank and comm-op, so a failure
 /// reproduces from its printed `(kind, seed, p)` triple.
 fn plan_for(work: &str, kind: &str, seed: u64, p: usize) -> FaultPlan {
-    let mut s = SplitMix64::new(seed ^ 0xc7a_5_u64.rotate_left(17));
+    let mut s = SplitMix64::new(seed ^ 0xc7a5_u64.rotate_left(17));
     let victim = (s.next_u64() % p as u64) as usize;
     // The trisolve workload arms its rules well past the factorization and
     // plan-build prefix, so fires land inside the `Halo` value rounds that

@@ -1,26 +1,14 @@
-//! `xtask lint`: repo-local rules that `rustc` and `clippy` (which is not
-//! guaranteed to exist in the offline toolchain) do not enforce.
+//! `xtask lint`: the repo-local rules that neither `rustc` nor clippy
+//! holds. Clippy holds `no-unwrap`, `no-hash-order`, `par-confinement` and
+//! `no-raw-comm` (the root `Cargo.toml`'s `[workspace.lints.clippy]` over
+//! the items of `clippy.toml`, run by `ci.sh` with `-D warnings`); their
+//! escape is `#[expect(clippy::<lint>, reason = "<why>")]`.
 //!
-//! * **no-unwrap** — `.unwrap()` / `.expect(` are forbidden in library
-//!   code. Recoverable paths must return `Result`; genuinely impossible
-//!   cases carry `// lint: allow(unwrap): <why>` on the same or the
-//!   previous line. Test code (`tests/`, `benches/`, `examples/`, and
-//!   everything after `#[cfg(test)]` or `#[cfg(all(test, …))]` in a
-//!   source file) is exempt.
 //! * **no-float-eq** — comparing against a float literal with `==`/`!=`
 //!   is forbidden in library code; use a tolerance or
 //!   `// lint: allow(float-eq): <why>` for exact-representation cases
 //!   (comparisons against zero where the value was assigned, not computed).
-//! * **par-confinement** — `std::thread` and channel types are allowed
-//!   only inside `crates/par`; every other crate must go through the
-//!   `Machine`/`Ctx` abstraction so the cost model sees all parallelism.
-//! * **no-raw-comm** — raw point-to-point traffic (`ctx.send(`,
-//!   `ctx.send_as(`, `ctx.recv(`, `ctx.recv_any(`) is allowed only inside
-//!   `crates/par` (which implements it) and the planned-exchange layer under
-//!   `crates/core/src/dist/exchange` (the module plus its `halo` child).
-//!   Everything else must route through a `CommPlan`, a `Halo` or a
-//!   collective, so every message is scheduled, counted, and replayable.
-//!   Escape hatch: `// lint: allow(raw-comm): <why>`.
+//!   Clippy's `float_cmp` judges other comparisons, so it is no substitute.
 //! * **no-untagged-send** — every `ctx.send` / `ctx.send_as` outside
 //!   `crates/par` passes a named tag, never an integer literal (see
 //!   [`untagged_send_violations`]).
@@ -55,15 +43,14 @@
 //!   other. `allocaudit` is exempt — it audits the whole process and is
 //!   not scanned — and so is `xtask`, a binary. Escape hatch:
 //!   `// lint: allow(global-state): <why>`.
-//! * **no-hash-order** — a `HashMap` / `HashSet` in the library code of
-//!   `core`, `solver`, `sparse` and `graph` is a violation: it iterates in
-//!   `RandomState` order, which changes from run to run, so determinism
-//!   would rest on every caller sorting. Use a sorted vector or an array
-//!   over the shared numbering. `par`'s checkers and `xtask` are harness
-//!   code and exempt. Escape hatch, for a map whose order never reaches an
-//!   output: `// lint: allow(hash-order): <why>`.
 //!
-//! The six per-line rules are the rows of [`LINE_RULES`], run by one loop;
+//! An escape `// lint: allow(<marker>)`, with `<marker>` the rule id
+//! without `no-`, covers its own line and the next. One that covers no
+//! finding is itself a violation (`stale-escape`), as an unfulfilled
+//! `#[expect]` is to clippy: both escape forms mean "this suppresses
+//! something" ([`apply_escapes`]).
+//!
+//! The two per-line rules are the rows of [`LINE_RULES`], run by one loop;
 //! the rules that need more than one line keep their own scanners, and
 //! every rule reports through [`Violation::new`].
 //!
@@ -142,7 +129,7 @@ impl fmt::Display for Violation {
 }
 
 /// The source trees the lint scans: the five algorithm crates, the root
-/// facade, and xtask itself — tooling is held to the same unwrap/float-eq
+/// facade, and xtask itself — tooling is held to the same float-eq
 /// discipline (its grep patterns live in string literals, which the rules
 /// blank out).
 const LIB_SRC: &[&str] = &[
@@ -193,19 +180,10 @@ fn manifest_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// True when line `i` (0-based) of `lines` carries the given allow marker
-/// on itself or on the previous line.
-fn allowed(lines: &[&str], i: usize, marker: &str) -> bool {
-    let tag = format!("lint: allow({marker})");
-    lines[i].contains(&tag) || (i > 0 && lines[i - 1].contains(&tag))
-}
-
 /// A rule that judges one line: it fires on a blanked code line of a file
-/// it applies to, unless that line or the one above carries
-/// `lint: allow(<marker>)`.
+/// it applies to.
 struct LineRule {
     id: &'static str,
-    marker: &'static str,
     /// Whether the rule covers the file, by its repo-relative label.
     applies: fn(&str) -> bool,
     /// Whether a blanked code line breaks the rule.
@@ -215,94 +193,106 @@ struct LineRule {
 /// Every per-line rule, in the order a line's findings are reported.
 const LINE_RULES: &[LineRule] = &[
     LineRule {
-        id: "no-unwrap",
-        marker: "unwrap",
-        applies: |_| true,
-        fires: |code| code.contains(".unwrap()") || code.contains(".expect("),
-    },
-    LineRule {
         id: "no-float-eq",
-        marker: "float-eq",
         applies: |_| true,
         fires: float_literal_cmp,
     },
     LineRule {
-        id: "par-confinement",
-        marker: "thread",
-        applies: outside_par,
-        fires: |code| {
-            ["std::thread", "mpsc", "thread::spawn"]
-                .iter()
-                .any(|p| code.contains(p))
-        },
-    },
-    LineRule {
-        id: "no-raw-comm",
-        marker: "raw-comm",
-        applies: |file| outside_par(file) && !file.starts_with("crates/core/src/dist/exchange"),
-        fires: |code| {
-            let calls = ["ctx.send(", "ctx.send_as(", "ctx.recv(", "ctx.recv_any("];
-            calls.iter().any(|call| code.contains(call))
-        },
-    },
-    LineRule {
         id: "no-global-state",
-        marker: "global-state",
         applies: |file| !file.starts_with("crates/xtask/"),
         fires: declares_static,
     },
-    LineRule {
-        id: "no-hash-order",
-        marker: "hash-order",
-        applies: |file| HASH_ORDER_SCOPE.iter().any(|dir| file.starts_with(dir)),
-        fires: |code| code.contains("HashMap") || code.contains("HashSet"),
-    },
 ];
 
-/// Every file but the VM crate's, which implements threads and raw
-/// messages.
+/// Every file but the VM crate's, which implements raw messages.
 fn outside_par(file: &str) -> bool {
     !file.starts_with("crates/par/")
 }
 
-/// The algorithm crates the `no-hash-order` rule covers; `par`'s checkers
-/// and `xtask` are harness code.
-const HASH_ORDER_SCOPE: &[&str] = &[
-    "crates/core/src",
-    "crates/solver/src",
-    "crates/sparse/src",
-    "crates/graph/src",
-];
-
 /// Source-code rules over one file, labelled by its repo-relative path.
 fn lint_source(label: &str, content: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
     let lines: Vec<&str> = content.lines().collect();
     // Lex the whole file once: the pattern rules below run on the blanked
     // text, where every comment, doc comment, and literal body is spaces,
-    // so prose can never trip a code rule. Allow markers and `///` doc
-    // detection intentionally read the *raw* lines — they live in comments.
+    // so prose can never trip a code rule. Escapes and `///` doc detection
+    // intentionally read the *raw* lines — they live in comments.
     let blanked = blank_noncode(content);
     let blanked_lines: Vec<&str> = blanked.lines().collect();
+    let code_len = (blanked_lines.iter())
+        .position(|code| opens_test_tail(code))
+        .unwrap_or(blanked_lines.len());
+    let code_lines = &blanked_lines[..code_len];
+    let mut found = Vec::new();
     let rules: Vec<&LineRule> = LINE_RULES.iter().filter(|r| (r.applies)(label)).collect();
-    let code_lines = lines.iter().zip(&blanked_lines).enumerate();
-    for (i, (raw, code)) in code_lines.take_while(|(_, (_, code))| !opens_test_tail(code)) {
+    for (i, code) in code_lines.iter().enumerate() {
         for rule in rules.iter().filter(|r| (r.fires)(code)) {
-            if !allowed(&lines, i, rule.marker) {
-                out.push(Violation::new(label, i + 1, rule.id, *raw));
-            }
+            found.push(Violation::new(label, i + 1, rule.id, lines[i]));
         }
         if label.starts_with("crates/") {
-            out.extend(missing_doc_violation(label, &lines, i, code));
+            found.extend(missing_doc_violation(label, &lines, i, code));
         }
     }
     // The tag-discipline rule runs over the whole blanked text rather than
     // per line: a call's argument list regularly spans lines.
     if outside_par(label) {
-        out.extend(untagged_send_violations(label, &lines, &blanked));
+        let sends = untagged_send_violations(label, &lines, &blanked);
+        found.extend(sends.into_iter().filter(|v| v.line <= code_len));
     }
-    out.extend(alloc_in_hot_violations(label, &lines, &blanked_lines));
+    found.extend(alloc_in_hot_violations(label, &lines, code_lines));
+    apply_escapes(label, &lines, code_lines, found)
+}
+
+/// Drops every finding that an escape `// lint: allow(<marker>)` covers
+/// (on the finding's line or the one above; `<marker>` is the rule id
+/// without `no-`), and reports every escape that covers none as a
+/// `stale-escape` violation: like an unfulfilled `#[expect]`, an escape
+/// that suppresses nothing would hide the next finding on its line.
+fn apply_escapes(
+    label: &str,
+    lines: &[&str],
+    code_lines: &[&str],
+    found: Vec<Violation>,
+) -> Vec<Violation> {
+    let escapes: Vec<(usize, &str)> = (code_lines.iter().enumerate())
+        .filter_map(|(i, code)| Some((i, escape_marker(lines[i], code)?)))
+        .collect();
+    let mut used = vec![false; escapes.len()];
+    let mut out = Vec::new();
+    for v in found {
+        let marker = v.rule.strip_prefix("no-");
+        // The escape on the finding's own line first, then the one above.
+        let on = |line: usize| {
+            escapes
+                .iter()
+                .position(|&(at, m)| at + 1 == line && Some(m) == marker)
+        };
+        match on(v.line).or_else(|| on(v.line - 1)) {
+            Some(k) => used[k] = true,
+            None => out.push(v),
+        }
+    }
+    for ((at, marker), _) in escapes.iter().zip(&used).filter(|(_, &used)| !used) {
+        let text = format!(
+            "{} — no `{marker}` finding on this line or the next",
+            lines[*at].trim()
+        );
+        out.push(Violation::new(label, at + 1, "stale-escape", text));
+    }
     out
+}
+
+/// The marker of the escape that the line comment of `raw` opens with, if
+/// any: `// lint: allow(<marker>)`. `code` is the blanked line, so a
+/// comment is where the code ends; a doc comment or a string that mentions
+/// an escape is none.
+fn escape_marker<'a>(raw: &'a str, code: &str) -> Option<&'a str> {
+    let code_chars = code.trim_end().chars().count();
+    let comment = raw
+        .char_indices()
+        .nth(code_chars)
+        .map_or("", |(at, _)| &raw[at..]);
+    let rest = comment.trim_start().strip_prefix("// lint: allow(")?;
+    rest.split_once(')').map(|(marker, _)| marker)
 }
 
 /// The declared hot modules of the `no-alloc-in-hot` rule: files whose
@@ -495,7 +485,7 @@ fn fn_decl_name(code: &str) -> Option<&str> {
 /// declared hot modules ([`HOT_MODULES`]). Escape hatch:
 /// `// lint: allow(alloc-in-hot): <why>` — for genuinely cold paths inside
 /// a hot file (error formatting, build-time setup the function list could
-/// not express).
+/// not express); [`apply_escapes`] applies it.
 fn alloc_in_hot_violations(label: &str, lines: &[&str], blanked_lines: &[&str]) -> Vec<Violation> {
     let Some((_, hot_fns)) = HOT_MODULES.iter().find(|(file, _)| *file == label) else {
         return Vec::new();
@@ -503,9 +493,6 @@ fn alloc_in_hot_violations(label: &str, lines: &[&str], blanked_lines: &[&str]) 
     let mut out = Vec::new();
     let mut in_hot_fn = false;
     for (i, code) in blanked_lines.iter().enumerate() {
-        if opens_test_tail(code) {
-            break;
-        }
         if let Some(name) = fn_decl_name(code) {
             in_hot_fn = hot_fns.contains(&name);
         }
@@ -513,11 +500,9 @@ fn alloc_in_hot_violations(label: &str, lines: &[&str], blanked_lines: &[&str]) 
             continue;
         }
         if let Some(tok) = hot_alloc_token(code) {
-            if !allowed(lines, i, "alloc-in-hot") {
-                let line = lines.get(i).copied().unwrap_or_default();
-                let text = format!("{tok} — {}", line.trim());
-                out.push(Violation::new(label, i + 1, "no-alloc-in-hot", text));
-            }
+            let line = lines.get(i).copied().unwrap_or_default();
+            let text = format!("{tok} — {}", line.trim());
+            out.push(Violation::new(label, i + 1, "no-alloc-in-hot", text));
         }
     }
     out
@@ -532,20 +517,12 @@ fn alloc_in_hot_violations(label: &str, lines: &[&str], blanked_lines: &[&str]) 
 /// For `send_as`, both the wire tag and the stats tag are checked.
 fn untagged_send_violations(label: &str, lines: &[&str], blanked: &str) -> Vec<Violation> {
     let mut out = Vec::new();
-    let blanked_lines: Vec<&str> = blanked.lines().collect();
-    let cutoff = blanked_lines
-        .iter()
-        .position(|l| opens_test_tail(l))
-        .unwrap_or(usize::MAX);
     for (call, tag_args) in [("ctx.send(", &[1usize][..]), ("ctx.send_as(", &[1, 2][..])] {
         let mut start = 0;
         while let Some(pos) = blanked[start..].find(call) {
             let at = start + pos;
             start = at + call.len();
             let line_idx = blanked[..at].bytes().filter(|&b| b == b'\n').count();
-            if line_idx >= cutoff || allowed(lines, line_idx, "untagged-send") {
-                continue;
-            }
             let args = &blanked[at + call.len()..];
             let literal = |&k: &usize| {
                 let arg = nth_top_level_arg(args, k);
@@ -930,26 +907,59 @@ mod tests {
     }
 
     #[test]
-    fn planted_unwrap_is_caught() {
-        let src = "fn f() {\n    let x = g().unwrap();\n    let y = h().expect(\"h\");\n}\n";
-        assert_eq!(
-            rules(&lint_source("crates/fake/src/a.rs", src)),
-            vec!["no-unwrap"; 2]
-        );
-    }
-
-    #[test]
-    fn allow_marker_suppresses_unwrap() {
-        let same = "fn f() { g().unwrap(); } // lint: allow(unwrap): infallible\n";
-        assert!(lint_source("crates/fake/src/a.rs", same).is_empty());
-        let above = "// lint: allow(unwrap): infallible\nfn f() { g().unwrap(); }\n";
-        assert!(lint_source("crates/fake/src/a.rs", above).is_empty());
-    }
-
-    #[test]
     fn test_module_tail_is_exempt() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { h().unwrap(); }\n}\n";
+        let src =
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g(x: f64) -> bool { x == 0.5 }\n}\n";
         assert!(lint_source("crates/fake/src/a.rs", src).is_empty());
+    }
+
+    #[test]
+    fn escapes_cover_their_line_and_the_next() {
+        let same = "fn f(x: f64) -> bool { x == 0.0 } // lint: allow(float-eq): assigned\n";
+        assert!(lint_source("crates/fake/src/a.rs", same).is_empty());
+        let above = "// lint: allow(float-eq): assigned\nfn f(x: f64) -> bool { x == 0.0 }\n";
+        assert!(lint_source("crates/fake/src/a.rs", above).is_empty());
+        // One escape per finding: the second comparison is reported.
+        let two = "// lint: allow(float-eq): assigned\nfn f(x: f64) -> bool {\n    x == 0.0\n}\n";
+        let got = lint_source("crates/fake/src/a.rs", two);
+        assert_eq!(rules(&got), vec!["no-float-eq", "stale-escape"]);
+        assert_eq!((got[0].line, got[1].line), (3, 1));
+    }
+
+    #[test]
+    fn stale_escapes_are_violations() {
+        // Planted: an escape with nothing to suppress on its line or the
+        // next, an escape of another rule than the one that fires, and an
+        // escape of a rule this lint does not hold.
+        for (src, line) in [
+            (
+                "fn f() {}\n// lint: allow(float-eq): was a comparison\nfn g() {}\n",
+                2,
+            ),
+            (
+                "fn f(x: f64) -> bool { x == 0.0 } // lint: allow(global-state): wrong rule\n",
+                1,
+            ),
+            (
+                "fn f() {} // lint: allow(no-such-rule): not a rule of this lint\n",
+                1,
+            ),
+        ] {
+            let got = lint_source("crates/fake/src/a.rs", src);
+            let stale: Vec<&Violation> = got.iter().filter(|v| v.rule == "stale-escape").collect();
+            assert_eq!(stale.len(), 1, "{src}");
+            assert_eq!(stale[0].line, line, "{src}");
+        }
+        // A used escape, a doc comment or string that mentions one, and an
+        // escape in the test tail are not stale.
+        for ok in [
+            "static R: u8 = 0; // lint: allow(global-state): the one registry\n",
+            "/// Write `// lint: allow(float-eq): <why>`.\nfn f() {}\n",
+            "fn f() -> &'static str { \"// lint: allow(float-eq)\" }\n",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    // lint: allow(float-eq): stale\n}\n",
+        ] {
+            assert!(lint_source("crates/core/src/a.rs", ok).is_empty(), "{ok}");
+        }
     }
 
     #[test]
@@ -978,47 +988,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_use_confined_to_par() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert_eq!(
-            rules(&lint_source("crates/fake/src/a.rs", src)),
-            vec!["par-confinement"]
-        );
-        assert!(lint_source("crates/par/src/a.rs", src).is_empty());
-    }
-
-    #[test]
     fn string_and_comment_content_does_not_fire() {
-        let src = "fn f() { let s = \".unwrap() == 0.0 mpsc\"; } // .unwrap() std::thread\n";
+        let src = "fn f() { let s = \"x == 0.0 static X\"; } // y == 1.5; static Y\n";
         assert!(lint_source("crates/fake/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn raw_comm_confined_to_par_and_exchange() {
-        let src =
-            "fn f(ctx: &mut Ctx) { ctx.send(1, tags::SPMV, p); let _ = ctx.recv(0, tags::SPMV); }\n";
-        assert_eq!(
-            rules(&lint_source("crates/core/src/dist/op.rs", src)),
-            vec!["no-raw-comm"; 1]
-        );
-        assert!(lint_source("crates/par/src/ctx.rs", src).is_empty());
-        assert!(lint_source("crates/core/src/dist/exchange.rs", src).is_empty());
-        let allowed = "// lint: allow(raw-comm): bootstrap handshake\nfn f(ctx: &mut Ctx) { ctx.send(1, tags::SPMV, p); }\n";
-        assert!(lint_source("crates/core/src/a.rs", allowed).is_empty());
-    }
-
-    #[test]
-    fn raw_comm_covers_every_point_to_point_entry() {
-        // `send_as` and `recv_any` are raw traffic as much as `send` and
-        // `recv`: one finding per line, wherever a plan is required.
-        let src = "fn f(ctx: &mut Ctx) {\n    ctx.send_as(1, wire, tags::SPMV, p);\n    let (_, _) = ctx.recv_any(tags::SPMV);\n}\n";
-        for label in ["crates/solver/src/a.rs", "crates/graph/src/a.rs"] {
-            let got = lint_source(label, src);
-            assert_eq!(rules(&got), vec!["no-raw-comm"; 2], "{label}");
-            assert_eq!((got[0].line, got[1].line), (2, 3), "{label}");
-        }
-        assert!(lint_source("crates/par/src/ctx.rs", src).is_empty());
-        assert!(lint_source("crates/core/src/dist/exchange/halo.rs", src).is_empty());
     }
 
     #[test]
@@ -1132,10 +1104,10 @@ mod tests {
     #[test]
     fn lexer_blanks_block_comments_and_raw_strings() {
         // Every construct the old per-line stripper could not see.
-        let src = "fn f() {\n    /* x.unwrap()\n       still comment */\n    let s = r#\"g().unwrap() == 0.0\"#;\n    let b = b\".expect(\";\n}\n";
+        let src = "fn f() {\n    /* x == 0.0\n       still comment */\n    let s = r#\"g() == 0.0\"#;\n    let b = b\"static X\";\n}\n";
         assert!(lint_source("crates/fake/src/a.rs", src).is_empty());
         // Nested block comments stay blanked to the outermost close.
-        let nested = "fn f() {\n    /* a /* b.unwrap() */ c.unwrap() */\n}\n";
+        let nested = "fn f() {\n    /* a /* b == 0.0 */ c == 1.0 */\n}\n";
         assert!(lint_source("crates/fake/src/a.rs", nested).is_empty());
     }
 
@@ -1143,10 +1115,10 @@ mod tests {
     fn lexer_handles_char_literals_and_lifetimes() {
         // `'"'` must not open a string; lifetimes must not open a char
         // literal that swallows the rest of the file.
-        let src = "fn f<'a>(x: &'a str) -> bool {\n    let q = '\"';\n    let e = '\\'';\n    x.contains(q) && g().unwrap()\n}\n";
+        let src = "fn f<'a>(x: &'a str) -> bool {\n    let q = '\"';\n    let e = '\\'';\n    x.contains(q) && g() == 0.5\n}\n";
         assert_eq!(
             rules(&lint_source("crates/fake/src/a.rs", src)),
-            vec!["no-unwrap"]
+            vec!["no-float-eq"]
         );
     }
 
@@ -1160,10 +1132,10 @@ mod tests {
 
     #[test]
     fn cfg_test_inside_a_string_does_not_start_the_test_tail() {
-        let src = "fn f() { let s = \"#[cfg(test)]\"; }\nfn g() { h().unwrap(); }\n";
+        let src = "fn f() { let s = \"#[cfg(test)]\"; }\nfn g() -> bool { h() == 0.5 }\n";
         assert_eq!(
             rules(&lint_source("crates/fake/src/a.rs", src)),
-            vec!["no-unwrap"]
+            vec!["no-float-eq"]
         );
     }
 
@@ -1196,40 +1168,6 @@ mod tests {
             "fn f<T: 'static>(x: T) { let statics = 1; let _ = x; }\n",
             "// lint: allow(global-state): the one process-wide registry\nstatic R: u8 = 0;\n",
             "fn f() {}\n#[cfg(test)]\nmod tests {\n    static LOCK: Mutex<()> = Mutex::new(());\n}\n",
-        ] {
-            assert!(lint_source("crates/core/src/a.rs", ok).is_empty(), "{ok}");
-        }
-    }
-
-    #[test]
-    fn hash_order_is_caught_in_the_algorithm_crates() {
-        let bad = "fn f() {\n    let m: HashMap<usize, usize> = HashMap::new();\n}\n";
-        let got = lint_source("crates/core/src/dist/op.rs", bad);
-        assert_eq!(rules(&got), vec!["no-hash-order"]);
-        assert_eq!(
-            (got[0].file.as_str(), got[0].line),
-            ("crates/core/src/dist/op.rs", 2)
-        );
-        let set = "use std::collections::HashSet;\n";
-        for label in [
-            "crates/solver/src/a.rs",
-            "crates/sparse/src/a.rs",
-            "crates/graph/src/a.rs",
-        ] {
-            assert_eq!(rules(&lint_source(label, set)), vec!["no-hash-order"]);
-        }
-        // Harness crates are exempt.
-        assert!(lint_source("crates/par/src/hb.rs", bad).is_empty());
-        assert!(lint_source("crates/xtask/src/paper.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn allowed_and_test_only_hash_maps_are_fine() {
-        for ok in [
-            "// lint: allow(hash-order): the rows are sorted before use\nfn f(m: &HashMap<usize, usize>) {}\n",
-            "fn f(m: &HashMap<usize, usize>) {} // lint: allow(hash-order): lookups only\n",
-            "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n",
-            "/// Not a `HashMap`.\nfn f() { let s = \"HashSet\"; }\n",
         ] {
             assert!(lint_source("crates/core/src/a.rs", ok).is_empty(), "{ok}");
         }
@@ -1287,7 +1225,7 @@ mod tests {
     #[test]
     fn feature_gated_test_modules_are_test_tails_too() {
         let src = "fn f() {}\n#[cfg(all(test, feature = \"audit\"))]\nmod tests {\n    \
-                   fn t() { g().unwrap(); }\n}\n";
+                   fn t() -> bool { g() == 0.5 }\n}\n";
         assert_eq!(crate::code_and_test_lines(src), (1, 4));
         assert!(lint_source("crates/fake/src/a.rs", src).is_empty());
         // Any other `all(…)` is still code.
@@ -1295,7 +1233,7 @@ mod tests {
         assert_eq!(crate::code_and_test_lines(&code), (5, 0));
         assert_eq!(
             rules(&lint_source("crates/fake/src/a.rs", &code)),
-            vec!["no-unwrap"]
+            vec!["no-float-eq"]
         );
     }
 }

@@ -1,8 +1,11 @@
 //! `xtask` — in-repo workspace automation:
 //!
-//! * `cargo run -p xtask -- lint` — the repo-local lint: one table of
-//!   per-line rules plus the scanners that need more than a line (see
-//!   [`lint`]).
+//! * `cargo run -p xtask -- lint` — the repo-local rules clippy lacks: one
+//!   table of per-line rules plus the scanners that need more than a line
+//!   (see [`lint`]). Clippy holds `no-unwrap`, `no-hash-order`,
+//!   `par-confinement` and `no-raw-comm` (the root `Cargo.toml`'s
+//!   `[workspace.lints.clippy]` and `clippy.toml`); their escape is
+//!   `#[expect(clippy::<lint>, reason = "…")]`.
 //! * `cargo run -p xtask --release -- chaos [--recover] [--quick]` — the
 //!   seeded fault-injection regression suite (see [`chaos`]).
 //! * `cargo run -p xtask --release -- schedcheck [--quick]` — the
@@ -52,8 +55,11 @@ fn main() -> ExitCode {
     }
 }
 
+/// One subcommand: its arguments in, a one-line error out.
+type Task = fn(&[String]) -> Result<(), String>;
+
 /// The task a subcommand names; `None` is a usage error.
-fn task(cmd: &str) -> Option<fn(&[String]) -> Result<(), String>> {
+fn task(cmd: &str) -> Option<Task> {
     Some(match cmd {
         "chaos" => chaos::run,
         "schedcheck" => schedcheck::run,
@@ -136,13 +142,12 @@ fn loc_task(_args: &[String]) -> Result<(), String> {
 
 /// The repo root, resolved from this crate's manifest directory so the
 /// task works from any working directory.
+#[expect(clippy::unwrap_used, reason = "CARGO_MANIFEST_DIR is two levels deep")]
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
-        // lint: allow(unwrap): CARGO_MANIFEST_DIR is compile-time and two levels deep
         .unwrap()
         .parent()
-        // lint: allow(unwrap): CARGO_MANIFEST_DIR is compile-time and two levels deep
         .unwrap()
         .to_path_buf()
 }

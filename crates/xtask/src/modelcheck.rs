@@ -83,8 +83,11 @@ fn plan_of(forces: &[Force]) -> SchedulePlan {
 /// The Mazurkiewicz-trace signature: per `(receiver, tag)`, the source
 /// sequence its wildcard receives matched. Two runs with equal signatures
 /// are the same trace — every other event pair commutes.
-fn signature(trace: &[TraceEvent]) -> BTreeMap<(usize, u64), Vec<usize>> {
-    let mut sig: BTreeMap<(usize, u64), Vec<usize>> = BTreeMap::new();
+type Signature = BTreeMap<(usize, u64), Vec<usize>>;
+
+/// The [`Signature`] of one recorded trace.
+fn signature(trace: &[TraceEvent]) -> Signature {
+    let mut sig = Signature::new();
     for ev in trace {
         sig.entry((ev.rank, ev.tag)).or_default().push(ev.from);
     }
@@ -161,8 +164,7 @@ fn explore<R>(runner: &R) -> Result<SpaceReport, String>
 where
     R: Fn(MachineBuilder) -> Fingerprint,
 {
-    let mut visited: std::collections::BTreeSet<Vec<((usize, u64), Vec<usize>)>> =
-        std::collections::BTreeSet::new();
+    let mut visited: std::collections::BTreeSet<Signature> = std::collections::BTreeSet::new();
     let mut tried: std::collections::BTreeSet<Vec<Force>> = std::collections::BTreeSet::new();
     let mut stack: Vec<Vec<Force>> = vec![Vec::new()];
     tried.insert(Vec::new());
@@ -191,8 +193,7 @@ where
                         }
                     }
                 }
-                let sig: Vec<((usize, u64), Vec<usize>)> = signature(&trace).into_iter().collect();
-                if !visited.insert(sig) {
+                if !visited.insert(signature(&trace)) {
                     continue; // equivalent trace already expanded
                 }
                 for alt in expansions(&trace) {
@@ -264,19 +265,18 @@ const MUTANT_TAG: u64 = 7;
 /// their own envelopes under one tag, and the receiver takes them with
 /// `recv_any` — the per-payload sparse all-to-all's match-order race,
 /// reintroduced on purpose.
+#[expect(clippy::disallowed_methods, reason = "the mutant race is raw traffic")]
 fn mutant_runner(p: usize) -> impl Fn(MachineBuilder) -> Fingerprint {
     move |builder| {
         Fingerprint::of(builder.run(p, |ctx| {
             let mut h = 0x5eed_0003u64;
             if ctx.rank() == 0 {
                 for v in [1, 2] {
-                    // lint: allow(raw-comm): the seeded race needs two envelopes on one tag
                     ctx.send(p - 1, MUTANT_TAG, Payload::u64s(vec![v]));
                 }
             }
             if ctx.rank() == p - 1 {
                 for _ in 0..2 {
-                    // lint: allow(raw-comm): a wildcard receive is the race's other half
                     let (src, payload) = ctx.recv_any(MUTANT_TAG);
                     fold(&mut h, src as u64);
                     for v in payload.into_u64() {

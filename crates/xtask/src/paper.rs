@@ -34,7 +34,7 @@
 //! `paper` and `--record` rewrite every block ([`splice`]) after writing
 //! their tier; `--check` diffs every block and names the doc line.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -398,8 +398,8 @@ fn spmd<R: Send>(
     Machine::run(dm.dist().n_ranks(), model, on_rank)
 }
 
+#[expect(clippy::expect_used, reason = "the paper's problems all factor")]
 fn factor(ctx: &mut Ctx, dm: &DistMatrix, local: &LocalView, opts: &IlutOptions) -> RankFactors {
-    // lint: allow(unwrap): the paper's problems factor by construction; a failure is fatal to the table
     par_ilut(ctx, dm, local, opts).expect("factorization failed")
 }
 
@@ -457,12 +457,12 @@ type Sweep<R> = Rc<Vec<(IlutOptions, Vec<R>)>>;
 /// figure derived from a table's sweep reuses the table's runs.
 #[derive(Default)]
 struct Runs {
-    factor: HashMap<String, Sweep<FactorRun>>,
-    trisolve: HashMap<String, Sweep<SolveRun>>,
+    factor: BTreeMap<String, Sweep<FactorRun>>,
+    trisolve: BTreeMap<String, Sweep<SolveRun>>,
 }
 
 fn sweep<R>(
-    cache: &mut HashMap<String, Sweep<R>>,
+    cache: &mut BTreeMap<String, Sweep<R>>,
     e: &Experiment,
     family: Family,
     size: Size,
@@ -497,13 +497,13 @@ impl Precond {
     }
 
     /// This rank's share of the factorization (none for the diagonal).
+    #[expect(clippy::expect_used, reason = "the paper's problems all factor")]
     fn factor(&self, ctx: &mut Ctx, dm: &DistMatrix, local: &LocalView) -> Option<RankFactors> {
         let rf = match self {
             Precond::Diagonal => return None,
             Precond::Ilu0 => par_ilu0(ctx, dm, local),
             Precond::Ilut(o) => par_ilut(ctx, dm, local, o),
         };
-        // lint: allow(unwrap): the paper's problems factor by construction; a failure is fatal to the table
         Some(rf.expect("factorization failed"))
     }
 }
@@ -518,6 +518,7 @@ struct GmresRun {
     converged: bool,
 }
 
+#[expect(clippy::expect_used, reason = "Machine::run panics on p = 0")]
 fn run_gmres(dm: &DistMatrix, pre: &Precond, restart: usize) -> GmresRun {
     let gopts = GmresOptions {
         restart,
@@ -551,7 +552,6 @@ fn run_gmres(dm: &DistMatrix, pre: &Precond, restart: usize) -> GmresRun {
             converged: r.converged,
         }
     });
-    // lint: allow(unwrap): Machine::run panics on p = 0, so rank 0's result exists
     out.results.into_iter().next().expect("rank 0 result")
 }
 
@@ -725,7 +725,7 @@ fn fig1(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
         let schedule = ilu0.map(|rf| rf.levels).unwrap_or_default();
         (schedule, rf.initial_reduced_cols, rf.stats.levels)
     });
-    let (mut sizes, mut colour) = (vec![0; run.results[0].0.len()], HashMap::new());
+    let (mut sizes, mut colour) = (vec![0; run.results[0].0.len()], BTreeMap::new());
     for (c, level) in run.results.iter().flat_map(|r| r.0.iter().enumerate()) {
         sizes[c] += level.len();
         colour.extend(level.iter().map(|&v| (v, c)));
@@ -809,7 +809,7 @@ fn fig3(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     let q = factors[0].levels.len();
 
     // Block index per node: blocks 0..p are rank interiors, p + l is level l.
-    let mut block_of: HashMap<usize, usize> = HashMap::new();
+    let mut block_of: BTreeMap<usize, usize> = BTreeMap::new();
     for (r, f) in factors.iter().enumerate() {
         block_of.extend(f.interior.iter().map(|&v| (v, r)));
         for (l, level) in f.levels.iter().enumerate() {
@@ -994,15 +994,15 @@ fn levels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     ];
     let ilut = (e.grid)().into_iter().map(Precond::Ilut);
     let section = |pre: Precond| {
+        #[expect(clippy::expect_used, reason = "every method of this table factors")]
         let run = spmd(&dm, MachineModel::cray_t3d(), |ctx, local| {
-            // lint: allow(unwrap): every method of this table factors
             pre.factor(ctx, &dm, local).expect("a factorization").stats
         });
         let slowest = (0..p).max_by(|&a, &b| {
             let (ta, tb) = (run.stats.rank_times[a], run.stats.rank_times[b]);
             ta.total_cmp(&tb).then(b.cmp(&a))
         });
-        // lint: allow(unwrap): Machine::run panics on p = 0
+        #[expect(clippy::expect_used, reason = "Machine::run panics on p = 0")]
         let slowest = slowest.expect("p > 0");
         let slow = &run.results[slowest];
         // One table row from one entry per rank.

@@ -78,7 +78,7 @@ fn rule_names(work: &str) -> &'static [&'static str] {
 /// regenerated from the seed rather than cloned, so any subset reproduces
 /// the full plan's parameters exactly.
 fn schedule_plan(seed: u64, p: usize, mask: u8) -> FaultPlan {
-    let mut s = SplitMix64::new(seed ^ 0x5eed_5c4e_du64.rotate_left(13));
+    let mut s = SplitMix64::new(seed ^ 0x0005_eed5_c4ed_u64.rotate_left(13));
     // Always draw in the same order so a subset keeps the full plan's
     // victim ranks and offsets.
     let reorder_victim = (s.next_u64() % p as u64) as usize;
@@ -111,7 +111,7 @@ fn schedule_plan(seed: u64, p: usize, mask: u8) -> FaultPlan {
 /// legal to absorb because the trial runs under reliable delivery. Same
 /// subset-stability contract as [`schedule_plan`].
 fn lossy_plan(seed: u64, p: usize, mask: u8) -> FaultPlan {
-    let mut s = SplitMix64::new(seed ^ 0x10c5_5b1a_du64.rotate_left(17));
+    let mut s = SplitMix64::new(seed ^ 0x0001_0c55_b1ad_u64.rotate_left(17));
     let drop_sender = (s.next_u64() % p as u64) as usize;
     let dup_sender = (s.next_u64() % p as u64) as usize;
     let reorder_victim = (s.next_u64() % p as u64) as usize;

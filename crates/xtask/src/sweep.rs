@@ -9,7 +9,7 @@
 //! schedules of `mis`, `factor`, `trisolve`, `gmres` and `reliable`;
 //! modelcheck enumerates those of `spmv`, `mis`, `trisolve` and `factor`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 
 use pilut_core::dist::op::{DistCsr, DistOperator};
@@ -309,7 +309,8 @@ pub fn run_workload(
             // — the same call sequence the factorization's level loop
             // makes, without the elimination around it, so schedule and
             // fault perturbations aim squarely at the delta protocol.
-            let reduced_cols: HashMap<usize, Vec<usize>> = dm
+            #[expect(clippy::disallowed_types, reason = "the MIS door sorts what it reads")]
+            let reduced_cols: std::collections::HashMap<usize, Vec<usize>> = dm
                 .dist()
                 .rows_of(ctx.rank())
                 .map(|g| {
@@ -320,8 +321,8 @@ pub fn run_workload(
                 })
                 .collect();
             let plan = build_level_links(ctx, dm.dist(), &reduced_cols);
+            #[expect(clippy::expect_used, reason = "sweep frames are well-formed")]
             let mis = dist_mis(ctx, &plan, &reduced_cols, 0x5eed, 0, 5)
-                // lint: allow(unwrap): sweep frames are well-formed by construction; a protocol error here is a real bug
                 .expect("sweep MIS must decode its own frames");
             let mut h = 0x5eed_0003u64;
             for v in &mis.my_in {
@@ -332,7 +333,7 @@ pub fn run_workload(
             }
             return h;
         }
-        // lint: allow(unwrap): the sweep matrices factor cleanly; corrupted runs die in the VM's diagnosis
+        #[expect(clippy::expect_used, reason = "the sweep matrices factor cleanly")]
         let rf = par_ilut(ctx, dm, &local, &opts).expect("sweep workload must factor");
         match work {
             "factor" => factor_checksum(&rf),
