@@ -40,14 +40,17 @@ cargo run -q -p xtask -- loc
 echo "==> release build"
 cargo build --workspace --release
 
-# The tests include the quick forms of the sweep suites (chaos, chaos
-# --recover, schedcheck, modelcheck), each as one #[test] of xtask.
+# The tests run the sweep suites at their one size, the full one: chaos's
+# destructive and recovery sweeps, schedcheck and modelcheck, as #[test]s
+# of xtask.
 echo "==> tests"
 cargo test --workspace -q
 
-# A doc comment that links to a deleted or renamed item is red CI.
-echo "==> doc links (cargo doc, broken intra-doc links denied)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
+# A doc comment that links to a deleted or renamed item, or public docs
+# that link a private item (a dead link for readers), is red CI.
+echo "==> doc links (cargo doc, broken and private intra-doc links denied)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps -q
 
 # The benchmark crate is outside the workspace and pins a slice of the
 # public surface (CsrMatrix::{n_rows, nnz, spmv, spmv_owned} and Clone,
@@ -66,12 +69,15 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 echo "==> benchmark crate (pinned API surface)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-# The paper's tables and figures at CI size, plus the per-level attribution
-# of the three factorizations (levels.txt) and the kernel gate (kernels.txt):
-# simulated time and every count in them are bit-reproducible, so the
-# committed experiments/ci/*.txt must regenerate exactly. Before kernels.txt
-# is diffed, the gate runs every scenario of the kernel table at its quick
-# size, untimed, and fails the stage, naming scenario and tag or region, on
+# The paper's tables and figures, plus the per-level attribution of the
+# three factorizations (levels.txt) and the kernel gate (kernels.txt):
+# simulated time and every count in them are bit-reproducible, so they must
+# regenerate exactly. The seven rows cheap at their one size (fig1-3,
+# ablation_partition, baseline_ilu0, levels, kernels) are diffed against
+# experiments/*.txt; Tables 1-3, Figs 4-6 and ablation_comm against their
+# CI stand-ins in experiments/ci/*.txt. Before kernels.txt is diffed,
+# the gate runs every scenario of the kernel table, untimed, and fails the
+# stage, naming scenario and tag or region, on
 #   - planned != measured traffic for any tag, or an unplanned tag;
 #   - any heap acquisition in a steady region;
 #   - the mis_rounds, alg42_sweep or plan_replay allocation budgets exceeded;
@@ -79,13 +85,12 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 #     per entry, par_ilut live bytes per factor byte), or a serial row
 #     putting anything on the wire;
 #   - a gated region that no scenario entered.
-# `xtask paper --record` gates the full sizes the same way. README.md and
-# EXPERIMENTS.md quote experiments/ files in blocks between
+# README.md and EXPERIMENTS.md quote experiments/ files in blocks between
 # `<!-- experiments/<file>.txt[#fragment] -->` and `<!-- end -->`; the check
 # also diffs every block against the committed file and fails at its
-# doc:line. A change that moves them re-blesses with
-# `xtask paper` (and `xtask paper --record` for experiments/*.txt), which
-# re-renders every block too, and shows the moved numbers in its diff.
+# doc:line. A change that moves them re-blesses with `xtask paper` (and
+# `xtask paper --record` for the stand-ins' rows of experiments/*.txt),
+# which re-renders every block too, and shows the moved numbers in its diff.
 echo "==> paper --check (Tables 1-3, Figures 1-6, ablations, levels, kernel gate, doc blocks; exact diff)"
 cargo run -q -p xtask --release -- paper --check
 

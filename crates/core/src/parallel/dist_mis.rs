@@ -77,7 +77,7 @@
 //!
 //! # The kernel: level slots, a candidate frontier, one pricing rule
 //!
-//! [`LevelMis`] keeps a level over **slots**, in buffers the factorization
+//! `LevelMis` keeps a level over **slots**, in buffers the factorization
 //! owns and refills per level (DESIGN §13.1 has the rationale):
 //!
 //! ```text

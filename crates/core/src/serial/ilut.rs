@@ -1,7 +1,7 @@
 //! The serial ILUT(m, t) factorization — paper Algorithm 2.1 (after Saad).
 //!
 //! This is the one-rank case of [`crate::parallel::par_ilut`]'s interior
-//! phase: every row runs through the same [`IlutRow`] kernel, with identity
+//! phase: every row runs through the same `IlutRow` kernel, with identity
 //! slot numbering and nobody listening to the work charges. Serial
 //! [`crate::serial::ilu0()`] is the same driver under the fixed-pattern
 //! rule.

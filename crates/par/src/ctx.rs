@@ -58,7 +58,7 @@ pub struct Envelope {
     /// Collective op piggybacked on reserved-tag traffic (order checking).
     pub coll_kind: Option<CollKind>,
     /// Sender's vector clock at send time — the happens-before stamp the
-    /// match-order race detector compares (see [`crate::hb`]). `None` on
+    /// match-order race detector compares (see `pilut_par::hb`). `None` on
     /// the zero-overhead production path.
     pub vclock: Option<Vec<u64>>,
     /// Per-link sequence number under reliable delivery (see
@@ -916,7 +916,7 @@ impl Ctx {
     /// result depends on it is schedule-dependent. Under checked mode this
     /// receive is treated as **order-sensitive**: the happens-before race
     /// detector reports any pair of concurrent candidate messages for the
-    /// same `(rank, tag)` as a match-order race (see [`crate::hb`]). Callers
+    /// same `(rank, tag)` as a match-order race (see `pilut_par::hb`). Callers
     /// that canonicalize the result afterwards (like the internal sparse
     /// all-to-all, which sorts by source) receive through the same loop
     /// declared order-insensitive instead. A model-checker schedule script

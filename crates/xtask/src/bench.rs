@@ -2,10 +2,9 @@
 //! over the kernels, run by `xtask paper`'s `kernels` experiment.
 //!
 //! [`SCENARIOS`] is the whole configuration: one row per scenario with its
-//! matrix, its two sizes (quick for `paper`'s CI tier, full for its record
-//! tier), `ranks` (`None` = a serial kernel, `Some(p)` = `p` ranks of the
-//! simulated machine), the ILUT
-//! options, the operations per audit pass, and one body. Every row runs
+//! matrix and grid side, `ranks` (`None` = a serial kernel, `Some(p)` = `p`
+//! ranks of the simulated machine), the ILUT options, the operations per
+//! audit pass, and one body. Every row runs
 //! its body twice, untimed: an **audit pass** of `inner` back-to-back
 //! operations, which replays each steady region more than once, and the
 //! **facts pass**. A serial kernel is built once — the build establishes
@@ -99,9 +98,9 @@ const UROWS_ALLOCS_PER_MESSAGE: u64 = 2;
 /// staged `L`, held to `2m` entries, and its reduced row — and each takes
 /// a quarter more than it needs when it must grow, so a row pays for
 /// growth a few times in its life and never per touch. Measured on the
-/// machine rows: 2.6–2.9 at full size, up to 3.7 at quick size,
-/// against 16.0 (p = 4) / 18.6 (p = 8) for the two exact-size copies per
-/// row-touch that preceded it; three growths per buffer is the budget.
+/// machine rows: 2.6–2.9, against 16.0 (p = 4) / 18.6 (p = 8) for the two
+/// exact-size copies per row-touch that preceded it; three growths per
+/// buffer is the budget.
 const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 
 /// Most bytes `distribute_p8` may hold at once, per byte of its matrix
@@ -109,23 +108,21 @@ const SWEEP_GROWTHS_PER_ROW: u64 = 6;
 /// — the deepest coarsening level — are the matrix `DistMatrix` will keep
 /// (1.0), the structure graph (0.31: 32-bit offsets and ids, no unit
 /// weights) and the coarsening hierarchy (a geometric sum of graphs that
-/// store their weights) with one level's 32-bit scratch (1.09):
-/// 2.398 at full size, 2.373 at quick size, 8 810 696 / 238 464 live
-/// bytes. With `usize` offsets and a stored unit weight per arc and per
-/// vertex the graph was 0.69 and the total 2.847 / 2.820 (10 463 916 /
-/// 283 340); against the `usize` matrix it read 2.343 / 2.323. With
-/// `usize` graph ids and `i64` weights the partitioner held 3.49 / 3.46 of
-/// a `usize` matrix, and with the transpose and the symmetrised copy
-/// behind the graph, the partitioner's clone of it and the symmetrised
-/// copy in `DistMatrix` 5.04 / 5.18 (EXPERIMENTS.md at 039f5b3).
+/// store their weights) with one level's 32-bit scratch (1.09): 2.398,
+/// 8 810 696 live bytes. With `usize` offsets and a stored unit weight per
+/// arc and per vertex the graph was 0.69 and the total 2.847 (10 463 916);
+/// against the `usize` matrix it read 2.343. With `usize` graph ids and
+/// `i64` weights the partitioner held 3.49 of a `usize` matrix, and with
+/// the transpose and the symmetrised copy behind the graph, the
+/// partitioner's clone of it and the symmetrised copy in `DistMatrix` 5.04
+/// (EXPERIMENTS.md at 039f5b3).
 const DISTRIBUTE_LIVE_PER_INPUT: f64 = 2.40;
 
 /// Most heap bytes a row's matrix may hold per stored entry
 /// ([`CsrMatrix::heap_bytes`] over `nnz`). A `usize` column id beside its
 /// `f64` value is 16 B per entry before any row pointer is counted, so a
 /// matrix above 16 carries a 64-bit index per entry. With `u32` row
-/// pointers and column ids the rows read 12.82 to 12.86 at quick size
-/// and 12.80 to 12.82 at full size; with `usize` ones, 17.63 to 17.73 and
+/// pointers and column ids the rows read 12.80 to 12.82; with `usize` ones,
 /// 17.61 to 17.64.
 const MATRIX_BYTES_PER_ENTRY: f64 = 16.0;
 
@@ -134,9 +131,7 @@ const MATRIX_BYTES_PER_ENTRY: f64 = 16.0;
 /// `usize` slot beside its `f64` value is 16 B per strict entry before any
 /// pivot, row pointer or node list is counted, so a store above 16 carries
 /// a 64-bit index per entry. With `u32` slots and row pointers the rows
-/// read 12.60 (`dist_trisolve_p1`) to 15.39 (`par_ilut_star_p8`) at
-/// quick size and 12.58 to 13.10 at full size; with `usize` ones, 16.80
-/// to 19.67 and 16.77 to 17.32.
+/// read 12.58 to 13.10; with `usize` ones, 16.77 to 17.32.
 const FACTOR_BYTES_PER_ENTRY: f64 = 16.0;
 
 /// Most bytes `par_ilut` may hold at once per heap byte of the factors it
@@ -145,12 +140,11 @@ const FACTOR_BYTES_PER_ENTRY: f64 = 16.0;
 /// the factors, and the working set of the level loop — the reduced rows,
 /// the staged interface rows, the shipped `U` rows, the working row and the
 /// dist-MIS slot arrays. With 12-byte row entries and 32-bit scratch the
-/// rows read 1.10 (`dist_trisolve_p1`) to 3.074 (`par_ilut_p8`) at
-/// quick size and 1.05 to 1.953 at full size; with a `(usize, f64)`
-/// entry per row in flight, `usize` working-row slots and the initial
-/// reduced pattern as a `Vec` per row, 1.13 to 3.654 and 1.09 to 2.233.
-/// The budget sits 1.8 % above the largest reading.
-const FACTOR_LIVE_PER_KEPT: f64 = 3.13;
+/// rows read 1.05 (`dist_trisolve_p1`) to 1.953 (`par_ilut_p8`); with a
+/// `(usize, f64)` entry per row in flight, `usize` working-row slots and
+/// the initial reduced pattern as a `Vec` per row, 1.09 to 2.233. The
+/// budget sits 1.9 % above the largest reading.
+const FACTOR_LIVE_PER_KEPT: f64 = 1.99;
 
 /// What the machine arms around a body.
 #[derive(Clone, Copy, PartialEq)]
@@ -213,8 +207,8 @@ pub(crate) struct Scenario {
     pub(crate) name: &'static str,
     /// The matrix, given the grid side.
     matrix: fn(usize) -> CsrMatrix,
-    /// Grid side at (quick, full) size.
-    dims: (usize, usize),
+    /// The grid side.
+    dim: usize,
     /// `None`: a serial kernel, no machine. `Some(p)`: `p` simulated ranks.
     pub(crate) ranks: Option<usize>,
     pub(crate) net: Net,
@@ -228,7 +222,7 @@ pub(crate) struct Scenario {
 const SERIAL_ILUT: Scenario = Scenario {
     name: "serial_ilut",
     matrix: |d| gen::convection_diffusion_2d(d, d, 4.0, -3.0),
-    dims: (24, 64),
+    dim: 64,
     ranks: None,
     net: Net::Plain,
     opts: |_| IlutOptions::new(10, 1e-4),
@@ -246,7 +240,7 @@ const TRISOLVE_SERIAL: Scenario = Scenario {
 const PAR_ILUT_P4: Scenario = Scenario {
     name: "par_ilut_p4",
     matrix: |d| gen::laplace_2d(d, d),
-    dims: (16, 48),
+    dim: 48,
     ranks: Some(4),
     inner: 2,
     body: Body::Ranks(par_ilut_ranks),
@@ -255,7 +249,7 @@ const PAR_ILUT_P4: Scenario = Scenario {
 
 const DIST_SOLVE_ROBUST_P4: Scenario = Scenario {
     name: "dist_solve_robust_p4",
-    dims: (12, 32),
+    dim: 32,
     net: Net::Armed,
     inner: 1,
     body: Body::Ranks(robust_solve_ranks),
@@ -270,7 +264,7 @@ pub(crate) const SCENARIOS: [Scenario; 14] = [
     Scenario {
         name: "serial_ilut_unbounded",
         matrix: |d| gen::laplace_2d(d, d),
-        dims: (12, 64),
+        dim: 64,
         opts: |n| IlutOptions::new(n, 0.0),
         ..SERIAL_ILUT
     },
@@ -286,7 +280,7 @@ pub(crate) const SCENARIOS: [Scenario; 14] = [
     Scenario {
         name: "spmv",
         matrix: |d| gen::laplace_2d(d, d),
-        dims: (40, 200),
+        dim: 200,
         inner: 50,
         body: Body::Serial(spmv_kernel),
         ..SERIAL_ILUT
@@ -296,7 +290,7 @@ pub(crate) const SCENARIOS: [Scenario; 14] = [
     Scenario {
         name: "distribute_p8",
         matrix: gen::g40,
-        dims: (1, 6),
+        dim: 6,
         body: Body::Serial(distribute_kernel),
         ..SERIAL_ILUT
     },
@@ -304,7 +298,7 @@ pub(crate) const SCENARIOS: [Scenario; 14] = [
     Scenario {
         name: "gmres_ilut",
         matrix: |d| gen::convection_diffusion_2d(d, d, 8.0, 2.0),
-        dims: (16, 48),
+        dim: 48,
         inner: 1,
         body: Body::Serial(gmres_kernel),
         ..SERIAL_ILUT
@@ -591,8 +585,8 @@ fn machine_run(s: &Scenario, dm: &DistMatrix, body: RankBody, inner: usize) -> R
 
 /// Runs one row: the audit pass of `inner` operations, and the facts — for
 /// a machine row from exactly one further pass of the same body.
-fn run_row(s: &Scenario, quick: bool) -> Measurement {
-    let a = (s.matrix)(if quick { s.dims.0 } else { s.dims.1 });
+fn run_row(s: &Scenario) -> Measurement {
+    let a = (s.matrix)(s.dim);
     let uncounted = Measurement::of(*s, &a);
     match (s.body, s.ranks) {
         (Body::Serial(build), _) => {
@@ -763,14 +757,14 @@ fn unrecorded_region(results: &[Measurement]) -> Option<&'static str> {
     gated.find(|&name| regions().all(|r| r.name != name))
 }
 
-/// Runs every row at its quick or full size and [`check`]s it, then
-/// [`unrecorded_region`]: the gate `paper`'s `kernels` experiment applies
-/// before it renders the measurements.
-pub(crate) fn gate(quick: bool) -> Result<Vec<Measurement>, String> {
+/// Runs every row and [`check`]s it, then [`unrecorded_region`]: the gate
+/// `paper`'s `kernels` experiment applies before it renders the
+/// measurements.
+pub(crate) fn gate() -> Result<Vec<Measurement>, String> {
     let mut results = Vec::new();
     for s in &SCENARIOS {
         pilut_allocaudit::reset_regions();
-        let mut m = run_row(s, quick);
+        let mut m = run_row(s);
         m.regions = pilut_allocaudit::region_stats();
         check(&m)?;
         results.push(m);
@@ -803,7 +797,7 @@ mod tests {
             nnz: 460,
             stats,
             regions: vec![region("mis_rounds", 0), region("trisolve_replay", 0)],
-            // `par_ilut_p4`'s quick matrix.
+            // `par_ilut_p4`'s matrix on a 16 × 16 grid.
             ..Measurement::of(PAR_ILUT_P4, &gen::laplace_2d(16, 16))
         }
     }
@@ -966,7 +960,8 @@ mod tests {
 
     #[test]
     fn factors_above_the_entry_budget_fail() {
-        // `par_ilut_p4`'s quick counts, with `u32` and then `usize` slots.
+        // `par_ilut_p4`'s counts on a 16 × 16 grid, with `u32` and then
+        // `usize` slots.
         let mut m = healthy();
         (m.fill, m.heap_bytes) = (Some(3984), Some(55_464));
         check(&m).unwrap();
@@ -982,22 +977,22 @@ mod tests {
 
     #[test]
     fn a_factorization_above_the_live_budget_fails() {
-        // `par_ilut_p8` at quick size with 12-byte row entries, then with the
-        // `(usize, f64)` ones.
+        // The largest reading with 12-byte row entries, then the largest
+        // with the `(usize, f64)` ones.
         let mut m = healthy();
-        m.factor_live_per_kept = Some(3.074);
+        m.factor_live_per_kept = Some(1.953);
         check(&m).unwrap();
-        m.factor_live_per_kept = Some(3.654);
+        m.factor_live_per_kept = Some(2.233);
         assert_fails(
             &m,
-            "par_ilut held 3.654 live byte(s) per byte of the factors it returned, budget 3.13",
+            "par_ilut held 2.233 live byte(s) per byte of the factors it returned, budget 1.99",
         );
     }
 
     #[test]
     fn a_matrix_above_the_entry_budget_fails() {
-        // `par_ilut_p4`'s quick matrix with a `u32` column id per entry
-        // passes, with a `usize` one it does not.
+        // The 16 × 16 grid with a `u32` column id per entry passes, with a
+        // `usize` one it does not.
         let mut m = healthy();
         check(&m).unwrap();
         m.matrix.0 = 4 * 257 + 16 * 1216;
@@ -1132,13 +1127,16 @@ mod tests {
             .unwrap();
         let log = String::from_utf8_lossy(&out.stdout);
         assert!(out.status.success(), "{log}");
-        assert!(log.contains(" 3 passed;"), "{log}");
+        assert!(log.contains(" 2 passed;"), "{log}");
     }
 
+    /// The whole table under the gate, once: every row passes it, and the
+    /// `kernels` experiment rendered from these rows is the committed
+    /// `experiments/kernels.txt`, byte for byte.
     #[test]
     #[ignore = "reads the region registry: run by registry_tests_pass_in_a_process_of_their_own"]
-    fn every_row_passes_the_gate_at_quick_size() {
-        let rows = gate(true).unwrap();
+    fn every_row_passes_the_gate_and_renders_the_committed_kernel_table() {
+        let rows = gate().unwrap();
         assert_eq!(rows.len(), 14);
         assert_eq!(unrecorded_region(&rows), None);
         for m in &rows {
@@ -1154,11 +1152,14 @@ mod tests {
         }
         let row = |name| rows.iter().find(|m| m.row.name == name).unwrap();
         let m = row("par_ilut_p4");
-        assert_eq!((m.n, m.passes()), (256, 3));
+        assert_eq!((m.n, m.passes()), (2304, 3));
         assert!(m.stats.planned_by_tag.contains_key(&tags::UROWS));
         assert!(m.regions.iter().any(|r| r.name == "plan_replay"));
         // The one-rank sweeps replay the serial row's factor, entry for entry.
         assert_eq!(row("dist_trisolve_p1").fill, row("trisolve_serial").fill);
+        let label = "experiments/kernels.txt";
+        let committed = std::fs::read_to_string(crate::workspace_root().join(label)).unwrap();
+        crate::paper::diff(label, &committed, &crate::paper::kernel_table(&rows)).unwrap();
     }
 
     /// Entries of each gated region while `run` runs.
@@ -1179,7 +1180,7 @@ mod tests {
         // machine pass of one operation — does: the audit pass replays
         // them, and the budgets count its passes.
         for s in SCENARIOS.iter().filter(|s| s.inner > 1) {
-            let a = (s.matrix)(s.dims.0);
+            let a = (s.matrix)(s.dim);
             let alone = match s.body {
                 Body::Serial(build) => gated_entries(|| {
                     build(&a, &(s.opts)(a.n_rows()));
@@ -1192,7 +1193,7 @@ mod tests {
                 }
             };
             let row = gated_entries(|| {
-                run_row(s, true);
+                run_row(s);
             });
             for (name, &entries) in &row {
                 let once = alone.get(name).copied().unwrap_or(0);

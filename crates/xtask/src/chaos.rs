@@ -15,22 +15,20 @@
 //! swept: `factor` (the parallel ILUT factorization, where faults land in
 //! plan *construction* traffic) and `trisolve` (factor once, then
 //! prebuilt SpMV and trisolve halos driven through repeated value rounds,
-//! so faults land in the steady-state data plane). Full mode sweeps
-//! p ∈ {4, 8} × 20 seeds × both workloads, the seeds cycling over the
-//! three kinds; `--quick` runs one trial per (kind, workload) at p = 4.
+//! so faults land in the steady-state data plane). The destructive sweep
+//! runs p ∈ {4, 8} × 20 seeds × both workloads, the seeds cycling over the
+//! three kinds.
 //!
-//! `--recover` flips the suite into its second personality: the same
-//! seeded kill/drop/kill+drop plans are thrown at the full *self-healing*
-//! stack — par-ILUT + distributed GMRES behind
-//! [`pilut_solver::dist_solve_robust`], on a machine with reliable delivery
-//! **and** rank-loss recovery enabled — and the contract inverts: every
-//! trial must now **complete** with a converged residual, every fired kill
-//! must be named as a recovery epoch in the per-rank report, and any panic
-//! at all (watchdog abort included) is a failure. Full mode sweeps
-//! p ∈ {4, 8} × 24 seeds; `--recover --quick` runs one trial per kind at
-//! p = 4.
+//! The recovery sweep follows it into the same report: the same seeded
+//! kill/drop/kill+drop plans are thrown at the full *self-healing* stack —
+//! par-ILUT + distributed GMRES behind [`pilut_solver::dist_solve_robust`],
+//! on a machine with reliable delivery **and** rank-loss recovery enabled —
+//! and the contract inverts: every trial must now **complete** with a
+//! converged residual, every fired kill must be named as a recovery epoch
+//! in the per-rank report, and any panic at all (watchdog abort included)
+//! is a failure. It runs p ∈ {4, 8} × 24 seeds.
 
-use crate::sweep::{catching, checked_builder, dist_matrix, ilut_options, run_planned};
+use crate::sweep::{catching, checked_builder, dist_matrix, ilut_options, run_planned, Report};
 use pilut_par::{FaultAction, FaultPlan, FaultRule, FAULT_KILL_PREFIX};
 use pilut_solver::dist_solve_robust;
 use pilut_solver::gmres::GmresOptions;
@@ -42,6 +40,9 @@ const KINDS: &[&str] = &["drop", "duplicate", "kill"];
 
 /// The two workloads every fault kind is thrown at.
 const WORKLOADS: &[&str] = &["factor", "trisolve"];
+
+/// The process counts both sweeps run at.
+const PROCS: &[usize] = &[4, 8];
 
 /// Builds the deterministic plan for one trial: the rule fires with
 /// probability 1 at a seed-chosen victim rank and comm-op, so a failure
@@ -105,7 +106,7 @@ fn run_trial(work: &str, kind: &str, seed: u64, p: usize) -> Result<&'static str
     }
 }
 
-/// The fault kinds of the `--recover` sweep, cycled over seeds.
+/// The fault kinds of the recovery sweep, cycled over seeds.
 const RECOVER_KINDS: &[&str] = &["kill", "drop", "kill+drop"];
 
 /// Builds the deterministic plan for one recovery trial: an exact kill at
@@ -215,36 +216,44 @@ fn recover_trial(kind: &str, seed: u64, p: usize) -> Result<&'static str, String
     Ok("recovered+converged")
 }
 
-/// Entry point for `xtask chaos`. Returns `Err(message)` on bad usage or
-/// any contract violation.
-pub fn run(args: &[String]) -> Result<(), String> {
-    crate::sweep::drive("chaos", args, true, |flags, report| {
-        let procs: &[usize] = if flags.quick { &[4] } else { &[4, 8] };
-        for &p in procs {
-            if flags.recover {
-                let seeds = if flags.quick { RECOVER_KINDS.len() } else { 24 };
-                for seed in 0..seeds as u64 {
-                    let kind = RECOVER_KINDS[seed as usize % RECOVER_KINDS.len()];
-                    let trial = format!("kind={kind} seed={seed} p={p}");
-                    report.record(trial, recover_trial(kind, seed, p));
-                }
-                continue;
-            }
-            for &work in WORKLOADS {
-                let seeds = if flags.quick { KINDS.len() } else { 20 };
-                for seed in 0..seeds as u64 {
-                    let kind = KINDS[seed as usize % KINDS.len()];
-                    let trial = format!("work={work} kind={kind} seed={seed} p={p}");
-                    report.record(trial, run_trial(work, kind, seed, p));
-                }
+/// The destructive sweep: every fired fault must be diagnosed by name.
+fn destructive(report: &mut Report) {
+    for &p in PROCS {
+        for &work in WORKLOADS {
+            for seed in 0..20u64 {
+                let kind = KINDS[seed as usize % KINDS.len()];
+                let trial = format!("work={work} kind={kind} seed={seed} p={p}");
+                report.record(trial, run_trial(work, kind, seed, p));
             }
         }
+    }
+}
+
+/// The recovery sweep: every trial must recover and converge.
+fn recovery(report: &mut Report) {
+    for &p in PROCS {
+        for seed in 0..24u64 {
+            let kind = RECOVER_KINDS[seed as usize % RECOVER_KINDS.len()];
+            let trial = format!("kind={kind} seed={seed} p={p}");
+            report.record(trial, recover_trial(kind, seed, p));
+        }
+    }
+}
+
+/// Entry point for `xtask chaos`: the destructive sweep, then the recovery
+/// sweep, into one report. Returns `Err(message)` on any argument or any
+/// contract violation.
+pub fn run(args: &[String]) -> Result<(), String> {
+    crate::sweep::drive("chaos", args, |report| {
+        destructive(report);
+        recovery(report);
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tally;
 
     #[test]
     fn plans_are_deterministic_per_seed() {
@@ -252,11 +261,6 @@ mod tests {
         let b = plan_for("factor", "drop", 9, 4);
         assert_eq!(a.rules()[0].rank, b.rules()[0].rank);
         assert_eq!(a.rules()[0].after_op, b.rules()[0].after_op);
-    }
-
-    #[test]
-    fn quick_suite_is_green() {
-        run(&["--quick".to_string()]).expect("quick chaos suite must pass");
     }
 
     #[test]
@@ -269,8 +273,18 @@ mod tests {
     }
 
     #[test]
-    fn quick_recover_suite_is_green() {
-        run(&["--recover".to_string(), "--quick".to_string()])
-            .expect("quick recovery sweep must pass");
+    fn destructive_sweep_diagnoses_every_fault() {
+        assert_eq!(
+            tally("chaos", destructive),
+            Ok("chaos: 80 trial(s) — 80 diagnosed, 0 failure(s)".to_string())
+        );
+    }
+
+    #[test]
+    fn recovery_sweep_recovers_and_converges() {
+        assert_eq!(
+            tally("chaos", recovery),
+            Ok("chaos: 48 trial(s) — 48 recovered+converged, 0 failure(s)".to_string())
+        );
     }
 }

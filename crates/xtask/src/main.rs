@@ -6,13 +6,13 @@
 //!   `par-confinement` and `no-raw-comm` (the root `Cargo.toml`'s
 //!   `[workspace.lints.clippy]` and `clippy.toml`); their escape is
 //!   `#[expect(clippy::<lint>, reason = "…")]`.
-//! * `cargo run -p xtask --release -- chaos [--recover] [--quick]` — the
-//!   seeded fault-injection regression suite (see [`chaos`]).
-//! * `cargo run -p xtask --release -- schedcheck [--quick]` — the
+//! * `cargo run -p xtask --release -- chaos` — the seeded fault-injection
+//!   regression suite and its recovery sweep (see [`chaos`]).
+//! * `cargo run -p xtask --release -- schedcheck` — the
 //!   bitwise-determinism sanitizer: seeded workloads re-run under
 //!   perturbed schedules must reproduce identical results and traffic
 //!   (see [`schedcheck`]).
-//! * `cargo run -p xtask --release -- modelcheck [--quick]` — exhaustive
+//! * `cargo run -p xtask --release -- modelcheck` — exhaustive
 //!   DPOR exploration of the schedule space of small configurations (see
 //!   [`modelcheck`]).
 //! * `cargo run -p xtask --release -- paper [--check] [--record]` — the
@@ -24,6 +24,11 @@
 //! * `cargo run -p xtask -- loc` — code lines and test lines per crate (see
 //!   [`code_and_test_lines`]) and the bytes of the top-level `*.md` files,
 //!   the tracked size columns of ROADMAP aim 2.
+
+#![allow(
+    rustdoc::private_intra_doc_links,
+    reason = "a binary's crate docs link its private modules"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -41,8 +46,8 @@ fn main() -> ExitCode {
     let cmd = args.first().map_or("", String::as_str);
     let Some(task) = task(cmd) else {
         eprintln!(
-            "usage: cargo run -p xtask -- lint | chaos [--recover] [--quick] | schedcheck [--quick] \
-             | modelcheck [--quick] | paper [--check] [--record] | loc"
+            "usage: cargo run -p xtask -- lint | chaos | schedcheck | modelcheck \
+             | paper [--check] [--record] | loc"
         );
         return ExitCode::FAILURE;
     };

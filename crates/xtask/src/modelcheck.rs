@@ -51,10 +51,9 @@
 //! asserts the checker diagnoses it as a match-order race: the regression
 //! this subsystem exists to prevent.
 //!
-//! Full mode explores `spmv`, `mis` (the delta-protocol MIS rounds with
+//! The check explores `spmv`, `mis` (the delta-protocol MIS rounds with
 //! their sparse, round-varying message shapes), `trisolve`, and `factor`
-//! at p ∈ {2, 3, 4}; `--quick` explores `spmv` and `trisolve` at
-//! p ∈ {2, 3} plus the mutation stage.
+//! at p ∈ {2, 3, 4}, then the mutation stage.
 
 use std::collections::BTreeMap;
 
@@ -329,18 +328,16 @@ where
     report.record("mutation per-payload-exchange", outcome);
 }
 
-/// Entry point for `xtask modelcheck`. Returns `Err(message)` on bad
-/// usage, any schedule-space violation, or an undetected mutant.
+/// Every workload at p ∈ {2, 3, 4}, then the mutation stage.
+fn sweep(report: &mut Report) {
+    let workloads = ["spmv", "mis", "trisolve", "factor"];
+    check(report, &workloads, &[2, 3, 4], &mutant_runner(2));
+}
+
+/// Entry point for `xtask modelcheck`. Returns `Err(message)` on any
+/// argument, any schedule-space violation, or an undetected mutant.
 pub fn run(args: &[String]) -> Result<(), String> {
-    crate::sweep::drive("modelcheck", args, false, |flags, report| {
-        let workloads: &[&'static str] = if flags.quick {
-            &["spmv", "trisolve"]
-        } else {
-            &["spmv", "mis", "trisolve", "factor"]
-        };
-        let procs: &[usize] = if flags.quick { &[2, 3] } else { &[2, 3, 4] };
-        check(report, workloads, procs, &mutant_runner(2));
-    })
+    crate::sweep::drive("modelcheck", args, sweep)
 }
 
 #[cfg(test)]
@@ -415,7 +412,9 @@ mod tests {
     }
 
     #[test]
-    fn quick_exploration_is_clean() {
-        run(&["--quick".to_string()]).expect("quick modelcheck must pass");
+    fn every_config_is_proved_and_the_mutant_caught() {
+        let summary =
+            format!("modelcheck: 13 trial(s) — 12 {PROVED}, 1 mutant(s) caught, 0 failure(s)");
+        assert_eq!(crate::sweep::tally("modelcheck", sweep), Ok(summary));
     }
 }

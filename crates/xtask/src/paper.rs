@@ -2,16 +2,18 @@
 //! paper (DESIGN.md §5 is the index, EXPERIMENTS.md the discussion).
 //!
 //! [`EXPERIMENTS`] is the whole configuration: one row per experiment with
-//! its matrix families, option grid, the two problem sizes it runs at, and
-//! the function that renders it. `xtask paper` regenerates the CI tier into
-//! `experiments/ci/<name>.txt`; `--record` selects the paper-magnitude tier
-//! in `experiments/<name>.txt`; `--check` compares instead of writing and
-//! fails on the first differing line. Every number in those files is a count
-//! or **simulated Cray T3D seconds** from the `pilut-par` logical clock, so
-//! the files are bit-reproducible and CI gates the CI tier exactly; shapes
+//! its matrix families, option grid, its size, the CI stand-in of a row too
+//! slow to run at that size in CI, and the function that renders it. A row
+//! runs at its size into `experiments/<name>.txt`; `xtask paper` runs a
+//! row with a stand-in at the stand-in's size instead, into
+//! `experiments/ci/<name>.txt`, and `--record` at its size. `--check`
+//! compares instead of writing and fails on the first differing line. Every
+//! number in those files is a count or **simulated Cray T3D seconds** from
+//! the `pilut-par` logical clock, so the files are bit-reproducible and CI
+//! gates what it runs exactly: the one-size rows and the stand-ins. Shapes
 //! (speedups, algorithm ratios, crossovers) are the reproduction target,
-//! not absolute values. Wall-clock progress (one line per experiment) goes to
-//! stderr only.
+//! not absolute values. Wall-clock progress (one line per experiment) goes
+//! to stderr only.
 //!
 //! The last two entries are not from the paper. `levels` is the library's
 //! own per-level attribution of a factorization (`ParStats::per_level`):
@@ -50,8 +52,8 @@ use pilut_sparse::{gen, CsrMatrix};
 
 use crate::bench;
 
-/// One tier's problem size: the matrix scale (1.0 = the paper's magnitude;
-/// the fixed-size grid families ignore it) and the processor counts.
+/// One problem size: the matrix scale (1.0 = the paper's magnitude; the
+/// fixed-size grid families ignore it) and the processor counts.
 /// Experiments that run at a single `p` list exactly one.
 #[derive(Clone, Copy, Debug)]
 struct Size {
@@ -63,12 +65,12 @@ const fn at(scale: f64, procs: &'static [usize]) -> Size {
     Size { scale, procs }
 }
 
-/// Every CI-tier run of a scaled family is this small.
-const fn ci(procs: &'static [usize]) -> Size {
-    at(0.02, procs)
+/// Every CI stand-in of a scaled family is this small.
+const fn ci(procs: &'static [usize]) -> Option<Size> {
+    Some(at(0.02, procs))
 }
 
-/// The paper's processor counts, and the ones the CI tier sweeps instead.
+/// The paper's processor counts, and the ones the CI stand-ins sweep instead.
 const PAPER_PROCS: &[usize] = &[16, 32, 64, 128];
 const CI_PROCS: &[usize] = &[2, 4, 8];
 
@@ -111,14 +113,28 @@ impl Family {
 /// One row of the experiment table.
 #[derive(Clone, Copy)]
 struct Experiment {
-    /// File stem under `experiments/ci/` and `experiments/`.
+    /// File stem under `experiments/` (and `experiments/ci/`).
     name: &'static str,
     title: &'static str,
     families: &'static [Family],
     grid: fn() -> Vec<IlutOptions>,
-    ci: Size,
-    record: Size,
+    /// The size `experiments/<name>.txt` holds.
+    size: Size,
+    /// The stand-in CI runs instead, into `experiments/ci/<name>.txt`: only
+    /// a row too slow for CI at its size has one.
+    ci: Option<Size>,
     render: fn(&Experiment, Size, &mut Runs) -> Rendered,
+}
+
+impl Experiment {
+    /// Where this row is written and at which size: its stand-in's unless
+    /// `record` or it has none.
+    fn tier(&self, record: bool) -> (&'static str, Size) {
+        match self.ci {
+            Some(ci) if !record => ("experiments/ci", ci),
+            _ => ("experiments", self.size),
+        }
+    }
 }
 
 /// An experiment's text, or why it could not be rendered: a violated
@@ -143,8 +159,8 @@ const TABLE1: Experiment = Experiment {
     title: "Table 1 — factorization time",
     families: &[Family::G40, Family::Torso],
     grid: config_grid,
+    size: at(0.5, PAPER_PROCS),
     ci: ci(CI_PROCS),
-    record: at(0.5, PAPER_PROCS),
     render: table1,
 };
 
@@ -152,7 +168,7 @@ const TABLE2: Experiment = Experiment {
     name: "table2",
     title: "Table 2 — forward+backward substitution time",
     families: &[Family::Torso],
-    record: at(0.25, PAPER_PROCS),
+    size: at(0.25, PAPER_PROCS),
     render: table2,
     ..TABLE1
 };
@@ -164,8 +180,8 @@ const EXPERIMENTS: [Experiment; 14] = [
     Experiment {
         name: "table3",
         title: "Table 3 — GMRES performance",
+        size: at(0.25, &[128]),
         ci: ci(&[8]),
-        record: at(0.25, &[128]),
         render: table3,
         ..TABLE1
     },
@@ -174,8 +190,8 @@ const EXPERIMENTS: [Experiment; 14] = [
         title: "Figure 1 — ILU(0) colouring vs ILUT fill dependencies",
         families: &[Family::Grid2d(24)],
         grid: || vec![IlutOptions::new(10, 1e-6)],
-        ci: at(1.0, &[4]),
-        record: at(1.0, &[4]),
+        size: at(1.0, &[4]),
+        ci: None,
         render: fig1,
     },
     Experiment {
@@ -183,8 +199,8 @@ const EXPERIMENTS: [Experiment; 14] = [
         title: "Figure 2 — repeated MIS factorization of the interface nodes",
         families: &[Family::Grid3d(12)],
         grid: || vec![IlutOptions::new(10, 1e-4), IlutOptions::star(10, 1e-4, 2)],
-        ci: at(1.0, &[8]),
-        record: at(1.0, &[8]),
+        size: at(1.0, &[8]),
+        ci: None,
         render: fig2,
     },
     Experiment {
@@ -192,8 +208,8 @@ const EXPERIMENTS: [Experiment; 14] = [
         title: "Figure 3 — block structure of the permuted L and U factors",
         families: &[Family::Grid2d(16)],
         grid: || vec![IlutOptions::new(8, 1e-3)],
-        ci: at(1.0, &[4]),
-        record: at(1.0, &[4]),
+        size: at(1.0, &[4]),
+        ci: None,
         render: fig3,
     },
     Experiment {
@@ -221,8 +237,8 @@ const EXPERIMENTS: [Experiment; 14] = [
         title: "Ablation — communication cost vs the ILUT* advantage",
         families: &[Family::Torso],
         grid: || vec![IlutOptions::new(10, 1e-6), IlutOptions::star(10, 1e-6, 2)],
+        size: at(0.15, &[128]),
         ci: ci(&[8]),
-        record: at(0.15, &[128]),
         render: ablation_comm,
     },
     Experiment {
@@ -230,8 +246,8 @@ const EXPERIMENTS: [Experiment; 14] = [
         title: "Ablation — multilevel k-way partition vs naive block distribution",
         families: &[Family::Torso],
         grid: || vec![IlutOptions::star(10, 1e-4, 2)],
-        ci: ci(&[8]),
-        record: at(0.15, &[32]),
+        size: at(0.15, &[32]),
+        ci: None,
         render: ablation_partition,
     },
     Experiment {
@@ -239,8 +255,8 @@ const EXPERIMENTS: [Experiment; 14] = [
         title: "Baseline — parallel ILU(0) vs ILUT vs ILUT*",
         families: &[Family::Torso],
         grid: || vec![IlutOptions::new(10, 1e-4), IlutOptions::star(10, 1e-4, 2)],
-        ci: ci(&[8]),
-        record: at(0.15, &[32]),
+        size: at(0.15, &[32]),
+        ci: None,
         render: baseline_ilu0,
     },
     Experiment {
@@ -248,21 +264,23 @@ const EXPERIMENTS: [Experiment; 14] = [
         title: "Levels — what each independent set cost (ParStats::per_level)",
         families: &[Family::Torso],
         grid: || vec![IlutOptions::new(10, 1e-4), IlutOptions::star(10, 1e-4, 2)],
-        ci: ci(&[8]),
-        record: at(0.15, &[32]),
+        size: at(0.15, &[32]),
+        ci: None,
         render: levels,
     },
-    // The kernel gate's table sizes itself: below scale 1 its quick sizes.
-    Experiment {
-        name: "kernels",
-        title: "Kernels — the deterministic counts of every kernel-gate scenario",
-        families: &[],
-        grid: Vec::new,
-        ci: ci(&[]),
-        record: at(1.0, &[]),
-        render: kernels,
-    },
+    KERNELS,
 ];
+
+/// The kernel gate's table: its scenarios size themselves.
+const KERNELS: Experiment = Experiment {
+    name: "kernels",
+    title: "Kernels — the deterministic counts of every kernel-gate scenario",
+    families: &[],
+    grid: Vec::new,
+    size: at(1.0, &[]),
+    ci: None,
+    render: kernels,
+};
 
 /// `paper [--check] [--record]`.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -278,18 +296,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    let dir = if record {
-        "experiments"
-    } else {
-        "experiments/ci"
-    };
     let root = crate::workspace_root();
-    std::fs::create_dir_all(root.join(dir)).map_err(|e| format!("{dir}: {e}"))?;
     let mut runs = Runs::default();
     for e in &EXPERIMENTS {
         let t0 = Instant::now();
+        let (dir, size) = e.tier(record);
         let label = format!("{dir}/{}.txt", e.name);
-        let text = (e.render)(e, if record { e.record } else { e.ci }, &mut runs)?;
+        let text = (e.render)(e, size, &mut runs)?;
         if check {
             let golden = std::fs::read_to_string(root.join(&label));
             diff(&label, &golden.map_err(|e| format!("{label}: {e}"))?, &text)?;
@@ -309,8 +322,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
     }
     let verb = if check { "match" } else { "written to" };
+    let dirs = if record { "" } else { " and experiments/ci/" };
     println!(
-        "xtask paper: {} experiments {verb} {dir}/, quoted in {DOCS:?}",
+        "xtask paper: {} experiments {verb} experiments/{dirs}, quoted in {DOCS:?}",
         EXPERIMENTS.len()
     );
     Ok(())
@@ -365,7 +379,7 @@ fn section<'a>(text: &'a str, fragment: &str) -> Result<&'a str, String> {
 
 /// Exact comparison of a committed file with its regenerated text; the
 /// error names the file, the first differing line, and both versions.
-fn diff(label: &str, golden: &str, fresh: &str) -> Result<(), String> {
+pub(crate) fn diff(label: &str, golden: &str, fresh: &str) -> Result<(), String> {
     let (mut want, mut got) = (golden.split('\n'), fresh.split('\n'));
     for line in 1.. {
         let show = |s: Option<&str>| s.map_or("<end of file>".into(), |s| format!("`{s}`"));
@@ -1064,10 +1078,15 @@ fn levels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
     ))
 }
 
+/// The kernel gate's table: [`bench::gate`]'s measurements, so a violated
+/// invariant fails the experiment before a line is rendered.
+fn kernels(_: &Experiment, _: Size, _: &mut Runs) -> Rendered {
+    Ok(kernel_table(&bench::gate()?))
+}
+
 /// One row per kernel-gate scenario: what a single run of its body
 /// establishes without a wall clock, then the per-tag traffic of the machine
-/// rows. The rows are [`bench::gate`]'s measurements, so a violated
-/// invariant fails the experiment before a line is rendered.
+/// rows.
 ///
 /// A cell is printed only if it reproduces bit for bit; which do was
 /// measured, not assumed (EXPERIMENTS.md at 039f5b3: regenerations under
@@ -1077,7 +1096,7 @@ fn levels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
 /// killed epoch goes further: how much each survivor did before a poll told
 /// it of the loss is wall time too, and only the tags that first appear
 /// after recovery (and the agreement ring itself) are fixed.
-fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
+pub(crate) fn kernel_table(measured: &[bench::Measurement]) -> String {
     fn cell<T: ToString>(v: Option<T>) -> String {
         v.map_or_else(|| "-".into(), |v| v.to_string())
     }
@@ -1086,7 +1105,7 @@ fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
         "live/A",
     ];
     let (mut rows, mut tags) = (Vec::new(), String::new());
-    for f in &bench::gate(size.scale < 1.0)? {
+    for f in measured {
         let s = &f.row;
         let (totals, clock, tag): (bool, bool, fn(&str) -> bool) = match s.net {
             bench::Net::Plain => (true, true, |_| true),
@@ -1117,7 +1136,7 @@ fn kernels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
             tags += &format!("  {:<21} {}\n", s.name, cells.join(" "));
         }
     }
-    Ok(format!(
+    format!(
         "{}
 Measured traffic by tag, messages/bytes (the kernel gate asserts it equals
 the plans' prediction, tag for tag, on every fault-free row):
@@ -1132,8 +1151,8 @@ the plans' prediction, tag for tag, on every fault-free row):
  first appear after recovery, and the agreement ring.
  Every printed cell is bit-reproducible.)
 ",
-        table(e.title, &head, &rows)
-    ))
+        table(KERNELS.title, &head, &rows)
+    )
 }
 
 #[cfg(test)]
@@ -1153,11 +1172,14 @@ mod tests {
 
     #[test]
     fn committed_files_and_table_entries_correspond() {
-        let expect: BTreeSet<String> = EXPERIMENTS
-            .iter()
-            .map(|e| format!("{}.txt", e.name))
-            .collect();
-        for dir in ["experiments/ci", "experiments"] {
+        // `experiments/` holds every row, `experiments/ci/` the stand-ins.
+        let files = |rows: &mut dyn Iterator<Item = &Experiment>| -> BTreeSet<String> {
+            rows.map(|e| format!("{}.txt", e.name)).collect()
+        };
+        let every = files(&mut EXPERIMENTS.iter());
+        let stand_ins = files(&mut EXPERIMENTS.iter().filter(|e| e.ci.is_some()));
+        assert_eq!((every.len(), stand_ins.len()), (14, 7));
+        for (dir, expect) in [("experiments", every), ("experiments/ci", stand_ins)] {
             let found: BTreeSet<String> = std::fs::read_dir(crate::workspace_root().join(dir))
                 .unwrap_or_else(|e| panic!("{dir}: {e}"))
                 .flatten()
@@ -1171,8 +1193,8 @@ mod tests {
     #[test]
     fn check_names_file_line_and_both_texts() {
         let e = by_name("fig1");
-        let fresh = (e.render)(&e, e.ci, &mut Runs::default()).unwrap();
-        assert_eq!(diff("experiments/ci/fig1.txt", &fresh, &fresh), Ok(()));
+        let fresh = (e.render)(&e, e.size, &mut Runs::default()).unwrap();
+        assert_eq!(diff("experiments/fig1.txt", &fresh, &fresh), Ok(()));
 
         let mut golden: Vec<&str> = fresh.split('\n').collect();
         let k = golden
@@ -1181,9 +1203,9 @@ mod tests {
             .unwrap();
         let (original, perturbed) = (golden[k], golden[k].replace(": ", ": 1"));
         golden[k] = &perturbed;
-        let err = diff("experiments/ci/fig1.txt", &golden.join("\n"), &fresh).unwrap_err();
+        let err = diff("experiments/fig1.txt", &golden.join("\n"), &fresh).unwrap_err();
         assert!(
-            err.starts_with(&format!("experiments/ci/fig1.txt:{}: ", k + 1)),
+            err.starts_with(&format!("experiments/fig1.txt:{}: ", k + 1)),
             "{err}"
         );
         assert!(err.contains(&perturbed) && err.contains(original), "{err}");
@@ -1269,8 +1291,9 @@ mod tests {
 
     fn renders_twice_alike(name: &str) {
         let e = by_name(name);
-        let first = (e.render)(&e, e.ci, &mut Runs::default()).unwrap();
-        let second = (e.render)(&e, e.ci, &mut Runs::default()).unwrap();
+        let size = e.tier(false).1;
+        let first = (e.render)(&e, size, &mut Runs::default()).unwrap();
+        let second = (e.render)(&e, size, &mut Runs::default()).unwrap();
         assert_eq!(first, second, "{name}");
     }
 
@@ -1280,19 +1303,10 @@ mod tests {
         renders_twice_alike("fig3");
     }
 
-    /// `kernels` is the kernel gate, which resets and reads the process-wide
-    /// region registry: other tests' threads would fold their regions into
-    /// its counts.
-    #[test]
-    #[ignore = "reads the region registry: run by registry_tests_pass_in_a_process_of_their_own"]
-    fn kernels_regeneration_is_byte_identical() {
-        renders_twice_alike("kernels");
-    }
-
     #[test]
     fn derived_figures_launch_no_runs_of_their_own() {
         // In the table, each figure names its table's families, grid and sizes…
-        let sweep_key = |e: &Experiment| format!("{:?} {:?} {:?}", (e.grid)(), e.ci, e.record);
+        let sweep_key = |e: &Experiment| format!("{:?} {:?} {:?}", (e.grid)(), e.size, e.ci);
         for (fig, table) in [("fig4", "table1"), ("fig5", "table1"), ("fig6", "table2")] {
             let (fig, table) = (by_name(fig), by_name(table));
             assert_eq!(sweep_key(&fig), sweep_key(&table), "{}", fig.name);

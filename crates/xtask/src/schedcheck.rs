@@ -40,13 +40,12 @@
 //! excluded from that comparison (retransmissions and acks legitimately
 //! scale with the injected losses); the results may not move by an ulp.
 //!
-//! Full mode sweeps 20 schedules × p ∈ {2, 4, 8} × five workloads
-//! (`mis`, `factor`, `trisolve`, `gmres`, `reliable`); `--quick` runs 3
-//! schedules at p ∈ {2, 4}. This is the suite that enforces the benign
-//! fault contract across the workloads; `xtask chaos` sweeps the
-//! destructive faults.
+//! The sweep runs 20 schedules × p ∈ {2, 4, 8} × five workloads (`mis`,
+//! `factor`, `trisolve`, `gmres`, `reliable`). This is the suite that
+//! enforces the benign fault contract across the workloads; `xtask chaos`
+//! sweeps the destructive faults.
 
-use crate::sweep::{catching, run_planned, shrink, Fingerprint};
+use crate::sweep::{catching, run_planned, shrink, Fingerprint, Report};
 use pilut_par::{FaultAction, FaultPlan, FaultRule};
 use pilut_sparse::SplitMix64;
 
@@ -213,34 +212,36 @@ fn minimize(work: &str, p: usize, seed: u64, clean: &Fingerprint) -> String {
     format!("rules=[{}]: {detail}", mask_names(work, mask))
 }
 
-/// Entry point for `xtask schedcheck`. Returns `Err(message)` on bad usage
-/// or any determinism violation.
-pub fn run(args: &[String]) -> Result<(), String> {
-    crate::sweep::drive("schedcheck", args, false, |flags, report| {
-        let procs: &[usize] = if flags.quick { &[2, 4] } else { &[2, 4, 8] };
-        let schedules: u64 = if flags.quick { 3 } else { 20 };
-        for &p in procs {
-            for &work in WORKLOADS {
-                let clean = match catching(|| run_planned(work, p, None)) {
-                    Ok((fp, _)) => fp,
-                    Err(msg) => {
-                        report.record(
-                            format!("work={work} p={p}"),
-                            Err(format!("clean run died: {msg}")),
-                        );
-                        continue;
-                    }
-                };
-                for seed in 0..schedules {
-                    let outcome = match run_trial(work, p, seed, 7, &clean) {
-                        Trial::Identical => Ok("bitwise-identical"),
-                        _ => Err(minimize(work, p, seed, &clean)),
-                    };
-                    report.record(format!("work={work} p={p} seed={seed}"), outcome);
+/// Every workload at every process count: a clean run, then each seeded
+/// schedule, which must reproduce its fingerprint.
+fn sweep(report: &mut Report) {
+    for p in [2, 4, 8] {
+        for &work in WORKLOADS {
+            let clean = match catching(|| run_planned(work, p, None)) {
+                Ok((fp, _)) => fp,
+                Err(msg) => {
+                    report.record(
+                        format!("work={work} p={p}"),
+                        Err(format!("clean run died: {msg}")),
+                    );
+                    continue;
                 }
+            };
+            for seed in 0..20 {
+                let outcome = match run_trial(work, p, seed, 7, &clean) {
+                    Trial::Identical => Ok("bitwise-identical"),
+                    _ => Err(minimize(work, p, seed, &clean)),
+                };
+                report.record(format!("work={work} p={p} seed={seed}"), outcome);
             }
         }
-    })
+    }
+}
+
+/// Entry point for `xtask schedcheck`. Returns `Err(message)` on any
+/// argument or any determinism violation.
+pub fn run(args: &[String]) -> Result<(), String> {
+    crate::sweep::drive("schedcheck", args, sweep)
 }
 
 #[cfg(test)]
@@ -281,7 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn quick_sweep_is_bitwise_clean() {
-        run(&["--quick".to_string()]).expect("quick schedcheck sweep must pass");
+    fn sweep_is_bitwise_clean() {
+        assert_eq!(
+            crate::sweep::tally("schedcheck", sweep),
+            Ok("schedcheck: 300 trial(s) — 300 bitwise-identical, 0 failure(s)".to_string())
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The one driver of the seeded sweep suites (`xtask chaos`, `xtask
-//! schedcheck`, `xtask modelcheck`): flag parsing, the muted panic hook,
-//! panic catching, the tally and its `FAIL:` report ([`drive`]); the
+//! schedcheck`, `xtask modelcheck`): argument rejection, the muted panic
+//! hook, panic catching, the tally and its `FAIL:` report ([`drive`]); the
 //! workload table and runner ([`run_workload`], [`run_planned`]), result
 //! fingerprinting, the trial matrices, checksum folding, and the generic
 //! first-failing shrink loop. Each suite keeps only its own sweep policy
@@ -21,28 +21,6 @@ use pilut_par::{FaultPlan, Machine, MachineBuilder, MachineModel, RunOutput};
 use pilut_solver::dist_gmres::{dist_gmres, DistIlu, DistPrecond};
 use pilut_solver::gmres::GmresOptions;
 use pilut_sparse::{gen, SplitMix64};
-
-/// The flags a sweep suite was invoked with.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Flags {
-    /// `--quick`: the small CI-sized sweep.
-    pub quick: bool,
-    /// `--recover`: chaos's self-healing sweep (no other suite takes it).
-    pub recover: bool,
-}
-
-/// Parses a suite's flags; `--recover` is accepted only when `recoverable`.
-fn parse_flags(suite: &str, args: &[String], recoverable: bool) -> Result<Flags, String> {
-    let mut flags = Flags::default();
-    for arg in args {
-        match arg.as_str() {
-            "--quick" => flags.quick = true,
-            "--recover" if recoverable => flags.recover = true,
-            other => return Err(format!("unknown {suite} flag {other}")),
-        }
-    }
-    Ok(flags)
-}
 
 /// The tally of one sweep: a count per passing outcome, in the order the
 /// outcomes first occur, and one line per failing trial.
@@ -100,23 +78,23 @@ impl Report {
     }
 }
 
-/// Runs one sweep suite: parses `args` (`--recover` only when
-/// `recoverable`), runs `sweep` under the muted panic hook, and prints its
-/// report. The report is named `suite`, or `suite --recover`.
-pub fn drive(
-    suite: &str,
-    args: &[String],
-    recoverable: bool,
-    sweep: impl FnOnce(Flags, &mut Report),
-) -> Result<(), String> {
-    let flags = parse_flags(suite, args, recoverable)?;
-    let mut report = Report::new(if flags.recover {
-        format!("{suite} --recover")
-    } else {
-        suite.to_string()
-    });
-    muted(|| sweep(flags, &mut report));
-    report.finish()
+/// Runs one sweep suite at its one size, the full one: rejects every
+/// argument, then [`tally`]s the sweep.
+pub fn drive(suite: &str, args: &[String], sweep: impl FnOnce(&mut Report)) -> Result<(), String> {
+    if let Some(arg) = args.first() {
+        return Err(format!("unknown {suite} flag {arg}"));
+    }
+    tally(suite, sweep).map(drop)
+}
+
+/// Runs `sweep` under the muted panic hook into a fresh report named
+/// `suite`, prints the report, and returns its summary line; `Err` when any
+/// trial failed.
+pub fn tally(suite: &str, sweep: impl FnOnce(&mut Report)) -> Result<String, String> {
+    let mut report = Report::new(suite.to_string());
+    muted(|| sweep(&mut report));
+    let summary = report.summary();
+    report.finish().map(|()| summary)
 }
 
 /// Runs `f` with the panic hook muted. Sweep trials and killed ranks end in
@@ -428,22 +406,19 @@ mod tests {
     }
 
     #[test]
-    fn every_suite_rejects_unknown_flags_and_only_chaos_takes_recover() {
+    fn every_suite_rejects_every_flag() {
         type Suite = fn(&[String]) -> Result<(), String>;
         let suites: [(&str, Suite); 3] = [
             ("chaos", crate::chaos::run),
             ("schedcheck", crate::schedcheck::run),
             ("modelcheck", crate::modelcheck::run),
         ];
-        let args =
-            |flags: &[&str]| -> Vec<String> { flags.iter().map(|f| f.to_string()).collect() };
         for (name, run) in suites {
-            // Parsing fails before any trial runs, so these calls are fast.
-            let err = run(&args(&["--quick", "--bogus"])).expect_err(name);
-            assert_eq!(err, format!("unknown {name} flag --bogus"));
-            let err = run(&args(&["--recover", "--bogus"])).expect_err(name);
-            let rejected = format!("unknown {name} flag --recover");
-            assert_eq!(err == rejected, name != "chaos", "{name}: {err}");
+            // Rejection comes before any trial runs, so these calls are fast.
+            for flag in ["--quick", "--recover", "--bogus"] {
+                let err = run(&[flag.to_string()]).expect_err(name);
+                assert_eq!(err, format!("unknown {name} flag {flag}"));
+            }
         }
     }
 
