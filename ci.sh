@@ -72,12 +72,18 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # The paper's tables and figures, plus the per-level attribution of the
 # three factorizations (levels.txt) and the kernel gate (kernels.txt):
 # simulated time and every count in them are bit-reproducible, so they must
-# regenerate exactly. The seven rows cheap at their one size (fig1-3,
-# ablation_partition, baseline_ilu0, levels, kernels) are diffed against
-# experiments/*.txt; Tables 1-3, Figs 4-6 and ablation_comm against their
-# CI stand-ins in experiments/ci/*.txt. Before kernels.txt is diffed,
-# the gate runs every scenario of the kernel table, untimed, and fails the
-# stage, naming scenario and tag or region, on
+# regenerate exactly. Every experiment has one size and one file,
+# experiments/<name>.txt, the file the docs quote. The stage diffs:
+#   - the seven files cheap at their size (fig1-3, ablation_partition,
+#     baseline_ilu0, levels, kernels) whole, line by line;
+#   - the seven record files too slow to regenerate whole here (Tables 1-3,
+#     Figs 4-6, ablation_comm) on a named slice of rows (`ci_rows` in
+#     crates/xtask/src/paper.rs), rendered at the file's own size and
+#     compared cell by cell with the committed lines of the same label;
+#     `paper --check --record` diffs those files whole, by hand;
+#   - every doc block (below).
+# Before kernels.txt is diffed, the gate runs every scenario of the kernel
+# table, untimed, and fails the stage, naming scenario and tag or region, on
 #   - planned != measured traffic for any tag, or an unplanned tag;
 #   - any heap acquisition in a steady region;
 #   - the mis_rounds, alg42_sweep or plan_replay allocation budgets exceeded;
@@ -88,10 +94,11 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # README.md and EXPERIMENTS.md quote experiments/ files in blocks between
 # `<!-- experiments/<file>.txt[#fragment] -->` and `<!-- end -->`; the check
 # also diffs every block against the committed file and fails at its
-# doc:line. A change that moves them re-blesses with `xtask paper` (and
-# `xtask paper --record` for the stand-ins' rows of experiments/*.txt),
-# which re-renders every block too, and shows the moved numbers in its diff.
-echo "==> paper --check (Tables 1-3, Figures 1-6, ablations, levels, kernel gate, doc blocks; exact diff)"
+# doc:line. A change that moves them re-blesses with `xtask paper` (the
+# cheap files) and `xtask paper --record` (every file, the slow ones
+# included), which re-render every block too, and shows the moved numbers
+# in its diff.
+echo "==> paper --check (cheap files whole, slices of Tables 1-3, Figures 4-6 and ablation_comm, kernel gate, doc blocks)"
 cargo run -q -p xtask --release -- paper --check
 
 # ThreadSanitizer pass over the VM crate: the logical-clock machine is the

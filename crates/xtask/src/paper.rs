@@ -2,18 +2,21 @@
 //! paper (DESIGN.md §5 is the index, EXPERIMENTS.md the discussion).
 //!
 //! [`EXPERIMENTS`] is the whole configuration: one row per experiment with
-//! its matrix families, option grid, its size, the CI stand-in of a row too
-//! slow to run at that size in CI, and the function that renders it. A row
-//! runs at its size into `experiments/<name>.txt`; `xtask paper` runs a
-//! row with a stand-in at the stand-in's size instead, into
-//! `experiments/ci/<name>.txt`, and `--record` at its size. `--check`
-//! compares instead of writing and fails on the first differing line. Every
-//! number in those files is a count or **simulated Cray T3D seconds** from
-//! the `pilut-par` logical clock, so the files are bit-reproducible and CI
-//! gates what it runs exactly: the one-size rows and the stand-ins. Shapes
-//! (speedups, algorithm ratios, crossovers) are the reproduction target,
-//! not absolute values. Wall-clock progress (one line per experiment) goes
-//! to stderr only.
+//! its matrix families, option grid, its one size, the rows CI checks of an
+//! experiment too slow to run whole in CI, and the function that renders
+//! it. Every row runs at its size into `experiments/<name>.txt`, its only
+//! file. A row cheap at that size has no `ci_rows`: `xtask paper` writes it
+//! and `--check` diffs it whole, failing on the first differing line. A
+//! slow row names the rows CI checks by label (`ILUT*(10,1e-4,2)`,
+//! `Cray T3D`): `--check` renders only those, at the row's size and through
+//! the same function, and compares each line with the committed line of the
+//! same label in the same `## ` section ([`diff_slice`]). `--record` writes
+//! (or, with `--check`, diffs) every row whole. Every number in those files
+//! is a count or **simulated Cray T3D seconds** from the `pilut-par`
+//! logical clock, so the files are bit-reproducible and CI checks the very
+//! lines the docs quote. Shapes (speedups, algorithm ratios, crossovers)
+//! are the reproduction target, not absolute values. Wall-clock progress
+//! (one line per experiment) goes to stderr only.
 //!
 //! The last two entries are not from the paper. `levels` is the library's
 //! own per-level attribution of a factorization (`ParStats::per_level`):
@@ -26,15 +29,15 @@
 //! traffic, fill, factor bytes), held to the same exact diff.
 //!
 //! Figures 4–6 are ratios of Table 1's and Table 2's sweeps: they name the
-//! same grid and sizes as their table (`..TABLE1`), so [`sweep`] hands them
-//! the table's cached runs and they launch none of their own.
+//! same grid, size and CI rows as their table (`..TABLE1`), so [`sweep`]
+//! hands them the table's cached runs and they launch none of their own.
 //!
 //! The numbers README.md and EXPERIMENTS.md quote are those files, not
 //! copies typed from them: a block between `<!-- experiments/<file>.txt -->`
 //! (or `…txt#fragment`, the one `## ` section whose heading contains the
 //! fragment) and `<!-- end -->` holds the committed text byte for byte.
 //! `paper` and `--record` rewrite every block ([`splice`]) after writing
-//! their tier; `--check` diffs every block and names the doc line.
+//! their rows; `--check` diffs every block and names the doc line.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -65,14 +68,8 @@ const fn at(scale: f64, procs: &'static [usize]) -> Size {
     Size { scale, procs }
 }
 
-/// Every CI stand-in of a scaled family is this small.
-const fn ci(procs: &'static [usize]) -> Option<Size> {
-    Some(at(0.02, procs))
-}
-
-/// The paper's processor counts, and the ones the CI stand-ins sweep instead.
+/// The paper's processor counts.
 const PAPER_PROCS: &[usize] = &[16, 32, 64, 128];
-const CI_PROCS: &[usize] = &[2, 4, 8];
 
 /// The matrices the experiments run on.
 #[derive(Clone, Copy, Debug)]
@@ -113,28 +110,24 @@ impl Family {
 /// One row of the experiment table.
 #[derive(Clone, Copy)]
 struct Experiment {
-    /// File stem under `experiments/` (and `experiments/ci/`).
+    /// File stem under `experiments/`.
     name: &'static str,
     title: &'static str,
     families: &'static [Family],
     grid: fn() -> Vec<IlutOptions>,
     /// The size `experiments/<name>.txt` holds.
     size: Size,
-    /// The stand-in CI runs instead, into `experiments/ci/<name>.txt`: only
-    /// a row too slow for CI at its size has one.
-    ci: Option<Size>,
-    render: fn(&Experiment, Size, &mut Runs) -> Rendered,
+    /// The labels of the rows `paper --check` renders of a row too slow for
+    /// CI at its size; empty for a cheap row, which it renders whole.
+    ci_rows: &'static [&'static str],
+    /// Renders the rows whose labels the second argument lists (all for
+    /// an empty list) at the experiment's size.
+    render: fn(&Experiment, &[&str], &mut Runs) -> Rendered,
 }
 
-impl Experiment {
-    /// Where this row is written and at which size: its stand-in's unless
-    /// `record` or it has none.
-    fn tier(&self, record: bool) -> (&'static str, Size) {
-        match self.ci {
-            Some(ci) if !record => ("experiments/ci", ci),
-            _ => ("experiments", self.size),
-        }
-    }
+/// Whether the row `label` is among the rows `only` lists (all for none).
+fn keep(only: &[&str], label: &str) -> bool {
+    only.is_empty() || only.contains(&label)
 }
 
 /// An experiment's text, or why it could not be rendered: a violated
@@ -160,7 +153,7 @@ const TABLE1: Experiment = Experiment {
     families: &[Family::G40, Family::Torso],
     grid: config_grid,
     size: at(0.5, PAPER_PROCS),
-    ci: ci(CI_PROCS),
+    ci_rows: &["ILUT(5,1e-2)", "ILUT*(5,1e-2,2)"],
     render: table1,
 };
 
@@ -181,7 +174,7 @@ const EXPERIMENTS: [Experiment; 14] = [
         name: "table3",
         title: "Table 3 — GMRES performance",
         size: at(0.25, &[128]),
-        ci: ci(&[8]),
+        ci_rows: &["ILUT*(10,1e-4,2)"],
         render: table3,
         ..TABLE1
     },
@@ -191,7 +184,7 @@ const EXPERIMENTS: [Experiment; 14] = [
         families: &[Family::Grid2d(24)],
         grid: || vec![IlutOptions::new(10, 1e-6)],
         size: at(1.0, &[4]),
-        ci: None,
+        ci_rows: &[],
         render: fig1,
     },
     Experiment {
@@ -200,7 +193,7 @@ const EXPERIMENTS: [Experiment; 14] = [
         families: &[Family::Grid3d(12)],
         grid: || vec![IlutOptions::new(10, 1e-4), IlutOptions::star(10, 1e-4, 2)],
         size: at(1.0, &[8]),
-        ci: None,
+        ci_rows: &[],
         render: fig2,
     },
     Experiment {
@@ -209,7 +202,7 @@ const EXPERIMENTS: [Experiment; 14] = [
         families: &[Family::Grid2d(16)],
         grid: || vec![IlutOptions::new(8, 1e-3)],
         size: at(1.0, &[4]),
-        ci: None,
+        ci_rows: &[],
         render: fig3,
     },
     Experiment {
@@ -238,7 +231,7 @@ const EXPERIMENTS: [Experiment; 14] = [
         families: &[Family::Torso],
         grid: || vec![IlutOptions::new(10, 1e-6), IlutOptions::star(10, 1e-6, 2)],
         size: at(0.15, &[128]),
-        ci: ci(&[8]),
+        ci_rows: &["Cray T3D"],
         render: ablation_comm,
     },
     Experiment {
@@ -247,7 +240,7 @@ const EXPERIMENTS: [Experiment; 14] = [
         families: &[Family::Torso],
         grid: || vec![IlutOptions::star(10, 1e-4, 2)],
         size: at(0.15, &[32]),
-        ci: None,
+        ci_rows: &[],
         render: ablation_partition,
     },
     Experiment {
@@ -256,7 +249,7 @@ const EXPERIMENTS: [Experiment; 14] = [
         families: &[Family::Torso],
         grid: || vec![IlutOptions::new(10, 1e-4), IlutOptions::star(10, 1e-4, 2)],
         size: at(0.15, &[32]),
-        ci: None,
+        ci_rows: &[],
         render: baseline_ilu0,
     },
     Experiment {
@@ -265,7 +258,7 @@ const EXPERIMENTS: [Experiment; 14] = [
         families: &[Family::Torso],
         grid: || vec![IlutOptions::new(10, 1e-4), IlutOptions::star(10, 1e-4, 2)],
         size: at(0.15, &[32]),
-        ci: None,
+        ci_rows: &[],
         render: levels,
     },
     KERNELS,
@@ -278,37 +271,41 @@ const KERNELS: Experiment = Experiment {
     families: &[],
     grid: Vec::new,
     size: at(1.0, &[]),
-    ci: None,
+    ci_rows: &[],
     render: kernels,
 };
 
 /// `paper [--check] [--record]`.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (mut check, mut record) = (false, false);
-    for arg in args {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--record" => record = true,
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}` (paper [--check] [--record])"
-                ))
-            }
-        }
+    let flag = |f: &str| args.iter().any(|a| a == f);
+    let (check, record) = (flag("--check"), flag("--record"));
+    if args.len() != usize::from(check) + usize::from(record) {
+        let args = args.join(" ");
+        return Err(format!("`{args}`: expected paper [--check] [--record]"));
     }
     let root = crate::workspace_root();
-    let mut runs = Runs::default();
+    let (mut runs, mut done) = (Runs::default(), 0);
     for e in &EXPERIMENTS {
         let t0 = Instant::now();
-        let (dir, size) = e.tier(record);
-        let label = format!("{dir}/{}.txt", e.name);
-        let text = (e.render)(e, size, &mut runs)?;
+        // A slow row renders whole under `--record`, its CI rows under
+        // `--check` alone, and not at all under plain `paper`.
+        let only = if record { &[] } else { e.ci_rows };
+        if !check && !only.is_empty() {
+            continue;
+        }
+        let label = format!("experiments/{}.txt", e.name);
+        let text = (e.render)(e, only, &mut runs)?;
         if check {
             let golden = std::fs::read_to_string(root.join(&label));
-            diff(&label, &golden.map_err(|e| format!("{label}: {e}"))?, &text)?;
+            let golden = golden.map_err(|e| format!("{label}: {e}"))?;
+            match only {
+                [] => diff(&label, &golden, &text)?,
+                _ => diff_slice(&label, &golden, &text, only)?,
+            }
         } else {
             std::fs::write(root.join(&label), text).map_err(|e| format!("{label}: {e}"))?;
         }
+        done += 1;
         eprintln!("[paper] {label}: {:.1}s", t0.elapsed().as_secs_f64());
     }
     let read = |file: &str| std::fs::read_to_string(root.join(file)).map_err(|e| e.to_string());
@@ -322,11 +319,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
     }
     let verb = if check { "match" } else { "written to" };
-    let dirs = if record { "" } else { " and experiments/ci/" };
-    println!(
-        "xtask paper: {} experiments {verb} experiments/{dirs}, quoted in {DOCS:?}",
-        EXPERIMENTS.len()
-    );
+    println!("xtask paper: {done} experiments {verb} experiments/, quoted in {DOCS:?}");
     Ok(())
 }
 
@@ -393,6 +386,54 @@ pub(crate) fn diff(label: &str, golden: &str, fresh: &str) -> Result<(), String>
         }
     }
     Ok(())
+}
+
+/// [`diff`] of a slice: every line of `fresh`, the rows `only` rendered
+/// alone, against the first line of `golden` with the same label in the
+/// same `## ` section, compared by [`words`], so column widths that depend
+/// on which rows were rendered do not matter. A label of `only` that
+/// renders no table row is an error, and so is a line with no committed
+/// counterpart: renaming a configuration cannot empty a slice unnoticed.
+fn diff_slice(label: &str, golden: &str, fresh: &str, only: &[&str]) -> Result<(), String> {
+    let mut committed = BTreeMap::new();
+    for (key, at, line) in keyed(golden) {
+        committed.entry(key).or_insert((at, line));
+    }
+    for ((section, table, row), _, line) in keyed(fresh) {
+        let Some(&(at, want)) = committed.get(&(section, table, row)) else {
+            return Err(format!("{label}: `{section}` has no row for `{line}`"));
+        };
+        if words(want) != words(line) {
+            let drift = format!("{label}:{at}: committed `{want}` != regenerated `{line}`");
+            return Err(drift);
+        }
+    }
+    let rendered = |row: &&&str| keyed(fresh).any(|(key, ..)| key.1 && key.2 == Some(**row));
+    match only.iter().find(|row| !rendered(row)) {
+        Some(row) => Err(format!("{label}: CI row `{row}` renders no table row")),
+        None => Ok(()),
+    }
+}
+
+/// Every line of `text` with its line number, keyed by its `## ` section,
+/// whether it is a table line, and its label ([`words`]).
+fn keyed(text: &str) -> impl Iterator<Item = ((&str, bool, Option<&str>), usize, &str)> {
+    let mut section = "";
+    text.lines().zip(1..).map(move |(line, at)| {
+        section = line.strip_prefix("## ").map_or(section, |_| line);
+        let (table, words) = words(line);
+        ((section, table, words.first().copied()), at, line)
+    })
+}
+
+/// A line as [`diff_slice`] compares it: whether it is a table line, and its
+/// cells (none for a `|---|` rule) or else its words; the first is its label.
+fn words(line: &str) -> (bool, Vec<&str>) {
+    match line.strip_prefix('|') {
+        Some(rule) if rule.starts_with('-') => (true, Vec::new()),
+        Some(cells) => (true, cells.split('|').map(str::trim).collect()),
+        None => (false, line.split_whitespace().collect()),
+    }
 }
 
 // ---- Runs -----------------------------------------------------------------
@@ -479,10 +520,11 @@ fn sweep<R>(
     cache: &mut BTreeMap<String, Sweep<R>>,
     e: &Experiment,
     family: Family,
-    size: Size,
+    only: &[&str],
     run: fn(&DistMatrix, &IlutOptions) -> R,
 ) -> Sweep<R> {
-    let grid = (e.grid)();
+    let (mut grid, size) = ((e.grid)(), e.size);
+    grid.retain(|o| keep(only, &o.name()));
     let key = format!("{family:?} {size:?} {grid:?}");
     let rows = cache.entry(key).or_insert_with(|| {
         let a = family.matrix(size.scale);
@@ -520,6 +562,12 @@ impl Precond {
         };
         Some(rf.expect("factorization failed"))
     }
+}
+
+/// Parallel ILU(0), then every configuration of the experiment's grid.
+fn with_ilu0(e: &Experiment) -> Vec<Precond> {
+    let ilut = (e.grid)().into_iter().map(Precond::Ilut);
+    [Precond::Ilu0].into_iter().chain(ilut).collect()
 }
 
 /// One preconditioned GMRES solve of `A x = A·1` from `x₀ = 0` (paper §6),
@@ -595,11 +643,10 @@ fn table<H: AsRef<str>>(title: &str, head: &[H], rows: &[Vec<String>]) -> String
     let widths: Vec<usize> = (0..head.len()).map(|c| width(c).unwrap_or(0)).collect();
     let line = |r: &Vec<String>| {
         let label = format!("{:<1$}", r[0], widths[0]);
-        let cell = |c: usize| format!(" | {:>1$}", r[c], widths[c]);
-        format!(
-            "| {label}{} |\n",
-            (1..r.len()).map(cell).collect::<String>()
-        )
+        let cells: String = (1..r.len())
+            .map(|c| format!(" | {:>1$}", r[c], widths[c]))
+            .collect();
+        format!("| {label}{cells} |\n")
     };
     let dashes = |w: &usize| format!("{:-<1$}|", "", w + 2);
     let rule: String = widths.iter().map(dashes).collect();
@@ -623,10 +670,10 @@ fn joined<T>(items: &[T], cell: impl Fn(&T) -> String) -> String {
     items.iter().map(cell).collect::<Vec<_>>().join(", ")
 }
 
-fn table1(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
+fn table1(e: &Experiment, only: &[&str], runs: &mut Runs) -> Rendered {
     let section = |&family: &Family| {
-        let sweep = sweep(&mut runs.factor, e, family, size, run_factorization);
-        let head = row_of("Factorization".into(), size.procs, |p| format!("p = {p}"));
+        let sweep = sweep(&mut runs.factor, e, family, only, run_factorization);
+        let head = row_of("Factorization".into(), e.size.procs, |p| format!("p = {p}"));
         let rows = sweep_rows(&sweep, |_, r| fmt_time(r.time));
         let mut out = table(&format!("{}, {}", e.title, family.name()), &head, &rows);
         out += "\nIndependent-set counts (paper §6 discussion):\n";
@@ -636,22 +683,19 @@ fn table1(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
         }
         out
     };
-    Ok(e.families
-        .iter()
-        .map(section)
-        .collect::<Vec<_>>()
-        .join("\n"))
+    let sections: Vec<String> = e.families.iter().map(section).collect();
+    Ok(sections.join("\n"))
 }
 
-fn table2(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
+fn table2(e: &Experiment, only: &[&str], runs: &mut Runs) -> Rendered {
     let family = e.families[0];
-    let sweep = sweep(&mut runs.trisolve, e, family, size, run_trisolve);
-    let head = row_of("Factorization".into(), size.procs, |p| format!("p = {p}"));
+    let sweep = sweep(&mut runs.trisolve, e, family, only, run_trisolve);
+    let head = row_of("Factorization".into(), e.size.procs, |p| format!("p = {p}"));
     let mut rows = sweep_rows(&sweep, |_, r| fmt_time(r.trisolve));
     // The matvec does not depend on the factorization: print the first set.
-    rows.push(row_of("Matrix-Vector".into(), &sweep[0].1, |r| {
-        fmt_time(r.matvec)
-    }));
+    let matvec =
+        |(_, rs): &(_, Vec<SolveRun>)| row_of("Matrix-Vector".into(), rs, |r| fmt_time(r.matvec));
+    rows.extend(sweep.first().map(matvec));
     let mut out = table(&format!("{}, {}", e.title, family.name()), &head, &rows);
     out += "\nTrisolve/matvec cost ratios (paper §5: ≈1.3× for ILUT*):\n";
     for (opts, rs) in sweep.iter() {
@@ -662,34 +706,36 @@ fn table2(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
 }
 
 /// Figures 4–6 as data series: per configuration, `time(p₀) / time(p)`.
-fn speedup<R>(e: &Experiment, size: Size, sweep: &Sweep<R>, time: fn(&R) -> f64) -> String {
-    let (base_p, last_p) = (size.procs[0], size.procs[size.procs.len() - 1]);
+fn speedup<R>(e: &Experiment, sweep: &Sweep<R>, time: fn(&R) -> f64) -> String {
+    let procs = e.size.procs;
+    let (base_p, last_p) = (procs[0], procs[procs.len() - 1]);
     let family = e.families[0].name();
     let title = format!("{}, {family} (speedup relative to p = {base_p})", e.title);
-    let head = row_of("Factorization".into(), size.procs, |p| format!("S(p={p})"));
+    let head = row_of("Factorization".into(), procs, |p| format!("S(p={p})"));
     let rows = sweep_rows(sweep, |rs, r| format!("{:.2}", time(&rs[0]) / time(r)));
     let ideal = last_p as f64 / base_p as f64;
     let note = format!("(Ideal speedup at p = {last_p} is {ideal:.1}x.)");
     format!("{}\n{note}\n", table(&title, &head, &rows))
 }
 
-fn factor_speedup(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
-    let sweep = sweep(&mut runs.factor, e, e.families[0], size, run_factorization);
-    Ok(speedup(e, size, &sweep, |r| r.time))
+fn factor_speedup(e: &Experiment, only: &[&str], runs: &mut Runs) -> Rendered {
+    let sweep = sweep(&mut runs.factor, e, e.families[0], only, run_factorization);
+    Ok(speedup(e, &sweep, |r| r.time))
 }
 
-fn trisolve_speedup(e: &Experiment, size: Size, runs: &mut Runs) -> Rendered {
-    let sweep = sweep(&mut runs.trisolve, e, e.families[0], size, run_trisolve);
-    Ok(speedup(e, size, &sweep, |r| r.trisolve))
+fn trisolve_speedup(e: &Experiment, only: &[&str], runs: &mut Runs) -> Rendered {
+    let sweep = sweep(&mut runs.trisolve, e, e.families[0], only, run_trisolve);
+    Ok(speedup(e, &sweep, |r| r.trisolve))
 }
 
 /// GMRES(10) and GMRES(50) at one `p`: solve time (excluding the
 /// factorization, as in the paper) and matrix–vector products, for the 18
 /// ILUT/ILUT\* preconditioners plus the diagonal baseline.
-fn table3(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
-    let p = size.procs[0];
+fn table3(e: &Experiment, only: &[&str], _: &mut Runs) -> Rendered {
+    let p = e.size.procs[0];
     let mut pres: Vec<Precond> = (e.grid)().into_iter().map(Precond::Ilut).collect();
     pres.push(Precond::Diagonal);
+    pres.retain(|pre| keep(only, &pre.name()));
     let head = [
         "Preconditioner",
         "GMRES(10) time",
@@ -698,7 +744,7 @@ fn table3(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
         "GMRES(50) NMV",
     ];
     let section = |&family: &Family| {
-        let dm = partition(&family.matrix(size.scale), p);
+        let dm = partition(&family.matrix(e.size.scale), p);
         let solve_row = |pre: &Precond| {
             let cells = [10, 50].into_iter().flat_map(|restart| {
                 let r = run_gmres(&dm, pre, restart);
@@ -716,11 +762,8 @@ fn table3(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
             "(`--`/`*` = not converged within the NMV budget, as for the paper's diagonal runs.)";
         format!("{}\n{note}\n", table(&title, &head, &rows))
     };
-    Ok(e.families
-        .iter()
-        .map(section)
-        .collect::<Vec<_>>()
-        .join("\n"))
+    let sections: Vec<String> = e.families.iter().map(section).collect();
+    Ok(sections.join("\n"))
 }
 
 /// Why ILU(0)'s colouring schedule breaks down for ILUT: ILU(0) never fills,
@@ -729,9 +772,9 @@ fn table3(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
 /// interface nodes into valid concurrent elimination classes; ILUT's
 /// interior fill adds dependencies among them, counted here as same-colour
 /// pairs that `A_I⁰` now couples.
-fn fig1(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
-    let (p, family, opts) = (size.procs[0], e.families[0].name(), &(e.grid)()[0]);
-    let a = e.families[0].matrix(size.scale);
+fn fig1(e: &Experiment, _: &[&str], _: &mut Runs) -> Rendered {
+    let (p, family, opts) = (e.size.procs[0], e.families[0].name(), &(e.grid)()[0]);
+    let a = e.families[0].matrix(e.size.scale);
     let dm = partition(&a, p);
     let run = spmd(&dm, MachineModel::cray_t3d(), |ctx, local| {
         let ilu0 = Precond::Ilu0.factor(ctx, &dm, local); // always `Some`
@@ -782,9 +825,9 @@ fn fig1(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
 /// The interface nodes being factored by repeatedly taking a maximal
 /// independent set of the successively reduced matrices: per level, how
 /// many nodes the set captured and how many remain, for ILUT and ILUT\*.
-fn fig2(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
-    let (p, family) = (size.procs[0], e.families[0]);
-    let dm = partition(&family.matrix(size.scale), p);
+fn fig2(e: &Experiment, _: &[&str], _: &mut Runs) -> Rendered {
+    let (p, family) = (e.size.procs[0], e.families[0]);
+    let dm = partition(&family.matrix(e.size.scale), p);
     let mut out = format!("## {}\n\n{}, {p} domains.\n\n", e.title, family.name());
     for opts in (e.grid)() {
         let run = spmd(&dm, MachineModel::cray_t3d(), |ctx, local| {
@@ -813,9 +856,9 @@ fn fig2(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
 /// The block structure of the permuted triangular factors: unknowns ordered
 /// the way the parallel factorization eliminates them (each rank's
 /// interiors, then the interface levels), nonzeros counted per block pair.
-fn fig3(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
-    let (p, family, opts) = (size.procs[0], e.families[0], &(e.grid)()[0]);
-    let dm = partition(&family.matrix(size.scale), p);
+fn fig3(e: &Experiment, _: &[&str], _: &mut Runs) -> Rendered {
+    let (p, family, opts) = (e.size.procs[0], e.families[0], &(e.grid)()[0]);
+    let dm = partition(&family.matrix(e.size.scale), p);
     let run = spmd(&dm, MachineModel::cray_t3d(), |ctx, local| {
         factor(ctx, &dm, local, opts)
     });
@@ -878,9 +921,9 @@ in L and later blocks in U — the paper's colour-coded wedge structure.
 /// picture (the paper's conclusion: ILUT\* matters most on slow networks):
 /// the same problem on a zero-communication ideal, the T3D model and a
 /// workstation-cluster model (50× the latency, ~1/15 the bandwidth).
-fn ablation_comm(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
-    let (p, family, grid) = (size.procs[0], e.families[0], (e.grid)());
-    let dm = partition(&family.matrix(size.scale), p);
+fn ablation_comm(e: &Experiment, only: &[&str], _: &mut Runs) -> Rendered {
+    let (p, family, grid) = (e.size.procs[0], e.families[0], (e.grid)());
+    let dm = partition(&family.matrix(e.size.scale), p);
     let machine_row = |(name, model): (&str, MachineModel)| {
         let time = |opts| {
             let run = spmd(&dm, model, |ctx, local| {
@@ -893,11 +936,12 @@ fn ablation_comm(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
         let ratio = format!("{:.2}x", ilut / star);
         vec![name.to_string(), fmt_time(ilut), fmt_time(star), ratio]
     };
-    let machines = [
+    let mut machines = vec![
         ("zero-comm ideal", MachineModel::zero_comm()),
         ("Cray T3D", MachineModel::cray_t3d()),
         ("workstation cluster", MachineModel::workstation_cluster()),
     ];
+    machines.retain(|(name, _)| keep(only, name));
     let rows: Vec<_> = machines.into_iter().map(machine_row).collect();
     let title = format!("{} ({}, p = {p})", e.title, family.name());
     let head = ["Machine", "ILUT (s)", "ILUT* (s)", "ILUT/ILUT*"];
@@ -916,9 +960,9 @@ fn ablation_comm(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
 /// domain decomposition … significantly decreases the amount of
 /// communication"): the same factorization under it and under a naive
 /// contiguous block distribution.
-fn ablation_partition(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
-    let (p, family, opts) = (size.procs[0], e.families[0], &(e.grid)()[0]);
-    let a = family.matrix(size.scale);
+fn ablation_partition(e: &Experiment, _: &[&str], _: &mut Runs) -> Rendered {
+    let (p, family, opts) = (e.size.procs[0], e.families[0], &(e.grid)()[0]);
+    let a = family.matrix(e.size.scale);
     let n = a.n_rows();
     let dist_row = |(name, dist): (&str, Distribution)| {
         let dm = DistMatrix::new(a.clone(), dist);
@@ -950,9 +994,9 @@ fn ablation_partition(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
 
 /// Parallel ILU(0) vs ILUT / ILUT\* end to end (the paper's §2–3
 /// narrative): simulated factor time, schedule length q, and GMRES(50).
-fn baseline_ilu0(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
-    let (p, family) = (size.procs[0], e.families[0]);
-    let dm = partition(&family.matrix(size.scale), p);
+fn baseline_ilu0(e: &Experiment, _: &[&str], _: &mut Runs) -> Rendered {
+    let (p, family) = (e.size.procs[0], e.families[0]);
+    let dm = partition(&family.matrix(e.size.scale), p);
     let method_row = |pre: Precond| {
         let r = run_gmres(&dm, &pre, 50);
         let (factor, solve) = (fmt_time(r.factor_time), fmt_time(r.solve_time));
@@ -963,12 +1007,7 @@ fn baseline_ilu0(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
         );
         vec![pre.name(), factor, q, solve, nmv, conv]
     };
-    let ilut = (e.grid)().into_iter().map(Precond::Ilut);
-    let rows: Vec<_> = [Precond::Ilu0]
-        .into_iter()
-        .chain(ilut)
-        .map(method_row)
-        .collect();
+    let rows: Vec<_> = with_ilu0(e).into_iter().map(method_row).collect();
     let title = format!("{} ({}, p = {p}, GMRES(50))", e.title, family.name());
     let head = ["Method", "factor (s)", "q", "solve (s)", "NMV", "conv"];
     Ok(format!(
@@ -985,39 +1024,22 @@ fn baseline_ilu0(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
 /// (the global level); the cost columns — the flop split, the dist-MIS
 /// units, the words copied and the clock — are the slowest rank's, whose
 /// clock column therefore adds up to the factorization's simulated time.
-fn levels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
-    let (p, family) = (size.procs[0], e.families[0]);
-    let dm = partition(&family.matrix(size.scale), p);
-    let head = [
-        "level",
-        "cand",
-        "set",
-        "rounds",
-        "touched",
-        "pivots",
-        "drop1",
-        "nnz in",
-        "nnz out",
-        "urows",
-        "urow B",
-        "elim flops",
-        "select flops",
-        "mis units",
-        "copy words",
-        "clock (ms)",
-    ];
-    let ilut = (e.grid)().into_iter().map(Precond::Ilut);
+fn levels(e: &Experiment, _: &[&str], _: &mut Runs) -> Rendered {
+    let (p, family) = (e.size.procs[0], e.families[0]);
+    let dm = partition(&family.matrix(e.size.scale), p);
+    let head: Vec<&str> = "level, cand, set, rounds, touched, pivots, drop1, nnz in, nnz out, \
+                           urows, urow B, elim flops, select flops, mis units, copy words, clock (ms)"
+        .split(", ")
+        .collect();
     let section = |pre: Precond| {
         #[expect(clippy::expect_used, reason = "every method of this table factors")]
         let run = spmd(&dm, MachineModel::cray_t3d(), |ctx, local| {
             pre.factor(ctx, &dm, local).expect("a factorization").stats
         });
-        let slowest = (0..p).max_by(|&a, &b| {
-            let (ta, tb) = (run.stats.rank_times[a], run.stats.rank_times[b]);
-            ta.total_cmp(&tb).then(b.cmp(&a))
-        });
-        #[expect(clippy::expect_used, reason = "Machine::run panics on p = 0")]
-        let slowest = slowest.expect("p > 0");
+        // The lowest rank among the slowest (`max_by` keeps the last maximum).
+        let times = &run.stats.rank_times;
+        let slowest = (0..p).rev().max_by(|&a, &b| times[a].total_cmp(&times[b]));
+        let slowest = slowest.unwrap_or_default();
         let slow = &run.results[slowest];
         // One table row from one entry per rank.
         let row = |label: String, ranks: Vec<&LevelStats>| {
@@ -1060,11 +1082,7 @@ fn levels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
             slow.mis_work
         )
     };
-    let sections: Vec<String> = [Precond::Ilu0]
-        .into_iter()
-        .chain(ilut)
-        .map(section)
-        .collect();
+    let sections: Vec<String> = with_ilu0(e).into_iter().map(section).collect();
     Ok(format!(
         "{}
 (`cand`…`urow B` are sums over the ranks, `rounds` the largest rank's count
@@ -1080,7 +1098,7 @@ fn levels(e: &Experiment, size: Size, _: &mut Runs) -> Rendered {
 
 /// The kernel gate's table: [`bench::gate`]'s measurements, so a violated
 /// invariant fails the experiment before a line is rendered.
-fn kernels(_: &Experiment, _: Size, _: &mut Runs) -> Rendered {
+fn kernels(_: &Experiment, _: &[&str], _: &mut Runs) -> Rendered {
     Ok(kernel_table(&bench::gate()?))
 }
 
@@ -1172,28 +1190,39 @@ mod tests {
 
     #[test]
     fn committed_files_and_table_entries_correspond() {
-        // `experiments/` holds every row, `experiments/ci/` the stand-ins.
-        let files = |rows: &mut dyn Iterator<Item = &Experiment>| -> BTreeSet<String> {
-            rows.map(|e| format!("{}.txt", e.name)).collect()
-        };
-        let every = files(&mut EXPERIMENTS.iter());
-        let stand_ins = files(&mut EXPERIMENTS.iter().filter(|e| e.ci.is_some()));
-        assert_eq!((every.len(), stand_ins.len()), (14, 7));
-        for (dir, expect) in [("experiments", every), ("experiments/ci", stand_ins)] {
-            let found: BTreeSet<String> = std::fs::read_dir(crate::workspace_root().join(dir))
-                .unwrap_or_else(|e| panic!("{dir}: {e}"))
-                .flatten()
-                .map(|f| f.file_name().to_string_lossy().into_owned())
-                .filter(|f| f.ends_with(".txt"))
-                .collect();
-            assert_eq!(found, expect, "{dir}: missing or orphan files");
+        // `experiments/` holds one file per row and nothing else…
+        let dir = crate::workspace_root().join("experiments");
+        let expect: BTreeSet<String> = EXPERIMENTS
+            .iter()
+            .map(|e| format!("{}.txt", e.name))
+            .collect();
+        let found: BTreeSet<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|f| f.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            (found, expect.len()),
+            (expect, 14),
+            "missing or orphan files"
+        );
+        assert!(!dir.join("ci").exists(), "a second tier of files is back");
+        // …and every CI row of a slow experiment is a table row of its file.
+        let sliced = EXPERIMENTS.iter().filter(|e| !e.ci_rows.is_empty());
+        assert_eq!(sliced.clone().count(), 7);
+        for e in sliced {
+            let text = std::fs::read_to_string(dir.join(format!("{}.txt", e.name))).unwrap();
+            for row in e.ci_rows {
+                let label = |line: &str| words(line).0 && words(line).1.first() == Some(row);
+                assert!(text.lines().any(label), "{}: no row `{row}`", e.name);
+            }
         }
     }
 
     #[test]
     fn check_names_file_line_and_both_texts() {
         let e = by_name("fig1");
-        let fresh = (e.render)(&e, e.size, &mut Runs::default()).unwrap();
+        let fresh = (e.render)(&e, &[], &mut Runs::default()).unwrap();
         assert_eq!(diff("experiments/fig1.txt", &fresh, &fresh), Ok(()));
 
         let mut golden: Vec<&str> = fresh.split('\n').collect();
@@ -1291,9 +1320,8 @@ mod tests {
 
     fn renders_twice_alike(name: &str) {
         let e = by_name(name);
-        let size = e.tier(false).1;
-        let first = (e.render)(&e, size, &mut Runs::default()).unwrap();
-        let second = (e.render)(&e, size, &mut Runs::default()).unwrap();
+        let first = (e.render)(&e, &[], &mut Runs::default()).unwrap();
+        let second = (e.render)(&e, &[], &mut Runs::default()).unwrap();
         assert_eq!(first, second, "{name}");
     }
 
@@ -1305,16 +1333,18 @@ mod tests {
 
     #[test]
     fn derived_figures_launch_no_runs_of_their_own() {
-        // In the table, each figure names its table's families, grid and sizes…
-        let sweep_key = |e: &Experiment| format!("{:?} {:?} {:?}", (e.grid)(), e.size, e.ci);
+        // In the table, each figure names its table's families, grid, size
+        // and CI rows…
+        let sweep_key = |e: &Experiment| format!("{:?} {:?} {:?}", (e.grid)(), e.size, e.ci_rows);
         for (fig, table) in [("fig4", "table1"), ("fig5", "table1"), ("fig6", "table2")] {
             let (fig, table) = (by_name(fig), by_name(table));
             assert_eq!(sweep_key(&fig), sweep_key(&table), "{}", fig.name);
             let of_table = |f: &Family| table.families.iter().any(|t| t.name() == f.name());
             assert!(fig.families.iter().all(of_table), "{}", fig.name);
         }
-        // …so rendering them after the tables finds every sweep in the cache
-        // (shown on a one-configuration grid at the smallest problem size).
+        // …so rendering their CI rows after the tables' finds every sweep in
+        // the cache (shown at the smallest problem size), and no other row
+        // is run.
         let size = Size {
             scale: 0.0,
             procs: &[1, 2],
@@ -1322,15 +1352,81 @@ mod tests {
         let mut runs = Runs::default();
         for name in ["table1", "table2", "fig4", "fig5", "fig6"] {
             let e = Experiment {
-                grid: || vec![IlutOptions::new(5, 1e-2)],
+                size,
                 ..by_name(name)
             };
-            let lines = (e.render)(&e, size, &mut runs).unwrap();
+            let lines = (e.render)(&e, e.ci_rows, &mut runs).unwrap();
             assert!(lines.lines().count() > 5, "{name}");
+            assert!(lines.contains("| ILUT*(5,1e-2,2) |"), "{name}");
+            assert!(!lines.contains("ILUT(10,1e-2)"), "{name}");
             assert_eq!(
                 (runs.factor.len(), runs.trisolve.len()),
                 (2, usize::from(name != "table1"))
             );
         }
+    }
+
+    /// A committed file laid out as `table1.txt` is: two `## ` sections,
+    /// each a table and a list, in columns as wide as the widest row.
+    const COMMITTED: &str = "## T, G40\n\n| Factorization | p = 16 |\n|---------------|--------|\n\
+        | ILUT(5,1e-2)  | 0.0183 |\n| ILUT(10,1e-2) | 0.0195 |\n\nq by p:\n  ILUT(5,1e-2)   q: 10, 11\n\
+        \x20 ILUT(10,1e-2)  q: 10, 12\n\n## T, TORSO\n\n| Factorization | p = 16 |\n\
+        |---------------|--------|\n| ILUT(5,1e-2)  | 0.0783 |\n| ILUT(10,1e-2) | 0.1361 |\n";
+
+    /// The `ILUT(5,1e-2)` slice of [`COMMITTED`], its columns narrower.
+    const SLICE: &str = "## T, G40\n\n| Factorization | p = 16 |\n|--------------|--------|\n\
+        | ILUT(5,1e-2) | 0.0183 |\n\nq by p:\n  ILUT(5,1e-2) q: 10, 11\n\n## T, TORSO\n\n\
+        | Factorization | p = 16 |\n|--------------|--------|\n| ILUT(5,1e-2) | 0.0783 |\n";
+
+    const ONLY: &[&str] = &["ILUT(5,1e-2)"];
+
+    #[test]
+    fn a_slice_that_differs_only_in_width_matches() {
+        assert_eq!(diff_slice("t.txt", COMMITTED, SLICE, ONLY), Ok(()));
+        assert!(
+            diff("t.txt", COMMITTED, SLICE).is_err(),
+            "the whole diff would fail"
+        );
+    }
+
+    #[test]
+    fn a_drifted_slice_digit_fails_at_its_committed_line() {
+        let err = diff_slice("t.txt", COMMITTED, &SLICE.replace("0.0783", "0.0784"), ONLY);
+        let want = "t.txt:16: committed `| ILUT(5,1e-2)  | 0.0783 |` != regenerated \
+                    `| ILUT(5,1e-2) | 0.0784 |`";
+        assert_eq!(err, Err(want.into()));
+        // A list line compares word by word, and drifts the same way.
+        let drifted = COMMITTED.replace("10, 11", "10, 12");
+        let err = diff_slice("t.txt", &drifted, SLICE, ONLY).unwrap_err();
+        assert!(
+            err.starts_with("t.txt:9: committed `  ILUT(5,1e-2)   q: 10, 12`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_ci_row_that_renders_nothing_or_is_not_committed_is_an_error() {
+        // A label the renderer no longer produces…
+        let err = diff_slice("t.txt", COMMITTED, SLICE, &["ILUT(5,1e-2)", "ILUT(7,1e-2)"]);
+        assert_eq!(
+            err,
+            Err("t.txt: CI row `ILUT(7,1e-2)` renders no table row".into())
+        );
+        // …and a rendered row the committed section lacks.
+        let renamed = SLICE.replace("ILUT(5,1e-2) | 0.0783", "ILUT(7,1e-2) | 0.0783");
+        let err = diff_slice("t.txt", COMMITTED, &renamed, &["ILUT(7,1e-2)"]).unwrap_err();
+        assert!(
+            err.starts_with("t.txt: `## T, TORSO` has no row for `| ILUT(7,1e-2) |"),
+            "{err}"
+        );
+        let unsectioned = COMMITTED.replace("## T, TORSO", "## T, torso");
+        assert!(diff_slice("t.txt", &unsectioned, SLICE, ONLY).is_err());
+    }
+
+    #[test]
+    fn a_drift_outside_the_slice_passes() {
+        // Where the check stops: only `--check --record` sees this row.
+        let drifted = COMMITTED.replace("0.1361", "0.1362");
+        assert_eq!(diff_slice("t.txt", &drifted, SLICE, ONLY), Ok(()));
     }
 }
