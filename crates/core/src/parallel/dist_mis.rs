@@ -105,7 +105,7 @@
 //! refresh walk slot lists, not the pattern, and are not priced.
 
 use crate::dist::exchange::{tags, CommPlan};
-use crate::dist::Distribution;
+use crate::dist::{Distribution, LocalView};
 use crate::options::FactorError;
 use pilut_par::{Ctx, Payload};
 #[expect(clippy::disallowed_types, reason = "both doors sort what they read")]
@@ -142,7 +142,7 @@ const CONF: u8 = 2;
 const KILL: u8 = 4;
 
 /// "No slot". Slots and the node ids parked in the pattern before binding
-/// are stored as `u32`: the pattern and the global → slot index are the two
+/// are stored as `u32`: the pattern and the node → slot index are the two
 /// per-rank arrays of this kernel whose size follows the matrix.
 const NONE: u32 = u32::MAX;
 
@@ -272,6 +272,12 @@ impl Links {
     }
 }
 
+/// The `slot_of` key of `node`: its slot in `space` past the interiors —
+/// its interface number — or the node itself.
+fn map_key(space: Option<&LocalView>, node: usize) -> usize {
+    space.map_or(node, |local| local.slot(node) - local.interior.len())
+}
+
 /// Empties `v` and refills it with `n` copies of `x`, keeping its capacity.
 fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
     v.clear();
@@ -284,11 +290,15 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
 /// elsewhere), `run`; the chosen set is then read off the slot states
 /// until the next `begin`.
 #[derive(Default)]
-pub(crate) struct LevelMis {
+pub(crate) struct LevelMis<'a> {
+    /// The rank's column space, whose interface part keys `slot_of` when a
+    /// factorization drives the kernel; `None` keys it by global node.
+    space: Option<&'a LocalView>,
     /// Slot → global node.
     node: Vec<usize>,
-    /// Global node → slot for this level's nodes, [`NONE`] elsewhere;
-    /// grown on demand, reset by [`LevelMis::begin`].
+    /// Node key ([`map_key`]) → slot for this level's nodes, [`NONE`]
+    /// elsewhere; sized once to the interface, or grown on demand by global
+    /// node. Reset by [`LevelMis::begin`].
     slot_of: Vec<u32>,
     n_rows: usize,
     /// Slots below are mine, slots from here on remote.
@@ -330,13 +340,30 @@ pub(crate) struct LevelMis {
     live_rounds: usize,
 }
 
-impl LevelMis {
+impl<'a> LevelMis<'a> {
+    /// A kernel keyed by `local`'s column space ([`LocalView::slot`]):
+    /// every node of a level, row or referenced column, is an interface
+    /// node this rank's rows can reach, so the map holds one entry per
+    /// interface node and never outgrows the rank's column space.
+    pub(crate) fn over(local: &'a LocalView) -> Self {
+        LevelMis {
+            space: Some(local),
+            slot_of: vec![NONE; local.n_slots() - local.interior.len()],
+            ..LevelMis::default()
+        }
+    }
+
+    /// Length of the node → slot map.
+    pub(crate) fn map_len(&self) -> usize {
+        self.slot_of.len()
+    }
+
     /// Forgets the previous level and makes room for `nnz` pattern entries
     /// (exactly: the pattern is a quarter of the reduced matrix's bytes, and
     /// amortized growth would round that up to the next power of two).
     pub(crate) fn begin(&mut self, nnz: usize) {
         for &g in &self.node {
-            self.slot_of[g] = NONE;
+            self.slot_of[map_key(self.space, g)] = NONE;
         }
         self.node.clear();
         self.ptr.clear();
@@ -349,14 +376,16 @@ impl LevelMis {
 
     /// The slot of `node` in this level, [`NONE`] without one.
     fn slot(&self, node: usize) -> u32 {
-        self.slot_of.get(node).copied().unwrap_or(NONE)
+        let k = map_key(self.space, node);
+        self.slot_of.get(k).copied().unwrap_or(NONE)
     }
 
     fn set_slot(&mut self, node: usize) {
-        if node >= self.slot_of.len() {
-            self.slot_of.resize(node + 1, NONE);
+        let k = map_key(self.space, node);
+        if k >= self.slot_of.len() {
+            self.slot_of.resize(k + 1, NONE);
         }
-        self.slot_of[node] = narrow(self.node.len());
+        self.slot_of[k] = narrow(self.node.len());
         self.node.push(node);
     }
 
@@ -400,18 +429,19 @@ impl LevelMis {
             nodes.iter().for_each(|&v| self.set_slot(v));
             self.links.recv[*peer] = start..self.node.len();
         }
-        let (links, slot_of) = (&mut self.links, &self.slot_of);
+        let (space, slot_of, links) = (self.space, &self.slot_of, &mut self.links);
+        let slot = |v: usize| slot_of.get(map_key(space, v)).copied().unwrap_or(NONE);
         links.send_slot.clear();
         refill(&mut links.send, p, 0..0);
         for (peer, nodes) in plan.send_lists() {
             let start = links.send_slot.len();
             links
                 .send_slot
-                .extend(nodes.iter().map(|&v| slot_of[v] as usize));
+                .extend(nodes.iter().map(|&v| slot(v) as usize));
             links.send[*peer] = start..links.send_slot.len();
         }
         for c in &mut self.adj {
-            let slot = slot_of.get(*c as usize).copied().unwrap_or(NONE);
+            let slot = slot(*c as usize);
             assert!(
                 slot != NONE,
                 "reduced row references node {c}: neither a live row of this rank nor in the level plan"
@@ -708,7 +738,7 @@ impl LevelMis {
 
     /// Whether `node` — a row of this level or a column of one — is in `I_l`.
     pub(crate) fn is_in(&self, node: usize) -> bool {
-        self.state[self.slot_of[node] as usize] == S_IN
+        self.state[self.slot_of[map_key(self.space, node)] as usize] == S_IN
     }
 
     /// Modelled MIS units this level has charged to the clock.

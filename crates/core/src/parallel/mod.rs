@@ -41,7 +41,7 @@ pub use store::{RankFactors, RowRef};
 use crate::breakdown::PivotFault;
 use crate::dist::exchange::{tags, AllPeers};
 use crate::dist::{DistMatrix, LocalView};
-use crate::factors::triangle_reserve;
+use crate::factors::{make_room, triangle_reserve};
 use crate::options::{FactorError, IlutOptions};
 use crate::serial::drop_rules::{
     keep_largest_multipliers, selection_cost, threshold_and_cap_in_place,
@@ -248,7 +248,7 @@ pub(crate) fn factor(
             // Reduced row: threshold always applies; ILUT* additionally caps.
             threshold_and_cap_in_place(&mut kern.upper, tau_i, opts.reduced_cap(), Some(i));
         }
-        fb.staged[p - n_int].l = kern.lower.to_vec();
+        fb.staged[p - n_int] = kern.lower.to_vec();
         ctx.copy_words(kern.upper.len() as f64);
         kern.meter.copy_words += kern.upper.len() as f64;
         reduced.push(Some(kern.upper.to_vec()));
@@ -299,7 +299,7 @@ fn interface_levels(
 
     let mut levels: Vec<Vec<usize>> = Vec::new();
     let mut per_level: Vec<LevelStats> = Vec::new();
-    let mut mis = LevelMis::default();
+    let mut mis = LevelMis::over(local);
     let mut remote_u = RemoteURows::new(local);
     // The first malformed `U`-row batch (or missing member row) I met; it
     // goes to the next level head's error check, like a pivot fault.
@@ -345,7 +345,8 @@ fn interface_levels(
         // the levels appended since: multipliers never change once computed
         // and the rule's order is total, so this keeps exactly the entries a
         // per-level application would (DESIGN §2.2). Independence means
-        // the `U` part needs only rule-2 dropping.
+        // the `U` part needs only rule-2 dropping. Each row goes into the
+        // store as it is factored, so the level's rows are contiguous there.
         for &v in &my_in {
             let q = fb.interface_index(v);
             #[expect(clippy::expect_used, reason = "set members always carry a reduced row")]
@@ -354,19 +355,18 @@ fn interface_levels(
             live_nnz -= rr.len();
             let tau_v = tau_of[q];
             let (mut diag, has_diag) = split_diag(&rr, v, &mut kern.upper);
-            let row = &mut fb.staged[q];
+            let l = &mut fb.staged[q];
             match rule {
-                Rule::Ilut(_) => rule3(ctx, &mut kern.meter, &mut row.l, tau_v, m),
-                Rule::Pattern => row.l.sort_unstable_by_key(|e| e.col()),
+                Rule::Ilut(_) => rule3(ctx, &mut kern.meter, l, tau_v, m),
+                Rule::Pattern => l.sort_unstable_by_key(|e| e.col()),
             }
-            row.l.shrink_to_fit(); // final: give back the room the appends took
             let fallback = if tau_v > 0.0 { tau_v } else { 1.0 };
             kern.doctor.repair_or_defer(
                 v,
                 a.row_norm2(v),
                 has_diag,
                 &mut diag,
-                &mut row.l,
+                l,
                 &mut kern.upper,
                 &mut kern.fault,
                 fallback,
@@ -377,8 +377,7 @@ fn interface_levels(
                 kern.meter.select_flops += cost;
                 ctx.work(cost);
             }
-            row.diag = diag;
-            row.u = kern.upper.to_vec();
+            fb.push_interface(q, diag, &kern.upper);
         }
 
         // Ship the new U rows directly along the level plan: each rank
@@ -431,7 +430,7 @@ fn interface_levels(
             for &k in &pivots {
                 let wk = kern.w.get(local.slot(k));
                 kern.w.drop_pos(local.slot(k));
-                let Some((udiag, urow)) = fb.level_pivot(k, &remote_u) else {
+                let Some((udiag, ucols, uvals)) = fb.level_pivot(k, &remote_u) else {
                     let what = format!("no U row arrived for level member {k}");
                     note_err(&mut protocol, "urows", dm.dist().owner(k), what);
                     continue;
@@ -448,15 +447,15 @@ fn interface_levels(
                     kern.meter.dropped_rule1 += 1;
                     continue; // first dropping rule
                 }
-                let u = urow.iter().map(|e| (e.col(), e.val()));
-                rule.update(&mut kern.w, local, mult, u);
-                let cost = 2.0 * urow.len() as f64;
+                let u = ucols.iter().zip(uvals);
+                rule.update(&mut kern.w, local, mult, u.map(|(&c, &v)| (c as usize, v)));
+                let cost = 2.0 * ucols.len() as f64;
                 kern.meter.pivots_applied += 1;
                 kern.meter.elim_flops += cost;
                 ctx.work(cost + 1.0);
                 kern.lower.push(Entry::new(k, mult));
             }
-            let l = &mut fb.staged[q].l;
+            let l = &mut fb.staged[q];
             if l.len() + kern.lower.len() > m.saturating_mul(2) {
                 rule3(ctx, &mut kern.meter, l, tau_i, m);
             }
@@ -492,9 +491,10 @@ fn interface_levels(
     stats.phase1 = phase1;
     stats.per_level = per_level;
     stats.breakdowns_repaired = kern.doctor.repairs();
-    // Free before `finish` copies the staged rows: the slot arrays and
-    // pattern, the reduced rows' husks, the thresholds, the shipped rows,
-    // the working row.
+    // Free before `finish` lists the ghosts: the slot arrays and pattern,
+    // the reduced rows' husks, the thresholds, the shipped rows, the
+    // working row. The level state was keyed by the rank's column space.
+    debug_assert!(mis.map_len() <= local.n_slots());
     drop((mis, reduced, tau_of, remote_u, kern));
     Ok(fb.finish(levels, initial, stats))
 }
@@ -507,19 +507,6 @@ fn rule3(ctx: &mut Ctx, meter: &mut LevelStats, l: &mut Vec<Entry>, tau: f64, m:
     meter.select_flops += cost;
     ctx.work(cost);
     keep_largest_multipliers(l, tau, m);
-}
-
-/// Room for `extra` more [`Entry`]s (12 bytes each) in a live row's
-/// buffer. A buffer that must grow takes a quarter more than it needs:
-/// enough that a row's `L` and its reduced row grow a few times per
-/// factorization instead of once per touch, and little enough that a row
-/// never reserves more than 5/4 of what it has needed (amortized doubling
-/// held 2.3× the live entries on TORSO ILUT(20,1e-6), `peak_rss_mib` +5 %).
-fn make_room(row: &mut Vec<Entry>, extra: usize) {
-    let need = row.len() + extra;
-    if need > row.capacity() {
-        row.reserve_exact(need + need / 4 - row.len());
-    }
 }
 
 /// Moves a row's off-diagonal entries into `off` (cleared first) and

@@ -10,10 +10,16 @@
 //!
 //! Slots `0..n_local` are the local-view positions, so a local solution
 //! vector extended by one entry per ghost is indexed by slot directly and
-//! the triangular sweeps never translate an id. Rows sit in local-view
-//! order; **within a row, entries keep ascending _global_ column order**
-//! (not slot order) — the order every earlier representation summed in, so
-//! each dot product rounds identically.
+//! the triangular sweeps never translate an id. The store holds the
+//! interior rows first, store row = slot, then the interface rows in the
+//! order their levels factored them, so each level's rows are one
+//! contiguous run; `RankFactors::iface_row` gives an interface row's store
+//! row. An interface row enters the store when its level factors it, its
+//! columns still global ids, and `FactorBuilder::finish` renames them to
+//! slots in place once every ghost is known: no row is copied. **Within a
+//! row, entries keep ascending _global_ column order** (not slot order) —
+//! the order every earlier representation summed in, so each dot product
+//! rounds identically.
 
 use super::{LevelStats, ParStats, ReducedRows};
 use crate::dist::LocalView;
@@ -39,8 +45,11 @@ pub struct RankFactors {
     /// Remote nodes my rows reference, ascending; ghost `g` is slot
     /// `interior.len() + interface.len() + g`.
     pub ghosts: Vec<usize>,
-    /// Rows in local-view order over the slot space above.
+    /// Interior rows in local-view order, then interface rows in level
+    /// order, over the slot space above.
     pub(crate) store: FactorStore,
+    /// `iface_row[q]`: the store row of interface row `q`.
+    pub(crate) iface_row: Vec<u32>,
     /// Column pattern of my slice of the *initial* reduced matrix `A_I⁰`
     /// (after interior elimination, before any interface level) — used by
     /// the Figure 1/2 structure illustrations.
@@ -103,44 +112,34 @@ impl RankFactors {
     pub fn row(&self, global: usize) -> Option<RowRef<'_>> {
         let pos = match self.interior.binary_search(&global) {
             Ok(p) => p,
-            Err(_) => self.interior.len() + self.interface.binary_search(&global).ok()?,
+            Err(_) => self.iface_row[self.interface.binary_search(&global).ok()?] as usize,
         };
         Some(RowRef { rf: self, pos })
     }
 
     /// Every row with its global node id, in local-view order.
     pub fn rows(&self) -> impl Iterator<Item = (usize, RowRef<'_>)> {
-        let nodes = self.interior.iter().chain(&self.interface);
-        nodes
-            .enumerate()
-            .map(|(pos, &g)| (g, RowRef { rf: self, pos }))
+        let interior = self.interior.iter().enumerate();
+        let interface = self.interface.iter().zip(&self.iface_row);
+        let positions = interior.chain(interface.map(|(g, &pos)| (pos as usize, g)));
+        positions.map(|(pos, &g)| (g, RowRef { rf: self, pos }))
     }
 
     /// Heap bytes the factor store keeps alive (capacities, not lengths):
-    /// both arenas, the pivots, and the node, ghost and level lists. The
-    /// diagnostic [`initial_reduced_cols`](Self::initial_reduced_cols)
-    /// pattern is not part of the factor and is not counted.
+    /// both arenas, the pivots, the interface rows' store rows, and the
+    /// node, ghost and level lists. The diagnostic
+    /// [`initial_reduced_cols`](Self::initial_reduced_cols) pattern is not
+    /// part of the factor and is not counted.
     pub fn heap_bytes(&self) -> usize {
         let words = |v: &Vec<usize>| 8 * v.capacity();
         self.store.heap_bytes()
+            + 4 * self.iface_row.capacity()
             + words(&self.interior)
             + words(&self.interface)
             + words(&self.ghosts)
             + 24 * self.levels.capacity()
             + self.levels.iter().map(words).sum::<usize>()
     }
-}
-
-/// An interface row while the level loop is still changing it, as
-/// [`Entry`]s of global columns (12 bytes each). `u` is written once, at
-/// exact size, when the row's level factors it; `l` gains each level's
-/// multipliers in a buffer that grows by a quarter (`make_room` in
-/// `par_ilut`) and is shrunk to size once the row is factored.
-#[derive(Default)]
-pub(crate) struct Staged {
-    pub(crate) l: Vec<Entry>,
-    pub(crate) diag: f64,
-    pub(crate) u: Vec<Entry>,
 }
 
 /// The column pattern of my slice of the initial reduced matrix `A_I⁰`,
@@ -175,14 +174,21 @@ impl InitialPattern {
 }
 
 /// The store under construction: interior rows go straight into the arenas
-/// as phase 1 finalises them; interface rows are staged by interface index
-/// until the last level has factored, then appended in local-view order
-/// (their ghost slots are only known once every referenced remote node is).
+/// as phase 1 finalises them, interface rows as their levels factor them,
+/// with global column ids as slots until [`finish`](Self::finish) knows the
+/// ghosts.
 pub(crate) struct FactorBuilder<'a> {
     local: &'a LocalView,
-    /// The interior rows, pushed by the row kernel as it finalises them.
+    /// The rows factored so far, pushed by the row kernel and the levels.
     pub(crate) store: FactorStore,
-    pub(crate) staged: Vec<Staged>,
+    /// The `L` of each interface row while the level loop still changes
+    /// it, by interface index, as [`Entry`]s of global columns (12 bytes
+    /// each): phase 1's cut, then each level's multipliers, in a buffer
+    /// that grows by a quarter (`factors::make_room`). It moves into
+    /// the store when the row's level factors it.
+    pub(crate) staged: Vec<Vec<Entry>>,
+    /// Store row of each factored interface row, by interface index.
+    iface_row: Vec<u32>,
 }
 
 impl<'a> FactorBuilder<'a> {
@@ -194,7 +200,8 @@ impl<'a> FactorBuilder<'a> {
         FactorBuilder {
             local,
             store,
-            staged: local.interface.iter().map(|_| Staged::default()).collect(),
+            staged: vec![Vec::new(); local.interface.len()],
+            iface_row: vec![u32::MAX; local.interface.len()],
         }
     }
 
@@ -204,22 +211,34 @@ impl<'a> FactorBuilder<'a> {
         self.local.pos_of(v).expect("interface node must be local") - self.local.interior.len()
     }
 
-    /// The staged row of my interface node `v`.
-    pub(crate) fn staged(&self, v: usize) -> &Staged {
-        &self.staged[self.interface_index(v)]
+    /// Appends interface row `q`, which the current level factored: its
+    /// staged `L`, whose buffer is freed, the pivot and the strict-`U`
+    /// entries `u`.
+    pub(crate) fn push_interface(&mut self, q: usize, diag: f64, u: &[Entry]) {
+        // Rows are below the matrix dimension, which fits a `u32`.
+        self.iface_row[q] = self.store.n_rows() as u32;
+        let l = std::mem::take(&mut self.staged[q]);
+        self.store.push_row(&l, diag, u, |j| j);
+    }
+
+    /// Pivot, strict-`U` columns (global ids) and values of my factored
+    /// interface node `v`, read back from the store.
+    fn own_u(&self, v: usize) -> (f64, &[u32], &[f64]) {
+        let p = self.iface_row[self.interface_index(v)] as usize;
+        let (cols, vals) = self.store.u.row(p);
+        (self.store.diag[p], cols, vals)
     }
 
     /// Pivot and strict-`U` entries of node `k`, factored in the current
-    /// level: staged when it is mine, else among the rows its owner shipped
-    /// (`None` when its owner did not ship it).
+    /// level: from the store when it is mine, else among the rows its
+    /// owner shipped (`None` when its owner did not ship it).
     pub(crate) fn level_pivot<'r>(
         &'r self,
         k: usize,
         shipped: &'r RemoteURows,
-    ) -> Option<(f64, &'r [Entry])> {
+    ) -> Option<(f64, &'r [u32], &'r [f64])> {
         if self.local.owns(k) {
-            let row = self.staged(k);
-            return Some((row.diag, &row.u));
+            return Some(self.own_u(k));
         }
         shipped.get(k)
     }
@@ -236,17 +255,17 @@ impl<'a> FactorBuilder<'a> {
     ) -> Payload {
         let members = || nodes.iter().filter(|&&v| is_member(v));
         let (rows, entries) = members().fold((0, 0), |(rows, entries), &v| {
-            (rows + 1, entries + self.staged(v).u.len())
+            (rows + 1, entries + self.own_u(v).1.len())
         });
         let mut bu = Vec::with_capacity(2 * rows + entries);
         let mut bf = Vec::with_capacity(rows + entries);
         for &v in members() {
-            let row = self.staged(v);
+            let (diag, cols, vals) = self.own_u(v);
             bu.push(v as u64);
-            bu.push(row.u.len() as u64);
-            bu.extend(row.u.iter().map(|e| e.col() as u64));
-            bf.push(row.diag);
-            bf.extend(row.u.iter().map(|e| e.val()));
+            bu.push(cols.len() as u64);
+            bu.extend(cols.iter().map(|&c| u64::from(c)));
+            bf.push(diag);
+            bf.extend_from_slice(vals);
             tally.urows_rows += 1;
         }
         let batch = Payload::mixed(bu, bf);
@@ -254,21 +273,23 @@ impl<'a> FactorBuilder<'a> {
         batch
     }
 
-    /// Appends the staged interface rows in local-view order and seals the
-    /// store; the fill and level counters of `stats` are read off it. The
-    /// initial reduced pattern is expanded last, once the staged rows are
-    /// gone.
+    /// Seals the store once the last level has factored: lists the ghosts
+    /// the interface rows reference, renames those rows' global columns to
+    /// slots in place and gives back the arenas' slack; the fill and level
+    /// counters of `stats` are read off it. The initial reduced pattern is
+    /// expanded last.
     pub(crate) fn finish(
-        mut self,
+        self,
         levels: Vec<Vec<usize>>,
         initial: InitialPattern,
         mut stats: ParStats,
     ) -> RankFactors {
-        let local = self.local;
-        let staged = std::mem::take(&mut self.staged);
-        let columns = staged.iter().flat_map(|r| r.l.iter().chain(&r.u));
+        let (local, mut store) = (self.local, self.store);
+        let n_int = local.interior.len();
+        let (l0, u0) = (store.l.ptr[n_int] as usize, store.u.ptr[n_int] as usize);
+        let columns = store.l.slot[l0..].iter().chain(&store.u.slot[u0..]);
         let mut ghosts: Vec<usize> = columns
-            .map(|e| e.col())
+            .map(|&j| j as usize)
             .filter(|&j| !local.owns(j))
             .collect();
         ghosts.sort_unstable();
@@ -280,12 +301,13 @@ impl<'a> FactorBuilder<'a> {
                 .pos_of(j)
                 .unwrap_or_else(|| local.len() + ghosts.binary_search(&j).expect("unlisted ghost"))
         };
-        for row in staged {
-            self.store.push_row(&row.l, row.diag, &row.u, slot_of);
+        let columns = store.l.slot[l0..].iter_mut().chain(&mut store.u.slot[u0..]);
+        for s in columns {
+            *s = slot_of(*s as usize) as u32;
         }
-        self.store.shrink();
-        stats.nnz_l = self.store.l.val.len();
-        stats.nnz_u = self.store.u.val.len() + self.store.n_rows();
+        store.shrink();
+        stats.nnz_l = store.l.val.len();
+        stats.nnz_u = store.u.val.len() + store.n_rows();
         stats.levels = levels.len();
         RankFactors {
             rank: local.rank,
@@ -293,7 +315,8 @@ impl<'a> FactorBuilder<'a> {
             interface: local.interface.clone(),
             levels,
             ghosts,
-            store: self.store,
+            store,
+            iface_row: self.iface_row,
             initial_reduced_cols: initial.expand(&local.interface),
             stats,
         }
@@ -301,7 +324,7 @@ impl<'a> FactorBuilder<'a> {
 }
 
 /// The `U` rows of one level's remote members, as shipped by their owners:
-/// one flat [`Entry`] buffer reused across levels, looked up through a
+/// flat column and value buffers reused across levels, looked up through a
 /// dense `u32` index over the rank's column space (only interface nodes are
 /// ever shipped, and a batch is checked against the plan before any of its
 /// nodes is looked up there).
@@ -313,7 +336,8 @@ pub(crate) struct RemoteURows<'a> {
     nodes: Vec<usize>,
     ptr: Vec<usize>,
     diag: Vec<f64>,
-    entries: Vec<Entry>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
 }
 
 impl<'a> RemoteURows<'a> {
@@ -324,7 +348,8 @@ impl<'a> RemoteURows<'a> {
             nodes: Vec::new(),
             ptr: vec![0],
             diag: Vec::new(),
-            entries: Vec::new(),
+            cols: Vec::new(),
+            vals: Vec::new(),
         }
     }
 
@@ -336,7 +361,8 @@ impl<'a> RemoteURows<'a> {
         self.nodes.clear();
         self.ptr.truncate(1);
         self.diag.clear();
-        self.entries.clear();
+        self.cols.clear();
+        self.vals.clear();
     }
 
     /// Appends one peer's batch (the inverse of
@@ -370,10 +396,10 @@ impl<'a> RemoteURows<'a> {
             self.at[self.local.slot(node)] = self.nodes.len() as u32;
             self.nodes.push(node);
             self.diag.push(bf[ifl]);
-            for (&c, &v) in cols.iter().zip(&bf[ifl + 1..ifl + 1 + len]) {
-                self.entries.push(Entry::new(c as usize, v));
-            }
-            self.ptr.push(self.entries.len());
+            // Checked above: a column is below the matrix dimension.
+            self.cols.extend(cols.iter().map(|&c| c as u32));
+            self.vals.extend_from_slice(&bf[ifl + 1..ifl + 1 + len]);
+            self.ptr.push(self.cols.len());
             iu += 2 + len;
             ifl += 1 + len;
         }
@@ -383,10 +409,12 @@ impl<'a> RemoteURows<'a> {
         }
     }
 
-    /// Pivot and strict-`U` entries of remote node `g`, if in this batch.
-    pub(crate) fn get(&self, g: usize) -> Option<(f64, &[Entry])> {
+    /// Pivot, strict-`U` columns and values of remote node `g`, if in
+    /// this batch.
+    pub(crate) fn get(&self, g: usize) -> Option<(f64, &[u32], &[f64])> {
         let i = self.at[self.local.slot(g)] as usize;
-        let row = |i| (self.diag[i], &self.entries[self.ptr[i]..self.ptr[i + 1]]);
+        let span = |i: usize| self.ptr[i]..self.ptr[i + 1];
+        let row = |i| (self.diag[i], &self.cols[span(i)], &self.vals[span(i)]);
         (i != u32::MAX as usize).then(|| row(i))
     }
 }
@@ -396,9 +424,9 @@ mod tests {
     use super::*;
     use crate::dist::exchange::{tags, AllPeers, CommPlan};
     use crate::dist::{DistMatrix, Distribution};
-    use crate::options::FactorError;
-    use crate::parallel::collective_fault_verdict;
+    use crate::options::{FactorError, IlutOptions};
     use crate::parallel::dist_mis::note_err;
+    use crate::parallel::{collective_fault_verdict, par_ilut};
     use pilut_par::{Machine, MachineModel};
     use pilut_sparse::gen;
 
@@ -410,19 +438,21 @@ mod tests {
         DistMatrix::new(gen::laplace_2d(4, 1), Distribution::block(4, 2))
     }
 
+    type Row = (f64, Vec<u32>, Vec<f64>);
+
     /// Decodes one batch from rank 1 into rank 0's shipped rows.
-    fn decode(bu: Vec<u64>, bf: Vec<f64>) -> Result<Option<(f64, Vec<Entry>)>, String> {
+    fn decode(bu: Vec<u64>, bf: Vec<f64>) -> Result<Option<Row>, String> {
         let dm = path();
         let local = dm.local_view(0);
         let mut shipped = RemoteURows::new(&local);
         shipped.decode(&[2], &Payload::mixed(bu, bf))?;
-        Ok(shipped.get(2).map(|(d, u)| (d, u.to_vec())))
+        Ok(shipped.get(2).map(|(d, c, v)| (d, c.to_vec(), v.to_vec())))
     }
 
     #[test]
     fn a_well_formed_batch_decodes() {
         let row = decode(vec![2, 1, 3], vec![4.0, -1.0]).unwrap();
-        assert_eq!(row, Some((4.0, vec![Entry::new(3, -1.0)])));
+        assert_eq!(row, Some((4.0, vec![3], vec![-1.0])));
         assert_eq!(decode(vec![], vec![]).unwrap(), None, "an empty batch");
     }
 
@@ -463,6 +493,33 @@ mod tests {
             .decode(&[2], &Payload::u64s(vec![2, 0]))
             .unwrap_err();
         assert_eq!(err, "not an index/value batch (16 B)");
+    }
+
+    #[test]
+    fn a_rank_store_is_written_in_level_order_over_its_own_slot_space() {
+        // In a debug build `par_ilut` also asserts that its level state's
+        // node → slot map stayed within `local.n_slots()`; a map keyed by
+        // global node grows to the largest node a rank's levels name, past
+        // that on some rank here.
+        let a = gen::convection_diffusion_2d(20, 20, 1.0, 0.5);
+        for p in [2, 4] {
+            let dm = DistMatrix::from_matrix(a.clone(), p, 7);
+            let out = Machine::run(p, MachineModel::cray_t3d(), |ctx| {
+                let local = dm.local_view(ctx.rank());
+                let rf = par_ilut(ctx, &dm, &local, &IlutOptions::new(5, 1e-3)).unwrap();
+                let n_slots = rf.n_rows() + rf.ghosts.len();
+                let stored = rf.store.l.slot.iter().chain(&rf.store.u.slot);
+                assert!(stored.into_iter().all(|&s| (s as usize) < n_slots));
+                assert!(rf.rows().map(|(g, _)| g).eq(local.nodes.iter().copied()));
+                // The interface rows follow the interiors in level order.
+                let by_level = rf.levels.iter().flatten().map(|&v| rf.row(v).unwrap().pos);
+                assert!(by_level.eq(rf.interior.len()..rf.n_rows()));
+                (local.n_slots() < dm.n(), local.interface.len())
+            });
+            let ranks = &out.results;
+            assert!(ranks.iter().any(|&(small, _)| small), "p = {p}");
+            assert!(ranks.iter().all(|&(_, iface)| iface > 0), "p = {p}");
+        }
     }
 
     #[test]

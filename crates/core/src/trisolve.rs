@@ -59,7 +59,9 @@ pub struct TrisolvePlan {
     fwd: Halo,
     /// Backward traffic, levelled the same way.
     bwd: Halo,
-    /// `level_pos[l]`: local positions of my level-`l` rows.
+    /// `level_pos[l]`: local positions of my level-`l` rows, in the order
+    /// the store holds them: one contiguous run of store rows per level,
+    /// the levels in order after the interiors.
     level_pos: Vec<Vec<usize>>,
     /// Length of the slot-indexed solution vector: owned nodes + ghosts.
     n_slots: usize,
@@ -180,15 +182,19 @@ fn forward_sweep_into(
     x.resize(plan.n_slots, 0.0);
     // Interior phase: L columns of interior rows are earlier interiors of
     // this rank — all local, all already computed in ascending order.
-    rf.store.forward_rows(0..rf.interior.len(), x);
+    let n_int = rf.interior.len();
+    rf.store.forward_rows((0..n_int).map(|p| (p, p)), x);
     // Interface phase, level by level: drain the previous level's batches,
-    // compute, then ship this level's values (one message per peer).
-    for (l, level) in plan.level_pos.iter().enumerate() {
+    // compute, then ship this level's values (one message per peer). The
+    // level's rows are the next run of store rows.
+    let mut next = n_int;
+    for (l, pos) in plan.level_pos.iter().enumerate() {
         if l > 0 {
             plan.fwd.recv_values(ctx, l - 1, |slot, v| x[slot] = v);
         }
-        rf.store.forward_rows(level.iter().copied(), x);
-        plan.fwd.send_values(ctx, l, |pos| x[pos]);
+        rf.store.forward_rows((next..).zip(pos.iter().copied()), x);
+        next += pos.len();
+        plan.fwd.send_values(ctx, l, |slot| x[slot]);
     }
     ctx.work(2.0 * rf.store.l.val.len() as f64);
 }
@@ -199,17 +205,21 @@ fn forward_sweep_into(
 fn backward_sweep_in_place(ctx: &mut Ctx, rf: &RankFactors, plan: &TrisolvePlan, x: &mut [f64]) {
     assert_eq!(x.len(), plan.n_slots);
     // Interface levels in reverse order: drain the batches of the level
-    // computed just before (the next-higher index), compute, ship.
+    // computed just before (the next-higher index), compute, ship. The
+    // level's rows are the run of store rows before the later levels'.
     let n_levels = plan.level_pos.len();
-    for l in (0..n_levels).rev() {
+    let mut end = rf.n_rows();
+    for (l, pos) in plan.level_pos.iter().enumerate().rev() {
         if l + 1 < n_levels {
             plan.bwd.recv_values(ctx, l + 1, |slot, v| x[slot] = v);
         }
-        rf.store.backward_rows(plan.level_pos[l].iter().copied(), x);
-        plan.bwd.send_values(ctx, l, |pos| x[pos]);
+        end -= pos.len();
+        rf.store.backward_rows((end..).zip(pos.iter().copied()), x);
+        plan.bwd.send_values(ctx, l, |slot| x[slot]);
     }
     // Interior phase, descending elimination order; U columns of interior
     // rows are local (later interiors or own interfaces).
-    rf.store.backward_rows((0..rf.interior.len()).rev(), x);
+    let n_int = rf.interior.len();
+    rf.store.backward_rows((0..n_int).rev().map(|p| (p, p)), x);
     ctx.work((2 * rf.store.u.val.len() + rf.n_rows()) as f64);
 }
