@@ -178,8 +178,8 @@ fn union_of(send: &[(usize, Vec<usize>)], recv: &[(usize, Vec<usize>)]) -> Vec<u
 impl CommPlan {
     /// Collectively builds the plan (every rank must call this together).
     ///
-    /// `needed` enumerates the remote nodes this rank references (duplicates
-    /// welcome — the plan dedups); `owner_of` maps each to its owning rank.
+    /// `needed` enumerates the distinct remote nodes this rank references,
+    /// each once; `owner_of` maps each to its owning rank.
     /// One sparse all-to-all teaches every owner which peers need which of
     /// its nodes. `tag` names the plan's own protocol namespace (the label
     /// round's, and a derived [`Halo`]'s).
@@ -204,7 +204,11 @@ impl CommPlan {
                 continue;
             }
             list.sort_unstable();
-            list.dedup();
+            debug_assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "a needed node is listed twice"
+            );
+            list.shrink_to_fit();
             sends.push((
                 owner,
                 Payload::u64s(list.iter().map(|&x| x as u64).collect()),
@@ -634,6 +638,34 @@ mod tests {
         // The empty trailing ranks have nothing scheduled.
         assert!(out.results[5..].iter().all(|&idle| idle));
         assert!(!out.results[0]);
+    }
+
+    #[test]
+    fn a_plan_holds_each_needed_node_once_at_exact_capacity() {
+        // The needs list as given, and the same set with every node
+        // repeated, reversed and deduplicated by the caller: one plan.
+        let a = gen::laplace_2d(6, 6);
+        let n = a.n_rows();
+        let dm = DistMatrix::new(a, Distribution::block(n, 3));
+        let out = Machine::run_checked(3, MachineModel::cray_t3d(), |ctx| {
+            let owner = |j| dm.dist().owner(j);
+            let needed: Vec<usize> = dm.local_view(ctx.rank()).remote_cols(dm.matrix()).collect();
+            let mut repeated: Vec<usize> = needed.iter().rev().chain(&needed).copied().collect();
+            repeated.sort_unstable();
+            repeated.dedup();
+            let given = CommPlan::build(ctx, tags::SPMV, needed, owner);
+            let deduped = CommPlan::build(ctx, tags::SPMV, repeated, owner);
+            for plan in [&given, &deduped] {
+                let lists = plan.send_lists().iter().chain(plan.recv_lists());
+                for (peer, nodes) in lists {
+                    assert_eq!(nodes.capacity(), nodes.len(), "peer {peer}");
+                }
+            }
+            assert_eq!(given.send_lists(), deduped.send_lists());
+            assert_eq!(given.recv_lists(), deduped.recv_lists());
+            given.recv_lists().len()
+        });
+        assert!(out.results.iter().all(|&peers| peers > 0));
     }
 
     /// A hand-built plan for white-box verification tests.

@@ -166,12 +166,16 @@ impl LocalView {
         self.nodes.iter().map(|&i| a.row_nnz(i)).sum()
     }
 
-    /// The columns of this rank's rows of `a` that another rank owns, row
-    /// after row with repeats — the `needed` list of a halo
-    /// [`exchange::CommPlan`].
+    /// The columns of this rank's rows of `a` that another rank owns, each
+    /// once, in the order the rows first meet them — the `needed` list of a
+    /// halo [`exchange::CommPlan`]. Only interface rows reach another rank,
+    /// and only interface nodes: one mark per interface number dedups them.
     pub fn remote_cols<'a>(&'a self, a: &'a CsrMatrix) -> impl Iterator<Item = usize> + 'a {
-        let cols = self.nodes.iter().flat_map(move |&i| a.row(i).0);
-        cols.map(|&j| j as usize).filter(move |&j| !self.owns(j))
+        let mut seen = vec![false; self.num.iface_nodes.len()];
+        let cols = self.interface.iter().flat_map(move |&i| a.row(i).0);
+        cols.map(|&j| j as usize).filter(move |&j| {
+            !self.owns(j) && !std::mem::replace(&mut seen[self.slot(j) - self.interior.len()], true)
+        })
     }
 
     /// Global number of nodes, the matrix dimension.

@@ -240,7 +240,8 @@ mod tests {
             let x = vec![1.0; local.len()];
             product(&mut op, ctx, &x);
             // One ghost per distinct remote column: one value on the wire.
-            let ghosts: HashSet<usize> = local.remote_cols(dm.matrix()).collect();
+            let ghosts: Vec<usize> = local.remote_cols(dm.matrix()).collect();
+            assert_eq!(ghosts.iter().collect::<HashSet<_>>().len(), ghosts.len());
             ghosts.len()
         });
         let shipped: usize = out.results.iter().sum();

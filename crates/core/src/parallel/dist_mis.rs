@@ -145,6 +145,9 @@ const KILL: u8 = 4;
 /// are stored as `u32`: the pattern and the node → slot index are the two
 /// per-rank arrays of this kernel whose size follows the matrix.
 const NONE: u32 = u32::MAX;
+/// A column a pushed row met before it had a slot: a remote node until
+/// `bind` numbers it, or a row of mine pushed later.
+const SEEN: u32 = NONE - 1;
 
 #[expect(clippy::expect_used, reason = "2^32 nodes do not fit in memory")]
 fn narrow(x: usize) -> u32 {
@@ -165,8 +168,8 @@ pub fn mis_key(seed: u64, level: u64, round: u64, node: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The level's communication plan, given every column of my live reduced
-/// rows (collective): the send side lists my nodes each peer's rows
+/// The level's communication plan, given the distinct columns of my live
+/// reduced rows (collective): the send side lists my nodes each peer's rows
 /// reference; the receive side lists the remote nodes my rows reference.
 fn link_plan(ctx: &mut Ctx, dist: &Distribution, cols: impl Iterator<Item = usize>) -> CommPlan {
     let me = ctx.rank();
@@ -179,13 +182,16 @@ fn link_plan(ctx: &mut Ctx, dist: &Distribution, cols: impl Iterator<Item = usiz
 /// The send side lists my nodes each peer's rows reference; the receive
 /// side lists the remote nodes my rows reference. The factorizations reuse
 /// the same plan to route freshly factored `U` rows after the set is known.
-#[expect(clippy::disallowed_types, reason = "the plan sorts and dedups columns")]
+#[expect(clippy::disallowed_types, reason = "the columns are sorted first")]
 pub fn build_level_links(
     ctx: &mut Ctx,
     dist: &Distribution,
     reduced_cols: &HashMap<usize, Vec<usize>>,
 ) -> CommPlan {
-    link_plan(ctx, dist, reduced_cols.values().flatten().copied())
+    let mut cols: Vec<usize> = reduced_cols.values().flatten().copied().collect();
+    cols.sort_unstable();
+    cols.dedup();
+    link_plan(ctx, dist, cols.into_iter())
 }
 
 /// Splits one `MIS_KEYS` delta word into `(index, state)`, validating the
@@ -296,10 +302,15 @@ pub(crate) struct LevelMis<'a> {
     space: Option<&'a LocalView>,
     /// Slot → global node.
     node: Vec<usize>,
-    /// Node key ([`map_key`]) → slot for this level's nodes, [`NONE`]
-    /// elsewhere; sized once to the interface, or grown on demand by global
-    /// node. Reset by [`LevelMis::begin`].
+    /// Node key ([`map_key`]) → slot for this level's nodes, [`SEEN`] for
+    /// a column met before its slot, [`NONE`] elsewhere; sized once to the
+    /// interface, or grown on demand by global node. Reset by
+    /// [`LevelMis::begin`].
     slot_of: Vec<u32>,
+    /// Each column first met before it had a slot, once, in the order the
+    /// rows met it: the remote nodes my rows reference, and my rows that a
+    /// lower row named first (`link_plan` drops those).
+    seen: Vec<usize>,
     n_rows: usize,
     /// Slots below are mine, slots from here on remote.
     n_mine: usize,
@@ -362,10 +373,11 @@ impl<'a> LevelMis<'a> {
     /// (exactly: the pattern is a quarter of the reduced matrix's bytes, and
     /// amortized growth would round that up to the next power of two).
     pub(crate) fn begin(&mut self, nnz: usize) {
-        for &g in &self.node {
+        for &g in self.node.iter().chain(&self.seen) {
             self.slot_of[map_key(self.space, g)] = NONE;
         }
         self.node.clear();
+        self.seen.clear();
         self.ptr.clear();
         self.ptr.push(0);
         self.adj.clear();
@@ -374,18 +386,23 @@ impl<'a> LevelMis<'a> {
         self.live_rounds = 0;
     }
 
-    /// The slot of `node` in this level, [`NONE`] without one.
+    /// The slot of `node` in this level, [`NONE`] or [`SEEN`] without one.
     fn slot(&self, node: usize) -> u32 {
         let k = map_key(self.space, node);
         self.slot_of.get(k).copied().unwrap_or(NONE)
     }
 
-    fn set_slot(&mut self, node: usize) {
+    /// Maps `node` to `slot`, growing a map keyed by global node on demand.
+    fn map(&mut self, node: usize, slot: u32) {
         let k = map_key(self.space, node);
         if k >= self.slot_of.len() {
             self.slot_of.resize(k + 1, NONE);
         }
-        self.slot_of[k] = narrow(self.node.len());
+        self.slot_of[k] = slot;
+    }
+
+    fn set_slot(&mut self, node: usize) {
+        self.map(node, narrow(self.node.len()));
         self.node.push(node);
     }
 
@@ -395,14 +412,20 @@ impl<'a> LevelMis<'a> {
     pub(crate) fn push_row(&mut self, node: usize, cols: impl Iterator<Item = usize>) {
         debug_assert!(self.node.last().is_none_or(|&prev| prev < node));
         self.set_slot(node);
-        self.adj.extend(cols.map(narrow));
+        for c in cols {
+            self.adj.push(narrow(c));
+            if self.slot(c) == NONE {
+                self.map(c, SEEN);
+                self.seen.push(c);
+            }
+        }
         self.ptr.push(self.adj.len());
     }
 
-    /// Collectively builds the level's plan from the pushed rows and binds
-    /// the level to it.
+    /// Collectively builds the level's plan from the pushed rows' distinct
+    /// columns and binds the level to it.
     pub(crate) fn link(&mut self, ctx: &mut Ctx, dist: &Distribution) -> CommPlan {
-        let plan = link_plan(ctx, dist, self.adj.iter().map(|&c| c as usize));
+        let plan = link_plan(ctx, dist, self.seen.iter().copied());
         self.bind(&plan, ctx.nprocs());
         plan
     }
@@ -443,7 +466,7 @@ impl<'a> LevelMis<'a> {
         for c in &mut self.adj {
             let slot = slot(*c as usize);
             assert!(
-                slot != NONE,
+                slot < SEEN,
                 "reduced row references node {c}: neither a live row of this rank nor in the level plan"
             );
             *c = slot;

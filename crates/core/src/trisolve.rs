@@ -99,10 +99,20 @@ impl TrisolvePlan {
             rows.iter().for_each(|&p| level_of[p] = l as u64);
         }
         // One direction: plan the exchange from the ghosts the triangle
-        // references, learn each one's level from its owner, sort by level.
+        // references, each once, learn each one's level from its owner,
+        // sort by level.
         let mut build_sweep = |tag: u64, arena: &Arena| -> Halo {
-            let ghost = |&s: &u32| (s as usize).checked_sub(n_local);
-            let needed = arena.slot.iter().filter_map(ghost).map(|g| rf.ghosts[g]);
+            let mut used = vec![false; rf.ghosts.len()];
+            for s in &arena.slot {
+                if let Some(g) = (*s as usize).checked_sub(n_local) {
+                    used[g] = true;
+                }
+            }
+            let needed = rf
+                .ghosts
+                .iter()
+                .zip(used)
+                .filter_map(|(&g, u)| u.then_some(g));
             let plan = CommPlan::build(ctx, tag, needed, |j| dm.dist().owner(j));
             let (mine, ghost) = level_of.split_at_mut(n_local);
             plan.exchange_labels(
