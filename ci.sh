@@ -41,8 +41,7 @@ echo "==> release build"
 cargo build --workspace --release
 
 # The tests run the sweep suites at their one size, the full one: chaos's
-# destructive and recovery sweeps, schedcheck and modelcheck, as #[test]s
-# of xtask.
+# destructive sweep, schedcheck and modelcheck, as #[test]s of xtask.
 echo "==> tests"
 cargo test --workspace -q
 

@@ -71,7 +71,7 @@ pub mod tags {
     pub const STRIDE: u64 = 1 << 40;
     /// Namespaces below, the unnamed `[0, STRIDE)` included: a plan keeps
     /// one round counter per namespace, indexed by `tag / STRIDE`.
-    pub const NAMESPACES: usize = 11;
+    pub const NAMESPACES: usize = 8;
     /// Boundary `x` values of the distributed SpMV.
     pub const SPMV: u64 = STRIDE;
     /// U-row shipping of the interface levels (`par_ilut` and `par_ilu0`).
@@ -86,15 +86,6 @@ pub mod tags {
     pub const MIS_TENT: u64 = 6 * STRIDE;
     /// Distributed-MIS step 3: confirmation + kill push.
     pub const MIS_CONF: u64 = 7 * STRIDE;
-    // Namespace 8 stays empty: `ACK` and `RECOVER` are pinned to `par`'s constants.
-    /// Reliable-delivery protocol traffic (acks, nacks, resends) of the
-    /// `pilut-par` VM. The numeric value is pinned to `pilut_par::ACK_TAG`
-    /// by a test: `par` cannot depend on this crate, so the constant is
-    /// duplicated there.
-    pub const ACK: u64 = 9 * STRIDE;
-    /// Rank-loss recovery agreement ring (`Ctx::recover_sync`), pinned to
-    /// `pilut_par::RECOVER_TAG` the same way.
-    pub const RECOVER: u64 = 10 * STRIDE;
 
     /// Human-readable name of a counter tag (the collectives' reserved
     /// namespace reports as `"coll"`, unknown user tags as `"user"`).
@@ -107,8 +98,6 @@ pub mod tags {
             MIS_KEYS => "mis_keys",
             MIS_TENT => "mis_tent",
             MIS_CONF => "mis_conf",
-            ACK => "ack",
-            RECOVER => "recover",
             t if pilut_par::Ctx::is_reserved(t) => "coll",
             _ => "user",
         }
@@ -352,14 +341,6 @@ impl CommPlan {
         };
         let mut sides: Vec<(Side, Side)> = Vec::with_capacity(p);
         for (r, enc) in all.iter().enumerate() {
-            if enc.is_empty() {
-                // A rank lost in an earlier epoch contributes nothing to the
-                // gather and owns no plan side to mirror — a shrunk-world
-                // plan must never pair a live side with it, which the empty
-                // lists below enforce.
-                sides.push((Vec::new(), Vec::new()));
-                continue;
-            }
             if enc[0] != r as u64 {
                 return Err(format!("gather slot {r} holds rank {}'s summary", enc[0]));
             }
@@ -555,16 +536,11 @@ mod tests {
     use pilut_par::{Machine, MachineModel};
     use pilut_sparse::gen;
 
-    /// `pilut-par` cannot depend on this crate, so the reliability and
-    /// recovery stats tags are defined in both places; this is the pin
-    /// that keeps the duplicated constants (and their names) in sync.
+    /// A plan indexes its round counters by `tag / STRIDE`: the last
+    /// protocol namespace is the last counter.
     #[test]
-    fn par_protocol_tags_are_pinned_to_the_namespace() {
-        assert_eq!(tags::ACK, pilut_par::ACK_TAG);
-        assert_eq!(tags::RECOVER, pilut_par::RECOVER_TAG);
-        assert_eq!(tags::tag_name(tags::ACK), "ack");
-        assert_eq!(tags::tag_name(tags::RECOVER), "recover");
-        assert_eq!(tags::RECOVER / tags::STRIDE + 1, tags::NAMESPACES as u64);
+    fn the_last_protocol_tag_closes_the_namespace() {
+        assert_eq!(tags::MIS_CONF / tags::STRIDE + 1, tags::NAMESPACES as u64);
     }
 
     /// The SpMV plan of this rank's rows of `dm`, and its one-level halo

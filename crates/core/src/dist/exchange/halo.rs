@@ -10,10 +10,9 @@
 //! The two round halves run in the steady state of a solve and are on the
 //! `no-alloc-in-hot` lint list and under the kernel gate's zero-alloc
 //! steady regions: a batch is staged in a buffer of the run's registered pool ([`Ctx::pool`])
-//! warmed at construction, the receiver reads it through a borrow, and both
-//! sides `recycle` their payload handles, so whichever reference drops last (the
-//! receiver, or the sender's reliable-delivery retention on cumulative ACK)
-//! shelves the buffer back — no per-round heap traffic on either side.
+//! warmed at construction, the receiver reads it through a borrow and
+//! `recycle`s its payload handle, which puts the buffer back on the shelf —
+//! no per-round heap traffic on either side.
 
 use super::CommPlan;
 use pilut_par::{Ctx, Payload};
@@ -22,9 +21,6 @@ use std::cell::RefCell;
 /// Registered buffers warmed per (send link, level) at construction. Deep
 /// enough that a halo's full send fan-out plus the in-flight buffers the
 /// receivers have not yet returned never miss the pool in the steady state.
-/// Under reliable delivery the sender additionally retains every frame
-/// until the link's cumulative ACK passes it, so [`Halo::new`] adds
-/// [`pilut_par::ACK_EVERY`] on top of this skew allowance.
 const WARM_BUFFERS_PER_LINK: usize = 8;
 
 /// One peer's share of a halo direction: its scheduled slots sorted by
@@ -93,14 +89,9 @@ impl Halo {
             recv: plan.recv_lists().iter().map(link).collect(),
             sweeps: RefCell::new(vec![[0; 2]; n_levels]),
         };
-        // A reliable sender holds every frame until the cumulative ACK
-        // passes it — up to ACK_EVERY pooled buffers per link beyond the
-        // plain in-flight skew — so the warm depth must cover the window.
-        let retained = usize::from(ctx.is_reliable()) * pilut_par::ACK_EVERY as usize;
         for batch in halo.send.iter().flat_map(|k| k.cut.windows(2)) {
             if batch[1] > batch[0] {
-                ctx.pool()
-                    .warm(batch[1] - batch[0], WARM_BUFFERS_PER_LINK + retained);
+                ctx.pool().warm(batch[1] - batch[0], WARM_BUFFERS_PER_LINK);
             }
         }
         halo
@@ -152,12 +143,8 @@ impl Halo {
             if slots.is_empty() {
                 continue;
             }
-            // Borrow the values in place, then recycle the handle: under
-            // reliable delivery the sender still retains the frame, and
-            // `into_f64` here would deep-copy every round while the pooled
-            // buffer died with the retained clone. Whichever side drops
-            // the last reference (us now, or the sender's cumulative-ACK
-            // release) shelves the buffer back into the pool.
+            // Borrow the values in place, then recycle the handle, which
+            // shelves the buffer back into the pool.
             let payload = ctx.recv(link.peer, wire);
             let vals = payload.as_f64();
             let peer = link.peer;

@@ -15,7 +15,6 @@
 
 pub mod exchange;
 pub mod op;
-pub mod recover;
 
 use pilut_graph::{partition_kway, Graph, PartitionOptions};
 use pilut_sparse::CsrMatrix;

@@ -23,34 +23,7 @@
 //! The production path ([`crate::Machine::run`]) carries none of this: no
 //! shared board, no timeouts, no checks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Static per-run configuration of the self-healing layers, chosen on the
-/// [`crate::MachineBuilder`] and shared by the board and every context.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RunFlags {
-    /// Per-link sequence/ack/retry delivery (see [`crate::rel`]): injected
-    /// drop/duplicate/reorder faults are absorbed transparently.
-    pub reliable: bool,
-    /// Rank-loss recovery: an injected kill raises a typed [`RankLost`]
-    /// unwind on the survivors instead of stranding them until the
-    /// watchdog fires.
-    pub recovery: bool,
-}
-
-/// The typed panic payload raised on survivors when a rank loss is
-/// detected in recovery mode. A recovery driver catches the unwind,
-/// downcasts to this, calls [`crate::Ctx::adopt_world`] /
-/// [`crate::Ctx::recover_sync`], and re-plans on the shrunk world.
-#[derive(Clone, Debug)]
-pub struct RankLost {
-    /// The epoch the survivors will adopt (the total number of kills
-    /// observed when this unwind was raised).
-    pub epoch: u64,
-    /// All ranks dead at detection time, ascending.
-    pub dead: Vec<usize>,
-}
 
 /// What a rank is doing right now, as published on the commcheck board.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,28 +97,12 @@ struct Board {
     /// Envelopes discarded by the fault injector; folded into deadlock
     /// reports (a drop usually strands the receiver) and the leak sweep.
     injected_drops: Vec<LeakRecord>,
-    /// Under reliable delivery: whether each rank's *current* blocked
-    /// episode has exhausted its NACK budget. The watchdog may not declare
-    /// a deadlock while a blocked rank still has resend requests left — a
-    /// dropped frame looks exactly like a deadlock until the NACKs have
-    /// had their chance to repair it.
-    nack_done: Vec<bool>,
-    /// Recovery epoch each rank has registered via
-    /// [`CheckState::register_epoch`] — the survivors' adoption barrier.
-    reg_epoch: Vec<u64>,
 }
 
 /// Shared state of one checked run. One instance per
 /// [`crate::Machine::run_checked`] call, shared by all rank threads.
 pub struct CheckState {
     board: Mutex<Board>,
-    /// Run configuration; the watchdog predicate needs it to know which
-    /// progress mechanisms (NACKs, rank-loss adoption) must be exhausted
-    /// before a deadlock verdict is sound.
-    flags: RunFlags,
-    /// Number of ranks killed by fault injection, outside the mutex so the
-    /// rank-loss detection poll at every comm op is a plain atomic load.
-    killed: AtomicU64,
 }
 
 /// Marker prefix for secondary abort panics (ranks killed because another
@@ -154,7 +111,7 @@ pub struct CheckState {
 pub(crate) const SECONDARY_ABORT: &str = "commcheck-secondary-abort";
 
 impl CheckState {
-    pub(crate) fn new(p: usize, flags: RunFlags) -> Self {
+    pub(crate) fn new(p: usize) -> Self {
         CheckState {
             board: Mutex::new(Board {
                 status: vec![RankStatus::Running; p],
@@ -163,16 +120,8 @@ impl CheckState {
                 failure: None,
                 leaks: Vec::new(),
                 injected_drops: Vec::new(),
-                nack_done: vec![false; p],
-                reg_epoch: vec![0; p],
             }),
-            flags,
-            killed: AtomicU64::new(0),
         }
-    }
-
-    pub(crate) fn flags(&self) -> RunFlags {
-        self.flags
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Board> {
@@ -214,19 +163,7 @@ impl CheckState {
     }
 
     pub(crate) fn set_status(&self, rank: usize, status: RankStatus) {
-        let mut b = self.lock();
-        // Count each killed rank exactly once (the kill path sets Killed
-        // both at the fault point and again at rank exit).
-        if status == RankStatus::Killed && b.status[rank] != RankStatus::Killed {
-            self.killed.fetch_add(1, Ordering::SeqCst);
-        }
-        b.status[rank] = status;
-    }
-
-    /// Number of ranks killed by fault injection so far. Lock-free: polled
-    /// at the head of every communication op in recovery mode.
-    pub(crate) fn killed_count(&self) -> u64 {
-        self.killed.load(Ordering::SeqCst)
+        self.lock().status[rank] = status;
     }
 
     /// The killed ranks, ascending.
@@ -238,35 +175,6 @@ impl CheckState {
             .filter(|(_, s)| matches!(s, RankStatus::Killed))
             .map(|(r, _)| r)
             .collect()
-    }
-
-    /// Publishes that `rank` has adopted recovery `epoch` (reset its
-    /// in-flight state to the post-loss world).
-    pub(crate) fn register_epoch(&self, rank: usize, epoch: u64) {
-        self.lock().reg_epoch[rank] = epoch;
-    }
-
-    /// The survivors' adoption barrier: true when every rank that can
-    /// still participate (Running or blocked — not Killed, not Finished,
-    /// not Panicked) has registered at least `epoch`.
-    pub(crate) fn all_registered(&self, epoch: u64) -> bool {
-        let b = self.lock();
-        b.status.iter().enumerate().all(|(r, s)| match s {
-            RankStatus::Running | RankStatus::BlockedRecv { .. } => b.reg_epoch[r] >= epoch,
-            RankStatus::Finished | RankStatus::Panicked | RankStatus::Killed => true,
-        })
-    }
-
-    /// Opens a fresh blocked-receive episode for `rank` under reliable
-    /// delivery: the NACK budget is intact, so the watchdog must wait.
-    pub(crate) fn nack_reset(&self, rank: usize) {
-        self.lock().nack_done[rank] = false;
-    }
-
-    /// Marks `rank`'s current blocked episode as having spent its NACK
-    /// budget; the watchdog may now weigh it for a deadlock verdict.
-    pub(crate) fn nack_exhausted(&self, rank: usize) {
-        self.lock().nack_done[rank] = true;
     }
 
     /// Appends to the per-rank collective order log. The log is commcheck's
@@ -328,7 +236,6 @@ impl CheckState {
         if any_running {
             return None;
         }
-        let killed = self.killed.load(Ordering::SeqCst);
         let mut any_blocked = false;
         for (r, s) in b.status.iter().enumerate() {
             if matches!(s, RankStatus::BlockedRecv { .. }) {
@@ -338,24 +245,12 @@ impl CheckState {
                     // wake and either match it or buffer it.
                     return None;
                 }
-                if self.flags.reliable && !b.nack_done[r] {
-                    // The blocked rank still has NACK rounds left: a
-                    // dropped frame is indistinguishable from a deadlock
-                    // until the resend protocol has had its chance.
-                    return None;
-                }
-                if self.flags.recovery && killed > 0 && b.reg_epoch[r] < killed {
-                    // The blocked rank has not yet adopted the latest rank
-                    // loss; its own detection poll will wake it into
-                    // recovery momentarily.
-                    return None;
-                }
             }
         }
         if !any_blocked {
             return None;
         }
-        let report = deadlock_report(&b.status, &b.coll_logs, &b.injected_drops, self.flags);
+        let report = deadlock_report(&b.status, &b.coll_logs, &b.injected_drops);
         b.failure = Some(report.clone());
         Some(report)
     }
@@ -368,23 +263,24 @@ fn deadlock_report(
     status: &[RankStatus],
     coll_logs: &[Vec<CollKind>],
     injected_drops: &[LeakRecord],
-    flags: RunFlags,
 ) -> String {
     use std::fmt::Write;
-    let any_killed = status.iter().any(|s| matches!(s, RankStatus::Killed));
-    let mut out = if any_killed && !flags.recovery {
-        // The root cause is the kill, not the waits that followed it: the
-        // survivors were recoverable, recovery just was not switched on.
+    let killed: Vec<String> = (status.iter().enumerate())
+        .filter(|(_, s)| matches!(s, RankStatus::Killed))
+        .map(|(r, _)| r.to_string())
+        .collect();
+    let mut out = if killed.is_empty() {
         String::from(
-            "commcheck: rank(s) killed by fault injection and recovery not enabled — \
-             survivors are stranded (enable with MachineBuilder::recovery(true) \
-             to shrink the world and resume)\nwait-for graph:\n",
+            "commcheck: deadlock — every unfinished rank is blocked and no message is in flight\n",
         )
     } else {
-        String::from(
-            "commcheck: deadlock — every unfinished rank is blocked and no message is in flight\nwait-for graph:\n",
+        // The root cause is the kill, not the waits that followed it.
+        format!(
+            "commcheck: root cause: rank(s) {} killed by fault injection — the survivors are stranded\n",
+            killed.join(", ")
         )
     };
+    out.push_str("wait-for graph:\n");
     for (r, s) in status.iter().enumerate() {
         match s {
             RankStatus::Running => {
@@ -574,14 +470,14 @@ mod tests {
     fn waiting_on_finished_rank_has_no_cycle() {
         let status = vec![blocked(1, 0), RankStatus::Finished];
         assert!(find_cycle(&status).is_none());
-        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &[], RunFlags::default());
+        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &[]);
         assert!(report.contains("already finished"), "{report}");
     }
 
     #[test]
     fn killed_rank_named_in_report() {
         let status = vec![blocked(1, 0), RankStatus::Killed];
-        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &[], RunFlags::default());
+        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &[]);
         assert!(
             report.contains("rank 1: killed by fault injection"),
             "{report}"
@@ -590,20 +486,15 @@ mod tests {
             report.contains("waits on rank 1, which was killed by fault injection"),
             "{report}"
         );
-        // With a kill as root cause and recovery off, the headline names
-        // the missed recovery instead of a generic deadlock.
-        assert!(report.contains("recovery not enabled"), "{report}");
+        // With a kill as root cause, the headline names the killed rank
+        // instead of a generic deadlock.
         assert!(
-            report.contains("MachineBuilder::recovery(true)"),
+            report.starts_with(
+                "commcheck: root cause: rank(s) 1 killed by fault injection — \
+                 the survivors are stranded\nwait-for graph:\n"
+            ),
             "{report}"
         );
-        // With recovery on, a post-recovery deadlock is a real deadlock.
-        let flags = RunFlags {
-            reliable: false,
-            recovery: true,
-        };
-        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &[], flags);
-        assert!(report.contains("commcheck: deadlock"), "{report}");
     }
 
     #[test]
@@ -616,12 +507,7 @@ mod tests {
             bytes: 16,
             injected: true,
         }];
-        let report = deadlock_report(
-            &status,
-            &[Vec::new(), Vec::new()],
-            &drops,
-            RunFlags::default(),
-        );
+        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &drops);
         assert!(report.contains("[injected drop]"), "{report}");
         assert!(report.contains("dropped 1 envelope(s)"), "{report}");
     }

@@ -5,16 +5,12 @@
 //! depth automatically. The SPMD contract applies: every rank must call each
 //! collective in the same program order.
 //!
-//! Trees are laid out in **slot space**: the sorted list of currently-alive
-//! ranks, with the tree rooted at slot 0 (the lowest alive rank). In epoch 0
-//! slots and ranks coincide and nothing changes; after a rank loss
-//! ([`crate::MachineBuilder::recovery`]) the same code runs the collectives
-//! over the shrunk world with no holes in the tree.
+//! Trees run over the ranks `0..p`, rooted at rank 0.
 //!
 //! There is one stack: [`Ctx::barrier`], [`Ctx::all_reduce_sum`],
 //! [`Ctx::all_reduce_u64`] and [`Ctx::all_gather_u64`] are each one
-//! `tree_reduce` followed by one `tree_bcast` over the epoch-cached slot
-//! map, and differ only in the payload codec they pass it — `u64` vectors
+//! `tree_reduce` followed by one `tree_bcast`, and differ only in the
+//! payload codec they pass it — `u64` vectors
 //! by value up and as one shared payload down, a single `f64` in a pooled
 //! one-element buffer per hop. The combine order is therefore the same
 //! for every collective by construction. [`Ctx::exchange`] adds a data
@@ -58,34 +54,12 @@ impl Ctx {
         tag
     }
 
-    /// This rank's position in the compacted surviving world as `(my slot,
-    /// alive count)`; slot `i` maps to rank `self.slot_cache[i]`, and in
-    /// epoch 0 (nobody lost) the map is the identity. The map is rebuilt
-    /// only when the recovery epoch moved since the last collective — the
-    /// only allocation, and it runs under the audit harness: the slot map
-    /// is a topology table (DESIGN §16), valid for a whole epoch, and
-    /// steady-state collectives merely index it.
-    fn slots(&mut self) -> (usize, usize) {
-        if self.slot_cache_epoch != self.epoch() {
-            let _h = pilut_allocaudit::harness();
-            self.slot_cache = (0..self.nprocs()).filter(|&r| self.alive[r]).collect();
-            self.slot_cache_epoch = self.epoch();
-        }
-        #[expect(clippy::expect_used, reason = "a rank in a collective is alive")]
-        let slot = self
-            .slot_cache
-            .iter()
-            .position(|&r| r == self.rank())
-            .expect("a lost rank cannot run a collective");
-        (slot, self.slot_cache.len())
-    }
-
     /// Messages this rank sends during one reduce + broadcast pair (every
-    /// tree collective is exactly that): each non-root slot forwards one
-    /// combined payload up, then every slot feeds its broadcast children.
-    fn tree_collective_sends(&mut self) -> u64 {
-        let (slot, p) = self.slots();
-        u64::from(slot != 0) + Self::bcast_children(slot, p).count() as u64
+    /// tree collective is exactly that): each non-root rank forwards one
+    /// combined payload up, then every rank feeds its broadcast children.
+    fn tree_collective_sends(&self) -> u64 {
+        let (s, p) = (self.rank(), self.nprocs());
+        u64::from(s != 0) + Self::bcast_children(s, p).count() as u64
     }
 
     /// Closes the collective opened by [`Ctx::begin_collective`].
@@ -98,7 +72,7 @@ impl Ctx {
         s & s.wrapping_neg()
     }
 
-    /// Children of slot `s` in the binomial broadcast tree over `p` slots,
+    /// Children of rank `s` in the binomial broadcast tree over `p` ranks,
     /// farthest first so the far half of the tree starts as early as
     /// possible. Purely arithmetic (no allocation); the single source of
     /// truth for the send loop and the planned `coll` message counts —
@@ -117,12 +91,12 @@ impl Ctx {
             .map(|(_, child)| child)
     }
 
-    /// Reduce-to-root along the binomial tree over the alive slots,
-    /// combining with `combine` — the one combine order every collective
-    /// shares, so a result's bits cannot depend on which collective
-    /// carried it. `to_payload` consumes the accumulator (a slot sends
-    /// exactly once, right before leaving the reduction), so no copy is
-    /// taken. Returns `Some` only at slot 0 (the lowest alive rank).
+    /// Reduce-to-root along the binomial tree over the ranks, combining
+    /// with `combine` — the one combine order every collective shares, so
+    /// a result's bits cannot depend on which collective carried it.
+    /// `to_payload` consumes the accumulator (a rank sends exactly once,
+    /// right before leaving the reduction), so no copy is taken. Returns
+    /// `Some` only at rank 0.
     fn tree_reduce<T, C>(
         &mut self,
         tag: u64,
@@ -134,17 +108,15 @@ impl Ctx {
     where
         C: Fn(&mut T, T),
     {
-        let (s, p) = self.slots();
+        let (s, p) = (self.rank(), self.nprocs());
         let mut bit = 1usize;
         while bit < p {
             if s & bit != 0 {
-                let parent = self.slot_cache[s - bit];
-                self.send_internal(parent, tag, tag, to_payload(acc));
+                self.send_internal(s - bit, tag, tag, to_payload(acc));
                 return None;
             }
             if s + bit < p {
-                let peer = self.slot_cache[s + bit];
-                let (_, got) = self.recv_internal(Some(peer), tag, RecvMode::Directed);
+                let (_, got) = self.recv_internal(Some(s + bit), tag, RecvMode::Directed);
                 combine(&mut acc, from_payload(got));
             }
             bit <<= 1;
@@ -152,10 +124,9 @@ impl Ctx {
         Some(acc)
     }
 
-    /// Broadcast from slot 0 (the lowest alive rank) along the binomial
-    /// tree: a non-root slot reads its value off the wire with
-    /// `from_payload`, then every slot ships `to_payload(&value)` to each
-    /// of its children.
+    /// Broadcast from rank 0 along the binomial tree: a non-root rank reads
+    /// its value off the wire with `from_payload`, then every rank ships
+    /// `to_payload(&value)` to each of its children.
     fn tree_bcast<T>(
         &mut self,
         tag: u64,
@@ -163,17 +134,16 @@ impl Ctx {
         to_payload: impl Fn(&T) -> Payload,
         from_payload: impl Fn(Payload) -> T,
     ) -> T {
-        let (s, p) = self.slots();
+        let (s, p) = (self.rank(), self.nprocs());
         #[expect(clippy::expect_used, reason = "the root always passes Some")]
         let val = if s == 0 {
             val.expect("root must provide the broadcast value")
         } else {
-            let parent = self.slot_cache[s - Self::lowbit(s)];
+            let parent = s - Self::lowbit(s);
             from_payload(self.recv_internal(Some(parent), tag, RecvMode::Directed).1)
         };
         for child in Self::bcast_children(s, p) {
-            let peer = self.slot_cache[child];
-            self.send_internal(peer, tag, tag, to_payload(&val));
+            self.send_internal(child, tag, tag, to_payload(&val));
         }
         val
     }
@@ -218,7 +188,7 @@ impl Ctx {
         let max_entry = self.all_reduce_scalar(CollKind::Barrier, self.time(), |acc, got| {
             *acc = acc.max(got)
         });
-        let levels = self.n_alive().next_power_of_two().trailing_zeros() as f64;
+        let levels = self.nprocs().next_power_of_two().trailing_zeros() as f64;
         // Each sweep hop moves one 8-byte clock stamp.
         let hop = self.model().latency + 8.0 * self.model().inv_bandwidth;
         let aligned = max_entry + 2.0 * levels * hop;
@@ -689,48 +659,6 @@ mod tests {
             assert_eq!(planned_bytes, 0, "p={p}");
             assert!(!exact, "coll bytes are not predicted, p={p}");
         }
-    }
-
-    #[test]
-    fn collectives_run_over_the_shrunk_world_after_a_rank_loss() {
-        // One rank of four dies inside the first collective; the survivors
-        // adopt the three-rank world and both forms of tree collective
-        // complete over it with an up-sweep and a down-sweep of
-        // `alive − 1` messages each.
-        use crate::fault::{FaultAction, FaultPlan, FaultRule};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let plan = FaultPlan::new(5).with(FaultRule::new(FaultAction::Kill).rank(1).after_op(1));
-        let out = Machine::builder(model())
-            .recovery(true)
-            .fault_plan(plan)
-            .run(4, |ctx| loop {
-                let pass = catch_unwind(AssertUnwindSafe(|| {
-                    let before = coll_sent(ctx).0;
-                    let n = ctx.all_reduce_u64(vec![1, ctx.rank() as u64], ReduceOp::Sum);
-                    let vector = coll_sent(ctx).0;
-                    let s = ctx.all_reduce_sum(ctx.rank() as f64);
-                    let scalar = coll_sent(ctx).0;
-                    (ctx.epoch(), n, s, vector - before, scalar - vector)
-                }));
-                match pass {
-                    Ok(done) => return Some(done),
-                    Err(_) if ctx.killed() => return None,
-                    Err(_) => {
-                        ctx.adopt_world();
-                        ctx.recover_sync();
-                    }
-                }
-            });
-        assert_eq!(out.results[1], None, "the victim tombstones");
-        let survivors: Vec<_> = out.results.iter().flatten().collect();
-        assert_eq!(survivors.len(), 3);
-        for &&(epoch, ref n, s, ..) in &survivors {
-            assert_eq!((epoch, n.as_slice(), s), (1, &[3, 5][..], 5.0));
-        }
-        let alive = survivors.len() as u64;
-        let vector: u64 = survivors.iter().map(|r| r.3).sum();
-        let scalar: u64 = survivors.iter().map(|r| r.4).sum();
-        assert_eq!((vector, scalar), (2 * (alive - 1), 2 * (alive - 1)));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Per-rank execution context: point-to-point messaging and the logical
 //! clock.
 
-use crate::check::{CheckState, CollKind, LeakRecord, RankLost, RankStatus, RunFlags};
+use crate::check::{CheckState, CollKind, LeakRecord, RankStatus};
 use crate::fault::{FaultSession, MessageFate, RankFate, FAULT_KILL_PREFIX};
 use crate::hb::{HbState, RecvMode};
 use crate::machine::MachineModel;
 use crate::payload::Payload;
 use crate::pool::Pool;
-use crate::rel::{Ingress, RelState, ACK_TAG, RECOVER_TAG};
 use crate::sched::{match_kind, SchedSession, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -20,29 +19,6 @@ use std::time::Duration;
 /// status board (a stalled-but-running rank shows `Running`, and injected
 /// *simulated* delays do not consume wall-clock time at all).
 const CHECK_POLL: Duration = Duration::from_millis(1);
-
-/// Idle watchdog polls before a blocked reliable receiver sends its first
-/// NACK round asking senders to re-ship what it is missing.
-const NACK_START_POLLS: u32 = 4;
-
-/// NACK rounds per blocked-receive episode, with exponential backoff
-/// between rounds. Once the budget is exhausted the episode is marked on
-/// the board and the deadlock watchdog is allowed to fire: a sender that
-/// is alive answers a NACK within about one poll, so an exhausted budget
-/// means the frame was never sent — a genuine protocol deadlock.
-const MAX_NACKS: u32 = 5;
-
-/// Control-frame kinds for the reliable-delivery protocol: a cumulative
-/// acknowledgement ("everything up to seq arrived") and a resend request
-/// ("re-ship from seq").
-const CTRL_ACK: u64 = 0;
-const CTRL_NACK: u64 = 1;
-
-/// Wire tag of reliability control frames (ACK/NACK). Lives in the
-/// reserved range so user tags can never collide; bit 47 keeps it clear of
-/// the collective sequence-number namespace (which stays far below 2^47
-/// even with the recovery epoch folded in).
-pub(crate) const CTRL_TAG: u64 = Ctx::RESERVED_TAG_BASE | (1 << 47);
 
 /// One message in flight.
 #[derive(Clone, Debug)]
@@ -61,14 +37,6 @@ pub struct Envelope {
     /// match-order race detector compares (see `pilut_par::hb`). `None` on
     /// the zero-overhead production path.
     pub vclock: Option<Vec<u64>>,
-    /// Per-link sequence number under reliable delivery (see
-    /// [`crate::rel`]); `None` for self-sends, control frames, and
-    /// unreliable runs.
-    pub seq: Option<u64>,
-    /// Sender's recovery epoch at send time. Receivers discard frames from
-    /// older epochs (a world that no longer exists) and park frames from
-    /// newer ones until they adopt the loss themselves.
-    pub epoch: u64,
     /// The data.
     pub payload: Payload,
 }
@@ -121,14 +89,6 @@ impl Counters {
 pub(crate) struct RankExit {
     pub counters: Counters,
     pub time: f64,
-    /// Under reliable delivery, the next expected sequence number per
-    /// source at exit — lets the machine's late leak sweep tell an
-    /// absorbed retransmission (seq below expected) from a genuinely
-    /// undelivered frame.
-    pub rel_expected: Option<Vec<u64>>,
-    /// The rank's recovery epoch at exit; late frames from older epochs
-    /// are not leaks.
-    pub epoch: u64,
     /// The rank's channel, kept alive so the machine can sweep late
     /// arrivals after every rank has finished. Buffered-but-unmatched
     /// envelopes were already reported to the board by `into_exit`.
@@ -175,32 +135,6 @@ pub struct Ctx {
     /// Set when this rank was killed by injection, so exit reporting can
     /// publish `Killed` instead of a plain panic.
     killed: bool,
-    /// Static run configuration: reliable delivery and rank-loss recovery.
-    flags: RunFlags,
-    /// Per-link sequence/stash/retention state; `Some` iff reliable
-    /// delivery is enabled (see [`crate::rel`]).
-    rel: Option<RelState>,
-    /// Liveness per rank in the current epoch. All-true until a rank loss
-    /// is adopted in recovery mode.
-    pub(crate) alive: Vec<bool>,
-    /// Recovery epoch, equal to the number of adopted rank losses. Stamped
-    /// on every envelope so frames from a dead world are discarded at
-    /// ingress.
-    epoch: u64,
-    /// The ranks this rank has adopted as dead.
-    dead: Vec<usize>,
-    /// Cached slot map for collectives: the sorted alive ranks as of
-    /// [`Ctx::slot_cache_epoch`]. A scalar all-reduce runs every GMRES
-    /// inner iteration; indexing this cache instead of collecting a fresh
-    /// map keeps it off the heap. Rebuilt (under the audit harness — a
-    /// topology table, DESIGN §16) whenever the recovery epoch moves.
-    pub(crate) slot_cache: Vec<usize>,
-    /// Epoch [`Ctx::slot_cache`] was built for; `u64::MAX` = never built.
-    pub(crate) slot_cache_epoch: u64,
-    /// Frames that arrived stamped with a *future* epoch (their sender
-    /// adopted a loss this rank has not yet detected); replayed through
-    /// ingress once `adopt_world` resets to the new epoch.
-    future_frames: Vec<Envelope>,
     /// The run's registered-buffer shelf, shared by every rank of the run
     /// like the commcheck board and dropped with it (see [`crate::pool`]).
     pub(crate) pool: Arc<Pool>,
@@ -247,19 +181,9 @@ impl Ctx {
         check: Option<Arc<CheckState>>,
         fault: Option<FaultSession>,
         sched: Option<SchedSession>,
-        flags: RunFlags,
         pool: Arc<Pool>,
     ) -> Self {
-        assert!(
-            (!flags.reliable && !flags.recovery) || check.is_some(),
-            "reliable delivery and rank-loss recovery require checked mode"
-        );
-        let mut hb = check.is_some().then(|| HbState::new(rank, nprocs));
-        if let (Some(hb), true) = (hb.as_mut(), flags.reliable) {
-            // Reliable links are FIFO per (sender, receiver): same-sender
-            // match order is fixed, so it is no longer a race.
-            hb.set_fifo(true);
-        }
+        let hb = check.is_some().then(|| HbState::new(rank, nprocs));
         Ctx {
             rank,
             nprocs,
@@ -277,14 +201,6 @@ impl Ctx {
             sched,
             held: Vec::new(),
             killed: false,
-            flags,
-            rel: flags.reliable.then(|| RelState::new(nprocs)),
-            alive: vec![true; nprocs],
-            epoch: 0,
-            dead: Vec::new(),
-            slot_cache: Vec::new(),
-            slot_cache_epoch: u64::MAX,
-            future_frames: Vec::new(),
             pool,
         }
     }
@@ -320,42 +236,10 @@ impl Ctx {
         self.check.is_some()
     }
 
-    /// True when per-link reliable delivery is armed (see [`crate::rel`]).
-    /// Plan builders use this to size registered-buffer warm-up: a
-    /// reliable sender retains every frame until the cumulative ACK
-    /// passes it, so up to [`ACK_EVERY`](crate::ACK_EVERY) pooled buffers
-    /// per link are in flight beyond the plain send/recv skew.
-    pub fn is_reliable(&self) -> bool {
-        self.rel.is_some()
-    }
-
     /// The run's registered-buffer pool: plans warm it at build time, and
     /// replay takes its buffers and recycles payloads into it.
     pub fn pool(&self) -> &Pool {
         &self.pool
-    }
-
-    /// True when this rank was killed by fault injection. A recovery
-    /// driver that catches the kill unwind uses this to tell "I am the
-    /// victim" from "a peer died".
-    pub fn killed(&self) -> bool {
-        self.killed
-    }
-
-    /// The current recovery epoch: the number of rank losses this rank has
-    /// adopted.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether rank `r` is alive in the current epoch.
-    pub fn is_alive(&self, r: usize) -> bool {
-        self.alive[r]
-    }
-
-    /// Number of ranks alive in the current epoch.
-    pub fn n_alive(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
     }
 
     /// Tears the context down at rank exit, reporting any leftover
@@ -365,35 +249,12 @@ impl Ctx {
         // Release any reorder-held envelopes so the injector never turns a
         // benign reorder into a lost message.
         self.flush_held();
-        // Exit flush: when faults are being injected, a frame may have been
-        // dropped after the receiver's last NACK window — and once this
-        // rank's thread is gone, no resend can ever happen. Re-ship the
-        // whole unacknowledged tail (receivers dedup what they already
-        // delivered). Skipped on fault-free runs, where nothing is ever
-        // lost, so the steady-state overhead stays zero.
-        if !panicked && !self.killed && self.fault.is_some() {
-            if let Some(rel) = &self.rel {
-                for env in rel.unacked() {
-                    self.ship_protocol(env);
-                }
-            }
-        }
-        // Drain the channel so late-but-already-sent envelopes are visible,
-        // admitting each frame like a receive does: late control frames
-        // are honoured (a peer's NACK can still trigger a resend here) and
-        // late retransmissions deduplicated.
+        // Drain the channel so late-but-already-sent envelopes are visible.
         while let Ok(env) = self.receiver.try_recv() {
             if let Some(check) = &self.check {
                 check.note_drain(self.rank);
             }
-            let (ready, _) = self.ingress_frame(env);
-            self.pending.extend(ready);
-        }
-        // Frames still parked behind a sequence gap were never delivered:
-        // surface them to the leak sweep.
-        if let Some(rel) = self.rel.as_mut() {
-            let parked = rel.drain_stash();
-            self.pending.extend(parked);
+            self.pending.push_back(env);
         }
         if let Some(check) = &self.check {
             check.record_leaks(self.pending.iter().map(|e| LeakRecord {
@@ -415,8 +276,6 @@ impl Ctx {
         RankExit {
             counters: self.counters,
             time: self.time,
-            rel_expected: self.rel.as_ref().map(RelState::expected_snapshot),
-            epoch: self.epoch,
             receiver: self.receiver,
         }
     }
@@ -436,8 +295,10 @@ impl Ctx {
         self.counters.words_copied += words;
     }
 
-    /// Advances the clock directly (rarely needed; prefer `work`/`copy_words`).
-    pub fn elapse(&mut self, seconds: f64) {
+    /// Advances the clock directly: the barrier's alignment to the slowest
+    /// entry. Everything else charges through `work`/`copy_words` or a
+    /// receive.
+    pub(crate) fn elapse(&mut self, seconds: f64) {
         debug_assert!(seconds >= 0.0);
         self.time += seconds;
     }
@@ -486,18 +347,13 @@ impl Ctx {
 
     pub(crate) fn send_internal(&mut self, to: usize, tag: u64, stats_tag: u64, payload: Payload) {
         // The whole transport op is harness-owned for the allocation
-        // audit: channel nodes, retained-frame clones, and counter maps
+        // audit: channel nodes, duplicated frames, and counter maps
         // stand in for MPI/NIC-owned resources a real steady state never
         // allocates (DESIGN §16). Payload *data* buffers are built by the
         // caller, outside this scope, and stay fully audited.
         let _audit = pilut_allocaudit::harness();
         assert!(to < self.nprocs, "rank {to} out of range");
-        self.check_rank_loss();
         self.fault_point();
-        assert!(
-            self.alive[to],
-            "send to rank {to}, which was lost in a previous epoch"
-        );
         self.counters
             .note_message(stats_tag, payload.bytes() as u64);
         let coll_kind = if Self::is_reserved(tag) {
@@ -512,8 +368,6 @@ impl Ctx {
             time: self.time,
             coll_kind,
             vclock: self.hb.as_mut().map(HbState::stamp_send),
-            seq: None,
-            epoch: self.epoch,
             payload,
         };
         if to == self.rank {
@@ -521,13 +375,6 @@ impl Ctx {
             // injection (message faults model the wire).
             self.pending.push_back(env);
             return;
-        }
-        if let Some(rel) = self.rel.as_mut() {
-            // Sequence the frame and retain a clone until the link's
-            // cumulative ACK passes it — even a Drop fate consumes the
-            // sequence number, so the receiver sees a gap and NACKs.
-            env.seq = Some(rel.assign(to));
-            rel.retain(env.clone());
         }
         let fate = match self.fault.as_mut() {
             Some(f) => f.on_send(to, tag),
@@ -554,8 +401,6 @@ impl Ctx {
                 return;
             }
             MessageFate::Duplicate => {
-                // The duplicate carries the same sequence number, so a
-                // reliable receiver discards it at ingress.
                 let dup = env.clone();
                 self.counters
                     .note_message(dup.tag, dup.payload.bytes() as u64);
@@ -589,281 +434,6 @@ impl Ctx {
     fn flush_held(&mut self) {
         for env in std::mem::take(&mut self.held) {
             self.ship(env);
-        }
-    }
-
-    /// Sends one reliability control frame (ACK or NACK) through
-    /// [`Ctx::ship_protocol`].
-    fn send_ctrl(&mut self, to: usize, kind: u64, val: u64) {
-        self.ship_protocol(Envelope {
-            from: self.rank,
-            to,
-            tag: CTRL_TAG,
-            time: self.time,
-            coll_kind: None,
-            vclock: None,
-            seq: None,
-            epoch: self.epoch,
-            payload: Payload::u64s(vec![kind, val]),
-        });
-    }
-
-    /// Ships one reliability-protocol frame: a control frame, or a
-    /// retained frame re-shipped in answer to a NACK (or in the exit
-    /// flush). Protocol frames bypass fault injection — they are the
-    /// mechanism that absorbs injected faults, so injecting into them
-    /// would only lengthen recovery, never change the outcome — and are
-    /// counted and exactly priced under [`ACK_TAG`] (a resend's original
-    /// send already paid under its own tag).
-    fn ship_protocol(&mut self, env: Envelope) {
-        let bytes = env.payload.bytes() as u64;
-        self.counters.note_message(ACK_TAG, bytes);
-        self.note_planned(ACK_TAG, 1, bytes, true);
-        self.ship(env);
-    }
-
-    /// One NACK round from a blocked receive: ask the most suspicious
-    /// senders to re-ship from the first missing sequence number. Sources
-    /// with a parked gap are asked first (the gap names the exact missing
-    /// frame); a directed receive falls back to its source, a wildcard to
-    /// every live peer. A spurious NACK (the frame is merely slow) is
-    /// harmless: the sender retains nothing at or past the requested
-    /// sequence and resends nothing, or resends frames the receiver then
-    /// discards as duplicates.
-    fn send_nacks(&mut self, from: Option<usize>) {
-        let Some(rel) = self.rel.as_ref() else { return };
-        let gapped = rel.gapped_sources();
-        let targets: Vec<usize> = if gapped.is_empty() {
-            match from {
-                Some(f) if f != self.rank => vec![f],
-                Some(_) => Vec::new(),
-                None => (0..self.nprocs).filter(|&r| r != self.rank).collect(),
-            }
-        } else {
-            gapped
-        };
-        let wants: Vec<(usize, u64)> = targets
-            .iter()
-            .filter(|&&t| self.alive[t])
-            .map(|&t| (t, rel.delivered_upto(t) + 1))
-            .collect();
-        for (t, want) in wants {
-            self.send_ctrl(t, CTRL_NACK, want);
-        }
-    }
-
-    /// The one admission step for every frame read off the channel — by a
-    /// receive, unchecked or checked, and by the exit drain: classifies it
-    /// against the reliability and recovery layers. Returns the frames now
-    /// deliverable, in link order, plus a progress flag: `true` when the
-    /// frame carried new data (delivered or parked a gap), `false` for
-    /// control frames, absorbed duplicates, and stale-epoch traffic. With
-    /// neither layer on, a frame is handed back unchanged as
-    /// `(vec![env], true)`. A blocked receive uses the flag to decide
-    /// whether its idle clock resets — control chatter between two
-    /// deadlocked ranks must not suppress the watchdog forever.
-    fn ingress_frame(&mut self, env: Envelope) -> (Vec<Envelope>, bool) {
-        if env.tag == CTRL_TAG {
-            if env.epoch == self.epoch {
-                self.handle_ctrl(&env);
-            }
-            return (Vec::new(), false);
-        }
-        if env.epoch < self.epoch {
-            // A frame from a world that no longer exists.
-            return (Vec::new(), false);
-        }
-        if env.epoch > self.epoch {
-            // The sender already adopted a rank loss this rank has not
-            // detected yet; park the frame until `adopt_world` catches up.
-            self.future_frames.push(env);
-            return (Vec::new(), false);
-        }
-        let verdict = match self.rel.as_mut() {
-            None => return (vec![env], true),
-            Some(rel) => rel.ingress(&env),
-        };
-        match verdict {
-            Ingress::Deliver => {
-                let from = env.from;
-                let mut out = vec![env];
-                let ack = {
-                    #[expect(clippy::expect_used, reason = "verdict came from the same Some(rel)")]
-                    let rel = self.rel.as_mut().expect("rel present");
-                    out.extend(rel.release(from));
-                    rel.ack_due(from).then(|| rel.delivered_upto(from))
-                };
-                if let Some(upto) = ack {
-                    self.send_ctrl(from, CTRL_ACK, upto);
-                }
-                (out, true)
-            }
-            Ingress::Duplicate => (Vec::new(), false),
-            Ingress::Stashed => {
-                #[expect(clippy::expect_used, reason = "verdict came from the same Some(rel)")]
-                self.rel.as_mut().expect("rel present").park(env);
-                (Vec::new(), true)
-            }
-        }
-    }
-
-    /// Processes one ACK/NACK control frame.
-    fn handle_ctrl(&mut self, env: &Envelope) {
-        let body = match &env.payload {
-            Payload::U64(v) => v.as_slice(),
-            other => panic!("malformed reliability control frame: {other:?}"),
-        };
-        let (kind, val) = (body[0], body[1]);
-        match kind {
-            CTRL_ACK => {
-                if let Some(rel) = self.rel.as_mut() {
-                    rel.on_ack(env.from, val, &self.pool);
-                }
-            }
-            CTRL_NACK => {
-                let frames = self
-                    .rel
-                    .as_ref()
-                    .map(|rel| rel.resend_from(env.from, val))
-                    .unwrap_or_default();
-                for f in frames {
-                    self.ship_protocol(f);
-                }
-            }
-            other => panic!("unknown reliability control kind {other}"),
-        }
-    }
-
-    /// Rank-loss detection point, hit at the head of every communication
-    /// op and on every blocked-receive timeout. When the board shows more
-    /// kills than this rank has adopted, unwinds with a typed
-    /// [`RankLost`] so a recovery driver can catch it, call
-    /// [`Ctx::adopt_world`], and re-plan on the shrunk world.
-    fn check_rank_loss(&mut self) {
-        if !self.flags.recovery {
-            return;
-        }
-        let Some(check) = &self.check else { return };
-        if check.killed_count() as usize <= self.dead.len() {
-            return;
-        }
-        let dead = check.killed_ranks();
-        // Go back to Running while unwinding: the survivors' registration
-        // barrier must see this rank as live-and-recovering, and the
-        // watchdog must not treat the unwind window as a blocked state.
-        check.set_status(self.rank, RankStatus::Running);
-        std::panic::panic_any(RankLost {
-            epoch: dead.len() as u64,
-            dead,
-        });
-    }
-
-    /// Adopts the current set of killed ranks and re-synchronizes with the
-    /// other survivors: resets every piece of in-flight state (pending
-    /// frames, reliability links, vector clocks, collective sequence) to
-    /// the new epoch, then waits on a registration barrier until every
-    /// other live rank has adopted the same epoch. Returns the dead set.
-    ///
-    /// Called by a recovery driver after catching a [`RankLost`] unwind.
-    /// If another rank dies while waiting, the adoption restarts with the
-    /// larger dead set, so sequential losses fold into one barrier.
-    pub fn adopt_world(&mut self) -> Vec<usize> {
-        assert!(self.flags.recovery, "adopt_world requires recovery mode");
-        #[expect(clippy::expect_used, reason = "recovery mode implies checked mode")]
-        let check = Arc::clone(self.check.as_ref().expect("recovery implies checked"));
-        check.set_status(self.rank, RankStatus::Running);
-        loop {
-            let dead = check.killed_ranks();
-            self.reset_for_epoch(&dead);
-            check.register_epoch(self.rank, self.epoch);
-            loop {
-                if check.killed_count() as usize > dead.len() {
-                    break; // another rank died: restart with the larger set
-                }
-                if check.all_registered(self.epoch) {
-                    return dead;
-                }
-                std::thread::sleep(CHECK_POLL);
-            }
-        }
-    }
-
-    /// Confirmation ring after [`Ctx::adopt_world`]: every survivor passes
-    /// `(epoch, hash(dead set))` to its successor on the ring of live
-    /// ranks and checks the value it receives from its predecessor. All
-    /// ranks compute the dead set from the same shared board, so a
-    /// neighbour check suffices; the ring's real job is to be a
-    /// synchronization point proving every survivor has re-entered normal
-    /// messaging in the new epoch. Traffic is counted and exactly priced
-    /// under the `recover` stats tag.
-    pub fn recover_sync(&mut self) {
-        assert!(self.flags.recovery, "recover_sync requires recovery mode");
-        let alive: Vec<usize> = (0..self.nprocs).filter(|&r| self.alive[r]).collect();
-        if alive.len() <= 1 {
-            return;
-        }
-        #[expect(clippy::expect_used, reason = "a dead rank cannot call recover_sync")]
-        let slot = alive
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("caller is alive");
-        let succ = alive[(slot + 1) % alive.len()];
-        let pred = alive[(slot + alive.len() - 1) % alive.len()];
-        let wire = RECOVER_TAG + self.epoch;
-        let mut h = 0xcbf2_9ce4_8422_2325_u64 ^ self.epoch;
-        for &d in &self.dead {
-            h = h.wrapping_mul(0x0100_0000_01b3).wrapping_add(d as u64 + 1);
-        }
-        let payload = Payload::u64s(vec![self.epoch, h]);
-        self.note_planned(RECOVER_TAG, 1, payload.bytes() as u64, true);
-        self.send_internal(succ, wire, RECOVER_TAG, payload);
-        let (_, got) = self.recv_internal(Some(pred), wire, RecvMode::Directed);
-        if got.into_u64() != [self.epoch, h] {
-            #[expect(clippy::expect_used, reason = "recovery mode implies checked mode")]
-            let check = Arc::clone(self.check.as_ref().expect("recovery implies checked"));
-            let msg = check.fail(format!(
-                "recovery agreement mismatch at epoch {}: rank {} disagrees with rank {} about the dead set {:?}",
-                self.epoch, self.rank, pred, self.dead
-            ));
-            check.set_status(self.rank, RankStatus::Panicked);
-            panic!("{msg}");
-        }
-    }
-
-    /// Resets all in-flight state to a new epoch with the given dead set.
-    fn reset_for_epoch(&mut self, dead: &[usize]) {
-        self.epoch = dead.len() as u64;
-        self.dead = dead.to_vec();
-        for a in &mut self.alive {
-            *a = true;
-        }
-        for &r in dead {
-            self.alive[r] = false;
-        }
-        // Everything buffered belongs to the old world. Pending frames
-        // were already drained off the board; held frames never reached
-        // the wire (no in-flight count to repair).
-        self.pending.clear();
-        self.held.clear();
-        if let Some(rel) = self.rel.as_mut() {
-            rel.reset();
-        }
-        if let Some(hb) = self.hb.as_mut() {
-            hb.reset();
-        }
-        // Namespace the collective sequence by epoch so a straggling
-        // old-epoch collective frame can never alias a new one (the epoch
-        // filter at ingress already discards them; this is belt and
-        // braces), and resync the sequence across survivors that had
-        // executed different numbers of collectives when the kill hit.
-        self.coll_seq = self.epoch << 32;
-        self.current_coll = None;
-        // Frames from senders that reached this epoch first were parked;
-        // replay them now that the link state is reset.
-        let future = std::mem::take(&mut self.future_frames);
-        for env in future {
-            let (ready, _) = self.ingress_frame(env);
-            self.pending.extend(ready);
         }
     }
 
@@ -929,8 +499,8 @@ impl Ctx {
         self.recv_internal(None, tag, RecvMode::Wildcard)
     }
 
-    /// The one receive loop behind [`Ctx::recv`], [`Ctx::recv_any`], the
-    /// collectives and [`Ctx::recover_sync`]: matches the next envelope on
+    /// The one receive loop behind [`Ctx::recv`], [`Ctx::recv_any`] and the
+    /// collectives: matches the next envelope on
     /// `tag` from `from` — from any rank when `from` is `None` — blocking
     /// until one arrives, and returns `(source, payload)`. `mode` declares
     /// whether the caller is order-sensitive; the race detector flags
@@ -945,7 +515,6 @@ impl Ctx {
         // Harness-owned, like `send_internal`: pending-queue growth and
         // frame admission model runtime-owned receive machinery.
         let _audit = pilut_allocaudit::harness();
-        self.check_rank_loss();
         self.fault_point();
         // About to (possibly) block: release reorder-held envelopes so the
         // injector cannot manufacture a deadlock of its own.
@@ -970,59 +539,24 @@ impl Ctx {
                 .receiver
                 .recv()
                 .expect("all senders hung up while waiting");
-            if let (Some(env), _) = self.admit(env, from, tag) {
+            if wanted(&env, from, tag) {
                 return self.accept(env, mode);
             }
+            self.pending.push_back(env);
         }
-    }
-
-    /// Admits one frame read off the channel through
-    /// [`Ctx::ingress_frame`], buffers every deliverable frame but the
-    /// first one matching `(from, tag)`, and returns that one (if any)
-    /// with ingress's progress flag.
-    fn admit(&mut self, env: Envelope, from: Option<usize>, tag: u64) -> (Option<Envelope>, bool) {
-        let (ready, progress) = self.ingress_frame(env);
-        let mut hit = None;
-        for e in ready {
-            if hit.is_none() && wanted(&e, from, tag) {
-                hit = Some(e);
-            } else {
-                self.pending.push_back(e);
-            }
-        }
-        (hit, progress)
     }
 
     /// The checked receive loop: publish the blocked state, poll the
     /// channel with a timeout, and run the watchdog predicate on every
     /// timeout. Panics with the commcheck report when the run is stuck.
-    ///
-    /// Under reliable delivery a timeout also drives the NACK schedule: a
-    /// receiver idle for [`NACK_START_POLLS`] polls asks the likely
-    /// senders to re-ship, backing off exponentially for up to
-    /// [`MAX_NACKS`] rounds before conceding the episode to the watchdog.
     fn recv_checked(&mut self, from: Option<usize>, tag: u64, mode: RecvMode) -> (usize, Payload) {
         #[expect(clippy::expect_used, reason = "only checked mode enters here")]
         let check = Arc::clone(self.check.as_ref().expect("checked mode"));
-        let reliable = self.rel.is_some();
-        if reliable {
-            // A fresh blocked episode gets a fresh NACK budget; the board
-            // suppresses deadlock verdicts until the budget is spent.
-            check.nack_reset(self.rank);
-        }
         check.set_status(self.rank, RankStatus::BlockedRecv { from, tag });
-        let mut idle_polls: u32 = 0;
-        let mut nacks_left: u32 = if reliable { MAX_NACKS } else { 0 };
-        let mut backoff: u32 = NACK_START_POLLS;
-        let mut next_nack: u32 = NACK_START_POLLS;
         loop {
             match self.receiver.recv_timeout(CHECK_POLL) {
                 Ok(env) => {
-                    let (hit, progress) = self.admit(env, from, tag);
-                    if progress {
-                        idle_polls = 0;
-                    }
-                    if let Some(env) = hit {
+                    if wanted(&env, from, tag) {
                         // One board transition: decrement in-flight and go
                         // back to Running atomically, or a watchdog polling
                         // between the two steps sees "blocked, nothing in
@@ -1030,21 +564,10 @@ impl Ctx {
                         check.note_drain_matched(self.rank);
                         return self.accept(env, mode);
                     }
+                    self.pending.push_back(env);
                     check.note_drain(self.rank);
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    self.check_rank_loss();
-                    idle_polls = idle_polls.saturating_add(1);
-                    if nacks_left > 0 && idle_polls >= next_nack {
-                        self.send_nacks(from);
-                        nacks_left -= 1;
-                        backoff *= 2;
-                        next_nack = idle_polls + backoff;
-                        if nacks_left == 0 {
-                            check.nack_exhausted(self.rank);
-                        }
-                        continue;
-                    }
                     if let Some(report) = check.check_stuck(self.rank) {
                         check.set_status(self.rank, RankStatus::Panicked);
                         panic!("{report}");

@@ -40,10 +40,7 @@
 //!
 //! `sender`/`receiver` make a rule **link-scoped**: `drop.sender(1).receiver(3)`
 //! perturbs only the 1→3 link, leaving every other link clean — the shape
-//! chaos sweeps use to aim faults at one exchange edge. Under reliable
-//! delivery ([`crate::MachineBuilder::reliable`]) the protocol's control
-//! frames and retransmissions bypass injection: faults model a lossy link,
-//! and the recovery traffic is the remedy, not another casualty.
+//! chaos sweeps use to aim faults at one exchange edge.
 
 use std::sync::Mutex;
 

@@ -98,10 +98,6 @@ pub(crate) struct HbState {
     /// event counts of the other ranks, learned through received stamps.
     clock: Vec<u64>,
     history: HashMap<u64, VecDeque<AcceptRecord>>,
-    /// Links are FIFO per `(sender, receiver)` (reliable delivery
-    /// sequences and reorders frames at ingress), so same-sender
-    /// overtaking is impossible and no longer a race.
-    fifo: bool,
 }
 
 impl HbState {
@@ -110,21 +106,7 @@ impl HbState {
             me,
             clock: vec![0; nprocs],
             history: HashMap::new(),
-            fifo: false,
         }
-    }
-
-    /// Declares the machine's links FIFO per `(sender, receiver)`; see
-    /// the `fifo` field.
-    pub(crate) fn set_fifo(&mut self, on: bool) {
-        self.fifo = on;
-    }
-
-    /// Forgets all accept history (the recovery epoch reset: pre-loss
-    /// accepts must not be compared against post-loss traffic). The vector
-    /// clock itself stays monotonic across epochs.
-    pub(crate) fn reset(&mut self) {
-        self.history.clear();
     }
 
     /// Registers a send event and returns the stamp to ride the envelope.
@@ -164,10 +146,7 @@ impl HbState {
         let report = self
             .history
             .get(&tag)
-            .and_then(|h| {
-                h.iter()
-                    .find(|h| races(h, from, send_vc, mode, self.me, self.fifo))
-            })
+            .and_then(|h| h.iter().find(|h| races(h, from, send_vc, mode, self.me)))
             .map(|h| self.report(tag, h, from, send_vc, mode, accept_event));
         if self.history.len() >= MAX_TAGS && !self.history.contains_key(&tag) {
             self.history.clear();
@@ -242,22 +221,14 @@ impl HbState {
 /// causal path through the receiver can teach the sender that value).
 /// Otherwise the two envelopes are concurrent, and the pair races when the
 /// modes make the match assignment scheduling-dependent.
-fn races(
-    h: &AcceptRecord,
-    from: usize,
-    send_vc: &[u64],
-    mode: RecvMode,
-    me: usize,
-    fifo: bool,
-) -> bool {
+fn races(h: &AcceptRecord, from: usize, send_vc: &[u64], mode: RecvMode, me: usize) -> bool {
     if send_vc.get(me).copied().unwrap_or(0) >= h.accept_event {
         return false; // h's match happens-before the new send: forced order.
     }
     if h.from == from {
         // Same-sender overtaking — racy on the wire unless it is a local
-        // self-send (self-sends bypass the wire and stay FIFO) or the
-        // whole machine runs reliable delivery (links sequenced FIFO).
-        return from != me && !fifo;
+        // self-send (self-sends bypass the wire and stay FIFO).
+        return from != me;
     }
     // Cross-sender: only an order-sensitive wildcard consumer can bind the
     // wrong payload; directed receives filter by source, and the
@@ -280,35 +251,6 @@ mod tests {
         let report = report.expect("second concurrent same-sender envelope must race");
         assert!(report.contains("match-order race"), "{report}");
         assert!(report.contains("tag 0x7"), "{report}");
-    }
-
-    #[test]
-    fn fifo_links_suppress_same_sender_race() {
-        let mut hb = HbState::new(1, 2);
-        hb.set_fifo(true);
-        assert!(hb
-            .note_accept(7, 0, Some(&[1, 0]), RecvMode::Directed)
-            .is_none());
-        // Under reliable delivery the link is sequenced: back-to-back
-        // same-sender envelopes cannot overtake, so no race.
-        assert!(hb
-            .note_accept(7, 0, Some(&[2, 0]), RecvMode::Directed)
-            .is_none());
-    }
-
-    #[test]
-    fn reset_forgets_history_but_keeps_clock() {
-        let mut hb = HbState::new(1, 2);
-        assert!(hb
-            .note_accept(7, 0, Some(&[1, 0]), RecvMode::Directed)
-            .is_none());
-        let event = hb.local_event();
-        hb.reset();
-        assert_eq!(hb.local_event(), event, "clock survives the epoch reset");
-        // Without history the old accept cannot race the new one.
-        assert!(hb
-            .note_accept(7, 0, Some(&[2, 0]), RecvMode::Directed)
-            .is_none());
     }
 
     #[test]

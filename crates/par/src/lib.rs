@@ -32,29 +32,15 @@
 //! are caught at the first mismatched envelope. All in-repo tests use the
 //! checked entry point; [`Machine::run`] stays the zero-overhead
 //! production path.
-
 //!
 //! # Fault injection
 //!
 //! [`Machine::builder`] can install a seeded [`fault::FaultPlan`] that
 //! delays, reorders, duplicates, or drops messages and stalls or kills
 //! ranks at their communication ops — with commcheck asserting the right
-//! diagnosis for each (see [`fault`]).
-//!
-//! # Reliable delivery and rank-loss recovery
-//!
-//! Two opt-in robustness layers ride on the same machinery:
-//!
-//! * [`MachineBuilder::reliable`] puts every link on a sequence/ack/retry
-//!   protocol (see [`rel`]): injected drops, duplicates, and reorders are
-//!   absorbed transparently — the program sees exactly the fault-free
-//!   delivery order and produces bitwise-identical results.
-//! * [`MachineBuilder::recovery`] arms rank-loss detection: when a rank is
-//!   killed, survivors observe a [`RankLost`] unwind instead of a watchdog
-//!   abort, and a recovery driver (e.g. `pilut_solver::dist_solve_robust`)
-//!   calls [`Ctx::adopt_world`] / [`Ctx::recover_sync`] to agree on the
-//!   shrunk world and resume; collectives re-root themselves over the
-//!   surviving ranks automatically.
+//! diagnosis for each (see [`fault`]). The machine models the T3D's
+//! message layer, which neither loses messages nor loses ranks: a drop,
+//! duplicate or kill is a fault to be named, never one to be absorbed.
 
 #![deny(missing_docs)]
 // The VM implements the threads, channels and raw messages that clippy.toml
@@ -73,13 +59,11 @@ pub(crate) mod hb;
 pub mod machine;
 pub mod payload;
 pub mod pool;
-pub mod rel;
 pub mod sched;
 
-pub use check::{CollKind, LeakRecord, RankLost, RankStatus, RunFlags};
+pub use check::{CollKind, LeakRecord, RankStatus};
 pub use ctx::Ctx;
 pub use fault::{FaultAction, FaultPlan, FaultRule, InjectedFault, FAULT_KILL_PREFIX};
 pub use machine::{Machine, MachineBuilder, MachineModel, MachineStats, RunOutput};
 pub use payload::Payload;
-pub use rel::{ACK_EVERY, ACK_TAG, RECOVER_TAG};
 pub use sched::{MatchKind, SchedHandle, SchedulePlan, TraceEvent};

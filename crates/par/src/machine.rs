@@ -1,9 +1,7 @@
 //! The virtual machine: model constants, thread launch, and run statistics.
 
-use crate::check::{
-    collective_divergence, CheckState, LeakRecord, RankLost, RunFlags, SECONDARY_ABORT,
-};
-use crate::ctx::{Ctx, Envelope, RankExit, CTRL_TAG};
+use crate::check::{collective_divergence, CheckState, LeakRecord, SECONDARY_ABORT};
+use crate::ctx::{Ctx, Envelope, RankExit};
 use crate::fault::{FaultPlan, FaultSession, FaultShared, InjectedFault, FAULT_KILL_PREFIX};
 use crate::pool::{Pool, PER_CLASS};
 use crate::sched::{SchedHandle, SchedSession};
@@ -120,7 +118,7 @@ pub struct RunOutput<R> {
 }
 
 /// Configures a machine run beyond the two standard entry points: checked
-/// mode, fault injection, schedule forcing, reliable delivery and recovery.
+/// mode, fault injection and schedule forcing.
 ///
 /// ```
 /// use pilut_par::{Machine, MachineModel, Payload};
@@ -134,14 +132,13 @@ pub struct MachineBuilder {
     checked: bool,
     fault_plan: Option<FaultPlan>,
     sched: Option<SchedHandle>,
-    flags: RunFlags,
 }
 
 impl MachineBuilder {
     /// Enables or disables the commcheck verification layer
-    /// (see [`Machine::run_checked`]). Installing a fault plan, a schedule,
-    /// reliable delivery or recovery enables it implicitly: injection
-    /// without diagnosis would just be a hang.
+    /// (see [`Machine::run_checked`]). Installing a fault plan or a
+    /// schedule enables it implicitly: injection without diagnosis would
+    /// just be a hang.
     pub fn checked(mut self, on: bool) -> Self {
         self.checked = on;
         self
@@ -161,28 +158,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Enables per-link reliable delivery (see [`crate::rel`]): frames are
-    /// sequenced, deduplicated, and retransmitted on demand, so injected
-    /// `drop`/`duplicate`/`reorder` faults are absorbed transparently
-    /// instead of stranding a receiver until the watchdog fires. Implies
-    /// `checked`. The protocol's own traffic is counted under the `ack`
-    /// stats tag with exact planned pricing.
-    pub fn reliable(mut self, on: bool) -> Self {
-        self.flags.reliable = on;
-        self
-    }
-
-    /// Enables rank-loss recovery: an injected `Kill` raises a typed
-    /// [`RankLost`] unwind on every survivor instead of a terminal
-    /// deadlock diagnosis. A recovery driver (see
-    /// `pilut_solver::dist_solve_robust`) catches it, calls
-    /// [`Ctx::adopt_world`] / [`Ctx::recover_sync`], and resumes on the
-    /// shrunk world. Implies `checked`.
-    pub fn recovery(mut self, on: bool) -> Self {
-        self.flags.recovery = on;
-        self
-    }
-
     /// Runs `f` on `p` ranks (one OS thread each) with this configuration
     /// and gathers the results — the one launch path: [`Machine::run`] and
     /// [`Machine::run_checked`] are this with the default and the checked
@@ -191,8 +166,8 @@ impl MachineBuilder {
     /// # Panics
     /// Panics if `p == 0` or if any rank panics (the panic of the
     /// lowest-numbered panicking rank is propagated); when checked (or a
-    /// fault plan, schedule, reliable delivery or recovery is installed),
-    /// also on any protocol error commcheck detects, as
+    /// fault plan or schedule is installed), also on any protocol error
+    /// commcheck detects, as
     /// [`Machine::run_checked`] describes.
     pub fn run<R, F>(self, p: usize, f: F) -> RunOutput<R>
     where
@@ -200,20 +175,14 @@ impl MachineBuilder {
         F: Fn(&mut Ctx) -> R + Sync,
     {
         assert!(p > 0, "need at least one rank");
-        let (model, sched, flags) = (self.model, self.sched, self.flags);
-        let checked = self.checked
-            || self.fault_plan.is_some()
-            || sched.is_some()
-            || flags.reliable
-            || flags.recovery;
-        let check = checked.then(|| Arc::new(CheckState::new(p, flags)));
+        let (model, sched) = (self.model, self.sched);
+        let checked = self.checked || self.fault_plan.is_some() || sched.is_some();
+        let check = checked.then(|| Arc::new(CheckState::new(p)));
         let fault = self.fault_plan.map(|plan| Arc::new(FaultShared::new(plan)));
         // The run's registered-buffer shelf, dropped when the run returns.
         // Scalar collectives (GMRES dot products) draw single-element
-        // buffers from it every inner iteration, and under reliable
-        // delivery each link's retention window holds up to `ACK_EVERY` of
-        // them hostage — far more than any plan-driven warm would request:
-        // fill that class to its cap before any rank starts.
+        // buffers from it every inner iteration, and no plan sizes that
+        // class: fill it to its cap before any rank starts.
         let pool = Arc::new(Pool::default());
         pool.warm(1, PER_CLASS);
         let mut senders = Vec::with_capacity(p);
@@ -247,9 +216,8 @@ impl MachineBuilder {
                     // body enters publishes when this one drops, which is
                     // before the scope can see the rank as finished.
                     let _audit = pilut_allocaudit::region("rank");
-                    let mut ctx = Ctx::new(
-                        rank, p, model, senders, rx, check, session, ssched, flags, pool,
-                    );
+                    let mut ctx =
+                        Ctx::new(rank, p, model, senders, rx, check, session, ssched, pool);
                     match std::panic::catch_unwind(AssertUnwindSafe(|| fref(&mut ctx))) {
                         Ok(r) => {
                             *rslot = Some(r);
@@ -280,17 +248,9 @@ impl MachineBuilder {
         let mut results = Vec::with_capacity(p);
         let mut stats = MachineStats::default();
         let mut per_rank_collectives = Vec::with_capacity(p);
-        for (rank, (rslot, eslot)) in result_slots.into_iter().zip(exit_slots).enumerate() {
-            let Some(r) = rslot else {
-                // Only reachable when a panic slot was suppressed without a
-                // result: under recovery the driver must catch the injected
-                // kill on the victim itself and return a tombstone result.
-                panic!(
-                    "rank {rank} finished without a result — under MachineBuilder::recovery \
-                     the workload driver must catch the kill panic on the victim (check \
-                     Ctx::killed()) and return a tombstone value instead of re-raising"
-                )
-            };
+        for (rslot, eslot) in result_slots.into_iter().zip(exit_slots) {
+            #[expect(clippy::expect_used, reason = "a rank without a result panicked above")]
+            let r = rslot.expect("rank finished without a result");
             #[expect(clippy::expect_used, reason = "the thread scope joined every rank")]
             let exit = eslot.expect("rank exit not recorded");
             results.push(r);
@@ -312,23 +272,13 @@ impl MachineBuilder {
             per_rank_collectives.push(exit.counters.collectives);
             stats.rank_times.push(exit.time);
         }
-        let ranks_lost = check
-            .as_ref()
-            .is_some_and(|c| flags.recovery && c.killed_count() > 0);
-        if ranks_lost {
-            // After a recovered rank loss the counts legitimately differ:
-            // the victim stopped early and the survivors re-ran work on the
-            // shrunk world. Report the survivors' count.
-            stats.collectives = per_rank_collectives.iter().copied().max().unwrap_or(0);
-        } else {
-            let total_collectives: u64 = per_rank_collectives.iter().sum();
-            assert!(
-                total_collectives.is_multiple_of(p as u64),
-                "ranks disagree on collective participation (per-rank counts: \
-                 {per_rank_collectives:?}) — rerun under Machine::run_checked for a diagnosis"
-            );
-            stats.collectives = total_collectives / p as u64;
-        }
+        let total_collectives: u64 = per_rank_collectives.iter().sum();
+        assert!(
+            total_collectives.is_multiple_of(p as u64),
+            "ranks disagree on collective participation (per-rank counts: \
+             {per_rank_collectives:?}) — rerun under Machine::run_checked for a diagnosis"
+        );
+        stats.collectives = total_collectives / p as u64;
         let sim_time = stats.rank_times.iter().copied().fold(0.0, f64::max);
         RunOutput {
             results,
@@ -367,14 +317,13 @@ impl Machine {
     }
 
     /// Starts a configurable run: checked mode, fault injection, schedule
-    /// forcing, reliable delivery, recovery. See [`MachineBuilder`].
+    /// forcing. See [`MachineBuilder`].
     pub fn builder(model: MachineModel) -> MachineBuilder {
         MachineBuilder {
             model,
             checked: false,
             fault_plan: None,
             sched: None,
-            flags: RunFlags::default(),
         }
     }
 
@@ -414,7 +363,6 @@ impl Machine {
         exit_slots: &[Option<RankExit>],
         fired: &[crate::fault::InjectedFault],
     ) {
-        let flags = check.flags();
         let killed = check.killed_ranks();
         // Late leak sweep: envelopes that arrived after a rank's own exit
         // drain are still sitting in its (kept-alive) channel.
@@ -422,22 +370,6 @@ impl Machine {
         for (to, exit) in exit_slots.iter().enumerate() {
             let Some(exit) = exit else { continue };
             while let Ok(env) = exit.receiver.try_recv() {
-                // Reliability control frames are bookkeeping, not data.
-                if env.tag == CTRL_TAG {
-                    continue;
-                }
-                // A frame from a world older than the receiver's exit
-                // epoch was deliberately discarded, not lost.
-                if env.epoch < exit.epoch {
-                    continue;
-                }
-                // A retransmission of something already delivered (seq
-                // below the receiver's expectation at exit) was absorbed.
-                if let (Some(expected), Some(seq)) = (exit.rel_expected.as_ref(), env.seq) {
-                    if seq < expected[env.from] {
-                        continue;
-                    }
-                }
                 leaks.push(LeakRecord {
                     from: env.from,
                     to,
@@ -448,18 +380,8 @@ impl Machine {
             }
         }
         // Envelopes the fault injector discarded join the leak sweep: a
-        // run that completed despite a drop still lost a message. Under
-        // reliable delivery the drop was absorbed by a retransmission, so
-        // it is no longer a loss.
-        let injected_drops = check.take_injected_drops();
-        if !flags.reliable {
-            leaks.extend(injected_drops);
-        }
-        // Under recovery, traffic stranded at (or buffered by) a killed
-        // rank is the expected wreckage of the loss, not a protocol error.
-        if flags.recovery {
-            leaks.retain(|l| !killed.contains(&l.to));
-        }
+        // run that completed despite a drop still lost a message.
+        leaks.extend(check.take_injected_drops());
         let failure = check.take_failure();
         // Drop secondary aborts and the primary's own unwind payload: the
         // stored report carries the diagnosis. User panics stay.
@@ -496,22 +418,6 @@ impl Machine {
                 if is_fault_kill {
                     *slot = None;
                 }
-            }
-        }
-        // A RankLost unwind that nothing caught means recovery was enabled
-        // but no recovery driver was wrapped around the workload; turn the
-        // typed payload into an actionable message.
-        for (r, slot) in panic_slots.iter_mut().enumerate() {
-            let Some(payload) = slot.as_ref() else {
-                continue;
-            };
-            if let Some(lost) = payload.downcast_ref::<RankLost>() {
-                *slot = Some(Box::new(format!(
-                    "rank {r} observed the loss of rank(s) {:?} (epoch {}) but no recovery \
-                     driver caught the RankLost unwind — wrap the workload in a driver that \
-                     calls Ctx::adopt_world / Ctx::recover_sync and re-plans",
-                    lost.dead, lost.epoch
-                )));
             }
         }
         let user_panicked = panic_slots.iter().any(Option::is_some);
@@ -571,15 +477,9 @@ impl Machine {
         // Backstop: collective sequences must agree even when traffic
         // happened to pair up (e.g. trailing collectives that never
         // exchanged a message at p == 1 cannot occur, but truncated
-        // sequences at matching kinds can). Not applicable after a
-        // recovered rank loss: the victim's log stops mid-sequence and
-        // each survivor re-logs the collectives it aborted and re-ran, so
-        // the logs legitimately differ per rank (epoch-tagged wire tags
-        // already enforce agreement within each epoch).
-        if !flags.recovery || killed.is_empty() {
-            if let Some(divergence) = collective_divergence(&check.coll_logs()) {
-                panic!("commcheck: {divergence}");
-            }
+        // sequences at matching kinds can).
+        if let Some(divergence) = collective_divergence(&check.coll_logs()) {
+            panic!("commcheck: {divergence}");
         }
     }
 }

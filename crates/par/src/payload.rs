@@ -89,8 +89,8 @@ impl Payload {
     /// Borrows an `F64` payload's values without unwrapping the `Arc` —
     /// the copy-free read for receivers that scatter the values and hand
     /// the buffer straight back to the pool via [`Payload::recycle`].
-    /// Unlike [`Payload::into_f64`], a shared payload (sender-retained
-    /// frame, fan-out node) costs nothing here.
+    /// Unlike [`Payload::into_f64`], a shared payload (a broadcast
+    /// fan-out node) costs nothing here.
     ///
     /// # Panics
     /// Panics if the variant differs — a protocol error in the caller.
@@ -112,13 +112,11 @@ impl Payload {
     /// Drops this handle, returning the underlying `f64` buffer to the
     /// run's registered `pool` when it was the last reference (index
     /// buffers are not pooled and simply drop). This is how pooled
-    /// replay buffers complete their cycle: each holder — the receiver
-    /// after scattering, the sender's reliable-delivery retention on
-    /// cumulative ACK — recycles its handle, and whichever drops last
-    /// actually shelves the buffer. A handle that is not last simply
-    /// drops, copy-free (where [`Payload::into_f64`] would have deep-
-    /// cloned and the pooled original would have died with the other
-    /// reference, draining the pool one buffer per acknowledged frame).
+    /// replay buffers complete their cycle: the receiver recycles its
+    /// handle after scattering, and whichever holder drops last actually
+    /// shelves the buffer. A handle that is not last simply drops,
+    /// copy-free (where [`Payload::into_f64`] would have deep-cloned and
+    /// the pooled original would have died with the other reference).
     pub fn recycle(self, pool: &Pool) {
         match self {
             Payload::Empty | Payload::U64(_) => {}
@@ -134,9 +132,8 @@ impl Payload {
 /// Takes the buffer out of the `Arc` without copying when the caller holds
 /// the only reference; falls back to one clone otherwise. The fallback
 /// copy is harness-owned (DESIGN §16): it happens only while the
-/// *transport* still holds a reference — a broadcast fan-out node, or a
-/// sender-retained frame awaiting its cumulative ACK — and stands in for
-/// frame memory a real NIC would own. An MPI receiver owns its receive
+/// *transport* still holds a reference — a broadcast fan-out node — and
+/// stands in for frame memory a real NIC would own. An MPI receiver owns its receive
 /// buffer outright; the audited steady state must not be charged for the
 /// VM keeping the wire image alive a little longer.
 fn unwrap_arc<T: Clone>(v: Arc<Vec<T>>) -> Vec<T> {

@@ -32,15 +32,13 @@ const MAX_CLASS: usize = 26;
 
 /// Buffers retained per class; beyond this, returned buffers are dropped
 /// and warm requests are clamped. The cap must absorb *every* link of a
-/// class across all ranks and level sub-plans at full warm depth — under
-/// reliable delivery that is `ACK_EVERY + skew` buffers per link, since
-/// senders retain each frame until the cumulative ACK passes it. The cap
-/// is a count, not a byte bound: it relies on large classes having few
-/// links, which holds for halo/sweep schedules (link length scales with
-/// the partition interface, link count with the neighbor degree). It stays
+/// class across all ranks and level sub-plans at full warm depth. It is a
+/// count, not a byte bound: it relies on large classes having few links,
+/// which holds for halo/sweep schedules (link length scales with the
+/// partition interface, link count with the neighbor degree). It stays
 /// although the shelf is per run: a warm is a per-link allowance rather
 /// than an exact count, the scalar class has no plan to size it, and a run
-/// that re-plans (a recovery epoch, a second operator) warms again.
+/// that re-plans (a second operator, a later rung of a solve) warms again.
 pub(crate) const PER_CLASS: usize = 1024;
 
 /// One run's shelf of empty `f64` buffers, reached through

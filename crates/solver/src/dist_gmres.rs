@@ -9,9 +9,10 @@
 //! recurrence is replicated on every rank — the deterministic reduction
 //! tree guarantees bit-identical replicas.
 //!
-//! [`dist_gmres`] solves from a zero start. The self-healing ladder
+//! [`dist_gmres`] solves from a zero start. The degradation ladder
 //! ([`crate::dist_robust`]) runs the same kernel over the same
-//! `Distributed` space, warm-started from its checkpoint.
+//! `Distributed` space, each later rung warm-started from the iterate of
+//! the last rung that solved.
 
 use pilut_core::dist::op::DistOperator;
 use pilut_core::dist::{DistMatrix, LocalView};
@@ -185,7 +186,7 @@ pub fn dist_gmres(
         local,
         precond,
     };
-    let r = krylov::solve(&mut space, b, opts, None, None);
+    let r = krylov::solve(&mut space, b, opts, None);
     DistGmresResult {
         x_local: r.x,
         converged: r.converged,

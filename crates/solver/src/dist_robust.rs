@@ -1,5 +1,5 @@
-//! Graceful degradation: the self-healing distributed solve, which
-//! survives factorization breakdown, solver breakdown and rank loss.
+//! Graceful degradation: the distributed solve that survives
+//! factorization breakdown and solver breakdown.
 //!
 //! [`dist_solve_robust`] climbs one ladder, collectively, until a rung
 //! converges:
@@ -16,58 +16,32 @@
 //!
 //! Every rung's availability and every convergence verdict is collective,
 //! so all ranks climb in lockstep. The first rung to solve starts from
-//! zero; every later one warm-starts from the current checkpoint (any
-//! finite iterate is a legal warm start, so a later rung keeps what an
-//! earlier one achieved). Every rung tried is recorded
-//! in the returned report, which names the rung that produced the answer
-//! and why the better ones were rejected.
-//!
-//! Around the ladder sits the lost-rank rung. Every attempt runs inside an
-//! unwind catcher, so an injected `Kill` (surfaced by the VM's recovery
-//! layer as a [`pilut_par::RankLost`] unwind on every survivor — requires
-//! `MachineBuilder::recovery(true)`) is *handled* instead of fatal:
-//!
-//! 1. the victim itself observes `Ctx::killed()` and returns a tombstone
-//!    report (the VM requires every rank to produce a result);
-//! 2. each survivor scatters its latest iterate checkpoint into a global
-//!    vector, adopts the new world (`Ctx::adopt_world`), runs the recovery
-//!    agreement round (`Ctx::recover_sync`), and shrinks the row
-//!    distribution ([`pilut_core::dist::recover::shrink`]) with the
-//!    *cumulative* dead set;
-//! 3. the ladder re-runs on the shrunk world: plans and factors are
-//!    rebuilt from the replicated input matrix, and GMRES warm-starts from
-//!    the checkpoint, which the kernel overwrites at the end of every
-//!    restart cycle, so only the in-flight cycle's progress is lost.
-//!
-//! Every recovery is recorded as a [`RecoveryRecord`] (epoch, lost ranks,
-//! time-to-recover) in the returned [`DistSolveReport`]. Invariants of this
-//! protocol are catalogued in DESIGN §14.
-
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+//! zero; every later one warm-starts from the iterate the last solved rung
+//! returned (any finite iterate is a legal warm start, so a later rung
+//! keeps what an earlier one achieved). Every rung tried is recorded in the
+//! returned report, which names the rung that produced the answer and why
+//! the better ones were rejected.
 
 use pilut_core::dist::op::DistCsr;
-use pilut_core::dist::recover::shrink;
 use pilut_core::dist::{DistMatrix, Distribution, LocalView};
 use pilut_core::options::{BreakdownPolicy, FactorError, IlutOptions};
 use pilut_core::parallel::par_ilut;
 use pilut_par::collectives::ReduceOp;
-use pilut_par::{Ctx, RankLost};
+use pilut_par::Ctx;
 use pilut_sparse::CsrMatrix;
 
 use crate::dist_gmres::{DistDiagonal, DistIdentity, DistIlu, DistPrecond, Distributed};
 use crate::gmres::{GmresOptions, GmresResult};
 use crate::krylov;
-use crate::report::{AttemptOutcome, AttemptRecord, Breakdown, RecoveryRecord};
+use crate::report::{AttemptOutcome, AttemptRecord, Breakdown};
 
 /// Per-rank outcome of [`dist_solve_robust`]. Scalar fields are identical
-/// on every *surviving* rank; a killed rank returns a tombstone
-/// (`dead == true`).
+/// on every rank.
 #[derive(Clone, Debug)]
 pub struct DistSolveReport {
-    /// This rank's slice of the solution, in the **final epoch's**
-    /// local-view order.
+    /// This rank's slice of the solution, in local-view order.
     pub x_local: Vec<f64>,
-    /// Global row ids of `x_local`'s entries (final epoch).
+    /// Global row ids of `x_local`'s entries.
     pub nodes: Vec<usize>,
     /// Whether the chosen rung reached the tolerance.
     pub converged: bool,
@@ -79,47 +53,20 @@ pub struct DistSolveReport {
     pub breakdown: Option<Breakdown>,
     /// Preconditioner of the chosen rung (`attempts[chosen]`).
     pub preconditioner: String,
-    /// Every ladder rung tried in the final epoch, in order. A
-    /// `FactorFailed` entry carries the failing rank's view of the error:
-    /// the rank that met the bad row names it, its peers name that rank.
+    /// Every ladder rung tried, in order. A `FactorFailed` entry carries
+    /// the failing rank's view of the error: the rank that met the bad row
+    /// names it, its peers name that rank.
     pub attempts: Vec<AttemptRecord>,
     /// Index into `attempts` of the rung that produced `x_local`.
     pub chosen: usize,
-    /// Every rank loss survived, in order of adoption.
-    pub recoveries: Vec<RecoveryRecord>,
-    /// True when this rank was killed mid-solve: all other fields are
-    /// tombstone values.
-    pub dead: bool,
 }
 
 impl DistSolveReport {
-    fn tombstone(recoveries: Vec<RecoveryRecord>) -> Self {
-        DistSolveReport {
-            x_local: Vec::new(),
-            nodes: Vec::new(),
-            converged: false,
-            rel_residual: f64::INFINITY,
-            matvecs: 0,
-            breakdown: None,
-            preconditioner: "(killed)".into(),
-            attempts: Vec::new(),
-            chosen: 0,
-            recoveries,
-            dead: true,
-        }
-    }
-
     /// One-line summary for logs: the verdict and the chosen rung with its
     /// figures, then ` after [rung: why; …]` for every rung tried before it
-    /// and ` surviving [epoch …; …]` for every rank loss — each clause only
-    /// when it has something to name. E.g. `converged via Jacobi (rel
-    /// 3.1e-9, 24 matvecs) after [ILUT(10,1e-4): factor failed: zero pivot
-    /// at row 7] surviving [epoch 1: lost rank(s) [2], recovered in
-    /// 1.2e-4s]`.
+    /// when there is one. E.g. `converged via Jacobi (rel 3.1e-9, 24
+    /// matvecs) after [ILUT(10,1e-4): factor failed: zero pivot at row 7]`.
     pub fn summary(&self) -> String {
-        if self.dead {
-            return "rank killed mid-solve (tombstone)".into();
-        }
         let status = if self.converged {
             "converged"
         } else {
@@ -148,10 +95,6 @@ impl DistSolveReport {
         if !skipped.is_empty() {
             s.push_str(&format!(" after [{}]", skipped.join("; ")));
         }
-        if !self.recoveries.is_empty() {
-            let named: Vec<String> = self.recoveries.iter().map(|r| r.to_string()).collect();
-            s.push_str(&format!(" surviving [{}]", named.join("; ")));
-        }
         s
     }
 }
@@ -175,17 +118,14 @@ fn agreed_jacobi(
     }
 }
 
-/// Distributed robust solve of `A x = b` with rank-loss recovery.
-/// Collective: every rank of the machine calls it with the same replicated
-/// `a`, `b_global` and `dist`. Requires `MachineBuilder::recovery(true)`
-/// for actual kills to be survivable; without faults it is a plain
-/// par-ILUT + GMRES solve with a checkpoint written once per restart cycle.
+/// Distributed robust solve of `A x = b`. Collective: every rank of the
+/// machine calls it with the same replicated `a`, `b_global` and `dist`.
 ///
-/// Inside each epoch the preconditioner degrades down the ladder of the
-/// module docs (caller's ILUT → boosted-shift refactorization → Jacobi →
-/// none) until a rung converges, keeping the best-residual fallback
-/// otherwise. While the primary rung converges the traffic is exactly that
-/// of a hand-written par-ILUT + GMRES solve.
+/// The preconditioner degrades down the ladder of the module docs (caller's
+/// ILUT → boosted-shift refactorization → Jacobi → none) until a rung
+/// converges, keeping the best-residual fallback otherwise. While the
+/// primary rung converges the traffic is exactly that of a hand-written
+/// par-ILUT + GMRES solve.
 pub fn dist_solve_robust(
     ctx: &mut Ctx,
     a: &CsrMatrix,
@@ -211,159 +151,97 @@ pub fn dist_solve_robust(
         ));
     }
 
-    // The iterate checkpoint lives in *global* index space so it survives
-    // redistribution: after a loss, a row's last value is valid no matter
-    // which survivor inherits it. Rows owned by a dead rank keep whatever
-    // was last scattered for them (the initial guess 0.0 if never owned by
-    // a survivor) — any warm start is a legal warm start.
-    let mut ckpt_global = vec![0.0f64; n];
-    // Set once a solve has returned or a rank was lost, at the same point
-    // of the climb on every rank: until then the checkpoint is the zero
-    // guess and the kernel's cold start skips the product `A·0`.
-    let mut warm = false;
-    let mut recoveries: Vec<RecoveryRecord> = Vec::new();
-    let mut cur = dist.clone();
-
-    loop {
-        let dm = DistMatrix::new(a.clone(), cur.clone());
-        let local = dm.local_view(ctx.rank());
-        let nodes = local.nodes.clone();
-        // Owned outside the catcher: on an unwind mid-cycle this still
-        // holds the last *completed* cycle's iterate.
-        let mut ckpt_local: Vec<f64> = nodes.iter().map(|&g| ckpt_global[g]).collect();
-
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let b: Vec<f64> = nodes.iter().map(|&g| b_global[g]).collect();
-            // Planned on first use — after the primary rung's
-            // factorization, where a hand-written par-ILUT + GMRES driver
-            // plans it too.
-            let mut op = None;
-            let mut attempts: Vec<AttemptRecord> = Vec::new();
-            // Best non-converged fallback so far: (attempt index, result).
-            let mut best: Option<(usize, GmresResult)> = None;
-            for idx in 0..iluts.len() + 2 {
-                // An `Err` means the rung is unavailable and nothing is
-                // solved; every verdict is agreed across ranks.
-                let (name, built): (String, Result<Box<dyn DistPrecond>, FactorError>) =
-                    match iluts.get(idx) {
-                        // par_ilut's fault verdict is collective.
-                        Some((name, opts)) => (
-                            name.clone(),
-                            par_ilut(ctx, &dm, &local, opts)
-                                .map(|rf| Box::new(DistIlu::new(ctx, &dm, &local, rf)) as _),
-                        ),
-                        None if idx == iluts.len() => (
-                            "Jacobi".into(),
-                            agreed_jacobi(ctx, &dm, &local).map(|d| Box::new(d) as _),
-                        ),
-                        None => ("none".into(), Ok(Box::new(DistIdentity))),
-                    };
-                let solved = built.map(|mut precond| {
-                    let mut space = Distributed {
-                        op: op.get_or_insert_with(|| DistCsr::new(ctx, &dm, &local)),
-                        ctx,
-                        local: &local,
-                        precond: precond.as_mut(),
-                    };
-                    // Any finite iterate is a legal warm start, so a later
-                    // rung keeps what an earlier one achieved.
-                    let x0 = warm.then(|| ckpt_local.clone());
-                    let ckpt = Some(&mut ckpt_local);
-                    krylov::solve(&mut space, &b, gmres_opts, x0, ckpt)
-                });
-                let outcome = match &solved {
-                    Err(e) => AttemptOutcome::FactorFailed(e.clone()),
-                    Ok(r) if r.converged => AttemptOutcome::Converged {
-                        rel_residual: r.rel_residual,
-                        matvecs: r.matvecs,
-                    },
-                    Ok(r) => AttemptOutcome::SolveFailed {
-                        rel_residual: r.rel_residual,
-                        matvecs: r.matvecs,
-                        breakdown: r.breakdown,
-                    },
-                };
-                attempts.push(AttemptRecord {
-                    preconditioner: name,
-                    outcome,
-                });
-                let Ok(r) = solved else { continue };
-                warm = true;
-                if r.converged {
-                    return (r, attempts, idx);
-                }
-                // Keep the best residual; a non-finite one is displaced by
-                // anything later, so with nothing finite the last rung stands.
-                let better = best.as_ref().is_none_or(|(_, prev)| {
-                    r.rel_residual < prev.rel_residual || !prev.rel_residual.is_finite()
-                });
-                if better {
-                    best = Some((idx, r));
-                }
-            }
-            #[expect(clippy::expect_used, reason = "the unpreconditioned rung always runs")]
-            let (chosen, best) = best.expect("no rung of the ladder was solved");
-            (best, attempts, chosen)
-        }));
-
-        match attempt {
-            Ok((best, attempts, chosen)) => {
-                return DistSolveReport {
-                    x_local: best.x,
-                    nodes,
-                    converged: best.converged,
-                    rel_residual: best.rel_residual,
-                    matvecs: best.matvecs,
-                    breakdown: best.breakdown,
-                    preconditioner: attempts[chosen].preconditioner.clone(),
-                    attempts,
-                    chosen,
-                    recoveries,
-                    dead: false,
-                };
-            }
-            Err(payload) => {
-                if ctx.killed() {
-                    // This rank is the victim. The kill unwound the attempt;
-                    // return the required per-rank result instead of
-                    // re-raising (the driver contract of
-                    // `MachineBuilder::recovery`).
-                    return DistSolveReport::tombstone(recoveries);
-                }
-                // Rank loss is the one recoverable unwind; anything else
-                // is re-raised.
-                match payload.downcast::<RankLost>() {
-                    Ok(_) => {
-                        // Preserve progress before the world changes hands.
-                        for (&g, &v) in nodes.iter().zip(&ckpt_local) {
-                            ckpt_global[g] = v;
-                        }
-                        warm = true;
-                        let t_lost = ctx.time();
-                        let dead = ctx.adopt_world();
-                        ctx.recover_sync();
-                        // `dead` is cumulative, so shrinking the *original*
-                        // distribution is correct across repeated losses —
-                        // and bitwise-deterministic on every survivor.
-                        cur = shrink(dist, &dead);
-                        recoveries.push(RecoveryRecord {
-                            epoch: ctx.epoch(),
-                            lost: dead,
-                            time_to_recover: ctx.time() - t_lost,
-                        });
-                        // Loop: rebuild plans and factors, resume from ckpt.
-                    }
-                    Err(other) => resume_unwind(other),
-                }
-            }
+    let dm = DistMatrix::new(a.clone(), dist.clone());
+    let local = dm.local_view(ctx.rank());
+    let b: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
+    // Planned on first use — after the primary rung's factorization, where
+    // a hand-written par-ILUT + GMRES driver plans it too.
+    let mut op = None;
+    let mut attempts: Vec<AttemptRecord> = Vec::new();
+    // The iterate of the last rung that solved: the next rung's warm start.
+    // Until a rung has solved, the kernel's cold start skips the product `A·0`.
+    let mut last_x: Option<Vec<f64>> = None;
+    // The converged rung, or else the best fallback so far: (attempt
+    // index, result).
+    let mut best: Option<(usize, GmresResult)> = None;
+    for idx in 0..iluts.len() + 2 {
+        // An `Err` means the rung is unavailable and nothing is solved;
+        // every verdict is agreed across ranks.
+        let (name, built): (String, Result<Box<dyn DistPrecond>, FactorError>) =
+            match iluts.get(idx) {
+                // par_ilut's fault verdict is collective.
+                Some((name, opts)) => (
+                    name.clone(),
+                    par_ilut(ctx, &dm, &local, opts)
+                        .map(|rf| Box::new(DistIlu::new(ctx, &dm, &local, rf)) as _),
+                ),
+                None if idx == iluts.len() => (
+                    "Jacobi".into(),
+                    agreed_jacobi(ctx, &dm, &local).map(|d| Box::new(d) as _),
+                ),
+                None => ("none".into(), Ok(Box::new(DistIdentity))),
+            };
+        let solved = built.map(|mut precond| {
+            let mut space = Distributed {
+                op: op.get_or_insert_with(|| DistCsr::new(ctx, &dm, &local)),
+                ctx,
+                local: &local,
+                precond: precond.as_mut(),
+            };
+            // Any finite iterate is a legal warm start, so a later rung
+            // keeps what an earlier one achieved.
+            krylov::solve(&mut space, &b, gmres_opts, last_x.take())
+        });
+        let outcome = match &solved {
+            Err(e) => AttemptOutcome::FactorFailed(e.clone()),
+            Ok(r) if r.converged => AttemptOutcome::Converged {
+                rel_residual: r.rel_residual,
+                matvecs: r.matvecs,
+            },
+            Ok(r) => AttemptOutcome::SolveFailed {
+                rel_residual: r.rel_residual,
+                matvecs: r.matvecs,
+                breakdown: r.breakdown,
+            },
+        };
+        attempts.push(AttemptRecord {
+            preconditioner: name,
+            outcome,
+        });
+        let Ok(r) = solved else { continue };
+        if r.converged {
+            best = Some((idx, r));
+            break;
         }
+        last_x = Some(r.x.clone());
+        // Keep the best residual; a non-finite one is displaced by anything
+        // later, so with nothing finite the last rung stands.
+        let better = best.as_ref().is_none_or(|(_, prev)| {
+            r.rel_residual < prev.rel_residual || !prev.rel_residual.is_finite()
+        });
+        if better {
+            best = Some((idx, r));
+        }
+    }
+    #[expect(clippy::expect_used, reason = "the unpreconditioned rung always runs")]
+    let (chosen, best) = best.expect("no rung of the ladder was solved");
+    DistSolveReport {
+        x_local: best.x,
+        nodes: local.nodes,
+        converged: best.converged,
+        rel_residual: best.rel_residual,
+        matvecs: best.matvecs,
+        breakdown: best.breakdown,
+        preconditioner: attempts[chosen].preconditioner.clone(),
+        attempts,
+        chosen,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pilut_par::{FaultAction, FaultPlan, FaultRule, Machine, MachineModel};
+    use pilut_par::{Machine, MachineModel};
     use pilut_sparse::vec_ops::norm2;
     use pilut_sparse::{gen, CooMatrix};
 
@@ -371,12 +249,12 @@ mod tests {
         MachineModel::cray_t3d()
     }
 
-    /// Assembles the global solution from surviving ranks' reports, checks
-    /// it against `x_true` and returns it.
+    /// Assembles the global solution from the ranks' reports, checks it
+    /// against `x_true` and returns it.
     fn assemble_and_check(reports: &[DistSolveReport], n: usize, x_true: &[f64]) -> Vec<f64> {
         let mut x = vec![f64::NAN; n];
-        for r in reports.iter().filter(|r| !r.dead) {
-            assert!(r.converged, "survivor failed: {}", r.summary());
+        for r in reports {
+            assert!(r.converged, "a rank failed: {}", r.summary());
             for (&g, &v) in r.nodes.iter().zip(&r.x_local) {
                 x[g] = v;
             }
@@ -407,62 +285,10 @@ mod tests {
             );
             assemble_and_check(&reports, n, &x_true);
             for r in &reports {
-                assert!(r.recoveries.is_empty());
-                assert!(!r.dead);
                 assert_eq!((r.chosen, r.attempts.len()), (0, 1), "{}", r.summary());
                 assert_eq!(r.preconditioner, "ILUT(10,1e-4)");
             }
         }
-    }
-
-    #[test]
-    fn kill_mid_solve_recovers_and_converges() {
-        let a = gen::laplace_2d(10, 10);
-        let n = a.n_rows();
-        let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
-        let b = a.spmv_owned(&x_true);
-        let dist = Distribution::from_matrix(&a, 4, 23);
-        // Kill rank 2 a little way into the solve (past plan construction).
-        let plan = FaultPlan::new(61).with(FaultRule::new(FaultAction::Kill).rank(2).after_op(40));
-        let out = Machine::builder(model())
-            .recovery(true)
-            .fault_plan(plan)
-            .run(4, |ctx| {
-                dist_solve_robust(
-                    ctx,
-                    &a,
-                    &b,
-                    &dist,
-                    &IlutOptions::new(10, 1e-4),
-                    &GmresOptions::default(),
-                )
-            });
-        assert!(
-            out.injected_faults.iter().any(|f| f.kind == "kill"),
-            "the kill must actually fire for this test to mean anything"
-        );
-        assemble_and_check(&out.results, n, &x_true);
-        assert!(out.results[2].dead, "the victim tombstones");
-        for r in [0usize, 1, 3] {
-            let rep = &out.results[r];
-            assert_eq!(rep.recoveries.len(), 1, "rank {r}: {}", rep.summary());
-            let rec = &rep.recoveries[0];
-            assert_eq!((rec.epoch, rec.lost.clone()), (1, vec![2]));
-            assert!(rec.time_to_recover >= 0.0);
-            assert!(
-                rep.summary().contains("epoch 1") && rep.summary().contains("[2]"),
-                "summary must name the recovery: {}",
-                rep.summary()
-            );
-            // Survivors cover every row, including the victim's.
-            assert_eq!(
-                rep.nodes.len(),
-                rep.x_local.len(),
-                "rank {r} report is internally consistent"
-            );
-        }
-        let covered: usize = out.results.iter().map(|r| r.nodes.len()).sum();
-        assert_eq!(covered, n, "the shrunk world owns every row exactly once");
     }
 
     /// A 6×6 Laplacian whose row 0 has its diagonal zeroed — first in
@@ -502,7 +328,7 @@ mod tests {
         for p in [1, 2] {
             let reports = solve_on(p, &a, &b, &opts, &GmresOptions::default());
             for r in &reports {
-                assert!(r.converged && r.recoveries.is_empty(), "{}", r.summary());
+                assert!(r.converged, "{}", r.summary());
                 assert_eq!(r.chosen, 1, "{}", r.summary());
                 assert_eq!(r.preconditioner, "ILUT(10,1e-4)+shift(1e-4)");
                 assert!(matches!(

@@ -82,7 +82,7 @@ pub fn gmres(
     precond: &dyn Preconditioner,
     opts: &GmresOptions,
 ) -> GmresResult {
-    krylov::solve(&mut Serial { a, precond }, b, opts, None, None)
+    krylov::solve(&mut Serial { a, precond }, b, opts, None)
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! [`solve`] is the right-preconditioned GMRES(restart) cycle — modified
 //! Gram–Schmidt Arnoldi, Givens rotations, NaN/stagnation detection, the
-//! guarded update of `x`, warm start, per-cycle checkpoint, residual
-//! history — written once against [`Space`]. A `Space` supplies the four
+//! guarded update of `x`, warm start, residual history — written once
+//! against [`Space`]. A `Space` supplies the four
 //! things the iteration cannot do on a bare slice: apply the operator,
 //! apply the preconditioner, turn a local partial sum (or flag) into a
 //! global one, and charge modelled flops. There are exactly two
@@ -67,12 +67,10 @@ fn residual<S: Space>(space: &mut S, b: &[f64], x: &[f64], out: &mut [f64]) {
 /// `x0` seeds the iterate. `None` is the zero guess: the first residual
 /// is then `b` itself, taken without a product, so `matvecs` counts one
 /// product fewer than a warm start from zeros and `history` holds one
-/// entry more than `matvecs` (`history[0] = ‖b‖`). `ckpt`, when supplied, is
-/// overwritten with the current iterate at the end of **every restart
-/// cycle**, between reductions — so an unwind anywhere inside the next
-/// cycle leaves it holding a complete, consistent iterate from at most one
-/// restart ago (the rank-loss recovery driver re-seeds from it; see
-/// DESIGN §14).
+/// entry more than `matvecs` (`history[0] = ‖b‖`). The iterate changes
+/// only at the end of a restart cycle, under a collective verdict, so the
+/// returned `x` is the iterate of the last completed cycle (or `x0`): the
+/// degradation ladder warm-starts its next rung from it.
 ///
 /// Everything the solve allocates is allocated in the setup block at the
 /// top; restart cycles and inner iterations only ever reuse it (a basis
@@ -87,9 +85,8 @@ pub(crate) fn solve<S: Space>(
     b: &[f64],
     opts: &GmresOptions,
     x0: Option<Vec<f64>>,
-    ckpt: Option<&mut Vec<f64>>,
 ) -> GmresResult {
-    solve_in(&mut Vec::new(), space, b, opts, x0, ckpt) // lint: allow(alloc-in-hot): empty
+    solve_in(&mut Vec::new(), space, b, opts, x0) // lint: allow(alloc-in-hot): empty
 }
 
 /// [`solve`] in the basis `v`, which it reserves and is left holding: the
@@ -100,7 +97,6 @@ fn solve_in<S: Space>(
     b: &[f64],
     opts: &GmresOptions,
     x0: Option<Vec<f64>>,
-    mut ckpt: Option<&mut Vec<f64>>,
 ) -> GmresResult {
     let len = space.len();
     assert_eq!(b.len(), len);
@@ -278,13 +274,6 @@ fn solve_in<S: Space>(
             axpy(1.0, &z, &mut out.x);
         }
         space.work(n);
-        // End of the restart cycle: the iterate is consistent everywhere
-        // (the correction was applied under a collective verdict), so this
-        // is the safe point to checkpoint.
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.clear();
-            c.extend_from_slice(&out.x);
-        }
         if out.breakdown.is_some() || out.matvecs >= opts.max_matvecs {
             break;
         }
@@ -319,16 +308,15 @@ mod tests {
         b: &[f64],
         opts: &GmresOptions,
         x0: Option<Vec<f64>>,
-        ckpt: Option<&mut Vec<f64>>,
     ) -> GmresResult {
-        solve(&mut Serial { a, precond }, b, opts, x0, ckpt)
+        solve(&mut Serial { a, precond }, b, opts, x0)
     }
 
     #[test]
     fn warm_start_at_the_solution_converges_immediately() {
         let (a, b, x_true) = laplace_problem();
         let opts = GmresOptions::default();
-        let r = run(&a, &IdentityPreconditioner, &b, &opts, Some(x_true), None);
+        let r = run(&a, &IdentityPreconditioner, &b, &opts, Some(x_true));
         assert!(r.converged);
         assert_eq!(
             r.matvecs, 1,
@@ -342,30 +330,13 @@ mod tests {
         let b = vec![0.0; a.n_rows()];
         let x0 = vec![7.5; a.n_rows()];
         let opts = GmresOptions::default();
-        let r = run(&a, &IdentityPreconditioner, &b, &opts, Some(x0), None);
+        let r = run(&a, &IdentityPreconditioner, &b, &opts, Some(x0));
         assert!(r.converged);
         assert_eq!(r.matvecs, 0);
         assert!(
             r.x.iter().all(|&v| v == 0.0),
             "Ax = 0 has the zero solution"
         );
-    }
-
-    #[test]
-    fn checkpoint_holds_the_iterate_of_a_completed_cycle() {
-        // Force several restart cycles (tiny restart length): convergence is
-        // detected at the top of a cycle, so the last checkpoint and the
-        // returned iterate coincide.
-        let (a, b, _) = laplace_problem();
-        let opts = GmresOptions {
-            restart: 5,
-            ..Default::default()
-        };
-        let mut ckpt = Vec::new();
-        let pre = DiagonalPreconditioner::new(&a);
-        let r = run(&a, &pre, &b, &opts, None, Some(&mut ckpt));
-        assert!(r.converged && r.matvecs > 6, "must span restart cycles");
-        assert_eq!(r.x, ckpt);
     }
 
     #[test]
@@ -377,7 +348,7 @@ mod tests {
             rtol: 1e-14,
             ..Default::default()
         };
-        let r = run(&a, &IdentityPreconditioner, &b, &opts, None, None);
+        let r = run(&a, &IdentityPreconditioner, &b, &opts, None);
         assert!(!r.converged);
         assert!(r.matvecs <= 7);
         assert!(
@@ -393,7 +364,7 @@ mod tests {
             max_matvecs: usize::MAX / 4,
             ..Default::default()
         };
-        let r = run(&a, &IdentityPreconditioner, &b, &opts, None, None);
+        let r = run(&a, &IdentityPreconditioner, &b, &opts, None);
         assert!(r.converged);
         assert_eq!(r.history[0].to_bits(), dot(&b, &b).sqrt().to_bits());
         assert_eq!(r.history.len(), r.matvecs + 1, "‖b‖, then one per matvec");
@@ -443,7 +414,7 @@ mod tests {
                 restart,
                 ..Default::default()
             };
-            let r = solve(&mut space, &b, &opts, x0, None);
+            let r = solve(&mut space, &b, &opts, x0);
             assert!(r.converged, "restart {restart}");
             (r.matvecs, space.ops, space.preconds, r.history.len())
         };
@@ -472,7 +443,7 @@ mod tests {
         nan_b[3] = f64::NAN;
         for (a, b, at) in [(&poisoned, &b, 1), (&a, &nan_b, 0)] {
             let opts = GmresOptions::default();
-            let r = run(a, &IdentityPreconditioner, b, &opts, None, None);
+            let r = run(a, &IdentityPreconditioner, b, &opts, None);
             assert_eq!(r.breakdown, Some(Breakdown::NonFinite { at }));
             assert!(!r.converged && r.rel_residual == f64::INFINITY);
             assert!(r.x.iter().all(|x| x.is_finite()));
@@ -495,7 +466,7 @@ mod tests {
             restart,
             ..Default::default()
         };
-        solve_in(v, &mut Serial { a: &a, precond }, &b, &opts, None, None)
+        solve_in(v, &mut Serial { a: &a, precond }, &b, &opts, None)
     }
 
     #[test]
@@ -540,7 +511,7 @@ mod tests {
             rtol: 1e-10,
             max_matvecs: 1000,
         };
-        let r = run(&a, &IdentityPreconditioner, &[1.0, 0.0], &opts, None, None);
+        let r = run(&a, &IdentityPreconditioner, &[1.0, 0.0], &opts, None);
         assert!(!r.converged);
         assert!(
             matches!(r.breakdown, Some(Breakdown::Stagnation { .. })),

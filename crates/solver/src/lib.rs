@@ -25,10 +25,7 @@
 //! [`Breakdown`] instead of looping on garbage. [`dist_solve_robust`] is
 //! the one degradation ladder (caller's ILUT → boosted-shift
 //! refactorization → Jacobi → unpreconditioned) and records every rung
-//! tried in the returned [`DistSolveReport`]. Around it sits the lost-rank
-//! rung: a kill mid-solve (under `MachineBuilder::recovery`) shrinks the
-//! world, rebuilds plans and factors, warm-starts GMRES from a
-//! per-restart-cycle checkpoint, and records the recovery in the report.
+//! tried in the returned [`DistSolveReport`].
 
 #![deny(missing_docs)]
 
@@ -43,4 +40,4 @@ pub use dist_gmres::{
 };
 pub use dist_robust::{dist_solve_robust, DistSolveReport};
 pub use gmres::{gmres, GmresOptions, GmresResult};
-pub use report::{AttemptOutcome, AttemptRecord, Breakdown, RecoveryRecord};
+pub use report::{AttemptOutcome, AttemptRecord, Breakdown};

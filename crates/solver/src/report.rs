@@ -1,12 +1,11 @@
-//! Structured breakdown and recovery reporting for the GMRES solvers.
+//! Structured breakdown reporting for the GMRES solvers.
 //!
 //! A Krylov solve can fail *numerically* (NaN/Inf in the Arnoldi process)
 //! or *practically* (stagnation across restart cycles). Both are detected
 //! and reported as a typed [`Breakdown`] instead of silently returning
 //! garbage; [`crate::dist_robust::dist_solve_robust`] consumes these to
-//! drive its degradation ladder, records each rung as an [`AttemptRecord`]
-//! and each survived rank loss as a [`RecoveryRecord`], and summarises what
-//! happened in its [`DistSolveReport`](crate::dist_robust::DistSolveReport).
+//! drive its degradation ladder, records each rung as an [`AttemptRecord`],
+//! and summarises what happened in its [`DistSolveReport`](crate::dist_robust::DistSolveReport).
 
 use pilut_core::options::FactorError;
 
@@ -72,29 +71,4 @@ pub struct AttemptRecord {
     pub preconditioner: String,
     /// What the rung's factorization and solve did.
     pub outcome: AttemptOutcome,
-}
-
-/// One survived rank loss: when it happened, who died, and how long the
-/// agreement round took. Recorded by the distributed self-healing driver
-/// ([`crate::dist_robust::dist_solve_robust`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveryRecord {
-    /// Recovery epoch entered (1 = first loss this solve adopted).
-    pub epoch: u64,
-    /// The *cumulative* dead set at adoption, ascending.
-    pub lost: Vec<usize>,
-    /// Simulated seconds from catching the loss to the agreed new world
-    /// (world adoption + the recovery agreement round; re-planning and
-    /// re-factorisation are charged to the resumed solve itself).
-    pub time_to_recover: f64,
-}
-
-impl std::fmt::Display for RecoveryRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "epoch {}: lost rank(s) {:?}, recovered in {:.3e}s",
-            self.epoch, self.lost, self.time_to_recover
-        )
-    }
 }

@@ -51,9 +51,7 @@ use pilut_core::precond::IluPreconditioner;
 use pilut_core::serial::{ilut, ilut_with_stats};
 use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_graph::{partition_kway, Graph, PartitionOptions};
-use pilut_par::{
-    Ctx, FaultAction, FaultPlan, FaultRule, Machine, MachineModel, MachineStats, RunOutput,
-};
+use pilut_par::{Ctx, Machine, MachineModel, MachineStats, RunOutput};
 use pilut_solver::{dist_solve_robust, gmres, GmresOptions};
 use pilut_sparse::{gen, CsrMatrix};
 
@@ -149,18 +147,6 @@ const FACTOR_BYTES_PER_ENTRY: f64 = 16.0;
 /// 2.233. The budget sits 2.3 % above the largest reading.
 const FACTOR_LIVE_PER_KEPT: f64 = 1.83;
 
-/// What the machine arms around a body.
-#[derive(Clone, Copy, PartialEq)]
-pub(crate) enum Net {
-    Plain,
-    /// Reliable delivery and rank-loss recovery on, no fault fired: the
-    /// robustness layers in their steady state.
-    Armed,
-    /// Armed, and rank 2 dies at its 60th comm op — mid-factorization,
-    /// after plans exist: the recovery end to end.
-    Killed,
-}
-
 /// A serial scenario, built once: the operation to replay and what one
 /// operation establishes without a clock.
 struct Kernel<'a> {
@@ -214,7 +200,6 @@ pub(crate) struct Scenario {
     dim: usize,
     /// `None`: a serial kernel, no machine. `Some(p)`: `p` simulated ranks.
     pub(crate) ranks: Option<usize>,
-    pub(crate) net: Net,
     /// The factorization's options, given the problem dimension.
     opts: fn(usize) -> IlutOptions,
     /// Back-to-back operations in the audit pass.
@@ -227,7 +212,6 @@ const SERIAL_ILUT: Scenario = Scenario {
     matrix: |d| gen::convection_diffusion_2d(d, d, 4.0, -3.0),
     dim: 64,
     ranks: None,
-    net: Net::Plain,
     opts: |_| IlutOptions::new(10, 1e-4),
     inner: 1,
     body: Body::Serial(factor_kernel),
@@ -250,18 +234,9 @@ const PAR_ILUT_P4: Scenario = Scenario {
     ..SERIAL_ILUT
 };
 
-const DIST_SOLVE_ROBUST_P4: Scenario = Scenario {
-    name: "dist_solve_robust_p4",
-    dim: 32,
-    net: Net::Armed,
-    inner: 1,
-    body: Body::Ranks(robust_solve_ranks),
-    ..PAR_ILUT_P4
-};
-
 /// Every scenario, in report order. Rows that read as a pair sit next to
 /// each other: a scalar kernel and its one-rank counterpart.
-pub(crate) const SCENARIOS: [Scenario; 14] = [
+pub(crate) const SCENARIOS: [Scenario; 13] = [
     SERIAL_ILUT,
     // ILUT(n, 0) on a Laplacian: exact LU, the hardest fill per unknown.
     Scenario {
@@ -330,13 +305,12 @@ pub(crate) const SCENARIOS: [Scenario; 14] = [
         body: Body::Ranks(dist_trisolve_ranks),
         ..PAR_ILUT_P4
     },
-    DIST_SOLVE_ROBUST_P4,
-    // Detection, world adoption, re-planning, re-factorization and the
-    // checkpoint-warm-started re-solve, all inside the operation.
     Scenario {
-        name: "recovery_p4",
-        net: Net::Killed,
-        ..DIST_SOLVE_ROBUST_P4
+        name: "dist_solve_robust_p4",
+        dim: 32,
+        inner: 1,
+        body: Body::Ranks(robust_solve_ranks),
+        ..PAR_ILUT_P4
     },
 ];
 
@@ -482,8 +456,8 @@ fn dist_trisolve_ranks(
     }
 }
 
-/// The self-healing solve (`dist_solve_robust`: factor, plan, GMRES(30) to
-/// 1e-8, and the catch/adopt/shrink loop around them) on a known solution.
+/// The degradation ladder's solve (`dist_solve_robust`: factor, plan,
+/// GMRES(30) to 1e-8) on a known solution.
 fn robust_solve_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner: usize) -> RankOut {
     let a = dm.matrix();
     let x_true: Vec<f64> = (0..dm.n()).map(|i| 1.0 + (i % 3) as f64).collect();
@@ -496,7 +470,7 @@ fn robust_solve_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner:
     let nnz = dm.local_view(ctx.rank()).nnz(dm.matrix());
     repeat(ctx, inner, |ctx| {
         let rep = dist_solve_robust(ctx, a, &b, dm.dist(), opts, &gopts);
-        assert!(rep.dead || rep.converged, "survivors must converge");
+        assert!(rep.converged, "the bench problem must converge");
         std::hint::black_box(&rep);
     });
     RankOut {
@@ -534,9 +508,6 @@ pub(crate) struct Measurement {
     pub(crate) factor_live_per_kept: Option<f64>,
     /// Measured and planned traffic (all zero on a serial row).
     pub(crate) stats: MachineStats,
-    /// Injected faults that fired. A killed epoch abandons planned rounds
-    /// mid-flight, so planned = measured is a fault-free contract only.
-    pub(crate) faults: usize,
     /// `(heap bytes, stored entries)` of the row's matrix.
     matrix: (usize, usize),
     regions: Vec<RegionStats>,
@@ -557,7 +528,6 @@ impl Measurement {
             live_per_input: None,
             factor_live_per_kept: None,
             stats: MachineStats::default(),
-            faults: 0,
             matrix: (a.heap_bytes(), a.nnz()),
             regions: Vec::new(),
         }
@@ -572,18 +542,9 @@ impl Measurement {
 
 fn machine_run(s: &Scenario, dm: &DistMatrix, body: RankBody, inner: usize) -> RunOutput<RankOut> {
     let (opts, ranks) = ((s.opts)(dm.n()), dm.dist().n_ranks());
-    let mut machine = Machine::builder(MachineModel::cray_t3d());
-    if s.net != Net::Plain {
-        machine = machine.reliable(true).recovery(true);
-    }
-    if s.net != Net::Killed {
-        return machine.run(ranks, |ctx| body(ctx, dm, &opts, inner));
-    }
-    let kill = FaultRule::new(FaultAction::Kill).rank(2).after_op(60);
-    machine = machine.fault_plan(FaultPlan::new(17).with(kill));
-    // The kill is by design and its unwind is handled inside the machine:
-    // keep the induced backtrace out of the log.
-    crate::sweep::muted(|| machine.run(ranks, |ctx| body(ctx, dm, &opts, inner)))
+    Machine::run(ranks, MachineModel::cray_t3d(), |ctx| {
+        body(ctx, dm, &opts, inner)
+    })
 }
 
 /// Runs one row: the audit pass of `inner` operations, and the facts — for
@@ -622,7 +583,6 @@ fn run_row(s: &Scenario) -> Measurement {
                 flops: Some(out.stats.flops),
                 sim_time: Some(out.sim_time),
                 factor_live_per_kept: live.zip(kept).map(|(l, k)| l as f64 / k),
-                faults: out.injected_faults.len(),
                 stats: out.stats,
                 ..uncounted
             }
@@ -678,64 +638,62 @@ fn check(m: &Measurement) -> Result<(), String> {
             ));
         }
     }
-    if m.faults == 0 {
-        for (&tag, &(messages, bytes, exact)) in &stats.planned_by_tag {
-            let (name, (mm, mb)) = (tags::tag_name(tag), stats.tag_totals(tag));
-            if mm != messages {
-                return fail(format!(
-                    "tag {name}: planned {messages} message(s), measured {mm}"
-                ));
-            }
-            if exact && mb != bytes {
-                return fail(format!(
-                    "tag {name}: planned {bytes} byte(s), measured {mb}"
-                ));
-            }
+    for (&tag, &(messages, bytes, exact)) in &stats.planned_by_tag {
+        let (name, (mm, mb)) = (tags::tag_name(tag), stats.tag_totals(tag));
+        if mm != messages {
+            return fail(format!(
+                "tag {name}: planned {messages} message(s), measured {mm}"
+            ));
         }
-        for (&tag, &(mm, _)) in &stats.by_tag {
-            if !stats.planned_by_tag.contains_key(&tag) {
-                let name = tags::tag_name(tag);
-                return fail(format!(
-                    "tag {name}: {mm} measured message(s) bypassed the planned data plane"
-                ));
-            }
+        if exact && mb != bytes {
+            return fail(format!(
+                "tag {name}: planned {bytes} byte(s), measured {mb}"
+            ));
         }
-        // Every pass repeats the stats pass's traffic (a body that factors
-        // once outside its operation only makes the budget looser).
-        let sent = |tags: &[u64]| tags.iter().map(|&t| stats.tag_totals(t).0).sum::<u64>();
-        let mis = sent(&[tags::MIS_KEYS, tags::MIS_TENT, tags::MIS_CONF]);
-        let urows = sent(&[tags::UROWS]);
-        let rows = m.interface as u64;
-        let passes = m.passes();
-        let budgets = [
-            (
-                "mis_rounds",
-                MIS_ALLOCS_PER_MESSAGE * mis,
-                format!("{mis} dist-MIS message(s)"),
-                "only wire frames may allocate",
-            ),
-            (
-                "alg42_sweep",
-                SWEEP_GROWTHS_PER_ROW * rows,
-                format!("{rows} interface row(s)"),
-                "a live row's buffers may grow, a row-touch may not allocate",
-            ),
-            (
-                "plan_replay",
-                MIS_ALLOCS_PER_MESSAGE * mis + UROWS_ALLOCS_PER_MESSAGE * urows,
-                format!("{mis} dist-MIS and {urows} U-row message(s)"),
-                "only wire frames may allocate",
-            ),
-        ];
-        for (name, per_pass, of, why) in budgets {
-            let region = m.regions.iter().find(|r| r.name == name);
-            let (allocs, budget) = (region.map_or(0, |r| r.allocs), per_pass * passes);
-            if allocs > budget {
-                return fail(format!(
-                    "region {name} acquired {allocs} allocation(s) over {passes} pass(es) of \
-                     {of}, budget {budget}: {why}"
-                ));
-            }
+    }
+    for (&tag, &(mm, _)) in &stats.by_tag {
+        if !stats.planned_by_tag.contains_key(&tag) {
+            let name = tags::tag_name(tag);
+            return fail(format!(
+                "tag {name}: {mm} measured message(s) bypassed the planned data plane"
+            ));
+        }
+    }
+    // Every pass repeats the stats pass's traffic (a body that factors
+    // once outside its operation only makes the budget looser).
+    let sent = |tags: &[u64]| tags.iter().map(|&t| stats.tag_totals(t).0).sum::<u64>();
+    let mis = sent(&[tags::MIS_KEYS, tags::MIS_TENT, tags::MIS_CONF]);
+    let urows = sent(&[tags::UROWS]);
+    let rows = m.interface as u64;
+    let passes = m.passes();
+    let budgets = [
+        (
+            "mis_rounds",
+            MIS_ALLOCS_PER_MESSAGE * mis,
+            format!("{mis} dist-MIS message(s)"),
+            "only wire frames may allocate",
+        ),
+        (
+            "alg42_sweep",
+            SWEEP_GROWTHS_PER_ROW * rows,
+            format!("{rows} interface row(s)"),
+            "a live row's buffers may grow, a row-touch may not allocate",
+        ),
+        (
+            "plan_replay",
+            MIS_ALLOCS_PER_MESSAGE * mis + UROWS_ALLOCS_PER_MESSAGE * urows,
+            format!("{mis} dist-MIS and {urows} U-row message(s)"),
+            "only wire frames may allocate",
+        ),
+    ];
+    for (name, per_pass, of, why) in budgets {
+        let region = m.regions.iter().find(|r| r.name == name);
+        let (allocs, budget) = (region.map_or(0, |r| r.allocs), per_pass * passes);
+        if allocs > budget {
+            return fail(format!(
+                "region {name} acquired {allocs} allocation(s) over {passes} pass(es) of \
+                 {of}, budget {budget}: {why}"
+            ));
         }
     }
     for r in &m.regions {
@@ -877,11 +835,6 @@ mod tests {
             &m,
             "steady region trisolve_replay acquired 3 allocation(s) / 192 byte(s)",
         );
-        // The planned = measured contract is waived once a fault fired (a
-        // killed epoch abandons planned rounds); the memory plane is not.
-        m.faults = 1;
-        m.stats.planned_by_tag.clear();
-        assert_fails(&m, "steady region trisolve_replay");
         m.regions.pop();
         check(&m).unwrap();
     }
@@ -903,9 +856,6 @@ mod tests {
             &m,
             "region mis_rounds acquired 16 allocation(s) over 3 pass(es) of 5 dist-MIS message(s), budget 15",
         );
-        // A killed epoch abandons rounds mid-flight: waived like planned = measured.
-        m.faults = 1;
-        check(&m).unwrap();
     }
 
     #[test]
@@ -925,8 +875,6 @@ mod tests {
             &m,
             "region plan_replay acquired 34 allocation(s) over 3 pass(es) of 3 dist-MIS and 4 U-row message(s), budget 33",
         );
-        m.faults = 1;
-        check(&m).unwrap();
     }
 
     #[test]
@@ -956,9 +904,6 @@ mod tests {
             &m,
             "region alg42_sweep acquired 181 allocation(s) over 3 pass(es) of 10 interface row(s), budget 180",
         );
-        // A killed epoch re-partitions: its rows are not this count.
-        m.faults = 1;
-        check(&m).unwrap();
     }
 
     #[test]
@@ -1029,11 +974,6 @@ mod tests {
                 s.name
             );
             assert!(serial || s.ranks.is_some_and(|p| p >= 1), "{}", s.name);
-            assert!(
-                s.net == Net::Plain || !serial,
-                "{}: only a machine is armed",
-                s.name
-            );
         }
     }
 
@@ -1143,7 +1083,7 @@ mod tests {
     #[ignore = "reads the region registry: run by registry_tests_pass_in_a_process_of_their_own"]
     fn every_row_passes_the_gate_and_renders_the_committed_kernel_table() {
         let rows = gate().unwrap();
-        assert_eq!(rows.len(), 14);
+        assert_eq!(rows.len(), 13);
         assert_eq!(unrecorded_region(&rows), None);
         for m in &rows {
             let (name, planned) = (m.row.name, &m.stats.planned_by_tag);
@@ -1154,7 +1094,6 @@ mod tests {
                 );
                 assert!(m.stats.messages > 0, "{name}");
             }
-            assert_eq!(m.faults > 0, m.row.net == Net::Killed, "{name}");
         }
         let row = |name| rows.iter().find(|m| m.row.name == name).unwrap();
         let m = row("par_ilut_p4");

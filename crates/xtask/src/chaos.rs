@@ -18,20 +18,9 @@
 //! so faults land in the steady-state data plane). The destructive sweep
 //! runs p ∈ {4, 8} × 20 seeds × both workloads, the seeds cycling over the
 //! three kinds.
-//!
-//! The recovery sweep follows it into the same report: the same seeded
-//! kill/drop/kill+drop plans are thrown at the full *self-healing* stack —
-//! par-ILUT + distributed GMRES behind [`pilut_solver::dist_solve_robust`],
-//! on a machine with reliable delivery **and** rank-loss recovery enabled —
-//! and the contract inverts: every trial must now **complete** with a
-//! converged residual, every fired kill must be named as a recovery epoch
-//! in the per-rank report, and any panic at all (watchdog abort included)
-//! is a failure. It runs p ∈ {4, 8} × 24 seeds.
 
-use crate::sweep::{catching, checked_builder, dist_matrix, ilut_options, run_planned, Report};
+use crate::sweep::{catching, run_planned, Report};
 use pilut_par::{FaultAction, FaultPlan, FaultRule, FAULT_KILL_PREFIX};
-use pilut_solver::dist_solve_robust;
-use pilut_solver::gmres::GmresOptions;
 use pilut_sparse::SplitMix64;
 
 /// The destructive fault kinds, cycled over seeds so every kind is
@@ -41,7 +30,7 @@ const KINDS: &[&str] = &["drop", "duplicate", "kill"];
 /// The two workloads every fault kind is thrown at.
 const WORKLOADS: &[&str] = &["factor", "trisolve"];
 
-/// The process counts both sweeps run at.
+/// The process counts the sweep runs at.
 const PROCS: &[usize] = &[4, 8];
 
 /// Builds the deterministic plan for one trial: the rule fires with
@@ -106,116 +95,6 @@ fn run_trial(work: &str, kind: &str, seed: u64, p: usize) -> Result<&'static str
     }
 }
 
-/// The fault kinds of the recovery sweep, cycled over seeds.
-const RECOVER_KINDS: &[&str] = &["kill", "drop", "kill+drop"];
-
-/// Builds the deterministic plan for one recovery trial: an exact kill at
-/// a seed-chosen rank and comm-op, probabilistic bounded drops, or both.
-fn recover_plan(kind: &str, seed: u64, p: usize) -> FaultPlan {
-    let mut s = SplitMix64::new(seed ^ 0x4ec0_4e4du64.rotate_left(21));
-    let victim = (s.next_u64() % p as u64) as usize;
-    // Offsets span plan construction, factorization, and the GMRES
-    // iteration, so recovery is exercised at every phase of the solve.
-    let after = 8 + s.next_u64() % 300;
-    let drop_sender = (s.next_u64() % p as u64) as usize;
-    let mut plan = FaultPlan::new(seed);
-    if kind.contains("kill") {
-        plan = plan.with(
-            FaultRule::new(FaultAction::Kill)
-                .rank(victim)
-                .after_op(after),
-        );
-    }
-    if kind.contains("drop") {
-        plan = plan.with(
-            FaultRule::new(FaultAction::Drop)
-                .sender(drop_sender)
-                .probability(0.15)
-                .max_fires(3),
-        );
-    }
-    plan
-}
-
-/// Runs one self-healing trial: the robust distributed solve under the
-/// plan, with reliable delivery and recovery enabled. The contract is the
-/// inverse of the destructive sweep's — the run must *complete*, survivors
-/// must converge to the known solution, and every fired kill must be named
-/// as a recovery epoch.
-fn recover_trial(kind: &str, seed: u64, p: usize) -> Result<&'static str, String> {
-    let plan = recover_plan(kind, seed, p);
-    let dm = dist_matrix(p);
-    let a = dm.matrix().clone();
-    let dist = dm.dist().clone();
-    let n = a.n_rows();
-    let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
-    let b = a.spmv_owned(&x_true);
-    let gopts = GmresOptions {
-        restart: 10,
-        rtol: 1e-8,
-        max_matvecs: 400,
-    };
-    // Zero aborts allowed: a watchdog/commcheck panic here means a fault
-    // escaped the robustness layers.
-    let out = catching(|| {
-        checked_builder()
-            .reliable(true)
-            .recovery(true)
-            .fault_plan(plan)
-            .run(p, |ctx| {
-                dist_solve_robust(ctx, &a, &b, &dist, &ilut_options(), &gopts)
-            })
-    })
-    .map_err(|msg| format!("recovery run aborted: {msg}"))?;
-    if out.injected_faults.is_empty() {
-        return Ok("no-fire");
-    }
-    let kills = out
-        .injected_faults
-        .iter()
-        .filter(|f| f.kind == "kill")
-        .count();
-    let mut x = vec![f64::NAN; n];
-    for (r, rep) in out.results.iter().enumerate() {
-        if rep.dead {
-            continue;
-        }
-        if !rep.converged {
-            return Err(format!("rank {r} did not converge: {}", rep.summary()));
-        }
-        if kills > 0 {
-            if rep.recoveries.len() != kills {
-                return Err(format!(
-                    "rank {r} records {} recovery(ies) for {kills} kill(s)",
-                    rep.recoveries.len()
-                ));
-            }
-            if !rep.summary().contains("epoch") {
-                return Err(format!(
-                    "rank {r}'s report does not name the recovery epoch: {}",
-                    rep.summary()
-                ));
-            }
-        }
-        for (&g, &v) in rep.nodes.iter().zip(&rep.x_local) {
-            x[g] = v;
-        }
-    }
-    let dead = out.results.iter().filter(|r| r.dead).count();
-    if dead != kills {
-        return Err(format!("{kills} kill(s) fired but {dead} tombstone(s)"));
-    }
-    let err = x
-        .iter()
-        .zip(&x_true)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-    if err > 1e-4 {
-        return Err(format!("assembled solution off by {err:.1e}"));
-    }
-    Ok("recovered+converged")
-}
-
 /// The destructive sweep: every fired fault must be diagnosed by name.
 fn destructive(report: &mut Report) {
     for &p in PROCS {
@@ -229,25 +108,10 @@ fn destructive(report: &mut Report) {
     }
 }
 
-/// The recovery sweep: every trial must recover and converge.
-fn recovery(report: &mut Report) {
-    for &p in PROCS {
-        for seed in 0..24u64 {
-            let kind = RECOVER_KINDS[seed as usize % RECOVER_KINDS.len()];
-            let trial = format!("kind={kind} seed={seed} p={p}");
-            report.record(trial, recover_trial(kind, seed, p));
-        }
-    }
-}
-
-/// Entry point for `xtask chaos`: the destructive sweep, then the recovery
-/// sweep, into one report. Returns `Err(message)` on any argument or any
-/// contract violation.
+/// Entry point for `xtask chaos`: the destructive sweep. Returns
+/// `Err(message)` on any argument or any contract violation.
 pub fn run(args: &[String]) -> Result<(), String> {
-    crate::sweep::drive("chaos", args, |report| {
-        destructive(report);
-        recovery(report);
-    })
+    crate::sweep::drive("chaos", args, destructive)
 }
 
 #[cfg(test)]
@@ -264,27 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn recover_plans_are_deterministic_per_seed() {
-        let a = recover_plan("kill+drop", 5, 8);
-        let b = recover_plan("kill+drop", 5, 8);
-        assert_eq!(a.rules().len(), 2);
-        assert_eq!(a.rules()[0].rank, b.rules()[0].rank);
-        assert_eq!(a.rules()[0].after_op, b.rules()[0].after_op);
-    }
-
-    #[test]
     fn destructive_sweep_diagnoses_every_fault() {
         assert_eq!(
             tally("chaos", destructive),
             Ok("chaos: 80 trial(s) — 80 diagnosed, 0 failure(s)".to_string())
-        );
-    }
-
-    #[test]
-    fn recovery_sweep_recovers_and_converges() {
-        assert_eq!(
-            tally("chaos", recovery),
-            Ok("chaos: 48 trial(s) — 48 recovered+converged, 0 failure(s)".to_string())
         );
     }
 }

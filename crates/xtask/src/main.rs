@@ -6,8 +6,8 @@
 //!   `par-confinement` and `no-raw-comm` (the root `Cargo.toml`'s
 //!   `[workspace.lints.clippy]` and `clippy.toml`); their escape is
 //!   `#[expect(clippy::<lint>, reason = "…")]`.
-//! * `cargo run -p xtask --release -- chaos` — the seeded fault-injection
-//!   regression suite and its recovery sweep (see [`chaos`]).
+//! * `cargo run -p xtask --release -- chaos` — the seeded destructive
+//!   fault-injection suite (see [`chaos`]).
 //! * `cargo run -p xtask --release -- schedcheck` — the
 //!   bitwise-determinism sanitizer: seeded workloads re-run under
 //!   perturbed schedules must reproduce identical results and traffic

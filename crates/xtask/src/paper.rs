@@ -1106,14 +1106,8 @@ fn kernels(_: &Experiment, _: &[&str], _: &mut Runs) -> Rendered {
 /// establishes without a wall clock, then the per-tag traffic of the machine
 /// rows.
 ///
-/// A cell is printed only if it reproduces bit for bit; which do was
-/// measured, not assumed (EXPERIMENTS.md at 039f5b3: regenerations under
-/// seeded stalls and host load). Under reliable delivery a receiver blocked for
-/// 4 ms of *wall* time sends NACKs — real, exactly planned `ack` traffic —
-/// so an armed row's `ack` count and totals follow the host's load. A
-/// killed epoch goes further: how much each survivor did before a poll told
-/// it of the loss is wall time too, and only the tags that first appear
-/// after recovery (and the agreement ring itself) are fixed.
+/// Every cell reproduces bit for bit (EXPERIMENTS.md at 039f5b3:
+/// regenerations under seeded stalls and host load).
 pub(crate) fn kernel_table(measured: &[bench::Measurement]) -> String {
     fn cell<T: ToString>(v: Option<T>) -> String {
         v.map_or_else(|| "-".into(), |v| v.to_string())
@@ -1125,13 +1119,6 @@ pub(crate) fn kernel_table(measured: &[bench::Measurement]) -> String {
     let (mut rows, mut tags) = (Vec::new(), String::new());
     for f in measured {
         let s = &f.row;
-        let (totals, clock, tag): (bool, bool, fn(&str) -> bool) = match s.net {
-            bench::Net::Plain => (true, true, |_| true),
-            bench::Net::Armed => (false, true, |t| t != "ack"),
-            bench::Net::Killed => (false, false, |t| {
-                ["spmv", "fwd", "bwd", "recover"].contains(&t)
-            }),
-        };
         rows.push(vec![
             s.name.to_string(),
             cell(s.ranks),
@@ -1139,17 +1126,15 @@ pub(crate) fn kernel_table(measured: &[bench::Measurement]) -> String {
             f.nnz.to_string(),
             cell(f.fill),
             cell(f.heap_bytes),
-            cell(f.flops.filter(|_| clock)),
-            cell(f.sim_time.filter(|_| clock)),
-            cell(totals.then_some(f.stats.messages)),
-            cell(totals.then_some(f.stats.bytes)),
+            cell(f.flops),
+            cell(f.sim_time),
+            f.stats.messages.to_string(),
+            f.stats.bytes.to_string(),
             cell(f.live_per_input.map(|l| format!("{l:.3}"))),
         ]);
         if s.ranks.is_some_and(|p| p > 1) {
             let cells: Vec<String> = (f.stats.by_tag.iter())
-                .map(|(&t, (m, b))| (tags::tag_name(t), m, b))
-                .filter(|(name, ..)| tag(name))
-                .map(|(name, m, b)| format!("{name}:{m}/{b}"))
+                .map(|(&t, (m, b))| format!("{}:{m}/{b}", tags::tag_name(t)))
                 .collect();
             tags += &format!("  {:<21} {}\n", s.name, cells.join(" "));
         }
@@ -1157,17 +1142,11 @@ pub(crate) fn kernel_table(measured: &[bench::Measurement]) -> String {
     format!(
         "{}
 Measured traffic by tag, messages/bytes (the kernel gate asserts it equals
-the plans' prediction, tag for tag, on every fault-free row):
+the plans' prediction, tag for tag, on every row):
 {tags}
 (`live/A`: the most heap bytes the operation holds at once, per byte of its
  matrix. `-`: not defined for the row — a serial kernel has no simulated clock, a
- solve holds no factor of its own — or not reproducible. The last two rows
- run under reliable delivery, where a receiver blocked for 4 ms of wall time
- sends NACKs, so their `ack` traffic and totals follow the host's load.
- `recovery_p4` also loses a rank mid-factorization, and what each survivor
- did before a poll told it so is wall time too: it keeps only the tags that
- first appear after recovery, and the agreement ring.
- Every printed cell is bit-reproducible.)
+ solve holds no factor of its own. Every cell is bit-reproducible.)
 ",
         table(KERNELS.title, &head, &rows)
     )

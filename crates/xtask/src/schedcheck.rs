@@ -32,16 +32,8 @@
 //! The driver, fingerprints, workloads, and shrink loop are shared via
 //! [`crate::sweep`].
 //!
-//! The fifth workload, `reliable`, is a *differential* property: the full
-//! preconditioned iteration under reliable delivery
-//! (`MachineBuilder::reliable`) with **lossy** perturbations — seeded drop,
-//! duplicate and reorder rules — must produce factors and solutions
-//! bitwise-identical to the fault-free reliable run. Traffic counters are
-//! excluded from that comparison (retransmissions and acks legitimately
-//! scale with the injected losses); the results may not move by an ulp.
-//!
-//! The sweep runs 20 schedules × p ∈ {2, 4, 8} × five workloads (`mis`,
-//! `factor`, `trisolve`, `gmres`, `reliable`). This is the suite that
+//! The sweep runs 20 schedules × p ∈ {2, 4, 8} × four workloads (`mis`,
+//! `factor`, `trisolve`, `gmres`). This is the suite that
 //! enforces the benign fault contract across the workloads; `xtask chaos`
 //! sweeps the destructive faults.
 
@@ -52,25 +44,13 @@ use pilut_sparse::SplitMix64;
 /// The workloads swept per process count: the delta-protocol MIS rounds in
 /// isolation (`mis` — sparse per-round message shapes, dead links going
 /// silent mid-run), plan-construction traffic (`factor`), the steady-state
-/// data plane (`trisolve`), the full preconditioned iteration with its
-/// reduction traffic (`gmres`), and the same iteration on lossy links under
-/// reliable delivery (`reliable`).
-const WORKLOADS: &[&str] = &["mis", "factor", "trisolve", "gmres", "reliable"];
+/// data plane (`trisolve`) and the full preconditioned iteration with its
+/// reduction traffic (`gmres`).
+const WORKLOADS: &[&str] = &["mis", "factor", "trisolve", "gmres"];
 
 /// Human names for the benign schedule perturbation's rules, indexed by bit
 /// in the subset mask used during minimization.
 const RULE_NAMES: &[&str] = &["delay", "reorder", "stall"];
-
-/// Rule names for the `reliable` workload's lossy perturbation.
-const LOSSY_RULE_NAMES: &[&str] = &["drop", "duplicate", "reorder"];
-
-fn rule_names(work: &str) -> &'static [&'static str] {
-    if work == "reliable" {
-        LOSSY_RULE_NAMES
-    } else {
-        RULE_NAMES
-    }
-}
 
 /// Builds the perturbation for `(seed, p)`, restricted to the rules whose
 /// bits are set in `mask` (bit order matches [`RULE_NAMES`]). Rules are
@@ -105,55 +85,9 @@ fn schedule_plan(seed: u64, p: usize, mask: u8) -> FaultPlan {
     plan
 }
 
-/// Builds the **lossy** perturbation for the `reliable` workload: seeded
-/// drop, duplicate and reorder rules that corrupt traffic outright — only
-/// legal to absorb because the trial runs under reliable delivery. Same
-/// subset-stability contract as [`schedule_plan`].
-fn lossy_plan(seed: u64, p: usize, mask: u8) -> FaultPlan {
-    let mut s = SplitMix64::new(seed ^ 0x0001_0c55_b1ad_u64.rotate_left(17));
-    let drop_sender = (s.next_u64() % p as u64) as usize;
-    let dup_sender = (s.next_u64() % p as u64) as usize;
-    let reorder_victim = (s.next_u64() % p as u64) as usize;
-    let mut plan = FaultPlan::new(seed);
-    if mask & 1 != 0 {
-        plan = plan.with(
-            FaultRule::new(FaultAction::Drop)
-                .sender(drop_sender)
-                .probability(0.2)
-                .max_fires(4),
-        );
-    }
-    if mask & 2 != 0 {
-        plan = plan.with(
-            FaultRule::new(FaultAction::Duplicate)
-                .sender(dup_sender)
-                .probability(0.25)
-                .max_fires(4),
-        );
-    }
-    if mask & 4 != 0 {
-        plan = plan.with(
-            FaultRule::new(FaultAction::Reorder)
-                .rank(reorder_victim)
-                .probability(0.3)
-                .max_fires(4),
-        );
-    }
-    plan
-}
-
-/// The perturbation family a workload is swept under.
-fn trial_plan(work: &str, seed: u64, p: usize, mask: u8) -> FaultPlan {
-    if work == "reliable" {
-        lossy_plan(seed, p, mask)
-    } else {
-        schedule_plan(seed, p, mask)
-    }
-}
-
 /// Names the rules selected by `mask`, for failure reports.
-fn mask_names(work: &str, mask: u8) -> String {
-    let names: Vec<&str> = rule_names(work)
+fn mask_names(mask: u8) -> String {
+    let names: Vec<&str> = RULE_NAMES
         .iter()
         .enumerate()
         .filter(|&(i, _)| mask & (1 << i) != 0)
@@ -176,7 +110,7 @@ enum Trial {
 
 /// Runs one `(work, p, seed, mask)` trial and classifies it.
 fn run_trial(work: &str, p: usize, seed: u64, mask: u8, clean: &Fingerprint) -> Trial {
-    let plan = trial_plan(work, seed, p, mask);
+    let plan = schedule_plan(seed, p, mask);
     match catching(|| run_planned(work, p, Some(plan))) {
         Ok((fp, _)) => match clean.diff(&fp) {
             None => Trial::Identical,
@@ -209,7 +143,7 @@ fn minimize(work: &str, p: usize, seed: u64, clean: &Fingerprint) -> String {
         ),
         Trial::Panicked(msg) => format!("run died:\n{msg}"),
     };
-    format!("rules=[{}]: {detail}", mask_names(work, mask))
+    format!("rules=[{}]: {detail}", mask_names(mask))
 }
 
 /// Every workload at every process count: a clean run, then each seeded
@@ -259,33 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn lossy_plans_are_deterministic_and_subset_stable() {
-        let full = lossy_plan(11, 4, 7);
-        let sub = lossy_plan(11, 4, 4);
-        assert_eq!(full.rules().len(), 3);
-        assert_eq!(sub.rules().len(), 1);
-        // The reorder rule keeps its victim when regenerated as a subset.
-        assert_eq!(full.rules()[2].rank, sub.rules()[0].rank);
-    }
-
-    #[test]
-    fn reliable_workload_blank_traffic_and_matches_under_losses() {
-        // One targeted differential trial outside the full sweep: lossy
-        // links under reliable delivery reproduce the clean results.
-        let (clean, _) = run_planned("reliable", 2, None);
-        assert_eq!((clean.messages, clean.bytes), (0, 0), "traffic blanked");
-        match run_trial("reliable", 2, 1, 7, &clean) {
-            Trial::Identical => {}
-            Trial::Diverged(why) => panic!("reliable differential diverged: {why}"),
-            Trial::Panicked(msg) => panic!("reliable differential died: {msg}"),
-        }
-    }
-
-    #[test]
     fn sweep_is_bitwise_clean() {
         assert_eq!(
             crate::sweep::tally("schedcheck", sweep),
-            Ok("schedcheck: 300 trial(s) — 300 bitwise-identical, 0 failure(s)".to_string())
+            Ok("schedcheck: 240 trial(s) — 240 bitwise-identical, 0 failure(s)".to_string())
         );
     }
 }

@@ -6,7 +6,7 @@
 //! first-failing shrink loop. Each suite keeps only its own sweep policy
 //! (what to perturb, how to classify outcomes): chaos throws destructive
 //! fault plans at `factor` and `trisolve`; schedcheck perturbs the
-//! schedules of `mis`, `factor`, `trisolve`, `gmres` and `reliable`;
+//! schedules of `mis`, `factor`, `trisolve` and `gmres`;
 //! modelcheck enumerates those of `spmv`, `mis`, `trisolve` and `factor`.
 
 use std::collections::BTreeMap;
@@ -257,10 +257,7 @@ pub fn vector_checksum(x: &[f64]) -> u64 {
 ///   pruning), checksummed over both selection vectors;
 /// * `factor` — the parallel ILUT factorization, checksummed entry-wise;
 /// * `trisolve` — factor, then chained matvec + two-sweep solves;
-/// * `gmres` — the preconditioned iteration with its reduction traffic;
-/// * `reliable` — the `gmres` body under reliable delivery, with the
-///   traffic counters blanked: its claim is results-only (retransmissions
-///   and acks may vary with injected losses; factors and solution may not).
+/// * `gmres` — the preconditioned iteration with its reduction traffic.
 pub fn run_workload(
     work: &str,
     dm: &DistMatrix,
@@ -268,9 +265,7 @@ pub fn run_workload(
     builder: MachineBuilder,
 ) -> (Fingerprint, usize) {
     let opts = ilut_options();
-    let reliable = work == "reliable";
-    let work = if reliable { "gmres" } else { work };
-    let out = builder.reliable(reliable).run(p, |ctx| {
+    let out = builder.run(p, |ctx| {
         let local = dm.local_view(ctx.rank());
         if work == "spmv" {
             let mut op = DistCsr::new(ctx, dm, &local);
@@ -347,13 +342,7 @@ pub fn run_workload(
         }
     });
     let fired = out.injected_faults.len();
-    let mut fp = Fingerprint::of(out);
-    if reliable {
-        fp.messages = 0;
-        fp.bytes = 0;
-        fp.by_tag.clear();
-    }
-    (fp, fired)
+    (Fingerprint::of(out), fired)
 }
 
 /// Runs workload `work` on the sweep matrix at `p` checked ranks under an
