@@ -36,13 +36,14 @@
 //!   (each protocol runs under its own tag from [`tags`], so the per-tag
 //!   counters in `MachineStats::by_tag` break comm volume down by kernel);
 //! * every round ships under a fresh wire tag — `tag + round` for frames,
-//!   `tag + (level << 20) + sweep` for values — while the traffic counters
+//!   `tag + ((level + 1) << 20) + sweep` for values, so no sweep shares a
+//!   wire tag with a frame round of its plan — while the traffic counters
 //!   stay under `tag` (`Ctx::send_as`), so two in-flight rounds of one
 //!   protocol can never be confused even if same-pair delivery order is
 //!   inverted — the chaos suite's `reorder` fault exercises exactly this;
 //! * every round records its messages and bytes in the planned-traffic
-//!   ledger (`Ctx::note_planned`) with the exact flag set, and the kernel
-//!   gate of `xtask paper` fails when the measured per-tag counters diverge;
+//!   ledger (`Ctx::note_planned`) before it ships, and the kernel gate of
+//!   `xtask paper` fails when the measured per-tag counters diverge;
 //! * a plan built from empty need-lists runs its rounds as no-ops, so ranks
 //!   that own zero rows participate safely.
 
@@ -63,9 +64,9 @@ pub use halo::Halo;
 pub mod tags {
     /// Uniform stride between protocol namespaces. Each protocol owns
     /// `[base, base + STRIDE)`: room for a 20-bit level shift
-    /// (`base + (level << 20)`) times a 20-bit round counter within every
-    /// level's private base, with no way for one protocol's derived wire
-    /// tags to drift into its neighbour's namespace. The `tag_name`
+    /// (`base + ((level + 1) << 20)`) times a 20-bit round counter within
+    /// every level's private base, with no way for one protocol's derived
+    /// wire tags to drift into its neighbour's namespace. The `tag_name`
     /// *strings* are the stable interface reported in bench JSON; the
     /// numeric values may restride between releases.
     pub const STRIDE: u64 = 1 << 40;
@@ -210,13 +211,12 @@ impl CommPlan {
             send.push((peer, nodes));
         }
         let plan = CommPlan::from_lists(tag, send, recv);
-        // In checked mode every freshly-built plan is proved consistent
-        // *before* any round can ship a byte under it — peer symmetry,
-        // packing sizes, tag discipline, round counters (see `verify`).
-        if ctx.is_checked() {
-            if let Err(e) = plan.verify(ctx) {
-                panic!("commplan verify[{}]: {e}", tags::tag_name(tag));
-            }
+        // Every freshly-built plan is proved consistent *before* any round
+        // can ship a byte under it — peer symmetry, packing sizes, tag
+        // discipline, round counters (see `verify`; the cross-rank half
+        // runs on checked machines).
+        if let Err(e) = plan.verify(ctx) {
+            panic!("commplan verify[{}]: {e}", tags::tag_name(tag));
         }
         plan
     }
@@ -283,9 +283,10 @@ impl CommPlan {
         Ok(())
     }
 
-    /// The collective cross-check (every plan participant must call this
-    /// together): after the local checks, each rank publishes a summary of
-    /// its schedules and every rank verifies the global invariants —
+    /// The cross-check (every plan participant must call this together):
+    /// after the local checks, each rank posts a summary of its schedules
+    /// on the commcheck board ([`Ctx::board_gather`]) and every rank
+    /// verifies the global invariants —
     ///
     /// * **tag discipline** — the plan runs under a named `tags::`
     ///   protocol namespace and all ranks agree on it;
@@ -298,38 +299,34 @@ impl CommPlan {
     ///   rounds (plans fresh from [`CommPlan::build`] agree trivially at
     ///   zero).
     ///
-    /// Runs automatically from `build` in checked mode; long-lived callers
-    /// may re-verify later (e.g. after rounds) at will.
+    /// Runs from every `build`; long-lived callers may re-verify later
+    /// (e.g. after rounds) at will. On a production machine, which has no
+    /// board, only the local checks and the tag discipline run; on either
+    /// the check sends nothing and charges nothing.
     pub fn verify(&self, ctx: &mut Ctx) -> Result<(), String> {
         let me = ctx.rank();
-        let p = ctx.nprocs();
-        self.verify_local(me, p)?;
+        self.verify_local(me, ctx.nprocs())?;
         if !self.tag.is_multiple_of(tags::STRIDE) || tags::tag_name(self.tag) == "user" {
             return Err(format!(
                 "tag {:#x} is not a named protocol namespace",
                 self.tag
             ));
         }
-        // Summary: [rank, tag, rounds, rounds weighted by namespace, n_send,
+        // Summary: [tag, rounds, rounds weighted by namespace, n_send,
         // n_recv, (peer, len)...]. Rounds advance in lockstep, so the sums
-        // agree; the weighted one tells namespaces apart. Six header words,
-        // as ever: checked runs pin the bytes of this gather.
+        // agree; the weighted one tells namespaces apart.
         let rounds = self.rounds.borrow();
         let weighted = rounds.iter().zip(1..).map(|(&r, k)| k * r).sum::<u64>();
         let rounds = [rounds.iter().sum::<u64>(), weighted];
-        let mut summary = vec![
-            me as u64,
-            self.tag,
-            rounds[0],
-            rounds[1],
-            self.send.len() as u64,
-            self.recv.len() as u64,
-        ];
+        let sides = [self.send.len(), self.recv.len()].map(|n| n as u64);
+        let mut summary = vec![self.tag, rounds[0], rounds[1], sides[0], sides[1]];
         for (peer, nodes) in self.send.iter().chain(&self.recv) {
             summary.push(*peer as u64);
             summary.push(nodes.len() as u64);
         }
-        let all = ctx.all_gather_u64(&summary);
+        let Some(all) = ctx.board_gather(&summary) else {
+            return Ok(());
+        };
         // Decode every rank's two sides once, as `(peer, len)` lists in the
         // ascending peer order `verify_local` enforces, then check the
         // global mirror property on all pairs in ascending `(rank, peer)`
@@ -339,29 +336,26 @@ impl CommPlan {
             let at = side.binary_search_by_key(&q, |&(peer, _)| peer);
             at.ok().map(|i| side[i].1)
         };
-        let mut sides: Vec<(Side, Side)> = Vec::with_capacity(p);
+        let mut sides: Vec<(Side, Side)> = Vec::with_capacity(all.len());
         for (r, enc) in all.iter().enumerate() {
-            if enc[0] != r as u64 {
-                return Err(format!("gather slot {r} holds rank {}'s summary", enc[0]));
-            }
-            if enc[1] != self.tag {
+            if enc[0] != self.tag {
                 return Err(format!(
                     "rank {r} runs tag {:#x} but rank {me} runs {:#x}",
-                    enc[1], self.tag
+                    enc[0], self.tag
                 ));
             }
-            if enc[2..4] != rounds {
+            if enc[1..3] != rounds {
                 return Err(format!(
                     "round counters disagree: rank {r} at {:?}, rank {me} at {rounds:?}",
-                    &enc[2..4]
+                    &enc[1..3]
                 ));
             }
             let pairs = |from: usize, k: usize| {
                 let words = enc[from..from + 2 * k].chunks_exact(2);
                 words.map(|w| (w[0] as usize, w[1])).collect::<Side>()
             };
-            let (n_send, n_recv) = (enc[4] as usize, enc[5] as usize);
-            sides.push((pairs(6, n_send), pairs(6 + 2 * n_send, n_recv)));
+            let (n_send, n_recv) = (enc[3] as usize, enc[4] as usize);
+            sides.push((pairs(5, n_send), pairs(5 + 2 * n_send, n_recv)));
         }
         for (r, (send, _)) in sides.iter().enumerate() {
             for &(q, len) in send {
@@ -427,8 +421,8 @@ impl CommPlan {
 
     /// The send half of every round: stages one frame per destination
     /// *before* any byte ships, records the round in the planned-traffic
-    /// ledger from the staged sizes — messages and bytes, exact — and sends
-    /// the frames in the order given.
+    /// ledger from the staged sizes — messages and bytes — and sends the
+    /// frames in the order given.
     fn ship(
         &self,
         ctx: &mut Ctx,
@@ -440,7 +434,7 @@ impl CommPlan {
         staged.clear();
         staged.extend(frames);
         let bytes: u64 = staged.iter().map(|(_, f)| f.bytes() as u64).sum();
-        ctx.note_planned(tag, staged.len() as u64, bytes, true);
+        ctx.note_planned(tag, staged.len() as u64, bytes);
         for (peer, frame) in staged.drain(..) {
             ctx.send_as(peer, wire, tag, frame);
         }
@@ -571,9 +565,7 @@ mod tests {
             for (g, val) in got {
                 assert_eq!(val, g as f64);
             }
-            // Labels: owners answer node id + 7. (The barrier orders the
-            // label round after the halo's: both ship under `SPMV + 0`.)
-            ctx.barrier();
+            // Labels: owners answer node id + 7.
             let mut labels = 0;
             plan.exchange_labels(
                 ctx,
@@ -738,7 +730,7 @@ mod tests {
     fn planned_counters_match_measured_value_rounds() {
         // Two halo rounds plus a label round: all values-only, so the
         // static prediction must agree with the measured per-tag counters
-        // to the byte, and the exact flag must survive aggregation.
+        // to the byte.
         let a = gen::laplace_2d(6, 6);
         let n = a.n_rows();
         let dm = DistMatrix::new(a, Distribution::block(n, 3));
@@ -748,25 +740,22 @@ mod tests {
                 halo.send_values(ctx, 0, |_| 0.0);
                 halo.recv_values(ctx, 0, |_, _| {});
             }
-            ctx.barrier(); // the label round reuses the first halo round's wire tag
             plan.exchange_labels(ctx, |g| g as u64, |_, _| {});
         });
         let (m, b) = out.stats.tag_totals(tags::SPMV);
         assert!(m > 0, "workload must ship halo traffic");
-        let &(pm, pb, exact) = out
+        let &(pm, pb) = out
             .stats
             .planned_by_tag
             .get(&tags::SPMV)
             .expect("plan predictions recorded");
         assert_eq!((m, b), (pm, pb), "prediction must match measurement");
-        assert!(exact, "values-only rounds predict exact bytes");
     }
 
     #[test]
     fn exact_replays_predict_measured_bytes_exactly() {
         // Directed and symmetric rounds with data-dependent frame sizes:
-        // the ledger must match the measured counters to the byte and keep
-        // the exact flag through aggregation.
+        // the ledger must match the measured counters to the byte.
         let dist = Distribution::block(4, 4);
         let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
             let me = ctx.rank();
@@ -793,13 +782,12 @@ mod tests {
         });
         for tag in [tags::MIS_KEYS, tags::MIS_CONF] {
             let (m, b) = out.stats.tag_totals(tag);
-            let &(pm, pb, exact) = out
+            let &(pm, pb) = out
                 .stats
                 .planned_by_tag
                 .get(&tag)
                 .expect("exact rounds record predictions");
             assert_eq!((m, b), (pm, pb), "tag {}", tags::tag_name(tag));
-            assert!(exact, "exact rounds keep the exact flag");
         }
     }
 

@@ -46,10 +46,12 @@ pub struct Halo {
     send: Vec<Link>,
     recv: Vec<Link>,
     /// `[send, recv]` sweeps run so far at each level. Sweep `s` of level
-    /// `l` ships under the wire tag `tag + (l << 20) + s`: values of two
-    /// adjacent levels can be in flight from one sender at once, and sharing
-    /// a wire tag would let a reordered network swap them. The halves count
-    /// separately because the sweeps call them at different loop iterations.
+    /// `l` ships under the wire tag `tag + ((l + 1) << 20) + s`: values of
+    /// two adjacent levels can be in flight from one sender at once, and
+    /// sharing a wire tag would let a reordered network swap them; the
+    /// `+ 1` keeps level 0 clear of the plan's own rounds (`tag + round`).
+    /// The halves count separately because the sweeps call them at
+    /// different loop iterations.
     sweeps: RefCell<Vec<[u64; 2]>>,
 }
 
@@ -58,9 +60,7 @@ impl Halo {
     /// `(level, slot)` of a scheduled node, mine or remote. Both endpoints
     /// of a link must level its nodes alike — the triangular solves exchange
     /// level labels first ([`CommPlan::exchange_labels`]). Warms the run's
-    /// `f64` pool for every non-empty (send link, level) batch. Level 0's wire
-    /// tags are the ones the plan's own label rounds count through, so a
-    /// label round run once sweeps have begun needs a collective in between.
+    /// `f64` pool for every non-empty (send link, level) batch.
     ///
     /// # Panics
     /// If a scheduled node's level is not below `n_levels`.
@@ -107,7 +107,7 @@ impl Halo {
     fn wire_tag(&self, level: usize, half: usize) -> u64 {
         let sweep = &mut self.sweeps.borrow_mut()[level][half];
         *sweep += 1;
-        self.tag + ((level as u64) << 20) + *sweep - 1
+        self.tag + ((level as u64 + 1) << 20) + *sweep - 1
     }
 
     /// The send half of a level's round: one `f64` batch to every peer that
@@ -123,7 +123,7 @@ impl Halo {
             batches.filter(|(_, slots)| !slots.is_empty())
         };
         let values: usize = live().map(|(_, slots)| slots.len()).sum();
-        ctx.note_planned(self.tag, live().count() as u64, 8 * values as u64, true);
+        ctx.note_planned(self.tag, live().count() as u64, 8 * values as u64);
         for (peer, slots) in live() {
             let mut vals = ctx.pool().take(slots.len());
             vals.extend(slots.iter().map(|&s| value_of(s)));

@@ -84,7 +84,7 @@ fn rounds_of_empty_frames_count_one_message_per_live_link() {
     assert!(out.results.iter().all(|&r| r == 3));
     // 4 directed edges × 3 rounds, all empty.
     assert_eq!(out.stats.tag_totals(tags::MIS_TENT), (12, 0));
-    assert_eq!(out.stats.planned_by_tag[&tags::MIS_TENT], (12, 0, true));
+    assert_eq!(out.stats.planned_by_tag[&tags::MIS_TENT], (12, 0));
 }
 
 #[test]
@@ -95,9 +95,8 @@ fn levelled_halo_ships_each_level_alone_under_the_protocol_tag() {
     // at a level is empty gets no message, and every byte is attributed to
     // the protocol tag — nothing under the per-level wire bases. Two sweeps
     // interleaved with the plan's own label round stay matched: the halo
-    // counts its sweeps per level, apart from the plan's rounds (whose wire
-    // tags level 0's coincide with — the barriers order the two, as the
-    // collectives of a plan build do in the solve).
+    // counts its sweeps per level, apart from the plan's rounds, and ships
+    // them under wire tags no round of the plan uses.
     let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
         let plan = ring_plan(ctx, tags::FWD);
         let halo = Halo::new(ctx, &plan, 3, |g| (g % 3, g));
@@ -110,9 +109,7 @@ fn levelled_halo_ships_each_level_alone_under_the_protocol_tag() {
                     heard.push((level, g));
                 });
             }
-            ctx.barrier();
             plan.exchange_labels(ctx, |g| g as u64, |g, l| assert_eq!(l, g as u64));
-            ctx.barrier();
         }
         heard
     });
@@ -124,7 +121,7 @@ fn levelled_halo_ships_each_level_alone_under_the_protocol_tag() {
     // Per sweep: 4 values (one per ring link, each at exactly one level)
     // plus 4 labels — 8 messages of 8 bytes, twice.
     assert_eq!(out.stats.tag_totals(tags::FWD), (16, 16 * 8));
-    assert_eq!(out.stats.planned_by_tag[&tags::FWD], (16, 16 * 8, true));
+    assert_eq!(out.stats.planned_by_tag[&tags::FWD], (16, 16 * 8));
     for level in 1..3 {
         assert_eq!(out.stats.tag_totals(tags::FWD + (level << 20)), (0, 0));
     }

@@ -86,8 +86,8 @@ fn check(
     let (messages, bytes) = out.stats.tag_totals(tags::UROWS);
     // (One rank has no interface, no level and no round to record.)
     let planned = out.stats.planned_by_tag.get(&tags::UROWS).copied();
-    let planned = planned.unwrap_or((0, 0, true));
-    assert_eq!(planned, (messages, bytes, true), "{what} p={p}");
+    let planned = planned.unwrap_or((0, 0));
+    assert_eq!(planned, (messages, bytes), "{what} p={p}");
     let levels = out.results.iter().flat_map(|r| &r.0.stats.per_level);
     let tallied: usize = levels.map(|l| l.urows_bytes).sum();
     assert_eq!(tallied as u64, bytes, "{what} p={p}: U-row bytes");

@@ -20,10 +20,19 @@
 //!   against an all-reduce (or any out-of-order collective pair) panics
 //!   with both ranks' collective call sequences.
 //!
+//! The board also carries the **board gather** ([`crate::Ctx::board_gather`]):
+//! a rendezvous in which every rank posts its `n`-th word vector and reads
+//! everyone's, the way self-checks such as `CommPlan::verify` compare plan
+//! summaries across ranks. It sends no envelope, moves no clock and touches
+//! no counter, so a checked run prices exactly what a production run does;
+//! a rank that never arrives shows in the wait-for graph like a blocked
+//! receive.
+//!
 //! The production path ([`crate::Machine::run`]) carries none of this: no
 //! shared board, no timeouts, no checks.
 
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 /// What a rank is doing right now, as published on the commcheck board.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,6 +46,12 @@ pub enum RankStatus {
         from: Option<usize>,
         /// Tag the receive is matching.
         tag: u64,
+    },
+    /// Waiting at its `round`-th board gather (0-based) for the ranks that
+    /// have not posted theirs yet.
+    BlockedGather {
+        /// Which of the rank's board gathers it waits at.
+        round: usize,
     },
     /// Returned from the rank closure.
     Finished,
@@ -57,8 +72,6 @@ pub enum CollKind {
     AllReduceF64,
     /// [`crate::Ctx::all_reduce_u64`] and its scalar conveniences.
     AllReduceU64,
-    /// [`crate::Ctx::all_gather_u64`]
-    AllGatherU64,
     /// The data phase of [`crate::Ctx::exchange`].
     Exchange,
 }
@@ -97,12 +110,22 @@ struct Board {
     /// Envelopes discarded by the fault injector; folded into deadlock
     /// reports (a drop usually strands the receiver) and the leak sweep.
     injected_drops: Vec<LeakRecord>,
+    /// Per rank, the word vectors of its board gathers in posting order —
+    /// like the collective logs, evidence kept for the whole run.
+    gathers: Vec<Vec<Vec<u64>>>,
+}
+
+/// Whether every rank has posted its `round`-th board gather.
+fn gathered(gathers: &[Vec<Vec<u64>>], round: usize) -> bool {
+    gathers.iter().all(|posted| posted.len() > round)
 }
 
 /// Shared state of one checked run. One instance per
 /// [`crate::Machine::run_checked`] call, shared by all rank threads.
 pub struct CheckState {
     board: Mutex<Board>,
+    /// Signalled whenever a rank posts a board gather.
+    posted: Condvar,
 }
 
 /// Marker prefix for secondary abort panics (ranks killed because another
@@ -120,7 +143,9 @@ impl CheckState {
                 failure: None,
                 leaks: Vec::new(),
                 injected_drops: Vec::new(),
+                gathers: vec![Vec::new(); p],
             }),
+            posted: Condvar::new(),
         }
     }
 
@@ -223,37 +248,84 @@ impl CheckState {
         self.lock().coll_logs.clone()
     }
 
-    /// The watchdog predicate, polled by blocked ranks: declares a deadlock
-    /// when every unfinished rank is blocked and no envelope is in flight.
-    /// Returns the message the calling rank must panic with, if any.
-    pub(crate) fn check_stuck(&self, _rank: usize) -> Option<String> {
+    /// Rank `rank`'s next board gather: posts `words`, waits until every
+    /// rank has posted as many, and returns the same-numbered posts of all
+    /// ranks, indexed by rank. While it waits the rank shows
+    /// [`RankStatus::BlockedGather`] and polls the watchdog every `poll`,
+    /// so a rank that never arrives ends the run in a deadlock report;
+    /// `Err` carries the message the calling rank must panic with. The
+    /// board's bookkeeping is harness-owned, like the collective log.
+    pub(crate) fn gather(
+        &self,
+        rank: usize,
+        words: &[u64],
+        poll: Duration,
+    ) -> Result<Vec<Vec<u64>>, String> {
+        let _h = pilut_allocaudit::harness();
         let mut b = self.lock();
-        if b.failure.is_some() {
-            // Another rank already diagnosed the run; die quietly.
-            return Some(format!("{SECONDARY_ABORT}: see primary failure"));
-        }
-        let any_running = b.status.iter().any(|s| matches!(s, RankStatus::Running));
-        if any_running {
-            return None;
-        }
-        let mut any_blocked = false;
-        for (r, s) in b.status.iter().enumerate() {
-            if matches!(s, RankStatus::BlockedRecv { .. }) {
-                any_blocked = true;
-                if b.in_flight_to[r] > 0 {
-                    // A blocked rank still has traffic to drain; it will
-                    // wake and either match it or buffer it.
-                    return None;
-                }
+        b.gathers[rank].push(words.to_vec());
+        let round = b.gathers[rank].len() - 1;
+        b.status[rank] = RankStatus::BlockedGather { round };
+        self.posted.notify_all();
+        loop {
+            if gathered(&b.gathers, round) {
+                b.status[rank] = RankStatus::Running;
+                return Ok(b
+                    .gathers
+                    .iter()
+                    .map(|posted| posted[round].clone())
+                    .collect());
+            }
+            let waited = self.posted.wait_timeout(b, poll);
+            let (guard, wait) = waited.unwrap_or_else(|e| e.into_inner());
+            b = guard;
+            if let Some(report) = wait.timed_out().then(|| stuck(&mut b)).flatten() {
+                b.status[rank] = RankStatus::Panicked;
+                return Err(report);
             }
         }
-        if !any_blocked {
-            return None;
-        }
-        let report = deadlock_report(&b.status, &b.coll_logs, &b.injected_drops);
-        b.failure = Some(report.clone());
-        Some(report)
     }
+
+    /// The watchdog predicate, polled by blocked ranks (see [`stuck`]).
+    /// Returns the message the calling rank must panic with, if any.
+    pub(crate) fn check_stuck(&self) -> Option<String> {
+        stuck(&mut self.lock())
+    }
+}
+
+/// Declares a deadlock when every unfinished rank is blocked, no envelope
+/// is in flight to a rank blocked in a receive, and no board gather a rank
+/// waits at is complete. Stores the report as the run's failure and
+/// returns it; a run already diagnosed returns the quiet secondary abort.
+fn stuck(b: &mut Board) -> Option<String> {
+    if b.failure.is_some() {
+        // Another rank already diagnosed the run; die quietly.
+        return Some(format!("{SECONDARY_ABORT}: see primary failure"));
+    }
+    let any_running = b.status.iter().any(|s| matches!(s, RankStatus::Running));
+    if any_running {
+        return None;
+    }
+    let mut any_blocked = false;
+    for (r, s) in b.status.iter().enumerate() {
+        match s {
+            // A blocked rank still has traffic to drain; it will wake and
+            // either match it or buffer it.
+            RankStatus::BlockedRecv { .. } if b.in_flight_to[r] > 0 => return None,
+            // Its gather is complete; it will wake and read it.
+            RankStatus::BlockedGather { round } if gathered(&b.gathers, *round) => return None,
+            RankStatus::BlockedRecv { .. } | RankStatus::BlockedGather { .. } => {
+                any_blocked = true;
+            }
+            _ => {}
+        }
+    }
+    if !any_blocked {
+        return None;
+    }
+    let report = deadlock_report(&b.status, &b.coll_logs, &b.injected_drops, &b.gathers);
+    b.failure = Some(report.clone());
+    Some(report)
 }
 
 /// Formats the wait-for graph, the deadlock cycle (if one exists), any
@@ -263,6 +335,7 @@ fn deadlock_report(
     status: &[RankStatus],
     coll_logs: &[Vec<CollKind>],
     injected_drops: &[LeakRecord],
+    gathers: &[Vec<Vec<u64>>],
 ) -> String {
     use std::fmt::Write;
     let killed: Vec<String> = (status.iter().enumerate())
@@ -291,6 +364,18 @@ fn deadlock_report(
             }
             RankStatus::BlockedRecv { from: None, tag } => {
                 let _ = writeln!(out, "  rank {r} -> any rank  (recv from=any tag={tag})");
+            }
+            RankStatus::BlockedGather { round } => {
+                let absent = gathers
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, g)| g.len() <= *round);
+                let missing: Vec<String> = absent.map(|(q, _)| q.to_string()).collect();
+                let _ = writeln!(
+                    out,
+                    "  rank {r} -> rank(s) {}  (board gather #{round})",
+                    missing.join(", ")
+                );
             }
             RankStatus::Finished => {
                 let _ = writeln!(out, "  rank {r}: finished");
@@ -470,14 +555,14 @@ mod tests {
     fn waiting_on_finished_rank_has_no_cycle() {
         let status = vec![blocked(1, 0), RankStatus::Finished];
         assert!(find_cycle(&status).is_none());
-        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &[]);
+        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &[], &[]);
         assert!(report.contains("already finished"), "{report}");
     }
 
     #[test]
     fn killed_rank_named_in_report() {
         let status = vec![blocked(1, 0), RankStatus::Killed];
-        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &[]);
+        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &[], &[]);
         assert!(
             report.contains("rank 1: killed by fault injection"),
             "{report}"
@@ -507,7 +592,7 @@ mod tests {
             bytes: 16,
             injected: true,
         }];
-        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &drops);
+        let report = deadlock_report(&status, &[Vec::new(), Vec::new()], &drops, &[]);
         assert!(report.contains("[injected drop]"), "{report}");
         assert!(report.contains("dropped 1 envelope(s)"), "{report}");
     }

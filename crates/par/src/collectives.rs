@@ -7,14 +7,18 @@
 //!
 //! Trees run over the ranks `0..p`, rooted at rank 0.
 //!
-//! There is one stack: [`Ctx::barrier`], [`Ctx::all_reduce_sum`],
-//! [`Ctx::all_reduce_u64`] and [`Ctx::all_gather_u64`] are each one
-//! `tree_reduce` followed by one `tree_bcast`, and differ only in the
-//! payload codec they pass it — `u64` vectors
-//! by value up and as one shared payload down, a single `f64` in a pooled
-//! one-element buffer per hop. The combine order is therefore the same
-//! for every collective by construction. [`Ctx::exchange`] adds a data
+//! There is one stack: [`Ctx::barrier`], [`Ctx::all_reduce_sum`] and
+//! [`Ctx::all_reduce_u64`] are each one `tree_reduce` followed by one
+//! `tree_bcast`, and differ only in the payload codec they pass it — `u64`
+//! vectors by value up and as one shared payload down, a single `f64` in a
+//! pooled one-element buffer per hop. The combine order is therefore the
+//! same for every collective by construction. [`Ctx::exchange`] adds a data
 //! phase of direct sends behind a count-learning all-reduce.
+//!
+//! Every collective plans its traffic exactly before its first send, like
+//! a data-plane round: a tree collective ships its payload's fixed width
+//! once per tree send, and the exchange packs every frame before any
+//! ships.
 
 use crate::check::CollKind;
 use crate::ctx::Ctx;
@@ -37,13 +41,11 @@ impl Ctx {
     /// Opens a collective: allocates its reserved tag, marks the op as the
     /// one currently executing (piggybacked on every reserved-tag envelope
     /// for commcheck's order verification), logs it on the board, and
-    /// records `planned_sends` — the exact number of point-to-point
-    /// messages this rank is about to send for the collective — in the
-    /// planned-traffic ledger (under the shared reserved key, message
-    /// counts only: payload sizes are caller-defined, so `coll` stays an
-    /// inexact `~` tag).
-    fn begin_collective(&mut self, kind: CollKind, planned_sends: u64) -> u64 {
-        self.note_planned(Self::RESERVED_TAG_BASE, planned_sends, 0, false);
+    /// records the exact point-to-point messages and bytes this rank is
+    /// about to send for it in the planned-traffic ledger, under the shared
+    /// reserved key.
+    fn begin_collective(&mut self, kind: CollKind, (sends, bytes): (u64, u64)) -> u64 {
+        self.note_planned(Self::RESERVED_TAG_BASE, sends, bytes);
         let tag = Self::RESERVED_TAG_BASE | self.coll_seq;
         self.coll_seq += 1;
         self.counters.collectives += 1;
@@ -54,12 +56,14 @@ impl Ctx {
         tag
     }
 
-    /// Messages this rank sends during one reduce + broadcast pair (every
-    /// tree collective is exactly that): each non-root rank forwards one
-    /// combined payload up, then every rank feeds its broadcast children.
-    fn tree_collective_sends(&self) -> u64 {
+    /// `(messages, bytes)` this rank sends during one reduce + broadcast
+    /// pair (every tree collective is exactly that) of `words`-word
+    /// payloads: each non-root rank forwards one combined payload up, then
+    /// every rank feeds its broadcast children.
+    fn tree_collective_traffic(&self, words: usize) -> (u64, u64) {
         let (s, p) = (self.rank(), self.nprocs());
-        u64::from(s != 0) + Self::bcast_children(s, p).count() as u64
+        let sends = u64::from(s != 0) + Self::bcast_children(s, p).count() as u64;
+        (sends, 8 * words as u64 * sends)
     }
 
     /// Closes the collective opened by [`Ctx::begin_collective`].
@@ -154,7 +158,7 @@ impl Ctx {
     where
         C: Fn(&mut Vec<u64>, Vec<u64>),
     {
-        let planned = self.tree_collective_sends();
+        let planned = self.tree_collective_traffic(data.len());
         let tag = self.begin_collective(kind, planned);
         let root = self.tree_reduce(tag, data, Payload::u64s, Payload::into_u64, combine);
         let out = self.tree_bcast(tag, root.map(Payload::u64s), Payload::clone, |p| p);
@@ -170,7 +174,7 @@ impl Ctx {
     /// buffer — no `Arc` fan-out sharing — which is also how a real
     /// message-passing runtime ships a scalar to each subtree.
     fn all_reduce_scalar(&mut self, kind: CollKind, x: f64, combine: fn(&mut f64, f64)) -> f64 {
-        let planned = self.tree_collective_sends();
+        let planned = self.tree_collective_traffic(1);
         let tag = self.begin_collective(kind, planned);
         // The codecs hold the run's pool while the tree borrows the rank.
         let pool = self.pool.clone();
@@ -220,31 +224,17 @@ impl Ctx {
         self.all_reduce_u64(vec![x], ReduceOp::Sum)[0]
     }
 
-    /// Gathers each rank's (variable-length) `u64` vector; every rank
-    /// receives all of them, indexed by rank.
-    pub fn all_gather_u64(&mut self, local: &[u64]) -> Vec<Vec<u64>> {
-        // Encoding: repeated [rank, len, data...]. The tree reduce simply
-        // concatenates encodings.
-        let mut enc = Vec::with_capacity(local.len() + 2);
-        enc.push(self.rank() as u64);
-        enc.push(local.len() as u64);
-        enc.extend_from_slice(local);
-        let all = self.all_reduce_vec(CollKind::AllGatherU64, enc, |acc, mut got| {
-            acc.append(&mut got)
-        });
-        decode_u64_blocks(&all, self.nprocs())
-    }
-
     /// Sparse all-to-all: each rank supplies `(destination, payload)` pairs
     /// and receives the pairs addressed to it as `(source, payload)`,
     /// ordered by source (and send order within a source).
     ///
     /// Cost: one `O(p)`-payload all-reduce to learn the incoming count,
     /// then **one packed message per destination** — all payloads bound for
-    /// one rank travel in a single envelope. Packing is what makes the
-    /// per-source order promise structural: the wire contract leaves
-    /// same-`(sender, tag)` delivery order undefined, so shipping each
-    /// payload separately was a match-order race (found by the
+    /// one rank travel in a single envelope, and every envelope is packed
+    /// before the first ships, so the phase plans its bytes. Packing is
+    /// what makes the per-source order promise structural: the wire
+    /// contract leaves same-`(sender, tag)` delivery order undefined, so
+    /// shipping each payload separately was a match-order race (found by the
     /// happens-before detector; EXPERIMENTS.md at 039f5b3 has the triage).
     /// Cross-source arrival order remains free, which is fine — the result
     /// is canonicalized by the source sort, and the any-source receive
@@ -260,15 +250,16 @@ impl Ctx {
         // After the sum-reduce, slot `me` holds how many messages I receive.
         let totals = self.all_reduce_u64(counts, ReduceOp::Sum);
         let incoming = totals[self.rank()] as usize;
-        // One packed envelope per non-empty destination — countable before
-        // anything ships (the count-learning all-reduce planned itself).
-        let outgoing = by_dest.iter().filter(|l| !l.is_empty()).count() as u64;
-        let tag = self.begin_collective(CollKind::Exchange, outgoing);
-        for (dest, parts) in by_dest.into_iter().enumerate() {
-            if parts.is_empty() {
-                continue;
-            }
-            self.send_internal(dest, tag, tag, pack_exchange(parts));
+        // One packed envelope per non-empty destination, all packed before
+        // any ships (the count-learning all-reduce planned itself).
+        let frames: Vec<(usize, Payload)> = (by_dest.into_iter().enumerate())
+            .filter(|(_, parts)| !parts.is_empty())
+            .map(|(dest, parts)| (dest, pack_exchange(parts)))
+            .collect();
+        let bytes = frames.iter().map(|(_, f)| f.bytes() as u64).sum();
+        let tag = self.begin_collective(CollKind::Exchange, (frames.len() as u64, bytes));
+        for (dest, frame) in frames {
+            self.send_internal(dest, tag, tag, frame);
         }
         let mut out = Vec::new();
         for _ in 0..incoming {
@@ -353,18 +344,6 @@ fn unpack_exchange(packed: Payload) -> Vec<Payload> {
             2 => Payload::f64s(f),
             _ => Payload::mixed(u, f),
         });
-    }
-    out
-}
-
-fn decode_u64_blocks(all: &[u64], p: usize) -> Vec<Vec<u64>> {
-    let mut out = vec![Vec::new(); p];
-    let mut i = 0usize;
-    while i < all.len() {
-        let rank = all[i] as usize;
-        let len = all[i + 1] as usize;
-        out[rank] = all[i + 2..i + 2 + len].to_vec();
-        i += 2 + len;
     }
     out
 }
@@ -482,21 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_variable_lengths() {
-        let out = Machine::run_checked(4, model(), |ctx| {
-            let local: Vec<u64> = (0..ctx.rank() as u64).collect();
-            ctx.all_gather_u64(&local)
-        });
-        for gathered in &out.results {
-            assert_eq!(gathered.len(), 4);
-            for (r, v) in gathered.iter().enumerate() {
-                let expect: Vec<u64> = (0..r as u64).collect();
-                assert_eq!(v, &expect, "rank {r}");
-            }
-        }
-    }
-
-    #[test]
     fn exchange_routes_messages() {
         // Ring: each rank sends its rank to the next, two copies to rank 0.
         let out = Machine::run_checked(4, model(), |ctx| {
@@ -581,39 +545,41 @@ mod tests {
     type Sent = (u64, u64);
 
     /// Per rank, cumulative `coll` `(messages, bytes)` after each of
-    /// barrier, scalar all-reduce, vector all-reduce, all-gather and
-    /// exchange — recorded at the commit before the scalar and vector
-    /// stacks were folded into one.
+    /// barrier, scalar all-reduce, vector all-reduce and exchange —
+    /// recorded at the commit before the scalar and vector stacks were
+    /// folded into one, with an all-gather between the last two, whose
+    /// share the exchange column no longer holds since the all-gather
+    /// retired.
     #[rustfmt::skip]
-    const WIRE_BEFORE_FOLD: [(usize, &[[Sent; 5]]); 5] = [
+    const WIRE_BEFORE_FOLD: [(usize, &[[Sent; 4]]); 5] = [
         (1, &[
-            [(0, 0), (0, 0), (0, 0), (0, 0), (1, 64)],
+            [(0, 0), (0, 0), (0, 0), (1, 64)],
         ]),
         (2, &[
-            [(1, 8), (2, 16), (3, 40), (4, 96), (6, 176)],
-            [(1, 8), (2, 16), (3, 40), (4, 72), (6, 128)],
+            [(1, 8), (2, 16), (3, 40), (5, 120)],
+            [(1, 8), (2, 16), (3, 40), (5, 96)],
         ]),
         (3, &[
-            [(2, 16), (4, 32), (6, 80), (8, 272), (12, 392)],
-            [(1, 8), (2, 16), (3, 40), (4, 72), (6, 136)],
-            [(1, 8), (2, 16), (3, 40), (4, 80), (6, 144)],
+            [(2, 16), (4, 32), (6, 80), (10, 200)],
+            [(1, 8), (2, 16), (3, 40), (5, 104)],
+            [(1, 8), (2, 16), (3, 40), (5, 104)],
         ]),
         (5, &[
-            [(3, 24), (6, 48), (9, 120), (12, 720), (17, 912)],
-            [(1, 8), (2, 16), (3, 40), (4, 72), (6, 152)],
-            [(2, 16), (4, 32), (6, 80), (8, 368), (11, 488)],
-            [(1, 8), (2, 16), (3, 40), (4, 88), (6, 168)],
-            [(1, 8), (2, 16), (3, 40), (4, 96), (6, 176)],
+            [(3, 24), (6, 48), (9, 120), (14, 312)],
+            [(1, 8), (2, 16), (3, 40), (5, 120)],
+            [(2, 16), (4, 32), (6, 80), (9, 200)],
+            [(1, 8), (2, 16), (3, 40), (5, 120)],
+            [(1, 8), (2, 16), (3, 40), (5, 120)],
         ]),
         (8, &[
-            [(3, 24), (6, 48), (9, 120), (12, 1368), (17, 1632)],
-            [(1, 8), (2, 16), (3, 40), (4, 72), (6, 176)],
-            [(2, 16), (4, 32), (6, 80), (8, 584), (11, 752)],
-            [(1, 8), (2, 16), (3, 40), (4, 88), (6, 192)],
-            [(3, 24), (6, 48), (9, 120), (12, 1224), (16, 1456)],
-            [(1, 8), (2, 16), (3, 40), (4, 104), (6, 208)],
-            [(2, 16), (4, 32), (6, 80), (8, 648), (11, 816)],
-            [(1, 8), (2, 16), (3, 40), (4, 120), (6, 224)],
+            [(3, 24), (6, 48), (9, 120), (14, 384)],
+            [(1, 8), (2, 16), (3, 40), (5, 144)],
+            [(2, 16), (4, 32), (6, 80), (9, 248)],
+            [(1, 8), (2, 16), (3, 40), (5, 144)],
+            [(3, 24), (6, 48), (9, 120), (13, 352)],
+            [(1, 8), (2, 16), (3, 40), (5, 144)],
+            [(2, 16), (4, 32), (6, 80), (9, 248)],
+            [(1, 8), (2, 16), (3, 40), (5, 144)],
         ]),
     ];
 
@@ -625,10 +591,9 @@ mod tests {
 
     #[test]
     fn planned_collective_messages_match_measured() {
-        // Every collective predicts its exact point-to-point message count
-        // before sending; the reserved-tag bucket must agree with the
-        // measured counters at every rank count (bytes stay unpredicted —
-        // the `coll` tag is inexact by design). What each rank puts on the
+        // Every collective predicts its exact point-to-point messages and
+        // bytes before sending; the reserved-tag bucket must agree with the
+        // measured counters at every rank count. What each rank puts on the
         // wire per collective is pinned to the byte.
         for (p, wire) in WIRE_BEFORE_FOLD {
             let out = Machine::run_checked(p, model(), |ctx| {
@@ -639,25 +604,17 @@ mod tests {
                 let scalar = coll_sent(ctx);
                 ctx.all_reduce_u64(vec![me as u64, 3, 7], ReduceOp::Sum);
                 let vector = coll_sent(ctx);
-                ctx.all_gather_u64(&vec![me as u64; me + 1]);
-                let gather = coll_sent(ctx);
                 let mut sends = vec![((me + 1) % p, Payload::u64s(vec![me as u64]))];
                 if me == 0 {
                     sends.push((p - 1, Payload::Empty));
                 }
                 ctx.exchange(sends);
-                [barrier, scalar, vector, gather, coll_sent(ctx)]
+                [barrier, scalar, vector, coll_sent(ctx)]
             });
             assert_eq!(out.results, wire, "p={p}");
-            let (measured, _) = out.stats.tag_totals(Ctx::RESERVED_TAG_BASE);
-            let &(planned, planned_bytes, exact) = out
-                .stats
-                .planned_by_tag
-                .get(&Ctx::RESERVED_TAG_BASE)
-                .expect("collectives record planned message counts");
-            assert_eq!(planned, measured, "p={p}");
-            assert_eq!(planned_bytes, 0, "p={p}");
-            assert!(!exact, "coll bytes are not predicted, p={p}");
+            let measured = out.stats.tag_totals(Ctx::RESERVED_TAG_BASE);
+            let planned = out.stats.planned_by_tag.get(&Ctx::RESERVED_TAG_BASE);
+            assert_eq!(planned, Some(&measured), "p={p}");
         }
     }
 
@@ -667,13 +624,13 @@ mod tests {
             let a = ctx.all_reduce_sum(1.0);
             ctx.barrier();
             let b = ctx.all_reduce_sum_u64(2);
-            let g = ctx.all_gather_u64(&[ctx.rank() as u64]);
-            (a, b, g.len())
+            let g = ctx.all_reduce_u64(vec![ctx.rank() as u64; 2], ReduceOp::Max);
+            (a, b, g)
         });
-        for &(a, b, g) in &out.results {
-            assert_eq!(a, 6.0);
-            assert_eq!(b, 12);
-            assert_eq!(g, 6);
+        for (a, b, g) in &out.results {
+            assert_eq!(*a, 6.0);
+            assert_eq!(*b, 12);
+            assert_eq!(g, &[5, 5]);
         }
     }
 }

@@ -59,12 +59,11 @@ pub struct Counters {
     /// collective traffic (whose tags embed a per-call sequence number) is
     /// folded under a single key, and [`Ctx::is_reserved`] tells it apart.
     pub by_tag: BTreeMap<u64, (u64, u64)>,
-    /// Per-tag `(messages, bytes, exact)` *predicted* by the static plan
-    /// analysis ([`Ctx::note_planned`]) before the traffic was sent. The
-    /// flag records whether every prediction under the tag was byte-exact;
-    /// inexact tags (producer-defined payloads) predict message counts
-    /// only. The bench harness gates measured counters against this.
-    pub planned_by_tag: BTreeMap<u64, (u64, u64, bool)>,
+    /// Per-tag `(messages, bytes)` *predicted* before the traffic was sent
+    /// ([`Ctx::note_planned`]): every data-plane round and every collective
+    /// plans its messages and bytes exactly, and the kernel gate holds the
+    /// measured counters to this.
+    pub planned_by_tag: BTreeMap<u64, (u64, u64)>,
 }
 
 impl Counters {
@@ -229,11 +228,23 @@ impl Ctx {
         self.check.as_ref()
     }
 
-    /// Whether this run carries the commcheck verification layer. Protocol
-    /// code uses it to gate expensive self-checks (like
-    /// `CommPlan::verify`) to checked runs only.
-    pub fn is_checked(&self) -> bool {
-        self.check.is_some()
+    /// Checked mode's rendezvous: posts `words` as this rank's next entry
+    /// on the commcheck board, waits until every rank has posted its entry
+    /// of the same ordinal, and returns them all, indexed by rank — what a
+    /// self-check (like `CommPlan::verify`) reads to compare ranks. Every
+    /// rank must call it together, in the same program order, like a
+    /// collective; a rank that never arrives ends the run in a commcheck
+    /// deadlock report naming the gather.
+    ///
+    /// The gather is an observer: it sends no envelope, moves no clock and
+    /// touches no counter, so a checked run prices exactly what a
+    /// production run does. On a production machine, which has no board,
+    /// it returns `None` at once.
+    pub fn board_gather(&mut self, words: &[u64]) -> Option<Vec<Vec<u64>>> {
+        // About to block: a reorder-held envelope must not wait behind it.
+        self.flush_held();
+        let all = self.check.as_ref()?.gather(self.rank, words, CHECK_POLL);
+        Some(all.unwrap_or_else(|report| panic!("{report}")))
     }
 
     /// The run's registered-buffer pool: plans warm it at build time, and
@@ -304,22 +315,14 @@ impl Ctx {
     }
 
     /// Records a *prediction* of upcoming traffic under `stats_tag`:
-    /// `messages` sends totalling `bytes` bytes from this rank. `exact`
-    /// marks the byte count authoritative (values-only rounds whose sizes
-    /// the plan fixes); producer-defined rounds pass `exact = false` and
-    /// zero bytes, predicting message counts only. The machine aggregates
-    /// the ledger into `MachineStats::planned_by_tag`, where the bench
-    /// harness cross-checks it against the measured per-tag counters —
-    /// the runtime half of the static `CommPlan` analysis.
-    pub fn note_planned(&mut self, stats_tag: u64, messages: u64, bytes: u64, exact: bool) {
-        let slot = self
-            .counters
-            .planned_by_tag
-            .entry(stats_tag)
-            .or_insert((0, 0, true));
+    /// `messages` sends totalling `bytes` bytes from this rank, known
+    /// before the first of them ships. The machine aggregates the ledger
+    /// into `MachineStats::planned_by_tag`, where the kernel gate holds it
+    /// to the measured per-tag counters, messages and bytes alike.
+    pub fn note_planned(&mut self, stats_tag: u64, messages: u64, bytes: u64) {
+        let slot = self.counters.planned_by_tag.entry(stats_tag).or_default();
         slot.0 += messages;
         slot.1 += bytes;
-        slot.2 &= exact;
     }
 
     /// Sends `payload` to rank `to` with a user `tag` (one for which
@@ -568,7 +571,7 @@ impl Ctx {
                     check.note_drain(self.rank);
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    if let Some(report) = check.check_stuck(self.rank) {
+                    if let Some(report) = check.check_stuck() {
                         check.set_status(self.rank, RankStatus::Panicked);
                         panic!("{report}");
                     }
@@ -764,6 +767,41 @@ mod tests {
         let trace = handle.take_trace();
         assert_eq!(trace.len(), 1, "only the wildcard accept is traced");
         assert_eq!((trace[0].rank, trace[0].tag, trace[0].from), (0, T, 2));
+    }
+
+    #[test]
+    fn a_board_gather_reads_every_rank_and_leaves_no_trace() {
+        let body = |ctx: &mut Ctx| {
+            let local: Vec<u64> = (0..ctx.rank() as u64).collect();
+            let first = ctx.board_gather(&local);
+            let second = ctx.board_gather(&[10 * ctx.rank() as u64]);
+            (first, second, ctx.time())
+        };
+        let checked = Machine::run_checked(4, MachineModel::cray_t3d(), body);
+        for (first, second, time) in &checked.results {
+            let first = first.as_ref().expect("a checked machine has a board");
+            for (r, words) in first.iter().enumerate() {
+                assert_eq!(words, &(0..r as u64).collect::<Vec<_>>(), "rank {r}");
+            }
+            assert_eq!(second, &Some(vec![vec![0], vec![10], vec![20], vec![30]]));
+            assert_eq!(*time, 0.0);
+        }
+        let stats = &checked.stats;
+        assert_eq!((stats.messages, stats.bytes, stats.collectives), (0, 0, 0));
+        let production = Machine::run(4, MachineModel::cray_t3d(), body);
+        let no_board = |r: &(Option<_>, Option<_>, f64)| r.0.is_none() && r.1.is_none();
+        assert!(production.results.iter().all(no_board));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 -> rank(s) 2  (board gather #1)")]
+    fn a_rank_missing_from_a_board_gather_is_diagnosed() {
+        Machine::run_checked(3, MachineModel::cray_t3d(), |ctx| {
+            ctx.board_gather(&[]);
+            if ctx.rank() != 2 {
+                ctx.board_gather(&[]);
+            }
+        });
     }
 
     #[test]

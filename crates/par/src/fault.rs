@@ -29,18 +29,17 @@
 //! rule      := action filter*
 //! action    := delay(s) | reorder | duplicate | drop     (message actions)
 //!            | stall(ms) | kill                          (rank actions)
-//! filter    := sender(r)    — message actions: the sending rank
-//!            | receiver(r)  — message actions: the destination rank
-//!            | rank(r)      — rank actions: the victim
-//!                             (for message actions, alias of sender)
+//! filter    := rank(r)      — the acting rank: the sender of a message
+//!                             action, the victim of a rank action
+//!            | to(r)        — message actions: the destination rank
 //!            | tag(t)       — message actions: exact wire tag
 //!            | after_op(n)  — armed from the acting rank's n-th comm op
 //!            | probability(p) | max_fires(n)
 //! ```
 //!
-//! `sender`/`receiver` make a rule **link-scoped**: `drop.sender(1).receiver(3)`
-//! perturbs only the 1→3 link, leaving every other link clean — the shape
-//! chaos sweeps use to aim faults at one exchange edge.
+//! `rank` and `to` together make a message rule **link-scoped**:
+//! `drop.rank(1).to(3)` perturbs only the 1→3 link, leaving every other
+//! link clean.
 
 use std::sync::Mutex;
 
@@ -147,19 +146,6 @@ impl FaultRule {
     pub fn to(mut self, dest: usize) -> Self {
         self.to = Some(dest);
         self
-    }
-
-    /// Link-scoping alias of [`FaultRule::rank`] for message rules: the
-    /// sending side of the perturbed link (see the module-level grammar).
-    pub fn sender(self, r: usize) -> Self {
-        self.rank(r)
-    }
-
-    /// Link-scoping alias of [`FaultRule::to`]: the receiving side of the
-    /// perturbed link. `sender(a).receiver(b)` scopes a message rule to
-    /// exactly the `a → b` link.
-    pub fn receiver(self, dest: usize) -> Self {
-        self.to(dest)
     }
 
     /// Restricts a message rule to one exact tag.
@@ -483,7 +469,7 @@ mod tests {
 
     #[test]
     fn link_scoped_rule_hits_only_its_link() {
-        let plan = FaultPlan::new(5).with(FaultRule::new(FaultAction::Drop).sender(1).receiver(3));
+        let plan = FaultPlan::new(5).with(FaultRule::new(FaultAction::Drop).rank(1).to(3));
         let shared = Arc::new(FaultShared::new(plan));
         let mut s1 = FaultSession::new(Arc::clone(&shared), 1);
         let mut s2 = FaultSession::new(Arc::clone(&shared), 2);

@@ -6,7 +6,7 @@
 //! exercises the same code paths: [`Machine::run`] launches `p` OS threads,
 //! one per *rank*, each holding a [`Ctx`] with point-to-point `send`/`recv`
 //! and the collectives the algorithms need (`barrier`, `all_reduce_sum`,
-//! `all_reduce_u64`, `all_gather_u64`, `exchange`).
+//! `all_reduce_u64`, `exchange`).
 //!
 //! Every rank carries a **logical clock**. Compute advances it through
 //! [`Ctx::work`] (a flop-cost model) and [`Ctx::copy_words`] (a data-motion
@@ -29,9 +29,12 @@
 //! layer in [`check`]: deadlocks abort with a wait-for graph instead of
 //! hanging, leaked messages fail the run with `(from, to, tag, bytes)`
 //! records, and collectives called in different orders on different ranks
-//! are caught at the first mismatched envelope. All in-repo tests use the
-//! checked entry point; [`Machine::run`] stays the zero-overhead
-//! production path.
+//! are caught at the first mismatched envelope. Checked mode only
+//! observes: it sends nothing and charges nothing the production run does
+//! not, so both modes report the same clock and counters bit for bit; its
+//! cross-rank self-checks read each other's data through the board
+//! ([`Ctx::board_gather`]), not the wire. All in-repo tests use the checked
+//! entry point; [`Machine::run`] stays the zero-overhead production path.
 //!
 //! # Fault injection
 //!

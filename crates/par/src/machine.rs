@@ -2,7 +2,7 @@
 
 use crate::check::{collective_divergence, CheckState, LeakRecord, SECONDARY_ABORT};
 use crate::ctx::{Ctx, Envelope, RankExit};
-use crate::fault::{FaultPlan, FaultSession, FaultShared, InjectedFault, FAULT_KILL_PREFIX};
+use crate::fault::{FaultPlan, FaultSession, FaultShared, InjectedFault};
 use crate::pool::{Pool, PER_CLASS};
 use crate::sched::{SchedHandle, SchedSession};
 use std::panic::AssertUnwindSafe;
@@ -85,11 +85,9 @@ pub struct MachineStats {
     /// for which [`crate::Ctx::is_reserved`] holds (see
     /// [`crate::ctx::Counters::by_tag`]).
     pub by_tag: std::collections::BTreeMap<u64, (u64, u64)>,
-    /// Per-tag `(messages, bytes, exact)` totals *predicted* by the static
-    /// plan analysis before the traffic was sent (see
-    /// [`crate::Ctx::note_planned`]). The flag is true only when every
-    /// rank's predictions under the tag were byte-exact.
-    pub planned_by_tag: std::collections::BTreeMap<u64, (u64, u64, bool)>,
+    /// Per-tag `(messages, bytes)` totals *predicted* before the traffic
+    /// was sent (see [`crate::Ctx::note_planned`]).
+    pub planned_by_tag: std::collections::BTreeMap<u64, (u64, u64)>,
     /// Per-rank final logical clocks.
     pub rank_times: Vec<f64>,
 }
@@ -258,16 +256,16 @@ impl MachineBuilder {
             stats.bytes += exit.counters.bytes;
             stats.flops += exit.counters.flops;
             stats.words_copied += exit.counters.words_copied;
-            for (&tag, &(m, b)) in &exit.counters.by_tag {
-                let slot = stats.by_tag.entry(tag).or_insert((0, 0));
-                slot.0 += m;
-                slot.1 += b;
-            }
-            for (&tag, &(m, b, exact)) in &exit.counters.planned_by_tag {
-                let slot = stats.planned_by_tag.entry(tag).or_insert((0, 0, true));
-                slot.0 += m;
-                slot.1 += b;
-                slot.2 &= exact;
+            let ledgers = [
+                (&mut stats.by_tag, &exit.counters.by_tag),
+                (&mut stats.planned_by_tag, &exit.counters.planned_by_tag),
+            ];
+            for (total, rank) in ledgers {
+                for (&tag, &(m, b)) in rank {
+                    let slot = total.entry(tag).or_default();
+                    slot.0 += m;
+                    slot.1 += b;
+                }
             }
             per_rank_collectives.push(exit.counters.collectives);
             stats.rank_times.push(exit.time);
@@ -385,15 +383,9 @@ impl Machine {
         let failure = check.take_failure();
         // Drop secondary aborts and the primary's own unwind payload: the
         // stored report carries the diagnosis. User panics stay.
-        let is_commcheck_panic = |payload: &Box<dyn std::any::Any + Send>| {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&'static str>().copied());
-            msg.is_some_and(|m| m.starts_with(SECONDARY_ABORT) || m.starts_with("commcheck:"))
-        };
         for slot in panic_slots.iter_mut() {
-            if slot.as_ref().is_some_and(is_commcheck_panic) {
+            let text = slot.as_deref().and_then(panic_text);
+            if text.is_some_and(|m| m.starts_with(SECONDARY_ABORT) || m.starts_with("commcheck:")) {
                 *slot = None;
             }
         }
@@ -402,22 +394,10 @@ impl Machine {
             // survivors deadlocked on the dead rank); the report, which
             // names the killed rank, is the better message. Without a
             // stored failure the kill panic itself propagates below. The
-            // board's status — not the panic-message prefix — identifies
-            // the kill: the prefix check is only a fallback for payloads
-            // that never reached the board.
-            for (r, slot) in panic_slots.iter_mut().enumerate() {
-                if killed.contains(&r) {
-                    *slot = None;
-                    continue;
-                }
-                let is_fault_kill = slot.as_ref().is_some_and(|payload| {
-                    payload
-                        .downcast_ref::<String>()
-                        .is_some_and(|m| m.starts_with(FAULT_KILL_PREFIX))
-                });
-                if is_fault_kill {
-                    *slot = None;
-                }
+            // board's status identifies the kill: a rank marks itself
+            // `Killed` before its kill panic unwinds.
+            for r in killed {
+                panic_slots[r] = None;
             }
         }
         let user_panicked = panic_slots.iter().any(Option::is_some);
@@ -429,31 +409,22 @@ impl Machine {
             // read as fresh data, say — so annotate the payload with the
             // firing log to keep the root cause attributable.
             if !fired.is_empty() {
+                use std::fmt::Write;
+                let mut note = format!(
+                    "\nnote: fault injection fired {} fault(s) this run:\n",
+                    fired.len()
+                );
+                for f in fired {
+                    let _ = writeln!(
+                        note,
+                        "  rank {} op {}: {} {}",
+                        f.rank, f.op, f.kind, f.detail
+                    );
+                }
                 for slot in panic_slots.iter_mut() {
-                    let Some(payload) = slot.take() else { continue };
-                    let msg = payload.downcast_ref::<String>().cloned().or_else(|| {
-                        payload
-                            .downcast_ref::<&'static str>()
-                            .map(|s| s.to_string())
-                    });
-                    *slot = Some(match msg {
-                        Some(m) => {
-                            use std::fmt::Write;
-                            let mut out = format!(
-                                "{m}\nnote: fault injection fired {} fault(s) this run:\n",
-                                fired.len()
-                            );
-                            for f in fired {
-                                let _ = writeln!(
-                                    out,
-                                    "  rank {} op {}: {} {}",
-                                    f.rank, f.op, f.kind, f.detail
-                                );
-                            }
-                            Box::new(out)
-                        }
-                        None => payload,
-                    });
+                    if let Some(m) = slot.as_deref().and_then(panic_text) {
+                        *slot = Some(Box::new(format!("{m}{note}")));
+                    }
                 }
             }
             return;
@@ -482,6 +453,12 @@ impl Machine {
             panic!("commcheck: {divergence}");
         }
     }
+}
+
+/// The text of a panic payload, when it is a string.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    text.or_else(|| payload.downcast_ref::<&'static str>().copied())
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //! Only deterministic quantities are measured, and [`gate`] holds every row
 //! to them before `paper` renders or diffs a line of `kernels.txt`:
 //!
-//! * The self-consistency invariants ([`check`]: measured per-tag traffic
-//!   equals the static `CommPlan` prediction exactly, no protocol tag
+//! * The self-consistency invariants ([`check`]: measured per-tag messages
+//!   and bytes equal the planned ones exactly, `coll` included, no tag
 //!   escapes the plan, every [`STEADY_REGIONS`] entry performed zero heap
 //!   acquisitions, the `mis_rounds` region at most
 //!   [`MIS_ALLOCS_PER_MESSAGE`] per dist-MIS message, the `alg42_sweep`
@@ -638,14 +638,14 @@ fn check(m: &Measurement) -> Result<(), String> {
             ));
         }
     }
-    for (&tag, &(messages, bytes, exact)) in &stats.planned_by_tag {
+    for (&tag, &(messages, bytes)) in &stats.planned_by_tag {
         let (name, (mm, mb)) = (tags::tag_name(tag), stats.tag_totals(tag));
         if mm != messages {
             return fail(format!(
                 "tag {name}: planned {messages} message(s), measured {mm}"
             ));
         }
-        if exact && mb != bytes {
+        if mb != bytes {
             return fail(format!(
                 "tag {name}: planned {bytes} byte(s), measured {mb}"
             ));
@@ -751,7 +751,7 @@ mod tests {
             messages: 12,
             bytes: 4096,
             by_tag: [(tags::SPMV, (12, 4096))].into(),
-            planned_by_tag: [(tags::SPMV, (12, 4096, true))].into(),
+            planned_by_tag: [(tags::SPMV, (12, 4096))].into(),
             ..MachineStats::default()
         };
         Measurement {
@@ -787,7 +787,7 @@ mod tests {
         // A one-rank machine plans zero messages per tag and measures none.
         let mut m = healthy();
         m.stats = MachineStats {
-            planned_by_tag: [(tags::FWD, (0, 0, true)), (tags::BWD, (0, 0, true))].into(),
+            planned_by_tag: [(tags::FWD, (0, 0)), (tags::BWD, (0, 0))].into(),
             ..MachineStats::default()
         };
         check(&m).unwrap();
@@ -796,20 +796,24 @@ mod tests {
     #[test]
     fn message_count_mismatch_fails() {
         let mut m = healthy();
-        m.stats.planned_by_tag = [(tags::SPMV, (11, 0, false))].into();
+        m.stats.planned_by_tag = [(tags::SPMV, (11, 0))].into();
         assert_fails(&m, "tag spmv: planned 11 message(s), measured 12");
         // A planned message that never shipped is a divergence too.
-        m.stats.planned_by_tag = [(tags::SPMV, (12, 4096, true)), (tags::FWD, (1, 8, true))].into();
+        m.stats.planned_by_tag = [(tags::SPMV, (12, 4096)), (tags::FWD, (1, 8))].into();
         assert_fails(&m, "tag fwd: planned 1 message(s), measured 0");
     }
 
     #[test]
-    fn byte_mismatch_fails_when_the_prediction_is_exact() {
+    fn byte_mismatch_fails_on_every_tag() {
         let mut m = healthy();
-        m.stats.planned_by_tag = [(tags::SPMV, (12, 4095, true))].into();
+        m.stats.planned_by_tag = [(tags::SPMV, (12, 4095))].into();
         assert_fails(&m, "tag spmv: planned 4095 byte(s), measured 4096");
-        // A producer-defined round predicts its message count only.
-        m.stats.planned_by_tag = [(tags::SPMV, (12, 4095, false))].into();
+        // The collectives plan their bytes like every other tag.
+        let mut m = healthy();
+        m.stats.by_tag.insert(u64::MAX, (7, 320));
+        m.stats.planned_by_tag.insert(u64::MAX, (7, 312));
+        assert_fails(&m, "tag coll: planned 312 byte(s), measured 320");
+        m.stats.planned_by_tag.insert(u64::MAX, (7, 320));
         check(&m).unwrap();
     }
 
@@ -846,8 +850,7 @@ mod tests {
         let mut m = healthy();
         for (tag, traffic) in [(tags::MIS_KEYS, (3, 96)), (tags::MIS_CONF, (2, 64))] {
             m.stats.by_tag.insert(tag, traffic);
-            let planned = (traffic.0, traffic.1, true);
-            m.stats.planned_by_tag.insert(tag, planned);
+            m.stats.planned_by_tag.insert(tag, traffic);
         }
         m.regions[0] = region("mis_rounds", 15);
         check(&m).unwrap();
@@ -865,8 +868,7 @@ mod tests {
         let mut m = healthy();
         for (tag, traffic) in [(tags::MIS_TENT, (3, 96)), (tags::UROWS, (4, 640))] {
             m.stats.by_tag.insert(tag, traffic);
-            let planned = (traffic.0, traffic.1, true);
-            m.stats.planned_by_tag.insert(tag, planned);
+            m.stats.planned_by_tag.insert(tag, traffic);
         }
         m.regions.push(region("plan_replay", 33));
         check(&m).unwrap();

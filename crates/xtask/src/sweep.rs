@@ -264,8 +264,16 @@ pub fn run_workload(
     p: usize,
     builder: MachineBuilder,
 ) -> (Fingerprint, usize) {
+    let out = run_body(work, dm, p, builder);
+    let fired = out.injected_faults.len();
+    (Fingerprint::of(out), fired)
+}
+
+/// Runs one workload of [`run_workload`] on `builder`'s machine and returns
+/// the whole run: each rank's checksum, the clocks and every counter.
+fn run_body(work: &str, dm: &DistMatrix, p: usize, builder: MachineBuilder) -> RunOutput<u64> {
     let opts = ilut_options();
-    let out = builder.run(p, |ctx| {
+    builder.run(p, |ctx| {
         let local = dm.local_view(ctx.rank());
         if work == "spmv" {
             let mut op = DistCsr::new(ctx, dm, &local);
@@ -340,9 +348,7 @@ pub fn run_workload(
             }
             other => unreachable!("unknown sweep workload {other}"),
         }
-    });
-    let fired = out.injected_faults.len();
-    (Fingerprint::of(out), fired)
+    })
 }
 
 /// Runs workload `work` on the sweep matrix at `p` checked ranks under an
@@ -453,6 +459,28 @@ mod tests {
         let (b, _) = run_workload("spmv", &dm, p, checked_builder());
         assert_eq!(a, b);
         assert!(a.messages > 0, "spmv must exchange halo traffic");
+    }
+
+    /// Checked mode observes and never acts: every sweep workload, run on
+    /// the production machine and on the checked one, yields the same
+    /// checksums, clocks and counters, bit for bit.
+    #[test]
+    fn checked_runs_price_exactly_what_production_runs_do() {
+        for work in ["spmv", "mis", "factor", "trisolve", "gmres"] {
+            for p in [2, 4, 8] {
+                let dm = dist_matrix(p);
+                let model = MachineModel::cray_t3d();
+                let [plain, checked] = [false, true].map(|on| {
+                    let out = run_body(work, &dm, p, Machine::builder(model).checked(on));
+                    let s = out.stats;
+                    let times: Vec<u64> = s.rank_times.iter().map(|t| t.to_bits()).collect();
+                    let counts = (s.messages, s.bytes, s.collectives);
+                    let time = out.sim_time.to_bits();
+                    (out.results, time, times, counts, s.by_tag, s.planned_by_tag)
+                });
+                assert_eq!(plain, checked, "{work} at p = {p}: production != checked");
+            }
+        }
     }
 
     #[test]
