@@ -13,11 +13,14 @@ cargo fmt --check
 # all denied in the root Cargo.toml's [workspace.lints.clippy]. The escape is
 # #[expect(clippy::<lint>, reason = "...")], and -D warnings turns an
 # expectation that suppresses nothing (unfulfilled_lint_expectations) red
-# too. --lib --bins is non-test code. No skip branch: a toolchain without
+# too. --all-targets holds tests, examples and benches to the same rules;
+# clippy.toml allows unwrap/expect inside #[test] fns and #[cfg(test)]
+# modules, and DESIGN §12 lists the file-scope exemptions of test code.
+# No skip branch: a toolchain without
 # clippy is red CI. -D warnings reaches lints only, and a clippy.toml path
 # that names nothing is a plain warning, so any warning line is red as well.
-echo "==> cargo clippy (-D warnings)"
-clippy_out="$(cargo clippy --workspace --lib --bins --color never -- -D warnings 2>&1)" || {
+echo "==> cargo clippy (-D warnings, all targets)"
+clippy_out="$(cargo clippy --workspace --all-targets --color never -- -D warnings 2>&1)" || {
     printf '%s\n' "$clippy_out"
     exit 1
 }

@@ -564,10 +564,10 @@ mod tests {
         reset_regions();
         {
             let _outer = region("test_nested_outer");
-            let _x = vec![0u8; 100];
+            drop(vec![0u8; 100]);
             {
                 let _inner = region("test_nested_inner");
-                let _y = vec![0u8; 200];
+                drop(vec![0u8; 200]);
             }
         }
         let stats = region_stats();
@@ -635,6 +635,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the counts under test are a worker thread's"
+    )]
     fn a_thread_publishes_when_its_outermost_region_drops() {
         let _registry = registry();
         // Two scenarios back to back, as the bench harness runs them: the
@@ -699,7 +703,7 @@ mod tests {
     fn zero_alloc_scope_panics_with_region_and_backtrace() {
         let err = std::panic::catch_unwind(|| {
             let _guard = zero_alloc("test_forbidden_region");
-            let _v = vec![0u8; 32];
+            drop(vec![0u8; 32]);
         })
         .unwrap_err();
         let msg = err
@@ -733,7 +737,7 @@ mod tests {
     fn suppressed_allocs_do_not_trip_the_gate() {
         let guard = zero_alloc("test_suppressed_region");
         let s = harness();
-        let _v = vec![0u8; 32];
+        drop(vec![0u8; 32]);
         drop(s);
         drop(guard); // must not panic
     }

@@ -129,7 +129,7 @@ mod tests {
     use crate::dist::Distribution;
     use pilut_par::{Machine, MachineModel};
     use pilut_sparse::{gen, CooMatrix};
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     /// One product into a fresh vector.
     fn product(op: &mut DistCsr, ctx: &mut Ctx, x: &[f64]) -> Vec<f64> {
@@ -241,7 +241,7 @@ mod tests {
             product(&mut op, ctx, &x);
             // One ghost per distinct remote column: one value on the wire.
             let ghosts: Vec<usize> = local.remote_cols(dm.matrix()).collect();
-            assert_eq!(ghosts.iter().collect::<HashSet<_>>().len(), ghosts.len());
+            assert_eq!(ghosts.iter().collect::<BTreeSet<_>>().len(), ghosts.len());
             ghosts.len()
         });
         let shipped: usize = out.results.iter().sum();

@@ -817,6 +817,10 @@ pub fn dist_mis(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "dist_mis takes HashMap rows; the full-push oracle keeps its own"
+)]
 mod tests {
     use super::*;
     use crate::dist::exchange::AllPeers;

@@ -115,7 +115,7 @@ mod tests {
     /// inside a run of equal magnitudes; columns arrive in no order.
     #[test]
     fn selecting_once_equals_selecting_after_every_batch() {
-        let mut rng = SplitMix64::new(0x72756c65_33);
+        let mut rng = SplitMix64::new(0x72_756c_6533);
         for case in 0..2000 {
             let (cap, tau) = (rng.next_u64() as usize % 6, 0.75);
             let n = 1 + rng.next_u64() as usize % 24;

@@ -19,6 +19,11 @@
 //! holds at those moments (`l_held`) — so that the flop comparison keeps
 //! checking every other term.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the reference keeps its rows in the HashMap the store replaced"
+)]
+
 use pilut_core::dist::exchange::{tags, AllPeers};
 use pilut_core::dist::{DistMatrix, LocalView};
 use pilut_core::options::IlutOptions;
@@ -105,6 +110,10 @@ fn eliminate(
 
 /// The reference factorization (no breakdown handling: the test matrices
 /// factor cleanly, and a zero pivot would show up as a non-finite row).
+#[expect(
+    clippy::expect_used,
+    reason = "a missing row is a reference bug the test reports"
+)]
 fn reference_par_ilut(
     ctx: &mut Ctx,
     dm: &DistMatrix,

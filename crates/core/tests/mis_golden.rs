@@ -99,6 +99,7 @@ fn fingerprint(out: &RunOutput<RankFactors>) -> (usize, u64, u64) {
 }
 
 /// One checked run: the row above plus the simulated time's bits.
+#[expect(clippy::expect_used, reason = "the golden matrices factor cleanly")]
 fn run(p: usize) -> (Row, u64) {
     let opts = IlutOptions::new(20, 1e-6);
     let out = factor_torso(p, |ctx, dm| {

@@ -12,6 +12,7 @@ use pilut_sparse::{gen, CsrMatrix};
 
 /// Runs the parallel factorization and solves `LUx = b`; returns
 /// (x in global numbering, per-rank factors).
+#[expect(clippy::expect_used, reason = "the test matrices factor cleanly")]
 fn factor_and_solve(
     a: &CsrMatrix,
     p: usize,

@@ -214,6 +214,10 @@ fn workrow_drain_matches_dense_mirror() {
 /// `m = n` nothing is dropped, so serial ILUT must agree entry-for-entry
 /// with textbook Gaussian elimination (no pivoting) on the dense copy.
 #[test]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "dense LU reads clearest with its indices"
+)]
 fn unbounded_ilut_matches_dense_lu() {
     for case in 0..24u64 {
         let mut rng = SplitMix64::new(2000 + case);

@@ -165,7 +165,7 @@ mod tests {
         let guard = pilut_allocaudit::zero_alloc("pool_steady");
         for _ in 0..4 {
             let mut f = pool.take(1000);
-            f.extend(std::iter::repeat(1.5).take(1000));
+            f.extend(std::iter::repeat_n(1.5, 1000));
             pool.give(f);
         }
         drop(guard);

@@ -2,12 +2,21 @@
 //! message-passing bug must *terminate* with a precise diagnostic instead
 //! of hanging the suite.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "exercises the raw send/recv layer that par confines"
+)]
+
 use pilut_par::collectives::ReduceOp;
 use pilut_par::{Machine, MachineModel, Payload};
 use std::panic::AssertUnwindSafe;
 
 /// Runs `f` under `run_checked`, expecting a panic, and returns the panic
 /// message for inspection.
+#[expect(
+    clippy::expect_used,
+    reason = "a run that is not diagnosed fails the test"
+)]
 fn panic_message<R, F>(p: usize, f: F) -> String
 where
     R: Send,

@@ -4,11 +4,20 @@
 //! with correct results, destructive faults abort with a report that names
 //! what was injected — instead of hanging or mis-reporting.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "exercises the raw send/recv layer that par confines"
+)]
+
 use pilut_par::{FaultAction, FaultPlan, FaultRule, Machine, MachineModel, Payload};
 use std::panic::AssertUnwindSafe;
 
 /// Runs `f` at `p` ranks under `plan`, expecting a panic, and returns the
 /// panic message for inspection.
+#[expect(
+    clippy::expect_used,
+    reason = "a run that is not diagnosed fails the test"
+)]
 fn fault_panic_message<R, F>(p: usize, plan: FaultPlan, f: F) -> String
 where
     R: Send,

@@ -8,10 +8,19 @@
 //! genuinely concurrent pairs must be reported, causally ordered pairs must
 //! not, and the production (unchecked) path must carry no clocks at all.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "exercises the raw send/recv layer that par confines"
+)]
+
 use pilut_par::{FaultAction, FaultPlan, FaultRule, Machine, MachineModel, Payload};
 use std::panic::AssertUnwindSafe;
 
 /// Runs `f` under `run_checked`, expecting a panic, and returns the message.
+#[expect(
+    clippy::expect_used,
+    reason = "a run that is not diagnosed fails the test"
+)]
 fn panic_message<R, F>(p: usize, f: F) -> String
 where
     R: Send,

@@ -1,6 +1,11 @@
 //! Behavioural tests of the virtual machine: failure propagation, counter
 //! bookkeeping, and the alternative machine models.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "exercises the raw send/recv layer that par confines"
+)]
+
 use pilut_par::{Machine, MachineModel, Payload};
 
 #[test]

@@ -61,6 +61,14 @@ fn residual<S: Space>(space: &mut S, b: &[f64], x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// Gives the basis vector `v` its `len` entries: exactly that much
+/// capacity on the first reach, nothing on a later one (`v` then already
+/// holds `len`).
+fn reach(v: &mut Vec<f64>, len: usize) {
+    v.reserve_exact(len - v.len());
+    v.resize(len, 0.0);
+}
+
 /// Solves `A x = b` with right-preconditioned GMRES(restart): iterates on
 /// `A M⁻¹ u = b`, `x = M⁻¹ u`.
 ///
@@ -72,14 +80,17 @@ fn residual<S: Space>(space: &mut S, b: &[f64], x: &[f64], out: &mut [f64]) {
 /// returned `x` is the iterate of the last completed cycle (or `x0`): the
 /// degradation ladder warm-starts its next rung from it.
 ///
-/// Everything the solve allocates is allocated in the setup block at the
-/// top; restart cycles and inner iterations only ever reuse it (a basis
-/// vector is written into the capacity reserved for it), which is
-/// what the `no-alloc-in-hot` lint polices here and the `gmres_inner`
-/// steady region of the kernel gate measures. The one exception is the
-/// residual history: each cycle's top, outside `gmres_inner`, makes room
-/// for the pushes that cycle can make, so no budget — not even an
-/// unlimited one — is reserved up front.
+/// The small workspace (Hessenberg, rotations, `z`) is allocated in the
+/// setup block at the top. A Krylov basis vector takes exactly `len`
+/// entries of capacity the first time a cycle reaches it — `v_0` at the
+/// first residual, `v_{j+1}` at step `j` before the product writes it — so
+/// a solve that converges in `k < restart` steps holds `k + 1` vectors,
+/// and later cycles only overwrite the vectors they hold. The kernel
+/// gate's `gmres_inner` region is budgeted accordingly: at most one
+/// acquisition per vector reached, `min(matvecs, restart + 1)` per solve.
+/// The residual history grows too: each cycle's top, outside
+/// `gmres_inner`, makes room for the pushes that cycle can make, so no
+/// budget — not even an unlimited one — is reserved up front.
 pub(crate) fn solve<S: Space>(
     space: &mut S,
     b: &[f64],
@@ -89,8 +100,9 @@ pub(crate) fn solve<S: Space>(
     solve_in(&mut Vec::new(), space, b, opts, x0) // lint: allow(alloc-in-hot): empty
 }
 
-/// [`solve`] in the basis `v`, which it reserves and is left holding: the
-/// vectors the Arnoldi process reached, and only those (tests count them).
+/// [`solve`] in the basis `v`, which it is left holding: `restart + 1`
+/// slots, of which only the vectors the Arnoldi process reached hold
+/// capacity (tests count them).
 fn solve_in<S: Space>(
     v: &mut Vec<Vec<f64>>,
     space: &mut S,
@@ -121,16 +133,16 @@ fn solve_in<S: Space>(
         return out;
     }
     let m = opts.restart.max(1);
-    // The workspace: `v` is the Krylov basis, `m + 1` vectors' capacity
-    // reserved here and each written only once a cycle reaches it, so the
-    // pages of vectors no cycle reaches are never touched (DESIGN §2.6);
+    // The workspace: `v` is the Krylov basis, `m + 1` empty slots here,
+    // each given its capacity by `reach` when a cycle first gets to it,
+    // so a vector no cycle reaches holds no memory (DESIGN §2.6);
     // `h` the Hessenberg (`h[i][j]`
     // with `i` the row, triangular once rotated); `cs`/`sn` the Givens
     // cosines and sines; `g` the rotated right-hand side, solved in place
     // into the combination `y`; `z` takes preconditioner output. The new
     // Arnoldi column is built in its own basis slot, `V y` in the first slot
     // past the combination, and the final true residual in `v_0`.
-    v.extend((0..=m).map(|_| Vec::with_capacity(len))); // lint: allow(alloc-in-hot): setup
+    v.resize_with(m + 1, Vec::new); // lint: allow(alloc-in-hot): empty slots
     let mut h = vec![vec![0.0; m]; m + 1]; // lint: allow(alloc-in-hot): setup
     let mut cs = vec![0.0; m]; // lint: allow(alloc-in-hot): setup
     let mut sn = vec![0.0; m]; // lint: allow(alloc-in-hot): setup
@@ -145,7 +157,7 @@ fn solve_in<S: Space>(
 
     loop {
         // r = b - A x, normalized straight into the first basis vector.
-        v[0].resize(len, 0.0); // a no-op after the first cycle
+        reach(&mut v[0], len);
         let beta = if cold {
             cold = false;
             v[0].copy_from_slice(b);
@@ -195,7 +207,7 @@ fn solve_in<S: Space>(
             space.apply_precond(&v[j], &mut z);
             let (basis, next) = v.split_at_mut(j + 1);
             let w = &mut next[0];
-            w.resize(len, 0.0); // within the reservation
+            reach(w, len);
             space.apply_op(&z, w);
             out.matvecs += 1;
             // Modified Gram–Schmidt.
@@ -294,6 +306,7 @@ mod tests {
     use crate::gmres::Serial;
     use pilut_core::precond::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner};
     use pilut_sparse::{gen, CooMatrix, CsrMatrix};
+    use std::collections::BTreeSet;
 
     fn laplace_problem() -> (CsrMatrix, Vec<f64>, Vec<f64>) {
         let a = gen::laplace_2d(8, 8);
@@ -370,23 +383,40 @@ mod tests {
         assert_eq!(r.history.len(), r.matvecs + 1, "‖b‖, then one per matvec");
     }
 
-    /// The serial space, counting the products it performs.
+    /// The serial space, counting the products it performs and recording
+    /// the address of every basis vector they read or write.
     struct Counting<'a> {
         serial: Serial<'a>,
         ops: usize,
         preconds: usize,
+        basis: BTreeSet<usize>,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(a: &'a CsrMatrix, precond: &'a dyn Preconditioner) -> Self {
+            Counting {
+                serial: Serial { a, precond },
+                ops: 0,
+                preconds: 0,
+                basis: BTreeSet::new(),
+            }
+        }
     }
 
     impl Space for Counting<'_> {
         fn len(&self) -> usize {
             self.serial.len()
         }
+        // `y` is a basis vector: `v_{j+1}` in a step, `v_0` at a cycle top.
         fn apply_op(&mut self, x: &[f64], y: &mut [f64]) {
             self.ops += 1;
+            self.basis.insert(y.as_ptr() as usize);
             self.serial.apply_op(x, y);
         }
+        // `r` is a basis vector: `v_j` in a step, `V y`'s slot at a cycle end.
         fn apply_precond(&mut self, r: &[f64], z: &mut [f64]) {
             self.preconds += 1;
+            self.basis.insert(r.as_ptr() as usize);
             self.serial.apply_precond(r, z);
         }
         fn reduce_sum(&mut self, local: f64) -> f64 {
@@ -404,12 +434,7 @@ mod tests {
         let precond = &DiagonalPreconditioner::new(&a);
         // (matvecs, A applies, M⁻¹ applies, history length).
         let count = |restart: usize, x0: Option<Vec<f64>>| {
-            let serial = Serial { a: &a, precond };
-            let mut space = Counting {
-                serial,
-                ops: 0,
-                preconds: 0,
-            };
+            let mut space = Counting::new(&a, precond);
             let opts = GmresOptions {
                 restart,
                 ..Default::default()
@@ -458,30 +483,52 @@ mod tests {
     }
 
     /// A cold-started solve of the Laplace problem under Jacobi, in a basis
-    /// the test reads afterwards.
-    fn run_in(v: &mut Vec<Vec<f64>>, restart: usize) -> GmresResult {
+    /// the test reads afterwards, with the addresses of the basis vectors
+    /// its products touched.
+    fn run_in(v: &mut Vec<Vec<f64>>, restart: usize) -> (GmresResult, BTreeSet<usize>) {
         let (a, b, _) = laplace_problem();
         let precond = &DiagonalPreconditioner::new(&a);
         let opts = GmresOptions {
             restart,
             ..Default::default()
         };
-        solve_in(v, &mut Serial { a: &a, precond }, &b, &opts, None)
+        let mut space = Counting::new(&a, precond);
+        let r = solve_in(v, &mut space, &b, &opts, None);
+        (r, space.basis)
     }
 
     #[test]
-    fn an_early_convergence_writes_only_the_vectors_it_reaches() {
+    fn an_early_convergence_acquires_only_the_vectors_it_reaches() {
         let mut v = Vec::new();
-        let r = run_in(&mut v, 50);
+        let (r, _) = run_in(&mut v, 50);
         // One cycle of `k` inner steps from `b`, then the residual that
         // confirms it.
         let k = r.matvecs - 1;
         assert!(r.converged && k < 50, "{k} inner steps");
-        assert_eq!(v.len(), 51, "every vector reserved");
-        assert!(v.iter().all(|vj| vj.capacity() >= 64));
-        let written = v.iter().take_while(|vj| vj.len() == 64).count();
-        assert_eq!(written, k + 1, "v_0 ..= v_k written");
-        assert!(v[written..].iter().all(Vec::is_empty), "nothing past v_k");
+        assert_eq!(v.len(), 51, "a slot per vector");
+        let reached = v.iter().take_while(|vj| vj.len() == 64).count();
+        assert_eq!(reached, k + 1, "v_0 ..= v_k written");
+        assert!(
+            v[..reached].iter().all(|vj| vj.capacity() == 64),
+            "a reached vector holds exactly its length"
+        );
+        assert!(
+            v[reached..].iter().all(|vj| vj.capacity() == 0),
+            "nothing past v_k holds memory"
+        );
+    }
+
+    #[test]
+    fn later_cycles_reuse_the_vectors_the_first_one_acquired() {
+        // Every cycle of a restart-5 solve reaches all six vectors; a vector
+        // acquired again after its first reach would show a second address.
+        let mut v = Vec::new();
+        let (r, touched) = run_in(&mut v, 5);
+        assert_eq!(r.matvecs, 47);
+        assert!(v.iter().all(|vj| vj.len() == 64 && vj.capacity() == 64));
+        let held: BTreeSet<usize> = v.iter().map(|vj| vj.as_ptr() as usize).collect();
+        assert_eq!(held.len(), 6);
+        assert_eq!(touched, held, "one address per vector, first reach to end");
     }
 
     #[test]
@@ -491,7 +538,7 @@ mod tests {
         // They held when the cold start stopped computing `A·0` (48 → 47
         // matvecs).
         let mut v = Vec::new();
-        let r = run_in(&mut v, 5);
+        let (r, _) = run_in(&mut v, 5);
         assert_eq!(r.matvecs, 47);
         assert!(v.iter().all(|vj| vj.len() == 64), "every cycle ran full");
         assert_eq!(bits_hash(&r.x), 0xf794_b6a0_fc16_a48b);

@@ -126,8 +126,12 @@ fn serial_gmres_matches_the_recorded_fingerprints() {
 /// sim_time bits, messages, bytes, per-tag hash)`.
 type DistRow = (String, u64, usize, u64, String, u64, u64, u64, u64);
 
+/// A [`DistRow`] as recorded.
 #[rustfmt::skip]
-const DIST: &[(&str, u64, usize, u64, &str, u64, u64, u64, u64)] = &[
+type Pinned = (&'static str, u64, usize, u64, &'static str, u64, u64, u64, u64);
+
+#[rustfmt::skip]
+const DIST: &[Pinned] = &[
     ("cd24/p1/ilut", 0x64d7e8004845533e, 12, 0x3e5210157b15b067, "None", 0x3faca1ff0638455e, 0, 0, 0x00006b72796c6f76),
     ("cd24/p1/jacobi", 0x8616218513287338, 129, 0x3e7605a1fb5392e5, "None", 0x3fe36cd52242c9fc, 0, 0, 0x00006b72796c6f76),
     ("cd24/p2/ilut", 0x3d7f5cf416ff5dbc, 13, 0x3e7052c5b48fd902, "None", 0x3fa2d055a646853c, 668, 23120, 0x71a5169d23993226),

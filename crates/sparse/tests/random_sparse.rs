@@ -95,14 +95,14 @@ fn matrix_market_roundtrip() {
     }
 }
 
-/// WorkRow behaves like a HashMap-backed sparse accumulator.
+/// WorkRow behaves like a map-backed sparse accumulator.
 #[test]
 fn workrow_matches_model() {
     for case in 0..CASES {
         let mut rng = SplitMix64::new(case);
         let n_ops = rng.next_usize(200);
         let mut w = WorkRow::new(32);
-        let mut model: std::collections::HashMap<usize, f64> = Default::default();
+        let mut model: std::collections::BTreeMap<usize, f64> = Default::default();
         for _ in 0..n_ops {
             let pos = rng.next_usize(32);
             let v = (rng.next_usize(100) as i32 - 50) as f64;
@@ -114,8 +114,7 @@ fn workrow_matches_model() {
                 model.insert(pos, v);
             }
         }
-        let mut expect: Vec<(usize, f64)> = model.into_iter().collect();
-        expect.sort_unstable_by_key(|&(c, _)| c);
+        let expect: Vec<(usize, f64)> = model.into_iter().collect();
         let got = w.drain_sorted();
         assert_eq!(got.len(), expect.len(), "case {case}");
         for (g, (ec, ev)) in got.iter().zip(&expect) {

@@ -18,7 +18,8 @@
 //! * The self-consistency invariants ([`check`]: measured per-tag messages
 //!   and bytes equal the planned ones exactly, `coll` included, no tag
 //!   escapes the plan, every [`STEADY_REGIONS`] entry performed zero heap
-//!   acquisitions, the `mis_rounds` region at most
+//!   acquisitions, the `gmres_inner` region at most one per Krylov basis
+//!   vector its solves reach ([`basis_vectors`]), the `mis_rounds` region at most
 //!   [`MIS_ALLOCS_PER_MESSAGE`] per dist-MIS message, the `alg42_sweep`
 //!   region at most [`SWEEP_GROWTHS_PER_ROW`] per interface row, the
 //!   `plan_replay` region the frames' buffers and nothing else,
@@ -59,21 +60,18 @@ use pilut_sparse::{gen, CsrMatrix};
 /// scenario: each is a replay path whose plan, pools and workspaces are
 /// built before the steady state begins, so one allocation inside is a
 /// regression of the memory plane. The level loop ships content-dependent
-/// frames and grows live rows, so its regions are budgeted instead
+/// frames and grows live rows, and GMRES takes each basis vector when the
+/// Arnoldi process first reaches it, so their regions are budgeted instead
 /// ([`BUDGETED_REGIONS`]).
-const STEADY_REGIONS: &[&str] = &[
-    "gmres_inner",
-    "recv_values",
-    "send_values",
-    "trisolve_replay",
-];
+const STEADY_REGIONS: &[&str] = &["recv_values", "send_values", "trisolve_replay"];
 
 /// Audit regions [`check`] holds to a budget per unit of work:
-/// `mis_rounds` ([`MIS_ALLOCS_PER_MESSAGE`]), `alg42_sweep`
-/// ([`SWEEP_GROWTHS_PER_ROW`]) and `plan_replay` — every frame round of a
-/// `CommPlan`, the dist-MIS rounds nested in `mis_rounds` and the `U`-row
-/// shipment ([`UROWS_ALLOCS_PER_MESSAGE`]).
-const BUDGETED_REGIONS: &[&str] = &["alg42_sweep", "mis_rounds", "plan_replay"];
+/// `gmres_inner` ([`basis_vectors`]), `mis_rounds`
+/// ([`MIS_ALLOCS_PER_MESSAGE`]), `alg42_sweep` ([`SWEEP_GROWTHS_PER_ROW`])
+/// and `plan_replay` — every frame round of a `CommPlan`, the dist-MIS
+/// rounds nested in `mis_rounds` and the `U`-row shipment
+/// ([`UROWS_ALLOCS_PER_MESSAGE`]).
+const BUDGETED_REGIONS: &[&str] = &["gmres_inner", "alg42_sweep", "mis_rounds", "plan_replay"];
 
 /// Heap acquisitions the `mis_rounds` region may make per dist-MIS message
 /// a rank puts on the wire (`mis_keys` + `mis_tent` + `mis_conf`): the
@@ -147,6 +145,18 @@ const FACTOR_BYTES_PER_ENTRY: f64 = 16.0;
 /// 2.233. The budget sits 2.3 % above the largest reading.
 const FACTOR_LIVE_PER_KEPT: f64 = 1.83;
 
+/// Heap acquisitions the `gmres_inner` region may make in one GMRES solve
+/// of `matvecs` products: one per Krylov basis vector the solve reaches,
+/// and a solve reaches at most `restart + 1` of them and no more than it
+/// performs products. Only a vector's first reach acquires (`krylov`'s
+/// `reach`); `v_0`, reached at the cycle top, is outside the region, so a
+/// solve converging in `k` steps acquires `k` there: 24 of the budget's 26
+/// on `gmres_ilut` (two passes of 12 steps) and 96 of 104 on
+/// `dist_solve_robust_p4` (four ranks, two passes).
+fn basis_vectors(matvecs: usize, restart: usize) -> u64 {
+    matvecs.min(restart + 1) as u64
+}
+
 /// A serial scenario, built once: the operation to replay and what one
 /// operation establishes without a clock.
 struct Kernel<'a> {
@@ -157,6 +167,8 @@ struct Kernel<'a> {
     flops: Option<f64>,
     /// Peak live heap bytes of one operation per byte of its matrix.
     live_per_input: Option<f64>,
+    /// [`basis_vectors`] of one operation's solves.
+    basis: u64,
     op: Box<dyn FnMut() + 'a>,
 }
 
@@ -167,6 +179,7 @@ impl<'a> Kernel<'a> {
             fill,
             flops,
             live_per_input: None,
+            basis: 0,
             op: Box::new(op),
         }
     }
@@ -180,6 +193,8 @@ struct RankOut {
     store: Option<(usize, usize)>,
     /// Peak live bytes of this rank's last `par_ilut`, when the body runs one.
     factor_live: Option<usize>,
+    /// [`basis_vectors`] of this rank's solves in one operation.
+    basis: u64,
 }
 
 type RankBody = fn(&mut Ctx, &DistMatrix, &IlutOptions, usize) -> RankOut;
@@ -381,6 +396,7 @@ fn gmres_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
         rtol: 1e-8,
         ..GmresOptions::default()
     };
+    let restart = gopts.restart;
     let solve = move || {
         let r = gmres(a, &b, &pre, &gopts);
         assert!(r.converged, "gmres bench problem must converge");
@@ -389,9 +405,13 @@ fn gmres_kernel<'a>(a: &'a CsrMatrix, opts: &'a IlutOptions) -> Kernel<'a> {
     // The solver is deterministic: a converged cold solve applies A and
     // the preconditioner `matvecs` times each (the `krylov` tests count
     // them), which makes that the entry count.
-    Kernel::new((a.nnz() + fill) * solve(), Some(fill), None, move || {
-        std::hint::black_box(solve());
-    })
+    let matvecs = solve();
+    Kernel {
+        basis: basis_vectors(matvecs, restart),
+        ..Kernel::new((a.nnz() + fill) * matvecs, Some(fill), None, move || {
+            std::hint::black_box(solve());
+        })
+    }
 }
 
 /// `inner` back-to-back `op`s on this rank, from a barrier-aligned start
@@ -429,6 +449,7 @@ fn par_ilut_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner: usi
         nnz: local.nnz(dm.matrix()),
         store,
         factor_live,
+        basis: 0,
     }
 }
 
@@ -453,6 +474,7 @@ fn dist_trisolve_ranks(
         nnz: fill,
         store: Some((fill, rf.heap_bytes())),
         factor_live: Some(live),
+        basis: 0,
     }
 }
 
@@ -468,15 +490,19 @@ fn robust_solve_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner:
         max_matvecs: 400,
     };
     let nnz = dm.local_view(ctx.rank()).nnz(dm.matrix());
+    let mut basis = 0;
     repeat(ctx, inner, |ctx| {
         let rep = dist_solve_robust(ctx, a, &b, dm.dist(), opts, &gopts);
         assert!(rep.converged, "the bench problem must converge");
+        // The first rung converges: one GMRES solve per operation.
+        basis = basis_vectors(rep.matvecs, gopts.restart);
         std::hint::black_box(&rep);
     });
     RankOut {
         nnz,
         store: None,
         factor_live: None,
+        basis,
     }
 }
 
@@ -510,6 +536,8 @@ pub(crate) struct Measurement {
     pub(crate) stats: MachineStats,
     /// `(heap bytes, stored entries)` of the row's matrix.
     matrix: (usize, usize),
+    /// [`basis_vectors`] of one operation's solves, summed over ranks.
+    basis: u64,
     regions: Vec<RegionStats>,
 }
 
@@ -529,6 +557,7 @@ impl Measurement {
             factor_live_per_kept: None,
             stats: MachineStats::default(),
             matrix: (a.heap_bytes(), a.nnz()),
+            basis: 0,
             regions: Vec::new(),
         }
     }
@@ -562,6 +591,7 @@ fn run_row(s: &Scenario) -> Measurement {
                 fill: k.fill,
                 flops: k.flops,
                 live_per_input: k.live_per_input,
+                basis: k.basis,
                 ..uncounted
             }
         }
@@ -583,6 +613,7 @@ fn run_row(s: &Scenario) -> Measurement {
                 flops: Some(out.stats.flops),
                 sim_time: Some(out.sim_time),
                 factor_live_per_kept: live.zip(kept).map(|(l, k)| l as f64 / k),
+                basis: out.results.iter().map(|r| r.basis).sum(),
                 stats: out.stats,
                 ..uncounted
             }
@@ -666,7 +697,14 @@ fn check(m: &Measurement) -> Result<(), String> {
     let urows = sent(&[tags::UROWS]);
     let rows = m.interface as u64;
     let passes = m.passes();
+    let basis = m.basis;
     let budgets = [
+        (
+            "gmres_inner",
+            basis,
+            format!("{basis} Krylov basis vector(s)"),
+            "only a basis vector's first reach may allocate",
+        ),
         (
             "mis_rounds",
             MIS_ALLOCS_PER_MESSAGE * mis,
@@ -887,10 +925,41 @@ mod tests {
         let mut m = healthy();
         m.regions = gated.map(|name| region(name, 0)).collect();
         assert_eq!(unrecorded_region(&[healthy(), m]), None);
-        assert_eq!(unrecorded_region(&[healthy()]), Some("gmres_inner"));
+        assert_eq!(unrecorded_region(&[healthy()]), Some("recv_values"));
         let mut m = healthy();
-        m.regions.push(region("gmres_inner", 0));
-        assert_eq!(unrecorded_region(&[m]), Some("recv_values"));
+        m.regions.push(region("recv_values", 0));
+        assert_eq!(unrecorded_region(&[m]), Some("send_values"));
+        // A budgeted region is gated too: without `gmres_inner`, the rows
+        // that record everything else still name it.
+        let mut m = healthy();
+        let gated = STEADY_REGIONS.iter().chain(BUDGETED_REGIONS);
+        m.regions = gated
+            .filter(|&&name| name != "gmres_inner")
+            .map(|name| region(name, 0))
+            .collect();
+        assert_eq!(unrecorded_region(&[healthy(), m]), Some("gmres_inner"));
+    }
+
+    #[test]
+    fn gmres_inner_acquisitions_beyond_the_basis_budget_fail() {
+        // GMRES(30) converging after 13 products reaches 13 vectors; two
+        // solves per pass (the basis sums over them) over 3 passes.
+        assert_eq!(basis_vectors(13, 30), 13);
+        assert_eq!(basis_vectors(400, 30), 31, "at most restart + 1");
+        let mut m = healthy();
+        m.basis = 2 * basis_vectors(13, 30);
+        m.regions.push(region("gmres_inner", 78));
+        check(&m).unwrap();
+        m.regions[2] = region("gmres_inner", 79);
+        assert_fails(
+            &m,
+            "region gmres_inner acquired 79 allocation(s) over 3 pass(es) of 26 Krylov basis \
+             vector(s), budget 78: only a basis vector's first reach may allocate",
+        );
+        // A row that runs no solve holds the region to zero.
+        m.basis = 0;
+        m.regions[2] = region("gmres_inner", 1);
+        assert_fails(&m, "region gmres_inner acquired 1 allocation(s)");
     }
 
     #[test]
@@ -1019,7 +1088,8 @@ mod tests {
     #[test]
     fn generators_hold_little_more_than_the_matrix_they_return() {
         const BUDGET: f64 = 2.0;
-        let cases: [(&str, fn() -> CsrMatrix); 2] = [
+        type Case = (&'static str, fn() -> CsrMatrix);
+        let cases: [Case; 2] = [
             ("g40(6)", || gen::g40(6)),
             ("fem_torso(40, 17)", || gen::fem_torso(40, 17)),
         ];

@@ -9,19 +9,19 @@ use pilut::core::serial::{ilu0, ilut, IlutOptions};
 use pilut::solver::gmres::{gmres, GmresOptions};
 use pilut::sparse::{gen, io};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Use a supplied file, or generate + round-trip one through the reader.
     let a = match std::env::args().nth(1) {
         Some(path) => {
             println!("reading {path} …");
-            io::read_matrix_market_file(&path).expect("failed to parse Matrix Market file")
+            io::read_matrix_market_file(&path)?
         }
         None => {
             let a = gen::convection_diffusion_2d(48, 48, 20.0, 8.0);
             let path = std::env::temp_dir().join("pilut_example.mtx");
-            io::write_matrix_market_file(&a, &path).expect("write failed");
+            io::write_matrix_market_file(&a, &path)?;
             println!("no file given — wrote and re-read {}", path.display());
-            io::read_matrix_market_file(&path).expect("round-trip failed")
+            io::read_matrix_market_file(&path)?
         }
     };
     println!(
@@ -50,15 +50,10 @@ fn main() {
             r.converged
         );
     };
-    report("ILU(0)", ilu0(&a).expect("ILU(0) failed"));
-    report(
-        "ILUT(5,1e-2)",
-        ilut(&a, &IlutOptions::new(5, 1e-2)).expect("ILUT failed"),
-    );
-    report(
-        "ILUT(10,1e-4)",
-        ilut(&a, &IlutOptions::new(10, 1e-4)).expect("ILUT failed"),
-    );
+    report("ILU(0)", ilu0(&a)?);
+    report("ILUT(5,1e-2)", ilut(&a, &IlutOptions::new(5, 1e-2))?);
+    report("ILUT(10,1e-4)", ilut(&a, &IlutOptions::new(10, 1e-4))?);
     println!("\n(threshold dropping adapts fill to the values, which a static");
     println!(" pattern such as ILU(0)'s cannot — §2)");
+    Ok(())
 }

@@ -8,7 +8,7 @@ use pilut::core::serial::{ilut, IlutOptions};
 use pilut::solver::gmres::{gmres, GmresOptions};
 use pilut::sparse::gen;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -Δu + 10 u_x + 20 u_y on a 60x60 interior grid (3600 unknowns).
     let a = gen::convection_diffusion_2d(60, 60, 10.0, 20.0);
     println!("matrix: {} unknowns, {} nonzeros", a.n_rows(), a.nnz());
@@ -30,7 +30,7 @@ fn main() {
     );
 
     // ILUT(10, 1e-4): threshold dropping + per-row fill cap.
-    let factors = ilut(&a, &IlutOptions::new(10, 1e-4)).expect("factorization failed");
+    let factors = ilut(&a, &IlutOptions::new(10, 1e-4))?;
     println!(
         "ILUT(10,1e-4)        : {} nonzeros in L+U ({:.2}x the matrix)",
         factors.nnz(),
@@ -45,4 +45,5 @@ fn main() {
         "speedup in iterations: {:.1}x",
         r0.matvecs as f64 / r1.matvecs as f64
     );
+    Ok(())
 }

@@ -17,6 +17,10 @@ fn measure(a: &pilut::sparse::CsrMatrix, p: usize, opts: &IlutOptions) -> (f64, 
         let local = dm.local_view(ctx.rank());
         ctx.barrier();
         let t0 = ctx.time();
+        #[expect(
+            clippy::expect_used,
+            reason = "a rank body has no caller to hand the error to"
+        )]
         let rf = par_ilut(ctx, &dm, &local, opts).expect("factorization failed");
         ctx.barrier();
         let t_factor = ctx.time() - t0;

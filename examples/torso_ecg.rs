@@ -41,6 +41,10 @@ fn main() {
 
             ctx.barrier();
             let t0 = ctx.time();
+            #[expect(
+                clippy::expect_used,
+                reason = "a rank body has no caller to hand the error to"
+            )]
             let rf = par_ilut(ctx, &dm, &local, &opts).expect("factorization failed");
             ctx.barrier();
             let t_factor = ctx.time() - t0;
