@@ -290,13 +290,25 @@ impl DistMatrix {
     }
 
     /// Builds rank `rank`'s local view: its rows, interiors before
-    /// interfaces.
+    /// interfaces, each list at exactly its length (the view lives through
+    /// the solve).
     pub fn local_view(&self, rank: usize) -> LocalView {
-        let rows = self.num.dist.rows_of(rank);
-        let (interface, interior): (Vec<usize>, Vec<usize>) =
-            rows.partition(|&g| self.num.code[g] & INTERFACE != 0);
-        let mut nodes = interior.clone();
-        nodes.extend_from_slice(&interface);
+        let is_interface = |g: usize| self.num.code[g] & INTERFACE != 0;
+        let (mut len, mut n_interface) = (0, 0);
+        for g in self.num.dist.rows_of(rank) {
+            len += 1;
+            n_interface += usize::from(is_interface(g));
+        }
+        let mut interior = Vec::with_capacity(len - n_interface);
+        let mut interface = Vec::with_capacity(n_interface);
+        for g in self.num.dist.rows_of(rank) {
+            if is_interface(g) {
+                interface.push(g);
+            } else {
+                interior.push(g);
+            }
+        }
+        let nodes = [interior.as_slice(), &interface].concat();
         LocalView {
             rank,
             interior,
@@ -417,6 +429,10 @@ mod tests {
                 assert_eq!(v.interior, want, "case {case}, rank {r}");
                 let want: Vec<usize> = mine().filter(|&i| is_interface(i)).collect();
                 assert_eq!(v.interface, want, "case {case}, rank {r}");
+                // The view lives through the solve: no list keeps slack.
+                for list in [&v.interior, &v.interface, &v.nodes] {
+                    assert_eq!(list.capacity(), list.len(), "case {case}, rank {r}");
+                }
                 for (i, &owner) in part.iter().enumerate() {
                     assert_eq!(v.owns(i), owner == r, "case {case}, rank {r}");
                     let pos = v.nodes.iter().position(|&g| g == i);

@@ -3,10 +3,11 @@
 //! **What the paper used →** a 128-processor Cray T3D (150 MHz Alpha EV4
 //! processors on a 3-D torus) programmed in a message-passing style.
 //! **What this crate provides →** the closest synthetic equivalent that
-//! exercises the same code paths: [`Machine::run`] launches `p` OS threads,
-//! one per *rank*, each holding a [`Ctx`] with point-to-point `send`/`recv`
-//! and the collectives the algorithms need (`barrier`, `all_reduce_sum`,
-//! `all_reduce_u64`, `exchange`).
+//! exercises the same code paths: [`Machine::run`] runs `p` *ranks*, rank 0
+//! on the calling thread (as an MPI launcher's own process is rank 0) and
+//! ranks 1..p on an OS thread each, every rank holding a [`Ctx`] with
+//! point-to-point `send`/`recv` and the collectives the algorithms need
+//! (`barrier`, `all_reduce_sum`, `all_reduce_u64`, `exchange`).
 //!
 //! Every rank carries a **logical clock**. Compute advances it through
 //! [`Ctx::work`] (a flop-cost model) and [`Ctx::copy_words`] (a data-motion

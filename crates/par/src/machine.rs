@@ -156,10 +156,15 @@ impl MachineBuilder {
         self
     }
 
-    /// Runs `f` on `p` ranks (one OS thread each) with this configuration
-    /// and gathers the results — the one launch path: [`Machine::run`] and
+    /// Runs `f` on `p` ranks with this configuration and gathers the
+    /// results — the one launch path: [`Machine::run`] and
     /// [`Machine::run_checked`] are this with the default and the checked
     /// configuration.
+    ///
+    /// Rank 0 runs on the calling thread and ranks 1..p on a scoped OS
+    /// thread each, so `p = 1` starts no thread. Rank 0 thus allocates from
+    /// the caller's heap: on glibc the main arena, which still holds what
+    /// the caller freed while setting the run up.
     ///
     /// # Panics
     /// Panics if `p == 0` or if any rank panics (the panic of the
@@ -200,39 +205,54 @@ impl MachineBuilder {
                 .zip(result_slots.iter_mut())
                 .zip(exit_slots.iter_mut())
                 .zip(panic_slots.iter_mut());
-            for (rank, (((rx, rslot), eslot), pslot)) in zipped.enumerate() {
-                let senders = senders.clone();
-                let fref = &f;
-                let check = check.clone();
-                let session = fault
-                    .as_ref()
-                    .map(|shared| FaultSession::new(Arc::clone(shared), rank));
-                let ssched = sched.as_ref().map(|h| SchedSession::new(h, rank));
-                let pool = Arc::clone(&pool);
-                scope.spawn(move || {
-                    // The rank's outermost audit region: every region the
-                    // body enters publishes when this one drops, which is
-                    // before the scope can see the rank as finished.
-                    let _audit = pilut_allocaudit::region("rank");
-                    let mut ctx =
-                        Ctx::new(rank, p, model, senders, rx, check, session, ssched, pool);
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| fref(&mut ctx))) {
-                        Ok(r) => {
-                            *rslot = Some(r);
-                            *eslot = Some(ctx.into_exit(false));
-                        }
-                        Err(payload) => {
-                            // Publish the panic on the board (and drain the
-                            // channel) so blocked peers can diagnose the
-                            // run instead of waiting forever.
-                            *eslot = Some(ctx.into_exit(true));
-                            *pslot = Some(payload);
+            let mut bodies = zipped
+                .enumerate()
+                .map(|(rank, (((rx, rslot), eslot), pslot))| {
+                    let senders = senders.clone();
+                    let fref = &f;
+                    let check = check.clone();
+                    let session = fault
+                        .as_ref()
+                        .map(|shared| FaultSession::new(Arc::clone(shared), rank));
+                    let ssched = sched.as_ref().map(|h| SchedSession::new(h, rank));
+                    let pool = Arc::clone(&pool);
+                    move || {
+                        // The rank's audit region: the regions the body enters
+                        // publish when this one drops, before the scope can see
+                        // the rank as finished — unless the caller holds one
+                        // open around the run, whose drop (or the caller's
+                        // `region_stats`) then publishes rank 0's.
+                        let _audit = pilut_allocaudit::region("rank");
+                        let mut ctx =
+                            Ctx::new(rank, p, model, senders, rx, check, session, ssched, pool);
+                        match std::panic::catch_unwind(AssertUnwindSafe(|| fref(&mut ctx))) {
+                            Ok(r) => {
+                                *rslot = Some(r);
+                                *eslot = Some(ctx.into_exit(false));
+                            }
+                            Err(payload) => {
+                                // Publish the panic on the board (and drain the
+                                // channel) so blocked peers can diagnose the
+                                // run instead of waiting forever.
+                                *eslot = Some(ctx.into_exit(true));
+                                *pslot = Some(payload);
+                            }
                         }
                     }
                 });
+            // Rank 0 is the calling thread, as an MPI launcher's own
+            // process is rank 0: ranks 1..p get a thread each, then rank 0
+            // runs here and shares the caller's heap.
+            let rank0 = bodies.next();
+            for body in bodies {
+                scope.spawn(body);
             }
-            // The scope joins every rank before returning, so all slots are
-            // filled — no join-order dependence survives this point.
+            if let Some(body) = rank0 {
+                body();
+            }
+            // The scope joins every other rank before returning, so all
+            // slots are filled — no join-order dependence survives this
+            // point.
         });
         if let Some(check) = &check {
             let fired = fault.as_ref().map(|s| s.snapshot()).unwrap_or_default();
@@ -291,7 +311,8 @@ impl MachineBuilder {
 pub struct Machine;
 
 impl Machine {
-    /// Runs `f` on `p` ranks (one OS thread each) and gathers the results:
+    /// Runs `f` on `p` ranks (rank 0 on the calling thread, every other
+    /// rank on an OS thread of its own) and gathers the results:
     /// `builder(model).run(p, f)`, the default configuration of the one
     /// launch path ([`MachineBuilder::run`]).
     ///
@@ -547,6 +568,49 @@ mod tests {
             });
         assert_eq!(out.results, vec![0, 9, 0]);
         assert!(out.injected_faults.is_empty());
+    }
+
+    #[test]
+    fn rank_0_runs_on_the_calling_thread_and_every_other_rank_on_its_own() {
+        let caller = std::thread::current().id();
+        // At p = 1 the only rank is the caller: the run starts no thread.
+        for p in [1, 2, 5] {
+            let run =
+                Machine::run_checked(p, MachineModel::cray_t3d(), |_| std::thread::current().id());
+            let ids = run.results;
+            assert_eq!(ids[0], caller, "p = {p}");
+            for (r, id) in ids.iter().enumerate().skip(1) {
+                assert!(
+                    !ids[..r].contains(id),
+                    "rank {r} shares a thread at p = {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_lowest_panicking_rank_wins_when_rank_0_panics_on_the_calling_thread() {
+        for (panicking, winner) in [(&[0, 2][..], 0), (&[2, 0], 0), (&[1, 2], 1), (&[0], 0)] {
+            for checked in [false, true] {
+                let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    Machine::builder(MachineModel::cray_t3d())
+                        .checked(checked)
+                        .run(3, |ctx| {
+                            if panicking.contains(&ctx.rank()) {
+                                panic!("rank {} failed", ctx.rank());
+                            }
+                        })
+                }))
+                .expect_err("a rank panicked");
+                let text = panic_text(payload.as_ref());
+                let expected = format!("rank {winner} failed");
+                assert_eq!(
+                    text,
+                    Some(expected.as_str()),
+                    "{panicking:?}, checked {checked}"
+                );
+            }
+        }
     }
 
     #[test]

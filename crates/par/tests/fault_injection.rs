@@ -313,3 +313,55 @@ fn injection_is_deterministic_per_seed() {
     assert_eq!(a, b, "same seed must replay identically");
     assert!(!a.0.is_empty(), "plan at p=0.5 over 32 sends should fire");
 }
+
+/// Rank 0 runs on the caller's thread and every other rank on a thread of
+/// its own: a kill must be diagnosed the same wherever it lands, with and
+/// without a survivor waiting on the killed rank.
+#[test]
+fn a_kill_of_rank_0_reads_as_a_kill_of_any_other_rank() {
+    for victim in 0..3 {
+        let (fed, starved) = ((victim + 1) % 3, (victim + 2) % 3);
+        // Op 1 feeds one peer, op 2 is the kill point: the other starves.
+        let plan =
+            FaultPlan::new(1).with(FaultRule::new(FaultAction::Kill).rank(victim).after_op(2));
+        let msg = fault_panic_message(3, plan, |ctx| {
+            if ctx.rank() == victim {
+                ctx.send(fed, 4, Payload::Empty);
+                ctx.send(starved, 4, Payload::Empty);
+            } else {
+                ctx.recv(victim, 4);
+            }
+        });
+        let graph: String = (0..3)
+            .map(|r| match r {
+                _ if r == victim => format!("  rank {r}: killed by fault injection\n"),
+                _ if r == fed => format!("  rank {r}: finished\n"),
+                _ => format!("  rank {r} -> rank {victim}  (recv from={victim} tag=4)\n"),
+            })
+            .collect();
+        let expected = format!(
+            "commcheck: root cause: rank(s) {victim} killed by fault injection — the \
+             survivors are stranded\nwait-for graph:\n{graph}rank {starved} waits on rank \
+             {victim}, which was killed by fault injection\n"
+        );
+        assert_eq!(msg, expected, "kill of rank {victim}");
+    }
+    for victim in 0..2 {
+        let plan =
+            FaultPlan::new(2).with(FaultRule::new(FaultAction::Kill).rank(victim).after_op(2));
+        let msg = fault_panic_message(2, plan, |ctx| {
+            let peer = 1 - ctx.rank();
+            if ctx.rank() == victim {
+                ctx.send(peer, 8, Payload::Empty);
+                ctx.send(peer, 9, Payload::Empty);
+            } else {
+                ctx.recv(peer, 8);
+            }
+        });
+        let expected = format!(
+            "fault-inject: rank {victim} killed at comm op 2\nnote: fault injection fired 1 \
+             fault(s) this run:\n  rank {victim} op 2: kill \n"
+        );
+        assert_eq!(msg, expected, "kill of rank {victim}");
+    }
+}
