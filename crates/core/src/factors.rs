@@ -47,6 +47,12 @@ impl Arena {
         (&self.slot[lo..hi], &self.val[lo..hi])
     }
 
+    /// Stored entries of the run of rows `rows`.
+    #[inline]
+    pub(crate) fn entries_in(&self, rows: std::ops::Range<usize>) -> usize {
+        (self.ptr[rows.end] - self.ptr[rows.start]) as usize
+    }
+
     /// Row `p` as `(slot, value)` pairs in stored order.
     #[inline]
     pub(crate) fn entries(&self, p: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {

@@ -100,8 +100,7 @@ pub struct LevelStats {
     /// Multipliers that survived the first dropping rule and were applied.
     pub pivots_applied: usize,
     /// Multipliers computed and then dropped by the first rule: each is one
-    /// flop in `elim_flops` that the logical clock is *not* charged for
-    /// (DESIGN §13.2).
+    /// flop in `elim_flops` (the division), paid like every other.
     pub dropped_rule1: usize,
     /// Entries in my slice of the reduced matrix entering the level.
     pub reduced_nnz_before: usize,
@@ -117,7 +116,7 @@ pub struct LevelStats {
     pub select_flops: f64,
     /// Dist-MIS units charged to the clock (not flops).
     pub mis_units: f64,
-    /// Words of reduced rows copied (`Ctx::copy_words`).
+    /// Words of reduced rows copied, paid with `Ctx::copy_words`.
     pub copy_words: f64,
     /// Simulated seconds this rank's logical clock advanced: work, copies,
     /// messages and the waits at the level's collectives. The terminating
@@ -174,6 +173,16 @@ fn lap(ctx: &Ctx, mark: &mut f64) -> f64 {
     since
 }
 
+/// Ends a communication-free span: pays the clock, one charge each, the
+/// flops and copied words `meter` counted since `paid`, which moves to its
+/// totals. Every count is an integer-valued `f64`, so the charges add up to
+/// the meter's totals exactly.
+fn pay(ctx: &mut Ctx, meter: &LevelStats, paid: &mut (f64, f64)) {
+    ctx.work(meter.flops() - paid.0);
+    ctx.copy_words(meter.copy_words - paid.1);
+    *paid = (meter.flops(), meter.copy_words);
+}
+
 /// Runs the parallel ILUT / ILUT\* factorization. Collective: every rank of
 /// the machine must call it with the same `dm` and `opts`.
 pub fn par_ilut(
@@ -202,8 +211,9 @@ pub(crate) fn factor(
     // The row kernel carries the rule, the working row, the scratch parts,
     // the breakdown state (its first unusable pivot is deferred to the
     // collective error check) and, as its work meter, the open entry of
-    // the level table, whose clock is measured from `mark`. Its working
-    // row spans the rank's column space, not the global one.
+    // the level table, whose clock is measured from `mark` and paid from
+    // the meter at the end of each communication-free span ([`pay`]). Its
+    // working row spans the rank's column space, not the global one.
     let mut kern = IlutRow::new(dm.n(), Some(local), rule);
     let mark = ctx.time();
 
@@ -221,26 +231,16 @@ pub(crate) fn factor(
     let slot_of = |j| local.pos_of(j).expect("interior column must be local");
     let col_of = |s: usize| local.nodes[s];
     for (p, &i) in local.nodes.iter().enumerate() {
-        let mut work = |cost| ctx.work(cost);
         if p < n_int {
             let before = |j: usize| local.is_interior(j) && j < i;
-            kern.factor_row(a, i, before, &mut fb.store, slot_of, col_of, &mut work);
+            kern.factor_row(a, i, before, &mut fb.store, slot_of, col_of);
             continue;
         }
         let tau_i = rule.tau(a.row_norm2(i));
         let mine = |j: usize| local.is_interior(j);
         // lower = the multipliers; upper = the interface columns (mine or
         // remote) including the diagonal.
-        kern.reduce(
-            a.row(i),
-            tau_i,
-            None,
-            mine,
-            &fb.store,
-            slot_of,
-            col_of,
-            &mut work,
-        );
+        kern.reduce(a.row(i), tau_i, None, mine, &fb.store, slot_of, col_of);
         if let Rule::Ilut(opts) = rule {
             // The first cut of the third rule; the levels append to the
             // staged `L` and the rule runs again when the row is factored.
@@ -249,7 +249,6 @@ pub(crate) fn factor(
             threshold_and_cap_in_place(&mut kern.upper, tau_i, opts.reduced_cap(), Some(i));
         }
         fb.staged[p - n_int] = kern.lower.to_vec();
-        ctx.copy_words(kern.upper.len() as f64);
         kern.meter.copy_words += kern.upper.len() as f64;
         reduced.push(Some(kern.upper.to_vec()));
         tau_of.push(tau_i);
@@ -257,8 +256,8 @@ pub(crate) fn factor(
     interface_levels(ctx, dm, local, kern, fb, reduced, tau_of, mark)
 }
 
-/// Phase 2 of both factorizations: closes phase 1 (its work is on `kern`'s
-/// meter, its clock runs from `mark`), then factors the interface one
+/// Phase 2 of both factorizations: pays and closes phase 1 (its work is on
+/// `kern`'s meter, its clock runs from `mark`), then factors the interface one
 /// level at a time — a distributed independent set `I_l` of the current
 /// reduced rows, its rows factored, its `U` rows shipped, and Algorithm 4.2
 /// over the rows left — until no rank has a reduced row left. Faults are
@@ -288,6 +287,7 @@ fn interface_levels(
         ..ParStats::default()
     };
     let initial = InitialPattern::of(&reduced);
+    pay(ctx, &kern.meter, &mut (0.0, 0.0));
     let mut phase1 = LevelStats {
         candidates: local.len(),
         set_size: local.interior.len(),
@@ -297,6 +297,7 @@ fn interface_levels(
         ..std::mem::take(&mut kern.meter)
     };
 
+    let mut paid = (0.0, 0.0); // of the open level's meter
     let mut levels: Vec<Vec<usize>> = Vec::new();
     let mut per_level: Vec<LevelStats> = Vec::new();
     let mut mis = LevelMis::over(local);
@@ -357,7 +358,7 @@ fn interface_levels(
             let (mut diag, has_diag) = split_diag(&rr, v, &mut kern.upper);
             let l = &mut fb.staged[q];
             match rule {
-                Rule::Ilut(_) => rule3(ctx, &mut kern.meter, l, tau_v, m),
+                Rule::Ilut(_) => rule3(&mut kern.meter, l, tau_v, m),
                 Rule::Pattern => l.sort_unstable_by_key(|e| e.col()),
             }
             let fallback = if tau_v > 0.0 { tau_v } else { 1.0 };
@@ -373,12 +374,11 @@ fn interface_levels(
             );
             if let Rule::Ilut(_) = rule {
                 threshold_and_cap_in_place(&mut kern.upper, tau_v, m, None);
-                let cost = selection_cost(kern.upper.len());
-                kern.meter.select_flops += cost;
-                ctx.work(cost);
+                kern.meter.select_flops += selection_cost(kern.upper.len());
             }
             fb.push_interface(q, diag, &kern.upper);
         }
+        pay(ctx, &kern.meter, &mut paid);
 
         // Ship the new U rows directly along the level plan: each rank
         // sends one (possibly empty) batch to every peer that references its
@@ -400,13 +400,13 @@ fn interface_levels(
         );
 
         // Algorithm 4.2: eliminate the I_l unknowns from my remaining rows,
-        // in ascending interface position — the logical clock accumulates
-        // the per-row charges in one fixed order on every run. A touched
-        // row costs its pivots, not its length: the new multipliers are
-        // appended to its staged `L` (re-selected only when that would
-        // pass `2m` entries), the rewritten row is copied back into its own
-        // buffer, and neither buffer is acquired again once it has reached
-        // size (the kernel gate of `xtask paper` budgets the growths).
+        // in ascending interface position, metering as it goes; the sweep
+        // is paid once, before the next loop head. A touched row costs its
+        // pivots, not its length: the new multipliers are appended to its
+        // staged `L` (re-selected only when that would pass `2m` entries),
+        // the rewritten row is copied back into its own buffer, and neither
+        // buffer is acquired again once it has reached size (the kernel
+        // gate of `xtask paper` budgets the growths).
         let audit = pilut_allocaudit::region("alg42_sweep");
         for (q, &i) in local.interface.iter().enumerate() {
             let Some(rr) = reduced[q].as_mut() else {
@@ -449,15 +449,13 @@ fn interface_levels(
                 }
                 let u = ucols.iter().zip(uvals);
                 rule.update(&mut kern.w, local, mult, u.map(|(&c, &v)| (c as usize, v)));
-                let cost = 2.0 * ucols.len() as f64;
                 kern.meter.pivots_applied += 1;
-                kern.meter.elim_flops += cost;
-                ctx.work(cost + 1.0);
+                kern.meter.elim_flops += 2.0 * ucols.len() as f64;
                 kern.lower.push(Entry::new(k, mult));
             }
             let l = &mut fb.staged[q];
             if l.len() + kern.lower.len() > m.saturating_mul(2) {
-                rule3(ctx, &mut kern.meter, l, tau_i, m);
+                rule3(&mut kern.meter, l, tau_i, m);
             }
             make_room(l, kern.lower.len());
             l.extend_from_slice(&kern.lower);
@@ -468,7 +466,6 @@ fn interface_levels(
                 let cap = opts.reduced_cap();
                 threshold_and_cap_in_place(&mut kern.entries, tau_i, cap, Some(i));
             }
-            ctx.copy_words(kern.entries.len() as f64);
             kern.meter.copy_words += kern.entries.len() as f64;
             live_nnz = live_nnz - rr.len() + kern.entries.len();
             rr.clear();
@@ -476,9 +473,11 @@ fn interface_levels(
             rr.extend_from_slice(&kern.entries);
         }
         drop(audit);
+        pay(ctx, &kern.meter, &mut paid);
         kern.meter.reduced_nnz_after = live_nnz;
         kern.meter.clock_delta = lap(ctx, &mut mark);
         per_level.push(std::mem::take(&mut kern.meter));
+        paid = (0.0, 0.0);
         levels.push(my_in);
     }
 
@@ -499,13 +498,11 @@ fn interface_levels(
     Ok(fb.finish(levels, initial, stats))
 }
 
-/// The third dropping rule on a staged `L`, with its charge. Exact whenever
-/// it runs (DESIGN §2.2), so when is a matter of cost: once per row at the
+/// The third dropping rule on a staged `L`, metered. Exact whenever it
+/// runs (DESIGN §2.2), so when is a matter of cost: once per row at the
 /// latest, and before that only to keep `L` within `2m` entries.
-fn rule3(ctx: &mut Ctx, meter: &mut LevelStats, l: &mut Vec<Entry>, tau: f64, m: usize) {
-    let cost = selection_cost(l.len());
-    meter.select_flops += cost;
-    ctx.work(cost);
+fn rule3(meter: &mut LevelStats, l: &mut Vec<Entry>, tau: f64, m: usize) {
+    meter.select_flops += selection_cost(l.len());
     keep_largest_multipliers(l, tau, m);
 }
 

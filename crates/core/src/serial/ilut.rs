@@ -2,7 +2,7 @@
 //!
 //! This is the one-rank case of [`crate::parallel::par_ilut`]'s interior
 //! phase: every row runs through the same `IlutRow` kernel, with identity
-//! slot numbering and nobody listening to the work charges. Serial
+//! slot numbering; its meter's total is the reported flop count. Serial
 //! [`crate::serial::ilu0()`] is the same driver under the fixed-pattern
 //! rule.
 
@@ -48,7 +48,7 @@ pub(crate) fn factor(
     store.reserve_entries(reserve);
     let id = |j: usize| j;
     for i in 0..n {
-        kernel.factor_row(a, i, |j| j < i, &mut store, id, id, &mut |_| {});
+        kernel.factor_row(a, i, |j| j < i, &mut store, id, id);
         if let Some((row, fault)) = kernel.fault {
             return Err(fault.error_at(row));
         }

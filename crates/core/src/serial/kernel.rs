@@ -14,10 +14,10 @@
 //! slot of its factored row and `col_of` maps back, both the identity for
 //! the serial factorizations. The working row has a slot per column for
 //! the serial factorizations and a slot per column of the rank's column
-//! space ([`LocalView::slot`]) for the distributed ones. Modelled work is
-//! reported to a caller-supplied `work` sink in the order it is spent, so
-//! the distributed caller can charge its logical clock and the serial one
-//! can ignore it.
+//! space ([`LocalView::slot`]) for the distributed ones. The kernel only
+//! meters its modelled work; the distributed caller pays its logical clock
+//! from the meter once per communication-free span, and the serial one
+//! reads the total.
 
 use crate::breakdown::{PivotDoctor, PivotFault};
 use crate::dist::LocalView;
@@ -152,7 +152,6 @@ impl<'a> IlutRow<'a> {
         store: &FactorStore,
         slot_of: impl Fn(usize) -> usize,
         col_of: impl Fn(usize) -> usize,
-        work: &mut impl FnMut(f64),
     ) -> (f64, bool) {
         debug_assert!(self.heap.is_empty(), "heap drained by the previous row");
         let (space, fills) = (self.space, self.rule.fills());
@@ -205,13 +204,11 @@ impl<'a> IlutRow<'a> {
             }
             self.meter.pivots_applied += 1;
             self.meter.elim_flops += cost;
-            work(cost + 1.0);
         }
         let col = |s| space.map_or(s, |space| space.col(s));
         self.w.drain_sorted_by_into(&mut self.entries, col);
         if fills {
             self.meter.select_flops += selection_cost(self.entries.len());
-            work(selection_cost(self.entries.len()));
         }
         self.lower.clear();
         self.upper.clear();
@@ -243,20 +240,11 @@ impl<'a> IlutRow<'a> {
         store: &mut FactorStore,
         slot_of: impl Fn(usize) -> usize,
         col_of: impl Fn(usize) -> usize,
-        work: &mut impl FnMut(f64),
     ) {
         let norm_i = a.row_norm2(i);
         let tau_i = self.rule.tau(norm_i);
-        let (mut diag, has_diag) = self.reduce(
-            a.row(i),
-            tau_i,
-            Some(i),
-            eligible,
-            store,
-            &slot_of,
-            col_of,
-            work,
-        );
+        let (mut diag, has_diag) =
+            self.reduce(a.row(i), tau_i, Some(i), eligible, store, &slot_of, col_of);
         let fallback = if tau_i > 0.0 { tau_i } else { 1.0 };
         self.doctor.repair_or_defer(
             i,

@@ -32,6 +32,14 @@
 //! tail. Entries keep ascending *global* column order within a row, so
 //! every sum rounds as it always did.
 //!
+//! Each sweep pays the clock once per communication-free span, from the
+//! factor's row pointers: the forward sweep its interiors before the first
+//! level and each level's rows before that level's send, the backward
+//! sweep each level before its send and its interiors at the end. A
+//! receiver therefore waits on its sender's level work, which is what the
+//! `q` synchronisation points cost; per apply the charges total `2·nnz(L)`
+//! and `2·nnz(U) + rows`.
+//!
 //! Both sweeps run over one such vector: the backward sweep starts from
 //! the forward sweep's result in place, and the ghosts the forward sweep
 //! left in the tail are never read, since every ghost a `U` row reads is
@@ -194,19 +202,20 @@ fn forward_sweep_into(
     // this rank — all local, all already computed in ascending order.
     let n_int = rf.interior.len();
     rf.store.forward_rows((0..n_int).map(|p| (p, p)), x);
+    ctx.work(2.0 * rf.store.l.entries_in(0..n_int) as f64);
     // Interface phase, level by level: drain the previous level's batches,
-    // compute, then ship this level's values (one message per peer). The
-    // level's rows are the next run of store rows.
+    // compute and pay, then ship this level's values (one message per
+    // peer). The level's rows are the next run of store rows.
     let mut next = n_int;
     for (l, pos) in plan.level_pos.iter().enumerate() {
         if l > 0 {
             plan.fwd.recv_values(ctx, l - 1, |slot, v| x[slot] = v);
         }
         rf.store.forward_rows((next..).zip(pos.iter().copied()), x);
+        ctx.work(2.0 * rf.store.l.entries_in(next..next + pos.len()) as f64);
         next += pos.len();
         plan.fwd.send_values(ctx, l, |slot| x[slot]);
     }
-    ctx.work(2.0 * rf.store.l.val.len() as f64);
 }
 
 /// The backward sweep body (see [`forward_sweep_into`]), over the forward
@@ -225,11 +234,12 @@ fn backward_sweep_in_place(ctx: &mut Ctx, rf: &RankFactors, plan: &TrisolvePlan,
         }
         end -= pos.len();
         rf.store.backward_rows((end..).zip(pos.iter().copied()), x);
+        ctx.work((2 * rf.store.u.entries_in(end..end + pos.len()) + pos.len()) as f64);
         plan.bwd.send_values(ctx, l, |slot| x[slot]);
     }
     // Interior phase, descending elimination order; U columns of interior
     // rows are local (later interiors or own interfaces).
     let n_int = rf.interior.len();
     rf.store.backward_rows((0..n_int).rev().map(|p| (p, p)), x);
-    ctx.work((2 * rf.store.u.val.len() + rf.n_rows()) as f64);
+    ctx.work((2 * rf.store.u.entries_in(0..n_int) + n_int) as f64);
 }

@@ -74,9 +74,10 @@ fn check(
             "{what}: levels cover {covered} s of a {interval} s call"
         );
 
-        // What the clock was charged: every flop except the division of a
-        // multiplier the first rule then dropped, plus the MIS units.
-        charged += sum(|l| l.flops() - l.dropped_rule1 as f64 + l.mis_units);
+        // What the clock was charged: every flop counted, the division of
+        // a multiplier the first rule then dropped included, plus the MIS
+        // units. Counted = charged, exactly.
+        charged += sum(|l| l.flops() + l.mis_units);
         copied += sum(|l| l.copy_words);
     }
     assert_eq!(charged, out.stats.flops, "{what} p={p}: machine flops");
@@ -104,8 +105,8 @@ fn par_ilut_levels_add_up_to_the_totals() {
                 let local = dm.local_view(ctx.rank());
                 par_ilut(ctx, dm, &local, &opts).expect("factorization failed")
             });
-            // Rule 1 drops on this input, so the one flop/clock mismatch
-            // the table exists to expose is exercised, in both phases.
+            // Rule 1 drops on this input, in both phases, so the divisions
+            // it discards are on both sides of the machine-flops equality.
             let dropped = |f: fn(&RankFactors) -> usize| factors.iter().map(f).sum::<usize>();
             assert!(dropped(|rf| rf.stats.phase1.dropped_rule1) > 0);
             if p > 1 {

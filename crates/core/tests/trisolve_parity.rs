@@ -1,13 +1,13 @@
 //! Parity tests: the parallel triangular solve against the serial one on
 //! a single rank, and the two sweeps composed across ranks.
 
-use pilut_core::dist::{DistMatrix, LocalView};
+use pilut_core::dist::{DistMatrix, Distribution, LocalView};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::{par_ilut, RankFactors};
 use pilut_core::serial::ilut;
 use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_par::{Ctx, Machine, MachineModel};
-use pilut_sparse::gen;
+use pilut_sparse::{gen, CsrMatrix};
 
 /// One forward + backward solve of `b` into a fresh vector.
 fn solve(
@@ -113,4 +113,92 @@ fn more_levels_cost_more_simulated_time() {
         t_ilut > t_star,
         "substitution with more levels should cost more: {t_ilut} vs {t_star}"
     );
+}
+
+/// Sweep flops of one rank's rows: `2·nnz(L) + 2·nnz(U) + rows`, `U`
+/// strict (`ParStats::nnz_u` counts the pivots).
+fn sweep_flops(rf: &RankFactors) -> f64 {
+    let (s, rows) = (&rf.stats, rf.n_rows());
+    (2 * s.nnz_l + 2 * (s.nnz_u - rows) + rows) as f64
+}
+
+/// A receiver waits for its sender's level work. A path of 200 nodes on
+/// rank 0 starts at the one node of rank 1: rank 0 holds 199 interiors and
+/// the level-0 row, rank 1 only the level-1 row, whose `L` reads it. Rank
+/// 0 pays its interiors and its level-0 row before it sends level 0, so
+/// rank 1 cannot have that value before rank 0's clock has paid them.
+#[test]
+fn a_receiver_waits_for_its_senders_level_work() {
+    let n: usize = 201;
+    let (mut ptr, mut col, mut val) = (vec![0], Vec::new(), Vec::new());
+    for i in 0..n {
+        for j in i.saturating_sub(1)..(i + 2).min(n) {
+            col.push(j as u32);
+            val.push(if i == j { 4.0 } else { -1.0 });
+        }
+        ptr.push(col.len() as u32);
+    }
+    let a = CsrMatrix::from_raw(n, n, ptr, col, val);
+    let part = (0..n).map(|i| usize::from(i == 0)).collect();
+    let dm = DistMatrix::new(a, Distribution::from_part(part, 2));
+    let opts = IlutOptions::new(n, 0.0);
+    let model = MachineModel::cray_t3d();
+    let out = Machine::run_checked(2, model, |ctx| {
+        let local = dm.local_view(ctx.rank());
+        let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
+        let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
+        let b = vec![1.0; local.len()];
+        ctx.barrier();
+        let t0 = ctx.time();
+        solve(ctx, &local, &rf, &plan, &b);
+        (rf, t0, ctx.time())
+    });
+    let [(rf0, t0, _), (rf1, _, t1)] = &out.results[..] else {
+        panic!("two ranks")
+    };
+    assert_eq!(rf0.levels, [vec![1], vec![]], "rank 0 factors first");
+    assert_eq!(rf1.levels, [vec![], vec![0]]);
+    assert!(
+        rf1.interior.is_empty() && rf1.stats.nnz_l == 1,
+        "rank 1 reads rank 0"
+    );
+    // Rank 0's forward sweep is its interiors and its level-0 row.
+    let paid = t0 + 2.0 * rf0.stats.nnz_l as f64 * model.flop_time;
+    // Everything rank 1 pays comes after that receive, and nothing
+    // arrives for it in the backward sweep (no `U` entry of its row).
+    let received = t1 - sweep_flops(rf1) * model.flop_time;
+    assert!(
+        received >= paid,
+        "rank 1 had rank 0's level-0 value at {received} s, before rank 0 paid for it at {paid} s"
+    );
+}
+
+/// Every apply raises the machine's flop counter by exactly
+/// `2·nnz(L) + 2·nnz(U) + rows` over all ranks, however the sweeps split
+/// their charges.
+#[test]
+fn each_solve_charges_its_entries_and_divisions_exactly() {
+    let dm = DistMatrix::from_matrix(gen::fem_torso(10, 4), 4, 13);
+    let opts = IlutOptions::new(10, 1e-3);
+    let run = |solves: usize| {
+        let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
+            let local = dm.local_view(ctx.rank());
+            let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
+            let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
+            let b = vec![1.0; local.len()];
+            (0..solves).for_each(|_| drop(solve(ctx, &local, &rf, &plan, &b)));
+            sweep_flops(&rf)
+        });
+        (out.stats.flops, out.results.iter().sum::<f64>())
+    };
+    let (before, per_apply) = run(0);
+    assert!(per_apply > 0.0);
+    for solves in 1..=3 {
+        let (flops, _) = run(solves);
+        assert_eq!(
+            flops - before,
+            solves as f64 * per_apply,
+            "{solves} solve(s)"
+        );
+    }
 }

@@ -169,7 +169,7 @@ fn drop_without_a_blocked_receiver_is_caught_at_exit() {
 /// names the killed rank as the root cause.
 #[test]
 fn kill_is_named_in_the_wait_for_graph() {
-    let plan = FaultPlan::new(1).with(FaultRule::new(FaultAction::Kill).rank(1).after_op(1));
+    let plan = FaultPlan::new(1).with(FaultRule::new(FaultAction::Kill).rank(1).after_op(2));
     let msg = fault_panic_message(3, plan, |ctx| {
         match ctx.rank() {
             0 => {
@@ -177,7 +177,7 @@ fn kill_is_named_in_the_wait_for_graph() {
             }
             1 => {
                 // Op 1 sends to rank 2; op 2 (the send to rank 0) is the
-                // kill point, so rank 0 starves.
+                // kill point, so rank 2 finishes and rank 0 starves.
                 ctx.send(2, 4, Payload::Empty);
                 ctx.send(0, 4, Payload::Empty);
             }
@@ -198,6 +198,9 @@ fn kill_is_named_in_the_wait_for_graph() {
         msg.contains("rank 0 waits on rank 1, which was killed by fault injection"),
         "{msg}"
     );
+    // Only rank 0 is stranded: rank 2 got its message and finished.
+    assert!(msg.contains("rank 2: finished"), "{msg}");
+    assert!(!msg.contains("rank 2 waits on"), "{msg}");
 }
 
 /// A kill nobody waits on cannot deadlock anyone; the induced panic itself

@@ -28,7 +28,9 @@
 //!   and its factors at most [`FACTOR_BYTES_PER_ENTRY`] heap bytes per
 //!   entry, `par_ilut` at most [`FACTOR_LIVE_PER_KEPT`] live bytes per
 //!   byte of the factors it returns, a serial row puts nothing on the
-//!   wire) are
+//!   wire, and on a row that only factors, the machine's flop and copy
+//!   counters equal what the factorizations counted, `Σ (flops +
+//!   mis_work)` and `Σ copy_words` over ranks) are
 //!   asserted on the typed [`Measurement`] of each row; after the last row
 //!   the gate also asserts that every gated region was entered by some
 //!   scenario ([`unrecorded_region`]), so a renamed region cannot pass by
@@ -197,6 +199,10 @@ struct RankOut {
     factor_live: Option<usize>,
     /// [`basis_vectors`] of this rank's solves in one operation.
     basis: u64,
+    /// What this rank's last factorization counted — `flops + mis_work`
+    /// and the copied words of its level table — when the body runs
+    /// nothing else.
+    counted: Option<(f64, f64)>,
 }
 
 type RankBody = fn(&mut Ctx, &DistMatrix, &IlutOptions, usize) -> RankOut;
@@ -449,11 +455,14 @@ fn audited_par_ilut(
 
 fn par_ilut_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner: usize) -> RankOut {
     let local = dm.local_view(ctx.rank());
-    let (mut store, mut factor_live) = (None, None);
+    let (mut store, mut factor_live, mut counted) = (None, None, None);
     repeat(ctx, inner, |ctx| {
         let (rf, live) = audited_par_ilut(ctx, dm, &local, opts);
         store = Some((rf.stats.nnz_l + rf.stats.nnz_u, rf.heap_bytes()));
         factor_live = Some(live);
+        let s = &rf.stats;
+        let words = s.per_level.iter().map(|l| l.copy_words).sum::<f64>();
+        counted = Some((s.flops + s.mis_work, s.phase1.copy_words + words));
         std::hint::black_box(&rf);
     });
     RankOut {
@@ -461,6 +470,7 @@ fn par_ilut_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner: usi
         store,
         factor_live,
         basis: 0,
+        counted,
     }
 }
 
@@ -486,6 +496,7 @@ fn dist_trisolve_ranks(
         store: Some((fill, rf.heap_bytes())),
         factor_live: Some(live),
         basis: 0,
+        counted: None,
     }
 }
 
@@ -514,6 +525,7 @@ fn robust_solve_ranks(ctx: &mut Ctx, dm: &DistMatrix, opts: &IlutOptions, inner:
         store: None,
         factor_live: None,
         basis,
+        counted: None,
     }
 }
 
@@ -545,6 +557,10 @@ pub(crate) struct Measurement {
     pub(crate) factor_live_per_kept: Option<f64>,
     /// Measured and planned traffic (all zero on a serial row).
     pub(crate) stats: MachineStats,
+    /// Flops (MIS units included) and copied words the factorizations
+    /// counted, summed over ranks, on a row that runs nothing else: the
+    /// machine's counters must equal them.
+    counted: Option<(f64, f64)>,
     /// `(heap bytes, stored entries)` of the row's matrix.
     matrix: (usize, usize),
     /// [`basis_vectors`] of one operation's solves, summed over ranks.
@@ -567,6 +583,7 @@ impl Measurement {
             live_per_input: None,
             factor_live_per_kept: None,
             stats: MachineStats::default(),
+            counted: None,
             matrix: (a.heap_bytes(), a.nnz()),
             basis: 0,
             regions: Vec::new(),
@@ -616,6 +633,8 @@ fn run_row(s: &Scenario) -> Measurement {
             let lives = out.results.iter().map(|r| r.factor_live);
             let live = lives.reduce(|x, y| Some(x? + y?)).flatten();
             let kept = store.flatten().map(|s| s.1 as f64);
+            let counts = out.results.iter().map(|r| r.counted);
+            let counted = counts.reduce(|x, y| Some((x?.0 + y?.0, x?.1 + y?.1)));
             Measurement {
                 nnz: out.results.iter().map(|r| r.nnz).sum(),
                 interface: dm.total_interface(),
@@ -626,6 +645,7 @@ fn run_row(s: &Scenario) -> Measurement {
                 factor_live_per_kept: live.zip(kept).map(|(l, k)| l as f64 / k),
                 basis: out.results.iter().map(|r| r.basis).sum(),
                 stats: out.stats,
+                counted: counted.flatten(),
                 ..uncounted
             }
         }
@@ -679,6 +699,15 @@ fn check(m: &Measurement) -> Result<(), String> {
                  budget {FACTOR_BYTES_PER_ENTRY}: a `usize` slot or row pointer per factor entry"
             ));
         }
+    }
+    // One charge rule: the clock is paid exactly what the meters counted.
+    let charged = (stats.flops, stats.words_copied);
+    if let Some(counted) = m.counted.filter(|&c| c != charged) {
+        return fail(format!(
+            "the factorization counted {} flop(s) and {} copied word(s), the clock was \
+             charged {} and {}: a count that is never paid, or paid twice",
+            counted.0, counted.1, charged.0, charged.1
+        ));
     }
     for (&tag, &(messages, bytes)) in &stats.planned_by_tag {
         let (name, (mm, mb)) = (tags::tag_name(tag), stats.tag_totals(tag));
@@ -840,6 +869,20 @@ mod tests {
             ..MachineStats::default()
         };
         check(&m).unwrap();
+    }
+
+    #[test]
+    fn a_count_the_clock_was_not_charged_fails() {
+        let mut m = healthy();
+        m.stats.flops = 900.0;
+        m.stats.words_copied = 40.0;
+        m.counted = Some((900.0, 40.0));
+        check(&m).unwrap();
+        m.counted = Some((901.0, 40.0));
+        assert_fails(
+            &m,
+            "counted 901 flop(s) and 40 copied word(s), the clock was charged 900 and 40",
+        );
     }
 
     #[test]
