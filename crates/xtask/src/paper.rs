@@ -18,15 +18,18 @@
 //! are the reproduction target, not absolute values. Wall-clock progress
 //! (one line per experiment) goes to stderr only.
 //!
-//! The last two entries are not from the paper. `levels` is the library's
-//! own per-level attribution of a factorization (`ParStats::per_level`):
-//! what every independent set cost and in which currency. `kernels` is the
-//! kernel gate ([`bench::gate`]): it runs every scenario of
-//! [`bench::SCENARIOS`], fails `paper` in every mode if one breaks an
-//! invariant (planned = measured traffic, zero-acquisition steady regions,
+//! Two entries are not from the paper. `kernels`, the first, is the kernel
+//! gate ([`bench::gate`]): it runs every scenario of [`bench::SCENARIOS`],
+//! fails `paper` in every mode if one breaks an invariant (planned =
+//! measured traffic, counted = charged, zero-acquisition steady regions,
 //! the allocation and byte budgets, every gated region entered), and
 //! renders the deterministic counts (flops, simulated seconds, per-tag
-//! traffic, fill, factor bytes), held to the same exact diff.
+//! traffic, fill, factor bytes), held to the same exact diff. It runs
+//! before any table, so a charge or traffic bug fails with the gate's own
+//! diagnosis rather than as a moved cell of a table it also moves.
+//! `levels`, the last, is the library's own per-level attribution of a
+//! factorization (`ParStats::per_level`): what every independent set cost
+//! and in which currency.
 //!
 //! Figures 4–6 are ratios of Table 1's and Table 2's sweeps: they name the
 //! same grid, size and CI rows as their table (`..TABLE1`), so [`sweep`]
@@ -166,8 +169,10 @@ const TABLE2: Experiment = Experiment {
     ..TABLE1
 };
 
-/// Every table and figure of the paper, in the order they are generated.
+/// Every experiment, in the order `paper` runs them: the kernel gate first,
+/// then the paper's tables and figures, the ablations and `levels`.
 const EXPERIMENTS: [Experiment; 14] = [
+    KERNELS,
     TABLE1,
     TABLE2,
     Experiment {
@@ -261,7 +266,6 @@ const EXPERIMENTS: [Experiment; 14] = [
         ci_rows: &[],
         render: levels,
     },
-    KERNELS,
 ];
 
 /// The kernel gate's table: its scenarios size themselves.
@@ -1168,6 +1172,13 @@ mod tests {
     }
 
     #[test]
+    fn the_kernel_gate_runs_first() {
+        // A charge or traffic bug moves table cells too; run after them, the
+        // gate's diagnosis would never be printed.
+        assert_eq!(EXPERIMENTS[0].name, KERNELS.name);
+    }
+
+    #[test]
     fn committed_files_and_table_entries_correspond() {
         // `experiments/` holds one file per row and nothing else…
         let dir = crate::workspace_root().join("experiments");
@@ -1295,6 +1306,118 @@ mod tests {
             let text = read(doc).unwrap();
             diff(doc, &text, &splice(&text, read).unwrap()).unwrap();
         }
+    }
+
+    /// The section numbers of DESIGN.md's numbered headings (`## 3.`,
+    /// `### 3.2`, `#### 2.3.1`).
+    fn design_sections(design: &str) -> BTreeSet<&str> {
+        fn number(line: &str) -> Option<&str> {
+            let rest = line.strip_prefix("##")?.trim_start_matches('#');
+            let n = rest
+                .strip_prefix(' ')?
+                .split(' ')
+                .next()?
+                .trim_end_matches('.');
+            n.starts_with(|c: char| c.is_ascii_digit()).then_some(n)
+        }
+        design.lines().filter_map(number).collect()
+    }
+
+    /// `(line, section)` for every DESIGN section `text` cites: `DESIGN §a`
+    /// or `DESIGN.md §a`, across backticks, comment leaders and line breaks,
+    /// then each `§b` that follows it in a list (`, §b`, `/§b`, ` and §b`);
+    /// a range `§a–b` cites both ends. With `bare` every `§a` is a citation
+    /// but the paper's own (`paper §a`, `paper's §a`).
+    fn design_citations(text: &str, bare: bool) -> Vec<(usize, String)> {
+        let leader = |c: char| c.is_whitespace() || "/!#*`".contains(c);
+        let (mut out, mut listed) = (Vec::new(), None);
+        for (i, _) in text.match_indices('§') {
+            let before = text[..i].trim_end_matches(leader);
+            let in_list = listed.is_some_and(|end| {
+                let gap = text[end..i].replace(|c: char| leader(c) || c == ',', "");
+                gap.is_empty() || gap == "and"
+            });
+            let cites = if bare {
+                !before.ends_with("paper") && !before.ends_with("paper's")
+            } else {
+                in_list || before.ends_with("DESIGN") || before.ends_with("DESIGN.md")
+            };
+            let start = i + '§'.len_utf8();
+            let number = |from: usize| {
+                let len = text[from..].find(|c: char| !c.is_ascii_digit() && c != '.');
+                let n = text[from..from + len.unwrap_or(text.len() - from)].trim_end_matches('.');
+                (from + n.len(), n)
+            };
+            let (mut end, first) = number(start);
+            listed = None;
+            if !cites || first.is_empty() {
+                continue;
+            }
+            let line = text[..i].matches('\n').count() + 1;
+            out.push((line, first.to_string()));
+            if let Some(to) = ['–', '-'].iter().find_map(|d| text[end..].strip_prefix(*d)) {
+                let (to_end, last) = number(text.len() - to.len());
+                if !last.is_empty() {
+                    out.push((line, last.to_string()));
+                    end = to_end;
+                }
+            }
+            listed = Some(end);
+        }
+        out
+    }
+
+    #[test]
+    fn every_cited_design_section_is_a_heading() {
+        let root = crate::workspace_root();
+        let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+        let sections = design_sections(&design);
+        assert!(
+            sections.contains("1") && sections.contains("16.6"),
+            "{sections:?}"
+        );
+        // CHANGES.md cites the numbers of its day, and benchmark/ is not
+        // scanned: neither is held here.
+        let mut files = vec![];
+        for dir in ["crates", "src", "tests", "examples"] {
+            crate::walk(&root.join(dir), &mut |p| {
+                if p.extension().is_some_and(|e| e == "rs" || e == "md") {
+                    files.push(p.to_path_buf());
+                }
+            });
+        }
+        for doc in ["ci.sh", "README.md", "EXPERIMENTS.md", "ROADMAP.md"] {
+            files.push(root.join(doc));
+        }
+        files.push(root.join(".claude/skills/verify/SKILL.md"));
+        let mut stale = vec![];
+        let mut check = |label: String, text: &str, bare: bool| {
+            for (line, s) in design_citations(text, bare) {
+                if !sections.contains(s.as_str()) {
+                    stale.push(format!("{label}:{line}: DESIGN \u{a7}{s} is no heading"));
+                }
+            }
+        };
+        check("DESIGN.md".into(), &design, true);
+        for f in &files {
+            let text = std::fs::read_to_string(f).unwrap();
+            check(crate::rel_label(&root, f), &text, false);
+        }
+        assert!(stale.is_empty(), "{}", stale.join("\n"));
+        // The scanner's own forms, written with escapes so that this file
+        // holds no citation.
+        let text = concat!(
+            "x (DESIGN\n//! \u{a7}2.7/\u{a7}10.) `DESIGN.md` \u{a7}12.1\u{2013}12.2 and \u{a7}5; ",
+            "DESIGN \u{a7}3, \u{a7}4 and\n\u{a7}16.6, paper \u{a7}9",
+        );
+        let want: Vec<(usize, String)> = [2, 2, 2, 2, 2, 2, 2, 3]
+            .into_iter()
+            .zip(["2.7", "10", "12.1", "12.2", "5", "3", "4", "16.6"])
+            .map(|(line, s)| (line, s.into()))
+            .collect();
+        assert_eq!(design_citations(text, false), want);
+        // Bare, the same eight: only the paper's own section is not DESIGN's.
+        assert_eq!(design_citations(text, true), want);
     }
 
     fn renders_twice_alike(name: &str) {
