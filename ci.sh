@@ -44,7 +44,7 @@ echo "==> release build"
 cargo build --workspace --release
 
 # The tests run the sweep suites at their one size, the full one: chaos's
-# destructive sweep, schedcheck and modelcheck, as #[test]s of xtask.
+# destructive sweep and schedcheck, as #[test]s of xtask.
 echo "==> tests"
 cargo test --workspace -q
 

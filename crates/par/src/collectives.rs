@@ -13,7 +13,10 @@
 //! vectors by value up and as one shared payload down, a single `f64` in a
 //! pooled one-element buffer per hop. The combine order is therefore the
 //! same for every collective by construction. [`Ctx::exchange`] adds a data
-//! phase of direct sends behind a count-learning all-reduce.
+//! phase of direct sends behind a count-learning all-reduce; its gather is
+//! the machine's one receive that names no source, and it sorts what it
+//! gathers by source, so no collective returns anything that depends on
+//! arrival order (DESIGN §11.1).
 //!
 //! Every collective plans its traffic exactly before its first send, like
 //! a data-plane round: a tree collective ships its payload's fixed width
@@ -22,7 +25,6 @@
 
 use crate::check::CollKind;
 use crate::ctx::Ctx;
-use crate::hb::RecvMode;
 use crate::payload::Payload;
 use crate::pool::Pool;
 
@@ -120,7 +122,7 @@ impl Ctx {
                 return None;
             }
             if s + bit < p {
-                let (_, got) = self.recv_internal(Some(s + bit), tag, RecvMode::Directed);
+                let (_, got) = self.recv_internal(Some(s + bit), tag);
                 combine(&mut acc, from_payload(got));
             }
             bit <<= 1;
@@ -144,7 +146,7 @@ impl Ctx {
             val.expect("root must provide the broadcast value")
         } else {
             let parent = s - Self::lowbit(s);
-            from_payload(self.recv_internal(Some(parent), tag, RecvMode::Directed).1)
+            from_payload(self.recv_internal(Some(parent), tag).1)
         };
         for child in Self::bcast_children(s, p) {
             self.send_internal(child, tag, tag, to_payload(&val));
@@ -236,9 +238,10 @@ impl Ctx {
     /// contract leaves same-`(sender, tag)` delivery order undefined, so
     /// shipping each payload separately was a match-order race (found by the
     /// happens-before detector; EXPERIMENTS.md at 039f5b3 has the triage).
-    /// Cross-source arrival order remains free, which is fine — the result
-    /// is canonicalized by the source sort, and the any-source receive
-    /// declares itself order-insensitive to the race detector.
+    /// Cross-source arrival order remains free and unobservable: the gather
+    /// is the machine's one receive that names no source, it takes exactly
+    /// the count the all-reduce learned under this call's fresh tag, and the
+    /// source sort fixes the result's order.
     pub fn exchange(&mut self, sends: Vec<(usize, Payload)>) -> Vec<(usize, Payload)> {
         let p = self.nprocs();
         let mut by_dest: Vec<Vec<Payload>> = (0..p).map(|_| Vec::new()).collect();
@@ -263,7 +266,7 @@ impl Ctx {
         }
         let mut out = Vec::new();
         for _ in 0..incoming {
-            let (src, packed) = self.recv_internal(None, tag, RecvMode::WildcardUnordered);
+            let (src, packed) = self.recv_internal(None, tag);
             for payload in unpack_exchange(packed) {
                 out.push((src, payload));
             }

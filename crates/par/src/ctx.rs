@@ -3,11 +3,10 @@
 
 use crate::check::{CheckState, CollKind, LeakRecord, RankStatus};
 use crate::fault::{FaultSession, MessageFate, RankFate, FAULT_KILL_PREFIX};
-use crate::hb::{HbState, RecvMode};
+use crate::hb::HbState;
 use crate::machine::MachineModel;
 use crate::payload::Payload;
 use crate::pool::Pool;
-use crate::sched::{match_kind, SchedSession, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -125,9 +124,6 @@ pub struct Ctx {
     /// Fault-injection session; `None` unless a plan was installed via
     /// [`crate::MachineBuilder::fault_plan`].
     fault: Option<FaultSession>,
-    /// Schedule-forcing session; `None` unless a plan was installed via
-    /// [`crate::MachineBuilder::schedule`] (see [`crate::sched`]).
-    sched: Option<SchedSession>,
     /// Envelopes held back by a `Reorder` fault, flushed at the next
     /// send/receive/exit so injection can never destroy liveness.
     held: Vec<Envelope>,
@@ -146,7 +142,7 @@ impl Ctx {
     pub(crate) const RESERVED_TAG_BASE: u64 = 1 << 48;
 
     /// Whether `tag` lies in the range the collectives and protocol traffic
-    /// own. `send`, `send_as`, `recv` and `recv_any` reject such a tag, and
+    /// own. `send`, `send_as` and `recv` reject such a tag, and
     /// [`Counters::by_tag`] folds all of it under one key for which this
     /// holds.
     ///
@@ -179,7 +175,6 @@ impl Ctx {
         receiver: Receiver<Envelope>,
         check: Option<Arc<CheckState>>,
         fault: Option<FaultSession>,
-        sched: Option<SchedSession>,
         pool: Arc<Pool>,
     ) -> Self {
         let hb = check.is_some().then(|| HbState::new(rank, nprocs));
@@ -197,7 +192,6 @@ impl Ctx {
             check,
             hb,
             fault,
-            sched,
             held: Vec::new(),
             killed: false,
             pool,
@@ -469,52 +463,27 @@ impl Ctx {
     /// Receives the message with the given `(from, tag)`, blocking until it
     /// arrives, and advances the clock by the modelled transfer time.
     ///
-    /// A directed receive never reads a model-checker schedule script: its
-    /// match is already forced by the program. Under checked mode (see
-    /// [`crate::MachineBuilder::checked`]) a receive that can never be
-    /// satisfied aborts the run with a deadlock report instead of blocking
-    /// forever.
+    /// Under checked mode (see [`crate::MachineBuilder::checked`]) a
+    /// receive that can never be satisfied aborts the run with a deadlock
+    /// report instead of blocking forever.
     pub fn recv(&mut self, from: usize, tag: u64) -> Payload {
         assert!(
             !Self::is_reserved(tag),
             "tag {tag} is reserved for collectives"
         );
-        self.recv_internal(Some(from), tag, RecvMode::Directed).1
+        self.recv_internal(Some(from), tag).1
     }
 
-    /// Receives the next message with the given `tag` from *any* rank,
-    /// blocking until one arrives, and returns `(source, payload)`.
-    ///
-    /// The matched source depends on arrival order, so a program whose
-    /// result depends on it is schedule-dependent. Under checked mode this
-    /// receive is treated as **order-sensitive**: the happens-before race
-    /// detector reports any pair of concurrent candidate messages for the
-    /// same `(rank, tag)` as a match-order race (see `pilut_par::hb`). Callers
-    /// that canonicalize the result afterwards (like the internal sparse
-    /// all-to-all, which sorts by source) receive through the same loop
-    /// declared order-insensitive instead. A model-checker schedule script
-    /// (see [`crate::sched`]) can pin the source this receive matches.
-    pub fn recv_any(&mut self, tag: u64) -> (usize, Payload) {
-        assert!(
-            !Self::is_reserved(tag),
-            "tag {tag} is reserved for collectives"
-        );
-        self.recv_internal(None, tag, RecvMode::Wildcard)
-    }
-
-    /// The one receive loop behind [`Ctx::recv`], [`Ctx::recv_any`] and the
-    /// collectives: matches the next envelope on
-    /// `tag` from `from` — from any rank when `from` is `None` — blocking
-    /// until one arrives, and returns `(source, payload)`. `mode` declares
-    /// whether the caller is order-sensitive; the race detector flags
-    /// concurrent cross-sender candidates only for [`RecvMode::Wildcard`]
-    /// consumers (see [`crate::hb`]).
-    pub(crate) fn recv_internal(
-        &mut self,
-        from: Option<usize>,
-        tag: u64,
-        mode: RecvMode,
-    ) -> (usize, Payload) {
+    /// The one receive loop behind [`Ctx::recv`] and the collectives:
+    /// matches the next envelope on `tag` from `from`, blocking until one
+    /// arrives, and returns `(source, payload)`. Every receive names its
+    /// source except `Ctx::exchange`'s gather (`from = None`), which takes
+    /// a count it learned by all-reduce under a fresh collective tag and
+    /// sorts what it gets by source, so no caller observes which of two
+    /// senders' envelopes matched first (DESIGN §11.1). The race detector
+    /// checks the one order the wire can still swap, two envelopes of one
+    /// sender on one tag (see [`crate::hb`]).
+    pub(crate) fn recv_internal(&mut self, from: Option<usize>, tag: u64) -> (usize, Payload) {
         // Harness-owned, like `send_internal`: pending-queue growth and
         // frame admission model runtime-owned receive machinery.
         let _audit = pilut_allocaudit::harness();
@@ -522,19 +491,13 @@ impl Ctx {
         // About to (possibly) block: release reorder-held envelopes so the
         // injector cannot manufacture a deadlock of its own.
         self.flush_held();
-        // A model-checker schedule script can pin which source a wildcard
-        // receive must match next; while an entry is pending the receive
-        // behaves as if directed at that source and every other candidate
-        // stays buffered (see [`crate::sched`]). The race detector still
-        // sees the receive's true `mode`, so forcing never hides a race.
-        let from = from.or_else(|| self.sched.as_ref()?.forced_source(tag));
         if let Some(pos) = self.pending.iter().position(|e| wanted(e, from, tag)) {
             #[expect(clippy::expect_used, reason = "the position came from this deque")]
             let env = self.pending.remove(pos).expect("position came from iter");
-            return self.accept(env, mode);
+            return self.accept(env);
         }
         if self.check.is_some() {
-            return self.recv_checked(from, tag, mode);
+            return self.recv_checked(from, tag);
         }
         loop {
             #[expect(clippy::expect_used, reason = "every live rank holds a sender")]
@@ -543,7 +506,7 @@ impl Ctx {
                 .recv()
                 .expect("all senders hung up while waiting");
             if wanted(&env, from, tag) {
-                return self.accept(env, mode);
+                return self.accept(env);
             }
             self.pending.push_back(env);
         }
@@ -552,7 +515,7 @@ impl Ctx {
     /// The checked receive loop: publish the blocked state, poll the
     /// channel with a timeout, and run the watchdog predicate on every
     /// timeout. Panics with the commcheck report when the run is stuck.
-    fn recv_checked(&mut self, from: Option<usize>, tag: u64, mode: RecvMode) -> (usize, Payload) {
+    fn recv_checked(&mut self, from: Option<usize>, tag: u64) -> (usize, Payload) {
         #[expect(clippy::expect_used, reason = "only checked mode enters here")]
         let check = Arc::clone(self.check.as_ref().expect("checked mode"));
         check.set_status(self.rank, RankStatus::BlockedRecv { from, tag });
@@ -565,7 +528,7 @@ impl Ctx {
                         // between the two steps sees "blocked, nothing in
                         // flight" and reports a spurious deadlock.
                         check.note_drain_matched(self.rank);
-                        return self.accept(env, mode);
+                        return self.accept(env);
                     }
                     self.pending.push_back(env);
                     check.note_drain(self.rank);
@@ -585,15 +548,14 @@ impl Ctx {
         }
     }
 
-    /// Takes a matched envelope: the collective-order and race checks, the
-    /// schedule script and trace, and the clock advance. Returns
-    /// `(source, payload)`.
-    fn accept(&mut self, env: Envelope, mode: RecvMode) -> (usize, Payload) {
+    /// Takes a matched envelope: the collective-order and race checks, and
+    /// the clock advance. Returns `(source, payload)`.
+    fn accept(&mut self, env: Envelope) -> (usize, Payload) {
         if Self::is_reserved(env.tag) {
             self.verify_collective_kind(&env);
         }
         if let Some(hb) = self.hb.as_mut() {
-            let report = hb.note_accept(env.tag, env.from, env.vclock.as_deref(), mode);
+            let report = hb.note_accept(env.tag, env.from, env.vclock.as_deref());
             if let Some(report) = report {
                 // A match-order race is a protocol failure like a collective
                 // mismatch: store it as the primary diagnosis and abort.
@@ -602,20 +564,6 @@ impl Ctx {
                 let msg = check.fail(report);
                 check.set_status(self.rank, RankStatus::Panicked);
                 panic!("{msg}");
-            }
-        }
-        if let Some(sched) = self.sched.as_mut() {
-            // Only wildcard accepts are scripted/traced: a directed match
-            // is already forced by the program and cannot branch.
-            if let Some(kind) = match_kind(mode) {
-                sched.on_wildcard_accept(TraceEvent {
-                    rank: self.rank,
-                    tag: env.tag,
-                    from: env.from,
-                    mode: kind,
-                    send_vc: env.vclock.clone().unwrap_or_default(),
-                    accept_event: self.hb.as_ref().map_or(0, HbState::local_event),
-                });
             }
         }
         let wire = if env.from == self.rank {
@@ -666,7 +614,6 @@ fn wanted(env: &Envelope, from: Option<usize>, tag: u64) -> bool {
 mod tests {
     use super::*;
     use crate::machine::{Machine, MachineModel};
-    use crate::sched::{SchedHandle, SchedulePlan};
 
     #[test]
     fn out_of_order_tags_are_buffered() {
@@ -732,41 +679,6 @@ mod tests {
         });
         assert_eq!(out.results[0], 6.0);
         assert_eq!(out.stats.words_copied, 3.0);
-    }
-
-    #[test]
-    fn a_directed_receive_leaves_a_forced_wildcard_entry_on_its_tag() {
-        // Rank 0's wildcard receives on tag T are scripted to match rank 2.
-        // Its directed receive on T from rank 1 must match rank 1 — reading
-        // no script entry — and leave both the entry and rank 2's envelope
-        // to the wildcard receive after it. Rank 2's envelope reaches rank
-        // 0's channel first: rank 1 sends only after rank 2's go on tag G.
-        const T: u64 = 5;
-        const G: u64 = 6;
-        let handle = SchedHandle::new(SchedulePlan::new().force(0, T, 2).record(true));
-        let out = Machine::builder(MachineModel::cray_t3d())
-            .schedule(handle.clone())
-            .run(3, |ctx| match ctx.rank() {
-                0 => {
-                    let a = ctx.recv(1, T).into_u64()[0];
-                    let (src, b) = ctx.recv_internal(None, T, RecvMode::WildcardUnordered);
-                    vec![a, src as u64, b.into_u64()[0]]
-                }
-                1 => {
-                    ctx.recv(2, G);
-                    ctx.send(0, T, Payload::u64s(vec![10]));
-                    Vec::new()
-                }
-                _ => {
-                    ctx.send(0, T, Payload::u64s(vec![20]));
-                    ctx.send(1, G, Payload::Empty);
-                    Vec::new()
-                }
-            });
-        assert_eq!(out.results[0], vec![10, 2, 20]);
-        let trace = handle.take_trace();
-        assert_eq!(trace.len(), 1, "only the wildcard accept is traced");
-        assert_eq!((trace[0].rank, trace[0].tag, trace[0].from), (0, T, 2));
     }
 
     #[test]

@@ -63,11 +63,9 @@ pub(crate) mod hb;
 pub mod machine;
 pub mod payload;
 pub mod pool;
-pub mod sched;
 
 pub use check::{CollKind, LeakRecord, RankStatus};
 pub use ctx::Ctx;
 pub use fault::{FaultAction, FaultPlan, FaultRule, InjectedFault, FAULT_KILL_PREFIX};
 pub use machine::{Machine, MachineBuilder, MachineModel, MachineStats, RunOutput};
 pub use payload::Payload;
-pub use sched::{MatchKind, SchedHandle, SchedulePlan, TraceEvent};

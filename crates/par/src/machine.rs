@@ -4,7 +4,6 @@ use crate::check::{collective_divergence, CheckState, LeakRecord, SECONDARY_ABOR
 use crate::ctx::{Ctx, Envelope, RankExit};
 use crate::fault::{FaultPlan, FaultSession, FaultShared, InjectedFault};
 use crate::pool::{Pool, PER_CLASS};
-use crate::sched::{SchedHandle, SchedSession};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -116,7 +115,7 @@ pub struct RunOutput<R> {
 }
 
 /// Configures a machine run beyond the two standard entry points: checked
-/// mode, fault injection and schedule forcing.
+/// mode and fault injection.
 ///
 /// ```
 /// use pilut_par::{Machine, MachineModel, Payload};
@@ -129,14 +128,12 @@ pub struct MachineBuilder {
     model: MachineModel,
     checked: bool,
     fault_plan: Option<FaultPlan>,
-    sched: Option<SchedHandle>,
 }
 
 impl MachineBuilder {
     /// Enables or disables the commcheck verification layer
-    /// (see [`Machine::run_checked`]). Installing a fault plan or a
-    /// schedule enables it implicitly: injection without diagnosis would
-    /// just be a hang.
+    /// (see [`Machine::run_checked`]). Installing a fault plan enables it
+    /// implicitly: injection without diagnosis would just be a hang.
     pub fn checked(mut self, on: bool) -> Self {
         self.checked = on;
         self
@@ -145,14 +142,6 @@ impl MachineBuilder {
     /// Installs a fault plan (see [`crate::fault`]); implies `checked`.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Installs a schedule-forcing/tracing handle (see [`crate::sched`]);
-    /// implies `checked` — forcing and tracing both need the vector
-    /// clocks that only checked mode stamps on envelopes.
-    pub fn schedule(mut self, handle: SchedHandle) -> Self {
-        self.sched = Some(handle);
         self
     }
 
@@ -169,17 +158,16 @@ impl MachineBuilder {
     /// # Panics
     /// Panics if `p == 0` or if any rank panics (the panic of the
     /// lowest-numbered panicking rank is propagated); when checked (or a
-    /// fault plan or schedule is installed), also on any protocol error
-    /// commcheck detects, as
-    /// [`Machine::run_checked`] describes.
+    /// fault plan is installed), also on any protocol error commcheck
+    /// detects, as [`Machine::run_checked`] describes.
     pub fn run<R, F>(self, p: usize, f: F) -> RunOutput<R>
     where
         R: Send,
         F: Fn(&mut Ctx) -> R + Sync,
     {
         assert!(p > 0, "need at least one rank");
-        let (model, sched) = (self.model, self.sched);
-        let checked = self.checked || self.fault_plan.is_some() || sched.is_some();
+        let model = self.model;
+        let checked = self.checked || self.fault_plan.is_some();
         let check = checked.then(|| Arc::new(CheckState::new(p)));
         let fault = self.fault_plan.map(|plan| Arc::new(FaultShared::new(plan)));
         // The run's registered-buffer shelf, dropped when the run returns.
@@ -214,7 +202,6 @@ impl MachineBuilder {
                     let session = fault
                         .as_ref()
                         .map(|shared| FaultSession::new(Arc::clone(shared), rank));
-                    let ssched = sched.as_ref().map(|h| SchedSession::new(h, rank));
                     let pool = Arc::clone(&pool);
                     move || {
                         // The rank's audit region: the regions the body enters
@@ -223,8 +210,7 @@ impl MachineBuilder {
                         // open around the run, whose drop (or the caller's
                         // `region_stats`) then publishes rank 0's.
                         let _audit = pilut_allocaudit::region("rank");
-                        let mut ctx =
-                            Ctx::new(rank, p, model, senders, rx, check, session, ssched, pool);
+                        let mut ctx = Ctx::new(rank, p, model, senders, rx, check, session, pool);
                         match std::panic::catch_unwind(AssertUnwindSafe(|| fref(&mut ctx))) {
                             Ok(r) => {
                                 *rslot = Some(r);
@@ -335,14 +321,13 @@ impl Machine {
         Self::builder(model).run(p, f)
     }
 
-    /// Starts a configurable run: checked mode, fault injection, schedule
-    /// forcing. See [`MachineBuilder`].
+    /// Starts a configurable run: checked mode, fault injection. See
+    /// [`MachineBuilder`].
     pub fn builder(model: MachineModel) -> MachineBuilder {
         MachineBuilder {
             model,
             checked: false,
             fault_plan: None,
-            sched: None,
         }
     }
 

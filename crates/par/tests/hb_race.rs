@@ -1,12 +1,14 @@
 //! Integration tests for the happens-before match-order race detector.
 //!
 //! The wire contract (DESIGN §2.7) leaves the delivery order of in-flight
-//! envelopes on the same `(sender, receiver, tag)` undefined, and wildcard
-//! receives match whatever arrives first. Checked mode stamps every envelope
-//! with a vector clock and reports any pair of candidate messages whose
-//! order is not fixed by happens-before. These tests pin down both sides:
-//! genuinely concurrent pairs must be reported, causally ordered pairs must
-//! not, and the production (unchecked) path must carry no clocks at all.
+//! envelopes on the same `(sender, receiver, tag)` undefined. Checked mode
+//! stamps every envelope with a vector clock and reports any two envelopes
+//! of one sender on one tag whose order is not fixed by happens-before.
+//! These tests pin down both sides: genuinely concurrent pairs must be
+//! reported, causally ordered pairs must not, and the production
+//! (unchecked) path must carry no clocks at all. Envelopes of different
+//! senders may arrive in any order, and the one receive that does not name
+//! its source, the exchange gather, must not let that order show.
 
 #![expect(
     clippy::disallowed_methods,
@@ -103,47 +105,6 @@ fn barrier_separated_resend_is_clean() {
 }
 
 #[test]
-fn wildcard_recv_with_concurrent_senders_is_reported() {
-    // Two ranks race to a wildcard receiver: whichever arrives first wins
-    // the first match, so the program's result is schedule-dependent.
-    let msg = panic_message(3, |ctx| match ctx.rank() {
-        0 => {
-            ctx.recv_any(6);
-            ctx.recv_any(6);
-        }
-        _ => ctx.send(0, 6, Payload::u64s(vec![ctx.rank() as u64])),
-    });
-    assert!(msg.contains("match-order race"), "{msg}");
-    assert!(msg.contains("tag 0x6"), "{msg}");
-    assert!(msg.contains("any-source recv"), "{msg}");
-}
-
-#[test]
-fn wildcard_recv_with_causal_chain_is_clean() {
-    // The receiver itself relays a go-ahead between the two senders, so
-    // accept(m1) happens-before send(m2) and the wildcard matches are
-    // fully determined.
-    let out = Machine::run_checked(3, MachineModel::cray_t3d(), |ctx| match ctx.rank() {
-        0 => {
-            let (s1, _) = ctx.recv_any(6);
-            ctx.send(2, 7, Payload::Empty); // go-ahead, after the first match
-            let (s2, _) = ctx.recv_any(6);
-            vec![s1, s2]
-        }
-        1 => {
-            ctx.send(0, 6, Payload::Empty);
-            vec![]
-        }
-        _ => {
-            ctx.recv(0, 7);
-            ctx.send(0, 6, Payload::Empty);
-            vec![]
-        }
-    });
-    assert_eq!(out.results[0], vec![1, 2]);
-}
-
-#[test]
 fn exchange_order_survives_reorder_faults() {
     // Regression for the race the detector found in the seed: `exchange`
     // used to ship each payload as its own envelope, so a reorder fault
@@ -170,6 +131,56 @@ fn exchange_order_survives_reorder_faults() {
             }
         });
     assert_eq!(out.results[1], vec![1, 2, 3]);
+}
+
+#[test]
+fn exchange_is_blind_to_arrival_order() {
+    // Every rank sends one payload to rank 0 and one to its ring neighbour,
+    // so rank 0 gathers from all four ranks (rank 3's two payloads share a
+    // frame). A stall of sender k at its data-phase send makes k's envelope
+    // reach rank 0 last; a stall is wall-clock only, so no clock moves and
+    // the gather's source sort must hide the arrival order entirely.
+    let p = 4;
+    // Rank k's comm op that ships its first data frame, after the
+    // count-learning all-reduce's binomial reduce and broadcast at p = 4.
+    const DATA_OP: [u64; 4] = [0, 3, 5, 3];
+    let body = |ctx: &mut pilut_par::Ctx| {
+        let r = ctx.rank();
+        ctx.work(1000.0 * (r + 1) as f64);
+        let sends = vec![
+            (0, Payload::u64s(vec![10 * r as u64])),
+            ((r + 1) % p, Payload::u64s(vec![10 * r as u64 + 1])),
+        ];
+        (ctx.exchange(sends).into_iter())
+            .map(|(src, payload)| (src, payload.into_u64()))
+            .collect::<Vec<_>>()
+    };
+    let fingerprint = |plan: Option<FaultPlan>| {
+        let builder = Machine::builder(MachineModel::cray_t3d()).checked(true);
+        let out = match plan {
+            Some(plan) => builder.fault_plan(plan).run(p, body),
+            None => builder.run(p, body),
+        };
+        let times: Vec<u64> = out.stats.rank_times.iter().map(|t| t.to_bits()).collect();
+        let faults: Vec<(usize, u64, &str)> = (out.injected_faults.iter())
+            .map(|f| (f.rank, f.op, f.kind))
+            .collect();
+        let s = out.stats;
+        ((out.results, times, s.by_tag, s.planned_by_tag), faults)
+    };
+    let (base, none) = fingerprint(None);
+    assert!(none.is_empty());
+    let sources: Vec<usize> = base.0[0].iter().map(|&(src, _)| src).collect();
+    assert_eq!(sources, [0, 1, 2, 3, 3], "rank 0 gathers in source order");
+    for (k, &op) in DATA_OP.iter().enumerate().skip(1) {
+        let stall = FaultRule::new(FaultAction::Stall { millis: 20 })
+            .rank(k)
+            .after_op(op)
+            .max_fires(1);
+        let (run, fired) = fingerprint(Some(FaultPlan::new(k as u64).with(stall)));
+        assert_eq!(fired, [(k, op, "stall")], "sender {k}");
+        assert_eq!(run, base, "stalling sender {k} changed the run");
+    }
 }
 
 #[test]

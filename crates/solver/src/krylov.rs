@@ -16,7 +16,7 @@
 //! rank. The distributed logical clock is a floating-point accumulation of
 //! those charges and the collectives are matched by order, so reordering
 //! two lines here moves simulated times, per-tag traffic and every
-//! schedcheck/modelcheck fingerprint. `tests/krylov_golden.rs` pins all of
+//! schedcheck fingerprint. `tests/krylov_golden.rs` pins all of
 //! them. Because the serial space reduces by identity and both spaces sum
 //! local products in the same order, the serial solver *is* the p = 1
 //! distributed solver, bit for bit, by construction.

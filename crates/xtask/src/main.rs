@@ -12,9 +12,6 @@
 //!   bitwise-determinism sanitizer: seeded workloads re-run under
 //!   perturbed schedules must reproduce identical results and traffic
 //!   (see [`schedcheck`]).
-//! * `cargo run -p xtask --release -- modelcheck` — exhaustive
-//!   DPOR exploration of the schedule space of small configurations (see
-//!   [`modelcheck`]).
 //! * `cargo run -p xtask --release -- paper [--check] [--record]` — the
 //!   paper's tables and figures, regenerated and exact-diffed (see
 //!   [`paper`]); its `kernels` experiment is the kernel gate, which runs
@@ -36,7 +33,6 @@ use std::process::ExitCode;
 mod bench;
 mod chaos;
 mod lint;
-mod modelcheck;
 mod paper;
 mod schedcheck;
 mod sweep;
@@ -46,7 +42,7 @@ fn main() -> ExitCode {
     let cmd = args.first().map_or("", String::as_str);
     let Some(task) = task(cmd) else {
         eprintln!(
-            "usage: cargo run -p xtask -- lint | chaos | schedcheck | modelcheck \
+            "usage: cargo run -p xtask -- lint | chaos | schedcheck \
              | paper [--check] [--record] | loc"
         );
         return ExitCode::FAILURE;
@@ -68,7 +64,6 @@ fn task(cmd: &str) -> Option<Task> {
     Some(match cmd {
         "chaos" => chaos::run,
         "schedcheck" => schedcheck::run,
-        "modelcheck" => modelcheck::run,
         "paper" => paper::run,
         "lint" => lint::run,
         "loc" => loc_task,

@@ -27,9 +27,11 @@
 //! race report would mean the detector has a hole; that pairing is exactly
 //! the acceptance contract of this sanitizer.
 //!
-//! This suite *samples* the schedule space; `xtask modelcheck` walks the
-//! DPOR-reduced space *exhaustively* for small configs (see DESIGN §12).
-//! The driver, fingerprints, workloads, and shrink loop are shared via
+//! This suite *samples* the schedule space. That every schedule computes
+//! the same bits holds by construction (DESIGN §12.1: every receive names
+//! its source but the exchange gather, which sorts); the sweep is the
+//! tripwire that a change breaking that construction trips. The driver,
+//! fingerprints, workloads, and shrink loop are shared via
 //! [`crate::sweep`].
 //!
 //! The sweep runs 20 schedules × p ∈ {2, 4, 8} × four workloads (`mis`,

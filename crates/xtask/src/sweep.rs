@@ -1,19 +1,18 @@
 //! The one driver of the seeded sweep suites (`xtask chaos`, `xtask
-//! schedcheck`, `xtask modelcheck`): argument rejection, the muted panic
+//! schedcheck`): argument rejection, the muted panic
 //! hook, panic catching, the tally and its `FAIL:` report ([`drive`]); the
 //! workload table and runner ([`run_workload`], [`run_planned`]), result
 //! fingerprinting, the trial matrices, checksum folding, and the generic
 //! first-failing shrink loop. Each suite keeps only its own sweep policy
 //! (what to perturb, how to classify outcomes): chaos throws destructive
 //! fault plans at `factor` and `trisolve`; schedcheck perturbs the
-//! schedules of `mis`, `factor`, `trisolve` and `gmres`;
-//! modelcheck enumerates those of `spmv`, `mis`, `trisolve` and `factor`.
+//! schedules of `mis`, `factor`, `trisolve` and `gmres`.
 
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 
 use pilut_core::dist::op::{DistCsr, DistOperator};
-use pilut_core::dist::{DistMatrix, Distribution};
+use pilut_core::dist::DistMatrix;
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::dist_mis::{build_level_links, dist_mis};
 use pilut_core::parallel::par_ilut;
@@ -191,28 +190,13 @@ pub fn dist_matrix(p: usize) -> DistMatrix {
     DistMatrix::from_matrix(gen::laplace_2d(12, 12), p, 17)
 }
 
-/// The model-checker matrices: tiny, block-partitioned so every rank has
-/// at most two exchange peers — which is what keeps the *product* of
-/// per-receive match choices (the DPOR-reduced schedule count) enumerable.
-/// `grid` picks a 1-D chain Laplacian (`false`) or a small 2-D grid
-/// (`true`); both are the same operator family the big sweeps factor.
-pub fn tiny_matrix(p: usize, grid: bool) -> DistMatrix {
-    let a = if grid {
-        gen::laplace_2d(3, 3)
-    } else {
-        gen::laplace_2d(2 * p, 1)
-    };
-    let n = a.n_rows();
-    DistMatrix::new(a, Distribution::block(n, p))
-}
-
 /// The drop/fill options every sweep workload factors with.
 pub fn ilut_options() -> IlutOptions {
     IlutOptions::new(5, 1e-4)
 }
 
 /// The checked machine configuration every sweep trial runs under; suites
-/// layer their perturbation (fault plan, schedule script) on top.
+/// layer their perturbation (a fault plan) on top.
 pub fn checked_builder() -> MachineBuilder {
     Machine::builder(MachineModel::cray_t3d()).checked(true)
 }
@@ -403,10 +387,9 @@ mod tests {
     #[test]
     fn every_suite_rejects_every_flag() {
         type Suite = fn(&[String]) -> Result<(), String>;
-        let suites: [(&str, Suite); 3] = [
+        let suites: [(&str, Suite); 2] = [
             ("chaos", crate::chaos::run),
             ("schedcheck", crate::schedcheck::run),
-            ("modelcheck", crate::modelcheck::run),
         ];
         for (name, run) in suites {
             // Rejection comes before any trial runs, so these calls are fast.
@@ -433,16 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_matrices_are_tiny_and_block_partitioned() {
-        for p in [2, 3, 4] {
-            let chain = tiny_matrix(p, false);
-            assert_eq!(chain.n(), 2 * p);
-            let grid = tiny_matrix(p, true);
-            assert_eq!(grid.n(), 9);
-        }
-    }
-
-    #[test]
     fn shrink_returns_first_failing_candidate() {
         let hits: Vec<usize> = vec![3, 1, 2];
         let got = shrink(&hits, |c| if c >= 2 { Some(c * 10) } else { None });
@@ -454,7 +427,7 @@ mod tests {
     #[test]
     fn spmv_workload_fingerprints_deterministically() {
         let p = 2;
-        let dm = tiny_matrix(p, false);
+        let dm = dist_matrix(p);
         let (a, _) = run_workload("spmv", &dm, p, checked_builder());
         let (b, _) = run_workload("spmv", &dm, p, checked_builder());
         assert_eq!(a, b);
