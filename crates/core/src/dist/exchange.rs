@@ -17,11 +17,13 @@
 //!   of the factorizations builds one plan per level and ships dist-MIS
 //!   frames and `U` rows over it.
 //! * **Values** — [`Halo`], built *from* a plan at plan-build time: per
-//!   peer one slot list cut into levels, and values-only rounds
-//!   ([`Halo::send_values`] / [`Halo::recv_values`]) that ship `f64`s in the
-//!   node order both sides agreed on, no ids on the wire. SpMV holds a
-//!   one-level halo, the triangular solve one per sweep direction; the halo
-//!   is the only thing that warms the registered `f64` buffer pool.
+//!   peer one slot list cut into levels, and values-only batches, one per
+//!   `(link, level)` (`Halo::send_batch` / `Halo::recv_batch`, or a
+//!   whole level's with [`Halo::send_values`] / [`Halo::recv_values`]), that
+//!   ship `f64`s in the node order both sides agreed on, no ids on the
+//!   wire. SpMV holds a one-level halo, the triangular solve one per sweep
+//!   direction; the halo is the only thing that warms the registered `f64`
+//!   buffer pool.
 //!
 //! Clippy's `disallowed_methods` (the `no-raw-comm` rule of `clippy.toml`)
 //! keeps every distributed kernel on these two planes: this module, its

@@ -3,20 +3,25 @@
 //! A [`Halo`] is what a [`CommPlan`] becomes once its nodes are renamed to
 //! vector slots and sorted by level: per peer one slot list with `cut[l]`
 //! offsets, level `l`'s share being the contiguous range
-//! `cut[l]..cut[l + 1]`. A round at level `l` ships that range — one
-//! values-only message per peer whose range is non-empty — straight between
-//! the wire and a slot-indexed vector. SpMV is the one-level case.
+//! `cut[l]..cut[l + 1]`. That range is one *batch*: one values-only message
+//! straight between the wire and a slot-indexed vector, shipped by
+//! `Halo::send_batch` and drained by `Halo::recv_batch` one link at a
+//! time, so a triangular sweep can ship a peer's batch as soon as its rows
+//! are solved and drain one right before a row reads it. SpMV is the
+//! one-level case and moves every link at once ([`Halo::send_values`] /
+//! [`Halo::recv_values`]).
 //!
-//! The two round halves run in the steady state of a solve and are on the
+//! The two batch halves run in the steady state of a solve and are on the
 //! `no-alloc-in-hot` lint list and under the kernel gate's zero-alloc
-//! steady regions: a batch is staged in a buffer of the run's registered pool ([`Ctx::pool`])
-//! warmed at construction, the receiver reads it through a borrow and
-//! `recycle`s its payload handle, which puts the buffer back on the shelf —
-//! no per-round heap traffic on either side.
+//! steady regions (`send_values`, `recv_values`): a batch is staged in a
+//! buffer of the run's registered pool ([`Ctx::pool`]) warmed at
+//! construction, the receiver reads it through a borrow and `recycle`s its
+//! payload handle, which puts the buffer back on the shelf — no per-round
+//! heap traffic on either side.
 
 use super::CommPlan;
 use pilut_par::{Ctx, Payload};
-use std::cell::RefCell;
+use std::cell::Cell;
 
 /// Registered buffers warmed per (send link, level) at construction. Deep
 /// enough that a halo's full send fan-out plus the in-flight buffers the
@@ -29,6 +34,14 @@ struct Link {
     peer: usize,
     slots: Vec<usize>,
     cut: Vec<usize>,
+    /// `sweeps[l]`: batches of level `l` moved over this link so far. Sweep
+    /// `s` of level `l` travels under the wire tag `tag + ((l + 1) << 20) +
+    /// s`: batches of two levels can be in flight from one sender at once,
+    /// and sharing a wire tag would let a reordered network swap them; the
+    /// `+ 1` keeps level 0 clear of the plan's own rounds (`tag + round`).
+    /// Both ends count only the non-empty batches they move, once per
+    /// sweep, so they agree on `s`.
+    sweeps: Vec<Cell<u64>>,
 }
 
 impl Link {
@@ -45,14 +58,6 @@ pub struct Halo {
     tag: u64,
     send: Vec<Link>,
     recv: Vec<Link>,
-    /// `[send, recv]` sweeps run so far at each level. Sweep `s` of level
-    /// `l` ships under the wire tag `tag + ((l + 1) << 20) + s`: values of
-    /// two adjacent levels can be in flight from one sender at once, and
-    /// sharing a wire tag would let a reordered network swap them; the
-    /// `+ 1` keeps level 0 clear of the plan's own rounds (`tag + round`).
-    /// The halves count separately because the sweeps call them at
-    /// different loop iterations.
-    sweeps: RefCell<Vec<[u64; 2]>>,
 }
 
 impl Halo {
@@ -81,13 +86,13 @@ impl Halo {
                 peer: *peer,
                 slots: keyed.iter().map(|&(_, slot)| slot).collect(),
                 cut,
+                sweeps: (0..n_levels).map(|_| Cell::new(0)).collect(),
             }
         };
         let halo = Halo {
             tag: plan.tag(),
             send: plan.send_lists().iter().map(link).collect(),
             recv: plan.recv_lists().iter().map(link).collect(),
-            sweeps: RefCell::new(vec![[0; 2]; n_levels]),
         };
         for batch in halo.send.iter().flat_map(|k| k.cut.windows(2)) {
             if batch[1] > batch[0] {
@@ -102,58 +107,101 @@ impl Halo {
         self.send.iter().map(|link| link.slots.len()).sum()
     }
 
-    /// The wire tag of the next sweep at `level`, advancing the counter of
-    /// its send (0) or receive (1) `half`.
-    fn wire_tag(&self, level: usize, half: usize) -> u64 {
-        let sweep = &mut self.sweeps.borrow_mut()[level][half];
-        *sweep += 1;
-        self.tag + ((level as u64 + 1) << 20) + *sweep - 1
+    /// Send links, in ascending peer order.
+    pub(crate) fn send_links(&self) -> usize {
+        self.send.len()
     }
 
-    /// The send half of a level's round: one `f64` batch to every peer that
-    /// needs a value of `level`, `value_of(slot)` in the agreed order, staged
-    /// in pooled buffers. Pairs with a matching [`Halo::recv_values`] on the
-    /// other side — SpMV calls the halves back to back, the triangular
-    /// sweeps at different loop iterations, which is why they are split.
-    pub fn send_values(&self, ctx: &mut Ctx, level: usize, value_of: impl Fn(usize) -> f64) {
+    /// Receive links, in ascending peer order.
+    pub(crate) fn recv_links(&self) -> usize {
+        self.recv.len()
+    }
+
+    /// The slots send link `link` ships at `level`, in wire order.
+    pub(crate) fn send_slots(&self, link: usize, level: usize) -> &[usize] {
+        self.send[link].at(level)
+    }
+
+    /// The ghost slots receive link `link` fills at `level`, in wire order.
+    pub(crate) fn recv_slots(&self, link: usize, level: usize) -> &[usize] {
+        self.recv[link].at(level)
+    }
+
+    /// The wire tag of the next batch of `link` at `level`, advancing its
+    /// sweep counter.
+    fn wire_tag(&self, link: &Link, level: usize) -> u64 {
+        let sweep = link.sweeps[level].replace(link.sweeps[level].get() + 1);
+        self.tag + ((level as u64 + 1) << 20) + sweep
+    }
+
+    /// Ships send link `link`'s batch of `level`, `value_of(slot)` in the
+    /// agreed order, staged in a pooled buffer; an empty batch sends
+    /// nothing. Pairs with `Halo::recv_batch` of the same `(link, level)`
+    /// on the peer.
+    pub(crate) fn send_batch(
+        &self,
+        ctx: &mut Ctx,
+        link: usize,
+        level: usize,
+        value_of: impl Fn(usize) -> f64,
+    ) {
         let _audit = pilut_allocaudit::region("send_values");
-        let wire = self.wire_tag(level, 0);
-        let live = || {
-            let batches = self.send.iter().map(|k| (k.peer, k.at(level)));
-            batches.filter(|(_, slots)| !slots.is_empty())
-        };
-        let values: usize = live().map(|(_, slots)| slots.len()).sum();
-        ctx.note_planned(self.tag, live().count() as u64, 8 * values as u64);
-        for (peer, slots) in live() {
-            let mut vals = ctx.pool().take(slots.len());
-            vals.extend(slots.iter().map(|&s| value_of(s)));
-            ctx.copy_words(vals.len() as f64);
-            ctx.send_as(peer, wire, self.tag, Payload::f64s(vals));
+        let link = &self.send[link];
+        let slots = link.at(level);
+        if slots.is_empty() {
+            return;
+        }
+        let wire = self.wire_tag(link, level);
+        ctx.note_planned(self.tag, 1, 8 * slots.len() as u64);
+        let mut vals = ctx.pool().take(slots.len());
+        vals.extend(slots.iter().map(|&s| value_of(s)));
+        ctx.copy_words(vals.len() as f64);
+        ctx.send_as(link.peer, wire, self.tag, Payload::f64s(vals));
+    }
+
+    /// Drains receive link `link`'s batch of `level`, hands each
+    /// `(slot, value)` to `take`, and recycles the batch toward the
+    /// registered-buffer pool; an empty batch receives nothing.
+    pub(crate) fn recv_batch(
+        &self,
+        ctx: &mut Ctx,
+        link: usize,
+        level: usize,
+        mut take: impl FnMut(usize, f64),
+    ) {
+        let _audit = pilut_allocaudit::region("recv_values");
+        let link = &self.recv[link];
+        let slots = link.at(level);
+        if slots.is_empty() {
+            return;
+        }
+        let wire = self.wire_tag(link, level);
+        // Borrow the values in place, then recycle the handle, which
+        // shelves the buffer back into the pool.
+        let payload = ctx.recv(link.peer, wire);
+        let vals = payload.as_f64();
+        let peer = link.peer;
+        assert_eq!(vals.len(), slots.len(), "halo mismatch from rank {peer}");
+        for (&s, &val) in slots.iter().zip(vals) {
+            take(s, val);
+        }
+        ctx.copy_words(slots.len() as f64);
+        payload.recycle(ctx.pool());
+    }
+
+    /// The send half of a whole level: `Halo::send_batch` over every send
+    /// link in ascending peer order.
+    pub fn send_values(&self, ctx: &mut Ctx, level: usize, value_of: impl Fn(usize) -> f64) {
+        for link in 0..self.send.len() {
+            self.send_batch(ctx, link, level, &value_of);
         }
     }
 
-    /// The receive half of a level's round: drains one `f64` batch per peer
-    /// that owns a ghost of `level`, hands each `(slot, value)` to `take`,
-    /// and recycles the batch toward the registered-buffer pool.
+    /// The receive half of a whole level: `Halo::recv_batch` over every
+    /// receive link in ascending peer order.
     pub fn recv_values(&self, ctx: &mut Ctx, level: usize, mut take: impl FnMut(usize, f64)) {
-        let _audit = pilut_allocaudit::region("recv_values");
-        let wire = self.wire_tag(level, 1);
-        for link in &self.recv {
-            let slots = link.at(level);
-            if slots.is_empty() {
-                continue;
-            }
-            // Borrow the values in place, then recycle the handle, which
-            // shelves the buffer back into the pool.
-            let payload = ctx.recv(link.peer, wire);
-            let vals = payload.as_f64();
-            let peer = link.peer;
-            assert_eq!(vals.len(), slots.len(), "halo mismatch from rank {peer}");
-            for (&s, &val) in slots.iter().zip(vals) {
-                take(s, val);
-            }
-            ctx.copy_words(slots.len() as f64);
-            payload.recycle(ctx.pool());
+        for link in 0..self.recv.len() {
+            self.recv_batch(ctx, link, level, &mut take);
         }
     }
 }

@@ -11,6 +11,13 @@
 //! round of a one-level [`Halo`] ([`Halo::send_values`] /
 //! [`Halo::recv_values`]).
 //!
+//! A product overlaps its exchange with the rows that need none of it:
+//! [`DistCsr::apply_into`] ships its boundary values, computes and pays for
+//! its interior rows (an interior node has no remote column), then receives
+//! and computes and pays for its interface rows. A rank therefore ends at
+//! `max(t + interior, arrival) + boundary` rather than waiting before any
+//! work.
+//!
 //! The product runs in the index space the triangular sweeps use
 //! ([`crate::trisolve`]): one *slot-indexed* vector — the rank's local
 //! vector extended by one entry per referenced remote column — with the
@@ -46,6 +53,8 @@ pub struct DistCsr<'a> {
     /// Slots of the stored entries of `local.nodes`' rows, row after row in
     /// stored order — laid alongside the matrix's own values.
     slot: Vec<u32>,
+    /// Entries of the interior rows, which head `slot` and read no ghost.
+    interior_entries: usize,
     /// Local values, then one ghost per remote column, ascending node id.
     x: Vec<f64>,
 }
@@ -76,10 +85,12 @@ impl<'a> DistCsr<'a> {
         for &i in &local.nodes {
             slot.extend(a.row(i).0.iter().map(|&j| slot_of(j as usize) as u32));
         }
+        let interior_entries = local.interior.iter().map(|&i| a.row_nnz(i)).sum();
         DistCsr {
             dm,
             local,
             slot,
+            interior_entries,
             x: vec![0.0; n_slots],
             halo: Halo::new(ctx, &plan, 1, |j| (0, slot_of(j))),
         }
@@ -91,8 +102,9 @@ impl DistOperator for DistCsr<'_> {
         self.local.len()
     }
 
-    /// The zero-allocation steady-state product. The exchange replays
-    /// through the registered-buffer pool (audited under the `send_values` /
+    /// The zero-allocation steady-state product: send, interior rows, pay,
+    /// receive, interface rows, pay. The exchange replays through the
+    /// registered-buffer pool (audited under the `send_values` /
     /// `recv_values` regions); the local product touches no heap at all.
     fn apply_into(&mut self, ctx: &mut Ctx, x: &[f64], y: &mut [f64]) {
         assert_eq!(y.len(), self.local.len());
@@ -101,25 +113,38 @@ impl DistOperator for DistCsr<'_> {
             local,
             halo,
             slot,
+            interior_entries,
             x: xs,
         } = self;
-        // Exchange of boundary values, straight into the ghost tail.
+        // Ship the boundary values, then work on the interior rows, which
+        // read no ghost, while they travel; receive straight into the ghost
+        // tail and finish the interface rows.
         xs[..local.len()].copy_from_slice(x);
         halo.send_values(ctx, 0, |p| xs[p]);
+        let n_int = local.interior.len();
+        let (y_int, y_iface) = y.split_at_mut(n_int);
+        let (slot_int, slot_iface) = slot.split_at(*interior_entries);
+        let (int, iface) = local.nodes.split_at(n_int);
+        product_rows(dm, int, slot_int, xs, y_int);
+        ctx.work(2.0 * slot_int.len() as f64);
         halo.recv_values(ctx, 0, |s, v| xs[s] = v);
-        // Local product.
-        let mut slots = slot.as_slice();
-        for (out, &i) in y.iter_mut().zip(&local.nodes) {
-            let vals = dm.matrix().row(i).1;
-            let (row, rest) = slots.split_at(vals.len());
-            slots = rest;
-            let mut acc = 0.0;
-            for (&s, &v) in row.iter().zip(vals) {
-                acc += v * xs[s as usize];
-            }
-            *out = acc;
+        product_rows(dm, iface, slot_iface, xs, y_iface);
+        ctx.work(2.0 * slot_iface.len() as f64);
+    }
+}
+
+/// `y[k] = Σ a_ij·x[slot]` over the rows `nodes[k]` of `dm`, whose entry
+/// slots are `slots` row after row, summed in stored order.
+fn product_rows(dm: &DistMatrix, nodes: &[usize], mut slots: &[u32], x: &[f64], y: &mut [f64]) {
+    for (out, &i) in y.iter_mut().zip(nodes) {
+        let vals = dm.matrix().row(i).1;
+        let (row, rest) = slots.split_at(vals.len());
+        slots = rest;
+        let mut acc = 0.0;
+        for (&s, &v) in row.iter().zip(vals) {
+            acc += v * x[s as usize];
         }
-        ctx.work(2.0 * slot.len() as f64);
+        *out = acc;
     }
 }
 
@@ -248,5 +273,40 @@ mod tests {
         let (msgs, bytes) = out.stats.tag_totals(tags::SPMV);
         assert!(msgs >= 2, "both ranks should push boundary values");
         assert_eq!(bytes, shipped as u64 * 8);
+    }
+
+    /// A product ships, pays for its interior rows, waits, then pays for
+    /// its interface rows: on a two-rank path each rank ends at exactly
+    /// `max(t + interior, arrival) + boundary`, the arrival being its
+    /// peer's start plus one message.
+    #[test]
+    fn spmv_pays_its_interior_rows_before_it_waits() {
+        let model = MachineModel {
+            flop_time: 1.0,
+            latency: 100.0,
+            inv_bandwidth: 0.0,
+            word_copy_time: 0.0,
+        };
+        let dm = DistMatrix::new(gen::laplace_2d(40, 1), Distribution::block(40, 2));
+        let out = Machine::run_checked(2, model, |ctx| {
+            let local = dm.local_view(ctx.rank());
+            let mut op = DistCsr::new(ctx, &dm, &local);
+            let x = vec![1.0; local.len()];
+            ctx.barrier();
+            let t = ctx.time();
+            product(&mut op, ctx, &x);
+            let flops = |rows: &[usize]| rows.iter().map(|&i| 2 * dm.matrix().row_nnz(i)).sum();
+            let flops: [usize; 2] = [flops(&local.interior), flops(&local.interface)];
+            (t, flops, ctx.time())
+        });
+        for (r, &(t, [interior, boundary], end)) in out.results.iter().enumerate() {
+            let arrival = out.results[1 - r].0 + model.latency;
+            let want = (t + interior as f64).max(arrival) + boundary as f64;
+            assert_eq!(end, want, "rank {r}");
+            assert!(
+                interior > 0 && arrival > t,
+                "rank {r} must have work to hide"
+            );
+        }
     }
 }

@@ -2,26 +2,40 @@
 //!
 //! The solves mirror the factorization's two-phase structure. Forward
 //! (`L y = b`): every rank solves its interior unknowns locally, then the
-//! interface unknowns level by level — after computing a level, each rank
-//! pushes the new `x` values to exactly the ranks whose later rows reference
-//! them. Backward (`U x = y`) runs the levels in reverse and finishes with
-//! the interiors. Communication volume is proportional to the interface
-//! size, but the `q` levels impose `q` implicit synchronisation points —
-//! which is why ILUT\*'s smaller `q` makes its triangular solves faster
-//! (paper Table 2 / Figure 6).
+//! interface unknowns level by level, pushing each new `x` value to exactly
+//! the ranks whose later rows reference it. Backward (`U x = y`) runs the
+//! levels in reverse and finishes with the interiors. Communication volume
+//! is proportional to the interface size, but the `q` levels impose `q`
+//! implicit synchronisation points — which is why ILUT\*'s smaller `q`
+//! makes its triangular solves faster (paper Table 2 / Figure 6).
 //!
 //! The exchange is fully planned: [`TrisolvePlan::build`] builds one
 //! [`CommPlan`] per direction, asks every owner for the *level index* of
 //! each needed node ([`CommPlan::exchange_labels`]), and sorts the plan into
-//! one levelled [`Halo`]. A sweep then replays a fixed schedule — at
-//! iteration `l` it drains the batches of the previously computed level
-//! and, after computing level `l`, ships that level's range of the halo,
-//! one values-only message per peer that needs any of it. This is valid
-//! because remote `L` dependencies sit at strictly earlier levels and
-//! remote `U` dependencies at strictly later ones (the level construction
-//! eliminates a row only against already-pivoted levels), and received
-//! values persist for any level-skipping consumer. No node ids travel on
-//! the wire.
+//! one levelled [`Halo`], whose `(link, level)` batches are one values-only
+//! message each. No node ids travel on the wire. Remote `L` dependencies
+//! sit at strictly earlier levels and remote `U` dependencies at strictly
+//! later ones (the level construction eliminates a row only against
+//! already-pivoted levels), and the rows of one level read none of each
+//! other, so a level's rows may be solved in any order.
+//!
+//! The build then compiles each direction into one *step list* that both
+//! the build's check and every sweep replay: solve a run of rows and pay
+//! for them, ship a send link's batch, or drain a receive link's batch.
+//! Within a level the schedule is:
+//! - **ship per peer**: for each send link in ascending peer order, solve
+//!   the rows of its batch that no earlier step solved, pay, and ship;
+//! - **pay after shipping**: the level's rows no peer reads at that level
+//!   are solved and paid after its last ship;
+//! - **drain on read**: a batch is drained right before the first row that
+//!   reads one of its slots, not at the top of the next level.
+//!
+//! Levels, messages, bytes and wire tags are the paper's §5 pattern; only
+//! their timing moves. [`TrisolvePlan::build`] panics unless every slot a
+//! row reads is solved or drained by an earlier step of its sweep, every
+//! shipped slot is solved first, and every non-empty batch is drained
+//! exactly once per sweep — so a `U` row never reads a ghost the forward
+//! sweep left.
 //!
 //! The sweeps stream the factor's two CSR arenas over one *slot-indexed*
 //! vector — the rank's local vector extended by one entry per referenced
@@ -33,17 +47,14 @@
 //! every sum rounds as it always did.
 //!
 //! Each sweep pays the clock once per communication-free span, from the
-//! factor's row pointers: the forward sweep its interiors before the first
-//! level and each level's rows before that level's send, the backward
-//! sweep each level before its send and its interiors at the end. A
-//! receiver therefore waits on its sender's level work, which is what the
-//! `q` synchronisation points cost; per apply the charges total `2·nnz(L)`
-//! and `2·nnz(U) + rows`.
+//! factor's row pointers: a run of rows is paid before the ship or drain
+//! that ends it. A receiver therefore waits on exactly the rows its
+//! sender solved before shipping, which is what the `q` synchronisation
+//! points cost; per apply the charges total `2·nnz(L)` and
+//! `2·nnz(U) + rows`.
 //!
 //! Both sweeps run over one such vector: the backward sweep starts from
-//! the forward sweep's result in place, and the ghosts the forward sweep
-//! left in the tail are never read, since every ghost a `U` row reads is
-//! delivered by its level's batch first.
+//! the forward sweep's result in place.
 //!
 //! [`dist_solve_into`] is the one way to apply the factors: both sweeps
 //! into a caller-owned buffer over a [`SolveScratch`] built once per plan
@@ -57,26 +68,73 @@ use pilut_par::collectives::ReduceOp;
 use pilut_par::Ctx;
 
 /// The communication plan for repeated triangular solves with one
-/// factorization: one levelled halo per direction over the *slots* of the
-/// solution vector (local position for my nodes, ghost slot for remote ones
-/// — see [`RankFactors::ghosts`]), so a sweep moves values between the wire
-/// and the vector without a lookup.
+/// factorization: one compiled sweep per direction over the *slots* of
+/// the solution vector (local position for my nodes, ghost slot for remote
+/// ones — see [`RankFactors::ghosts`]), so a sweep moves values between the
+/// wire and the vector without a lookup.
 pub struct TrisolvePlan {
-    /// Forward traffic: at level `l`, my level-`l` nodes on the send side,
-    /// remote level-`l` nodes on the receive side.
-    fwd: Halo,
-    /// Backward traffic, levelled the same way.
-    bwd: Halo,
-    /// `level_pos[l]`: local positions of my level-`l` rows, in the order
-    /// the store holds them: one contiguous run of store rows per level,
-    /// the levels in order after the interiors.
-    level_pos: Vec<Vec<usize>>,
+    /// The forward sweep: interiors, then the levels ascending.
+    fwd: Sweep,
+    /// The backward sweep: the levels descending, then the interiors.
+    bwd: Sweep,
     /// Length of the slot-indexed solution vector: owned nodes + ghosts.
     n_slots: usize,
 }
 
+/// One step of a compiled sweep.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Solve the sweep's interface rows from the previous `Rows` step's
+    /// `end` up to this `end` — with the interior run before them
+    /// (forward) or after them (backward) when `interiors` — then pay their
+    /// `flops`.
+    Rows {
+        end: usize,
+        flops: f64,
+        interiors: bool,
+    },
+    /// Ship send link `link`'s batch of `level`.
+    Ship { link: usize, level: usize },
+    /// Drain receive link `link`'s batch of `level` into the ghost tail.
+    Drain { link: usize, level: usize },
+}
+
+/// A direction's halo and the schedule that replays it.
+struct Sweep {
+    halo: Halo,
+    /// `(store row, slot)` of every interface row, in solve order; the
+    /// interiors are one run at store row = slot, solved by the `Rows` step
+    /// that says so.
+    rows: Vec<[u32; 2]>,
+    steps: Vec<Step>,
+}
+
+/// Which triangle a sweep solves.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Direction {
+    Forward,
+    Backward,
+}
+
+/// Where a rank's rows sit: interiors at store row = slot below `n_int`,
+/// then level `l`'s interface rows at store rows `start[l]..start[l + 1]`.
+struct Shape {
+    n_int: usize,
+    n_local: usize,
+    start: Vec<usize>,
+    /// `slot[p - n_int]`: the slot interface store row `p` solves.
+    slot: Vec<usize>,
+    /// `row[s - n_int]`: the store row that solves interface slot `s`.
+    row: Vec<usize>,
+}
+
 impl TrisolvePlan {
     /// Collectively builds the plan from the distributed factors.
+    ///
+    /// # Panics
+    /// If a compiled sweep would read a slot before an earlier step solves
+    /// or drains it, ship a slot before solving it, or drain a non-empty
+    /// batch other than exactly once.
     pub fn build(ctx: &mut Ctx, dm: &DistMatrix, local: &LocalView, rf: &RankFactors) -> Self {
         let n_local = local.len();
         // The factorization's level loop is collective (one push per
@@ -87,11 +145,21 @@ impl TrisolvePlan {
         assert_eq!(lmax as usize, n_levels, "level count differs across ranks");
         #[expect(clippy::expect_used, reason = "levels hold own interface nodes")]
         let pos = |&i: &usize| local.pos_of(i).expect("level row must be local");
-        let level_pos: Vec<Vec<usize>> = rf
-            .levels
-            .iter()
-            .map(|lv| lv.iter().map(pos).collect())
-            .collect();
+        let n_int = rf.interior.len();
+        let mut shape = Shape {
+            n_int,
+            n_local,
+            start: vec![n_int],
+            slot: Vec::with_capacity(n_local - n_int),
+            row: vec![usize::MAX; n_local - n_int],
+        };
+        for lv in &rf.levels {
+            shape.slot.extend(lv.iter().map(pos));
+            shape.start.push(n_int + shape.slot.len());
+        }
+        for (i, &s) in shape.slot.iter().enumerate() {
+            shape.row[s - n_int] = n_int + i;
+        }
         let n_slots = n_local + rf.ghosts.len();
         #[expect(clippy::expect_used, reason = "the plans are built from these ghosts")]
         let slot_of = |g: usize| {
@@ -103,13 +171,15 @@ impl TrisolvePlan {
         // answers; `Halo::new` rejects a scheduled node still without one
         // (peers only reference interface pivots, which all carry a level).
         let mut level_of = vec![u64::MAX; n_slots];
-        for (l, rows) in level_pos.iter().enumerate() {
-            rows.iter().for_each(|&p| level_of[p] = l as u64);
+        for (l, run) in shape.start.windows(2).enumerate() {
+            for &s in &shape.slot[run[0] - n_int..run[1] - n_int] {
+                level_of[s] = l as u64;
+            }
         }
         // One direction: plan the exchange from the ghosts the triangle
         // references, each once, learn each one's level from its owner,
         // sort by level.
-        let mut build_sweep = |tag: u64, arena: &Arena| -> Halo {
+        let mut build_halo = |tag: u64, arena: &Arena| -> Halo {
             let mut used = vec![false; rf.ghosts.len()];
             for s in &arena.slot {
                 if let Some(g) = (*s as usize).checked_sub(n_local) {
@@ -131,11 +201,239 @@ impl TrisolvePlan {
             let key = |slot: usize| (level_of[slot] as usize, slot);
             Halo::new(ctx, &plan, n_levels, |g| key(slot_of(g)))
         };
-        TrisolvePlan {
-            fwd: build_sweep(tags::FWD, &rf.store.l),
-            bwd: build_sweep(tags::BWD, &rf.store.u),
-            level_pos,
-            n_slots,
+        let fwd = build_halo(tags::FWD, &rf.store.l);
+        let bwd = build_halo(tags::BWD, &rf.store.u);
+        let fwd = Sweep::compile(Direction::Forward, fwd, &rf.store.l, &shape, n_slots);
+        let bwd = Sweep::compile(Direction::Backward, bwd, &rf.store.u, &shape, n_slots);
+        fwd.check(Direction::Forward, &rf.store.l, &shape, n_slots);
+        bwd.check(Direction::Backward, &rf.store.u, &shape, n_slots);
+        TrisolvePlan { fwd, bwd, n_slots }
+    }
+}
+
+/// The compiler's state for one direction: the steps so far, the slots
+/// they have solved or drained, and the flops of the open run of rows.
+struct Schedule<'a> {
+    halo: &'a Halo,
+    arena: &'a Arena,
+    n_local: usize,
+    /// Flops per row beyond two per entry: the backward sweep's division.
+    divide: usize,
+    /// `batch[g]`: the `(receive link, level)` that delivers ghost `g`.
+    batch: Vec<Option<(usize, usize)>>,
+    /// Slots solved (owned) or drained (ghosts) by the steps so far.
+    have: Vec<bool>,
+    rows: Vec<[u32; 2]>,
+    steps: Vec<Step>,
+    /// Rows already closed into a `Rows` step, the open run's flops, and
+    /// whether it holds the interior run.
+    closed: usize,
+    flops: usize,
+    interiors: bool,
+}
+
+impl Schedule<'_> {
+    /// Solves store row `p` into `slot`, first draining every batch the
+    /// row reads from that no earlier step drained.
+    fn solve(&mut self, p: usize, slot: usize) {
+        let (cols, _) = self.arena.row(p);
+        for &j in cols {
+            let Some(g) = (j as usize).checked_sub(self.n_local) else {
+                continue;
+            };
+            if let (false, Some((link, level))) = (self.have[j as usize], self.batch[g]) {
+                self.close();
+                self.steps.push(Step::Drain { link, level });
+                for &s in self.halo.recv_slots(link, level) {
+                    self.have[s] = true;
+                }
+            }
+        }
+        // Slots number matrix columns, so they fit its `u32` ids.
+        self.rows.push([p as u32, slot as u32]);
+        self.have[slot] = true;
+        self.flops += 2 * cols.len() + self.divide;
+    }
+
+    /// Adds the interior run to the open run of rows. Interior rows read
+    /// only interiors and, backward, the rank's own interface rows.
+    fn interiors(&mut self, n_int: usize) {
+        self.flops += 2 * self.arena.entries_in(0..n_int) + self.divide * n_int;
+        self.have[..n_int].fill(true);
+        self.interiors = true;
+    }
+
+    /// Closes the open run of rows into a `Rows` step, if it has any.
+    fn close(&mut self) {
+        if self.rows.len() > self.closed || self.interiors {
+            let (end, flops) = (self.rows.len(), self.flops as f64);
+            let interiors = std::mem::take(&mut self.interiors);
+            self.steps.push(Step::Rows {
+                end,
+                flops,
+                interiors,
+            });
+            (self.closed, self.flops) = (end, 0);
+        }
+    }
+
+    /// Level `l`: ship per peer, then solve what no peer reads.
+    fn level(&mut self, shape: &Shape, l: usize) {
+        let halo = self.halo;
+        for link in 0..halo.send_links() {
+            let batch = halo.send_slots(link, l);
+            if batch.is_empty() {
+                continue;
+            }
+            for &s in batch {
+                if !self.have[s] {
+                    self.solve(shape.row[s - shape.n_int], s);
+                }
+            }
+            self.close();
+            self.steps.push(Step::Ship { link, level: l });
+        }
+        for p in shape.start[l]..shape.start[l + 1] {
+            let s = shape.slot[p - shape.n_int];
+            if !self.have[s] {
+                self.solve(p, s);
+            }
+        }
+    }
+}
+
+impl Sweep {
+    /// Compiles one direction's schedule over `arena`, the triangle it
+    /// solves (module docs).
+    fn compile(dir: Direction, halo: Halo, arena: &Arena, shape: &Shape, n_slots: usize) -> Sweep {
+        let n_local = shape.n_local;
+        let mut batch = vec![None; n_slots - n_local];
+        for link in 0..halo.recv_links() {
+            for level in 0..shape.start.len() - 1 {
+                for &s in halo.recv_slots(link, level) {
+                    batch[s - n_local] = Some((link, level));
+                }
+            }
+        }
+        let mut at = Schedule {
+            halo: &halo,
+            arena,
+            n_local,
+            divide: usize::from(dir == Direction::Backward),
+            batch,
+            have: vec![false; n_slots],
+            rows: Vec::with_capacity(shape.slot.len()),
+            steps: Vec::new(),
+            closed: 0,
+            flops: 0,
+            interiors: false,
+        };
+        let n_levels = shape.start.len() - 1;
+        match dir {
+            Direction::Forward => {
+                at.interiors(shape.n_int);
+                (0..n_levels).for_each(|l| at.level(shape, l));
+            }
+            Direction::Backward => {
+                (0..n_levels).rev().for_each(|l| at.level(shape, l));
+                at.interiors(shape.n_int);
+            }
+        }
+        at.close();
+        let (rows, steps) = (at.rows, at.steps);
+        Sweep { halo, rows, steps }
+    }
+
+    /// The plan-time proof of the schedule, independent of how it was
+    /// compiled: replays the steps over `have` flags and panics, naming the
+    /// slot, the step and the direction, unless every slot a row reads is
+    /// solved or drained by an earlier step, every shipped slot is solved
+    /// first, every owned slot is solved exactly once, and every non-empty
+    /// batch is drained exactly once.
+    fn check(&self, dir: Direction, arena: &Arena, shape: &Shape, n_slots: usize) {
+        let mut have = vec![false; n_slots];
+        let mut next = 0;
+        for (i, step) in self.steps.iter().enumerate() {
+            match *step {
+                Step::Rows { end, interiors, .. } => {
+                    let int = (0..shape.n_int).filter(|_| interiors);
+                    let int = int.map(|p| [p as u32; 2]);
+                    let iface = self.rows[next..end].iter().copied();
+                    let run: Vec<[u32; 2]> = match dir {
+                        Direction::Forward => int.chain(iface).collect(),
+                        Direction::Backward => iface.chain(int.rev()).collect(),
+                    };
+                    for [p, s] in run {
+                        for &j in arena.row(p as usize).0 {
+                            assert!(
+                                have[j as usize],
+                                "{dir:?} sweep: step {i} reads slot {j} before an earlier step solves or drains it"
+                            );
+                        }
+                        assert!(
+                            !have[s as usize],
+                            "{dir:?} sweep: step {i} solves slot {s} twice"
+                        );
+                        have[s as usize] = true;
+                    }
+                    next = end;
+                }
+                Step::Ship { link, level } => {
+                    for &s in self.halo.send_slots(link, level) {
+                        assert!(
+                            have[s],
+                            "{dir:?} sweep: step {i} ships slot {s} before a step solves it"
+                        );
+                    }
+                }
+                Step::Drain { link, level } => {
+                    for &s in self.halo.recv_slots(link, level) {
+                        assert!(
+                            !have[s],
+                            "{dir:?} sweep: step {i} drains slot {s} a second time"
+                        );
+                        have[s] = true;
+                    }
+                }
+            }
+        }
+        let n = self.steps.len();
+        if let Some(s) = (0..shape.n_local).find(|&s| !have[s]) {
+            panic!("{dir:?} sweep: no step solves slot {s} (after step {n})");
+        }
+        for link in 0..self.halo.recv_links() {
+            for level in 0..shape.start.len() - 1 {
+                if let Some(&s) = self.halo.recv_slots(link, level).first() {
+                    assert!(
+                        have[s],
+                        "{dir:?} sweep: no step drains slot {s} (link {link}, level {level}) after step {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Replays the schedule over the slot-indexed `x`: `solve(interiors,
+    /// rows, x)` runs one `Rows` step's `(store row, slot)` pairs, and the
+    /// interior run if `interiors`.
+    fn replay(&self, ctx: &mut Ctx, x: &mut [f64], solve: impl Fn(bool, &[[u32; 2]], &mut [f64])) {
+        let mut next = 0;
+        for step in &self.steps {
+            match *step {
+                Step::Rows {
+                    end,
+                    flops,
+                    interiors,
+                } => {
+                    solve(interiors, &self.rows[next..end], x);
+                    ctx.work(flops);
+                    next = end;
+                }
+                Step::Ship { link, level } => self.halo.send_batch(ctx, link, level, |s| x[s]),
+                Step::Drain { link, level } => {
+                    self.halo.recv_batch(ctx, link, level, |s, v| x[s] = v);
+                }
+            }
         }
     }
 }
@@ -193,53 +491,31 @@ fn forward_sweep_into(
 ) {
     assert_eq!(b.len(), rf.n_rows());
     // Load the owned part; the ghost tail keeps whatever the last backward
-    // sweep left in it (every ghost a row reads is delivered by its level's
-    // batch first). No allocation once `x` has seen `n_slots`.
+    // sweep left in it (the plan drains every ghost before a row reads
+    // it). No allocation once `x` has seen `n_slots`.
     x.clear();
     x.extend_from_slice(b);
     x.resize(plan.n_slots, 0.0);
-    // Interior phase: L columns of interior rows are earlier interiors of
-    // this rank — all local, all already computed in ascending order.
     let n_int = rf.interior.len();
-    rf.store.forward_rows((0..n_int).map(|p| (p, p)), x);
-    ctx.work(2.0 * rf.store.l.entries_in(0..n_int) as f64);
-    // Interface phase, level by level: drain the previous level's batches,
-    // compute and pay, then ship this level's values (one message per
-    // peer). The level's rows are the next run of store rows.
-    let mut next = n_int;
-    for (l, pos) in plan.level_pos.iter().enumerate() {
-        if l > 0 {
-            plan.fwd.recv_values(ctx, l - 1, |slot, v| x[slot] = v);
+    plan.fwd.replay(ctx, x, |interiors, rows, x| {
+        if interiors {
+            rf.store.forward_rows((0..n_int).map(|p| (p, p)), x);
         }
-        rf.store.forward_rows((next..).zip(pos.iter().copied()), x);
-        ctx.work(2.0 * rf.store.l.entries_in(next..next + pos.len()) as f64);
-        next += pos.len();
-        plan.fwd.send_values(ctx, l, |slot| x[slot]);
-    }
+        rf.store
+            .forward_rows(rows.iter().map(|&[p, s]| (p as usize, s as usize)), x);
+    });
 }
 
 /// The backward sweep body (see [`forward_sweep_into`]), over the forward
-/// sweep's slot-indexed vector: its owned part is the right-hand side, its
-/// ghost tail is overwritten before any row reads it.
+/// sweep's slot-indexed vector: its owned part is the right-hand side.
 fn backward_sweep_in_place(ctx: &mut Ctx, rf: &RankFactors, plan: &TrisolvePlan, x: &mut [f64]) {
     assert_eq!(x.len(), plan.n_slots);
-    // Interface levels in reverse order: drain the batches of the level
-    // computed just before (the next-higher index), compute, ship. The
-    // level's rows are the run of store rows before the later levels'.
-    let n_levels = plan.level_pos.len();
-    let mut end = rf.n_rows();
-    for (l, pos) in plan.level_pos.iter().enumerate().rev() {
-        if l + 1 < n_levels {
-            plan.bwd.recv_values(ctx, l + 1, |slot, v| x[slot] = v);
-        }
-        end -= pos.len();
-        rf.store.backward_rows((end..).zip(pos.iter().copied()), x);
-        ctx.work((2 * rf.store.u.entries_in(end..end + pos.len()) + pos.len()) as f64);
-        plan.bwd.send_values(ctx, l, |slot| x[slot]);
-    }
-    // Interior phase, descending elimination order; U columns of interior
-    // rows are local (later interiors or own interfaces).
     let n_int = rf.interior.len();
-    rf.store.backward_rows((0..n_int).rev().map(|p| (p, p)), x);
-    ctx.work((2 * rf.store.u.entries_in(0..n_int) + n_int) as f64);
+    plan.bwd.replay(ctx, x, |interiors, rows, x| {
+        rf.store
+            .backward_rows(rows.iter().map(|&[p, s]| (p as usize, s as usize)), x);
+        if interiors {
+            rf.store.backward_rows((0..n_int).rev().map(|p| (p, p)), x);
+        }
+    });
 }

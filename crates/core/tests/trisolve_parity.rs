@@ -7,7 +7,7 @@ use pilut_core::parallel::{par_ilut, RankFactors};
 use pilut_core::serial::ilut;
 use pilut_core::trisolve::{dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_par::{Ctx, Machine, MachineModel};
-use pilut_sparse::{gen, CsrMatrix};
+use pilut_sparse::{gen, CooMatrix, CsrMatrix};
 
 /// One forward + backward solve of `b` into a fresh vector.
 fn solve(
@@ -201,4 +201,105 @@ fn each_solve_charges_its_entries_and_divisions_exactly() {
             "{solves} solve(s)"
         );
     }
+}
+
+/// A matrix with `4` on the diagonal and the listed off-diagonal entries.
+fn matrix(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
+    let mut coo = CooMatrix::new(n, n);
+    (0..n).for_each(|i| coo.push(i, i, 4.0));
+    entries.iter().for_each(|&(i, j, v)| coo.push(i, j, v));
+    coo.to_csr()
+}
+
+/// One solve of `A` on two ranks (`part` per node) under ILUT(n, 1e-6)
+/// with MIS seed `seed`: per rank its factors and its clock just before
+/// and just after the solve.
+#[expect(clippy::unwrap_used, reason = "a factor error fails the test")]
+fn timed_solve(a: CsrMatrix, part: Vec<usize>, seed: u64) -> Vec<(RankFactors, f64, f64)> {
+    let mut opts = IlutOptions::new(a.n_rows(), 1e-6);
+    opts.seed = seed;
+    let dm = DistMatrix::new(a, Distribution::from_part(part, 2));
+    let out = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
+        let local = dm.local_view(ctx.rank());
+        let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
+        let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
+        let b = vec![1.0; local.len()];
+        ctx.barrier();
+        let t0 = ctx.time();
+        solve(ctx, &local, &rf, &plan, &b);
+        (rf, t0, ctx.time())
+    });
+    out.results
+}
+
+/// A peer's batch ships before the level's rows that no peer reads. Rank
+/// 0's level 0 holds `c`, whose `L` reads 100 interiors and which no peer
+/// reads (rank 1's entry on it is dropped), and `d`, which rank 1's
+/// level-1 row `a` reads. Rank 0 ships `d` first, so rank 1 has `d` before
+/// rank 0 has paid for `c`.
+#[test]
+fn a_peer_batch_ships_before_rows_no_peer_reads() {
+    let m = 100;
+    let (c, d, a, b) = (0, m + 1, m + 2, m + 3);
+    let mut entries = vec![(b, c, 1e-12), (a, d, -1.0), (d, a, -1.0)];
+    for i in 1..=m {
+        entries.extend([(i, c, -1.0), (c, i, -1.0)]);
+    }
+    let part = (0..m + 4).map(|i| usize::from(i == a || i == b)).collect();
+    let out = timed_solve(matrix(m + 4, &entries), part, 2);
+    let [(rf0, t0, _), (rf1, _, t1)] = &out[..] else {
+        panic!("two ranks")
+    };
+    assert_eq!(rf0.levels, [vec![c, d], vec![]], "c and d share level 0");
+    assert_eq!(rf1.levels, [vec![b], vec![a]]);
+    assert_eq!(
+        (rf0.stats.nnz_l, rf1.stats.nnz_l),
+        (m, 1),
+        "only a reads rank 0"
+    );
+    let flop = MachineModel::cray_t3d().flop_time;
+    // Rank 0 has paid for `c` once it has paid its whole forward sweep.
+    let paid = t0 + 2.0 * rf0.stats.nnz_l as f64 * flop;
+    // Everything rank 1 pays comes after that receive, and it waits for
+    // nothing else.
+    let received = t1 - sweep_flops(rf1) * flop;
+    assert!(
+        received < paid,
+        "rank 1 had rank 0's level-0 value at {received} s, after rank 0 paid for c at {paid} s"
+    );
+}
+
+/// A batch is drained right before the first row that reads it. Rank 1's
+/// level 1 holds `e`, whose `L` reads 100 interiors and the local `x`, and
+/// `f`, which reads rank 0's level-0 row `g`. Rank 1 solves and pays for
+/// `e` before it waits on `g`, so the message's latency hides behind `e`:
+/// rank 1's solve takes less than that latency plus its own work.
+#[test]
+fn a_batch_is_drained_when_a_row_first_reads_it() {
+    let m = 100;
+    let (g, y, x, e, f) = (0, 1, m + 2, m + 3, m + 4);
+    let mut entries = vec![(e, x, -1.0), (y, x, -1.0), (y, e, -1.0)];
+    entries.extend([(f, g, -1.0), (g, f, -1.0)]);
+    for i in 2..m + 2 {
+        entries.extend([(i, e, -1.0), (e, i, -1.0)]);
+    }
+    let part = (0..m + 5).map(|i| usize::from(i >= 2)).collect();
+    let out = timed_solve(matrix(m + 5, &entries), part, 0);
+    let [(rf0, ..), (rf1, t0, t1)] = &out[..] else {
+        panic!("two ranks")
+    };
+    assert_eq!(rf0.levels, [vec![g], vec![], vec![y]]);
+    assert_eq!(
+        rf1.levels,
+        [vec![x], vec![e, f], vec![]],
+        "e and f share level 1"
+    );
+    assert_eq!(rf1.stats.nnz_l, m + 2, "e reads no ghost, f reads g");
+    let model = MachineModel::cray_t3d();
+    let solo = model.latency + sweep_flops(rf1) * model.flop_time;
+    assert!(
+        t1 - t0 < solo,
+        "rank 1's solve took {} s, not less than the latency plus its own work, {solo} s",
+        t1 - t0
+    );
 }

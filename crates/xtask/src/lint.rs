@@ -326,7 +326,7 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
     ),
     (
         "crates/core/src/trisolve.rs",
-        &["forward_sweep_into", "backward_sweep_in_place"],
+        &["forward_sweep_into", "backward_sweep_in_place", "replay"],
     ),
     (
         "crates/core/src/dist/exchange.rs",
@@ -334,9 +334,18 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
     ),
     (
         "crates/core/src/dist/exchange/halo.rs",
-        &["wire_tag", "send_values", "recv_values"],
+        &[
+            "wire_tag",
+            "send_batch",
+            "recv_batch",
+            "send_values",
+            "recv_values",
+        ],
     ),
-    ("crates/core/src/dist/op.rs", &["apply_into"]),
+    (
+        "crates/core/src/dist/op.rs",
+        &["apply_into", "product_rows"],
+    ),
     (
         "crates/core/src/parallel/dist_mis.rs",
         &["refresh_links", "round", "frame"],
